@@ -279,10 +279,14 @@ mod tests {
 
     #[test]
     fn config_restored_after_panic() {
-        let before = current_num_threads();
         let _ = std::panic::catch_unwind(|| {
-            with_num_threads(7, || panic!("boom"));
+            with_config(Some(7), Some(11), || panic!("boom"));
         });
-        assert_eq!(current_num_threads(), before);
+        // Read under the lock `with_config` serialises on: with it held no
+        // sibling test's override is installed, so anything but "unset" is
+        // the 7 / 11 above having leaked past the unwind.
+        let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(THREAD_OVERRIDE.load(Ordering::Acquire), 0);
+        assert_eq!(SCHEDULE_SEED.load(Ordering::Acquire), 0);
     }
 }

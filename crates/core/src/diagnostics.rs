@@ -2,58 +2,17 @@
 //! conservation diagnostics.
 //!
 //! Timings come from the `vlasov6d-obs` span layer: the stepper runs under a
-//! [`vlasov6d_obs::StepScope`] and folds the recorded span tree into the
-//! four-bucket [`StepTimers`] via self-time attribution, so the structured
-//! trace and the paper-style decomposition are always consistent.
+//! [`vlasov6d_obs::StepScope`], whose self-time attribution folds the recorded
+//! span tree into the per-bucket [`StepTimers`], so the structured trace and
+//! the paper-style decomposition are always consistent.
 
 use vlasov6d_obs::{BucketTotals, SpanNode, StepEvent};
 
-/// Wall-clock decomposition of one step, in seconds — the same four buckets
-/// the paper reports (Vlasov, tree, PM, plus our explicit "moments/coupling"
-/// overhead bucket).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepTimers {
-    /// Spatial + velocity sweeps of the distribution function.
-    pub vlasov: f64,
-    /// Tree build + short-range walk.
-    pub tree: f64,
-    /// Density deposits, FFT solves and force interpolation.
-    pub pm: f64,
-    /// Checkpoint/restart I/O (encode + commit).
-    pub io: f64,
-    /// Everything else (moments, Δt control, bookkeeping).
-    pub other: f64,
-}
-
-impl StepTimers {
-    pub fn total(&self) -> f64 {
-        self.vlasov + self.tree + self.pm + self.io + self.other
-    }
-}
-
-impl From<BucketTotals> for StepTimers {
-    fn from(b: BucketTotals) -> StepTimers {
-        StepTimers {
-            vlasov: b.vlasov,
-            tree: b.tree,
-            pm: b.pm,
-            io: b.io,
-            other: b.other,
-        }
-    }
-}
-
-impl From<StepTimers> for BucketTotals {
-    fn from(t: StepTimers) -> BucketTotals {
-        BucketTotals {
-            vlasov: t.vlasov,
-            tree: t.tree,
-            pm: t.pm,
-            io: t.io,
-            other: t.other,
-        }
-    }
-}
+/// Wall-clock decomposition of one step, in seconds — the buckets the paper
+/// reports (Vlasov, tree, PM) plus checkpoint I/O and everything else. It
+/// *is* the span layer's bucket fold, under the name the drivers' records
+/// have always used.
+pub type StepTimers = BucketTotals;
 
 /// One time step's record.
 #[derive(Debug, Clone)]
@@ -88,7 +47,7 @@ impl StepRecord {
             rank,
             a: self.a,
             dt: self.dt,
-            buckets: self.timers.into(),
+            buckets: self.timers,
             spans: self.spans.clone(),
             metrics: Vec::new(),
             nu_mass: self.nu_mass,
@@ -161,22 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn timers_round_trip_through_bucket_totals() {
-        let t = StepTimers {
-            vlasov: 1.0,
-            tree: 0.5,
-            pm: 0.25,
-            io: 0.0625,
-            other: 0.125,
-        };
-        let b: BucketTotals = t.into();
-        assert_eq!(b.total(), t.total());
-        let back: StepTimers = b.into();
-        assert_eq!(back.total(), t.total());
-        assert_eq!(back.tree, 0.5);
-    }
-
-    #[test]
     fn accumulate_and_per_step() {
         let rec = |v: f64| StepRecord {
             step: 0,
@@ -231,7 +174,7 @@ mod tests {
                 other: 0.0,
             },
             spans: vec![SpanNode {
-                name: "drift.nu".into(),
+                name: "drift".into(),
                 bucket: vlasov6d_obs::Bucket::Vlasov,
                 elapsed: 1.0,
                 children: Vec::new(),
@@ -244,7 +187,7 @@ mod tests {
         assert_eq!(event.rank, 3);
         assert_eq!(event.buckets.vlasov, 1.0);
         let back = StepEvent::parse(&event.to_jsonl()).unwrap();
-        assert_eq!(back.spans[0].name, "drift.nu");
+        assert_eq!(back.spans[0].name, "drift");
         assert_eq!(back.step, 7);
     }
 }

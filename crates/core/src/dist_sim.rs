@@ -14,11 +14,9 @@
 
 use crate::diagnostics::StepTimers;
 use crate::scenario::dynamics::{Dynamics, ForceLaw};
-use crate::snapshot::{scheme_from_u8, scheme_to_u8};
+use crate::strang;
 use vlasov6d_advection::line::Scheme;
-use vlasov6d_ckpt::{
-    CheckpointPolicy, CheckpointStore, CkptError, CkptStats, LoadedCheckpoint, Record, SimState,
-};
+use vlasov6d_ckpt::{CheckpointPolicy, CheckpointStore, CkptError, CkptStats};
 use vlasov6d_cosmology::Background;
 use vlasov6d_mesh::{Decomp3, Field3};
 use vlasov6d_mpisim::{cart_neighbor_edges, Cart3, Comm, CommPlan, PlanChecks, Traffic};
@@ -28,7 +26,7 @@ use vlasov6d_phase_space::exchange::{
     ghost_exchange_plan, ghost_exchange_split_plan, sweep_spatial_distributed,
     sweep_spatial_overlapped, GHOST_WIDTH,
 };
-use vlasov6d_phase_space::{moments, sweep, Exec, PhaseSpace};
+use vlasov6d_phase_space::{moments, Exec, PhaseSpace};
 use vlasov6d_poisson::{DistPoisson, IsolatedPoisson, PoissonSolver};
 
 /// How the drift's axis-0 ghost exchange is scheduled against the sweep.
@@ -58,10 +56,12 @@ pub struct DistributedVlasov {
     /// isolated (built by [`DistributedVlasov::with_dynamics`]).
     iso_solver: Option<IsolatedPoisson>,
     decomp: Decomp3,
+    /// `−∇φ` on this rank's slab from the last solve; filled by the first
+    /// step, or by a resume from the checkpoint's force meshes.
+    force: Option<[Field3; 3]>,
     scheme: Scheme,
-    /// Which force law / time axis the stepper integrates. Defaults to the
-    /// paper's comoving cosmological gravity, on which every expression
-    /// below reduces bitwise to the original hard-coded forms.
+    /// Which force law / time axis the run integrates (default: the paper's
+    /// comoving cosmological gravity).
     dynamics: Dynamics,
     exec: Exec,
     /// CFL caps (spatial must stay < 1 for the ghost width).
@@ -75,12 +75,12 @@ pub struct DistributedVlasov {
 }
 
 /// Per-rank timing record of one distributed step: the structured span tree
-/// plus its paper-style four-bucket fold.
+/// plus its per-bucket totals.
 #[derive(Debug, Clone)]
 pub struct StepTelemetry {
     /// Hierarchical span tree recorded on this rank during the step.
     pub spans: StepSpans,
-    /// The legacy four-bucket decomposition, folded from `spans`.
+    /// The paper-style bucket decomposition (a copy of `spans.buckets`).
     pub timers: StepTimers,
     /// This rank's drained flight-recorder events, when tracing was enabled
     /// via [`DistributedVlasov::with_tracing`] (`None` otherwise). Serialise
@@ -116,6 +116,7 @@ impl DistributedVlasov {
             solver,
             iso_solver: None,
             decomp,
+            force: None,
             scheme: Scheme::SlMpp5,
             dynamics: Dynamics::cosmological(),
             exec: Exec::Simd,
@@ -153,9 +154,8 @@ impl DistributedVlasov {
     }
 
     /// Run a non-cosmological scenario: replace the force law / time axis
-    /// (default [`Dynamics::cosmological`], which reproduces the original
-    /// behaviour bitwise). For an isolated force law this also builds the
-    /// replicated open-boundary solver.
+    /// (default [`Dynamics::cosmological`]). For an isolated force law this
+    /// also builds the replicated open-boundary solver.
     pub fn with_dynamics(mut self, dynamics: Dynamics) -> Self {
         self.dynamics = dynamics;
         self.iso_solver = dynamics
@@ -334,86 +334,29 @@ impl DistributedVlasov {
             self.verify_comm_plans();
         }
         let scope = StepScope::begin(self.step_index);
-        let force = self.gravity(comm);
-
-        // Global Δa (or Δt) control: spatial CFL < limit, velocity CFL ≤ ~1.
-        // All factors route through the dynamics' time axis; the expanding
-        // axis reproduces the original background-integral expressions
-        // bitwise.
-        let time = self.dynamics.time;
-        let (a1, a2, k1, k2, drift) = {
-            let _s = span!("dt_control", Bucket::Other);
-            let a1 = self.a;
-            let mut a2 = time.propose(&self.background, a1, self.max_dln_a);
-            let nx = self.ps.sglobal[0] as f64;
-            let local_fmax = force.iter().map(|f| f.max_abs()).fold(0.0, f64::max);
-            let fmax = comm.allreduce_max(local_fmax);
-            for _ in 0..60 {
-                let drift = time.drift_factor(&self.background, a1, a2);
-                let kick = time.kick_factor(&self.background, a1, a2);
-                let ok_space = self.ps.vgrid.vmax * drift * nx < self.cfl_spatial;
-                let ok_vel = fmax * 0.5 * kick / self.ps.vgrid.du(0) <= 1.0;
-                if ok_space && ok_vel {
-                    break;
-                }
-                a2 = a1 + 0.5 * (a2 - a1);
-            }
-            let am = time.midpoint(&self.background, a1, a2);
-            let k1 = time.kick_factor(&self.background, a1, am);
-            let k2 = time.kick_factor(&self.background, am, a2);
-            (a1, a2, k1, k2, time.drift_factor(&self.background, a1, a2))
-        };
-
-        self.kick(&force, k1);
-        {
-            // Drift: axis 0 distributed, axes 1/2 rank-local periodic sweeps.
-            let _s = span!("drift", Bucket::Vlasov);
-            let nx = self.ps.sglobal[0] as f64;
-            let tag = self.next_tags(8);
-            let cfl0: Vec<f64> = (0..self.ps.vgrid.n[0])
-                .map(|k| self.ps.vgrid.center(0, k) * drift * nx)
-                .collect();
-            let cart = Cart3::new(comm, self.decomp);
-            match self.overlap {
-                OverlapPolicy::Synchronous => {
-                    sweep_spatial_distributed(&mut self.ps, &cart, 0, &cfl0, self.scheme, tag);
-                }
-                OverlapPolicy::Overlapped => {
-                    sweep_spatial_overlapped(&mut self.ps, &cart, 0, &cfl0, self.scheme, tag);
-                }
-            }
-            for d in 1..3 {
-                let n_d = self.ps.sglobal[d] as f64;
-                let cfl: Vec<f64> = (0..self.ps.vgrid.n[d])
-                    .map(|k| self.ps.vgrid.center(d, k) * drift * n_d)
-                    .collect();
-                sweep::sweep_spatial(&mut self.ps, d, &cfl, self.scheme, self.exec);
-            }
-        }
-
-        self.a = a2;
-        let force = self.gravity(comm);
-        self.kick(&force, k2);
+        let (policy, a1) = (self.policy(), self.a);
+        let interval = strang::step(&mut OnRanks { sim: self, comm }, &policy, a1);
         let spans = scope.finish();
         let telemetry = StepTelemetry {
-            timers: spans.buckets.into(),
+            timers: spans.buckets,
             spans,
             trace: self
                 .trace_capacity
                 .and_then(|_| vlasov6d_obs::trace::drain(comm.rank())),
         };
-        (a2, time.kick_factor(&self.background, a1, a2), telemetry)
+        (interval.t2, interval.dt, telemetry)
     }
 
-    /// Velocity sweeps with the given kick factor (the caller passes the
-    /// half-interval factors k1/k2 of the Strang split).
-    fn kick(&mut self, force: &[Field3; 3], kick: f64) {
-        let _s = span!("kick", Bucket::Vlasov);
-        for d in 0..3 {
-            let du = self.ps.vgrid.du(d);
-            let mut cfl = force[d].clone();
-            cfl.scale(kick / du);
-            sweep::sweep_velocity(&mut self.ps, d, &cfl, self.scheme, self.exec);
+    /// The step policy handed to the shared stepper. All factors route
+    /// through the dynamics' time axis; the velocity CFL cap is 1.
+    fn policy(&self) -> strang::Policy {
+        strang::Policy {
+            time: self.dynamics.time,
+            scheme: self.scheme,
+            exec: self.exec,
+            cfl_spatial: self.cfl_spatial,
+            cfl_velocity: 1.0,
+            max_step: self.max_dln_a,
         }
     }
 
@@ -427,26 +370,12 @@ impl DistributedVlasov {
         self.step_index
     }
 
-    /// Everything a bitwise-exact resume needs besides the distribution
-    /// function itself: counters, scale factor, CFL caps, the scheme.
-    fn sim_state(&self) -> SimState {
-        SimState {
-            step: self.step_index,
-            tag_counter: self.tag_counter,
-            a: self.a,
-            omega_component: self.omega_component,
-            cfl_spatial: self.cfl_spatial,
-            max_dln_a: self.max_dln_a,
-            scheme: scheme_to_u8(self.scheme),
-            rng: Vec::new(),
-        }
-    }
-
     /// Take a checkpoint now (collective — every rank must call it).
     ///
-    /// Writes this rank's phase-space block plus a [`SimState`] record
-    /// through the store's two-phase commit, rotating old generations per
-    /// the policy. Runs under a `ckpt.write` span in the I/O bucket.
+    /// Writes this rank's phase-space block, a `SimState` record (counters,
+    /// scale factor, CFL caps, scheme) and the cached force meshes through
+    /// the store's two-phase commit, rotating old generations per the
+    /// policy. Runs under a `ckpt.write` span in the I/O bucket.
     pub fn checkpoint(
         &self,
         comm: &Comm,
@@ -454,10 +383,15 @@ impl DistributedVlasov {
         policy: &CheckpointPolicy,
     ) -> Result<CkptStats, CkptError> {
         let _s = span!("ckpt.write", Bucket::Io);
-        let records = [
-            Record::PhaseSpace(self.ps.clone()),
-            Record::SimState(self.sim_state()),
-        ];
+        let records = strang::records(
+            Some(&self.ps),
+            self.force.as_ref(),
+            &self.policy(),
+            self.step_index,
+            self.tag_counter,
+            self.a,
+            self.omega_component,
+        );
         store.write_collective(
             comm,
             self.step_index,
@@ -485,10 +419,18 @@ impl DistributedVlasov {
     /// Resume from the newest intact generation in `store` (collective).
     ///
     /// Bitwise-exact: the restored driver continues the trajectory with the
-    /// same bits as an uninterrupted run — the distribution function, scale
-    /// factor, tag counter and step index are all restored exactly (floats
-    /// travel as raw bits). Falls back to older generations when the newest
-    /// is corrupt; every rank agrees on the chosen generation.
+    /// same bits as an uninterrupted run — the distribution function, cached
+    /// force, scale factor, tag counter and step index are all restored
+    /// exactly (floats travel as raw bits). Falls back to older generations
+    /// when the newest is corrupt; every rank agrees on the chosen one.
+    ///
+    /// The checkpoint holds evolving state, the CFL caps and the scheme —
+    /// not the run's configuration. The caller re-applies, exactly as on the
+    /// original driver: [`Self::with_dynamics`] (default cosmological),
+    /// [`Self::with_exec`] (default `Exec::Simd`), [`Self::with_overlap`]
+    /// (default synchronous), and [`Self::with_tracing`] /
+    /// [`Self::with_plan_verification`] if wanted. None of these touches the
+    /// restored force cache or counters.
     pub fn resume_from(
         comm: &Comm,
         store: &CheckpointStore,
@@ -498,37 +440,13 @@ impl DistributedVlasov {
             let _s = span!("ckpt.read", Bucket::Io);
             store.load_collective(comm)?
         };
-        Self::from_loaded(comm, loaded, background)
-    }
-
-    /// Rebuild the driver from one rank's loaded records.
-    fn from_loaded(
-        comm: &Comm,
-        loaded: LoadedCheckpoint,
-        background: Background,
-    ) -> Result<Self, CkptError> {
-        let mut ps = None;
-        let mut state = None;
-        for r in loaded.records {
-            match r {
-                Record::PhaseSpace(p) => ps = Some(p),
-                Record::SimState(s) => state = Some(s),
-                _ => {}
-            }
-        }
-        let missing = |what: &str| CkptError::Mismatch {
-            detail: format!(
-                "generation {} holds no {what} record for rank {}",
-                loaded.generation,
-                comm.rank()
-            ),
-        };
-        let ps = ps.ok_or_else(|| missing("phase-space"))?;
-        let state = state.ok_or_else(|| missing("sim-state"))?;
-        let scheme =
-            scheme_from_u8(state.scheme).map_err(|detail| CkptError::Mismatch { detail })?;
+        let saved = strang::restore(loaded, true)?;
+        let (ps, state) = (saved.ps.expect("checked by restore"), saved.state);
         let mut sim = DistributedVlasov::new(comm, ps, background, state.a, state.omega_component);
-        sim.scheme = scheme;
+        // A checkpoint without force meshes (written before the first step,
+        // or by an older build) leaves the cache empty: the next step solves.
+        sim.force = saved.force;
+        sim.scheme = saved.scheme;
         sim.cfl_spatial = state.cfl_spatial;
         sim.max_dln_a = state.max_dln_a;
         sim.tag_counter = state.tag_counter;
@@ -593,6 +511,49 @@ impl DistributedVlasov {
             f_min,
             momentum,
         }
+    }
+}
+
+/// A [`DistributedVlasov`] bound to its communicator for one step — what the
+/// ranked run contributes to the shared stepper: the slab (or replicated
+/// isolated) field solve, the ghost-exchange sweep along the decomposed axis
+/// and the cross-rank maximum.
+struct OnRanks<'a> {
+    sim: &'a mut DistributedVlasov,
+    comm: &'a Comm,
+}
+
+impl strang::Driver for OnRanks<'_> {
+    fn background(&self) -> &Background {
+        &self.sim.background
+    }
+
+    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
+        Some((&mut self.sim.ps, self.sim.force.as_ref()))
+    }
+
+    fn solve(&mut self, a: f64) {
+        self.sim.a = a;
+        self.sim.force = Some(self.sim.gravity(self.comm));
+    }
+
+    fn sweep_axis0(&mut self, cfl: &[f64], p: &strang::Policy) -> bool {
+        let sim = &mut *self.sim;
+        let tag = sim.next_tags(8);
+        let cart = Cart3::new(self.comm, sim.decomp);
+        match sim.overlap {
+            OverlapPolicy::Synchronous => {
+                sweep_spatial_distributed(&mut sim.ps, &cart, 0, cfl, p.scheme, tag);
+            }
+            OverlapPolicy::Overlapped => {
+                sweep_spatial_overlapped(&mut sim.ps, &cart, 0, cfl, p.scheme, tag);
+            }
+        }
+        true
+    }
+
+    fn reduce_max(&self, x: f64) -> f64 {
+        self.comm.allreduce_max(x)
     }
 }
 
@@ -755,7 +716,7 @@ mod tests {
     use super::*;
     use vlasov6d_cosmology::CosmologyParams;
     use vlasov6d_mpisim::Universe;
-    use vlasov6d_phase_space::VelocityGrid;
+    use vlasov6d_phase_space::{sweep, VelocityGrid};
     use vlasov6d_poisson::PoissonSolver;
 
     fn fill(s: [usize; 3], u: [f64; 3]) -> f64 {
@@ -902,10 +863,15 @@ mod tests {
         // planes, FFT transposes — must use a fresh `(src, dst, tag)` triple,
         // within a step and across step boundaries. A counter reset or an
         // under-reserved `next_tags` window shows up here as tag reuse.
+        //
+        // The same run pins the one-solve-per-step policy: the first step
+        // fills the force cache (two solves), every later step reuses it
+        // (one solve), so the universe's messages per step drop once and
+        // then stay constant.
         let sglobal = [8usize, 8, 8];
         let vg = VelocityGrid::cubic(8, 0.6);
         for overlap in [OverlapPolicy::Synchronous, OverlapPolicy::Overlapped] {
-            let (_, traffic) = Universe::run_with_traffic(2, move |comm| {
+            let (per_step, traffic) = Universe::run_with_traffic(2, move |comm| {
                 let decomp = Decomp3::new(sglobal, [comm.size(), 1, 1]);
                 let off = decomp.local_offset(comm.rank());
                 let dims = decomp.local_dims(comm.rank());
@@ -914,15 +880,33 @@ mod tests {
                 let bg = Background::new(CosmologyParams::planck2015());
                 let mut sim =
                     DistributedVlasov::new(comm, local, bg, 0.2, 1.0).with_overlap(overlap);
+                let mut messages = vec![comm.traffic().total_messages()];
                 for _ in 0..4 {
                     sim.step(comm);
+                    // Every rank has finished the step before the counter is
+                    // read, and none starts the next before all have read.
+                    comm.barrier();
+                    messages.push(comm.traffic().total_messages());
                     comm.barrier();
                 }
+                messages
+                    .windows(2)
+                    .map(|w| w[1] - w[0])
+                    .collect::<Vec<u64>>()
             });
             let reused = traffic.tag_reuse();
             assert!(
                 reused.is_empty(),
                 "{overlap:?}: (src, dst, tag) triples reused across requests: {reused:?}"
+            );
+            let per_step = &per_step[0];
+            assert!(
+                per_step[0] > per_step[1],
+                "{overlap:?}: the first step carries the cache-filling solve: {per_step:?}"
+            );
+            assert!(
+                per_step[1..].iter().all(|&m| m == per_step[1]),
+                "{overlap:?}: messages per step must be constant after the first: {per_step:?}"
             );
         }
     }

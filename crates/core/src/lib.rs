@@ -21,9 +21,12 @@
 //!
 //! Modules:
 //! * [`config`] — [`SimulationConfig`]: grids, cosmology, scheme choices.
-//! * [`sim`] — [`HybridSimulation`]: the coupled Strang-split stepper
-//!   (paper Eq. 5 for the neutrinos, KDK leapfrog for the CDM, one shared
-//!   potential solve per step).
+//! * `strang` (crate-private) — the one Strang-split step every driver
+//!   takes: Δt controller, kick, drift, `K₁ · D · solve · K₂` with one field
+//!   solve per step, and the checkpoint records of a stepper.
+//! * [`sim`] — [`HybridSimulation`]: the coupled run (paper Eq. 5 for the
+//!   neutrinos, KDK leapfrog for the CDM riding along, one shared TreePM +
+//!   PM-mesh solve per step).
 //! * [`fields`] — helpers moving densities and forces between the Vlasov
 //!   spatial grid and the PM mesh, and k-space filters.
 //! * [`diagnostics`] — conserved-quantity tracking and step records.
@@ -34,7 +37,8 @@
 //!   (checkpoint I/O is counted in time-to-solution, §7.2); the drivers'
 //!   `checkpoint`/`resume_from` methods use the ckpt store directly.
 //! * [`spectrum`] — power-spectrum estimation of component fields.
-//! * [`dist_sim`] — the multi-rank Vlasov–Poisson driver over `mpisim`.
+//! * [`dist_sim`] — the multi-rank Vlasov–Poisson driver over `mpisim`
+//!   (slab field solve, ghost-exchange sweep along the decomposed axis).
 //! * [`scenario`] — the scenario registry: data-driven initial conditions,
 //!   force laws, time axes, conservation bands and analytic-rate oracles
 //!   (cosmological, electrostatic plasma, self-gravitating King spheres).
@@ -49,6 +53,7 @@ pub mod scenario;
 pub mod sim;
 pub mod snapshot;
 pub mod spectrum;
+mod strang;
 
 pub use config::SimulationConfig;
 pub use diagnostics::StepRecord;

@@ -1,5 +1,6 @@
-//! The generic serial kinetic stepper: one Strang-split Vlasov–Poisson
-//! engine parameterised by a [`KineticScenario`]'s [`ForceLaw`]/[`TimeAxis`].
+//! The generic serial kinetic engine: the shared Strang stepper
+//! (`strang.rs`) driven by a [`KineticScenario`]'s
+//! [`ForceLaw`]/[`TimeAxis`] through a serial periodic or isolated solve.
 //!
 //! This is the single-rank oracle the distributed differential tests run
 //! against, and the measurement engine behind the analytic-rate oracles:
@@ -7,16 +8,17 @@
 //! L2 norm, probed mode amplitude), so a scenario run *is* its diagnostic
 //! history.
 
-use vlasov6d_ckpt::{CheckpointStore, CkptError, CkptStats, Encoding, Record, SimState};
+use vlasov6d_ckpt::{CheckpointStore, CkptError, CkptStats, Encoding};
 use vlasov6d_cosmology::{Background, CosmologyParams};
 use vlasov6d_mesh::Field3;
 use vlasov6d_obs::{span, Bucket};
-use vlasov6d_phase_space::{moments, sweep, PhaseSpace};
+use vlasov6d_phase_space::{moments, PhaseSpace};
 use vlasov6d_poisson::{IsolatedPoisson, PoissonSolver};
 
 use super::dynamics::{ForceLaw, TimeAxis};
 use super::measure::{ProbeSpec, RateCheck};
 use super::KineticScenario;
+use crate::strang;
 
 /// Per-step diagnostics of a kinetic scenario run.
 #[derive(Debug, Clone, Copy)]
@@ -51,11 +53,7 @@ pub struct KineticSimulation {
     step_count: usize,
     background: Background,
     force_law: ForceLaw,
-    time_axis: TimeAxis,
-    scheme: vlasov6d_advection::line::Scheme,
-    exec: vlasov6d_phase_space::Exec,
-    cfl_spatial: f64,
-    max_step: f64,
+    policy: strang::Policy,
     solver: FieldSolver,
     probe: ProbeSpec,
     /// Cached `−∇φ` on the spatial grid, recomputed after each drift.
@@ -88,11 +86,14 @@ impl KineticSimulation {
             step_count: 0,
             background: Background::new(CosmologyParams::planck2015()),
             force_law: sc.force,
-            time_axis: sc.time,
-            scheme: sc.grid.scheme,
-            exec: sc.grid.exec,
-            cfl_spatial: sc.cfl_spatial,
-            max_step: sc.max_step,
+            policy: strang::Policy {
+                time: sc.time,
+                scheme: sc.grid.scheme,
+                exec: sc.grid.exec,
+                cfl_spatial: sc.cfl_spatial,
+                cfl_velocity: 1.0,
+                max_step: sc.max_step,
+            },
             solver,
             probe: sc.probe,
             force: [
@@ -133,7 +134,7 @@ impl KineticSimulation {
     /// Solve the scenario's Poisson problem at the current state and cache
     /// `−∇φ` plus the potential energy `½ Σ source·φ·Δx³`.
     fn compute_force(&mut self) {
-        let _s = span!("scenario.gravity", Bucket::Pm);
+        let _s = span!("gravity", Bucket::Pm);
         let mut rho = moments::density(&self.ps);
         let dx3 = 1.0 / rho.len() as f64;
         let phi = match &self.solver {
@@ -164,69 +165,15 @@ impl KineticSimulation {
         self.force = PoissonSolver::force_from_potential(&phi);
     }
 
-    /// Next step endpoint under the per-step ceiling and both CFL limits.
-    fn next_time(&self) -> f64 {
-        let _s = span!("scenario.dt_control", Bucket::Other);
-        let mut t2 = self
-            .time_axis
-            .propose(&self.background, self.t, self.max_step);
-        let vmax = self.ps.vgrid.vmax;
-        let fmax = self.force[0]
-            .max_abs()
-            .max(self.force[1].max_abs())
-            .max(self.force[2].max_abs());
-        let du_min = (0..3).map(|d| self.ps.vgrid.du(d)).fold(f64::MAX, f64::min);
-        for _ in 0..60 {
-            let drift = self.time_axis.drift_factor(&self.background, self.t, t2);
-            let n_max = self.ps.sglobal.iter().copied().max().unwrap() as f64;
-            let ok_spatial = vmax * drift * n_max <= self.cfl_spatial;
-            let tm = self.time_axis.midpoint(&self.background, self.t, t2);
-            let kick_half = self.time_axis.kick_factor(&self.background, self.t, tm);
-            let ok_velocity = fmax * kick_half / du_min <= 1.0;
-            if ok_spatial && ok_velocity {
-                return t2;
-            }
-            t2 = self.t + 0.5 * (t2 - self.t);
-        }
-        t2
-    }
-
     /// Advance one Strang-split step (K₁ · D · K₂ with the solve at the
     /// post-drift state) and append the diagnostics row.
     pub fn step(&mut self) -> &KineticDiag {
-        let _scope = span!("scenario.step", Bucket::Other);
-        let t1 = self.t;
-        let t2 = self.next_time();
-        let tm = self.time_axis.midpoint(&self.background, t1, t2);
-        let k1 = self.time_axis.kick_factor(&self.background, t1, tm);
-        let k2 = self.time_axis.kick_factor(&self.background, tm, t2);
-        let drift = self.time_axis.drift_factor(&self.background, t1, t2);
-
-        self.kick(k1);
-        for d in 0..3 {
-            let n_d = self.ps.sglobal[d] as f64;
-            let cfl: Vec<f64> = (0..self.ps.vgrid.n[d])
-                .map(|k| self.ps.vgrid.center(d, k) * drift * n_d)
-                .collect();
-            sweep::sweep_spatial(&mut self.ps, d, &cfl, self.scheme, self.exec);
-        }
-        self.t = t2;
-        self.compute_force();
-        self.kick(k2);
-
+        let (policy, t1) = (self.policy, self.t);
+        let interval = strang::step(self, &policy, t1);
         self.step_count += 1;
-        let diag = self.diagnose(self.time_axis.kick_factor(&self.background, t1, t2));
+        let diag = self.diagnose(interval.dt);
         self.history.push(diag);
         self.history.last().unwrap()
-    }
-
-    fn kick(&mut self, kick: f64) {
-        for d in 0..3 {
-            let du = self.ps.vgrid.du(d);
-            let mut cfl = self.force[d].clone();
-            cfl.scale(kick / du);
-            sweep::sweep_velocity(&mut self.ps, d, &cfl, self.scheme, self.exec);
-        }
     }
 
     /// Step until `t ≥ t_end` (the CFL controller sets the actual step
@@ -308,33 +255,20 @@ impl KineticSimulation {
         oracle.judge(&times, &amps)
     }
 
-    /// Checkpoint the full engine state into `store`. The cached force
-    /// fields ride along as named meshes: the stepper computes them *before*
-    /// the second kick, whose velocity-boundary outflow perturbs the density
-    /// in its last ulps — recomputing from the saved distribution would be
-    /// algorithmically right but bitwise wrong.
+    /// Checkpoint the full engine state into `store`; the cached force rides
+    /// along, so [`KineticSimulation::resume`] continues bit for bit.
     pub fn save_checkpoint(&self, store: &CheckpointStore) -> Result<CkptStats, CkptError> {
-        let mut records = vec![
-            Record::PhaseSpace(self.ps.clone()),
-            Record::SimState(SimState {
-                step: self.step_count as u64,
-                tag_counter: 0,
-                a: self.t,
-                // No Ω for a generic kinetic run — the slot carries the
-                // cached potential energy of the last solve instead.
-                omega_component: self.potential,
-                cfl_spatial: self.cfl_spatial,
-                max_dln_a: self.max_step,
-                scheme: crate::snapshot::scheme_to_u8(self.scheme),
-                rng: Vec::new(),
-            }),
-        ];
-        for (d, f) in self.force.iter().enumerate() {
-            records.push(Record::FieldMesh {
-                name: format!("force{d}"),
-                field: f.clone(),
-            });
-        }
+        // No Ω for a generic kinetic run — the slot carries the cached
+        // potential energy of the last solve instead.
+        let records = strang::records(
+            Some(&self.ps),
+            Some(&self.force),
+            &self.policy,
+            self.step_count as u64,
+            0,
+            self.t,
+            self.potential,
+        );
         store.write_serial(self.step_count as u64, self.t, &records, Encoding::Raw, 2)
     }
 
@@ -342,52 +276,39 @@ impl KineticSimulation {
     /// saved force meshes (not a recompute) restore the cached force, so
     /// the continuation is bitwise identical to the uninterrupted run.
     pub fn resume(sc: &KineticScenario, store: &CheckpointStore) -> Result<Self, CkptError> {
-        let loaded = store.load_serial()?;
-        let mut ps = None;
-        let mut state = None;
-        let mut force: [Option<Field3>; 3] = [None, None, None];
-        for r in loaded.records {
-            match r {
-                Record::PhaseSpace(p) => ps = Some(p),
-                Record::SimState(s) => state = Some(s),
-                Record::FieldMesh { name, field } => {
-                    if let Some(d) = name
-                        .strip_prefix("force")
-                        .and_then(|s| s.parse::<usize>().ok())
-                    {
-                        if d < 3 {
-                            force[d] = Some(field);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let (ps, state) = match (ps, state) {
-            (Some(p), Some(s)) => (p, s),
-            _ => {
-                return Err(CkptError::Mismatch {
-                    detail: "checkpoint lacks phase-space or sim-state record".into(),
-                })
-            }
-        };
-        let scheme = crate::snapshot::scheme_from_u8(state.scheme)
-            .map_err(|detail| CkptError::Mismatch { detail })?;
-        let mut sim = KineticSimulation::new(ps, sc);
-        sim.scheme = scheme;
-        sim.cfl_spatial = state.cfl_spatial;
-        sim.max_step = state.max_dln_a;
-        sim.step_count = state.step as usize;
-        sim.t = state.a;
-        match force {
-            [Some(f0), Some(f1), Some(f2)] => {
-                sim.force = [f0, f1, f2];
-                sim.potential = state.omega_component;
+        let saved = strang::restore(store.load_serial()?, true)?;
+        let mut sim = KineticSimulation::new(saved.ps.expect("checked by restore"), sc);
+        sim.policy.scheme = saved.scheme;
+        sim.policy.cfl_spatial = saved.state.cfl_spatial;
+        sim.policy.max_step = saved.state.max_dln_a;
+        sim.step_count = saved.state.step as usize;
+        sim.t = saved.state.a;
+        match saved.force {
+            Some(force) => {
+                sim.force = force;
+                sim.potential = saved.state.omega_component;
             }
             // Older checkpoints without force meshes: recompute (correct to
             // rounding, though not bitwise against the uninterrupted run).
-            _ => sim.compute_force(),
+            None => sim.compute_force(),
         }
         Ok(sim)
+    }
+}
+
+/// What the scenario engine contributes to the shared step: the serial
+/// periodic or isolated Poisson solve of its force law.
+impl strang::Driver for KineticSimulation {
+    fn background(&self) -> &Background {
+        &self.background
+    }
+
+    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
+        Some((&mut self.ps, Some(&self.force)))
+    }
+
+    fn solve(&mut self, t: f64) {
+        self.t = t;
+        self.compute_force();
     }
 }

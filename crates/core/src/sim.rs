@@ -1,4 +1,6 @@
-//! The coupled hybrid stepper.
+//! The coupled hybrid driver — a façade over the shared stepper
+//! (`strang.rs`) that contributes the TreePM + PM-mesh gravity solve
+//! and the CDM particles.
 //!
 //! One step from `a₁` to `a₂` follows the paper's Eq. (5) for the neutrinos —
 //! velocity half-sweeps, spatial full sweeps, velocity half-sweeps — run in
@@ -17,15 +19,16 @@
 use crate::config::SimulationConfig;
 use crate::diagnostics::StepRecord;
 use crate::fields;
-use crate::snapshot::{scheme_from_u8, scheme_to_u8};
-use vlasov6d_ckpt::{CheckpointStore, CkptError, CkptStats, Record, SimState};
+use crate::scenario::dynamics::TimeAxis;
+use crate::strang;
+use vlasov6d_ckpt::{CheckpointStore, CkptError, CkptStats, Record};
 use vlasov6d_cosmology::{Background, FermiDirac, Growth, PowerSpectrum, TransferFunction, Units};
 use vlasov6d_ic::{load_neutrino_phase_space, GaussianField, ZeldovichIc};
 use vlasov6d_mesh::Field3;
 use vlasov6d_nbody::integrator;
 use vlasov6d_nbody::{ParticleSet, TreePm};
 use vlasov6d_obs::{span, Bucket, StepScope};
-use vlasov6d_phase_space::{moments, sweep, PhaseSpace, VelocityGrid};
+use vlasov6d_phase_space::{moments, PhaseSpace, VelocityGrid};
 use vlasov6d_poisson::PoissonSolver;
 
 /// The coupled Vlasov/N-body simulation state.
@@ -244,85 +247,24 @@ impl HybridSimulation {
         }
     }
 
-    /// Choose the next scale factor respecting Δln a and both CFL limits.
-    fn next_scale_factor(&self) -> f64 {
-        let mut a2 = (self.a * (1.0 + self.config.max_dln_a)).min(1.0 + 1e-12);
-        let nx = self.config.nx as f64;
-        for _ in 0..60 {
-            let drift = self.background.drift_factor(self.a, a2);
-            let ok_spatial = match &self.neutrinos {
-                Some(nu) => nu.vgrid.vmax * drift * nx <= self.config.cfl_spatial,
-                None => true,
-            };
-            let ok_velocity = match (&self.neutrinos, &self.nu_force) {
-                (Some(nu), Some(force)) => {
-                    let kick_half = self
-                        .background
-                        .kick_factor(self.a, mid_a(&self.background, self.a, a2));
-                    let fmax = force[0]
-                        .max_abs()
-                        .max(force[1].max_abs())
-                        .max(force[2].max_abs());
-                    fmax * kick_half / nu.vgrid.du(0) <= self.config.cfl_velocity
-                }
-                _ => true,
-            };
-            if ok_spatial && ok_velocity {
-                return a2;
-            }
-            a2 = self.a + 0.5 * (a2 - self.a);
+    /// The step policy this configuration asks of the shared stepper.
+    fn policy(&self) -> strang::Policy {
+        strang::Policy {
+            time: TimeAxis::Expanding,
+            scheme: self.config.scheme,
+            exec: self.config.exec,
+            cfl_spatial: self.config.cfl_spatial,
+            cfl_velocity: self.config.cfl_velocity,
+            max_step: self.config.max_dln_a,
         }
-        a2
     }
 
     /// Advance one full Strang-split step. Returns the record.
     pub fn step(&mut self) -> &StepRecord {
         let scope = StepScope::begin(self.step_count as u64 + 1);
-        let (a1, a2, am) = {
-            let _s = span!("dt_control", Bucket::Other);
-            let a1 = self.a;
-            let a2 = self.next_scale_factor();
-            (a1, a2, mid_a(&self.background, a1, a2))
-        };
-        let k1 = self.background.kick_factor(a1, am);
-        let k2 = self.background.kick_factor(am, a2);
-        let drift = self.background.drift_factor(a1, a2);
+        let (policy, a1) = (self.policy(), self.a);
+        let interval = strang::step(self, &policy, a1);
 
-        // --- first half kick (cached forces at a1) ---
-        self.kick_neutrinos(k1);
-        if let (Some(cdm), false) = (&mut self.cdm, self.cdm_accel.is_empty()) {
-            let _s = span!("kick.cdm", Bucket::Other);
-            integrator::kick(cdm, &self.cdm_accel, k1);
-        }
-
-        // --- drift ---
-        if let Some(nu) = &mut self.neutrinos {
-            let _s = span!("drift.nu", Bucket::Vlasov);
-            for d in 0..3 {
-                let n_d = self.config.nx as f64;
-                let cfl: Vec<f64> = (0..nu.vgrid.n[d])
-                    .map(|k| nu.vgrid.center(d, k) * drift * n_d)
-                    .collect();
-                sweep::sweep_spatial(nu, d, &cfl, self.config.scheme, self.config.exec);
-            }
-        }
-        if let Some(cdm) = &mut self.cdm {
-            let _s = span!("drift.cdm", Bucket::Other);
-            integrator::drift(cdm, drift);
-        }
-
-        // --- gravity at the new positions ---
-        self.a = a2;
-        self.compute_gravity();
-
-        // --- second half kick ---
-        self.kick_neutrinos(k2);
-        if let (Some(cdm), false) = (&mut self.cdm, self.cdm_accel.is_empty()) {
-            let _s = span!("kick.cdm", Bucket::Other);
-            integrator::kick(cdm, &self.cdm_accel, k2);
-        }
-
-        // --- record ---
         self.step_count += 1;
         let (nu_mass, f_min, momentum) = {
             let _s = span!("diagnostics", Bucket::Other);
@@ -332,33 +274,18 @@ impl HybridSimulation {
             };
             (nu_mass, f_min, self.total_momentum())
         };
-        let dt = self.background.kick_factor(a1, a2);
         let spans = scope.finish();
         self.records.push(StepRecord {
             step: self.step_count,
             a: self.a,
-            dt,
-            timers: spans.buckets.into(),
+            dt: interval.dt,
+            timers: spans.buckets,
             spans: spans.roots,
             nu_mass,
             f_min,
             momentum,
         });
         self.records.last().unwrap()
-    }
-
-    fn kick_neutrinos(&mut self, kick: f64) {
-        let (Some(nu), Some(force)) = (&mut self.neutrinos, &self.nu_force) else {
-            return;
-        };
-        let _s = span!("kick.nu", Bucket::Vlasov);
-        for d in 0..3 {
-            // cfl = -∂φ/∂x · K / Δu  (force fields already hold -∂φ/∂x).
-            let du = nu.vgrid.du(d);
-            let mut cfl = force[d].clone();
-            cfl.scale(kick / du);
-            sweep::sweep_velocity(nu, d, &cfl, self.config.scheme, self.config.exec);
-        }
     }
 
     /// Total canonical momentum: CDM `m Σu` plus the ν momentum integral.
@@ -384,23 +311,20 @@ impl HybridSimulation {
     /// retention.
     pub fn save_checkpoint(&self, store: &CheckpointStore) -> Result<CkptStats, CkptError> {
         let policy = self.config.checkpoint_policy();
-        let mut records = Vec::new();
-        if let Some(nu) = &self.neutrinos {
-            records.push(Record::PhaseSpace(nu.clone()));
-        }
+        // No force meshes: the CDM accelerations are not a mesh either, so a
+        // restore recomputes the shared gravity as a whole.
+        let mut records = strang::records(
+            self.neutrinos.as_ref(),
+            None,
+            &self.policy(),
+            self.step_count as u64,
+            0,
+            self.a,
+            self.config.cosmology.omega_nu(),
+        );
         if let Some(cdm) = &self.cdm {
             records.push(Record::Particles(cdm.clone()));
         }
-        records.push(Record::SimState(SimState {
-            step: self.step_count as u64,
-            tag_counter: 0,
-            a: self.a,
-            omega_component: self.config.cosmology.omega_nu(),
-            cfl_spatial: self.config.cfl_spatial,
-            max_dln_a: self.config.max_dln_a,
-            scheme: scheme_to_u8(self.config.scheme),
-            rng: Vec::new(),
-        }));
         store.write_serial(
             self.step_count as u64,
             self.a,
@@ -429,25 +353,18 @@ impl HybridSimulation {
     /// wrote the checkpoint (the store only holds evolving state, not the
     /// grids or cosmology).
     pub fn restore_checkpoint(&mut self, store: &CheckpointStore) -> Result<u64, CkptError> {
-        let loaded = store.load_serial()?;
-        let mut state = None;
-        for r in loaded.records {
-            match r {
-                Record::PhaseSpace(ps) => self.neutrinos = Some(ps),
-                Record::Particles(p) => self.cdm = Some(p),
-                Record::SimState(s) => state = Some(s),
-                _ => {}
-            }
+        let saved = strang::restore(store.load_serial()?, false)?;
+        if let Some(nu) = saved.ps {
+            self.neutrinos = Some(nu);
         }
-        let state = state.ok_or_else(|| CkptError::Mismatch {
-            detail: format!("generation {} holds no sim-state record", loaded.generation),
-        })?;
-        scheme_from_u8(state.scheme).map_err(|detail| CkptError::Mismatch { detail })?;
-        self.a = state.a;
-        self.step_count = state.step as usize;
+        if let Some(cdm) = saved.particles {
+            self.cdm = Some(cdm);
+        }
+        self.a = saved.state.a;
+        self.step_count = saved.state.step as usize;
         self.records.truncate(self.step_count);
         self.compute_gravity();
-        Ok(state.step)
+        Ok(saved.state.step)
     }
 
     /// Run until redshift `z_final`, invoking `callback` after every step.
@@ -469,9 +386,36 @@ fn scaled(f: &Field3, s: f64) -> Field3 {
     out
 }
 
-fn mid_a(bg: &Background, a1: f64, a2: f64) -> f64 {
-    let t_mid = 0.5 * (bg.time_of_a(a1) + bg.time_of_a(a2));
-    bg.a_of_time(t_mid)
+/// What the hybrid run contributes to the shared step: the TreePM + PM-mesh
+/// gravity solve and the CDM particles riding along as the companion species.
+impl strang::Driver for HybridSimulation {
+    fn background(&self) -> &Background {
+        &self.background
+    }
+
+    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
+        let force = self.nu_force.as_ref();
+        self.neutrinos.as_mut().map(|nu| (nu, force))
+    }
+
+    fn solve(&mut self, a: f64) {
+        self.a = a;
+        self.compute_gravity();
+    }
+
+    fn kick_companion(&mut self, kick: f64) {
+        if let (Some(cdm), false) = (&mut self.cdm, self.cdm_accel.is_empty()) {
+            let _s = span!("kick.cdm", Bucket::Other);
+            integrator::kick(cdm, &self.cdm_accel, kick);
+        }
+    }
+
+    fn drift_companion(&mut self, drift: f64) {
+        if let Some(cdm) = &mut self.cdm {
+            let _s = span!("drift.cdm", Bucket::Other);
+            integrator::drift(cdm, drift);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -583,8 +527,8 @@ mod tests {
         let rec = &sim.records[0];
         // The structured trace is present and covers the expected phases.
         let names: Vec<&str> = rec.spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"drift.nu"), "roots: {names:?}");
-        assert!(names.contains(&"kick.nu"), "roots: {names:?}");
+        assert!(names.contains(&"drift"), "roots: {names:?}");
+        assert!(names.contains(&"kick"), "roots: {names:?}");
         assert!(names.contains(&"gravity.cdm.tree"), "roots: {names:?}");
         // Folding the tree reproduces the four-bucket timers exactly —
         // they are two views of the same measurement.

@@ -16,7 +16,8 @@ fn fill(s: [usize; 3], u: [f64; 3]) -> f64 {
     0.002 * (2.5 + sx) * (-(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) / 0.03).exp()
 }
 
-/// Two-rank, two-step run; returns every rank's final `f` as raw bits.
+/// Two-rank, four-step run (the cached force crosses three step boundaries);
+/// returns every rank's final `f` as raw bits.
 fn run(threads: usize, overlap: OverlapPolicy) -> Vec<Vec<u32>> {
     rayon::with_num_threads(threads, || {
         let sglobal = [8usize, 8, 8];
@@ -29,7 +30,7 @@ fn run(threads: usize, overlap: OverlapPolicy) -> Vec<Vec<u32>> {
             local.fill_with(fill);
             let bg = Background::new(CosmologyParams::planck2015());
             let mut sim = DistributedVlasov::new(comm, local, bg, 0.2, 1.0).with_overlap(overlap);
-            for _ in 0..2 {
+            for _ in 0..4 {
                 sim.step(comm);
             }
             sim.ps.as_slice().iter().map(|v| v.to_bits()).collect()

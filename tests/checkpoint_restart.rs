@@ -1,12 +1,15 @@
 //! End-to-end checkpoint/restart: a distributed run interrupted at step 3
-//! and resumed from disk must reproduce the uninterrupted run bit for bit;
-//! a torn newest generation must fall back to the previous one; and a rank
-//! killed mid-step must surface as a structured error while the on-disk
-//! state stays resumable.
+//! and resumed from disk must reproduce the uninterrupted run bit for bit —
+//! under the default cosmological dynamics and under a scenario's, whose
+//! configuration the caller re-applies on the resumed driver; a torn newest
+//! generation must fall back to the previous one; and a rank killed mid-step
+//! must surface as a structured error while the on-disk state stays
+//! resumable.
 
 use std::path::PathBuf;
-use vlasov6d::DistributedVlasov;
-use vlasov6d_ckpt::{fault, CheckpointPolicy, CheckpointStore, Encoding};
+use vlasov6d::scenario::plasma;
+use vlasov6d::{DistributedVlasov, KineticScenario};
+use vlasov6d_ckpt::{fault, CheckpointPolicy, CheckpointStore, Encoding, Record};
 use vlasov6d_cosmology::{Background, CosmologyParams};
 use vlasov6d_mesh::Decomp3;
 use vlasov6d_mpisim::{KillSwitch, SimError, SimOptions, Universe};
@@ -96,6 +99,88 @@ fn resume_is_bitwise_identical_to_uninterrupted_run() {
         assert_eq!(got.2, want.2, "rank {rank} step count");
         assert_eq!(got.1, want.1, "rank {rank} scale-factor bits");
         assert_eq!(got.0, want.0, "rank {rank} distribution-function bits");
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Everything `resume_from` cannot know: the scenario's force law / time
+/// axis and the kernel backend its thin velocity grid needs.
+fn as_scenario(sim: DistributedVlasov, sc: &KineticScenario) -> DistributedVlasov {
+    sim.with_dynamics(sc.dynamics()).with_exec(sc.grid.exec)
+}
+
+/// One rank's end state of [`landau_on_ranks`].
+#[derive(Debug, PartialEq)]
+struct LandauEnd {
+    f_bits: Vec<u32>,
+    /// `(t, Δt)` bits of every step.
+    clocks: Vec<(u64, u64)>,
+    /// The tag counter the run ends on (read back from a final checkpoint).
+    tag_counter: u64,
+}
+
+/// Six steps of 2-rank Landau damping (electrostatic force, static time
+/// axis, `Exec::Scalar`), optionally torn down after step 3 and resumed from
+/// its checkpoint; one end state per rank.
+fn landau_on_ranks(root: PathBuf, interrupt: bool) -> Vec<LandauEnd> {
+    let policy = CheckpointPolicy::every(1);
+    Universe::run(N_RANKS, move |comm| {
+        let sc = plasma::landau_damping();
+        let bg = || Background::new(CosmologyParams::planck2015());
+        let decomp = Decomp3::new(sc.grid.sdims, [comm.size(), 1, 1]);
+        let mut local = PhaseSpace::zeros_block(
+            decomp.local_dims(comm.rank()),
+            decomp.local_offset(comm.rank()),
+            sc.grid.sdims,
+            sc.grid.vgrid,
+        );
+        sc.fill(&mut local);
+        let mut sim = as_scenario(DistributedVlasov::new(comm, local, bg(), 0.0, 0.0), &sc)
+            .with_scheme(sc.grid.scheme);
+        sim.max_dln_a = sc.max_step;
+        sim.cfl_spatial = sc.cfl_spatial;
+
+        let mid = CheckpointStore::new(root.join("mid"));
+        let mut clocks = Vec::new();
+        for step in 0..6 {
+            if interrupt && step == 3 {
+                sim.checkpoint(comm, &mid, &policy).expect("mid-run commit");
+                let resumed = DistributedVlasov::resume_from(comm, &mid, bg()).expect("resume");
+                sim = as_scenario(resumed, &sc);
+            }
+            let (t, dt) = sim.step(comm);
+            clocks.push((t.to_bits(), dt.to_bits()));
+        }
+
+        let end = CheckpointStore::new(root.join("end"));
+        sim.checkpoint(comm, &end, &policy).expect("final commit");
+        let tag_counter = end
+            .load_collective(comm)
+            .expect("final generation loads")
+            .records
+            .iter()
+            .find_map(|r| match r {
+                Record::SimState(s) => Some(s.tag_counter),
+                _ => None,
+            })
+            .expect("sim-state record");
+        LandauEnd {
+            f_bits: sim.ps.as_slice().iter().map(|v| v.to_bits()).collect(),
+            clocks,
+            tag_counter,
+        }
+    })
+}
+
+#[test]
+fn scenario_resume_on_ranks_is_bitwise_identical_to_uninterrupted_run() {
+    let root = scratch("landau");
+    let reference = landau_on_ranks(root.join("whole"), false);
+    let resumed = landau_on_ranks(root.join("resumed"), true);
+    for (rank, (got, want)) in resumed.iter().zip(&reference).enumerate() {
+        assert_eq!(got.clocks, want.clocks, "rank {rank} clock stream");
+        assert_eq!(got.tag_counter, want.tag_counter, "rank {rank} tag counter");
+        assert!(got.f_bits == want.f_bits, "rank {rank} f bits diverged");
     }
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -5,6 +5,7 @@ use vlasov6d::dist_sim::{DistributedVlasov, OverlapPolicy};
 use vlasov6d::scenario::{king, plasma};
 use vlasov6d::KineticScenario;
 use vlasov6d_advection::line::Scheme;
+use vlasov6d_ckpt::{CheckpointPolicy, CheckpointStore};
 use vlasov6d_cosmology::{Background, CosmologyParams};
 use vlasov6d_mesh::{Decomp3, Field3};
 use vlasov6d_mpisim::{Cart3, Universe};
@@ -114,7 +115,10 @@ fn global_mass_is_conserved_across_ranks() {
 /// under [`OverlapPolicy::Overlapped`] must stay **bitwise** identical to the
 /// synchronous oracle — every scheme, 1/2/4 ranks (4 ranks puts the local
 /// block below `2·GHOST_WIDTH`, exercising the thin-block fallback), 8 full
-/// Strang steps with gravity, Δt control and both kicks in the loop.
+/// Strang steps with gravity, Δt control and both kicks in the loop, so the
+/// cached force crosses seven step boundaries — and, on the overlapped side,
+/// one resume boundary: after step 4 it is torn down and rebuilt from its
+/// checkpoint, which must not move a bit either.
 ///
 /// Both drivers run in the same universe; the barrier after each step pair
 /// keeps their (deliberately identical) tag streams from interleaving — the
@@ -125,8 +129,10 @@ fn overlapped_step_is_bitwise_identical_to_synchronous() {
     let sglobal = [16usize, 8, 8];
     let vg = VelocityGrid::cubic(8, 0.6);
     let steps = 8;
+    let root = std::env::temp_dir().join(format!("vdc-overlap-{}", std::process::id()));
     for scheme in [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5] {
         for n_ranks in [1usize, 2, 4] {
+            let store = CheckpointStore::new(root.join(format!("{scheme:?}-{n_ranks}")));
             Universe::run(n_ranks, move |comm| {
                 let decomp = Decomp3::new(sglobal, [comm.size(), 1, 1]);
                 let off = decomp.local_offset(comm.rank());
@@ -152,6 +158,14 @@ fn overlapped_step_is_bitwise_identical_to_synchronous() {
                         "{scheme:?} {n_ranks} rank(s) step {step}: scale factors diverged"
                     );
                     assert_eq!(dt_sync.to_bits(), dt_over.to_bits());
+                    if step == 3 {
+                        over.checkpoint(comm, &store, &CheckpointPolicy::every(1))
+                            .expect("checkpoint commit");
+                        let bg = Background::new(CosmologyParams::planck2015());
+                        over = DistributedVlasov::resume_from(comm, &store, bg)
+                            .expect("resume")
+                            .with_overlap(OverlapPolicy::Overlapped);
+                    }
                 }
                 for (i, (a, b)) in sync
                     .ps
@@ -169,6 +183,7 @@ fn overlapped_step_is_bitwise_identical_to_synchronous() {
             });
         }
     }
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// One rank's `(t, Δt)` clock stream, as bits for exact comparison.

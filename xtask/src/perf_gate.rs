@@ -2,9 +2,10 @@
 //!
 //! Runs the 2-rank overlapped smoke simulation twice — flight recorder on
 //! and off — stitches the recorded trace into per-step critical paths, and
-//! compares a summary (critical-path coverage, exposed-comm share and its
-//! agreement with the span-tree figure, communication imbalance, tracing
-//! overhead, trace completeness) against a checked-in baseline JSON with
+//! compares a summary (critical-path coverage of the trace wall and of the
+//! independently measured step wall, exposed-comm share and its agreement
+//! with the span-tree figure, communication imbalance, tracing overhead,
+//! trace completeness) against a checked-in baseline JSON with
 //! per-metric `[min, max]` bounds. Scale-free ratios carry tight bounds;
 //! the one absolute figure (critical-path ms/step) carries wide bounds so
 //! the gate trips on pathological regressions, not on machine speed.
@@ -23,7 +24,7 @@ use vlasov6d::dist_sim::{DistributedVlasov, OverlapPolicy};
 use vlasov6d_cosmology::{Background, CosmologyParams};
 use vlasov6d_mesh::Decomp3;
 use vlasov6d_mpisim::{Traffic, Universe};
-use vlasov6d_obs::trace::{TraceReport, TraceSet};
+use vlasov6d_obs::trace::{epoch_now, TraceReport, TraceSet};
 use vlasov6d_obs::{Json, RunReport, Stopwatch};
 use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
@@ -44,6 +45,9 @@ struct SmokeRun {
     traces: TraceSet,
     /// Minimum over steps of rank 0's step wall-clock (barrier-inclusive).
     min_step_wall: f64,
+    /// Worst step's `|critical path − measured step wall| / wall`, in percent
+    /// (0 for an untraced run).
+    path_vs_wall_pct: f64,
     traffic: Traffic,
 }
 
@@ -65,19 +69,31 @@ fn smoke_run(traced: bool) -> SmokeRun {
         }
         let mut out = Vec::new();
         let mut min_wall = f64::INFINITY;
+        // A step's trace runs from the previous drain to its own (the
+        // collectives between steps ride with the next drain), so its
+        // measured window runs from the previous `step_traced` return to
+        // this one's, on the epoch clock all ranks share.
+        let mut windows = Vec::new();
+        comm.barrier();
+        let mut window_start = epoch_now();
         for _ in 0..STEPS {
             let sw = Stopwatch::start();
             let (_, dt, telemetry) = sim.step_traced(comm);
+            let window_end = epoch_now();
+            windows.push((window_start, window_end));
+            window_start = window_end;
             comm.barrier();
             min_wall = min_wall.min(sw.elapsed_secs());
             out.push((sim.step_event(comm, dt, &telemetry, None), telemetry.trace));
         }
-        (out, min_wall)
+        (out, min_wall, windows)
     });
     let mut report = RunReport::new();
     let mut traces = TraceSet::new();
     let mut min_step_wall = f64::INFINITY;
-    for (rank, (events, min_wall)) in per_rank.into_iter().enumerate() {
+    let mut walls = Vec::new();
+    for (rank, (events, min_wall, windows)) in per_rank.into_iter().enumerate() {
+        walls.push(windows);
         if rank == 0 {
             min_step_wall = min_wall;
         }
@@ -88,10 +104,22 @@ fn smoke_run(traced: bool) -> SmokeRun {
             }
         }
     }
+    // The step's wall-clock is the global span of the per-rank windows: from
+    // the first rank entering the step to the last rank leaving it.
+    let mut path_vs_wall_pct = 0.0_f64;
+    for (i, step) in traces.steps().into_iter().enumerate() {
+        let path = traces.stitch(step).expect("step present").critical_path();
+        let start = walls.iter().map(|w| w[i].0).fold(f64::INFINITY, f64::min);
+        let end = walls.iter().map(|w| w[i].1).fold(0.0_f64, f64::max);
+        let measured = end - start;
+        path_vs_wall_pct =
+            path_vs_wall_pct.max(100.0 * (path.length() - measured).abs() / measured);
+    }
     SmokeRun {
         report,
         traces,
         min_step_wall,
+        path_vs_wall_pct,
         traffic,
     }
 }
@@ -126,8 +154,10 @@ fn compute_metrics() -> (Vec<Metric>, TraceSet, String) {
     // both sides; the overhead compares best-of-REPS step walls.
     let mut traced = smoke_run(true);
     let mut untraced = smoke_run(false);
+    let mut path_vs_wall_pct = traced.path_vs_wall_pct;
     for _ in 1..REPS {
         let t = smoke_run(true);
+        path_vs_wall_pct = path_vs_wall_pct.min(t.path_vs_wall_pct);
         if t.min_step_wall < traced.min_step_wall {
             traced = t;
         }
@@ -180,6 +210,13 @@ fn compute_metrics() -> (Vec<Metric>, TraceSet, String) {
             name: "path_cover",
             value: trace_report.coverage(),
             default_bounds: Some((0.95, 1.02)),
+        },
+        Metric {
+            // The path also reconstructs the step wall-clock measured
+            // outside the recorder (best of the traced repetitions).
+            name: "path_vs_wall_pct",
+            value: path_vs_wall_pct,
+            default_bounds: Some((0.0, 5.0)),
         },
         Metric {
             name: "exposed_share",
