@@ -19,6 +19,7 @@ use vlasov6d_advection::Boundary;
 use vlasov6d_fft::{Complex64, FftPlan, RealFft3};
 use vlasov6d_mesh::assign::{deposit_equal_mass, Scheme as AssignScheme};
 use vlasov6d_mesh::Field3;
+use vlasov6d_nbody::pp::{InteractionList, SplitKernel};
 use vlasov6d_nbody::Tree;
 use vlasov6d_poisson::ForceSplit;
 
@@ -152,6 +153,20 @@ fn bench_tree() {
     let tree = Tree::build(&positions, 2e-4);
     bench("tree/walk_one_target", 1, || {
         black_box(tree.short_range_at(black_box([0.5, 0.5, 0.5]), &split, 0.5, 1e-4, r_cut));
+    });
+    // The production pass (per pair evaluation), then its kernel alone on
+    // one list of the same length as a group's.
+    let (_, stats) = tree.short_range_walk(&positions, &split, 0.5, 1e-4, r_cut, 1.0);
+    bench("tree/group_walk_5k", stats.interactions, || {
+        black_box(tree.short_range_many(black_box(&positions), &split, 0.5, 1e-4, r_cut));
+    });
+    let kernel = SplitKernel::new(&split, 1e-4, r_cut);
+    let mut list = InteractionList::default();
+    for p in &positions[..(stats.list_entries / stats.groups) as usize] {
+        list.push(p.map(|c| 0.5 * (c - 0.5)), 2e-4);
+    }
+    bench("pp/lane_kernel", list.lanes() as u64, || {
+        black_box(kernel.accel(black_box([0.01, -0.02, 0.03]), black_box(&list)));
     });
 }
 

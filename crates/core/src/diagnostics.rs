@@ -6,7 +6,7 @@
 //! span tree into the per-bucket [`StepTimers`], so the structured trace and
 //! the paper-style decomposition are always consistent.
 
-use vlasov6d_obs::{BucketTotals, SpanNode, StepEvent};
+use vlasov6d_obs::{BucketTotals, MetricValue, SpanNode, StepEvent};
 
 /// Wall-clock decomposition of one step, in seconds — the buckets the paper
 /// reports (Vlasov, tree, PM) plus checkpoint I/O and everything else. It
@@ -25,6 +25,9 @@ pub struct StepRecord {
     pub timers: StepTimers,
     /// Root spans of the step's timing tree (`timers` is their fold).
     pub spans: Vec<SpanNode>,
+    /// The step's counts, sorted by name (the hybrid driver's tree walk:
+    /// `nbody.tree.groups`, `nbody.tree.interactions`).
+    pub metrics: Vec<(String, MetricValue)>,
     /// Total neutrino mass on the grid (code units) — drains only through
     /// the velocity-space boundary.
     pub nu_mass: f64,
@@ -49,7 +52,7 @@ impl StepRecord {
             dt: self.dt,
             buckets: self.timers,
             spans: self.spans.clone(),
-            metrics: Vec::new(),
+            metrics: self.metrics.clone(),
             nu_mass: self.nu_mass,
             f_min: self.f_min as f64,
             momentum: self.momentum,
@@ -133,6 +136,7 @@ mod tests {
                 other: 0.0,
             },
             spans: Vec::new(),
+            metrics: Vec::new(),
             nu_mass: 0.01,
             f_min: 0.0,
             momentum: [0.0; 3],
@@ -153,6 +157,7 @@ mod tests {
             dt: 0.0,
             timers: StepTimers::default(),
             spans: Vec::new(),
+            metrics: Vec::new(),
             nu_mass: 0.0,
             f_min: 0.0,
             momentum: [0.0; 3],
@@ -179,6 +184,7 @@ mod tests {
                 elapsed: 1.0,
                 children: Vec::new(),
             }],
+            metrics: vec![("nbody.tree.groups".into(), MetricValue::Counter(512))],
             nu_mass: 0.05,
             f_min: 0.0,
             momentum: [1e-9, 0.0, -1e-9],
@@ -188,6 +194,7 @@ mod tests {
         assert_eq!(event.buckets.vlasov, 1.0);
         let back = StepEvent::parse(&event.to_jsonl()).unwrap();
         assert_eq!(back.spans[0].name, "drift");
+        assert_eq!(back.metrics, r.metrics);
         assert_eq!(back.step, 7);
     }
 }

@@ -26,8 +26,8 @@ use vlasov6d_cosmology::{Background, FermiDirac, Growth, PowerSpectrum, Transfer
 use vlasov6d_ic::{load_neutrino_phase_space, GaussianField, ZeldovichIc};
 use vlasov6d_mesh::Field3;
 use vlasov6d_nbody::integrator;
-use vlasov6d_nbody::{ParticleSet, TreePm};
-use vlasov6d_obs::{span, Bucket, StepScope};
+use vlasov6d_nbody::{ParticleSet, TreePm, WalkStats};
+use vlasov6d_obs::{span, Bucket, MetricValue, StepScope};
 use vlasov6d_phase_space::{moments, PhaseSpace, VelocityGrid};
 use vlasov6d_poisson::PoissonSolver;
 
@@ -49,6 +49,8 @@ pub struct HybridSimulation {
     full_solver: PoissonSolver,
     /// Cached CDM accelerations (canonical du/dt) at the current positions.
     cdm_accel: Vec<[f64; 3]>,
+    /// Counts of the tree walk behind `cdm_accel`.
+    tree_walk: WalkStats,
     /// Cached force fields -∂φ/∂x at Vlasov cell centres.
     nu_force: Option<[Field3; 3]>,
     /// FD thermal velocity in code units.
@@ -144,6 +146,7 @@ impl HybridSimulation {
             treepm,
             full_solver,
             cdm_accel: Vec::new(),
+            tree_walk: WalkStats::default(),
             nu_force: None,
             u_thermal_code,
         };
@@ -196,21 +199,25 @@ impl HybridSimulation {
             })
         };
 
-        // CDM: TreePM with the ν density sharing the mesh.
+        // CDM: TreePM with the ν density sharing the mesh. The total density
+        // deposited here is also the ν solve's right-hand side.
+        let mut rho_total = rho_nu_pm;
         if let Some(cdm) = &self.cdm {
             let mut acc = {
                 let _s = span!("gravity.cdm.pm", Bucket::Pm);
                 let mut rho = self.treepm.deposit_density(cdm);
-                if let Some(nu) = &rho_nu_pm {
+                if let Some(nu) = &rho_total {
                     rho.axpy(1.0, nu);
                 }
                 let phi_long = self.treepm.long_range_potential(&rho, self.a);
+                rho_total = Some(rho);
                 self.treepm.pm_accelerations(&phi_long, &cdm.pos)
             };
 
             {
                 let _s = span!("gravity.cdm.tree", Bucket::Tree);
-                let tree_acc = self.treepm.tree_accelerations(cdm, self.a);
+                let (tree_acc, walk) = self.treepm.tree_accelerations_counted(cdm, self.a);
+                self.tree_walk = walk;
                 for (a, t) in acc.iter_mut().zip(&tree_acc) {
                     for i in 0..3 {
                         a[i] += t[i];
@@ -223,16 +230,7 @@ impl HybridSimulation {
         // ν: full (untapered) potential for the velocity sweeps.
         if self.neutrinos.is_some() {
             let _s = span!("gravity.nu.pm", Bucket::Pm);
-            let mut rho = Field3::zeros([self.config.n_pm; 3]);
-            if let Some(cdm) = &self.cdm {
-                rho.axpy(
-                    1.0,
-                    &fields::particle_density(&cdm.pos, cdm.mass, rho.dims()),
-                );
-            }
-            if let Some(nu) = &rho_nu_pm {
-                rho.axpy(1.0, nu);
-            }
+            let mut rho = rho_total.expect("ν density deposited above");
             let mean = rho.mean();
             for v in rho.as_mut_slice() {
                 *v -= mean;
@@ -275,12 +273,29 @@ impl HybridSimulation {
             (nu_mass, f_min, self.total_momentum())
         };
         let spans = scope.finish();
+        // The step's one gravity solve ran under `gravity.cdm.tree`: these
+        // over that span's seconds are the tree's interactions/s.
+        let metrics = if self.cdm.is_some() {
+            vec![
+                (
+                    "nbody.tree.groups".to_string(),
+                    MetricValue::Counter(self.tree_walk.groups),
+                ),
+                (
+                    "nbody.tree.interactions".to_string(),
+                    MetricValue::Counter(self.tree_walk.interactions),
+                ),
+            ]
+        } else {
+            Vec::new()
+        };
         self.records.push(StepRecord {
             step: self.step_count,
             a: self.a,
             dt: interval.dt,
             timers: spans.buckets,
             spans: spans.roots,
+            metrics,
             nu_mass,
             f_min,
             momentum,
@@ -441,6 +456,64 @@ mod tests {
         let m = sim.neutrinos.as_ref().unwrap().total_mass();
         let onu = sim.config.cosmology.omega_nu();
         assert!((m / onu - 1.0).abs() < 1e-3, "ν mass {m} vs Ω_ν {onu}");
+    }
+
+    #[test]
+    fn one_cdm_deposit_serves_both_solves() {
+        // The tapered (CDM) and the full (ν) solve share one deposited
+        // density. Rebuild the ν force the way it used to be built — from a
+        // second CIC deposit of the same particles — and find the same bits.
+        let sim = HybridSimulation::new(tiny_config());
+        let (cdm, nu) = (sim.cdm.as_ref().unwrap(), sim.neutrinos.as_ref().unwrap());
+        let pm = [sim.config.n_pm; 3];
+        assert_eq!(
+            sim.treepm.deposit_density(cdm).as_slice(),
+            fields::particle_density(&cdm.pos, cdm.mass, pm).as_slice()
+        );
+        let mut rho = Field3::zeros(pm);
+        rho.axpy(1.0, &fields::particle_density(&cdm.pos, cdm.mass, pm));
+        rho.axpy(
+            1.0,
+            &fields::deposit_density_to_pm(&moments::density(nu), pm),
+        );
+        let mean = rho.mean();
+        for v in rho.as_mut_slice() {
+            *v -= mean;
+        }
+        let phi = sim.full_solver.solve(&rho, 1.5 / sim.a);
+        let force_pm = PoissonSolver::force_from_potential(&phi);
+        let cached = sim.nu_force.as_ref().unwrap();
+        for axis in 0..3 {
+            let twice = fields::sample_at_coarse_centers(&force_pm[axis], [sim.config.nx; 3]);
+            assert_eq!(twice.as_slice(), cached[axis].as_slice(), "axis {axis}");
+        }
+    }
+
+    #[test]
+    fn step_records_the_tree_walk_counts() {
+        let mut sim = HybridSimulation::new(tiny_config());
+        let rec = sim.step().clone();
+        let count = |name: &str| match rec.metrics.iter().find(|(n, _)| n == name) {
+            Some((_, MetricValue::Counter(n))) => *n,
+            other => panic!("{name}: {other:?}"),
+        };
+        let n_cdm = sim.cdm.as_ref().unwrap().len() as u64;
+        assert!(count("nbody.tree.groups") >= 1);
+        // Every particle meets at least its own cell's leaf.
+        assert!(count("nbody.tree.interactions") >= 8 * n_cdm);
+        // The counts ride the JSONL event next to the span that timed them.
+        let event = rec.to_event(0);
+        assert!(event.to_jsonl().contains("nbody.tree.interactions"));
+        assert!(rec
+            .spans
+            .iter()
+            .any(|s| s.find("gravity.cdm.tree").is_some()));
+
+        let mut nu_only = HybridSimulation::new(SimulationConfig {
+            with_cdm: false,
+            ..tiny_config()
+        });
+        assert!(nu_only.step().metrics.is_empty());
     }
 
     #[test]

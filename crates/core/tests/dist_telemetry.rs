@@ -146,6 +146,7 @@ fn serial_records_export_like_distributed_events() {
         dt: 0.01,
         timers: Default::default(),
         spans: Vec::new(),
+        metrics: Vec::new(),
         nu_mass: 0.05,
         f_min: 0.0,
         momentum: [0.0; 3],

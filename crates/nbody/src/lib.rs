@@ -9,11 +9,14 @@
 //!
 //! * [`particles`] — the SoA particle store (f64, the paper's precision for
 //!   N-body data) and lattice loaders.
-//! * [`tree`] — the periodic Barnes–Hut octree and short-range walk.
-//! * [`pp`] — Phantom-GRAPE-style batched pair kernels: scalar reference and
-//!   `f32x8` SIMD version (the paper's ported Phantom-GRAPE hits 1.2×10⁹
-//!   interactions/s/core with SVE vs 2.4×10⁷ without — our bench reproduces
-//!   the shape of that gap).
+//! * [`tree`] — the periodic Barnes–Hut octree and its short-range walks: the
+//!   production group walk (one walk and one interaction list per cell of
+//!   ≤ 32 particles, Barnes 1990) and the per-target scalar `f64` reference.
+//! * [`pp`] — the lane-batched split-force pair kernel the group walk feeds,
+//!   in the role of the paper's Phantom-GRAPE port (1.2×10⁹ interactions/s
+//!   per A64FX core with SVE vs 2.4×10⁷ without): SoA `f32` lists relative
+//!   to the group centre, the cutoff factor as one polynomial, minimum image
+//!   and masks in the lanes.
 //! * [`treepm`] — PM + tree composition returning canonical accelerations.
 //! * [`integrator`] — comoving KDK leapfrog in `(x, u = a²ẋ)` variables.
 //! * [`exchange`] — tree boundary (halo) particle exchange over the Cart3
@@ -34,5 +37,5 @@ pub mod treepm;
 
 pub use exchange::HaloExchange;
 pub use particles::ParticleSet;
-pub use tree::Tree;
+pub use tree::{Tree, WalkStats};
 pub use treepm::TreePm;

@@ -13,7 +13,7 @@
 //! (see `vlasov6d-cosmology` crate docs for the derivation).
 
 use crate::particles::ParticleSet;
-use crate::tree::Tree;
+use crate::tree::{Tree, WalkStats};
 use rayon::prelude::*;
 use vlasov6d_mesh::assign::{deposit_equal_mass_par, interpolate, Scheme};
 use vlasov6d_mesh::Field3;
@@ -103,21 +103,26 @@ impl TreePm {
 
     /// Tree (short-range) accelerations at expansion factor `a`.
     pub fn tree_accelerations(&self, particles: &ParticleSet, a: f64) -> Vec<[f64; 3]> {
+        self.tree_accelerations_counted(particles, a).0
+    }
+
+    /// [`Self::tree_accelerations`] with the walk's counts, for callers that
+    /// report interactions/s.
+    pub fn tree_accelerations_counted(
+        &self,
+        particles: &ParticleSet,
+        a: f64,
+    ) -> (Vec<[f64; 3]>, WalkStats) {
         let tree = Tree::build(&particles.pos, particles.mass);
         let g = 3.0 / (8.0 * std::f64::consts::PI * a);
-        let mut acc = tree.short_range_many(
+        tree.short_range_walk(
             &particles.pos,
             &self.split,
             self.theta,
             self.eps,
             self.r_cut,
-        );
-        acc.par_iter_mut().for_each(|v| {
-            for c in v.iter_mut() {
-                *c *= g;
-            }
-        });
-        acc
+            g,
+        )
     }
 
     /// Full TreePM accelerations for the particles, with an optional extra
