@@ -18,20 +18,15 @@ use crate::simd::f32x8;
 /// Reusable scratch for bundle updates.
 #[derive(Debug, Default, Clone)]
 pub struct LanesWork {
-    ghost: Vec<f32x8>,
+    /// The ghost-extended bundle in upwind order (unused when the caller's
+    /// `ext` already is).
+    up: Vec<f32x8>,
     flux: Vec<f32x8>,
 }
 
 impl LanesWork {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn prepare(&mut self, n: usize) {
-        self.ghost.clear();
-        self.ghost.resize(n + 2 * GHOST, f32x8::ZERO);
-        self.flux.clear();
-        self.flux.resize(n + 1, f32x8::ZERO);
     }
 }
 
@@ -69,45 +64,77 @@ pub fn advect_lanes(
         return;
     }
     assert!(n >= 2 * GHOST, "bundle too short for the stencil: {n}");
-    assert!(
-        matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5),
-        "advect_lanes supports SL5 / SL-MPP5 only"
-    );
-    if cfl < 0.0 {
+    // Mirror trick, as in the scalar kernel.
+    let mirrored = cfl < 0.0;
+    if mirrored {
         bundle.reverse();
-        advect_lanes_positive(scheme, bundle, -cfl, bc, work);
+    }
+    let n_int = cfl.abs().floor() as i64;
+    let s = cfl.abs() - n_int as f64;
+    work.up.clear();
+    work.up
+        .extend((0..n + 2 * GHOST).map(|j| sample(bundle, j as i64 - GHOST as i64 - n_int, bc)));
+    flux_update(scheme, s, &work.up, &mut work.flux, bundle);
+    if mirrored {
         bundle.reverse();
-    } else {
-        advect_lanes_positive(scheme, bundle, cfl, bc, work);
     }
 }
 
-fn advect_lanes_positive(
+/// Lane form of [`crate::line::advect_line_ext`]: advance the cells `out` of
+/// a bundle whose old values, with [`GHOST`] extra elements on either side,
+/// are `ext` (`|cfl| < 1`). Every `out[i]` is the same function of
+/// `ext[i..=i + 2·GHOST]` as [`advect_lanes`] computes from a bundle holding
+/// those values, bit for bit; a forward shift reads `ext` in place.
+///
+/// # Panics
+/// Panics for schemes other than [`Scheme::Sl5`] / [`Scheme::SlMpp5`].
+pub fn advect_lanes_ext(
     scheme: Scheme,
-    bundle: &mut [f32x8],
+    ext: &[f32x8],
+    out: &mut [f32x8],
     cfl: f64,
-    bc: Boundary,
     work: &mut LanesWork,
 ) {
-    let n = bundle.len();
-    let n_int = cfl.floor() as i64;
-    let s = cfl - n_int as f64;
-    work.prepare(n);
-
-    for (j, g) in work.ghost.iter_mut().enumerate() {
-        let src = j as i64 - GHOST as i64 - n_int;
-        *g = sample(bundle, src, bc);
-    }
-
-    let w64 = sl5_weights(s);
-    let w: [f32x8; 5] = core::array::from_fn(|i| f32x8::splat(w64[i] as f32));
-    let ghost = &work.ghost;
-
-    if s < 1e-12 {
-        for fl in work.flux.iter_mut() {
-            *fl = f32x8::ZERO;
-        }
+    let m = out.len();
+    assert_eq!(
+        ext.len(),
+        m + 2 * GHOST,
+        "ext must carry GHOST cells per side"
+    );
+    assert!(
+        cfl.abs() < 1.0,
+        "extended bundles need |cfl| < 1, got {cfl}"
+    );
+    if cfl == 0.0 {
+        out.copy_from_slice(&ext[GHOST..GHOST + m]);
+    } else if cfl > 0.0 {
+        flux_update(scheme, cfl, ext, &mut work.flux, out);
     } else {
+        // A negative shift reads `ext` back to front and mirrors `out` back.
+        work.up.clear();
+        work.up.extend(ext.iter().rev());
+        flux_update(scheme, -cfl, &work.up, &mut work.flux, out);
+        out.reverse();
+    }
+}
+
+/// The one `f32x8` flux/update body — see the scalar `flux_update` in
+/// [`crate::line`] for the conventions (`up` upwind-ordered and
+/// ghost-extended, `s ∈ [0, 1)`, `out` receives the new cells in upwind order).
+fn flux_update(scheme: Scheme, s: f64, up: &[f32x8], flux: &mut Vec<f32x8>, out: &mut [f32x8]) {
+    assert!(
+        matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5),
+        "the lane kernels support SL5 / SL-MPP5 only"
+    );
+    let m = out.len();
+    debug_assert_eq!(up.len(), m + 2 * GHOST);
+    flux.clear();
+    flux.resize(m + 1, f32x8::ZERO);
+
+    // A pure integer shift (s ≈ 0) has no fractional flux: zeros stay.
+    if s >= 1e-12 {
+        let w64 = sl5_weights(s);
+        let w: [f32x8; 5] = core::array::from_fn(|i| f32x8::splat(w64[i] as f32));
         let s_v = f32x8::splat(s as f32);
         let inv_s = f32x8::splat((1.0 / s) as f32);
         let alpha = f32x8::splat(crate::flux::mp_alpha(s) as f32);
@@ -116,14 +143,8 @@ fn advect_lanes_positive(
         let four = f32x8::splat(4.0);
         let two = f32x8::splat(2.0);
         let zero = f32x8::ZERO;
-        for (j, fl) in work.flux.iter_mut().enumerate() {
-            let (g0, g1, g2, g3, g4) = (
-                ghost[j],
-                ghost[j + 1],
-                ghost[j + 2],
-                ghost[j + 3],
-                ghost[j + 4],
-            );
+        for (j, fl) in flux.iter_mut().enumerate() {
+            let (g0, g1, g2, g3, g4) = (up[j], up[j + 1], up[j + 2], up[j + 3], up[j + 4]);
             let f_high = (((g0 * w[0] + g1 * w[1]) + g2 * w[2]) + g3 * w[3]) + g4 * w[4];
             match scheme {
                 Scheme::Sl5 => *fl = f_high,
@@ -148,8 +169,8 @@ fn advect_lanes_positive(
         }
     }
 
-    for (i, v) in bundle.iter_mut().enumerate() {
-        *v = work.ghost[i + GHOST] - work.flux[i + 1] + work.flux[i];
+    for (i, v) in out.iter_mut().enumerate() {
+        *v = up[i + GHOST] - flux[i + 1] + flux[i];
     }
 }
 
@@ -286,5 +307,59 @@ mod tests {
             Boundary::Periodic,
             &mut LanesWork::new(),
         );
+    }
+
+    /// The extended entry point is the periodic lane kernel, bit for bit,
+    /// when `ext` holds the periodic wrap — both schemes, both signs.
+    #[test]
+    fn extended_lanes_match_periodic_kernel_bitwise() {
+        let mut work = LanesWork::new();
+        for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+            for cfl in [0.3, -0.3, 0.97, -0.08, 0.0] {
+                let mut bundle = pack(&make_lines(24, 5));
+                let n = bundle.len();
+                let ext: Vec<f32x8> = (0..n + 2 * GHOST)
+                    .map(|j| bundle[(j + n - GHOST) % n])
+                    .collect();
+                let mut out = vec![f32x8::ZERO; n];
+                advect_lanes_ext(scheme, &ext, &mut out, cfl, &mut work);
+                advect_lanes(scheme, &mut bundle, cfl, Boundary::Periodic, &mut work);
+                for (i, (a, b)) in out.iter().zip(&bundle).enumerate() {
+                    assert_eq!(
+                        a.0.map(f32::to_bits),
+                        b.0.map(f32::to_bits),
+                        "{scheme:?} cfl={cfl} cell {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A sub-range `out` (`ext` = the bare bundle, `out` = its interior)
+    /// equals the same cells of the full-range result, down to an empty range.
+    #[test]
+    fn extended_lanes_subrange_matches_full_range() {
+        let mut work = LanesWork::new();
+        for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+            for cfl in [0.44, -0.71] {
+                for n in [2 * GHOST, 2 * GHOST + 1, 16] {
+                    let bundle = pack(&make_lines(n, 9));
+                    let ext: Vec<f32x8> = (0..n + 2 * GHOST)
+                        .map(|j| bundle[(j + n - GHOST) % n])
+                        .collect();
+                    let mut full = vec![f32x8::ZERO; n];
+                    advect_lanes_ext(scheme, &ext, &mut full, cfl, &mut work);
+                    let mut inner = vec![f32x8::ZERO; n - 2 * GHOST];
+                    advect_lanes_ext(scheme, &bundle, &mut inner, cfl, &mut work);
+                    for (a, b) in inner.iter().zip(&full[GHOST..n - GHOST]) {
+                        assert_eq!(
+                            a.0.map(f32::to_bits),
+                            b.0.map(f32::to_bits),
+                            "{scheme:?} cfl={cfl} n={n}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

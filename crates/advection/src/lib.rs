@@ -19,6 +19,13 @@
 //! | [`Scheme::SlMpp5`]  | 5 | MP + positivity | 1 | **the paper's scheme** |
 //! | [`mol::Mp5Rk3`]     | 5 | MP      | 3 | the conventional alternative (§5.2 cost ablation) |
 //!
+//! Each precision has one flux/update body, working on a ghost-extended line
+//! in upwind order. The periodic / outflow entry points ([`advect_line`],
+//! [`lanes::advect_lanes`]) fill that line by sampling across the boundary;
+//! the extended entry points ([`advect_line_ext`], [`lanes::advect_lanes_ext`])
+//! take it from the caller, who already holds the neighbouring cells — the
+//! ghost planes of a decomposed axis. Same body, same bits.
+//!
 //! Modules:
 //! * [`line`] — scalar `f32` line kernels (any scheme).
 //! * [`simd`] — the `f32x8` lane type and the in-register 8×8 transpose used
@@ -34,7 +41,7 @@ pub mod mol;
 pub mod simd;
 
 pub use flux::Boundary;
-pub use line::{advect_line, Scheme, GHOST};
+pub use line::{advect_line, advect_line_ext, Scheme, GHOST};
 pub use simd::f32x8;
 
 /// Floating-point operations per updated cell for each scheme — used by the

@@ -34,20 +34,14 @@ pub const GHOST: usize = 3;
 /// Reusable scratch for line updates — allocate once per worker thread.
 #[derive(Debug, Default, Clone)]
 pub struct LineWork {
-    ghost: Vec<f64>,
+    /// The ghost-extended line in upwind order, widened to `f64`.
+    up: Vec<f64>,
     flux: Vec<f64>,
 }
 
 impl LineWork {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn prepare(&mut self, n: usize) {
-        self.ghost.clear();
-        self.ghost.resize(n + 2 * GHOST, 0.0);
-        self.flux.clear();
-        self.flux.resize(n + 1, 0.0);
     }
 }
 
@@ -61,78 +55,110 @@ pub fn advect_line(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, wor
     if n == 0 || cfl == 0.0 {
         return;
     }
-    // Lines shorter than the stencil are fine: `sample` continues them
-    // periodically (the wrapped stencil *is* the exact periodic
-    // continuation — a cell may appear twice) or with zeros, so thin
-    // scenario grids (e.g. a quasi-1-D plasma box with 4 transverse cells)
-    // need no special casing.
-    if cfl < 0.0 {
-        // Mirror trick: advecting with -c equals advecting the reversed line
-        // with +c. Both boundary conditions are mirror-symmetric.
+    // Mirror trick: advecting with -c equals advecting the reversed line
+    // with +c. Both boundary conditions are mirror-symmetric.
+    let mirrored = cfl < 0.0;
+    if mirrored {
         line.reverse();
-        advect_positive(scheme, line, -cfl, bc, work);
+    }
+    let n_int = cfl.abs().floor() as i64;
+    let s = cfl.abs() - n_int as f64;
+    // Ghost-extended, integer-shifted upwind copy. Lines shorter than the
+    // stencil are fine: `sample` continues them periodically (the wrapped
+    // stencil *is* the exact periodic continuation — a cell may appear
+    // twice) or with zeros, so thin scenario grids (e.g. a quasi-1-D plasma
+    // box with 4 transverse cells) need no special casing.
+    work.up.clear();
+    work.up
+        .extend((0..n + 2 * GHOST).map(|j| sample(line, j as i64 - GHOST as i64 - n_int, bc)));
+    flux_update(scheme, s, &work.up, &mut work.flux, line);
+    if mirrored {
         line.reverse();
-    } else {
-        advect_positive(scheme, line, cfl, bc, work);
     }
 }
 
-fn advect_positive(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, work: &mut LineWork) {
-    debug_assert!(cfl >= 0.0);
-    let n = line.len();
-    let n_int = cfl.floor() as i64;
-    let s = cfl - n_int as f64;
-    work.prepare(n);
-
-    // Ghost-extended, integer-shifted upwind copy: ghost[j] = line[j - GHOST - n_int].
-    for (j, g) in work.ghost.iter_mut().enumerate() {
-        let src = j as i64 - GHOST as i64 - n_int;
-        *g = sample(line, src, bc);
+/// Advance the cells `out` of a line whose old values, with [`GHOST`] extra
+/// cells on either side, are `ext` (`ext[GHOST + i]` is the old `out[i]`) —
+/// the entry point for callers that already hold the neighbouring values
+/// (ghost planes of a decomposed axis, or a longer stretch of the same line).
+/// Needs `|cfl| < 1`, so no stencil reaches past `ext`. Every `out[i]` is the
+/// same function of `ext[i..=i + 2·GHOST]` as [`advect_line`] computes from a
+/// line holding those values, bit for bit.
+pub fn advect_line_ext(
+    scheme: Scheme,
+    ext: &[f32],
+    out: &mut [f32],
+    cfl: f64,
+    work: &mut LineWork,
+) {
+    let m = out.len();
+    assert_eq!(
+        ext.len(),
+        m + 2 * GHOST,
+        "ext must carry GHOST cells per side"
+    );
+    assert!(cfl.abs() < 1.0, "extended lines need |cfl| < 1, got {cfl}");
+    if cfl == 0.0 {
+        out.copy_from_slice(&ext[GHOST..GHOST + m]);
+        return;
     }
+    // A negative shift reads `ext` back to front and mirrors `out` back.
+    let mirrored = cfl < 0.0;
+    work.up.clear();
+    if mirrored {
+        work.up.extend(ext.iter().rev().map(|&v| v as f64));
+    } else {
+        work.up.extend(ext.iter().map(|&v| v as f64));
+    }
+    flux_update(scheme, cfl.abs(), &work.up, &mut work.flux, out);
+    if mirrored {
+        out.reverse();
+    }
+}
+
+/// The one `f64` flux/update body: `up` is a ghost-extended line in upwind
+/// order (`up[GHOST + i]` is the donor-side value of cell `i`), `s ∈ [0, 1)`
+/// the fractional shift; `out` receives the new values of the
+/// `up.len() − 2·GHOST` cells, in upwind order too.
+#[inline]
+fn flux_update(scheme: Scheme, s: f64, up: &[f64], flux: &mut Vec<f64>, out: &mut [f32]) {
+    let m = out.len();
+    debug_assert_eq!(up.len(), m + 2 * GHOST);
+    flux.clear();
+    flux.resize(m + 1, 0.0);
 
     // Interface fluxes: flux[j] = F_{j-1/2}, upwind cell j-1, stencil cells
-    // j-3 .. j+1 → ghost indices j .. j+4.
-    let ghost = &work.ghost;
+    // j-3 .. j+1 → up indices j .. j+4.
     match scheme {
         Scheme::Upwind1 => {
-            for (j, fl) in work.flux.iter_mut().enumerate() {
-                *fl = s * ghost[j + 2];
+            for (j, fl) in flux.iter_mut().enumerate() {
+                *fl = s * up[j + 2];
             }
         }
         Scheme::Sl3 => {
             let w = sl3_weights(s);
-            for (j, fl) in work.flux.iter_mut().enumerate() {
-                *fl = w[0] * ghost[j + 1] + w[1] * ghost[j + 2] + w[2] * ghost[j + 3];
+            for (j, fl) in flux.iter_mut().enumerate() {
+                *fl = w[0] * up[j + 1] + w[1] * up[j + 2] + w[2] * up[j + 3];
             }
         }
         Scheme::Sl5 => {
             let w = sl5_weights(s);
-            for (j, fl) in work.flux.iter_mut().enumerate() {
-                *fl = w[0] * ghost[j]
-                    + w[1] * ghost[j + 1]
-                    + w[2] * ghost[j + 2]
-                    + w[3] * ghost[j + 3]
-                    + w[4] * ghost[j + 4];
+            for (j, fl) in flux.iter_mut().enumerate() {
+                *fl = w[0] * up[j]
+                    + w[1] * up[j + 1]
+                    + w[2] * up[j + 2]
+                    + w[3] * up[j + 3]
+                    + w[4] * up[j + 4];
             }
         }
         Scheme::SlMpp5 => {
             let w = sl5_weights(s);
-            if s < 1e-12 {
-                // Pure integer shift: no fractional flux.
-                for fl in work.flux.iter_mut() {
-                    *fl = 0.0;
-                }
-            } else {
+            // A pure integer shift (s ≈ 0) has no fractional flux: zeros stay.
+            if s >= 1e-12 {
                 let inv_s = 1.0 / s;
                 let alpha = crate::flux::mp_alpha(s);
-                for (j, fl) in work.flux.iter_mut().enumerate() {
-                    let stencil = [
-                        ghost[j],
-                        ghost[j + 1],
-                        ghost[j + 2],
-                        ghost[j + 3],
-                        ghost[j + 4],
-                    ];
+                for (j, fl) in flux.iter_mut().enumerate() {
+                    let stencil = [up[j], up[j + 1], up[j + 2], up[j + 3], up[j + 4]];
                     let f_high = w[0] * stencil[0]
                         + w[1] * stencil[1]
                         + w[2] * stencil[2]
@@ -151,9 +177,8 @@ fn advect_positive(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, wor
     }
 
     // Flux-form update.
-    for (i, v) in line.iter_mut().enumerate() {
-        let updated = work.ghost[i + GHOST] - work.flux[i + 1] + work.flux[i];
-        *v = updated as f32;
+    for (i, v) in out.iter_mut().enumerate() {
+        *v = (up[i + GHOST] - flux[i + 1] + flux[i]) as f32;
     }
 }
 
@@ -502,5 +527,67 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "cfl {cfl} cell {i}: {a} vs {b}");
             }
         }
+    }
+
+    /// `ext` for a periodic line: the line with its own wrap on either side.
+    fn wrap_filled(line: &[f32]) -> Vec<f32> {
+        let n = line.len();
+        (0..n + 2 * GHOST)
+            .map(|j| line[(j + n - GHOST) % n])
+            .collect()
+    }
+
+    /// The extended entry point is the periodic kernel, bit for bit, when
+    /// `ext` holds the periodic wrap — every scheme, both signs of `cfl`.
+    #[test]
+    fn extended_line_matches_periodic_kernel_bitwise() {
+        let mut work = LineWork::new();
+        for scheme in SCHEMES {
+            for cfl in [0.37, -0.37, 0.93, -0.05, 0.0] {
+                let mut line = sine_line(24);
+                line[5] += 0.7;
+                let ext = wrap_filled(&line);
+                let mut out = vec![0.0f32; line.len()];
+                advect_line_ext(scheme, &ext, &mut out, cfl, &mut work);
+                advect_line(scheme, &mut line, cfl, Boundary::Periodic, &mut work);
+                let same = out
+                    .iter()
+                    .zip(&line)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{scheme:?} cfl={cfl}: {out:?} vs {line:?}");
+            }
+        }
+    }
+
+    /// A sub-range `out` (here the interior of an overlapped sweep: `ext` is
+    /// the bare line) equals the same cells of the full-range result, down
+    /// to an empty range.
+    #[test]
+    fn extended_line_subrange_matches_full_range() {
+        let mut work = LineWork::new();
+        for scheme in SCHEMES {
+            for cfl in [0.41, -0.62] {
+                for n in [2 * GHOST, 2 * GHOST + 1, 16] {
+                    let line: Vec<f32> = sine_line(n).iter().map(|v| v * v).collect();
+                    let mut full = vec![0.0f32; n];
+                    advect_line_ext(scheme, &wrap_filled(&line), &mut full, cfl, &mut work);
+                    let mut inner = vec![0.0f32; n - 2 * GHOST];
+                    advect_line_ext(scheme, &line, &mut inner, cfl, &mut work);
+                    let same = inner
+                        .iter()
+                        .zip(&full[GHOST..n - GHOST])
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{scheme:?} cfl={cfl} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "|cfl| < 1")]
+    fn extended_line_rejects_shifts_past_the_ghosts() {
+        let ext = vec![1.0f32; 12];
+        let mut out = vec![0.0f32; 6];
+        advect_line_ext(Scheme::SlMpp5, &ext, &mut out, 1.0, &mut LineWork::new());
     }
 }

@@ -16,7 +16,11 @@
 //! 3. probe the **mesh stencils** (`gradient_axis`, `laplacian`) the same way
 //!    (they are linear, so one delta-field probe is exhaustive by
 //!    superposition) and check the advertised radius constants;
-//! 4. check the constants line up: probed radius == `advection::GHOST` ==
+//! 4. probe the **extended entry points** (`advect_line_ext`,
+//!    `advect_lanes_ext`) the distributed sweeps feed from ghost planes:
+//!    `out[i]` may read `ext[i ..= i + 2·GHOST]` and nothing else, so an
+//!    `ext` of exactly `GHOST` extra cells per side always suffices;
+//! 5. check the constants line up: probed radius == `advection::GHOST` ==
 //!    `phase_space::exchange::GHOST_WIDTH`, and every per-edge byte count of
 //!    the PR 2 `ghost_exchange_plan` equals `GHOST · cross-section · vlen ·
 //!    4` — so the exchanged volume provably covers the stencil reach.
@@ -24,8 +28,9 @@
 use crate::model::flux_taint;
 use crate::report::Report;
 use std::collections::BTreeSet;
-use vlasov6d_advection::line::{advect_line, LineWork, GHOST};
-use vlasov6d_advection::{Boundary, Scheme};
+use vlasov6d_advection::lanes::{advect_lanes_ext, LanesWork};
+use vlasov6d_advection::line::{advect_line, advect_line_ext, LineWork, GHOST};
+use vlasov6d_advection::{f32x8, Boundary, Scheme};
 use vlasov6d_mesh::stencil::{gradient_axis, laplacian, GradientOrder};
 use vlasov6d_mesh::{Decomp3, Field3};
 use vlasov6d_mpisim::{cart_neighbor_edges, PlanChecks};
@@ -36,12 +41,62 @@ use vlasov6d_phase_space::exchange::{ghost_exchange_plan, GHOST_WIDTH};
 /// given shifts. Uses a mid-line output cell so the periodic wrap never
 /// aliases offsets.
 pub fn probe_advection_offsets(scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
-    let n = 32usize;
-    let i = 16usize;
     let mut work = LineWork::new();
+    probe_offsets(32, 16, 16, cfls, |line, cfl| {
+        let mut line = line.to_vec();
+        advect_line(scheme, &mut line, cfl, Boundary::Periodic, &mut work);
+        line
+    })
+}
+
+/// Which of the extended entry points [`probe_ext_offsets`] drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExtKernel {
+    /// `advect_line_ext`.
+    Line,
+    /// `advect_lanes_ext`, the same line in all eight lanes.
+    Lanes,
+}
+
+/// Offsets `j − i` such that perturbing `ext[j]` changes the extended entry
+/// point's `out[i]`, probed like [`probe_advection_offsets`].
+pub fn probe_ext_offsets(kernel: ExtKernel, scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
+    let m = 20usize;
+    let mut line_work = LineWork::new();
+    let mut lanes_work = LanesWork::new();
+    probe_offsets(
+        m + 2 * GHOST,
+        10 + GHOST,
+        10,
+        cfls,
+        |ext, cfl| match kernel {
+            ExtKernel::Line => {
+                let mut out = vec![0.0f32; m];
+                advect_line_ext(scheme, ext, &mut out, cfl, &mut line_work);
+                out
+            }
+            ExtKernel::Lanes => {
+                let ext: Vec<f32x8> = ext.iter().map(|&v| f32x8::splat(v)).collect();
+                let mut out = vec![f32x8::ZERO; m];
+                advect_lanes_ext(scheme, &ext, &mut out, cfl, &mut lanes_work);
+                out.iter().map(|v| v.0[3]).collect()
+            }
+        },
+    )
+}
+
+/// The shared prober: for each shift and each of four bases of length `n`
+/// (limiters flatten single-base probes: constant, pseudo-random positive,
+/// spike at `spike_at`, smooth), perturb every input cell `j` by three sizes
+/// and collect `j − i` whenever output cell `i` of `advance` moves.
+fn probe_offsets(
+    n: usize,
+    spike_at: usize,
+    i: usize,
+    cfls: &[f64],
+    mut advance: impl FnMut(&[f32], f64) -> Vec<f32>,
+) -> BTreeSet<i64> {
     let mut offsets = BTreeSet::new();
-    // Bases chosen to break limiter plateaus: constant (clamp active),
-    // pseudo-random positive (generic), spike (extrema clipping active).
     let mut state = 0x853c49e6748fea9bu64;
     let mut next = move || {
         state = state
@@ -51,20 +106,18 @@ pub fn probe_advection_offsets(scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
     };
     let random: Vec<f32> = (0..n).map(|_| 0.2 + next()).collect();
     let mut spike = vec![0.1f32; n];
-    spike[i] = 3.0;
+    spike[spike_at] = 3.0;
     let smooth: Vec<f32> = (0..n)
         .map(|k| 2.5 + (2.0 * std::f64::consts::PI * k as f64 / n as f64).sin() as f32)
         .collect();
     let bases: [Vec<f32>; 4] = [vec![1.0; n], random, spike, smooth];
     for &cfl in cfls {
         for base in &bases {
-            let mut reference = base.clone();
-            advect_line(scheme, &mut reference, cfl, Boundary::Periodic, &mut work);
+            let reference = advance(base, cfl);
             for (j, delta) in (0..n).flat_map(|j| [(j, 0.25f32), (j, -0.05), (j, 1e-3)]) {
                 let mut perturbed = base.clone();
                 perturbed[j] += delta;
-                advect_line(scheme, &mut perturbed, cfl, Boundary::Periodic, &mut work);
-                if perturbed[i] != reference[i] {
+                if advance(&perturbed, cfl)[i] != reference[i] {
                     offsets.insert(j as i64 - i as i64);
                 }
             }
@@ -163,7 +216,45 @@ pub fn run(report: &mut Report) {
         }
     }
 
-    // 4a: the widest kernel radius is exactly the ghost width, and the two
+    // 4: the extended entry points read `ext[i ..= i + 2·GHOST]` for `out[i]`
+    // — the periodic kernels' footprint around `ext[i + GHOST]`, nothing
+    // wider — and the widest schemes use that window to both ends.
+    let window: BTreeSet<i64> = (0..=2 * GHOST as i64).collect();
+    let lane_schemes = [Scheme::Sl5, Scheme::SlMpp5];
+    let cases = [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5]
+        .map(|s| (ExtKernel::Line, "line", s))
+        .into_iter()
+        .chain(lane_schemes.map(|s| (ExtKernel::Lanes, "lanes", s)));
+    for (kernel, tag, scheme) in cases {
+        let probed = probe_ext_offsets(kernel, scheme, &cfls);
+        let hull: BTreeSet<i64> = structural_offsets(scheme)
+            .iter()
+            .flat_map(|d| [GHOST as i64 + d, GHOST as i64 - d])
+            .collect();
+        let exact = !lane_schemes.contains(&scheme) || probed == window;
+        let name = format!("ext.{tag}.{scheme:?}.window");
+        if probed.is_subset(&hull) && hull.is_subset(&window) && exact {
+            report.verified(
+                "footprint",
+                name,
+                format!(
+                    "out[i] reads ext[i + k] for k in {probed:?} ⊆ 0..={}: GHOST extra cells \
+                     per side suffice",
+                    2 * GHOST
+                ),
+            );
+        } else {
+            report.violated(
+                "footprint",
+                name,
+                "extended entry point reads outside ext[i ..= i + 2·GHOST] (or misses part of \
+                 the widest stencil)",
+                Some(format!("probed {probed:?}, structural hull {hull:?}")),
+            );
+        }
+    }
+
+    // 5a: the widest kernel radius is exactly the ghost width, and the two
     // ghost constants are one constant.
     if max_radius == GHOST as i64 && GHOST == GHOST_WIDTH {
         report.verified(
@@ -220,7 +311,7 @@ pub fn run(report: &mut Report) {
         }
     }
 
-    // 4b: the PR 2 comm plans exchange exactly the volume the stencil needs.
+    // 5b: the PR 2 comm plans exchange exactly the volume the stencil needs.
     let decomp = Decomp3::new([16, 8, 8], [2, 2, 1]);
     let vlen = 64usize;
     let checks = PlanChecks {
@@ -303,6 +394,17 @@ mod tests {
         // probe must still surface the full stencil.
         let probed = probe_advection_offsets(Scheme::SlMpp5, &[0.35, 0.85, -0.45]);
         assert_eq!(radius(&probed), 3);
+    }
+
+    #[test]
+    fn extended_entry_points_read_exactly_the_ghost_window() {
+        for kernel in [ExtKernel::Line, ExtKernel::Lanes] {
+            // Forward shifts reach ext[i..=i+5], backward ones ext[i+1..=i+6].
+            let fwd = probe_ext_offsets(kernel, Scheme::SlMpp5, &[0.35, 0.85]);
+            assert_eq!(fwd, (0..=5).collect::<BTreeSet<i64>>(), "{kernel:?}");
+            let bwd = probe_ext_offsets(kernel, Scheme::SlMpp5, &[-0.35, -0.85]);
+            assert_eq!(bwd, (1..=6).collect::<BTreeSet<i64>>(), "{kernel:?}");
+        }
     }
 
     #[test]

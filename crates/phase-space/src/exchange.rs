@@ -7,14 +7,25 @@
 //! grid, `width · (Π other spatial dims) · Nu · 4` bytes — the quantity the
 //! performance model prices.
 //!
+//! The sweeps run at kernel speed: the same pencil tasks as
+//! [`crate::sweep::sweep_spatial`], on the rank's pool, each reading its
+//! `±GHOST_WIDTH` neighbours from the received plane buffers instead of the
+//! periodic wrap (the buffers share the block's `[plane][trailing dims]`
+//! layout, so the loads stay packed) and advancing through the
+//! ghost-extended kernels of `vlasov6d-advection`. Lanes run when the scheme
+//! and the velocity grid allow them ([`crate::Exec::resolve`]), scalar pencils
+//! otherwise. Every updated cell is the same function of its stencil values
+//! (`GHOST_WIDTH` either side) as in the periodic kernel, so a distributed
+//! sweep equals the local `sweep_spatial` at that execution variant bit for
+//! bit, at any rank and thread count.
+//!
 //! Distributed sweeps require `|cfl| < 1` so the upwind stencil never reaches
 //! beyond the exchanged planes; the time-step controller in `vlasov6d`
 //! guarantees this (the paper does the same — spatial CFL below unity).
 
 use crate::dist_fn::PhaseSpace;
-use crate::sweep::{partition_axis, Exec};
-use vlasov6d_advection::line::{advect_line, LineWork, Scheme};
-use vlasov6d_advection::Boundary;
+use crate::sweep::{sweep_ghosted, Window};
+use vlasov6d_advection::line::Scheme;
 use vlasov6d_mesh::Decomp3;
 use vlasov6d_mpisim::{Cart3, CommPlan};
 
@@ -143,10 +154,36 @@ pub fn exchange_ghosts(
     (from_low, from_high)
 }
 
-/// Distributed spatial sweep along axis `d` with `|cfl| < 1` for every
-/// velocity index. Uses the scalar kernel (the SIMD variants cover the
-/// single-rank hot path benchmarked in Table 1; the distributed correctness
-/// path favours clarity).
+/// Copies of the two `GHOST_WIDTH`-plane slabs next to the edge slabs along
+/// axis `d` (`n ≥ 2·GHOST_WIDTH`): what the overlapped sweep's interior pass
+/// overwrites and its edge pass still needs at the pre-sweep values.
+pub(crate) fn save_inner_slabs(ps: &PhaseSpace, d: usize) -> [Vec<f32>; 2] {
+    let (n, gw) = (ps.sdims[d], GHOST_WIDTH);
+    [
+        extract_planes(ps, d, gw, gw),
+        extract_planes(ps, d, n - 2 * gw, gw),
+    ]
+}
+
+/// The argument checks the two distributed sweeps share.
+fn check_sweep_args(ps: &PhaseSpace, d: usize, cfl_per_u: &[f64]) {
+    assert!(d < 3);
+    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
+    assert!(
+        cfl_per_u.iter().all(|c| c.abs() < 1.0),
+        "distributed sweeps require |cfl| < 1 (ghost width {GHOST_WIDTH})"
+    );
+    assert!(
+        ps.sdims[d] >= GHOST_WIDTH,
+        "block thinner than the ghost width along axis {d}"
+    );
+}
+
+/// Distributed spatial sweep along axis `d` (`|cfl| < 1` for every velocity
+/// index): a blocking [`exchange_ghosts`], then every pencil in one parallel
+/// region, `n + 1` flux evaluations each. This is the oracle the overlapped
+/// sweep is compared against, and what `OverlapPolicy::Synchronous` (the
+/// driver's default) runs.
 pub fn sweep_spatial_distributed(
     ps: &mut PhaseSpace,
     cart: &Cart3<'_>,
@@ -155,12 +192,7 @@ pub fn sweep_spatial_distributed(
     scheme: Scheme,
     tag: u64,
 ) {
-    assert!(d < 3);
-    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
-    assert!(
-        cfl_per_u.iter().all(|c| c.abs() < 1.0),
-        "distributed sweeps require |cfl| < 1 (ghost width {GHOST_WIDTH})"
-    );
+    check_sweep_args(ps, d, cfl_per_u);
     const SPAN: [&str; 3] = ["sweep.dist.x", "sweep.dist.y", "sweep.dist.z"];
     let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
     let (from_low, from_high) = {
@@ -170,49 +202,8 @@ pub fn sweep_spatial_distributed(
         let _e = vlasov6d_obs::span!("comm.exposed");
         exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag)
     };
-    advect_lines_with_ghosts(ps, d, cfl_per_u, scheme, &from_low, &from_high);
-}
-
-/// Advect every pencil of `ps` along axis `d` through a ghost-extended line
-/// assembled from the received neighbour planes — the shared core of the
-/// synchronous sweep and the thin-block path of the overlapped one.
-fn advect_lines_with_ghosts(
-    ps: &mut PhaseSpace,
-    d: usize,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    from_low: &[f32],
-    from_high: &[f32],
-) {
-    let dims = ps.dims6();
-    let n = dims[d];
-    let stride: usize = dims[d + 1..].iter().product();
-    let n_outer: usize = dims[..d].iter().product();
-    let mut ext = vec![0.0f32; n + 2 * GHOST_WIDTH];
-    let mut work = LineWork::new();
-    let data = ps.as_mut_slice();
-
-    for outer in 0..n_outer {
-        for inner in 0..stride {
-            let iu_d = velocity_index_of_inner(d, inner, &dims);
-            let cfl = cfl_per_u[iu_d];
-            // Assemble the ghost-extended line.
-            for g in 0..GHOST_WIDTH {
-                ext[g] = from_low[(outer * GHOST_WIDTH + g) * stride + inner];
-                ext[GHOST_WIDTH + n + g] = from_high[(outer * GHOST_WIDTH + g) * stride + inner];
-            }
-            for i in 0..n {
-                ext[GHOST_WIDTH + i] = data[(outer * n + i) * stride + inner];
-            }
-            // With |cfl| < 1 the update of the interior cells never consults
-            // values beyond the ghost planes, so the boundary condition on
-            // the extended buffer is irrelevant to them.
-            advect_line(scheme, &mut ext, cfl, Boundary::Zero, &mut work);
-            for i in 0..n {
-                data[(outer * n + i) * stride + inner] = ext[GHOST_WIDTH + i];
-            }
-        }
-    }
+    let full = Window::full(ps.sdims[d], &from_low, &from_high);
+    sweep_ghosted(ps, d, cfl_per_u, scheme, &[full], None);
 }
 
 /// Distributed spatial sweep along axis `d` that hides the ghost exchange
@@ -220,26 +211,25 @@ fn advect_lines_with_ghosts(
 /// the spatial sweeps. Bitwise-identical to [`sweep_spatial_distributed`]:
 ///
 /// 1. **Post** the ghost-plane `isend`/`irecv` pairs (same neighbours, tags
-///    and byte counts as the blocking exchange).
-/// 2. **Interior** (`comm.hidden` span): advect every pencil over the raw
-///    local line and keep the cells of [`partition_axis`]'s interior — their
-///    `±GHOST_WIDTH` stencils never leave the block, so no value a ghost
-///    plane could influence is touched.
+///    and byte counts as the blocking exchange) and copy the two
+///    `GHOST_WIDTH`-plane slabs next to the edges, which step 2 overwrites
+///    and step 4 still needs at their pre-sweep values.
+/// 2. **Interior** (`comm.hidden` span): one parallel region advances cells
+///    `[GHOST_WIDTH, n − GHOST_WIDTH)` of every pencil from the bare local
+///    pencil — their stencils never leave the block.
 /// 3. **Wait** (`comm.exposed` span): collect the four requests; only this
 ///    remainder of the exchange sits on the critical path.
-/// 4. **Boundary**: advect each boundary cell inside a `3·GHOST_WIDTH`
-///    window of received ghosts plus saved pre-sweep planes, which holds
-///    exactly the values the synchronous ghost-extended line holds over the
-///    cell's stencil.
+/// 4. **Edges**: a second region advances the `GHOST_WIDTH` cells at either
+///    end of every pencil from a `3·GHOST_WIDTH` window of received planes,
+///    untouched edge cells and the saved slab.
 ///
-/// Every advected cell sees the same stencil values through the same kernel
-/// as the synchronous path, and the kernel is a pure per-cell function of its
-/// stencil window — hence bit-for-bit equality, which
-/// `tests/distributed_consistency.rs` enforces for every scheme and rank
-/// count.
+/// `n + 3` flux evaluations per pencil against the synchronous `n + 1`, and
+/// every cell sees the same stencil values through the same kernel — hence
+/// bit-for-bit equality, which `tests/distributed_consistency.rs` enforces
+/// for every scheme and rank count.
 ///
 /// Blocks thinner than `2·GHOST_WIDTH` along `d` have no interior; they wait
-/// immediately and take the synchronous pencil path.
+/// immediately and run the synchronous region.
 pub fn sweep_spatial_overlapped(
     ps: &mut PhaseSpace,
     cart: &Cart3<'_>,
@@ -248,20 +238,12 @@ pub fn sweep_spatial_overlapped(
     scheme: Scheme,
     tag: u64,
 ) {
-    assert!(d < 3);
-    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
-    assert!(
-        cfl_per_u.iter().all(|c| c.abs() < 1.0),
-        "distributed sweeps require |cfl| < 1 (ghost width {GHOST_WIDTH})"
-    );
+    check_sweep_args(ps, d, cfl_per_u);
     const SPAN: [&str; 3] = ["sweep.overlap.x", "sweep.overlap.y", "sweep.overlap.z"];
     let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
 
     let n = ps.sdims[d];
-    assert!(
-        n >= GHOST_WIDTH,
-        "block thinner than the ghost width along axis {d}"
-    );
+    let gw = GHOST_WIDTH;
     let comm = cart.comm();
     let low_nb = cart.neighbor(d, -1);
     let high_nb = cart.neighbor(d, 1);
@@ -269,58 +251,18 @@ pub fn sweep_spatial_overlapped(
     // Post phase: the same messages (edges, tags, sizes) as
     // `exchange_ghosts`, so plan verification, traffic accounting and the
     // kerncheck byte audit see an identical exchange.
-    let my_low = extract_planes(ps, d, 0, GHOST_WIDTH);
-    let my_high = extract_planes(ps, d, n - GHOST_WIDTH, GHOST_WIDTH);
-    let send_low = comm.isend(low_nb, tag, my_low);
+    let send_low = comm.isend(low_nb, tag, extract_planes(ps, d, 0, gw));
     let recv_high = comm.irecv::<Vec<f32>>(high_nb, tag);
-    let send_high = comm.isend(high_nb, tag + 1, my_high);
+    let send_high = comm.isend(high_nb, tag + 1, extract_planes(ps, d, n - gw, gw));
     let recv_low = comm.irecv::<Vec<f32>>(low_nb, tag + 1);
 
-    if n < 2 * GHOST_WIDTH {
-        // No interior to hide the messages behind: wait now and take the
-        // synchronous pencil path.
-        let (from_low, from_high) = {
-            let _e = vlasov6d_obs::span!("comm.exposed");
-            let from_high = recv_high.wait();
-            let from_low = recv_low.wait();
-            send_low.wait();
-            send_high.wait();
-            (from_low, from_high)
-        };
-        advect_lines_with_ghosts(ps, d, cfl_per_u, scheme, &from_low, &from_high);
-        return;
-    }
-
-    // The interior write-back clobbers cells [GHOST_WIDTH, 2·GHOST_WIDTH)
-    // and [n − 2·GHOST_WIDTH, n − GHOST_WIDTH), which the boundary stencils
-    // still need at their pre-sweep values: save those planes first.
-    let save_low = extract_planes(ps, d, 0, 2 * GHOST_WIDTH);
-    let save_high = extract_planes(ps, d, n - 2 * GHOST_WIDTH, 2 * GHOST_WIDTH);
-
-    let part = partition_axis(n, GHOST_WIDTH);
-    let dims = ps.dims6();
-    let stride: usize = dims[d + 1..].iter().product();
-    let n_outer: usize = dims[..d].iter().product();
-
     // Interior phase, while the ghost planes are in flight.
-    {
+    let saved = (n >= 2 * gw).then(|| {
+        let saved = save_inner_slabs(ps, d);
         let _h = vlasov6d_obs::span!("comm.hidden");
-        let mut line = vec![0.0f32; n];
-        let mut work = LineWork::new();
-        let data = ps.as_mut_slice();
-        for outer in 0..n_outer {
-            for inner in 0..stride {
-                let cfl = cfl_per_u[velocity_index_of_inner(d, inner, &dims)];
-                for (i, v) in line.iter_mut().enumerate() {
-                    *v = data[(outer * n + i) * stride + inner];
-                }
-                advect_line(scheme, &mut line, cfl, Boundary::Zero, &mut work);
-                for i in part.interior.clone() {
-                    data[(outer * n + i) * stride + inner] = line[i];
-                }
-            }
-        }
-    }
+        sweep_ghosted(ps, d, cfl_per_u, scheme, &[Window::interior(n)], None);
+        saved
+    });
 
     // Wait phase: only this remainder of the exchange is exposed.
     let (from_low, from_high) = {
@@ -332,65 +274,18 @@ pub fn sweep_spatial_overlapped(
         (from_low, from_high)
     };
 
-    // Boundary phase. Window coordinates: low side spans cells
-    // [−GHOST_WIDTH, 2·GHOST_WIDTH), high side [n − 2·GHOST_WIDTH,
-    // n + GHOST_WIDTH); a boundary cell sits GHOST_WIDTH deep, so its full
-    // stencil lies inside the window and the line boundary condition is
-    // never sampled.
-    let gw = GHOST_WIDTH;
-    let mut window = vec![0.0f32; 3 * gw];
-    let mut work = LineWork::new();
-    let data = ps.as_mut_slice();
-    for outer in 0..n_outer {
-        for inner in 0..stride {
-            let cfl = cfl_per_u[velocity_index_of_inner(d, inner, &dims)];
-            // Low side.
-            for g in 0..gw {
-                window[g] = from_low[(outer * gw + g) * stride + inner];
-            }
-            for j in 0..2 * gw {
-                window[gw + j] = save_low[(outer * 2 * gw + j) * stride + inner];
-            }
-            advect_line(scheme, &mut window, cfl, Boundary::Zero, &mut work);
-            for i in part.low.clone() {
-                data[(outer * n + i) * stride + inner] = window[gw + i];
-            }
-            // High side.
-            for j in 0..2 * gw {
-                window[j] = save_high[(outer * 2 * gw + j) * stride + inner];
-            }
-            for g in 0..gw {
-                window[2 * gw + g] = from_high[(outer * gw + g) * stride + inner];
-            }
-            advect_line(scheme, &mut window, cfl, Boundary::Zero, &mut work);
-            for (t, i) in part.high.clone().enumerate() {
-                data[(outer * n + i) * stride + inner] = window[gw + t];
-            }
-        }
-    }
-}
-
-#[inline]
-fn velocity_index_of_inner(d: usize, inner: usize, dims: &[usize; 6]) -> usize {
-    let stride_ud: usize = dims[3 + d + 1..].iter().product();
-    (inner / stride_ud) % dims[3 + d]
-}
-
-/// Serial reference used by tests and the single-rank driver: sweep with the
-/// same code path but periodic wrap instead of exchanged ghosts.
-pub fn sweep_spatial_serial_reference(
-    ps: &mut PhaseSpace,
-    d: usize,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-) {
-    crate::sweep::sweep_spatial(ps, d, cfl_per_u, scheme, Exec::Scalar);
+    let windows = match &saved {
+        Some(saved) => Window::edges(n, &from_low, &from_high, saved).into(),
+        None => vec![Window::full(n, &from_low, &from_high)],
+    };
+    sweep_ghosted(ps, d, cfl_per_u, scheme, &windows, None);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::VelocityGrid;
+    use crate::sweep::{sweep_spatial, Exec};
     use vlasov6d_mesh::Decomp3;
     use vlasov6d_mpisim::Universe;
 
@@ -398,6 +293,13 @@ mod tests {
         let sx =
             (s[0] as f64 * 0.61).sin() + (s[1] as f64 * 0.37).cos() + (s[2] as f64 * 0.83).sin();
         (2.2 + sx) * (-(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) / 0.4).exp() + 0.02
+    }
+
+    /// Mixed-sign CFL numbers below one, so both line orientations run.
+    fn mixed_cfl(nv: usize) -> Vec<f64> {
+        (0..nv)
+            .map(|k| 0.9 * (k as f64 - 0.5 * (nv - 1) as f64) / nv as f64)
+            .collect()
     }
 
     #[test]
@@ -423,11 +325,12 @@ mod tests {
         let sglobal = [8usize, 8, 8];
         let cfl: Vec<f64> = (0..8).map(|k| 0.22 * (k as f64 - 3.5) / 3.5).collect();
 
-        // Serial reference.
+        // Serial reference: the lane-divisible grid puts both on the lane
+        // kernels, so the comparison is bitwise.
         let mut serial = PhaseSpace::zeros(sglobal, vg);
         serial.fill_with(global_fill);
         for d in 0..3 {
-            sweep_spatial_serial_reference(&mut serial, d, &cfl, Scheme::SlMpp5);
+            sweep_spatial(&mut serial, d, &cfl, Scheme::SlMpp5, Exec::Simd);
         }
 
         // Distributed run on a 2×2×2 process grid.
@@ -464,7 +367,7 @@ mod tests {
                         let got = &data[cell * vlen..(cell + 1) * vlen];
                         for (a, b) in got.iter().zip(sref) {
                             assert!(
-                                (a - b).abs() < 1e-6,
+                                a.to_bits() == b.to_bits(),
                                 "mismatch at block {off:?} cell ({lx},{ly},{lz}): {a} vs {b}"
                             );
                         }
@@ -547,17 +450,22 @@ mod tests {
     #[test]
     fn overlapped_sweep_is_bitwise_identical_to_synchronous() {
         // The tentpole guarantee at sweep granularity: for every scheme, for
-        // decomposed and wrapped axes, for blocks thick enough to overlap and
-        // thin enough to hit the fallback (n = 4 < 2·GHOST_WIDTH), the
+        // decomposed and wrapped axes, for blocks thick enough to overlap,
+        // exactly `2·GHOST_WIDTH` thick (empty interior) and thin enough to
+        // hit the fallback (n = 4 < 2·GHOST_WIDTH), on a thin velocity grid
+        // (scalar pencils) and a lane-divisible one (bundles and tiles), the
         // overlapped sweep reproduces the synchronous sweep bit for bit.
-        let vg = VelocityGrid::cubic(4, 0.8);
-        // Mixed-sign CFL numbers so both line orientations are exercised.
-        let cfl: Vec<f64> = (0..4).map(|k| 0.45 * (k as f64 - 1.5)).collect();
-        for &(ranks, sglobal) in &[
-            (1usize, [8usize, 4, 4]), // n = 8, self-wrap neighbours
-            (2, [16, 4, 4]),          // n = 8, distinct neighbours
-            (4, [16, 4, 4]),          // n = 4, thin-block fallback
+        for &(nv, ranks, sglobal) in &[
+            (4usize, 1usize, [8usize, 4, 4]), // n = 8, self-wrap neighbours
+            (4, 2, [16, 4, 4]),               // n = 8, distinct neighbours
+            (4, 4, [16, 4, 4]),               // n = 4, thin-block fallback
+            (8, 2, [16, 4, 4]),               // lanes, n = 8
+            (8, 2, [12, 6, 6]),               // lanes, n = 6: empty interior on every axis
+            (4, 2, [12, 6, 6]),               // scalar, empty interior
+            (8, 4, [16, 4, 4]),               // lanes, thin-block fallback
         ] {
+            let vg = VelocityGrid::cubic(nv, 0.8);
+            let cfl = mixed_cfl(nv);
             let decomp = Decomp3::new(sglobal, [ranks, 1, 1]);
             for scheme in [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5] {
                 let cfl = cfl.clone();
@@ -579,12 +487,95 @@ mod tests {
                     for (i, (a, b)) in sync.as_slice().iter().zip(over.as_slice()).enumerate() {
                         assert!(
                             a.to_bits() == b.to_bits(),
-                            "bit divergence: {ranks} rank(s), {scheme:?}, \
+                            "bit divergence: nv {nv}, {ranks} rank(s), {sglobal:?}, {scheme:?}, \
                              block {off:?}, flat index {i}: {a:?} vs {b:?}"
                         );
                     }
                 });
             }
+        }
+    }
+
+    /// All three overlapped sweeps of the global field on `ranks` x-slabs,
+    /// the blocks concatenated in rank order (= the global flat array).
+    fn overlapped_global(nv: usize, ranks: usize, threads: usize) -> Vec<u32> {
+        let sglobal = [16usize, 6, 6];
+        let vg = VelocityGrid::cubic(nv, 0.8);
+        let cfl = mixed_cfl(nv);
+        let decomp = Decomp3::new(sglobal, [ranks, 1, 1]);
+        let blocks = rayon::with_num_threads(threads, || {
+            Universe::run(ranks, move |comm| {
+                let cart = Cart3::new(comm, decomp);
+                let mut ps =
+                    PhaseSpace::zeros_block(cart.local_dims(), cart.local_offset(), sglobal, vg);
+                ps.fill_with(global_fill);
+                for d in 0..3 {
+                    sweep_spatial_overlapped(
+                        &mut ps,
+                        &cart,
+                        d,
+                        &cfl,
+                        Scheme::SlMpp5,
+                        40 + d as u64 * 10,
+                    );
+                    cart.comm().barrier();
+                }
+                ps.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<u32>>()
+            })
+        });
+        blocks.concat()
+    }
+
+    #[test]
+    fn overlapped_sweep_is_rank_and_thread_count_invariant() {
+        // 1 rank × 1 thread ≡ 1 rank × 4 threads ≡ 2 ranks ≡ the local
+        // periodic sweep at the execution variant the grid resolves to —
+        // lanes on the 8³ velocity grid, scalar pencils on the thin one.
+        for (nv, exec) in [(8usize, Exec::Simd), (4, Exec::Scalar)] {
+            let oracle = overlapped_global(nv, 1, 1);
+            assert!(oracle == overlapped_global(nv, 1, 4), "nv {nv}: 4 threads");
+            assert!(oracle == overlapped_global(nv, 2, 1), "nv {nv}: 2 ranks");
+            assert!(
+                oracle == overlapped_global(nv, 2, 4),
+                "nv {nv}: 2 ranks × 4 threads"
+            );
+
+            let mut local = PhaseSpace::zeros([16, 6, 6], VelocityGrid::cubic(nv, 0.8));
+            local.fill_with(global_fill);
+            for d in 0..3 {
+                sweep_spatial(&mut local, d, &mixed_cfl(nv), Scheme::SlMpp5, exec);
+            }
+            let local: Vec<u32> = local.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert!(oracle == local, "nv {nv}: local sweep_spatial at {exec:?}");
+        }
+    }
+
+    /// Tiny ghosted sweeps sized for the Miri interpreter, on two pool
+    /// threads: covers the raw-pointer loads from the block and from the
+    /// plane buffers and the disjoint stores of all three regions
+    /// (synchronous, interior, edges) in the scalar and the bundle shape.
+    /// Picked up by the CI steps `cargo miri test -p vlasov6d-phase-space
+    /// miri_smoke`.
+    #[test]
+    fn miri_smoke_ghosted_sweep() {
+        for (nv, sglobal) in [(2usize, [8usize, 2, 1]), (8, [6, 1, 1])] {
+            let vg = VelocityGrid::cubic(nv, 0.8);
+            let cfl = mixed_cfl(nv);
+            let decomp = Decomp3::new(sglobal, [1, 1, 1]);
+            rayon::with_num_threads(2, || {
+                Universe::run(1, move |comm| {
+                    let cart = Cart3::new(comm, decomp);
+                    let mut sync = PhaseSpace::zeros_block(sglobal, [0, 0, 0], sglobal, vg);
+                    sync.fill_with(global_fill);
+                    let mut over = sync.clone();
+                    sweep_spatial_distributed(&mut sync, &cart, 0, &cfl, Scheme::SlMpp5, 10);
+                    sweep_spatial_overlapped(&mut over, &cart, 0, &cfl, Scheme::SlMpp5, 20);
+                    assert_eq!(sync.as_slice(), over.as_slice());
+                });
+            });
         }
     }
 

@@ -29,7 +29,14 @@ pub struct Line {
 impl Line {
     /// Every flat index the plan touches, in traversal order.
     pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).map(move |i| self.base + i * self.stride)
+        (0..self.len).flat_map(move |i| self.cell_indices(i))
+    }
+
+    /// The flat indices of cell `i` along the pencil — what a task that
+    /// updates only some cells of its pencil (the distributed sweeps'
+    /// interior and edge regions) touches there.
+    pub fn cell_indices(&self, i: usize) -> impl Iterator<Item = usize> {
+        std::iter::once(self.base + i * self.stride)
     }
 }
 
@@ -45,8 +52,13 @@ pub struct Bundle {
 
 impl Bundle {
     pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len)
-            .flat_map(move |i| (0..self.lanes).map(move |l| self.base + i * self.stride + l))
+        (0..self.len).flat_map(move |i| self.cell_indices(i))
+    }
+
+    /// As [`Line::cell_indices`]: the `lanes` indices of element `i`.
+    pub fn cell_indices(&self, i: usize) -> impl Iterator<Item = usize> {
+        let start = self.base + i * self.stride;
+        start..start + self.lanes
     }
 }
 
@@ -64,11 +76,13 @@ pub struct Tile {
 
 impl Tile {
     pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).flat_map(move |i| {
-            (0..self.rows).flat_map(move |r| {
-                (0..self.lanes).map(move |l| self.base + i * self.stride + r * self.row_stride + l)
-            })
-        })
+        (0..self.len).flat_map(move |i| self.cell_indices(i))
+    }
+
+    /// As [`Line::cell_indices`]: the `rows × lanes` indices of tile `i`.
+    pub fn cell_indices(&self, i: usize) -> impl Iterator<Item = usize> {
+        let (start, row_stride, lanes) = (self.base + i * self.stride, self.row_stride, self.lanes);
+        (0..self.rows).flat_map(move |r| (0..lanes).map(move |l| start + r * row_stride + l))
     }
 }
 

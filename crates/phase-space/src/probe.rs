@@ -10,10 +10,11 @@
 //! they are the probe's handle on the real kernels, not reimplementations.
 
 use crate::dist_fn::PhaseSpace;
+use crate::exchange::{save_inner_slabs, GHOST_WIDTH};
 use crate::plan;
 use crate::sweep::{
-    spatial_bundle_task, spatial_scalar_task, spatial_tile_task, velocity_cell_task, Exec,
-    SendMutPtr, VelocityWork,
+    spatial_bundle_task, spatial_scalar_task, spatial_tile_task, sweep_ghosted, velocity_cell_task,
+    Exec, SendMutPtr, VelocityWork, Window,
 };
 use vlasov6d_advection::lanes::LanesWork;
 use vlasov6d_advection::line::{LineWork, Scheme};
@@ -38,6 +39,11 @@ pub fn run_spatial_task(
     assert!(d < 3);
     assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
     let dims = ps.dims6();
+    assert_eq!(
+        exec.resolve(scheme, &dims, d),
+        exec,
+        "sweep_spatial would not run {exec:?} tasks here"
+    );
     assert!(task < plan::spatial_task_count(&dims, d, exec));
     let n_line = dims[d];
     let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
@@ -55,6 +61,63 @@ pub fn run_spatial_task(
             spatial_tile_task(base, &dims, cfl_per_u, scheme, &mut scratch, task);
         }
     }
+}
+
+/// The three parallel regions of the distributed sweeps in
+/// [`crate::exchange`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GhostedRegion {
+    /// The synchronous sweep: whole pencils between the neighbours' planes.
+    Sync,
+    /// The overlapped sweep before the wait: cells `[GHOST_WIDTH, n − GHOST_WIDTH)`.
+    Interior,
+    /// The overlapped sweep after the wait: the `GHOST_WIDTH` cells at either end.
+    Edges,
+}
+
+/// The task shape a distributed sweep along `d` runs on this grid — what
+/// [`plan::spatial_task_count`] and the `plan::spatial_*` plans take.
+pub fn ghosted_exec(ps: &PhaseSpace, d: usize, scheme: Scheme) -> Exec {
+    Exec::Simd.resolve(scheme, &ps.dims6(), d)
+}
+
+/// The cells along axis `d` one task of `region` writes on an `n`-cell block.
+pub fn ghosted_out_cells(region: GhostedRegion, n: usize) -> Vec<usize> {
+    let part = crate::partition_axis(n, GHOST_WIDTH);
+    match region {
+        GhostedRegion::Sync => (0..n).collect(),
+        GhostedRegion::Interior => part.interior.collect(),
+        GhostedRegion::Edges => part.low.chain(part.high).collect(),
+    }
+}
+
+/// Run `region` of a distributed sweep along `d` with the given neighbour
+/// planes ([`crate::exchange::extract_planes`] layout) — every task on the live pool, or
+/// (`task = Some(t)`) task `t` alone with fresh scratch — through exactly the
+/// code the sweeps in [`crate::exchange`] dispatch. The saved slabs of
+/// `Edges` are taken from `ps` as passed in (the pre-sweep state).
+pub fn run_ghosted_region(
+    ps: &mut PhaseSpace,
+    d: usize,
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    region: GhostedRegion,
+    (low, high): (&[f32], &[f32]),
+    task: Option<usize>,
+) {
+    assert!(d < 3);
+    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
+    let n = ps.sdims[d];
+    let saved;
+    let windows = match region {
+        GhostedRegion::Sync => vec![Window::full(n, low, high)],
+        GhostedRegion::Interior => vec![Window::interior(n)],
+        GhostedRegion::Edges => {
+            saved = save_inner_slabs(ps, d);
+            Window::edges(n, low, high, &saved).into()
+        }
+    };
+    sweep_ghosted(ps, d, cfl_per_u, scheme, &windows, task);
 }
 
 /// Number of parallel tasks `sweep_velocity` would launch (one per cell).

@@ -17,6 +17,12 @@
 //!   in-register ([`transpose8x8`], paper Fig. 3) into lane form, advected,
 //!   and transposed back. Other axes fall back to [`Exec::Simd`].
 //!
+//! [`Exec::resolve`] is the one rule for which variant a request really runs:
+//! the lane kernels implement SL5 / SL-MPP5 on lane-divisible velocity grids,
+//! everything else runs the scalar task. The distributed sweeps of
+//! [`crate::exchange`] run the same three task shapes through
+//! `sweep_ghosted`, reading ghost planes instead of the periodic wrap.
+//!
 //! The advection velocity is constant along every line *and* across every
 //! lane bundle by construction: spatial sweeps depend only on the conjugate
 //! velocity index, velocity sweeps only on the spatial cell — and the lane
@@ -32,10 +38,10 @@
 use crate::dist_fn::PhaseSpace;
 use crate::plan;
 use rayon::prelude::*;
-use vlasov6d_advection::lanes::{advect_lanes, LanesWork};
-use vlasov6d_advection::line::{advect_line, LineWork, Scheme};
+use vlasov6d_advection::lanes::{advect_lanes, advect_lanes_ext, LanesWork};
+use vlasov6d_advection::line::{advect_line, advect_line_ext, LineWork, Scheme};
 use vlasov6d_advection::simd::{f32x8, transpose8x8, LANES};
-use vlasov6d_advection::Boundary;
+use vlasov6d_advection::{Boundary, GHOST};
 use vlasov6d_mesh::Field3;
 
 /// Kernel execution variant (paper Table 1 columns).
@@ -49,6 +55,30 @@ pub enum Exec {
     Simd,
     /// Load-and-transpose staging for the `u_z` axis.
     Lat,
+}
+
+impl Exec {
+    /// The variant a sweep along layout axis `axis` (0–2 spatial, 3–5
+    /// velocity) of a `dims` grid really runs — the one place that decides
+    /// whether the lane kernels apply. They implement `Sl5` / `SlMpp5` only
+    /// and need the lane axes divisible by [`LANES`] (`nuz`; also `nuy`
+    /// where 8×8 tiles are transposed, and `nuy` alone for the strided
+    /// `u_z` gathers); every other request runs the scalar task, which takes
+    /// any scheme on any grid.
+    pub fn resolve(self, scheme: Scheme, dims: &[usize; 6], axis: usize) -> Exec {
+        let (nuy, nuz) = (dims[4] % LANES == 0, dims[5] % LANES == 0);
+        let divisible = match (axis, self) {
+            (_, Exec::Scalar) => false,
+            (2, _) | (5, Exec::Lat) => nuy && nuz,
+            (5, Exec::Simd) => nuy,
+            _ => nuz,
+        };
+        if divisible && matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5) {
+            self
+        } else {
+            Exec::Scalar
+        }
+    }
 }
 
 /// Partition of one axis's cell range into the boundary slabs whose stencils
@@ -83,14 +113,22 @@ pub fn partition_axis(n: usize, ghost: usize) -> AxisPartition {
 /// Base pointer of the flat `f` array, passed by value into sweep tasks.
 #[derive(Clone, Copy)]
 pub(crate) struct SendMutPtr(pub(crate) *mut f32);
-// The wrapper only moves the raw pointer across pool workers; every
-// dereference follows the task's `plan` index set, and racecheck proves the
-// plans of distinct tasks pairwise disjoint for all grid shapes (symbolic
-// digit proof + taint-probe replay).
-// SAFETY: [racecheck: sweep.spatial.x.scalar, sweep.spatial.y.scalar,
+// [racecheck: sweep.spatial.x.scalar, sweep.spatial.y.scalar,
 // sweep.spatial.z.scalar, sweep.spatial.x.simd, sweep.spatial.y.simd,
 // sweep.spatial.z.simd, sweep.spatial.x.lat, sweep.spatial.y.lat,
-// sweep.spatial.z.lat]
+// sweep.spatial.z.lat, sweep.dist.x.sync.scalar, sweep.dist.x.sync.simd,
+// sweep.dist.x.interior.scalar, sweep.dist.x.interior.simd,
+// sweep.dist.x.edges.scalar, sweep.dist.x.edges.simd,
+// sweep.dist.y.sync.scalar, sweep.dist.y.sync.simd,
+// sweep.dist.y.interior.scalar, sweep.dist.y.interior.simd,
+// sweep.dist.y.edges.scalar, sweep.dist.y.edges.simd,
+// sweep.dist.z.sync.scalar, sweep.dist.z.sync.simd,
+// sweep.dist.z.interior.scalar, sweep.dist.z.interior.simd,
+// sweep.dist.z.edges.scalar, sweep.dist.z.edges.simd]
+// SAFETY: the wrapper only moves the raw pointer across pool workers; every
+// dereference follows the task's `plan` index set, and racecheck proves the
+// plans of distinct tasks pairwise disjoint for all grid shapes in the
+// regions above (symbolic digit proof + taint-probe replay).
 unsafe impl Send for SendMutPtr {}
 // SAFETY: [racecheck: sweep.spatial.x.scalar] — `&SendMutPtr` exposes only
 // a `Copy` of the pointer; aliasing discipline is enforced at the
@@ -109,7 +147,7 @@ pub fn sweep_spatial(ps: &mut PhaseSpace, d: usize, cfl_per_u: &[f64], scheme: S
     assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
     let dims = ps.dims6();
     let n_line = dims[d];
-    let nuz = dims[5];
+    let exec = exec.resolve(scheme, &dims, d);
     let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
     let n_tasks = plan::spatial_task_count(&dims, d, exec);
 
@@ -127,11 +165,8 @@ pub fn sweep_spatial(ps: &mut PhaseSpace, d: usize, cfl_per_u: &[f64], scheme: S
         Exec::Simd | Exec::Lat if d < 2 => {
             // x/y sweeps: lanes over iuz are contiguous packed loads and the
             // conjugate velocity (iux/iuy) is constant across them (Fig. 1).
-            // Racecheck region `sweep.spatial.{x,y}.{simd,lat}`.
-            assert!(
-                nuz % LANES == 0,
-                "Simd sweeps need nuz divisible by {LANES}"
-            );
+            // Racecheck region `sweep.spatial.{x,y}.{simd,lat}`; `resolve`
+            // vouches for `nuz % LANES == 0`.
             (0..n_tasks).into_par_iter().for_each_init(
                 || (vec![f32x8::ZERO; n_line], LanesWork::new()),
                 |scratch, task| {
@@ -144,12 +179,8 @@ pub fn sweep_spatial(ps: &mut PhaseSpace, d: usize, cfl_per_u: &[f64], scheme: S
             // mix shifts. Stage 8×8 (iuy, iuz) tiles through the in-register
             // transpose so lanes run over iuy at fixed iuz — constant shift
             // per bundle, packed loads throughout (the LAT trick applied to
-            // the spatial z axis). Racecheck region `sweep.spatial.z.{simd,lat}`.
-            let nuy = dims[4];
-            assert!(
-                nuy % LANES == 0 && nuz % LANES == 0,
-                "z-sweep SIMD needs nuy and nuz divisible by {LANES}"
-            );
+            // the spatial z axis). Racecheck region `sweep.spatial.z.{simd,lat}`;
+            // `resolve` vouches for `nuy % LANES == 0 && nuz % LANES == 0`.
             (0..n_tasks).into_par_iter().for_each_init(
                 || (vec![f32x8::ZERO; n_line * LANES], LanesWork::new()),
                 |scratch, task| spatial_tile_task(base, &dims, cfl_per_u, scheme, scratch, task),
@@ -199,13 +230,11 @@ pub(crate) fn spatial_bundle_task(
     // proved by racecheck); each element is one `lanes`-wide packed access.
     unsafe {
         for (i, v) in bundle.iter_mut().enumerate() {
-            let p = base.0.add(b.base + i * b.stride);
-            *v = f32x8::load(std::slice::from_raw_parts(p, LANES));
+            *v = load_lanes(base.0.add(b.base + i * b.stride));
         }
-        advect_lanes(scheme.max_simd(), bundle, cfl, Boundary::Periodic, work);
+        advect_lanes(scheme, bundle, cfl, Boundary::Periodic, work);
         for (i, v) in bundle.iter().enumerate() {
-            let p = base.0.add(b.base + i * b.stride);
-            v.store(std::slice::from_raw_parts_mut(p, LANES));
+            store_lanes(base.0.add(b.base + i * b.stride), *v);
         }
     }
 }
@@ -229,14 +258,7 @@ pub(crate) fn spatial_tile_task(
     // proved by racecheck); every access below is a packed row of the tile.
     unsafe {
         for i in 0..n_line {
-            let line_base = t.base + i * t.stride;
-            let mut rows: [f32x8; LANES] = core::array::from_fn(|l| {
-                f32x8::load(std::slice::from_raw_parts(
-                    base.0.add(line_base + l * t.row_stride),
-                    LANES,
-                ))
-            });
-            transpose8x8(&mut rows);
+            let rows = load_tile(base.0.add(t.base + i * t.stride), t.row_stride);
             for (r, row) in rows.iter().enumerate() {
                 bundles[r * n_line + i] = *row;
             }
@@ -244,7 +266,7 @@ pub(crate) fn spatial_tile_task(
         for r in 0..LANES {
             let cfl = cfl_per_u[z0 + r];
             advect_lanes(
-                scheme.max_simd(),
+                scheme,
                 &mut bundles[r * n_line..(r + 1) * n_line],
                 cfl,
                 Boundary::Periodic,
@@ -252,15 +274,333 @@ pub(crate) fn spatial_tile_task(
             );
         }
         for i in 0..n_line {
-            let line_base = t.base + i * t.stride;
-            let mut rows: [f32x8; LANES] = core::array::from_fn(|r| bundles[r * n_line + i]);
-            transpose8x8(&mut rows);
-            for (l, row) in rows.iter().enumerate() {
-                row.store(std::slice::from_raw_parts_mut(
-                    base.0.add(line_base + l * t.row_stride),
-                    LANES,
-                ));
+            let rows = core::array::from_fn(|r| bundles[r * n_line + i]);
+            store_tile(base.0.add(t.base + i * t.stride), t.row_stride, rows);
+        }
+    }
+}
+
+/// A run of cells along the swept axis feeding a ghosted task's `ext`: from
+/// the block being swept, or from a plane buffer in
+/// [`crate::exchange::extract_planes`] layout holding `GHOST` planes.
+pub(crate) struct Segment<'a> {
+    planes: Option<&'a [f32]>,
+    cells: std::ops::Range<usize>,
+}
+
+impl<'a> Segment<'a> {
+    fn block(cells: std::ops::Range<usize>) -> Self {
+        Segment {
+            planes: None,
+            cells,
+        }
+    }
+
+    fn planes(planes: &'a [f32]) -> Self {
+        Segment {
+            planes: Some(planes),
+            cells: 0..GHOST,
+        }
+    }
+
+    /// Where this segment's pencil lives: the array to read and the task's
+    /// plan inside it (`block` in the swept array, `planes` in a buffer).
+    fn source<'p, P>(&self, base: SendMutPtr, block: &'p P, planes: &'p P) -> (*const f32, &'p P) {
+        match self.planes {
+            Some(buf) => (buf.as_ptr(), planes),
+            None => (base.0.cast_const(), block),
+        }
+    }
+}
+
+/// One kernel call of a ghosted task: the segments concatenate to the
+/// ghost-extended `ext`, and the `ext.len() − 2·GHOST` results land on the
+/// block's cells `out_start..` along the swept axis.
+pub(crate) struct Window<'a> {
+    ext: Vec<Segment<'a>>,
+    out_start: usize,
+}
+
+impl<'a> Window<'a> {
+    /// The whole pencil between the neighbours' planes — the synchronous
+    /// sweep, and the overlapped one on blocks too thin to have an interior.
+    pub(crate) fn full(n: usize, low: &'a [f32], high: &'a [f32]) -> Self {
+        Window {
+            ext: vec![
+                Segment::planes(low),
+                Segment::block(0..n),
+                Segment::planes(high),
+            ],
+            out_start: 0,
+        }
+    }
+
+    /// The cells whose stencils stay inside the block: `ext` is the bare
+    /// pencil, so no ghost plane is needed (or waited for).
+    pub(crate) fn interior(n: usize) -> Self {
+        assert!(n >= 2 * GHOST, "no interior on a {n}-cell axis");
+        Window {
+            ext: vec![Segment::block(0..n)],
+            out_start: partition_axis(n, GHOST).interior.start,
+        }
+    }
+
+    /// The `GHOST` cells at either end, after an interior pass: outside them
+    /// the neighbours' planes, inside them `saved` — the pre-sweep copies of
+    /// cells `[GHOST, 2·GHOST)` and `[n − 2·GHOST, n − GHOST)`, which the
+    /// interior pass has overwritten.
+    pub(crate) fn edges(
+        n: usize,
+        low: &'a [f32],
+        high: &'a [f32],
+        saved: &'a [Vec<f32>; 2],
+    ) -> [Self; 2] {
+        assert!(n >= 2 * GHOST, "no saved slabs on a {n}-cell axis");
+        let part = partition_axis(n, GHOST);
+        [
+            Window {
+                out_start: part.low.start,
+                ext: vec![
+                    Segment::planes(low),
+                    Segment::block(part.low),
+                    Segment::planes(&saved[0]),
+                ],
+            },
+            Window {
+                out_start: part.high.start,
+                ext: vec![
+                    Segment::planes(&saved[1]),
+                    Segment::block(part.high),
+                    Segment::planes(high),
+                ],
+            },
+        ]
+    }
+
+    fn ext_len(&self) -> usize {
+        self.ext.iter().map(|seg| seg.cells.len()).sum()
+    }
+
+    /// The block cells along the swept axis this window writes.
+    fn out_cells(&self) -> std::ops::Range<usize> {
+        self.out_start..self.out_start + self.ext_len() - 2 * GHOST
+    }
+}
+
+/// Per-worker scratch of a ghosted sweep: `ext`, `out` and kernel work space
+/// for the scalar and the lane task shapes (a sweep uses one of the two).
+#[derive(Default)]
+pub(crate) struct GhostedWork {
+    line: (Vec<f32>, Vec<f32>, LineWork),
+    lanes: (Vec<f32x8>, Vec<f32x8>, LanesWork),
+}
+
+/// `dims` of a plane buffer for axis `d`: the block's, `GHOST` planes thick.
+fn plane_dims(dims: &[usize; 6], d: usize) -> [usize; 6] {
+    let mut g = *dims;
+    g[d] = GHOST;
+    g
+}
+
+/// One parallel region of a distributed sweep along spatial axis `d`: every
+/// pencil task of `sweep_spatial`'s plan advects each of `windows` through
+/// the ghost-extended kernels (`|cfl| < 1`) instead of the periodic ones.
+/// Lanes when [`Exec::resolve`] allows them on this grid, scalar pencils
+/// otherwise. Racecheck regions
+/// `sweep.dist.{x,y,z}.{sync,interior,edges}.{scalar,simd}`;
+/// `only` replays a single task of the region for racecheck's taint probe.
+pub(crate) fn sweep_ghosted(
+    ps: &mut PhaseSpace,
+    d: usize,
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    windows: &[Window<'_>],
+    only: Option<usize>,
+) {
+    let dims = ps.dims6();
+    let exec = Exec::Simd.resolve(scheme, &dims, d);
+    // The tasks read plane buffers through raw pointers at their plans'
+    // offsets: every buffer must be a whole `GHOST`-plane array.
+    let plane_len: usize = plane_dims(&dims, d).iter().product();
+    for seg in windows.iter().flat_map(|w| &w.ext) {
+        assert!(seg.planes.is_none_or(|buf| buf.len() == plane_len));
+    }
+    let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
+    let n_tasks = plan::spatial_task_count(&dims, d, exec);
+    let run = |work: &mut GhostedWork, task: usize| {
+        ghosted_task(base, &dims, d, exec, cfl_per_u, scheme, windows, work, task)
+    };
+    match only {
+        Some(task) => {
+            assert!(task < n_tasks);
+            run(&mut GhostedWork::default(), task)
+        }
+        None => (0..n_tasks)
+            .into_par_iter()
+            .for_each_init(GhostedWork::default, run),
+    }
+}
+
+/// One ghosted-sweep task, in the shape `exec` (already resolved) selects.
+fn ghosted_task(
+    base: SendMutPtr,
+    dims: &[usize; 6],
+    d: usize,
+    exec: Exec,
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    windows: &[Window<'_>],
+    work: &mut GhostedWork,
+    task: usize,
+) {
+    match exec {
+        Exec::Scalar => ghosted_line_task(
+            base,
+            dims,
+            d,
+            cfl_per_u,
+            scheme,
+            windows,
+            &mut work.line,
+            task,
+        ),
+        Exec::Simd | Exec::Lat if d < 2 => ghosted_bundle_task(
+            base,
+            dims,
+            d,
+            cfl_per_u,
+            scheme,
+            windows,
+            &mut work.lanes,
+            task,
+        ),
+        Exec::Simd | Exec::Lat => ghosted_tile_task(
+            base,
+            dims,
+            cfl_per_u,
+            scheme,
+            windows,
+            &mut work.lanes,
+            task,
+        ),
+    }
+}
+
+fn ghosted_line_task(
+    base: SendMutPtr,
+    dims: &[usize; 6],
+    d: usize,
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    windows: &[Window<'_>],
+    (ext, out, work): &mut (Vec<f32>, Vec<f32>, LineWork),
+    task: usize,
+) {
+    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Scalar, task)];
+    let block = plan::spatial_line(dims, d, task);
+    let planes = plan::spatial_line(&plane_dims(dims, d), d, task);
+    for w in windows {
+        ext.clear();
+        for seg in &w.ext {
+            let (src, p) = seg.source(base, &block, &planes);
+            // `p` is this task's plan in the segment's array — the block,
+            // where racecheck proves the plans of distinct tasks disjoint and
+            // in bounds, or a read-only plane buffer whose length
+            // `sweep_ghosted` checked — and `seg.cells` lies inside it.
+            // SAFETY: cell `i` of that plan is in bounds and not written by
+            // any other task.
+            let cell = |i: usize| unsafe { *src.add(p.base + i * p.stride) };
+            ext.extend(seg.cells.clone().map(cell));
+        }
+        out.resize(ext.len() - 2 * GHOST, 0.0);
+        advect_line_ext(scheme, ext, out, cfl, work);
+        for (i, v) in w.out_cells().zip(out.iter()) {
+            // SAFETY: cell `i` of this task's own pencil (plan as above).
+            unsafe { *base.0.add(block.base + i * block.stride) = *v };
+        }
+    }
+}
+
+fn ghosted_bundle_task(
+    base: SendMutPtr,
+    dims: &[usize; 6],
+    d: usize,
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    windows: &[Window<'_>],
+    (ext, out, work): &mut (Vec<f32x8>, Vec<f32x8>, LanesWork),
+    task: usize,
+) {
+    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Simd, task)];
+    let block = plan::spatial_bundle(dims, d, task);
+    let planes = plan::spatial_bundle(&plane_dims(dims, d), d, task);
+    for w in windows {
+        ext.clear();
+        for seg in &w.ext {
+            let (src, p) = seg.source(base, &block, &planes);
+            // SAFETY: as in `ghosted_line_task`, one packed element per cell.
+            let cell = |i: usize| unsafe { load_lanes(src.add(p.base + i * p.stride)) };
+            ext.extend(seg.cells.clone().map(cell));
+        }
+        out.resize(ext.len() - 2 * GHOST, f32x8::ZERO);
+        advect_lanes_ext(scheme, ext, out, cfl, work);
+        for (i, v) in w.out_cells().zip(out.iter()) {
+            // SAFETY: element `i` of this task's own bundle pencil.
+            unsafe { store_lanes(base.0.add(block.base + i * block.stride), *v) };
+        }
+    }
+}
+
+fn ghosted_tile_task(
+    base: SendMutPtr,
+    dims: &[usize; 6],
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    windows: &[Window<'_>],
+    (ext, out, work): &mut (Vec<f32x8>, Vec<f32x8>, LanesWork),
+    task: usize,
+) {
+    let z0 = plan::spatial_conjugate_u(dims, 2, Exec::Lat, task);
+    let block = plan::spatial_tile(dims, task);
+    let planes = plan::spatial_tile(&plane_dims(dims, 2), task);
+    for w in windows {
+        // Row `r` of the transposed tiles: `ext[r·len ..][..len]` in,
+        // `out[r·m ..][..m]` out.
+        let len = w.ext_len();
+        let m = len - 2 * GHOST;
+        ext.resize(LANES * len, f32x8::ZERO);
+        out.resize(LANES * m, f32x8::ZERO);
+        let mut at = 0;
+        for seg in &w.ext {
+            let (src, t) = seg.source(base, &block, &planes);
+            for i in seg.cells.clone() {
+                // SAFETY: as in `ghosted_line_task`, one 8×8 tile per cell.
+                let rows = unsafe { load_tile(src.add(t.base + i * t.stride), t.row_stride) };
+                for (r, row) in rows.iter().enumerate() {
+                    ext[r * len + at] = *row;
+                }
+                at += 1;
             }
+        }
+        for r in 0..LANES {
+            advect_lanes_ext(
+                scheme,
+                &ext[r * len..(r + 1) * len],
+                &mut out[r * m..(r + 1) * m],
+                cfl_per_u[z0 + r],
+                work,
+            );
+        }
+        for (k, i) in w.out_cells().enumerate() {
+            let rows = core::array::from_fn(|r| out[r * m + k]);
+            // SAFETY: tile `i` of this task's own tile pencil.
+            unsafe {
+                store_tile(
+                    base.0.add(block.base + i * block.stride),
+                    block.row_stride,
+                    rows,
+                )
+            };
         }
     }
 }
@@ -311,6 +651,7 @@ pub(crate) fn velocity_cell_task(
     if cfl == 0.0 {
         return;
     }
+    let exec = exec.resolve(scheme, dims, 3 + d);
     let (nux, nuy, nuz) = (dims[3], dims[4], dims[5]);
     match d {
         0 => sweep_block_ux(block, nux, nuy, nuz, cfl, scheme, exec, work),
@@ -334,21 +675,6 @@ impl VelocityWork {
             bundle: Vec::new(),
             line_work: LineWork::new(),
             lanes_work: LanesWork::new(),
-        }
-    }
-}
-
-trait SchemeExt {
-    fn max_simd(self) -> Scheme;
-}
-impl SchemeExt for Scheme {
-    /// The lanes kernel implements SL5/SL-MPP5; map the cheap scalar-only
-    /// schemes onto their nearest vectorised equivalent when a SIMD sweep is
-    /// requested (callers wanting exact Upwind1/Sl3 use Exec::Scalar).
-    fn max_simd(self) -> Scheme {
-        match self {
-            Scheme::Upwind1 | Scheme::Sl3 | Scheme::Sl5 => Scheme::Sl5,
-            Scheme::SlMpp5 => Scheme::SlMpp5,
         }
     }
 }
@@ -384,7 +710,6 @@ fn sweep_block_ux(
             }
         }
         Exec::Simd | Exec::Lat => {
-            assert!(nuz % LANES == 0);
             work.bundle.resize(nux, f32x8::ZERO);
             for unit in 0..plan::block_unit_count(nux, nuy, nuz, 0, Exec::Simd) {
                 let p = plan::block_ux_bundle(nuy, nuz, nux, unit);
@@ -392,7 +717,7 @@ fn sweep_block_ux(
                     *b = f32x8::load(&block[p.base + i * p.stride..]);
                 }
                 advect_lanes(
-                    scheme.max_simd(),
+                    scheme,
                     &mut work.bundle,
                     cfl,
                     Boundary::Zero,
@@ -437,7 +762,6 @@ fn sweep_block_uy(
             }
         }
         Exec::Simd | Exec::Lat => {
-            assert!(nuz % LANES == 0);
             work.bundle.resize(nuy, f32x8::ZERO);
             for unit in 0..plan::block_unit_count(nux, nuy, nuz, 1, Exec::Simd) {
                 let p = plan::block_uy_bundle(nuy, nuz, unit);
@@ -445,7 +769,7 @@ fn sweep_block_uy(
                     *b = f32x8::load(&block[p.base + i * p.stride..]);
                 }
                 advect_lanes(
-                    scheme.max_simd(),
+                    scheme,
                     &mut work.bundle,
                     cfl,
                     Boundary::Zero,
@@ -481,10 +805,6 @@ fn sweep_block_uz(
         Exec::Simd => {
             // Paper Fig. 2: lanes across iuy require strided element gathers —
             // the deliberately inefficient variant measured in Table 1.
-            assert!(
-                nuy % LANES == 0,
-                "Fig.2 variant needs nuy divisible by {LANES}"
-            );
             work.bundle.resize(nuz, f32x8::ZERO);
             for unit in 0..plan::block_unit_count(nux, nuy, nuz, 2, Exec::Simd) {
                 let rows = plan::block_uz_rows(nuy, nuz, unit);
@@ -496,7 +816,7 @@ fn sweep_block_uz(
                     *b = f32x8(lanes);
                 }
                 advect_lanes(
-                    scheme.max_simd(),
+                    scheme,
                     &mut work.bundle,
                     cfl,
                     Boundary::Zero,
@@ -512,7 +832,6 @@ fn sweep_block_uz(
         Exec::Lat => {
             // Paper Fig. 3: packed loads + in-register transpose, advect in
             // lane form, transpose back on the way out.
-            assert!(nuy % LANES == 0 && nuz % LANES == 0);
             work.bundle.resize(nuz, f32x8::ZERO);
             for unit in 0..plan::block_unit_count(nux, nuy, nuz, 2, Exec::Lat) {
                 let rows = plan::block_uz_rows(nuy, nuz, unit);
@@ -526,7 +845,7 @@ fn sweep_block_uz(
                     work.bundle[z0..z0 + LANES].copy_from_slice(&packed);
                 }
                 advect_lanes(
-                    scheme.max_simd(),
+                    scheme,
                     &mut work.bundle,
                     cfl,
                     Boundary::Zero,
@@ -543,6 +862,39 @@ fn sweep_block_uz(
                 }
             }
         }
+    }
+}
+
+/// SAFETY: `p` must be valid for reading [`LANES`] values.
+#[inline(always)]
+unsafe fn load_lanes(p: *const f32) -> f32x8 {
+    f32x8::load(std::slice::from_raw_parts(p, LANES))
+}
+
+/// SAFETY: `p` must be valid for writing [`LANES`] values no other thread
+/// touches.
+#[inline(always)]
+unsafe fn store_lanes(p: *mut f32, v: f32x8) {
+    v.store(std::slice::from_raw_parts_mut(p, LANES));
+}
+
+/// The 8×8 tile whose rows start `row_stride` apart at `p`, transposed into
+/// lane form (element `r` holds column `r` of the tile).
+/// SAFETY: every row must be valid for [`load_lanes`].
+#[inline(always)]
+unsafe fn load_tile(p: *const f32, row_stride: usize) -> [f32x8; LANES] {
+    let mut rows = core::array::from_fn(|l| load_lanes(p.add(l * row_stride)));
+    transpose8x8(&mut rows);
+    rows
+}
+
+/// Inverse of [`load_tile`].
+/// SAFETY: every row must be valid for [`store_lanes`].
+#[inline(always)]
+unsafe fn store_tile(p: *mut f32, row_stride: usize, mut rows: [f32x8; LANES]) {
+    transpose8x8(&mut rows);
+    for (l, row) in rows.iter().enumerate() {
+        store_lanes(p.add(l * row_stride), *row);
     }
 }
 
@@ -629,6 +981,46 @@ mod tests {
             let diff = scalar.l1_distance(&simd) / scalar.len() as f64;
             assert!(diff < 1e-5, "axis {d}: mean |Δ| = {diff}");
         }
+    }
+
+    /// One scheme rule: the lane kernels implement SL5 / SL-MPP5 only, so a
+    /// SIMD request for a cheaper scheme runs the scalar task with *that*
+    /// scheme — it does not quietly integrate with SL5 — and a SIMD request
+    /// on a grid the lanes do not divide runs the scalar task too.
+    #[test]
+    fn simd_request_for_a_scalar_only_scheme_runs_that_scheme() {
+        let cfl: Vec<f64> = (0..8).map(|k| 0.1 * k as f64 - 0.35).collect();
+        let mut accel = Field3::zeros([8, 8, 8]);
+        for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
+            *v = 0.8 * ((i as f64 * 0.13).sin());
+        }
+        for scheme in [Scheme::Upwind1, Scheme::Sl3] {
+            for exec in [Exec::Simd, Exec::Lat] {
+                for d in 0..3 {
+                    let mut scalar = test_ps();
+                    let mut simd = test_ps();
+                    sweep_spatial(&mut scalar, d, &cfl, scheme, Exec::Scalar);
+                    sweep_spatial(&mut simd, d, &cfl, scheme, exec);
+                    sweep_velocity(&mut scalar, d, &accel, scheme, Exec::Scalar);
+                    sweep_velocity(&mut simd, d, &accel, scheme, exec);
+                    assert!(
+                        scalar.as_slice() == simd.as_slice(),
+                        "{scheme:?} {exec:?} axis {d}"
+                    );
+                }
+            }
+        }
+        let dims = [4, 4, 4, 6, 6, 6];
+        for axis in 0..6 {
+            assert_eq!(
+                Exec::Simd.resolve(Scheme::SlMpp5, &dims, axis),
+                Exec::Scalar
+            );
+        }
+        assert_eq!(
+            Exec::Lat.resolve(Scheme::SlMpp5, &test_ps().dims6(), 5),
+            Exec::Lat
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@ use kerncheck::claims::ClaimMap;
 use kerncheck::report::Report;
 use vlasov6d_kerncheck as kerncheck;
 use vlasov6d_phase_space::plan;
+use vlasov6d_phase_space::probe::{ghosted_out_cells, GhostedRegion};
 use vlasov6d_phase_space::Exec;
 
-use crate::registry;
+use crate::registry::{self, DIST_REGIONS};
 use crate::symbolic::RegionModel;
 
 const PASS: &str = "concrete";
@@ -32,6 +33,32 @@ pub(crate) fn declared_spatial_indices(
         Exec::Scalar => plan::spatial_line(dims, d, task).indices().collect(),
         Exec::Simd | Exec::Lat if d < 2 => plan::spatial_bundle(dims, d, task).indices().collect(),
         Exec::Simd | Exec::Lat => plan::spatial_tile(dims, task).indices().collect(),
+    }
+}
+
+/// The plan-declared flat write set of one distributed-sweep task: the cells
+/// `region` updates, on the pencil `sweep_ghosted` dispatches to the task.
+pub(crate) fn declared_ghosted_indices(
+    dims: &[usize; 6],
+    d: usize,
+    exec: Exec,
+    region: GhostedRegion,
+    task: usize,
+) -> Vec<usize> {
+    let cells = ghosted_out_cells(region, dims[d]).into_iter();
+    match exec {
+        Exec::Scalar => {
+            let p = plan::spatial_line(dims, d, task);
+            cells.flat_map(|i| p.cell_indices(i)).collect()
+        }
+        Exec::Simd | Exec::Lat if d < 2 => {
+            let p = plan::spatial_bundle(dims, d, task);
+            cells.flat_map(|i| p.cell_indices(i)).collect()
+        }
+        Exec::Simd | Exec::Lat => {
+            let p = plan::spatial_tile(dims, task);
+            cells.flat_map(|i| p.cell_indices(i)).collect()
+        }
     }
 }
 
@@ -67,59 +94,77 @@ fn check_region_at(
     dims: &[usize],
     n_tasks: usize,
     total: usize,
-    mut declared: impl FnMut(usize) -> Vec<usize>,
+    declared: impl FnMut(usize) -> Vec<usize>,
 ) {
-    let prop = format!("{name}.dims{dims:?}");
-    if model.task_count(dims) != n_tasks {
-        report.violated(
-            PASS,
-            prop,
-            "symbolic task count differs from the kernel's",
-            Some(format!(
-                "model: {}, kernel: {n_tasks}",
-                model.task_count(dims)
-            )),
-        );
-        return;
-    }
+    check_regions_at(report, &mut [(name, model, declared)], dims, n_tasks, total);
+}
+
+/// [`check_region_at`] for regions that tile the array *together* — the
+/// interior and edge regions of an overlapped sweep share one task family,
+/// and every cell must be updated by exactly one of them.
+fn check_regions_at<D: FnMut(usize) -> Vec<usize>>(
+    report: &mut Report,
+    regions: &mut [(&str, &RegionModel, D)],
+    dims: &[usize],
+    n_tasks: usize,
+    total: usize,
+) {
     let mut claims = ClaimMap::new(total);
-    for task in 0..n_tasks {
-        let mut planned = declared(task);
-        planned.sort_unstable();
-        let symbolic = model.indices(dims, task);
-        if planned != symbolic {
+    for (r, (name, model, declared)) in regions.iter_mut().enumerate() {
+        let prop = format!("{name}.dims{dims:?}");
+        if model.task_count(dims) != n_tasks {
             report.violated(
                 PASS,
                 prop,
-                "symbolic write set differs from the kernel's plan",
-                Some(format!("task {task}")),
+                "symbolic task count differs from the kernel's",
+                Some(format!(
+                    "model: {}, kernel: {n_tasks}",
+                    model.task_count(dims)
+                )),
             );
             return;
         }
-        if let Err(conflict) = claims.claim_all(task, planned) {
-            report.violated(
+        for task in 0..n_tasks {
+            let mut planned = declared(task);
+            planned.sort_unstable();
+            let symbolic = model.indices(dims, task);
+            if planned != symbolic {
+                report.violated(
+                    PASS,
+                    prop,
+                    "symbolic write set differs from the kernel's plan",
+                    Some(format!("task {task}")),
+                );
+                return;
+            }
+            if let Err(conflict) = claims.claim_all(r * n_tasks + task, planned) {
+                report.violated(
+                    PASS,
+                    prop,
+                    "declared plans overlap",
+                    Some(conflict.to_string()),
+                );
+                return;
+            }
+        }
+    }
+    let cover = claims.exact_cover();
+    for (name, _, _) in regions.iter() {
+        let prop = format!("{name}.dims{dims:?}");
+        match cover {
+            Err(idx) => report.violated(
                 PASS,
                 prop,
-                "declared plans overlap",
-                Some(conflict.to_string()),
-            );
-            return;
+                "declared plans do not cover the array",
+                Some(format!("index {idx} unclaimed")),
+            ),
+            Ok(()) => report.verified(
+                PASS,
+                prop,
+                format!("{n_tasks} task plans == symbolic sets; exact cover of {total} elements"),
+            ),
         }
     }
-    if let Err(idx) = claims.exact_cover() {
-        report.violated(
-            PASS,
-            prop,
-            "declared plans do not cover the array",
-            Some(format!("index {idx} unclaimed")),
-        );
-        return;
-    }
-    report.verified(
-        PASS,
-        prop,
-        format!("{n_tasks} task plans == symbolic sets; exact cover of {total} elements"),
-    );
 }
 
 /// Sample shapes per execution variant, including thin axes.
@@ -161,6 +206,44 @@ pub fn run(report: &mut Report) {
                     n_tasks,
                     total,
                     |t| declared_spatial_indices(&dims, d, exec, t),
+                );
+            }
+        }
+    }
+
+    // Distributed sweeps: the synchronous region tiles the block alone, the
+    // overlapped sweep's interior and edge regions tile it together. The
+    // swept axis is at least 2·GHOST_WIDTH long wherever an interior exists.
+    for (d, axis) in ["x", "y", "z"].iter().enumerate() {
+        for (exec, tag) in [(Exec::Scalar, "scalar"), (Exec::Simd, "simd")] {
+            let [sync, interior, edges] =
+                DIST_REGIONS.map(|(_, name)| find(&format!("sweep.dist.{axis}.{name}.{tag}")));
+            for mut dims in spatial_shapes(exec) {
+                dims[d] += 5;
+                let n_tasks = plan::spatial_task_count(&dims, d, exec);
+                let total: usize = dims.iter().product();
+                let declared =
+                    |region| move |t| declared_ghosted_indices(&dims, d, exec, region, t);
+                check_regions_at(
+                    report,
+                    &mut [(sync.name, &sync.model, declared(GhostedRegion::Sync))],
+                    &dims,
+                    n_tasks,
+                    total,
+                );
+                check_regions_at(
+                    report,
+                    &mut [
+                        (
+                            interior.name,
+                            &interior.model,
+                            declared(GhostedRegion::Interior),
+                        ),
+                        (edges.name, &edges.model, declared(GhostedRegion::Edges)),
+                    ],
+                    &dims,
+                    n_tasks,
+                    total,
                 );
             }
         }

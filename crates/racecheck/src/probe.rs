@@ -27,12 +27,14 @@ use vlasov6d_advection::line::Scheme;
 use vlasov6d_fft::{Complex64, Fft3, RealFft3};
 use vlasov6d_kerncheck as kerncheck;
 use vlasov6d_mesh::Field3;
+use vlasov6d_phase_space::exchange::GHOST_WIDTH;
 use vlasov6d_phase_space::plan;
-use vlasov6d_phase_space::probe as ps_probe;
+use vlasov6d_phase_space::probe::{self as ps_probe, GhostedRegion};
 use vlasov6d_phase_space::sweep::{sweep_spatial, sweep_velocity};
 use vlasov6d_phase_space::{Exec, PhaseSpace, VelocityGrid};
 
-use crate::concrete::declared_spatial_indices;
+use crate::concrete::{declared_ghosted_indices, declared_spatial_indices};
+use crate::registry::DIST_REGIONS;
 
 const PASS: &str = "probe";
 
@@ -57,13 +59,16 @@ fn filled_ps(sdims: [usize; 3], nv: usize, salt: u64) -> PhaseSpace {
 
 /// Splice per-task replays over the declared partition and compare against
 /// full parallel runs. `run_task(initial_copy, task)` replays one task;
-/// `run_full(state)` runs the whole region on the live pool.
+/// `run_full(state)` runs the whole region on the live pool. `covers`: the
+/// declared plans must tile the whole array (false for a region that updates
+/// part of it — what it leaves alone must then come through unchanged).
 #[allow(clippy::too_many_arguments)]
 fn probe_region(
     report: &mut Report,
     name: &str,
     initial: &[f32],
     n_tasks: usize,
+    covers: bool,
     declared: impl Fn(usize) -> Vec<usize>,
     run_task: impl Fn(&mut [f32], usize),
     run_full: impl Fn(&mut [f32]),
@@ -104,7 +109,7 @@ fn probe_region(
             merged[i] = copy[i];
         }
     }
-    if let Err(idx) = claims.exact_cover() {
+    if let (true, Err(idx)) = (covers, claims.exact_cover()) {
         report.violated(
             PASS,
             name.to_string(),
@@ -174,7 +179,12 @@ fn spatial_probes(report: &mut Report) {
             let mut sdims = [2usize, 2, 2];
             sdims[d] = 6;
             let ps0 = filled_ps(sdims, nv, 0xA11CE + d as u64);
-            let scheme = schemes[(d + e) % schemes.len()];
+            // The lane kernels run SL5 / SL-MPP5 only; any other scheme
+            // would resolve to the scalar tasks.
+            let scheme = match exec {
+                Exec::Scalar => schemes[(d + e) % schemes.len()],
+                _ => schemes[2 + (d + e) % 2],
+            };
             let cfl: Vec<f64> = (0..nv)
                 .map(|k| 0.45 * (k as f64 + 1.0) / nv as f64)
                 .collect();
@@ -186,6 +196,7 @@ fn spatial_probes(report: &mut Report) {
                 &format!("sweep.spatial.{axis}.{tag}"),
                 &initial,
                 n_tasks,
+                true,
                 |t| declared_spatial_indices(&dims, d, *exec, t),
                 |state, task| {
                     let mut ps = ps0.clone();
@@ -202,6 +213,112 @@ fn spatial_probes(report: &mut Report) {
             );
         }
     }
+}
+
+/// A distributed-sweep fixture for axis `d`: an 8-cell swept axis (two
+/// interior cells between the edge slabs), a velocity grid that resolves to
+/// scalar pencils (`nv = 3`) or lanes (`nv = 8`), noise for the neighbours'
+/// planes, a mixed-sign CFL table and a scheme the lanes implement.
+struct DistFixture {
+    d: usize,
+    ps0: PhaseSpace,
+    planes: [Vec<f32>; 2],
+    cfl: Vec<f64>,
+    scheme: Scheme,
+}
+
+impl DistFixture {
+    fn new(d: usize, nv: usize) -> Self {
+        let mut sdims = [2usize, 2, 2];
+        sdims[d] = 8;
+        let ps0 = filled_ps(sdims, nv, 0xD157 + d as u64);
+        let plane_len = ps0.len() / sdims[d] * GHOST_WIDTH;
+        DistFixture {
+            d,
+            planes: [0x10, 0x20].map(|salt| (0..plane_len).map(|i| noise(i, salt)).collect()),
+            cfl: (0..nv)
+                .map(|k| 0.9 * (k as f64 - 0.5 * (nv - 1) as f64) / nv as f64)
+                .collect(),
+            scheme: [Scheme::SlMpp5, Scheme::Sl5][d % 2],
+            ps0,
+        }
+    }
+
+    /// Run `region` (or one task of it) on `state` in place.
+    fn run(&self, state: &mut [f32], region: GhostedRegion, task: Option<usize>) {
+        let mut ps = self.ps0.clone();
+        ps.as_mut_slice().copy_from_slice(state);
+        let planes = (&self.planes[0][..], &self.planes[1][..]);
+        ps_probe::run_ghosted_region(
+            &mut ps,
+            self.d,
+            &self.cfl,
+            self.scheme,
+            region,
+            planes,
+            task,
+        );
+        state.copy_from_slice(ps.as_slice());
+    }
+}
+
+fn dist_probes(report: &mut Report) {
+    for (d, axis) in ["x", "y", "z"].iter().enumerate() {
+        for (nv, tag) in [(3usize, "scalar"), (8, "simd")] {
+            let fx = DistFixture::new(d, nv);
+            let dims = fx.ps0.dims6();
+            let exec = ps_probe::ghosted_exec(&fx.ps0, d, fx.scheme);
+            for (region, name) in DIST_REGIONS {
+                probe_region(
+                    report,
+                    &format!("sweep.dist.{axis}.{name}.{tag}"),
+                    fx.ps0.as_slice(),
+                    plan::spatial_task_count(&dims, d, exec),
+                    region == GhostedRegion::Sync,
+                    |t| declared_ghosted_indices(&dims, d, exec, region, t),
+                    |state, task| fx.run(state, region, Some(task)),
+                    |state| fx.run(state, region, None),
+                );
+            }
+        }
+    }
+}
+
+/// Negative control on the live kernel: an interior task that also writes
+/// cell `GHOST_WIDTH − 1` of its pencil — an edge cell, which the edge region
+/// still has to read at its pre-sweep value — must fail containment.
+fn control_interior_escape(report: &mut Report) {
+    let fx = DistFixture::new(0, 8);
+    let dims = fx.ps0.dims6();
+    let exec = ps_probe::ghosted_exec(&fx.ps0, 0, fx.scheme);
+    let mut sub = Report::new();
+    probe_region(
+        &mut sub,
+        "control.dist.interior.escape",
+        fx.ps0.as_slice(),
+        plan::spatial_task_count(&dims, 0, exec),
+        false,
+        |t| declared_ghosted_indices(&dims, 0, exec, GhostedRegion::Interior, t),
+        |state, task| {
+            fx.run(state, GhostedRegion::Interior, Some(task));
+            let escaped = plan::spatial_bundle(&dims, 0, task).cell_indices(GHOST_WIDTH - 1);
+            for i in escaped {
+                state[i] += 0.5;
+            }
+        },
+        |state| fx.run(state, GhostedRegion::Interior, None),
+    );
+    let caught = sub
+        .properties
+        .iter()
+        .any(|p| !p.ok() && p.detail.contains("outside its declared plan"));
+    report.control(
+        PASS,
+        "control.dist.interior.escape",
+        "an interior task writing an edge cell must fail containment",
+        caught,
+        Some(format!("task also writes cell {}", GHOST_WIDTH - 1)),
+    );
 }
 
 fn velocity_probes(report: &mut Report) {
@@ -236,6 +353,7 @@ fn velocity_probes(report: &mut Report) {
             &format!("sweep.velocity.blocks.{tag}"),
             &initial,
             n_tasks,
+            true,
             |cell| plan::velocity_block(&dims, cell).collect(),
             |state, cell| {
                 let mut ps = ps0.clone();
@@ -473,6 +591,7 @@ fn control_probe_escape(report: &mut Report) {
         "control.probe.escape",
         &initial,
         initial.len(),
+        true,
         |t| vec![t],
         |state, t| {
             state[t] = 1.0;
@@ -499,6 +618,8 @@ fn control_probe_escape(report: &mut Report) {
 
 pub fn run(report: &mut Report) {
     spatial_probes(report);
+    dist_probes(report);
+    control_interior_escape(report);
     velocity_probes(report);
     moments_invariance(report);
     fft_invariance(report);

@@ -21,6 +21,8 @@
 
 use crate::symbolic::{AxisFootprint, Divisibility, Extent, RegionModel};
 use vlasov6d_advection::simd::LANES;
+use vlasov6d_phase_space::exchange::GHOST_WIDTH;
+use vlasov6d_phase_space::probe::GhostedRegion;
 use vlasov6d_phase_space::Exec;
 
 /// One registered parallel (or partition-shaped) region.
@@ -263,6 +265,28 @@ pub fn spatial_model(d: usize, exec: Exec) -> RegionModel {
     }
 }
 
+/// The three parallel regions of a distributed sweep (`phase-space`
+/// `exchange.rs`), named as in the region registry.
+pub const DIST_REGIONS: [(GhostedRegion, &str); 3] = [
+    (GhostedRegion::Sync, "sync"),
+    (GhostedRegion::Interior, "interior"),
+    (GhostedRegion::Edges, "edges"),
+];
+
+/// Distributed-sweep region along `d`: the tasks and pencils of
+/// [`spatial_model`] (scalar pencils or lane bundles / tiles — `Exec::Simd`
+/// and `Exec::Lat` coincide), each reading its whole pencil of the block (the
+/// ghost planes are other arrays) and writing the cells `region` updates.
+pub fn dist_model(d: usize, exec: Exec, region: GhostedRegion) -> RegionModel {
+    let mut model = spatial_model(d, exec);
+    model.write[d] = match region {
+        GhostedRegion::Sync => AxisFootprint::Full,
+        GhostedRegion::Interior => AxisFootprint::Inner(GHOST_WIDTH),
+        GhostedRegion::Edges => AxisFootprint::Edges(GHOST_WIDTH),
+    };
+    model
+}
+
 /// Every registered region, in report order.
 pub fn regions() -> Vec<Region> {
     let mut regions = Vec::new();
@@ -297,6 +321,41 @@ pub fn regions() -> Vec<Region> {
                 backs_unsafe_impl: true,
                 model: spatial_model(d, *exec),
             });
+        }
+    }
+    // Axis-major, then region in `DIST_REGIONS` order, then scalar / simd.
+    let dist_names: [&'static str; 18] = [
+        "sweep.dist.x.sync.scalar",
+        "sweep.dist.x.sync.simd",
+        "sweep.dist.x.interior.scalar",
+        "sweep.dist.x.interior.simd",
+        "sweep.dist.x.edges.scalar",
+        "sweep.dist.x.edges.simd",
+        "sweep.dist.y.sync.scalar",
+        "sweep.dist.y.sync.simd",
+        "sweep.dist.y.interior.scalar",
+        "sweep.dist.y.interior.simd",
+        "sweep.dist.y.edges.scalar",
+        "sweep.dist.y.edges.simd",
+        "sweep.dist.z.sync.scalar",
+        "sweep.dist.z.sync.simd",
+        "sweep.dist.z.interior.scalar",
+        "sweep.dist.z.interior.simd",
+        "sweep.dist.z.edges.scalar",
+        "sweep.dist.z.edges.simd",
+    ];
+    let mut dist_names = dist_names.into_iter();
+    for d in 0..3 {
+        for (region, _) in DIST_REGIONS {
+            for exec in [Exec::Scalar, Exec::Simd] {
+                regions.push(Region {
+                    name: dist_names.next().expect("18 names for 3 × 3 × 2 regions"),
+                    about: "phase-space sweep.rs sweep_ghosted: the distributed sweeps' pencil \
+                            tasks, writing the whole pencil (sync), its interior, or its edges",
+                    backs_unsafe_impl: true,
+                    model: dist_model(d, exec, region),
+                });
+            }
         }
     }
     regions.push(Region {
@@ -398,12 +457,12 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let regions = regions();
-        assert_eq!(regions.len(), 27);
+        assert_eq!(regions.len(), 45);
         let mut names: Vec<_> = regions.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 27, "duplicate region names");
-        assert_eq!(backing_region_names().len(), 14);
+        assert_eq!(names.len(), 45, "duplicate region names");
+        assert_eq!(backing_region_names().len(), 32);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! additionally *instantiates* the model at concrete `dims` so the concrete
 //! pass can cross-check the symbols against the plans the kernels actually
 //! execute. Read/write non-interference follows from requiring the
-//! same-array read footprint to equal the write footprint per task (the only
-//! pattern the workspace uses: pencils read and write their own elements).
+//! same-array read footprint to equal the write footprint on every axis that
+//! selects by task digit (the only pattern the workspace uses: pencils read
+//! and write their own elements; along the pencil axis itself a task may
+//! read the whole pencil and write part of it).
 
 /// Symbolic extent of one task digit, as a function of the array dims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +49,24 @@ pub enum AxisFootprint {
     TaskDigit(usize),
     /// The aligned block `[τ_j·width, (τ_j + 1)·width)`.
     TaskBlock { digit: usize, width: usize },
+    /// The same for every task: `[g, dims[axis] − g)` of the pencil axis —
+    /// the cells a distributed sweep updates before its ghost planes arrive.
+    Inner(usize),
+    /// The same for every task: `[0, g) ∪ [dims[axis] − g, dims[axis])` —
+    /// the cells it updates afterwards.
+    Edges(usize),
+}
+
+impl AxisFootprint {
+    /// Does the footprint depend on the task index? Only a task-dependent
+    /// axis can separate two tasks; on the others the slice may differ
+    /// between what a task reads and what it writes.
+    fn selects_by_task(self) -> bool {
+        matches!(
+            self,
+            AxisFootprint::TaskDigit(_) | AxisFootprint::TaskBlock { .. }
+        )
+    }
 }
 
 /// A shape-family constraint the kernel asserts: `dims[axis] % divisor == 0`.
@@ -69,7 +89,7 @@ pub struct RegionModel {
     pub write: Vec<AxisFootprint>,
     /// The slice of the *same* array task `t` reads, when the region reads
     /// the array it writes (`None` = reads only other arrays). The prover
-    /// requires this to equal `write` per axis.
+    /// requires this to equal `write` on every axis that selects by task.
     pub read_same_array: Option<Vec<AxisFootprint>>,
     /// Divisibility constraints the kernel asserts on `dims`.
     pub constraints: Vec<Divisibility>,
@@ -147,7 +167,7 @@ pub fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
     let mut consumer: Vec<Option<usize>> = vec![None; k];
     for (axis, fp) in m.write.iter().enumerate() {
         let (digit, required) = match *fp {
-            AxisFootprint::Full => continue,
+            AxisFootprint::Full | AxisFootprint::Inner(_) | AxisFootprint::Edges(_) => continue,
             AxisFootprint::TaskDigit(j) => (j, Extent::Axis(axis)),
             AxisFootprint::TaskBlock { digit, width } => {
                 if !m
@@ -177,8 +197,12 @@ pub fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
         if read.len() != m.array_rank {
             return Err(ProofError::RankMismatch);
         }
+        // The axis that separates two tasks' writes must separate one
+        // task's reads from the other's writes too: read == write wherever
+        // either selects by task digit.
         for axis in 0..m.array_rank {
-            if read[axis] != m.write[axis] {
+            let by_task = read[axis].selects_by_task() || m.write[axis].selects_by_task();
+            if by_task && read[axis] != m.write[axis] {
                 return Err(ProofError::ReadWriteShapeMismatch { axis });
             }
         }
@@ -187,7 +211,7 @@ pub fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
         .write
         .iter()
         .enumerate()
-        .filter(|(_, fp)| matches!(fp, AxisFootprint::Full))
+        .filter(|(_, fp)| !fp.selects_by_task())
         .map(|(a, _)| a.to_string())
         .collect::<Vec<_>>()
         .join(",");
@@ -248,6 +272,11 @@ impl RegionModel {
             .enumerate()
             .map(|(a, fp)| match *fp {
                 AxisFootprint::Full => (0..dims[a]).collect(),
+                AxisFootprint::Inner(g) => (g..dims[a].saturating_sub(g)).collect(),
+                AxisFootprint::Edges(g) => {
+                    assert!(dims[a] >= 2 * g, "edge slabs overlap on axis {a}");
+                    (0..g).chain(dims[a] - g..dims[a]).collect()
+                }
                 AxisFootprint::TaskDigit(j) => vec![digits[j]],
                 AxisFootprint::TaskBlock { digit, width } => {
                     (digits[digit] * width..(digits[digit] + 1) * width).collect()

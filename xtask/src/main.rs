@@ -78,8 +78,9 @@
 //! * `perf-gate` — the trace-derived performance regression gate: runs the
 //!   2-rank overlapped smoke simulation with the flight recorder on and
 //!   off, extracts per-step critical paths, and compares the summary
-//!   (path coverage, exposed-comm share and its agreement with the span
-//!   tree, communication imbalance, tracing overhead) against the
+//!   (path coverage, overlapped / synchronous x-sweep wall, exposed-comm
+//!   agreement with the span tree, communication imbalance, tracing
+//!   overhead) against the
 //!   checked-in `perf-baseline.json` bounds. See [`perf_gate`].
 
 mod perf_gate;
