@@ -13,20 +13,33 @@
 
 use crate::flux::{sl5_weights, Boundary};
 use crate::line::{Scheme, GHOST};
-use crate::simd::f32x8;
+use crate::simd::{f32x8, Isa};
 
 /// Reusable scratch for bundle updates.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct LanesWork {
     /// The ghost-extended bundle in upwind order (unused when the caller's
     /// `ext` already is).
     up: Vec<f32x8>,
     flux: Vec<f32x8>,
+    /// The entry of the flux body this scratch's updates take: always
+    /// [`Isa::detect`]'s answer, which is what makes the AVX2 entry sound.
+    isa: Isa,
 }
 
 impl LanesWork {
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            up: Vec::new(),
+            flux: Vec::new(),
+            isa: Isa::detect(),
+        }
+    }
+}
+
+impl Default for LanesWork {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -74,7 +87,7 @@ pub fn advect_lanes(
     work.up.clear();
     work.up
         .extend((0..n + 2 * GHOST).map(|j| sample(bundle, j as i64 - GHOST as i64 - n_int, bc)));
-    flux_update(scheme, s, &work.up, &mut work.flux, bundle);
+    flux_update_on(work.isa, scheme, s, &work.up, &mut work.flux, bundle);
     if mirrored {
         bundle.reverse();
     }
@@ -108,19 +121,53 @@ pub fn advect_lanes_ext(
     if cfl == 0.0 {
         out.copy_from_slice(&ext[GHOST..GHOST + m]);
     } else if cfl > 0.0 {
-        flux_update(scheme, cfl, ext, &mut work.flux, out);
+        flux_update_on(work.isa, scheme, cfl, ext, &mut work.flux, out);
     } else {
         // A negative shift reads `ext` back to front and mirrors `out` back.
         work.up.clear();
         work.up.extend(ext.iter().rev());
-        flux_update(scheme, -cfl, &work.up, &mut work.flux, out);
+        flux_update_on(work.isa, scheme, -cfl, &work.up, &mut work.flux, out);
         out.reverse();
     }
+}
+
+/// [`flux_update`], entered the way `isa` says (see [`crate::simd`]): same
+/// body, same bits, one `f32x8` operation per 256-bit instruction under
+/// [`Isa::Avx2`].
+fn flux_update_on(
+    isa: Isa,
+    scheme: Scheme,
+    s: f64,
+    up: &[f32x8],
+    flux: &mut Vec<f32x8>,
+    out: &mut [f32x8],
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: called only after `is_x86_feature_detected!("avx2")` — a
+        // `LanesWork` holds `Isa::Avx2` only as `Isa::detect`'s answer.
+        Isa::Avx2 => unsafe { flux_update_avx2(scheme, s, up, flux, out) },
+        _ => flux_update(scheme, s, up, flux, out),
+    }
+}
+
+/// SAFETY: call only after `is_x86_feature_detected!("avx2")`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn flux_update_avx2(
+    scheme: Scheme,
+    s: f64,
+    up: &[f32x8],
+    flux: &mut Vec<f32x8>,
+    out: &mut [f32x8],
+) {
+    flux_update(scheme, s, up, flux, out)
 }
 
 /// The one `f32x8` flux/update body — see the scalar `flux_update` in
 /// [`crate::line`] for the conventions (`up` upwind-ordered and
 /// ghost-extended, `s ∈ [0, 1)`, `out` receives the new cells in upwind order).
+#[inline(always)]
 fn flux_update(scheme: Scheme, s: f64, up: &[f32x8], flux: &mut Vec<f32x8>, out: &mut [f32x8]) {
     assert!(
         matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5),
@@ -187,6 +234,63 @@ fn sample(bundle: &[f32x8], idx: i64, bc: Boundary) -> f32x8 {
             }
         }
     }
+}
+
+/// Seeded adversarial corpus: eight lines per case, several shapes — the
+/// inputs of kerncheck's lanes-vs-line pass and of this file's dispatch
+/// differential.
+#[doc(hidden)]
+pub fn adversarial_corpus(n: usize) -> Vec<(&'static str, Vec<Vec<f32>>)> {
+    let mut state = 0x2545f4914f6cdd1du64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64 / (1u64 << 53) as f64) as f32
+    };
+    let mut cases = Vec::new();
+
+    let uniform: Vec<Vec<f32>> = (0..8)
+        .map(|_| (0..n).map(|_| next() + 0.05).collect())
+        .collect();
+    cases.push(("uniform", uniform));
+
+    // Isolated spikes on a tiny floor — extrema clipping and clamp corners.
+    let spikes: Vec<Vec<f32>> = (0..8)
+        .map(|l| {
+            let mut line = vec![1e-3f32; n];
+            line[(3 + 5 * l) % n] = 10.0;
+            line[(7 + 3 * l) % n] = 5.0;
+            line
+        })
+        .collect();
+    cases.push(("spikes", spikes));
+
+    // Denormal magnitudes — underflow/flush paths.
+    let denormal: Vec<Vec<f32>> = (0..8)
+        .map(|_| (0..n).map(|_| next() * 1e-40).collect())
+        .collect();
+    cases.push(("denormal", denormal));
+
+    // Near-clamp plateau: constant with ±1-ULP jitter, where the positivity
+    // clamp's min/max resolve ties.
+    let plateau: Vec<Vec<f32>> = (0..8)
+        .map(|_| {
+            (0..n)
+                .map(|_| {
+                    let base = 1.0f32;
+                    match (next() * 3.0) as u32 {
+                        0 => f32::from_bits(base.to_bits() - 1),
+                        1 => f32::from_bits(base.to_bits() + 1),
+                        _ => base,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    cases.push(("plateau", plateau));
+
+    cases
 }
 
 #[cfg(test)]
@@ -358,6 +462,54 @@ mod tests {
                             "{scheme:?} cfl={cfl} n={n}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    fn bits(bundle: &[f32x8]) -> Vec<[u32; 8]> {
+        bundle.iter().map(|v| v.0.map(f32::to_bits)).collect()
+    }
+
+    /// The entry [`Isa::detect`] selects and the baseline entry are the same
+    /// function of their input, bit for bit: both kernels, both boundaries,
+    /// fractional / negative / integer / multi-cell shifts, over the corpus
+    /// (denormals, limiter corners, clamp ties).
+    #[test]
+    fn dispatched_flux_matches_baseline_bitwise() {
+        use std::io::Write;
+        // Raw stderr: the harness captures `println!`, and a run on a host
+        // without AVX2 (baseline against itself) must show as one.
+        let isa = Isa::detect().name();
+        let _ = writeln!(
+            std::io::stderr(),
+            "lanes::flux_update: {isa} entry vs baseline entry"
+        );
+
+        let mut fast = LanesWork::new();
+        let mut base = LanesWork {
+            isa: Isa::Baseline,
+            ..LanesWork::new()
+        };
+        let n = 40;
+        for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+            for (shape, lines) in adversarial_corpus(n) {
+                let bundle = pack(&lines);
+                for cfl in [0.3, 0.999, 1e-13, -0.42, 2.0, -1.0, 2.7, -3.1] {
+                    for bc in [Boundary::Periodic, Boundary::Zero] {
+                        let (mut a, mut b) = (bundle.clone(), bundle.clone());
+                        advect_lanes(scheme, &mut a, cfl, bc, &mut fast);
+                        advect_lanes(scheme, &mut b, cfl, bc, &mut base);
+                        assert_eq!(bits(&a), bits(&b), "{scheme:?} {shape} cfl={cfl} {bc:?}");
+                    }
+                }
+                // The caller-extended entry: the bundle is its own `ext`.
+                for cfl in [0.3, 0.999, -0.42, -0.08] {
+                    let mut a = vec![f32x8::ZERO; n - 2 * GHOST];
+                    let mut b = a.clone();
+                    advect_lanes_ext(scheme, &bundle, &mut a, cfl, &mut fast);
+                    advect_lanes_ext(scheme, &bundle, &mut b, cfl, &mut base);
+                    assert_eq!(bits(&a), bits(&b), "ext {scheme:?} {shape} cfl={cfl}");
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! Portable SIMD lane type and the LAT register-block transpose.
+//! Portable SIMD lane type, the LAT register-block transpose, and the
+//! instruction-set dispatch of the lane kernels.
 //!
 //! The paper vectorises with A64FX SVE intrinsics (16 × f32 per 512-bit
 //! register). Stable Rust exposes no portable intrinsics, so we use the
@@ -9,10 +10,59 @@
 //! SIMD over contiguous lanes, and SIMD with the load-and-transpose (LAT)
 //! trick — are preserved exactly; see `vlasov6d-phase-space::sweep`.
 //!
+//! **Width.** Compiled for baseline x86-64 an `f32x8` operation is two
+//! 4-lane SSE2 halves. The two arithmetic lane kernels — `lanes::flux_update`
+//! behind every sweep and `vlasov6d-nbody::pp::SplitKernel::accel` —
+//! therefore each keep one `#[inline(always)]` body and enter it a second
+//! way, through a `#[target_feature(enable = "avx2")]` shim that LLVM
+//! compiles at full 256-bit width; [`Isa::detect`] picks the entry from the
+//! CPU the process runs on. The shims enable `avx2` and nothing else: without
+//! the `fma` feature (and Rust never asks LLVM to contract) every lane
+//! operation stays an individually rounded IEEE operation, so both entries
+//! produce the same bits and a run is reproducible across hosts. A fused
+//! variant would round differently and would have to be re-pinned against
+//! kerncheck's ULP bounds. There is no way to choose the entry from outside:
+//! the baseline arm is what hosts without AVX2 (and every non-x86-64 target,
+//! and Miri) run. The 8×8 tile staging of the sweeps is not dispatched:
+//! [`transpose8x8`] compiles to element moves on either ISA, and entering it
+//! through a shim measured slower (EXPERIMENTS.md, Table 1).
+//!
 //! [`transpose8x8`] is the Fig. 3 operation at width 8: transpose an 8×8 f32
 //! block held in eight lane registers using only register-to-register
 //! shuffles (`8·log₂8 = 24` shuffle steps), never touching memory with a
 //! stride.
+
+/// The instruction set the lane kernels are entered with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// What the crate was compiled for: two SSE2 halves per `f32x8` on
+    /// x86-64.
+    Baseline,
+    /// One 256-bit register per `f32x8`.
+    Avx2,
+}
+
+impl Isa {
+    /// The widest entry this host can run. `std` probes CPUID once per
+    /// process and caches the answer, so the kernels ask on every call.
+    #[inline]
+    pub fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+
+    /// `"avx2"` / `"baseline"` — the `kernel.isa` value in step records and
+    /// bench headers.
+    pub fn name(self) -> &'static str {
+        match self {
+            Isa::Baseline => "baseline",
+            Isa::Avx2 => "avx2",
+        }
+    }
+}
 
 /// Eight packed `f32` lanes.
 #[allow(non_camel_case_types)]
@@ -55,12 +105,6 @@ impl f32x8 {
     #[inline(always)]
     pub fn abs(self) -> Self {
         Self(core::array::from_fn(|i| self.0[i].abs()))
-    }
-
-    /// Lane-wise `a*b + self` (fused where the target supports it).
-    #[inline(always)]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        Self(core::array::from_fn(|i| a.0[i].mul_add(b.0[i], self.0[i])))
     }
 
     #[inline(always)]
@@ -186,17 +230,6 @@ mod tests {
         let hi = f32x8::splat(2.0);
         let c = a.clamp(lo, hi);
         assert_eq!(c.0, [1.0, 2.0, -1.0, 0.0, 2.0, -1.0, 2.0, -1.0]);
-    }
-
-    #[test]
-    fn mul_add_matches_scalar() {
-        let acc = f32x8::splat(1.0);
-        let a = f32x8([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let b = f32x8::splat(0.5);
-        let got = acc.mul_add(a, b);
-        for (i, v) in got.0.iter().enumerate() {
-            assert_eq!(*v, 1.0 + (i as f32 + 1.0) * 0.5);
-        }
     }
 
     #[test]

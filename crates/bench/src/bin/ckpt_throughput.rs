@@ -183,7 +183,8 @@ fn main() {
                 match value {
                     vlasov6d_obs::MetricValue::Counter(c) => Json::num_u64(c),
                     vlasov6d_obs::MetricValue::Gauge(g) => Json::num(g),
-                    vlasov6d_obs::MetricValue::Histogram(_) => continue,
+                    vlasov6d_obs::MetricValue::Histogram(_)
+                    | vlasov6d_obs::MetricValue::Text(_) => continue,
                 },
             ));
         }

@@ -13,6 +13,7 @@
 use std::hint::black_box;
 use std::process::ExitCode;
 use vlasov6d::{HybridSimulation, SimulationConfig};
+use vlasov6d_advection::simd::Isa;
 use vlasov6d_bench::{rate_per_sec, time_median};
 use vlasov6d_nbody::pp::{InteractionList, SplitKernel};
 use vlasov6d_nbody::tree::pair_accel;
@@ -77,13 +78,14 @@ fn main() -> ExitCode {
         9,
     );
     let (r_scalar, r_lanes) = (rate_per_sec(pairs, t_scalar), rate_per_sec(pairs, t_lanes));
+    let isa = Isa::detect().name();
     println!(
         "split-force pair kernel, one thread ({} targets × {} sources):\n",
         targets.len(),
         sources.len()
     );
     println!("  scalar f64 pair_accel : {r_scalar:.3e} interactions/s");
-    println!("  f32x8 lane kernel     : {r_lanes:.3e} interactions/s");
+    println!("  f32x8 lane kernel     : {r_lanes:.3e} interactions/s (kernel.isa = {isa})");
     println!("  ratio                 : ×{:.1}", r_lanes / r_scalar);
     println!("\npaper (A64FX, SVE): 2.4e7 → 1.2e9 interactions/s/core, ×50.");
 
@@ -114,6 +116,7 @@ fn main() -> ExitCode {
         "{}",
         Json::obj([
             ("bench", Json::str("phantom_grape")),
+            ("kernel_isa", Json::str(isa)),
             ("scalar_interactions_per_s", Json::num(r_scalar)),
             ("lane_interactions_per_s", Json::num(r_lanes)),
             ("walk_ms", Json::num(t_walk * 1e3)),

@@ -12,6 +12,7 @@
 
 use vlasov6d_advection::flops_per_cell;
 use vlasov6d_advection::line::Scheme;
+use vlasov6d_advection::simd::Isa;
 use vlasov6d_bench::{gflops, time_median};
 use vlasov6d_mesh::Field3;
 use vlasov6d_phase_space::{sweep, Exec, PhaseSpace, VelocityGrid};
@@ -33,9 +34,11 @@ fn main() {
     let scheme = Scheme::SlMpp5;
     let fpc = flops_per_cell(scheme);
     println!(
-        "Table 1 replica: {nx}³ spatial × {nu}³ velocity = {} cells, SL-MPP5 ({} flops/cell)\n",
+        "Table 1 replica: {nx}³ spatial × {nu}³ velocity = {} cells, SL-MPP5 ({} flops/cell), \
+         kernel.isa = {}\n",
         vlasov6d_suite::human_count(cells as f64),
-        fpc
+        fpc,
+        Isa::detect().name()
     );
     let widths = [10, 14, 14, 14, 12];
     println!(

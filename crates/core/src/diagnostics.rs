@@ -25,8 +25,9 @@ pub struct StepRecord {
     pub timers: StepTimers,
     /// Root spans of the step's timing tree (`timers` is their fold).
     pub spans: Vec<SpanNode>,
-    /// The step's counts, sorted by name (the hybrid driver's tree walk:
-    /// `nbody.tree.groups`, `nbody.tree.interactions`).
+    /// The step's counts and labels, sorted by name (the hybrid driver's
+    /// tree walk: `nbody.tree.groups`, `nbody.tree.interactions`; on a run's
+    /// first step `kernel.isa`).
     pub metrics: Vec<(String, MetricValue)>,
     /// Total neutrino mass on the grid (code units) — drains only through
     /// the velocity-space boundary.
@@ -35,6 +36,18 @@ pub struct StepRecord {
     pub f_min: f32,
     /// Total canonical momentum (CDM + ν), per axis.
     pub momentum: [f64; 3],
+}
+
+/// `kernel.isa` = `"avx2"` / `"baseline"`: the entry of the lane kernels
+/// this host's CPU selected ([`vlasov6d_advection::simd::Isa`]). Every driver
+/// puts it on the first step a run takes, so a trace says which register
+/// width produced its timings.
+pub(crate) fn kernel_isa_metric() -> (String, MetricValue) {
+    let isa = vlasov6d_advection::simd::Isa::detect();
+    (
+        "kernel.isa".to_string(),
+        MetricValue::Text(isa.name().to_string()),
+    )
 }
 
 impl StepRecord {

@@ -12,6 +12,7 @@
 //! ν-only distributed run is exactly the "Vlasov part" whose weak scaling
 //! the paper reports at 94–99 %.
 
+use crate::diagnostics::kernel_isa_metric;
 use crate::diagnostics::StepTimers;
 use crate::scenario::dynamics::{Dynamics, ForceLaw};
 use crate::strang;
@@ -69,6 +70,9 @@ pub struct DistributedVlasov {
     pub max_dln_a: f64,
     tag_counter: u64,
     step_index: u64,
+    /// Steps this process has taken (`step_index` also counts those before
+    /// a resume): the first one's event carries the once-per-run metrics.
+    run_steps: u64,
     verify_plans: bool,
     overlap: OverlapPolicy,
     trace_capacity: Option<usize>,
@@ -124,6 +128,7 @@ impl DistributedVlasov {
             max_dln_a: 0.08,
             tag_counter: 1,
             step_index: 0,
+            run_steps: 0,
             verify_plans: false,
             overlap: OverlapPolicy::default(),
             trace_capacity: None,
@@ -320,6 +325,7 @@ impl DistributedVlasov {
     /// span tree and its four-bucket fold.
     pub fn step_traced(&mut self, comm: &Comm) -> (f64, f64, StepTelemetry) {
         self.step_index += 1;
+        self.run_steps += 1;
         if let Some(capacity) = self.trace_capacity {
             // Install the recorder lazily on the first traced step (this
             // runs on each rank's own thread, which is what the
@@ -498,6 +504,9 @@ impl DistributedVlasov {
                 "comm.msg_size_bytes".to_string(),
                 MetricValue::Histogram(t.msg_size_snapshot()),
             ));
+        }
+        if self.run_steps == 1 {
+            metrics.push(kernel_isa_metric());
         }
         StepEvent {
             step: telemetry.spans.step,

@@ -17,7 +17,7 @@
 //! components see identical drift/kick phases.
 
 use crate::config::SimulationConfig;
-use crate::diagnostics::StepRecord;
+use crate::diagnostics::{kernel_isa_metric, StepRecord};
 use crate::fields;
 use crate::scenario::dynamics::TimeAxis;
 use crate::strang;
@@ -275,20 +275,20 @@ impl HybridSimulation {
         let spans = scope.finish();
         // The step's one gravity solve ran under `gravity.cdm.tree`: these
         // over that span's seconds are the tree's interactions/s.
-        let metrics = if self.cdm.is_some() {
-            vec![
-                (
-                    "nbody.tree.groups".to_string(),
-                    MetricValue::Counter(self.tree_walk.groups),
-                ),
-                (
-                    "nbody.tree.interactions".to_string(),
-                    MetricValue::Counter(self.tree_walk.interactions),
-                ),
-            ]
-        } else {
-            Vec::new()
-        };
+        let mut metrics = Vec::new();
+        if self.records.is_empty() {
+            metrics.push(kernel_isa_metric());
+        }
+        if self.cdm.is_some() {
+            metrics.push((
+                "nbody.tree.groups".to_string(),
+                MetricValue::Counter(self.tree_walk.groups),
+            ));
+            metrics.push((
+                "nbody.tree.interactions".to_string(),
+                MetricValue::Counter(self.tree_walk.interactions),
+            ));
+        }
         self.records.push(StepRecord {
             step: self.step_count,
             a: self.a,
@@ -504,6 +504,7 @@ mod tests {
         // The counts ride the JSONL event next to the span that timed them.
         let event = rec.to_event(0);
         assert!(event.to_jsonl().contains("nbody.tree.interactions"));
+        assert!(event.to_jsonl().contains("kernel.isa"));
         assert!(rec
             .spans
             .iter()
@@ -513,6 +514,14 @@ mod tests {
             with_cdm: false,
             ..tiny_config()
         });
+        // Without CDM there is no walk to count: the run's first record
+        // carries the kernel label alone, and later ones nothing.
+        let first = nu_only.step().metrics.clone();
+        assert!(
+            matches!(first.as_slice(), [(name, MetricValue::Text(isa))]
+                if name == "kernel.isa" && (isa == "avx2" || isa == "baseline")),
+            "{first:?}"
+        );
         assert!(nu_only.step().metrics.is_empty());
     }
 

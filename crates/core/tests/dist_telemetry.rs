@@ -133,6 +133,10 @@ fn two_rank_run_emits_consistent_jsonl_telemetry() {
     assert!(names.contains(&"comm.sent_bytes"));
     assert!(names.contains(&"comm.recv_bytes"));
     assert!(names.contains(&"comm.msg_size_bytes"));
+    // The run's first step, and only that one, says which entry of the lane
+    // kernels this host's CPU selected.
+    assert!(lines_per_rank[1][0].contains(r#""kernel.isa":{"kind":"text""#));
+    assert!(!lines_per_rank[1][1].contains("kernel.isa"));
     assert!(names.contains(&"comm.imbalance"));
 }
 

@@ -20,7 +20,7 @@
 //!   denormal floor.
 
 use crate::report::Report;
-use vlasov6d_advection::lanes::{advect_lanes, LanesWork};
+use vlasov6d_advection::lanes::{advect_lanes, adversarial_corpus as corpus, LanesWork};
 use vlasov6d_advection::line::{advect_line, LineWork};
 use vlasov6d_advection::simd::transpose8x8;
 use vlasov6d_advection::{f32x8, Boundary, Scheme};
@@ -101,60 +101,6 @@ fn check_transpose(report: &mut Report) {
             witness,
         );
     }
-}
-
-/// Seeded adversarial corpus: eight lines per case, several shapes.
-fn corpus(n: usize) -> Vec<(&'static str, Vec<Vec<f32>>)> {
-    let mut state = 0x2545f4914f6cdd1du64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64) as f32
-    };
-    let mut cases = Vec::new();
-
-    let uniform: Vec<Vec<f32>> = (0..8)
-        .map(|_| (0..n).map(|_| next() + 0.05).collect())
-        .collect();
-    cases.push(("uniform", uniform));
-
-    // Isolated spikes on a tiny floor — extrema clipping and clamp corners.
-    let spikes: Vec<Vec<f32>> = (0..8)
-        .map(|l| {
-            let mut line = vec![1e-3f32; n];
-            line[(3 + 5 * l) % n] = 10.0;
-            line[(7 + 3 * l) % n] = 5.0;
-            line
-        })
-        .collect();
-    cases.push(("spikes", spikes));
-
-    // Denormal magnitudes — underflow/flush paths.
-    let denormal: Vec<Vec<f32>> = (0..8)
-        .map(|_| (0..n).map(|_| next() * 1e-40).collect())
-        .collect();
-    cases.push(("denormal", denormal));
-
-    // Near-clamp plateau: constant with ±1-ULP jitter, where the positivity
-    // clamp's min/max resolve ties.
-    let plateau: Vec<Vec<f32>> = (0..8)
-        .map(|_| {
-            (0..n)
-                .map(|_| {
-                    let base = 1.0f32;
-                    match (next() * 3.0) as u32 {
-                        0 => f32::from_bits(base.to_bits() - 1),
-                        1 => f32::from_bits(base.to_bits() + 1),
-                        _ => base,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    cases.push(("plateau", plateau));
-
-    cases
 }
 
 fn pack(lines: &[Vec<f32>]) -> Vec<f32x8> {

@@ -20,7 +20,7 @@
 //! The scalar `f64` reference it is tested against is
 //! [`crate::tree::Tree::short_range_at`].
 
-use vlasov6d_advection::simd::{f32x8, LANES};
+use vlasov6d_advection::simd::{f32x8, Isa, LANES};
 use vlasov6d_poisson::ForceSplit;
 
 /// Degree of the polynomial standing in for `S`.
@@ -149,8 +149,28 @@ impl SplitKernel {
     /// `target` from the group centre, `d_j` the minimum-image displacement
     /// toward source `j`. A source at the target (`r = 0`) contributes
     /// exactly nothing. Lane sums are `f32`, added in lane order — the
-    /// result depends on the list and nothing else.
+    /// result depends on the list and nothing else, not even on which entry
+    /// of the sum ([`vlasov6d_advection::simd`]) the host's CPU selects.
     pub fn accel(&self, target: [f32; 3], list: &InteractionList) -> [f64; 3] {
+        match Isa::detect() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: called only after `is_x86_feature_detected!("avx2")`,
+            // which is what `Isa::detect` returning `Avx2` means.
+            Isa::Avx2 => unsafe { self.accel_avx2(target, list) },
+            _ => self.accel_lanes(target, list),
+        }
+    }
+
+    /// SAFETY: call only after `is_x86_feature_detected!("avx2")`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn accel_avx2(&self, target: [f32; 3], list: &InteractionList) -> [f64; 3] {
+        self.accel_lanes(target, list)
+    }
+
+    /// The one body of [`Self::accel`].
+    #[inline(always)]
+    fn accel_lanes(&self, target: [f32; 3], list: &InteractionList) -> [f64; 3] {
         let [tx, ty, tz] = target;
         let mut ax = [0.0f32; LANES];
         let mut ay = [0.0f32; LANES];
@@ -339,5 +359,49 @@ mod tests {
         // Beyond the cutoff in every image: nothing.
         let far = kernel.accel([0.0; 3], &list_of(&[[0.4, 0.0, 0.0]], 1.0));
         assert_eq!(far, [0.0; 3]);
+    }
+
+    /// The entry [`Isa::detect`] selects and the baseline entry give the same
+    /// bits: long lists, padding lanes, a coincident source with and without
+    /// softening, sources on either side of the cutoff edge, a wrapped pair.
+    #[test]
+    fn dispatched_accel_matches_baseline_bitwise() {
+        use std::io::Write;
+        // Raw stderr: the harness captures `println!`, and a run on a host
+        // without AVX2 (baseline against itself) must show as one.
+        let isa = Isa::detect().name();
+        let _ = writeln!(
+            std::io::stderr(),
+            "pp::SplitKernel::accel: {isa} entry vs baseline entry"
+        );
+
+        let split = ForceSplit::new(0.04);
+        let r_cut = split.cutoff_radius(1e-5);
+        let here = [0.0123, -0.0456, 0.0789];
+        let edge = |k: f64| [here[0] + r_cut * k, here[1], here[2]];
+        let lists = [
+            list_of(&scattered(1000, 0.6), 1e-3),
+            list_of(&scattered(9, 0.2), 0.5),
+            list_of(&[here, [0.1, 0.0, 0.0]], 1.0),
+            list_of(&[edge(1.0 - 1e-6), edge(1.0), edge(1.0 + 1e-6)], 1.0),
+            list_of(&[[0.45, 0.0, 0.0]], 1.0),
+            InteractionList::default(),
+        ];
+        let mut targets = scattered(12, 0.1);
+        targets.extend([here, [0.0; 3], [-0.45, 0.0, 0.0]]);
+        for eps in [0.0, 1e-3] {
+            let kernel = SplitKernel::new(&split, eps, r_cut);
+            for (i, list) in lists.iter().enumerate() {
+                for t in &targets {
+                    let t = t.map(|c| c as f32);
+                    let (fast, base) = (kernel.accel(t, list), kernel.accel_lanes(t, list));
+                    assert_eq!(
+                        fast.map(f64::to_bits),
+                        base.map(f64::to_bits),
+                        "eps {eps} list {i} target {t:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -95,6 +95,7 @@ fn metric_to_json(value: &MetricValue) -> Json {
                 ),
             ),
         ]),
+        MetricValue::Text(t) => Json::obj([("kind", Json::str("text")), ("value", Json::str(t))]),
     }
 }
 
@@ -128,6 +129,12 @@ fn metric_from_json(v: &Json) -> Result<MetricValue, String> {
                 sum: v.get("sum").as_u64().ok_or("histogram missing sum")?,
             }))
         }
+        Some("text") => Ok(MetricValue::Text(
+            v.get("value")
+                .as_str()
+                .ok_or("text missing value")?
+                .to_string(),
+        )),
         _ => Err("metric missing kind".to_string()),
     }
 }
@@ -328,6 +335,7 @@ mod tests {
                     MetricValue::Histogram(h.snapshot()),
                 ),
                 ("comm.sent_bytes".to_string(), MetricValue::Counter(123456)),
+                ("kernel.isa".to_string(), MetricValue::Text("avx2".into())),
                 ("load.imbalance".to_string(), MetricValue::Gauge(1.0625)),
             ],
             nu_mass: 0.9999999,

@@ -283,6 +283,9 @@ pub enum MetricValue {
     Gauge(f64),
     /// Histogram state.
     Histogram(HistogramSnapshot),
+    /// A label, not a reading: which of a fixed set of names applied
+    /// (`kernel.isa` = `"avx2"`).
+    Text(String),
 }
 
 enum Metric {

@@ -1188,4 +1188,50 @@ mod tests {
         }
         assert!(ps.min_value() >= 0.0, "min = {}", ps.min_value());
     }
+
+    /// Three rounds of all six sweeps on the 12³ × 8³ grid of
+    /// `tests/distributed_consistency.rs`, as one FNV-1a hash of the bits of
+    /// `f`, against the value the commit before the lane kernels were
+    /// dispatched by instruction set produced — so whichever entry this host
+    /// selects, it computes what the baseline build always did. The filling
+    /// and the shifts are sums and products only: nothing here depends on
+    /// the host's `libm`.
+    #[test]
+    fn sweeps_reproduce_the_pinned_bits_on_any_isa() {
+        use std::io::Write;
+        const PINNED: u64 = 0x92df_a25b_25e8_8741;
+        // Raw stderr: the harness captures `println!`, and the log should
+        // say which entry was held to the pinned bits.
+        let isa = vlasov6d_advection::simd::Isa::detect().name();
+        let _ = writeln!(
+            std::io::stderr(),
+            "sweep checksum: lane kernels entered as {isa}"
+        );
+
+        let vg = VelocityGrid::cubic(8, 1.0);
+        let mut accel = Field3::zeros([12, 12, 12]);
+        for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
+            *v = ((i * 37) % 23) as f64 / 23.0 - 0.5;
+        }
+        for exec in [Exec::Simd, Exec::Lat] {
+            let mut ps = PhaseSpace::zeros([12, 12, 12], vg);
+            ps.fill_with(|s, u| {
+                let bump = (1.0 - 0.9 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])).max(0.0);
+                let sx = ((s[0] * 5 + s[1] * 3 + s[2] * 7) % 11) as f64 / 11.0;
+                (0.5 + sx) * bump * bump + 0.01
+            });
+            for round in 0..3 {
+                for d in 0..3 {
+                    let scale = 0.3 * (1.0 + 0.1 * d as f64 + 0.05 * round as f64);
+                    let cfl: Vec<f64> = (0..8).map(|k| scale * (k as f64 - 3.5) / 3.5).collect();
+                    sweep_spatial(&mut ps, d, &cfl, Scheme::SlMpp5, exec);
+                    sweep_velocity(&mut ps, d, &accel, Scheme::SlMpp5, exec);
+                }
+            }
+            let hash = ps.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!(hash, PINNED, "{exec:?}: {hash:#018x}");
+        }
+    }
 }
