@@ -59,6 +59,33 @@ fn vmedian_clip(v: f32x8, lo: f32x8, hi: f32x8) -> f32x8 {
     v + vminmod(lo - v, hi - v)
 }
 
+/// Curvature `c − 2b + a` at the middle of three neighbouring cells.
+#[inline(always)]
+fn vcurv(a: f32x8, b: f32x8, c: f32x8) -> f32x8 {
+    c - f32x8::splat(2.0) * b + a
+}
+
+/// The `minmod4` stack of `flux::mp5_bracket` between neighbouring curvatures.
+#[inline(always)]
+fn vdm4(d_l: f32x8, d_r: f32x8) -> f32x8 {
+    let four = f32x8::splat(4.0);
+    vminmod4(four * d_l - d_r, four * d_r - d_l, d_l, d_r)
+}
+
+/// The five cells behind interface `j`, at an index opaque to LLVM — which
+/// otherwise re-vectorises the lane arithmetic across positions, shuffles and
+/// spills instead of one instruction per operation (see [`crate::simd`]).
+#[inline(always)]
+fn stencil(up: &[f32x8], j: usize) -> [f32x8; 5] {
+    let g = &up[std::hint::black_box(j)..][..5];
+    [g[0], g[1], g[2], g[3], g[4]]
+}
+
+#[inline(always)]
+fn vhigh(g: &[f32x8; 5], w: &[f32x8; 5]) -> f32x8 {
+    (((g[0] * w[0] + g[1] * w[1]) + g[2] * w[2]) + g[3] * w[3]) + g[4] * w[4]
+}
+
 /// Advance a bundle of eight lines (`bundle[i]` holds position `i` of all
 /// eight lines) by a common shift `cfl`. Only the production schemes are
 /// vectorised; ask for others through the scalar path.
@@ -187,31 +214,30 @@ fn flux_update(scheme: Scheme, s: f64, up: &[f32x8], flux: &mut Vec<f32x8>, out:
         let alpha = f32x8::splat(crate::flux::mp_alpha(s) as f32);
         let half = f32x8::splat(0.5);
         let four_thirds = f32x8::splat(4.0 / 3.0);
-        let four = f32x8::splat(4.0);
-        let two = f32x8::splat(2.0);
         let zero = f32x8::ZERO;
-        for (j, fl) in flux.iter_mut().enumerate() {
-            let (g0, g1, g2, g3, g4) = (up[j], up[j + 1], up[j + 2], up[j + 3], up[j + 4]);
-            let f_high = (((g0 * w[0] + g1 * w[1]) + g2 * w[2]) + g3 * w[3]) + g4 * w[4];
-            match scheme {
-                Scheme::Sl5 => *fl = f_high,
-                Scheme::SlMpp5 => {
-                    let f_sl = f_high * inv_s;
-                    // MP5 bracket (vector form of flux::mp5_bracket).
-                    let d_m1 = g2 - two * g1 + g0;
-                    let d_0 = g3 - two * g2 + g1;
-                    let d_p1 = g4 - two * g3 + g2;
-                    let dm4_ph = vminmod4(four * d_0 - d_p1, four * d_p1 - d_0, d_0, d_p1);
-                    let dm4_mh = vminmod4(four * d_m1 - d_0, four * d_0 - d_m1, d_m1, d_0);
-                    let f_ul = g2 + alpha * (g2 - g1);
-                    let f_md = half * (g2 + g3) - half * dm4_ph;
-                    let f_lc = g2 + half * (g2 - g1) + four_thirds * dm4_mh;
-                    let f_min = g2.min(g3).min(f_md).max(g2.min(f_ul).min(f_lc));
-                    let f_max = g2.max(g3).max(f_md).min(g2.max(f_ul).max(f_lc));
-                    let f_lim = vmedian_clip(f_sl, f_min, f_max);
-                    *fl = (s_v * f_lim).clamp(zero, g2.max(zero));
-                }
-                _ => unreachable!(),
+        if scheme == Scheme::Sl5 {
+            for (j, fl) in flux.iter_mut().enumerate() {
+                *fl = vhigh(&stencil(up, j), &w);
+            }
+        } else {
+            // Curvatures and `minmod4` stacks evaluated once and carried, as
+            // in `line::flux_update`.
+            let mut d_0 = vcurv(up[1], up[2], up[3]);
+            let mut dm4_mh = vdm4(vcurv(up[0], up[1], up[2]), d_0);
+            for (j, fl) in flux.iter_mut().enumerate() {
+                let g = stencil(up, j);
+                let (g1, g2, g3) = (g[1], g[2], g[3]);
+                let f_sl = vhigh(&g, &w) * inv_s;
+                let d_p1 = vcurv(g2, g3, g[4]);
+                let dm4_ph = vdm4(d_0, d_p1);
+                let f_ul = g2 + alpha * (g2 - g1);
+                let f_md = half * (g2 + g3) - half * dm4_ph;
+                let f_lc = g2 + half * (g2 - g1) + four_thirds * dm4_mh;
+                let f_min = g2.min(g3).min(f_md).max(g2.min(f_ul).min(f_lc));
+                let f_max = g2.max(g3).max(f_md).min(g2.max(f_ul).max(f_lc));
+                let f_lim = vmedian_clip(f_sl, f_min, f_max);
+                *fl = (s_v * f_lim).clamp(zero, g2.max(zero));
+                (d_0, dm4_mh) = (d_p1, dm4_ph);
             }
         }
     }
@@ -461,6 +487,29 @@ mod tests {
                             b.0.map(f32::to_bits),
                             "{scheme:?} cfl={cfl} n={n}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A NaN is visible, not clamped away: after one update it occupies
+    /// exactly the cells whose stencils held it (two upwind, three downwind
+    /// of its own) in its own lane, and no other — `min`/`max` propagate a NaN
+    /// in `self`, and every `vminmod` / clamp on the way to a flux has the
+    /// stencil's data there.
+    #[test]
+    fn planted_nan_reaches_its_whole_stencil_and_no_further() {
+        let mut work = LanesWork::new();
+        for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+            for (cfl, reach) in [(0.37, 18..=23), (-0.37, 17..=22)] {
+                let mut bundle = pack(&make_lines(40, 13));
+                bundle[20].0[5] = f32::NAN;
+                advect_lanes(scheme, &mut bundle, cfl, Boundary::Periodic, &mut work);
+                for (i, v) in bundle.iter().enumerate() {
+                    for (l, x) in v.0.iter().enumerate() {
+                        let expect = l == 5 && reach.contains(&i);
+                        assert_eq!(x.is_nan(), expect, "{scheme:?} cfl={cfl} cell {i} lane {l}");
                     }
                 }
             }

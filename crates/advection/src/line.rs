@@ -7,7 +7,7 @@
 //! single precision); flux weights and the limiter run in `f64` so the update
 //! itself contributes the only rounding.
 
-use crate::flux::{median_clip, mp5_bracket, sl3_weights, sl5_weights, Boundary};
+use crate::flux::{median_clip, minmod4, sl3_weights, sl5_weights, Boundary};
 
 /// Single-stage conservative SL schemes (see crate docs for the ladder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -157,20 +157,32 @@ fn flux_update(scheme: Scheme, s: f64, up: &[f64], flux: &mut Vec<f64>, out: &mu
             if s >= 1e-12 {
                 let inv_s = 1.0 / s;
                 let alpha = crate::flux::mp_alpha(s);
+                // `flux::mp5_bracket` with its curvatures and `minmod4` stacks
+                // evaluated once: interface j's `d_m1`, `d_0` and `dm4_mh` are
+                // interface j−1's `d_0`, `d_p1` and `dm4_ph` (same operands,
+                // same order), so the loop carries two of them.
+                let curv = |k: usize| up[k + 1] - 2.0 * up[k] + up[k - 1];
+                let dm4 = |d_l: f64, d_r: f64| minmod4(4.0 * d_l - d_r, 4.0 * d_r - d_l, d_l, d_r);
+                let mut d_0 = curv(2);
+                let mut dm4_mh = dm4(curv(1), d_0);
                 for (j, fl) in flux.iter_mut().enumerate() {
-                    let stencil = [up[j], up[j + 1], up[j + 2], up[j + 3], up[j + 4]];
-                    let f_high = w[0] * stencil[0]
-                        + w[1] * stencil[1]
-                        + w[2] * stencil[2]
-                        + w[3] * stencil[3]
-                        + w[4] * stencil[4];
+                    let (fm1, f0, fp1) = (up[j + 1], up[j + 2], up[j + 3]);
+                    let f_high =
+                        w[0] * up[j] + w[1] * fm1 + w[2] * f0 + w[3] * fp1 + w[4] * up[j + 4];
                     // Interface average seen by the MP bracket.
                     let f_sl = f_high * inv_s;
-                    let (lo, hi) = mp5_bracket(&stencil, alpha);
-                    let f_lim = median_clip(f_sl, lo, hi);
+                    let d_p1 = curv(j + 3);
+                    let dm4_ph = dm4(d_0, d_p1);
+                    let f_ul = f0 + alpha * (f0 - fm1);
+                    let f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_ph;
+                    let f_lc = f0 + 0.5 * (f0 - fm1) + (4.0 / 3.0) * dm4_mh;
+                    let f_min = f0.min(fp1).min(f_md).max(f0.min(f_ul).min(f_lc));
+                    let f_max = f0.max(fp1).max(f_md).min(f0.max(f_ul).max(f_lc));
+                    let f_lim = median_clip(f_sl, f_min, f_max);
                     // Positivity: the flux leaving cell j-1 cannot exceed its
                     // content and cannot be negative (s ≤ 1 ⇒ swept mass ≤ cell mass).
-                    *fl = (s * f_lim).clamp(0.0, stencil[2].max(0.0));
+                    *fl = (s * f_lim).clamp(0.0, f0.max(0.0));
+                    (d_0, dm4_mh) = (d_p1, dm4_ph);
                 }
             }
         }
@@ -200,6 +212,7 @@ fn sample(line: &[f32], idx: i64, bc: Boundary) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flux::mp5_bracket;
 
     const SCHEMES: [Scheme; 4] = [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5];
 
@@ -578,6 +591,76 @@ mod tests {
                         .zip(&full[GHOST..n - GHOST])
                         .all(|(a, b)| a.to_bits() == b.to_bits());
                     assert!(same, "{scheme:?} cfl={cfl} n={n}");
+                }
+            }
+        }
+    }
+
+    /// The SL-MPP5 update of the cells `up[GHOST..up.len() − GHOST]`, each
+    /// flux rebuilt from its own five cells through [`mp5_bracket`] and
+    /// [`median_clip`] — the per-interface reference the shipped body (which
+    /// evaluates each curvature and `minmod4` stack once) must reproduce.
+    fn per_stencil_update(s: f64, up: &[f64]) -> Vec<f32> {
+        let m = up.len() - 2 * GHOST;
+        let w = sl5_weights(s);
+        let flux: Vec<f64> = (0..=m)
+            .map(|j| {
+                if s < 1e-12 {
+                    return 0.0;
+                }
+                let st = [up[j], up[j + 1], up[j + 2], up[j + 3], up[j + 4]];
+                let f_high =
+                    w[0] * st[0] + w[1] * st[1] + w[2] * st[2] + w[3] * st[3] + w[4] * st[4];
+                let (lo, hi) = mp5_bracket(&st, crate::flux::mp_alpha(s));
+                let f_lim = median_clip(f_high * (1.0 / s), lo, hi);
+                (s * f_lim).clamp(0.0, st[2].max(0.0))
+            })
+            .collect();
+        (0..m)
+            .map(|i| (up[i + GHOST] - flux[i + 1] + flux[i]) as f32)
+            .collect()
+    }
+
+    /// The single-evaluation body equals the per-stencil reference, bit for
+    /// bit: every corpus line (denormals, limiter corners, clamp ties) ×
+    /// fractional / negative / integer / multi-cell shifts × both boundaries
+    /// through `advect_line`, and through `advect_line_ext` with the line as
+    /// its own `ext`.
+    #[test]
+    fn carried_flux_body_matches_per_stencil_reference_bitwise() {
+        let mut work = LineWork::new();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (shape, lines) in crate::lanes::adversarial_corpus(40) {
+            for line in &lines {
+                for cfl in [0.3, 0.999, 1e-13, -0.42, 2.0, -1.0, 2.7, -3.1f64] {
+                    let mirrored = cfl < 0.0;
+                    let mut src = line.clone();
+                    if mirrored {
+                        src.reverse();
+                    }
+                    let n_int = cfl.abs().floor();
+                    for bc in [Boundary::Periodic, Boundary::Zero] {
+                        let up: Vec<f64> = (0..src.len() + 2 * GHOST)
+                            .map(|j| sample(&src, j as i64 - GHOST as i64 - n_int as i64, bc))
+                            .collect();
+                        let mut want = per_stencil_update(cfl.abs() - n_int, &up);
+                        if mirrored {
+                            want.reverse();
+                        }
+                        let mut got = line.clone();
+                        advect_line(Scheme::SlMpp5, &mut got, cfl, bc, &mut work);
+                        assert_eq!(bits(&got), bits(&want), "{shape} cfl={cfl} {bc:?}");
+                    }
+                    if cfl.abs() < 1.0 {
+                        let up: Vec<f64> = src.iter().map(|&v| v as f64).collect();
+                        let mut want = per_stencil_update(cfl.abs(), &up);
+                        if mirrored {
+                            want.reverse();
+                        }
+                        let mut got = vec![0.0f32; line.len() - 2 * GHOST];
+                        advect_line_ext(Scheme::SlMpp5, line, &mut got, cfl, &mut work);
+                        assert_eq!(bits(&got), bits(&want), "ext {shape} cfl={cfl}");
+                    }
                 }
             }
         }

@@ -4,17 +4,35 @@
 //! The paper vectorises with A64FX SVE intrinsics (16 × f32 per 512-bit
 //! register). Stable Rust exposes no portable intrinsics, so we use the
 //! standard substitution: a `#[repr(align(32))]` wrapper over `[f32; 8]`
-//! whose lane-wise operations compile to packed SIMD instructions under
-//! `opt-level ≥ 2` (LLVM auto-vectorises fixed-length array arithmetic).
-//! The *code shapes* of the paper's three kernel variants — scalar strided,
-//! SIMD over contiguous lanes, and SIMD with the load-and-transpose (LAT)
-//! trick — are preserved exactly; see `vlasov6d-phase-space::sweep`.
+//! whose lane-wise operations LLVM's SLP vectoriser turns into one packed
+//! instruction each under `opt-level ≥ 2`. The *code shapes* of the paper's
+//! three kernel variants — scalar strided, SIMD over contiguous lanes, and
+//! SIMD with the load-and-transpose (LAT) trick — are preserved exactly; see
+//! `vlasov6d-phase-space::sweep`.
+//!
+//! **One instruction per operation — checked, not assumed.** Through PR 17
+//! LLVM's *loop* vectoriser took the per-position loop of `lanes::flux_update`
+//! (to it, 8 × n plain `f32` operations) and re-vectorised it across
+//! positions: 2,510 instructions per 8 interfaces, 263 of them lane-crossing
+//! shuffles, 779 stack accesses. The body now reads its stencil at
+//! `std::hint::black_box(j)`; a loop with opaque addresses is no candidate,
+//! and the back end sees one `f32x8` operation per source operation (126
+//! instructions per interface; EXPERIMENTS.md, Table 1b). [`f32x8::min`] and
+//! `max` are a compare-select in `minps` operand order: one instruction where
+//! `f32::min` is three, for a NaN rule the kernels do not want. An `f32x8`
+//! over `core::arch` vectors behind a lane trait would pin this structurally
+//! but costs ~150 lines and `unsafe`, and buys nothing the one line does not
+//! unless it also lowers [`transpose8x8`] to shuffles — a separate change
+//! (ROADMAP lever iii). To check: `objdump -d` of the `benchmark/` binary
+//! shows no `vshuf*`/`vunpck*`/`vperm*`/`vinsertf128`/`vfmadd*` in
+//! `flux_update_avx2` and ≤ 160 instructions in its flux loop.
 //!
 //! **Width.** Compiled for baseline x86-64 an `f32x8` operation is two
 //! 4-lane SSE2 halves. The two arithmetic lane kernels — `lanes::flux_update`
 //! behind every sweep and `vlasov6d-nbody::pp::SplitKernel::accel` —
-//! therefore each keep one `#[inline(always)]` body and enter it a second
-//! way, through a `#[target_feature(enable = "avx2")]` shim that LLVM
+//! therefore each keep one `#[inline(always)]` body (its helpers too: a
+//! closure LLVM declines to inline is a *call* into baseline code) and enter
+//! it a second way, through a `#[target_feature(enable = "avx2")]` shim that LLVM
 //! compiles at full 256-bit width; [`Isa::detect`] picks the entry from the
 //! CPU the process runs on. The shims enable `avx2` and nothing else: without
 //! the `fma` feature (and Rust never asks LLVM to contract) every lane
@@ -27,10 +45,8 @@
 //! [`transpose8x8`] compiles to element moves on either ISA, and entering it
 //! through a shim measured slower (EXPERIMENTS.md, Table 1).
 //!
-//! [`transpose8x8`] is the Fig. 3 operation at width 8: transpose an 8×8 f32
-//! block held in eight lane registers using only register-to-register
-//! shuffles (`8·log₂8 = 24` shuffle steps), never touching memory with a
-//! stride.
+//! [`transpose8x8`] is the Fig. 3 operation at width 8: an 8×8 f32 block
+//! held in eight lane registers, transposed in `8·log₂8 = 24` exchange steps.
 
 /// The instruction set the lane kernels are entered with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,14 +108,20 @@ impl f32x8 {
         slice[..8].copy_from_slice(&self.0);
     }
 
+    /// Lane-wise minimum as one compare-select (`minps`): `o` where `o < self`,
+    /// else `self` — `f32::min` on every non-NaN pair, ±0 ties included. A NaN
+    /// in `self` propagates; a NaN in `o` returns `self`.
     #[inline(always)]
     pub fn min(self, o: Self) -> Self {
-        Self(core::array::from_fn(|i| self.0[i].min(o.0[i])))
+        let pick = |a: f32, b: f32| if b < a { b } else { a };
+        Self(core::array::from_fn(|i| pick(self.0[i], o.0[i])))
     }
 
+    /// Lane-wise maximum, the mirror image of [`Self::min`] (`maxps`).
     #[inline(always)]
     pub fn max(self, o: Self) -> Self {
-        Self(core::array::from_fn(|i| self.0[i].max(o.0[i])))
+        let pick = |a: f32, b: f32| if b > a { b } else { a };
+        Self(core::array::from_fn(|i| pick(self.0[i], o.0[i])))
     }
 
     #[inline(always)]
@@ -230,6 +252,54 @@ mod tests {
         let hi = f32x8::splat(2.0);
         let c = a.clamp(lo, hi);
         assert_eq!(c.0, [1.0, 2.0, -1.0, 0.0, 2.0, -1.0, 2.0, -1.0]);
+    }
+
+    /// The contract of `min`/`max`: `f32::min`/`f32::max` to the bit on every
+    /// non-NaN pair (normals, denormals, ±∞, all four ±0 pairings, either
+    /// operand order), and for NaN the `minps` rule — a NaN in `self`
+    /// propagates, a NaN in the argument returns `self`.
+    #[test]
+    fn min_max_match_f32_bitwise_and_propagate_nan_in_self() {
+        use std::hint::black_box;
+        let grid = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            1.5,
+            -2.5e-3,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-40,
+            -3e-42,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for &a in &grid {
+            for &b in &grid {
+                // `black_box`: the run-time lowering, not a constant fold.
+                let (va, vb) = (f32x8::splat(black_box(a)), f32x8::splat(black_box(b)));
+                let (lo, hi) = (va.min(vb), va.max(vb));
+                let (want_lo, want_hi) = (
+                    black_box(a).min(black_box(b)),
+                    black_box(a).max(black_box(b)),
+                );
+                for l in 0..LANES {
+                    assert_eq!(lo.0[l].to_bits(), want_lo.to_bits(), "min({a:e}, {b:e})");
+                    assert_eq!(hi.0[l].to_bits(), want_hi.to_bits(), "max({a:e}, {b:e})");
+                }
+            }
+            let (va, nan) = (f32x8::splat(a), f32x8::splat(f32::NAN));
+            for l in 0..LANES {
+                assert!(nan.min(va).0[l].is_nan() && nan.max(va).0[l].is_nan());
+                assert!(nan.clamp(va, va).0[l].is_nan());
+                assert_eq!(va.min(nan).0[l].to_bits(), a.to_bits());
+                assert_eq!(va.max(nan).0[l].to_bits(), a.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -40,15 +40,18 @@ fn main() {
         fpc,
         Isa::detect().name()
     );
-    let widths = [10, 14, 14, 14, 12];
+    // Both units per entry: Mcell/s is what was measured and stays comparable
+    // when the operation count changes (86 → 64 flops/cell in PR 18); Gflop/s
+    // = Mcell/s · flops/cell is the paper's unit.
+    let widths = [10, 20, 20, 20, 12];
     println!(
         "{}",
         table_header(
             &[
                 "direction",
-                "scalar[Gf/s]",
-                "SIMD[Gf/s]",
-                "LAT[Gf/s]",
+                "scalar[Mc/s|Gf/s]",
+                "SIMD[Mc/s|Gf/s]",
+                "LAT[Mc/s|Gf/s]",
                 "SIMD/scalar"
             ],
             &widths
@@ -102,19 +105,25 @@ fn main() {
     }
 
     for (label, t_scalar, t_simd, t_lat) in &results {
-        let g = |t: f64| gflops(cells, fpc, t.max(1e-9));
-        let (gs, gv) = (g(*t_scalar), g(*t_simd));
+        let both = |t: f64| {
+            let t = t.max(1e-9);
+            format!(
+                "{:.1} | {:.2}",
+                cells as f64 / t / 1e6,
+                gflops(cells, fpc, t)
+            )
+        };
         println!(
             "{}",
             table_row(
                 &[
                     label.clone(),
-                    format!("{gs:.2}"),
-                    format!("{gv:.2}"),
-                    t_lat.map_or("-".into(), |t| format!("{:.2}", g(t))),
-                    format!("×{:.1}", gv / gs),
+                    both(*t_scalar),
+                    both(*t_simd),
+                    t_lat.map_or("-".into(), both),
+                    format!("×{:.1}", t_scalar / t_simd),
                 ],
-                &[10, 14, 14, 14, 12]
+                &widths
             )
         );
     }

@@ -18,7 +18,16 @@
 //!   `BUDGET_ULPS · ε_f32 · scale + 2 · f32::MIN_POSITIVE` with `scale` the
 //!   line's max magnitude — relative in the normal range, absolute at the
 //!   denormal floor.
+//!
+//! A third ties the form of SL-MPP5 the kernels execute to the form the
+//! proofs reason about (see [`crate::model`]): the *carried* form — each
+//! curvature and `minmod4` stack evaluated once and handed to the next
+//! interface — must be the *per-stencil* form, bit for bit. It is decided for
+//! all inputs by running both over a domain of expression trees (every
+//! interface flux must come out as the same tree, node for node), and
+//! witnessed independently at `f64` on the adversarial corpus.
 
+use crate::model::{ghost_line, slmpp5_fluxes_model, Dom, Weights};
 use crate::report::Report;
 use vlasov6d_advection::lanes::{advect_lanes, adversarial_corpus as corpus, LanesWork};
 use vlasov6d_advection::line::{advect_line, LineWork};
@@ -169,10 +178,123 @@ fn check_lanes(report: &mut Report) {
     }
 }
 
+/// Expression trees as a domain: a value is the parenthesised text of the
+/// computation that produced it, so two values are equal exactly when the
+/// same operations were applied to the same operands in the same order.
+#[derive(Clone, PartialEq)]
+struct Expr(String);
+
+impl Expr {
+    fn op(name: &str, a: &Expr, b: &Expr) -> Expr {
+        Expr(format!("{name}({},{})", a.0, b.0))
+    }
+}
+
+impl Dom for Expr {
+    fn c(x: f64) -> Expr {
+        Expr(format!("{x:?}"))
+    }
+    fn add(&self, o: &Expr) -> Expr {
+        Expr::op("add", self, o)
+    }
+    fn sub(&self, o: &Expr) -> Expr {
+        Expr::op("sub", self, o)
+    }
+    fn mul(&self, o: &Expr) -> Expr {
+        Expr::op("mul", self, o)
+    }
+    fn min(&self, o: &Expr) -> Expr {
+        Expr::op("min", self, o)
+    }
+    fn max(&self, o: &Expr) -> Expr {
+        Expr::op("max", self, o)
+    }
+    fn minmod(&self, o: &Expr) -> Expr {
+        Expr::op("minmod", self, o)
+    }
+}
+
+/// The carried SL-MPP5 form is the per-stencil form: as expression trees
+/// (all inputs), and `to_bits` at `f64` over the corpus.
+fn check_carried(report: &mut Report) {
+    let interfaces = 12usize;
+    let ghost: Vec<Expr> = (0..interfaces + 5).map(|k| Expr(format!("g{k}"))).collect();
+    let w = Weights {
+        s: Expr("s".into()),
+        inv_s: Expr("inv_s".into()),
+        alpha: Expr("alpha".into()),
+        w5: core::array::from_fn(|k| Expr(format!("w{k}"))),
+        w3: core::array::from_fn(|k| Expr(format!("v{k}"))),
+    };
+    let carried = slmpp5_fluxes_model(&ghost, &w, true);
+    let per_stencil = slmpp5_fluxes_model(&ghost, &w, false);
+    match (0..interfaces).find(|&j| carried[j] != per_stencil[j]) {
+        None => report.verified(
+            "equivalence",
+            "slmpp5.carried.expression_identity",
+            format!(
+                "the carried form (one new curvature and minmod4 stack per interface) builds \
+                 the per-stencil flux expression, node for node, at each of {interfaces} \
+                 consecutive interfaces of a symbolic line — equal bits on every input"
+            ),
+        ),
+        Some(j) => report.violated(
+            "equivalence",
+            "slmpp5.carried.expression_identity",
+            "the carried form does not compute the per-stencil flux",
+            Some(format!("first differing interface: {j}")),
+        ),
+    }
+
+    let mut failure = None;
+    let mut fluxes = 0usize;
+    for (shape, lines) in corpus(40) {
+        for line in &lines {
+            for cfl in [0.3f64, 0.85, 0.999, 0.2, 2.7, -0.42, -3.1] {
+                for bc in [Boundary::Periodic, Boundary::Zero] {
+                    let mut upwind = line.clone();
+                    if cfl < 0.0 {
+                        upwind.reverse();
+                    }
+                    let n_int = cfl.abs().floor();
+                    let ghost = ghost_line(&upwind, n_int as i64, bc);
+                    let w = Weights::concrete(cfl.abs() - n_int);
+                    let a = slmpp5_fluxes_model(&ghost, &w, true);
+                    let b = slmpp5_fluxes_model(&ghost, &w, false);
+                    fluxes += a.len();
+                    if let Some(j) = (0..a.len()).find(|&j| a[j].to_bits() != b[j].to_bits()) {
+                        failure.get_or_insert(format!(
+                            "{shape} cfl={cfl} {bc:?} interface {j}: carried {:e} vs per-stencil {:e}",
+                            a[j], b[j]
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    match failure {
+        None => report.verified(
+            "equivalence",
+            "slmpp5.carried.corpus_bitwise",
+            format!(
+                "carried and per-stencil f64 fluxes agree to the bit on {fluxes} interfaces \
+                 of the adversarial corpus (shape × line × cfl × boundary)"
+            ),
+        ),
+        Some(w) => report.violated(
+            "equivalence",
+            "slmpp5.carried.corpus_bitwise",
+            "carried and per-stencil fluxes differ",
+            Some(w),
+        ),
+    }
+}
+
 /// Run the whole pass.
 pub fn run(report: &mut Report) {
     check_transpose(report);
     check_lanes(report);
+    check_carried(report);
 }
 
 #[cfg(test)]
@@ -191,6 +313,16 @@ mod tests {
         let mut report = Report::new();
         run(&mut report);
         assert!(report.ok(), "{}", report.render_text());
+    }
+
+    #[test]
+    fn miri_smoke_carried_form_is_the_per_stencil_form() {
+        let mut report = Report::new();
+        check_carried(&mut report);
+        assert!(report.ok(), "{}", report.render_text());
+        // The tree domain has teeth: operand order is part of a value.
+        let (a, b) = (Expr("a".into()), Expr("b".into()));
+        assert!(a.add(&b) != b.add(&a));
     }
 
     #[test]

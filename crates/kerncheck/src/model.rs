@@ -15,6 +15,17 @@
 //! domain (intervals, taint, op counts) then analyses the *same* dataflow
 //! graph, and its conclusions transfer.
 //!
+//! SL-MPP5 is modelled twice. [`flux_model`] is the *per-stencil* form: each
+//! interface flux a function of its own five cells, which is what the
+//! positivity, conservation and footprint arguments reason about. The shipped
+//! loops evaluate the *carried* form, [`slmpp5_flux_carried`]: interface `j`'s
+//! `d_m1`, `d_0` and `dm4_mh` are interface `j−1`'s `d_0`, `d_p1` and `dm4_ph`
+//! — same operands, same order — so two of them ride along in a [`Carry`] and
+//! each curvature and `minmod4` stack is evaluated once. The parity check pins
+//! the carried form to the kernel, the operation count is taken from it, and
+//! the equivalence pass holds the two forms equal (as expression trees, hence
+//! bit for bit on every input), so per-stencil results transfer.
+//!
 //! One deliberate divergence: `f64::clamp(x, lo, hi)` is written here as
 //! `x.max(lo).min(hi)`. For `lo ≤ hi` and non-NaN `x` the two agree (up to
 //! the sign of a zero, which compares equal), and the decomposition is what
@@ -102,37 +113,115 @@ pub fn median_clip_model<D: Dom>(v: &D, lo: &D, hi: &D) -> D {
     v.add(&lo.sub(v).minmod(&hi.sub(v)))
 }
 
+/// Curvature `d_j = f_{j+1} - 2 f_j + f_{j-1}`, parsed as `(a - b) + c`.
+fn curvature_model<D: Dom>(fm: &D, f0: &D, fp: &D) -> D {
+    fp.sub(&D::c(2.0).mul(f0)).add(fm)
+}
+
+/// The `minmod4` stack of `flux::mp5_bracket` between the neighbouring
+/// curvatures `d_l`, `d_r`.
+fn dm4_model<D: Dom>(d_l: &D, d_r: &D) -> D {
+    let four = D::c(4.0);
+    minmod4_model(&four.mul(d_l).sub(d_r), &four.mul(d_r).sub(d_l), d_l, d_r)
+}
+
 /// `flux::mp5_bracket` over the model, association order preserved.
 pub fn mp5_bracket_model<D: Dom>(f: &[D; 5], alpha: &D) -> (D, D) {
-    let (fm2, fm1, f0, fp1, fp2) = (&f[0], &f[1], &f[2], &f[3], &f[4]);
-    let two = D::c(2.0);
-    let four = D::c(4.0);
+    let d_m1 = curvature_model(&f[0], &f[1], &f[2]);
+    let d_0 = curvature_model(&f[1], &f[2], &f[3]);
+    let d_p1 = curvature_model(&f[2], &f[3], &f[4]);
+    let dm4_ph = dm4_model(&d_0, &d_p1); // at i+1/2
+    let dm4_mh = dm4_model(&d_m1, &d_0); // at i-1/2
+    bracket_from(f, alpha, &dm4_mh, &dm4_ph)
+}
+
+/// The bracket proper, given the two `minmod4` stacks.
+fn bracket_from<D: Dom>(f: &[D; 5], alpha: &D, dm4_mh: &D, dm4_ph: &D) -> (D, D) {
+    let (fm1, f0, fp1) = (&f[1], &f[2], &f[3]);
     let half = D::c(0.5);
     let four_thirds = D::c(4.0 / 3.0);
-    // d_j = f_{j+1} - 2 f_j + f_{j-1}, parsed as (a - b) + c.
-    let d_m1 = f0.sub(&two.mul(fm1)).add(fm2);
-    let d_0 = fp1.sub(&two.mul(f0)).add(fm1);
-    let d_p1 = fp2.sub(&two.mul(fp1)).add(f0);
-    let dm4_ph = minmod4_model(
-        &four.mul(&d_0).sub(&d_p1),
-        &four.mul(&d_p1).sub(&d_0),
-        &d_0,
-        &d_p1,
-    );
-    let dm4_mh = minmod4_model(
-        &four.mul(&d_m1).sub(&d_0),
-        &four.mul(&d_0).sub(&d_m1),
-        &d_m1,
-        &d_0,
-    );
     let f_ul = f0.add(&alpha.mul(&f0.sub(fm1)));
-    let f_md = half.mul(&f0.add(fp1)).sub(&half.mul(&dm4_ph));
+    let f_md = half.mul(&f0.add(fp1)).sub(&half.mul(dm4_ph));
     let f_lc = f0
         .add(&half.mul(&f0.sub(fm1)))
-        .add(&four_thirds.mul(&dm4_mh));
+        .add(&four_thirds.mul(dm4_mh));
     let f_min = f0.min(fp1).min(&f_md).max(&f0.min(&f_ul).min(&f_lc));
     let f_max = f0.max(fp1).max(&f_md).min(&f0.max(&f_ul).max(&f_lc));
     (f_min, f_max)
+}
+
+/// What the shipped SL-MPP5 loops carry from one interface to the next.
+#[derive(Clone)]
+pub struct Carry<D> {
+    /// The curvature at the upwind cell (the previous interface's `d_p1`).
+    pub d_0: D,
+    /// The `minmod4` stack at `i-1/2` (the previous interface's `dm4_ph`).
+    pub dm4_mh: D,
+}
+
+impl<D: Dom> Carry<D> {
+    /// The loop prologue: what interface 0 of a ghost-extended line starts
+    /// from (`ghost[0..4]`) — once per line, like the weights.
+    pub fn start(ghost: &[D]) -> Carry<D> {
+        let d_0 = curvature_model(&ghost[1], &ghost[2], &ghost[3]);
+        let d_m1 = curvature_model(&ghost[0], &ghost[1], &ghost[2]);
+        Carry {
+            dm4_mh: dm4_model(&d_m1, &d_0),
+            d_0,
+        }
+    }
+}
+
+/// One SL-MPP5 interface flux as the shipped loops evaluate it: one new
+/// curvature, one new `minmod4` stack, the rest from `carry`. Returns the
+/// flux and the carry of the next interface.
+pub fn slmpp5_flux_carried<D: Dom>(
+    stencil: &[D; 5],
+    w: &Weights<D>,
+    carry: &Carry<D>,
+) -> (FluxTrace<D>, Carry<D>) {
+    let d_p1 = curvature_model(&stencil[2], &stencil[3], &stencil[4]);
+    let dm4_ph = dm4_model(&carry.d_0, &d_p1);
+    let (lo, hi) = bracket_from(stencil, &w.alpha, &carry.dm4_mh, &dm4_ph);
+    let next = Carry {
+        d_0: d_p1,
+        dm4_mh: dm4_ph,
+    };
+    (limited_flux(stencil, w, &lo, &hi), next)
+}
+
+/// Clip the SL interface average into `[lo, hi]`, then the positivity clamp.
+fn limited_flux<D: Dom>(stencil: &[D; 5], w: &Weights<D>, lo: &D, hi: &D) -> FluxTrace<D> {
+    let f_sl = f_high(stencil, w).mul(&w.inv_s);
+    let f_lim = median_clip_model(&f_sl, lo, hi);
+    // (s * f_lim).clamp(0, max(stencil[2], 0)), clamp decomposed.
+    let clamp_hi = stencil[2].max(&D::c(0.0));
+    let flux = w.s.mul(&f_lim).max(&D::c(0.0)).min(&clamp_hi);
+    FluxTrace {
+        flux,
+        clamp_hi: Some(clamp_hi),
+    }
+}
+
+/// Every interface flux of a ghost-extended SL-MPP5 line (the kernel's
+/// `m + 1` for `m + 2·GHOST` values), in the carried form or, as the
+/// reference, stencil by stencil.
+pub fn slmpp5_fluxes_model<D: Dom>(ghost: &[D], w: &Weights<D>, carried: bool) -> Vec<D> {
+    let stencil = |j: usize| -> [D; 5] { core::array::from_fn(|k| ghost[j + k].clone()) };
+    let interfaces = ghost.len() - 2 * GHOST + 1;
+    if !carried {
+        return (0..interfaces)
+            .map(|j| flux_model(Scheme::SlMpp5, &stencil(j), w).flux)
+            .collect();
+    }
+    let mut carry = Carry::start(ghost);
+    (0..interfaces)
+        .map(|j| {
+            let (trace, next) = slmpp5_flux_carried(&stencil(j), w, &carry);
+            carry = next;
+            trace.flux
+        })
+        .collect()
 }
 
 /// One interface flux, mirroring the per-`j` body of `advect_positive`.
@@ -160,16 +249,8 @@ pub fn flux_model<D: Dom>(scheme: Scheme, stencil: &[D; 5], w: &Weights<D>) -> F
             clamp_hi: None,
         },
         Scheme::SlMpp5 => {
-            let f_sl = f_high(stencil, w).mul(&w.inv_s);
             let (lo, hi) = mp5_bracket_model(stencil, &w.alpha);
-            let f_lim = median_clip_model(&f_sl, &lo, &hi);
-            // (s * f_lim).clamp(0, max(stencil[2], 0)), clamp decomposed.
-            let clamp_hi = stencil[2].max(&D::c(0.0));
-            let flux = w.s.mul(&f_lim).max(&D::c(0.0)).min(&clamp_hi);
-            FluxTrace {
-                flux,
-                clamp_hi: Some(clamp_hi),
-            }
+            limited_flux(stencil, w, &lo, &hi)
         }
     }
 }
@@ -191,8 +272,9 @@ pub fn update_model<D: Dom>(ghost_center: &D, flux_out: &D, flux_in: &D) -> D {
 
 /// Whole-line model at `D = f64`: mirrors `advect_line` (mirror trick,
 /// integer shift, ghost sampling, flux form, final `f32` cast) but routes all
-/// per-cell arithmetic through [`flux_model`]/[`update_model`]. Used to pin
-/// the model to the real kernel bitwise.
+/// per-cell arithmetic through [`flux_model`] (SL-MPP5: the carried form,
+/// [`slmpp5_fluxes_model`]) and [`update_model`]. Used to pin the model to the
+/// real kernel bitwise.
 pub fn advect_line_model(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary) {
     let n = line.len();
     if n == 0 || cfl == 0.0 {
@@ -212,24 +294,29 @@ fn advect_positive_model(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundar
     let n = line.len();
     let n_int = cfl.floor() as i64;
     let s = cfl - n_int as f64;
-    let ghost: Vec<f64> = (0..n + 2 * GHOST)
-        .map(|j| sample(line, j as i64 - GHOST as i64 - n_int, bc))
-        .collect();
+    let ghost = ghost_line(line, n_int, bc);
     let w = Weights::concrete(s);
-    let zero_flux = matches!(scheme, Scheme::SlMpp5) && s < 1e-12;
-    let flux: Vec<f64> = (0..n + 1)
-        .map(|j| {
-            if zero_flux {
-                0.0
-            } else {
+    let flux: Vec<f64> = match scheme {
+        Scheme::SlMpp5 if s < 1e-12 => vec![0.0; n + 1],
+        // The form the kernel ships: this is what pins it.
+        Scheme::SlMpp5 => slmpp5_fluxes_model(&ghost, &w, true),
+        _ => (0..n + 1)
+            .map(|j| {
                 let stencil: [f64; 5] = core::array::from_fn(|k| ghost[j + k]);
                 flux_model(scheme, &stencil, &w).flux
-            }
-        })
-        .collect();
+            })
+            .collect(),
+    };
     for (i, v) in line.iter_mut().enumerate() {
         *v = update_model(&ghost[i + GHOST], &flux[i + 1], &flux[i]) as f32;
     }
+}
+
+/// The ghost-extended, integer-shifted upwind copy `advect_line` works on.
+pub fn ghost_line(line: &[f32], n_int: i64, bc: Boundary) -> Vec<f64> {
+    (0..line.len() + 2 * GHOST)
+        .map(|j| sample(line, j as i64 - GHOST as i64 - n_int, bc))
+        .collect()
 }
 
 fn sample(line: &[f32], idx: i64, bc: Boundary) -> f64 {

@@ -1189,6 +1189,34 @@ mod tests {
         assert!(ps.min_value() >= 0.0, "min = {}", ps.min_value());
     }
 
+    /// A NaN in `f` stays visible (ROADMAP aim 3): one spatial and one
+    /// velocity sweep later it fills exactly the cells whose stencils held it
+    /// — it is neither clamped to zero by the positivity limiter nor smeared
+    /// past the stencil — on the lane kernels and on the scalar one.
+    #[test]
+    fn planted_nan_survives_a_spatial_and_a_velocity_sweep() {
+        let mut accel = Field3::zeros([8, 8, 8]);
+        accel.as_mut_slice().fill(0.4);
+        for exec in [Exec::Simd, Exec::Scalar] {
+            let mut ps = test_ps();
+            ps.set([4, 2, 6], [3, 5, 1], f32::NAN);
+            // Forward in x for every u_x, then forward in u_x everywhere: a
+            // stencil reaches two cells upwind and three downwind.
+            sweep_spatial(&mut ps, 0, &[0.3; 8], Scheme::SlMpp5, exec);
+            sweep_velocity(&mut ps, 0, &accel, Scheme::SlMpp5, exec);
+            for x in 2..=7 {
+                for ux in 1..=6 {
+                    assert!(
+                        ps.get([x, 2, 6], [ux, 5, 1]).is_nan(),
+                        "{exec:?}: cell x={x} ux={ux} lost the NaN"
+                    );
+                }
+            }
+            let found = ps.as_slice().iter().filter(|v| v.is_nan()).count();
+            assert_eq!(found, 6 * 6, "{exec:?}: NaN outside the stencils' reach");
+        }
+    }
+
     /// Three rounds of all six sweeps on the 12³ × 8³ grid of
     /// `tests/distributed_consistency.rs`, as one FNV-1a hash of the bits of
     /// `f`, against the value the commit before the lane kernels were
