@@ -21,11 +21,10 @@
 //! `max` are a compare-select in `minps` operand order: one instruction where
 //! `f32::min` is three, for a NaN rule the kernels do not want. An `f32x8`
 //! over `core::arch` vectors behind a lane trait would pin this structurally
-//! but costs ~150 lines and `unsafe`, and buys nothing the one line does not
-//! unless it also lowers [`transpose8x8`] to shuffles — a separate change
-//! (ROADMAP lever iii). To check: `objdump -d` of the `benchmark/` binary
-//! shows no `vshuf*`/`vunpck*`/`vperm*`/`vinsertf128`/`vfmadd*` in
-//! `flux_update_avx2` and ≤ 160 instructions in its flux loop.
+//! but costs ~150 lines and `unsafe`, and buys nothing the one line does not.
+//! To check: `objdump -d` of the `benchmark/` binary shows no
+//! `vshuf*`/`vunpck*`/`vperm*`/`vinsertf128`/`vfmadd*` in `flux_update_avx2`
+//! and ≤ 160 instructions in its flux loop.
 //!
 //! **Width.** Compiled for baseline x86-64 an `f32x8` operation is two
 //! 4-lane SSE2 halves. The two arithmetic lane kernels — `lanes::flux_update`
@@ -41,12 +40,21 @@
 //! variant would round differently and would have to be re-pinned against
 //! kerncheck's ULP bounds. There is no way to choose the entry from outside:
 //! the baseline arm is what hosts without AVX2 (and every non-x86-64 target,
-//! and Miri) run. The 8×8 tile staging of the sweeps is not dispatched:
-//! [`transpose8x8`] compiles to element moves on either ISA, and entering it
-//! through a shim measured slower (EXPERIMENTS.md, Table 1).
+//! and Miri) run.
 //!
-//! [`transpose8x8`] is the Fig. 3 operation at width 8: an 8×8 f32 block
-//! held in eight lane registers, transposed in `8·log₂8 = 24` exchange steps.
+//! **The transpose is the one place with intrinsics.** [`transpose8x8`] is the
+//! Fig. 3 operation at width 8: an 8×8 f32 block held in eight lane
+//! registers. Written as array exchanges (Eklundh, `8·log₂8 = 24` steps) it
+//! compiled to 64 scalar loads and 64 scalar stores through the stack on
+//! either ISA, which held the spatial `z` sweep and the `u_z` LAT staging at
+//! half the speed of the packed directions. On x86-64 it is now SSE
+//! `unpcklps`/`unpckhps`/`movlhps`/`movhlps` on the four 4×4 quadrants —
+//! baseline instructions, so there is nothing to dispatch and no second path
+//! on that target; the exchange loop is the body everywhere else and the
+//! reference the bit-pattern test holds the intrinsics to. It is data
+//! movement only, so no trajectory bit depends on which body ran. To check:
+//! `spatial_tile_task` in the same disassembly shows the four shuffles and no
+//! run of `movss`.
 
 /// The instruction set the lane kernels are entered with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,16 +204,71 @@ impl core::ops::Mul<f32> for f32x8 {
 
 /// In-register 8×8 transpose — the LAT primitive (paper Fig. 3 at width 8).
 ///
-/// Stage 1 interleaves lane pairs, stage 2 interleaves 2-lane groups, stage 3
-/// interleaves 4-lane groups: `8 · 3 = 24` shuffles, exactly the
-/// `n log₂ n`-shuffle structure the paper counts ("64 instructions for 16×16").
+/// Data movement only: every one of the 64 bit patterns arrives unchanged. On
+/// x86-64 it is SSE unpack/`movlhps`/`movhlps` on the four 4×4 quadrants
+/// (baseline ISA, so one body whatever [`Isa::detect`] says); elsewhere, and
+/// under Miri, the portable exchange loop, which is also the test reference.
 #[inline(always)]
 pub fn transpose8x8(rows: &mut [f32x8; 8]) {
-    // Eklundh's algorithm: at stage `s` every register pair `(r, r+s)` with
-    // `r & s == 0` exchanges its off-diagonal s-wide lane groups — one
-    // two-register shuffle per pair, 3 stages × 4 pairs total. Bit `s` of the
-    // row index trades places with bit `s` of the column index, so after
-    // stages 1, 2, 4 the block is fully transposed.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    transpose8x8_sse(rows);
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    transpose8x8_portable(rows);
+}
+
+/// The block as quadrants `[A B; C D]` becomes `[Aᵀ Cᵀ; Bᵀ Dᵀ]`: each 4×4
+/// quadrant is transposed in four registers (two unpacks pair rows, a
+/// `movlhps`/`movhlps` pairs the pairs) and `B`, `C` trade places on the way
+/// out: 32 shuffles and 32 packed moves.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[inline(always)]
+fn transpose8x8_sse(rows: &mut [f32x8; 8]) {
+    use core::arch::x86_64::{
+        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+    };
+    // `rows` is 64 contiguous `f32`, borrowed mutably for the whole function:
+    // `f32x8` is `repr(C)` over `[f32; 8]` and its size equals its alignment,
+    // so the array has no padding.
+    let p = rows.as_mut_ptr().cast::<f32>();
+    // SAFETY: every access is a 4-float window `p[8·r + c .. 8·r + c + 4]`,
+    // `r < 8`, `c ∈ {0, 4}`, of those 64, through the unaligned load/store;
+    // the shuffles are SSE, part of the x86-64 baseline this `cfg` selects.
+    unsafe {
+        macro_rules! quadrant_t {
+            ($row:expr, $col:expr) => {{
+                let q = p.add(8 * $row + $col);
+                let (r0, r1) = (_mm_loadu_ps(q), _mm_loadu_ps(q.add(8)));
+                let (r2, r3) = (_mm_loadu_ps(q.add(16)), _mm_loadu_ps(q.add(24)));
+                let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
+                let (t2, t3) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
+                [
+                    _mm_movelh_ps(t0, t1),
+                    _mm_movehl_ps(t1, t0),
+                    _mm_movelh_ps(t2, t3),
+                    _mm_movehl_ps(t3, t2),
+                ]
+            }};
+        }
+        let (a, b) = (quadrant_t!(0, 0), quadrant_t!(0, 4));
+        let (c, d) = (quadrant_t!(4, 0), quadrant_t!(4, 4));
+        for r in 0..4 {
+            _mm_storeu_ps(p.add(8 * r), a[r]);
+            _mm_storeu_ps(p.add(8 * r + 4), c[r]);
+            _mm_storeu_ps(p.add(8 * (r + 4)), b[r]);
+            _mm_storeu_ps(p.add(8 * (r + 4) + 4), d[r]);
+        }
+    }
+}
+
+/// Eklundh's algorithm, the `n log₂ n` exchange structure the paper counts
+/// ("64 instructions for 16×16"): at stage `s` every register pair
+/// `(r, r+s)` with `r & s == 0` exchanges its off-diagonal s-wide lane groups
+/// — one two-register shuffle per pair, 3 stages × 4 pairs. Bit `s` of the
+/// row index trades places with bit `s` of the column index, so after stages
+/// 1, 2, 4 the block is fully transposed.
+#[cfg(any(test, miri, not(target_arch = "x86_64")))]
+#[inline(always)]
+fn transpose8x8_portable(rows: &mut [f32x8; 8]) {
     let mut s = 1usize;
     while s < 8 {
         let mut r = 0usize;
@@ -332,6 +395,74 @@ mod tests {
         for r in 0..8 {
             for c in 0..8 {
                 assert_eq!(rows[r].0[c], (100 * c + r) as f32);
+            }
+        }
+    }
+
+    /// The transpose is data movement: whatever body `transpose8x8` compiled
+    /// to on this target moves all 64 *bit patterns* exactly as the portable
+    /// exchange loop does — NaN payloads (quiet and signalling, either sign),
+    /// ±0, denormals and ±∞ included — and twice is the identity.
+    #[test]
+    fn transpose_matches_the_portable_reference_on_every_bit_pattern() {
+        const SPECIAL: [u32; 16] = [
+            0x7fc0_0000, // quiet NaN
+            0xffc1_2345, // quiet NaN, sign and payload
+            0x7f80_0001, // signalling NaN
+            0xffbf_ffff, // signalling NaN, sign and full payload
+            0x7fff_ffff,
+            0x0000_0000,
+            0x8000_0000, // −0
+            0x0000_0001, // smallest denormal
+            0x807f_ffff, // largest denormal, negative
+            0x0040_0000,
+            0x7f80_0000, // +∞
+            0xff80_0000, // −∞
+            0x0080_0000, // MIN_POSITIVE
+            0x7f7f_ffff, // MAX
+            0x3f80_0000, // 1.0
+            0xbf80_0000,
+        ];
+        for tile in 0..8u32 {
+            // 64 distinct patterns: the specials at tile-dependent places,
+            // the rest from an odd-multiplier bijection of the index.
+            let bits: [u32; 64] = core::array::from_fn(|k| {
+                let k = (k as u32 * 5 + tile * 11) % 64;
+                match SPECIAL.get(k as usize) {
+                    Some(&s) => s,
+                    None => (k + 64 * tile).wrapping_mul(0x9e37_79b9) | 0x0100_0000,
+                }
+            });
+            let mut seen = bits.to_vec();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), 64, "tile {tile}: patterns must be distinct");
+
+            let orig: [f32x8; 8] = core::array::from_fn(|r| {
+                f32x8(core::array::from_fn(|c| f32::from_bits(bits[8 * r + c])))
+            });
+            let (mut got, mut want) = (orig, orig);
+            transpose8x8(&mut got);
+            transpose8x8_portable(&mut want);
+            for r in 0..8 {
+                for c in 0..8 {
+                    assert_eq!(
+                        want[r].0[c].to_bits(),
+                        bits[8 * c + r],
+                        "reference ({r},{c})"
+                    );
+                    assert_eq!(
+                        got[r].0[c].to_bits(),
+                        bits[8 * c + r],
+                        "tile {tile} ({r},{c})"
+                    );
+                }
+            }
+            transpose8x8(&mut got);
+            for r in 0..8 {
+                for c in 0..8 {
+                    assert_eq!(got[r].0[c].to_bits(), bits[8 * r + c], "twice ({r},{c})");
+                }
             }
         }
     }

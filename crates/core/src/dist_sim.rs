@@ -474,13 +474,11 @@ impl DistributedVlasov {
         telemetry: &StepTelemetry,
         traffic: Option<&Traffic>,
     ) -> StepEvent {
-        let nu_mass = self.total_mass(comm);
-        let f_min = comm.allreduce_min(self.ps.min_value() as f64);
-        let n_cells: f64 = (self.ps.sglobal[0] * self.ps.sglobal[1] * self.ps.sglobal[2]) as f64;
-        let mut momentum = [0.0f64; 3];
-        for (i, p) in momentum.iter_mut().enumerate() {
-            *p = comm.allreduce_sum(moments::momentum(&self.ps, i).sum()) / n_cells;
-        }
+        // One pass over this rank's block, one reduction in rank order.
+        let sums = comm.allreduce(moments::step_sums(&self.ps), |mut a, b| {
+            a.combine(&b);
+            a
+        });
         let mut metrics = Vec::new();
         if let Some(t) = traffic {
             let rank = comm.rank();
@@ -516,9 +514,9 @@ impl DistributedVlasov {
             buckets: telemetry.spans.buckets,
             spans: telemetry.spans.roots.clone(),
             metrics,
-            nu_mass,
-            f_min,
-            momentum,
+            nu_mass: sums.mass,
+            f_min: sums.min as f64,
+            momentum: sums.momentum,
         }
     }
 }
@@ -862,6 +860,67 @@ mod tests {
                 );
                 assert!(sim.ps.min_value() >= 0.0);
             });
+        }
+    }
+
+    /// `step_event`'s conservation diagnostics are one `step_sums` pass per
+    /// rank and one rank-ordered reduction: the same bits on every rank and
+    /// under either overlap policy (the fields are), and the 1-rank value to
+    /// rounding at any rank count (a different partition of the same sum).
+    #[test]
+    fn step_event_diagnostics_agree_across_overlap_and_rank_count() {
+        let sglobal = [16usize, 8, 8];
+        let vg = VelocityGrid::cubic(8, 0.6);
+        let run = |n_ranks: usize, overlap: OverlapPolicy| {
+            let events = Universe::run(n_ranks, move |comm| {
+                let decomp = Decomp3::new(sglobal, [comm.size(), 1, 1]);
+                let mut local = PhaseSpace::zeros_block(
+                    decomp.local_dims(comm.rank()),
+                    decomp.local_offset(comm.rank()),
+                    sglobal,
+                    vg,
+                );
+                local.fill_with(fill);
+                let bg = Background::new(CosmologyParams::planck2015());
+                let mut sim =
+                    DistributedVlasov::new(comm, local, bg, 0.2, 1.0).with_overlap(overlap);
+                sim.step(comm);
+                let (_, dt, telemetry) = sim.step_traced(comm);
+                let e = sim.step_event(comm, dt, &telemetry, None);
+                (e.nu_mass, e.f_min, e.momentum)
+            });
+            assert!(events.iter().all(|e| e == &events[0]), "ranks disagree");
+            events[0]
+        };
+        let (mass1, min1, p1) = run(1, OverlapPolicy::Synchronous);
+        // `fill` dips below zero on this grid, on one rank's block only: the
+        // minimum has to cross the reduction.
+        assert!(mass1 > 0.0 && min1 < 0.0, "{mass1} {min1}");
+        for n_ranks in [2usize, 4] {
+            let sync = run(n_ranks, OverlapPolicy::Synchronous);
+            assert_eq!(
+                sync,
+                run(n_ranks, OverlapPolicy::Overlapped),
+                "{n_ranks} ranks"
+            );
+            let (mass, min, p) = sync;
+            assert!(
+                (mass / mass1 - 1.0).abs() < 1e-12,
+                "{n_ranks}: {mass} vs {mass1}"
+            );
+            assert!(
+                (min - min1).abs() <= 1e-6 * min1.abs(),
+                "{n_ranks}: {min} vs {min1}"
+            );
+            for d in 0..3 {
+                let tol = 1e-9 * vg.vmax * mass1;
+                assert!(
+                    (p[d] - p1[d]).abs() < tol,
+                    "{n_ranks}: p[{d}] {} vs {}",
+                    p[d],
+                    p1[d]
+                );
+            }
         }
     }
 

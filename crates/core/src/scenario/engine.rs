@@ -191,53 +191,21 @@ impl KineticSimulation {
     /// The current diagnostics row (without stepping).
     pub fn diagnose(&self, dt: f64) -> KineticDiag {
         let _s = span!("scenario.diagnostics", Bucket::Other);
-        let rho = moments::density(&self.ps);
-        let dx3 = 1.0 / rho.len() as f64;
-        let dv = self.ps.vgrid.cell_volume();
-        let momentum = [
-            moments::momentum(&self.ps, 0).sum() * dx3,
-            moments::momentum(&self.ps, 1).sum() * dx3,
-            moments::momentum(&self.ps, 2).sum() * dx3,
-        ];
-
-        // ½ Σ f u² and Σ f² over the grid, via a u² lookup per velocity cell.
-        let vg = self.ps.vgrid;
-        let mut u2 = Vec::with_capacity(vg.len());
-        for iux in 0..vg.n[0] {
-            for iuy in 0..vg.n[1] {
-                for iuz in 0..vg.n[2] {
-                    u2.push(
-                        vg.center(0, iux).powi(2)
-                            + vg.center(1, iuy).powi(2)
-                            + vg.center(2, iuz).powi(2),
-                    );
-                }
-            }
-        }
-        let vlen = vg.len();
-        let (mut ke, mut l2) = (0.0f64, 0.0f64);
-        for block in self.ps.as_slice().chunks_exact(vlen) {
-            for (f, u2) in block.iter().zip(&u2) {
-                let f = *f as f64;
-                ke += f * u2;
-                l2 += f * f;
-            }
-        }
-        ke *= 0.5 * dv * dx3;
-        l2 *= dv * dx3;
-
+        // One reduction pass; the density is only for the mode probe.
+        let sums = moments::step_sums(&self.ps);
+        let kinetic = 0.5 * sums.sq_sum;
         KineticDiag {
             step: self.step_count,
             t: self.t,
             dt,
-            mass: self.ps.total_mass(),
-            momentum,
-            kinetic: ke,
+            mass: sums.mass,
+            momentum: sums.momentum,
+            kinetic,
             potential: self.potential,
-            energy: ke + self.potential,
-            mode_amp: self.probe.amplitude(&rho),
-            f_min: self.ps.min_value(),
-            l2,
+            energy: kinetic + self.potential,
+            mode_amp: self.probe.amplitude(&moments::density(&self.ps)),
+            f_min: sums.min,
+            l2: sums.l2,
         }
     }
 

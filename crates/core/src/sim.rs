@@ -266,11 +266,12 @@ impl HybridSimulation {
         self.step_count += 1;
         let (nu_mass, f_min, momentum) = {
             let _s = span!("diagnostics", Bucket::Other);
-            let (nu_mass, f_min) = match &self.neutrinos {
-                Some(nu) => (nu.total_mass(), nu.min_value()),
-                None => (0.0, 0.0),
-            };
-            (nu_mass, f_min, self.total_momentum())
+            let nu = self.neutrinos.as_ref().map(moments::step_sums);
+            (
+                nu.map_or(0.0, |s| s.mass),
+                nu.map_or(0.0, |s| s.min),
+                self.momentum_with(nu),
+            )
         };
         let spans = scope.finish();
         // The step's one gravity solve ran under `gravity.cdm.tree`: these
@@ -305,17 +306,16 @@ impl HybridSimulation {
 
     /// Total canonical momentum: CDM `m Σu` plus the ν momentum integral.
     pub fn total_momentum(&self) -> [f64; 3] {
-        let mut total = [0.0f64; 3];
+        self.momentum_with(self.neutrinos.as_ref().map(moments::step_sums))
+    }
+
+    /// CDM momentum plus the ν momentum of an already made reduction pass.
+    fn momentum_with(&self, nu: Option<moments::StepSums>) -> [f64; 3] {
+        let mut total = nu.map_or([0.0; 3], |s| s.momentum);
         if let Some(cdm) = &self.cdm {
             let p = cdm.total_momentum();
             for i in 0..3 {
                 total[i] += p[i];
-            }
-        }
-        if let Some(nu) = &self.neutrinos {
-            let dx3 = 1.0 / (self.config.nx as f64).powi(3);
-            for (i, t) in total.iter_mut().enumerate() {
-                *t += moments::momentum(nu, i).sum() * dx3;
             }
         }
         total
@@ -566,6 +566,21 @@ mod tests {
         assert!(sim.cdm.is_none());
         sim.step();
         assert!(sim.records[0].f_min >= 0.0);
+    }
+
+    /// A poisoned field must not report a clean minimum: every caller's
+    /// `f_min >= 0` gate has to fail on it.
+    #[test]
+    fn a_nan_in_f_reaches_the_step_record() {
+        let mut cfg = tiny_config();
+        cfg.with_cdm = false;
+        let mut sim = HybridSimulation::new(cfg);
+        sim.neutrinos
+            .as_mut()
+            .unwrap()
+            .set([1, 2, 3], [3, 2, 1], f32::NAN);
+        let rec = sim.step();
+        assert!(rec.f_min.is_nan(), "f_min = {}", rec.f_min);
     }
 
     #[test]

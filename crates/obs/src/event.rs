@@ -216,7 +216,12 @@ impl StepEvent {
                 .transpose()?
                 .unwrap_or_default(),
             nu_mass: v.get("nu_mass").as_f64().unwrap_or(0.0),
-            f_min: v.get("f_min").as_f64().unwrap_or(0.0),
+            // A NaN minimum is written as `null` (JSON has no NaN): a
+            // present `null` reads back as NaN, only an absent key as 0.
+            f_min: match v.as_obj().and_then(|m| m.get("f_min")) {
+                Some(Json::Null) => f64::NAN,
+                other => other.and_then(Json::as_f64).unwrap_or(0.0),
+            },
             momentum,
         })
     }
@@ -351,6 +356,16 @@ mod tests {
         assert!(!line.contains('\n'));
         let back = StepEvent::parse(&line).unwrap();
         assert_eq!(back, event);
+    }
+
+    #[test]
+    fn a_nan_minimum_survives_the_jsonl_round_trip() {
+        let event = StepEvent {
+            f_min: f64::NAN,
+            ..sample_event()
+        };
+        let back = StepEvent::parse(&event.to_jsonl()).unwrap();
+        assert!(back.f_min.is_nan(), "read back as {}", back.f_min);
     }
 
     #[test]

@@ -159,20 +159,20 @@ impl PhaseSpace {
         sum * dv * dx3
     }
 
-    /// Minimum value (negativity check).
+    /// Minimum value (negativity check); NaN when `f` holds one anywhere.
     pub fn min_value(&self) -> f32 {
         self.data
             .par_iter()
             .copied()
-            .reduce(|| f32::INFINITY, f32::min)
+            .reduce(|| f32::INFINITY, nan_min)
     }
 
-    /// Maximum value.
+    /// Maximum value; NaN when `f` holds one anywhere.
     pub fn max_value(&self) -> f32 {
-        self.data
-            .par_iter()
-            .copied()
-            .reduce(|| f32::NEG_INFINITY, f32::max)
+        self.data.par_iter().copied().reduce(
+            || f32::NEG_INFINITY,
+            |a, b| if b > a || b.is_nan() { b } else { a },
+        )
     }
 
     /// L1 difference against another block (diagnostics / tests).
@@ -183,6 +183,17 @@ impl PhaseSpace {
             .zip(other.data.par_iter())
             .map(|(a, b)| (a - b).abs() as f64)
             .sum()
+    }
+}
+
+/// The smaller of two values, NaN if either is one (`f32::min` returns the
+/// other operand, and a poisoned field must not report a clean minimum).
+#[inline]
+pub(crate) fn nan_min(a: f32, b: f32) -> f32 {
+    if b < a || b.is_nan() {
+        b
+    } else {
+        a
     }
 }
 

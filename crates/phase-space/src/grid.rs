@@ -40,6 +40,11 @@ impl VelocityGrid {
         -self.vmax + (k as f64 + 0.5) * self.du(axis)
     }
 
+    /// Every cell-centre velocity along `axis`, in index order.
+    pub fn centers(&self, axis: usize) -> Vec<f64> {
+        (0..self.n[axis]).map(|k| self.center(axis, k)).collect()
+    }
+
     /// Total number of velocity cells.
     pub fn len(&self) -> usize {
         self.n[0] * self.n[1] * self.n[2]

@@ -5,8 +5,9 @@
 //! velocity block — no communication. The moments feed the Poisson source
 //! (density) and the Fig. 6 diagnostics (bulk velocity, velocity dispersion).
 
-use crate::dist_fn::PhaseSpace;
+use crate::dist_fn::{nan_min, PhaseSpace};
 use rayon::prelude::*;
+use vlasov6d_advection::simd::LANES;
 use vlasov6d_mesh::Field3;
 
 /// Number density per spatial cell: `n(x) = Σ_u f Δu³` (code units; multiply
@@ -33,8 +34,8 @@ pub fn density(ps: &PhaseSpace) -> Field3 {
 pub fn momentum(ps: &PhaseSpace, d: usize) -> Field3 {
     assert!(d < 3);
     let dv = ps.vgrid.cell_volume();
-    let [nux, nuy, nuz] = ps.vgrid.n;
-    let vgrid = ps.vgrid;
+    let [_, nuy, nuz] = ps.vgrid.n;
+    let centers = ps.vgrid.centers(d);
     let mut out = Field3::zeros(ps.sdims);
     let vlen = ps.vlen();
     out.as_mut_slice()
@@ -42,18 +43,18 @@ pub fn momentum(ps: &PhaseSpace, d: usize) -> Field3 {
         .enumerate()
         .for_each(|(cell, o)| {
             let block = &ps.as_slice()[cell * vlen..(cell + 1) * vlen];
+            // One running sum in layout order; only where `u_d` is looked up
+            // depends on `d`.
             let mut acc = 0.0f64;
-            let mut idx = 0;
-            for iux in 0..nux {
-                for iuy in 0..nuy {
-                    for iuz in 0..nuz {
-                        let u = match d {
-                            0 => vgrid.center(0, iux),
-                            1 => vgrid.center(1, iuy),
-                            _ => vgrid.center(2, iuz),
-                        };
-                        acc += block[idx] as f64 * u;
-                        idx += 1;
+            for (r, row) in block.chunks_exact(nuz).enumerate() {
+                if d == 2 {
+                    for (&f, &u) in row.iter().zip(&centers) {
+                        acc += f as f64 * u;
+                    }
+                } else {
+                    let u = centers[if d == 0 { r / nuy } else { r % nuy }];
+                    for &f in row {
+                        acc += f as f64 * u;
                     }
                 }
             }
@@ -81,8 +82,8 @@ pub fn bulk_velocity(ps: &PhaseSpace, d: usize, density_floor: f64) -> Field3 {
 /// the dispersion tensor / 3 is `σ_1D²`). Returns σ² per cell.
 pub fn velocity_dispersion(ps: &PhaseSpace, density_floor: f64) -> Field3 {
     let dv = ps.vgrid.cell_volume();
-    let [nux, nuy, nuz] = ps.vgrid.n;
-    let vgrid = ps.vgrid;
+    let [_, nuy, nuz] = ps.vgrid.n;
+    let [cx, cy, cz] = [0, 1, 2].map(|d| ps.vgrid.centers(d));
     let vlen = ps.vlen();
     let n = density(ps);
     let ubar: [Field3; 3] = [
@@ -107,21 +108,175 @@ pub fn velocity_dispersion(ps: &PhaseSpace, density_floor: f64) -> Field3 {
             );
             let block = &ps.as_slice()[cell * vlen..(cell + 1) * vlen];
             let mut acc = 0.0f64;
-            let mut idx = 0;
-            for iux in 0..nux {
-                let dx = vgrid.center(0, iux) - u0;
-                for iuy in 0..nuy {
-                    let dy = vgrid.center(1, iuy) - u1;
-                    for iuz in 0..nuz {
-                        let dz = vgrid.center(2, iuz) - u2;
-                        acc += block[idx] as f64 * (dx * dx + dy * dy + dz * dz);
-                        idx += 1;
-                    }
+            for (r, row) in block.chunks_exact(nuz).enumerate() {
+                let dx = cx[r / nuy] - u0;
+                let dy = cy[r % nuy] - u1;
+                for (&f, &uz) in row.iter().zip(&cz) {
+                    let dz = uz - u2;
+                    acc += f as f64 * (dx * dx + dy * dy + dz * dz);
                 }
             }
             *o = acc * dv / nn;
         });
     out
+}
+
+/// The scalars every driver reports after a step — mass, momentum, kinetic
+/// and L2 sums, minimum — from one pass over `f` ([`step_sums`]). Sums carry
+/// `Δu³ Δx³` with `Δx³` from the *global* grid, so partials of the blocks of a
+/// decomposed run [`combine`](Self::combine) to the whole-box value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepSums {
+    /// `Σ f Δu³ Δx³` — what [`PhaseSpace::total_mass`] returns.
+    pub mass: f64,
+    /// `Σ f u_d Δu³ Δx³` per axis.
+    pub momentum: [f64; 3],
+    /// `Σ f |u|² Δu³ Δx³` — twice the kinetic energy.
+    pub sq_sum: f64,
+    /// `Σ f² Δu³ Δx³`.
+    pub l2: f64,
+    /// Smallest value of `f`; NaN when `f` holds one anywhere.
+    pub min: f32,
+}
+
+impl StepSums {
+    /// The sums of no cells: the identity of [`Self::combine`].
+    pub const EMPTY: Self = Self {
+        mass: 0.0,
+        momentum: [0.0; 3],
+        sq_sum: 0.0,
+        l2: 0.0,
+        min: f32::INFINITY,
+    };
+
+    /// Fold another partial into this one (plain `f64` addition, so a fixed
+    /// order — ascending cell, ascending rank — gives fixed bits).
+    pub fn combine(&mut self, rhs: &StepSums) {
+        self.mass += rhs.mass;
+        for d in 0..3 {
+            self.momentum[d] += rhs.momentum[d];
+        }
+        self.sq_sum += rhs.sq_sum;
+        self.l2 += rhs.l2;
+        self.min = nan_min(self.min, rhs.min);
+    }
+}
+
+impl vlasov6d_mpisim::Payload for StepSums {
+    fn byte_len(&self) -> usize {
+        std::mem::size_of::<Self>()
+    }
+}
+
+/// Every per-step scalar reduction of this block in one parallel pass.
+///
+/// One task per spatial cell reduces its contiguous velocity block in `f64`
+/// lanes (lane = `iuz mod 8`, the short last chunk of a row in its leading
+/// lanes); the per-cell partials are folded serially in ascending cell
+/// order, so the result does not depend on the thread count. It is a
+/// different summation tree from [`PhaseSpace::total_mass`] and
+/// [`momentum`]`.sum()` and agrees with them to rounding.
+pub fn step_sums(ps: &PhaseSpace) -> StepSums {
+    let [_, nuy, nuz] = ps.vgrid.n;
+    let centers = [0, 1, 2].map(|d| ps.vgrid.centers(d));
+    let vlen = ps.vlen();
+    let mut cells = vec![StepSums::EMPTY; ps.len() / vlen];
+    cells.par_iter_mut().enumerate().for_each_init(
+        || vec![0.0f64; nuz],
+        |columns, (cell, out)| {
+            let block = &ps.as_slice()[cell * vlen..(cell + 1) * vlen];
+            *out = cell_sums(block, nuy, &centers, columns);
+        },
+    );
+    let mut total = StepSums::EMPTY;
+    for cell in &cells {
+        total.combine(cell);
+    }
+    let [gx, gy, gz] = ps.sglobal;
+    let scale = ps.vgrid.cell_volume() / (gx as f64 * gy as f64 * gz as f64);
+    total.mass *= scale;
+    for p in &mut total.momentum {
+        *p *= scale;
+    }
+    total.sq_sum *= scale;
+    total.l2 *= scale;
+    total
+}
+
+/// One cell's unscaled [`StepSums`]. No weight is applied per element: `u_x`
+/// multiplies the sum of its `iux` plane, `u_y` the sum of its row, `u_z`
+/// the per-`iuz` column sums (`columns`, scratch of length `nuz`) at the end.
+fn cell_sums(block: &[f32], nuy: usize, centers: &[Vec<f64>; 3], columns: &mut [f64]) -> StepSums {
+    /// One chunk of a row into the lane accumulators; `f32x8::min`'s
+    /// compare-select for the minimum (a NaN in `chunk` is dropped here and
+    /// caught through `squares`).
+    #[inline(always)]
+    fn fold_chunk(
+        chunk: &[f32],
+        columns: &mut [f64],
+        row: &mut [f64; LANES],
+        squares: &mut [f64; LANES],
+        min: &mut [f32; LANES],
+    ) {
+        for (l, (&f, column)) in chunk.iter().zip(columns).enumerate() {
+            let v = f as f64;
+            row[l] += v;
+            *column += v;
+            squares[l] += v * v;
+            min[l] = if f < min[l] { f } else { min[l] };
+        }
+    }
+
+    let [cx, cy, cz] = centers;
+    let nuz = cz.len();
+    columns.fill(0.0);
+    let mut squares = [0.0f64; LANES];
+    let mut min = [f32::INFINITY; LANES];
+    let (mut mass, mut px, mut py, mut sq_xy) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for (plane, &ux) in block.chunks_exact(nuy * nuz).zip(cx) {
+        let mut plane_sum = 0.0f64;
+        for (row, &uy) in plane.chunks_exact(nuz).zip(cy) {
+            let mut lanes = [0.0f64; LANES];
+            // Whole chunks at a constant length, so the lanes vectorise; the
+            // short last chunk of a row lands in its leading lanes.
+            let (full, tail) = row.split_at(nuz - nuz % LANES);
+            let (full_cols, tail_cols) = columns.split_at_mut(full.len());
+            for (chunk, col) in full
+                .chunks_exact(LANES)
+                .zip(full_cols.chunks_exact_mut(LANES))
+            {
+                fold_chunk(chunk, col, &mut lanes, &mut squares, &mut min);
+            }
+            fold_chunk(tail, tail_cols, &mut lanes, &mut squares, &mut min);
+            let row_sum: f64 = lanes.iter().sum();
+            plane_sum += row_sum;
+            py += uy * row_sum;
+            sq_xy += uy * uy * row_sum;
+        }
+        mass += plane_sum;
+        px += ux * plane_sum;
+        sq_xy += ux * ux * plane_sum;
+    }
+    let (mut pz, mut sq_z) = (0.0f64, 0.0f64);
+    for (&column, &uz) in columns.iter().zip(cz) {
+        pz += uz * column;
+        sq_z += uz * uz * column;
+    }
+    let l2: f64 = squares.iter().sum();
+    // `f²` is NaN exactly where `f` is and no sum of squares cancels into
+    // one, so `l2` says whether the lane minimum above skipped a NaN.
+    let min = if l2.is_nan() {
+        f32::NAN
+    } else {
+        min.iter().copied().fold(f32::INFINITY, f32::min)
+    };
+    StepSums {
+        mass,
+        momentum: [px, py, pz],
+        sq_sum: sq_xy + sq_z,
+        l2,
+        min,
+    }
 }
 
 /// Deterministic partial sums of the moment hierarchy over a spatial region.
@@ -345,6 +500,121 @@ mod tests {
         let s2 = velocity_dispersion(&ps, 1e-12);
         for &v in s2.as_slice() {
             assert!((v - 3.0 * sigma * sigma).abs() < 2e-2, "{v}");
+        }
+    }
+
+    /// A rough, sign-changing field on an awkward grid: `nuy = 3`, and
+    /// `nuz` below, at, between and at twice the lane width.
+    fn rough_ps(nuz: usize) -> PhaseSpace {
+        let vg = VelocityGrid::new([4, 3, nuz], 1.5);
+        let mut ps = PhaseSpace::zeros_block([2, 3, 2], [2, 0, 0], [4, 3, 2], vg);
+        ps.fill_with(|s, u| {
+            let phase = 1.3 * s[0] as f64 + 0.7 * s[1] as f64 - 2.1 * s[2] as f64;
+            (-(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])).exp() * (1.2 + phase.sin())
+                + 0.05 * (7.0 * u[2] + 3.0 * u[1] - 5.0 * u[0] + phase).sin()
+        });
+        ps
+    }
+
+    #[test]
+    fn step_sums_match_the_separate_passes_on_any_grid() {
+        for nuz in [5, 8, 12, 16] {
+            let ps = rough_ps(nuz);
+            let got = step_sums(&ps);
+            let dx3 = 1.0 / 24.0;
+            let mass = ps.total_mass();
+            assert!(
+                (got.mass - mass).abs() <= 1e-12 * mass.abs(),
+                "nuz {nuz}: mass"
+            );
+            for d in 0..3 {
+                let want = momentum(&ps, d).sum() * dx3;
+                let tol = 1e-9 * ps.vgrid.vmax * mass.abs();
+                assert!((got.momentum[d] - want).abs() <= tol, "nuz {nuz}: p[{d}]");
+            }
+            let sq = region_sums(&ps, [0; 3], ps.sglobal).sq_sum * dx3;
+            assert!((got.sq_sum - sq).abs() <= 1e-12 * sq, "nuz {nuz}: sq_sum");
+            let l2 = ps
+                .as_slice()
+                .iter()
+                .map(|&f| f as f64 * f as f64)
+                .sum::<f64>()
+                * ps.vgrid.cell_volume()
+                * dx3;
+            assert!((got.l2 - l2).abs() <= 1e-12 * l2, "nuz {nuz}: l2");
+            assert_eq!(
+                got.min.to_bits(),
+                ps.min_value().to_bits(),
+                "nuz {nuz}: min"
+            );
+            assert!(got.min < 0.0, "the field must exercise the sign");
+
+            for threads in [1, 2, 3] {
+                let again = rayon::with_num_threads(threads, || step_sums(&ps));
+                assert_eq!(again, got, "nuz {nuz}: {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_in_f_shows_in_every_minimum() {
+        for nuz in [5, 16] {
+            let mut ps = rough_ps(nuz);
+            assert!(!step_sums(&ps).min.is_nan() && !ps.min_value().is_nan());
+            // Mid-row, mid-block: neither the first nor the last value any
+            // reduction sees.
+            ps.set([1, 1, 0], [2, 1, 3], f32::NAN);
+            assert!(step_sums(&ps).min.is_nan());
+            assert!(ps.min_value().is_nan() && ps.max_value().is_nan());
+            // ±∞ are values, not poison: they order like any other.
+            ps.set([1, 1, 0], [2, 1, 3], f32::NEG_INFINITY);
+            ps.set([0, 2, 1], [0, 0, 0], f32::INFINITY);
+            assert_eq!(step_sums(&ps).min, f32::NEG_INFINITY);
+            assert_eq!(ps.min_value(), f32::NEG_INFINITY);
+            assert_eq!(ps.max_value(), f32::INFINITY);
+        }
+    }
+
+    /// `momentum` and `velocity_dispersion` look their weights up per row;
+    /// the operands and their order are those of the per-element form, so
+    /// the Fig. 6 / sky-map values keep their bits.
+    #[test]
+    fn hoisted_weights_keep_the_per_element_bits() {
+        let ps = rough_ps(12);
+        let (vg, vlen) = (ps.vgrid, ps.vlen());
+        let per_element = |cell: usize, weight: &dyn Fn([f64; 3]) -> f64| {
+            let mut acc = 0.0f64;
+            let mut idx = cell * vlen;
+            for iux in 0..vg.n[0] {
+                for iuy in 0..vg.n[1] {
+                    for iuz in 0..vg.n[2] {
+                        let u = [vg.center(0, iux), vg.center(1, iuy), vg.center(2, iuz)];
+                        acc += ps.as_slice()[idx] as f64 * weight(u);
+                        idx += 1;
+                    }
+                }
+            }
+            acc * vg.cell_volume()
+        };
+        for d in 0..3 {
+            let p = momentum(&ps, d);
+            for (cell, got) in p.as_slice().iter().enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    per_element(cell, &|u| u[d]).to_bits(),
+                    "p[{d}]"
+                );
+            }
+        }
+        let (n, s2) = (density(&ps), velocity_dispersion(&ps, 1e-12));
+        let ubar = [0, 1, 2].map(|d| bulk_velocity(&ps, d, 1e-12));
+        for (cell, got) in s2.as_slice().iter().enumerate() {
+            let [u0, u1, u2] = [0, 1, 2].map(|d| ubar[d].as_slice()[cell]);
+            let want = per_element(cell, &|u| {
+                let (dx, dy, dz) = (u[0] - u0, u[1] - u1, u[2] - u2);
+                dx * dx + dy * dy + dz * dz
+            }) / n.as_slice()[cell];
+            assert_eq!(got.to_bits(), want.to_bits(), "dispersion, cell {cell}");
         }
     }
 

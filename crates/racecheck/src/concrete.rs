@@ -303,6 +303,7 @@ pub fn run(report: &mut Report) {
         "moments.momentum",
         "moments.bulk_velocity",
         "moments.dispersion",
+        "moments.step_sums",
     ] {
         let region = find(name);
         for cells in [1usize, 12, 30] {

@@ -384,7 +384,7 @@ type MomentEval<'a> = Box<dyn Fn() -> Field3 + 'a>;
 fn moments_invariance(report: &mut Report) {
     use vlasov6d_phase_space::moments;
     let ps = filled_ps([2, 3, 2], 6, 0x707);
-    let cases: [(&str, MomentEval); 4] = [
+    let cases: [(&str, MomentEval); 5] = [
         ("moments.density", Box::new(|| moments::density(&ps))),
         ("moments.momentum", Box::new(|| moments::momentum(&ps, 1))),
         (
@@ -394,6 +394,15 @@ fn moments_invariance(report: &mut Report) {
         (
             "moments.dispersion",
             Box::new(|| moments::velocity_dispersion(&ps, 1e-12)),
+        ),
+        (
+            "moments.step_sums",
+            Box::new(|| {
+                let s = moments::step_sums(&ps);
+                let [px, py, pz] = s.momentum;
+                let scalars = vec![s.mass, px, py, pz, s.sq_sum, s.l2, s.min as f64];
+                Field3::from_vec([scalars.len(), 1, 1], scalars)
+            }),
         ),
     ];
     for (name, eval) in &cases {

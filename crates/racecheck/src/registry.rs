@@ -388,6 +388,7 @@ pub fn regions() -> Vec<Region> {
         "moments.momentum",
         "moments.bulk_velocity",
         "moments.dispersion",
+        "moments.step_sums",
     ] {
         regions.push(Region {
             name,
@@ -457,11 +458,11 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let regions = regions();
-        assert_eq!(regions.len(), 45);
+        assert_eq!(regions.len(), 46);
         let mut names: Vec<_> = regions.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 45, "duplicate region names");
+        assert_eq!(names.len(), 46, "duplicate region names");
         assert_eq!(backing_region_names().len(), 32);
     }
 
