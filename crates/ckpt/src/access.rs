@@ -6,31 +6,30 @@
 //! opposite trade: open a container once, then pull individual records out of
 //! it on demand — seeking past the records it does not need and verifying
 //! only the chunk CRCs it actually reads. That is what [`RankFileReader`]
-//! provides:
+//! provides, on the same frame walker as the batch path:
 //!
-//! * [`RankFileReader::open`] scans the frame structure (record lengths and
-//!   chunk tables) without reading payload bytes, building a byte-offset
-//!   index. Structural damage (a frame running past the trailer, a bad
-//!   header) is caught here; payload corruption is deliberately *not*.
-//! * [`RankFileReader::read_record`] seeks to one record, reads exactly its
-//!   chunks, verifies exactly those chunk CRCs, and decodes. Corruption in
-//!   any *other* record stays invisible — the contract the query-service LRU
-//!   depends on (and the one `corrupt_chunk_detection` tests both ways).
-//! * [`RankFileReader::peek_meta`] reads just enough leading chunks of a
-//!   record to parse its self-describing header ([`crate::record::RecordMeta`]),
-//!   so a shard can learn every block's spatial extent without decoding a
-//!   single payload.
+//! * [`RankFileReader::open`] walks the frames, reading and verifying each
+//!   record's small head chunk and seeking over its payload chunks, and
+//!   builds a byte-offset index. Structural damage (a frame running past the
+//!   trailer, a bad header or head) is caught here; payload corruption is
+//!   deliberately *not*.
+//! * [`RankFileReader::read_record`] seeks to one record and decodes its
+//!   payload chunk by chunk into the record's storage, verifying exactly
+//!   those chunk CRCs. Corruption in any *other* record stays invisible —
+//!   the contract the query-service LRU depends on (and the one
+//!   `corrupt_chunk_detection` tests both ways).
+//! * [`RankFileReader::peek_meta`] answers from the head chunks read at
+//!   open, so a shard learns every block's spatial extent without touching
+//!   a single payload byte.
 
-use crate::container::{HEADER_LEN, MAGIC, TRAILER_MAGIC, VERSION};
-use crate::crc::crc32;
-use crate::record::{Record, RecordMeta};
+use crate::container::FrameWalker;
+use crate::record::{Head, Record, RecordMeta};
 use crate::CkptError;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// One chunk of one record: where its data bytes live and the CRC the writer
-/// stored for them.
+/// One payload chunk of one record: where its data bytes live and the CRC
+/// the writer stored for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// File offset of the chunk's first data byte.
@@ -41,28 +40,22 @@ pub struct ChunkEntry {
     pub crc: u32,
 }
 
-/// Index entry for one record frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Index entry for one record.
+#[derive(Debug, Clone)]
 pub struct RecordEntry {
-    /// File offset of the record's frame header (`rec_len u64 | n_chunks u32`).
+    /// File offset of the record's head chunk frame.
     pub frame_offset: u64,
-    /// Total reassembled record length the frame promises.
-    pub rec_len: u64,
-    /// The record's chunks in file order.
+    /// File offset of the first payload chunk frame.
+    payload_offset: u64,
+    head: Head,
+    /// The record's payload chunks in file order.
     pub chunks: Vec<ChunkEntry>,
-}
-
-impl RecordEntry {
-    /// Bytes this record occupies on disk (chunk headers + data).
-    pub fn disk_bytes(&self) -> u64 {
-        self.chunks.iter().map(|c| 8 + c.len as u64).sum::<u64>() + 12
-    }
 }
 
 /// Seekable reader over one committed `rank-NNNN.vck` container.
 #[derive(Debug)]
 pub struct RankFileReader {
-    file: fs::File,
+    walker: FrameWalker<fs::File>,
     path: PathBuf,
     /// Rank recorded in the container header.
     pub rank: u32,
@@ -72,112 +65,37 @@ pub struct RankFileReader {
 }
 
 impl RankFileReader {
-    /// Open `path` and index its record frames without reading payloads.
+    /// Open `path` and index its records without reading payloads.
     ///
-    /// Validates the header magic/version and the structural consistency of
-    /// every frame (lengths must stay inside the record area); does *not*
-    /// verify the whole-file CRC or any chunk CRC — that is deferred to
-    /// [`RankFileReader::read_record`], per record.
+    /// Validates the header, every record's head chunk (CRC and shape) and
+    /// the structural consistency of every frame (lengths must stay inside
+    /// the record area, the trailer must count the records found); does
+    /// *not* verify the whole-file CRC or any payload chunk CRC — that is
+    /// deferred to [`RankFileReader::read_record`], per record.
     pub fn open(path: &Path) -> Result<RankFileReader, CkptError> {
-        let mut file = fs::File::open(path).map_err(|e| CkptError::io(path, &e))?;
-        let file_len = file.metadata().map_err(|e| CkptError::io(path, &e))?.len();
-        let min_len = (HEADER_LEN + TRAILER_MAGIC.len() + 4) as u64;
-        if file_len < min_len {
-            return Err(CkptError::format(
-                file_len,
-                format!("container is {file_len} bytes, smaller than the {min_len}-byte minimum"),
-            )
-            .in_file(path));
-        }
-        let trailer_off = file_len - (TRAILER_MAGIC.len() + 4) as u64;
-
-        let mut header = [0u8; HEADER_LEN];
-        file.read_exact(&mut header)
-            .map_err(|e| CkptError::io(path, &e))?;
-        if header[..8] != MAGIC {
-            return Err(CkptError::format(0, "bad container magic").in_file(path));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(CkptError::format(
-                8,
-                format!("container version {version}, this build reads {VERSION}"),
-            )
-            .in_file(path));
-        }
-        let rank = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        let n_ranks = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-        let record_count = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes")) as usize;
-
-        // Walk the frames, seeking over payload bytes.
-        let mut index = Vec::with_capacity(record_count.min(1024));
-        let mut pos = HEADER_LEN as u64;
-        for rec_idx in 0..record_count {
-            let frame_offset = pos;
-            let mut frame = [0u8; 12];
-            read_at(&mut file, path, pos, &mut frame)?;
-            let rec_len = u64::from_le_bytes(frame[..8].try_into().expect("8 bytes"));
-            let n_chunks = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes")) as usize;
-            pos += 12;
-            if n_chunks as u64 > trailer_off.saturating_sub(pos) / 8 {
-                return Err(CkptError::format(
+        let file = fs::File::open(path).map_err(|e| CkptError::io(path, &e))?;
+        let len = file.metadata().map_err(|e| CkptError::io(path, &e))?.len();
+        let scan = || {
+            let (mut walker, rank, n_ranks) = FrameWalker::container(file, len)?;
+            let mut index = Vec::new();
+            while !walker.at_trailer() {
+                let frame_offset = walker.pos;
+                let head = walker.head()?;
+                let payload_offset = walker.pos;
+                let chunks = walker.skip_payload(&head)?;
+                index.push(RecordEntry {
                     frame_offset,
-                    format!("record {rec_idx} claims {n_chunks} chunks, more than can fit"),
-                )
-                .in_file(path));
-            }
-            let mut chunks = Vec::with_capacity(n_chunks);
-            let mut assembled = 0u64;
-            for chunk_idx in 0..n_chunks {
-                let mut ch = [0u8; 8];
-                read_at(&mut file, path, pos, &mut ch)?;
-                let len = u32::from_le_bytes(ch[..4].try_into().expect("4 bytes"));
-                let crc = u32::from_le_bytes(ch[4..8].try_into().expect("4 bytes"));
-                pos += 8;
-                if pos + len as u64 > trailer_off {
-                    return Err(CkptError::format(
-                        pos,
-                        format!(
-                            "chunk {chunk_idx} of record {rec_idx} ({len} bytes) runs past the record area"
-                        ),
-                    )
-                    .in_file(path));
-                }
-                chunks.push(ChunkEntry {
-                    offset: pos,
-                    len,
-                    crc,
+                    payload_offset,
+                    head,
+                    chunks,
                 });
-                assembled += len as u64;
-                pos += len as u64;
             }
-            if assembled != rec_len {
-                return Err(CkptError::format(
-                    frame_offset,
-                    format!(
-                        "record {rec_idx} chunks cover {assembled} bytes, frame promised {rec_len}"
-                    ),
-                )
-                .in_file(path));
-            }
-            index.push(RecordEntry {
-                frame_offset,
-                rec_len,
-                chunks,
-            });
-        }
-        if pos != trailer_off {
-            return Err(CkptError::format(
-                pos,
-                format!(
-                    "{} unaccounted bytes between the last record and the trailer",
-                    trailer_off - pos
-                ),
-            )
-            .in_file(path));
-        }
+            walker.trailer(index.len() as u32)?;
+            Ok((walker, rank, n_ranks, index))
+        };
+        let (walker, rank, n_ranks, index) = scan().map_err(|e: CkptError| e.in_file(path))?;
         Ok(RankFileReader {
-            file,
+            walker,
             path: path.to_path_buf(),
             rank,
             n_ranks,
@@ -195,84 +113,30 @@ impl RankFileReader {
         &self.index[i]
     }
 
-    /// Assemble record `i`'s bytes, verifying only that record's chunk CRCs.
-    fn assemble(&mut self, i: usize) -> Result<Vec<u8>, CkptError> {
-        let entry = self.index[i].clone();
-        let mut rec = Vec::with_capacity(entry.rec_len as usize);
-        for (chunk_idx, c) in entry.chunks.iter().enumerate() {
-            let mut data = vec![0u8; c.len as usize];
-            read_at(&mut self.file, &self.path, c.offset, &mut data)?;
-            let actual = crc32(&data);
-            if actual != c.crc {
-                return Err(CkptError::format(
-                    c.offset,
-                    format!(
-                        "chunk {chunk_idx} of record {i} CRC mismatch: stored {:#010x}, computed {actual:#010x}",
-                        c.crc
-                    ),
-                )
-                .in_file(&self.path));
-            }
-            rec.extend_from_slice(&data);
-        }
-        Ok(rec)
-    }
-
     /// Read and decode record `i`.
     ///
     /// Verifies the chunk CRCs of record `i` and nothing else: corruption
     /// anywhere outside this record's byte range goes unreported by design.
     pub fn read_record(&mut self, i: usize) -> Result<Record, CkptError> {
-        let rec = self.assemble(i)?;
-        let base = self.index[i]
-            .chunks
-            .first()
-            .map_or(self.index[i].frame_offset, |c| c.offset);
-        Record::decode(&rec)
-            .map_err(|e| e.at_base(base))
+        let entry = &self.index[i];
+        self.walker
+            .seek(entry.payload_offset)
+            .and_then(|()| self.walker.payload(&entry.head))
             .map_err(|e| e.in_file(&self.path))
     }
 
-    /// Parse record `i`'s self-describing header without decoding its
-    /// payload, reading (and CRC-verifying) only the leading chunks that
-    /// hold the header bytes.
-    pub fn peek_meta(&mut self, i: usize) -> Result<RecordMeta, CkptError> {
-        let entry = self.index[i].clone();
-        let mut head = Vec::new();
-        for (chunk_idx, c) in entry.chunks.iter().enumerate() {
-            let mut data = vec![0u8; c.len as usize];
-            read_at(&mut self.file, &self.path, c.offset, &mut data)?;
-            let actual = crc32(&data);
-            if actual != c.crc {
-                return Err(CkptError::format(
-                    c.offset,
-                    format!(
-                        "chunk {chunk_idx} of record {i} CRC mismatch: stored {:#010x}, computed {actual:#010x}",
-                        c.crc
-                    ),
-                )
-                .in_file(&self.path));
-            }
-            head.extend_from_slice(&data);
-            if head.len() >= Record::META_MAX_LEN || head.len() as u64 >= entry.rec_len {
-                break;
-            }
-        }
-        Record::peek_meta(&head).map_err(|e| e.in_file(&self.path))
+    /// Record `i`'s self-describing head, as read (and CRC-verified) at
+    /// open: no I/O, no payload decode.
+    pub fn peek_meta(&self, i: usize) -> RecordMeta {
+        self.index[i].head.meta()
     }
-}
-
-fn read_at(file: &mut fs::File, path: &Path, offset: u64, buf: &mut [u8]) -> Result<(), CkptError> {
-    file.seek(SeekFrom::Start(offset))
-        .map_err(|e| CkptError::io(path, &e))?;
-    file.read_exact(buf).map_err(|e| CkptError::io(path, &e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::Encoding;
-    use crate::container::ContainerWriter;
+    use crate::container::{ContainerFile, HEADER_LEN};
     use crate::record::SimState;
     use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
@@ -307,11 +171,14 @@ mod tests {
     fn write_container(dir: &Path, chunk_len: usize) -> PathBuf {
         fs::create_dir_all(dir).unwrap();
         let path = dir.join("rank-0000.vck");
-        let mut w = ContainerWriter::with_chunk_len(0, 1, chunk_len);
-        for r in sample_records() {
-            w.put(&r, Encoding::ShuffleRle);
-        }
-        w.commit(&path).expect("commit");
+        ContainerFile::write(
+            &path,
+            (0, 1),
+            chunk_len,
+            &sample_records(),
+            Encoding::ShuffleRle,
+        )
+        .expect("commit");
         path
     }
 
@@ -328,7 +195,7 @@ mod tests {
         let mut rdr = RankFileReader::open(&path).expect("open");
         assert_eq!(rdr.record_count(), 3);
         // Read out of order; each record matches the batch decode.
-        let batch = crate::container::ContainerFile::read(&path).expect("batch");
+        let batch = ContainerFile::read(&path).expect("batch");
         for i in [2usize, 0, 1] {
             let r = rdr.read_record(i).expect("read");
             match (&r, &batch.records[i]) {
@@ -373,8 +240,8 @@ mod tests {
         let dir = scratch("peek");
         // Chunk length 16: the phase-space meta spans several chunks.
         let path = write_container(&dir, 16);
-        let mut rdr = RankFileReader::open(&path).expect("open");
-        match rdr.peek_meta(1).expect("peek") {
+        let rdr = RankFileReader::open(&path).expect("open");
+        match rdr.peek_meta(1) {
             RecordMeta::PhaseSpace {
                 sdims,
                 soffset,
@@ -390,7 +257,7 @@ mod tests {
             }
             other => panic!("wrong meta {other:?}"),
         }
-        match rdr.peek_meta(0).expect("peek sim-state") {
+        match rdr.peek_meta(0) {
             RecordMeta::Other { kind } => assert_eq!(kind, "sim-state"),
             other => panic!("wrong meta {other:?}"),
         }
@@ -402,12 +269,19 @@ mod tests {
         let dir = scratch("structure");
         let path = write_container(&dir, 32);
         let bytes = fs::read(&path).unwrap();
-        // Blow up a frame's chunk count so the scan walks out of bounds.
+        // Blow up the first head chunk's length so the scan walks out of
+        // bounds.
         let mut bad = bytes.clone();
-        bad[HEADER_LEN + 8] = 0xFF;
-        bad[HEADER_LEN + 9] = 0xFF;
+        bad[HEADER_LEN + 2] = 0xFF;
+        bad[HEADER_LEN + 3] = 0xFF;
         fs::write(&path, &bad).unwrap();
         assert!(RankFileReader::open(&path).is_err());
+        // A flipped bit inside a head chunk is caught by that chunk's CRC.
+        let mut bad = bytes.clone();
+        bad[HEADER_LEN + 8 + 3] ^= 1;
+        fs::write(&path, &bad).unwrap();
+        let err = RankFileReader::open(&path).unwrap_err().to_string();
+        assert!(err.contains("record head CRC mismatch"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

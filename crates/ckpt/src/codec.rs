@@ -13,7 +13,7 @@
 //! [`encode`] falls back to storing the shuffled-but-raw planes; the one-byte
 //! mode marker keeps decoding unambiguous.
 
-use crate::CkptError;
+use crate::{corrupt, CkptError};
 
 /// Payload encoding selector, stored per record in the container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +44,24 @@ impl Encoding {
             )),
         }
     }
+
+    /// Most raw bytes one encoded byte can decode to (an RLE run is two
+    /// bytes for up to [`MAX_RUN`]): what bounds a payload by its file size.
+    pub(crate) fn max_expansion(self) -> usize {
+        match self {
+            Encoding::Raw => 1,
+            Encoding::ShuffleRle => MAX_RUN / 2,
+        }
+    }
+}
+
+/// Longest stream [`encode`] can produce for `raw_len` payload bytes.
+pub(crate) fn max_encoded_len(enc: Encoding, raw_len: usize) -> usize {
+    match enc {
+        Encoding::Raw => raw_len,
+        // Mode byte, then plane bytes or at worst all-literal RLE.
+        Encoding::ShuffleRle => 2 + raw_len + raw_len / MAX_LITERAL,
+    }
 }
 
 /// Inner mode marker of a ShuffleRle stream: was the RLE stage applied?
@@ -58,26 +76,34 @@ pub fn encode(enc: Encoding, word: usize, data: &[u8]) -> Vec<u8> {
     match enc {
         Encoding::Raw => data.to_vec(),
         Encoding::ShuffleRle => {
-            assert!(word >= 1, "word size must be at least 1");
-            assert_eq!(
-                data.len() % word,
-                0,
-                "payload length {} is not a multiple of the word size {word}",
-                data.len()
-            );
-            let planes = shuffle(word, data);
-            let rle = rle_encode(&planes);
-            // Keep whichever is smaller; a one-byte marker disambiguates.
-            let mut out = Vec::with_capacity(1 + rle.len().min(planes.len()));
-            if rle.len() < planes.len() {
-                out.push(MODE_RLE);
-                out.extend_from_slice(&rle);
-            } else {
-                out.push(MODE_PLANES);
-                out.extend_from_slice(&planes);
-            }
+            let (mut planes, mut out) = (Vec::new(), Vec::new());
+            shuffle_rle_into(word, data, &mut planes, &mut out);
             out
         }
+    }
+}
+
+/// The `ShuffleRle` arm of [`encode`] into reused buffers: `out` receives the
+/// stream, `planes` is scratch. Neither grows past `data.len()` plus the RLE
+/// control bytes, so the container writer's footprint stays chunk-sized.
+pub(crate) fn shuffle_rle_into(word: usize, data: &[u8], planes: &mut Vec<u8>, out: &mut Vec<u8>) {
+    assert!(word >= 1, "word size must be at least 1");
+    assert_eq!(
+        data.len() % word,
+        0,
+        "payload length {} is not a multiple of the word size {word}",
+        data.len()
+    );
+    shuffle(word, data, planes);
+    out.clear();
+    out.reserve(max_encoded_len(Encoding::ShuffleRle, data.len()));
+    out.push(MODE_RLE);
+    rle_encode(planes, out);
+    // Keep whichever is smaller; the one-byte marker disambiguates.
+    if out.len() > planes.len() {
+        out.clear();
+        out.push(MODE_PLANES);
+        out.extend_from_slice(planes);
     }
 }
 
@@ -91,77 +117,101 @@ pub fn decode(
     match enc {
         Encoding::Raw => {
             if encoded.len() != raw_len {
-                return Err(CkptError::format(
+                return corrupt(
                     0,
-                    format!(
-                        "raw payload is {} bytes, header promised {raw_len}",
-                        encoded.len()
-                    ),
-                ));
+                    format!("raw payload is not the promised {raw_len} bytes"),
+                );
             }
             Ok(encoded.to_vec())
         }
         Encoding::ShuffleRle => {
-            if word == 0 || raw_len % word != 0 {
-                return Err(CkptError::format(
-                    0,
-                    format!("raw length {raw_len} is not a multiple of the word size {word}"),
-                ));
+            let (mut planes, mut out) = (Vec::new(), Vec::new());
+            unshuffle_rle_into(word, encoded, raw_len, &mut planes, &mut out)?;
+            Ok(out)
+        }
+    }
+}
+
+/// The `ShuffleRle` arm of [`decode`] into reused buffers (`out` receives
+/// the `raw_len` payload bytes, `planes` is scratch).
+pub(crate) fn unshuffle_rle_into(
+    word: usize,
+    encoded: &[u8],
+    raw_len: usize,
+    planes: &mut Vec<u8>,
+    out: &mut Vec<u8>,
+) -> Result<(), CkptError> {
+    if word == 0 || raw_len % word != 0 {
+        return corrupt(
+            0,
+            format!("raw length {raw_len} is not whole {word}-byte words"),
+        );
+    }
+    let Some((&mode, body)) = encoded.split_first() else {
+        return corrupt(0, "empty ShuffleRle stream");
+    };
+    let planes: &[u8] = match mode {
+        MODE_PLANES => {
+            if body.len() != raw_len {
+                return corrupt(
+                    1,
+                    format!("plane payload is not the promised {raw_len} bytes"),
+                );
             }
-            let Some((&mode, body)) = encoded.split_first() else {
-                return Err(CkptError::format(0, "empty ShuffleRle stream".to_string()));
-            };
-            let planes = match mode {
-                MODE_PLANES => {
-                    if body.len() != raw_len {
-                        return Err(CkptError::format(
-                            1,
-                            format!(
-                                "plane payload is {} bytes, header promised {raw_len}",
-                                body.len()
-                            ),
-                        ));
-                    }
-                    body.to_vec()
-                }
-                MODE_RLE => rle_decode(body, raw_len)?,
-                other => {
-                    return Err(CkptError::format(
-                        0,
-                        format!("unknown ShuffleRle mode byte {other}"),
-                    ))
-                }
-            };
-            Ok(unshuffle(word, &planes))
+            body
         }
+        MODE_RLE => {
+            rle_decode(body, raw_len, planes)?;
+            planes
+        }
+        other => return corrupt(0, format!("unknown ShuffleRle mode byte {other}")),
+    };
+    unshuffle(word, planes, out);
+    Ok(())
+}
+
+/// Transpose `data` into `word` byte planes: `out` holds every value's byte
+/// 0, then every value's byte 1, and so on. One pass: each value is read
+/// once and its bytes scattered to the planes.
+fn shuffle(word: usize, data: &[u8], out: &mut Vec<u8>) {
+    #[inline(always)]
+    fn scatter(word: usize, data: &[u8], out: &mut [u8]) {
+        let n = data.len() / word;
+        for (i, v) in data.chunks_exact(word).enumerate() {
+            for (plane, &b) in v.iter().enumerate() {
+                out[plane * n + i] = b;
+            }
+        }
+    }
+    out.clear();
+    out.resize(data.len(), 0);
+    // The two widths records use get a copy with the inner loop unrolled.
+    match word {
+        4 => scatter(4, data, out),
+        8 => scatter(8, data, out),
+        _ => scatter(word, data, out),
     }
 }
 
-/// Transpose `data` into `word` byte planes: output holds every value's byte
-/// 0, then every value's byte 1, and so on.
-fn shuffle(word: usize, data: &[u8]) -> Vec<u8> {
-    let n = data.len() / word;
-    let mut out = vec![0u8; data.len()];
-    for plane in 0..word {
-        let dst = &mut out[plane * n..(plane + 1) * n];
-        for (i, slot) in dst.iter_mut().enumerate() {
-            *slot = data[i * word + plane];
+/// Inverse of [`shuffle`]: each value is gathered from the planes and
+/// written once.
+fn unshuffle(word: usize, planes: &[u8], out: &mut Vec<u8>) {
+    #[inline(always)]
+    fn gather(word: usize, planes: &[u8], out: &mut [u8]) {
+        let n = planes.len() / word;
+        for (i, v) in out.chunks_exact_mut(word).enumerate() {
+            for (plane, b) in v.iter_mut().enumerate() {
+                *b = planes[plane * n + i];
+            }
         }
     }
-    out
-}
-
-/// Inverse of [`shuffle`].
-fn unshuffle(word: usize, planes: &[u8]) -> Vec<u8> {
-    let n = planes.len() / word;
-    let mut out = vec![0u8; planes.len()];
-    for plane in 0..word {
-        let src = &planes[plane * n..(plane + 1) * n];
-        for (i, &b) in src.iter().enumerate() {
-            out[i * word + plane] = b;
-        }
+    out.clear();
+    out.resize(planes.len(), 0);
+    match word {
+        4 => gather(4, planes, out),
+        8 => gather(8, planes, out),
+        _ => gather(word, planes, out),
     }
-    out
 }
 
 /// Longest run one control byte can express.
@@ -176,8 +226,7 @@ const MIN_RUN: usize = 3;
 /// (runs of 3..=130). Chosen over bit-level schemes for byte-aligned
 /// simplicity — after the plane shuffle the win comes from kilobyte-scale
 /// runs, not from squeezing the control overhead.
-fn rle_encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 4 + 16);
+fn rle_encode(data: &[u8], out: &mut Vec<u8>) {
     let mut i = 0;
     let mut literal_start = 0;
     while i < data.len() {
@@ -188,7 +237,7 @@ fn rle_encode(data: &[u8]) -> Vec<u8> {
             run += 1;
         }
         if run >= MIN_RUN {
-            flush_literals(&mut out, &data[literal_start..i]);
+            flush_literals(out, &data[literal_start..i]);
             out.push((run - MIN_RUN + 128) as u8);
             out.push(b);
             i += run;
@@ -197,8 +246,7 @@ fn rle_encode(data: &[u8]) -> Vec<u8> {
             i += run;
         }
     }
-    flush_literals(&mut out, &data[literal_start..]);
-    out
+    flush_literals(out, &data[literal_start..]);
 }
 
 fn flush_literals(out: &mut Vec<u8>, mut lit: &[u8]) {
@@ -212,8 +260,9 @@ fn flush_literals(out: &mut Vec<u8>, mut lit: &[u8]) {
 
 /// Inverse of [`rle_encode`]; validates that the stream reproduces exactly
 /// `raw_len` bytes and never reads past its end.
-fn rle_decode(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, CkptError> {
-    let mut out = Vec::with_capacity(raw_len);
+fn rle_decode(stream: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), CkptError> {
+    out.clear();
+    out.reserve(raw_len);
     let mut i = 0;
     while i < stream.len() {
         let c = stream[i] as usize;
@@ -221,41 +270,30 @@ fn rle_decode(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, CkptError> {
         if c < 128 {
             let n = c + 1;
             let Some(lit) = stream.get(i..i + n) else {
-                return Err(CkptError::format(
+                return corrupt(
                     i as u64,
-                    format!("RLE literal of {n} bytes runs past the stream end"),
-                ));
+                    format!("RLE literal of {n} bytes runs past the end"),
+                );
             };
             out.extend_from_slice(lit);
             i += n;
         } else {
             let n = c - 128 + MIN_RUN;
             let Some(&b) = stream.get(i) else {
-                return Err(CkptError::format(
-                    i as u64,
-                    "RLE run is missing its value byte".to_string(),
-                ));
+                return corrupt(i as u64, "RLE run is missing its value byte");
             };
             out.resize(out.len() + n, b);
             i += 1;
         }
         if out.len() > raw_len {
-            return Err(CkptError::format(
-                i as u64,
-                format!("RLE stream expands past the promised {raw_len} bytes"),
-            ));
+            return corrupt(i as u64, format!("RLE stream expands past {raw_len} bytes"));
         }
     }
     if out.len() != raw_len {
-        return Err(CkptError::format(
-            stream.len() as u64,
-            format!(
-                "RLE stream produced {} bytes, header promised {raw_len}",
-                out.len()
-            ),
-        ));
+        let detail = format!("RLE stream produced {} of {raw_len} bytes", out.len());
+        return corrupt(stream.len() as u64, detail);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -267,6 +305,41 @@ mod tests {
             let e = encode(enc, word, data);
             let d = decode(enc, word, &e, data.len()).expect("decode");
             assert_eq!(d, data, "enc {enc:?} word {word}");
+        }
+    }
+
+    /// The `word` strided passes the one-pass shuffle replaced.
+    fn shuffle_strided(word: usize, data: &[u8]) -> Vec<u8> {
+        let n = data.len() / word;
+        let mut out = vec![0u8; data.len()];
+        for plane in 0..word {
+            for i in 0..n {
+                out[plane * n + i] = data[i * word + plane];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_shuffle_matches_the_strided_passes() {
+        let ramp: Vec<u8> = (0..=255u8).cycle().take(1200).collect();
+        let nans: Vec<u8> = [0x7FA0_1234u32, 0xFFC0_0001, 0x0000_0001, 0x8000_0000]
+            .iter()
+            .flat_map(|b| b.to_le_bytes())
+            .collect();
+        let smooth: Vec<u8> = (0..300)
+            .map(|i| 1.0f32 + 1e-3 * (i as f32 * 0.01).sin())
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let (mut planes, mut back) = (vec![0xEE; 5], vec![0xEE; 5]);
+        for data in [&[][..], &ramp, &nans, &smooth] {
+            for word in [1, 3, 4, 8] {
+                let data = &data[..data.len() / word * word];
+                shuffle(word, data, &mut planes);
+                assert_eq!(planes, shuffle_strided(word, data), "word {word}");
+                unshuffle(word, &planes, &mut back);
+                assert_eq!(back, data, "word {word}");
+            }
         }
     }
 

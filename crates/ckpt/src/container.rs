@@ -4,146 +4,214 @@
 //!
 //! ```text
 //! header    magic "VLA6CKPT" | version u32 | rank u32 | n_ranks u32
-//!           | record_count u32 | chunk_len u64                    (32 bytes)
-//! records   for each record:
-//!             rec_len u64 | n_chunks u32
-//!             for each chunk: len u32 | crc32 u32 | data[len]
-//! trailer   magic "VCK1END\0" | crc32 u32 of every preceding byte
+//!           | crc32 u32 of the 20 bytes before it                 (24 bytes)
+//! records   for each record, chunks framed as  len u32 | crc32 u32 | data[len]:
+//!             one head chunk (kind, encoding, shape, raw_len, chunk_raw)
+//!             ceil(raw_len / chunk_raw) payload chunks, each encoded on its own
+//! trailer   magic "VCK2END\0" | record_count u32
+//!           | crc32 u32 of every preceding byte                   (16 bytes)
 //! ```
 //!
-//! Integrity is layered: the whole-file CRC in the trailer catches any
-//! corruption at all (including a truncated trailer — the magic goes
-//! missing), while the per-chunk CRCs localise the damage to a ~chunk-sized
-//! byte range so the error message can say *where*. Records are framed by
-//! [`crate::record::Record`]'s own self-describing encoding; the container
-//! only sees opaque record bytes.
+//! Nothing in the file describes bytes that follow it by a quantity known
+//! only after they were produced, so a container is written in one forward
+//! pass from chunk-sized buffers and read back the same way: a record's
+//! payload is serialised, encoded and checksummed one chunk at a time out of
+//! the simulation's storage, and decoded one chunk at a time into the
+//! destination record's. See [`crate::record`] for what the head chunk holds.
 //!
-//! Durability: [`ContainerWriter::commit`] writes `<path>.tmp`, fsyncs it,
-//! renames it over `<path>`, then fsyncs the parent directory. A crash at
+//! Integrity is layered, and each byte is checksummed **once**: a chunk's
+//! CRC covers its data and localises damage to a ~chunk-sized byte range so
+//! the error message can say *where*; the header carries its own CRC; the
+//! whole-file CRC in the trailer (and the one the manifest records, which
+//! also covers the trailer's last four bytes) is folded from the chunk CRCs
+//! with [`crate::crc::crc32_combine`] plus a direct pass over the few framing
+//! bytes between chunks — the value a sequential pass over the file yields.
+//! The reader validates in file order — header, then per record the head
+//! chunk (CRC, shape, `raw_len` against the shape and against what the rest
+//! of the file could expand to, all before the destination is allocated) and
+//! each payload chunk as it is decoded, then the trailer's magic, record
+//! count and whole-file CRC — and hands out no record before the last check.
+//!
+//! Durability: [`ContainerFile::write`] streams into `<path>.tmp`, fsyncs
+//! it, renames it over `<path>`, then fsyncs the parent directory. A crash at
 //! any point leaves either the old file, no file, or a `.tmp` that readers
 //! never look at — a committed container is never torn.
 
-use crate::codec::Encoding;
+use crate::access::ChunkEntry;
+use crate::codec::{self, Encoding};
 use crate::crc::{crc32, Crc32};
-use crate::record::Record;
-use crate::CkptError;
+use crate::record::{Head, Record, RecordRef, HEAD_MAX_LEN};
+use crate::{corrupt, CkptError};
+use rayon::prelude::*;
 use std::fs;
-use std::io::Write;
-use std::path::Path;
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use vlasov6d_obs::Stopwatch;
 
 /// First bytes of every container file.
 pub const MAGIC: [u8; 8] = *b"VLA6CKPT";
 /// Marks the start of the trailer.
-pub const TRAILER_MAGIC: [u8; 8] = *b"VCK1END\0";
+pub const TRAILER_MAGIC: [u8; 8] = *b"VCK2END\0";
 /// Container format version this build reads and writes.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Default chunk size: large enough to amortise the 8-byte chunk header,
-/// small enough to localise corruption reports.
+/// small enough to localise corruption reports and to bound the writer's
+/// and reader's buffers.
 pub const DEFAULT_CHUNK_LEN: usize = 4 << 20;
 
 /// Fixed container header length in bytes.
-pub const HEADER_LEN: usize = 32;
-const RECORD_COUNT_OFFSET: usize = 20;
+pub const HEADER_LEN: usize = 24;
+/// Fixed trailer length in bytes.
+pub const TRAILER_LEN: usize = 16;
 
-/// Builds a container in memory, then commits it to disk atomically.
-#[derive(Debug)]
-pub struct ContainerWriter {
-    buf: Vec<u8>,
-    chunk_len: usize,
-    record_count: u32,
-    raw_bytes: u64,
-    encoded_bytes: u64,
+/// What a finished container reports to the store.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Committed {
+    /// File size in bytes.
+    pub bytes: u64,
+    /// CRC-32 of the whole file, as the generation manifest records it.
+    pub crc: u32,
+    /// Payload bytes before encoding, over all records.
+    pub raw_bytes: u64,
+    /// Payload bytes after encoding, over all records.
+    pub encoded_bytes: u64,
+    /// Seconds spent serialising, encoding and checksumming records.
+    pub encode_secs: f64,
+    /// Seconds spent writing, fsyncing and renaming.
+    pub write_secs: f64,
 }
 
-impl ContainerWriter {
-    /// Start a container for `rank` of `n_ranks`.
-    pub fn new(rank: usize, n_ranks: usize) -> ContainerWriter {
-        Self::with_chunk_len(rank, n_ranks, DEFAULT_CHUNK_LEN)
-    }
+/// One in-flight chunk of a writer's window: serialised values and byte
+/// planes (`ShuffleRle` only), the bytes that go to the file, their CRC.
+#[derive(Default)]
+struct Slot {
+    raw: Vec<u8>,
+    planes: Vec<u8>,
+    out: Vec<u8>,
+    crc: u32,
+}
 
-    /// Start a container with an explicit chunk size (tests use small chunks
-    /// to exercise the multi-chunk paths).
-    pub fn with_chunk_len(rank: usize, n_ranks: usize, chunk_len: usize) -> ContainerWriter {
-        assert!(chunk_len >= 1, "chunk length must be positive");
-        let mut buf = Vec::with_capacity(HEADER_LEN);
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&(rank as u32).to_le_bytes());
-        buf.extend_from_slice(&(n_ranks as u32).to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes()); // record_count, patched in finish()
-        buf.extend_from_slice(&(chunk_len as u64).to_le_bytes());
-        debug_assert_eq!(buf.len(), HEADER_LEN);
-        ContainerWriter {
-            buf,
+/// Serialises records as chunk frames into any sink in one forward pass,
+/// keeping the running CRC and the accounting of everything written.
+pub(crate) struct FrameWriter<W> {
+    pub(crate) sink: W,
+    chunk_len: usize,
+    crc: Crc32,
+    /// `bytes` is the length so far, `crc` is filled in by the trailer.
+    pub(crate) done: Committed,
+    /// Reused chunk buffers of one window, a slot per pool thread.
+    slots: Vec<Slot>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    pub(crate) fn new(sink: W, chunk_len: usize) -> FrameWriter<W> {
+        assert!(
+            (1..=1 << 30).contains(&chunk_len),
+            "chunk length out of range"
+        );
+        FrameWriter {
+            sink,
             chunk_len,
-            record_count: 0,
-            raw_bytes: 0,
-            encoded_bytes: 0,
+            crc: Crc32::new(),
+            done: Committed::default(),
+            slots: Vec::new(),
         }
     }
 
-    /// Append `record`, encoding its payload with `enc`.
-    ///
-    /// Returns `(raw_len, enc_len)` of the payload for compression
-    /// accounting.
-    pub fn put(&mut self, record: &Record, enc: Encoding) -> (usize, usize) {
-        let encoded = record.encode(enc);
-        self.raw_bytes += encoded.raw_len as u64;
-        self.encoded_bytes += encoded.enc_len as u64;
-        self.buf
-            .extend_from_slice(&(encoded.bytes.len() as u64).to_le_bytes());
-        let n_chunks = encoded.bytes.len().div_ceil(self.chunk_len).max(1);
-        self.buf.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-        if encoded.bytes.is_empty() {
-            // A record is never empty (it has at least a header), but keep
-            // the zero-chunk-of-zero-bytes case well-formed anyway.
-            self.buf.extend_from_slice(&0u32.to_le_bytes());
-            self.buf.extend_from_slice(&crc32(&[]).to_le_bytes());
-        } else {
-            for chunk in encoded.bytes.chunks(self.chunk_len) {
-                self.buf
-                    .extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-                self.buf.extend_from_slice(&crc32(chunk).to_le_bytes());
-                self.buf.extend_from_slice(chunk);
+    /// Write framing bytes that belong to no chunk, checksumming them here.
+    fn plain(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.crc.update(bytes);
+        self.done.bytes += bytes.len() as u64;
+        self.sink.write_all(bytes)
+    }
+
+    /// Write one chunk whose data CRC the caller has already computed; the
+    /// file CRC takes the data in through that CRC, not a second pass.
+    fn chunk(&mut self, data: &[u8], crc: u32, watch: &mut Stopwatch) -> io::Result<()> {
+        let mut frame = [0u8; 8];
+        frame[..4].copy_from_slice(&(data.len() as u32).to_le_bytes());
+        frame[4..].copy_from_slice(&crc.to_le_bytes());
+        self.crc.update(&frame);
+        self.crc.append(crc, data.len() as u64);
+        self.done.bytes += (frame.len() + data.len()) as u64;
+        self.done.encode_secs += watch.elapsed_secs();
+        watch.restart();
+        self.sink.write_all(&frame)?;
+        self.sink.write_all(data)?;
+        self.done.write_secs += watch.elapsed_secs();
+        watch.restart();
+        Ok(())
+    }
+
+    /// Append one record.
+    pub(crate) fn record(&mut self, rec: RecordRef<'_>, enc: Encoding) -> io::Result<()> {
+        let mut watch = Stopwatch::start();
+        let word = rec.kind_word().1;
+        let small = rec.small_payload();
+        let raw_len = rec.raw_len(&small);
+        // Whole words per chunk, so every chunk encodes and decodes alone.
+        let chunk_raw = (self.chunk_len / word).max(1) * word;
+        let head = rec.head(enc, raw_len, chunk_raw);
+        self.chunk(&head, crc32(&head), &mut watch)?;
+
+        // A window of chunks is serialised, encoded and checksummed on the
+        // pool, then written in file order: the bytes do not depend on the
+        // thread count.
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.resize_with(rayon::current_num_threads(), Slot::default);
+        let offsets: Vec<usize> = (0..raw_len).step_by(chunk_raw).collect();
+        for window in offsets.chunks(slots.len()) {
+            let tasks = slots.par_iter_mut().zip(window.par_iter());
+            tasks.for_each(|(slot, &off)| {
+                let n = chunk_raw.min(raw_len - off);
+                if enc == Encoding::Raw {
+                    slot.out.resize(n, 0);
+                    rec.fill(&small, off, &mut slot.out);
+                } else {
+                    slot.raw.resize(n, 0);
+                    rec.fill(&small, off, &mut slot.raw);
+                    codec::shuffle_rle_into(word, &slot.raw, &mut slot.planes, &mut slot.out);
+                }
+                slot.crc = crc32(&slot.out);
+            });
+            for slot in &slots[..window.len()] {
+                self.done.encoded_bytes += slot.out.len() as u64;
+                self.chunk(&slot.out, slot.crc, &mut watch)?;
             }
         }
-        self.record_count += 1;
-        (encoded.raw_len, encoded.enc_len)
+        self.slots = slots;
+        self.done.raw_bytes += raw_len as u64;
+        Ok(())
     }
 
-    /// Total payload bytes before encoding, across all records so far.
-    pub fn raw_bytes(&self) -> u64 {
-        self.raw_bytes
-    }
-
-    /// Total payload bytes after encoding, across all records so far.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.encoded_bytes
-    }
-
-    /// Seal the container: patch the record count, append the trailer with
-    /// the whole-file CRC, and return the finished bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf[RECORD_COUNT_OFFSET..RECORD_COUNT_OFFSET + 4]
-            .copy_from_slice(&self.record_count.to_le_bytes());
-        self.buf.extend_from_slice(&TRAILER_MAGIC);
-        let mut c = Crc32::new();
-        c.update(&self.buf);
-        let crc = c.finish();
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf
-    }
-
-    /// Seal the container and commit it to `path` atomically
-    /// (temp → fsync → rename → fsync dir).
-    ///
-    /// Returns the committed file's size and whole-file CRC, which the
-    /// store records in the generation manifest.
-    pub fn commit(self, path: &Path) -> Result<(u64, u32), CkptError> {
-        let bytes = self.finish();
-        let crc = crc32(&bytes);
-        atomic_write(path, &bytes)?;
-        Ok((bytes.len() as u64, crc))
+    /// A whole container for `rank` of `n_ranks`: header, `records`, trailer
+    /// (magic, record count, CRC of every byte before it).
+    fn container<'a, R>(
+        &mut self,
+        rank: usize,
+        n_ranks: usize,
+        records: &'a [R],
+        enc: Encoding,
+    ) -> io::Result<Committed>
+    where
+        &'a R: Into<RecordRef<'a>>,
+    {
+        let mut header = [0u8; HEADER_LEN];
+        header[..8].copy_from_slice(&MAGIC);
+        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        header[12..16].copy_from_slice(&(rank as u32).to_le_bytes());
+        header[16..20].copy_from_slice(&(n_ranks as u32).to_le_bytes());
+        let crc = crc32(&header[..20]);
+        header[20..].copy_from_slice(&crc.to_le_bytes());
+        self.plain(&header)?;
+        for r in records {
+            self.record(r.into(), enc)?;
+        }
+        self.plain(&TRAILER_MAGIC)?;
+        self.plain(&(records.len() as u32).to_le_bytes())?;
+        self.plain(&self.crc.finish().to_le_bytes())?;
+        self.done.crc = self.crc.finish();
+        Ok(self.done)
     }
 }
 
@@ -153,9 +221,14 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> Result<(), CkptError> {
     let tmp = tmp_path(path);
     let mut f = fs::File::create(&tmp).map_err(|e| CkptError::io(&tmp, &e))?;
     f.write_all(data).map_err(|e| CkptError::io(&tmp, &e))?;
-    f.sync_all().map_err(|e| CkptError::io(&tmp, &e))?;
+    commit_tmp(f, &tmp, path)
+}
+
+/// Make the fully written temp file durable and rename it into place.
+fn commit_tmp(f: fs::File, tmp: &Path, path: &Path) -> Result<(), CkptError> {
+    f.sync_all().map_err(|e| CkptError::io(tmp, &e))?;
     drop(f);
-    fs::rename(&tmp, path).map_err(|e| CkptError::io(path, &e))?;
+    fs::rename(tmp, path).map_err(|e| CkptError::io(path, &e))?;
     if let Some(dir) = path.parent() {
         // Persist the rename itself; without this a crash can roll the
         // directory entry back even though the data blocks are safe.
@@ -166,10 +239,223 @@ pub fn atomic_write(path: &Path, data: &[u8]) -> Result<(), CkptError> {
     Ok(())
 }
 
-fn tmp_path(path: &Path) -> std::path::PathBuf {
+fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
+}
+
+/// Walks chunk frames front to back over any `Read`, verifying as it goes
+/// and decoding through reused chunk-sized buffers. One walker serves the
+/// validating batch read, [`Record::decode`] and (seeking past payloads) the
+/// random-access reader.
+#[derive(Debug)]
+pub(crate) struct FrameWalker<R> {
+    src: R,
+    /// Offset of the next unread byte.
+    pub(crate) pos: u64,
+    /// End of the record area (where the trailer starts, if there is one).
+    limit: u64,
+    /// Total length of the source.
+    end: u64,
+    /// Running CRC of every byte read; meaningless once a payload was skipped.
+    crc: Crc32,
+    skipped: bool,
+    /// The current chunk's data, then decode scratch (planes, raw values).
+    buf: Vec<u8>,
+    scratch: [Vec<u8>; 2],
+}
+
+impl<R: Read> FrameWalker<R> {
+    /// Walk `end` bytes of `src`, the last `trailer` of them a trailer (none
+    /// for a bare record frame).
+    pub(crate) fn new(src: R, end: u64, trailer: u64) -> Self {
+        FrameWalker {
+            src,
+            pos: 0,
+            limit: end - trailer,
+            end,
+            crc: Crc32::new(),
+            skipped: false,
+            buf: Vec::new(),
+            scratch: Default::default(),
+        }
+    }
+
+    /// Start on a container of `len` bytes: validates the header and
+    /// returns the walker with the header's `(rank, n_ranks)`.
+    pub(crate) fn container(src: R, len: u64) -> Result<(Self, u32, u32), CkptError> {
+        if len < (HEADER_LEN + TRAILER_LEN) as u64 {
+            return corrupt(len, format!("container is {len} bytes (truncated?)"));
+        }
+        let mut w = Self::new(src, len, TRAILER_LEN as u64);
+        let header: [u8; HEADER_LEN] = w.plain("container header")?;
+        let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
+        if header[..8] != MAGIC {
+            return corrupt(0, "bad container magic");
+        }
+        if word(8) != VERSION {
+            let detail = format!("container version {}, this build reads {VERSION}", word(8));
+            return corrupt(8, detail);
+        }
+        if word(20) != crc32(&header[..20]) {
+            return corrupt(20, "container header CRC mismatch");
+        }
+        Ok((w, word(12), word(16)))
+    }
+
+    /// Read `N` framing bytes.
+    fn plain<const N: usize>(&mut self, what: &str) -> Result<[u8; N], CkptError> {
+        if self.pos + N as u64 > self.end {
+            return corrupt(self.pos, format!("truncated while reading {what}"));
+        }
+        let mut bytes = [0u8; N];
+        self.read(&mut bytes, what)?;
+        self.crc.update(&bytes);
+        Ok(bytes)
+    }
+
+    fn read(&mut self, bytes: &mut [u8], what: &str) -> Result<(), CkptError> {
+        let read = self.src.read_exact(bytes);
+        read.map_err(|e| CkptError::format(self.pos, format!("reading {what} failed: {e}")))?;
+        self.pos += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// A chunk frame's `(data length, stored CRC)`, bounds-checked.
+    fn frame(&mut self, max_len: usize, what: &str) -> Result<(usize, u32), CkptError> {
+        let frame: [u8; 8] = self.plain(what)?;
+        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(frame[4..].try_into().expect("4 bytes"));
+        if len > max_len || self.pos + len as u64 > self.limit {
+            let detail = format!("{what} of {len} bytes: its record allows {max_len}, or it runs past the record area");
+            return corrupt(self.pos - 8, detail);
+        }
+        Ok((len, crc))
+    }
+
+    /// Read one chunk into `self.buf` and verify its CRC — the only pass
+    /// over its bytes; the file CRC takes them in through the chunk's.
+    fn chunk(&mut self, max_len: usize, what: &str) -> Result<(), CkptError> {
+        let (len, stored) = self.frame(max_len, what)?;
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.resize(len, 0);
+        let read = self.read(&mut buf, what);
+        self.buf = buf;
+        read?;
+        let actual = crc32(&self.buf);
+        if actual != stored {
+            let detail =
+                format!("{what} CRC mismatch: stored {stored:#010x}, computed {actual:#010x}");
+            return corrupt(self.pos - len as u64, detail);
+        }
+        self.crc.append(actual, len as u64);
+        Ok(())
+    }
+
+    /// Has the walk reached the end of the record area?
+    pub(crate) fn at_trailer(&self) -> bool {
+        self.pos >= self.limit
+    }
+
+    /// Read and check the next record's head chunk. Nothing has been
+    /// allocated for the record when this returns an error: the head's
+    /// `raw_len` must fit both its shape and the bytes the file has left.
+    pub(crate) fn head(&mut self) -> Result<Head, CkptError> {
+        let at = self.pos;
+        self.chunk(HEAD_MAX_LEN, "record head")?;
+        let head = Head::parse(&self.buf).map_err(|e| e.at_base(at + 8))?;
+        let left = self.limit - self.pos;
+        if head.raw_len as u128 > u128::from(left) * head.enc.max_expansion() as u128 {
+            let detail = format!(
+                "a {}-byte payload cannot come from {left} bytes",
+                head.raw_len
+            );
+            return corrupt(at, detail);
+        }
+        Ok(head)
+    }
+
+    /// Decode the payload chunks that follow `head` into a fresh record.
+    pub(crate) fn payload(&mut self, head: &Head) -> Result<Record, CkptError> {
+        let start = self.pos;
+        let mut dest = head.destination();
+        for off in (0..head.raw_len).step_by(head.chunk_raw) {
+            let n = head.chunk_raw.min(head.raw_len - off);
+            let at = self.pos + 8;
+            self.chunk(codec::max_encoded_len(head.enc, n), "payload chunk")?;
+            let raw = match head.enc {
+                Encoding::Raw if self.buf.len() == n => &self.buf,
+                Encoding::Raw => return corrupt(at, format!("raw chunk is not {n} bytes")),
+                Encoding::ShuffleRle => {
+                    let [planes, raw] = &mut self.scratch;
+                    let decoded = codec::unshuffle_rle_into(head.word, &self.buf, n, planes, raw);
+                    decoded.map_err(|e| e.at_base(at))?;
+                    &*raw
+                }
+            };
+            dest.absorb(off, raw);
+        }
+        dest.finish().map_err(|e| e.at_base(start))
+    }
+
+    /// Read and verify the trailer after `n_records` records; returns the
+    /// CRC-32 of the whole file.
+    pub(crate) fn trailer(&mut self, n_records: u32) -> Result<u32, CkptError> {
+        let at = self.pos;
+        let magic: [u8; 8] = self.plain("trailer magic")?;
+        if magic != TRAILER_MAGIC {
+            return corrupt(at, "trailer magic missing (file truncated or overwritten)");
+        }
+        let count = u32::from_le_bytes(self.plain("record count")?);
+        if count != n_records {
+            let detail = format!("trailer counts {count} records, the file holds {n_records}");
+            return corrupt(at + 8, detail);
+        }
+        let computed = self.crc.finish();
+        let stored = u32::from_le_bytes(self.plain("whole-file CRC")?);
+        if !self.skipped && stored != computed {
+            let detail = format!(
+                "whole-file CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            );
+            return corrupt(at + 12, detail);
+        }
+        self.end("the trailer")?;
+        Ok(self.crc.finish())
+    }
+
+    /// Fail unless every byte of the source has been consumed.
+    pub(crate) fn end(&self, after: &str) -> Result<(), CkptError> {
+        if self.pos == self.end {
+            return Ok(());
+        }
+        let detail = format!("{} trailing bytes after {after}", self.end - self.pos);
+        corrupt(self.pos, detail)
+    }
+}
+
+impl<R: Read + Seek> FrameWalker<R> {
+    /// Continue the walk at `pos`.
+    pub(crate) fn seek(&mut self, pos: u64) -> Result<(), CkptError> {
+        let sought = self.src.seek(SeekFrom::Start(pos));
+        sought.map_err(|e| CkptError::format(pos, format!("seek failed: {e}")))?;
+        self.pos = pos;
+        Ok(())
+    }
+
+    /// Index the payload chunks that follow `head`, seeking over their data.
+    pub(crate) fn skip_payload(&mut self, head: &Head) -> Result<Vec<ChunkEntry>, CkptError> {
+        self.skipped = true;
+        let mut chunks = Vec::new();
+        for off in (0..head.raw_len).step_by(head.chunk_raw) {
+            let n = head.chunk_raw.min(head.raw_len - off);
+            let (len, crc) = self.frame(codec::max_encoded_len(head.enc, n), "payload chunk")?;
+            let (offset, len) = (self.pos, len as u32);
+            chunks.push(ChunkEntry { offset, len, crc });
+            self.seek(offset + u64::from(len))?;
+        }
+        Ok(chunks)
+    }
 }
 
 /// A fully validated, decoded container.
@@ -181,150 +467,79 @@ pub struct ContainerFile {
     pub n_ranks: u32,
     /// Decoded records in write order.
     pub records: Vec<Record>,
+    /// CRC-32 of the whole file (what the generation manifest records),
+    /// folded from the chunk CRCs during the one validating pass.
+    pub crc: u32,
 }
 
 impl ContainerFile {
-    /// Read and validate `path`: whole-file CRC, then structure, then every
-    /// chunk CRC, then record decoding. Any failure reports the file and a
-    /// byte offset.
+    /// Stream `records` into `<path>.tmp` in one forward pass from
+    /// chunk-sized buffers, then commit it to `path` atomically (fsync →
+    /// rename → fsync dir). The report's size and whole-file CRC are what the
+    /// store records in the generation manifest.
+    pub fn write<'a, R>(
+        path: &Path,
+        (rank, n_ranks): (usize, usize),
+        chunk_len: usize,
+        records: &'a [R],
+        enc: Encoding,
+    ) -> Result<Committed, CkptError>
+    where
+        &'a R: Into<RecordRef<'a>>,
+    {
+        let tmp = tmp_path(path);
+        let io = |e: io::Error| CkptError::io(&tmp, &e);
+        let mut w = FrameWriter::new(fs::File::create(&tmp).map_err(io)?, chunk_len);
+        let mut done = w.container(rank, n_ranks, records, enc).map_err(io)?;
+        let watch = Stopwatch::start();
+        commit_tmp(w.sink, &tmp, path)?;
+        done.write_secs += watch.elapsed_secs();
+        Ok(done)
+    }
+
+    /// The container [`ContainerFile::write`] would commit, as an in-memory
+    /// image (tests, tooling).
+    pub fn image(
+        (rank, n_ranks): (usize, usize),
+        chunk_len: usize,
+        records: &[Record],
+        enc: Encoding,
+    ) -> Vec<u8> {
+        let mut w = FrameWriter::new(Vec::new(), chunk_len);
+        let written = w.container(rank, n_ranks, records, enc);
+        written.expect("writing to a Vec cannot fail");
+        w.sink
+    }
+
+    /// Read and validate `path` in one streaming pass (see the module docs
+    /// for the order of checks). Any failure reports the file and a byte
+    /// offset.
     pub fn read(path: &Path) -> Result<ContainerFile, CkptError> {
-        let bytes = fs::read(path).map_err(|e| CkptError::io(path, &e))?;
-        Self::parse(&bytes).map_err(|e| e.in_file(path))
+        let file = fs::File::open(path).map_err(|e| CkptError::io(path, &e))?;
+        let len = file.metadata().map_err(|e| CkptError::io(path, &e))?.len();
+        Self::walk(file, len).map_err(|e| e.in_file(path))
     }
 
     /// Validate and decode an in-memory container image.
     pub fn parse(bytes: &[u8]) -> Result<ContainerFile, CkptError> {
-        // Trailer first: whole-file CRC vouches for everything else.
-        let min_len = HEADER_LEN + TRAILER_MAGIC.len() + 4;
-        if bytes.len() < min_len {
-            return Err(CkptError::format(
-                bytes.len() as u64,
-                format!(
-                    "container is {} bytes, smaller than the {min_len}-byte minimum (truncated?)",
-                    bytes.len()
-                ),
-            ));
-        }
-        let body_len = bytes.len() - 4;
-        let stored_crc = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-        let actual_crc = crc32(&bytes[..body_len]);
-        if stored_crc != actual_crc {
-            return Err(CkptError::format(
-                body_len as u64,
-                format!(
-                    "whole-file CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-                ),
-            ));
-        }
-        let trailer_off = body_len - TRAILER_MAGIC.len();
-        if bytes[trailer_off..body_len] != TRAILER_MAGIC {
-            return Err(CkptError::format(
-                trailer_off as u64,
-                "trailer magic missing (file truncated or overwritten)".to_string(),
-            ));
-        }
+        Self::walk(bytes, bytes.len() as u64)
+    }
 
-        // Header.
-        if bytes[..8] != MAGIC {
-            return Err(CkptError::format(0, "bad container magic".to_string()));
+    fn walk<R: Read>(src: R, len: u64) -> Result<ContainerFile, CkptError> {
+        let (mut w, rank, n_ranks) = FrameWalker::container(src, len)?;
+        let mut records = Vec::new();
+        while !w.at_trailer() {
+            let head = w.head()?;
+            records.push(w.payload(&head)?);
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(CkptError::format(
-                8,
-                format!("container version {version}, this build reads {VERSION}"),
-            ));
-        }
-        let rank = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        let n_ranks = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-        let record_count = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")) as usize;
-
-        // Record frames.
-        let mut pos = HEADER_LEN;
-        let mut records = Vec::with_capacity(record_count.min(1024));
-        for rec_idx in 0..record_count {
-            let rec_len = read_u64(bytes, &mut pos, trailer_off, "record length")? as usize;
-            let n_chunks = read_u32(bytes, &mut pos, trailer_off, "chunk count")? as usize;
-            let mut rec = Vec::with_capacity(rec_len.min(trailer_off));
-            let rec_data_start = pos as u64;
-            for chunk_idx in 0..n_chunks {
-                let chunk_len = read_u32(bytes, &mut pos, trailer_off, "chunk length")? as usize;
-                let stored = read_u32(bytes, &mut pos, trailer_off, "chunk CRC")?;
-                if pos + chunk_len > trailer_off {
-                    return Err(CkptError::format(
-                        pos as u64,
-                        format!(
-                            "chunk {chunk_idx} of record {rec_idx} ({chunk_len} bytes) runs past the record area"
-                        ),
-                    ));
-                }
-                let data = &bytes[pos..pos + chunk_len];
-                let actual = crc32(data);
-                if stored != actual {
-                    return Err(CkptError::format(
-                        pos as u64,
-                        format!(
-                            "chunk {chunk_idx} of record {rec_idx} CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                        ),
-                    ));
-                }
-                rec.extend_from_slice(data);
-                pos += chunk_len;
-            }
-            if rec.len() != rec_len {
-                return Err(CkptError::format(
-                    rec_data_start,
-                    format!(
-                        "record {rec_idx} chunks reassemble to {} bytes, frame promised {rec_len}",
-                        rec.len()
-                    ),
-                ));
-            }
-            // Record-decode offsets are relative to the record's own bytes;
-            // rebase them to the file position of its first chunk so the
-            // message still points near the damage.
-            let record = Record::decode(&rec).map_err(|e| e.at_base(rec_data_start))?;
-            records.push(record);
-        }
-        if pos != trailer_off {
-            return Err(CkptError::format(
-                pos as u64,
-                format!(
-                    "{} unaccounted bytes between the last record and the trailer",
-                    trailer_off - pos
-                ),
-            ));
-        }
+        let crc = w.trailer(records.len() as u32)?;
         Ok(ContainerFile {
             rank,
             n_ranks,
             records,
+            crc,
         })
     }
-}
-
-fn read_u32(bytes: &[u8], pos: &mut usize, limit: usize, what: &str) -> Result<u32, CkptError> {
-    if *pos + 4 > limit {
-        return Err(CkptError::format(
-            *pos as u64,
-            format!("truncated while reading {what}"),
-        ));
-    }
-    let v = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes"));
-    *pos += 4;
-    Ok(v)
-}
-
-fn read_u64(bytes: &[u8], pos: &mut usize, limit: usize, what: &str) -> Result<u64, CkptError> {
-    if *pos + 8 > limit {
-        return Err(CkptError::format(
-            *pos as u64,
-            format!("truncated while reading {what}"),
-        ));
-    }
-    let v = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().expect("8 bytes"));
-    *pos += 8;
-    Ok(v)
 }
 
 #[cfg(test)]
@@ -357,11 +572,7 @@ mod tests {
     }
 
     fn build(chunk_len: usize) -> Vec<u8> {
-        let mut w = ContainerWriter::with_chunk_len(1, 2, chunk_len);
-        for r in sample_records() {
-            w.put(&r, Encoding::ShuffleRle);
-        }
-        w.finish()
+        ContainerFile::image((1, 2), chunk_len, &sample_records(), Encoding::ShuffleRle)
     }
 
     #[test]
@@ -379,6 +590,80 @@ mod tests {
                 _ => panic!("kind mismatch"),
             }
         }
+    }
+
+    /// A record set whose phase-space payload (3 KiB) spans many chunks at
+    /// the small chunk lengths and whose particles straddle pos/vel.
+    fn multi_chunk_records() -> Vec<Record> {
+        let mut ps = PhaseSpace::zeros([3, 2, 2], VelocityGrid::cubic(4, 1.0));
+        for (i, v) in ps.as_mut_slice().iter_mut().enumerate() {
+            *v = (i as f32 * 0.37).sin();
+        }
+        let mut particles = vlasov6d_nbody::ParticleSet::new(0.5);
+        for i in 0..5 {
+            particles.pos.push([i as f64, 0.5, -1.0 / (i + 1) as f64]);
+            particles
+                .vel
+                .push([1e-3 * i as f64, f64::MIN_POSITIVE, -0.0]);
+        }
+        let mut records = sample_records();
+        records[0] = Record::PhaseSpace(ps);
+        records.push(Record::Particles(particles));
+        records
+    }
+
+    #[test]
+    fn streamed_file_equals_the_in_memory_image_at_any_thread_count() {
+        let dir = std::env::temp_dir().join(format!("vck-test-stream-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("rank-0000.vck");
+        let records = multi_chunk_records();
+        for enc in [Encoding::Raw, Encoding::ShuffleRle] {
+            for chunk_len in [1, 7, 4096, DEFAULT_CHUNK_LEN] {
+                let image = ContainerFile::image((0, 1), chunk_len, &records, enc);
+                for threads in 1..=3 {
+                    let report = rayon::with_num_threads(threads, || {
+                        ContainerFile::write(&path, (0, 1), chunk_len, &records, enc).unwrap()
+                    });
+                    let what = format!("{enc:?}, chunk {chunk_len}, {threads} threads");
+                    assert!(fs::read(&path).unwrap() == image, "bytes differ: {what}");
+                    assert_eq!(report.bytes, image.len() as u64, "{what}");
+                    assert_eq!(report.crc, crc32(&image), "folded CRC: {what}");
+                }
+                let back = ContainerFile::parse(&image).expect("parse");
+                assert_eq!(back.crc, crc32(&image));
+                assert_eq!(back.records.len(), records.len());
+                for (a, b) in back.records.iter().zip(&records) {
+                    assert_eq!(a.encode(Encoding::Raw).bytes, b.encode(Encoding::Raw).bytes);
+                }
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn miri_smoke_stream_roundtrip() {
+        // Three records, the first spanning several 64-byte chunks, through
+        // the streaming writer and the walker, both encodings.
+        for enc in [Encoding::Raw, Encoding::ShuffleRle] {
+            let image = ContainerFile::image((0, 1), 64, &sample_records(), enc);
+            let c = ContainerFile::parse(&image).expect("parse");
+            assert_eq!(c.records.len(), 3);
+            assert_eq!(c.crc, crc32(&image));
+            assert!(ContainerFile::parse(&image[..image.len() - 1]).is_err());
+        }
+    }
+
+    #[test]
+    fn older_format_versions_are_rejected_by_version() {
+        let mut bytes = build(64);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let msg = ContainerFile::parse(&bytes).unwrap_err().to_string();
+        assert!(
+            msg.contains("container version 1, this build reads 2"),
+            "{msg}"
+        );
+        assert!(msg.contains("offset 8"), "{msg}");
     }
 
     #[test]
@@ -411,11 +696,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vck-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rank-0001.vck");
-        let mut w = ContainerWriter::with_chunk_len(1, 2, 64);
-        for r in sample_records() {
-            w.put(&r, Encoding::Raw);
-        }
-        let (bytes, crc) = w.commit(&path).expect("commit");
+        let Committed { bytes, crc, .. } =
+            ContainerFile::write(&path, (1, 2), 64, &sample_records(), Encoding::Raw)
+                .expect("commit");
         let on_disk = fs::read(&path).unwrap();
         assert_eq!(on_disk.len() as u64, bytes);
         assert_eq!(crc32(&on_disk), crc);

@@ -7,17 +7,22 @@
 //! either prevented (atomic commit) or detected (checksums) — never silently
 //! loaded back into the distribution function:
 //!
-//! * [`crc`] — CRC-32 (IEEE) over every chunk and every file.
-//! * [`codec`] — optional lossless byte-plane-shuffle + RLE compression for
-//!   floating-point payloads ([`codec::Encoding`]).
+//! * [`crc`] — CRC-32 (IEEE), slice-by-8; every byte is checksummed once, in
+//!   its chunk, and file CRCs are folded from chunk CRCs (`crc32_combine`).
+//! * [`codec`] — optional lossless byte-plane-shuffle + RLE compression,
+//!   applied per chunk of a payload ([`codec::Encoding`]).
 //! * [`record`] — typed records: [`record::Record::PhaseSpace`] (the 6-D
 //!   distribution function), [`record::Record::Particles`],
 //!   [`record::Record::FieldMesh`], [`record::Record::SimState`] (step / RNG
 //!   / stepper state for bitwise-deterministic resume) and
-//!   [`record::Record::RunReport`] (obs JSONL step events).
+//!   [`record::Record::RunReport`] (obs JSONL step events); each is a small
+//!   self-checking head chunk plus payload chunks, written from a borrowed
+//!   [`record::RecordRef`] and decoded straight into the record's storage.
 //! * [`container`] — the chunked per-rank container file (`rank-NNNN.vck`):
-//!   CRC-32 per chunk plus a whole-file CRC trailer, written temp → fsync →
-//!   rename so a crash can tear a *temporary* file but never a committed one.
+//!   one forward streaming pass with chunk-sized buffers in either
+//!   direction, CRC-32 per chunk plus a whole-file CRC trailer, written temp
+//!   → fsync → rename so a crash can tear a *temporary* file but never a
+//!   committed one.
 //! * [`manifest`] — the rank-0 manifest that commits a generation: it lists
 //!   every rank file with its size and checksum and is itself written
 //!   atomically *after* all rank files, making the commit two-phase.
@@ -33,8 +38,8 @@
 //! # Commit protocol
 //!
 //! ```text
-//! every rank:  encode records → write gen-G/rank-RRRR.vck.tmp → fsync
-//!              → rename to rank-RRRR.vck            (phase 1: data durable)
+//! every rank:  stream records, chunk by chunk, into gen-G/rank-RRRR.vck.tmp
+//!              → fsync → rename to rank-RRRR.vck    (phase 1: data durable)
 //! every rank:  gather (bytes, crc32) to rank 0
 //! rank 0:      write gen-G/MANIFEST.vckm.tmp → fsync → rename
 //!                                                    (phase 2: commit point)
@@ -61,10 +66,10 @@ pub mod store;
 
 pub use access::{ChunkEntry, RankFileReader, RecordEntry};
 pub use codec::Encoding;
-pub use container::{ContainerFile, ContainerWriter};
+pub use container::{Committed, ContainerFile};
 pub use manifest::Manifest;
 pub use policy::CheckpointPolicy;
-pub use record::{Record, RecordMeta, SimState};
+pub use record::{Record, RecordMeta, RecordRef, SimState};
 pub use store::{CheckpointStore, CkptStats, LoadedCheckpoint};
 
 use std::fmt;
@@ -154,6 +159,11 @@ impl CkptError {
             other => other,
         }
     }
+}
+
+/// `Err` of [`CkptError::format`], for validation sites that bail out.
+pub(crate) fn corrupt<T>(offset: u64, detail: impl Into<String>) -> Result<T, CkptError> {
+    Err(CkptError::format(offset, detail))
 }
 
 impl fmt::Display for CkptError {

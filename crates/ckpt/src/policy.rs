@@ -15,28 +15,26 @@ pub struct CheckpointPolicy {
     /// Number of generations to retain (at least 1 when enabled; keeping 2
     /// is the default so a corrupted newest generation still has a fallback).
     pub keep: usize,
-    /// Payload encoding for all records.
+    /// Payload encoding for all records. The constructors choose
+    /// [`Encoding::Raw`]: on this code's states `ShuffleRle` buys a ratio of
+    /// 1.03 (hybrid) to 1.0000006 (distributed) for a third of the write
+    /// time, where a codec is asked to earn ≥ 1.3×.
     pub encoding: Encoding,
 }
 
 impl CheckpointPolicy {
-    /// Checkpoint every `every_steps` steps, keeping two generations, with
-    /// compression on.
+    /// Checkpoint every `every_steps` steps, keeping two generations.
     pub fn every(every_steps: u64) -> CheckpointPolicy {
         CheckpointPolicy {
             every_steps,
             keep: 2,
-            encoding: Encoding::ShuffleRle,
+            encoding: Encoding::Raw,
         }
     }
 
     /// A policy that never fires (the driver default).
     pub fn disabled() -> CheckpointPolicy {
-        CheckpointPolicy {
-            every_steps: 0,
-            keep: 2,
-            encoding: Encoding::ShuffleRle,
-        }
+        CheckpointPolicy::every(0)
     }
 
     /// Is checkpointing enabled at all?

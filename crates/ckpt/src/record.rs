@@ -2,28 +2,38 @@
 //!
 //! A [`Record`] is one logical piece of simulation state — the local
 //! distribution-function block, the N-body particle set, a field mesh, the
-//! stepper's scalar state, or the obs run report. Each record self-describes
-//! on the wire:
+//! stepper's scalar state, or the obs run report. On the wire a record is a
+//! small *head* chunk followed by payload chunks (chunk framing and CRCs are
+//! the container's, see [`crate::container`]):
 //!
 //! ```text
-//! kind: u8      (which Record variant)
-//! enc:  u8      (codec::Encoding of the payload)
-//! meta          (kind-specific shape data, fixed-width little-endian)
-//! raw_len: u64  (payload size before encoding)
-//! enc_len: u64  (payload size after encoding)
-//! payload       (enc_len bytes)
+//! head     kind: u8        (which Record variant)
+//!          enc:  u8        (codec::Encoding of the payload chunks)
+//!          meta            (kind-specific shape data, fixed-width little-endian)
+//!          raw_len: u64    (payload size before encoding)
+//!          chunk_raw: u64  (raw bytes each payload chunk but the last decodes to)
+//! payload  ceil(raw_len / chunk_raw) chunks, each `chunk_raw` raw bytes
+//!          (the last one the remainder) encoded on its own
 //! ```
 //!
-//! All floating-point values travel as raw IEEE-754 bit patterns
-//! (`to_le_bytes`/`from_bits`), so round-trips are bitwise exact — including
-//! NaN payloads — which is what the resume-determinism guarantee rests on.
+//! Everything the head states is known before the first payload byte is
+//! produced, so a writer never seeks back, and a reader can check the shape
+//! against `raw_len` — and `raw_len` against the bytes the file still holds
+//! — before it allocates the destination. A [`RecordRef`] borrows the
+//! simulation's own storage: the writer serialises one chunk of values at a
+//! time out of it, and the reader decodes one chunk at a time into the
+//! destination record's storage; no stage holds a second record-sized
+//! buffer.
 //!
-//! [`Record::decode`] is strict: it tracks its byte offset, reports it in
-//! every error, and rejects trailing bytes rather than silently ignoring
-//! them (a truncated-or-padded record is corruption, not slack).
+//! All floating-point values travel as raw IEEE-754 bit patterns
+//! (`to_le_bytes`/`from_le_bytes`), so round-trips are bitwise exact —
+//! including NaN payloads — which is what the resume-determinism guarantee
+//! rests on. Decoding is strict: every error carries its byte offset, and
+//! trailing bytes are corruption, not slack.
 
-use crate::codec::{self, Encoding};
-use crate::CkptError;
+use crate::codec::Encoding;
+use crate::container::{FrameWalker, FrameWriter, DEFAULT_CHUNK_LEN};
+use crate::{corrupt, CkptError};
 use vlasov6d_mesh::Field3;
 use vlasov6d_nbody::ParticleSet;
 use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
@@ -38,6 +48,11 @@ const KIND_RUN_REPORT: u8 = 5;
 /// Longest accepted field-mesh name; anything bigger is treated as a
 /// corrupted length prefix, not a real name.
 const MAX_NAME_LEN: usize = 4096;
+
+/// Upper bound on the head chunk of any record kind. (Phase-space meta is
+/// the largest fixed head at 2 + 13·8 bytes; field-mesh names can stretch to
+/// [`MAX_NAME_LEN`], which dominates.)
+pub(crate) const HEAD_MAX_LEN: usize = 2 + 4 + MAX_NAME_LEN + 3 * 8 + 2 * 8;
 
 /// Scalar stepper state needed for a bitwise-deterministic resume.
 ///
@@ -89,11 +104,60 @@ pub enum Record {
     },
 }
 
+/// A borrowed view of a record: what the container writer serialises from,
+/// so a checkpoint is written out of the simulation's own storage.
+#[derive(Debug, Clone, Copy)]
+pub enum RecordRef<'a> {
+    /// See [`Record::PhaseSpace`].
+    PhaseSpace(&'a PhaseSpace),
+    /// See [`Record::Particles`].
+    Particles(&'a ParticleSet),
+    /// See [`Record::FieldMesh`]; `data` is the mesh in `dims` row-major
+    /// order, so any `f64` storage of that shape can be written as a mesh.
+    FieldMesh {
+        /// Mesh identifier, unique within a container.
+        name: &'a str,
+        /// Mesh dimensions (`data.len()` is their product).
+        dims: [usize; 3],
+        /// The field payload.
+        data: &'a [f64],
+    },
+    /// See [`Record::SimState`].
+    SimState(&'a SimState),
+    /// See [`Record::RunReport`].
+    RunReport {
+        /// One JSON document per line, in step order.
+        lines: &'a [String],
+    },
+}
+
+impl<'a> From<&'a Record> for RecordRef<'a> {
+    fn from(r: &'a Record) -> Self {
+        match r {
+            Record::PhaseSpace(ps) => RecordRef::PhaseSpace(ps),
+            Record::Particles(p) => RecordRef::Particles(p),
+            Record::FieldMesh { name, field } => RecordRef::FieldMesh {
+                name,
+                dims: field.dims(),
+                data: field.as_slice(),
+            },
+            Record::SimState(s) => RecordRef::SimState(s),
+            Record::RunReport { lines } => RecordRef::RunReport { lines },
+        }
+    }
+}
+
+impl<'a, 'b: 'a> From<&'a RecordRef<'b>> for RecordRef<'a> {
+    fn from(r: &'a RecordRef<'b>) -> Self {
+        *r
+    }
+}
+
 /// A record after payload encoding, with the sizes the writer needs for
 /// compression accounting.
 #[derive(Debug, Clone)]
 pub struct EncodedRecord {
-    /// The full wire frame (header + meta + encoded payload).
+    /// The full wire frame (head chunk + payload chunks).
     pub bytes: Vec<u8>,
     /// Payload size before encoding.
     pub raw_len: usize,
@@ -101,9 +165,9 @@ pub struct EncodedRecord {
     pub enc_len: usize,
 }
 
-/// The shape information a record's wire header carries, parsed without
+/// The shape information a record's head chunk carries, available without
 /// decoding the payload. The query service uses this to learn each rank
-/// file's spatial extent from a few leading chunks.
+/// file's spatial extent.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordMeta {
     /// A phase-space block and its placement in the global grid.
@@ -127,46 +191,6 @@ pub enum RecordMeta {
 }
 
 impl Record {
-    /// Upper bound on the wire-header length of any record kind: enough
-    /// leading bytes to make [`Record::peek_meta`] succeed. (Phase-space
-    /// meta is the largest fixed header at 2 + 13·8 bytes; field-mesh names
-    /// can stretch to [`MAX_NAME_LEN`], which dominates.)
-    pub const META_MAX_LEN: usize = 2 + 4 + MAX_NAME_LEN + 3 * 8 + 2 * 8;
-
-    /// Parse the kind and shape header from a record-frame *prefix*.
-    ///
-    /// `head` need only hold the first [`Record::META_MAX_LEN`] bytes of the
-    /// frame (fewer for fixed-header kinds); the payload is never touched.
-    pub fn peek_meta(head: &[u8]) -> Result<RecordMeta, CkptError> {
-        let mut cur = Cursor::new(head);
-        let kind = cur.u8("record kind")?;
-        let _enc = cur.u8("payload encoding")?;
-        match kind {
-            KIND_PHASE_SPACE => {
-                let sdims = cur.usize3("phase-space local dims")?;
-                let soffset = cur.usize3("phase-space offset")?;
-                let sglobal = cur.usize3("phase-space global dims")?;
-                let vn = cur.usize3("velocity grid dims")?;
-                let vmax = cur.f64_bits("velocity grid vmax")?;
-                Ok(RecordMeta::PhaseSpace {
-                    sdims,
-                    soffset,
-                    sglobal,
-                    vn,
-                    vmax,
-                })
-            }
-            KIND_PARTICLES => Ok(RecordMeta::Other { kind: "particles" }),
-            KIND_FIELD_MESH => Ok(RecordMeta::Other { kind: "field-mesh" }),
-            KIND_SIM_STATE => Ok(RecordMeta::Other { kind: "sim-state" }),
-            KIND_RUN_REPORT => Ok(RecordMeta::Other { kind: "run-report" }),
-            other => Err(CkptError::format(
-                0,
-                format!("unknown record kind byte {other}"),
-            )),
-        }
-    }
-
     /// Human-readable kind label for logs and error messages.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -178,67 +202,57 @@ impl Record {
         }
     }
 
-    /// Encode into the wire frame, compressing the payload with `enc`.
+    /// Encode into the wire frame ([`RecordRef::encode`] of this record).
     pub fn encode(&self, enc: Encoding) -> EncodedRecord {
-        let mut out = Vec::new();
-        let (kind, word) = match self {
-            Record::PhaseSpace(_) => (KIND_PHASE_SPACE, 4),
-            Record::Particles(_) => (KIND_PARTICLES, 8),
-            Record::FieldMesh { .. } => (KIND_FIELD_MESH, 8),
-            Record::SimState(_) => (KIND_SIM_STATE, 8),
-            Record::RunReport { .. } => (KIND_RUN_REPORT, 1),
-        };
-        out.push(kind);
-        out.push(enc.as_u8());
+        RecordRef::from(self).encode(enc)
+    }
 
-        let mut payload = Vec::new();
+    /// Decode a wire frame produced by [`Record::encode`]: the container's
+    /// frame walker run over the slice.
+    ///
+    /// Consumes the *entire* slice: trailing bytes after the payload are an
+    /// error (this is the fix for the legacy snapshot format's silent
+    /// truncation). All errors carry the byte offset of the failure.
+    pub fn decode(bytes: &[u8]) -> Result<Record, CkptError> {
+        let mut w = FrameWalker::new(bytes, bytes.len() as u64, 0);
+        let head = w.head()?;
+        let record = w.payload(&head)?;
+        w.end("the record payload")?;
+        Ok(record)
+    }
+}
+
+impl RecordRef<'_> {
+    /// Encode into the wire frame, compressing the payload with `enc`: the
+    /// container's record writer run over a `Vec<u8>`.
+    pub fn encode(self, enc: Encoding) -> EncodedRecord {
+        let mut w = FrameWriter::new(Vec::new(), DEFAULT_CHUNK_LEN);
+        w.record(self, enc).expect("writing to a Vec cannot fail");
+        EncodedRecord {
+            bytes: w.sink,
+            raw_len: w.done.raw_bytes as usize,
+            enc_len: w.done.encoded_bytes as usize,
+        }
+    }
+
+    /// Wire kind tag and payload word size in bytes.
+    pub(crate) fn kind_word(&self) -> (u8, usize) {
         match self {
-            Record::PhaseSpace(ps) => {
-                for d in ps.sdims {
-                    out.extend_from_slice(&(d as u64).to_le_bytes());
-                }
-                for d in ps.soffset {
-                    out.extend_from_slice(&(d as u64).to_le_bytes());
-                }
-                for d in ps.sglobal {
-                    out.extend_from_slice(&(d as u64).to_le_bytes());
-                }
-                for d in ps.vgrid.n {
-                    out.extend_from_slice(&(d as u64).to_le_bytes());
-                }
-                out.extend_from_slice(&ps.vgrid.vmax.to_bits().to_le_bytes());
-                payload.reserve(ps.len() * 4);
-                for &v in ps.as_slice() {
-                    payload.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            Record::Particles(p) => {
-                out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-                out.extend_from_slice(&p.mass.to_bits().to_le_bytes());
-                payload.reserve(p.len() * 48);
-                for arr in [&p.pos, &p.vel] {
-                    for v in arr {
-                        for c in v {
-                            payload.extend_from_slice(&c.to_bits().to_le_bytes());
-                        }
-                    }
-                }
-            }
-            Record::FieldMesh { name, field } => {
-                assert!(name.len() <= MAX_NAME_LEN, "field-mesh name too long");
-                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-                out.extend_from_slice(name.as_bytes());
-                for d in field.dims() {
-                    out.extend_from_slice(&(d as u64).to_le_bytes());
-                }
-                payload.reserve(field.len() * 8);
-                for &v in field.as_slice() {
-                    payload.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            Record::SimState(s) => {
+            RecordRef::PhaseSpace(_) => (KIND_PHASE_SPACE, 4),
+            RecordRef::Particles(_) => (KIND_PARTICLES, 8),
+            RecordRef::FieldMesh { .. } => (KIND_FIELD_MESH, 8),
+            RecordRef::SimState(_) => (KIND_SIM_STATE, 8),
+            RecordRef::RunReport { .. } => (KIND_RUN_REPORT, 1),
+        }
+    }
+
+    /// The serialised payload of the kinds that have no bulk storage to
+    /// stream from (sim-state words, run-report text); empty for the rest.
+    pub(crate) fn small_payload(&self) -> Vec<u8> {
+        match self {
+            RecordRef::SimState(s) => {
                 // All-u64 payload so the word size stays uniform at 8.
-                for w in [
+                let fixed = [
                     s.step,
                     s.tag_counter,
                     s.a.to_bits(),
@@ -247,303 +261,320 @@ impl Record {
                     s.max_dln_a.to_bits(),
                     s.scheme as u64,
                     s.rng.len() as u64,
-                ] {
-                    payload.extend_from_slice(&w.to_le_bytes());
-                }
-                for &w in &s.rng {
-                    payload.extend_from_slice(&w.to_le_bytes());
-                }
+                ];
+                let words = fixed.iter().chain(&s.rng);
+                words.flat_map(|w| w.to_le_bytes()).collect()
             }
-            Record::RunReport { lines } => {
-                out.extend_from_slice(&(lines.len() as u32).to_le_bytes());
-                for line in lines {
-                    payload.extend_from_slice(line.as_bytes());
-                    payload.push(b'\n');
+            RecordRef::RunReport { lines } => {
+                let mut text = Vec::new();
+                for line in *lines {
+                    text.extend_from_slice(line.as_bytes());
+                    text.push(b'\n');
                 }
+                text
             }
-        }
-
-        let encoded = codec::encode(enc, word, &payload);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
-        let (raw_len, enc_len) = (payload.len(), encoded.len());
-        out.extend_from_slice(&encoded);
-        EncodedRecord {
-            bytes: out,
-            raw_len,
-            enc_len,
+            _ => Vec::new(),
         }
     }
 
-    /// Decode a wire frame produced by [`Record::encode`].
-    ///
-    /// Consumes the *entire* slice: trailing bytes after the payload are an
-    /// error (this is the fix for the legacy snapshot format's silent
-    /// truncation). All errors carry the byte offset of the failure.
-    pub fn decode(bytes: &[u8]) -> Result<Record, CkptError> {
-        let mut cur = Cursor::new(bytes);
-        let kind = cur.u8("record kind")?;
-        let enc = Encoding::from_u8(cur.u8("payload encoding")?).map_err(|e| e.at_base(1))?;
-
-        // Kind-specific meta.
-        enum Meta {
-            PhaseSpace {
-                sdims: [usize; 3],
-                soffset: [usize; 3],
-                sglobal: [usize; 3],
-                vn: [usize; 3],
-                vmax: f64,
-            },
-            Particles {
-                count: usize,
-                mass: f64,
-            },
-            FieldMesh {
-                name: String,
-                dims: [usize; 3],
-            },
-            SimState,
-            RunReport {
-                n_lines: usize,
-            },
+    /// Payload size before encoding (`small` is [`Self::small_payload`]).
+    pub(crate) fn raw_len(&self, small: &[u8]) -> usize {
+        match self {
+            RecordRef::PhaseSpace(ps) => ps.len() * 4,
+            RecordRef::Particles(p) => p.len() * 48,
+            RecordRef::FieldMesh { data, .. } => data.len() * 8,
+            RecordRef::SimState(_) | RecordRef::RunReport { .. } => small.len(),
         }
-        let (meta, word) = match kind {
+    }
+
+    /// The head chunk's bytes.
+    pub(crate) fn head(&self, enc: Encoding, raw_len: usize, chunk_raw: usize) -> Vec<u8> {
+        let mut out = vec![self.kind_word().0, enc.as_u8()];
+        let u64s = |out: &mut Vec<u8>, vs: &[usize]| {
+            for &v in vs {
+                out.extend_from_slice(&(v as u64).to_le_bytes());
+            }
+        };
+        match self {
+            RecordRef::PhaseSpace(ps) => {
+                for dims in [ps.sdims, ps.soffset, ps.sglobal, ps.vgrid.n] {
+                    u64s(&mut out, &dims);
+                }
+                out.extend_from_slice(&ps.vgrid.vmax.to_bits().to_le_bytes());
+            }
+            RecordRef::Particles(p) => {
+                u64s(&mut out, &[p.len()]);
+                out.extend_from_slice(&p.mass.to_bits().to_le_bytes());
+            }
+            RecordRef::FieldMesh { name, dims, data } => {
+                assert!(name.len() <= MAX_NAME_LEN, "field-mesh name too long");
+                assert_eq!(data.len(), dims.iter().product::<usize>(), "mesh shape");
+                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
+                u64s(&mut out, dims);
+            }
+            RecordRef::SimState(_) => {}
+            RecordRef::RunReport { lines } => {
+                out.extend_from_slice(&(lines.len() as u32).to_le_bytes());
+            }
+        }
+        u64s(&mut out, &[raw_len, chunk_raw]);
+        out
+    }
+
+    /// Serialise payload bytes `off .. off + out.len()` (word-aligned) into
+    /// `out`, straight from the borrowed storage.
+    pub(crate) fn fill(&self, small: &[u8], off: usize, out: &mut [u8]) {
+        fn f64s<'a>(src: impl Iterator<Item = &'a f64>, out: &mut [u8]) {
+            for (o, v) in out.chunks_exact_mut(8).zip(src) {
+                o.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        match self {
+            RecordRef::PhaseSpace(ps) => {
+                for (o, v) in out.chunks_exact_mut(4).zip(&ps.as_slice()[off / 4..]) {
+                    o.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            RecordRef::Particles(p) => {
+                let values = p.pos.as_flattened().iter().chain(p.vel.as_flattened());
+                f64s(values.skip(off / 8), out);
+            }
+            RecordRef::FieldMesh { data, .. } => f64s(data[off / 8..].iter(), out),
+            RecordRef::SimState(_) | RecordRef::RunReport { .. } => {
+                out.copy_from_slice(&small[off..off + out.len()]);
+            }
+        }
+    }
+}
+
+/// Kind-specific shape data of a head chunk.
+#[derive(Debug, Clone)]
+enum Shape {
+    /// `[sdims, soffset, sglobal, vgrid.n]` and `vmax`.
+    PhaseSpace([[usize; 3]; 4], f64),
+    Particles {
+        count: usize,
+        mass: f64,
+    },
+    FieldMesh {
+        name: String,
+        dims: [usize; 3],
+    },
+    SimState,
+    RunReport {
+        n_lines: usize,
+    },
+}
+
+/// A parsed and shape-checked head chunk.
+#[derive(Debug, Clone)]
+pub(crate) struct Head {
+    /// Encoding of every payload chunk.
+    pub(crate) enc: Encoding,
+    /// Payload word size in bytes.
+    pub(crate) word: usize,
+    /// Payload size before encoding.
+    pub(crate) raw_len: usize,
+    /// Raw bytes per payload chunk (the last chunk holds the remainder).
+    pub(crate) chunk_raw: usize,
+    shape: Shape,
+}
+
+impl Head {
+    /// Parse a head chunk. Rejects dims that overflow, a `raw_len` that is
+    /// not what the shape promises and a `chunk_raw` that would split a
+    /// word — all before anything is allocated for the payload. Offsets are
+    /// relative to `bytes`.
+    pub(crate) fn parse(bytes: &[u8]) -> Result<Head, CkptError> {
+        let mut cur = Cursor { buf: bytes, pos: 0 };
+        let tags = cur.take(2, "record kind and encoding")?;
+        let enc = Encoding::from_u8(tags[1]).map_err(|e| e.at_base(1))?;
+        let overflow = || CkptError::format(2, "record dimensions overflow");
+        let (shape, word, promised) = match tags[0] {
             KIND_PHASE_SPACE => {
-                let sdims = cur.usize3("phase-space local dims")?;
-                let soffset = cur.usize3("phase-space offset")?;
-                let sglobal = cur.usize3("phase-space global dims")?;
-                let vn = cur.usize3("velocity grid dims")?;
-                let vmax = cur.f64_bits("velocity grid vmax")?;
-                (
-                    Meta::PhaseSpace {
-                        sdims,
-                        soffset,
-                        sglobal,
-                        vn,
-                        vmax,
-                    },
-                    4,
-                )
+                let mut dims = [[0usize; 3]; 4];
+                for d in &mut dims {
+                    *d = cur.usize3("phase-space dims")?;
+                }
+                let [s, _, _, vn] = dims;
+                let vmax = f64::from_bits(cur.u64("velocity grid vmax")?);
+                let bytes = checked_product(&[s[0], s[1], s[2], vn[0], vn[1], vn[2], 4]);
+                let bytes = bytes.ok_or_else(overflow)?;
+                if bytes == 0 || !vmax.is_finite() || vmax <= 0.0 || vn.iter().any(|&d| d < 2) {
+                    let detail =
+                        format!("invalid phase-space shape: sdims {s:?} vgrid {vn:?} vmax {vmax}");
+                    return corrupt(2, detail);
+                }
+                (Shape::PhaseSpace(dims, vmax), 4, Some(bytes))
             }
             KIND_PARTICLES => {
                 let count = cur.len_u64("particle count")?;
-                let mass = cur.f64_bits("particle mass")?;
-                (Meta::Particles { count, mass }, 8)
+                let mass = f64::from_bits(cur.u64("particle mass")?);
+                let bytes = count.checked_mul(48).ok_or_else(overflow)?;
+                (Shape::Particles { count, mass }, 8, Some(bytes))
             }
             KIND_FIELD_MESH => {
                 let name_off = cur.offset();
                 let name_len = cur.u32("field-mesh name length")? as usize;
                 if name_len > MAX_NAME_LEN {
-                    return Err(CkptError::format(
-                        name_off,
-                        format!(
-                            "field-mesh name length {name_len} exceeds the {MAX_NAME_LEN}-byte cap"
-                        ),
-                    ));
+                    return corrupt(name_off, format!("field-mesh name of {name_len} bytes"));
                 }
-                let name_bytes = cur.take(name_len, "field-mesh name")?;
-                let name = String::from_utf8(name_bytes.to_vec())
+                let name = cur.take(name_len, "field-mesh name")?.to_vec();
+                let name = String::from_utf8(name)
                     .map_err(|_| CkptError::format(name_off + 4, "field-mesh name is not UTF-8"))?;
                 let dims = cur.usize3("field-mesh dims")?;
-                (Meta::FieldMesh { name, dims }, 8)
+                let bytes =
+                    checked_product(&[dims[0], dims[1], dims[2], 8]).ok_or_else(overflow)?;
+                if bytes == 0 {
+                    return corrupt(2, format!("field-mesh dims {dims:?} contain a zero axis"));
+                }
+                (Shape::FieldMesh { name, dims }, 8, Some(bytes))
             }
-            KIND_SIM_STATE => (Meta::SimState, 8),
+            KIND_SIM_STATE => (Shape::SimState, 8, None),
             KIND_RUN_REPORT => {
                 let n_lines = cur.u32("run-report line count")? as usize;
-                (Meta::RunReport { n_lines }, 1)
+                (Shape::RunReport { n_lines }, 1, None)
             }
-            other => {
-                return Err(CkptError::format(
-                    0,
-                    format!("unknown record kind byte {other}"),
-                ))
-            }
+            other => return corrupt(0, format!("unknown record kind byte {other}")),
         };
-
+        let len_off = cur.offset();
         let raw_len = cur.len_u64("payload raw length")?;
-        let enc_len = cur.len_u64("payload encoded length")?;
-        let payload_off = cur.offset();
-        let encoded = cur.take(enc_len, "encoded payload")?;
-        if !cur.is_at_end() {
-            return Err(CkptError::format(
-                cur.offset(),
-                format!(
-                    "{} trailing bytes after the record payload",
-                    bytes.len() as u64 - cur.offset()
-                ),
-            ));
+        let chunk_raw = cur.len_u64("payload chunk length")?;
+        if promised.is_some_and(|p| p != raw_len) || raw_len % word != 0 {
+            let detail = format!("payload is {raw_len} bytes, the shape promises {promised:?}");
+            return corrupt(len_off, detail);
         }
-        let payload =
-            codec::decode(enc, word, encoded, raw_len).map_err(|e| e.at_base(payload_off))?;
-        let mut pcur = Cursor::new(&payload);
+        if chunk_raw == 0 || chunk_raw % word != 0 {
+            let detail = format!("chunk length {chunk_raw} is not a positive multiple of {word}");
+            return corrupt(len_off + 8, detail);
+        }
+        if cur.pos != bytes.len() {
+            return corrupt(cur.offset(), "trailing bytes in the record head");
+        }
+        Ok(Head {
+            enc,
+            word,
+            raw_len,
+            chunk_raw,
+            shape,
+        })
+    }
 
-        let record = match meta {
-            Meta::PhaseSpace {
+    /// The shape as the public [`RecordMeta`].
+    pub(crate) fn meta(&self) -> RecordMeta {
+        match self.shape {
+            Shape::PhaseSpace([sdims, soffset, sglobal, vn], vmax) => RecordMeta::PhaseSpace {
                 sdims,
                 soffset,
                 sglobal,
                 vn,
                 vmax,
-            } => {
-                let cells = checked_product(&[sdims[0], sdims[1], sdims[2], vn[0], vn[1], vn[2]])
-                    .ok_or_else(|| {
-                    CkptError::format(2, "phase-space dimensions overflow".to_string())
-                })?;
-                if cells == 0 || !vmax.is_finite() || vmax <= 0.0 || vn.iter().any(|&d| d < 2) {
-                    return Err(CkptError::format(
-                        2,
-                        format!(
-                            "invalid phase-space shape: sdims {sdims:?} vgrid {vn:?} vmax {vmax}"
-                        ),
-                    ));
-                }
-                if raw_len != cells * 4 {
-                    return Err(CkptError::format(
-                        payload_off,
-                        format!(
-                            "phase-space payload is {raw_len} bytes but the dims promise {} cells ({} bytes)",
-                            cells,
-                            cells * 4
-                        ),
-                    ));
-                }
-                let mut ps =
-                    PhaseSpace::zeros_block(sdims, soffset, sglobal, VelocityGrid::new(vn, vmax));
-                for slot in ps.as_mut_slice() {
-                    *slot = f32::from_bits(pcur.u32("phase-space cell")?);
-                }
-                Record::PhaseSpace(ps)
-            }
-            Meta::Particles { count, mass } => {
-                if raw_len != count.saturating_mul(48) {
-                    return Err(CkptError::format(
-                        payload_off,
-                        format!(
-                            "particle payload is {raw_len} bytes but the count promises {count} particles ({} bytes)",
-                            count.saturating_mul(48)
-                        ),
-                    ));
-                }
-                let mut p = ParticleSet::new(mass);
-                p.pos.reserve(count);
-                p.vel.reserve(count);
-                for _ in 0..count {
-                    let mut v = [0.0f64; 3];
-                    for c in &mut v {
-                        *c = pcur.f64_bits("particle position")?;
-                    }
-                    p.pos.push(v);
-                }
-                for _ in 0..count {
-                    let mut v = [0.0f64; 3];
-                    for c in &mut v {
-                        *c = pcur.f64_bits("particle velocity")?;
-                    }
-                    p.vel.push(v);
-                }
-                Record::Particles(p)
-            }
-            Meta::FieldMesh { name, dims } => {
-                let cells = checked_product(&dims).ok_or_else(|| {
-                    CkptError::format(2, "field-mesh dimensions overflow".to_string())
-                })?;
-                if cells == 0 {
-                    return Err(CkptError::format(
-                        2,
-                        format!("field-mesh dims {dims:?} contain a zero axis"),
-                    ));
-                }
-                if raw_len != cells * 8 {
-                    return Err(CkptError::format(
-                        payload_off,
-                        format!(
-                            "field-mesh payload is {raw_len} bytes but dims {dims:?} promise {} bytes",
-                            cells * 8
-                        ),
-                    ));
-                }
-                let mut data = Vec::with_capacity(cells);
-                for _ in 0..cells {
-                    data.push(pcur.f64_bits("field-mesh cell")?);
-                }
-                Record::FieldMesh {
-                    name,
-                    field: Field3::from_vec(dims, data),
-                }
-            }
-            Meta::SimState => {
-                let step = pcur.u64("sim-state step")?;
-                let tag_counter = pcur.u64("sim-state tag counter")?;
-                let a = pcur.f64_bits("sim-state scale factor")?;
-                let omega_component = pcur.f64_bits("sim-state omega")?;
-                let cfl_spatial = pcur.f64_bits("sim-state cfl")?;
-                let max_dln_a = pcur.f64_bits("sim-state max_dln_a")?;
-                let scheme_word = pcur.u64("sim-state scheme")?;
-                let scheme = u8::try_from(scheme_word).map_err(|_| {
-                    CkptError::format(
-                        payload_off + pcur.offset(),
-                        format!("sim-state scheme word {scheme_word} is not a byte"),
-                    )
-                })?;
-                let rng_len = pcur.len_u64("sim-state rng length")?;
-                let mut rng = Vec::with_capacity(rng_len.min(payload.len() / 8));
-                for _ in 0..rng_len {
-                    rng.push(pcur.u64("sim-state rng word")?);
-                }
-                Record::SimState(SimState {
-                    step,
-                    tag_counter,
-                    a,
-                    omega_component,
-                    cfl_spatial,
-                    max_dln_a,
-                    scheme,
-                    rng,
-                })
-            }
-            Meta::RunReport { n_lines } => {
-                let text = String::from_utf8(payload.clone()).map_err(|_| {
-                    CkptError::format(payload_off, "run-report payload is not UTF-8")
-                })?;
-                let lines: Vec<String> = if text.is_empty() {
-                    Vec::new()
-                } else {
-                    text.strip_suffix('\n')
-                        .ok_or_else(|| {
-                            CkptError::format(
-                                payload_off,
-                                "run-report payload is not newline-terminated",
-                            )
-                        })?
-                        .split('\n')
-                        .map(str::to_owned)
-                        .collect()
-                };
-                if lines.len() != n_lines {
-                    return Err(CkptError::format(
-                        2,
-                        format!(
-                            "run-report header promises {n_lines} lines, payload holds {}",
-                            lines.len()
-                        ),
-                    ));
-                }
-                // `pcur` was not used for text; mark it consumed.
-                let _ = pcur.take(payload.len(), "run-report text")?;
-                Record::RunReport { lines }
-            }
-        };
-        if !pcur.is_at_end() {
-            return Err(CkptError::format(
-                payload_off + pcur.offset(),
-                format!(
-                    "{} trailing bytes after the decoded {} payload",
-                    payload.len() as u64 - pcur.offset(),
-                    record.kind_name()
-                ),
-            ));
+            },
+            Shape::Particles { .. } => RecordMeta::Other { kind: "particles" },
+            Shape::FieldMesh { .. } => RecordMeta::Other { kind: "field-mesh" },
+            Shape::SimState => RecordMeta::Other { kind: "sim-state" },
+            Shape::RunReport { .. } => RecordMeta::Other { kind: "run-report" },
         }
-        Ok(record)
+    }
+
+    /// Allocate the record the payload chunks decode into. The caller has
+    /// checked `raw_len` against what the file can still hold.
+    pub(crate) fn destination(&self) -> Partial {
+        match &self.shape {
+            &Shape::PhaseSpace([sdims, soffset, sglobal, vn], vmax) => {
+                let vgrid = VelocityGrid::new(vn, vmax);
+                let ps = PhaseSpace::zeros_block(sdims, soffset, sglobal, vgrid);
+                Partial::Bulk(Record::PhaseSpace(ps))
+            }
+            &Shape::Particles { count, mass } => Partial::Bulk(Record::Particles(ParticleSet {
+                pos: vec![[0.0; 3]; count],
+                vel: vec![[0.0; 3]; count],
+                mass,
+            })),
+            Shape::FieldMesh { name, dims } => Partial::Bulk(Record::FieldMesh {
+                name: name.clone(),
+                field: Field3::zeros(*dims),
+            }),
+            Shape::SimState => Partial::Small(None, Vec::with_capacity(self.raw_len)),
+            &Shape::RunReport { n_lines } => {
+                Partial::Small(Some(n_lines), Vec::with_capacity(self.raw_len))
+            }
+        }
+    }
+}
+
+/// A record being decoded: bulk kinds are filled in place, chunk by chunk;
+/// the two small kinds collect their payload and parse it at the end (a
+/// run report, told apart by its line count, or else a sim-state).
+pub(crate) enum Partial {
+    Bulk(Record),
+    Small(Option<usize>, Vec<u8>),
+}
+
+impl Partial {
+    /// Store the decoded payload bytes `off .. off + raw.len()`.
+    pub(crate) fn absorb(&mut self, off: usize, raw: &[u8]) {
+        fn f64s<'a>(dst: impl Iterator<Item = &'a mut f64>, raw: &[u8]) {
+            for (v, b) in dst.zip(raw.chunks_exact(8)) {
+                *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
+        }
+        match self {
+            Partial::Bulk(Record::PhaseSpace(ps)) => {
+                let dst = ps.as_mut_slice()[off / 4..].iter_mut();
+                for (v, b) in dst.zip(raw.chunks_exact(4)) {
+                    *v = f32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+                }
+            }
+            Partial::Bulk(Record::Particles(p)) => {
+                let values = p.pos.as_flattened_mut().iter_mut();
+                f64s(values.chain(p.vel.as_flattened_mut()).skip(off / 8), raw);
+            }
+            Partial::Bulk(Record::FieldMesh { field, .. }) => {
+                f64s(field.as_mut_slice()[off / 8..].iter_mut(), raw);
+            }
+            Partial::Bulk(_) => unreachable!("small kinds are never Bulk"),
+            Partial::Small(_, bytes) => bytes.extend_from_slice(raw),
+        }
+    }
+
+    /// The finished record. Offsets of errors are relative to the payload.
+    pub(crate) fn finish(self) -> Result<Record, CkptError> {
+        match self {
+            Partial::Bulk(record) => Ok(record),
+            Partial::Small(None, payload) => {
+                let words = payload.chunks_exact(8);
+                let w: Vec<u64> = words
+                    .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                    .collect();
+                if w.len() < 8 || w[7] != (w.len() - 8) as u64 {
+                    return corrupt(0, format!("sim-state payload of {} words", w.len()));
+                }
+                let scheme = u8::try_from(w[6])
+                    .map_err(|_| CkptError::format(48, "sim-state scheme word is not a byte"))?;
+                Ok(Record::SimState(SimState {
+                    step: w[0],
+                    tag_counter: w[1],
+                    a: f64::from_bits(w[2]),
+                    omega_component: f64::from_bits(w[3]),
+                    cfl_spatial: f64::from_bits(w[4]),
+                    max_dln_a: f64::from_bits(w[5]),
+                    scheme,
+                    rng: w[8..].to_vec(),
+                }))
+            }
+            Partial::Small(Some(n_lines), text) => {
+                let text = String::from_utf8(text)
+                    .map_err(|_| CkptError::format(0, "run-report payload is not UTF-8"))?;
+                let lines: Vec<String> = text.split_terminator('\n').map(str::to_owned).collect();
+                if lines.len() != n_lines || !(text.is_empty() || text.ends_with('\n')) {
+                    let detail = format!("run-report head promises {n_lines} terminated lines");
+                    return corrupt(0, detail);
+                }
+                Ok(Record::RunReport { lines })
+            }
+        }
     }
 }
 
@@ -551,7 +582,7 @@ fn checked_product(dims: &[usize]) -> Option<usize> {
     dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
 }
 
-/// Offset-tracking reader over a byte slice. Every accessor names what it
+/// Offset-tracking reader over a head chunk. Every accessor names what it
 /// was reading so errors pinpoint both *where* and *what*.
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -559,48 +590,26 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
     fn offset(&self) -> u64 {
         self.pos as u64
     }
 
-    fn is_at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CkptError> {
-        match self.buf.get(self.pos..self.pos + n) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => Err(CkptError::format(
-                self.offset(),
-                format!(
-                    "truncated while reading {what}: need {n} bytes, {} remain",
-                    self.buf.len() - self.pos
-                ),
-            )),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, CkptError> {
-        Ok(self.take(1, what)?[0])
+        let Some(s) = self.buf.get(self.pos..self.pos + n) else {
+            return corrupt(self.offset(), format!("truncated while reading {what}"));
+        };
+        self.pos += n;
+        Ok(s)
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, CkptError> {
         let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, CkptError> {
         let b = self.take(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
     /// A u64 that must fit in usize (lengths, counts).
@@ -611,16 +620,12 @@ impl<'a> Cursor<'a> {
             .map_err(|_| CkptError::format(off, format!("{what} value {v} does not fit in usize")))
     }
 
-    fn f64_bits(&mut self, what: &str) -> Result<f64, CkptError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
     fn usize3(&mut self, what: &str) -> Result<[usize; 3], CkptError> {
-        Ok([
-            self.len_u64(what)?,
-            self.len_u64(what)?,
-            self.len_u64(what)?,
-        ])
+        let mut v = [0; 3];
+        for d in &mut v {
+            *d = self.len_u64(what)?;
+        }
+        Ok(v)
     }
 }
 
@@ -802,10 +807,58 @@ mod tests {
 
     #[test]
     fn shape_payload_mismatches_are_rejected() {
-        // Tamper with the phase-space dims so they no longer match raw_len.
+        // Tamper with the phase-space dims so they no longer match raw_len;
+        // the head chunk's data starts after its 8-byte frame.
         let e = Record::PhaseSpace(sample_phase_space()).encode(Encoding::Raw);
+        let head_len = u32::from_le_bytes(e.bytes[..4].try_into().unwrap()) as usize;
+        let mut head = e.bytes[8..8 + head_len].to_vec();
+        assert!(Head::parse(&head).is_ok());
+        head[2] = head[2].wrapping_add(1); // sdims[0] low byte
+        assert!(Head::parse(&head).is_err());
+        // The same tamper inside the frame trips the head chunk's CRC.
         let mut bad = e.bytes.clone();
-        bad[2] = bad[2].wrapping_add(1); // sdims[0] low byte
+        bad[10] = bad[10].wrapping_add(1);
         assert!(Record::decode(&bad).is_err());
+    }
+
+    #[test]
+    fn hostile_heads_are_rejected_before_any_allocation() {
+        let e = Record::PhaseSpace(sample_phase_space()).encode(Encoding::ShuffleRle);
+        let head_len = u32::from_le_bytes(e.bytes[..4].try_into().unwrap()) as usize;
+        let head = &e.bytes[8..8 + head_len];
+        let reframe = |head: &[u8]| {
+            let mut frame = (head.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crate::crc::crc32(head).to_le_bytes());
+            frame.extend_from_slice(head);
+            frame.extend_from_slice(&e.bytes[8 + head_len..]);
+            frame
+        };
+        assert!(Record::decode(&reframe(head)).is_ok());
+        let with_u64 = |at: usize, v: u64| {
+            let mut h = head.to_vec();
+            h[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            h
+        };
+        let raw_len_at = head_len - 16;
+        // Dims whose product overflows; a raw_len the dims do not promise;
+        // dims and raw_len that agree but exceed what the frame can hold.
+        let overflow = with_u64(2, u64::MAX / 2);
+        assert!(Head::parse(&overflow)
+            .unwrap_err()
+            .to_string()
+            .contains("overflow"));
+        let mismatch = with_u64(raw_len_at, 1 << 40);
+        assert!(Head::parse(&mismatch)
+            .unwrap_err()
+            .to_string()
+            .contains("promises"));
+        let mut huge = with_u64(2, 1 << 30); // sdims[0]: 2 → 2^30
+        huge[raw_len_at..raw_len_at + 8].copy_from_slice(&((1u64 << 30) * 96 * 4).to_le_bytes());
+        assert!(Head::parse(&huge).is_ok(), "consistent on its own");
+        let err = Record::decode(&reframe(&huge)).unwrap_err().to_string();
+        assert!(err.contains("cannot come from"), "{err}");
+        // A chunk length that would split a word.
+        let split = with_u64(head_len - 8, 6);
+        assert!(Head::parse(&split).is_err());
     }
 }

@@ -22,21 +22,20 @@
 
 use crate::access::RankFileReader;
 use crate::codec::Encoding;
-use crate::container::{ContainerFile, ContainerWriter};
-use crate::crc::crc32;
+use crate::container::{Committed, ContainerFile, DEFAULT_CHUNK_LEN};
 use crate::manifest::{Manifest, RankFile};
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 use crate::CkptError;
 use std::fs;
 use std::path::{Path, PathBuf};
 use vlasov6d_mpisim::Comm;
-use vlasov6d_obs::{MetricValue, Stopwatch};
+use vlasov6d_obs::MetricValue;
 
 /// A checkpoint store rooted at one directory.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     root: PathBuf,
-    chunk_len: Option<usize>,
+    chunk_len: usize,
 }
 
 /// Per-rank accounting of one checkpoint write.
@@ -52,15 +51,31 @@ pub struct CkptStats {
     pub encoded_bytes: u64,
     /// Container file size on disk (this rank).
     pub file_bytes: u64,
-    /// Seconds spent encoding records.
+    /// Seconds spent serialising, encoding and checksumming records
+    /// (accumulated chunk by chunk).
     pub encode_secs: f64,
-    /// Seconds spent committing the container (write + fsync + rename).
+    /// Seconds spent committing the container (the chunk writes, then
+    /// fsync + rename).
     pub write_secs: f64,
     /// Generations remaining in the store after rotation.
     pub generations_kept: usize,
 }
 
 impl CkptStats {
+    /// This rank's statistics of committed generation `generation`.
+    fn of(generation: u64, step: u64, file: Committed, generations_kept: usize) -> CkptStats {
+        CkptStats {
+            generation,
+            step,
+            raw_bytes: file.raw_bytes,
+            encoded_bytes: file.encoded_bytes,
+            file_bytes: file.bytes,
+            encode_secs: file.encode_secs,
+            write_secs: file.write_secs,
+            generations_kept,
+        }
+    }
+
     /// Payload compression ratio, `raw / encoded` (1.0 when nothing was
     /// written).
     pub fn compression_ratio(&self) -> f64 {
@@ -74,32 +89,22 @@ impl CkptStats {
     /// Metric pairs for merging into an obs step event
     /// (`ckpt/bytes_written`, `ckpt/compression_ratio`, …).
     pub fn metrics(&self) -> Vec<(String, MetricValue)> {
-        vec![
+        use MetricValue::{Counter, Gauge};
+        let metrics = [
+            ("ckpt/bytes_written", Counter(self.file_bytes)),
+            ("ckpt/raw_bytes", Counter(self.raw_bytes)),
+            ("ckpt/compression_ratio", Gauge(self.compression_ratio())),
+            ("ckpt/encode_secs", Gauge(self.encode_secs)),
+            ("ckpt/write_secs", Gauge(self.write_secs)),
             (
-                "ckpt/bytes_written".to_string(),
-                MetricValue::Counter(self.file_bytes),
+                "ckpt/generations_kept",
+                Counter(self.generations_kept as u64),
             ),
-            (
-                "ckpt/raw_bytes".to_string(),
-                MetricValue::Counter(self.raw_bytes),
-            ),
-            (
-                "ckpt/compression_ratio".to_string(),
-                MetricValue::Gauge(self.compression_ratio()),
-            ),
-            (
-                "ckpt/encode_secs".to_string(),
-                MetricValue::Gauge(self.encode_secs),
-            ),
-            (
-                "ckpt/write_secs".to_string(),
-                MetricValue::Gauge(self.write_secs),
-            ),
-            (
-                "ckpt/generations_kept".to_string(),
-                MetricValue::Counter(self.generations_kept as u64),
-            ),
-        ]
+        ];
+        metrics
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect()
     }
 }
 
@@ -122,13 +127,13 @@ impl CheckpointStore {
     pub fn new(root: impl Into<PathBuf>) -> CheckpointStore {
         CheckpointStore {
             root: root.into(),
-            chunk_len: None,
+            chunk_len: DEFAULT_CHUNK_LEN,
         }
     }
 
     /// Override the container chunk size (tests use tiny chunks).
     pub fn with_chunk_len(mut self, chunk_len: usize) -> CheckpointStore {
-        self.chunk_len = Some(chunk_len);
+        self.chunk_len = chunk_len;
         self
     }
 
@@ -140,6 +145,11 @@ impl CheckpointStore {
     /// Directory of generation `g`.
     pub fn gen_dir(&self, g: u64) -> PathBuf {
         self.root.join(format!("gen-{g:06}"))
+    }
+
+    /// Path of `rank`'s container in generation `g`.
+    fn rank_path(&self, g: u64, rank: usize) -> PathBuf {
+        self.gen_dir(g).join(Self::rank_file_name(rank))
     }
 
     /// Container file name for `rank`.
@@ -202,36 +212,56 @@ impl CheckpointStore {
     /// size (a cheap truncation guard); does *not* run the whole-file CRC —
     /// per-record chunk CRCs are verified lazily as records are read.
     pub fn open_rank(&self, g: u64, rank: usize) -> Result<RankFileReader, CkptError> {
-        let gen_dir = self.gen_dir(g);
-        let manifest = Manifest::load(&gen_dir)?;
-        let entry = manifest
-            .files
-            .iter()
-            .find(|f| f.name == Self::rank_file_name(rank))
-            .ok_or_else(|| CkptError::Mismatch {
+        let (manifest, path, _) = self.rank_entry(g, rank, None)?;
+        let reader = RankFileReader::open(&path)?;
+        Self::check_header(reader.rank, reader.n_ranks, rank, manifest.n_ranks)?;
+        Ok(reader)
+    }
+
+    /// Generation `g`'s manifest, `rank`'s container path and its manifest
+    /// entry, once the manifest's world size is the `n_ranks` asked for and
+    /// the file's size on disk is the one the manifest records.
+    fn rank_entry(
+        &self,
+        g: u64,
+        rank: usize,
+        n_ranks: Option<usize>,
+    ) -> Result<(Manifest, PathBuf, RankFile), CkptError> {
+        let manifest = Manifest::load(&self.gen_dir(g))?;
+        if let Some(n) = n_ranks.filter(|&n| n as u64 != manifest.n_ranks) {
+            let detail = format!(
+                "generation {g} was written by {} ranks, this run has {n}",
+                manifest.n_ranks
+            );
+            return Err(CkptError::Mismatch { detail });
+        }
+        let name = Self::rank_file_name(rank);
+        let Some(entry) = manifest.files.iter().find(|f| f.name == name).cloned() else {
+            return Err(CkptError::Mismatch {
                 detail: format!("generation {g} manifest has no entry for rank {rank}"),
-            })?;
-        let path = gen_dir.join(&entry.name);
+            });
+        };
+        let path = self.rank_path(g, rank);
         let on_disk = fs::metadata(&path)
             .map_err(|e| CkptError::io(&path, &e))?
             .len();
         if on_disk != entry.bytes {
-            return Err(CkptError::Corrupt {
-                path: Some(path),
-                offset: on_disk.min(entry.bytes),
-                detail: format!("file is {on_disk} bytes, manifest recorded {}", entry.bytes),
-            });
+            let detail = format!("file is {on_disk} bytes, manifest recorded {}", entry.bytes);
+            return Err(CkptError::format(on_disk.min(entry.bytes), detail).in_file(&path));
         }
-        let reader = RankFileReader::open(&path)?;
-        if reader.rank as usize != rank || reader.n_ranks as u64 != manifest.n_ranks {
-            return Err(CkptError::Mismatch {
-                detail: format!(
-                    "container header says rank {}/{}, manifest says {rank}/{}",
-                    reader.rank, reader.n_ranks, manifest.n_ranks
-                ),
-            });
+        Ok((manifest, path, entry))
+    }
+
+    /// A container header must name the rank and world size it was opened as.
+    fn check_header(rank: u32, n_ranks: u32, want: usize, want_n: u64) -> Result<(), CkptError> {
+        if rank as usize == want && u64::from(n_ranks) == want_n {
+            return Ok(());
         }
-        Ok(reader)
+        Err(CkptError::Mismatch {
+            detail: format!(
+                "container header says rank {rank}/{n_ranks}, expected {want}/{want_n}"
+            ),
+        })
     }
 
     /// Collective checkpoint write; every rank passes its local `records`.
@@ -241,26 +271,24 @@ impl CheckpointStore {
     /// Errors are collective: if any rank fails, every rank returns `Err`
     /// and no manifest is written (the half-written generation is invisible
     /// to restart and reaped by the next rotation).
-    pub fn write_collective(
+    pub fn write_collective<'a, R>(
         &self,
         comm: &Comm,
         step: u64,
         a: f64,
-        records: &[Record],
+        records: &'a [R],
         enc: Encoding,
         keep: usize,
-    ) -> Result<CkptStats, CkptError> {
-        let keep = keep.max(1);
+    ) -> Result<CkptStats, CkptError>
+    where
+        &'a R: Into<RecordRef<'a>>,
+    {
         // Rank 0 picks the generation number and creates its directory, so
         // every rank agrees and the mkdir cannot race.
         let generation = if comm.rank() == 0 {
             let g = self.list_generations().last().copied().unwrap_or(0) + 1;
-            let made =
-                fs::create_dir_all(self.gen_dir(g)).map_err(|e| CkptError::io(self.gen_dir(g), &e));
-            let g = match made {
-                Ok(()) => g,
-                Err(_) => 0, // signal failure with the reserved generation 0
-            };
+            // Generation 0 is reserved to signal failure.
+            let g = fs::create_dir_all(self.gen_dir(g)).map_or(0, |()| g);
             comm.broadcast(0, Some(g))
         } else {
             comm.broadcast::<u64>(0, None)
@@ -270,24 +298,11 @@ impl CheckpointStore {
                 detail: "rank 0 could not create the generation directory".to_string(),
             });
         }
-        let gen_dir = self.gen_dir(generation);
 
-        // Phase 1: every rank encodes and commits its container.
-        let mut encode_watch = Stopwatch::start();
-        let mut writer = match self.chunk_len {
-            Some(c) => ContainerWriter::with_chunk_len(comm.rank(), comm.size(), c),
-            None => ContainerWriter::new(comm.rank(), comm.size()),
-        };
-        for r in records {
-            writer.put(r, enc);
-        }
-        let (raw_bytes, encoded_bytes) = (writer.raw_bytes(), writer.encoded_bytes());
-        let encode_secs = encode_watch.elapsed_secs();
-
-        encode_watch.restart();
-        let path = gen_dir.join(Self::rank_file_name(comm.rank()));
-        let committed = writer.commit(&path);
-        let write_secs = encode_watch.elapsed_secs();
+        // Phase 1: every rank streams its records into its container.
+        let (ranks, chunk_len) = ((comm.rank(), comm.size()), self.chunk_len);
+        let path = self.rank_path(generation, ranks.0);
+        let committed = ContainerFile::write(&path, ranks, chunk_len, records, enc);
 
         // Collective error agreement before anyone proceeds to phase 2.
         let all_ok = comm.allreduce_min(if committed.is_ok() { 1.0 } else { 0.0 }) > 0.5;
@@ -298,29 +313,13 @@ impl CheckpointStore {
                 ),
             }));
         }
-        let (file_bytes, file_crc) = committed.expect("checked above");
+        let file = committed.expect("checked above");
 
         // Phase 2: rank 0 gathers (size, crc) pairs and commits the manifest.
-        let gathered = comm.gather(0, (file_bytes, file_crc as u64));
+        let gathered = comm.gather(0, (file.bytes, file.crc));
         let manifest_ok = if comm.rank() == 0 {
-            let files = gathered
-                .expect("gather returns Some on root")
-                .into_iter()
-                .enumerate()
-                .map(|(rank, (bytes, crc))| RankFile {
-                    name: Self::rank_file_name(rank),
-                    bytes,
-                    crc: crc as u32,
-                })
-                .collect();
-            let manifest = Manifest {
-                generation,
-                step,
-                a_bits: a.to_bits(),
-                n_ranks: comm.size() as u64,
-                files,
-            };
-            let ok = manifest.commit(&gen_dir).is_ok();
+            let files = gathered.expect("gather returns Some on root");
+            let ok = self.commit_manifest(generation, step, a, files).is_ok();
             comm.broadcast(0, Some(u64::from(ok)))
         } else {
             comm.broadcast::<u64>(0, None)
@@ -333,23 +332,39 @@ impl CheckpointStore {
 
         // Rotation, then a barrier so no caller resumes stepping while the
         // commit/rotation of this generation is still in flight elsewhere.
+        let keep = keep.max(1);
         let generations_kept = if comm.rank() == 0 {
             self.rotate(keep)
         } else {
             keep
         };
         comm.barrier();
+        Ok(CkptStats::of(generation, step, file, generations_kept))
+    }
 
-        Ok(CkptStats {
+    /// Commit generation `g`'s manifest over the ranks' `(size, crc)` pairs.
+    fn commit_manifest(
+        &self,
+        generation: u64,
+        step: u64,
+        a: f64,
+        files: Vec<(u64, u32)>,
+    ) -> Result<(), CkptError> {
+        let n_ranks = files.len() as u64;
+        let files = files.into_iter().enumerate();
+        let files = files.map(|(rank, (bytes, crc))| RankFile {
+            name: Self::rank_file_name(rank),
+            bytes,
+            crc,
+        });
+        Manifest {
             generation,
             step,
-            raw_bytes,
-            encoded_bytes,
-            file_bytes,
-            encode_secs,
-            write_secs,
-            generations_kept,
-        })
+            a_bits: a.to_bits(),
+            n_ranks,
+            files: files.collect(),
+        }
+        .commit(&self.gen_dir(generation))
     }
 
     /// Collective restart: walk generations newest-first; all ranks agree
@@ -376,70 +391,40 @@ impl CheckpointStore {
                 }
             }
         }
-        Err(CkptError::NoValidGeneration {
+        Err(self.no_valid_generation(failures))
+    }
+
+    fn no_valid_generation(&self, failures: Vec<String>) -> CkptError {
+        CkptError::NoValidGeneration {
             dir: self.root.clone(),
             detail: if failures.is_empty() {
                 "store holds no generations".to_string()
             } else {
                 failures.join("; ")
             },
-        })
+        }
     }
 
     /// Serial checkpoint write (one implicit rank, no communicator).
-    pub fn write_serial(
+    pub fn write_serial<'a, R>(
         &self,
         step: u64,
         a: f64,
-        records: &[Record],
+        records: &'a [R],
         enc: Encoding,
         keep: usize,
-    ) -> Result<CkptStats, CkptError> {
-        let keep = keep.max(1);
+    ) -> Result<CkptStats, CkptError>
+    where
+        &'a R: Into<RecordRef<'a>>,
+    {
         let generation = self.list_generations().last().copied().unwrap_or(0) + 1;
         let gen_dir = self.gen_dir(generation);
         fs::create_dir_all(&gen_dir).map_err(|e| CkptError::io(&gen_dir, &e))?;
-
-        let mut watch = Stopwatch::start();
-        let mut writer = match self.chunk_len {
-            Some(c) => ContainerWriter::with_chunk_len(0, 1, c),
-            None => ContainerWriter::new(0, 1),
-        };
-        for r in records {
-            writer.put(r, enc);
-        }
-        let (raw_bytes, encoded_bytes) = (writer.raw_bytes(), writer.encoded_bytes());
-        let encode_secs = watch.elapsed_secs();
-
-        watch.restart();
-        let path = gen_dir.join(Self::rank_file_name(0));
-        let (file_bytes, file_crc) = writer.commit(&path)?;
-        let write_secs = watch.elapsed_secs();
-
-        Manifest {
-            generation,
-            step,
-            a_bits: a.to_bits(),
-            n_ranks: 1,
-            files: vec![RankFile {
-                name: Self::rank_file_name(0),
-                bytes: file_bytes,
-                crc: file_crc,
-            }],
-        }
-        .commit(&gen_dir)?;
-        let generations_kept = self.rotate(keep);
-
-        Ok(CkptStats {
-            generation,
-            step,
-            raw_bytes,
-            encoded_bytes,
-            file_bytes,
-            encode_secs,
-            write_secs,
-            generations_kept,
-        })
+        let path = self.rank_path(generation, 0);
+        let file = ContainerFile::write(&path, (0, 1), self.chunk_len, records, enc)?;
+        self.commit_manifest(generation, step, a, vec![(file.bytes, file.crc)])?;
+        let generations_kept = self.rotate(keep.max(1));
+        Ok(CkptStats::of(generation, step, file, generations_kept))
     }
 
     /// Serial restart with the same newest-intact-generation fallback as
@@ -452,76 +437,30 @@ impl CheckpointStore {
                 Err(e) => failures.push(format!("gen-{g:06}: {e}")),
             }
         }
-        Err(CkptError::NoValidGeneration {
-            dir: self.root.clone(),
-            detail: if failures.is_empty() {
-                "store holds no generations".to_string()
-            } else {
-                failures.join("; ")
-            },
-        })
+        Err(self.no_valid_generation(failures))
     }
 
     /// Validate generation `g` from `rank`'s perspective and read its
     /// records. Checks, in order: manifest integrity, world-size agreement,
-    /// the manifest's size + CRC for this rank's file, then the container's
-    /// own chunk CRCs and record decoding.
+    /// the manifest's size for this rank's file, then — in one streaming
+    /// pass over the file — the container's chunk CRCs, record decoding and
+    /// trailer, and last the manifest's CRC. No record is handed out before
+    /// every check has passed.
     fn validate_and_read(
         &self,
         g: u64,
         rank: usize,
         n_ranks: usize,
     ) -> Result<LoadedCheckpoint, CkptError> {
-        let gen_dir = self.gen_dir(g);
-        let manifest = Manifest::load(&gen_dir)?;
-        if manifest.n_ranks != n_ranks as u64 {
-            return Err(CkptError::Mismatch {
-                detail: format!(
-                    "generation {g} was written by {} ranks, this run has {n_ranks}",
-                    manifest.n_ranks
-                ),
-            });
+        let (manifest, path, entry) = self.rank_entry(g, rank, Some(n_ranks))?;
+        let container = ContainerFile::read(&path)?;
+        if container.crc != entry.crc {
+            let (got, want) = (container.crc, entry.crc);
+            let detail =
+                format!("whole-file CRC {got:#010x} differs from the manifest's {want:#010x}");
+            return Err(CkptError::format(0, detail).in_file(&path));
         }
-        let entry = manifest
-            .files
-            .iter()
-            .find(|f| f.name == Self::rank_file_name(rank))
-            .ok_or_else(|| CkptError::Mismatch {
-                detail: format!("generation {g} manifest has no entry for rank {rank}"),
-            })?;
-        let path = gen_dir.join(&entry.name);
-        let bytes = fs::read(&path).map_err(|e| CkptError::io(&path, &e))?;
-        if bytes.len() as u64 != entry.bytes {
-            return Err(CkptError::Corrupt {
-                path: Some(path),
-                offset: bytes.len().min(entry.bytes as usize) as u64,
-                detail: format!(
-                    "file is {} bytes, manifest recorded {}",
-                    bytes.len(),
-                    entry.bytes
-                ),
-            });
-        }
-        let actual_crc = crc32(&bytes);
-        if actual_crc != entry.crc {
-            return Err(CkptError::Corrupt {
-                path: Some(path),
-                offset: 0,
-                detail: format!(
-                    "whole-file CRC {actual_crc:#010x} differs from the manifest's {:#010x}",
-                    entry.crc
-                ),
-            });
-        }
-        let container = ContainerFile::parse(&bytes).map_err(|e| e.in_file(&path))?;
-        if container.rank as usize != rank || container.n_ranks as usize != n_ranks {
-            return Err(CkptError::Mismatch {
-                detail: format!(
-                    "container header says rank {}/{}, expected {rank}/{n_ranks}",
-                    container.rank, container.n_ranks
-                ),
-            });
-        }
+        Self::check_header(container.rank, container.n_ranks, rank, manifest.n_ranks)?;
         Ok(LoadedCheckpoint {
             generation: g,
             step: manifest.step,

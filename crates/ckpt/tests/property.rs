@@ -1,11 +1,15 @@
 //! Property tests for the checkpoint stack: every record type round-trips
 //! bitwise (including NaN / ±inf / denormal payloads and empty sets), the
-//! codec is lossless for arbitrary byte strings, and random single-bit
-//! corruption of a container is always detected by its checksums.
+//! codec is lossless for arbitrary byte strings, random single-bit
+//! corruption of a container is always detected by its checksums, and no
+//! byte string — noise, a truncated or an overwritten image — gets through
+//! any entry of the reader as anything but an error.
 
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 use vlasov6d_ckpt::codec;
-use vlasov6d_ckpt::{ContainerFile, ContainerWriter, Encoding, Record, SimState};
+use vlasov6d_ckpt::container::atomic_write;
+use vlasov6d_ckpt::{fault, ContainerFile, Encoding, RankFileReader, Record, SimState};
 use vlasov6d_nbody::ParticleSet;
 use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
@@ -47,6 +51,43 @@ fn enc_of(raw: u64) -> Encoding {
         Encoding::Raw
     } else {
         Encoding::ShuffleRle
+    }
+}
+
+/// A valid three-record image with multi-chunk payloads.
+fn sample_image(seed: u64) -> Vec<u8> {
+    let mut ps = PhaseSpace::zeros([2, 2, 2], VelocityGrid::cubic(2, 1.0));
+    let mut bits = Bits(seed);
+    for v in ps.as_mut_slice() {
+        *v = f32::from_bits(bits.next() as u32 & 0xFFFF_0000);
+    }
+    let records = [
+        Record::PhaseSpace(ps),
+        Record::RunReport {
+            lines: vec![format!("{{\"seed\":{seed}}}")],
+        },
+        Record::Particles(ParticleSet {
+            pos: vec![[0.5; 3]; 3],
+            vel: vec![[-1.0; 3]; 3],
+            mass: 2.0,
+        }),
+    ];
+    ContainerFile::image((0, 1), 32, &records, enc_of(seed))
+}
+
+/// A scratch path for the file-backed reader.
+fn scratch_file(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("vck-prop-{}-{tag}.vck", std::process::id()))
+}
+
+/// Open whatever is at `path` and touch every record the index offers.
+/// Panics (the property under test) propagate.
+fn walk_file(path: &Path) {
+    if let Ok(mut reader) = RankFileReader::open(path) {
+        for i in 0..reader.record_count() {
+            let _ = reader.peek_meta(i);
+            let _ = reader.read_record(i);
+        }
     }
 }
 
@@ -181,9 +222,7 @@ proptest! {
         for v in ps.as_mut_slice() {
             *v = f32::from_bits(bits.next() as u32);
         }
-        let mut w = ContainerWriter::with_chunk_len(0, 1, 32);
-        w.put(&Record::PhaseSpace(ps), enc_of(seed));
-        let clean = w.finish();
+        let clean = ContainerFile::image((0, 1), 32, &[Record::PhaseSpace(ps)], enc_of(seed));
         prop_assert!(ContainerFile::parse(&clean).is_ok());
 
         let mut dirty = clean.clone();
@@ -195,5 +234,42 @@ proptest! {
             "bit {bit} of byte {byte}/{} flipped undetected",
             clean.len()
         );
+    }
+
+    #[test]
+    fn arbitrary_bytes_are_errors_never_panics(
+        noise in prop::collection::vec(0u8..=255, 0..300),
+        seed in 0u64..u64::MAX,
+        at in 0usize..4096,
+    ) {
+        let path = scratch_file("noise");
+        prop_assert!(ContainerFile::parse(&noise).is_err());
+        atomic_write(&path, &noise).unwrap();
+        walk_file(&path);
+        // The same bytes written over a valid image at an arbitrary offset.
+        let clean = sample_image(seed);
+        let mut image = clean.clone();
+        let at = at % image.len();
+        let n = noise.len().min(image.len() - at);
+        image[at..at + n].copy_from_slice(&noise[..n]);
+        prop_assert!(ContainerFile::parse(&image).is_err() || image == clean);
+        atomic_write(&path, &image).unwrap();
+        walk_file(&path);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_image_is_an_error(seed in 0u64..u64::MAX) {
+        let path = scratch_file("cut");
+        let image = sample_image(seed);
+        prop_assert!(ContainerFile::parse(&image).is_ok());
+        atomic_write(&path, &image).unwrap();
+        prop_assert!(RankFileReader::open(&path).is_ok());
+        for cut in (0..image.len()).rev() {
+            prop_assert!(ContainerFile::parse(&image[..cut]).is_err(), "cut to {cut} bytes parsed");
+            fault::truncate_tail(&path, 1).unwrap();
+            prop_assert!(RankFileReader::open(&path).is_err(), "cut to {cut} bytes opened");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

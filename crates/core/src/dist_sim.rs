@@ -389,15 +389,14 @@ impl DistributedVlasov {
         policy: &CheckpointPolicy,
     ) -> Result<CkptStats, CkptError> {
         let _s = span!("ckpt.write", Bucket::Io);
-        let records = strang::records(
-            Some(&self.ps),
-            self.force.as_ref(),
+        let state = strang::sim_state(
             &self.policy(),
             self.step_index,
             self.tag_counter,
             self.a,
             self.omega_component,
         );
+        let records = strang::records(Some(&self.ps), self.force.as_ref(), &state, None);
         store.write_collective(
             comm,
             self.step_index,

@@ -228,15 +228,14 @@ impl KineticSimulation {
     pub fn save_checkpoint(&self, store: &CheckpointStore) -> Result<CkptStats, CkptError> {
         // No Ω for a generic kinetic run — the slot carries the cached
         // potential energy of the last solve instead.
-        let records = strang::records(
-            Some(&self.ps),
-            Some(&self.force),
+        let state = strang::sim_state(
             &self.policy,
             self.step_count as u64,
             0,
             self.t,
             self.potential,
         );
+        let records = strang::records(Some(&self.ps), Some(&self.force), &state, None);
         store.write_serial(self.step_count as u64, self.t, &records, Encoding::Raw, 2)
     }
 

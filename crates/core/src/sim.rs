@@ -21,7 +21,7 @@ use crate::diagnostics::{kernel_isa_metric, StepRecord};
 use crate::fields;
 use crate::scenario::dynamics::TimeAxis;
 use crate::strang;
-use vlasov6d_ckpt::{CheckpointStore, CkptError, CkptStats, Record};
+use vlasov6d_ckpt::{CheckpointStore, CkptError, CkptStats};
 use vlasov6d_cosmology::{Background, FermiDirac, Growth, PowerSpectrum, TransferFunction, Units};
 use vlasov6d_ic::{load_neutrino_phase_space, GaussianField, ZeldovichIc};
 use vlasov6d_mesh::Field3;
@@ -326,20 +326,21 @@ impl HybridSimulation {
     /// retention.
     pub fn save_checkpoint(&self, store: &CheckpointStore) -> Result<CkptStats, CkptError> {
         let policy = self.config.checkpoint_policy();
-        // No force meshes: the CDM accelerations are not a mesh either, so a
-        // restore recomputes the shared gravity as a whole.
-        let mut records = strang::records(
-            self.neutrinos.as_ref(),
-            None,
+        let state = strang::sim_state(
             &self.policy(),
             self.step_count as u64,
             0,
             self.a,
             self.config.cosmology.omega_nu(),
         );
-        if let Some(cdm) = &self.cdm {
-            records.push(Record::Particles(cdm.clone()));
-        }
+        // Both halves of the cached gravity ride along, so a restore
+        // continues bit for bit instead of re-solving.
+        let records = strang::records(
+            self.neutrinos.as_ref(),
+            self.nu_force.as_ref(),
+            &state,
+            self.cdm.as_ref().map(|cdm| (cdm, &self.cdm_accel[..])),
+        );
         store.write_serial(
             self.step_count as u64,
             self.a,
@@ -361,8 +362,10 @@ impl HybridSimulation {
             .then(|| self.save_checkpoint(store))
     }
 
-    /// Restore state from the newest intact generation in `store`, then
-    /// rebuild the cached forces. Returns the restored step count.
+    /// Restore state from the newest intact generation in `store`, cached
+    /// gravity included, so the next step equals the uninterrupted run's bit
+    /// for bit. Returns the restored step count. On error the simulation is
+    /// left as it was.
     ///
     /// The simulation must have been built with the same configuration that
     /// wrote the checkpoint (the store only holds evolving state, not the
@@ -378,7 +381,18 @@ impl HybridSimulation {
         self.a = saved.state.a;
         self.step_count = saved.state.step as usize;
         self.records.truncate(self.step_count);
-        self.compute_gravity();
+        // The saved gravity of each component present; a generation that
+        // lacks either (written by an older build) re-solves both.
+        let n_cdm = self.cdm.as_ref().map_or(0, |c| c.len());
+        let accel = saved.cdm_accel.filter(|a| a.len() == n_cdm);
+        let complete =
+            (saved.force.is_some() || self.neutrinos.is_none()) && (accel.is_some() || n_cdm == 0);
+        if complete {
+            self.nu_force = saved.force;
+            self.cdm_accel = accel.unwrap_or_default();
+        } else {
+            self.compute_gravity();
+        }
         Ok(saved.state.step)
     }
 

@@ -12,14 +12,13 @@ use bytes::Bytes;
 use std::io::Read;
 use std::path::Path;
 use vlasov6d_ckpt::container::atomic_write;
-use vlasov6d_ckpt::{Encoding, Record};
+use vlasov6d_ckpt::{Encoding, Record, RecordRef};
 use vlasov6d_nbody::ParticleSet;
 use vlasov6d_phase_space::PhaseSpace;
 
 /// Serialise a phase-space block as a ckpt record frame (raw encoding).
 pub fn phase_space_to_bytes(ps: &PhaseSpace) -> Bytes {
-    let rec = Record::PhaseSpace(ps.clone());
-    Bytes::from(rec.encode(Encoding::Raw).bytes)
+    Bytes::from(RecordRef::PhaseSpace(ps).encode(Encoding::Raw).bytes)
 }
 
 /// Deserialise a phase-space block.
@@ -38,8 +37,7 @@ pub fn phase_space_from_bytes(data: Bytes) -> Result<PhaseSpace, String> {
 
 /// Serialise a particle set as a ckpt record frame (raw encoding).
 pub fn particles_to_bytes(p: &ParticleSet) -> Bytes {
-    let rec = Record::Particles(p.clone());
-    Bytes::from(rec.encode(Encoding::Raw).bytes)
+    Bytes::from(RecordRef::Particles(p).encode(Encoding::Raw).bytes)
 }
 
 /// Deserialise a particle set (strict, offset-reporting — see

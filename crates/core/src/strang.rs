@@ -18,7 +18,7 @@
 use crate::scenario::dynamics::TimeAxis;
 use crate::snapshot::{scheme_from_u8, scheme_to_u8};
 use vlasov6d_advection::line::Scheme;
-use vlasov6d_ckpt::{CkptError, LoadedCheckpoint, Record, SimState};
+use vlasov6d_ckpt::{CkptError, LoadedCheckpoint, Record, RecordRef, SimState};
 use vlasov6d_cosmology::Background;
 use vlasov6d_mesh::Field3;
 use vlasov6d_nbody::ParticleSet;
@@ -189,26 +189,20 @@ pub(crate) struct Saved {
     pub scheme: Scheme,
     /// The cached force, when all three meshes were saved.
     pub force: Option<[Field3; 3]>,
+    /// A hybrid run's cached CDM accelerations, when saved.
+    pub cdm_accel: Option<Vec<[f64; 3]>>,
 }
 
-/// The records of a stepper checkpoint: the distribution function, the
-/// [`SimState`] and — when `force` is given — the cached force as three named
-/// meshes. The solve runs *before* the second kick, whose velocity-boundary
-/// outflow perturbs the density in its last ulps, so a force recomputed from
-/// the saved distribution is right to rounding but bitwise wrong; with the
-/// meshes a resumed run continues bit for bit. `slot` fills
+/// Names of the cached-force meshes, by axis.
+const FORCE_NAMES: [&str; 3] = ["force0", "force1", "force2"];
+/// Name of the mesh (dims `[n, 3, 1]`) holding a hybrid run's cached CDM
+/// accelerations.
+const CDM_ACCEL_NAME: &str = "cdm_accel";
+
+/// The [`SimState`] of a stepper checkpoint. `slot` fills
 /// `SimState::omega_component`, which each driver uses for its own scalar.
-pub(crate) fn records(
-    ps: Option<&PhaseSpace>,
-    force: Option<&[Field3; 3]>,
-    p: &Policy,
-    step: u64,
-    tag_counter: u64,
-    t: f64,
-    slot: f64,
-) -> Vec<Record> {
-    let mut records: Vec<Record> = ps.cloned().map(Record::PhaseSpace).into_iter().collect();
-    records.push(Record::SimState(SimState {
+pub(crate) fn sim_state(p: &Policy, step: u64, tag_counter: u64, t: f64, slot: f64) -> SimState {
+    SimState {
         step,
         tag_counter,
         a: t,
@@ -217,35 +211,67 @@ pub(crate) fn records(
         max_dln_a: p.max_step,
         scheme: scheme_to_u8(p.scheme),
         rng: Vec::new(),
-    }));
-    for (axis, f) in force.into_iter().flatten().enumerate() {
-        records.push(Record::FieldMesh {
-            name: format!("force{axis}"),
-            field: f.clone(),
+    }
+}
+
+/// The records of a stepper checkpoint, borrowed from the driver's own
+/// storage: the distribution function, the [`SimState`] and — when `force`
+/// is given — the cached force as three named meshes. The solve runs
+/// *before* the second kick, whose velocity-boundary outflow perturbs the
+/// density in its last ulps, so a force recomputed from the saved
+/// distribution is right to rounding but bitwise wrong; with the meshes a
+/// resumed run continues bit for bit. A hybrid run adds its particles and
+/// the CDM accelerations of the same solve.
+pub(crate) fn records<'a>(
+    ps: Option<&'a PhaseSpace>,
+    force: Option<&'a [Field3; 3]>,
+    state: &'a SimState,
+    cdm: Option<(&'a ParticleSet, &'a [[f64; 3]])>,
+) -> Vec<RecordRef<'a>> {
+    let mut records: Vec<RecordRef<'a>> = ps.map(RecordRef::PhaseSpace).into_iter().collect();
+    records.push(RecordRef::SimState(state));
+    for (name, f) in FORCE_NAMES.into_iter().zip(force.into_iter().flatten()) {
+        records.push(RecordRef::FieldMesh {
+            name,
+            dims: f.dims(),
+            data: f.as_slice(),
         });
+    }
+    if let Some((particles, accel)) = cdm {
+        records.push(RecordRef::Particles(particles));
+        if !accel.is_empty() {
+            records.push(RecordRef::FieldMesh {
+                name: CDM_ACCEL_NAME,
+                dims: [accel.len(), 3, 1],
+                data: accel.as_flattened(),
+            });
+        }
     }
     records
 }
 
-/// Decode what [`records`] wrote (plus a hybrid run's particles). Fails when
-/// the generation holds no [`SimState`], names an unknown scheme, or lacks
-/// the distribution function while `need_ps` asks for it.
+/// Decode what [`records`] wrote. Fails when the generation holds no
+/// [`SimState`], names an unknown scheme, or lacks the distribution function
+/// while `need_ps` asks for it.
 pub(crate) fn restore(loaded: LoadedCheckpoint, need_ps: bool) -> Result<Saved, CkptError> {
     let generation = loaded.generation;
     let missing = |what: &str| CkptError::Mismatch {
         detail: format!("generation {generation} holds no {what} record"),
     };
-    let (mut ps, mut particles, mut state) = (None, None, None);
+    let (mut ps, mut particles, mut state, mut cdm_accel) = (None, None, None, None);
     let mut force: [Option<Field3>; 3] = [None, None, None];
     for r in loaded.records {
         match r {
             Record::PhaseSpace(p) => ps = Some(p),
             Record::Particles(p) => particles = Some(p),
             Record::SimState(s) => state = Some(s),
+            Record::FieldMesh { name, field } if name == CDM_ACCEL_NAME => {
+                let rows = field.as_slice().chunks_exact(3);
+                cdm_accel = Some(rows.map(|a| [a[0], a[1], a[2]]).collect());
+            }
             Record::FieldMesh { name, field } => {
-                let axis = name.strip_prefix("force").and_then(|s| s.parse().ok());
-                if let Some(slot) = axis.and_then(|a: usize| force.get_mut(a)) {
-                    *slot = Some(field);
+                if let Some(axis) = FORCE_NAMES.iter().position(|n| *n == name) {
+                    force[axis] = Some(field);
                 }
             }
             _ => {}
@@ -264,6 +290,7 @@ pub(crate) fn restore(loaded: LoadedCheckpoint, need_ps: bool) -> Result<Saved, 
             [Some(f0), Some(f1), Some(f2)] => Some([f0, f1, f2]),
             _ => None,
         },
+        cdm_accel,
     })
 }
 

@@ -89,30 +89,22 @@ fn resumed_step_matches_the_uninterrupted_one() {
         sim.cdm.as_ref().expect("CDM").vel.clone(),
     );
 
-    // A restore recomputes the forces from the restored state, where the
-    // uninterrupted run carried the ones solved before its last kick: the
-    // two differ in the last ulps of the ν density, so the resumed step is
-    // held to a tolerance (the lifecycle benchmark's), not to the bit.
+    // The checkpoint carries the cached ν force meshes and CDM
+    // accelerations, so a fresh simulation that restores it takes the very
+    // step the uninterrupted one took, bit for bit.
     let mut resumed = HybridSimulation::new(config());
     assert_eq!(resumed.restore_checkpoint(&store).expect("restored"), 2);
     resumed.step();
     let _ = std::fs::remove_dir_all(&root);
 
-    let f_max = f.iter().fold(0.0f32, |m, v| m.max(v.abs()));
     let now_f = resumed.neutrinos.as_ref().expect("ν").as_slice();
-    let df = f
-        .iter()
-        .zip(now_f)
-        .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
-    assert!(df <= 1e-5 * f_max, "max |Δf| = {df:e} of {f_max:e}");
-    let max_diff = |a: &[[f64; 3]], b: &[[f64; 3]]| {
-        a.iter()
-            .flatten()
-            .zip(b.iter().flatten())
-            .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
+    let same_f = f.iter().zip(now_f).all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(same_f && f.len() == now_f.len(), "f bits moved");
+    let same = |a: &[[f64; 3]], b: &[[f64; 3]]| {
+        let bits = |v: &[[f64; 3]]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        bits(a) == bits(b)
     };
     let now = resumed.cdm.as_ref().expect("CDM");
-    assert!(max_diff(&pos, &now.pos) <= 1e-9, "positions moved");
-    let v_max = vel.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
-    assert!(max_diff(&vel, &now.vel) <= 1e-6 * v_max, "velocities moved");
+    assert!(same(&pos, &now.pos), "positions moved");
+    assert!(same(&vel, &now.vel), "velocities moved");
 }

@@ -50,20 +50,17 @@ impl SnapshotShard {
         rank: usize,
         cache_bytes: usize,
     ) -> Result<SnapshotShard, QueryError> {
-        let mut reader = store
+        let reader = store
             .open_rank(generation, rank)
             .map_err(|e| QueryError::Snapshot(e.to_string()))?;
         let mut blocks = Vec::new();
         for i in 0..reader.record_count() {
-            let meta = reader
-                .peek_meta(i)
-                .map_err(|e| QueryError::Snapshot(e.to_string()))?;
             if let RecordMeta::PhaseSpace {
                 sdims,
                 soffset,
                 sglobal,
                 ..
-            } = meta
+            } = reader.peek_meta(i)
             {
                 blocks.push(BlockInfo {
                     record: i,

@@ -2,13 +2,14 @@
 //! and resumed from disk must reproduce the uninterrupted run bit for bit —
 //! under the default cosmological dynamics and under a scenario's, whose
 //! configuration the caller re-applies on the resumed driver; a torn newest
-//! generation must fall back to the previous one; and a rank killed mid-step
+//! generation must fall back to the previous one; a rank killed mid-step
 //! must surface as a structured error while the on-disk state stays
-//! resumable.
+//! resumable; and the hybrid driver, restored in place, must repeat the step
+//! it had already taken bit for bit.
 
 use std::path::PathBuf;
 use vlasov6d::scenario::plasma;
-use vlasov6d::{DistributedVlasov, KineticScenario};
+use vlasov6d::{DistributedVlasov, HybridSimulation, KineticScenario, SimulationConfig};
 use vlasov6d_ckpt::{fault, CheckpointPolicy, CheckpointStore, Encoding, Record};
 use vlasov6d_cosmology::{Background, CosmologyParams};
 use vlasov6d_mesh::Decomp3;
@@ -290,5 +291,47 @@ fn killed_rank_surfaces_as_structured_error_and_run_resumes() {
     for (rank, (got, want)) in resumed.iter().zip(&reference).enumerate() {
         assert_eq!(got.0, want.0, "rank {rank} distribution-function bits");
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Every evolving bit of a hybrid run: `f`, positions, velocities, `a`.
+fn hybrid_bits(sim: &HybridSimulation) -> (Vec<u32>, Vec<u64>, Vec<u64>, u64) {
+    let nu = sim.neutrinos.as_ref().expect("ν component");
+    let cdm = sim.cdm.as_ref().expect("CDM component");
+    let bits = |v: &[[f64; 3]]| v.iter().flatten().map(|x| x.to_bits()).collect();
+    (
+        nu.as_slice().iter().map(|v| v.to_bits()).collect(),
+        bits(&cdm.pos),
+        bits(&cdm.vel),
+        sim.a.to_bits(),
+    )
+}
+
+#[test]
+fn hybrid_restore_then_step_is_bitwise_identical_to_uninterrupted_step() {
+    let root = scratch("hybrid");
+    let store = CheckpointStore::new(&root);
+    let mut config = SimulationConfig::small_test();
+    config.z_init = 5.0;
+    config.max_dln_a = 0.1;
+
+    let mut sim = HybridSimulation::new(config);
+    sim.step();
+    sim.step();
+    sim.save_checkpoint(&store).expect("checkpoint commit");
+    sim.step();
+    let uninterrupted = hybrid_bits(&sim);
+
+    // The cached ν force meshes and CDM accelerations come back with the
+    // state, so the repeated step starts from the very kick the first one
+    // did — no gravity re-solve, no last-ulp drift.
+    assert_eq!(sim.restore_checkpoint(&store).expect("restore"), 2);
+    assert_eq!(sim.step_count, 2);
+    sim.step();
+    let resumed = hybrid_bits(&sim);
+    assert!(resumed.0 == uninterrupted.0, "f bits diverged");
+    assert!(resumed.1 == uninterrupted.1, "position bits diverged");
+    assert!(resumed.2 == uninterrupted.2, "velocity bits diverged");
+    assert_eq!(resumed.3, uninterrupted.3, "scale-factor bits");
     std::fs::remove_dir_all(&root).unwrap();
 }
