@@ -88,7 +88,9 @@ fn vhigh(g: &[f32x8; 5], w: &[f32x8; 5]) -> f32x8 {
 
 /// Advance a bundle of eight lines (`bundle[i]` holds position `i` of all
 /// eight lines) by a common shift `cfl`. Only the production schemes are
-/// vectorised; ask for others through the scalar path.
+/// vectorised; ask for others through the scalar path. Any length works: a
+/// bundle shorter than the stencil reads its own periodic images (or zeros),
+/// exactly as the scalar kernel's short lines do.
 ///
 /// # Panics
 /// Panics for schemes other than [`Scheme::Sl5`] / [`Scheme::SlMpp5`].
@@ -103,7 +105,6 @@ pub fn advect_lanes(
     if n == 0 || cfl == 0.0 {
         return;
     }
-    assert!(n >= 2 * GHOST, "bundle too short for the stencil: {n}");
     // Mirror trick, as in the scalar kernel.
     let mirrored = cfl < 0.0;
     if mirrored {
@@ -488,6 +489,55 @@ mod tests {
                             "{scheme:?} cfl={cfl} n={n}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// A periodic bundle shorter than the stencil is the same eight lines
+    /// tiled to `≥ 2·GHOST` cells, bit for bit: `sample` wraps through as many
+    /// images as the stencil spans.
+    #[test]
+    fn short_periodic_bundle_matches_tiled_bundle_bitwise() {
+        let mut work = LanesWork::new();
+        for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+            for n in 1..=5usize {
+                for cfl in [0.3, 0.999, -0.42, 2.7, -3.1] {
+                    let mut short = pack(&make_lines(n, 17 + n as u64));
+                    let tiles = (2 * GHOST).div_ceil(n);
+                    let mut tiled: Vec<f32x8> = std::iter::repeat_n(short.iter().copied(), tiles)
+                        .flatten()
+                        .collect();
+                    advect_lanes(scheme, &mut short, cfl, Boundary::Periodic, &mut work);
+                    advect_lanes(scheme, &mut tiled, cfl, Boundary::Periodic, &mut work);
+                    assert_eq!(
+                        bits(&short),
+                        bits(&tiled[..n]),
+                        "{scheme:?} n={n} cfl={cfl}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A short `Zero` bundle is the window of the same data embedded in a long
+    /// zero-padded bundle, bit for bit.
+    #[test]
+    fn short_zero_bundle_matches_embedded_window_bitwise() {
+        let mut work = LanesWork::new();
+        for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+            for n in 1..=5usize {
+                for cfl in [0.3, 0.999, -0.42, 2.7, -3.1] {
+                    let mut short = pack(&make_lines(n, 29 + n as u64));
+                    let mut long = vec![f32x8::ZERO; 24];
+                    long[10..10 + n].copy_from_slice(&short);
+                    advect_lanes(scheme, &mut short, cfl, Boundary::Zero, &mut work);
+                    advect_lanes(scheme, &mut long, cfl, Boundary::Zero, &mut work);
+                    assert_eq!(
+                        bits(&short),
+                        bits(&long[10..10 + n]),
+                        "{scheme:?} n={n} cfl={cfl}"
+                    );
                 }
             }
         }

@@ -35,6 +35,8 @@ struct ScenarioRow {
     /// `(measured, expected, rel_err)` where the scenario declares an oracle.
     rate: Option<(f64, f64, f64)>,
     bands_ok: bool,
+    /// `kernel.shape`: which sweep axes ran on lanes, and how they loaded.
+    shape: String,
 }
 
 fn family_name(sc: &KineticScenario) -> &'static str {
@@ -93,6 +95,7 @@ fn run_scenario(sc: &KineticScenario) -> ScenarioRow {
         l2_growth,
         rate,
         bands_ok,
+        shape: sim.lane_shapes(),
     }
 }
 
@@ -143,6 +146,7 @@ fn main() -> ExitCode {
                 &widths
             )
         );
+        println!("  kernel.shape  {}", row.shape);
         let mut fields = vec![
             ("bench", Json::str("scenario_suite")),
             ("scenario", Json::str(row.name)),
@@ -155,6 +159,7 @@ fn main() -> ExitCode {
             ("energy_drift", Json::num(row.energy_drift)),
             ("l2_growth", Json::num(row.l2_growth)),
             ("bands_ok", Json::num_u64(row.bands_ok as u64)),
+            ("kernel_shape", Json::str(&row.shape)),
         ];
         if let Some((measured, expected, rel_err)) = row.rate {
             fields.push(("measured_rate", Json::num(measured)));

@@ -31,7 +31,6 @@ fn main() {
     config.nu = 16;
     config.n_pm = 24;
     config.n_cdm = 24;
-    config.exec = vlasov6d_phase_space::Exec::Scalar; // nx=12 not lane-aligned
     config.z_init = 6.0;
     let z_final = 3.0;
 

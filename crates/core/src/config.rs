@@ -141,9 +141,6 @@ impl SimulationConfig {
                 self.nx, self.nu
             ));
         }
-        if self.nu % 8 != 0 && !matches!(self.exec, Exec::Scalar) {
-            return Err("SIMD execution requires nu divisible by 8".into());
-        }
         if !(0.0 < self.cfl_spatial && self.cfl_spatial < 1.0) {
             return Err(format!(
                 "cfl_spatial must be in (0, 1), got {}",
@@ -191,20 +188,27 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = SimulationConfig::small_test();
-        c.nu = 12; // not a multiple of 8 with SIMD exec
-        assert!(c.validate().is_err());
-
-        let mut c = SimulationConfig::small_test();
         c.with_neutrinos = false;
         c.with_cdm = false;
         assert!(c.validate().is_err());
     }
 
+    /// No divisibility rule on `nu`: `Exec::resolve` picks lanes or the
+    /// scalar task per axis, so any velocity resolution validates and steps
+    /// under every `Exec`.
     #[test]
-    fn scalar_exec_permits_odd_nu() {
+    fn any_nu_from_8_validates_and_steps() {
+        for (nu, exec) in [(10, Exec::Simd), (12, Exec::Lat), (9, Exec::Scalar)] {
+            let mut c = SimulationConfig::small_test();
+            c.nu = nu;
+            c.exec = exec;
+            assert!(c.validate().is_ok(), "nu = {nu} under {exec:?}");
+            let mut sim = crate::HybridSimulation::new(c);
+            let record = sim.step();
+            assert!(record.nu_mass.is_finite() && record.nu_mass > 0.0);
+        }
         let mut c = SimulationConfig::small_test();
-        c.exec = Exec::Scalar;
-        c.nu = 10;
-        assert!(c.validate().is_ok());
+        c.nu = 7;
+        assert!(c.validate().is_err());
     }
 }

@@ -6,7 +6,9 @@
 //! span tree into the per-bucket [`StepTimers`], so the structured trace and
 //! the paper-style decomposition are always consistent.
 
+use vlasov6d_advection::line::Scheme;
 use vlasov6d_obs::{BucketTotals, MetricValue, SpanNode, StepEvent};
+use vlasov6d_phase_space::{sweep, Exec, PhaseSpace};
 
 /// Wall-clock decomposition of one step, in seconds — the buckets the paper
 /// reports (Vlasov, tree, PM) plus checkpoint I/O and everything else. It
@@ -27,7 +29,7 @@ pub struct StepRecord {
     pub spans: Vec<SpanNode>,
     /// The step's counts and labels, sorted by name (the hybrid driver's
     /// tree walk: `nbody.tree.groups`, `nbody.tree.interactions`; on a run's
-    /// first step `kernel.isa`).
+    /// first step `kernel.isa` and, with a Vlasov component, `kernel.shape`).
     pub metrics: Vec<(String, MetricValue)>,
     /// Total neutrino mass on the grid (code units) — drains only through
     /// the velocity-space boundary.
@@ -47,6 +49,27 @@ pub(crate) fn kernel_isa_metric() -> (String, MetricValue) {
     (
         "kernel.isa".to_string(),
         MetricValue::Text(isa.name().to_string()),
+    )
+}
+
+/// `kernel.shape`, beside `kernel.isa`: the task shape each of the six sweep
+/// axes runs on this grid ([`sweep::lane_shapes`]), so a trace says which
+/// axes are on lanes — packed, gathered or transposed — and which fell back
+/// to the scalar kernel. `ghosted_x`: the driver sweeps `x` through its ghost
+/// exchange, which asks for lanes whatever `exec` says.
+pub(crate) fn kernel_shape_metric(
+    ps: &PhaseSpace,
+    scheme: Scheme,
+    exec: Exec,
+    ghosted_x: bool,
+) -> (String, MetricValue) {
+    let request = |axis: usize| match (axis, ghosted_x) {
+        (0, true) => Exec::Simd,
+        _ => exec,
+    };
+    (
+        "kernel.shape".to_string(),
+        MetricValue::Text(sweep::lane_shapes(scheme, &ps.dims6(), request)),
     )
 }
 

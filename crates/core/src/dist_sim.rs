@@ -12,8 +12,8 @@
 //! ν-only distributed run is exactly the "Vlasov part" whose weak scaling
 //! the paper reports at 94–99 %.
 
-use crate::diagnostics::kernel_isa_metric;
 use crate::diagnostics::StepTimers;
+use crate::diagnostics::{kernel_isa_metric, kernel_shape_metric};
 use crate::scenario::dynamics::{Dynamics, ForceLaw};
 use crate::strang;
 use vlasov6d_advection::line::Scheme;
@@ -170,9 +170,10 @@ impl DistributedVlasov {
         self
     }
 
-    /// Replace the sweep execution backend (default [`Exec::Simd`]). Needed
-    /// for velocity grids whose axes are not multiples of the SIMD lane
-    /// count — the plasma scenarios' thin transverse grids, for example.
+    /// Replace the sweep execution backend of the rank-local axes (default
+    /// [`Exec::Simd`], which [`Exec::resolve`] turns into lanes or the scalar
+    /// task per axis on any grid; the ghosted `x` sweeps always ask for
+    /// lanes). [`Exec::Scalar`] selects the f64 oracle kernel there.
     pub fn with_exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
         self
@@ -504,6 +505,7 @@ impl DistributedVlasov {
         }
         if self.run_steps == 1 {
             metrics.push(kernel_isa_metric());
+            metrics.push(kernel_shape_metric(&self.ps, self.scheme, self.exec, true));
         }
         StepEvent {
             step: telemetry.spans.step,

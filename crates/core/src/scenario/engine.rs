@@ -131,6 +131,14 @@ impl KineticSimulation {
         &self.history
     }
 
+    /// The task shape each sweep axis runs on this scenario's grid — the
+    /// drivers' `kernel.shape` label
+    /// ([`vlasov6d_phase_space::sweep::lane_shapes`]).
+    pub fn lane_shapes(&self) -> String {
+        let (scheme, exec) = (self.policy.scheme, self.policy.exec);
+        vlasov6d_phase_space::sweep::lane_shapes(scheme, &self.ps.dims6(), |_| exec)
+    }
+
     /// Solve the scenario's Poisson problem at the current state and cache
     /// `−∇φ` plus the potential energy `½ Σ source·φ·Δx³`.
     fn compute_force(&mut self) {

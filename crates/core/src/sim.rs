@@ -17,7 +17,7 @@
 //! components see identical drift/kick phases.
 
 use crate::config::SimulationConfig;
-use crate::diagnostics::{kernel_isa_metric, StepRecord};
+use crate::diagnostics::{kernel_isa_metric, kernel_shape_metric, StepRecord};
 use crate::fields;
 use crate::scenario::dynamics::TimeAxis;
 use crate::strang;
@@ -279,6 +279,10 @@ impl HybridSimulation {
         let mut metrics = Vec::new();
         if self.records.is_empty() {
             metrics.push(kernel_isa_metric());
+            if let Some(ps) = &self.neutrinos {
+                let (scheme, exec) = (self.config.scheme, self.config.exec);
+                metrics.push(kernel_shape_metric(ps, scheme, exec, false));
+            }
         }
         if self.cdm.is_some() {
             metrics.push((
@@ -529,11 +533,13 @@ mod tests {
             ..tiny_config()
         });
         // Without CDM there is no walk to count: the run's first record
-        // carries the kernel label alone, and later ones nothing.
+        // carries the two kernel labels alone, and later ones nothing.
         let first = nu_only.step().metrics.clone();
         assert!(
-            matches!(first.as_slice(), [(name, MetricValue::Text(isa))]
-                if name == "kernel.isa" && (isa == "avx2" || isa == "baseline")),
+            matches!(first.as_slice(), [(name, MetricValue::Text(isa)), (shape, MetricValue::Text(axes))]
+                if name == "kernel.isa" && (isa == "avx2" || isa == "baseline")
+                    && shape == "kernel.shape"
+                    && axes == "x:packed y:packed z:tile ux:packed uy:packed uz:gather"),
             "{first:?}"
         );
         assert!(nu_only.step().metrics.is_empty());

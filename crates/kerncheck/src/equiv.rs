@@ -14,7 +14,8 @@
 //!   `f64`) within a per-element hybrid ULP budget over a seeded adversarial
 //!   corpus: uniform random lines, isolated spikes (limiter corners),
 //!   denormal-magnitude lines (flush/underflow paths), and near-clamp
-//!   plateaus (the positivity clamp's `min`/`max` ties). The tolerance is
+//!   plateaus (the positivity clamp's `min`/`max` ties), at 40 cells and at
+//!   every length below the stencil's (1–5). The tolerance is
 //!   `BUDGET_ULPS · ε_f32 · scale + 2 · f32::MIN_POSITIVE` with `scale` the
 //!   line's max magnitude — relative in the normal range, absolute at the
 //!   denormal floor.
@@ -119,9 +120,9 @@ fn pack(lines: &[Vec<f32>]) -> Vec<f32x8> {
         .collect()
 }
 
-/// Differential-test `advect_lanes` against `advect_line` over the corpus.
-fn check_lanes(report: &mut Report) {
-    let n = 40usize;
+/// Differential-test `advect_lanes` against `advect_line` over the corpus at
+/// line length `n`, as property `name`.
+fn check_lanes(report: &mut Report, n: usize, name: &str) {
     let cfls = [0.3, 0.85, 0.999, -0.42, 2.7, 1e-13, 0.2];
     let mut worst: f64 = 0.0;
     let mut failure = None;
@@ -161,7 +162,7 @@ fn check_lanes(report: &mut Report) {
     match failure {
         None => report.verified(
             "equivalence",
-            "lanes.differential",
+            name,
             format!(
                 "f32x8 kernels track the scalar path within {BUDGET_ULPS:.0} ULP · scale + \
                  2·MIN_POSITIVE over {cases} (scheme × shape × cfl × boundary) corpus cases \
@@ -171,7 +172,7 @@ fn check_lanes(report: &mut Report) {
         ),
         Some(w) => report.violated(
             "equivalence",
-            "lanes.differential",
+            name,
             "SIMD lanes diverge from the scalar kernel beyond the ULP budget",
             Some(w),
         ),
@@ -293,7 +294,12 @@ fn check_carried(report: &mut Report) {
 /// Run the whole pass.
 pub fn run(report: &mut Report) {
     check_transpose(report);
-    check_lanes(report);
+    check_lanes(report, 40, "lanes.differential");
+    // Lines shorter than the stencil — the thin axes of the plasma grids —
+    // where both kernels sample their own periodic images or zeros.
+    for n in 1..=5 {
+        check_lanes(report, n, &format!("lanes.differential.short{n}"));
+    }
     check_carried(report);
 }
 

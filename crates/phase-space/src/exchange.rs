@@ -532,9 +532,12 @@ mod tests {
     #[test]
     fn overlapped_sweep_is_rank_and_thread_count_invariant() {
         // 1 rank × 1 thread ≡ 1 rank × 4 threads ≡ 2 ranks ≡ the local
-        // periodic sweep at the execution variant the grid resolves to —
-        // lanes on the 8³ velocity grid, scalar pencils on the thin one.
-        for (nv, exec) in [(8usize, Exec::Simd), (4, Exec::Scalar)] {
+        // periodic sweep at the task shape the grid resolves to — packed
+        // bundles and tiles on the 8³ velocity grid, packed (`x`) and
+        // gathered (`y`, `z`) bundles on the thin 4³ one, scalar pencils on
+        // the ragged 3³ one.
+        for nv in [8usize, 4, 3] {
+            let exec = Exec::Simd;
             let oracle = overlapped_global(nv, 1, 1);
             assert!(oracle == overlapped_global(nv, 1, 4), "nv {nv}: 4 threads");
             assert!(oracle == overlapped_global(nv, 2, 1), "nv {nv}: 2 ranks");

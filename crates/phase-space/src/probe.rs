@@ -21,13 +21,15 @@ use vlasov6d_advection::line::{LineWork, Scheme};
 use vlasov6d_advection::simd::{f32x8, LANES};
 use vlasov6d_mesh::Field3;
 
-/// Number of parallel tasks `sweep_spatial(ps, d, .., exec)` would launch.
+/// Number of parallel tasks `sweep_spatial` launches for `d` in the task
+/// shape `exec` (an [`Exec::resolve`] answer).
 pub fn spatial_task_count(ps: &PhaseSpace, d: usize, exec: Exec) -> usize {
     plan::spatial_task_count(&ps.dims6(), d, exec)
 }
 
 /// Execute exactly one task of the spatial-sweep region — the same body the
-/// parallel region runs, with fresh scratch state.
+/// parallel region runs, with fresh scratch state. `exec` is the task shape,
+/// which must be the one [`Exec::resolve`] selects on this grid.
 pub fn run_spatial_task(
     ps: &mut PhaseSpace,
     d: usize,
@@ -52,11 +54,12 @@ pub fn run_spatial_task(
             let mut scratch = (vec![0.0f32; n_line], LineWork::new());
             spatial_scalar_task(base, &dims, d, cfl_per_u, scheme, &mut scratch, task);
         }
-        Exec::Simd | Exec::Lat if d < 2 => {
+        Exec::Simd => {
+            let bundles = plan::Bundles::spatial(&dims, d);
             let mut scratch = (vec![f32x8::ZERO; n_line], LanesWork::new());
-            spatial_bundle_task(base, &dims, d, cfl_per_u, scheme, &mut scratch, task);
+            spatial_bundle_task(base, &bundles, cfl_per_u, scheme, &mut scratch, task);
         }
-        Exec::Simd | Exec::Lat => {
+        Exec::Lat => {
             let mut scratch = (vec![f32x8::ZERO; n_line * LANES], LanesWork::new());
             spatial_tile_task(base, &dims, cfl_per_u, scheme, &mut scratch, task);
         }

@@ -7,26 +7,33 @@
 //! * [`Exec::Scalar`] — "w/o SIMD": one line at a time, element-wise strided
 //!   gather/scatter into a line buffer, scalar kernel.
 //! * [`Exec::Simd`] — "w/ SIMD inst.": eight lines ride the lanes of an
-//!   [`f32x8`]. For every axis except `u_z` the lanes are eight *contiguous*
-//!   `iuz` values, so each bundle element is one packed load (paper Fig. 1).
-//!   For the `u_z` axis itself the lanes must come from eight different
-//!   `iuy` lines, i.e. strided element gathers (paper Fig. 2) — deliberately
-//!   the slow shape, kept for the Table 1 comparison.
-//! * [`Exec::Lat`] — "w/ LAT method": only meaningful for the `u_z` axis;
-//!   eight contiguous lines are loaded as packed registers and transposed
+//!   [`f32x8`]. A bundle is *any eight lines that share the sweep's shift*
+//!   ([`plan::Bundles`]): where their cells are adjacent in memory each
+//!   bundle element is one packed load (paper Fig. 1), where they are not it
+//!   is eight element loads (paper Fig. 2 — the shape of the `u_z` axis on
+//!   every grid, and of `y` / `z` / `u_y` on the plasma scenarios' thin
+//!   `[nv, 4, 4]` velocity grids).
+//! * [`Exec::Lat`] — "w/ LAT method": where `nuy` and `nuz` divide by 8, eight
+//!   contiguous `u_z` lines are loaded as packed registers and transposed
 //!   in-register ([`transpose8x8`], paper Fig. 3) into lane form, advected,
-//!   and transposed back. Other axes fall back to [`Exec::Simd`].
+//!   and transposed back; the spatial `z` sweep stages 8×8 `(iuy, iuz)`
+//!   tiles the same way under either lane variant. Other axes fall back to
+//!   [`Exec::Simd`].
 //!
-//! [`Exec::resolve`] is the one rule for which variant a request really runs:
-//! the lane kernels implement SL5 / SL-MPP5 on lane-divisible velocity grids,
-//! everything else runs the scalar task. The distributed sweeps of
-//! [`crate::exchange`] run the same three task shapes through
-//! `sweep_ghosted`, reading ghost planes instead of the periodic wrap.
+//! [`Exec::resolve`] is the one rule for which task shape a request really
+//! runs: lanes whenever the scheme is SL5 / SL-MPP5 and the lines of a cell
+//! that share a shift come in multiples of eight — the product of the two
+//! velocity extents other than the swept (or conjugate) one ([`plan`] module
+//! table), so `[64, 4, 4]` and `[6, 4, 4]` run in lanes and only ragged grids
+//! (`6³`, `[7, 4, 4]` along `y` / `z`) or the cheaper schemes run the scalar
+//! task. The distributed sweeps of [`crate::exchange`] run the same task
+//! shapes through `sweep_ghosted`, reading ghost planes instead of the
+//! periodic wrap.
 //!
 //! The advection velocity is constant along every line *and* across every
 //! lane bundle by construction: spatial sweeps depend only on the conjugate
-//! velocity index, velocity sweeps only on the spatial cell — and the lane
-//! axis is never either of those.
+//! velocity index, velocity sweeps only on the spatial cell — and neither is
+//! ever a free axis.
 //!
 //! Every parallel region here runs on the real thread pool behind
 //! `rayon::par_iter`. The per-task index sets are the plans of
@@ -50,7 +57,7 @@ pub enum Exec {
     /// One line at a time, no lane batching.
     Scalar,
     /// Eight lines per bundle; packed loads where the layout allows,
-    /// strided gathers on the `u_z` axis.
+    /// element gathers where it does not.
     #[default]
     Simd,
     /// Load-and-transpose staging for the `u_z` axis.
@@ -58,27 +65,61 @@ pub enum Exec {
 }
 
 impl Exec {
-    /// The variant a sweep along layout axis `axis` (0–2 spatial, 3–5
+    /// The task shape a sweep along layout axis `axis` (0–2 spatial, 3–5
     /// velocity) of a `dims` grid really runs — the one place that decides
-    /// whether the lane kernels apply. They implement `Sl5` / `SlMpp5` only
-    /// and need the lane axes divisible by [`LANES`] (`nuz`; also `nuy`
-    /// where 8×8 tiles are transposed, and `nuy` alone for the strided
-    /// `u_z` gathers); every other request runs the scalar task, which takes
-    /// any scheme on any grid.
+    /// whether the lane kernels apply: [`Exec::Scalar`] the scalar pencil
+    /// task, [`Exec::Simd`] the bundle task, [`Exec::Lat`] the
+    /// load-and-transpose task (8×8 tiles along `z`, LAT along `u_z`). The
+    /// lane kernels implement `Sl5` / `SlMpp5` only and need the lines that
+    /// share a shift to come in multiples of [`LANES`]; every other request
+    /// runs the scalar task, which takes any scheme on any grid.
+    ///
+    /// The lines counted are those of one spatial cell — `nuy·nuz` for `x`
+    /// and `u_x`, `nux·nuz` for `y` and `u_y`, `nux·nuy` for `z` and `u_z` —
+    /// so the answer depends on the velocity grid alone: every block of a
+    /// decomposed run resolves as the whole box does, whatever its spatial
+    /// extents, and distributed ≡ serial stays a statement about bits.
     pub fn resolve(self, scheme: Scheme, dims: &[usize; 6], axis: usize) -> Exec {
-        let (nuy, nuz) = (dims[4] % LANES == 0, dims[5] % LANES == 0);
-        let divisible = match (axis, self) {
-            (_, Exec::Scalar) => false,
-            (2, _) | (5, Exec::Lat) => nuy && nuz,
-            (5, Exec::Simd) => nuy,
-            _ => nuz,
-        };
-        if divisible && matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5) {
-            self
-        } else {
-            Exec::Scalar
+        let shift_axis = 3 + axis % 3;
+        let lines: usize = (3..6)
+            .filter(|&a| a != shift_axis)
+            .map(|a| dims[a])
+            .product();
+        if self == Exec::Scalar
+            || !matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5)
+            || lines % LANES != 0
+        {
+            return Exec::Scalar;
+        }
+        // Table 1's transposed shapes, exactly where they always ran.
+        let tiles = dims[4] % LANES == 0 && dims[5] % LANES == 0;
+        match axis {
+            2 if tiles => Exec::Lat,
+            5 if tiles && self == Exec::Lat => Exec::Lat,
+            _ => Exec::Simd,
         }
     }
+}
+
+/// Which shape each axis of a `dims` grid runs when layout axis `a` is swept
+/// under `(scheme, exec(a))`, one token per axis — the `kernel.shape` value
+/// of the drivers' first step record: `x:packed y:gather z:gather ux:packed
+/// uy:gather uz:gather` on a `[nv, 4, 4]` velocity grid, `scalar` where
+/// [`Exec::resolve`] fell back.
+pub fn lane_shapes(scheme: Scheme, dims: &[usize; 6], exec: impl Fn(usize) -> Exec) -> String {
+    const AXES: [&str; 6] = ["x", "y", "z", "ux", "uy", "uz"];
+    let shape = |axis: usize| match (exec(axis).resolve(scheme, dims, axis), axis) {
+        (Exec::Scalar, _) => "scalar",
+        (Exec::Lat, 2) => "tile",
+        (Exec::Lat, _) => "lat",
+        (Exec::Simd, 0..=2) if plan::Bundles::spatial(dims, axis).packed() => "packed",
+        (Exec::Simd, 3..) if plan::Bundles::block(dims, axis - 3).packed() => "packed",
+        (Exec::Simd, _) => "gather",
+    };
+    let tokens: Vec<String> = (0..6)
+        .map(|a| format!("{}:{}", AXES[a], shape(a)))
+        .collect();
+    tokens.join(" ")
 }
 
 /// Partition of one axis's cell range into the boundary slabs whose stencils
@@ -116,15 +157,18 @@ pub(crate) struct SendMutPtr(pub(crate) *mut f32);
 // [racecheck: sweep.spatial.x.scalar, sweep.spatial.y.scalar,
 // sweep.spatial.z.scalar, sweep.spatial.x.simd, sweep.spatial.y.simd,
 // sweep.spatial.z.simd, sweep.spatial.x.lat, sweep.spatial.y.lat,
-// sweep.spatial.z.lat, sweep.dist.x.sync.scalar, sweep.dist.x.sync.simd,
+// sweep.spatial.z.lat, sweep.spatial.y.gather, sweep.spatial.z.gather,
+// sweep.dist.x.sync.scalar, sweep.dist.x.sync.simd,
 // sweep.dist.x.interior.scalar, sweep.dist.x.interior.simd,
 // sweep.dist.x.edges.scalar, sweep.dist.x.edges.simd,
-// sweep.dist.y.sync.scalar, sweep.dist.y.sync.simd,
+// sweep.dist.y.sync.scalar, sweep.dist.y.sync.simd, sweep.dist.y.sync.gather,
 // sweep.dist.y.interior.scalar, sweep.dist.y.interior.simd,
-// sweep.dist.y.edges.scalar, sweep.dist.y.edges.simd,
-// sweep.dist.z.sync.scalar, sweep.dist.z.sync.simd,
+// sweep.dist.y.interior.gather, sweep.dist.y.edges.scalar,
+// sweep.dist.y.edges.simd, sweep.dist.y.edges.gather,
+// sweep.dist.z.sync.scalar, sweep.dist.z.sync.simd, sweep.dist.z.sync.gather,
 // sweep.dist.z.interior.scalar, sweep.dist.z.interior.simd,
-// sweep.dist.z.edges.scalar, sweep.dist.z.edges.simd]
+// sweep.dist.z.interior.gather, sweep.dist.z.edges.scalar,
+// sweep.dist.z.edges.simd, sweep.dist.z.edges.gather]
 // SAFETY: the wrapper only moves the raw pointer across pool workers; every
 // dereference follows the task's `plan` index set, and racecheck proves the
 // plans of distinct tasks pairwise disjoint for all grid shapes in the
@@ -162,19 +206,22 @@ pub fn sweep_spatial(ps: &mut PhaseSpace, d: usize, cfl_per_u: &[f64], scheme: S
                 },
             );
         }
-        Exec::Simd | Exec::Lat if d < 2 => {
-            // x/y sweeps: lanes over iuz are contiguous packed loads and the
-            // conjugate velocity (iux/iuy) is constant across them (Fig. 1).
-            // Racecheck region `sweep.spatial.{x,y}.{simd,lat}`; `resolve`
-            // vouches for `nuz % LANES == 0`.
+        Exec::Simd => {
+            // Bundles of eight lines that share a conjugate index: packed
+            // loads where they are adjacent in memory (Fig. 1), element
+            // gathers where they are not. Racecheck regions
+            // `sweep.spatial.{x,y}.{simd,lat}` and
+            // `sweep.spatial.{y,z}.gather`; `resolve` vouches for the free
+            // count dividing by `LANES`.
+            let bundles = plan::Bundles::spatial(&dims, d);
             (0..n_tasks).into_par_iter().for_each_init(
                 || (vec![f32x8::ZERO; n_line], LanesWork::new()),
                 |scratch, task| {
-                    spatial_bundle_task(base, &dims, d, cfl_per_u, scheme, scratch, task)
+                    spatial_bundle_task(base, &bundles, cfl_per_u, scheme, scratch, task)
                 },
             );
         }
-        Exec::Simd | Exec::Lat => {
+        Exec::Lat => {
             // z sweep: the conjugate velocity IS iuz, so lanes over iuz would
             // mix shifts. Stage 8×8 (iuy, iuz) tiles through the in-register
             // transpose so lanes run over iuy at fixed iuz — constant shift
@@ -200,7 +247,7 @@ pub(crate) fn spatial_scalar_task(
     task: usize,
 ) {
     let line = plan::spatial_line(dims, d, task);
-    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Scalar, task)];
+    let cfl = cfl_per_u[plan::spatial_line_conjugate(dims, d, task)];
     let (buf, work) = scratch;
     // SAFETY: `line` is this task's plan; racecheck proves plans of distinct
     // tasks pairwise disjoint and in bounds, so the strided accesses below
@@ -212,29 +259,27 @@ pub(crate) fn spatial_scalar_task(
     }
 }
 
-/// One SIMD x/y spatial-sweep task: packed-load the planned bundle pencil,
-/// advect in lanes, store back.
+/// One bundle spatial-sweep task: load each planned bundle pencil, advect in
+/// lanes by its conjugate index's shift, store back.
 pub(crate) fn spatial_bundle_task(
     base: SendMutPtr,
-    dims: &[usize; 6],
-    d: usize,
+    bundles: &plan::Bundles,
     cfl_per_u: &[f64],
     scheme: Scheme,
     scratch: &mut (Vec<f32x8>, LanesWork),
     task: usize,
 ) {
-    let b = plan::spatial_bundle(dims, d, task);
-    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Simd, task)];
     let (bundle, work) = scratch;
-    // SAFETY: `b` is this task's plan (disjoint across tasks, in bounds —
-    // proved by racecheck); each element is one `lanes`-wide packed access.
-    unsafe {
-        for (i, v) in bundle.iter_mut().enumerate() {
-            *v = load_lanes(base.0.add(b.base + i * b.stride));
-        }
-        advect_lanes(scheme, bundle, cfl, Boundary::Periodic, work);
-        for (i, v) in bundle.iter().enumerate() {
-            store_lanes(base.0.add(b.base + i * b.stride), *v);
+    for (iu, b) in bundles.task(task) {
+        let cfl = cfl_per_u[iu];
+        // SAFETY: `b` is of this task's plan (disjoint across tasks, in
+        // bounds — proved by racecheck); each element is one access to cell
+        // `i` of it.
+        unsafe {
+            bundle.clear();
+            load_cells(base.0, &b, 0..b.len, bundle);
+            advect_lanes(scheme, bundle, cfl, Boundary::Periodic, work);
+            store_cells(base.0, &b, 0, bundle);
         }
     }
 }
@@ -251,7 +296,7 @@ pub(crate) fn spatial_tile_task(
     task: usize,
 ) {
     let t = plan::spatial_tile(dims, task);
-    let z0 = plan::spatial_conjugate_u(dims, 2, Exec::Lat, task);
+    let z0 = plan::spatial_tile_conjugate(dims, task);
     let n_line = t.len;
     let (bundles, work) = scratch;
     // SAFETY: `t` is this task's plan (disjoint across tasks, in bounds —
@@ -407,7 +452,7 @@ fn plane_dims(dims: &[usize; 6], d: usize) -> [usize; 6] {
 /// the ghost-extended kernels (`|cfl| < 1`) instead of the periodic ones.
 /// Lanes when [`Exec::resolve`] allows them on this grid, scalar pencils
 /// otherwise. Racecheck regions
-/// `sweep.dist.{x,y,z}.{sync,interior,edges}.{scalar,simd}`;
+/// `sweep.dist.{x,y,z}.{sync,interior,edges}.{scalar,simd,gather}`;
 /// `only` replays a single task of the region for racecheck's taint probe.
 pub(crate) fn sweep_ghosted(
     ps: &mut PhaseSpace,
@@ -427,8 +472,38 @@ pub(crate) fn sweep_ghosted(
     }
     let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
     let n_tasks = plan::spatial_task_count(&dims, d, exec);
-    let run = |work: &mut GhostedWork, task: usize| {
-        ghosted_task(base, &dims, d, exec, cfl_per_u, scheme, windows, work, task)
+    // A bundle task reads the block and the plane buffers through the same
+    // plan: the free axes and the conjugate one are the block's in both.
+    let bundles = [dims, plane_dims(&dims, d)].map(|g| plan::Bundles::spatial(&g, d));
+    let run = |work: &mut GhostedWork, task: usize| match exec {
+        Exec::Scalar => ghosted_line_task(
+            base,
+            &dims,
+            d,
+            cfl_per_u,
+            scheme,
+            windows,
+            &mut work.line,
+            task,
+        ),
+        Exec::Simd => ghosted_bundle_task(
+            base,
+            &bundles,
+            cfl_per_u,
+            scheme,
+            windows,
+            &mut work.lanes,
+            task,
+        ),
+        Exec::Lat => ghosted_tile_task(
+            base,
+            &dims,
+            cfl_per_u,
+            scheme,
+            windows,
+            &mut work.lanes,
+            task,
+        ),
     };
     match only {
         Some(task) => {
@@ -438,51 +513,6 @@ pub(crate) fn sweep_ghosted(
         None => (0..n_tasks)
             .into_par_iter()
             .for_each_init(GhostedWork::default, run),
-    }
-}
-
-/// One ghosted-sweep task, in the shape `exec` (already resolved) selects.
-fn ghosted_task(
-    base: SendMutPtr,
-    dims: &[usize; 6],
-    d: usize,
-    exec: Exec,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    windows: &[Window<'_>],
-    work: &mut GhostedWork,
-    task: usize,
-) {
-    match exec {
-        Exec::Scalar => ghosted_line_task(
-            base,
-            dims,
-            d,
-            cfl_per_u,
-            scheme,
-            windows,
-            &mut work.line,
-            task,
-        ),
-        Exec::Simd | Exec::Lat if d < 2 => ghosted_bundle_task(
-            base,
-            dims,
-            d,
-            cfl_per_u,
-            scheme,
-            windows,
-            &mut work.lanes,
-            task,
-        ),
-        Exec::Simd | Exec::Lat => ghosted_tile_task(
-            base,
-            dims,
-            cfl_per_u,
-            scheme,
-            windows,
-            &mut work.lanes,
-            task,
-        ),
     }
 }
 
@@ -496,7 +526,7 @@ fn ghosted_line_task(
     (ext, out, work): &mut (Vec<f32>, Vec<f32>, LineWork),
     task: usize,
 ) {
-    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Scalar, task)];
+    let cfl = cfl_per_u[plan::spatial_line_conjugate(dims, d, task)];
     let block = plan::spatial_line(dims, d, task);
     let planes = plan::spatial_line(&plane_dims(dims, d), d, task);
     for w in windows {
@@ -523,30 +553,28 @@ fn ghosted_line_task(
 
 fn ghosted_bundle_task(
     base: SendMutPtr,
-    dims: &[usize; 6],
-    d: usize,
+    [in_block, in_planes]: &[plan::Bundles; 2],
     cfl_per_u: &[f64],
     scheme: Scheme,
     windows: &[Window<'_>],
     (ext, out, work): &mut (Vec<f32x8>, Vec<f32x8>, LanesWork),
     task: usize,
 ) {
-    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Simd, task)];
-    let block = plan::spatial_bundle(dims, d, task);
-    let planes = plan::spatial_bundle(&plane_dims(dims, d), d, task);
-    for w in windows {
-        ext.clear();
-        for seg in &w.ext {
-            let (src, p) = seg.source(base, &block, &planes);
-            // SAFETY: as in `ghosted_line_task`, one packed element per cell.
-            let cell = |i: usize| unsafe { load_lanes(src.add(p.base + i * p.stride)) };
-            ext.extend(seg.cells.clone().map(cell));
-        }
-        out.resize(ext.len() - 2 * GHOST, f32x8::ZERO);
-        advect_lanes_ext(scheme, ext, out, cfl, work);
-        for (i, v) in w.out_cells().zip(out.iter()) {
-            // SAFETY: element `i` of this task's own bundle pencil.
-            unsafe { store_lanes(base.0.add(block.base + i * block.stride), *v) };
+    for ((iu, block), (_, planes)) in in_block.task(task).zip(in_planes.task(task)) {
+        let cfl = cfl_per_u[iu];
+        for w in windows {
+            ext.clear();
+            for seg in &w.ext {
+                let (src, p) = seg.source(base, &block, &planes);
+                // SAFETY: as in `ghosted_line_task`, one bundle element per
+                // cell.
+                unsafe { load_cells(src, p, seg.cells.clone(), ext) };
+            }
+            out.resize(ext.len() - 2 * GHOST, f32x8::ZERO);
+            advect_lanes_ext(scheme, ext, out, cfl, work);
+            // SAFETY: elements `out_cells()` of this task's own bundle
+            // pencil.
+            unsafe { store_cells(base.0, &block, w.out_start, out) };
         }
     }
 }
@@ -560,7 +588,7 @@ fn ghosted_tile_task(
     (ext, out, work): &mut (Vec<f32x8>, Vec<f32x8>, LanesWork),
     task: usize,
 ) {
-    let z0 = plan::spatial_conjugate_u(dims, 2, Exec::Lat, task);
+    let z0 = plan::spatial_tile_conjugate(dims, task);
     let block = plan::spatial_tile(dims, task);
     let planes = plan::spatial_tile(&plane_dims(dims, 2), task);
     for w in windows {
@@ -651,12 +679,13 @@ pub(crate) fn velocity_cell_task(
     if cfl == 0.0 {
         return;
     }
-    let exec = exec.resolve(scheme, dims, 3 + d);
-    let (nux, nuy, nuz) = (dims[3], dims[4], dims[5]);
-    match d {
-        0 => sweep_block_ux(block, nux, nuy, nuz, cfl, scheme, exec, work),
-        1 => sweep_block_uy(block, nux, nuy, nuz, cfl, scheme, exec, work),
-        _ => sweep_block_uz(block, nux, nuy, nuz, cfl, scheme, exec, work),
+    match exec.resolve(scheme, dims, 3 + d) {
+        Exec::Scalar => sweep_block_lines(block, dims, d, cfl, scheme, work),
+        Exec::Simd => {
+            let bundles = plan::Bundles::block(dims, d);
+            sweep_block_bundles(block, &bundles, cfl, scheme, work)
+        }
+        Exec::Lat => sweep_block_lat(block, dims, cfl, scheme, work),
     }
 }
 
@@ -679,189 +708,163 @@ impl VelocityWork {
     }
 }
 
-fn sweep_block_ux(
+/// Scalar velocity sweep along `d` of one block, line by line.
+fn sweep_block_lines(
     block: &mut [f32],
-    nux: usize,
-    nuy: usize,
-    nuz: usize,
+    dims: &[usize; 6],
+    d: usize,
     cfl: f64,
     scheme: Scheme,
-    exec: Exec,
     work: &mut VelocityWork,
 ) {
-    match exec {
-        Exec::Scalar => {
-            work.line.resize(nux, 0.0);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 0, Exec::Scalar) {
-                let l = plan::block_ux_line(nuy, nuz, nux, unit);
-                for i in 0..l.len {
-                    work.line[i] = block[l.base + i * l.stride];
-                }
-                advect_line(
-                    scheme,
-                    &mut work.line,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.line_work,
-                );
-                for i in 0..l.len {
-                    block[l.base + i * l.stride] = work.line[i];
-                }
-            }
+    work.line.resize(dims[3 + d], 0.0);
+    for unit in 0..plan::block_unit_count(dims, d, Exec::Scalar) {
+        let l = plan::block_line(dims, d, unit);
+        if l.stride == 1 {
+            // `u_z` lines are contiguous — no gather at all.
+            let line = &mut block[l.base..l.base + l.len];
+            advect_line(scheme, line, cfl, Boundary::Zero, &mut work.line_work);
+            continue;
         }
-        Exec::Simd | Exec::Lat => {
-            work.bundle.resize(nux, f32x8::ZERO);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 0, Exec::Simd) {
-                let p = plan::block_ux_bundle(nuy, nuz, nux, unit);
-                for (i, b) in work.bundle.iter_mut().enumerate() {
-                    *b = f32x8::load(&block[p.base + i * p.stride..]);
-                }
-                advect_lanes(
-                    scheme,
-                    &mut work.bundle,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.lanes_work,
-                );
-                for (i, b) in work.bundle.iter().enumerate() {
-                    b.store(&mut block[p.base + i * p.stride..]);
-                }
+        for i in 0..l.len {
+            work.line[i] = block[l.base + i * l.stride];
+        }
+        advect_line(
+            scheme,
+            &mut work.line,
+            cfl,
+            Boundary::Zero,
+            &mut work.line_work,
+        );
+        for i in 0..l.len {
+            block[l.base + i * l.stride] = work.line[i];
+        }
+    }
+}
+
+/// Lane velocity sweep of one block, bundle by bundle: packed along `u_x`
+/// (and `u_y` where `nuz` divides by 8, Fig. 1), element gathers otherwise —
+/// along `u_z` the paper's Fig. 2, the deliberately inefficient variant
+/// measured in Table 1.
+pub(crate) fn sweep_block_bundles(
+    block: &mut [f32],
+    bundles: &plan::Bundles,
+    cfl: f64,
+    scheme: Scheme,
+    work: &mut VelocityWork,
+) {
+    for (_, b) in bundles.task(0) {
+        assert!(b.bases[LANES - 1] + (b.len - 1) * b.stride < block.len());
+        let ptr = block.as_mut_ptr();
+        work.bundle.clear();
+        // SAFETY: the bases ascend, so the assert bounds every index of the
+        // bundle inside `block`, which this task owns.
+        unsafe { load_cells(ptr, &b, 0..b.len, &mut work.bundle) };
+        advect_lanes(
+            scheme,
+            &mut work.bundle,
+            cfl,
+            Boundary::Zero,
+            &mut work.lanes_work,
+        );
+        // SAFETY: as above.
+        unsafe { store_cells(ptr, &b, 0, &work.bundle) };
+    }
+}
+
+/// Paper Fig. 3 along `u_z`: packed loads + in-register transpose, advect in
+/// lane form, transpose back on the way out.
+fn sweep_block_lat(
+    block: &mut [f32],
+    dims: &[usize; 6],
+    cfl: f64,
+    scheme: Scheme,
+    work: &mut VelocityWork,
+) {
+    let nuz = dims[5];
+    let bundles = plan::Bundles::block(dims, 2);
+    work.bundle.resize(nuz, f32x8::ZERO);
+    for (_, rows) in bundles.task(0) {
+        // Eight whole `iuz` rows.
+        let rows = rows.bases;
+        // Load & transpose into lane-major bundle.
+        for zblock in 0..nuz / LANES {
+            let z0 = zblock * LANES;
+            let mut packed: [f32x8; LANES] =
+                core::array::from_fn(|l| f32x8::load(&block[rows[l] + z0..]));
+            transpose8x8(&mut packed);
+            work.bundle[z0..z0 + LANES].copy_from_slice(&packed);
+        }
+        advect_lanes(
+            scheme,
+            &mut work.bundle,
+            cfl,
+            Boundary::Zero,
+            &mut work.lanes_work,
+        );
+        // Transpose back & store packed.
+        for zblock in 0..nuz / LANES {
+            let z0 = zblock * LANES;
+            let mut packed: [f32x8; LANES] = core::array::from_fn(|r| work.bundle[z0 + r]);
+            transpose8x8(&mut packed);
+            for (l, row) in packed.iter().enumerate() {
+                row.store(&mut block[rows[l] + z0..]);
             }
         }
     }
 }
 
-fn sweep_block_uy(
-    block: &mut [f32],
-    nux: usize,
-    nuy: usize,
-    nuz: usize,
-    cfl: f64,
-    scheme: Scheme,
-    exec: Exec,
-    work: &mut VelocityWork,
+/// Append `cells` of the bundle `b` in the array at `src` to `out`: one
+/// packed load per cell where the plan says the lanes are adjacent, eight
+/// element loads otherwise.
+/// SAFETY: `b.cell_indices(i)` must be valid for reading from `src` for
+/// every `i` in `cells`.
+#[inline(always)]
+unsafe fn load_cells(
+    src: *const f32,
+    b: &plan::Bundle,
+    cells: std::ops::Range<usize>,
+    out: &mut Vec<f32x8>,
 ) {
-    match exec {
-        Exec::Scalar => {
-            work.line.resize(nuy, 0.0);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 1, Exec::Scalar) {
-                let l = plan::block_uy_line(nuy, nuz, unit);
-                for i in 0..l.len {
-                    work.line[i] = block[l.base + i * l.stride];
-                }
-                advect_line(
-                    scheme,
-                    &mut work.line,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.line_work,
-                );
-                for i in 0..l.len {
-                    block[l.base + i * l.stride] = work.line[i];
-                }
-            }
-        }
-        Exec::Simd | Exec::Lat => {
-            work.bundle.resize(nuy, f32x8::ZERO);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 1, Exec::Simd) {
-                let p = plan::block_uy_bundle(nuy, nuz, unit);
-                for (i, b) in work.bundle.iter_mut().enumerate() {
-                    *b = f32x8::load(&block[p.base + i * p.stride..]);
-                }
-                advect_lanes(
-                    scheme,
-                    &mut work.bundle,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.lanes_work,
-                );
-                for (i, b) in work.bundle.iter().enumerate() {
-                    b.store(&mut block[p.base + i * p.stride..]);
-                }
-            }
-        }
+    /// SAFETY: `src + bases[l] + at` must be valid for reading, every lane.
+    #[inline(always)]
+    unsafe fn gather(src: *const f32, bases: [usize; LANES], at: usize) -> f32x8 {
+        f32x8(bases.map(|base| *src.add(base + at)))
+    }
+    if b.packed {
+        let first = src.add(b.bases[0]);
+        out.extend(cells.map(|i| load_lanes(first.add(i * b.stride))));
+    } else if b.stride == 1 {
+        // Contiguous lines (the `u_z` rows), spelled with a literal stride:
+        // LLVM then moves runs of each row and shuffles, where a run-time
+        // stride leaves it eight element moves per cell.
+        out.extend(cells.map(|i| gather(src, b.bases, i)));
+    } else {
+        out.extend(cells.map(|i| gather(src, b.bases, i * b.stride)));
     }
 }
 
-fn sweep_block_uz(
-    block: &mut [f32],
-    nux: usize,
-    nuy: usize,
-    nuz: usize,
-    cfl: f64,
-    scheme: Scheme,
-    exec: Exec,
-    work: &mut VelocityWork,
-) {
-    match exec {
-        Exec::Scalar => {
-            // Lines are contiguous — the scalar path needs no gather at all.
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 2, Exec::Scalar) {
-                let l = plan::block_uz_line(nuz, unit);
-                let line = &mut block[l.base..l.base + l.len];
-                advect_line(scheme, line, cfl, Boundary::Zero, &mut work.line_work);
-            }
+/// Inverse of [`load_cells`]: `values` onto the cells from `first_cell` on.
+/// SAFETY: `b.cell_indices(i)` must be valid for writing to `dst` for those
+/// cells, and no other thread may touch them.
+#[inline(always)]
+unsafe fn store_cells(dst: *mut f32, b: &plan::Bundle, first_cell: usize, values: &[f32x8]) {
+    /// SAFETY: `dst + bases[l] + at` must be valid for writing, every lane.
+    #[inline(always)]
+    unsafe fn scatter(dst: *mut f32, bases: [usize; LANES], at: usize, v: f32x8) {
+        for (base, lane) in bases.into_iter().zip(v.0) {
+            *dst.add(base + at) = lane;
         }
-        Exec::Simd => {
-            // Paper Fig. 2: lanes across iuy require strided element gathers —
-            // the deliberately inefficient variant measured in Table 1.
-            work.bundle.resize(nuz, f32x8::ZERO);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 2, Exec::Simd) {
-                let rows = plan::block_uz_rows(nuy, nuz, unit);
-                for (i, b) in work.bundle.iter_mut().enumerate() {
-                    let mut lanes = [0.0f32; LANES];
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        *lane = block[rows.base + l * rows.stride + i];
-                    }
-                    *b = f32x8(lanes);
-                }
-                advect_lanes(
-                    scheme,
-                    &mut work.bundle,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.lanes_work,
-                );
-                for (i, b) in work.bundle.iter().enumerate() {
-                    for l in 0..LANES {
-                        block[rows.base + l * rows.stride + i] = b.0[l];
-                    }
-                }
-            }
-        }
-        Exec::Lat => {
-            // Paper Fig. 3: packed loads + in-register transpose, advect in
-            // lane form, transpose back on the way out.
-            work.bundle.resize(nuz, f32x8::ZERO);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 2, Exec::Lat) {
-                let rows = plan::block_uz_rows(nuy, nuz, unit);
-                // Load & transpose into lane-major bundle.
-                for zblock in 0..nuz / LANES {
-                    let z0 = zblock * LANES;
-                    let mut packed: [f32x8; LANES] = core::array::from_fn(|l| {
-                        f32x8::load(&block[rows.base + l * rows.stride + z0..])
-                    });
-                    transpose8x8(&mut packed);
-                    work.bundle[z0..z0 + LANES].copy_from_slice(&packed);
-                }
-                advect_lanes(
-                    scheme,
-                    &mut work.bundle,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.lanes_work,
-                );
-                // Transpose back & store packed.
-                for zblock in 0..nuz / LANES {
-                    let z0 = zblock * LANES;
-                    let mut packed: [f32x8; LANES] = core::array::from_fn(|r| work.bundle[z0 + r]);
-                    transpose8x8(&mut packed);
-                    for (l, row) in packed.iter().enumerate() {
-                        row.store(&mut block[rows.base + l * rows.stride + z0..]);
-                    }
-                }
-            }
-        }
+    }
+    let cells = (first_cell..).zip(values);
+    if b.packed {
+        let first = dst.add(b.bases[0]);
+        cells.for_each(|(i, v)| store_lanes(first.add(i * b.stride), *v));
+    } else if b.stride == 1 {
+        // As in `load_cells`.
+        cells.for_each(|(i, v)| scatter(dst, b.bases, i, *v));
+    } else {
+        cells.for_each(|(i, v)| scatter(dst, b.bases, i * b.stride, *v));
     }
 }
 
@@ -986,7 +989,8 @@ mod tests {
     /// One scheme rule: the lane kernels implement SL5 / SL-MPP5 only, so a
     /// SIMD request for a cheaper scheme runs the scalar task with *that*
     /// scheme — it does not quietly integrate with SL5 — and a SIMD request
-    /// on a grid the lanes do not divide runs the scalar task too.
+    /// on a grid whose equal-shift lines do not come in eights runs the
+    /// scalar task too.
     #[test]
     fn simd_request_for_a_scalar_only_scheme_runs_that_scheme() {
         let cfl: Vec<f64> = (0..8).map(|k| 0.1 * k as f64 - 0.35).collect();
@@ -1010,17 +1014,149 @@ mod tests {
                 }
             }
         }
-        let dims = [4, 4, 4, 6, 6, 6];
-        for axis in 0..6 {
-            assert_eq!(
-                Exec::Simd.resolve(Scheme::SlMpp5, &dims, axis),
-                Exec::Scalar
-            );
-        }
+        let resolved = |exec: Exec, dims: [usize; 6]| -> [Exec; 6] {
+            core::array::from_fn(|axis| exec.resolve(Scheme::SlMpp5, &dims, axis))
+        };
+        use Exec::{Lat, Scalar, Simd};
+        // Ragged everywhere, whatever the spatial extents; ragged along
+        // `z` / `u_z` only; the plasma scenarios' thin grid; Table 1's shapes.
+        assert_eq!(resolved(Simd, [4, 4, 4, 6, 6, 6]), [Scalar; 6]);
         assert_eq!(
-            Exec::Lat.resolve(Scheme::SlMpp5, &test_ps().dims6(), 5),
-            Exec::Lat
+            resolved(Lat, [3, 5, 7, 6, 2, 4]),
+            [Simd, Simd, Scalar, Simd, Simd, Scalar]
         );
+        assert_eq!(resolved(Lat, [16, 4, 4, 64, 4, 4]), [Simd; 6]);
+        let cubic = test_ps().dims6();
+        assert_eq!(resolved(Simd, cubic), [Simd, Simd, Lat, Simd, Simd, Simd]);
+        assert_eq!(resolved(Lat, cubic), [Simd, Simd, Lat, Simd, Simd, Lat]);
+        assert_eq!(
+            lane_shapes(Scheme::SlMpp5, &cubic, |_| Lat),
+            "x:packed y:packed z:tile ux:packed uy:packed uz:lat"
+        );
+        assert_eq!(
+            lane_shapes(Scheme::SlMpp5, &[16, 4, 4, 64, 4, 4], |_| Simd),
+            "x:packed y:gather z:gather ux:packed uy:gather uz:gather"
+        );
+        assert_eq!(
+            lane_shapes(Scheme::Sl3, &cubic, |_| Simd),
+            "x:scalar y:scalar z:scalar ux:scalar uy:scalar uz:scalar"
+        );
+    }
+
+    fn assert_bits_eq(a: &PhaseSpace, b: &PhaseSpace, what: &str) {
+        let same = a
+            .as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "{what}: bits differ");
+    }
+
+    /// Lanes on every grid: on the plasma scenarios' thin velocity grids and
+    /// on a ragged one, every axis under `Exec::Simd` tracks the scalar sweep
+    /// within kerncheck's lanes-vs-line budget (2048 ULP of the data's scale,
+    /// `kerncheck::equiv::lane_tolerance`) — and is the scalar sweep, bit for
+    /// bit, where `resolve` says so.
+    #[test]
+    fn thin_and_ragged_grids_track_the_scalar_sweeps() {
+        let shapes: [([usize; 3], [usize; 3]); 5] = [
+            ([8, 4, 4], [64, 4, 4]),
+            ([8, 4, 4], [8, 4, 4]),
+            ([8, 4, 4], [6, 4, 4]),
+            ([4, 3, 2], [6, 2, 4]),
+            ([4, 4, 4], [6, 6, 6]),
+        ];
+        for (sdims, nv) in shapes {
+            let build = || {
+                let mut ps = PhaseSpace::zeros(sdims, VelocityGrid::new(nv, 1.0));
+                ps.fill_with(|s, u| {
+                    let sx = (s[0] as f64 * 0.7).sin()
+                        + (s[1] as f64 * 0.4).cos()
+                        + (s[2] as f64 * 0.9).sin();
+                    (3.2 + sx) * (-(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) / 0.3).exp() + 0.01
+                });
+                ps
+            };
+            let dims = build().dims6();
+            let scale = build().as_slice().iter().fold(0.0f32, |m, v| m.max(*v));
+            let tol = 2048.0 * f32::EPSILON * scale;
+            let mut accel = Field3::zeros(sdims);
+            for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
+                *v = 0.8 * ((i as f64 * 0.13).sin());
+            }
+            let mut lanes_ran = 0;
+            for axis in 0..6 {
+                let d = axis % 3;
+                let cfl: Vec<f64> = (0..nv[d]).map(|k| 0.37 * k as f64 - 0.9).collect();
+                let sweep = |exec: Exec| {
+                    let mut ps = build();
+                    if axis < 3 {
+                        sweep_spatial(&mut ps, d, &cfl, Scheme::SlMpp5, exec);
+                    } else {
+                        sweep_velocity(&mut ps, d, &accel, Scheme::SlMpp5, exec);
+                    }
+                    ps
+                };
+                let (scalar, simd) = (sweep(Exec::Scalar), sweep(Exec::Simd));
+                let what = format!("{sdims:?}×{nv:?} axis {axis}");
+                if Exec::Simd.resolve(Scheme::SlMpp5, &dims, axis) == Exec::Scalar {
+                    assert_bits_eq(&scalar, &simd, &what);
+                    continue;
+                }
+                lanes_ran += 1;
+                for (i, (a, b)) in scalar.as_slice().iter().zip(simd.as_slice()).enumerate() {
+                    assert!((a - b).abs() <= tol, "{what} element {i}: {a} vs {b}");
+                }
+            }
+            let expect = match nv {
+                [6, 6, 6] => 0,
+                [6, 2, 4] => 4,
+                _ => 6,
+            };
+            assert_eq!(lanes_ran, expect, "{sdims:?}×{nv:?}");
+        }
+    }
+
+    /// Packing is only a load: on a lane-divisible grid the bundle task with
+    /// element gathers throughout computes, bit for bit, what the packed
+    /// bundles, the 8×8 tiles and the LAT rows compute — the same lane
+    /// arithmetic on the same eight-line groups or others.
+    #[test]
+    fn gathered_bundles_match_the_packed_and_tile_sweeps_bitwise() {
+        let cfl: Vec<f64> = (0..8).map(|k| 0.37 * k as f64 - 1.2).collect();
+        let mut accel = Field3::zeros([8, 8, 8]);
+        for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
+            *v = 0.8 * ((i as f64 * 0.13).sin());
+        }
+        let dims = test_ps().dims6();
+        for d in 0..3 {
+            let mut fast = test_ps();
+            sweep_spatial(&mut fast, d, &cfl, Scheme::SlMpp5, Exec::Simd);
+            let mut gathered = test_ps();
+            let bundles = plan::Bundles::spatial(&dims, d).gather_only();
+            let base = SendMutPtr(gathered.as_mut_slice().as_mut_ptr());
+            let mut scratch = (vec![f32x8::ZERO; dims[d]], LanesWork::new());
+            for task in 0..bundles.count() {
+                assert!(bundles.task(task).all(|(_, b)| !b.packed));
+                spatial_bundle_task(base, &bundles, &cfl, Scheme::SlMpp5, &mut scratch, task);
+            }
+            assert_bits_eq(&fast, &gathered, &format!("spatial axis {d}"));
+
+            let mut fast = test_ps();
+            sweep_velocity(&mut fast, d, &accel, Scheme::SlMpp5, Exec::Lat);
+            let mut gathered = test_ps();
+            let bundles = plan::Bundles::block(&dims, d).gather_only();
+            let vlen = dims[3] * dims[4] * dims[5];
+            let mut work = VelocityWork::new();
+            for (block, cfl) in gathered
+                .as_mut_slice()
+                .chunks_mut(vlen)
+                .zip(accel.as_slice())
+            {
+                sweep_block_bundles(block, &bundles, *cfl, Scheme::SlMpp5, &mut work);
+            }
+            assert_bits_eq(&fast, &gathered, &format!("velocity axis {d}"));
+        }
     }
 
     #[test]
@@ -1076,6 +1212,46 @@ mod tests {
             *v = 0.4 * (i as f64 * 0.21).sin();
         }
         sweep_velocity(&mut ps, 0, &accel, Scheme::SlMpp5, Exec::Scalar);
+        assert!(ps.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0));
+    }
+
+    /// A gathered bundle end to end, sized for the Miri interpreter: element
+    /// loads from the block and from plane buffers through raw pointers,
+    /// short (2-cell) lines in the lanes, element scatters back — the
+    /// periodic task and the ghosted one fed the periodic images, which must
+    /// then agree bit for bit.
+    #[test]
+    fn miri_smoke_gathered_bundle() {
+        let mut ps = PhaseSpace::zeros([2, 2, 2], VelocityGrid::new([4, 2, 2], 1.0));
+        for (i, v) in ps.as_mut_slice().iter_mut().enumerate() {
+            *v = 0.01 + ((i * 37) % 29) as f32 / 29.0;
+        }
+        let dims = ps.dims6();
+        assert_eq!(
+            lane_shapes(Scheme::SlMpp5, &dims, |_| Exec::Simd),
+            "x:scalar y:gather z:gather ux:scalar uy:gather uz:gather"
+        );
+        let cfl = [0.4, -0.7];
+        // Cells −3..0 and 2..5 of the periodic 2-cell `y` axis, in
+        // `extract_planes` layout: per `x` slab, three planes.
+        let images = |cells: [usize; 3]| -> Vec<f32> {
+            let planes = cells.map(|c| crate::exchange::extract_planes(&ps, 1, c, 1));
+            let slab = planes[0].len() / 2;
+            let of_slab = |x: usize| planes.iter().flat_map(move |p| &p[x * slab..][..slab]);
+            (0..2).flat_map(of_slab).copied().collect()
+        };
+        let (low, high) = (images([1, 0, 1]), images([0, 1, 0]));
+        let mut ghosted = ps.clone();
+        let full = Window::full(2, &low, &high);
+        sweep_ghosted(&mut ghosted, 1, &cfl, Scheme::SlMpp5, &[full], None);
+        sweep_spatial(&mut ps, 1, &cfl, Scheme::SlMpp5, Exec::Simd);
+        assert_bits_eq(&ps, &ghosted, "ghosted vs periodic");
+
+        let mut accel = Field3::zeros([2, 2, 2]);
+        for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
+            *v = 0.3 * (i as f64 - 3.5);
+        }
+        sweep_velocity(&mut ps, 1, &accel, Scheme::SlMpp5, Exec::Simd);
         assert!(ps.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0));
     }
 

@@ -18,7 +18,10 @@ const THREADS: [usize; 3] = [2, 4, 8];
 /// Deterministic, strictly positive test distribution; `salt` varies the
 /// phases so different cases see different data.
 fn build_ps(sdims: [usize; 3], nv: usize, salt: u64) -> PhaseSpace {
-    let vg = VelocityGrid::cubic(nv, 1.0);
+    build_ps_on(sdims, VelocityGrid::cubic(nv, 1.0), salt)
+}
+
+fn build_ps_on(sdims: [usize; 3], vg: VelocityGrid, salt: u64) -> PhaseSpace {
     let mut ps = PhaseSpace::zeros(sdims, vg);
     let p = (salt % 97) as f64 * 0.073;
     ps.fill_with(|s, u| {
@@ -99,6 +102,47 @@ proptest! {
                 sweep::sweep_velocity(&mut ps, d, &accel, scheme, exec);
             });
             prop_assert_eq!(bits(&oracle), bits(&ps));
+        }
+    }
+}
+
+/// Thin velocity grids run in lanes too — gathered bundles, 4-cell lines,
+/// a task order interleaved with the conjugate index: the same bitwise bar
+/// at 1 / 2 / 4 workers on every axis.
+#[test]
+fn thin_grid_lane_sweeps_are_bitwise_serial() {
+    let sdims = [8usize, 4, 4];
+    let mut accel = Field3::zeros(sdims);
+    for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
+        *v = 0.4 * ((i as f64 * 0.17).sin());
+    }
+    for nv in [[16usize, 4, 4], [6, 4, 4]] {
+        let vg = VelocityGrid::new(nv, 1.0);
+        for axis in 0..6 {
+            let d = axis % 3;
+            let cfl: Vec<f64> = (0..nv[d])
+                .map(|k| 0.9 * (k as f64 + 1.0) / nv[d] as f64 - 0.5)
+                .collect();
+            let run = |threads: usize| {
+                let mut ps = build_ps_on(sdims, vg, 11);
+                rayon::with_num_threads(threads, || {
+                    if axis < 3 {
+                        sweep::sweep_spatial(&mut ps, d, &cfl, Scheme::SlMpp5, Exec::Simd);
+                    } else {
+                        sweep::sweep_velocity(&mut ps, d, &accel, Scheme::SlMpp5, Exec::Simd);
+                    }
+                });
+                bits(&ps)
+            };
+            let dims = build_ps_on(sdims, vg, 11).dims6();
+            assert_eq!(Exec::Simd.resolve(Scheme::SlMpp5, &dims, axis), Exec::Simd);
+            let oracle = run(1);
+            for threads in [2, 4] {
+                assert!(
+                    oracle == run(threads),
+                    "{nv:?} axis {axis}: {threads} threads"
+                );
+            }
         }
     }
 }

@@ -11,29 +11,26 @@
 
 use kerncheck::claims::ClaimMap;
 use kerncheck::report::Report;
+use vlasov6d_advection::line::Scheme;
 use vlasov6d_kerncheck as kerncheck;
 use vlasov6d_phase_space::plan;
 use vlasov6d_phase_space::probe::{ghosted_out_cells, GhostedRegion};
 use vlasov6d_phase_space::Exec;
 
-use crate::registry::{self, DIST_REGIONS};
+use crate::registry::{self, Shape, DIST_REGIONS};
 use crate::symbolic::RegionModel;
 
 const PASS: &str = "concrete";
 
-/// The plan-declared flat write set of one spatial-sweep task, exactly as
-/// `sweep_spatial` dispatches it.
+/// The plan-declared flat write set of one spatial-sweep task in the task
+/// shape `exec`, exactly as `sweep_spatial` dispatches it.
 pub(crate) fn declared_spatial_indices(
     dims: &[usize; 6],
     d: usize,
     exec: Exec,
     task: usize,
 ) -> Vec<usize> {
-    match exec {
-        Exec::Scalar => plan::spatial_line(dims, d, task).indices().collect(),
-        Exec::Simd | Exec::Lat if d < 2 => plan::spatial_bundle(dims, d, task).indices().collect(),
-        Exec::Simd | Exec::Lat => plan::spatial_tile(dims, task).indices().collect(),
-    }
+    declared_ghosted_indices(dims, d, exec, GhostedRegion::Sync, task)
 }
 
 /// The plan-declared flat write set of one distributed-sweep task: the cells
@@ -45,43 +42,36 @@ pub(crate) fn declared_ghosted_indices(
     region: GhostedRegion,
     task: usize,
 ) -> Vec<usize> {
-    let cells = ghosted_out_cells(region, dims[d]).into_iter();
+    let cells = ghosted_out_cells(region, dims[d]);
+    let cells = cells.iter().copied();
     match exec {
         Exec::Scalar => {
             let p = plan::spatial_line(dims, d, task);
             cells.flat_map(|i| p.cell_indices(i)).collect()
         }
-        Exec::Simd | Exec::Lat if d < 2 => {
-            let p = plan::spatial_bundle(dims, d, task);
-            cells.flat_map(|i| p.cell_indices(i)).collect()
-        }
-        Exec::Simd | Exec::Lat => {
+        Exec::Simd => plan::Bundles::spatial(dims, d)
+            .task(task)
+            .flat_map(|(_, b)| cells.clone().flat_map(move |i| b.cell_indices(i)))
+            .collect(),
+        Exec::Lat => {
             let p = plan::spatial_tile(dims, task);
             cells.flat_map(|i| p.cell_indices(i)).collect()
         }
     }
 }
 
-/// The plan-declared write set of one intra-block pencil unit, exactly as
-/// `sweep_block_u{x,y,z}` iterates it.
-fn declared_block_indices(
-    nux: usize,
-    nuy: usize,
-    nuz: usize,
-    d: usize,
-    exec: Exec,
-    unit: usize,
-) -> Vec<usize> {
-    match (d, exec) {
-        (0, Exec::Scalar) => plan::block_ux_line(nuy, nuz, nux, unit).indices().collect(),
-        (0, _) => plan::block_ux_bundle(nuy, nuz, nux, unit)
-            .indices()
+/// The plan-declared write sets of the intra-block pencil units, in the
+/// order a velocity sweep along `d` iterates them in the shape `exec`.
+fn declared_block_units(dims: &[usize; 6], d: usize, exec: Exec) -> Vec<Vec<usize>> {
+    match exec {
+        Exec::Scalar => (0..plan::block_unit_count(dims, d, exec))
+            .map(|unit| plan::block_line(dims, d, unit).indices().collect())
             .collect(),
-        (1, Exec::Scalar) => plan::block_uy_line(nuy, nuz, unit).indices().collect(),
-        (1, _) => plan::block_uy_bundle(nuy, nuz, unit).indices().collect(),
-        (2, Exec::Scalar) => plan::block_uz_line(nuz, unit).indices().collect(),
-        (2, _) => plan::block_uz_rows(nuy, nuz, unit).indices().collect(),
-        _ => unreachable!("velocity axis {d} out of range"),
+        // The LAT task transposes the rows the bundle task gathers.
+        Exec::Simd | Exec::Lat => plan::Bundles::block(dims, d)
+            .task(0)
+            .map(|(_, b)| b.indices().collect())
+            .collect(),
     }
 }
 
@@ -167,14 +157,27 @@ fn check_regions_at<D: FnMut(usize) -> Vec<usize>>(
     }
 }
 
-/// Sample shapes per execution variant, including thin axes.
-fn spatial_shapes(exec: Exec) -> Vec<[usize; 6]> {
-    match exec {
-        Exec::Scalar => vec![[3, 2, 2, 2, 3, 2], [1, 4, 1, 3, 1, 2], [2, 1, 3, 1, 2, 1]],
-        Exec::Simd | Exec::Lat => {
-            vec![[2, 3, 2, 2, 8, 8], [3, 1, 2, 1, 8, 16], [1, 2, 1, 2, 16, 8]]
-        }
+/// Sample shapes per task shape, including thin axes. The `gather` shapes
+/// are thin (`[2, 4, 4]`, the plasma scenarios' `[6, 4, 4]`) and ragged
+/// (`[4, 2, 6]`: `y` bundles over runs of six); an axis uses those of them on
+/// which its sweep resolves to gathers.
+fn spatial_shapes(shape: Shape) -> Vec<[usize; 6]> {
+    match shape {
+        Shape::Scalar => vec![[3, 2, 2, 2, 3, 2], [1, 4, 1, 3, 1, 2], [2, 1, 3, 1, 2, 1]],
+        Shape::Simd => vec![[2, 3, 2, 2, 8, 8], [3, 1, 2, 1, 8, 16], [1, 2, 1, 2, 16, 8]],
+        Shape::Gather => vec![[2, 2, 2, 2, 4, 4], [3, 2, 4, 6, 4, 4], [1, 4, 2, 4, 2, 6]],
     }
+}
+
+/// The task shape `sweep_spatial` resolves to along `d` of `dims` when asked
+/// for lanes (scalar pencils when asked for those), provided it is `shape`.
+fn resolved_as(dims: &[usize; 6], d: usize, shape: Shape) -> Option<Exec> {
+    let request = match shape {
+        Shape::Scalar => Exec::Scalar,
+        _ => Exec::Simd,
+    };
+    let exec = request.resolve(Scheme::SlMpp5, dims, d);
+    (Shape::of(dims, d, exec) == shape).then_some(exec)
 }
 
 pub fn run(report: &mut Report) {
@@ -186,16 +189,24 @@ pub fn run(report: &mut Report) {
             .unwrap_or_else(|| panic!("region {name} not registered"))
     };
 
-    // Spatial sweeps: 3 axes × 3 execution variants.
-    let execs = [
-        (Exec::Scalar, "scalar"),
-        (Exec::Simd, "simd"),
-        (Exec::Lat, "lat"),
+    // Spatial sweeps: 3 axes × (scalar, simd, lat, gather); a `lat` request
+    // runs the `simd` shapes.
+    let tags = [
+        (Shape::Scalar, "scalar"),
+        (Shape::Simd, "simd"),
+        (Shape::Simd, "lat"),
+        (Shape::Gather, "gather"),
     ];
     for (d, axis) in ["x", "y", "z"].iter().enumerate() {
-        for (exec, tag) in execs {
+        for (shape, tag) in tags {
+            if !shape.occurs_along(d) {
+                continue;
+            }
             let region = find(&format!("sweep.spatial.{axis}.{tag}"));
-            for dims in spatial_shapes(exec) {
+            for dims in spatial_shapes(shape) {
+                let Some(exec) = resolved_as(&dims, d, shape) else {
+                    continue;
+                };
                 let n_tasks = plan::spatial_task_count(&dims, d, exec);
                 let total: usize = dims.iter().product();
                 check_region_at(
@@ -215,11 +226,17 @@ pub fn run(report: &mut Report) {
     // overlapped sweep's interior and edge regions tile it together. The
     // swept axis is at least 2·GHOST_WIDTH long wherever an interior exists.
     for (d, axis) in ["x", "y", "z"].iter().enumerate() {
-        for (exec, tag) in [(Exec::Scalar, "scalar"), (Exec::Simd, "simd")] {
+        for (shape, tag) in Shape::ALL {
+            if !shape.occurs_along(d) {
+                continue;
+            }
             let [sync, interior, edges] =
                 DIST_REGIONS.map(|(_, name)| find(&format!("sweep.dist.{axis}.{name}.{tag}")));
-            for mut dims in spatial_shapes(exec) {
+            for mut dims in spatial_shapes(shape) {
                 dims[d] += 5;
+                let Some(exec) = resolved_as(&dims, d, shape) else {
+                    continue;
+                };
                 let n_tasks = plan::spatial_task_count(&dims, d, exec);
                 let total: usize = dims.iter().product();
                 let declared =
@@ -267,32 +284,37 @@ pub fn run(report: &mut Report) {
         }
     }
 
-    // Intra-block pencil partitions (Fig. 1-3 index arithmetic).
-    let blocks: [(&str, usize, Exec); 7] = [
+    // Intra-block pencil partitions (Fig. 1-3 index arithmetic); `gather`:
+    // thin and ragged blocks whose `u_y` / `u_z` bundles span several `iux`.
+    let blocks: [(&str, usize, Exec); 9] = [
         ("sweep.block.ux.scalar", 0, Exec::Scalar),
         ("sweep.block.ux.simd", 0, Exec::Simd),
         ("sweep.block.uy.scalar", 1, Exec::Scalar),
         ("sweep.block.uy.simd", 1, Exec::Simd),
+        ("sweep.block.uy.gather", 1, Exec::Simd),
         ("sweep.block.uz.scalar", 2, Exec::Scalar),
         ("sweep.block.uz.simd", 2, Exec::Simd),
         ("sweep.block.uz.lat", 2, Exec::Lat),
+        ("sweep.block.uz.gather", 2, Exec::Simd),
     ];
     for (name, d, exec) in blocks {
         let region = find(name);
-        let shapes: &[[usize; 3]] = match exec {
-            Exec::Scalar => &[[2, 3, 2], [1, 1, 4], [3, 2, 1]],
-            _ => &[[2, 8, 8], [1, 8, 16], [3, 16, 8]],
+        let shapes: &[[usize; 3]] = match (exec, name.ends_with(".gather")) {
+            (Exec::Scalar, _) => &[[2, 3, 2], [1, 1, 4], [3, 2, 1]],
+            (_, false) => &[[2, 8, 8], [1, 8, 16], [3, 16, 8]],
+            (_, true) => &[[6, 4, 4], [64, 4, 4], [4, 6, 2]],
         };
         for &[nux, nuy, nuz] in shapes {
-            let n_units = plan::block_unit_count(nux, nuy, nuz, d, exec);
+            let dims = [1, 1, 1, nux, nuy, nuz];
+            let units = declared_block_units(&dims, d, exec);
             check_region_at(
                 report,
                 region.name,
                 &region.model,
                 &[nux, nuy, nuz],
-                n_units,
+                plan::block_unit_count(&dims, d, exec),
                 nux * nuy * nuz,
-                |u| declared_block_indices(nux, nuy, nuz, d, exec, u),
+                |u| units.get(u).cloned().unwrap_or_default(),
             );
         }
     }

@@ -68,6 +68,7 @@ pub fn symbolic_pass(report: &mut Report) {
         ],
         read_same_array: None,
         constraints: vec![],
+        conjugate: None,
     };
     let rejected = matches!(
         prove_write_disjoint(&unmapped),
@@ -93,7 +94,8 @@ pub fn symbolic_pass(report: &mut Report) {
             AxisFootprint::TaskBlock { digit: 1, width: 8 },
         ],
         read_same_array: None,
-        constraints: vec![], // missing Divisibility { axis: 1, divisor: 8 }
+        constraints: vec![], // missing Divisibility { axes: &[1], divisor: 8 }
+        conjugate: None,
     };
     let rejected = matches!(
         prove_write_disjoint(&unconstrained),
@@ -115,6 +117,7 @@ pub fn symbolic_pass(report: &mut Report) {
         write: vec![AxisFootprint::TaskDigit(0), AxisFootprint::Full],
         read_same_array: Some(vec![AxisFootprint::Full, AxisFootprint::Full]),
         constraints: vec![],
+        conjugate: None,
     };
     let rejected = matches!(
         prove_write_disjoint(&wide_read),
@@ -126,6 +129,34 @@ pub fn symbolic_pass(report: &mut Report) {
         "a same-array read wider than the task's write must be rejected",
         rejected,
         Some("read spans all of axis 0".into()),
+    );
+
+    // Control: "any eight consecutive velocity elements" as a `y` bundle on a
+    // `[·, ·, 4]` grid — the flattening takes in the conjugate axis `u_y`, so
+    // the bundle holds two `iu_y`: two shifts, possibly two upwind directions.
+    // Disjoint, and still not a bundle; the prover must say so.
+    let flat = AxisFootprint::Flat(0);
+    let straddling = RegionModel {
+        array_rank: 6,
+        task_digits: vec![Extent::FlatDiv(&[0, 2, 3, 4, 5], 8)],
+        write: vec![flat, AxisFootprint::Full, flat, flat, flat, flat],
+        read_same_array: None,
+        constraints: vec![symbolic::Divisibility {
+            axes: &[0, 2, 3, 4, 5],
+            divisor: 8,
+        }],
+        conjugate: Some(4),
+    };
+    let rejected = matches!(
+        prove_write_disjoint(&straddling),
+        Err(ProofError::BundleMixesShifts { axis: 4 })
+    );
+    report.control(
+        PASS,
+        "control.bundle.straddles.conjugate",
+        "a lane bundle flattened across the conjugate axis must be rejected",
+        rejected,
+        Some("lanes of one bundle at two iu_y".into()),
     );
 }
 

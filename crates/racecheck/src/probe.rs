@@ -34,7 +34,7 @@ use vlasov6d_phase_space::sweep::{sweep_spatial, sweep_velocity};
 use vlasov6d_phase_space::{Exec, PhaseSpace, VelocityGrid};
 
 use crate::concrete::{declared_ghosted_indices, declared_spatial_indices};
-use crate::registry::DIST_REGIONS;
+use crate::registry::{Shape, DIST_REGIONS};
 
 const PASS: &str = "probe";
 
@@ -49,8 +49,8 @@ fn noise(i: usize, salt: u64) -> f32 {
     (z >> 40) as f32 / (1u64 << 24) as f32 + 1e-3
 }
 
-fn filled_ps(sdims: [usize; 3], nv: usize, salt: u64) -> PhaseSpace {
-    let mut ps = PhaseSpace::zeros(sdims, VelocityGrid::cubic(nv, 3.0));
+fn filled_ps(sdims: [usize; 3], nv: [usize; 3], salt: u64) -> PhaseSpace {
+    let mut ps = PhaseSpace::zeros(sdims, VelocityGrid::new(nv, 3.0));
     for (i, v) in ps.as_mut_slice().iter_mut().enumerate() {
         *v = noise(i, salt);
     }
@@ -162,34 +162,41 @@ fn probe_region(
     );
 }
 
+/// The velocity grids of the sweep fixtures, in [`Shape::ALL`] order: ragged
+/// (scalar pencils), cubic (`simd` / `lat`: whole-run bundles and tiles) and
+/// the plasma scenarios' thin shape (gathered bundles along `y` and `z`).
+const GRIDS: [[usize; 3]; 3] = [[3; 3], [8; 3], [6, 4, 4]];
+
 fn spatial_probes(report: &mut Report) {
     let schemes = [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5];
-    let execs = [
-        (Exec::Scalar, "scalar"),
-        (Exec::Simd, "simd"),
-        (Exec::Lat, "lat"),
+    let cases = [
+        (Exec::Scalar, GRIDS[0], Shape::Scalar, "scalar"),
+        (Exec::Simd, GRIDS[1], Shape::Simd, "simd"),
+        (Exec::Lat, GRIDS[1], Shape::Simd, "lat"),
+        (Exec::Simd, GRIDS[2], Shape::Gather, "gather"),
     ];
     for (d, axis) in ["x", "y", "z"].iter().enumerate() {
-        for (e, (exec, tag)) in execs.iter().enumerate() {
-            let nv = match exec {
-                Exec::Scalar => 3,
-                _ => 8,
-            };
-            // The swept spatial axis must fit the ±GHOST stencil (≥ 6 cells).
+        for (e, (exec, nv, shape, tag)) in cases.iter().enumerate() {
+            if !shape.occurs_along(d) {
+                continue;
+            }
+            // Six cells along the swept axis: a full ±GHOST stencil.
             let mut sdims = [2usize, 2, 2];
             sdims[d] = 6;
-            let ps0 = filled_ps(sdims, nv, 0xA11CE + d as u64);
+            let ps0 = filled_ps(sdims, *nv, 0xA11CE + d as u64);
             // The lane kernels run SL5 / SL-MPP5 only; any other scheme
             // would resolve to the scalar tasks.
             let scheme = match exec {
                 Exec::Scalar => schemes[(d + e) % schemes.len()],
                 _ => schemes[2 + (d + e) % 2],
             };
-            let cfl: Vec<f64> = (0..nv)
-                .map(|k| 0.45 * (k as f64 + 1.0) / nv as f64)
+            let cfl: Vec<f64> = (0..nv[d])
+                .map(|k| 0.45 * (k as f64 + 1.0) / nv[d] as f64)
                 .collect();
             let dims = ps0.dims6();
-            let n_tasks = ps_probe::spatial_task_count(&ps0, d, *exec);
+            // The task shape the request runs here: what the plans take.
+            let ran = exec.resolve(scheme, &dims, d);
+            let n_tasks = ps_probe::spatial_task_count(&ps0, d, ran);
             let initial = ps0.as_slice().to_vec();
             probe_region(
                 report,
@@ -197,11 +204,11 @@ fn spatial_probes(report: &mut Report) {
                 &initial,
                 n_tasks,
                 true,
-                |t| declared_spatial_indices(&dims, d, *exec, t),
+                |t| declared_spatial_indices(&dims, d, ran, t),
                 |state, task| {
                     let mut ps = ps0.clone();
                     ps.as_mut_slice().copy_from_slice(state);
-                    ps_probe::run_spatial_task(&mut ps, d, &cfl, scheme, *exec, task);
+                    ps_probe::run_spatial_task(&mut ps, d, &cfl, scheme, ran, task);
                     state.copy_from_slice(ps.as_slice());
                 },
                 |state| {
@@ -216,9 +223,9 @@ fn spatial_probes(report: &mut Report) {
 }
 
 /// A distributed-sweep fixture for axis `d`: an 8-cell swept axis (two
-/// interior cells between the edge slabs), a velocity grid that resolves to
-/// scalar pencils (`nv = 3`) or lanes (`nv = 8`), noise for the neighbours'
-/// planes, a mixed-sign CFL table and a scheme the lanes implement.
+/// interior cells between the edge slabs), one of the velocity [`GRIDS`],
+/// noise for the neighbours' planes, a mixed-sign CFL table and a scheme the
+/// lanes implement.
 struct DistFixture {
     d: usize,
     ps0: PhaseSpace,
@@ -228,7 +235,7 @@ struct DistFixture {
 }
 
 impl DistFixture {
-    fn new(d: usize, nv: usize) -> Self {
+    fn new(d: usize, nv: [usize; 3]) -> Self {
         let mut sdims = [2usize, 2, 2];
         sdims[d] = 8;
         let ps0 = filled_ps(sdims, nv, 0xD157 + d as u64);
@@ -236,8 +243,8 @@ impl DistFixture {
         DistFixture {
             d,
             planes: [0x10, 0x20].map(|salt| (0..plane_len).map(|i| noise(i, salt)).collect()),
-            cfl: (0..nv)
-                .map(|k| 0.9 * (k as f64 - 0.5 * (nv - 1) as f64) / nv as f64)
+            cfl: (0..nv[d])
+                .map(|k| 0.9 * (k as f64 - 0.5 * (nv[d] - 1) as f64) / nv[d] as f64)
                 .collect(),
             scheme: [Scheme::SlMpp5, Scheme::Sl5][d % 2],
             ps0,
@@ -264,7 +271,10 @@ impl DistFixture {
 
 fn dist_probes(report: &mut Report) {
     for (d, axis) in ["x", "y", "z"].iter().enumerate() {
-        for (nv, tag) in [(3usize, "scalar"), (8, "simd")] {
+        for (nv, (shape, tag)) in GRIDS.into_iter().zip(Shape::ALL) {
+            if !shape.occurs_along(d) {
+                continue;
+            }
             let fx = DistFixture::new(d, nv);
             let dims = fx.ps0.dims6();
             let exec = ps_probe::ghosted_exec(&fx.ps0, d, fx.scheme);
@@ -288,7 +298,7 @@ fn dist_probes(report: &mut Report) {
 /// cell `GHOST_WIDTH − 1` of its pencil — an edge cell, which the edge region
 /// still has to read at its pre-sweep value — must fail containment.
 fn control_interior_escape(report: &mut Report) {
-    let fx = DistFixture::new(0, 8);
+    let fx = DistFixture::new(0, [8; 3]);
     let dims = fx.ps0.dims6();
     let exec = ps_probe::ghosted_exec(&fx.ps0, 0, fx.scheme);
     let mut sub = Report::new();
@@ -301,9 +311,11 @@ fn control_interior_escape(report: &mut Report) {
         |t| declared_ghosted_indices(&dims, 0, exec, GhostedRegion::Interior, t),
         |state, task| {
             fx.run(state, GhostedRegion::Interior, Some(task));
-            let escaped = plan::spatial_bundle(&dims, 0, task).cell_indices(GHOST_WIDTH - 1);
-            for i in escaped {
-                state[i] += 0.5;
+            let bundles = plan::Bundles::spatial(&dims, 0);
+            for (_, b) in bundles.task(task) {
+                for i in b.cell_indices(GHOST_WIDTH - 1) {
+                    state[i] += 0.5;
+                }
             }
         },
         |state| fx.run(state, GhostedRegion::Interior, None),
@@ -322,21 +334,25 @@ fn control_interior_escape(report: &mut Report) {
 }
 
 fn velocity_probes(report: &mut Report) {
-    let cases: [(usize, Exec, &str); 7] = [
+    let cases: [(usize, Exec, &str); 9] = [
         (0, Exec::Scalar, "ux.scalar"),
         (0, Exec::Simd, "ux.simd"),
         (1, Exec::Scalar, "uy.scalar"),
         (1, Exec::Simd, "uy.simd"),
+        (1, Exec::Simd, "uy.gather"),
         (2, Exec::Scalar, "uz.scalar"),
         (2, Exec::Simd, "uz.simd"),
         (2, Exec::Lat, "uz.lat"),
+        (2, Exec::Simd, "uz.gather"),
     ];
     for (d, exec, tag) in cases {
-        // All three velocity axes are advected lines: nv ≥ 6 for the stencil,
-        // and divisible by 8 for the SIMD/LAT lane shapes.
-        let nv = match exec {
-            Exec::Scalar => 6,
-            _ => 8,
+        // A ragged block for the scalar pencils, a cubic one for the packed
+        // and transposed lane shapes, the plasma scenarios' thin one (4-cell
+        // `u_y` / `u_z` lines, bundles spanning two `iux`) for the gathers.
+        let nv = match (exec, tag.ends_with(".gather")) {
+            (Exec::Scalar, _) => [6; 3],
+            (_, false) => [8; 3],
+            (_, true) => [6, 4, 4],
         };
         let sdims = [2, 2, 3];
         let ps0 = filled_ps(sdims, nv, 0xB10C + d as u64);
@@ -383,7 +399,7 @@ type MomentEval<'a> = Box<dyn Fn() -> Field3 + 'a>;
 
 fn moments_invariance(report: &mut Report) {
     use vlasov6d_phase_space::moments;
-    let ps = filled_ps([2, 3, 2], 6, 0x707);
+    let ps = filled_ps([2, 3, 2], [6; 3], 0x707);
     let cases: [(&str, MomentEval); 5] = [
         ("moments.density", Box::new(|| moments::density(&ps))),
         ("moments.momentum", Box::new(|| moments::momentum(&ps, 1))),

@@ -57,24 +57,27 @@ fn spatial_scalar_model(d: usize) -> RegionModel {
         write: write.clone(),
         read_same_array: Some(write),
         constraints: vec![],
+        conjugate: None,
     }
 }
 
-/// SIMD/LAT spatial sweep along `d < 2`: pencils carry eight contiguous
-/// `iuz` lanes (paper Fig. 1), so the last digit ranges over `nuz / 8`.
-fn spatial_bundle_model(d: usize) -> RegionModel {
+/// The free axes of a spatial sweep along `d` — every axis but the swept one
+/// and its conjugate — in layout order.
+const FREE: [&[usize]; 3] = [&[1, 2, 4, 5], &[0, 2, 3, 5], &[0, 1, 3, 4]];
+/// Those of them after the conjugate axis: one *run* of the layout.
+const RUN: [&[usize]; 3] = [&[4, 5], &[5], &[]];
+
+/// Lane spatial sweep along `d < 2` where a run of the layout holds whole
+/// bundles (`nuy·nuz % 8 == 0` for `x`, `nuz % 8 == 0` for `y`; paper
+/// Fig. 1): a task owns every bundle of one run at every conjugate index,
+/// so its digits are the free axes ahead of the conjugate one.
+fn spatial_run_model(d: usize) -> RegionModel {
     assert!(d < 2);
     let mut task_digits = Vec::new();
     let mut write = Vec::new();
     for a in 0..6 {
-        if a == d {
+        if a == d || a >= 3 + d {
             write.push(AxisFootprint::Full);
-        } else if a == 5 {
-            write.push(AxisFootprint::TaskBlock {
-                digit: task_digits.len(),
-                width: LANES,
-            });
-            task_digits.push(Extent::AxisDiv(5, LANES));
         } else {
             write.push(AxisFootprint::TaskDigit(task_digits.len()));
             task_digits.push(Extent::Axis(a));
@@ -86,14 +89,42 @@ fn spatial_bundle_model(d: usize) -> RegionModel {
         write: write.clone(),
         read_same_array: Some(write),
         constraints: vec![Divisibility {
-            axis: 5,
+            axes: RUN[d],
             divisor: LANES,
         }],
+        conjugate: Some(3 + d),
     }
 }
 
-/// SIMD/LAT spatial sweep along `z`: 8×8 `(iuy, iuz)` tile pencils
-/// (paper Fig. 3 applied to the spatial `z` axis).
+/// Lane spatial sweep along `d` where runs do not hold whole bundles (`y` on
+/// thin and ragged velocity grids, `z` wherever it is not tiled): a task owns
+/// one group of eight consecutive lines of the flattened free axes, at every
+/// conjugate index — element gathers (paper Fig. 2). `Exec::resolve` asks
+/// more than the model needs (the velocity extents alone supply the factor
+/// 8, so a group never leaves its spatial cell).
+fn spatial_gather_model(d: usize) -> RegionModel {
+    let write: Vec<_> = (0..6)
+        .map(|a| match a == d || a == 3 + d {
+            true => AxisFootprint::Full,
+            false => AxisFootprint::Flat(0),
+        })
+        .collect();
+    RegionModel {
+        array_rank: 6,
+        task_digits: vec![Extent::FlatDiv(FREE[d], LANES)],
+        write: write.clone(),
+        read_same_array: Some(write),
+        constraints: vec![Divisibility {
+            axes: FREE[d],
+            divisor: LANES,
+        }],
+        conjugate: Some(3 + d),
+    }
+}
+
+/// SIMD/LAT spatial sweep along `z` where `nuy` and `nuz` divide by 8: 8×8
+/// `(iuy, iuz)` tile pencils (paper Fig. 3 applied to the spatial `z` axis).
+/// A tile is eight bundles, one per `iuz` row, each with its own shift.
 fn spatial_tile_model() -> RegionModel {
     RegionModel {
         array_rank: 6,
@@ -134,14 +165,15 @@ fn spatial_tile_model() -> RegionModel {
         ]),
         constraints: vec![
             Divisibility {
-                axis: 4,
+                axes: &[4],
                 divisor: LANES,
             },
             Divisibility {
-                axis: 5,
+                axes: &[5],
                 divisor: LANES,
             },
         ],
+        conjugate: None,
     }
 }
 
@@ -162,29 +194,18 @@ fn velocity_blocks_model() -> RegionModel {
         write: write.clone(),
         read_same_array: Some(write),
         constraints: vec![],
+        conjugate: None,
     }
 }
 
-/// Intra-block pencil partition over one `[nux, nuy, nuz]` velocity block.
-/// `pencil` is the swept axis; `blocked` optionally turns one selecting axis
-/// into aligned 8-wide blocks.
-fn block_model(pencil: usize, blocked: Option<usize>) -> RegionModel {
+/// Scalar intra-block pencil partition over one `[nux, nuy, nuz]` velocity
+/// block, swept along `pencil`.
+fn block_line_model(pencil: usize) -> RegionModel {
     let mut task_digits = Vec::new();
     let mut write = Vec::new();
-    let mut constraints = Vec::new();
     for a in 0..3 {
         if a == pencil {
             write.push(AxisFootprint::Full);
-        } else if blocked == Some(a) {
-            write.push(AxisFootprint::TaskBlock {
-                digit: task_digits.len(),
-                width: LANES,
-            });
-            task_digits.push(Extent::AxisDiv(a, LANES));
-            constraints.push(Divisibility {
-                axis: a,
-                divisor: LANES,
-            });
         } else {
             write.push(AxisFootprint::TaskDigit(task_digits.len()));
             task_digits.push(Extent::Axis(a));
@@ -195,7 +216,32 @@ fn block_model(pencil: usize, blocked: Option<usize>) -> RegionModel {
         task_digits,
         write: write.clone(),
         read_same_array: Some(write),
-        constraints,
+        constraints: vec![],
+        conjugate: None,
+    }
+}
+
+/// Lane intra-block partition: bundles of eight consecutive lines of the
+/// flattening of the two axes other than `pencil` — packed along `u_x`,
+/// gathered or transposed along `u_z`, either along `u_y`.
+fn block_bundle_model(pencil: usize) -> RegionModel {
+    const FREE: [&[usize]; 3] = [&[1, 2], &[0, 2], &[0, 1]];
+    let write: Vec<_> = (0..3)
+        .map(|a| match a == pencil {
+            true => AxisFootprint::Full,
+            false => AxisFootprint::Flat(0),
+        })
+        .collect();
+    RegionModel {
+        array_rank: 3,
+        task_digits: vec![Extent::FlatDiv(FREE[pencil], LANES)],
+        write: write.clone(),
+        read_same_array: Some(write),
+        constraints: vec![Divisibility {
+            axes: FREE[pencil],
+            divisor: LANES,
+        }],
+        conjugate: None,
     }
 }
 
@@ -208,6 +254,7 @@ fn moments_model() -> RegionModel {
         write: vec![AxisFootprint::TaskDigit(0)],
         read_same_array: None,
         constraints: vec![],
+        conjugate: None,
     }
 }
 
@@ -225,6 +272,7 @@ fn fft_axis0_model() -> RegionModel {
         write: write.clone(),
         read_same_array: Some(write),
         constraints: vec![],
+        conjugate: None,
     }
 }
 
@@ -237,6 +285,7 @@ fn per_element_model() -> RegionModel {
         write: vec![AxisFootprint::TaskDigit(0)],
         read_same_array: None,
         constraints: vec![],
+        conjugate: None,
     }
 }
 
@@ -250,18 +299,57 @@ fn chunked_model(width: usize) -> RegionModel {
         write: vec![AxisFootprint::TaskBlock { digit: 0, width }],
         read_same_array: None,
         constraints: vec![Divisibility {
-            axis: 0,
+            axes: &[0],
             divisor: width,
         }],
+        conjugate: None,
     }
 }
 
-/// Spatial sweep region, by axis and execution variant.
-pub fn spatial_model(d: usize, exec: Exec) -> RegionModel {
-    match exec {
-        Exec::Scalar => spatial_scalar_model(d),
-        Exec::Simd | Exec::Lat if d < 2 => spatial_bundle_model(d),
-        Exec::Simd | Exec::Lat => spatial_tile_model(),
+/// The shape of a spatial-sweep region's tasks, as the region names spell
+/// it: `scalar` pencils, `simd` (and `lat`) for the shapes of lane-divisible
+/// grids — whole-run bundle tasks along `x` / `y`, 8×8 tiles along `z` —
+/// and `gather` for the flat bundle groups of every other grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    Scalar,
+    Simd,
+    Gather,
+}
+
+impl Shape {
+    pub const ALL: [(Shape, &'static str); 3] = [
+        (Shape::Scalar, "scalar"),
+        (Shape::Simd, "simd"),
+        (Shape::Gather, "gather"),
+    ];
+
+    /// `x` never gathers: it runs lanes only where `nuy·nuz % 8 == 0`, which
+    /// is where its runs hold whole bundles.
+    pub fn occurs_along(self, d: usize) -> bool {
+        (self, d) != (Shape::Gather, 0)
+    }
+
+    /// The shape `sweep_spatial` / `sweep_ghosted` run along `d` of a `dims`
+    /// grid in the task shape `exec` ([`Exec::resolve`]'s answer).
+    pub fn of(dims: &[usize; 6], d: usize, exec: Exec) -> Shape {
+        let run: usize = RUN[d].iter().map(|&a| dims[a]).product();
+        match exec {
+            Exec::Scalar => Shape::Scalar,
+            Exec::Lat => Shape::Simd,
+            Exec::Simd if d < 2 && run % LANES == 0 => Shape::Simd,
+            Exec::Simd => Shape::Gather,
+        }
+    }
+}
+
+/// Spatial sweep region, by axis and task shape.
+pub fn spatial_model(d: usize, shape: Shape) -> RegionModel {
+    match shape {
+        Shape::Scalar => spatial_scalar_model(d),
+        Shape::Gather => spatial_gather_model(d),
+        Shape::Simd if d < 2 => spatial_run_model(d),
+        Shape::Simd => spatial_tile_model(),
     }
 }
 
@@ -274,11 +362,10 @@ pub const DIST_REGIONS: [(GhostedRegion, &str); 3] = [
 ];
 
 /// Distributed-sweep region along `d`: the tasks and pencils of
-/// [`spatial_model`] (scalar pencils or lane bundles / tiles — `Exec::Simd`
-/// and `Exec::Lat` coincide), each reading its whole pencil of the block (the
-/// ghost planes are other arrays) and writing the cells `region` updates.
-pub fn dist_model(d: usize, exec: Exec, region: GhostedRegion) -> RegionModel {
-    let mut model = spatial_model(d, exec);
+/// [`spatial_model`], each reading its whole pencil of the block (the ghost
+/// planes are other arrays) and writing the cells `region` updates.
+pub fn dist_model(d: usize, shape: Shape, region: GhostedRegion) -> RegionModel {
+    let mut model = spatial_model(d, shape);
     model.write[d] = match region {
         GhostedRegion::Sync => AxisFootprint::Full,
         GhostedRegion::Interior => AxisFootprint::Inner(GHOST_WIDTH),
@@ -290,41 +377,41 @@ pub fn dist_model(d: usize, exec: Exec, region: GhostedRegion) -> RegionModel {
 /// Every registered region, in report order.
 pub fn regions() -> Vec<Region> {
     let mut regions = Vec::new();
-    let execs = [
-        (Exec::Scalar, "scalar"),
-        (Exec::Simd, "simd"),
-        (Exec::Lat, "lat"),
+    // `lat` requests run the `simd` shapes on the spatial axes.
+    // No `x.gather`: `x` runs lanes only where `nuy·nuz % 8 == 0`, which is
+    // where its runs hold whole bundles.
+    let spatial_names: [&[(&'static str, Shape)]; 3] = [
+        &[
+            ("sweep.spatial.x.scalar", Shape::Scalar),
+            ("sweep.spatial.x.simd", Shape::Simd),
+            ("sweep.spatial.x.lat", Shape::Simd),
+        ],
+        &[
+            ("sweep.spatial.y.scalar", Shape::Scalar),
+            ("sweep.spatial.y.simd", Shape::Simd),
+            ("sweep.spatial.y.lat", Shape::Simd),
+            ("sweep.spatial.y.gather", Shape::Gather),
+        ],
+        &[
+            ("sweep.spatial.z.scalar", Shape::Scalar),
+            ("sweep.spatial.z.simd", Shape::Simd),
+            ("sweep.spatial.z.lat", Shape::Simd),
+            ("sweep.spatial.z.gather", Shape::Gather),
+        ],
     ];
-    let spatial_names: [[&'static str; 3]; 3] = [
-        [
-            "sweep.spatial.x.scalar",
-            "sweep.spatial.x.simd",
-            "sweep.spatial.x.lat",
-        ],
-        [
-            "sweep.spatial.y.scalar",
-            "sweep.spatial.y.simd",
-            "sweep.spatial.y.lat",
-        ],
-        [
-            "sweep.spatial.z.scalar",
-            "sweep.spatial.z.simd",
-            "sweep.spatial.z.lat",
-        ],
-    ];
-    for d in 0..3 {
-        for (e, (exec, _)) in execs.iter().enumerate() {
+    for (d, names) in spatial_names.into_iter().enumerate() {
+        for &(name, shape) in names {
             regions.push(Region {
-                name: spatial_names[d][e],
-                about: "phase-space sweep.rs sweep_spatial: one pencil task per remaining \
-                        coordinate of f",
+                name,
+                about: "phase-space sweep.rs sweep_spatial: one pencil, bundle-run or tile task \
+                        per remaining coordinate of f",
                 backs_unsafe_impl: true,
-                model: spatial_model(d, *exec),
+                model: spatial_model(d, shape),
             });
         }
     }
-    // Axis-major, then region in `DIST_REGIONS` order, then scalar / simd.
-    let dist_names: [&'static str; 18] = [
+    // Axis-major, then region in `DIST_REGIONS` order, then `Shape::ALL`.
+    let dist_names: [&'static str; 24] = [
         "sweep.dist.x.sync.scalar",
         "sweep.dist.x.sync.simd",
         "sweep.dist.x.interior.scalar",
@@ -333,27 +420,38 @@ pub fn regions() -> Vec<Region> {
         "sweep.dist.x.edges.simd",
         "sweep.dist.y.sync.scalar",
         "sweep.dist.y.sync.simd",
+        "sweep.dist.y.sync.gather",
         "sweep.dist.y.interior.scalar",
         "sweep.dist.y.interior.simd",
+        "sweep.dist.y.interior.gather",
         "sweep.dist.y.edges.scalar",
         "sweep.dist.y.edges.simd",
+        "sweep.dist.y.edges.gather",
         "sweep.dist.z.sync.scalar",
         "sweep.dist.z.sync.simd",
+        "sweep.dist.z.sync.gather",
         "sweep.dist.z.interior.scalar",
         "sweep.dist.z.interior.simd",
+        "sweep.dist.z.interior.gather",
         "sweep.dist.z.edges.scalar",
         "sweep.dist.z.edges.simd",
+        "sweep.dist.z.edges.gather",
     ];
     let mut dist_names = dist_names.into_iter();
     for d in 0..3 {
         for (region, _) in DIST_REGIONS {
-            for exec in [Exec::Scalar, Exec::Simd] {
+            for (shape, _) in Shape::ALL {
+                if !shape.occurs_along(d) {
+                    continue;
+                }
                 regions.push(Region {
-                    name: dist_names.next().expect("18 names for 3 × 3 × 2 regions"),
+                    name: dist_names
+                        .next()
+                        .expect("24 names: 3 × 3 × 3 less x.gather"),
                     about: "phase-space sweep.rs sweep_ghosted: the distributed sweeps' pencil \
                             tasks, writing the whole pencil (sync), its interior, or its edges",
                     backs_unsafe_impl: true,
-                    model: dist_model(d, exec, region),
+                    model: dist_model(d, shape, region),
                 });
             }
         }
@@ -365,22 +463,29 @@ pub fn regions() -> Vec<Region> {
         backs_unsafe_impl: false,
         model: velocity_blocks_model(),
     });
-    let blocks: [(&'static str, usize, Option<usize>); 7] = [
-        ("sweep.block.ux.scalar", 0, None),
-        ("sweep.block.ux.simd", 0, Some(2)),
-        ("sweep.block.uy.scalar", 1, None),
-        ("sweep.block.uy.simd", 1, Some(2)),
-        ("sweep.block.uz.scalar", 2, None),
-        ("sweep.block.uz.simd", 2, Some(1)),
-        ("sweep.block.uz.lat", 2, Some(1)),
+    // `gather`: the same bundle partition on thin and ragged blocks, where
+    // `u_y` / `u_z` bundles span several `iux`.
+    let blocks: [(&'static str, usize, bool); 9] = [
+        ("sweep.block.ux.scalar", 0, false),
+        ("sweep.block.ux.simd", 0, true),
+        ("sweep.block.uy.scalar", 1, false),
+        ("sweep.block.uy.simd", 1, true),
+        ("sweep.block.uy.gather", 1, true),
+        ("sweep.block.uz.scalar", 2, false),
+        ("sweep.block.uz.simd", 2, true),
+        ("sweep.block.uz.lat", 2, true),
+        ("sweep.block.uz.gather", 2, true),
     ];
-    for (name, pencil, blocked) in blocks {
+    for (name, pencil, lanes) in blocks {
         regions.push(Region {
             name,
-            about: "phase-space sweep.rs sweep_block_u*: pencil partition of one velocity \
+            about: "phase-space sweep.rs sweep_block_*: pencil partition of one velocity \
                     block (Fig. 1-3 index arithmetic)",
             backs_unsafe_impl: false,
-            model: block_model(pencil, blocked),
+            model: match lanes {
+                true => block_bundle_model(pencil),
+                false => block_line_model(pencil),
+            },
         });
     }
     for name in [
@@ -458,12 +563,12 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let regions = regions();
-        assert_eq!(regions.len(), 46);
+        assert_eq!(regions.len(), 56);
         let mut names: Vec<_> = regions.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 46, "duplicate region names");
-        assert_eq!(backing_region_names().len(), 32);
+        assert_eq!(names.len(), 56, "duplicate region names");
+        assert_eq!(backing_region_names().len(), 40);
     }
 
     #[test]

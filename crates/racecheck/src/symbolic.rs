@@ -14,12 +14,21 @@
 //! 2. *Extent matching*: a digit selecting single coordinates
 //!    ([`AxisFootprint::TaskDigit`]) must range over exactly the axis extent;
 //!    a digit selecting aligned blocks ([`AxisFootprint::TaskBlock`]) must
-//!    range over `extent / width`. This makes each axis slice both in-bounds
-//!    and distinct for distinct digit values.
-//! 3. *Divisibility*: block widths require `dims[axis] % width == 0`,
-//!    declared as a [`Divisibility`] constraint that the kernel must also
-//!    assert at runtime (otherwise an aligned block could straddle the axis
-//!    end and alias a neighbouring task's slice through the flattening).
+//!    range over `extent / width`; a digit selecting aligned groups of the
+//!    flattening of several axes ([`AxisFootprint::Flat`], the lane bundles
+//!    of any eight lines that share a shift) must range over
+//!    `Π extents / width` of exactly the axes that carry it — the
+//!    mixed-radix flattening of those axes is a bijection, so distinct digit
+//!    values select disjoint coordinate tuples on them. This makes each slice
+//!    both in-bounds and distinct for distinct digit values.
+//! 3. *Divisibility*: block and group widths require the (product of the)
+//!    extent(s) to divide by the width, declared as a [`Divisibility`]
+//!    constraint that the kernel must also check at runtime (otherwise an
+//!    aligned block could straddle the axis end and alias a neighbouring
+//!    task's slice through the flattening).
+//! 4. *One shift per bundle*: a flat group is one lane bundle, advected by
+//!    one shift, so it may not flatten the region's conjugate axis — the
+//!    axis whose index sets a line's shift.
 //!
 //! The proof is over symbols, not sampled shapes; [`RegionModel::indices`]
 //! additionally *instantiates* the model at concrete `dims` so the concrete
@@ -38,6 +47,10 @@ pub enum Extent {
     /// `dims[axis] / width` (meaningful only under a matching
     /// [`Divisibility`] constraint).
     AxisDiv(usize, usize),
+    /// `Π dims[axes] / width` — groups of `width` consecutive indices of the
+    /// row-major flattening of `axes` (ascending), under a matching
+    /// [`Divisibility`] constraint.
+    FlatDiv(&'static [usize], usize),
 }
 
 /// The slice of one array axis that task `t` touches.
@@ -49,6 +62,10 @@ pub enum AxisFootprint {
     TaskDigit(usize),
     /// The aligned block `[τ_j·width, (τ_j + 1)·width)`.
     TaskBlock { digit: usize, width: usize },
+    /// This axis is one of those flattened under digit `j`, whose extent is
+    /// an [`Extent::FlatDiv`]: jointly they hold the coordinate tuples with
+    /// flat index in `[τ_j·width, (τ_j + 1)·width)`.
+    Flat(usize),
     /// The same for every task: `[g, dims[axis] − g)` of the pencil axis —
     /// the cells a distributed sweep updates before its ghost planes arrive.
     Inner(usize),
@@ -64,15 +81,15 @@ impl AxisFootprint {
     fn selects_by_task(self) -> bool {
         matches!(
             self,
-            AxisFootprint::TaskDigit(_) | AxisFootprint::TaskBlock { .. }
+            AxisFootprint::TaskDigit(_) | AxisFootprint::TaskBlock { .. } | AxisFootprint::Flat(_)
         )
     }
 }
 
-/// A shape-family constraint the kernel asserts: `dims[axis] % divisor == 0`.
+/// A shape-family constraint the kernel checks: `Π dims[axes] % divisor == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Divisibility {
-    pub axis: usize,
+    pub axes: &'static [usize],
     pub divisor: usize,
 }
 
@@ -93,6 +110,9 @@ pub struct RegionModel {
     pub read_same_array: Option<Vec<AxisFootprint>>,
     /// Divisibility constraints the kernel asserts on `dims`.
     pub constraints: Vec<Divisibility>,
+    /// The axis whose index sets a line's shift (spatial sweeps: the
+    /// conjugate velocity axis), which no lane bundle may straddle.
+    pub conjugate: Option<usize>,
 }
 
 /// Why a model fails to prove disjointness.
@@ -117,6 +137,9 @@ pub enum ProofError {
     /// `read_same_array` differs from `write` on `axis`; the prover cannot
     /// conclude write-vs-read non-interference.
     ReadWriteShapeMismatch { axis: usize },
+    /// A flat group — one lane bundle, one shift — flattens the conjugate
+    /// axis `axis`: its lanes would need different shifts.
+    BundleMixesShifts { axis: usize },
 }
 
 impl std::fmt::Display for ProofError {
@@ -151,6 +174,9 @@ impl std::fmt::Display for ProofError {
                     "axis {axis}: same-array read footprint differs from write footprint"
                 )
             }
+            ProofError::BundleMixesShifts { axis } => {
+                write!(f, "axis {axis}: a lane bundle straddles conjugate indices")
+            }
         }
     }
 }
@@ -165,19 +191,44 @@ pub fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
     let k = m.task_digits.len();
     // Which axis consumes each digit.
     let mut consumer: Vec<Option<usize>> = vec![None; k];
+    let constrained = |axes: &[usize], width: usize| {
+        let covers = |c: &Divisibility| c.axes == axes && c.divisor % width == 0;
+        m.constraints.iter().any(covers)
+    };
     for (axis, fp) in m.write.iter().enumerate() {
         let (digit, required) = match *fp {
             AxisFootprint::Full | AxisFootprint::Inner(_) | AxisFootprint::Edges(_) => continue,
             AxisFootprint::TaskDigit(j) => (j, Extent::Axis(axis)),
             AxisFootprint::TaskBlock { digit, width } => {
-                if !m
-                    .constraints
-                    .iter()
-                    .any(|c| c.axis == axis && c.divisor % width == 0)
-                {
+                if !constrained(&[axis], width) {
                     return Err(ProofError::MissingDivisibility { axis, width });
                 }
                 (digit, Extent::AxisDiv(axis, width))
+            }
+            AxisFootprint::Flat(j) => {
+                // The digit's extent names the axes flattened under it: they
+                // must be exactly the axes carrying `Flat(j)`, and the group
+                // is consumed once, at the first of them.
+                let Some(&Extent::FlatDiv(axes, width)) = m.task_digits.get(j) else {
+                    return Err(match j < k {
+                        true => ProofError::ExtentMismatch { axis, digit: j },
+                        false => ProofError::DigitOutOfRange(j),
+                    });
+                };
+                let carriers = (0..m.array_rank).filter(|&a| m.write[a] == *fp);
+                if !carriers.eq(axes.iter().copied()) {
+                    return Err(ProofError::ExtentMismatch { axis, digit: j });
+                }
+                if m.conjugate == Some(axis) {
+                    return Err(ProofError::BundleMixesShifts { axis });
+                }
+                if !constrained(axes, width) {
+                    return Err(ProofError::MissingDivisibility { axis, width });
+                }
+                if axes.first() != Some(&axis) {
+                    continue;
+                }
+                (j, Extent::FlatDiv(axes, width))
             }
         };
         if digit >= k {
@@ -226,10 +277,10 @@ impl RegionModel {
     /// Check that `dims` satisfies the model's divisibility constraints.
     pub fn dims_conform(&self, dims: &[usize]) -> bool {
         dims.len() == self.array_rank
-            && self
-                .constraints
-                .iter()
-                .all(|c| dims[c.axis] % c.divisor == 0)
+            && self.constraints.iter().all(|c| {
+                let extent: usize = c.axes.iter().map(|&a| dims[a]).product();
+                extent % c.divisor == 0
+            })
     }
 
     /// Digit extents instantiated at `dims`.
@@ -239,6 +290,7 @@ impl RegionModel {
             .map(|e| match *e {
                 Extent::Axis(a) => dims[a],
                 Extent::AxisDiv(a, w) => dims[a] / w,
+                Extent::FlatDiv(axes, w) => axes.iter().map(|&a| dims[a]).product::<usize>() / w,
             })
             .collect()
     }
@@ -265,45 +317,65 @@ impl RegionModel {
     pub fn indices(&self, dims: &[usize], task: usize) -> Vec<usize> {
         assert!(self.dims_conform(dims), "dims violate model constraints");
         let digits = self.digits(dims, task);
-        // Per-axis coordinate lists.
-        let coords: Vec<Vec<usize>> = self
+        let strides: Vec<usize> = (0..self.array_rank)
+            .map(|a| dims[a + 1..].iter().product())
+            .collect();
+        // Per-axis lists of flat-index contributions. A flat group folds all
+        // its axes into one contribution per member, listed at its first
+        // axis; its other axes add nothing.
+        fn along(stride: usize, coords: impl Iterator<Item = usize>) -> Vec<usize> {
+            coords.map(|c| c * stride).collect()
+        }
+        let offsets: Vec<Vec<usize>> = self
             .write
             .iter()
             .enumerate()
             .map(|(a, fp)| match *fp {
-                AxisFootprint::Full => (0..dims[a]).collect(),
-                AxisFootprint::Inner(g) => (g..dims[a].saturating_sub(g)).collect(),
+                AxisFootprint::Full => along(strides[a], 0..dims[a]),
+                AxisFootprint::Inner(g) => along(strides[a], g..dims[a].saturating_sub(g)),
                 AxisFootprint::Edges(g) => {
                     assert!(dims[a] >= 2 * g, "edge slabs overlap on axis {a}");
-                    (0..g).chain(dims[a] - g..dims[a]).collect()
+                    along(strides[a], (0..g).chain(dims[a] - g..dims[a]))
                 }
-                AxisFootprint::TaskDigit(j) => vec![digits[j]],
-                AxisFootprint::TaskBlock { digit, width } => {
-                    (digits[digit] * width..(digits[digit] + 1) * width).collect()
+                AxisFootprint::TaskDigit(j) => vec![digits[j] * strides[a]],
+                AxisFootprint::TaskBlock { digit, width } => along(
+                    strides[a],
+                    digits[digit] * width..(digits[digit] + 1) * width,
+                ),
+                AxisFootprint::Flat(j) => {
+                    let Extent::FlatDiv(axes, width) = self.task_digits[j] else {
+                        panic!("digit {j} is not a flat group");
+                    };
+                    if axes[0] != a {
+                        return vec![0];
+                    }
+                    let member = |mut flat: usize| {
+                        let mut offset = 0;
+                        for &axis in axes.iter().rev() {
+                            offset += flat % dims[axis] * strides[axis];
+                            flat /= dims[axis];
+                        }
+                        offset
+                    };
+                    (digits[j] * width..(digits[j] + 1) * width)
+                        .map(member)
+                        .collect()
                 }
             })
             .collect();
-        let strides: Vec<usize> = (0..self.array_rank)
-            .map(|a| dims[a + 1..].iter().product())
-            .collect();
-        let mut out = Vec::new();
-        // Odometer over the cartesian product, axis 0 slowest → ascending.
-        fn rec(
-            axis: usize,
-            acc: usize,
-            coords: &[Vec<usize>],
-            strides: &[usize],
-            out: &mut Vec<usize>,
-        ) {
-            if axis == coords.len() {
+        // Odometer over the cartesian product.
+        fn rec(axis: usize, acc: usize, offsets: &[Vec<usize>], out: &mut Vec<usize>) {
+            if axis == offsets.len() {
                 out.push(acc);
                 return;
             }
-            for &c in &coords[axis] {
-                rec(axis + 1, acc + c * strides[axis], coords, strides, out);
+            for &o in &offsets[axis] {
+                rec(axis + 1, acc + o, offsets, out);
             }
         }
-        rec(0, 0, &coords, &strides, &mut out);
+        let mut out = Vec::new();
+        rec(0, 0, &offsets, &mut out);
+        out.sort_unstable();
         out
     }
 }
@@ -330,6 +402,7 @@ mod tests {
             write: write.clone(),
             read_same_array: Some(write),
             constraints: vec![],
+            conjugate: None,
         }
     }
 
@@ -360,13 +433,14 @@ mod tests {
             ],
             read_same_array: None,
             constraints: vec![],
+            conjugate: None,
         };
         assert_eq!(
             prove_write_disjoint(&m),
             Err(ProofError::MissingDivisibility { axis: 1, width: 4 })
         );
         m.constraints.push(Divisibility {
-            axis: 1,
+            axes: &[1],
             divisor: 4,
         });
         prove_write_disjoint(&m).expect("constrained block proves");
@@ -379,6 +453,75 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// Bundles of eight lines over the flattening of the two free axes of a
+    /// rank-4 array swept along axis 1 with conjugate axis 2.
+    fn flat_group_model() -> RegionModel {
+        let write = vec![
+            AxisFootprint::Flat(0),
+            AxisFootprint::Full,
+            AxisFootprint::Full,
+            AxisFootprint::Flat(0),
+        ];
+        RegionModel {
+            array_rank: 4,
+            task_digits: vec![Extent::FlatDiv(&[0, 3], 8)],
+            write: write.clone(),
+            read_same_array: Some(write),
+            constraints: vec![Divisibility {
+                axes: &[0, 3],
+                divisor: 8,
+            }],
+            conjugate: Some(2),
+        }
+    }
+
+    #[test]
+    fn flat_group_model_proves_and_tiles_thin_and_ragged_shapes() {
+        let m = flat_group_model();
+        prove_write_disjoint(&m).expect("flat groups prove");
+        // Thin (runs of 4), ragged (runs of 6 and 12) and whole-run shapes.
+        for dims in [[6, 3, 2, 4], [4, 2, 3, 6], [2, 1, 5, 12], [3, 2, 2, 8]] {
+            let total: usize = dims.iter().product();
+            let mut seen = vec![false; total];
+            assert_eq!(m.task_count(&dims), dims[0] * dims[3] / 8);
+            for t in 0..m.task_count(&dims) {
+                let indices = m.indices(&dims, t);
+                assert_eq!(indices.len(), 8 * dims[1] * dims[2]);
+                for idx in indices {
+                    assert!(!seen[idx], "{dims:?} task {t} index {idx}");
+                    seen[idx] = true;
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "{dims:?}");
+        }
+    }
+
+    #[test]
+    fn flat_group_rules_are_enforced() {
+        // A bundle flattened across the conjugate axis mixes shifts.
+        let mut m = flat_group_model();
+        m.conjugate = Some(3);
+        assert_eq!(
+            prove_write_disjoint(&m),
+            Err(ProofError::BundleMixesShifts { axis: 3 })
+        );
+        // The digit's axes must be the axes that carry it.
+        let mut m = flat_group_model();
+        m.write[3] = AxisFootprint::Full;
+        m.read_same_array = Some(m.write.clone());
+        assert_eq!(
+            prove_write_disjoint(&m),
+            Err(ProofError::ExtentMismatch { axis: 0, digit: 0 })
+        );
+        // Groups of eight need the product of the extents to divide by 8.
+        let mut m = flat_group_model();
+        m.constraints.clear();
+        assert_eq!(
+            prove_write_disjoint(&m),
+            Err(ProofError::MissingDivisibility { axis: 0, width: 8 })
+        );
     }
 
     #[test]
@@ -397,6 +540,7 @@ mod tests {
             write: vec![AxisFootprint::TaskDigit(0), AxisFootprint::TaskDigit(0)],
             read_same_array: None,
             constraints: vec![],
+            conjugate: None,
         };
         // Digit 0 cannot select both axes: extent check fires on axis 1
         // first (Axis(0) ≠ Axis(1)); a matching-extent reuse is also caught.

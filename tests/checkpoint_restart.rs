@@ -121,7 +121,7 @@ struct LandauEnd {
 }
 
 /// Six steps of 2-rank Landau damping (electrostatic force, static time
-/// axis, `Exec::Scalar`), optionally torn down after step 3 and resumed from
+/// axis, thin-grid lanes), optionally torn down after step 3 and resumed from
 /// its checkpoint; one end state per rank.
 fn landau_on_ranks(root: PathBuf, interrupt: bool) -> Vec<LandauEnd> {
     let policy = CheckpointPolicy::every(1);
