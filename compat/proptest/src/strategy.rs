@@ -147,7 +147,7 @@ tuple_strategy! {
     (A, B, C, D, E)
 }
 
-/// Length bounds accepted by [`vec`].
+/// Length bounds accepted by [`vec`](fn@vec).
 pub trait SizeBounds {
     fn pick(&self, rng: &mut TestRng) -> usize;
 }

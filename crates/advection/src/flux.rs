@@ -21,7 +21,7 @@
 //!
 //! [`mp5_bracket`] computes the Suresh & Huynh (1997) monotonicity-preserving
 //! interval for the interface value; the SL-MPP5 scheme (Tanaka et al. 2017 —
-//! the paper's ref [23]) clips the semi-Lagrangian interface average into this
+//! the paper's ref \[23\]) clips the semi-Lagrangian interface average into this
 //! bracket and then enforces positivity by clamping the flux to the available
 //! upwind mass. One stage, no Runge–Kutta.
 

@@ -17,7 +17,7 @@
 //! | [`Scheme::Sl3`]     | 3 | no      | 1 | cheap baseline |
 //! | [`Scheme::Sl5`]     | 5 | no      | 1 | accuracy ceiling |
 //! | [`Scheme::SlMpp5`]  | 5 | MP + positivity | 1 | **the paper's scheme** |
-//! | [`mol::Mp5Rk3`]     | 5 | MP      | 3 | the conventional alternative (§5.2 cost ablation) |
+//! | [`mol::step_mp5_rk3`] | 5 | MP    | 3 | the conventional alternative (§5.2 cost ablation) |
 //!
 //! Each precision has one flux/update body, working on a ghost-extended line
 //! in upwind order. The periodic / outflow entry points ([`advect_line`],
@@ -27,7 +27,7 @@
 //! ghost planes of a decomposed axis. Same body, same bits.
 //!
 //! Modules:
-//! * [`line`] — scalar `f32` line kernels (any scheme).
+//! * [`line`](mod@line) — scalar `f32` line kernels (any scheme).
 //! * [`simd`] — the `f32x8` lane type and the in-register 8×8 transpose used
 //!   by the LAT method (§5.3, Fig. 3).
 //! * [`lanes`] — eight-lines-at-once SIMD kernels for the production scheme.

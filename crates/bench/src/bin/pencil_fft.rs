@@ -1,14 +1,14 @@
-//! Pencil-FFT overlap: the 2-D pencil-decomposed transform (`Pencil2D`)
-//! against the 1-D slab baseline (`DistFft3`), with the per-stage
-//! hidden/exposed split of the split-phase transpose schedule measured
-//! through `forward_timed` / `inverse_timed`. The measured overlap
+//! Pencil-FFT overlap: the distributed transform (`Pencil2D`) on slab
+//! (`4x1`, what `DistributedVlasov` runs) and 2-D pencil rank grids, with
+//! the per-stage hidden/exposed split of the split-phase transpose schedule
+//! measured through `forward_timed` / `inverse_timed`. The measured overlap
 //! efficiency (`hidden / (hidden + exposed)`) then feeds the PM part of the
 //! scaling model ([`step_time_calibrated`]) to show what the hidden
 //! transpose buys along the paper's Table 3 weak chain.
 //!
-//! The slab transform is the oracle: both paths must agree with the serial
-//! `Fft3` bitwise-modulo-rounding, and the pencil rows must show
-//! `hidden > 0` once there is more than one batch to pipeline.
+//! The serial `Fft3` is the oracle: every row must agree with it
+//! bitwise-modulo-rounding, and the batched rows must show `hidden > 0` once
+//! there is more than one batch to pipeline.
 //!
 //! ```text
 //! cargo run --release -p vlasov6d-bench --bin pencil_fft
@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use vlasov6d_fft::{Complex64, DistFft3, Fft3, Pencil2D, PencilTimings};
+use vlasov6d_fft::{Complex64, Fft3, Pencil2D, PencilTimings};
 use vlasov6d_mpisim::Universe;
 use vlasov6d_perfmodel::model::{step_time, step_time_calibrated};
 use vlasov6d_perfmodel::{overlap_eff_from_split, paper_runs, MachineModel};
@@ -34,8 +34,8 @@ fn field(g: [usize; 3]) -> Complex64 {
     )
 }
 
-/// Largest |forward spectrum − serial spectrum| over all elements. Both
-/// spectral accessors return `(i1, i0, i2)` triples (the transposed storage
+/// Largest |forward spectrum − serial spectrum| over all elements. The
+/// spectral accessor returns `(i1, i0, i2)` triples (the transposed storage
 /// convention), so the serial row-major index is `(i0·n1 + i1)·n2 + i2`.
 fn max_err(ours: &[(usize, [usize; 3], Complex64)], serial: &[Complex64]) -> f64 {
     ours.iter()
@@ -116,59 +116,13 @@ fn measure_pencil(rows: usize, cols: usize, batches: usize, serial: &[Complex64]
     }
 }
 
-/// Slab baseline at the same rank count: wall time and oracle error only
-/// (the slab path's transpose is a single synchronous exchange — nothing to
-/// split into hidden/exposed).
-fn measure_slab(n_ranks: usize, serial: &[Complex64]) -> (Duration, f64) {
-    let fft = DistFft3::new(DIMS, n_ranks);
-    let per_rank = Universe::run(n_ranks, {
-        let fft = fft.clone();
-        move |comm| {
-            let me = comm.rank();
-            let planes = fft.slab_planes();
-            let input: Vec<Complex64> = (0..fft.slab_len())
-                .map(|flat| {
-                    field([
-                        me * planes + flat / (DIMS[1] * DIMS[2]),
-                        flat / DIMS[2] % DIMS[1],
-                        flat % DIMS[2],
-                    ])
-                })
-                .collect();
-            let mut spectrum = Vec::new();
-            comm.barrier();
-            let t0 = Instant::now();
-            for rep in 0..REPS as u64 {
-                spectrum = fft.forward(comm, &input, 4 * rep);
-                let back = fft.inverse(comm, &spectrum, 4 * rep + 2);
-                assert_eq!(back.len(), input.len());
-            }
-            let wall = t0.elapsed();
-            // Spectral (row-transposed) layout → global coords via the
-            // registered accessor.
-            let tagged: Vec<_> = spectrum
-                .iter()
-                .enumerate()
-                .map(|(flat, &v)| (me, fft.transposed_coords(me, flat), v))
-                .collect();
-            (wall, tagged)
-        }
-    });
-    let wall = per_rank.iter().map(|r| r.0).max().unwrap();
-    let err = per_rank
-        .iter()
-        .map(|(_, tagged)| max_err(tagged, serial))
-        .fold(0.0, f64::max);
-    (wall, err)
-}
-
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
 fn main() {
     println!(
-        "pencil vs slab distributed FFT, {}x{}x{} grid, {REPS} forward+inverse pairs\n",
+        "distributed FFT on slab and pencil rank grids, {}x{}x{} grid, {REPS} forward+inverse pairs\n",
         DIMS[0], DIMS[1], DIMS[2]
     );
     let serial = serial_spectrum();
@@ -190,26 +144,6 @@ fn main() {
             &widths
         )
     );
-
-    for ranks in [4usize, 8] {
-        let (wall, err) = measure_slab(ranks, &serial);
-        println!(
-            "{}",
-            table_row(
-                &[
-                    format!("slab p{ranks}"),
-                    format!("{:.4}", secs(wall)),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    format!("{err:.1e}"),
-                ],
-                &widths
-            )
-        );
-    }
 
     let mut best: Option<(f64, PencilRow)> = None;
     for (rows, cols, batches) in [(4, 1, 1), (2, 2, 1), (2, 2, 4), (4, 2, 4), (2, 4, 4)] {

@@ -6,7 +6,8 @@
 //! never decomposed — §5.1.3), a distributed FFT Poisson solve, and a
 //! potential-plane exchange for the force stencil.
 //!
-//! The decomposition is a slab along x (matching `vlasov6d-poisson::dist`);
+//! The decomposition is a slab along x (matching the `P × 1` pencil grid of
+//! `vlasov6d-poisson::dist`);
 //! the CDM particles stay with the serial driver (particle exchange is not
 //! modelled — the scaling study covers the tree part analytically). A
 //! ν-only distributed run is exactly the "Vlasov part" whose weak scaling
@@ -260,7 +261,9 @@ impl DistributedVlasov {
             .force
             .periodic_prefactor(self.a)
             .expect("periodic gravity path with isolated force law");
-        let tag = self.next_tags(4);
+        // The solve's tag window, then the gradient's two plane exchanges.
+        let solve_tags = self.solver.tag_span();
+        let tag = self.next_tags(solve_tags + 2);
         let phi_slab = {
             let _s = span!("gravity.poisson");
             self.solver.solve(comm, &source, prefactor, tag)
@@ -271,7 +274,7 @@ impl DistributedVlasov {
         // wrap is correct); axis 0 needs two ghost planes from each
         // neighbour.
         let _g = span!("gravity.gradient");
-        gradient_with_ghosts(comm, &self.decomp, &phi, tag + 2)
+        gradient_with_ghosts(comm, &self.decomp, &phi, tag + solve_tags)
     }
 
     /// Open-boundary gravity: allgather the density slabs, run the

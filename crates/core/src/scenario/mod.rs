@@ -5,7 +5,7 @@
 //! block-decomposable initial condition, a [`ForceLaw`]/[`TimeAxis`] pair,
 //! conservation tolerance bands and (where linear theory provides one) an
 //! analytic-rate oracle. The same machinery underneath runs them all: the
-//! serial [`KineticSimulation`](engine::KineticSimulation) engine, the
+//! serial [`KineticSimulation`] engine, the
 //! distributed [`DistributedVlasov`](crate::DistributedVlasov) driver via
 //! [`Dynamics`](dynamics::Dynamics), `obs` spans, `ckpt` snapshots and the
 //! kerncheck-verified sweep kernels.

@@ -80,7 +80,7 @@ fn two_rank_run_emits_consistent_jsonl_telemetry() {
                 .find(|s| s.name == "gravity")
                 .unwrap();
             assert!(gravity.find("poisson.dist_solve").is_some());
-            assert!(gravity.find("fft.dist.forward").is_some());
+            assert!(gravity.find("fft.pencil.forward").is_some());
 
             // Per-step traffic interval for this universe.
             let delta = comm.traffic().diff(&mark);

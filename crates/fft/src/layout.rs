@@ -1,20 +1,24 @@
 //! Distributed-layout descriptors: the single source of truth for how the
-//! distributed FFTs partition a global `[n0][n1][n2]` grid across ranks.
+//! distributed FFT partitions a global `[n0][n1][n2]` grid across ranks.
 //!
-//! Every repartition (transpose) in [`crate::dist`] and [`crate::pencil`] is
-//! pure index-permutation code — the most bug-prone layer of the stack. This
+//! Every repartition (transpose) in [`crate::pencil`] is pure
+//! index-permutation code — the most bug-prone layer of the stack. This
 //! module states each layout *declaratively*: per global axis, which rank-grid
 //! axis (if any) blocks it ([`AxisPart`]), and in which permuted order the
 //! locally-owned coordinates flatten into the rank's buffer
 //! ([`LayoutMap::order`]). From that declaration everything else is *derived*:
 //!
 //! * [`LayoutMap::owner`] / [`LayoutMap::coords`] — the global ↔ (rank, flat)
-//!   maps the accessors (`transposed_coords`, `spectral_coords`) must agree
+//!   maps the accessors (`zpencil_coords`, `spectral_coords`) must agree
 //!   with;
 //! * [`Repartition::pair_elems`] — per-(src, dst) element counts, computed as
-//!   the per-axis intersection of the two ranks' owned ranges. The
-//!   [`crate::dist::DistFft3::add_transpose`] and pencil plan builders take
-//!   their byte accounting from here instead of hand-written products.
+//!   the per-axis intersection of the two ranks' owned ranges. The pencil
+//!   plans (`add_forward`, `add_inverse`) take their byte accounting from
+//!   here instead of hand-written products.
+//!
+//! A slab decomposition is not a separate family: it is the `P × 1` rank
+//! grid, on which the z- and y-pencils are the slab `[n0/P][n1][n2]` and the
+//! x-pencil is the row-transposed `[n1/P][n0][n2]`.
 //!
 //! The `vlasov6d-layoutcheck` crate proves the registered maps bijective for
 //! *all* conforming shapes (mixed-radix digit argument), cross-checks these
@@ -23,9 +27,7 @@
 //! `layout-index-arith` pass requires the pack/unpack loops to cite these
 //! maps by registered name.
 
-/// One axis of the rank grid. Slab decompositions use a `P × 1` grid (only
-/// [`GridAxis::Row`] is populated); the 2-D pencil decomposition uses
-/// `Pr × Pc`.
+/// One axis of the `Pr × Pc` rank grid (a slab decomposition is `P × 1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridAxis {
     /// The first rank-grid axis (extent [`RankGrid::rows`]).
@@ -55,11 +57,6 @@ impl RankGrid {
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows >= 1 && cols >= 1);
         Self { rows, cols }
-    }
-
-    /// A slab (1-D) decomposition over `p` ranks as a degenerate `p × 1` grid.
-    pub fn slab(p: usize) -> Self {
-        Self::new(p, 1)
     }
 
     pub fn n_ranks(&self) -> usize {
@@ -224,37 +221,10 @@ impl Repartition {
 
 // ---------------------------------------------------------------------------
 // The registered layouts. Storage orders mirror the real buffers:
-// slab/z-pencil blocks are stored in natural [i0][i1][i2] order; the
-// transposed/spectral blocks put the owned i1 rows slowest ([i1l][i0][i2l]),
-// matching `transposed_coords` / `spectral_coords`.
+// z/y-pencil blocks are stored in natural [i0][i1][i2] order; the spectral
+// block puts the owned i1 rows slowest ([i1l][i0][i2l]), matching
+// `spectral_coords`.
 // ---------------------------------------------------------------------------
-
-/// Slab layout: rank `r` owns planes `i0 ∈ [r·n0/P, (r+1)·n0/P)`.
-pub fn slab() -> LayoutMap {
-    LayoutMap {
-        name: "layout.slab",
-        parts: [
-            AxisPart::Block(GridAxis::Row),
-            AxisPart::Full,
-            AxisPart::Full,
-        ],
-        order: [0, 1, 2],
-    }
-}
-
-/// Row-transposed layout: rank `r` owns rows `i1 ∈ [r·n1/P, (r+1)·n1/P)`,
-/// stored `[i1l][i0][i2]`.
-pub fn rows_transposed() -> LayoutMap {
-    LayoutMap {
-        name: "layout.rows",
-        parts: [
-            AxisPart::Full,
-            AxisPart::Block(GridAxis::Row),
-            AxisPart::Full,
-        ],
-        order: [1, 0, 2],
-    }
-}
 
 /// Input z-pencil of the 2-D decomposition: `[n0/Pr][n1/Pc][n2]`.
 pub fn zpencil() -> LayoutMap {
@@ -282,8 +252,8 @@ pub fn ypencil() -> LayoutMap {
     }
 }
 
-/// Spectral x-pencil: `[n1/Pr][n0][n2/Pc]`, stored `[i1l][i0][i2l]` to mirror
-/// the slab path's transposed convention.
+/// Spectral x-pencil: `[n1/Pr][n0][n2/Pc]`, stored `[i1l][i0][i2l]` (on a
+/// `P × 1` grid, the row-transposed slab `[n1/P][n0][n2]`).
 pub fn xpencil() -> LayoutMap {
     LayoutMap {
         name: "layout.xpencil",
@@ -293,24 +263,6 @@ pub fn xpencil() -> LayoutMap {
             AxisPart::Block(GridAxis::Col),
         ],
         order: [1, 0, 2],
-    }
-}
-
-/// The slab FFT's forward transpose.
-pub fn slab_to_rows() -> Repartition {
-    Repartition {
-        name: "fft.slab.to_rows",
-        src: slab(),
-        dst: rows_transposed(),
-    }
-}
-
-/// The slab FFT's inverse transpose.
-pub fn rows_to_slab() -> Repartition {
-    Repartition {
-        name: "fft.rows.to_slab",
-        src: rows_transposed(),
-        dst: slab(),
     }
 }
 
@@ -376,13 +328,9 @@ mod tests {
 
     #[test]
     fn all_layouts_are_concrete_bijections() {
-        let dims = [4usize, 6, 4];
-        for layout in [slab(), rows_transposed()] {
-            check_bijection(&layout, dims, RankGrid::slab(2));
-        }
-        let grid = RankGrid::new(2, 2);
         for layout in [zpencil(), ypencil(), xpencil()] {
-            check_bijection(&layout, [4, 4, 4], grid);
+            check_bijection(&layout, [4, 6, 4], RankGrid::new(2, 1));
+            check_bijection(&layout, [4, 4, 4], RankGrid::new(2, 2));
             check_bijection(&layout, [2, 6, 8], RankGrid::new(2, 2));
         }
     }

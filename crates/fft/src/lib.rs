@@ -11,11 +11,10 @@
 //! * [`real`] — real↔half-complex transforms built on the complex plans.
 //! * [`fft3d`] — cache-friendly, rayon-parallel 3-D transforms of complex and
 //!   real fields, the entry point used by the Poisson solver.
-//! * [`dist`] — slab-decomposed distributed 3-D FFT over `vlasov6d-mpisim`
-//!   (local FFTs + all-to-all transpose), the parallel-transform substrate.
-//! * [`pencil`] — the true 2-D pencil-decomposed distributed FFT (`Pr × Pc`
-//!   rank grid, two overlapped split-phase transpose stages), lifting the
-//!   slab path's rank-count cap.
+//! * [`pencil`] — the distributed 3-D FFT over `vlasov6d-mpisim`: a 2-D
+//!   pencil decomposition on a `Pr × Pc` rank grid, two overlapped
+//!   split-phase transpose stages. The slab (1-D) decomposition
+//!   `DistributedVlasov` runs is its `Pc = 1` case, `Pencil2D::new(dims, P, 1)`.
 //! * [`layout`] — declarative descriptors of every distributed layout and
 //!   repartition; byte accounting is derived from them and the
 //!   `vlasov6d-layoutcheck` crate proves them bijective.
@@ -25,7 +24,6 @@
 //! `inverse(forward(x)) == x`.
 
 pub mod complex;
-pub mod dist;
 pub mod fft3d;
 pub mod layout;
 pub mod pencil;
@@ -33,7 +31,6 @@ pub mod plan;
 pub mod real;
 
 pub use complex::Complex64;
-pub use dist::DistFft3;
 pub use fft3d::{Fft3, RealFft3};
-pub use pencil::{Pencil2D, PencilTimings, StageTimings};
+pub use pencil::{DistFft3, Pencil2D, PencilTimings, StageTimings};
 pub use plan::FftPlan;

@@ -1,4 +1,5 @@
-//! True 2-D pencil-decomposed distributed 3-D FFT over the `mpisim` runtime.
+//! The distributed 3-D FFT over the `mpisim` runtime: a 2-D pencil
+//! decomposition, of which the slab decomposition is the `Pc = 1` case.
 //!
 //! The paper's PM solver uses Fujitsu's 2-D-decomposed parallel FFT so the
 //! Poisson grid can spread over far more ranks than it has planes. This
@@ -10,12 +11,15 @@
 //! * **stage 1**: all-to-all *within each row group* (ranks sharing `pr`)
 //!   into the **y-pencil** `[n0/Pr][n1][n2/Pc]` — FFT along axis 1;
 //! * **stage 2**: all-to-all *within each column group* (ranks sharing `pc`)
-//!   into the **x-pencil** `[n1/Pr][n0][n2/Pc]`, stored `[i1l][i0][i2l]` to
-//!   mirror the slab path's transposed convention — FFT along axis 0.
+//!   into the **x-pencil** `[n1/Pr][n0][n2/Pc]`, stored `[i1l][i0][i2l]` so
+//!   the owned `i1` rows are slowest — FFT along axis 0.
 //!
 //! Requires `n0 % Pr == 0`, `n1 % Pr == 0`, `n1 % Pc == 0`, `n2 % Pc == 0`;
-//! rank counts up to `min(n0·n1, n1·n2)` become usable, far beyond the slab
-//! path's `min(n0, n1)` cap.
+//! rank counts up to `min(n0·n1, n1·n2)` become usable. On a `P × 1` grid
+//! (what `vlasov6d_poisson::DistPoisson::new` and `DistributedVlasov`
+//! build) the z- and y-pencils are both the slab `[n0/P][n1][n2]`, stage 1
+//! stays on the rank, and stage 2 is the slab transpose into
+//! `[n1/P][n0][n2]`; rank counts are then capped at `min(n0, n1)`.
 //!
 //! Both stages run split-phase (`irecv`s posted up front, per-batch `isend`s,
 //! waits at the end) and are **overlapped** with the local 1-D FFT work the
@@ -173,8 +177,8 @@ impl Pencil2D {
     }
 
     /// Global `(i1, i0, i2)` triple of a flat index in this rank's spectral
-    /// (x-pencil) block — same ordering convention as
-    /// [`crate::dist::DistFft3::transposed_coords`].
+    /// (x-pencil) block, in storage order: owned `i1` rows slowest — for
+    /// applying k-space multipliers.
     pub fn spectral_coords(&self, rank: usize, flat: usize) -> [usize; 3] {
         let (pr, pc) = self.grid.coords_of(rank);
         let n0 = self.dims[0];
@@ -839,6 +843,32 @@ fn batch_ranges(extent: usize, batches: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// The slab transform, `Pencil2D::new(dims, P, 1)`: slab `[n0/P][n1][n2]`
+/// in, row-transposed `[n1/P][n0][n2]` spectrum out.
+///
+/// Exists only because `benchmark/`'s `fft.dist_slab` probe names it; delete
+/// it once that probe builds the `P × 1` [`Pencil2D`] itself.
+#[derive(Debug, Clone)]
+pub struct DistFft3(Pencil2D);
+
+impl DistFft3 {
+    pub fn new(dims: [usize; 3], n_ranks: usize) -> Self {
+        Self(Pencil2D::new(dims, n_ranks, 1))
+    }
+
+    pub fn slab_len(&self) -> usize {
+        self.0.zpencil_len()
+    }
+
+    pub fn forward(&self, comm: &Comm, local: &[Complex64], tag: u64) -> Vec<Complex64> {
+        self.0.forward(comm, local, tag)
+    }
+
+    pub fn inverse(&self, comm: &Comm, spectrum: &[Complex64], tag: u64) -> Vec<Complex64> {
+        self.0.inverse(comm, spectrum, tag)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,7 +902,15 @@ mod tests {
         let global = random_field(512, 3);
         let mut serial = global.clone();
         Fft3::new(dims).forward(&mut serial);
-        for (rows, cols) in [(1usize, 1usize), (2, 2), (1, 4), (4, 2), (2, 4)] {
+        for (rows, cols) in [
+            (1usize, 1usize),
+            (2, 1),
+            (4, 1),
+            (2, 2),
+            (1, 4),
+            (4, 2),
+            (2, 4),
+        ] {
             let global = global.clone();
             let serial = serial.clone();
             Universe::run(rows * cols, move |comm| {
@@ -894,7 +932,7 @@ mod tests {
     #[test]
     fn pencil_round_trip_ragged() {
         let dims = [4usize, 12, 6];
-        for (rows, cols) in [(2usize, 2usize), (4, 3), (2, 6)] {
+        for (rows, cols) in [(2usize, 1usize), (4, 1), (2, 2), (4, 3), (2, 6)] {
             let global = random_field(4 * 12 * 6, 11);
             Universe::run(rows * cols, move |comm| {
                 let plan = Pencil2D::new(dims, rows, cols).with_batches(2);
@@ -910,7 +948,7 @@ mod tests {
 
     #[test]
     fn pencil_exceeds_slab_rank_cap() {
-        // dims [4, 8, 4]: the slab path caps at min(n0, n1) = 4 ranks; the
+        // dims [4, 8, 4]: a P × 1 (slab) grid caps at min(n0, n1) = 4 ranks; the
         // pencil grid runs 8 = 4×2 ranks > n0.
         let dims = [4usize, 8, 4];
         let global = random_field(4 * 8 * 4, 17);
@@ -1012,19 +1050,41 @@ mod tests {
             60,
         );
         same.verify().unwrap_err();
+
+        // On a P × 1 grid stage 1 never leaves the rank and stage 2 is the
+        // slab transpose: every directed pair carries
+        // `(n0/P)·(n1/P)·n2` complex values, split over the batches — pinned
+        // across ragged (non-square, non-power-of-two) shapes.
+        for (dims, p) in [
+            ([8usize, 8, 8], 4usize),
+            ([4, 12, 6], 2),
+            ([12, 4, 10], 4),
+            ([6, 6, 2], 3),
+            ([10, 30, 7], 5),
+        ] {
+            let mut per_pair = std::collections::HashMap::new();
+            for (src, dst, _, bytes) in Pencil2D::new(dims, p, 1).transpose_plan(5).send_edges() {
+                *per_pair.entry((src, dst)).or_insert(0) += bytes;
+            }
+            let slab = (dims[0] / p * (dims[1] / p) * dims[2] * 16) as u64;
+            assert_eq!(per_pair.len(), p * (p - 1), "dims {dims:?} × {p}");
+            assert!(per_pair.values().all(|&b| b == slab), "dims {dims:?} × {p}");
+        }
     }
 
     #[test]
     fn spectral_and_zpencil_owners_round_trip() {
-        let plan = Pencil2D::new([4, 12, 6], 2, 3);
-        for rank in 0..plan.n_ranks() {
-            for flat in 0..plan.spectral_len() {
-                let c = plan.spectral_coords(rank, flat);
-                assert_eq!(plan.spectral_owner(c), (rank, flat));
-            }
-            for flat in 0..plan.zpencil_len() {
-                let c = plan.zpencil_coords(rank, flat);
-                assert_eq!(plan.zpencil_owner(c), (rank, flat));
+        for (rows, cols) in [(2, 3), (4, 1)] {
+            let plan = Pencil2D::new([4, 12, 6], rows, cols);
+            for rank in 0..plan.n_ranks() {
+                for flat in 0..plan.spectral_len() {
+                    let c = plan.spectral_coords(rank, flat);
+                    assert_eq!(plan.spectral_owner(c), (rank, flat));
+                }
+                for flat in 0..plan.zpencil_len() {
+                    let c = plan.zpencil_coords(rank, flat);
+                    assert_eq!(plan.zpencil_owner(c), (rank, flat));
+                }
             }
         }
     }

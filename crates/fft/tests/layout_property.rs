@@ -1,39 +1,15 @@
 //! Property tests for the distributed-FFT coordinate accessors: for
-//! arbitrary conforming dims and rank counts, (rank, flat) → global coords →
-//! owner must be the identity, and the accessors must agree with the
-//! declarative layout model in `vlasov6d_fft::layout`.
+//! arbitrary conforming dims and rank grids (`cols = 1`, the slab
+//! decomposition, included), (rank, flat) → global coords → owner must be
+//! the identity, and the accessors must agree with the declarative layout
+//! model in `vlasov6d_fft::layout`.
 
 use proptest::prelude::*;
 use vlasov6d_fft::layout::{self, RankGrid};
-use vlasov6d_fft::{DistFft3, Pencil2D};
+use vlasov6d_fft::Pencil2D;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn transposed_coords_round_trips_for_arbitrary_dims(
-        p in 1usize..6,
-        a in 1usize..5,
-        b in 1usize..5,
-        n2 in 1usize..7,
-        salt in 0u64..u64::MAX,
-    ) {
-        let dims = [p * a, p * b, n2];
-        let fft = DistFft3::new(dims, p);
-        let grid = RankGrid::slab(p);
-        let model = layout::rows_transposed();
-        let rank = (salt % p as u64) as usize;
-        let flat = ((salt >> 8) % fft.transposed_len() as u64) as usize;
-
-        let coords = fft.transposed_coords(rank, flat);
-        prop_assert_eq!(fft.transposed_owner(coords), (rank, flat));
-        // The accessor pair must realise exactly the registered layout map
-        // (transposed_coords speaks [i1, i0, i2]; the model speaks
-        // [i0, i1, i2]).
-        let [i1, i0, i2] = coords;
-        prop_assert_eq!(model.owner(dims, grid, [i0, i1, i2]), (rank, flat));
-        prop_assert_eq!(model.coords(dims, grid, rank, flat), [i0, i1, i2]);
-    }
 
     #[test]
     fn pencil_accessors_round_trip_for_arbitrary_grids(

@@ -10,22 +10,21 @@
 //!   pair, against both the runtime's derived byte accounting
 //!   (`Repartition::pair_elems`) and the symbolically derived
 //!   [`PairCount`](crate::symbolic::PairCount);
-//! * diffs the accumulated traffic against the actual [`CommPlan`]s the
-//!   runtime verifies before communicating (`DistFft3::transpose_plan`,
-//!   `Pencil2D` forward/inverse plans);
-//! * checks the user-facing coordinate accessors (`transposed_coords`,
-//!   `spectral_coords`, `zpencil_coords` and their owners) realise exactly
-//!   the registered maps.
+//! * diffs the accumulated traffic against the actual
+//!   [`CommPlan`](vlasov6d_mpisim::CommPlan)s the runtime verifies before
+//!   communicating (`Pencil2D` forward/inverse plans);
+//! * checks the user-facing coordinate accessors (`spectral_coords`,
+//!   `zpencil_coords` and their owners) realise exactly the registered maps.
 //!
 //! Negative controls: a swapped-stride layout (storage order transposed) and
 //! an off-by-one row split must both be *caught* by these checks.
 
 use std::collections::HashMap;
 
-use crate::registry::{self, GridKind};
+use crate::registry;
 use crate::symbolic;
 use vlasov6d_fft::layout::{self, LayoutMap, RankGrid, Repartition};
-use vlasov6d_fft::{DistFft3, Pencil2D};
+use vlasov6d_fft::Pencil2D;
 use vlasov6d_kerncheck::report::Report;
 
 const PASS: &str = "concrete";
@@ -154,7 +153,7 @@ fn diff_plan(
     Ok(())
 }
 
-fn shape_tag(dims: [usize; 3], grid: RankGrid) -> String {
+pub(crate) fn shape_tag(dims: [usize; 3], grid: RankGrid) -> String {
     format!(
         "{}x{}x{}.g{}x{}",
         dims[0], dims[1], dims[2], grid.rows, grid.cols
@@ -163,7 +162,7 @@ fn shape_tag(dims: [usize; 3], grid: RankGrid) -> String {
 
 pub fn run(report: &mut Report) {
     for entry in registry::entries() {
-        for (dims, grid) in registry::sample_shapes(entry.kind) {
+        for (dims, grid) in registry::sample_shapes() {
             let rep = &entry.rep;
             let tag = shape_tag(dims, grid);
             // Bijection + routing enumeration straight from the model maps.
@@ -217,26 +216,9 @@ pub fn run(report: &mut Report) {
 
 /// Diff the registered models against the CommPlans the runtime verifies.
 fn plan_cross_checks(report: &mut Report) {
-    // Slab: one transpose plan per direction (same edges by symmetry of the
-    // all-to-all, but diff both registered maps anyway).
-    for (dims, grid) in registry::sample_shapes(GridKind::Slab) {
-        let fft = DistFft3::new(dims, grid.n_ranks());
-        let plan = fft.transpose_plan(7);
-        for rep in [layout::slab_to_rows(), layout::rows_to_slab()] {
-            let name = format!("{}.plan.{}", rep.name, shape_tag(dims, grid));
-            match diff_plan(&rep, dims, grid, &plan, 7..8) {
-                Ok(()) => report.verified(
-                    PASS,
-                    name,
-                    "CommPlan edge bytes equal model pair_elems · 16 on every pair",
-                ),
-                Err(e) => report.violated(PASS, name, "CommPlan disagrees with model", Some(e)),
-            }
-        }
-    }
-    // Pencil: forward plan covers stage 1 + stage 2 in consecutive tag
-    // windows; inverse plan covers the reversed stages.
-    for (dims, grid) in registry::sample_shapes(GridKind::Pencil) {
+    // The forward plan covers stage 1 + stage 2 in consecutive tag windows;
+    // the inverse plan covers the reversed stages.
+    for (dims, grid) in registry::sample_shapes() {
         let fft = Pencil2D::new(dims, grid.rows, grid.cols).with_batches(2);
         let span = fft.tag_span();
         let fwd = fft.transpose_plan(0);
@@ -266,24 +248,7 @@ fn plan_cross_checks(report: &mut Report) {
 /// The coordinate accessors the k-space multipliers rely on must realise
 /// exactly the registered maps.
 fn accessor_cross_checks(report: &mut Report) {
-    for (dims, grid) in registry::sample_shapes(GridKind::Slab) {
-        let fft = DistFft3::new(dims, grid.n_ranks());
-        let model = layout::rows_transposed();
-        let mut witness = None;
-        'outer: for rank in 0..grid.n_ranks() {
-            for flat in 0..fft.transposed_len() {
-                let [i1, i0, i2] = fft.transposed_coords(rank, flat);
-                if model.coords(dims, grid, rank, flat) != [i0, i1, i2]
-                    || fft.transposed_owner([i1, i0, i2]) != (rank, flat)
-                {
-                    witness = Some(format!("rank {rank}, flat {flat}"));
-                    break 'outer;
-                }
-            }
-        }
-        report_accessor(report, "fft.slab.accessor", dims, grid, witness);
-    }
-    for (dims, grid) in registry::sample_shapes(GridKind::Pencil) {
+    for (dims, grid) in registry::sample_shapes() {
         let fft = Pencil2D::new(dims, grid.rows, grid.cols);
         let spec = layout::xpencil();
         let zpen = layout::zpencil();
@@ -307,68 +272,58 @@ fn accessor_cross_checks(report: &mut Report) {
                 }
             }
         }
-        report_accessor(report, "fft.pencil.accessor", dims, grid, witness);
-    }
-}
-
-fn report_accessor(
-    report: &mut Report,
-    base: &str,
-    dims: [usize; 3],
-    grid: RankGrid,
-    witness: Option<String>,
-) {
-    let name = format!("{base}.{}", shape_tag(dims, grid));
-    match witness {
-        None => report.verified(
-            PASS,
-            name,
-            "coordinate accessors realise the registered layout map exactly",
-        ),
-        Some(w) => report.violated(
-            PASS,
-            name,
-            "accessor disagrees with the registered layout map",
-            Some(w),
-        ),
+        let name = format!("fft.pencil.accessor.{}", shape_tag(dims, grid));
+        match witness {
+            None => report.verified(
+                PASS,
+                name,
+                "coordinate accessors realise the registered layout map exactly",
+            ),
+            Some(w) => report.violated(
+                PASS,
+                name,
+                "accessor disagrees with the registered layout map",
+                Some(w),
+            ),
+        }
     }
 }
 
 fn negative_controls(report: &mut Report) {
-    // Control: swapped stride — a transposed layout whose storage order is
-    // [i0][i1l][i2] instead of [i1l][i0][i2]. The accessor diff must catch
-    // the drift on any shape where n0 ≠ transposed_rows.
+    // Control: swapped stride — a spectral x-pencil whose storage order is
+    // [i0][i1l][i2] instead of [i1l][i0][i2], on the 4 × 1 (slab) grid. The
+    // accessor diff must catch the drift on any shape where n0 ≠ n1/Pr.
     let dims = [8usize, 8, 8];
-    let grid = RankGrid::slab(4);
+    let grid = RankGrid::new(4, 1);
     let swapped = LayoutMap {
-        name: "layout.rows.swapped-stride",
+        name: "layout.xpencil.swapped-stride",
         order: [0, 1, 2], // real accessor stores [i1l][i0][i2]
-        ..layout::rows_transposed()
+        ..layout::xpencil()
     };
-    let fft = DistFft3::new(dims, grid.n_ranks());
+    let fft = Pencil2D::new(dims, grid.rows, grid.cols);
     let caught = (0..grid.n_ranks()).any(|rank| {
-        (0..fft.transposed_len()).any(|flat| {
-            let [i1, i0, i2] = fft.transposed_coords(rank, flat);
+        (0..fft.spectral_len()).any(|flat| {
+            let [i1, i0, i2] = fft.spectral_coords(rank, flat);
             swapped.coords(dims, grid, rank, flat) != [i0, i1, i2]
         })
     });
     report.control(
         PASS,
         "control.swapped.stride",
-        "a swapped-stride transposed layout must disagree with the live accessor",
+        "a swapped-stride spectral layout must disagree with the live accessor",
         caught,
         Some("storage order [0,1,2] vs accessor's [1,0,2]".into()),
     );
 
-    // Control: off-by-one row split — destination rows shifted by one, so
-    // one boundary row lands on two ranks and another on none. The
+    // Control: off-by-one row split — stage 2's destination rows shifted by
+    // one, so one boundary row lands on two ranks and another on none. The
     // enumeration must reject it.
-    let rep = layout::slab_to_rows();
-    let rows = dims[1] / grid.n_ranks();
+    let rep = layout::pencil_stage2();
+    let rows = dims[1] / grid.rows;
     let off_by_one = |g: [usize; 3]| -> (usize, usize) {
         let (rank, flat) = rep.dst.owner(dims, grid, g);
         // Shift the block boundary: row `rank·rows` is claimed by the
-        // previous rank's slot range as well.
+        // previous rank's slot range as well (rank = pr on a P × 1 grid).
         if g[1] % rows == 0 && g[1] > 0 {
             (rank - 1, flat % rep.dst.local_len(dims, grid))
         } else {

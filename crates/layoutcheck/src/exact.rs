@@ -3,7 +3,7 @@
 //! A layout verifier that trusts the FFT it gates is circular: the pencil
 //! pipeline could route every element perfectly and still compute the wrong
 //! transform. This layer re-derives the transform itself with **no floating
-//! point at all**: elements of ℚ(ζ_n) = ℚ[x]/Φ_n(x) (ζ_n a primitive n-th
+//! point at all**: elements of ℚ(ζ_n) = ℚ\[x\]/Φ_n(x) (ζ_n a primitive n-th
 //! root of unity, Φ_n the n-th cyclotomic polynomial, computed here by exact
 //! division of xⁿ − 1), with the DFT's forward convention ζ = e^{−2πi/n}
 //! matching `FftPlan`. Checked identities, all as exact polynomial

@@ -57,7 +57,7 @@ const PASS: &str = "symbolic";
 /// controls on the prover itself.
 pub fn symbolic_pass(report: &mut Report) {
     for entry in registry::entries() {
-        match prove_repartition_bijective(&entry.rep, entry.kind) {
+        match prove_repartition_bijective(&entry.rep) {
             Ok((narrative, _)) => report.verified(PASS, entry.rep.name.to_string(), narrative),
             Err(e) => report.violated(
                 PASS,
@@ -70,25 +70,12 @@ pub fn symbolic_pass(report: &mut Report) {
 
     // Forward ∘ inverse composition identities.
     let pairs = [
-        (
-            layout::slab_to_rows(),
-            layout::rows_to_slab(),
-            registry::GridKind::Slab,
-        ),
-        (
-            layout::pencil_stage1(),
-            layout::pencil_stage1_inv(),
-            registry::GridKind::Pencil,
-        ),
-        (
-            layout::pencil_stage2(),
-            layout::pencil_stage2_inv(),
-            registry::GridKind::Pencil,
-        ),
+        (layout::pencil_stage1(), layout::pencil_stage1_inv()),
+        (layout::pencil_stage2(), layout::pencil_stage2_inv()),
     ];
-    for (fwd, inv, kind) in pairs {
+    for (fwd, inv) in pairs {
         let name = format!("{}.composition", fwd.name);
-        match prove_composition_identity(&fwd, &inv, kind) {
+        match prove_composition_identity(&fwd, &inv) {
             Ok(narrative) => report.verified(PASS, name, narrative),
             Err(e) => report.violated(
                 PASS,
@@ -101,7 +88,7 @@ pub fn symbolic_pass(report: &mut Report) {
 
     // Control: a pencil layout that consumes no Col digit — two ranks
     // differing only in pc would own identical coordinates. The prover must
-    // reject it (on a Pencil grid; the slab family legitimately pins Pc = 1).
+    // reject it.
     let unconsumed = LayoutMap {
         name: "layout.control.unconsumed-col",
         parts: [
@@ -112,7 +99,7 @@ pub fn symbolic_pass(report: &mut Report) {
         order: [0, 1, 2],
     };
     let rejected = matches!(
-        prove_layout_bijective(&unconsumed, registry::GridKind::Pencil),
+        prove_layout_bijective(&unconsumed),
         Err(ProofError::DigitUnused(GridAxis::Col))
     );
     report.control(
@@ -155,11 +142,7 @@ pub fn symbolic_pass(report: &mut Report) {
     // Control: a mis-declared inverse (stage 2's inverse chained after
     // stage 1) must fail the composition check.
     let rejected = matches!(
-        prove_composition_identity(
-            &layout::pencil_stage1(),
-            &layout::pencil_stage2_inv(),
-            registry::GridKind::Pencil,
-        ),
+        prove_composition_identity(&layout::pencil_stage1(), &layout::pencil_stage2_inv()),
         Err(ProofError::CompositionMismatch)
     );
     report.control(
@@ -196,21 +179,16 @@ mod tests {
                 "pass {pass} produced no properties"
             );
         }
-        // The ISSUE's floor: ≥ 60 verified properties, ≥ 4 live controls.
-        assert!(
-            report.properties.len() >= 60,
-            "expected ≥ 60 properties, got {}",
-            report.properties.len()
-        );
+        // Exact counts, so a silently dropped property or control fails: 203
+        // verified properties and 9 live negative controls.
         let controls = report
             .properties
             .iter()
             .filter(|p| matches!(p.status, Status::RefutedAsExpected { .. }))
             .count();
-        assert!(
-            controls >= 4,
-            "expected at least four live negative controls, got {controls}"
-        );
+        assert_eq!(controls, 9, "live negative controls");
+        let verified = report.properties.len() - controls;
+        assert_eq!(verified, 203, "verified properties");
         // Every registered repartition shows up in the symbolic findings.
         for name in registry::repartition_names() {
             assert!(

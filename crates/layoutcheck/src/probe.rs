@@ -9,14 +9,16 @@
 //! mis-stride, swapped loop or off-by-one anywhere in pack, send, recv or
 //! unpack moves at least one sentinel to the wrong slot.
 //!
-//! Also probed: forward∘inverse round-trips (slab and the full four-stage
-//! pencil chain) must reproduce the input bitwise, and a plan assembled with
-//! a stage-2 tag window colliding into stage 1 must be rejected by
-//! `CommPlan::verify` — the live negative control for tag discipline.
+//! Also probed: forward∘inverse round-trips through the full four-stage
+//! chain, on pencil and `P × 1` (slab) grids alike, must reproduce the input
+//! bitwise, and a plan assembled with a stage-2 tag window colliding into
+//! stage 1 must be rejected by `CommPlan::verify` — the live negative control
+//! for tag discipline.
 
-use crate::registry::{self, GridKind};
+use crate::concrete::shape_tag;
+use crate::registry;
 use vlasov6d_fft::layout::{self, LayoutMap, RankGrid};
-use vlasov6d_fft::{Complex64, DistFft3, Pencil2D};
+use vlasov6d_fft::{Complex64, Pencil2D};
 use vlasov6d_kerncheck::report::Report;
 use vlasov6d_mpisim::{CommPlan, PlanError, Universe};
 
@@ -71,41 +73,13 @@ fn report_probe(report: &mut Report, name: String, total_mismatches: usize, elem
 }
 
 pub fn run(report: &mut Report) {
-    slab_probes(report);
     pencil_probes(report);
     tag_collision_control(report);
     misroute_control(report);
 }
 
-fn slab_probes(report: &mut Report) {
-    for (dims, grid) in registry::sample_shapes(GridKind::Slab) {
-        let p = grid.n_ranks();
-        let fft = DistFft3::new(dims, p);
-        let fwd = layout::slab_to_rows();
-        let results = Universe::run(p, |comm| {
-            let me = comm.rank();
-            let input = fill(&fwd.src, dims, grid, me);
-            let rows = fft.transpose_slab_to_rows(comm, &input, 11);
-            let bad_fwd = mismatches(&fwd.dst, dims, grid, me, &rows);
-            let back = fft.transpose_rows_to_slab(comm, &rows, 13);
-            let roundtrip_ok = back == input;
-            (bad_fwd, roundtrip_ok)
-        });
-        let bad: usize = results.iter().map(|r| r.0).sum();
-        let tag = format!("{}x{}x{}.p{}", dims[0], dims[1], dims[2], p);
-        report_probe(
-            report,
-            format!("fft.slab.to_rows.probe.{tag}"),
-            bad,
-            dims.iter().product(),
-        );
-        let rt = results.iter().all(|r| r.1);
-        report_roundtrip(report, format!("fft.slab.roundtrip.{tag}"), rt, "2");
-    }
-}
-
 fn pencil_probes(report: &mut Report) {
-    for (dims, grid) in registry::sample_shapes(GridKind::Pencil) {
+    for (dims, grid) in registry::sample_shapes() {
         let p = grid.n_ranks();
         let fft = Pencil2D::new(dims, grid.rows, grid.cols).with_batches(2);
         let span = fft.tag_span();
@@ -128,36 +102,27 @@ fn pencil_probes(report: &mut Report) {
             let b4 = mismatches(&s1i.dst, dims, grid, me, &z2);
             ([b1, b2, b3, b4], z2 == z)
         });
-        let tag = format!(
-            "{}x{}x{}.g{}x{}",
-            dims[0], dims[1], dims[2], grid.rows, grid.cols
-        );
+        let tag = shape_tag(dims, grid);
         let elems: usize = dims.iter().product();
         for (i, rep) in [&s1, &s2, &s2i, &s1i].into_iter().enumerate() {
             let bad: usize = results.iter().map(|r| r.0[i]).sum();
             report_probe(report, format!("{}.probe.{tag}", rep.name), bad, elems);
         }
-        let rt = results.iter().all(|r| r.1);
-        report_roundtrip(report, format!("fft.pencil.roundtrip.{tag}"), rt, "4");
-    }
-}
-
-fn report_roundtrip(report: &mut Report, name: String, ok: bool, stages: &str) {
-    if ok {
-        report.verified(
-            PASS,
-            name,
-            format!(
-                "forward∘inverse over {stages} live repartition stages is the identity, bitwise"
-            ),
-        );
-    } else {
-        report.violated(
-            PASS,
-            name,
-            "live repartition round-trip failed to reproduce the input bitwise",
-            None,
-        );
+        let name = format!("fft.pencil.roundtrip.{tag}");
+        if results.iter().all(|r| r.1) {
+            report.verified(
+                PASS,
+                name,
+                "forward∘inverse over 4 live repartition stages is the identity, bitwise",
+            );
+        } else {
+            report.violated(
+                PASS,
+                name,
+                "live repartition round-trip failed to reproduce the input bitwise",
+                None,
+            );
+        }
     }
 }
 

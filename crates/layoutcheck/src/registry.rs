@@ -7,39 +7,26 @@
 
 use vlasov6d_fft::layout::{self, RankGrid, Repartition};
 
-/// Which rank-grid family a repartition runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GridKind {
-    /// Degenerate `P × 1` grids (the slab decomposition).
-    Slab,
-    /// General `Pr × Pc` grids (the 2-D pencil decomposition).
-    Pencil,
-}
-
 /// One registered repartition.
 #[derive(Debug, Clone)]
 pub struct Entry {
     pub rep: Repartition,
-    pub kind: GridKind,
     /// Does a runtime pack/unpack loop implement this map? (All current
     /// entries — the lint's reverse direction relies on this flag.)
     pub backs_pack_loop: bool,
 }
 
-/// Every repartition the distributed FFTs perform, in pipeline order.
+/// Every repartition the distributed FFT performs, in pipeline order.
 pub fn entries() -> Vec<Entry> {
     [
-        (layout::slab_to_rows(), GridKind::Slab),
-        (layout::rows_to_slab(), GridKind::Slab),
-        (layout::pencil_stage1(), GridKind::Pencil),
-        (layout::pencil_stage2(), GridKind::Pencil),
-        (layout::pencil_stage2_inv(), GridKind::Pencil),
-        (layout::pencil_stage1_inv(), GridKind::Pencil),
+        layout::pencil_stage1(),
+        layout::pencil_stage2(),
+        layout::pencil_stage2_inv(),
+        layout::pencil_stage1_inv(),
     ]
     .into_iter()
-    .map(|(rep, kind)| Entry {
+    .map(|rep| Entry {
         rep,
-        kind,
         backs_pack_loop: true,
     })
     .collect()
@@ -51,26 +38,22 @@ pub fn repartition_names() -> Vec<&'static str> {
     entries().iter().map(|e| e.rep.name).collect()
 }
 
-/// Concrete (dims, rank-grid) samples a repartition of `kind` is enumerated
-/// at: thin axes, ragged (non-square) boxes, prime factors, and a
-/// rank-count-exceeds-`n0` pencil case the slab path cannot run.
-pub fn sample_shapes(kind: GridKind) -> Vec<([usize; 3], RankGrid)> {
-    match kind {
-        GridKind::Slab => vec![
-            ([8, 8, 8], RankGrid::slab(4)),
-            ([4, 12, 6], RankGrid::slab(2)),
-            ([2, 2, 5], RankGrid::slab(2)),
-            ([3, 9, 7], RankGrid::slab(3)),
-            ([10, 5, 3], RankGrid::slab(5)),
-        ],
-        GridKind::Pencil => vec![
-            ([4, 4, 4], RankGrid::new(2, 2)),
-            ([2, 6, 8], RankGrid::new(2, 2)),
-            ([4, 12, 6], RankGrid::new(2, 3)),
-            ([3, 15, 5], RankGrid::new(3, 5)),
-            ([4, 8, 4], RankGrid::new(4, 2)),
-        ],
-    }
+/// Concrete (dims, rank-grid) samples every repartition is enumerated at:
+/// thin axes, ragged (non-square) boxes, prime factors, a rank count past
+/// `n0`, and the `P × 1` (slab) grids `DistributedVlasov` runs.
+pub fn sample_shapes() -> Vec<([usize; 3], RankGrid)> {
+    vec![
+        ([4, 4, 4], RankGrid::new(2, 2)),
+        ([2, 6, 8], RankGrid::new(2, 2)),
+        ([4, 12, 6], RankGrid::new(2, 3)),
+        ([3, 15, 5], RankGrid::new(3, 5)),
+        ([4, 8, 4], RankGrid::new(4, 2)),
+        ([8, 8, 8], RankGrid::new(4, 1)),
+        ([4, 12, 6], RankGrid::new(2, 1)),
+        ([2, 2, 5], RankGrid::new(2, 1)),
+        ([3, 9, 7], RankGrid::new(3, 1)),
+        ([10, 5, 3], RankGrid::new(5, 1)),
+    ]
 }
 
 #[cfg(test)]
@@ -80,7 +63,7 @@ mod tests {
     #[test]
     fn every_sample_shape_conforms() {
         for e in entries() {
-            for (dims, grid) in sample_shapes(e.kind) {
+            for (dims, grid) in sample_shapes() {
                 assert!(
                     e.rep.src.conforms(dims, grid) && e.rep.dst.conforms(dims, grid),
                     "{}: {:?} on {}x{} does not conform",

@@ -21,7 +21,6 @@
 
 use std::fmt;
 
-use crate::registry::GridKind;
 use vlasov6d_fft::layout::{AxisPart, GridAxis, LayoutMap, RankGrid, Repartition};
 
 /// Why a symbolic proof failed.
@@ -39,8 +38,6 @@ pub enum ProofError {
     /// divisors — the ownership intersection is not a uniform monomial and
     /// the derived byte accounting would be wrong.
     MixedDivisorAxis(usize),
-    /// The repartition's two layouts run on different grid families.
-    GridKindMismatch,
     /// A claimed forward/inverse pair does not chain through the same
     /// layouts.
     CompositionMismatch,
@@ -65,9 +62,6 @@ impl fmt::Display for ProofError {
                 f,
                 "global axis {a} split by different grid divisors on the two sides"
             ),
-            ProofError::GridKindMismatch => {
-                write!(f, "src and dst layouts run on different grid families")
-            }
             ProofError::CompositionMismatch => {
                 write!(
                     f,
@@ -219,7 +213,7 @@ pub fn local_len_mono(layout: &LayoutMap) -> Mono {
 
 /// Prove one layout a bijection global ↔ (rank, flat) for all conforming
 /// shapes. Returns the proof narrative.
-pub fn prove_layout_bijective(layout: &LayoutMap, kind: GridKind) -> Result<String, ProofError> {
+pub fn prove_layout_bijective(layout: &LayoutMap) -> Result<String, ProofError> {
     // Storage order must be a permutation (else two locals share a flat).
     let mut seen = [false; 3];
     for &o in &layout.order {
@@ -228,7 +222,7 @@ pub fn prove_layout_bijective(layout: &LayoutMap, kind: GridKind) -> Result<Stri
         }
         seen[o] = true;
     }
-    // Each grid digit must be consumed exactly once (or be degenerate).
+    // Each grid digit must be consumed exactly once.
     for g in [GridAxis::Row, GridAxis::Col] {
         let consumers = layout
             .parts
@@ -236,14 +230,7 @@ pub fn prove_layout_bijective(layout: &LayoutMap, kind: GridKind) -> Result<Stri
             .filter(|p| matches!(p, AxisPart::Block(h) if *h == g))
             .count();
         match consumers {
-            0 => {
-                // A slab grid pins Pc = 1 structurally (RankGrid::slab), so
-                // the unused Col digit has radix 1 and is trivially consumed.
-                let degenerate = kind == GridKind::Slab && g == GridAxis::Col;
-                if !degenerate {
-                    return Err(ProofError::DigitUnused(g));
-                }
-            }
+            0 => return Err(ProofError::DigitUnused(g)),
             1 => {}
             _ => return Err(ProofError::DigitReused(g)),
         }
@@ -308,26 +295,20 @@ pub fn derive_pair_count(rep: &Repartition) -> Result<PairCount, ProofError> {
 
 /// Prove a repartition a bijection with conserving traffic for all
 /// conforming shapes. Returns (narrative, derived pair count).
-pub fn prove_repartition_bijective(
-    rep: &Repartition,
-    kind: GridKind,
-) -> Result<(String, PairCount), ProofError> {
-    let src_proof = prove_layout_bijective(&rep.src, kind)?;
-    let dst_proof = prove_layout_bijective(&rep.dst, kind)?;
+pub fn prove_repartition_bijective(rep: &Repartition) -> Result<(String, PairCount), ProofError> {
+    let src_proof = prove_layout_bijective(&rep.src)?;
+    let dst_proof = prove_layout_bijective(&rep.dst)?;
     let pair = derive_pair_count(rep)?;
 
     // Conservation: Σ_dst count(s, d) must equal the src local length. For
     // each grid axis not pinned by the diagonal, the sum ranges over its
     // whole extent — multiply the monomial by that extent; diagonal axes
     // contribute exactly one matching destination. Exact exponent equality
-    // proves it for every shape at once. The slab family pins Pc = 1
-    // structurally (`RankGrid::slab`), so its degenerate Col axis is a
-    // factor of exactly 1 and is omitted from the symbolic product.
+    // proves it for every shape at once.
     let mut sum_over_dst = pair.elems;
     let mut sum_over_src = pair.elems;
     for g in [GridAxis::Row, GridAxis::Col] {
-        let degenerate = kind == GridKind::Slab && g == GridAxis::Col;
-        if !pair.diagonal_on.contains(&g) && !degenerate {
+        if !pair.diagonal_on.contains(&g) {
             sum_over_dst = sum_over_dst.mul_grid(g);
             sum_over_src = sum_over_src.mul_grid(g);
         }
@@ -369,10 +350,9 @@ pub fn prove_repartition_bijective(
 pub fn prove_composition_identity(
     fwd: &Repartition,
     inv: &Repartition,
-    kind: GridKind,
 ) -> Result<String, ProofError> {
-    prove_repartition_bijective(fwd, kind)?;
-    prove_repartition_bijective(inv, kind)?;
+    prove_repartition_bijective(fwd)?;
+    prove_repartition_bijective(inv)?;
     if fwd.dst != inv.src || fwd.src != inv.dst {
         return Err(ProofError::CompositionMismatch);
     }

@@ -3,7 +3,7 @@
 //! Positions are in box units `[0, 1)³`; grid values live at *cell centres*
 //! `(i + 1/2)/n`. Deposit and interpolation use the same kernel — the standard
 //! requirement for momentum-conserving, self-force-free PM schemes
-//! (Hockney & Eastwood 1981, the paper's Ref. [11]).
+//! (Hockney & Eastwood 1981, the paper's Ref. \[11\]).
 
 use crate::field::Field3;
 use rayon::prelude::*;

@@ -1,6 +1,6 @@
 //! Friends-of-friends (FoF) halo finder.
 //!
-//! The paper's closing argument is that the hybrid approach "resolv[es]
+//! The paper's closing argument is that the hybrid approach "resolv\[es\]
 //! nonlinear objects such as galaxy clusters" while covering survey volumes;
 //! a halo catalogue is how that claim is consumed downstream. Standard FoF:
 //! particles closer than `b` times the mean inter-particle spacing join the

@@ -4,7 +4,7 @@
 //! decompositions, per-link Tofu traffic, and conservation diagnostics. This
 //! crate provides the instrumentation those measurements rest on:
 //!
-//! * [`span`] — hierarchical wall-clock spans. A [`span!`] guard times a
+//! * [`span`](mod@span) — hierarchical wall-clock spans. A [`span!`] guard times a
 //!   region and records it into a per-thread (per-rank) tree; the tree folds
 //!   down to the paper-compatible four buckets (Vlasov / tree / PM / other)
 //!   by attributing each span's *self time* to its bucket, so nesting never

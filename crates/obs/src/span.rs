@@ -7,7 +7,7 @@
 //! gravity phase. Spans keep the structure and recover the split:
 //!
 //! * [`StepScope::begin`] installs a per-thread collector for one step.
-//! * [`span!`] opens a guard; dropping it records the region into the tree
+//! * [`span!`](macro@crate::span) opens a guard; dropping it records the region into the tree
 //!   under whatever span was open at the time.
 //! * [`StepScope::finish`] returns the [`StepSpans`] tree plus
 //!   [`BucketTotals`] computed by *self-time attribution*: each span's
@@ -289,7 +289,7 @@ impl StepScope {
     }
 }
 
-/// RAII guard for one timed region; created by the [`span!`] macro.
+/// RAII guard for one timed region; created by the [`span!`](macro@crate::span) macro.
 ///
 /// Inert (no timing, no allocation) when neither a [`StepScope`] nor a
 /// [`crate::trace`] flight recorder is active on the thread. When a recorder
@@ -308,7 +308,7 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Open a span. Prefer the [`span!`] macro.
+    /// Open a span. Prefer the [`span!`](macro@crate::span) macro.
     pub fn open(name: &'static str, bucket: Option<Bucket>) -> SpanGuard {
         let framed_bucket = COLLECTOR.with(|c| {
             let mut slot = c.borrow_mut();

@@ -1,6 +1,6 @@
 //! Cross-rank flight recorder and critical-path profiler.
 //!
-//! Per-rank span trees ([`crate::span`]) answer "where did *this* rank spend
+//! Per-rank span trees ([`crate::span`](mod@crate::span)) answer "where did *this* rank spend
 //! its step", but the paper's scaling losses (Tables 3–4) live *between*
 //! ranks: whichever rank bounds the step drags everyone else through the
 //! next barrier, and only the communication it failed to hide is real cost.

@@ -1,51 +1,36 @@
-//! Distributed Poisson solve on slab- or pencil-decomposed density fields.
+//! Distributed Poisson solve on pencil-decomposed density fields.
 //!
 //! Mirrors [`crate::solver::PoissonSolver`] (spectral Green's function, zero
 //! DC mode, optional long-range taper) but runs over `vlasov6d-mpisim` with
-//! a distributed FFT — the structure of the paper's parallel PM part: local
-//! transforms, all-to-all transposes, k-space multiply, inverse. Two
-//! backends share the k-space logic:
-//!
-//! * **slab** ([`DistPoisson::new`]) — the original 1-D decomposition,
-//!   capped at `min(n0, n1)` ranks;
-//! * **pencil** ([`DistPoisson::new_pencil`]) — the 2-D `Pr × Pc`
-//!   decomposition over [`vlasov6d_fft::Pencil2D`], whose overlapped
-//!   transpose stages let the PM grid spread over rank counts the slab path
-//!   cannot reach.
+//! the distributed FFT [`vlasov6d_fft::Pencil2D`] — the structure of the
+//! paper's parallel PM part: local transforms, all-to-all transposes, k-space
+//! multiply, inverse. [`DistPoisson::new`] is the slab decomposition
+//! `DistributedVlasov` runs, the `P × 1` rank grid (capped at `min(n0, n1)`
+//! ranks); [`DistPoisson::new_pencil`] takes any `Pr × Pc` grid, whose
+//! overlapped transpose stages let the PM grid spread over rank counts a
+//! slab cannot reach.
 
-use vlasov6d_fft::{Complex64, DistFft3, Pencil2D};
+use vlasov6d_fft::{Complex64, Pencil2D};
 use vlasov6d_mpisim::{Comm, CommPlan};
 
-#[derive(Debug, Clone)]
-enum Backend {
-    Slab(DistFft3),
-    Pencil(Pencil2D),
-}
-
-/// Distributed spectral Poisson plan (see `vlasov6d-fft::dist` /
-/// `vlasov6d-fft::pencil` for the layouts).
+/// Distributed spectral Poisson plan (see `vlasov6d-fft::pencil` for the
+/// layouts).
 #[derive(Debug, Clone)]
 pub struct DistPoisson {
-    dims: [usize; 3],
-    backend: Backend,
+    fft: Pencil2D,
     split_rs: Option<f64>,
 }
 
 impl DistPoisson {
-    /// Slab decomposition over `n_ranks` ranks.
+    /// Slab decomposition over `n_ranks` ranks: the `n_ranks × 1` pencil grid.
     pub fn new(dims: [usize; 3], n_ranks: usize) -> Self {
-        Self {
-            dims,
-            backend: Backend::Slab(DistFft3::new(dims, n_ranks)),
-            split_rs: None,
-        }
+        Self::new_pencil(dims, n_ranks, 1)
     }
 
     /// 2-D pencil decomposition over a `rows × cols` rank grid.
     pub fn new_pencil(dims: [usize; 3], rows: usize, cols: usize) -> Self {
         Self {
-            dims,
-            backend: Backend::Pencil(Pencil2D::new(dims, rows, cols)),
+            fft: Pencil2D::new(dims, rows, cols),
             split_rs: None,
         }
     }
@@ -57,67 +42,30 @@ impl DistPoisson {
         self
     }
 
-    fn n_ranks(&self) -> usize {
-        match &self.backend {
-            Backend::Slab(fft) => fft.n_ranks(),
-            Backend::Pencil(fft) => fft.n_ranks(),
-        }
-    }
-
-    /// Local input length in real values (slab or z-pencil block).
+    /// Local input length in real values (the z-pencil block).
     pub fn local_len(&self) -> usize {
-        match &self.backend {
-            Backend::Slab(fft) => fft.slab_len(),
-            Backend::Pencil(fft) => fft.zpencil_len(),
-        }
-    }
-
-    /// Local slab length in real values.
-    ///
-    /// Kept for slab-era callers; equals [`Self::local_len`].
-    pub fn slab_len(&self) -> usize {
-        self.local_len()
+        self.fft.zpencil_len()
     }
 
     /// Global `[i0, i1, i2]` coordinate of a flat index in this rank's local
     /// input block.
     pub fn local_coords(&self, rank: usize, flat: usize) -> [usize; 3] {
-        match &self.backend {
-            Backend::Slab(fft) => {
-                let [_, n1, n2] = self.dims;
-                let i2 = flat % n2;
-                let i1 = (flat / n2) % n1;
-                let i0 = rank * fft.slab_planes() + flat / (n1 * n2);
-                [i0, i1, i2]
-            }
-            Backend::Pencil(fft) => fft.zpencil_coords(rank, flat),
-        }
+        self.fft.zpencil_coords(rank, flat)
     }
 
     /// Tags consumed by one [`Self::solve`] call starting at `tag`.
     pub fn tag_span(&self) -> u64 {
-        match &self.backend {
-            Backend::Slab(_) => 2,
-            Backend::Pencil(fft) => 2 * fft.tag_span(),
-        }
+        2 * self.fft.tag_span()
     }
 
     /// Declarative communication plan of one [`Self::solve`] call at `tag`:
-    /// the forward transpose(s) starting at `tag`, the inverse transpose(s)
-    /// in the following tag window. Verify with volume symmetry (the
+    /// the forward transposes starting at `tag`, the inverse transposes in
+    /// the following tag window. Verify with volume symmetry (the
     /// transposes are all-to-all, so no Cartesian topology applies).
     pub fn solve_plan(&self, tag: u64) -> CommPlan {
-        let mut plan = CommPlan::new("poisson.dist_solve", self.n_ranks());
-        match &self.backend {
-            Backend::Slab(fft) => {
-                fft.add_transpose(&mut plan, tag);
-                fft.add_transpose(&mut plan, tag + 1);
-            }
-            Backend::Pencil(fft) => {
-                fft.add_forward(&mut plan, tag);
-                fft.add_inverse(&mut plan, tag + fft.tag_span());
-            }
-        }
+        let mut plan = CommPlan::new("poisson.dist_solve", self.fft.n_ranks());
+        self.fft.add_forward(&mut plan, tag);
+        self.fft.add_inverse(&mut plan, tag + self.fft.tag_span());
         plan
     }
 
@@ -129,21 +77,12 @@ impl DistPoisson {
         let complex: Vec<Complex64> = local_source.iter().map(|&v| Complex64::real(v)).collect();
         let me = comm.rank();
 
-        let mut spec = match &self.backend {
-            Backend::Slab(fft) => fft.forward(comm, &complex, tag),
-            Backend::Pencil(fft) => fft.forward(comm, &complex, tag),
-        };
+        let mut spec = self.fft.forward(comm, &complex, tag);
         for (flat, z) in spec.iter_mut().enumerate() {
-            let [i1, i0, i2] = match &self.backend {
-                Backend::Slab(fft) => fft.transposed_coords(me, flat),
-                Backend::Pencil(fft) => fft.spectral_coords(me, flat),
-            };
+            let [i1, i0, i2] = self.fft.spectral_coords(me, flat);
             *z = self.apply_green(*z, [i0, i1, i2], prefactor);
         }
-        let back = match &self.backend {
-            Backend::Slab(fft) => fft.inverse(comm, &spec, tag + 1),
-            Backend::Pencil(fft) => fft.inverse(comm, &spec, tag + fft.tag_span()),
-        };
+        let back = self.fft.inverse(comm, &spec, tag + self.fft.tag_span());
         back.into_iter().map(|z| z.re).collect()
     }
 
@@ -151,9 +90,10 @@ impl DistPoisson {
     /// `[i0, i1, i2]`.
     fn apply_green(&self, z: Complex64, modes: [usize; 3], prefactor: f64) -> Complex64 {
         let two_pi = 2.0 * std::f64::consts::PI;
-        let m0 = freq(modes[0], self.dims[0]);
-        let m1 = freq(modes[1], self.dims[1]);
-        let m2 = freq(modes[2], self.dims[2]);
+        let dims = self.fft.dims();
+        let m0 = freq(modes[0], dims[0]);
+        let m1 = freq(modes[1], dims[1]);
+        let m2 = freq(modes[2], dims[2]);
         if m0 == 0.0 && m1 == 0.0 && m2 == 0.0 {
             return Complex64::ZERO;
         }
@@ -209,7 +149,7 @@ mod tests {
             let serial = serial.clone();
             Universe::run(n_ranks, move |comm| {
                 let solver = DistPoisson::new(dims, comm.size());
-                let chunk = solver.slab_len();
+                let chunk = solver.local_len();
                 let me = comm.rank();
                 let local = source[me * chunk..(me + 1) * chunk].to_vec();
                 let phi = solver.solve(comm, &local, 1.5, 100);
@@ -263,9 +203,12 @@ mod tests {
             topology: None,
             volume_symmetry: true,
         });
-        // Two all-to-all transposes over 4 ranks: 2 · 12 directed edges.
-        assert_eq!(stats.sends, 24);
-        assert_eq!(stats.recvs, 24);
+        // The 4 × 1 grid's stage 1 stays on the rank; its stage 2, forward
+        // and inverse, is the slab all-to-all: 2 transposes · 12 directed
+        // edges · 2 batches, each edge's 2·2·8 complex values split evenly.
+        assert_eq!(stats.sends, 48);
+        assert_eq!(stats.recvs, 48);
+        assert_eq!(stats.bytes, 2 * 12 * 2 * 2 * 8 * 16);
 
         let pencil = DistPoisson::new_pencil([8, 8, 8], 2, 2);
         pencil.solve_plan(100).assert_valid(&PlanChecks {
@@ -285,7 +228,7 @@ mod tests {
         let source2 = source;
         Universe::run(2, move |comm| {
             let solver = DistPoisson::new(dims, comm.size()).with_long_range_split(rs);
-            let chunk = solver.slab_len();
+            let chunk = solver.local_len();
             let me = comm.rank();
             let local = source2[me * chunk..(me + 1) * chunk].to_vec();
             let phi = solver.solve(comm, &local, 1.0, 300);

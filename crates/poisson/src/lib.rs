@@ -16,8 +16,9 @@
 //!   deconvolution, optional long-range taper, spectral or stencil gradients.
 //! * [`split`] — the erfc-complementary short-range force/potential kernels
 //!   and a from-scratch `erfc`.
-//! * [`dist`] — the same solve over slab-decomposed fields on the `mpisim`
-//!   runtime (the parallel-PM code path of the paper's §5.1.3).
+//! * [`dist`] — the same solve over pencil-decomposed fields on the `mpisim`
+//!   runtime (the parallel-PM code path of the paper's §5.1.3); the slab
+//!   decomposition `DistributedVlasov` runs is the `P × 1` pencil grid.
 //! * [`isolated`] — [`isolated::IsolatedPoisson`]: open-boundary solve by
 //!   zero-padded Green's-function convolution (Hockney–Eastwood), used by
 //!   the self-gravitating King-sphere scenarios.

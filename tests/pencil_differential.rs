@@ -1,14 +1,15 @@
-//! Differential suite for the 2-D pencil-decomposed FFT: `Pencil2D` against
-//! the slab `DistFft3` and the serial `Fft3` oracle across 1/2/4/8 ranks and
-//! every `Pr × Pc` factorization, plus the distributed Poisson solve
-//! end-to-end — including rank counts beyond the slab path's `min(n0, n1)`
-//! cap, the reason the pencil decomposition exists (paper §5.1.3).
+//! Differential suite for the distributed FFT: `Pencil2D` on every `Pr × Pc`
+//! factorization of 1/2/4/8 ranks against its `P × 1` (slab) grid — the one
+//! `DistributedVlasov` runs — and the serial `Fft3` oracle, plus the
+//! distributed Poisson solve end-to-end — including rank counts beyond the
+//! slab grid's `min(n0, n1)` cap, the reason the pencil decomposition exists
+//! (paper §5.1.3).
 //!
 //! The layout-bijectivity of every repartition behind these transforms is
 //! proven separately by `cargo xtask verify-layouts`; this suite checks the
 //! *numerics* riding on those layouts.
 
-use vlasov6d_fft::{Complex64, DistFft3, Fft3, Pencil2D};
+use vlasov6d_fft::{Complex64, Fft3, Pencil2D};
 use vlasov6d_mesh::Field3;
 use vlasov6d_mpisim::Universe;
 use vlasov6d_poisson::{DistPoisson, PoissonSolver};
@@ -88,8 +89,8 @@ fn pencil_spectrum(dims: [usize; 3], rows: usize, cols: usize, batches: usize) -
     });
     let mut global = vec![Complex64::ZERO; dims[0] * dims[1] * dims[2]];
     for rank in per_rank {
-        // Spectral accessors return `(i1, i0, i2)` — the transposed storage
-        // convention shared with `DistFft3::transposed_coords`.
+        // The spectral accessor returns `(i1, i0, i2)` — the transposed
+        // storage convention.
         for ([i1, i0, i2], v) in rank {
             global[(i0 * dims[1] + i1) * dims[2] + i2] = v;
         }
@@ -97,34 +98,31 @@ fn pencil_spectrum(dims: [usize; 3], rows: usize, cols: usize, batches: usize) -
     global
 }
 
-/// Same gather for the slab path.
-fn slab_spectrum(dims: [usize; 3], n_ranks: usize) -> Vec<Complex64> {
-    let fft = DistFft3::new(dims, n_ranks);
-    let per_rank = Universe::run(n_ranks, {
-        let fft = fft.clone();
+/// Run the full distributed Poisson solve (forward, Green's multiply with
+/// the long-range taper, inverse) on a live universe and gather φ into
+/// global row-major order via the registered accessor.
+fn pencil_poisson(dims: [usize; 3], rows: usize, cols: usize, source: &[f64]) -> Vec<f64> {
+    let solver = DistPoisson::new_pencil(dims, rows, cols).with_long_range_split(0.08);
+    let per_rank = Universe::run(rows * cols, {
+        let (solver, source) = (solver.clone(), source.to_vec());
         move |comm| {
             let me = comm.rank();
-            let planes = fft.slab_planes();
-            let input: Vec<Complex64> = (0..fft.slab_len())
+            let local: Vec<f64> = (0..solver.local_len())
                 .map(|flat| {
-                    field([
-                        me * planes + flat / (dims[1] * dims[2]),
-                        flat / dims[2] % dims[1],
-                        flat % dims[2],
-                    ])
+                    let [i0, i1, i2] = solver.local_coords(me, flat);
+                    source[(i0 * dims[1] + i1) * dims[2] + i2]
                 })
                 .collect();
-            let spectrum = fft.forward(comm, &input, 0);
-            spectrum
-                .iter()
+            let phi = solver.solve(comm, &local, 1.5, 100);
+            phi.into_iter()
                 .enumerate()
-                .map(|(flat, &v)| (fft.transposed_coords(me, flat), v))
+                .map(|(flat, v)| (solver.local_coords(me, flat), v))
                 .collect::<Vec<_>>()
         }
     });
-    let mut global = vec![Complex64::ZERO; dims[0] * dims[1] * dims[2]];
+    let mut global = vec![0.0; dims[0] * dims[1] * dims[2]];
     for rank in per_rank {
-        for ([i1, i0, i2], v) in rank {
+        for ([i0, i1, i2], v) in rank {
             global[(i0 * dims[1] + i1) * dims[2] + i2] = v;
         }
     }
@@ -167,18 +165,45 @@ fn pencil_spectrum_matches_serial_across_rank_grids() {
 
 #[test]
 fn pencil_agrees_with_slab_bitwise() {
-    // Both paths run the same 1-D plans over full lines in the same axis
+    // Every grid runs the same 1-D plans over full lines in the same axis
     // order (2, 1, 0); only the element routing differs. With the routing
-    // proven bijective, the spectra must agree bit for bit — on every
-    // factorization, not just the slab-shaped `(P, 1)` grid.
+    // proven bijective, the spectra must agree bit for bit with the 4 × 1
+    // slab grid `DistributedVlasov` runs — on every factorization.
     let dims = [8usize, 8, 8];
-    let slab = slab_spectrum(dims, 4);
-    for (rows, cols) in [(4usize, 1usize), (2, 2), (1, 4), (8, 1), (2, 4)] {
+    let slab = pencil_spectrum(dims, 4, 1, 1);
+    for (rows, cols) in [(2usize, 2usize), (1, 4), (8, 1), (2, 4)] {
         let pencil = pencil_spectrum(dims, rows, cols, 1);
         for (i, (p, s)) in pencil.iter().zip(&slab).enumerate() {
             assert!(
                 p.re.to_bits() == s.re.to_bits() && p.im.to_bits() == s.im.to_bits(),
                 "grid {rows}x{cols} flat {i}: pencil {p:?} vs slab {s:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn poisson_solve_is_bitwise_identical_on_every_rank_grid() {
+    // The whole PM kernel, inverse included, on every factorization of
+    // 1/2/4/8 ranks (1 × 1 too) against the 4 × 1 slab grid
+    // `DistributedVlasov` runs: the Green's multiply is per mode and the
+    // transforms agree bitwise, so φ must too.
+    let dims = [8usize, 8, 8];
+    let n = dims[0] * dims[1] * dims[2];
+    let source: Vec<f64> = {
+        let raw: Vec<f64> = (0..n)
+            .map(|i| ((i * 53 + 7) % 101) as f64 / 101.0)
+            .collect();
+        let mean = raw.iter().sum::<f64>() / n as f64;
+        raw.into_iter().map(|v| v - mean).collect()
+    };
+    let slab = pencil_poisson(dims, 4, 1, &source);
+    for &(rows, cols) in GRIDS_888 {
+        let phi = pencil_poisson(dims, rows, cols, &source);
+        for (i, (p, s)) in phi.iter().zip(&slab).enumerate() {
+            assert!(
+                p.to_bits() == s.to_bits(),
+                "grid {rows}x{cols} flat {i}: {p} vs slab {s}"
             );
         }
     }
@@ -202,7 +227,7 @@ fn batching_depth_never_changes_the_bits() {
 
 #[test]
 fn pencil_runs_rank_counts_beyond_the_slab_cap() {
-    // [4, 8, 8] caps the slab path at n0 = 4 ranks; the 2×4 pencil grid
+    // [4, 8, 8] caps a P × 1 slab grid at n0 = 4 ranks; the 2×4 pencil grid
     // spreads the same transform over 8 — and must still match serial and
     // reproduce its input through forward∘inverse.
     let dims = [4usize, 8, 8];

@@ -43,8 +43,8 @@
 //!     direction — every registry region flagged as backing an unsafe impl
 //!     must actually be cited by some SAFETY comment, so the registry
 //!     cannot rot either.
-//!   * **layout-index-arith** — the distributed-FFT transpose sources
-//!     (`crates/fft/src/dist.rs`, `crates/fft/src/pencil.rs`) are pure
+//!   * **layout-index-arith** — the distributed-FFT transpose source
+//!     (`crates/fft/src/pencil.rs`) is pure
 //!     flat-index arithmetic; every pack/unpack/repartition/plan-building
 //!     function there must cite the registered layout map it implements via
 //!     a `[layoutcheck: name, …]` tag in its doc comment, every cited name
@@ -223,7 +223,7 @@ fn verify_layouts(args: &[String]) -> ExitCode {
 }
 
 /// Hot-path modules: compute kernels where a panic aborts a rayon task on
-/// every simulation step. Orchestration layers (e.g. `fft/src/dist.rs`)
+/// every simulation step. Orchestration layers (e.g. `fft/src/pencil.rs`)
 /// are excluded on purpose — their failure paths carry rank/tag context
 /// via `expect`/`unwrap_or_else`, which is exactly what this lint pushes
 /// code toward.
@@ -1026,20 +1026,17 @@ struct LayoutRegistry {
 }
 
 /// The files whose flat-index transpose arithmetic the lint polices.
-const LAYOUT_INDEX_FILES: &[&str] = &["crates/fft/src/dist.rs", "crates/fft/src/pencil.rs"];
+const LAYOUT_INDEX_FILES: &[&str] = &["crates/fft/src/pencil.rs"];
 
 /// Is `name` a function implementing (or planning) a registered repartition's
-/// index arithmetic? Pack/unpack loops, transpose/repartition entry points,
-/// and the plan builders whose byte accounting must match them.
+/// index arithmetic? Pack/unpack loops, repartition entry points, and the
+/// plan functions whose byte accounting must match them.
 fn layout_index_fn(name: &str) -> bool {
     name.starts_with("transpose_")
         || name.starts_with("repartition_")
         || name.starts_with("pack_")
         || name.starts_with("unpack_")
-        || matches!(
-            name,
-            "add_transpose" | "add_stage" | "add_forward" | "add_inverse"
-        )
+        || matches!(name, "add_stage" | "add_forward" | "add_inverse")
 }
 
 /// `fn <name>` on a (comment-stripped) line, if it declares a function.
@@ -1292,7 +1289,7 @@ mod tests {
         assert!(is_hot_path(Path::new("crates/advection/src/mol.rs")));
         assert!(is_hot_path(Path::new("crates/fft/src/fft3d.rs")));
         assert!(is_hot_path(Path::new("crates/phase-space/src/sweep.rs")));
-        assert!(!is_hot_path(Path::new("crates/fft/src/dist.rs")));
+        assert!(!is_hot_path(Path::new("crates/fft/src/pencil.rs")));
         assert!(!is_hot_path(Path::new("crates/mpisim/src/comm.rs")));
     }
 
@@ -1419,14 +1416,14 @@ mod tests {
 
     #[test]
     fn layout_index_fn_selection() {
-        assert!(layout_index_fn("transpose_slab_to_rows"));
+        assert!(layout_index_fn("transpose_plan"));
         assert!(layout_index_fn("repartition_stage2_inv"));
         assert!(layout_index_fn("pack_stage1"));
         assert!(layout_index_fn("unpack_stage2"));
-        assert!(layout_index_fn("add_transpose"));
+        assert!(layout_index_fn("add_forward"));
         assert!(layout_index_fn("add_stage"));
         // Accessors and unrelated helpers are not index-arithmetic loops.
-        assert!(!layout_index_fn("transposed_coords"));
+        assert!(!layout_index_fn("spectral_coords"));
         assert!(!layout_index_fn("forward"));
         assert!(!layout_index_fn("run_stage"));
     }
@@ -1444,35 +1441,35 @@ mod tests {
 
     #[test]
     fn layout_registry_lint_directions() {
-        let dist = Path::new("crates/fft/src/dist.rs");
+        let pencil = Path::new("crates/fft/src/pencil.rs");
         // A valid citation is accepted and recorded.
         let good = [
-            "    /// Pack loop for the forward transpose.",
+            "    /// Pack loop for the forward stage-1 transpose.",
             "    ///",
-            "    /// [layoutcheck: fft.slab.to_rows]",
-            "    pub fn transpose_slab_to_rows(&self) {}",
+            "    /// [layoutcheck: fft.pencil.stage1]",
+            "    fn pack_stage1(&self) {}",
         ]
         .join("\n");
         let mut reg = LayoutRegistry::new();
-        reg.scan(dist, &good);
+        reg.scan(pencil, &good);
         assert!(reg.violations.is_empty(), "{:?}", reg.violations);
-        assert!(reg.cited.contains("fft.slab.to_rows"));
+        assert!(reg.cited.contains("fft.pencil.stage1"));
 
         // Missing tag → violation.
         let untagged = ["    /// Undocumented.", "    fn pack_stage1(&self) {}"].join("\n");
         let mut reg = LayoutRegistry::new();
-        reg.scan(dist, &untagged);
+        reg.scan(pencil, &untagged);
         assert_eq!(reg.violations.len(), 1);
         assert!(reg.violations[0].message.contains("no `[layoutcheck:"));
 
         // Stale name → violation.
         let stale = [
-            "    /// [layoutcheck: fft.slab.to_columns]",
+            "    /// [layoutcheck: fft.pencil.stage3]",
             "    fn unpack_stage2(&self) {}",
         ]
         .join("\n");
         let mut reg = LayoutRegistry::new();
-        reg.scan(dist, &stale);
+        reg.scan(pencil, &stale);
         assert_eq!(reg.violations.len(), 1);
         assert!(reg.violations[0]
             .message
@@ -1484,7 +1481,7 @@ mod tests {
         assert!(reg.violations.is_empty());
         let test_code = "#[cfg(test)]\nmod tests {\n    fn pack_stage1() {}\n}\n";
         let mut reg = LayoutRegistry::new();
-        reg.scan(dist, test_code);
+        reg.scan(pencil, test_code);
         assert!(reg.violations.is_empty());
 
         // Reverse direction: every backs_pack_loop repartition nobody cites
