@@ -179,7 +179,8 @@ fn flux_update_on(
     }
 }
 
-/// SAFETY: call only after `is_x86_feature_detected!("avx2")`.
+/// # Safety
+/// Call only after `is_x86_feature_detected!("avx2")`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn flux_update_avx2(

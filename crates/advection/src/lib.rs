@@ -34,6 +34,9 @@
 //! * [`mol`] — the method-of-lines MP5 + TVD-RK3 baseline.
 //! * [`flux`] — shared semi-Lagrangian flux weights and the MP limiter.
 
+// Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
+#![deny(clippy::unwrap_used, clippy::panic)]
+
 pub mod flux;
 pub mod lanes;
 pub mod line;

@@ -53,6 +53,10 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the checkpoint layer is the workspace's durable writer: its two-phase commit is what everyone else goes through"
+)]
 
 pub mod access;
 pub mod codec;

@@ -20,6 +20,7 @@ use crate::strang;
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_ckpt::{CheckpointPolicy, CheckpointStore, CkptError, CkptStats};
 use vlasov6d_cosmology::Background;
+use vlasov6d_mesh::stencil::{self, GradientOrder};
 use vlasov6d_mesh::{Decomp3, Field3};
 use vlasov6d_mpisim::{cart_neighbor_edges, Cart3, Comm, CommPlan, PlanChecks, Traffic};
 use vlasov6d_obs::metrics::MetricValue;
@@ -690,7 +691,7 @@ fn gradient_with_ghosts(comm: &Comm, decomp: &Decomp3, phi: &Field3, tag: u64) -
     let from_high = cart.shift_exchange(0, -1, tag, low);
     let from_low = cart.shift_exchange(0, 1, tag + 1, high);
 
-    let h0 = decomp.global[0] as f64;
+    let h0 = 1.0 / decomp.global[0] as f64;
     let sample0 = |i0: i64, i1: usize, i2: usize| -> f64 {
         if i0 < 0 {
             from_low[((i0 + 2) as usize * n1 + i1) * n2 + i2]
@@ -704,19 +705,16 @@ fn gradient_with_ghosts(comm: &Comm, decomp: &Decomp3, phi: &Field3, tag: u64) -
     for i0 in 0..n0 {
         for i1 in 0..n1 {
             for i2 in 0..n2 {
-                let j = i0 as i64;
-                let d = (8.0 * (sample0(j + 1, i1, i2) - sample0(j - 1, i1, i2))
-                    - (sample0(j + 2, i1, i2) - sample0(j - 2, i1, i2)))
-                    / (12.0 / h0);
+                let d = stencil::centred_difference(GradientOrder::Four, h0, |s| {
+                    sample0(i0 as i64 + s, i1, i2)
+                });
                 *f0.at_mut(i0, i1, i2) = -d;
             }
         }
     }
     // Axes 1, 2 are fully local (the slab spans them).
-    let mut f1 =
-        vlasov6d_mesh::stencil::gradient_axis(phi, 1, vlasov6d_mesh::stencil::GradientOrder::Four);
-    let mut f2 =
-        vlasov6d_mesh::stencil::gradient_axis(phi, 2, vlasov6d_mesh::stencil::GradientOrder::Four);
+    let mut f1 = stencil::gradient_axis(phi, 1, GradientOrder::Four);
+    let mut f2 = stencil::gradient_axis(phi, 2, GradientOrder::Four);
     f1.scale(-1.0);
     f2.scale(-1.0);
     [f0, f1, f2]

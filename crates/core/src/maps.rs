@@ -1,5 +1,10 @@
 //! Projected density maps and simple image/table writers (Figs. 4 & 8).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "figure exports (PGM images, CSV tables), not simulation state"
+)]
+
 use std::io::Write;
 use std::path::Path;
 use vlasov6d_mesh::Field3;

@@ -4,6 +4,9 @@
 //! actually use, all `#[inline]`, `repr(C)` so a `&mut [Complex64]` can be
 //! reinterpreted as interleaved re/im pairs if an external tool ever needs it.
 
+// Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
+#![deny(clippy::unwrap_used, clippy::panic)]
+
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// `re + i·im` with `f64` components.

@@ -13,6 +13,9 @@
 //! wrapper to hand rayon provably disjoint strided columns — the single
 //! `unsafe` in this crate, with the disjointness argument documented inline.
 
+// Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
+#![deny(clippy::unwrap_used, clippy::panic)]
+
 use crate::complex::Complex64;
 use crate::plan::FftPlan;
 use crate::real::RealFftPlan;

@@ -7,6 +7,9 @@
 //! power-of-two length — O(n log n) for any `n`, so callers never need to care
 //! about grid-size factorisations.
 
+// Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
+#![deny(clippy::unwrap_used, clippy::panic)]
+
 use crate::complex::Complex64;
 use std::sync::Arc;
 

@@ -8,6 +8,9 @@
 //!
 //! Requires even `n` (all PM/Vlasov grids in this workspace are even).
 
+// Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
+#![deny(clippy::unwrap_used, clippy::panic)]
+
 use crate::complex::Complex64;
 use crate::plan::FftPlan;
 

@@ -311,21 +311,21 @@ mod tests {
     fn miri_smoke_transpose_is_exact_permutation() {
         let mut report = Report::new();
         check_transpose(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
     }
 
     #[test]
     fn full_equivalence_pass_verifies() {
         let mut report = Report::new();
         run(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
     }
 
     #[test]
     fn miri_smoke_carried_form_is_the_per_stencil_form() {
         let mut report = Report::new();
         check_carried(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
         // The tree domain has teeth: operand order is part of a value.
         let (a, b) = (Expr("a".into()), Expr("b".into()));
         assert!(a.add(&b) != b.add(&a));

@@ -411,6 +411,6 @@ mod tests {
     fn full_footprint_pass_verifies() {
         let mut report = Report::new();
         run(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
     }
 }

@@ -605,7 +605,7 @@ mod tests {
     fn full_interval_pass_verifies() {
         let mut report = Report::new();
         run(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
     }
 
     #[test]

@@ -49,7 +49,14 @@ pub mod report;
 pub mod ulp;
 pub mod weights;
 
-pub use report::{Property, Report, Status};
+pub use report::{Counts, Property, Report, Status};
+
+/// What [`run_all`] must produce: 60 verified properties and 4 refuted
+/// negative controls. A change that adds or drops a property moves this pin.
+pub const PINNED: Counts = Counts {
+    verified: 60,
+    controls: 4,
+};
 
 /// Run every analysis pass and collect the combined report.
 pub fn run_all() -> Report {
@@ -69,7 +76,8 @@ mod tests {
     #[test]
     fn all_passes_verify_on_the_shipped_kernels() {
         let report = run_all();
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
+        assert_eq!(report.counts(), PINNED);
         // Every pass contributed.
         for pass in ["weights", "interval", "footprint", "equivalence", "opcount"] {
             assert!(

@@ -501,7 +501,7 @@ mod tests {
     fn model_matches_real_kernel_bitwise() {
         let mut report = Report::new();
         check_model_parity(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
     }
 
     #[test]

@@ -154,6 +154,6 @@ mod tests {
     fn miri_smoke_derived_counts_match_advection_table() {
         let mut report = Report::new();
         run(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
     }
 }

@@ -66,7 +66,19 @@ impl fmt::Display for Property {
     }
 }
 
-/// All findings from one `verify-kernels` run.
+/// How many properties a full verifier run verifies and how many negative
+/// controls it refutes. Each verifier crate pins its own as `PINNED`, which
+/// its `all_passes_verify…` test and `cargo xtask verify-*` both compare
+/// against: a property or control dropped without moving the pin fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counts {
+    /// Properties with [`Status::Verified`].
+    pub verified: usize,
+    /// Negative controls with [`Status::RefutedAsExpected`].
+    pub controls: usize,
+}
+
+/// All findings from one verifier run.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Every property, in execution order.
@@ -157,6 +169,17 @@ impl Report {
         self.properties.iter().filter(|p| !p.ok()).count()
     }
 
+    /// Verified properties and refuted controls, for comparison with a
+    /// verifier's pinned [`Counts`].
+    pub fn counts(&self) -> Counts {
+        let count =
+            |f: fn(&Status) -> bool| self.properties.iter().filter(|p| f(&p.status)).count();
+        Counts {
+            verified: count(|s| matches!(s, Status::Verified)),
+            controls: count(|s| matches!(s, Status::RefutedAsExpected { .. })),
+        }
+    }
+
     /// JSON rendering: `{"ok": …, "properties": [...]}` with one object per
     /// property, reusing the `obs` JSON value so CI artefacts share one
     /// encoding with the telemetry layer.
@@ -191,22 +214,18 @@ impl Report {
         ])
     }
 
-    /// Multi-line human rendering, one property per line plus a summary.
-    pub fn render_text(&self) -> String {
+    /// Multi-line human rendering, one property per line plus a summary
+    /// line naming the `verifier` that ran.
+    pub fn render_text(&self, verifier: &str) -> String {
         let mut out = String::new();
         for p in &self.properties {
             out.push_str(&p.to_string());
             out.push('\n');
         }
-        let controls = self
-            .properties
-            .iter()
-            .filter(|p| matches!(p.status, Status::RefutedAsExpected { .. }))
-            .count();
         out.push_str(&format!(
-            "kerncheck: {} properties, {} negative controls, {} violation(s)\n",
+            "{verifier}: {} properties, {} negative controls, {} violation(s)\n",
             self.properties.len(),
-            controls,
+            self.counts().controls,
             self.violations()
         ));
         out
@@ -245,9 +264,19 @@ mod tests {
         assert_eq!(parsed.get("ok"), &Json::Bool(false));
         assert_eq!(parsed.get("properties").as_arr().unwrap().len(), 3);
 
-        let text = r.render_text();
+        assert_eq!(
+            r.counts(),
+            Counts {
+                verified: 1,
+                controls: 1
+            }
+        );
+        let text = r.render_text("kerncheck");
         assert!(text.contains("[FAIL]"), "{text}");
-        assert!(text.contains("1 violation(s)"), "{text}");
+        assert!(
+            text.ends_with("kerncheck: 3 properties, 1 negative controls, 1 violation(s)\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -255,6 +284,6 @@ mod tests {
         let mut r = Report::new();
         r.control("weights", "sl5.moment.j5", "order barrier", false, None);
         assert!(!r.ok());
-        assert!(r.render_text().contains("no longer detects"));
+        assert!(r.render_text("kerncheck").contains("no longer detects"));
     }
 }

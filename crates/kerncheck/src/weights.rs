@@ -419,7 +419,7 @@ mod tests {
         let mut report = Report::new();
         check_symbolic_family(&mut report, &sl5_symbolic());
         check_symbolic_family(&mut report, &sl3_symbolic());
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
         // 5 + 1 moment rungs + partition + telescoping + endpoints for sl5,
         // 3 + 1 + 3 others for sl3.
         assert_eq!(report.properties.len(), 9 + 7);
@@ -448,7 +448,7 @@ mod tests {
     fn f64_agreement_and_detector_pass_on_shipped_kernels() {
         let mut report = Report::new();
         run(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
     }
 
     #[test]

@@ -154,6 +154,14 @@ pub fn symbolic_pass(report: &mut Report) {
     );
 }
 
+/// What [`run_all`] must produce: 203 verified properties and 9 refuted
+/// negative controls. A change that adds or drops a repartition, property
+/// or control moves this pin.
+pub const PINNED: kerncheck::Counts = kerncheck::Counts {
+    verified: 203,
+    controls: 9,
+};
+
 /// Run all layers and collect the combined report.
 pub fn run_all() -> Report {
     let mut report = Report::new();
@@ -167,28 +175,19 @@ pub fn run_all() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kerncheck::report::Status;
 
     #[test]
     fn all_passes_verify_on_the_shipped_layouts() {
         let report = run_all();
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("layoutcheck"));
         for pass in ["symbolic", "concrete", "probe", "exact"] {
             assert!(
                 report.properties.iter().any(|p| p.pass == pass),
                 "pass {pass} produced no properties"
             );
         }
-        // Exact counts, so a silently dropped property or control fails: 203
-        // verified properties and 9 live negative controls.
-        let controls = report
-            .properties
-            .iter()
-            .filter(|p| matches!(p.status, Status::RefutedAsExpected { .. }))
-            .count();
-        assert_eq!(controls, 9, "live negative controls");
-        let verified = report.properties.len() - controls;
-        assert_eq!(verified, 203, "verified properties");
+        // Exact counts, so a silently dropped property or control fails.
+        assert_eq!(report.counts(), PINNED);
         // Every registered repartition shows up in the symbolic findings.
         for name in registry::repartition_names() {
             assert!(
@@ -205,6 +204,6 @@ mod tests {
     fn miri_smoke_symbolic_pass() {
         let mut report = Report::new();
         symbolic_pass(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("layoutcheck"));
     }
 }

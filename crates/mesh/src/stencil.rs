@@ -30,6 +30,20 @@ impl GradientOrder {
     }
 }
 
+/// The `order` centred difference at one point, `sample(s)` being the
+/// field `s` cells along the axis and `h` the spacing. The one definition
+/// of the gradient stencil: [`gradient_axis`] and the distributed driver's
+/// ghost-plane gradient both evaluate it.
+#[inline]
+pub fn centred_difference(order: GradientOrder, h: f64, sample: impl Fn(i64) -> f64) -> f64 {
+    match order {
+        GradientOrder::Two => (sample(1) - sample(-1)) / (2.0 * h),
+        GradientOrder::Four => {
+            (8.0 * (sample(1) - sample(-1)) - (sample(2) - sample(-2))) / (12.0 * h)
+        }
+    }
+}
+
 /// Access radius of the 7-point [`laplacian`] stencil.
 pub const LAPLACIAN_RADIUS: usize = 1;
 
@@ -53,13 +67,7 @@ pub fn gradient_axis(field: &Field3, axis: usize, order: GradientOrder) -> Field
                         1 => field.get(j0, j1 + s, j2),
                         _ => field.get(j0, j1, j2 + s),
                     };
-                    let d = match order {
-                        GradientOrder::Two => (sample(1) - sample(-1)) / (2.0 * h),
-                        GradientOrder::Four => {
-                            (8.0 * (sample(1) - sample(-1)) - (sample(2) - sample(-2))) / (12.0 * h)
-                        }
-                    };
-                    plane[i1 * n2 + i2] = d;
+                    plane[i1 * n2 + i2] = centred_difference(order, h, sample);
                 }
             }
         });

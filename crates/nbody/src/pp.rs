@@ -161,7 +161,8 @@ impl SplitKernel {
         }
     }
 
-    /// SAFETY: call only after `is_x86_feature_detected!("avx2")`.
+    /// # Safety
+    /// Call only after `is_x86_feature_detected!("avx2")`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn accel_avx2(&self, target: [f32; 3], list: &InteractionList) -> [f64; 3] {

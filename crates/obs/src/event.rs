@@ -7,6 +7,11 @@
 //! mass error, minimum of f, total momentum). Records parse back losslessly
 //! via [`StepEvent::parse`], which the trace tests rely on.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the JSONL event sink writes telemetry, not simulation state"
+)]
+
 use crate::json::{Json, ParseError};
 use crate::metrics::{HistogramSnapshot, MetricValue, HISTOGRAM_BINS};
 use crate::span::{Bucket, BucketTotals, SpanNode};

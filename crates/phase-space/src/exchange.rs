@@ -23,6 +23,9 @@
 //! beyond the exchanged planes; the time-step controller in `vlasov6d`
 //! guarantees this (the paper does the same — spatial CFL below unity).
 
+// Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
+#![deny(clippy::unwrap_used, clippy::panic)]
+
 use crate::dist_fn::PhaseSpace;
 use crate::sweep::{sweep_ghosted, Window};
 use vlasov6d_advection::line::Scheme;

@@ -42,6 +42,9 @@
 //! worker count) and replays single tasks via [`crate::probe`] to pin the
 //! proof to this code.
 
+// Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
+#![deny(clippy::unwrap_used, clippy::panic)]
+
 use crate::dist_fn::PhaseSpace;
 use crate::plan;
 use rayon::prelude::*;
@@ -817,8 +820,10 @@ fn sweep_block_lat(
 /// Append `cells` of the bundle `b` in the array at `src` to `out`: one
 /// packed load per cell where the plan says the lanes are adjacent, eight
 /// element loads otherwise.
-/// SAFETY: `b.cell_indices(i)` must be valid for reading from `src` for
-/// every `i` in `cells`.
+///
+/// # Safety
+/// `b.cell_indices(i)` must be valid for reading from `src` for every `i`
+/// in `cells`.
 #[inline(always)]
 unsafe fn load_cells(
     src: *const f32,
@@ -826,7 +831,8 @@ unsafe fn load_cells(
     cells: std::ops::Range<usize>,
     out: &mut Vec<f32x8>,
 ) {
-    /// SAFETY: `src + bases[l] + at` must be valid for reading, every lane.
+    /// # Safety
+    /// `src + bases[l] + at` must be valid for reading, every lane.
     #[inline(always)]
     unsafe fn gather(src: *const f32, bases: [usize; LANES], at: usize) -> f32x8 {
         f32x8(bases.map(|base| *src.add(base + at)))
@@ -845,11 +851,14 @@ unsafe fn load_cells(
 }
 
 /// Inverse of [`load_cells`]: `values` onto the cells from `first_cell` on.
-/// SAFETY: `b.cell_indices(i)` must be valid for writing to `dst` for those
-/// cells, and no other thread may touch them.
+///
+/// # Safety
+/// `b.cell_indices(i)` must be valid for writing to `dst` for those cells,
+/// and no other thread may touch them.
 #[inline(always)]
 unsafe fn store_cells(dst: *mut f32, b: &plan::Bundle, first_cell: usize, values: &[f32x8]) {
-    /// SAFETY: `dst + bases[l] + at` must be valid for writing, every lane.
+    /// # Safety
+    /// `dst + bases[l] + at` must be valid for writing, every lane.
     #[inline(always)]
     unsafe fn scatter(dst: *mut f32, bases: [usize; LANES], at: usize, v: f32x8) {
         for (base, lane) in bases.into_iter().zip(v.0) {
@@ -868,14 +877,15 @@ unsafe fn store_cells(dst: *mut f32, b: &plan::Bundle, first_cell: usize, values
     }
 }
 
-/// SAFETY: `p` must be valid for reading [`LANES`] values.
+/// # Safety
+/// `p` must be valid for reading [`LANES`] values.
 #[inline(always)]
 unsafe fn load_lanes(p: *const f32) -> f32x8 {
     f32x8::load(std::slice::from_raw_parts(p, LANES))
 }
 
-/// SAFETY: `p` must be valid for writing [`LANES`] values no other thread
-/// touches.
+/// # Safety
+/// `p` must be valid for writing [`LANES`] values no other thread touches.
 #[inline(always)]
 unsafe fn store_lanes(p: *mut f32, v: f32x8) {
     v.store(std::slice::from_raw_parts_mut(p, LANES));
@@ -883,7 +893,9 @@ unsafe fn store_lanes(p: *mut f32, v: f32x8) {
 
 /// The 8×8 tile whose rows start `row_stride` apart at `p`, transposed into
 /// lane form (element `r` holds column `r` of the tile).
-/// SAFETY: every row must be valid for [`load_lanes`].
+///
+/// # Safety
+/// Every row must be valid for [`load_lanes`].
 #[inline(always)]
 unsafe fn load_tile(p: *const f32, row_stride: usize) -> [f32x8; LANES] {
     let mut rows = core::array::from_fn(|l| load_lanes(p.add(l * row_stride)));
@@ -892,7 +904,9 @@ unsafe fn load_tile(p: *const f32, row_stride: usize) -> [f32x8; LANES] {
 }
 
 /// Inverse of [`load_tile`].
-/// SAFETY: every row must be valid for [`store_lanes`].
+///
+/// # Safety
+/// Every row must be valid for [`store_lanes`].
 #[inline(always)]
 unsafe fn store_tile(p: *mut f32, row_stride: usize, mut rows: [f32x8; LANES]) {
     transpose8x8(&mut rows);
@@ -901,14 +915,16 @@ unsafe fn store_tile(p: *mut f32, row_stride: usize, mut rows: [f32x8; LANES]) {
     }
 }
 
-/// SAFETY: caller guarantees exclusive ownership of the planned pencil.
+/// # Safety
+/// The caller owns the planned pencil exclusively.
 unsafe fn gather_line(base: SendMutPtr, line: &plan::Line, buf: &mut [f32]) {
     for (i, b) in buf.iter_mut().enumerate().take(line.len) {
         *b = *base.0.add(line.base + i * line.stride);
     }
 }
 
-/// SAFETY: as [`gather_line`].
+/// # Safety
+/// As [`gather_line`].
 unsafe fn scatter_line(base: SendMutPtr, line: &plan::Line, buf: &[f32]) {
     for (i, b) in buf.iter().enumerate().take(line.len) {
         *base.0.add(line.base + i * line.stride) = *b;

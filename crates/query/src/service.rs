@@ -328,29 +328,48 @@ struct ParkSignal {
 }
 
 fn park_waker(signal: Arc<ParkSignal>) -> Waker {
-    // SAFETY: `data` is a leaked `Arc<ParkSignal>` strong count; clone
-    // bumps it and returns an identical raw waker.
+    /// Bump the strong count and return an identical raw waker.
+    ///
+    /// # Safety
+    /// `data` must come from `Arc::<ParkSignal>::into_raw` and still own
+    /// one strong count.
     unsafe fn clone(data: *const ()) -> RawWaker {
+        // SAFETY: per the contract `data` is a live `Arc<ParkSignal>`
+        // pointer; the `forget` below hands its count back untouched.
         let arc = unsafe { Arc::from_raw(data as *const ParkSignal) };
         let cloned = Arc::clone(&arc);
         std::mem::forget(arc);
         RawWaker::new(Arc::into_raw(cloned) as *const (), &VTABLE)
     }
-    // SAFETY: consumes one strong count created by `clone`/`park_waker`.
+    /// Wake, consuming the strong count this waker holds.
+    ///
+    /// # Safety
+    /// As `clone`; the count is released, so `data` is dead afterwards.
     unsafe fn wake(data: *const ()) {
+        // SAFETY: per the contract; dropping `arc` consumes the waker's
+        // count exactly once.
         let arc = unsafe { Arc::from_raw(data as *const ParkSignal) };
         arc.unparked.store(true, Ordering::SeqCst);
         arc.thread.unpark();
     }
-    // SAFETY: borrows the strong count without consuming it.
+    /// Wake, borrowing the strong count without consuming it.
+    ///
+    /// # Safety
+    /// As `clone`.
     unsafe fn wake_by_ref(data: *const ()) {
+        // SAFETY: per the contract; the `forget` below leaves the count as
+        // it was.
         let arc = unsafe { Arc::from_raw(data as *const ParkSignal) };
         arc.unparked.store(true, Ordering::SeqCst);
         arc.thread.unpark();
         std::mem::forget(arc);
     }
-    // SAFETY: releases the strong count held by this waker.
+    /// Release the strong count held by this waker.
+    ///
+    /// # Safety
+    /// As `wake`.
     unsafe fn drop_waker(data: *const ()) {
+        // SAFETY: per the contract; the count is dropped exactly once.
         drop(unsafe { Arc::from_raw(data as *const ParkSignal) });
     }
     static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_by_ref, drop_waker);

@@ -464,7 +464,7 @@ mod tests {
     fn concrete_pass_is_clean() {
         let mut report = Report::new();
         run(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("racecheck"));
         assert!(report.properties.len() > 60);
     }
 }

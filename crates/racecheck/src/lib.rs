@@ -160,6 +160,14 @@ pub fn symbolic_pass(report: &mut Report) {
     );
 }
 
+/// What [`run_all`] must produce: 283 verified properties and 8 refuted
+/// negative controls. A change that adds or drops a region, property or
+/// control moves this pin.
+pub const PINNED: kerncheck::Counts = kerncheck::Counts {
+    verified: 283,
+    controls: 8,
+};
+
 /// Run all three layers and collect the combined report.
 pub fn run_all() -> Report {
     let mut report = Report::new();
@@ -172,28 +180,19 @@ pub fn run_all() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kerncheck::report::Status;
 
     #[test]
     fn all_passes_verify_on_the_shipped_regions() {
         let report = run_all();
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("racecheck"));
         for pass in ["symbolic", "concrete", "probe"] {
             assert!(
                 report.properties.iter().any(|p| p.pass == pass),
                 "pass {pass} produced no properties"
             );
         }
-        // The negative controls must stay live.
-        let controls = report
-            .properties
-            .iter()
-            .filter(|p| matches!(p.status, Status::RefutedAsExpected { .. }))
-            .count();
-        assert!(
-            controls >= 2,
-            "expected at least two live negative controls, got {controls}"
-        );
+        // Exact counts, so a silently dropped property or control fails.
+        assert_eq!(report.counts(), PINNED);
         // Every registered region shows up in the symbolic findings.
         for name in registry::region_names() {
             assert!(
@@ -210,6 +209,6 @@ mod tests {
     fn miri_smoke_symbolic_pass() {
         let mut report = Report::new();
         symbolic_pass(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("racecheck"));
     }
 }

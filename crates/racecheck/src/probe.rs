@@ -660,6 +660,6 @@ mod tests {
     fn probe_pass_is_clean() {
         let mut report = Report::new();
         run(&mut report);
-        assert!(report.ok(), "{}", report.render_text());
+        assert!(report.ok(), "{}", report.render_text("racecheck"));
     }
 }

@@ -9,6 +9,11 @@
 //! and lands within 5% of the measured step wall) are timing gates and live
 //! in `cargo xtask perf-gate` (`path_cover`, `path_vs_wall_pct`).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "exports the Chrome trace as a CI artifact, not simulation state"
+)]
+
 use proptest::prelude::*;
 use vlasov6d::dist_sim::{DistributedVlasov, OverlapPolicy};
 use vlasov6d_cosmology::{Background, CosmologyParams};

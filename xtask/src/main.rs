@@ -1,93 +1,82 @@
 //! Workspace automation tasks (`cargo xtask <command>`).
 //!
-//! * `lint` — a custom static-analysis pass over the workspace sources
-//!   enforcing invariants rustc and clippy do not know about. Seven lints,
-//!   all text-based (zero dependencies, fast enough for every CI run):
+//! * `lint` — the workspace invariants neither rustc nor clippy can state,
+//!   checked as text over the sources (zero dependencies, fast enough for
+//!   every CI run). Five lints from four scanners:
 //!
-//!   * **safety-comments** — every `unsafe` keyword (impl, fn, block) must
-//!     be preceded by a `SAFETY:` comment within the few lines above it, so
-//!     each soundness argument is written down where the obligation arises.
-//!   * **hot-path-panics** — no `.unwrap()` / `panic!` in the designated
-//!     hot-path kernels (advection, FFT kernels, phase-space sweeps): those
-//!     run inside rayon tasks on every step, and a panic there aborts the
-//!     whole rank without rank/tag context. Fallible paths must use
-//!     contextful `expect`/`unwrap_or_else` at orchestration layers instead.
 //!   * **span-names** — obs `span!` names must be `dot.separated_lowercase`
 //!     literals, and a given span name must always carry the same explicit
 //!     `Bucket` so the four-bucket fold stays well-defined.
 //!   * **stencil-literals** — stencil coefficients (division by the
-//!     characteristic finite-difference denominators 12/24/30/60/120, or
-//!     hand-expanded repeating decimals like `0.8333`) may only appear in
-//!     the designated stencil homes (`crates/advection/src/`,
-//!     `crates/mesh/src/stencil.rs`) where kerncheck verifies them; a copy
-//!     anywhere else is an unverified fork of a kernel constant.
-//!   * **raw-fs-writes** — no direct `fs::write` / `File::create` outside
-//!     the designated writer homes (the `vlasov6d-ckpt` layer, the obs
-//!     JSONL sink, the map/image writers, benches and xtask itself).
-//!     Durable simulation state must go through the ckpt container format —
-//!     chunk CRCs, whole-file checksum, two-phase atomic commit — never
-//!     through an ad-hoc `fs::write` that a torn write can corrupt silently.
+//!     characteristic finite-difference denominators 12/24/30/60/120, also
+//!     behind an opening parenthesis as in `/ (12.0 / h)`, or hand-expanded
+//!     repeating decimals like `0.8333`) may only appear in the designated
+//!     stencil homes (`crates/advection/src/`, `crates/mesh/src/stencil.rs`)
+//!     where kerncheck verifies them; a copy anywhere else is an unverified
+//!     fork of a kernel constant.
 //!   * **overlap-blocking-calls** — no blocking `send` / `recv` /
-//!     `sendrecv` / `shift_exchange` inside the overlapped-step region
+//!     `sendrecv` / `shift_exchange`, and no call to the blocking
+//!     `exchange_ghosts` helper, inside the overlapped-step region
 //!     (`sweep_spatial_overlapped`): a blocking call there serialises the
 //!     exchange and silently destroys the comm/compute overlap the split
 //!     pipeline exists to provide. Only the split-phase `isend` / `irecv` +
 //!     `wait` API is allowed; the synchronous oracle path
 //!     (`sweep_spatial_distributed` / `exchange_ghosts`) is allowlisted by
 //!     construction because only the overlapped function's body is scanned.
-//!   * **unsafe-send-registry** — every `unsafe impl Send`/`Sync` in the
-//!     workspace must justify itself against the race verifier: its SAFETY
-//!     comment must carry a `[racecheck: region, …]` tag naming at least one
-//!     region registered in `vlasov6d-racecheck`, every cited name must
-//!     exist in the registry (stale tags fail), and — the reverse
-//!     direction — every registry region flagged as backing an unsafe impl
-//!     must actually be cited by some SAFETY comment, so the registry
-//!     cannot rot either.
-//!   * **layout-index-arith** — the distributed-FFT transpose source
-//!     (`crates/fft/src/pencil.rs`) is pure
-//!     flat-index arithmetic; every pack/unpack/repartition/plan-building
-//!     function there must cite the registered layout map it implements via
-//!     a `[layoutcheck: name, …]` tag in its doc comment, every cited name
-//!     must exist in the `vlasov6d-layoutcheck` registry, and — the reverse
-//!     direction — every registered repartition backing a pack loop must be
-//!     cited by some tag, mirroring `unsafe-send-registry`.
+//!   * **unsafe-send-registry** and **layout-index-arith** — one
+//!     registry-tag cross-check ([`TagRegistry`]) run over two registries.
+//!     Every `unsafe impl Send`/`Sync` must cite, in a `[racecheck: region,
+//!     …]` tag in its SAFETY comment, the `vlasov6d-racecheck` regions that
+//!     discharge it; every pack/unpack/repartition/plan-building function of
+//!     the distributed-FFT transpose (`crates/fft/src/pencil.rs`) must cite,
+//!     in a `[layoutcheck: name, …]` tag in its doc comment, the
+//!     `vlasov6d-layoutcheck` repartitions its flat-index arithmetic
+//!     implements. Every cited name must be registered (stale tags fail),
+//!     and — the reverse direction — every registry entry flagged as
+//!     backing such an item must be cited, so the registry cannot rot
+//!     either.
 //!
-//!   `#[cfg(test)]` modules are exempt from `hot-path-panics`,
-//!   `span-names`, `stencil-literals` and `raw-fs-writes` (tests panic on
-//!   purpose, spell out expected coefficients and build fixture files), but
-//!   never from `safety-comments`.
+//!   `#[cfg(test)]` modules are exempt (tests spell out expected
+//!   coefficients and build fixtures on purpose).
 //!
-//! * `verify-kernels` — run every `vlasov6d-kerncheck` analysis pass
-//!   (symbolic weights, interval abstract interpretation, stencil
-//!   footprints, SIMD equivalence, op counts) and fail on any violated
-//!   property. Prints the human report to stdout and, with
-//!   `--json <path>`, writes the machine-readable report there.
+//!   Three invariants are clippy's (CI runs `cargo clippy --workspace
+//!   --all-targets -- -D warnings`; settings in `clippy.toml`): a SAFETY
+//!   comment on every `unsafe` block and impl and a `# Safety` section on
+//!   every `unsafe fn` (`undocumented_unsafe_blocks`, `missing_safety_doc`);
+//!   no `unwrap`/`panic!` outside tests in the hot-path modules, which open
+//!   with `#![deny(clippy::unwrap_used, clippy::panic)]`; no `std::fs::write`
+//!   / `File::create` outside the writer homes, which allow
+//!   `clippy::disallowed_methods` module-wide with a reason.
 //!
-//! * `verify-races` — run every `vlasov6d-racecheck` pass (symbolic
-//!   write-disjointness proofs for all registered parallel regions,
-//!   concrete plan/claim-map cross-checks, single-task taint probes against
-//!   the real kernels) and fail on any violated property. Same `--json`
-//!   convention as `verify-kernels`.
-//!
-//! * `verify-layouts` — run every `vlasov6d-layoutcheck` pass (symbolic
-//!   layout-bijectivity and conservation proofs for all registered
-//!   repartitions, concrete enumeration/plan diffs, sentinel probes through
-//!   the live exchange, exact cyclotomic transform identities) and fail on
-//!   any violated property. Same `--json` convention as `verify-kernels`.
+//! * `verify-kernels`, `verify-races`, `verify-layouts` — run every pass of
+//!   `vlasov6d-kerncheck` (kernel weights, positivity, footprints, SIMD
+//!   equivalence, op counts), `vlasov6d-racecheck` (write-disjointness of
+//!   every registered parallel region) or `vlasov6d-layoutcheck`
+//!   (bijectivity and conservation of every registered repartition). Fail
+//!   on any violated property, or on counts other than the crate's `PINNED`
+//!   (a silently dropped property or negative control). Print the report;
+//!   `--json <path>` also writes the machine-readable one.
 //!
 //! * `perf-gate` — the trace-derived performance regression gate: runs the
 //!   2-rank overlapped smoke simulation with the flight recorder on and
 //!   off, extracts per-step critical paths, and compares the summary
 //!   (path coverage, overlapped / synchronous x-sweep wall, exposed-comm
 //!   agreement with the span tree, communication imbalance, tracing
-//!   overhead) against the
-//!   checked-in `perf-baseline.json` bounds. See [`perf_gate`].
+//!   overhead) against the checked-in `perf-baseline.json` bounds. See
+//!   [`perf_gate`].
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "xtask writes reports, baselines and trace artifacts, not simulation state"
+)]
 
 mod perf_gate;
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use vlasov6d_kerncheck::report::{Counts, Report};
 
 const USAGE: &str = "usage: cargo xtask <lint | verify-kernels [--json <path>] | verify-races [--json <path>] | verify-layouts [--json <path>] | perf-gate [--baseline <path>] [--write-baseline] [--trace-out <path>] [--summary-out <path>]>";
 
@@ -95,9 +84,24 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(Path::new(".")),
-        Some("verify-kernels") => verify_kernels(&args[1..]),
-        Some("verify-races") => verify_races(&args[1..]),
-        Some("verify-layouts") => verify_layouts(&args[1..]),
+        Some("verify-kernels") => verify(
+            "kerncheck",
+            vlasov6d_kerncheck::run_all,
+            vlasov6d_kerncheck::PINNED,
+            &args[1..],
+        ),
+        Some("verify-races") => verify(
+            "racecheck",
+            vlasov6d_racecheck::run_all,
+            vlasov6d_racecheck::PINNED,
+            &args[1..],
+        ),
+        Some("verify-layouts") => verify(
+            "layoutcheck",
+            vlasov6d_layoutcheck::run_all,
+            vlasov6d_layoutcheck::PINNED,
+            &args[1..],
+        ),
         Some("perf-gate") => perf_gate::perf_gate(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`\n\n{USAGE}");
@@ -110,28 +114,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run the kerncheck verifier and fail on any violated property.
-fn verify_kernels(args: &[String]) -> ExitCode {
-    let mut json_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown verify-kernels flag `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+/// Run the verifier `name` and fail on any violated property or on counts
+/// other than `pinned`.
+fn verify(name: &str, run: fn() -> Report, pinned: Counts, args: &[String]) -> ExitCode {
+    let json_path = match args {
+        [] => None,
+        [flag, path] if flag == "--json" => Some(PathBuf::from(path)),
+        _ => {
+            eprintln!("bad {name} arguments {args:?}\n\n{USAGE}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
-    let report = vlasov6d_kerncheck::run_all();
-    print!("{}", report.render_text());
+    let report = run();
+    print!("{}", report.render_text(name));
     if let Some(path) = json_path {
         let json = report.to_json().to_string_compact();
         if let Err(e) = std::fs::write(&path, json + "\n") {
@@ -140,105 +136,21 @@ fn verify_kernels(args: &[String]) -> ExitCode {
         }
         println!("report written to {}", path.display());
     }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("verify-kernels: {} violation(s)", report.violations());
+    let counts = report.counts();
+    if !report.ok() {
+        eprintln!("{name}: {} violation(s)", report.violations());
         ExitCode::FAILURE
+    } else if counts != pinned {
+        eprintln!(
+            "{name}: {} verified + {} controls, but {name}'s PINNED says {} + {} — a \
+             property or negative control was dropped or added without moving the pin",
+            counts.verified, counts.controls, pinned.verified, pinned.controls
+        );
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
-
-fn verify_races(args: &[String]) -> ExitCode {
-    let mut json_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown verify-races flag `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let report = vlasov6d_racecheck::run_all();
-    print!("{}", report.render_text());
-    if let Some(path) = json_path {
-        let json = report.to_json().to_string_compact();
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {}", path.display());
-    }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("verify-races: {} violation(s)", report.violations());
-        ExitCode::FAILURE
-    }
-}
-
-fn verify_layouts(args: &[String]) -> ExitCode {
-    let mut json_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json requires a path\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown verify-layouts flag `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let report = vlasov6d_layoutcheck::run_all();
-    print!("{}", report.render_text());
-    if let Some(path) = json_path {
-        let json = report.to_json().to_string_compact();
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {}", path.display());
-    }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("verify-layouts: {} violation(s)", report.violations());
-        ExitCode::FAILURE
-    }
-}
-
-/// Hot-path modules: compute kernels where a panic aborts a rayon task on
-/// every simulation step. Orchestration layers (e.g. `fft/src/pencil.rs`)
-/// are excluded on purpose — their failure paths carry rank/tag context
-/// via `expect`/`unwrap_or_else`, which is exactly what this lint pushes
-/// code toward.
-const HOT_PATHS: &[&str] = &[
-    "crates/advection/src/",
-    "crates/fft/src/fft3d.rs",
-    "crates/fft/src/plan.rs",
-    "crates/fft/src/real.rs",
-    "crates/fft/src/complex.rs",
-    "crates/phase-space/src/sweep.rs",
-    "crates/phase-space/src/exchange.rs",
-];
-
-/// How many lines above an `unsafe` keyword a `SAFETY:` comment may sit.
-const SAFETY_WINDOW: usize = 4;
 
 #[derive(Debug)]
 struct Violation {
@@ -270,8 +182,7 @@ fn lint(root: &Path) -> ExitCode {
 
     let mut violations = Vec::new();
     let mut spans = SpanRegistry::default();
-    let mut sends = SendRegistry::new();
-    let mut layouts = LayoutRegistry::new();
+    let mut tags = [TagRegistry::races(), TagRegistry::layouts()];
     for file in &files {
         let source = match std::fs::read_to_string(file) {
             Ok(s) => s,
@@ -281,34 +192,24 @@ fn lint(root: &Path) -> ExitCode {
             }
         };
         let rel = file.strip_prefix(root).unwrap_or(file);
-        violations.extend(check_safety_comments(rel, &source));
-        if is_hot_path(rel) {
-            violations.extend(check_hot_path_panics(rel, &source));
-        }
         if !is_stencil_home(rel) {
             violations.extend(check_stencil_literals(rel, &source));
         }
-        if !is_fs_write_home(rel) {
-            violations.extend(check_raw_fs_writes(rel, &source));
-        }
         violations.extend(check_overlap_blocking_calls(rel, &source));
         spans.scan(rel, &source);
-        sends.scan(rel, &source);
-        layouts.scan(rel, &source);
+        for t in &mut tags {
+            t.scan(rel, &source);
+        }
     }
     violations.extend(spans.check());
-    violations.extend(sends.check());
-    violations.extend(layouts.check());
+    for t in tags {
+        violations.extend(t.check());
+    }
 
     if violations.is_empty() {
-        // Two literals (not one wrapped with `\`) so the keyword scanner,
-        // which strips strings line-by-line, never sees this text as code.
         println!(
-            concat!(
-                "xtask lint: {} files clean (safety-comments, hot-path-panics, span-names, ",
-                "stencil-literals, raw-fs-writes, overlap-blocking-calls, unsafe-send-registry, ",
-                "layout-index-arith)"
-            ),
+            "xtask lint: {} files clean (span-names, stencil-literals, overlap-blocking-calls, \
+             unsafe-send-registry, layout-index-arith)",
             files.len()
         );
         ExitCode::SUCCESS
@@ -338,20 +239,14 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn is_hot_path(rel: &Path) -> bool {
-    let p = rel.to_string_lossy().replace('\\', "/");
-    HOT_PATHS.iter().any(|h| {
-        if h.ends_with('/') {
-            p.starts_with(h)
-        } else {
-            p == *h
-        }
-    })
+/// `rel` with `/` separators, for comparing against the path constants.
+fn slash_path(rel: &Path) -> String {
+    rel.to_string_lossy().replace('\\', "/")
 }
 
 /// Strip `// ...` line comments and the contents of ordinary string
 /// literals, so keyword scans do not fire inside either. Good enough for
-/// this codebase (no raw strings containing `unsafe` or `panic!`).
+/// this codebase (no raw strings containing the scanned needles).
 fn code_only(line: &str) -> String {
     let mut out = String::with_capacity(line.len());
     let mut chars = line.chars().peekable();
@@ -395,59 +290,35 @@ fn code_only(line: &str) -> String {
     out
 }
 
-/// Does `code` contain `unsafe` as a standalone keyword?
-fn has_unsafe_keyword(code: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = code[start..].find("unsafe") {
-        let i = start + pos;
-        let before_ok = i == 0 || !is_ident_char(bytes[i - 1]);
-        let after = i + "unsafe".len();
-        let after_ok = after >= bytes.len() || !is_ident_char(bytes[after]);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = after;
-    }
-    false
-}
-
 fn is_ident_char(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Lint 1: every `unsafe` keyword carries a `SAFETY:` comment on the same
-/// line or within [`SAFETY_WINDOW`] lines above it. A rustdoc `# Safety`
-/// section heading counts too — that is the idiomatic form on `unsafe`
-/// trait and method *declarations*, where the comment states a contract
-/// for callers rather than a discharge of one.
-fn check_safety_comments(rel: &Path, source: &str) -> Vec<Violation> {
-    let lines: Vec<&str> = source.lines().collect();
-    let mut violations = Vec::new();
-    for (idx, raw) in lines.iter().enumerate() {
-        if !has_unsafe_keyword(&code_only(raw)) {
-            continue;
+/// Index of the line closing the first brace block opened at or after
+/// `lines[start]`, by brace counting.
+fn brace_block_end(lines: &[&str], start: usize) -> Option<usize> {
+    let mut depth = 0i64;
+    let mut opened = false;
+    for (j, line) in lines.iter().enumerate().skip(start) {
+        for c in code_only(line).chars() {
+            match c {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => depth -= 1,
+                _ => {}
+            }
         }
-        let lo = idx.saturating_sub(SAFETY_WINDOW);
-        let documented = lines[lo..=idx]
-            .iter()
-            .any(|l| l.contains("SAFETY:") || l.contains("# Safety"));
-        if !documented {
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: idx + 1,
-                lint: "safety-comments",
-                message: format!(
-                    "`unsafe` without a `// SAFETY:` comment within {SAFETY_WINDOW} lines above"
-                ),
-            });
+        if opened && depth <= 0 {
+            return Some(j);
         }
     }
-    violations
+    None
 }
 
-/// Line indices (0-based) covered by `#[cfg(test)]`-gated items, found by
-/// brace counting from each attribute.
+/// Line indices (0-based) covered by `#[cfg(test)]`-gated items: from each
+/// attribute to the close of its item's brace block.
 fn test_code_lines(source: &str) -> Vec<bool> {
     let lines: Vec<&str> = source.lines().collect();
     let mut masked = vec![false; lines.len()];
@@ -457,56 +328,11 @@ fn test_code_lines(source: &str) -> Vec<bool> {
             i += 1;
             continue;
         }
-        // Mask from the attribute to the close of the item's brace block.
-        let mut depth = 0i64;
-        let mut opened = false;
-        let mut j = i;
-        while j < lines.len() {
-            masked[j] = true;
-            for c in code_only(lines[j]).chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            if opened && depth <= 0 {
-                break;
-            }
-            j += 1;
-        }
-        i = j + 1;
+        let end = brace_block_end(&lines, i).unwrap_or(lines.len() - 1);
+        masked[i..=end].fill(true);
+        i = end + 1;
     }
     masked
-}
-
-/// Lint 2: no `.unwrap()` / `panic!` in hot-path modules outside tests.
-fn check_hot_path_panics(rel: &Path, source: &str) -> Vec<Violation> {
-    let masked = test_code_lines(source);
-    let mut violations = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        if masked.get(idx).copied().unwrap_or(false) {
-            continue;
-        }
-        let code = code_only(raw);
-        for (needle, what) in [(".unwrap()", "`unwrap()`"), ("panic!", "`panic!`")] {
-            if code.contains(needle) {
-                violations.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    lint: "hot-path-panics",
-                    message: format!(
-                        "{what} in a hot-path module; use a contextful `expect`/\
-                         `unwrap_or_else` at the orchestration layer instead"
-                    ),
-                });
-            }
-        }
-    }
-    violations
 }
 
 /// Where stencil coefficients are allowed to live: the advection kernels
@@ -520,14 +346,8 @@ const STENCIL_HOMES: &[&str] = &[
 ];
 
 fn is_stencil_home(rel: &Path) -> bool {
-    let p = rel.to_string_lossy().replace('\\', "/");
-    STENCIL_HOMES.iter().any(|h| {
-        if h.ends_with('/') {
-            p.starts_with(h)
-        } else {
-            p == *h
-        }
-    })
+    let p = slash_path(rel);
+    STENCIL_HOMES.iter().any(|h| p.starts_with(h))
 }
 
 /// The characteristic denominators of centred finite-difference and
@@ -536,15 +356,17 @@ fn is_stencil_home(rel: &Path) -> bool {
 /// integrator.
 const STENCIL_DENOMS: &[&str] = &["12.0", "24.0", "30.0", "60.0", "120.0"];
 
-/// Does `code` divide by one of the stencil denominators?
+/// Does `code` divide by one of the stencil denominators, directly or as
+/// the leading factor of a parenthesised divisor (`/ (12.0 / h)`)?
 fn divides_by_stencil_denom(code: &str) -> Option<&'static str> {
     let bytes = code.as_bytes();
     for (i, &b) in bytes.iter().enumerate() {
         if b != b'/' {
             continue;
         }
-        // `//` never reaches here (comments are stripped); skip spaces.
-        let rest = code[i + 1..].trim_start();
+        // `//` never reaches here (comments are stripped); skip spaces and
+        // opening parentheses.
+        let rest = code[i + 1..].trim_start_matches(|c: char| c == '(' || c.is_whitespace());
         for d in STENCIL_DENOMS {
             if let Some(after) = rest.strip_prefix(d) {
                 // Reject longer literals like `12.05` or `120.0` vs `12.0`.
@@ -610,12 +432,12 @@ fn has_repeating_stencil_decimal(code: &str) -> Option<String> {
     None
 }
 
-/// Lint 4: no stencil-coefficient literals outside the designated homes.
+/// stencil-literals: no stencil coefficients outside the designated homes.
 fn check_stencil_literals(rel: &Path, source: &str) -> Vec<Violation> {
     let masked = test_code_lines(source);
     let mut violations = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
-        if masked.get(idx).copied().unwrap_or(false) {
+        if masked[idx] {
             continue;
         }
         let code = code_only(raw);
@@ -646,60 +468,6 @@ fn check_stencil_literals(rel: &Path, source: &str) -> Vec<Violation> {
     violations
 }
 
-/// Where direct file creation is allowed: the checkpoint layer (whose
-/// atomic two-phase commit is the workspace's durable-write primitive), the
-/// obs JSONL sink, the map/image writers (lossy visual exports, not state),
-/// benches and xtask itself. Everything else — snapshots, restart files,
-/// any serialised simulation state — must go through `vlasov6d-ckpt`.
-const RAW_FS_WRITE_HOMES: &[&str] = &[
-    "crates/ckpt/src/",
-    "crates/obs/src/event.rs",
-    "crates/core/src/maps.rs",
-    "crates/bench/",
-    "xtask/",
-];
-
-fn is_fs_write_home(rel: &Path) -> bool {
-    let p = rel.to_string_lossy().replace('\\', "/");
-    RAW_FS_WRITE_HOMES.iter().any(|h| {
-        if h.ends_with('/') {
-            p.starts_with(h)
-        } else {
-            p == *h
-        }
-    })
-}
-
-/// Lint 5: no direct `fs::write` / `File::create` outside the writer homes.
-fn check_raw_fs_writes(rel: &Path, source: &str) -> Vec<Violation> {
-    let masked = test_code_lines(source);
-    let mut violations = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        if masked.get(idx).copied().unwrap_or(false) {
-            continue;
-        }
-        let code = code_only(raw);
-        for (needle, what) in [
-            ("fs::write(", "`fs::write`"),
-            ("File::create(", "`File::create`"),
-        ] {
-            if code.contains(needle) {
-                violations.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    lint: "raw-fs-writes",
-                    message: format!(
-                        "{what} outside the designated writer modules; durable \
-                         simulation state must go through `vlasov6d-ckpt` \
-                         (atomic commit + checksums)"
-                    ),
-                });
-            }
-        }
-    }
-    violations
-}
-
 /// The overlapped-step regions: `(file, function)` pairs whose bodies must
 /// stay free of blocking communication. The synchronous oracle
 /// (`sweep_spatial_distributed` / `exchange_ghosts` in the same file) is
@@ -709,14 +477,17 @@ const OVERLAP_REGION_FNS: &[(&str, &str)] = &[(
     "sweep_spatial_overlapped",
 )];
 
-/// Blocking point-to-point calls that would serialise the ghost exchange.
-/// The needles include the leading dot, so the split-phase `.isend(` /
-/// `.irecv(` never match (the character before `send(` there is `i`).
+/// Blocking calls that would serialise the ghost exchange. The method
+/// needles include the leading dot, so the split-phase `.isend(` /
+/// `.irecv(` never match (the character before `send(` there is `i`);
+/// `exchange_ghosts` is the blocking free-function helper built on
+/// `shift_exchange`.
 const BLOCKING_COMM_CALLS: &[(&str, &str)] = &[
     (".send(", "`Comm::send`"),
     (".recv(", "`Comm::recv`"),
     (".sendrecv(", "`Comm::sendrecv`"),
     (".shift_exchange(", "`Cart3::shift_exchange`"),
+    ("exchange_ghosts(", "`exchange_ghosts`"),
 ];
 
 /// Line span (0-based, inclusive) of `fn <name>`'s definition in `source`,
@@ -725,29 +496,12 @@ fn function_body_lines(source: &str, fn_name: &str) -> Option<(usize, usize)> {
     let lines: Vec<&str> = source.lines().collect();
     let needle = format!("fn {fn_name}");
     let start = lines.iter().position(|l| code_only(l).contains(&needle))?;
-    let mut depth = 0i64;
-    let mut opened = false;
-    for (j, line) in lines.iter().enumerate().skip(start) {
-        for c in code_only(line).chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if opened && depth <= 0 {
-            return Some((start, j));
-        }
-    }
-    None
+    Some((start, brace_block_end(&lines, start)?))
 }
 
-/// Lint 6: no blocking communication inside the overlapped-step region.
+/// overlap-blocking-calls: no blocking communication inside the overlapped-step region.
 fn check_overlap_blocking_calls(rel: &Path, source: &str) -> Vec<Violation> {
-    let p = rel.to_string_lossy().replace('\\', "/");
+    let p = slash_path(rel);
     let mut violations = Vec::new();
     for (file, fn_name) in OVERLAP_REGION_FNS {
         if p != *file {
@@ -790,7 +544,7 @@ fn check_overlap_blocking_calls(rel: &Path, source: &str) -> Vec<Violation> {
     violations
 }
 
-/// Lint 3: span-name registry across the workspace.
+/// span-names: the span-name registry across the workspace.
 #[derive(Default)]
 struct SpanRegistry {
     /// `(name, explicit bucket, file, line)` per literal-named `span!` call.
@@ -801,27 +555,20 @@ impl SpanRegistry {
     fn scan(&mut self, rel: &Path, source: &str) {
         let masked = test_code_lines(source);
         for (idx, raw) in source.lines().enumerate() {
-            if masked.get(idx).copied().unwrap_or(false) {
+            if masked[idx] {
                 continue;
             }
-            let Some(call) = raw.find("span!(") else {
-                continue;
-            };
-            let rest = &raw[call + "span!(".len()..];
-            // Literal first argument: `span!("name"...)`. Names routed
-            // through consts (`span!(SPAN[d], ..)`) are picked up below via
-            // the const definition.
-            if let Some(name) = leading_str_literal(rest) {
-                let bucket = extract_bucket(rest);
-                self.uses.push((name, bucket, rel.to_path_buf(), idx + 1));
+            // Literal first argument: `span!("name"...)`.
+            if let Some(call) = raw.find("span!(") {
+                let rest = &raw[call + "span!(".len()..];
+                if let Some(name) = leading_str_literal(rest) {
+                    let bucket = extract_bucket(rest);
+                    self.uses.push((name, bucket, rel.to_path_buf(), idx + 1));
+                }
             }
-        }
-        // `const SPAN: [&str; N] = ["a", "b", ...];` name tables.
-        for (idx, raw) in source.lines().enumerate() {
-            if masked.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            // Needle split so the lint does not match its own source.
+            // Names routed through consts (`span!(SPAN[d], ..)`): the
+            // `const SPAN: [&str; N] = ["a", "b", ...];` table. Needle split
+            // so the lint does not match its own source.
             if raw.contains(concat!("SPAN: [", "&str")) {
                 for name in str_literals(raw) {
                     self.uses.push((name, None, rel.to_path_buf(), idx + 1));
@@ -873,6 +620,154 @@ impl SpanRegistry {
     }
 }
 
+/// One registry-tag cross-check between the sources and a verifier crate's
+/// registry.
+///
+/// Direction 1 (per item): every non-test item `select` picks out must
+/// carry a `[<tag>: name, …]` tag (it may span several lines) in the
+/// comment/attribute block directly above it, citing only registered names.
+/// Direction 2 (per registry): every entry flagged `backing_flag` must be
+/// cited by at least one tag.
+struct TagRegistry {
+    lint: &'static str,
+    tag: &'static str,
+    /// Where direction-2 findings point.
+    registry_file: &'static str,
+    backing_flag: &'static str,
+    registered: BTreeSet<&'static str>,
+    backing: Vec<&'static str>,
+    /// `(file, comment-stripped line)` → description of the item declared
+    /// there, if it is one that must carry a tag.
+    select: fn(&str, &str) -> Option<String>,
+    cited: BTreeSet<String>,
+    violations: Vec<Violation>,
+}
+
+/// The files whose flat-index transpose arithmetic `layout-index-arith`
+/// polices.
+const LAYOUT_INDEX_FILES: &[&str] = &["crates/fft/src/pencil.rs"];
+
+impl TagRegistry {
+    /// `unsafe-send-registry`: `unsafe impl Send`/`Sync` ↔ the racecheck
+    /// regions that discharge it.
+    fn races() -> Self {
+        use vlasov6d_racecheck::registry;
+        Self {
+            lint: "unsafe-send-registry",
+            tag: "racecheck",
+            registry_file: "crates/racecheck/src/registry.rs",
+            backing_flag: "backs_unsafe_impl",
+            registered: registry::region_names().into_iter().collect(),
+            backing: registry::backing_region_names(),
+            select: |_, code| unsafe_send_sync_impl(code).map(|t| format!("`unsafe impl {t}`")),
+            cited: BTreeSet::new(),
+            violations: Vec::new(),
+        }
+    }
+
+    /// `layout-index-arith`: transpose index-arithmetic fns ↔ the
+    /// layoutcheck repartitions they implement.
+    fn layouts() -> Self {
+        use vlasov6d_layoutcheck::registry;
+        Self {
+            lint: "layout-index-arith",
+            tag: "layoutcheck",
+            registry_file: "crates/layoutcheck/src/registry.rs",
+            backing_flag: "backs_pack_loop",
+            registered: registry::repartition_names().into_iter().collect(),
+            backing: registry::entries()
+                .iter()
+                .filter(|e| e.backs_pack_loop)
+                .map(|e| e.rep.name)
+                .collect(),
+            select: |file, code| {
+                let name = declared_fn_name(code)
+                    .filter(|n| LAYOUT_INDEX_FILES.contains(&file) && layout_index_fn(n))?;
+                Some(format!("fn `{name}`"))
+            },
+            cited: BTreeSet::new(),
+            violations: Vec::new(),
+        }
+    }
+
+    fn scan(&mut self, rel: &Path, source: &str) {
+        let file = slash_path(rel);
+        let masked = test_code_lines(source);
+        let lines: Vec<&str> = source.lines().collect();
+        for (idx, raw) in lines.iter().enumerate() {
+            if masked[idx] {
+                continue;
+            }
+            let Some(item) = (self.select)(&file, &code_only(raw)) else {
+                continue;
+            };
+            // Gather the contiguous comment/attribute block directly above.
+            let mut lo = idx;
+            while lo > 0 {
+                let t = lines[lo - 1].trim_start();
+                if t.starts_with("//") || t.starts_with("#[") {
+                    lo -= 1;
+                } else {
+                    break;
+                }
+            }
+            let block: String = lines[lo..idx]
+                .iter()
+                .map(|l| l.trim_start().trim_start_matches("//").trim())
+                .collect::<Vec<_>>()
+                .join(" ");
+            let tag = self.tag;
+            let mut flag = |message: String| {
+                self.violations.push(Violation {
+                    file: rel.to_path_buf(),
+                    line: idx + 1,
+                    lint: self.lint,
+                    message,
+                })
+            };
+            match tag_names(tag, &block) {
+                None => flag(format!(
+                    "{item} has no `[{tag}: name, …]` tag in the comment above it; cite the \
+                     registered {tag} entries it relies on"
+                )),
+                Some(names) if names.is_empty() => flag(format!(
+                    "empty `[{tag}:]` tag on {item}; cite at least one registered entry"
+                )),
+                Some(names) => {
+                    for name in names {
+                        if self.registered.contains(name) {
+                            self.cited.insert(name.to_string());
+                        } else {
+                            flag(format!(
+                                "{item} cites `{name}`, which is not in the {tag} registry — \
+                                 stale tag or missing registry entry"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn check(mut self) -> Vec<Violation> {
+        for name in &self.backing {
+            if !self.cited.contains(*name) {
+                self.violations.push(Violation {
+                    file: PathBuf::from(self.registry_file),
+                    line: 1,
+                    lint: self.lint,
+                    message: format!(
+                        "registry entry `{name}` is flagged `{}` but no `[{}:]` tag cites \
+                         it — stale registry entry or missing tag",
+                        self.backing_flag, self.tag
+                    ),
+                });
+            }
+        }
+        self.violations
+    }
+}
+
 /// Is this line an `unsafe impl` *of* `Send` or `Sync` (not an unsafe impl
 /// of some other trait that merely has `Send`/`Sync` bounds in its generics)?
 /// Returns the implemented trait name.
@@ -899,134 +794,11 @@ fn unsafe_send_sync_impl(code: &str) -> Option<&'static str> {
         }
         rest = rest[end?..].trim_start();
     }
-    for t in ["Send", "Sync"] {
-        if let Some(after) = rest.strip_prefix(t) {
-            if after.trim_start().starts_with("for ") {
-                return Some(if t == "Send" { "Send" } else { "Sync" });
-            }
-        }
-    }
-    None
+    ["Send", "Sync"].into_iter().find(|t| {
+        rest.strip_prefix(t)
+            .is_some_and(|after| after.trim_start().starts_with("for "))
+    })
 }
-
-/// Lint 7: `unsafe impl Send`/`Sync` ↔ racecheck-registry cross-reference.
-///
-/// Direction 1 (per impl): the SAFETY comment block directly above the impl
-/// must contain a `[racecheck: name, …]` tag (the tag may span several `//`
-/// lines) citing only registered region names. Direction 2 (per registry):
-/// every region flagged `backs_unsafe_impl` in
-/// `vlasov6d_racecheck::registry` must be cited by at least one tag.
-struct SendRegistry {
-    registered: std::collections::BTreeSet<&'static str>,
-    backing: Vec<&'static str>,
-    cited: std::collections::BTreeSet<String>,
-    violations: Vec<Violation>,
-}
-
-impl SendRegistry {
-    fn new() -> Self {
-        Self {
-            registered: vlasov6d_racecheck::registry::region_names()
-                .into_iter()
-                .collect(),
-            backing: vlasov6d_racecheck::registry::backing_region_names(),
-            cited: Default::default(),
-            violations: Vec::new(),
-        }
-    }
-
-    fn scan(&mut self, rel: &Path, source: &str) {
-        let lines: Vec<&str> = source.lines().collect();
-        for (idx, raw) in lines.iter().enumerate() {
-            let Some(trait_name) = unsafe_send_sync_impl(&code_only(raw)) else {
-                continue;
-            };
-            // Gather the contiguous `//` comment block directly above.
-            let mut lo = idx;
-            while lo > 0 && lines[lo - 1].trim_start().starts_with("//") {
-                lo -= 1;
-            }
-            let block: String = lines[lo..idx]
-                .iter()
-                .map(|l| l.trim_start().trim_start_matches("//").trim())
-                .collect::<Vec<_>>()
-                .join(" ");
-            match racecheck_tag_names(&block) {
-                None => self.violations.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    lint: "unsafe-send-registry",
-                    message: format!(
-                        "`unsafe impl {trait_name}` without a `[racecheck: region, …]` tag \
-                         in its SAFETY comment; name the verified parallel region(s) this \
-                         impl enables"
-                    ),
-                }),
-                Some(names) if names.is_empty() => self.violations.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    lint: "unsafe-send-registry",
-                    message: "empty `[racecheck:]` tag; cite at least one registered region"
-                        .to_string(),
-                }),
-                Some(names) => {
-                    for name in names {
-                        if self.registered.contains(name.as_str()) {
-                            self.cited.insert(name);
-                        } else {
-                            self.violations.push(Violation {
-                                file: rel.to_path_buf(),
-                                line: idx + 1,
-                                lint: "unsafe-send-registry",
-                                message: format!(
-                                    "SAFETY tag cites `{name}`, which is not in the racecheck \
-                                     registry — stale tag or missing registry entry"
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn check(mut self) -> Vec<Violation> {
-        for name in &self.backing {
-            if !self.cited.contains(*name) {
-                self.violations.push(Violation {
-                    file: PathBuf::from("crates/racecheck/src/registry.rs"),
-                    line: 1,
-                    lint: "unsafe-send-registry",
-                    message: format!(
-                        "registry region `{name}` is flagged `backs_unsafe_impl` but no \
-                         SAFETY comment cites it — stale registry entry or missing tag"
-                    ),
-                });
-            }
-        }
-        self.violations
-    }
-}
-
-/// Lint 8: `[layoutcheck:]` ↔ layout-registry cross-reference over the
-/// distributed-FFT transpose sources.
-///
-/// Direction 1 (per function): every non-test fn in [`LAYOUT_INDEX_FILES`]
-/// whose name marks it as transpose index arithmetic (see
-/// [`layout_index_fn`]) must carry a `[layoutcheck: name, …]` tag in the
-/// comment block directly above its signature, citing only repartitions
-/// registered in `vlasov6d_layoutcheck::registry`. Direction 2 (per
-/// registry): every registered repartition flagged `backs_pack_loop` must
-/// be cited by at least one tag, so the registry cannot rot.
-struct LayoutRegistry {
-    registered: std::collections::BTreeSet<&'static str>,
-    backing: Vec<&'static str>,
-    cited: std::collections::BTreeSet<String>,
-    violations: Vec<Violation>,
-}
-
-/// The files whose flat-index transpose arithmetic the lint polices.
-const LAYOUT_INDEX_FILES: &[&str] = &["crates/fft/src/pencil.rs"];
 
 /// Is `name` a function implementing (or planning) a registered repartition's
 /// index arithmetic? Pack/unpack loops, repartition entry points, and the
@@ -1053,138 +825,16 @@ fn declared_fn_name(code: &str) -> Option<&str> {
     (end > 0).then(|| &rest[..end])
 }
 
-impl LayoutRegistry {
-    fn new() -> Self {
-        Self {
-            registered: vlasov6d_layoutcheck::registry::repartition_names()
-                .into_iter()
-                .collect(),
-            backing: vlasov6d_layoutcheck::registry::entries()
-                .iter()
-                .filter(|e| e.backs_pack_loop)
-                .map(|e| e.rep.name)
-                .collect(),
-            cited: Default::default(),
-            violations: Vec::new(),
-        }
-    }
-
-    fn scan(&mut self, rel: &Path, source: &str) {
-        let p = rel.to_string_lossy().replace('\\', "/");
-        if !LAYOUT_INDEX_FILES.contains(&p.as_str()) {
-            return;
-        }
-        let masked = test_code_lines(source);
-        let lines: Vec<&str> = source.lines().collect();
-        for (idx, raw) in lines.iter().enumerate() {
-            if masked.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            let code = code_only(raw);
-            let Some(name) = declared_fn_name(&code) else {
-                continue;
-            };
-            if !layout_index_fn(name) {
-                continue;
-            }
-            let name = name.to_string();
-            // Gather the contiguous comment/attribute block directly above.
-            let mut lo = idx;
-            while lo > 0 {
-                let t = lines[lo - 1].trim_start();
-                if t.starts_with("//") || t.starts_with("#[") {
-                    lo -= 1;
-                } else {
-                    break;
-                }
-            }
-            let block: String = lines[lo..idx]
-                .iter()
-                .map(|l| l.trim_start().trim_start_matches("//").trim())
-                .collect::<Vec<_>>()
-                .join(" ");
-            match layoutcheck_tag_names(&block) {
-                None => self.violations.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    lint: "layout-index-arith",
-                    message: format!(
-                        "fn `{name}` does transpose index arithmetic but carries no \
-                         `[layoutcheck: map, …]` tag; cite the registered repartition(s) \
-                         its flat-index math implements"
-                    ),
-                }),
-                Some(names) if names.is_empty() => self.violations.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: idx + 1,
-                    lint: "layout-index-arith",
-                    message: "empty `[layoutcheck:]` tag; cite at least one registered repartition"
-                        .to_string(),
-                }),
-                Some(names) => {
-                    for cited in names {
-                        if self.registered.contains(cited.as_str()) {
-                            self.cited.insert(cited);
-                        } else {
-                            self.violations.push(Violation {
-                                file: rel.to_path_buf(),
-                                line: idx + 1,
-                                lint: "layout-index-arith",
-                                message: format!(
-                                    "tag on fn `{name}` cites `{cited}`, which is not in the \
-                                     layoutcheck registry — stale tag or missing registry entry"
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn check(mut self) -> Vec<Violation> {
-        for name in &self.backing {
-            if !self.cited.contains(*name) {
-                self.violations.push(Violation {
-                    file: PathBuf::from("crates/layoutcheck/src/registry.rs"),
-                    line: 1,
-                    lint: "layout-index-arith",
-                    message: format!(
-                        "registered repartition `{name}` is flagged `backs_pack_loop` but no \
-                         pack/unpack loop cites it — stale registry entry or missing tag"
-                    ),
-                });
-            }
-        }
-        self.violations
-    }
-}
-
-/// The names inside the first `[layoutcheck: …]` tag of a flattened comment
+/// The names inside the first `[<tag>: …]` tag of a flattened comment
 /// block, or `None` if there is no tag.
-fn layoutcheck_tag_names(block: &str) -> Option<Vec<String>> {
-    let start = block.find("[layoutcheck:")?;
-    let body = &block[start + "[layoutcheck:".len()..];
+fn tag_names<'b>(tag: &str, block: &'b str) -> Option<Vec<&'b str>> {
+    let open = format!("[{tag}:");
+    let body = &block[block.find(&open)? + open.len()..];
     let end = body.find(']')?;
     Some(
         body[..end]
             .split(',')
-            .map(|n| n.trim().to_string())
-            .filter(|n| !n.is_empty())
-            .collect(),
-    )
-}
-
-/// The names inside the first `[racecheck: …]` tag of a flattened comment
-/// block, or `None` if there is no tag.
-fn racecheck_tag_names(block: &str) -> Option<Vec<String>> {
-    let start = block.find("[racecheck:")?;
-    let body = &block[start + "[racecheck:".len()..];
-    let end = body.find(']')?;
-    Some(
-        body[..end]
-            .split(',')
-            .map(|n| n.trim().to_string())
+            .map(str::trim)
             .filter(|n| !n.is_empty())
             .collect(),
     )
@@ -1235,92 +885,39 @@ fn valid_span_name(name: &str) -> bool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unsafe_keyword_detection_ignores_idents_and_comments() {
-        assert!(has_unsafe_keyword(&code_only("unsafe { foo() }")));
-        assert!(has_unsafe_keyword(&code_only("unsafe impl Send for X {}")));
-        assert!(!has_unsafe_keyword(&code_only("#![deny(unsafe_code)]")));
-        assert!(!has_unsafe_keyword(&code_only("// unsafe in a comment")));
-        assert!(!has_unsafe_keyword(&code_only("let s = \"unsafe\";")));
-        assert!(!has_unsafe_keyword(&code_only("my_unsafe_helper()")));
-    }
-
-    #[test]
-    fn safety_comment_window() {
-        let ok = "// SAFETY: disjoint indices\nunsafe { x() }\n";
-        assert!(check_safety_comments(Path::new("a.rs"), ok).is_empty());
-        let doc_comment = "/// SAFETY: caller upholds X.\nunsafe fn f() {}\n";
-        assert!(check_safety_comments(Path::new("a.rs"), doc_comment).is_empty());
-        let safety_section = "/// # Safety\n/// `i` must be in bounds.\nunsafe fn g(i: usize);\n";
-        assert!(check_safety_comments(Path::new("a.rs"), safety_section).is_empty());
-        let missing = "fn f() {\n    unsafe { x() }\n}\n";
-        let v = check_safety_comments(Path::new("a.rs"), missing);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-        let too_far = format!("// SAFETY: stale\n{}unsafe {{ x() }}\n", "\n".repeat(6));
-        assert_eq!(check_safety_comments(Path::new("a.rs"), &too_far).len(), 1);
-    }
-
-    #[test]
-    fn hot_path_lint_skips_cfg_test_blocks() {
-        let source = "\
-fn hot() {
-    let v = compute();
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        x.unwrap();
-        panic!(\"boom\");
-    }
-}
-";
-        assert!(check_hot_path_panics(Path::new("a.rs"), source).is_empty());
-        let bad = "fn hot() { x.unwrap(); }\n";
-        let v = check_hot_path_panics(Path::new("a.rs"), bad);
-        assert_eq!(v.len(), 1);
-        let bad_panic = "fn hot() { panic!(\"no context\"); }\n";
-        assert_eq!(check_hot_path_panics(Path::new("a.rs"), bad_panic).len(), 1);
-    }
-
-    #[test]
-    fn hot_path_selection() {
-        assert!(is_hot_path(Path::new("crates/advection/src/mol.rs")));
-        assert!(is_hot_path(Path::new("crates/fft/src/fft3d.rs")));
-        assert!(is_hot_path(Path::new("crates/phase-space/src/sweep.rs")));
-        assert!(!is_hot_path(Path::new("crates/fft/src/pencil.rs")));
-        assert!(!is_hot_path(Path::new("crates/mpisim/src/comm.rs")));
+    /// `reg` after scanning `source` as the file `rel`.
+    fn scanned(mut reg: TagRegistry, rel: &str, source: &str) -> TagRegistry {
+        reg.scan(Path::new(rel), source);
+        reg
     }
 
     #[test]
     fn stencil_literal_detection() {
-        // Division by a stencil denominator.
-        let bad = "let g = (8.0 * d1 - d2) / 12.0;\n";
-        assert_eq!(check_stencil_literals(Path::new("a.rs"), bad).len(), 1);
-        let bad60 = "let f = x / 60.0;\n";
-        assert_eq!(check_stencil_literals(Path::new("a.rs"), bad60).len(), 1);
+        let count = |src: &str| check_stencil_literals(Path::new("a.rs"), src).len();
+        // Division by a stencil denominator, also behind parentheses.
+        assert_eq!(count("let g = (8.0 * d1 - d2) / 12.0;\n"), 1);
+        assert_eq!(count("let f = x / 60.0;\n"), 1);
+        assert_eq!(count("let d = (8.0 * a - b) / (12.0 / h0);\n"), 1);
+        assert_eq!(count("let d = a / ( (24.0 * h));\n"), 1);
         // Longer literals and the RK4 denominator don't fire.
-        let ok = "let a = x / 12.05; let b = y / 6.0; let c = z / 1200.0;\n";
-        assert!(check_stencil_literals(Path::new("a.rs"), ok).is_empty());
+        assert_eq!(
+            count("let a = x / 12.05; let b = y / 6.0; let c = z / 1200.0;\n"),
+            0
+        );
         // Hand-expanded repeating decimals.
-        let rep = "const W: f64 = 0.8333333;\n";
-        let v = check_stencil_literals(Path::new("a.rs"), rep);
+        let v = check_stencil_literals(Path::new("a.rs"), "const W: f64 = 0.8333333;\n");
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("0.8333333"));
-        assert_eq!(
-            check_stencil_literals(Path::new("a.rs"), "let w = 0.41666;\n").len(),
-            1
-        );
+        assert_eq!(count("let w = 0.41666;\n"), 1);
         // Short runs, non-trailing triples (physical constants), and
         // unrelated decimals pass.
-        let fine = "let t = 0.33; let u = 3.1366; let v = 1e-6;\n";
-        assert!(check_stencil_literals(Path::new("a.rs"), fine).is_empty());
-        let boltzmann = "pub const K_B: f64 = 8.617_333_262e-5;\n";
-        assert!(check_stencil_literals(Path::new("a.rs"), boltzmann).is_empty());
+        assert_eq!(count("let t = 0.33; let u = 3.1366; let v = 1e-6;\n"), 0);
+        assert_eq!(count("pub const K_B: f64 = 8.617_333_262e-5;\n"), 0);
         // cfg(test) code is exempt.
-        let test_code = "#[cfg(test)]\nmod tests {\n  let w = 0.8333333;\n}\n";
-        assert!(check_stencil_literals(Path::new("a.rs"), test_code).is_empty());
+        assert_eq!(
+            count("#[cfg(test)]\nmod tests {\n  let w = 0.8333333;\n}\n"),
+            0
+        );
     }
 
     #[test]
@@ -1346,14 +943,11 @@ mod tests {
     fn racecheck_tag_parsing_spans_lines() {
         let block = "SAFETY: [racecheck: sweep.spatial.x.scalar, sweep.spatial.y.scalar] — ok";
         assert_eq!(
-            racecheck_tag_names(block),
-            Some(vec![
-                "sweep.spatial.x.scalar".to_string(),
-                "sweep.spatial.y.scalar".to_string()
-            ])
+            tag_names("racecheck", block),
+            Some(vec!["sweep.spatial.x.scalar", "sweep.spatial.y.scalar"])
         );
-        assert_eq!(racecheck_tag_names("SAFETY: pointer is fine"), None);
-        assert_eq!(racecheck_tag_names("[racecheck:]"), Some(vec![]));
+        assert_eq!(tag_names("racecheck", "SAFETY: pointer is fine"), None);
+        assert_eq!(tag_names("racecheck", "[racecheck:]"), Some(vec![]));
     }
 
     #[test]
@@ -1364,8 +958,7 @@ mod tests {
             "unsafe impl<'a, T: Send> Sync for S<'a, T> {}",
         ]
         .join("\n");
-        let mut reg = SendRegistry::new();
-        reg.scan(Path::new("a.rs"), &good);
+        let reg = scanned(TagRegistry::races(), "a.rs", &good);
         assert!(reg.violations.is_empty());
         assert!(reg.cited.contains("pool.slice_mut"));
 
@@ -1376,17 +969,15 @@ mod tests {
             "unsafe impl Send for P {}",
         ]
         .join("\n");
-        let mut reg = SendRegistry::new();
-        reg.scan(Path::new("a.rs"), &wrapped);
+        let reg = scanned(TagRegistry::races(), "a.rs", &wrapped);
         assert!(reg.violations.is_empty());
         assert!(reg.cited.contains("pool.chunks_mut"));
 
         // Missing tag → violation.
         let untagged = ["// SAFETY: trust me", "unsafe impl Send for Q {}"].join("\n");
-        let mut reg = SendRegistry::new();
-        reg.scan(Path::new("a.rs"), &untagged);
+        let reg = scanned(TagRegistry::races(), "a.rs", &untagged);
         assert_eq!(reg.violations.len(), 1);
-        assert!(reg.violations[0].message.contains("without a"));
+        assert!(reg.violations[0].message.contains("no `[racecheck:"));
 
         // Stale name → violation.
         let stale = [
@@ -1394,15 +985,14 @@ mod tests {
             "unsafe impl Send for R {}",
         ]
         .join("\n");
-        let mut reg = SendRegistry::new();
-        reg.scan(Path::new("a.rs"), &stale);
+        let reg = scanned(TagRegistry::races(), "a.rs", &stale);
         assert_eq!(reg.violations.len(), 1);
         assert!(reg.violations[0]
             .message
             .contains("not in the racecheck registry"));
 
         // Reverse direction: a backing region nobody cites → violation.
-        let reg = SendRegistry::new();
+        let reg = TagRegistry::races();
         let v = reg.check();
         assert!(
             v.iter().all(|x| x.message.contains("backs_unsafe_impl")),
@@ -1441,7 +1031,7 @@ mod tests {
 
     #[test]
     fn layout_registry_lint_directions() {
-        let pencil = Path::new("crates/fft/src/pencil.rs");
+        let pencil = "crates/fft/src/pencil.rs";
         // A valid citation is accepted and recorded.
         let good = [
             "    /// Pack loop for the forward stage-1 transpose.",
@@ -1450,15 +1040,13 @@ mod tests {
             "    fn pack_stage1(&self) {}",
         ]
         .join("\n");
-        let mut reg = LayoutRegistry::new();
-        reg.scan(pencil, &good);
+        let reg = scanned(TagRegistry::layouts(), pencil, &good);
         assert!(reg.violations.is_empty(), "{:?}", reg.violations);
         assert!(reg.cited.contains("fft.pencil.stage1"));
 
         // Missing tag → violation.
         let untagged = ["    /// Undocumented.", "    fn pack_stage1(&self) {}"].join("\n");
-        let mut reg = LayoutRegistry::new();
-        reg.scan(pencil, &untagged);
+        let reg = scanned(TagRegistry::layouts(), pencil, &untagged);
         assert_eq!(reg.violations.len(), 1);
         assert!(reg.violations[0].message.contains("no `[layoutcheck:"));
 
@@ -1468,25 +1056,26 @@ mod tests {
             "    fn unpack_stage2(&self) {}",
         ]
         .join("\n");
-        let mut reg = LayoutRegistry::new();
-        reg.scan(pencil, &stale);
+        let reg = scanned(TagRegistry::layouts(), pencil, &stale);
         assert_eq!(reg.violations.len(), 1);
         assert!(reg.violations[0]
             .message
             .contains("not in the layoutcheck registry"));
 
         // Files outside LAYOUT_INDEX_FILES and cfg(test) code are exempt.
-        let mut reg = LayoutRegistry::new();
-        reg.scan(Path::new("crates/poisson/src/dist.rs"), &untagged);
+        let reg = scanned(
+            TagRegistry::layouts(),
+            "crates/poisson/src/dist.rs",
+            &untagged,
+        );
         assert!(reg.violations.is_empty());
         let test_code = "#[cfg(test)]\nmod tests {\n    fn pack_stage1() {}\n}\n";
-        let mut reg = LayoutRegistry::new();
-        reg.scan(pencil, test_code);
+        let reg = scanned(TagRegistry::layouts(), pencil, test_code);
         assert!(reg.violations.is_empty());
 
         // Reverse direction: every backs_pack_loop repartition nobody cites
         // is a violation.
-        let reg = LayoutRegistry::new();
+        let reg = TagRegistry::layouts();
         let v = reg.check();
         assert_eq!(
             v.len(),
@@ -1500,15 +1089,13 @@ mod tests {
 
     #[test]
     fn layoutcheck_tag_parsing() {
+        let block = "[layoutcheck: fft.pencil.stage1, fft.pencil.stage2]";
         assert_eq!(
-            layoutcheck_tag_names("[layoutcheck: fft.pencil.stage1, fft.pencil.stage2]"),
-            Some(vec![
-                "fft.pencil.stage1".to_string(),
-                "fft.pencil.stage2".to_string()
-            ])
+            tag_names("layoutcheck", block),
+            Some(vec!["fft.pencil.stage1", "fft.pencil.stage2"])
         );
-        assert_eq!(layoutcheck_tag_names("no tag here"), None);
-        assert_eq!(layoutcheck_tag_names("[layoutcheck:]"), Some(vec![]));
+        assert_eq!(tag_names("layoutcheck", "no tag here"), None);
+        assert_eq!(tag_names("layoutcheck", "[layoutcheck:]"), Some(vec![]));
     }
 
     #[test]
@@ -1520,31 +1107,6 @@ mod tests {
         )));
         assert!(!is_stencil_home(Path::new("crates/mesh/src/field.rs")));
         assert!(!is_stencil_home(Path::new("crates/poisson/src/lib.rs")));
-    }
-
-    #[test]
-    fn raw_fs_write_lint() {
-        let bad = "fn save() { std::fs::write(path, bytes).unwrap(); }\n";
-        let v = check_raw_fs_writes(Path::new("a.rs"), bad);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("vlasov6d-ckpt"));
-        let bad_create = "let f = std::fs::File::create(path)?;\n";
-        assert_eq!(check_raw_fs_writes(Path::new("a.rs"), bad_create).len(), 1);
-        // Reads, mentions in comments/strings, and cfg(test) fixtures pass.
-        let ok = "let b = fs::read(path)?; // fs::write( would be flagged\n";
-        assert!(check_raw_fs_writes(Path::new("a.rs"), ok).is_empty());
-        let test_code = "#[cfg(test)]\nmod tests {\n  fs::write(&p, b\"x\").unwrap();\n}\n";
-        assert!(check_raw_fs_writes(Path::new("a.rs"), test_code).is_empty());
-    }
-
-    #[test]
-    fn fs_write_home_selection() {
-        assert!(is_fs_write_home(Path::new("crates/ckpt/src/container.rs")));
-        assert!(is_fs_write_home(Path::new("crates/obs/src/event.rs")));
-        assert!(is_fs_write_home(Path::new("crates/core/src/maps.rs")));
-        assert!(is_fs_write_home(Path::new("xtask/src/main.rs")));
-        assert!(!is_fs_write_home(Path::new("crates/core/src/snapshot.rs")));
-        assert!(!is_fs_write_home(Path::new("crates/obs/src/report.rs")));
     }
 
     #[test]
@@ -1562,6 +1124,7 @@ pub fn sweep_spatial_overlapped(d: usize) {
 fn oracle() {
     let got = cart.shift_exchange(0, -1, tag, planes);
     comm.send(peer, tag, x);
+    let (lo, hi) = exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag);
 }
 ";
         assert!(check_overlap_blocking_calls(exchange, clean).is_empty());
@@ -1583,6 +1146,15 @@ pub fn sweep_spatial_overlapped(d: usize) {
 }
 ";
         assert_eq!(check_overlap_blocking_calls(exchange, bad_recv).len(), 1);
+        // So is the blocking free-function helper.
+        let bad_helper = "\
+pub fn sweep_spatial_overlapped(d: usize) {
+    let (lo, hi) = exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag);
+}
+";
+        let v = check_overlap_blocking_calls(exchange, bad_helper);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].message.contains("`exchange_ghosts`"));
         // Mentions in comments don't fire.
         let comment = "\
 pub fn sweep_spatial_overlapped(d: usize) {
