@@ -1,18 +1,21 @@
 //! Eight-lines-at-once SIMD kernels.
 //!
-//! This is the paper's Fig. 1 code shape: eight *adjacent* grid lines (which
-//! are contiguous in memory along the innermost axis) ride in the eight lanes
-//! of an [`f32x8`] and advance together — same shift, same boundary, one
-//! vertical SIMD op per scalar op of the line kernel. All arithmetic is f32,
-//! matching the paper's single-precision Vlasov storage.
+//! This is the paper's Fig. 1 code shape: eight grid lines that share a shift
+//! and a boundary ride in the eight lanes of an [`f32x8`] and advance
+//! together. There is no lane body of its own: the entry points run the one
+//! flux/update body ([`crate::flux::flux_update`]) at `f32x8`, one vertical
+//! SIMD op per operation of the line kernel, all arithmetic f32, matching the
+//! paper's single-precision Vlasov storage. Each lane is therefore that body
+//! run on its own line at `f32` — the test module holds every lane to it bit
+//! for bit, which is why the lane width cannot move a bit.
 //!
 //! The sweep driver in `vlasov6d-phase-space` feeds this kernel either
 //! directly (axes where lanes are contiguous in memory) or through the
 //! [`crate::simd::transpose8x8`] LAT staging (the innermost `u_z` axis, where
 //! lanes would otherwise be strided loads — paper Fig. 2/3).
 
-use crate::flux::{sl5_weights, Boundary};
-use crate::line::{Scheme, GHOST};
+use crate::flux::{flux_update, Boundary, Weights};
+use crate::line::{advect_sampled, Scheme, GHOST};
 use crate::simd::{f32x8, Isa};
 
 /// Reusable scratch for bundle updates.
@@ -43,49 +46,6 @@ impl Default for LanesWork {
     }
 }
 
-#[inline(always)]
-fn vminmod(a: f32x8, b: f32x8) -> f32x8 {
-    let half = f32x8::splat(0.5);
-    (a.signum_or_zero() + b.signum_or_zero()) * half * a.abs().min(b.abs())
-}
-
-#[inline(always)]
-fn vminmod4(a: f32x8, b: f32x8, c: f32x8, d: f32x8) -> f32x8 {
-    vminmod(vminmod(a, b), vminmod(c, d))
-}
-
-#[inline(always)]
-fn vmedian_clip(v: f32x8, lo: f32x8, hi: f32x8) -> f32x8 {
-    v + vminmod(lo - v, hi - v)
-}
-
-/// Curvature `c − 2b + a` at the middle of three neighbouring cells.
-#[inline(always)]
-fn vcurv(a: f32x8, b: f32x8, c: f32x8) -> f32x8 {
-    c - f32x8::splat(2.0) * b + a
-}
-
-/// The `minmod4` stack of `flux::mp5_bracket` between neighbouring curvatures.
-#[inline(always)]
-fn vdm4(d_l: f32x8, d_r: f32x8) -> f32x8 {
-    let four = f32x8::splat(4.0);
-    vminmod4(four * d_l - d_r, four * d_r - d_l, d_l, d_r)
-}
-
-/// The five cells behind interface `j`, at an index opaque to LLVM — which
-/// otherwise re-vectorises the lane arithmetic across positions, shuffles and
-/// spills instead of one instruction per operation (see [`crate::simd`]).
-#[inline(always)]
-fn stencil(up: &[f32x8], j: usize) -> [f32x8; 5] {
-    let g = &up[std::hint::black_box(j)..][..5];
-    [g[0], g[1], g[2], g[3], g[4]]
-}
-
-#[inline(always)]
-fn vhigh(g: &[f32x8; 5], w: &[f32x8; 5]) -> f32x8 {
-    (((g[0] * w[0] + g[1] * w[1]) + g[2] * w[2]) + g[3] * w[3]) + g[4] * w[4]
-}
-
 /// Advance a bundle of eight lines (`bundle[i]` holds position `i` of all
 /// eight lines) by a common shift `cfl`. Only the production schemes are
 /// vectorised; ask for others through the scalar path. Any length works: a
@@ -101,24 +61,10 @@ pub fn advect_lanes(
     bc: Boundary,
     work: &mut LanesWork,
 ) {
-    let n = bundle.len();
-    if n == 0 || cfl == 0.0 {
-        return;
-    }
-    // Mirror trick, as in the scalar kernel.
-    let mirrored = cfl < 0.0;
-    if mirrored {
-        bundle.reverse();
-    }
-    let n_int = cfl.abs().floor() as i64;
-    let s = cfl.abs() - n_int as f64;
-    work.up.clear();
-    work.up
-        .extend((0..n + 2 * GHOST).map(|j| sample(bundle, j as i64 - GHOST as i64 - n_int, bc)));
-    flux_update_on(work.isa, scheme, s, &work.up, &mut work.flux, bundle);
-    if mirrored {
-        bundle.reverse();
-    }
+    let LanesWork { up, flux, isa } = work;
+    advect_sampled(bundle, cfl, bc, up, |s, up, out| {
+        flux_update_on(*isa, scheme, s, up, flux, out)
+    });
 }
 
 /// Lane form of [`crate::line::advect_line_ext`]: advance the cells `out` of
@@ -159,8 +105,8 @@ pub fn advect_lanes_ext(
     }
 }
 
-/// [`flux_update`], entered the way `isa` says (see [`crate::simd`]): same
-/// body, same bits, one `f32x8` operation per 256-bit instruction under
+/// The body at `f32x8`, entered the way `isa` says (see [`crate::simd`]):
+/// same bits, one `f32x8` operation per 256-bit instruction under
 /// [`Isa::Avx2`].
 fn flux_update_on(
     isa: Isa,
@@ -170,12 +116,16 @@ fn flux_update_on(
     flux: &mut Vec<f32x8>,
     out: &mut [f32x8],
 ) {
+    assert!(
+        matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5),
+        "the lane kernels support SL5 / SL-MPP5 only"
+    );
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: called only after `is_x86_feature_detected!("avx2")` — a
         // `LanesWork` holds `Isa::Avx2` only as `Isa::detect`'s answer.
         Isa::Avx2 => unsafe { flux_update_avx2(scheme, s, up, flux, out) },
-        _ => flux_update(scheme, s, up, flux, out),
+        _ => flux_update(scheme, || Weights::at(scheme, s), up, flux, out),
     }
 }
 
@@ -190,78 +140,7 @@ unsafe fn flux_update_avx2(
     flux: &mut Vec<f32x8>,
     out: &mut [f32x8],
 ) {
-    flux_update(scheme, s, up, flux, out)
-}
-
-/// The one `f32x8` flux/update body — see the scalar `flux_update` in
-/// [`crate::line`] for the conventions (`up` upwind-ordered and
-/// ghost-extended, `s ∈ [0, 1)`, `out` receives the new cells in upwind order).
-#[inline(always)]
-fn flux_update(scheme: Scheme, s: f64, up: &[f32x8], flux: &mut Vec<f32x8>, out: &mut [f32x8]) {
-    assert!(
-        matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5),
-        "the lane kernels support SL5 / SL-MPP5 only"
-    );
-    let m = out.len();
-    debug_assert_eq!(up.len(), m + 2 * GHOST);
-    flux.clear();
-    flux.resize(m + 1, f32x8::ZERO);
-
-    // A pure integer shift (s ≈ 0) has no fractional flux: zeros stay.
-    if s >= 1e-12 {
-        let w64 = sl5_weights(s);
-        let w: [f32x8; 5] = core::array::from_fn(|i| f32x8::splat(w64[i] as f32));
-        let s_v = f32x8::splat(s as f32);
-        let inv_s = f32x8::splat((1.0 / s) as f32);
-        let alpha = f32x8::splat(crate::flux::mp_alpha(s) as f32);
-        let half = f32x8::splat(0.5);
-        let four_thirds = f32x8::splat(4.0 / 3.0);
-        let zero = f32x8::ZERO;
-        if scheme == Scheme::Sl5 {
-            for (j, fl) in flux.iter_mut().enumerate() {
-                *fl = vhigh(&stencil(up, j), &w);
-            }
-        } else {
-            // Curvatures and `minmod4` stacks evaluated once and carried, as
-            // in `line::flux_update`.
-            let mut d_0 = vcurv(up[1], up[2], up[3]);
-            let mut dm4_mh = vdm4(vcurv(up[0], up[1], up[2]), d_0);
-            for (j, fl) in flux.iter_mut().enumerate() {
-                let g = stencil(up, j);
-                let (g1, g2, g3) = (g[1], g[2], g[3]);
-                let f_sl = vhigh(&g, &w) * inv_s;
-                let d_p1 = vcurv(g2, g3, g[4]);
-                let dm4_ph = vdm4(d_0, d_p1);
-                let f_ul = g2 + alpha * (g2 - g1);
-                let f_md = half * (g2 + g3) - half * dm4_ph;
-                let f_lc = g2 + half * (g2 - g1) + four_thirds * dm4_mh;
-                let f_min = g2.min(g3).min(f_md).max(g2.min(f_ul).min(f_lc));
-                let f_max = g2.max(g3).max(f_md).min(g2.max(f_ul).max(f_lc));
-                let f_lim = vmedian_clip(f_sl, f_min, f_max);
-                *fl = (s_v * f_lim).clamp(zero, g2.max(zero));
-                (d_0, dm4_mh) = (d_p1, dm4_ph);
-            }
-        }
-    }
-
-    for (i, v) in out.iter_mut().enumerate() {
-        *v = up[i + GHOST] - flux[i + 1] + flux[i];
-    }
-}
-
-#[inline]
-fn sample(bundle: &[f32x8], idx: i64, bc: Boundary) -> f32x8 {
-    let n = bundle.len() as i64;
-    match bc {
-        Boundary::Periodic => bundle[idx.rem_euclid(n) as usize],
-        Boundary::Zero => {
-            if idx < 0 || idx >= n {
-                f32x8::ZERO
-            } else {
-                bundle[idx as usize]
-            }
-        }
-    }
+    flux_update(scheme, || Weights::at(scheme, s), up, flux, out)
 }
 
 /// Seeded adversarial corpus: eight lines per case, several shapes — the
@@ -324,6 +203,7 @@ pub fn adversarial_corpus(n: usize) -> Vec<(&'static str, Vec<Vec<f32>>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flux::Value;
     use crate::line::{advect_line, LineWork};
 
     fn make_lines(n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -547,7 +427,7 @@ mod tests {
     /// A NaN is visible, not clamped away: after one update it occupies
     /// exactly the cells whose stencils held it (two upwind, three downwind
     /// of its own) in its own lane, and no other — `min`/`max` propagate a NaN
-    /// in `self`, and every `vminmod` / clamp on the way to a flux has the
+    /// in `self`, and every `minmod` / clamp on the way to a flux has the
     /// stencil's data there.
     #[test]
     fn planted_nan_reaches_its_whole_stencil_and_no_further() {
@@ -610,6 +490,85 @@ mod tests {
                     advect_lanes_ext(scheme, &bundle, &mut a, cfl, &mut fast);
                     advect_lanes_ext(scheme, &bundle, &mut b, cfl, &mut base);
                     assert_eq!(bits(&a), bits(&b), "ext {scheme:?} {shape} cfl={cfl}");
+                }
+            }
+        }
+    }
+
+    /// `f32` with `f32x8`'s lane semantics: compare-select `min`/`max` in
+    /// `minps` operand order and the branchless `minmod`.
+    impl Value for f32 {
+        type Out = f32;
+        fn c(x: f64) -> f32 {
+            x as f32
+        }
+        fn add(&self, o: &f32) -> f32 {
+            self + o
+        }
+        fn sub(&self, o: &f32) -> f32 {
+            self - o
+        }
+        fn mul(&self, o: &f32) -> f32 {
+            self * o
+        }
+        fn min(&self, o: &f32) -> f32 {
+            if *o < *self {
+                *o
+            } else {
+                *self
+            }
+        }
+        fn max(&self, o: &f32) -> f32 {
+            if *o > *self {
+                *o
+            } else {
+                *self
+            }
+        }
+        fn minmod(&self, o: &f32) -> f32 {
+            let sign = |v: f32| {
+                if v > 0.0 {
+                    1.0
+                } else if v < 0.0 {
+                    -1.0
+                } else {
+                    0.0
+                }
+            };
+            (sign(*self) + sign(*o)) * 0.5 * Value::min(&self.abs(), &o.abs())
+        }
+        fn narrow(self) -> f32 {
+            self
+        }
+    }
+
+    /// Lanes are eight independent lines, bit for bit: every lane of
+    /// `advect_lanes` is the one body run on that line alone at `f32` —
+    /// both lane schemes, the corpus (denormals, limiter corners, clamp
+    /// ties), fractional / integer-threshold / negative / multi-cell shifts,
+    /// both boundaries, on whichever entry `Isa::detect` picks.
+    #[test]
+    fn each_lane_is_the_body_on_its_own_line_at_f32_bitwise() {
+        let mut work = LanesWork::new();
+        let (mut up, mut flux) = (Vec::<f32>::new(), Vec::<f32>::new());
+        for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+            for (shape, lines) in adversarial_corpus(40) {
+                for cfl in [0.3, 0.999, 1e-13, -0.42, 2.7, -3.1] {
+                    for bc in [Boundary::Periodic, Boundary::Zero] {
+                        let mut bundle = pack(&lines);
+                        advect_lanes(scheme, &mut bundle, cfl, bc, &mut work);
+                        for (l, line) in unpack(&bundle).iter().enumerate() {
+                            let mut want = lines[l].clone();
+                            advect_sampled(&mut want, cfl, bc, &mut up, |s, up, out| {
+                                flux_update(scheme, || Weights::at(scheme, s), up, &mut flux, out)
+                            });
+                            assert_eq!(
+                                line.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                "{scheme:?} {shape} cfl={cfl} {bc:?} lane {l}"
+                            );
+                        }
+                    }
                 }
             }
         }

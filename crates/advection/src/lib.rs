@@ -19,20 +19,24 @@
 //! | [`Scheme::SlMpp5`]  | 5 | MP + positivity | 1 | **the paper's scheme** |
 //! | [`mol::step_mp5_rk3`] | 5 | MP    | 3 | the conventional alternative (§5.2 cost ablation) |
 //!
-//! Each precision has one flux/update body, working on a ghost-extended line
-//! in upwind order. The periodic / outflow entry points ([`advect_line`],
+//! There is one flux/update body ([`flux::flux_update`]), generic over the
+//! value it computes with and working on a ghost-extended line in upwind
+//! order: the line kernels run it at `f64`, the lane kernels at [`f32x8`].
+//! The periodic / outflow entry points ([`advect_line`],
 //! [`lanes::advect_lanes`]) fill that line by sampling across the boundary;
 //! the extended entry points ([`advect_line_ext`], [`lanes::advect_lanes_ext`])
 //! take it from the caller, who already holds the neighbouring cells — the
 //! ghost planes of a decomposed axis. Same body, same bits.
 //!
 //! Modules:
-//! * [`line`](mod@line) — scalar `f32` line kernels (any scheme).
+//! * [`flux`] — the semi-Lagrangian flux weights, the MP limiter and the one
+//!   flux/update body.
+//! * [`line`](mod@line) — scalar `f32` line kernels (any scheme, `f64`
+//!   arithmetic).
 //! * [`simd`] — the `f32x8` lane type and the in-register 8×8 transpose used
 //!   by the LAT method (§5.3, Fig. 3).
 //! * [`lanes`] — eight-lines-at-once SIMD kernels for the production scheme.
 //! * [`mol`] — the method-of-lines MP5 + TVD-RK3 baseline.
-//! * [`flux`] — shared semi-Lagrangian flux weights and the MP limiter.
 
 // Hot path (runs in pool tasks every step): no bare unwrap/panic outside tests.
 #![deny(clippy::unwrap_used, clippy::panic)]
@@ -52,9 +56,10 @@ pub use simd::f32x8;
 /// paper counts them (one flux evaluation + the flux-form update).
 ///
 /// The values are derived, not estimated: `vlasov6d-kerncheck` runs the flux
-/// kernels over an operation-counting domain (add/sub/mul/min/max = 1,
-/// `minmod` = 4, per-line weight setup amortised to zero) and its `opcount`
-/// pass asserts this table matches the derivation exactly.
+/// body over an operation-counting domain (add/sub/mul/min/max = 1,
+/// `minmod` = 4) on lines of `n + 1` and `n` cells, so the per-line weight
+/// setup and loop prologue cancel, and its `opcount` pass asserts this table
+/// matches the difference exactly.
 pub fn flops_per_cell(scheme: Scheme) -> f64 {
     match scheme {
         // s·f + update.

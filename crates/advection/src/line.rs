@@ -4,10 +4,14 @@
 //! axis. The advection velocity is constant along a line (it depends only on
 //! transverse coordinates), so one `(scheme, cfl)` pair updates the whole
 //! line. Values are `f32` (the paper stores the distribution function in
-//! single precision); flux weights and the limiter run in `f64` so the update
-//! itself contributes the only rounding.
+//! single precision); these kernels widen them to `f64` and run the one
+//! flux/update body ([`crate::flux::flux_update`]) there, so the update
+//! itself contributes the only rounding. They take any scheme, and are the
+//! reference the `f32` lane kernels are held to and the path of sweeps that
+//! have no lanes. `advect_sampled` — mirror, integer shift, ghost sampling
+//! — is the periodic / outflow entry of both.
 
-use crate::flux::{median_clip, minmod4, sl3_weights, sl5_weights, Boundary};
+use crate::flux::{flux_update, Boundary, Value, Weights};
 
 /// Single-stage conservative SL schemes (see crate docs for the ladder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,30 +55,10 @@ impl LineWork {
 /// rounding. `Boundary::Zero` lines lose the mass advected off the ends —
 /// physical outflow in velocity space.
 pub fn advect_line(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, work: &mut LineWork) {
-    let n = line.len();
-    if n == 0 || cfl == 0.0 {
-        return;
-    }
-    // Mirror trick: advecting with -c equals advecting the reversed line
-    // with +c. Both boundary conditions are mirror-symmetric.
-    let mirrored = cfl < 0.0;
-    if mirrored {
-        line.reverse();
-    }
-    let n_int = cfl.abs().floor() as i64;
-    let s = cfl.abs() - n_int as f64;
-    // Ghost-extended, integer-shifted upwind copy. Lines shorter than the
-    // stencil are fine: `sample` continues them periodically (the wrapped
-    // stencil *is* the exact periodic continuation — a cell may appear
-    // twice) or with zeros, so thin scenario grids (e.g. a quasi-1-D plasma
-    // box with 4 transverse cells) need no special casing.
-    work.up.clear();
-    work.up
-        .extend((0..n + 2 * GHOST).map(|j| sample(line, j as i64 - GHOST as i64 - n_int, bc)));
-    flux_update(scheme, s, &work.up, &mut work.flux, line);
-    if mirrored {
-        line.reverse();
-    }
+    let LineWork { up, flux } = work;
+    advect_sampled(line, cfl, bc, up, |s, up, out| {
+        flux_update(scheme, || Weights::at(scheme, s), up, flux, out)
+    });
 }
 
 /// Advance the cells `out` of a line whose old values, with [`GHOST`] extra
@@ -110,100 +94,58 @@ pub fn advect_line_ext(
     } else {
         work.up.extend(ext.iter().map(|&v| v as f64));
     }
-    flux_update(scheme, cfl.abs(), &work.up, &mut work.flux, out);
+    let weights = || Weights::at(scheme, cfl.abs());
+    flux_update(scheme, weights, &work.up, &mut work.flux, out);
     if mirrored {
         out.reverse();
     }
 }
 
-/// The one `f64` flux/update body: `up` is a ghost-extended line in upwind
-/// order (`up[GHOST + i]` is the donor-side value of cell `i`), `s ∈ [0, 1)`
-/// the fractional shift; `out` receives the new values of the
-/// `up.len() − 2·GHOST` cells, in upwind order too.
-#[inline]
-fn flux_update(scheme: Scheme, s: f64, up: &[f64], flux: &mut Vec<f64>, out: &mut [f32]) {
-    let m = out.len();
-    debug_assert_eq!(up.len(), m + 2 * GHOST);
-    flux.clear();
-    flux.resize(m + 1, 0.0);
-
-    // Interface fluxes: flux[j] = F_{j-1/2}, upwind cell j-1, stencil cells
-    // j-3 .. j+1 → up indices j .. j+4.
-    match scheme {
-        Scheme::Upwind1 => {
-            for (j, fl) in flux.iter_mut().enumerate() {
-                *fl = s * up[j + 2];
-            }
-        }
-        Scheme::Sl3 => {
-            let w = sl3_weights(s);
-            for (j, fl) in flux.iter_mut().enumerate() {
-                *fl = w[0] * up[j + 1] + w[1] * up[j + 2] + w[2] * up[j + 3];
-            }
-        }
-        Scheme::Sl5 => {
-            let w = sl5_weights(s);
-            for (j, fl) in flux.iter_mut().enumerate() {
-                *fl = w[0] * up[j]
-                    + w[1] * up[j + 1]
-                    + w[2] * up[j + 2]
-                    + w[3] * up[j + 3]
-                    + w[4] * up[j + 4];
-            }
-        }
-        Scheme::SlMpp5 => {
-            let w = sl5_weights(s);
-            // A pure integer shift (s ≈ 0) has no fractional flux: zeros stay.
-            if s >= 1e-12 {
-                let inv_s = 1.0 / s;
-                let alpha = crate::flux::mp_alpha(s);
-                // `flux::mp5_bracket` with its curvatures and `minmod4` stacks
-                // evaluated once: interface j's `d_m1`, `d_0` and `dm4_mh` are
-                // interface j−1's `d_0`, `d_p1` and `dm4_ph` (same operands,
-                // same order), so the loop carries two of them.
-                let curv = |k: usize| up[k + 1] - 2.0 * up[k] + up[k - 1];
-                let dm4 = |d_l: f64, d_r: f64| minmod4(4.0 * d_l - d_r, 4.0 * d_r - d_l, d_l, d_r);
-                let mut d_0 = curv(2);
-                let mut dm4_mh = dm4(curv(1), d_0);
-                for (j, fl) in flux.iter_mut().enumerate() {
-                    let (fm1, f0, fp1) = (up[j + 1], up[j + 2], up[j + 3]);
-                    let f_high =
-                        w[0] * up[j] + w[1] * fm1 + w[2] * f0 + w[3] * fp1 + w[4] * up[j + 4];
-                    // Interface average seen by the MP bracket.
-                    let f_sl = f_high * inv_s;
-                    let d_p1 = curv(j + 3);
-                    let dm4_ph = dm4(d_0, d_p1);
-                    let f_ul = f0 + alpha * (f0 - fm1);
-                    let f_md = 0.5 * (f0 + fp1) - 0.5 * dm4_ph;
-                    let f_lc = f0 + 0.5 * (f0 - fm1) + (4.0 / 3.0) * dm4_mh;
-                    let f_min = f0.min(fp1).min(f_md).max(f0.min(f_ul).min(f_lc));
-                    let f_max = f0.max(fp1).max(f_md).min(f0.max(f_ul).max(f_lc));
-                    let f_lim = median_clip(f_sl, f_min, f_max);
-                    // Positivity: the flux leaving cell j-1 cannot exceed its
-                    // content and cannot be negative (s ≤ 1 ⇒ swept mass ≤ cell mass).
-                    *fl = (s * f_lim).clamp(0.0, f0.max(0.0));
-                    (d_0, dm4_mh) = (d_p1, dm4_ph);
-                }
-            }
-        }
+/// The periodic / outflow entry of every instantiation of the body: a
+/// negative shift mirrors the line (both boundaries are mirror-symmetric),
+/// the integer part of the shift becomes an index shift while `up` samples
+/// the ghost-extended upwind copy across the boundary, and `update` gets the
+/// fractional part and `up` and writes the new cells back into `line`.
+#[inline(always)]
+pub(crate) fn advect_sampled<T: Copy, D: Value + From<T>>(
+    line: &mut [T],
+    cfl: f64,
+    bc: Boundary,
+    up: &mut Vec<D>,
+    update: impl FnOnce(f64, &[D], &mut [T]),
+) {
+    let n = line.len();
+    if n == 0 || cfl == 0.0 {
+        return;
     }
-
-    // Flux-form update.
-    for (i, v) in out.iter_mut().enumerate() {
-        *v = (up[i + GHOST] - flux[i + 1] + flux[i]) as f32;
+    let mirrored = cfl < 0.0;
+    if mirrored {
+        line.reverse();
+    }
+    let n_int = cfl.abs().floor() as i64;
+    let s = cfl.abs() - n_int as f64;
+    // Lines shorter than the stencil are fine: `sample` continues them
+    // periodically (the wrapped stencil *is* the exact periodic continuation
+    // — a cell may appear twice) or with zeros, so thin scenario grids (e.g.
+    // a quasi-1-D plasma box with 4 transverse cells) need no special casing.
+    up.clear();
+    up.extend((0..n + 2 * GHOST).map(|j| sample(line, j as i64 - GHOST as i64 - n_int, bc)));
+    update(s, up, line);
+    if mirrored {
+        line.reverse();
     }
 }
 
 #[inline]
-fn sample(line: &[f32], idx: i64, bc: Boundary) -> f64 {
+fn sample<T: Copy, D: Value + From<T>>(line: &[T], idx: i64, bc: Boundary) -> D {
     let n = line.len() as i64;
     match bc {
-        Boundary::Periodic => line[idx.rem_euclid(n) as usize] as f64,
+        Boundary::Periodic => D::from(line[idx.rem_euclid(n) as usize]),
         Boundary::Zero => {
             if idx < 0 || idx >= n {
-                0.0
+                D::c(0.0)
             } else {
-                line[idx as usize] as f64
+                D::from(line[idx as usize])
             }
         }
     }
@@ -212,7 +154,7 @@ fn sample(line: &[f32], idx: i64, bc: Boundary) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flux::mp5_bracket;
+    use crate::flux::{median_clip, mp5_bracket, sl5_weights};
 
     const SCHEMES: [Scheme; 4] = [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5];
 
@@ -661,6 +603,45 @@ mod tests {
                         advect_line_ext(Scheme::SlMpp5, line, &mut got, cfl, &mut work);
                         assert_eq!(bits(&got), bits(&want), "ext {shape} cfl={cfl}");
                     }
+                }
+            }
+        }
+    }
+
+    /// One integer-shift rule for every scheme and both kernels: a fraction
+    /// below 1e-12 moves nothing across an interface, so `cfl = ±(k + 1e-13)`
+    /// is the exact shift by `±k`, bit for bit — also next to empty cells,
+    /// where a flux of 1e-13·f would leave a trace.
+    #[test]
+    fn sub_threshold_fraction_is_the_integer_shift_bitwise() {
+        use crate::lanes::{advect_lanes, LanesWork};
+        use crate::simd::f32x8;
+        let mut line = vec![0.0f32; 24];
+        line[9..13].copy_from_slice(&[1.0, 3.0, 0.5, 2.0]);
+        let bundle: Vec<f32x8> = (0..line.len())
+            .map(|i| f32x8(core::array::from_fn(|l| line[(i + 5 * l) % line.len()])))
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut work, mut lanes) = (LineWork::new(), LanesWork::new());
+        for k in [0.0, 1.0, 2.0, -1.0, -3.0f64] {
+            let cfl = if k < 0.0 { k - 1e-13 } else { k + 1e-13 };
+            for bc in [Boundary::Periodic, Boundary::Zero] {
+                for scheme in SCHEMES {
+                    let (mut a, mut b) = (line.clone(), line.clone());
+                    advect_line(scheme, &mut a, cfl, bc, &mut work);
+                    advect_line(scheme, &mut b, k, bc, &mut work);
+                    assert_eq!(bits(&a), bits(&b), "line {scheme:?} cfl={cfl} {bc:?}");
+                }
+                for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
+                    let (mut a, mut b) = (bundle.clone(), bundle.clone());
+                    advect_lanes(scheme, &mut a, cfl, bc, &mut lanes);
+                    advect_lanes(scheme, &mut b, k, bc, &mut lanes);
+                    let flat = |v: &[f32x8]| v.iter().flat_map(|x| x.0).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&flat(&a)),
+                        bits(&flat(&b)),
+                        "lanes {scheme:?} cfl={cfl} {bc:?}"
+                    );
                 }
             }
         }

@@ -10,29 +10,31 @@
 //! SIMD with the load-and-transpose (LAT) trick — are preserved exactly; see
 //! `vlasov6d-phase-space::sweep`.
 //!
-//! **One instruction per operation — checked, not assumed.** Through PR 17
-//! LLVM's *loop* vectoriser took the per-position loop of `lanes::flux_update`
-//! (to it, 8 × n plain `f32` operations) and re-vectorised it across
+//! **One instruction per operation — checked, not assumed.** Left alone,
+//! LLVM's *loop* vectoriser takes the per-position loop of the lane kernel
+//! (to it, 8 × n plain `f32` operations) and re-vectorises it across
 //! positions: 2,510 instructions per 8 interfaces, 263 of them lane-crossing
-//! shuffles, 779 stack accesses. The body now reads its stencil at
-//! `std::hint::black_box(j)`; a loop with opaque addresses is no candidate,
-//! and the back end sees one `f32x8` operation per source operation (126
-//! instructions per interface; EXPERIMENTS.md, Table 1b). [`f32x8::min`] and
-//! `max` are a compare-select in `minps` operand order: one instruction where
-//! `f32::min` is three, for a NaN rule the kernels do not want. An `f32x8`
-//! over `core::arch` vectors behind a lane trait would pin this structurally
-//! but costs ~150 lines and `unsafe`, and buys nothing the one line does not.
-//! To check: `objdump -d` of the `benchmark/` binary shows no
-//! `vshuf*`/`vunpck*`/`vperm*`/`vinsertf128`/`vfmadd*` in `flux_update_avx2`
+//! shuffles, 779 stack accesses. The body ([`crate::flux::flux_update`])
+//! reads its stencil at `std::hint::black_box(j)`; a loop with opaque
+//! addresses is no candidate, and the back end sees one `f32x8` operation
+//! per source operation (126 instructions per interface; EXPERIMENTS.md,
+//! Table 1b). [`f32x8::min`] and `max` are a compare-select in `minps`
+//! operand order: one instruction where `f32::min` is three, for a NaN rule
+//! the kernels do not want. The lane type is the body's [`Value`] at width 8
+//! — `c` splats a constant rounded once to `f32`, `minmod` is branchless — so
+//! a wider lane type is one more impl of the same trait, not another body.
+//! To check: `objdump -d` of the `benchmark/` binary shows
+//! `lanes::flux_update_avx2` (the body's `f32x8` instantiation, inlined into
+//! its AVX2 entry) with no `vshuf*`/`vunpck*`/`vperm*`/`vinsertf128`/`vfmadd*`
 //! and ≤ 160 instructions in its flux loop.
 //!
 //! **Width.** Compiled for baseline x86-64 an `f32x8` operation is two
-//! 4-lane SSE2 halves. The two arithmetic lane kernels — `lanes::flux_update`
-//! behind every sweep and `vlasov6d-nbody::pp::SplitKernel::accel` —
-//! therefore each keep one `#[inline(always)]` body (its helpers too: a
-//! closure LLVM declines to inline is a *call* into baseline code) and enter
-//! it a second way, through a `#[target_feature(enable = "avx2")]` shim that LLVM
-//! compiles at full 256-bit width; [`Isa::detect`] picks the entry from the
+//! 4-lane SSE2 halves. The two arithmetic lane kernels — the flux body behind
+//! every sweep and `vlasov6d-nbody::pp::SplitKernel::accel` — are each
+//! `#[inline(always)]` (their helpers too: a closure LLVM declines to inline
+//! is a *call* into baseline code) and entered a second way, through a
+//! `#[target_feature(enable = "avx2")]` shim that LLVM compiles at full
+//! 256-bit width; [`Isa::detect`] picks the entry from the
 //! CPU the process runs on. The shims enable `avx2` and nothing else: without
 //! the `fma` feature (and Rust never asks LLVM to contract) every lane
 //! operation stays an individually rounded IEEE operation, so both entries
@@ -55,6 +57,8 @@
 //! movement only, so no trajectory bit depends on which body ran. To check:
 //! `spatial_tile_task` in the same disassembly shows the four shuffles and no
 //! run of `movss`.
+
+use crate::flux::Value;
 
 /// The instruction set the lane kernels are entered with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,6 +203,49 @@ impl core::ops::Mul<f32> for f32x8 {
     #[inline(always)]
     fn mul(self, s: f32) -> Self {
         self * Self::splat(s)
+    }
+}
+
+/// The lane instantiation of the flux body: one `f32x8` operation per
+/// operation, constants rounded once to `f32`.
+impl Value for f32x8 {
+    type Out = f32x8;
+    #[inline(always)]
+    fn c(x: f64) -> Self {
+        Self::splat(x as f32)
+    }
+    #[inline(always)]
+    fn add(&self, o: &Self) -> Self {
+        *self + *o
+    }
+    #[inline(always)]
+    fn sub(&self, o: &Self) -> Self {
+        *self - *o
+    }
+    #[inline(always)]
+    fn mul(&self, o: &Self) -> Self {
+        *self * *o
+    }
+    #[inline(always)]
+    fn min(&self, o: &Self) -> Self {
+        f32x8::min(*self, *o)
+    }
+    #[inline(always)]
+    fn max(&self, o: &Self) -> Self {
+        f32x8::max(*self, *o)
+    }
+    /// `(sgn a + sgn b) · ½ · min(|a|, |b|)`: the branchy rule, branch-free.
+    #[inline(always)]
+    fn minmod(&self, o: &Self) -> Self {
+        (self.signum_or_zero() + o.signum_or_zero()) * Self::splat(0.5) * self.abs().min(o.abs())
+    }
+    #[inline(always)]
+    fn clamp(&self, lo: &Self, hi: &Self) -> Self {
+        f32x8::clamp(*self, *lo, *hi)
+    }
+    #[inline(always)]
+    fn narrow(self) -> Self {
+        self
     }
 }
 

@@ -21,17 +21,19 @@
 //!   denormal floor.
 //!
 //! A third ties the form of SL-MPP5 the kernels execute to the form the
-//! proofs reason about (see [`crate::model`]): the *carried* form — each
-//! curvature and `minmod4` stack evaluated once and handed to the next
-//! interface — must be the *per-stencil* form, bit for bit. It is decided for
-//! all inputs by running both over a domain of expression trees (every
+//! limiter is defined by: the body's *carried* loop — each curvature and
+//! `minmod4` stack evaluated once and handed to the next interface — must
+//! compute the *per-stencil* reference `flux::slmpp5_flux` (each interface
+//! from its own five cells through `mp5_bracket`), bit for bit. It is decided
+//! for all inputs by running both over a domain of expression trees (every
 //! interface flux must come out as the same tree, node for node), and
 //! witnessed independently at `f64` on the adversarial corpus.
 
-use crate::model::{ghost_line, slmpp5_fluxes_model, Dom, Weights};
+use crate::model::run_body;
 use crate::report::Report;
+use vlasov6d_advection::flux::{slmpp5_flux, Value, Weights};
 use vlasov6d_advection::lanes::{advect_lanes, adversarial_corpus as corpus, LanesWork};
-use vlasov6d_advection::line::{advect_line, LineWork};
+use vlasov6d_advection::line::{advect_line, LineWork, GHOST};
 use vlasov6d_advection::simd::transpose8x8;
 use vlasov6d_advection::{f32x8, Boundary, Scheme};
 
@@ -191,7 +193,8 @@ impl Expr {
     }
 }
 
-impl Dom for Expr {
+impl Value for Expr {
+    type Out = Expr;
     fn c(x: f64) -> Expr {
         Expr(format!("{x:?}"))
     }
@@ -213,36 +216,44 @@ impl Dom for Expr {
     fn minmod(&self, o: &Expr) -> Expr {
         Expr::op("minmod", self, o)
     }
+    fn narrow(self) -> Expr {
+        self
+    }
 }
 
-/// The carried SL-MPP5 form is the per-stencil form: as expression trees
-/// (all inputs), and `to_bits` at `f64` over the corpus.
+/// The five cells `up[j..j + 5]`.
+fn window<D: Clone>(up: &[D], j: usize) -> [D; 5] {
+    core::array::from_fn(|k| up[j + k].clone())
+}
+
+/// The body's carried SL-MPP5 loop computes the per-stencil reference: as
+/// expression trees (all inputs), and `to_bits` at `f64` over the corpus.
 fn check_carried(report: &mut Report) {
     let interfaces = 12usize;
-    let ghost: Vec<Expr> = (0..interfaces + 5).map(|k| Expr(format!("g{k}"))).collect();
+    let ghost: Vec<Expr> = (0..interfaces + 2 * GHOST - 1)
+        .map(|k| Expr(format!("g{k}")))
+        .collect();
     let w = Weights {
         s: Expr("s".into()),
         inv_s: Expr("inv_s".into()),
         alpha: Expr("alpha".into()),
-        w5: core::array::from_fn(|k| Expr(format!("w{k}"))),
-        w3: core::array::from_fn(|k| Expr(format!("v{k}"))),
+        w: core::array::from_fn(|k| Expr(format!("w{k}"))),
     };
-    let carried = slmpp5_fluxes_model(&ghost, &w, true);
-    let per_stencil = slmpp5_fluxes_model(&ghost, &w, false);
-    match (0..interfaces).find(|&j| carried[j] != per_stencil[j]) {
+    let (carried, _) = run_body(Scheme::SlMpp5, &w, &ghost);
+    match (0..interfaces).find(|&j| carried[j] != slmpp5_flux(&window(&ghost, j), &w)) {
         None => report.verified(
             "equivalence",
             "slmpp5.carried.expression_identity",
             format!(
-                "the carried form (one new curvature and minmod4 stack per interface) builds \
-                 the per-stencil flux expression, node for node, at each of {interfaces} \
-                 consecutive interfaces of a symbolic line — equal bits on every input"
+                "the body's carried loop (one new curvature and minmod4 stack per interface) \
+                 builds the per-stencil flux expression, node for node, at each of \
+                 {interfaces} consecutive interfaces of a symbolic line — equal bits on every input"
             ),
         ),
         Some(j) => report.violated(
             "equivalence",
             "slmpp5.carried.expression_identity",
-            "the carried form does not compute the per-stencil flux",
+            "the carried loop does not compute the per-stencil flux",
             Some(format!("first differing interface: {j}")),
         ),
     }
@@ -251,22 +262,20 @@ fn check_carried(report: &mut Report) {
     let mut fluxes = 0usize;
     for (shape, lines) in corpus(40) {
         for line in &lines {
-            for cfl in [0.3f64, 0.85, 0.999, 0.2, 2.7, -0.42, -3.1] {
-                for bc in [Boundary::Periodic, Boundary::Zero] {
-                    let mut upwind = line.clone();
-                    if cfl < 0.0 {
-                        upwind.reverse();
-                    }
-                    let n_int = cfl.abs().floor();
-                    let ghost = ghost_line(&upwind, n_int as i64, bc);
-                    let w = Weights::concrete(cfl.abs() - n_int);
-                    let a = slmpp5_fluxes_model(&ghost, &w, true);
-                    let b = slmpp5_fluxes_model(&ghost, &w, false);
+            // Both orientations of the line as its own ghost-extended copy.
+            let fwd: Vec<f64> = line.iter().map(|&v| v as f64).collect();
+            let bwd: Vec<f64> = fwd.iter().rev().copied().collect();
+            for (dir, up) in [("fwd", &fwd), ("bwd", &bwd)] {
+                for s in [0.3f64, 0.85, 0.999, 0.2, 0.7, 0.42, 0.1] {
+                    let w = Weights::at(Scheme::SlMpp5, s).expect("fractional shift");
+                    let (a, _) = run_body(Scheme::SlMpp5, &w, up);
                     fluxes += a.len();
-                    if let Some(j) = (0..a.len()).find(|&j| a[j].to_bits() != b[j].to_bits()) {
+                    let want = |j: usize| slmpp5_flux(&window(up, j), &w);
+                    if let Some(j) = (0..a.len()).find(|&j| a[j].to_bits() != want(j).to_bits()) {
                         failure.get_or_insert(format!(
-                            "{shape} cfl={cfl} {bc:?} interface {j}: carried {:e} vs per-stencil {:e}",
-                            a[j], b[j]
+                            "{shape} {dir} s={s} interface {j}: carried {:e} vs per-stencil {:e}",
+                            a[j],
+                            want(j)
                         ));
                     }
                 }
@@ -279,7 +288,7 @@ fn check_carried(report: &mut Report) {
             "slmpp5.carried.corpus_bitwise",
             format!(
                 "carried and per-stencil f64 fluxes agree to the bit on {fluxes} interfaces \
-                 of the adversarial corpus (shape × line × cfl × boundary)"
+                 of the adversarial corpus (shape × line × orientation × shift)"
             ),
         ),
         Some(w) => report.violated(

@@ -11,8 +11,8 @@
 //!    spike bases are all used) and record which offsets reach a fixed output
 //!    cell, for positive and negative shifts;
 //! 2. **cross-validate** against the structural footprint from the taint
-//!    domain over the pinned model (probing can only under-observe; taint can
-//!    only over-approximate — agreement pins the radius from both sides);
+//!    domain over the shipped body (probing can only under-observe; taint
+//!    can only over-approximate — agreement pins the radius from both sides);
 //! 3. probe the **mesh stencils** (`gradient_axis`, `laplacian`) the same way
 //!    (they are linear, so one delta-field probe is exhaustive by
 //!    superposition) and check the advertised radius constants;
@@ -25,7 +25,7 @@
 //!    the PR 2 `ghost_exchange_plan` equals `GHOST · cross-section · vlen ·
 //!    4` — so the exchanged volume provably covers the stencil reach.
 
-use crate::model::flux_taint;
+use crate::model::{slots, taint_line};
 use crate::report::Report;
 use std::collections::BTreeSet;
 use vlasov6d_advection::lanes::{advect_lanes_ext, LanesWork};
@@ -126,16 +126,14 @@ fn probe_offsets(
     offsets
 }
 
-/// Structural footprint of one cell update from the taint domain: the
-/// update reads the center plus its two interface fluxes. The influx at
-/// `i − 1/2` sees stencil slot `k` at offset `k − 3`; the outflux at
-/// `i + 1/2` sees it at offset `k − 2`.
+/// Structural footprint of one cell update: the offsets whose taint reaches
+/// the middle cell when the shipped body runs over the taint domain.
 pub fn structural_offsets(scheme: Scheme) -> BTreeSet<i64> {
-    let slots = flux_taint(scheme).flux.slots();
-    let mut offsets: BTreeSet<i64> = slots.iter().map(|&k| k as i64 - 3).collect();
-    offsets.extend(slots.iter().map(|&k| k as i64 - 2));
-    offsets.insert(0);
-    offsets
+    let (_, update) = taint_line(scheme);
+    slots(update.deps)
+        .iter()
+        .map(|&k| k as i64 - GHOST as i64)
+        .collect()
 }
 
 fn radius(offsets: &BTreeSet<i64>) -> i64 {

@@ -1,13 +1,15 @@
 //! Pass 2 — interval abstract interpretation of the flux kernels.
 //!
-//! Instantiates the pinned kernel model (see [`crate::model`]) over a sound
+//! Instantiates the shipped flux body (see [`crate::model`]) at a sound
 //! floating-point interval domain and sweeps the whole admissible parameter
 //! space: fractional shift `s` partitioned into ~1000 sub-intervals
 //! (geometric near the `s → 0` singular end where `1/s` blows up, uniform
 //! above), inputs in `[0, M]`. Every `+`, `−`, `×` is widened outward by one
 //! ULP so the interval *contains every rounding the real kernel can commit*;
 //! `min`/`max` are exact (they introduce no rounding), which is what lets the
-//! SL-MPP5 clamp bounds survive the analysis un-widened.
+//! SL-MPP5 clamp bounds survive the analysis un-widened, and the update is
+//! narrowed to `f32` bound by bound (rounding is monotone), as the line
+//! kernel stores it.
 //!
 //! Proved here:
 //! * **NaN/overflow-freedom** for every scheme over all `s`, at `M = 1` and
@@ -17,8 +19,8 @@
 //!   exact, because the clamp's `max`/`min` transfer functions are exact;
 //! * **SL-MPP5 positivity** of the cell update for all `|cfl| < 1` — the
 //!   clamp bound is tainted only by the upwind cell (structural, from the
-//!   taint domain), the flux never exceeds it (interval), the model is the
-//!   kernel (bit parity), and IEEE-754 subtraction/addition are monotone with
+//!   taint domain), the flux never exceeds it (interval), both analyses ran
+//!   the kernel's own body, and IEEE-754 subtraction/addition are monotone with
 //!   exact cancellation, so `center − flux_out + flux_in ≥ 0` in `f64` and
 //!   the `f32` cast preserves sign;
 //! * **Upwind1 monotonicity** — both update coefficients `1 − s`, `s` are
@@ -29,11 +31,12 @@
 //!   *real* `advect_line` on it, and confirms a negative output cell. A
 //!   counterexample shift is emitted either way.
 
-use crate::model::{check_model_parity, flux_model, flux_taint, update_model, Dom, Weights};
+use crate::model::{run_body, slots, taint_line};
 use crate::rational::{Poly, Rat};
 use crate::report::Report;
 use crate::weights::{sl3_symbolic, sl5_symbolic, SymbolicWeights};
-use vlasov6d_advection::line::LineWork;
+use vlasov6d_advection::flux::{Value, Weights};
+use vlasov6d_advection::line::{LineWork, GHOST};
 use vlasov6d_advection::{advect_line, Boundary, Scheme};
 
 /// Next representable `f64` toward `+∞` (finite and NaN inputs pass through
@@ -96,7 +99,8 @@ impl Interval {
     }
 }
 
-impl Dom for Interval {
+impl Value for Interval {
+    type Out = Interval;
     fn c(x: f64) -> Interval {
         Interval::mk(x, x, false)
     }
@@ -158,6 +162,11 @@ impl Dom for Interval {
             self.poisoned || o.poisoned,
         )
     }
+    fn narrow(self) -> Interval {
+        // Round-to-nearest is monotone, so the rounded bounds contain the
+        // rounding of every value between them; an overflow poisons.
+        Interval::mk(self.lo as f32 as f64, self.hi as f32 as f64, self.poisoned)
+    }
 }
 
 /// Absolute padding applied to symbolic-polynomial weight intervals so they
@@ -194,24 +203,33 @@ fn alpha_interval(s_lo: f64, s_hi: f64) -> Interval {
     }
 }
 
-/// Per-line weights lifted to intervals over the shift range `[s_lo, s_hi]`.
-fn interval_weights(
-    sym5: &SymbolicWeights,
-    sym3: &SymbolicWeights,
-    s_lo: f64,
-    s_hi: f64,
-) -> Weights<Interval> {
+/// The exact weights [`Weights::at`] puts in the body for `scheme`.
+fn symbolic(scheme: Scheme) -> SymbolicWeights {
+    if scheme == Scheme::Sl3 {
+        sl3_symbolic()
+    } else {
+        sl5_symbolic()
+    }
+}
+
+/// Per-line weights `sym` lifted to intervals over the shift range
+/// `[s_lo, s_hi]`.
+fn interval_weights(sym: &SymbolicWeights, s_lo: f64, s_hi: f64) -> Weights<Interval> {
     let s = Interval::from_bounds(s_lo, s_hi);
     let inv_s = if s_lo >= 1e-12 {
         Interval::from_bounds(next_down(1.0 / s_hi), next_up(1.0 / s_lo))
     } else {
         Interval::c(0.0)
     };
+    let w = core::array::from_fn(|i| {
+        sym.weights
+            .get(i)
+            .map_or(Interval::c(0.0), |p| poly_interval(p, &s))
+    });
     Weights {
         inv_s,
         alpha: alpha_interval(s_lo, s_hi),
-        w5: core::array::from_fn(|i| poly_interval(&sym5.weights[i], &s)),
-        w3: core::array::from_fn(|i| poly_interval(&sym3.weights[i], &s)),
+        w,
         s,
     }
 }
@@ -251,13 +269,13 @@ struct SchemeSweep {
     pieces: usize,
 }
 
-/// Sweep every `s` sub-interval for `scheme` with inputs in `[0, m]`.
+/// Sweep every `s` sub-interval for `scheme` with inputs in `[0, m]`: the
+/// shipped body over a line of `2·GHOST + 1` such cells, one updated cell
+/// and its two face fluxes.
 fn sweep_scheme(scheme: Scheme, m: f64) -> SchemeSweep {
-    let sym5 = sl5_symbolic();
-    let sym3 = sl3_symbolic();
+    let sym = symbolic(scheme);
     let cuts = s_cuts(scheme);
-    let cell = Interval::from_bounds(0.0, m);
-    let stencil = [cell; 5];
+    let line = [Interval::from_bounds(0.0, m); 2 * GHOST + 1];
     let mut out = SchemeSweep {
         poisoned_at: None,
         containment_fail: None,
@@ -267,20 +285,20 @@ fn sweep_scheme(scheme: Scheme, m: f64) -> SchemeSweep {
     };
     for pair in cuts.windows(2) {
         let (s_lo, s_hi) = (pair[0], pair[1]);
-        let w = interval_weights(&sym5, &sym3, s_lo, s_hi);
-        let trace = flux_model(scheme, &stencil, &w);
-        let update = update_model(&cell, &trace.flux, &trace.flux);
+        let (fluxes, cells) = run_body(scheme, &interval_weights(&sym, s_lo, s_hi), &line);
+        let flux = fluxes[0].hull(&fluxes[1]);
+        let update = cells[0];
         out.pieces += 1;
-        if (trace.flux.poisoned || update.poisoned) && out.poisoned_at.is_none() {
+        if (flux.poisoned || update.poisoned) && out.poisoned_at.is_none() {
             out.poisoned_at = Some((s_lo, s_hi));
         }
         if matches!(scheme, Scheme::SlMpp5)
-            && (trace.flux.lo < 0.0 || trace.flux.hi > m)
+            && (flux.lo < 0.0 || flux.hi > m)
             && out.containment_fail.is_none()
         {
             out.containment_fail = Some((s_lo, s_hi));
         }
-        out.flux = out.flux.hull(&trace.flux);
+        out.flux = out.flux.hull(&flux);
         out.update = out.update.hull(&update);
     }
     out
@@ -344,23 +362,17 @@ fn kernel_negativity_witness(scheme: Scheme, d: i64, s: f64) -> Option<(usize, f
 }
 
 /// Tolerance factor for the reported update-growth bound (the interval sweep
-/// widens every operation by one ULP, so the exact `[−M, 2M]` envelope picks
-/// up a few ULPs).
-const GROWTH_TOL: f64 = 1.0 + 1e-9;
+/// widens every operation by one ULP and rounds the update to `f32`, so the
+/// exact `[−M, 2M]` envelope picks up an `f32` rounding).
+const GROWTH_TOL: f64 = 1.0 + f32::EPSILON as f64;
 
 /// Run the whole pass.
 pub fn run(report: &mut Report) {
-    // Pin the model to the shipped kernel first: everything below analyses
-    // the model, and this is what makes that evidence about the kernel.
-    check_model_parity(report);
-    let parity_ok = report.properties.last().is_some_and(|p| p.ok());
-
     // Structural half of the positivity argument: the clamp's upper bound is
     // tainted only by the upwind cell (stencil slot 2 = ghost[j+2], the cell
     // the flux drains), so "flux ≤ clamp bound" means "a cell never gives
     // away more mass than it holds".
-    let trace = flux_taint(Scheme::SlMpp5);
-    let clamp_slots = trace.clamp_hi.map(|t| t.slots()).unwrap_or_default();
+    let clamp_slots = slots(taint_line(Scheme::SlMpp5).0.clamp_hi);
     let taint_ok = clamp_slots == vec![2];
     if taint_ok {
         report.verified(
@@ -416,7 +428,7 @@ pub fn run(report: &mut Report) {
                         name,
                         format!(
                             "flux ∈ [0, M] for all s (exact: the clamp's min/max transfer functions \
-                             introduce no widening); update ⊆ [{:.3e}, {:.3e}] ⊆ [−M, 2M]·(1+1e−9)",
+                             introduce no widening); update ⊆ [{:.3e}, {:.3e}] ⊆ [−M, 2M]·(1+ε_f32)",
                             sweep.update.lo, sweep.update.hi
                         ),
                     ),
@@ -449,7 +461,7 @@ pub fn run(report: &mut Report) {
     }
 
     // The positivity conclusion, assembled from the verified links.
-    if parity_ok && taint_ok && containment_ok {
+    if taint_ok && containment_ok {
         report.verified(
             "interval",
             "slmpp5.positivity",
@@ -457,14 +469,15 @@ pub fn run(report: &mut Report) {
              flux ∈ [0, max(center, 0)] with the bound tainted only by the drained cell \
              (verified above), IEEE-754 subtraction is monotone with exact cancellation so \
              center − flux_out ≥ 0, adding flux_in ≥ 0 preserves the sign, and the f32 cast \
-             is sign-preserving (mirror trick extends this to cfl < 0)",
+             is sign-preserving (mirror trick extends this to cfl < 0); every link was \
+             derived from the kernel's own body",
         );
     } else {
         report.violated(
             "interval",
             "slmpp5.positivity",
-            "a link in the positivity chain failed (see model.f64_parity / slmpp5.clamp_taint \
-             / slmpp5.flux_containment above)",
+            "a link in the positivity chain failed (see slmpp5.clamp_taint / \
+             slmpp5.flux_containment above)",
             None,
         );
     }
@@ -582,22 +595,30 @@ mod tests {
     #[test]
     fn miri_smoke_concrete_values_stay_inside_intervals() {
         // One sub-interval, many concrete shifts inside it: the interval
-        // trace must contain every concrete flux.
+        // run of the body must contain every concrete flux and update.
         let (s_lo, s_hi) = (0.25, 0.3);
-        let w = interval_weights(&sl5_symbolic(), &sl3_symbolic(), s_lo, s_hi);
-        let cell = Interval::from_bounds(0.0, 1.0);
-        let trace = flux_model(Scheme::SlMpp5, &[cell; 5], &w);
+        let w = interval_weights(&sl5_symbolic(), s_lo, s_hi);
+        let line = [Interval::from_bounds(0.0, 1.0); 2 * GHOST + 1];
+        let (flux, cells) = run_body(Scheme::SlMpp5, &w, &line);
+        let up = [0.9f64, 0.1, 0.7, 1.0, 0.3, 0.6, 0.2];
         for k in 0..8 {
             let s = s_lo + (s_hi - s_lo) * (k as f64 / 7.0);
-            let wc = Weights::concrete(s);
-            let stencil = [0.9f64, 0.1, 0.7, 1.0, 0.3];
-            let concrete = flux_model(Scheme::SlMpp5, &stencil, &wc).flux;
+            let wc = Weights::at(Scheme::SlMpp5, s).expect("fractional shift");
+            let (cf, cc) = run_body(Scheme::SlMpp5, &wc, &up);
+            let inside = |v: f64, i: &Interval| v >= i.lo && v <= i.hi;
             assert!(
-                concrete >= trace.flux.lo && concrete <= trace.flux.hi,
-                "s = {s}: {concrete} outside [{}, {}]",
-                trace.flux.lo,
-                trace.flux.hi
+                inside(cf[0], &flux[0]),
+                "s = {s}: {} outside {:?}",
+                cf[0],
+                flux[0]
             );
+            assert!(
+                inside(cf[1], &flux[1]),
+                "s = {s}: {} outside {:?}",
+                cf[1],
+                flux[1]
+            );
+            assert!(inside(cc[0] as f64, &cells[0]), "s = {s}: {}", cc[0]);
         }
     }
 

@@ -5,7 +5,7 @@
 //! neighbours through this façade, so the decomposition arithmetic lives in
 //! exactly one place ([`vlasov6d_mesh::Decomp3`]).
 
-use crate::comm::{Comm, Payload};
+use crate::comm::{Comm, Payload, RecvRequest, SendRequest};
 use vlasov6d_mesh::Decomp3;
 
 /// A [`Comm`] bound to a 3-D periodic process grid.
@@ -66,6 +66,43 @@ impl<'c> Cart3<'c> {
         let dest = self.neighbor(axis, dir);
         let source = self.neighbor(axis, -dir);
         self.comm.sendrecv(dest, tag, payload, source, tag)
+    }
+
+    /// This grid's [`SplitPhase`] view.
+    pub fn split_phase(&self) -> SplitPhase<'c> {
+        SplitPhase {
+            comm: self.comm,
+            decomp: self.decomp,
+        }
+    }
+}
+
+/// The split-phase face of a [`Cart3`]: neighbour ranks, posted sends and
+/// posted receives, and nothing that blocks. Code handed only this view — the
+/// region of an overlapped exchange that runs while messages are in flight —
+/// cannot serialise on communication, because `send`, `recv`, `sendrecv`,
+/// `shift_exchange` and the collectives are not reachable from it; its
+/// requests complete with their `wait` once the overlapped work is done.
+#[derive(Clone, Copy)]
+pub struct SplitPhase<'c> {
+    comm: &'c Comm,
+    decomp: Decomp3,
+}
+
+impl<'c> SplitPhase<'c> {
+    /// Rank of the ±1 neighbour along `axis` (periodic).
+    pub fn neighbor(&self, axis: usize, dir: i64) -> usize {
+        self.decomp.neighbor(self.comm.rank(), axis, dir)
+    }
+
+    /// Post a send of `value` to `dest` ([`Comm::isend`]).
+    pub fn isend<T: Payload>(&self, dest: usize, tag: u64, value: T) -> SendRequest<'c> {
+        self.comm.isend(dest, tag, value)
+    }
+
+    /// Post a receive from `source` ([`Comm::irecv`]).
+    pub fn irecv<T: Payload>(&self, source: usize, tag: u64) -> RecvRequest<'c, T> {
+        self.comm.irecv(source, tag)
     }
 }
 

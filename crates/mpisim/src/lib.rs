@@ -55,7 +55,7 @@ pub mod sched;
 pub mod topology;
 pub mod traffic;
 
-pub use cart::Cart3;
+pub use cart::{Cart3, SplitPhase};
 pub use comm::{
     BlockKind, BlockedOp, Comm, LeakRecord, Payload, RecvRequest, RequestKind, RequestLeak,
     SendRequest, SimError, SimOptions, Universe,

@@ -30,7 +30,7 @@ use crate::dist_fn::PhaseSpace;
 use crate::sweep::{sweep_ghosted, Window};
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_mesh::Decomp3;
-use vlasov6d_mpisim::{Cart3, CommPlan};
+use vlasov6d_mpisim::{Cart3, CommPlan, SplitPhase};
 
 /// Ghost planes needed by the fifth-order stencil — by definition the kernel
 /// ghost width [`vlasov6d_advection::GHOST`], re-exported here so the
@@ -233,9 +233,24 @@ pub fn sweep_spatial_distributed(
 ///
 /// Blocks thinner than `2·GHOST_WIDTH` along `d` have no interior; they wait
 /// immediately and run the synchronous region.
+///
+/// The sweep sees the communicator only through `cart`'s [`SplitPhase`]
+/// view, so no blocking call can creep into it: one would not compile.
 pub fn sweep_spatial_overlapped(
     ps: &mut PhaseSpace,
     cart: &Cart3<'_>,
+    d: usize,
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    tag: u64,
+) {
+    overlapped(ps, cart.split_phase(), d, cfl_per_u, scheme, tag);
+}
+
+/// [`sweep_spatial_overlapped`] on the split-phase view of its grid.
+fn overlapped(
+    ps: &mut PhaseSpace,
+    comm: SplitPhase<'_>,
     d: usize,
     cfl_per_u: &[f64],
     scheme: Scheme,
@@ -247,9 +262,8 @@ pub fn sweep_spatial_overlapped(
 
     let n = ps.sdims[d];
     let gw = GHOST_WIDTH;
-    let comm = cart.comm();
-    let low_nb = cart.neighbor(d, -1);
-    let high_nb = cart.neighbor(d, 1);
+    let low_nb = comm.neighbor(d, -1);
+    let high_nb = comm.neighbor(d, 1);
 
     // Post phase: the same messages (edges, tags, sizes) as
     // `exchange_ghosts`, so plan verification, traffic accounting and the

@@ -2,7 +2,7 @@
 //!
 //! * `lint` — the workspace invariants neither rustc nor clippy can state,
 //!   checked as text over the sources (zero dependencies, fast enough for
-//!   every CI run). Five lints from four scanners:
+//!   every CI run). Four lints from three scanners:
 //!
 //!   * **span-names** — obs `span!` names must be `dot.separated_lowercase`
 //!     literals, and a given span name must always carry the same explicit
@@ -14,15 +14,6 @@
 //!     stencil homes (`crates/advection/src/`, `crates/mesh/src/stencil.rs`)
 //!     where kerncheck verifies them; a copy anywhere else is an unverified
 //!     fork of a kernel constant.
-//!   * **overlap-blocking-calls** — no blocking `send` / `recv` /
-//!     `sendrecv` / `shift_exchange`, and no call to the blocking
-//!     `exchange_ghosts` helper, inside the overlapped-step region
-//!     (`sweep_spatial_overlapped`): a blocking call there serialises the
-//!     exchange and silently destroys the comm/compute overlap the split
-//!     pipeline exists to provide. Only the split-phase `isend` / `irecv` +
-//!     `wait` API is allowed; the synchronous oracle path
-//!     (`sweep_spatial_distributed` / `exchange_ghosts`) is allowlisted by
-//!     construction because only the overlapped function's body is scanned.
 //!   * **unsafe-send-registry** and **layout-index-arith** — one
 //!     registry-tag cross-check ([`TagRegistry`]) run over two registries.
 //!     Every `unsafe impl Send`/`Sync` must cite, in a `[racecheck: region,
@@ -39,7 +30,10 @@
 //!   `#[cfg(test)]` modules are exempt (tests spell out expected
 //!   coefficients and build fixtures on purpose).
 //!
-//!   Three invariants are clippy's (CI runs `cargo clippy --workspace
+//!   No blocking communication inside the overlapped sweep is a type: its
+//!   body sees the grid only as `mpisim::SplitPhase` (`isend`, `irecv`,
+//!   `neighbor`), so a blocking call there does not compile. Three
+//!   invariants are clippy's (CI runs `cargo clippy --workspace
 //!   --all-targets -- -D warnings`; settings in `clippy.toml`): a SAFETY
 //!   comment on every `unsafe` block and impl and a `# Safety` section on
 //!   every `unsafe fn` (`undocumented_unsafe_blocks`, `missing_safety_doc`);
@@ -195,7 +189,6 @@ fn lint(root: &Path) -> ExitCode {
         if !is_stencil_home(rel) {
             violations.extend(check_stencil_literals(rel, &source));
         }
-        violations.extend(check_overlap_blocking_calls(rel, &source));
         spans.scan(rel, &source);
         for t in &mut tags {
             t.scan(rel, &source);
@@ -208,8 +201,8 @@ fn lint(root: &Path) -> ExitCode {
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (span-names, stencil-literals, overlap-blocking-calls, \
-             unsafe-send-registry, layout-index-arith)",
+            "xtask lint: {} files clean (span-names, stencil-literals, unsafe-send-registry, \
+             layout-index-arith)",
             files.len()
         );
         ExitCode::SUCCESS
@@ -463,82 +456,6 @@ fn check_stencil_literals(rel: &Path, source: &str) -> Vec<Violation> {
                      coefficient; use the exact fraction in a verified stencil module"
                 ),
             });
-        }
-    }
-    violations
-}
-
-/// The overlapped-step regions: `(file, function)` pairs whose bodies must
-/// stay free of blocking communication. The synchronous oracle
-/// (`sweep_spatial_distributed` / `exchange_ghosts` in the same file) is
-/// allowlisted by construction — only the named functions are scanned.
-const OVERLAP_REGION_FNS: &[(&str, &str)] = &[(
-    "crates/phase-space/src/exchange.rs",
-    "sweep_spatial_overlapped",
-)];
-
-/// Blocking calls that would serialise the ghost exchange. The method
-/// needles include the leading dot, so the split-phase `.isend(` /
-/// `.irecv(` never match (the character before `send(` there is `i`);
-/// `exchange_ghosts` is the blocking free-function helper built on
-/// `shift_exchange`.
-const BLOCKING_COMM_CALLS: &[(&str, &str)] = &[
-    (".send(", "`Comm::send`"),
-    (".recv(", "`Comm::recv`"),
-    (".sendrecv(", "`Comm::sendrecv`"),
-    (".shift_exchange(", "`Cart3::shift_exchange`"),
-    ("exchange_ghosts(", "`exchange_ghosts`"),
-];
-
-/// Line span (0-based, inclusive) of `fn <name>`'s definition in `source`,
-/// from the signature line to the close of its brace block.
-fn function_body_lines(source: &str, fn_name: &str) -> Option<(usize, usize)> {
-    let lines: Vec<&str> = source.lines().collect();
-    let needle = format!("fn {fn_name}");
-    let start = lines.iter().position(|l| code_only(l).contains(&needle))?;
-    Some((start, brace_block_end(&lines, start)?))
-}
-
-/// overlap-blocking-calls: no blocking communication inside the overlapped-step region.
-fn check_overlap_blocking_calls(rel: &Path, source: &str) -> Vec<Violation> {
-    let p = slash_path(rel);
-    let mut violations = Vec::new();
-    for (file, fn_name) in OVERLAP_REGION_FNS {
-        if p != *file {
-            continue;
-        }
-        let Some((start, end)) = function_body_lines(source, fn_name) else {
-            // A rename must not silently disable the lint.
-            violations.push(Violation {
-                file: rel.to_path_buf(),
-                line: 1,
-                lint: "overlap-blocking-calls",
-                message: format!(
-                    "overlapped-region fn `{fn_name}` not found; update \
-                     OVERLAP_REGION_FNS in xtask if it moved or was renamed"
-                ),
-            });
-            continue;
-        };
-        for (idx, raw) in source.lines().enumerate().take(end + 1).skip(start) {
-            let code = code_only(raw);
-            for (needle, what) in BLOCKING_COMM_CALLS {
-                if code.contains(needle) {
-                    violations.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: idx + 1,
-                        lint: "overlap-blocking-calls",
-                        message: format!(
-                            "blocking {what} inside the overlapped-step region \
-                             `{fn_name}`; use the split-phase `isend`/`irecv` + \
-                             `wait` API so the exchange overlaps the interior \
-                             sweep (the synchronous oracle path is the only \
-                             blocking caller allowed, and it lives outside \
-                             this function)"
-                        ),
-                    });
-                }
-            }
         }
     }
     violations
@@ -1107,94 +1024,6 @@ mod tests {
         )));
         assert!(!is_stencil_home(Path::new("crates/mesh/src/field.rs")));
         assert!(!is_stencil_home(Path::new("crates/poisson/src/lib.rs")));
-    }
-
-    #[test]
-    fn overlap_blocking_lint() {
-        let exchange = Path::new("crates/phase-space/src/exchange.rs");
-        // Split-phase calls inside the region and blocking calls outside it
-        // both pass: only the named function's body is scanned.
-        let clean = "\
-pub fn sweep_spatial_overlapped(d: usize) {
-    let s = comm.isend(peer, tag, planes);
-    let r = comm.irecv::<Vec<f32>>(peer, tag);
-    let got = r.wait();
-    s.wait();
-}
-fn oracle() {
-    let got = cart.shift_exchange(0, -1, tag, planes);
-    comm.send(peer, tag, x);
-    let (lo, hi) = exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag);
-}
-";
-        assert!(check_overlap_blocking_calls(exchange, clean).is_empty());
-        // A blocking call inside the region is flagged with its line.
-        let bad = "\
-pub fn sweep_spatial_overlapped(d: usize) {
-    let got = cart.shift_exchange(0, -1, tag, planes);
-}
-";
-        let v = check_overlap_blocking_calls(exchange, bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-        assert!(v[0].message.contains("shift_exchange"));
-        let bad_recv = "\
-pub fn sweep_spatial_overlapped(d: usize) {
-    let s = comm.isend(peer, tag, planes);
-    let got: Vec<f32> = comm.recv(peer, tag);
-    s.wait();
-}
-";
-        assert_eq!(check_overlap_blocking_calls(exchange, bad_recv).len(), 1);
-        // So is the blocking free-function helper.
-        let bad_helper = "\
-pub fn sweep_spatial_overlapped(d: usize) {
-    let (lo, hi) = exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag);
-}
-";
-        let v = check_overlap_blocking_calls(exchange, bad_helper);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("`exchange_ghosts`"));
-        // Mentions in comments don't fire.
-        let comment = "\
-pub fn sweep_spatial_overlapped(d: usize) {
-    // unlike .sendrecv(, the split phases let the interior sweep run
-    let s = comm.isend(peer, tag, planes);
-    s.wait();
-}
-";
-        assert!(check_overlap_blocking_calls(exchange, comment).is_empty());
-        // Other files are never scanned, even with blocking calls.
-        let other = Path::new("crates/core/src/dist_sim.rs");
-        assert!(check_overlap_blocking_calls(other, bad).is_empty());
-        // A rename/removal of the region fn is itself a violation, so the
-        // lint cannot be disabled silently.
-        let gone = "fn unrelated() {}\n";
-        let v = check_overlap_blocking_calls(exchange, gone);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("OVERLAP_REGION_FNS"));
-    }
-
-    #[test]
-    fn function_body_span_by_brace_counting() {
-        let source = "\
-fn before() {
-    body();
-}
-pub fn target(
-    a: usize,
-) -> usize {
-    if a > 0 {
-        a
-    } else {
-        0
-    }
-}
-fn after() {}
-";
-        let (start, end) = function_body_lines(source, "target").expect("found");
-        assert_eq!((start, end), (3, 11));
-        assert!(function_body_lines(source, "missing").is_none());
     }
 
     #[test]
