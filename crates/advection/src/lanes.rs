@@ -11,8 +11,11 @@
 //!
 //! The sweep driver in `vlasov6d-phase-space` feeds this kernel either
 //! directly (axes where lanes are contiguous in memory) or through the
-//! [`crate::simd::transpose8x8`] LAT staging (the innermost `u_z` axis, where
-//! lanes would otherwise be strided loads — paper Fig. 2/3).
+//! [`crate::simd::transpose8x8`] LAT staging (the innermost `u_z` axis and
+//! the spatial `z` tiles, where lanes would otherwise be strided loads —
+//! paper Fig. 2/3). Its spatial sweeps enter through [`advect_lanes_ext`]
+//! on a window of the pencil (wrapped onto itself, or between ghost planes),
+//! its velocity sweeps through [`advect_lanes`].
 
 use crate::flux::{flux_update, Boundary, Weights};
 use crate::line::{advect_sampled, Scheme, GHOST};

@@ -55,8 +55,9 @@
 //! on that target; the exchange loop is the body everywhere else and the
 //! reference the bit-pattern test holds the intrinsics to. It is data
 //! movement only, so no trajectory bit depends on which body ran. To check:
-//! `spatial_tile_task` in the same disassembly shows the four shuffles and no
-//! run of `movss`.
+//! `ghosted_tile_task` (the spatial `z` sweep's tile body, periodic or
+//! ghosted) in the same disassembly shows the four shuffles and no run of
+//! `movss`.
 
 use crate::flux::Value;
 

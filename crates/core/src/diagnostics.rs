@@ -52,6 +52,19 @@ pub(crate) fn kernel_isa_metric() -> (String, MetricValue) {
     )
 }
 
+/// `dt.limiter` — which bound set the step: `max_step`, `spatial` or
+/// `velocity` — and `dt.halvings`, how often the Δt controller halved the
+/// proposal: on every step record of the hybrid and ranked drivers.
+pub(crate) fn dt_metrics(limiter: &str, halvings: u64) -> [(String, MetricValue); 2] {
+    [
+        (
+            "dt.limiter".to_string(),
+            MetricValue::Text(limiter.to_string()),
+        ),
+        ("dt.halvings".to_string(), MetricValue::Counter(halvings)),
+    ]
+}
+
 /// `kernel.shape`, beside `kernel.isa`: the task shape each of the six sweep
 /// axes runs on this grid ([`sweep::lane_shapes`]), so a trace says which
 /// axes are on lanes — packed, gathered or transposed — and which fell back

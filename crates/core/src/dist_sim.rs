@@ -14,7 +14,7 @@
 //! the paper reports at 94–99 %.
 
 use crate::diagnostics::StepTimers;
-use crate::diagnostics::{kernel_isa_metric, kernel_shape_metric};
+use crate::diagnostics::{dt_metrics, kernel_isa_metric, kernel_shape_metric};
 use crate::scenario::dynamics::{Dynamics, ForceLaw};
 use crate::strang;
 use vlasov6d_advection::line::Scheme;
@@ -92,6 +92,11 @@ pub struct StepTelemetry {
     /// via [`DistributedVlasov::with_tracing`] (`None` otherwise). Serialise
     /// with `RankStepTrace::to_jsonl` next to the step's `StepEvent` line.
     pub trace: Option<vlasov6d_obs::trace::RankStepTrace>,
+    /// Which bound of the Δt controller set the step: `max_step`, `spatial`
+    /// or `velocity` (the event's `dt.limiter`).
+    pub dt_limiter: &'static str,
+    /// How often the controller halved the proposal (`dt.halvings`).
+    pub dt_halvings: u64,
 }
 
 impl DistributedVlasov {
@@ -354,6 +359,8 @@ impl DistributedVlasov {
             trace: self
                 .trace_capacity
                 .and_then(|_| vlasov6d_obs::trace::drain(comm.rank())),
+            dt_limiter: interval.limiter.name(),
+            dt_halvings: interval.halvings,
         };
         (interval.t2, interval.dt, telemetry)
     }
@@ -511,6 +518,7 @@ impl DistributedVlasov {
             metrics.push(kernel_isa_metric());
             metrics.push(kernel_shape_metric(&self.ps, self.scheme, self.exec, true));
         }
+        metrics.extend(dt_metrics(telemetry.dt_limiter, telemetry.dt_halvings));
         StepEvent {
             step: telemetry.spans.step,
             rank: comm.rank(),
@@ -889,15 +897,20 @@ mod tests {
                 sim.step(comm);
                 let (_, dt, telemetry) = sim.step_traced(comm);
                 let e = sim.step_event(comm, dt, &telemetry, None);
-                (e.nu_mass, e.f_min, e.momentum)
+                let limiter = e.metrics.iter().find(|(name, _)| name == "dt.limiter");
+                let Some((_, MetricValue::Text(by))) = limiter else {
+                    panic!("no dt.limiter: {:?}", e.metrics)
+                };
+                (e.nu_mass, e.f_min, e.momentum, by.clone())
             });
             assert!(events.iter().all(|e| e == &events[0]), "ranks disagree");
-            events[0]
+            events[0].clone()
         };
-        let (mass1, min1, p1) = run(1, OverlapPolicy::Synchronous);
+        let (mass1, min1, p1, by1) = run(1, OverlapPolicy::Synchronous);
         // `fill` dips below zero on this grid, on one rank's block only: the
         // minimum has to cross the reduction.
         assert!(mass1 > 0.0 && min1 < 0.0, "{mass1} {min1}");
+        assert!(["max_step", "spatial", "velocity"].contains(&by1.as_str()));
         for n_ranks in [2usize, 4] {
             let sync = run(n_ranks, OverlapPolicy::Synchronous);
             assert_eq!(
@@ -905,7 +918,8 @@ mod tests {
                 run(n_ranks, OverlapPolicy::Overlapped),
                 "{n_ranks} ranks"
             );
-            let (mass, min, p) = sync;
+            let (mass, min, p, by) = sync;
+            assert_eq!(by, by1, "{n_ranks} ranks");
             assert!(
                 (mass / mass1 - 1.0).abs() < 1e-12,
                 "{n_ranks}: {mass} vs {mass1}"

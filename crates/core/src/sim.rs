@@ -17,7 +17,7 @@
 //! components see identical drift/kick phases.
 
 use crate::config::SimulationConfig;
-use crate::diagnostics::{kernel_isa_metric, kernel_shape_metric, StepRecord};
+use crate::diagnostics::{dt_metrics, kernel_isa_metric, kernel_shape_metric, StepRecord};
 use crate::fields;
 use crate::scenario::dynamics::TimeAxis;
 use crate::strang;
@@ -284,6 +284,7 @@ impl HybridSimulation {
                 metrics.push(kernel_shape_metric(ps, scheme, exec, false));
             }
         }
+        metrics.extend(dt_metrics(interval.limiter.name(), interval.halvings));
         if self.cdm.is_some() {
             metrics.push((
                 "nbody.tree.groups".to_string(),
@@ -533,16 +534,24 @@ mod tests {
             ..tiny_config()
         });
         // Without CDM there is no walk to count: the run's first record
-        // carries the two kernel labels alone, and later ones nothing.
+        // carries the two kernel labels and the Δt controller's answer, later
+        // ones the controller's answer alone.
         let first = nu_only.step().metrics.clone();
         assert!(
-            matches!(first.as_slice(), [(name, MetricValue::Text(isa)), (shape, MetricValue::Text(axes))]
+            matches!(first.as_slice(), [(name, MetricValue::Text(isa)), (shape, MetricValue::Text(axes)), _, _]
                 if name == "kernel.isa" && (isa == "avx2" || isa == "baseline")
                     && shape == "kernel.shape"
                     && axes == "x:packed y:packed z:tile ux:packed uy:packed uz:gather"),
             "{first:?}"
         );
-        assert!(nu_only.step().metrics.is_empty());
+        let later = nu_only.step().metrics.clone();
+        assert!(
+            matches!(later.as_slice(), [(limiter, MetricValue::Text(by)), (halvings, MetricValue::Counter(_))]
+                if limiter == "dt.limiter" && ["max_step", "spatial", "velocity"].contains(&by.as_str())
+                    && halvings == "dt.halvings"),
+            "{later:?}"
+        );
+        assert_eq!((&*first[2].0, &*first[3].0), ("dt.limiter", "dt.halvings"));
     }
 
     #[test]

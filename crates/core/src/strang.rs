@@ -50,6 +50,31 @@ pub(crate) struct Interval {
     pub drift: f64,
     /// Kick integral of the whole step — the `Δt` the drivers report.
     pub dt: f64,
+    /// Which bound set the step (`dt.limiter` in the step records).
+    pub limiter: Limiter,
+    /// How many times the controller halved the proposal (`dt.halvings`).
+    pub halvings: u64,
+}
+
+/// The bound of [`choose_interval`] that set a step's length: the policy's
+/// ceiling when no halving was needed, else the CFL limit that rejected the
+/// last longer proposal (the spatial one when both did).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Limiter {
+    MaxStep,
+    Spatial,
+    Velocity,
+}
+
+impl Limiter {
+    /// The `dt.limiter` value.
+    pub fn name(self) -> &'static str {
+        match self {
+            Limiter::MaxStep => "max_step",
+            Limiter::Spatial => "spatial",
+            Limiter::Velocity => "velocity",
+        }
+    }
 }
 
 /// What a driver contributes to the shared step.
@@ -110,8 +135,9 @@ pub(crate) fn step<D: Driver>(d: &mut D, p: &Policy, t1: f64) -> Interval {
 /// The Δt controller: propose the policy's ceiling (an expanding axis never
 /// steps past `a = 1`), then halve until the spatial limit
 /// `vmax · D · n_max ≤ cfl_spatial` and the half-kick velocity limit
-/// `fmax · K½ / du_min ≤ cfl_velocity` both hold. After 60 halvings the
-/// interval has underflowed and the sweeps' own CFL checks report why.
+/// `fmax · K½ / du_min ≤ cfl_velocity` both hold, and say which bound set
+/// the length ([`Limiter`]). After 60 halvings the interval has underflowed
+/// and the sweeps' own CFL checks report why.
 pub(crate) fn choose_interval(
     p: &Policy,
     bg: &Background,
@@ -125,6 +151,7 @@ pub(crate) fn choose_interval(
     if p.time == TimeAxis::Expanding {
         t2 = t2.min(1.0 + 1e-12);
     }
+    let (mut limiter, mut halvings) = (Limiter::MaxStep, 0);
     for _ in 0..60 {
         let drift = p.time.drift_factor(bg, t1, t2);
         let ok_spatial = vmax * drift * n_max <= p.cfl_spatial;
@@ -134,6 +161,12 @@ pub(crate) fn choose_interval(
         if ok_spatial && ok_velocity {
             break;
         }
+        limiter = if ok_spatial {
+            Limiter::Velocity
+        } else {
+            Limiter::Spatial
+        };
+        halvings += 1;
         t2 = t1 + 0.5 * (t2 - t1);
     }
     let tm = p.time.midpoint(bg, t1, t2);
@@ -143,6 +176,8 @@ pub(crate) fn choose_interval(
         k2: p.time.kick_factor(bg, tm, t2),
         drift: p.time.drift_factor(bg, t1, t2),
         dt: p.time.kick_factor(bg, t1, t2),
+        limiter,
+        halvings,
     }
 }
 
@@ -310,28 +345,36 @@ mod tests {
         }
     }
 
+    type Row = (&'static str, Policy, f64, [f64; 4], f64, Limiter, u64);
+
     /// The single Δt controller, row by row: `(case, axis, caps, t1, limits,
-    /// expected t2)`. Static-axis rows use binary fractions so every
-    /// expectation is exact, including acceptance *at* a limit (`<=`).
+    /// expected t2, limiter, halvings)`. Static-axis rows use binary
+    /// fractions so every expectation is exact, including acceptance *at* a
+    /// limit (`<=`). The limiter is the bound that rejected the last longer
+    /// proposal, whichever bound would have been the first to fail.
     #[test]
     fn controller_table() {
+        use Limiter::{MaxStep, Spatial, Velocity};
         use TimeAxis::{Expanding, Static};
         let bg = Background::new(CosmologyParams::planck2015());
         let halvings = |n: i32| 2f64.powi(-n);
         #[rustfmt::skip]
-        let rows: [(&str, Policy, f64, [f64; 4], f64); 7] = [
+        let rows: [Row; 9] = [
             // limits = [vmax, n_max, fmax, du_min]
-            ("static, nothing binds",       policy(Static, 0.5, 1.0, 0.25),    2.0,  [1.0, 1.0, 1.0, 1.0],   2.25),
-            ("static, no Vlasov component", policy(Static, 0.5, 1.0, 1.0),     0.0,  [0.0, 0.0, 0.0, 1.0],   1.0),
-            ("static, spatial-limited",     policy(Static, 0.3125, 1.0, 1.0),  0.0,  [1.0, 10.0, 0.0, 1.0],  halvings(5)),
-            ("static, velocity-limited",    policy(Static, 0.5, 1.0, 1.0),     0.0,  [0.0, 1.0, 8.0, 0.5],   halvings(3)),
-            ("static, velocity cap 0.5",    policy(Static, 0.5, 0.5, 1.0),     0.0,  [0.0, 1.0, 8.0, 0.5],   halvings(4)),
-            ("static, never satisfied",     policy(Static, 0.0, 1.0, 1.0),     0.0,  [1.0, 1.0, 0.0, 1.0],   halvings(60)),
-            ("expanding, clamped at a = 1", policy(Expanding, 1e9, 1e9, 0.08), 0.99, [1.0, 1.0, 1.0, 1.0],   1.0 + 1e-12),
+            ("static, nothing binds",       policy(Static, 0.5, 1.0, 0.25),    2.0,  [1.0, 1.0, 1.0, 1.0],   2.25,         MaxStep,  0),
+            ("static, no Vlasov component", policy(Static, 0.5, 1.0, 1.0),     0.0,  [0.0, 0.0, 0.0, 1.0],   1.0,          MaxStep,  0),
+            ("static, spatial-limited",     policy(Static, 0.3125, 1.0, 1.0),  0.0,  [1.0, 10.0, 0.0, 1.0],  halvings(5),  Spatial,  5),
+            ("static, velocity-limited",    policy(Static, 0.5, 1.0, 1.0),     0.0,  [0.0, 1.0, 8.0, 0.5],   halvings(3),  Velocity, 3),
+            ("static, velocity cap 0.5",    policy(Static, 0.5, 0.5, 1.0),     0.0,  [0.0, 1.0, 8.0, 0.5],   halvings(4),  Velocity, 4),
+            ("static, spatial then velocity", policy(Static, 0.5, 1.0, 1.0),   0.0,  [1.0, 2.0, 8.0, 0.5],   halvings(3),  Velocity, 3),
+            ("static, velocity then spatial", policy(Static, 0.5, 1.0, 1.0),   0.0,  [1.0, 8.0, 2.0, 0.5],   halvings(4),  Spatial,  4),
+            ("static, never satisfied",     policy(Static, 0.0, 1.0, 1.0),     0.0,  [1.0, 1.0, 0.0, 1.0],   halvings(60), Spatial,  60),
+            ("expanding, clamped at a = 1", policy(Expanding, 1e9, 1e9, 0.08), 0.99, [1.0, 1.0, 1.0, 1.0],   1.0 + 1e-12,  MaxStep,  0),
         ];
-        for (case, p, t1, [vmax, n_max, fmax, du_min], want) in rows {
+        for (case, p, t1, [vmax, n_max, fmax, du_min], want, limiter, halved) in rows {
             let iv = choose_interval(&p, &bg, t1, vmax, n_max, fmax, du_min);
             assert_eq!(iv.t2, want, "{case}");
+            assert_eq!((iv.limiter, iv.halvings), (limiter, halved), "{case}");
             if p.time == Static {
                 assert_eq!(
                     (iv.k1, iv.k2),

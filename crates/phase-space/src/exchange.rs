@@ -7,17 +7,19 @@
 //! grid, `width · (Π other spatial dims) · Nu · 4` bytes — the quantity the
 //! performance model prices.
 //!
-//! The sweeps run at kernel speed: the same pencil tasks as
-//! [`crate::sweep::sweep_spatial`], on the rank's pool, each reading its
-//! `±GHOST_WIDTH` neighbours from the received plane buffers instead of the
-//! periodic wrap (the buffers share the block's `[plane][trailing dims]`
-//! layout, so the loads stay packed) and advancing through the
-//! ghost-extended kernels of `vlasov6d-advection`. Lanes run when the scheme
-//! and the velocity grid allow them ([`crate::Exec::resolve`]), scalar pencils
-//! otherwise. Every updated cell is the same function of its stencil values
-//! (`GHOST_WIDTH` either side) as in the periodic kernel, so a distributed
-//! sweep equals the local `sweep_spatial` at that execution variant bit for
-//! bit, at any rank and thread count.
+//! There is one spatial sweep (see [`crate::sweep`]): the pencil tasks of
+//! [`crate::sweep::sweep_spatial`] on a list of windows, on the rank's pool.
+//! `sweep_spatial` runs them on the *periodic* window, the block's own pencil
+//! wrapped; the sweeps here run them on the *full* window — the pencil between
+//! the `±GHOST_WIDTH` planes received from the neighbours (the buffers share
+//! the block's `[plane][trailing dims]` layout, so the loads stay packed) —
+//! or, overlapped, on the *interior* window and then the two *edges*. Lanes
+//! run when the scheme and the velocity grid allow them
+//! ([`crate::Exec::resolve`]), scalar pencils otherwise. Every updated cell
+//! is the same function of its stencil values (`GHOST_WIDTH` either side)
+//! whatever the window, so a distributed sweep equals the local
+//! `sweep_spatial` under [`crate::Exec::Simd`] bit for bit, at any rank and
+//! thread count.
 //!
 //! Distributed sweeps require `|cfl| < 1` so the upwind stencil never reaches
 //! beyond the exchanged planes; the time-step controller in `vlasov6d`
@@ -27,7 +29,7 @@
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::dist_fn::PhaseSpace;
-use crate::sweep::{sweep_ghosted, Window};
+use crate::sweep::{sweep_ghosted, Exec, Window};
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_mesh::Decomp3;
 use vlasov6d_mpisim::{Cart3, CommPlan, SplitPhase};
@@ -146,14 +148,12 @@ pub fn exchange_ghosts(
     );
     // My low planes travel to the low neighbour (becoming its high ghosts);
     // I receive the high neighbour's low planes as my high ghosts — and vice
-    // versa.
+    // versa. `shift_exchange(axis, dir, ..)` sends toward `dir` and returns
+    // what arrived from the opposite side.
     let my_low = extract_planes(ps, d, 0, width);
     let my_high = extract_planes(ps, d, n - width, width);
-    let from_high = cart.shift_exchange(d, -1, tag, my_low); // send low-, recv from high+... see below
+    let from_high = cart.shift_exchange(d, -1, tag, my_low);
     let from_low = cart.shift_exchange(d, 1, tag + 1, my_high);
-    // shift_exchange(axis, dir, ..) sends toward `dir` and receives from the
-    // opposite side: dir=-1 sends my low planes to the low neighbour and
-    // returns what the high neighbour sent (its low planes) → my high ghosts.
     (from_low, from_high)
 }
 
@@ -206,7 +206,7 @@ pub fn sweep_spatial_distributed(
         exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag)
     };
     let full = Window::full(ps.sdims[d], &from_low, &from_high);
-    sweep_ghosted(ps, d, cfl_per_u, scheme, &[full], None);
+    sweep_ghosted(ps, d, cfl_per_u, scheme, Exec::Simd, &[full], None);
 }
 
 /// Distributed spatial sweep along axis `d` that hides the ghost exchange
@@ -277,7 +277,15 @@ fn overlapped(
     let saved = (n >= 2 * gw).then(|| {
         let saved = save_inner_slabs(ps, d);
         let _h = vlasov6d_obs::span!("comm.hidden");
-        sweep_ghosted(ps, d, cfl_per_u, scheme, &[Window::interior(n)], None);
+        sweep_ghosted(
+            ps,
+            d,
+            cfl_per_u,
+            scheme,
+            Exec::Simd,
+            &[Window::interior(n)],
+            None,
+        );
         saved
     });
 
@@ -295,7 +303,7 @@ fn overlapped(
         Some(saved) => Window::edges(n, &from_low, &from_high, saved).into(),
         None => vec![Window::full(n, &from_low, &from_high)],
     };
-    sweep_ghosted(ps, d, cfl_per_u, scheme, &windows, None);
+    sweep_ghosted(ps, d, cfl_per_u, scheme, Exec::Simd, &windows, None);
 }
 
 #[cfg(test)]

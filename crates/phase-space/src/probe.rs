@@ -8,69 +8,26 @@
 //! the tasks neither write nor read each other's footprints). These entry
 //! points run exactly the same task bodies the parallel regions dispatch —
 //! they are the probe's handle on the real kernels, not reimplementations.
+//!
+//! There is one spatial sweep with four windows (see [`crate::sweep`]), so
+//! one entry, [`run_ghosted_region`], replays all of them: the periodic
+//! window of `sweep_spatial` and the full, interior and edge windows of the
+//! distributed sweeps in [`crate::exchange`].
 
 use crate::dist_fn::PhaseSpace;
 use crate::exchange::{save_inner_slabs, GHOST_WIDTH};
 use crate::plan;
-use crate::sweep::{
-    spatial_bundle_task, spatial_scalar_task, spatial_tile_task, sweep_ghosted, velocity_cell_task,
-    Exec, SendMutPtr, VelocityWork, Window,
-};
-use vlasov6d_advection::lanes::LanesWork;
-use vlasov6d_advection::line::{LineWork, Scheme};
-use vlasov6d_advection::simd::{f32x8, LANES};
+use crate::sweep::{margin, sweep_ghosted, velocity_cell_task, Exec, VelocityWork, Window};
+use vlasov6d_advection::line::Scheme;
 use vlasov6d_mesh::Field3;
 
-/// Number of parallel tasks `sweep_spatial` launches for `d` in the task
-/// shape `exec` (an [`Exec::resolve`] answer).
-pub fn spatial_task_count(ps: &PhaseSpace, d: usize, exec: Exec) -> usize {
-    plan::spatial_task_count(&ps.dims6(), d, exec)
-}
-
-/// Execute exactly one task of the spatial-sweep region — the same body the
-/// parallel region runs, with fresh scratch state. `exec` is the task shape,
-/// which must be the one [`Exec::resolve`] selects on this grid.
-pub fn run_spatial_task(
-    ps: &mut PhaseSpace,
-    d: usize,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    exec: Exec,
-    task: usize,
-) {
-    assert!(d < 3);
-    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
-    let dims = ps.dims6();
-    assert_eq!(
-        exec.resolve(scheme, &dims, d),
-        exec,
-        "sweep_spatial would not run {exec:?} tasks here"
-    );
-    assert!(task < plan::spatial_task_count(&dims, d, exec));
-    let n_line = dims[d];
-    let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
-    match exec {
-        Exec::Scalar => {
-            let mut scratch = (vec![0.0f32; n_line], LineWork::new());
-            spatial_scalar_task(base, &dims, d, cfl_per_u, scheme, &mut scratch, task);
-        }
-        Exec::Simd => {
-            let bundles = plan::Bundles::spatial(&dims, d);
-            let mut scratch = (vec![f32x8::ZERO; n_line], LanesWork::new());
-            spatial_bundle_task(base, &bundles, cfl_per_u, scheme, &mut scratch, task);
-        }
-        Exec::Lat => {
-            let mut scratch = (vec![f32x8::ZERO; n_line * LANES], LanesWork::new());
-            spatial_tile_task(base, &dims, cfl_per_u, scheme, &mut scratch, task);
-        }
-    }
-}
-
-/// The three parallel regions of the distributed sweeps in
-/// [`crate::exchange`].
+/// The parallel regions of the spatial sweep, one per window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GhostedRegion {
-    /// The synchronous sweep: whole pencils between the neighbours' planes.
+    /// `sweep_spatial`: whole pencils, wrapped onto themselves.
+    Periodic,
+    /// The synchronous distributed sweep: whole pencils between the
+    /// neighbours' planes.
     Sync,
     /// The overlapped sweep before the wait: cells `[GHOST_WIDTH, n − GHOST_WIDTH)`.
     Interior,
@@ -78,27 +35,23 @@ pub enum GhostedRegion {
     Edges,
 }
 
-/// The task shape a distributed sweep along `d` runs on this grid — what
-/// [`plan::spatial_task_count`] and the `plan::spatial_*` plans take.
-pub fn ghosted_exec(ps: &PhaseSpace, d: usize, scheme: Scheme) -> Exec {
-    Exec::Simd.resolve(scheme, &ps.dims6(), d)
-}
-
 /// The cells along axis `d` one task of `region` writes on an `n`-cell block.
 pub fn ghosted_out_cells(region: GhostedRegion, n: usize) -> Vec<usize> {
     let part = crate::partition_axis(n, GHOST_WIDTH);
     match region {
-        GhostedRegion::Sync => (0..n).collect(),
+        GhostedRegion::Periodic | GhostedRegion::Sync => (0..n).collect(),
         GhostedRegion::Interior => part.interior.collect(),
         GhostedRegion::Edges => part.low.chain(part.high).collect(),
     }
 }
 
-/// Run `region` of a distributed sweep along `d` with the given neighbour
-/// planes ([`crate::exchange::extract_planes`] layout) — every task on the live pool, or
-/// (`task = Some(t)`) task `t` alone with fresh scratch — through exactly the
-/// code the sweeps in [`crate::exchange`] dispatch. The saved slabs of
-/// `Edges` are taken from `ps` as passed in (the pre-sweep state).
+/// Run `region` of a spatial sweep along `d` — every task on the live pool,
+/// or (`task = Some(t)`) task `t` alone with fresh scratch — through exactly
+/// the code `sweep_spatial` and the sweeps in [`crate::exchange`] dispatch,
+/// asking for lanes as they do. The distributed regions read the given
+/// neighbour planes ([`crate::exchange::extract_planes`] layout; `Periodic`
+/// ignores them), and `Edges` takes its saved slabs from `ps` as passed in
+/// (the pre-sweep state).
 pub fn run_ghosted_region(
     ps: &mut PhaseSpace,
     d: usize,
@@ -113,6 +66,7 @@ pub fn run_ghosted_region(
     let n = ps.sdims[d];
     let saved;
     let windows = match region {
+        GhostedRegion::Periodic => vec![Window::periodic(n, margin(cfl_per_u))],
         GhostedRegion::Sync => vec![Window::full(n, low, high)],
         GhostedRegion::Interior => vec![Window::interior(n)],
         GhostedRegion::Edges => {
@@ -120,7 +74,7 @@ pub fn run_ghosted_region(
             Window::edges(n, low, high, &saved).into()
         }
     };
-    sweep_ghosted(ps, d, cfl_per_u, scheme, &windows, task);
+    sweep_ghosted(ps, d, cfl_per_u, scheme, Exec::Simd, &windows, task);
 }
 
 /// Number of parallel tasks `sweep_velocity` would launch (one per cell).

@@ -26,9 +26,18 @@
 //! velocity extents other than the swept (or conjugate) one ([`plan`] module
 //! table), so `[64, 4, 4]` and `[6, 4, 4]` run in lanes and only ragged grids
 //! (`6³`, `[7, 4, 4]` along `y` / `z`) or the cheaper schemes run the scalar
-//! task. The distributed sweeps of [`crate::exchange`] run the same task
-//! shapes through `sweep_ghosted`, reading ghost planes instead of the
-//! periodic wrap.
+//! task.
+//!
+//! **One spatial sweep, four windows.** Every spatial sweep is
+//! `sweep_ghosted`: one task body per shape, each advecting a *window* of its
+//! pencil through the ghost-extended kernels of `vlasov6d-advection`. A window
+//! lists where the `GHOST`-extended cells come from and which cells it
+//! writes: `periodic` — the block's own pencil wrapped, [`sweep_spatial`];
+//! `full` — the pencil between the neighbours' ghost planes, the synchronous
+//! sweep of [`crate::exchange`]; `interior` and `edges` — the two halves of
+//! the overlapped sweep there. A periodic axis is the case where the block's
+//! neighbour is itself; the integer part of a shift is an offset into the
+//! wrapped window, so only the fraction reaches the kernel.
 //!
 //! The advection velocity is constant along every line *and* across every
 //! lane bundle by construction: spatial sweeps depend only on the conjugate
@@ -187,145 +196,31 @@ unsafe impl Sync for SendMutPtr {}
 /// `cfl_per_u[k]` is the shift (in cells) of velocity index `k` along axis
 /// `d`: `u_d(k) · drift / Δx_d`. Shifts of any size are allowed (periodic
 /// integer wrap is exact).
+///
+/// The block is its own neighbour: this is the ghosted sweep on the periodic
+/// window of the axis, `GHOST` cells plus the largest integer shift wrapped
+/// on either side.
 pub fn sweep_spatial(ps: &mut PhaseSpace, d: usize, cfl_per_u: &[f64], scheme: Scheme, exec: Exec) {
     assert!(d < 3);
     const SPAN: [&str; 3] = ["sweep.spatial.x", "sweep.spatial.y", "sweep.spatial.z"];
     let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
     assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
-    let dims = ps.dims6();
-    let n_line = dims[d];
-    let exec = exec.resolve(scheme, &dims, d);
-    let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
-    let n_tasks = plan::spatial_task_count(&dims, d, exec);
-
-    match exec {
-        Exec::Scalar => {
-            // Parallel over line pencils; racecheck region
-            // `sweep.spatial.{x,y,z}.scalar`.
-            (0..n_tasks).into_par_iter().for_each_init(
-                || (vec![0.0f32; n_line], LineWork::new()),
-                |scratch, task| {
-                    spatial_scalar_task(base, &dims, d, cfl_per_u, scheme, scratch, task)
-                },
-            );
-        }
-        Exec::Simd => {
-            // Bundles of eight lines that share a conjugate index: packed
-            // loads where they are adjacent in memory (Fig. 1), element
-            // gathers where they are not. Racecheck regions
-            // `sweep.spatial.{x,y}.{simd,lat}` and
-            // `sweep.spatial.{y,z}.gather`; `resolve` vouches for the free
-            // count dividing by `LANES`.
-            let bundles = plan::Bundles::spatial(&dims, d);
-            (0..n_tasks).into_par_iter().for_each_init(
-                || (vec![f32x8::ZERO; n_line], LanesWork::new()),
-                |scratch, task| {
-                    spatial_bundle_task(base, &bundles, cfl_per_u, scheme, scratch, task)
-                },
-            );
-        }
-        Exec::Lat => {
-            // z sweep: the conjugate velocity IS iuz, so lanes over iuz would
-            // mix shifts. Stage 8×8 (iuy, iuz) tiles through the in-register
-            // transpose so lanes run over iuy at fixed iuz — constant shift
-            // per bundle, packed loads throughout (the LAT trick applied to
-            // the spatial z axis). Racecheck region `sweep.spatial.z.{simd,lat}`;
-            // `resolve` vouches for `nuy % LANES == 0 && nuz % LANES == 0`.
-            (0..n_tasks).into_par_iter().for_each_init(
-                || (vec![f32x8::ZERO; n_line * LANES], LanesWork::new()),
-                |scratch, task| spatial_tile_task(base, &dims, cfl_per_u, scheme, scratch, task),
-            );
-        }
-    }
+    let window = Window::periodic(ps.sdims[d], margin(cfl_per_u));
+    sweep_ghosted(ps, d, cfl_per_u, scheme, exec, &[window], None);
 }
 
-/// One scalar spatial-sweep task: gather the planned pencil, advect, scatter.
-pub(crate) fn spatial_scalar_task(
-    base: SendMutPtr,
-    dims: &[usize; 6],
-    d: usize,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    scratch: &mut (Vec<f32>, LineWork),
-    task: usize,
-) {
-    let line = plan::spatial_line(dims, d, task);
-    let cfl = cfl_per_u[plan::spatial_line_conjugate(dims, d, task)];
-    let (buf, work) = scratch;
-    // SAFETY: `line` is this task's plan; racecheck proves plans of distinct
-    // tasks pairwise disjoint and in bounds, so the strided accesses below
-    // touch memory no other task can reach.
-    unsafe {
-        gather_line(base, &line, buf);
-        advect_line(scheme, buf, cfl, Boundary::Periodic, work);
-        scatter_line(base, &line, buf);
-    }
-}
-
-/// One bundle spatial-sweep task: load each planned bundle pencil, advect in
-/// lanes by its conjugate index's shift, store back.
-pub(crate) fn spatial_bundle_task(
-    base: SendMutPtr,
-    bundles: &plan::Bundles,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    scratch: &mut (Vec<f32x8>, LanesWork),
-    task: usize,
-) {
-    let (bundle, work) = scratch;
-    for (iu, b) in bundles.task(task) {
-        let cfl = cfl_per_u[iu];
-        // SAFETY: `b` is of this task's plan (disjoint across tasks, in
-        // bounds — proved by racecheck); each element is one access to cell
-        // `i` of it.
-        unsafe {
-            bundle.clear();
-            load_cells(base.0, &b, 0..b.len, bundle);
-            advect_lanes(scheme, bundle, cfl, Boundary::Periodic, work);
-            store_cells(base.0, &b, 0, bundle);
-        }
-    }
-}
-
-/// One z-axis tile task: stage the planned 8×8 tile pencil through the
-/// in-register transpose, advect each row with its own conjugate shift,
-/// transpose back and store.
-pub(crate) fn spatial_tile_task(
-    base: SendMutPtr,
-    dims: &[usize; 6],
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    scratch: &mut (Vec<f32x8>, LanesWork),
-    task: usize,
-) {
-    let t = plan::spatial_tile(dims, task);
-    let z0 = plan::spatial_tile_conjugate(dims, task);
-    let n_line = t.len;
-    let (bundles, work) = scratch;
-    // SAFETY: `t` is this task's plan (disjoint across tasks, in bounds —
-    // proved by racecheck); every access below is a packed row of the tile.
-    unsafe {
-        for i in 0..n_line {
-            let rows = load_tile(base.0.add(t.base + i * t.stride), t.row_stride);
-            for (r, row) in rows.iter().enumerate() {
-                bundles[r * n_line + i] = *row;
-            }
-        }
-        for r in 0..LANES {
-            let cfl = cfl_per_u[z0 + r];
-            advect_lanes(
-                scheme,
-                &mut bundles[r * n_line..(r + 1) * n_line],
-                cfl,
-                Boundary::Periodic,
-                work,
-            );
-        }
-        for i in 0..n_line {
-            let rows = core::array::from_fn(|r| bundles[r * n_line + i]);
-            store_tile(base.0.add(t.base + i * t.stride), t.row_stride, rows);
-        }
-    }
+/// The largest integer part of the shifts: how far past `GHOST` a periodic
+/// window must wrap so that every line's stencil stays inside it.
+pub(crate) fn margin(cfl_per_u: &[f64]) -> usize {
+    assert!(
+        cfl_per_u.iter().all(|c| c.is_finite()),
+        "spatial shifts must be finite"
+    );
+    cfl_per_u
+        .iter()
+        .map(|c| c.abs() as usize)
+        .max()
+        .unwrap_or(0)
 }
 
 /// A run of cells along the swept axis feeding a ghosted task's `ext`: from
@@ -362,14 +257,37 @@ impl<'a> Segment<'a> {
 }
 
 /// One kernel call of a ghosted task: the segments concatenate to the
-/// ghost-extended `ext`, and the `ext.len() − 2·GHOST` results land on the
-/// block's cells `out_start..` along the swept axis.
+/// ghost-extended `ext`, `margin` extra cells on either side of `GHOST`, and
+/// the `ext.len() − 2·(GHOST + margin)` results land on the block's cells
+/// `out_start..` along the swept axis. A line shifting by `cfl` reads the
+/// `ext` of the kernel at `margin − trunc(cfl)`, so `|trunc(cfl)| ≤ margin`.
 pub(crate) struct Window<'a> {
     ext: Vec<Segment<'a>>,
     out_start: usize,
+    margin: usize,
 }
 
 impl<'a> Window<'a> {
+    /// The block's own pencil, wrapped: cells `−GHOST − margin ..
+    /// n + GHOST + margin` taken modulo `n`, one segment per run — more of
+    /// them, each repeating the pencil, where `n < GHOST + margin`. The
+    /// periodic sweep, whose neighbour along the axis is the block itself.
+    pub(crate) fn periodic(n: usize, margin: usize) -> Self {
+        let reach = GHOST + margin;
+        let mut ext = Vec::new();
+        let (mut from, mut left) = ((n - reach % n) % n, n + 2 * reach);
+        while left > 0 {
+            let run = (n - from).min(left);
+            ext.push(Segment::block(from..from + run));
+            (from, left) = (0, left - run);
+        }
+        Window {
+            ext,
+            out_start: 0,
+            margin,
+        }
+    }
+
     /// The whole pencil between the neighbours' planes — the synchronous
     /// sweep, and the overlapped one on blocks too thin to have an interior.
     pub(crate) fn full(n: usize, low: &'a [f32], high: &'a [f32]) -> Self {
@@ -380,6 +298,7 @@ impl<'a> Window<'a> {
                 Segment::planes(high),
             ],
             out_start: 0,
+            margin: 0,
         }
     }
 
@@ -390,6 +309,7 @@ impl<'a> Window<'a> {
         Window {
             ext: vec![Segment::block(0..n)],
             out_start: partition_axis(n, GHOST).interior.start,
+            margin: 0,
         }
     }
 
@@ -413,6 +333,7 @@ impl<'a> Window<'a> {
                     Segment::block(part.low),
                     Segment::planes(&saved[0]),
                 ],
+                margin: 0,
             },
             Window {
                 out_start: part.high.start,
@@ -421,6 +342,7 @@ impl<'a> Window<'a> {
                     Segment::block(part.high),
                     Segment::planes(high),
                 ],
+                margin: 0,
             },
         ]
     }
@@ -429,9 +351,26 @@ impl<'a> Window<'a> {
         self.ext.iter().map(|seg| seg.cells.len()).sum()
     }
 
+    /// The number of cells this window writes.
+    fn out_len(&self) -> usize {
+        self.ext_len() - 2 * (GHOST + self.margin)
+    }
+
     /// The block cells along the swept axis this window writes.
     fn out_cells(&self) -> std::ops::Range<usize> {
-        self.out_start..self.out_start + self.ext_len() - 2 * GHOST
+        self.out_start..self.out_start + self.out_len()
+    }
+
+    /// The kernel's `ext` for a line shifting by `cfl` inside this window's
+    /// `ext` — it starts `margin − trunc(cfl)` cells in, so the integer part
+    /// of the shift is an offset, exact by construction — and the fraction
+    /// `cfl − trunc(cfl)` the kernel advects it by.
+    #[inline(always)]
+    fn kernel_ext<'e, T>(&self, ext: &'e [T], cfl: f64) -> (&'e [T], f64) {
+        let k = cfl.trunc();
+        assert!(k.abs() <= self.margin as f64, "shift {cfl} past the window");
+        let at = (self.margin as f64 - k) as usize;
+        (&ext[at..at + self.out_len() + 2 * GHOST], cfl - k)
     }
 }
 
@@ -450,23 +389,27 @@ fn plane_dims(dims: &[usize; 6], d: usize) -> [usize; 6] {
     g
 }
 
-/// One parallel region of a distributed sweep along spatial axis `d`: every
-/// pencil task of `sweep_spatial`'s plan advects each of `windows` through
-/// the ghost-extended kernels (`|cfl| < 1`) instead of the periodic ones.
-/// Lanes when [`Exec::resolve`] allows them on this grid, scalar pencils
-/// otherwise. Racecheck regions
-/// `sweep.dist.{x,y,z}.{sync,interior,edges}.{scalar,simd,gather}`;
-/// `only` replays a single task of the region for racecheck's taint probe.
+/// One parallel region of a spatial sweep along axis `d`: every pencil task
+/// advects each of `windows` through the ghost-extended kernels, in the task
+/// shape [`Exec::resolve`] makes of `exec` on this grid — scalar pencils,
+/// bundles of eight lines that share a conjugate index (packed loads where
+/// they are adjacent in memory, Fig. 1, element gathers where they are not),
+/// or along `z` 8×8 `(iuy, iuz)` tiles staged through the in-register
+/// transpose so that lanes run over `iuy` at one shift (the LAT trick on the
+/// spatial axis). Racecheck regions `sweep.spatial.{x,y,z}.*` (the periodic
+/// window) and `sweep.dist.{x,y,z}.{sync,interior,edges}.*`; `only` replays a
+/// single task of the region for racecheck's taint probe.
 pub(crate) fn sweep_ghosted(
     ps: &mut PhaseSpace,
     d: usize,
     cfl_per_u: &[f64],
     scheme: Scheme,
+    exec: Exec,
     windows: &[Window<'_>],
     only: Option<usize>,
 ) {
     let dims = ps.dims6();
-    let exec = Exec::Simd.resolve(scheme, &dims, d);
+    let exec = exec.resolve(scheme, &dims, d);
     // The tasks read plane buffers through raw pointers at their plans'
     // offsets: every buffer must be a whole `GHOST`-plane array.
     let plane_len: usize = plane_dims(&dims, d).iter().product();
@@ -545,8 +488,9 @@ fn ghosted_line_task(
             let cell = |i: usize| unsafe { *src.add(p.base + i * p.stride) };
             ext.extend(seg.cells.clone().map(cell));
         }
-        out.resize(ext.len() - 2 * GHOST, 0.0);
-        advect_line_ext(scheme, ext, out, cfl, work);
+        out.resize(w.out_len(), 0.0);
+        let (ext, frac) = w.kernel_ext(ext, cfl);
+        advect_line_ext(scheme, ext, out, frac, work);
         for (i, v) in w.out_cells().zip(out.iter()) {
             // SAFETY: cell `i` of this task's own pencil (plan as above).
             unsafe { *base.0.add(block.base + i * block.stride) = *v };
@@ -563,7 +507,18 @@ fn ghosted_bundle_task(
     (ext, out, work): &mut (Vec<f32x8>, Vec<f32x8>, LanesWork),
     task: usize,
 ) {
-    for ((iu, block), (_, planes)) in in_block.task(task).zip(in_planes.task(task)) {
+    // The plane buffers' bundles only where a window reads them: the
+    // periodic sweep's loads need no second odometer.
+    let reads_planes = windows
+        .iter()
+        .flat_map(|w| &w.ext)
+        .any(|s| s.planes.is_some());
+    let mut in_planes = reads_planes.then(|| in_planes.task(task));
+    for (iu, block) in in_block.task(task) {
+        let planes = in_planes
+            .as_mut()
+            .and_then(Iterator::next)
+            .map_or(block, |(_, p)| p);
         let cfl = cfl_per_u[iu];
         for w in windows {
             ext.clear();
@@ -573,8 +528,9 @@ fn ghosted_bundle_task(
                 // cell.
                 unsafe { load_cells(src, p, seg.cells.clone(), ext) };
             }
-            out.resize(ext.len() - 2 * GHOST, f32x8::ZERO);
-            advect_lanes_ext(scheme, ext, out, cfl, work);
+            out.resize(w.out_len(), f32x8::ZERO);
+            let (ext, frac) = w.kernel_ext(ext, cfl);
+            advect_lanes_ext(scheme, ext, out, frac, work);
             // SAFETY: elements `out_cells()` of this task's own bundle
             // pencil.
             unsafe { store_cells(base.0, &block, w.out_start, out) };
@@ -597,8 +553,7 @@ fn ghosted_tile_task(
     for w in windows {
         // Row `r` of the transposed tiles: `ext[r·len ..][..len]` in,
         // `out[r·m ..][..m]` out.
-        let len = w.ext_len();
-        let m = len - 2 * GHOST;
+        let (len, m) = (w.ext_len(), w.out_len());
         ext.resize(LANES * len, f32x8::ZERO);
         out.resize(LANES * m, f32x8::ZERO);
         let mut at = 0;
@@ -614,13 +569,8 @@ fn ghosted_tile_task(
             }
         }
         for r in 0..LANES {
-            advect_lanes_ext(
-                scheme,
-                &ext[r * len..(r + 1) * len],
-                &mut out[r * m..(r + 1) * m],
-                cfl_per_u[z0 + r],
-                work,
-            );
+            let (row, frac) = w.kernel_ext(&ext[r * len..(r + 1) * len], cfl_per_u[z0 + r]);
+            advect_lanes_ext(scheme, row, &mut out[r * m..(r + 1) * m], frac, work);
         }
         for (k, i) in w.out_cells().enumerate() {
             let rows = core::array::from_fn(|r| out[r * m + k]);
@@ -915,22 +865,6 @@ unsafe fn store_tile(p: *mut f32, row_stride: usize, mut rows: [f32x8; LANES]) {
     }
 }
 
-/// # Safety
-/// The caller owns the planned pencil exclusively.
-unsafe fn gather_line(base: SendMutPtr, line: &plan::Line, buf: &mut [f32]) {
-    for (i, b) in buf.iter_mut().enumerate().take(line.len) {
-        *b = *base.0.add(line.base + i * line.stride);
-    }
-}
-
-/// # Safety
-/// As [`gather_line`].
-unsafe fn scatter_line(base: SendMutPtr, line: &plan::Line, buf: &[f32]) {
-    for (i, b) in buf.iter().enumerate().take(line.len) {
-        *base.0.add(line.base + i * line.stride) = *b;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1151,10 +1085,20 @@ mod tests {
             let mut gathered = test_ps();
             let bundles = plan::Bundles::spatial(&dims, d).gather_only();
             let base = SendMutPtr(gathered.as_mut_slice().as_mut_ptr());
-            let mut scratch = (vec![f32x8::ZERO; dims[d]], LanesWork::new());
+            let window = [Window::periodic(dims[d], margin(&cfl))];
+            let mut work = GhostedWork::default();
             for task in 0..bundles.count() {
                 assert!(bundles.task(task).all(|(_, b)| !b.packed));
-                spatial_bundle_task(base, &bundles, &cfl, Scheme::SlMpp5, &mut scratch, task);
+                let (cfl, scheme) = (&cfl, Scheme::SlMpp5);
+                ghosted_bundle_task(
+                    base,
+                    &[bundles; 2],
+                    cfl,
+                    scheme,
+                    &window,
+                    &mut work.lanes,
+                    task,
+                );
             }
             assert_bits_eq(&fast, &gathered, &format!("spatial axis {d}"));
 
@@ -1172,6 +1116,98 @@ mod tests {
                 sweep_block_bundles(block, &bundles, *cfl, Scheme::SlMpp5, &mut work);
             }
             assert_bits_eq(&fast, &gathered, &format!("velocity axis {d}"));
+        }
+    }
+
+    /// `ps` swept along `d` through the kernels' own periodic entries, in the
+    /// task shape `exec`: `advect_line` on every pencil, `advect_lanes` on
+    /// every bundle of [`plan::Bundles`] or every row of a z tile.
+    fn periodic_reference(ps: &PhaseSpace, d: usize, cfl: &[f64], exec: Exec) -> PhaseSpace {
+        let (dims, scheme) = (ps.dims6(), Scheme::SlMpp5);
+        let mut out = ps.clone();
+        let f = out.as_mut_slice();
+        let lanes = |f: &mut [f32], cells: Vec<[usize; LANES]>, cfl: f64| {
+            let mut bundle: Vec<f32x8> = cells.iter().map(|c| f32x8(c.map(|i| f[i]))).collect();
+            advect_lanes(
+                scheme,
+                &mut bundle,
+                cfl,
+                Boundary::Periodic,
+                &mut LanesWork::new(),
+            );
+            for (c, v) in cells.iter().zip(bundle) {
+                c.iter().zip(v.0).for_each(|(&i, x)| f[i] = x);
+            }
+        };
+        for task in 0..plan::spatial_task_count(&dims, d, exec) {
+            match exec {
+                Exec::Scalar => {
+                    let l = plan::spatial_line(&dims, d, task);
+                    let mut line: Vec<f32> = l.indices().map(|i| f[i]).collect();
+                    let cfl = cfl[plan::spatial_line_conjugate(&dims, d, task)];
+                    advect_line(
+                        scheme,
+                        &mut line,
+                        cfl,
+                        Boundary::Periodic,
+                        &mut LineWork::new(),
+                    );
+                    l.indices().zip(line).for_each(|(i, v)| f[i] = v);
+                }
+                Exec::Simd => {
+                    for (iu, b) in plan::Bundles::spatial(&dims, d).task(task) {
+                        let cells = (0..b.len).map(|i| b.bases.map(|l| l + i * b.stride));
+                        lanes(f, cells.collect(), cfl[iu]);
+                    }
+                }
+                Exec::Lat => {
+                    let t = plan::spatial_tile(&dims, task);
+                    let z0 = plan::spatial_tile_conjugate(&dims, task);
+                    for r in 0..LANES {
+                        // Lane `l` of row `r`: tile row `l` (an `iuy`), column `r`.
+                        let cell = |i: usize| -> [usize; LANES] {
+                            core::array::from_fn(|l| t.base + i * t.stride + l * t.row_stride + r)
+                        };
+                        lanes(f, (0..t.len).map(cell).collect(), cfl[z0 + r]);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The wrapped window is the kernels' own periodic entries, bit for bit:
+    /// `sweep_spatial` at every `Exec` equals `advect_line` on each pencil
+    /// (scalar shape) or `advect_lanes` on each bundle or tile row (lane
+    /// shapes) — on swept axes of 1, 2 and 4 cells, whose windows repeat the
+    /// pencil, on a ragged, a thin and a cubic velocity grid, with shifts
+    /// whose integer parts run from 0 to 3 within one sweep (the margin). The
+    /// data holds no negative zero: an exact integer shift is a copy in the
+    /// window and a zero-flux update in the periodic entries, which differ
+    /// only in the sign of a zero.
+    #[test]
+    fn wrapped_window_is_the_periodic_kernels_bitwise() {
+        const CFLS: [f64; 7] = [0.3, 0.999, -0.42, 1.0, -1.0, 2.7, -3.1];
+        for nv in [[3usize, 3, 3], [6, 4, 4], [8, 8, 8]] {
+            for (d, n) in (0..3).flat_map(|d| [1usize, 2, 4].map(|n| (d, n))) {
+                let mut sdims = [2, 3, 2];
+                sdims[d] = n;
+                let mut ps = PhaseSpace::zeros(sdims, VelocityGrid::new(nv, 1.0));
+                for (i, v) in ps.as_mut_slice().iter_mut().enumerate() {
+                    *v = 0.01 + ((i * 37) % 29) as f32 / 29.0;
+                }
+                let dims = ps.dims6();
+                for rot in 0..CFLS.len() {
+                    let cfl: Vec<f64> = (0..nv[d]).map(|k| CFLS[(k + rot) % CFLS.len()]).collect();
+                    for exec in [Exec::Scalar, Exec::Simd, Exec::Lat] {
+                        let mut swept = ps.clone();
+                        sweep_spatial(&mut swept, d, &cfl, Scheme::SlMpp5, exec);
+                        let shape = exec.resolve(Scheme::SlMpp5, &dims, d);
+                        let what = format!("{nv:?} d={d} n={n} {cfl:?} {exec:?}");
+                        assert_bits_eq(&swept, &periodic_reference(&ps, d, &cfl, shape), &what);
+                    }
+                }
+            }
         }
     }
 
@@ -1234,8 +1270,8 @@ mod tests {
     /// A gathered bundle end to end, sized for the Miri interpreter: element
     /// loads from the block and from plane buffers through raw pointers,
     /// short (2-cell) lines in the lanes, element scatters back — the
-    /// periodic task and the ghosted one fed the periodic images, which must
-    /// then agree bit for bit.
+    /// periodic window and the full one fed the periodic images as planes,
+    /// which must then agree bit for bit.
     #[test]
     fn miri_smoke_gathered_bundle() {
         let mut ps = PhaseSpace::zeros([2, 2, 2], VelocityGrid::new([4, 2, 2], 1.0));
@@ -1259,7 +1295,15 @@ mod tests {
         let (low, high) = (images([1, 0, 1]), images([0, 1, 0]));
         let mut ghosted = ps.clone();
         let full = Window::full(2, &low, &high);
-        sweep_ghosted(&mut ghosted, 1, &cfl, Scheme::SlMpp5, &[full], None);
+        sweep_ghosted(
+            &mut ghosted,
+            1,
+            &cfl,
+            Scheme::SlMpp5,
+            Exec::Simd,
+            &[full],
+            None,
+        );
         sweep_spatial(&mut ps, 1, &cfl, Scheme::SlMpp5, Exec::Simd);
         assert_bits_eq(&ps, &ghosted, "ghosted vs periodic");
 

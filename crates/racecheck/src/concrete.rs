@@ -23,18 +23,8 @@ use crate::symbolic::RegionModel;
 const PASS: &str = "concrete";
 
 /// The plan-declared flat write set of one spatial-sweep task in the task
-/// shape `exec`, exactly as `sweep_spatial` dispatches it.
-pub(crate) fn declared_spatial_indices(
-    dims: &[usize; 6],
-    d: usize,
-    exec: Exec,
-    task: usize,
-) -> Vec<usize> {
-    declared_ghosted_indices(dims, d, exec, GhostedRegion::Sync, task)
-}
-
-/// The plan-declared flat write set of one distributed-sweep task: the cells
-/// `region` updates, on the pencil `sweep_ghosted` dispatches to the task.
+/// shape `exec`: the cells `region` updates, on the pencil `sweep_ghosted`
+/// dispatches to the task.
 pub(crate) fn declared_ghosted_indices(
     dims: &[usize; 6],
     d: usize,
@@ -216,7 +206,7 @@ pub fn run(report: &mut Report) {
                     &dims,
                     n_tasks,
                     total,
-                    |t| declared_spatial_indices(&dims, d, exec, t),
+                    |t| declared_ghosted_indices(&dims, d, exec, GhostedRegion::Periodic, t),
                 );
             }
         }

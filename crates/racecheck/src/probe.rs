@@ -33,7 +33,7 @@ use vlasov6d_phase_space::probe::{self as ps_probe, GhostedRegion};
 use vlasov6d_phase_space::sweep::{sweep_spatial, sweep_velocity};
 use vlasov6d_phase_space::{Exec, PhaseSpace, VelocityGrid};
 
-use crate::concrete::{declared_ghosted_indices, declared_spatial_indices};
+use crate::concrete::declared_ghosted_indices;
 use crate::registry::{Shape, DIST_REGIONS};
 
 const PASS: &str = "probe";
@@ -167,6 +167,10 @@ fn probe_region(
 /// the plasma scenarios' thin shape (gathered bundles along `y` and `z`).
 const GRIDS: [[usize; 3]; 3] = [[3; 3], [8; 3], [6, 4, 4]];
 
+/// The periodic sweep's regions: every task of `sweep_spatial` replayed
+/// through the periodic window, on a 6-cell swept axis (a full ±GHOST
+/// stencil) and on a 2-cell one, whose window repeats the pencil — there
+/// with shifts of up to three cells, whose integer parts widen it further.
 fn spatial_probes(report: &mut Report) {
     let schemes = [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5];
     let cases = [
@@ -176,13 +180,16 @@ fn spatial_probes(report: &mut Report) {
         (Exec::Simd, GRIDS[2], Shape::Gather, "gather"),
     ];
     for (d, axis) in ["x", "y", "z"].iter().enumerate() {
-        for (e, (exec, nv, shape, tag)) in cases.iter().enumerate() {
+        for ((e, (exec, nv, shape, tag)), (n, suffix)) in cases
+            .iter()
+            .enumerate()
+            .flat_map(|c| [(6, ""), (2, ".thin")].map(|n| (c, n)))
+        {
             if !shape.occurs_along(d) {
                 continue;
             }
-            // Six cells along the swept axis: a full ±GHOST stencil.
             let mut sdims = [2usize, 2, 2];
-            sdims[d] = 6;
+            sdims[d] = n;
             let ps0 = filled_ps(sdims, *nv, 0xA11CE + d as u64);
             // The lane kernels run SL5 / SL-MPP5 only; any other scheme
             // would resolve to the scalar tasks.
@@ -190,33 +197,34 @@ fn spatial_probes(report: &mut Report) {
                 Exec::Scalar => schemes[(d + e) % schemes.len()],
                 _ => schemes[2 + (d + e) % 2],
             };
+            let (scale, offset) = if n == 2 { (6.5, -3.1) } else { (0.45, 0.0) };
             let cfl: Vec<f64> = (0..nv[d])
-                .map(|k| 0.45 * (k as f64 + 1.0) / nv[d] as f64)
+                .map(|k| scale * (k as f64 + 1.0) / nv[d] as f64 + offset)
                 .collect();
             let dims = ps0.dims6();
             // The task shape the request runs here: what the plans take.
             let ran = exec.resolve(scheme, &dims, d);
-            let n_tasks = ps_probe::spatial_task_count(&ps0, d, ran);
-            let initial = ps0.as_slice().to_vec();
+            // One task through the periodic region, or the public sweep.
+            let run = |state: &mut [f32], task: Option<usize>| {
+                let mut ps = ps0.clone();
+                ps.as_mut_slice().copy_from_slice(state);
+                if task.is_some() {
+                    let (region, planes) = (GhostedRegion::Periodic, (&[][..], &[][..]));
+                    ps_probe::run_ghosted_region(&mut ps, d, &cfl, scheme, region, planes, task);
+                } else {
+                    sweep_spatial(&mut ps, d, &cfl, scheme, *exec);
+                }
+                state.copy_from_slice(ps.as_slice());
+            };
             probe_region(
                 report,
-                &format!("sweep.spatial.{axis}.{tag}"),
-                &initial,
-                n_tasks,
+                &format!("sweep.spatial.{axis}.{tag}{suffix}"),
+                ps0.as_slice(),
+                plan::spatial_task_count(&dims, d, ran),
                 true,
-                |t| declared_spatial_indices(&dims, d, ran, t),
-                |state, task| {
-                    let mut ps = ps0.clone();
-                    ps.as_mut_slice().copy_from_slice(state);
-                    ps_probe::run_spatial_task(&mut ps, d, &cfl, scheme, ran, task);
-                    state.copy_from_slice(ps.as_slice());
-                },
-                |state| {
-                    let mut ps = ps0.clone();
-                    ps.as_mut_slice().copy_from_slice(state);
-                    sweep_spatial(&mut ps, d, &cfl, scheme, *exec);
-                    state.copy_from_slice(ps.as_slice());
-                },
+                |t| declared_ghosted_indices(&dims, d, ran, GhostedRegion::Periodic, t),
+                |state, task| run(state, Some(task)),
+                |state| run(state, None),
             );
         }
     }
@@ -277,7 +285,7 @@ fn dist_probes(report: &mut Report) {
             }
             let fx = DistFixture::new(d, nv);
             let dims = fx.ps0.dims6();
-            let exec = ps_probe::ghosted_exec(&fx.ps0, d, fx.scheme);
+            let exec = Exec::Simd.resolve(fx.scheme, &dims, d);
             for (region, name) in DIST_REGIONS {
                 probe_region(
                     report,
@@ -300,7 +308,7 @@ fn dist_probes(report: &mut Report) {
 fn control_interior_escape(report: &mut Report) {
     let fx = DistFixture::new(0, [8; 3]);
     let dims = fx.ps0.dims6();
-    let exec = ps_probe::ghosted_exec(&fx.ps0, 0, fx.scheme);
+    let exec = Exec::Simd.resolve(fx.scheme, &dims, 0);
     let mut sub = Report::new();
     probe_region(
         &mut sub,

@@ -367,7 +367,7 @@ pub const DIST_REGIONS: [(GhostedRegion, &str); 3] = [
 pub fn dist_model(d: usize, shape: Shape, region: GhostedRegion) -> RegionModel {
     let mut model = spatial_model(d, shape);
     model.write[d] = match region {
-        GhostedRegion::Sync => AxisFootprint::Full,
+        GhostedRegion::Periodic | GhostedRegion::Sync => AxisFootprint::Full,
         GhostedRegion::Interior => AxisFootprint::Inner(GHOST_WIDTH),
         GhostedRegion::Edges => AxisFootprint::Edges(GHOST_WIDTH),
     };
