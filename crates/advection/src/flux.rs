@@ -31,10 +31,10 @@
 //! [`flux_update`] — every scheme's interface fluxes and the flux-form update
 //! — is written once, over a [`Value`]. The line kernels instantiate it at
 //! `f64` (`f64::min`/`max`, the branchy [`minmod`], `f64::clamp`, the result
-//! narrowed to `f32`), the lane kernels at [`f32x8`](crate::f32x8)
-//! (compare-select `min`/`max`, a branchless `minmod`, constants rounded to
-//! `f32`), and `vlasov6d-kerncheck` at its interval, taint, operation-count
-//! and expression-tree domains — so its proofs are about this code, not a
+//! narrowed to `f32`), the lane kernels at [`f32x8`](crate::f32x8) and
+//! [`f32x16`](crate::simd::f32x16) (compare-select `min`/`max`, a
+//! branchless `minmod`, constants rounded to `f32`), and `vlasov6d-kerncheck`
+//! at its interval, taint, operation-count and expression-tree domains — so its proofs are about this code, not a
 //! copy of it. SL-MPP5's curvatures and `minmod4` stacks are each evaluated
 //! once and carried to the next interface; [`slmpp5_flux`] rebuilds one
 //! interface from its own five cells through [`mp5_bracket`], the reference
@@ -405,6 +405,9 @@ pub fn flux_update<D: Value>(
         }
     }
     for (i, v) in out.iter_mut().enumerate() {
+        // The same opaque index as `stencil`: a transparent one lets LLVM
+        // re-vectorise this loop across positions (gathers at width 16).
+        let i = std::hint::black_box(i);
         *v = up[i + GHOST].sub(&flux[i + 1]).add(&flux[i]).narrow();
     }
 }

@@ -1,13 +1,15 @@
-//! Eight-lines-at-once SIMD kernels.
+//! Bundles of lines at once: the SIMD kernels.
 //!
-//! This is the paper's Fig. 1 code shape: eight grid lines that share a shift
-//! and a boundary ride in the eight lanes of an [`f32x8`] and advance
-//! together. There is no lane body of its own: the entry points run the one
-//! flux/update body ([`crate::flux::flux_update`]) at `f32x8`, one vertical
-//! SIMD op per operation of the line kernel, all arithmetic f32, matching the
-//! paper's single-precision Vlasov storage. Each lane is therefore that body
-//! run on its own line at `f32` — the test module holds every lane to it bit
-//! for bit, which is why the lane width cannot move a bit.
+//! This is the paper's Fig. 1 code shape: lines that share a shift and a
+//! boundary ride in the lanes of a [`Lanes`] vector — eight in an
+//! [`f32x8`](crate::f32x8), sixteen (two bundles, the paper's SVE width) in
+//! an [`f32x16`](crate::simd::f32x16) — and advance together. There is no
+//! lane body of its own: the entry points run the one flux/update body
+//! ([`crate::flux::flux_update`]) at the lane type, one vertical SIMD op per
+//! operation of the line kernel, all arithmetic f32, matching the paper's
+//! single-precision Vlasov storage. Each lane is therefore that body run on
+//! its own line at `f32` — the test module holds every lane to it bit for
+//! bit at both widths, which is why the lane width cannot move a bit.
 //!
 //! The sweep driver in `vlasov6d-phase-space` feeds this kernel either
 //! directly (axes where lanes are contiguous in memory) or through the
@@ -19,21 +21,22 @@
 
 use crate::flux::{flux_update, Boundary, Weights};
 use crate::line::{advect_sampled, Scheme, GHOST};
-use crate::simd::{f32x8, Isa};
+use crate::simd::{Isa, Lanes};
 
-/// Reusable scratch for bundle updates.
+/// Reusable scratch for bundle updates at lane type `V`.
 #[derive(Debug, Clone)]
-pub struct LanesWork {
+pub struct LanesWork<V> {
     /// The ghost-extended bundle in upwind order (unused when the caller's
     /// `ext` already is).
-    up: Vec<f32x8>,
-    flux: Vec<f32x8>,
+    up: Vec<V>,
+    flux: Vec<V>,
     /// The entry of the flux body this scratch's updates take: always
-    /// [`Isa::detect`]'s answer, which is what makes the AVX2 entry sound.
+    /// [`Isa::detect`]'s answer, which is what makes the AVX2 and AVX-512
+    /// entries sound.
     isa: Isa,
 }
 
-impl LanesWork {
+impl<V> LanesWork<V> {
     pub fn new() -> Self {
         Self {
             up: Vec::new(),
@@ -43,26 +46,26 @@ impl LanesWork {
     }
 }
 
-impl Default for LanesWork {
+impl<V> Default for LanesWork<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// Advance a bundle of eight lines (`bundle[i]` holds position `i` of all
-/// eight lines) by a common shift `cfl`. Only the production schemes are
-/// vectorised; ask for others through the scalar path. Any length works: a
-/// bundle shorter than the stencil reads its own periodic images (or zeros),
-/// exactly as the scalar kernel's short lines do.
+/// Advance a bundle of [`Lanes::WIDTH`] lines (`bundle[i]` holds position
+/// `i` of all of them) by a common shift `cfl`. Only the production schemes
+/// are vectorised; ask for others through the scalar path. Any length works:
+/// a bundle shorter than the stencil reads its own periodic images (or
+/// zeros), exactly as the scalar kernel's short lines do.
 ///
 /// # Panics
 /// Panics for schemes other than [`Scheme::Sl5`] / [`Scheme::SlMpp5`].
-pub fn advect_lanes(
+pub fn advect_lanes<V: Lanes>(
     scheme: Scheme,
-    bundle: &mut [f32x8],
+    bundle: &mut [V],
     cfl: f64,
     bc: Boundary,
-    work: &mut LanesWork,
+    work: &mut LanesWork<V>,
 ) {
     let LanesWork { up, flux, isa } = work;
     advect_sampled(bundle, cfl, bc, up, |s, up, out| {
@@ -78,12 +81,12 @@ pub fn advect_lanes(
 ///
 /// # Panics
 /// Panics for schemes other than [`Scheme::Sl5`] / [`Scheme::SlMpp5`].
-pub fn advect_lanes_ext(
+pub fn advect_lanes_ext<V: Lanes>(
     scheme: Scheme,
-    ext: &[f32x8],
-    out: &mut [f32x8],
+    ext: &[V],
+    out: &mut [V],
     cfl: f64,
-    work: &mut LanesWork,
+    work: &mut LanesWork<V>,
 ) {
     let m = out.len();
     assert_eq!(
@@ -108,22 +111,27 @@ pub fn advect_lanes_ext(
     }
 }
 
-/// The body at `f32x8`, entered the way `isa` says (see [`crate::simd`]):
-/// same bits, one `f32x8` operation per 256-bit instruction under
-/// [`Isa::Avx2`].
-fn flux_update_on(
+/// The body at lane type `V`, entered the way `isa` says (see
+/// [`crate::simd`]): same bits, one lane operation per instruction where the
+/// register is as wide as `V` — `f32x8` under [`Isa::Avx2`], either width
+/// under [`Isa::Avx512`].
+fn flux_update_on<V: Lanes>(
     isa: Isa,
     scheme: Scheme,
     s: f64,
-    up: &[f32x8],
-    flux: &mut Vec<f32x8>,
-    out: &mut [f32x8],
+    up: &[V],
+    flux: &mut Vec<V>,
+    out: &mut [V],
 ) {
     assert!(
         matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5),
         "the lane kernels support SL5 / SL-MPP5 only"
     );
     match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: called only after `is_x86_feature_detected!("avx512f")` —
+        // a `LanesWork` holds `Isa::Avx512` only as `Isa::detect`'s answer.
+        Isa::Avx512 => unsafe { flux_update_avx512(scheme, s, up, flux, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: called only after `is_x86_feature_detected!("avx2")` — a
         // `LanesWork` holds `Isa::Avx2` only as `Isa::detect`'s answer.
@@ -136,12 +144,26 @@ fn flux_update_on(
 /// Call only after `is_x86_feature_detected!("avx2")`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn flux_update_avx2(
+unsafe fn flux_update_avx2<V: Lanes>(
     scheme: Scheme,
     s: f64,
-    up: &[f32x8],
-    flux: &mut Vec<f32x8>,
-    out: &mut [f32x8],
+    up: &[V],
+    flux: &mut Vec<V>,
+    out: &mut [V],
+) {
+    flux_update(scheme, || Weights::at(scheme, s), up, flux, out)
+}
+
+/// # Safety
+/// Call only after `is_x86_feature_detected!("avx512f")`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn flux_update_avx512<V: Lanes>(
+    scheme: Scheme,
+    s: f64,
+    up: &[V],
+    flux: &mut Vec<V>,
+    out: &mut [V],
 ) {
     flux_update(scheme, || Weights::at(scheme, s), up, flux, out)
 }
@@ -208,6 +230,7 @@ mod tests {
     use super::*;
     use crate::flux::Value;
     use crate::line::{advect_line, LineWork};
+    use crate::simd::{f32x16, f32x8, LANES};
 
     fn make_lines(n: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut state = seed;
@@ -223,15 +246,31 @@ mod tests {
     }
 
     fn pack(lines: &[Vec<f32>]) -> Vec<f32x8> {
-        let n = lines[0].len();
-        (0..n)
-            .map(|i| f32x8(core::array::from_fn(|l| lines[l][i])))
+        pack_as(lines)
+    }
+
+    /// The line lane `l` of a `V` bundle packed from eight `lines` holds:
+    /// lane `l` for the first eight, rotated by one in each further eight —
+    /// so both halves of an `f32x16` carry the whole set, in other lanes.
+    fn line_of(l: usize) -> usize {
+        (l + l / LANES) % LANES
+    }
+
+    fn pack_as<V: Lanes>(lines: &[Vec<f32>]) -> Vec<V> {
+        (0..lines[0].len())
+            .map(|i| {
+                let mut v = V::ZERO;
+                for (l, x) in v.lanes_mut().iter_mut().enumerate() {
+                    *x = lines[line_of(l)][i];
+                }
+                v
+            })
             .collect()
     }
 
-    fn unpack(bundle: &[f32x8]) -> Vec<Vec<f32>> {
-        (0..8)
-            .map(|l| bundle.iter().map(|v| v.0[l]).collect())
+    fn unpack<V: Lanes>(bundle: &[V]) -> Vec<Vec<f32>> {
+        (0..V::WIDTH)
+            .map(|l| bundle.iter().map(|v| v.lanes()[l]).collect())
             .collect()
     }
 
@@ -450,14 +489,15 @@ mod tests {
         }
     }
 
-    fn bits(bundle: &[f32x8]) -> Vec<[u32; 8]> {
-        bundle.iter().map(|v| v.0.map(f32::to_bits)).collect()
+    fn bits<V: Lanes>(bundle: &[V]) -> Vec<Vec<u32>> {
+        let lane_bits = |v: &V| v.lanes().iter().map(|x| x.to_bits()).collect();
+        bundle.iter().map(lane_bits).collect()
     }
 
     /// The entry [`Isa::detect`] selects and the baseline entry are the same
-    /// function of their input, bit for bit: both kernels, both boundaries,
-    /// fractional / negative / integer / multi-cell shifts, over the corpus
-    /// (denormals, limiter corners, clamp ties).
+    /// function of their input, bit for bit, at both widths: both kernels,
+    /// both boundaries, fractional / negative / integer / multi-cell shifts,
+    /// over the corpus (denormals, limiter corners, clamp ties).
     #[test]
     fn dispatched_flux_matches_baseline_bitwise() {
         use std::io::Write;
@@ -466,33 +506,39 @@ mod tests {
         let isa = Isa::detect().name();
         let _ = writeln!(
             std::io::stderr(),
-            "lanes::flux_update: {isa} entry vs baseline entry"
+            "lanes::flux_update: {isa} entry vs baseline entry, f32x8 and f32x16"
         );
+        dispatched_matches_baseline::<f32x8>();
+        dispatched_matches_baseline::<f32x16>();
+    }
 
-        let mut fast = LanesWork::new();
+    fn dispatched_matches_baseline<V: Lanes>() {
+        let mut fast = LanesWork::<V>::new();
         let mut base = LanesWork {
             isa: Isa::Baseline,
             ..LanesWork::new()
         };
-        let n = 40;
+        let (n, width) = (40, V::WIDTH);
         for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
             for (shape, lines) in adversarial_corpus(n) {
-                let bundle = pack(&lines);
+                let bundle = pack_as::<V>(&lines);
                 for cfl in [0.3, 0.999, 1e-13, -0.42, 2.0, -1.0, 2.7, -3.1] {
                     for bc in [Boundary::Periodic, Boundary::Zero] {
                         let (mut a, mut b) = (bundle.clone(), bundle.clone());
                         advect_lanes(scheme, &mut a, cfl, bc, &mut fast);
                         advect_lanes(scheme, &mut b, cfl, bc, &mut base);
-                        assert_eq!(bits(&a), bits(&b), "{scheme:?} {shape} cfl={cfl} {bc:?}");
+                        let what = format!("x{width} {scheme:?} {shape} cfl={cfl} {bc:?}");
+                        assert_eq!(bits(&a), bits(&b), "{what}");
                     }
                 }
                 // The caller-extended entry: the bundle is its own `ext`.
                 for cfl in [0.3, 0.999, -0.42, -0.08] {
-                    let mut a = vec![f32x8::ZERO; n - 2 * GHOST];
+                    let mut a = vec![V::ZERO; n - 2 * GHOST];
                     let mut b = a.clone();
                     advect_lanes_ext(scheme, &bundle, &mut a, cfl, &mut fast);
                     advect_lanes_ext(scheme, &bundle, &mut b, cfl, &mut base);
-                    assert_eq!(bits(&a), bits(&b), "ext {scheme:?} {shape} cfl={cfl}");
+                    let what = format!("ext x{width} {scheme:?} {shape} cfl={cfl}");
+                    assert_eq!(bits(&a), bits(&b), "{what}");
                 }
             }
         }
@@ -545,30 +591,37 @@ mod tests {
         }
     }
 
-    /// Lanes are eight independent lines, bit for bit: every lane of
-    /// `advect_lanes` is the one body run on that line alone at `f32` —
-    /// both lane schemes, the corpus (denormals, limiter corners, clamp
-    /// ties), fractional / integer-threshold / negative / multi-cell shifts,
-    /// both boundaries, on whichever entry `Isa::detect` picks.
+    /// Lanes are independent lines, bit for bit: every lane of
+    /// `advect_lanes`, at `f32x8` and at `f32x16`, is the one body run on
+    /// that line alone at `f32` — both lane schemes, the corpus (denormals,
+    /// limiter corners, clamp ties), fractional / integer-threshold /
+    /// negative / multi-cell shifts, both boundaries, on whichever entry
+    /// `Isa::detect` picks.
     #[test]
     fn each_lane_is_the_body_on_its_own_line_at_f32_bitwise() {
-        let mut work = LanesWork::new();
+        each_lane_is_the_body::<f32x8>();
+        each_lane_is_the_body::<f32x16>();
+    }
+
+    fn each_lane_is_the_body<V: Lanes>() {
+        let mut work = LanesWork::<V>::new();
         let (mut up, mut flux) = (Vec::<f32>::new(), Vec::<f32>::new());
         for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
             for (shape, lines) in adversarial_corpus(40) {
                 for cfl in [0.3, 0.999, 1e-13, -0.42, 2.7, -3.1] {
                     for bc in [Boundary::Periodic, Boundary::Zero] {
-                        let mut bundle = pack(&lines);
+                        let mut bundle = pack_as::<V>(&lines);
                         advect_lanes(scheme, &mut bundle, cfl, bc, &mut work);
                         for (l, line) in unpack(&bundle).iter().enumerate() {
-                            let mut want = lines[l].clone();
+                            let mut want = lines[line_of(l)].clone();
                             advect_sampled(&mut want, cfl, bc, &mut up, |s, up, out| {
                                 flux_update(scheme, || Weights::at(scheme, s), up, &mut flux, out)
                             });
                             assert_eq!(
                                 line.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                "{scheme:?} {shape} cfl={cfl} {bc:?} lane {l}"
+                                "x{} {scheme:?} {shape} cfl={cfl} {bc:?} lane {l}",
+                                V::WIDTH
                             );
                         }
                     }

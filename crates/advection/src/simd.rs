@@ -1,13 +1,15 @@
-//! Portable SIMD lane type, the LAT register-block transpose, and the
+//! Portable SIMD lane types, the LAT register-block transpose, and the
 //! instruction-set dispatch of the lane kernels.
 //!
 //! The paper vectorises with A64FX SVE intrinsics (16 × f32 per 512-bit
 //! register). Stable Rust exposes no portable intrinsics, so we use the
-//! standard substitution: a `#[repr(align(32))]` wrapper over `[f32; 8]`
-//! whose lane-wise operations LLVM's SLP vectoriser turns into one packed
-//! instruction each under `opt-level ≥ 2`. The *code shapes* of the paper's
-//! three kernel variants — scalar strided, SIMD over contiguous lanes, and
-//! SIMD with the load-and-transpose (LAT) trick — are preserved exactly; see
+//! standard substitution: wrappers over `[f32; 8]` ([`f32x8`], one bundle of
+//! eight lines) and `[f32; 16]` ([`f32x16`], two bundles — SVE's width),
+//! each aligned to its size, whose lane-wise operations LLVM's SLP
+//! vectoriser turns into one packed instruction each under `opt-level ≥ 2`.
+//! One macro defines both. The *code shapes* of the paper's three kernel
+//! variants — scalar strided, SIMD over contiguous lanes, and SIMD with the
+//! load-and-transpose (LAT) trick — are preserved exactly; see
 //! `vlasov6d-phase-space::sweep`.
 //!
 //! **One instruction per operation — checked, not assumed.** Left alone,
@@ -18,31 +20,40 @@
 //! reads its stencil at `std::hint::black_box(j)`; a loop with opaque
 //! addresses is no candidate, and the back end sees one `f32x8` operation
 //! per source operation (126 instructions per interface; EXPERIMENTS.md,
-//! Table 1b). [`f32x8::min`] and `max` are a compare-select in `minps`
-//! operand order: one instruction where `f32::min` is three, for a NaN rule
-//! the kernels do not want. The lane type is the body's [`Value`] at width 8
-//! — `c` splats a constant rounded once to `f32`, `minmod` is branchless — so
-//! a wider lane type is one more impl of the same trait, not another body.
+//! Table 1b). The update loop reads at the same opaque index: left
+//! transparent, LLVM re-vectorised it across positions in the `f32x16`
+//! instantiation (96 `vgatherqps` per call). [`f32x8::min`] and `max` are a
+//! compare-select in `minps` operand order: one instruction where `f32::min`
+//! is three, for a NaN rule the kernels do not want. A lane type is the
+//! body's [`Value`] at its width — `c` splats a constant rounded once to
+//! `f32`, `minmod` is branchless — so the two widths are two impls of the
+//! same trait, not two bodies.
 //! To check: `objdump -d` of the `benchmark/` binary shows
 //! `lanes::flux_update_avx2` (the body's `f32x8` instantiation, inlined into
 //! its AVX2 entry) with no `vshuf*`/`vunpck*`/`vperm*`/`vinsertf128`/`vfmadd*`
 //! and ≤ 160 instructions in its flux loop.
 //!
 //! **Width.** Compiled for baseline x86-64 an `f32x8` operation is two
-//! 4-lane SSE2 halves. The two arithmetic lane kernels — the flux body behind
-//! every sweep and `vlasov6d-nbody::pp::SplitKernel::accel` — are each
-//! `#[inline(always)]` (their helpers too: a closure LLVM declines to inline
-//! is a *call* into baseline code) and entered a second way, through a
-//! `#[target_feature(enable = "avx2")]` shim that LLVM compiles at full
-//! 256-bit width; [`Isa::detect`] picks the entry from the
-//! CPU the process runs on. The shims enable `avx2` and nothing else: without
-//! the `fma` feature (and Rust never asks LLVM to contract) every lane
-//! operation stays an individually rounded IEEE operation, so both entries
-//! produce the same bits and a run is reproducible across hosts. A fused
-//! variant would round differently and would have to be re-pinned against
+//! 4-lane SSE2 halves, an `f32x16` operation four. The two arithmetic lane
+//! kernels — the flux body behind every sweep and
+//! `vlasov6d-nbody::pp::SplitKernel::accel` — are each `#[inline(always)]`
+//! (their helpers too: a closure LLVM declines to inline is a *call* into
+//! baseline code) and entered through `#[target_feature]` shims that LLVM
+//! compiles at full width: `avx2` (one 256-bit register per `f32x8`, two per
+//! `f32x16`) and, for the flux body, `avx512f` (one 512-bit register per
+//! `f32x16`). [`Isa::detect`] picks the entry from the CPU the process runs
+//! on; which *width* runs is not the CPU's to decide but the sweep plan's —
+//! two bundles of a task that share a shift are one `f32x16` on every host.
+//! No shim asks for `fma` (`avx512f` implies it to LLVM, which still never
+//! contracts: Rust does not allow it to), so every lane operation stays an
+//! individually rounded IEEE operation, every entry produces the same bits
+//! at either width, and a run is reproducible across hosts. A fused variant
+//! would round differently and would have to be re-pinned against
 //! kerncheck's ULP bounds. There is no way to choose the entry from outside:
 //! the baseline arm is what hosts without AVX2 (and every non-x86-64 target,
-//! and Miri) run.
+//! and Miri) run. To check: `lanes::flux_update_avx512` in the same
+//! disassembly computes on `zmm` registers with no
+//! `vgather*`/`vshuf*`/`vperm*`/`vfmadd*`.
 //!
 //! **The transpose is the one place with intrinsics.** [`transpose8x8`] is the
 //! Fig. 3 operation at width 8: an 8×8 f32 block held in eight lane
@@ -64,113 +75,229 @@ use crate::flux::Value;
 /// The instruction set the lane kernels are entered with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
-    /// What the crate was compiled for: two SSE2 halves per `f32x8` on
-    /// x86-64.
+    /// What the crate was compiled for: two SSE2 halves per `f32x8`, four
+    /// per `f32x16` on x86-64.
     Baseline,
-    /// One 256-bit register per `f32x8`.
+    /// One 256-bit register per `f32x8`, two per `f32x16`.
     Avx2,
+    /// One 512-bit register per `f32x16` — the paper's SVE width; an
+    /// `f32x8` stays one 256-bit register.
+    Avx512,
 }
 
 impl Isa {
     /// The widest entry this host can run. `std` probes CPUID once per
     /// process and caches the answer, so the kernels ask on every call.
+    /// [`Isa::Avx512`] means `avx512f` *and* `avx2` were detected, so every
+    /// AVX2 entry is sound under it too.
     #[inline]
     pub fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
             return Isa::Avx2;
         }
         Isa::Baseline
     }
 
-    /// `"avx2"` / `"baseline"` — the `kernel.isa` value in step records and
-    /// bench headers.
+    /// `"avx512f"` / `"avx2"` / `"baseline"` — the `kernel.isa` value in
+    /// step records and bench headers.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Baseline => "baseline",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512f",
         }
     }
 }
 
-/// Eight packed `f32` lanes.
-#[allow(non_camel_case_types)]
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[repr(C, align(32))]
-pub struct f32x8(pub [f32; 8]);
-
+/// Lanes per bundle: the lines one [`f32x8`] carries, and the half of an
+/// [`f32x16`] one bundle of a pair occupies.
 pub const LANES: usize = 8;
 
-impl f32x8 {
-    pub const ZERO: Self = Self([0.0; 8]);
-
-    #[inline(always)]
-    pub fn splat(v: f32) -> Self {
-        Self([v; 8])
-    }
-
-    #[inline(always)]
-    pub fn load(slice: &[f32]) -> Self {
-        let mut out = [0.0f32; 8];
-        out.copy_from_slice(&slice[..8]);
-        Self(out)
-    }
-
-    #[inline(always)]
-    pub fn store(self, slice: &mut [f32]) {
-        slice[..8].copy_from_slice(&self.0);
-    }
-
-    /// Lane-wise minimum as one compare-select (`minps`): `o` where `o < self`,
-    /// else `self` — `f32::min` on every non-NaN pair, ±0 ties included. A NaN
-    /// in `self` propagates; a NaN in `o` returns `self`.
-    #[inline(always)]
-    pub fn min(self, o: Self) -> Self {
-        let pick = |a: f32, b: f32| if b < a { b } else { a };
-        Self(core::array::from_fn(|i| pick(self.0[i], o.0[i])))
-    }
-
-    /// Lane-wise maximum, the mirror image of [`Self::min`] (`maxps`).
-    #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
-        let pick = |a: f32, b: f32| if b > a { b } else { a };
-        Self(core::array::from_fn(|i| pick(self.0[i], o.0[i])))
-    }
-
-    #[inline(always)]
-    pub fn abs(self) -> Self {
-        Self(core::array::from_fn(|i| self.0[i].abs()))
-    }
-
-    #[inline(always)]
-    pub fn clamp(self, lo: Self, hi: Self) -> Self {
-        self.max(lo).min(hi)
-    }
-
-    /// Lane-wise sign: +1.0, -1.0 or 0.0.
-    #[inline(always)]
-    pub fn signum_or_zero(self) -> Self {
-        Self(core::array::from_fn(|i| {
-            let v = self.0[i];
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        }))
-    }
-
-    #[inline(always)]
-    pub fn horizontal_sum(self) -> f32 {
-        self.0.iter().sum()
-    }
+/// A lane vector of `f32`: position `i` of [`Lanes::WIDTH`] lines, one line
+/// per lane — what the lane kernels advance ([`f32x8`], [`f32x16`]).
+pub trait Lanes: Value<Out = Self> + Copy {
+    /// The number of lanes.
+    const WIDTH: usize;
+    /// Every lane `0.0`.
+    const ZERO: Self;
+    /// The lanes in order.
+    fn lanes(&self) -> &[f32];
+    /// The lanes in order, writable.
+    fn lanes_mut(&mut self) -> &mut [f32];
 }
 
-macro_rules! lanewise_binop {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl core::ops::$trait for f32x8 {
+/// Defines a lane type of `$n` lanes aligned to its size: its lane-wise
+/// operations, its [`Value`] instantiation of the flux body and its
+/// [`Lanes`] impl — one definition for every width.
+macro_rules! lane_type {
+    ($(#[$doc:meta])* $name:ident, $n:literal, $align:literal) => {
+        $(#[$doc])*
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
+        #[repr(C, align($align))]
+        pub struct $name(pub [f32; $n]);
+
+        impl $name {
+            pub const ZERO: Self = Self([0.0; $n]);
+
+            #[inline(always)]
+            pub fn splat(v: f32) -> Self {
+                Self([v; $n])
+            }
+
+            #[inline(always)]
+            pub fn load(slice: &[f32]) -> Self {
+                let mut out = [0.0f32; $n];
+                out.copy_from_slice(&slice[..$n]);
+                Self(out)
+            }
+
+            #[inline(always)]
+            pub fn store(self, slice: &mut [f32]) {
+                slice[..$n].copy_from_slice(&self.0);
+            }
+
+            /// Lane-wise minimum as one compare-select (`minps`): `o` where
+            /// `o < self`, else `self` — `f32::min` on every non-NaN pair, ±0
+            /// ties included. A NaN in `self` propagates; a NaN in `o`
+            /// returns `self`.
+            #[inline(always)]
+            pub fn min(self, o: Self) -> Self {
+                let pick = |a: f32, b: f32| if b < a { b } else { a };
+                Self(core::array::from_fn(|i| pick(self.0[i], o.0[i])))
+            }
+
+            /// Lane-wise maximum, the mirror image of `min` (`maxps`).
+            #[inline(always)]
+            pub fn max(self, o: Self) -> Self {
+                let pick = |a: f32, b: f32| if b > a { b } else { a };
+                Self(core::array::from_fn(|i| pick(self.0[i], o.0[i])))
+            }
+
+            #[inline(always)]
+            pub fn abs(self) -> Self {
+                Self(core::array::from_fn(|i| self.0[i].abs()))
+            }
+
+            #[inline(always)]
+            pub fn clamp(self, lo: Self, hi: Self) -> Self {
+                self.max(lo).min(hi)
+            }
+
+            /// Lane-wise sign: +1.0, -1.0 or 0.0.
+            #[inline(always)]
+            pub fn signum_or_zero(self) -> Self {
+                Self(core::array::from_fn(|i| {
+                    let v = self.0[i];
+                    if v > 0.0 {
+                        1.0
+                    } else if v < 0.0 {
+                        -1.0
+                    } else {
+                        0.0
+                    }
+                }))
+            }
+
+            #[inline(always)]
+            pub fn horizontal_sum(self) -> f32 {
+                self.0.iter().sum()
+            }
+        }
+
+        lane_type!(@binop $name, Add, add, +);
+        lane_type!(@binop $name, Sub, sub, -);
+        lane_type!(@binop $name, Mul, mul, *);
+        lane_type!(@binop $name, Div, div, /);
+
+        impl core::ops::Neg for $name {
+            type Output = Self;
+            #[inline(always)]
+            fn neg(self) -> Self {
+                Self(core::array::from_fn(|i| -self.0[i]))
+            }
+        }
+
+        impl core::ops::AddAssign for $name {
+            #[inline(always)]
+            fn add_assign(&mut self, o: Self) {
+                *self = *self + o;
+            }
+        }
+
+        impl core::ops::Mul<f32> for $name {
+            type Output = Self;
+            #[inline(always)]
+            fn mul(self, s: f32) -> Self {
+                self * Self::splat(s)
+            }
+        }
+
+        /// The lane instantiation of the flux body: one lane operation per
+        /// operation, constants rounded once to `f32`.
+        impl Value for $name {
+            type Out = $name;
+            #[inline(always)]
+            fn c(x: f64) -> Self {
+                Self::splat(x as f32)
+            }
+            #[inline(always)]
+            fn add(&self, o: &Self) -> Self {
+                *self + *o
+            }
+            #[inline(always)]
+            fn sub(&self, o: &Self) -> Self {
+                *self - *o
+            }
+            #[inline(always)]
+            fn mul(&self, o: &Self) -> Self {
+                *self * *o
+            }
+            #[inline(always)]
+            fn min(&self, o: &Self) -> Self {
+                $name::min(*self, *o)
+            }
+            #[inline(always)]
+            fn max(&self, o: &Self) -> Self {
+                $name::max(*self, *o)
+            }
+            /// `(sgn a + sgn b) · ½ · min(|a|, |b|)`: the branchy rule,
+            /// branch-free.
+            #[inline(always)]
+            fn minmod(&self, o: &Self) -> Self {
+                (self.signum_or_zero() + o.signum_or_zero())
+                    * Self::splat(0.5)
+                    * self.abs().min(o.abs())
+            }
+            #[inline(always)]
+            fn clamp(&self, lo: &Self, hi: &Self) -> Self {
+                $name::clamp(*self, *lo, *hi)
+            }
+            #[inline(always)]
+            fn narrow(self) -> Self {
+                self
+            }
+        }
+
+        impl Lanes for $name {
+            const WIDTH: usize = $n;
+            const ZERO: Self = Self([0.0; $n]);
+            #[inline(always)]
+            fn lanes(&self) -> &[f32] {
+                &self.0
+            }
+            #[inline(always)]
+            fn lanes_mut(&mut self) -> &mut [f32] {
+                &mut self.0
+            }
+        }
+    };
+    (@binop $name:ident, $trait:ident, $method:ident, $op:tt) => {
+        impl core::ops::$trait for $name {
             type Output = Self;
             #[inline(always)]
             fn $method(self, o: Self) -> Self {
@@ -179,76 +306,22 @@ macro_rules! lanewise_binop {
         }
     };
 }
-lanewise_binop!(Add, add, +);
-lanewise_binop!(Sub, sub, -);
-lanewise_binop!(Mul, mul, *);
-lanewise_binop!(Div, div, /);
 
-impl core::ops::Neg for f32x8 {
-    type Output = Self;
-    #[inline(always)]
-    fn neg(self) -> Self {
-        Self(core::array::from_fn(|i| -self.0[i]))
-    }
-}
+lane_type!(
+    /// Eight packed `f32` lanes: one bundle. Its size equals its alignment,
+    /// so an array of them has no padding (what [`transpose8x8`] relies on).
+    f32x8,
+    8,
+    32
+);
 
-impl core::ops::AddAssign for f32x8 {
-    #[inline(always)]
-    fn add_assign(&mut self, o: Self) {
-        *self = *self + o;
-    }
-}
-
-impl core::ops::Mul<f32> for f32x8 {
-    type Output = Self;
-    #[inline(always)]
-    fn mul(self, s: f32) -> Self {
-        self * Self::splat(s)
-    }
-}
-
-/// The lane instantiation of the flux body: one `f32x8` operation per
-/// operation, constants rounded once to `f32`.
-impl Value for f32x8 {
-    type Out = f32x8;
-    #[inline(always)]
-    fn c(x: f64) -> Self {
-        Self::splat(x as f32)
-    }
-    #[inline(always)]
-    fn add(&self, o: &Self) -> Self {
-        *self + *o
-    }
-    #[inline(always)]
-    fn sub(&self, o: &Self) -> Self {
-        *self - *o
-    }
-    #[inline(always)]
-    fn mul(&self, o: &Self) -> Self {
-        *self * *o
-    }
-    #[inline(always)]
-    fn min(&self, o: &Self) -> Self {
-        f32x8::min(*self, *o)
-    }
-    #[inline(always)]
-    fn max(&self, o: &Self) -> Self {
-        f32x8::max(*self, *o)
-    }
-    /// `(sgn a + sgn b) · ½ · min(|a|, |b|)`: the branchy rule, branch-free.
-    #[inline(always)]
-    fn minmod(&self, o: &Self) -> Self {
-        (self.signum_or_zero() + o.signum_or_zero()) * Self::splat(0.5) * self.abs().min(o.abs())
-    }
-    #[inline(always)]
-    fn clamp(&self, lo: &Self, hi: &Self) -> Self {
-        f32x8::clamp(*self, *lo, *hi)
-    }
-    #[inline(always)]
-    fn narrow(self) -> Self {
-        self
-    }
-}
+lane_type!(
+    /// Sixteen packed `f32` lanes — one 512-bit SVE register of the paper:
+    /// two bundles that share a shift, one per half.
+    f32x16,
+    16,
+    64
+);
 
 /// In-register 8×8 transpose — the LAT primitive (paper Fig. 3 at width 8).
 ///
@@ -365,13 +438,23 @@ mod tests {
         assert_eq!(c.0, [1.0, 2.0, -1.0, 0.0, 2.0, -1.0, 2.0, -1.0]);
     }
 
-    /// The contract of `min`/`max`: `f32::min`/`f32::max` to the bit on every
-    /// non-NaN pair (normals, denormals, ±∞, all four ±0 pairings, either
-    /// operand order), and for NaN the `minps` rule — a NaN in `self`
-    /// propagates, a NaN in the argument returns `self`.
+    /// The contract of `min`/`max`, at both widths: `f32::min`/`f32::max`
+    /// to the bit on every non-NaN pair (normals, denormals, ±∞, all four ±0
+    /// pairings, either operand order), and for NaN the `minps` rule — a NaN
+    /// in `self` propagates, a NaN in the argument returns `self`.
     #[test]
     fn min_max_match_f32_bitwise_and_propagate_nan_in_self() {
+        min_max_contract::<f32x8>();
+        min_max_contract::<f32x16>();
+    }
+
+    fn min_max_contract<V: Lanes>() {
         use std::hint::black_box;
+        let splat = |x: f32| {
+            let mut v = V::ZERO;
+            v.lanes_mut().fill(x);
+            v
+        };
         let grid = [
             0.0f32,
             -0.0,
@@ -392,23 +475,24 @@ mod tests {
         for &a in &grid {
             for &b in &grid {
                 // `black_box`: the run-time lowering, not a constant fold.
-                let (va, vb) = (f32x8::splat(black_box(a)), f32x8::splat(black_box(b)));
-                let (lo, hi) = (va.min(vb), va.max(vb));
+                let (va, vb) = (splat(black_box(a)), splat(black_box(b)));
+                let (lo, hi) = (va.min(&vb), va.max(&vb));
                 let (want_lo, want_hi) = (
                     black_box(a).min(black_box(b)),
                     black_box(a).max(black_box(b)),
                 );
-                for l in 0..LANES {
-                    assert_eq!(lo.0[l].to_bits(), want_lo.to_bits(), "min({a:e}, {b:e})");
-                    assert_eq!(hi.0[l].to_bits(), want_hi.to_bits(), "max({a:e}, {b:e})");
+                for l in 0..V::WIDTH {
+                    let (lo, hi) = (lo.lanes()[l], hi.lanes()[l]);
+                    assert_eq!(lo.to_bits(), want_lo.to_bits(), "min({a:e}, {b:e})");
+                    assert_eq!(hi.to_bits(), want_hi.to_bits(), "max({a:e}, {b:e})");
                 }
             }
-            let (va, nan) = (f32x8::splat(a), f32x8::splat(f32::NAN));
-            for l in 0..LANES {
-                assert!(nan.min(va).0[l].is_nan() && nan.max(va).0[l].is_nan());
-                assert!(nan.clamp(va, va).0[l].is_nan());
-                assert_eq!(va.min(nan).0[l].to_bits(), a.to_bits());
-                assert_eq!(va.max(nan).0[l].to_bits(), a.to_bits());
+            let (va, nan) = (splat(a), splat(f32::NAN));
+            for l in 0..V::WIDTH {
+                assert!(nan.min(&va).lanes()[l].is_nan() && nan.max(&va).lanes()[l].is_nan());
+                assert!(nan.clamp(&va, &va).lanes()[l].is_nan());
+                assert_eq!(va.min(&nan).lanes()[l].to_bits(), a.to_bits());
+                assert_eq!(va.max(&nan).lanes()[l].to_bits(), a.to_bits());
             }
         }
     }

@@ -40,10 +40,11 @@ pub struct StepRecord {
     pub momentum: [f64; 3],
 }
 
-/// `kernel.isa` = `"avx2"` / `"baseline"`: the entry of the lane kernels
-/// this host's CPU selected ([`vlasov6d_advection::simd::Isa`]). Every driver
-/// puts it on the first step a run takes, so a trace says which register
-/// width produced its timings.
+/// `kernel.isa` = `"avx512f"` / `"avx2"` / `"baseline"`: the entry of the
+/// lane kernels this host's CPU selected ([`vlasov6d_advection::simd::Isa`]).
+/// Every driver puts it on the first step a run takes, so a trace says which
+/// register width produced its timings (`kernel.shape` says which lane
+/// width each axis ran at).
 pub(crate) fn kernel_isa_metric() -> (String, MetricValue) {
     let isa = vlasov6d_advection::simd::Isa::detect();
     (

@@ -539,9 +539,9 @@ mod tests {
         let first = nu_only.step().metrics.clone();
         assert!(
             matches!(first.as_slice(), [(name, MetricValue::Text(isa)), (shape, MetricValue::Text(axes)), _, _]
-                if name == "kernel.isa" && (isa == "avx2" || isa == "baseline")
+                if name == "kernel.isa" && ["avx512f", "avx2", "baseline"].contains(&isa.as_str())
                     && shape == "kernel.shape"
-                    && axes == "x:packed y:packed z:tile ux:packed uy:packed uz:gather"),
+                    && axes == "x:packed16 y:packed8 z:tile8 ux:packed16 uy:packed16 uz:gather16"),
             "{first:?}"
         );
         let later = nu_only.step().metrics.clone();

@@ -10,12 +10,13 @@
 //!   any aliasing an indicator sweep could mask. Involution is checked on
 //!   random data as a redundant independent witness.
 //!
-//! * `advect_lanes` (all-`f32`) tracks `advect_line` (weights and limiter in
-//!   `f64`) within a per-element hybrid ULP budget over a seeded adversarial
-//!   corpus: uniform random lines, isolated spikes (limiter corners),
-//!   denormal-magnitude lines (flush/underflow paths), and near-clamp
-//!   plateaus (the positivity clamp's `min`/`max` ties), at 40 cells and at
-//!   every length below the stencil's (1–5). The tolerance is
+//! * `advect_lanes` (all-`f32`, at `f32x8` and at `f32x16`) tracks
+//!   `advect_line` (weights and limiter in `f64`) within a per-element hybrid
+//!   ULP budget over a seeded adversarial corpus: uniform random lines,
+//!   isolated spikes (limiter corners), denormal-magnitude lines
+//!   (flush/underflow paths), and near-clamp plateaus (the positivity
+//!   clamp's `min`/`max` ties), at 40 cells and at every length below the
+//!   stencil's (1–5). The tolerance is
 //!   `BUDGET_ULPS · ε_f32 · scale + 2 · f32::MIN_POSITIVE` with `scale` the
 //!   line's max magnitude — relative in the normal range, absolute at the
 //!   denormal floor.
@@ -34,7 +35,7 @@ use crate::report::Report;
 use vlasov6d_advection::flux::{slmpp5_flux, Value, Weights};
 use vlasov6d_advection::lanes::{advect_lanes, adversarial_corpus as corpus, LanesWork};
 use vlasov6d_advection::line::{advect_line, LineWork, GHOST};
-use vlasov6d_advection::simd::transpose8x8;
+use vlasov6d_advection::simd::{f32x16, transpose8x8, Lanes, LANES};
 use vlasov6d_advection::{f32x8, Boundary, Scheme};
 
 /// ULP budget for the lanes-vs-line comparison. The f32 kernel loses
@@ -115,16 +116,28 @@ fn check_transpose(report: &mut Report) {
     }
 }
 
-fn pack(lines: &[Vec<f32>]) -> Vec<f32x8> {
-    let n = lines[0].len();
-    (0..n)
-        .map(|i| f32x8(core::array::from_fn(|l| lines[l][i])))
+/// The corpus line lane `l` carries: the eight lines in lane order, rotated
+/// by one in each further eight lanes — every lane of an `f32x16` holds a
+/// corpus line, and its two halves hold them in different lanes.
+fn line_of(l: usize) -> usize {
+    (l + l / LANES) % LANES
+}
+
+fn pack<V: Lanes>(lines: &[Vec<f32>]) -> Vec<V> {
+    (0..lines[0].len())
+        .map(|i| {
+            let mut v = V::ZERO;
+            for (l, x) in v.lanes_mut().iter_mut().enumerate() {
+                *x = lines[line_of(l)][i];
+            }
+            v
+        })
         .collect()
 }
 
-/// Differential-test `advect_lanes` against `advect_line` over the corpus at
-/// line length `n`, as property `name`.
-fn check_lanes(report: &mut Report, n: usize, name: &str) {
+/// Differential-test `advect_lanes` at lane type `V` against `advect_line`
+/// over the corpus at line length `n`, as property `name`.
+fn check_lanes<V: Lanes>(report: &mut Report, n: usize, name: &str) {
     let cfls = [0.3, 0.85, 0.999, -0.42, 2.7, 1e-13, 0.2];
     let mut worst: f64 = 0.0;
     let mut failure = None;
@@ -139,14 +152,15 @@ fn check_lanes(report: &mut Report, n: usize, name: &str) {
             for &cfl in &cfls {
                 for bc in [Boundary::Periodic, Boundary::Zero] {
                     cases += 1;
-                    let mut bundle = pack(&lines);
+                    let mut bundle = pack::<V>(&lines);
                     let mut lwork = LanesWork::new();
                     advect_lanes(scheme, &mut bundle, cfl, bc, &mut lwork);
                     let mut swork = LineWork::new();
-                    for (l, line) in lines.iter().enumerate() {
-                        let mut scalar = line.clone();
+                    for l in 0..V::WIDTH {
+                        let mut scalar = lines[line_of(l)].clone();
                         advect_line(scheme, &mut scalar, cfl, bc, &mut swork);
-                        for (i, (v, s)) in bundle.iter().map(|v| v.0[l]).zip(&scalar).enumerate() {
+                        let lane = bundle.iter().map(|v| v.lanes()[l]);
+                        for (i, (v, s)) in lane.zip(&scalar).enumerate() {
                             let err = (v - s).abs();
                             worst = worst.max((err / tol) as f64);
                             if err > tol && failure.is_none() {
@@ -166,9 +180,10 @@ fn check_lanes(report: &mut Report, n: usize, name: &str) {
             "equivalence",
             name,
             format!(
-                "f32x8 kernels track the scalar path within {BUDGET_ULPS:.0} ULP · scale + \
+                "f32x{} kernels track the scalar path within {BUDGET_ULPS:.0} ULP · scale + \
                  2·MIN_POSITIVE over {cases} (scheme × shape × cfl × boundary) corpus cases \
                  (worst {:.1}% of budget)",
+                V::WIDTH,
                 worst * 100.0
             ),
         ),
@@ -303,11 +318,16 @@ fn check_carried(report: &mut Report) {
 /// Run the whole pass.
 pub fn run(report: &mut Report) {
     check_transpose(report);
-    check_lanes(report, 40, "lanes.differential");
+    check_lanes::<f32x8>(report, 40, "lanes.differential");
     // Lines shorter than the stencil — the thin axes of the plasma grids —
     // where both kernels sample their own periodic images or zeros.
     for n in 1..=5 {
-        check_lanes(report, n, &format!("lanes.differential.short{n}"));
+        check_lanes::<f32x8>(report, n, &format!("lanes.differential.short{n}"));
+    }
+    // The same corpus at the paired width: two bundles in one `f32x16`.
+    check_lanes::<f32x16>(report, 40, "lanes16.differential");
+    for n in 1..=5 {
+        check_lanes::<f32x16>(report, n, &format!("lanes16.differential.short{n}"));
     }
     check_carried(report);
 }
@@ -351,7 +371,7 @@ mod tests {
             .flat_map(|l| l.iter())
             .fold(0.0f32, |m, &v| m.max(v.abs()));
         let tol = lane_tolerance(scale);
-        let mut bundle = pack(&lines);
+        let mut bundle = pack::<f32x8>(&lines);
         let mut work = LanesWork::new();
         advect_lanes(Scheme::Sl5, &mut bundle, 0.4, Boundary::Periodic, &mut work);
         // Shift the result by one cell: compare shifted vs straight.

@@ -155,8 +155,10 @@ impl SplitKernel {
         match Isa::detect() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: called only after `is_x86_feature_detected!("avx2")`,
-            // which is what `Isa::detect` returning `Avx2` means.
-            Isa::Avx2 => unsafe { self.accel_avx2(target, list) },
+            // which is what `Isa::detect` returning `Avx2` or `Avx512` means.
+            // The sum is `f32x8`-wide: on an AVX-512 host it takes the same
+            // 256-bit entry.
+            Isa::Avx2 | Isa::Avx512 => unsafe { self.accel_avx2(target, list) },
             _ => self.accel_lanes(target, list),
         }
     }

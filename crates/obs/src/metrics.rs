@@ -284,7 +284,7 @@ pub enum MetricValue {
     /// Histogram state.
     Histogram(HistogramSnapshot),
     /// A label, not a reading: which of a fixed set of names applied
-    /// (`kernel.isa` = `"avx2"`).
+    /// (`kernel.isa` = `"avx512f"`).
     Text(String),
 }
 

@@ -12,7 +12,10 @@
 //!   bundle element is one packed load (paper Fig. 1), where they are not it
 //!   is eight element loads (paper Fig. 2 — the shape of the `u_z` axis on
 //!   every grid, and of `y` / `z` / `u_y` on the plasma scenarios' thin
-//!   `[nv, 4, 4]` velocity grids).
+//!   `[nv, 4, 4]` velocity grids). Two consecutive bundles of a task that
+//!   share a shift ride one [`f32x16`] — the paper's 16-lane SVE register —
+//!   each loaded into and stored from its own half; a lone bundle stays an
+//!   `f32x8`. The pairing is inside a task, so no task's write set moves.
 //! * [`Exec::Lat`] — "w/ LAT method": where `nuy` and `nuz` divide by 8, eight
 //!   contiguous `u_z` lines are loaded as packed registers and transposed
 //!   in-register ([`transpose8x8`], paper Fig. 3) into lane form, advected,
@@ -59,7 +62,7 @@ use crate::plan;
 use rayon::prelude::*;
 use vlasov6d_advection::lanes::{advect_lanes, advect_lanes_ext, LanesWork};
 use vlasov6d_advection::line::{advect_line, advect_line_ext, LineWork, Scheme};
-use vlasov6d_advection::simd::{f32x8, transpose8x8, LANES};
+use vlasov6d_advection::simd::{f32x16, f32x8, transpose8x8, Lanes, LANES};
 use vlasov6d_advection::{Boundary, GHOST};
 use vlasov6d_mesh::Field3;
 
@@ -68,8 +71,9 @@ use vlasov6d_mesh::Field3;
 pub enum Exec {
     /// One line at a time, no lane batching.
     Scalar,
-    /// Eight lines per bundle; packed loads where the layout allows,
-    /// element gathers where it does not.
+    /// Eight lines per bundle, two bundles per `f32x16` where a task holds
+    /// two at one shift; packed loads where the layout allows, element
+    /// gathers where it does not.
     #[default]
     Simd,
     /// Load-and-transpose staging for the `u_z` axis.
@@ -114,19 +118,32 @@ impl Exec {
 }
 
 /// Which shape each axis of a `dims` grid runs when layout axis `a` is swept
-/// under `(scheme, exec(a))`, one token per axis — the `kernel.shape` value
-/// of the drivers' first step record: `x:packed y:gather z:gather ux:packed
-/// uy:gather uz:gather` on a `[nv, 4, 4]` velocity grid, `scalar` where
-/// [`Exec::resolve`] fell back.
+/// under `(scheme, exec(a))`, and at which lane width, one token per axis —
+/// the `kernel.shape` value of the drivers' first step record: `x:packed16
+/// y:gather8 z:gather8 ux:packed16 uy:gather16 uz:gather16` on a
+/// `[nv, 4, 4]` velocity grid, `scalar` where [`Exec::resolve`] fell back.
+/// A bundle task runs at 16 lanes where it pairs bundles — where two or more
+/// of its groups share each shift — and at 8 otherwise; tiles and LAT rows
+/// run at 8.
 pub fn lane_shapes(scheme: Scheme, dims: &[usize; 6], exec: impl Fn(usize) -> Exec) -> String {
     const AXES: [&str; 6] = ["x", "y", "z", "ux", "uy", "uz"];
-    let shape = |axis: usize| match (exec(axis).resolve(scheme, dims, axis), axis) {
-        (Exec::Scalar, _) => "scalar",
-        (Exec::Lat, 2) => "tile",
-        (Exec::Lat, _) => "lat",
-        (Exec::Simd, 0..=2) if plan::Bundles::spatial(dims, axis).packed() => "packed",
-        (Exec::Simd, 3..) if plan::Bundles::block(dims, axis - 3).packed() => "packed",
-        (Exec::Simd, _) => "gather",
+    let shape = |axis: usize| {
+        let bundles = match axis {
+            0..=2 => plan::Bundles::spatial(dims, axis),
+            _ => plan::Bundles::block(dims, axis - 3),
+        };
+        // Groups per task and shift; counted only where lanes run.
+        let width = || match bundles.free_count() / LANES / bundles.count() {
+            1 => LANES,
+            _ => 2 * LANES,
+        };
+        match (exec(axis).resolve(scheme, dims, axis), axis) {
+            (Exec::Scalar, _) => "scalar".to_string(),
+            (Exec::Lat, 2) => format!("tile{LANES}"),
+            (Exec::Lat, _) => format!("lat{LANES}"),
+            (Exec::Simd, _) if bundles.packed() => format!("packed{}", width()),
+            (Exec::Simd, _) => format!("gather{}", width()),
+        }
     };
     let tokens: Vec<String> = (0..6)
         .map(|a| format!("{}:{}", AXES[a], shape(a)))
@@ -374,12 +391,17 @@ impl<'a> Window<'a> {
     }
 }
 
+/// `ext`, `out` and kernel work space of a lane task at lane type `V`.
+type LaneScratch<V> = (Vec<V>, Vec<V>, LanesWork<V>);
+
 /// Per-worker scratch of a ghosted sweep: `ext`, `out` and kernel work space
-/// for the scalar and the lane task shapes (a sweep uses one of the two).
+/// for the scalar and the lane task shapes (a sweep uses one of the two),
+/// the latter at both widths — a lone bundle and the tiles at `f32x8`, a
+/// pair of bundles at `f32x16`.
 #[derive(Default)]
 pub(crate) struct GhostedWork {
     line: (Vec<f32>, Vec<f32>, LineWork),
-    lanes: (Vec<f32x8>, Vec<f32x8>, LanesWork),
+    lanes: (LaneScratch<f32x8>, LaneScratch<f32x16>),
 }
 
 /// `dims` of a plane buffer for axis `d`: the block's, `GHOST` planes thick.
@@ -392,9 +414,10 @@ fn plane_dims(dims: &[usize; 6], d: usize) -> [usize; 6] {
 /// One parallel region of a spatial sweep along axis `d`: every pencil task
 /// advects each of `windows` through the ghost-extended kernels, in the task
 /// shape [`Exec::resolve`] makes of `exec` on this grid — scalar pencils,
-/// bundles of eight lines that share a conjugate index (packed loads where
-/// they are adjacent in memory, Fig. 1, element gathers where they are not),
-/// or along `z` 8×8 `(iuy, iuz)` tiles staged through the in-register
+/// bundles of eight lines that share a conjugate index, two at a time where
+/// a task holds two at one index (packed loads where they are adjacent in
+/// memory, Fig. 1, element gathers where they are not), or along `z` 8×8
+/// `(iuy, iuz)` tiles staged through the in-register
 /// transpose so that lanes run over `iuy` at one shift (the LAT trick on the
 /// spatial axis). Racecheck regions `sweep.spatial.{x,y,z}.*` (the periodic
 /// window) and `sweep.dist.{x,y,z}.{sync,interior,edges}.*`; `only` replays a
@@ -447,7 +470,7 @@ pub(crate) fn sweep_ghosted(
             cfl_per_u,
             scheme,
             windows,
-            &mut work.lanes,
+            &mut work.lanes.0,
             task,
         ),
     };
@@ -498,13 +521,16 @@ fn ghosted_line_task(
     }
 }
 
+/// A bundle task: its bundles in plan order, two consecutive ones that share
+/// a shift as one `f32x16` (each in its own half), a lone one as an `f32x8`.
+/// Pairing inside the task leaves its write set the plan's.
 fn ghosted_bundle_task(
     base: SendMutPtr,
     [in_block, in_planes]: &[plan::Bundles; 2],
     cfl_per_u: &[f64],
     scheme: Scheme,
     windows: &[Window<'_>],
-    (ext, out, work): &mut (Vec<f32x8>, Vec<f32x8>, LanesWork),
+    (x8, x16): &mut (LaneScratch<f32x8>, LaneScratch<f32x16>),
     task: usize,
 ) {
     // The plane buffers' bundles only where a window reads them: the
@@ -514,26 +540,56 @@ fn ghosted_bundle_task(
         .flat_map(|w| &w.ext)
         .any(|s| s.planes.is_some());
     let mut in_planes = reads_planes.then(|| in_planes.task(task));
-    for (iu, block) in in_block.task(task) {
-        let planes = in_planes
-            .as_mut()
-            .and_then(Iterator::next)
-            .map_or(block, |(_, p)| p);
+    let mut bundles = in_block
+        .task(task)
+        .map(|(iu, block)| {
+            let planes = in_planes
+                .as_mut()
+                .and_then(Iterator::next)
+                .map_or(block, |(_, p)| p);
+            (iu, [block, planes])
+        })
+        .peekable();
+    while let Some((iu, first)) = bundles.next() {
         let cfl = cfl_per_u[iu];
-        for w in windows {
-            ext.clear();
-            for seg in &w.ext {
-                let (src, p) = seg.source(base, &block, &planes);
+        match bundles.next_if(|(next, _)| *next == iu) {
+            Some((_, second)) => ghosted_bundles(base, &[first, second], cfl, scheme, windows, x16),
+            None => ghosted_bundles(base, &[first], cfl, scheme, windows, x8),
+        }
+    }
+}
+
+/// The bundles `bs` — each a `[block, planes]` plan pair, bundle `h` in
+/// lanes `8h..8h + 8` of `V` — advected through every window at shift `cfl`.
+#[inline(always)]
+fn ghosted_bundles<V: Lanes>(
+    base: SendMutPtr,
+    bs: &[[plan::Bundle; 2]],
+    cfl: f64,
+    scheme: Scheme,
+    windows: &[Window<'_>],
+    (ext, out, work): &mut LaneScratch<V>,
+) {
+    assert_eq!(bs.len() * LANES, V::WIDTH);
+    for w in windows {
+        ext.clear();
+        for seg in &w.ext {
+            let at = ext.len();
+            ext.resize(at + seg.cells.len(), V::ZERO);
+            for (half, [block, planes]) in bs.iter().enumerate() {
+                let (src, p) = seg.source(base, block, planes);
                 // SAFETY: as in `ghosted_line_task`, one bundle element per
                 // cell.
-                unsafe { load_cells(src, p, seg.cells.clone(), ext) };
+                unsafe { load_cells(src, p, seg.cells.clone(), &mut ext[at..], half) };
             }
-            out.resize(w.out_len(), f32x8::ZERO);
-            let (ext, frac) = w.kernel_ext(ext, cfl);
-            advect_lanes_ext(scheme, ext, out, frac, work);
+        }
+        out.resize(w.out_len(), V::ZERO);
+        let (ext, frac) = w.kernel_ext(ext, cfl);
+        advect_lanes_ext(scheme, ext, out, frac, work);
+        for (half, [block, _]) in bs.iter().enumerate() {
             // SAFETY: elements `out_cells()` of this task's own bundle
             // pencil.
-            unsafe { store_cells(base.0, &block, w.out_start, out) };
+            unsafe { store_cells(base.0, block, w.out_start, out, half) };
         }
     }
 }
@@ -544,7 +600,7 @@ fn ghosted_tile_task(
     cfl_per_u: &[f64],
     scheme: Scheme,
     windows: &[Window<'_>],
-    (ext, out, work): &mut (Vec<f32x8>, Vec<f32x8>, LanesWork),
+    (ext, out, work): &mut LaneScratch<f32x8>,
     task: usize,
 ) {
     let z0 = plan::spatial_tile_conjugate(dims, task);
@@ -642,21 +698,25 @@ pub(crate) fn velocity_cell_task(
     }
 }
 
-/// Per-thread scratch for velocity-block sweeps.
+/// A velocity bundle and the kernel work space at lane type `V`.
+type BlockScratch<V> = (Vec<V>, LanesWork<V>);
+
+/// Per-thread scratch for velocity-block sweeps: lines, and bundles at both
+/// widths — a lone bundle and the LAT rows at `f32x8`, a pair at `f32x16`.
 pub(crate) struct VelocityWork {
     line: Vec<f32>,
-    bundle: Vec<f32x8>,
     line_work: LineWork,
-    lanes_work: LanesWork,
+    x8: BlockScratch<f32x8>,
+    x16: BlockScratch<f32x16>,
 }
 
 impl VelocityWork {
     pub(crate) fn new() -> Self {
         Self {
             line: Vec::new(),
-            bundle: Vec::new(),
             line_work: LineWork::new(),
-            lanes_work: LanesWork::new(),
+            x8: Default::default(),
+            x16: Default::default(),
         }
     }
 }
@@ -695,10 +755,11 @@ fn sweep_block_lines(
     }
 }
 
-/// Lane velocity sweep of one block, bundle by bundle: packed along `u_x`
-/// (and `u_y` where `nuz` divides by 8, Fig. 1), element gathers otherwise —
-/// along `u_z` the paper's Fig. 2, the deliberately inefficient variant
-/// measured in Table 1.
+/// Lane velocity sweep of one block, bundle by bundle — two at a time as one
+/// `f32x16`, since every line of a block shares the cell's shift, the last
+/// one alone where their number is odd: packed along `u_x` (and `u_y` where
+/// `nuz` divides by 8, Fig. 1), element gathers otherwise — along `u_z` the
+/// paper's Fig. 2, the deliberately inefficient variant measured in Table 1.
 pub(crate) fn sweep_block_bundles(
     block: &mut [f32],
     bundles: &plan::Bundles,
@@ -706,22 +767,39 @@ pub(crate) fn sweep_block_bundles(
     scheme: Scheme,
     work: &mut VelocityWork,
 ) {
-    for (_, b) in bundles.task(0) {
-        assert!(b.bases[LANES - 1] + (b.len - 1) * b.stride < block.len());
-        let ptr = block.as_mut_ptr();
-        work.bundle.clear();
+    let mut plans = bundles.task(0).map(|(_, b)| b);
+    while let Some(first) = plans.next() {
+        match plans.next() {
+            Some(second) => block_bundles(block, &[first, second], cfl, scheme, &mut work.x16),
+            None => block_bundles(block, &[first], cfl, scheme, &mut work.x8),
+        }
+    }
+}
+
+/// The bundles `bs` of one block, bundle `h` in lanes `8h..8h + 8` of `V`,
+/// advected by `cfl`.
+#[inline(always)]
+fn block_bundles<V: Lanes>(
+    block: &mut [f32],
+    bs: &[plan::Bundle],
+    cfl: f64,
+    scheme: Scheme,
+    (bundle, work): &mut BlockScratch<V>,
+) {
+    assert_eq!(bs.len() * LANES, V::WIDTH);
+    let ptr = block.as_mut_ptr();
+    bundle.clear();
+    bundle.resize(bs[0].len, V::ZERO);
+    for (half, b) in bs.iter().enumerate() {
+        assert!(b.len == bundle.len() && b.bases[LANES - 1] + (b.len - 1) * b.stride < block.len());
         // SAFETY: the bases ascend, so the assert bounds every index of the
         // bundle inside `block`, which this task owns.
-        unsafe { load_cells(ptr, &b, 0..b.len, &mut work.bundle) };
-        advect_lanes(
-            scheme,
-            &mut work.bundle,
-            cfl,
-            Boundary::Zero,
-            &mut work.lanes_work,
-        );
+        unsafe { load_cells(ptr, b, 0..b.len, bundle, half) };
+    }
+    advect_lanes(scheme, bundle, cfl, Boundary::Zero, work);
+    for (half, b) in bs.iter().enumerate() {
         // SAFETY: as above.
-        unsafe { store_cells(ptr, &b, 0, &work.bundle) };
+        unsafe { store_cells(ptr, b, 0, bundle, half) };
     }
 }
 
@@ -736,7 +814,7 @@ fn sweep_block_lat(
 ) {
     let nuz = dims[5];
     let bundles = plan::Bundles::block(dims, 2);
-    work.bundle.resize(nuz, f32x8::ZERO);
+    work.x8.0.resize(nuz, f32x8::ZERO);
     for (_, rows) in bundles.task(0) {
         // Eight whole `iuz` rows.
         let rows = rows.bases;
@@ -746,19 +824,13 @@ fn sweep_block_lat(
             let mut packed: [f32x8; LANES] =
                 core::array::from_fn(|l| f32x8::load(&block[rows[l] + z0..]));
             transpose8x8(&mut packed);
-            work.bundle[z0..z0 + LANES].copy_from_slice(&packed);
+            work.x8.0[z0..z0 + LANES].copy_from_slice(&packed);
         }
-        advect_lanes(
-            scheme,
-            &mut work.bundle,
-            cfl,
-            Boundary::Zero,
-            &mut work.lanes_work,
-        );
+        advect_lanes(scheme, &mut work.x8.0, cfl, Boundary::Zero, &mut work.x8.1);
         // Transpose back & store packed.
         for zblock in 0..nuz / LANES {
             let z0 = zblock * LANES;
-            let mut packed: [f32x8; LANES] = core::array::from_fn(|r| work.bundle[z0 + r]);
+            let mut packed: [f32x8; LANES] = core::array::from_fn(|r| work.x8.0[z0 + r]);
             transpose8x8(&mut packed);
             for (l, row) in packed.iter().enumerate() {
                 row.store(&mut block[rows[l] + z0..]);
@@ -767,63 +839,77 @@ fn sweep_block_lat(
     }
 }
 
-/// Append `cells` of the bundle `b` in the array at `src` to `out`: one
-/// packed load per cell where the plan says the lanes are adjacent, eight
-/// element loads otherwise.
+/// Load `cells` of the bundle `b` in the array at `src` into lanes
+/// `8·half .. 8·half + 8` of `out[0..]`: one packed load per cell where the
+/// plan says the lanes are adjacent, eight element loads otherwise.
 ///
 /// # Safety
 /// `b.cell_indices(i)` must be valid for reading from `src` for every `i`
 /// in `cells`.
 #[inline(always)]
-unsafe fn load_cells(
+unsafe fn load_cells<V: Lanes>(
     src: *const f32,
     b: &plan::Bundle,
     cells: std::ops::Range<usize>,
-    out: &mut Vec<f32x8>,
+    out: &mut [V],
+    half: usize,
 ) {
     /// # Safety
     /// `src + bases[l] + at` must be valid for reading, every lane.
     #[inline(always)]
-    unsafe fn gather(src: *const f32, bases: [usize; LANES], at: usize) -> f32x8 {
-        f32x8(bases.map(|base| *src.add(base + at)))
+    unsafe fn gather(src: *const f32, bases: [usize; LANES], at: usize) -> [f32; LANES] {
+        bases.map(|base| *src.add(base + at))
     }
+    let lanes = half * LANES..(half + 1) * LANES;
+    let out = out.iter_mut().map(|v| &mut v.lanes_mut()[lanes.clone()]);
     if b.packed {
         let first = src.add(b.bases[0]);
-        out.extend(cells.map(|i| load_lanes(first.add(i * b.stride))));
+        out.zip(cells)
+            .for_each(|(v, i)| v.copy_from_slice(&load_lanes(first.add(i * b.stride)).0));
     } else if b.stride == 1 {
         // Contiguous lines (the `u_z` rows), spelled with a literal stride:
         // LLVM then moves runs of each row and shuffles, where a run-time
         // stride leaves it eight element moves per cell.
-        out.extend(cells.map(|i| gather(src, b.bases, i)));
+        out.zip(cells)
+            .for_each(|(v, i)| v.copy_from_slice(&gather(src, b.bases, i)));
     } else {
-        out.extend(cells.map(|i| gather(src, b.bases, i * b.stride)));
+        out.zip(cells)
+            .for_each(|(v, i)| v.copy_from_slice(&gather(src, b.bases, i * b.stride)));
     }
 }
 
-/// Inverse of [`load_cells`]: `values` onto the cells from `first_cell` on.
+/// Inverse of [`load_cells`]: lanes `8·half .. 8·half + 8` of `values` onto
+/// the cells from `first_cell` on.
 ///
 /// # Safety
 /// `b.cell_indices(i)` must be valid for writing to `dst` for those cells,
 /// and no other thread may touch them.
 #[inline(always)]
-unsafe fn store_cells(dst: *mut f32, b: &plan::Bundle, first_cell: usize, values: &[f32x8]) {
+unsafe fn store_cells<V: Lanes>(
+    dst: *mut f32,
+    b: &plan::Bundle,
+    first_cell: usize,
+    values: &[V],
+    half: usize,
+) {
     /// # Safety
     /// `dst + bases[l] + at` must be valid for writing, every lane.
     #[inline(always)]
-    unsafe fn scatter(dst: *mut f32, bases: [usize; LANES], at: usize, v: f32x8) {
-        for (base, lane) in bases.into_iter().zip(v.0) {
-            *dst.add(base + at) = lane;
+    unsafe fn scatter(dst: *mut f32, bases: [usize; LANES], at: usize, v: &[f32]) {
+        for (base, lane) in bases.into_iter().zip(v) {
+            *dst.add(base + at) = *lane;
         }
     }
-    let cells = (first_cell..).zip(values);
+    let lanes = half * LANES..(half + 1) * LANES;
+    let cells = (first_cell..).zip(values.iter().map(|v| &v.lanes()[lanes.clone()]));
     if b.packed {
         let first = dst.add(b.bases[0]);
-        cells.for_each(|(i, v)| store_lanes(first.add(i * b.stride), *v));
+        cells.for_each(|(i, v)| store_lanes(first.add(i * b.stride), f32x8::load(v)));
     } else if b.stride == 1 {
         // As in `load_cells`.
-        cells.for_each(|(i, v)| scatter(dst, b.bases, i, *v));
+        cells.for_each(|(i, v)| scatter(dst, b.bases, i, v));
     } else {
-        cells.for_each(|(i, v)| scatter(dst, b.bases, i * b.stride, *v));
+        cells.for_each(|(i, v)| scatter(dst, b.bases, i * b.stride, v));
     }
 }
 
@@ -981,11 +1067,15 @@ mod tests {
         assert_eq!(resolved(Lat, cubic), [Simd, Simd, Lat, Simd, Simd, Lat]);
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &cubic, |_| Lat),
-            "x:packed y:packed z:tile ux:packed uy:packed uz:lat"
+            "x:packed16 y:packed8 z:tile8 ux:packed16 uy:packed16 uz:lat8"
+        );
+        assert_eq!(
+            lane_shapes(Scheme::SlMpp5, &[16; 6], |_| Simd),
+            "x:packed16 y:packed16 z:tile8 ux:packed16 uy:packed16 uz:gather16"
         );
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &[16, 4, 4, 64, 4, 4], |_| Simd),
-            "x:packed y:gather z:gather ux:packed uy:gather uz:gather"
+            "x:packed16 y:gather8 z:gather8 ux:packed16 uy:gather16 uz:gather16"
         );
         assert_eq!(
             lane_shapes(Scheme::Sl3, &cubic, |_| Simd),
@@ -1178,9 +1268,11 @@ mod tests {
 
     /// The wrapped window is the kernels' own periodic entries, bit for bit:
     /// `sweep_spatial` at every `Exec` equals `advect_line` on each pencil
-    /// (scalar shape) or `advect_lanes` on each bundle or tile row (lane
-    /// shapes) — on swept axes of 1, 2 and 4 cells, whose windows repeat the
-    /// pencil, on a ragged, a thin and a cubic velocity grid, with shifts
+    /// (scalar shape) or `advect_lanes` at width 8 on each bundle or tile row
+    /// (lane shapes) — on swept axes of 1, 2 and 4 cells, whose windows
+    /// repeat the pencil, on a ragged, a thin, a cubic and a `[4, 4, 6]`
+    /// velocity grid (along `x`, 24 equal-shift lines a cell: a task pairs two
+    /// bundles as one `f32x16` and runs the third alone), with shifts
     /// whose integer parts run from 0 to 3 within one sweep (the margin). The
     /// data holds no negative zero: an exact integer shift is a copy in the
     /// window and a zero-flux update in the periodic entries, which differ
@@ -1188,7 +1280,7 @@ mod tests {
     #[test]
     fn wrapped_window_is_the_periodic_kernels_bitwise() {
         const CFLS: [f64; 7] = [0.3, 0.999, -0.42, 1.0, -1.0, 2.7, -3.1];
-        for nv in [[3usize, 3, 3], [6, 4, 4], [8, 8, 8]] {
+        for nv in [[3usize, 3, 3], [6, 4, 4], [8, 8, 8], [4, 4, 6]] {
             for (d, n) in (0..3).flat_map(|d| [1usize, 2, 4].map(|n| (d, n))) {
                 let mut sdims = [2, 3, 2];
                 sdims[d] = n;
@@ -1281,7 +1373,7 @@ mod tests {
         let dims = ps.dims6();
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &dims, |_| Exec::Simd),
-            "x:scalar y:gather z:gather ux:scalar uy:gather uz:gather"
+            "x:scalar y:gather8 z:gather8 ux:scalar uy:gather8 uz:gather8"
         );
         let cfl = [0.4, -0.7];
         // Cells −3..0 and 2..5 of the periodic 2-cell `y` axis, in
@@ -1312,6 +1404,53 @@ mod tests {
             *v = 0.3 * (i as f64 - 3.5);
         }
         sweep_velocity(&mut ps, 1, &accel, Scheme::SlMpp5, Exec::Simd);
+        assert!(ps.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0));
+    }
+
+    /// Paired packed bundles end to end, sized for the Miri interpreter:
+    /// along `x` and `u_x` of a `[2, 4, 4]` velocity grid every task holds
+    /// two bundles at one shift, run as one `f32x16` — each loaded into and
+    /// stored from its own half through raw pointers, from the block and
+    /// from plane buffers. The periodic window and the full one fed the
+    /// periodic images as planes must agree bit for bit.
+    #[test]
+    fn miri_smoke_paired_bundles() {
+        let mut ps = PhaseSpace::zeros([2, 2, 2], VelocityGrid::new([2, 4, 4], 1.0));
+        for (i, v) in ps.as_mut_slice().iter_mut().enumerate() {
+            *v = 0.01 + ((i * 37) % 29) as f32 / 29.0;
+        }
+        let dims = ps.dims6();
+        assert_eq!(
+            lane_shapes(Scheme::SlMpp5, &dims, |_| Exec::Simd),
+            "x:packed16 y:gather8 z:gather8 ux:packed16 uy:gather8 uz:gather8"
+        );
+        let cfl = [0.4, -0.7];
+        // Cells −3..0 and 2..5 of the periodic 2-cell `x` axis, in
+        // `extract_planes` layout: `x` is outermost, so plane after plane.
+        let images = |cells: [usize; 3]| -> Vec<f32> {
+            let planes = cells.map(|c| crate::exchange::extract_planes(&ps, 0, c, 1));
+            planes.concat()
+        };
+        let (low, high) = (images([1, 0, 1]), images([0, 1, 0]));
+        let mut ghosted = ps.clone();
+        let full = Window::full(2, &low, &high);
+        sweep_ghosted(
+            &mut ghosted,
+            0,
+            &cfl,
+            Scheme::SlMpp5,
+            Exec::Simd,
+            &[full],
+            None,
+        );
+        sweep_spatial(&mut ps, 0, &cfl, Scheme::SlMpp5, Exec::Simd);
+        assert_bits_eq(&ps, &ghosted, "ghosted vs periodic");
+
+        let mut accel = Field3::zeros([2, 2, 2]);
+        for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
+            *v = 0.3 * (i as f64 - 3.5);
+        }
+        sweep_velocity(&mut ps, 0, &accel, Scheme::SlMpp5, Exec::Simd);
         assert!(ps.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0));
     }
 
