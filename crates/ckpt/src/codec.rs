@@ -141,7 +141,7 @@ pub(crate) fn unshuffle_rle_into(
     planes: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> Result<(), CkptError> {
-    if word == 0 || raw_len % word != 0 {
+    if word == 0 || !raw_len.is_multiple_of(word) {
         return corrupt(
             0,
             format!("raw length {raw_len} is not whole {word}-byte words"),

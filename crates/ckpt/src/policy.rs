@@ -45,7 +45,7 @@ impl CheckpointPolicy {
     /// Should a checkpoint be taken after completing step number `step`
     /// (1-based count of completed steps)?
     pub fn due(&self, step: u64) -> bool {
-        self.enabled() && step > 0 && step % self.every_steps == 0
+        self.enabled() && step > 0 && step.is_multiple_of(self.every_steps)
     }
 }
 

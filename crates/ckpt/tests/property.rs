@@ -47,7 +47,7 @@ impl Bits {
 }
 
 fn enc_of(raw: u64) -> Encoding {
-    if raw % 2 == 0 {
+    if raw.is_multiple_of(2) {
         Encoding::Raw
     } else {
         Encoding::ShuffleRle

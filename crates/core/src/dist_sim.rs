@@ -6,6 +6,12 @@
 //! never decomposed — §5.1.3), a distributed FFT Poisson solve, and a
 //! potential-plane exchange for the force stencil.
 //!
+//! The field solve is the force law's [`FieldSolver`] over the ranked
+//! backend [`DistPoisson`]. A periodic law's source mean is one x-plane-
+//! ordered sum, the same additions at any rank count; an isolated law
+//! allgathers the density slabs and solves the whole grid on every rank.
+//! Both gather with the `Comm::allgather` collective.
+//!
 //! The decomposition is a slab along x (matching the `P × 1` pencil grid of
 //! `vlasov6d-poisson::dist`);
 //! the CDM particles stay with the serial driver (particle exchange is not
@@ -15,8 +21,9 @@
 
 use crate::diagnostics::StepTimers;
 use crate::diagnostics::{dt_metrics, kernel_isa_metric, kernel_shape_metric};
-use crate::scenario::dynamics::{Dynamics, ForceLaw};
+use crate::scenario::dynamics::{Dynamics, FieldSolver};
 use crate::strang;
+use std::cell::{Cell, OnceCell};
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_ckpt::{CheckpointPolicy, CheckpointStore, CkptError, CkptStats};
 use vlasov6d_cosmology::Background;
@@ -30,7 +37,7 @@ use vlasov6d_phase_space::exchange::{
     sweep_spatial_overlapped, GHOST_WIDTH,
 };
 use vlasov6d_phase_space::{moments, Exec, PhaseSpace};
-use vlasov6d_poisson::{DistPoisson, IsolatedPoisson, PoissonSolver};
+use vlasov6d_poisson::{DistPoisson, PoissonSolver};
 
 /// How the drift's axis-0 ghost exchange is scheduled against the sweep.
 ///
@@ -54,10 +61,9 @@ pub struct DistributedVlasov {
     pub background: Background,
     pub a: f64,
     pub omega_component: f64,
-    solver: DistPoisson,
-    /// Open-boundary solver, present iff the dynamics' force law is
-    /// isolated (built by [`DistributedVlasov::with_dynamics`]).
-    iso_solver: Option<IsolatedPoisson>,
+    /// The force law's field solver, built on first use — after
+    /// [`DistributedVlasov::with_dynamics`] has had its say.
+    field: OnceCell<FieldSolver<DistPoisson>>,
     decomp: Decomp3,
     /// `−∇φ` on this rank's slab from the last solve; filled by the first
     /// step, or by a resume from the checkpoint's force meshes.
@@ -70,7 +76,7 @@ pub struct DistributedVlasov {
     /// CFL caps (spatial must stay < 1 for the ghost width).
     pub cfl_spatial: f64,
     pub max_dln_a: f64,
-    tag_counter: u64,
+    tag_counter: Cell<u64>,
     step_index: u64,
     /// Steps this process has taken (`step_index` also counts those before
     /// a resume): the first one's event carries the once-per-run metrics.
@@ -118,14 +124,12 @@ impl DistributedVlasov {
             n[0],
             "slab decomposition requires nx divisible by the rank count"
         );
-        let solver = DistPoisson::new(n, comm.size());
         Self {
             ps,
             background,
             a: a_init,
             omega_component,
-            solver,
-            iso_solver: None,
+            field: OnceCell::new(),
             decomp,
             force: None,
             scheme: Scheme::SlMpp5,
@@ -133,7 +137,7 @@ impl DistributedVlasov {
             exec: Exec::Simd,
             cfl_spatial: 0.45,
             max_dln_a: 0.08,
-            tag_counter: 1,
+            tag_counter: Cell::new(1),
             step_index: 0,
             run_steps: 0,
             verify_plans: false,
@@ -166,14 +170,10 @@ impl DistributedVlasov {
     }
 
     /// Run a non-cosmological scenario: replace the force law / time axis
-    /// (default [`Dynamics::cosmological`]). For an isolated force law this
-    /// also builds the replicated open-boundary solver.
+    /// (default [`Dynamics::cosmological`]).
     pub fn with_dynamics(mut self, dynamics: Dynamics) -> Self {
         self.dynamics = dynamics;
-        self.iso_solver = dynamics
-            .force
-            .is_isolated()
-            .then(|| IsolatedPoisson::new(self.ps.sglobal));
+        self.field = OnceCell::new();
         self
     }
 
@@ -197,10 +197,18 @@ impl DistributedVlasov {
         self
     }
 
-    fn next_tags(&mut self, n: u64) -> u64 {
-        let t = self.tag_counter;
-        self.tag_counter += n;
-        t
+    fn next_tags(&self, n: u64) -> u64 {
+        self.tag_counter.replace(self.tag_counter.get() + n)
+    }
+
+    /// The field solver of the run's force law.
+    fn field(&self) -> &FieldSolver<DistPoisson> {
+        self.field.get_or_init(|| {
+            let ranks = self.decomp.n_ranks();
+            FieldSolver::new(self.dynamics.force, self.ps.sglobal, |grid| {
+                DistPoisson::new(grid, ranks)
+            })
+        })
     }
 
     /// Build and verify the declarative plans of every exchange one step
@@ -218,20 +226,14 @@ impl DistributedVlasov {
             .assert_valid(&cart_checks);
         ghost_exchange_split_plan(&self.decomp, self.ps.vgrid.len(), 0, GHOST_WIDTH, 100)
             .assert_valid(&cart_checks);
-        // Gravity: two-plane potential exchange for the 4-point gradient
-        // (periodic path), or the slab allgather of the replicated isolated
-        // solve. Both are all-to-all-free of Cartesian assumptions only in
-        // the latter case.
-        if self.dynamics.force.is_isolated() {
-            allgather_plan(&self.decomp, self.ps.sdims, 200).assert_valid(&PlanChecks {
-                topology: None,
-                volume_symmetry: true,
-            });
-        } else {
+        // Gravity, periodic: the Poisson solve's forward + inverse all-to-all
+        // transposes (no Cartesian topology — every rank pair exchanges) and
+        // the two-plane potential exchange of the 4-point gradient. The
+        // source mean and the isolated solve's slab allgather are
+        // collectives, outside any plan.
+        if let FieldSolver::Periodic { solver, .. } = self.field() {
             gradient_plan(&self.decomp, self.ps.sdims, 200).assert_valid(&cart_checks);
-            // Poisson: forward + inverse all-to-all transposes (no Cartesian
-            // topology — every rank pair exchanges).
-            self.solver.solve_plan(300).assert_valid(&PlanChecks {
+            solver.solve_plan(300).assert_valid(&PlanChecks {
                 topology: None,
                 volume_symmetry: true,
             });
@@ -239,89 +241,66 @@ impl DistributedVlasov {
     }
 
     /// Local force fields `-∂φ/∂x_d` at the Vlasov cells of this rank's slab.
-    fn gravity(&mut self, comm: &Comm) -> [Field3; 3] {
+    fn gravity(&self, comm: &Comm) -> [Field3; 3] {
         let _s = span!("gravity", Bucket::Pm);
         let rho = {
             let _s = span!("gravity.moments");
             moments::density(&self.ps)
         };
-        if self.dynamics.force.is_isolated() {
-            return self.gravity_isolated(comm, &rho);
-        }
-        // Poisson source: ρ - ρ̄ with the exact global mean. The historical
-        // cosmological path computes the mean with `allreduce_sum`, whose
-        // f64 grouping depends on the rank count; scenario dynamics use the
-        // x-plane-ordered reduction instead, which is bitwise identical at
-        // any rank count (each x plane is wholly owned by one rank).
-        let n_cells: f64 = (self.ps.sglobal[0] * self.ps.sglobal[1] * self.ps.sglobal[2]) as f64;
-        let mean = if self.dynamics.force == ForceLaw::CosmologicalGravity {
-            let local_sum: f64 = rho.as_slice().iter().sum();
-            comm.allreduce_sum(local_sum) / n_cells
-        } else {
-            let tag = self.next_tags(1);
-            global_plane_ordered_sum(comm, &self.decomp, &rho, tag) / n_cells
-        };
-        let source: Vec<f64> = rho.as_slice().iter().map(|v| v - mean).collect();
-        let prefactor = self
-            .dynamics
-            .force
-            .periodic_prefactor(self.a)
-            .expect("periodic gravity path with isolated force law");
-        // The solve's tag window, then the gradient's two plane exchanges.
-        let solve_tags = self.solver.tag_span();
-        let tag = self.next_tags(solve_tags + 2);
-        let phi_slab = {
-            let _s = span!("gravity.poisson");
-            self.solver.solve(comm, &source, prefactor, tag)
-        };
-        let phi = Field3::from_vec(self.ps.sdims, phi_slab);
+        match self.field() {
+            FieldSolver::Periodic { solver, prefactor } => {
+                // Poisson source: ρ − ρ̄ with the exact global mean.
+                let [g0, g1, g2] = self.ps.sglobal;
+                let mean =
+                    global_plane_ordered_sum(comm, &self.decomp, &rho) / (g0 * g1 * g2) as f64;
+                let source: Vec<f64> = rho.as_slice().iter().map(|v| v - mean).collect();
+                // The solve's tag window, then the gradient's two plane
+                // exchanges.
+                let solve_tags = solver.tag_span();
+                let tag = self.next_tags(solve_tags + 2);
+                let phi_slab = {
+                    let _s = span!("gravity.poisson");
+                    solver.solve(comm, &source, prefactor.at(self.a), tag)
+                };
+                let phi = Field3::from_vec(self.ps.sdims, phi_slab);
 
-        // 4-point gradient: axes 1, 2 are global within the slab (periodic
-        // wrap is correct); axis 0 needs two ghost planes from each
-        // neighbour.
-        let _g = span!("gravity.gradient");
-        gradient_with_ghosts(comm, &self.decomp, &phi, tag + solve_tags)
-    }
-
-    /// Open-boundary gravity: allgather the density slabs, run the
-    /// replicated Hockney–Eastwood solve and slice this rank's slab of the
-    /// force. Every rank performs the identical serial arithmetic on the
-    /// identical assembled field, so the result is bitwise invariant under
-    /// the rank count by construction.
-    fn gravity_isolated(&mut self, comm: &Comm, rho: &Field3) -> [Field3; 3] {
-        let coupling = self
-            .dynamics
-            .force
-            .isolated_coupling()
-            .expect("isolated gravity path with periodic force law");
-        let tag = self.next_tags(1);
-        let full = {
-            let _s = span!("gravity.allgather");
-            allgather_slabs(comm, &self.decomp, rho, tag)
-        };
-        let solver = self
-            .iso_solver
-            .as_ref()
-            .expect("with_dynamics builds the isolated solver");
-        let phi = {
-            let _s = span!("gravity.poisson");
-            solver.solve(&full, coupling)
-        };
-        let _g = span!("gravity.gradient");
-        let force = PoissonSolver::force_from_potential(&phi);
-        let off = self.decomp.local_offset(comm.rank());
-        let dims = self.ps.sdims;
-        force.map(|f| {
-            let mut local = Field3::zeros(dims);
-            for i0 in 0..dims[0] {
-                for i1 in 0..dims[1] {
-                    for i2 in 0..dims[2] {
-                        *local.at_mut(i0, i1, i2) = f.at(off[0] + i0, off[1] + i1, off[2] + i2);
-                    }
-                }
+                // 4-point gradient: axes 1, 2 are global within the slab
+                // (periodic wrap is correct); axis 0 needs two ghost planes
+                // from each neighbour.
+                let _g = span!("gravity.gradient");
+                gradient_with_ghosts(comm, &self.decomp, &phi, tag + solve_tags)
             }
-            local
-        })
+            // Open boundaries: every rank runs the identical serial solve on
+            // the identical assembled field and slices its own slab of the
+            // force, so the result is bitwise invariant under the rank count
+            // by construction.
+            FieldSolver::Isolated { solver, coupling } => {
+                let full = {
+                    let _s = span!("gravity.allgather");
+                    allgather_slabs(comm, &self.decomp, &rho)
+                };
+                let phi = {
+                    let _s = span!("gravity.poisson");
+                    solver.solve(&full, *coupling)
+                };
+                let _g = span!("gravity.gradient");
+                let force = PoissonSolver::force_from_potential(&phi);
+                let off = self.decomp.local_offset(comm.rank());
+                let dims = self.ps.sdims;
+                force.map(|f| {
+                    let mut local = Field3::zeros(dims);
+                    for i0 in 0..dims[0] {
+                        for i1 in 0..dims[1] {
+                            for i2 in 0..dims[2] {
+                                *local.at_mut(i0, i1, i2) =
+                                    f.at(off[0] + i0, off[1] + i1, off[2] + i2);
+                            }
+                        }
+                    }
+                    local
+                })
+            }
+        }
     }
 
     /// One Strang-split step; returns `(a_new, Δt_code)`.
@@ -404,7 +383,7 @@ impl DistributedVlasov {
         let state = strang::sim_state(
             &self.policy(),
             self.step_index,
-            self.tag_counter,
+            self.tag_counter.get(),
             self.a,
             self.omega_component,
         );
@@ -466,7 +445,7 @@ impl DistributedVlasov {
         sim.scheme = saved.scheme;
         sim.cfl_spatial = state.cfl_spatial;
         sim.max_dln_a = state.max_dln_a;
-        sim.tag_counter = state.tag_counter;
+        sim.tag_counter.set(state.tag_counter);
         sim.step_index = state.step;
         Ok(sim)
     }
@@ -583,7 +562,7 @@ impl strang::Driver for OnRanks<'_> {
 /// decomposition of the same global grid therefore performs the identical
 /// additions in the identical order — unlike `allreduce_sum`, whose
 /// grouping follows the rank count.
-fn global_plane_ordered_sum(comm: &Comm, decomp: &Decomp3, rho: &Field3, tag: u64) -> f64 {
+fn global_plane_ordered_sum(comm: &Comm, decomp: &Decomp3, rho: &Field3) -> f64 {
     let [n0, n1, n2] = rho.dims();
     let mut planes = Vec::with_capacity(n0);
     for i0 in 0..n0 {
@@ -595,20 +574,10 @@ fn global_plane_ordered_sum(comm: &Comm, decomp: &Decomp3, rho: &Field3, tag: u6
         }
         planes.push(s);
     }
-    let n = comm.size();
-    for dst in 0..n {
-        if dst != comm.rank() {
-            comm.send(dst, tag, planes.clone());
-        }
-    }
+    // Ranks own contiguous x slabs in rank order, and `allgather` returns
+    // in rank order: its concatenation is x order.
     let mut total = 0.0;
-    // Ranks own contiguous x slabs in rank order, so rank order = x order.
-    for src in 0..n {
-        let sums: Vec<f64> = if src == comm.rank() {
-            planes.clone()
-        } else {
-            comm.recv(src, tag)
-        };
+    for (src, sums) in comm.allgather(planes).into_iter().enumerate() {
         debug_assert_eq!(sums.len(), decomp.local_dims(src)[0]);
         for s in sums {
             total += s;
@@ -618,25 +587,15 @@ fn global_plane_ordered_sum(comm: &Comm, decomp: &Decomp3, rho: &Field3, tag: u6
 }
 
 /// Allgather the slab-decomposed density into the full global field on
-/// every rank (for the replicated isolated solve). One tag; `(src, dst,
-/// tag)` triples stay unique because the source rank differs.
-fn allgather_slabs(comm: &Comm, decomp: &Decomp3, rho: &Field3, tag: u64) -> Field3 {
-    let n = comm.size();
-    let me = comm.rank();
-    let mine: Vec<f64> = rho.as_slice().to_vec();
-    for dst in 0..n {
-        if dst != me {
-            comm.send(dst, tag, mine.clone());
-        }
-    }
+/// every rank (for the replicated isolated solve).
+fn allgather_slabs(comm: &Comm, decomp: &Decomp3, rho: &Field3) -> Field3 {
     let mut full = Field3::zeros(decomp.global);
     let [_, g1, g2] = decomp.global;
-    for src in 0..n {
-        let slab: Vec<f64> = if src == me {
-            mine.clone()
-        } else {
-            comm.recv(src, tag)
-        };
+    for (src, slab) in comm
+        .allgather(rho.as_slice().to_vec())
+        .into_iter()
+        .enumerate()
+    {
         let off = decomp.local_offset(src);
         let dims = decomp.local_dims(src);
         assert_eq!(slab.len(), dims[0] * dims[1] * dims[2]);
@@ -648,23 +607,6 @@ fn allgather_slabs(comm: &Comm, decomp: &Decomp3, rho: &Field3, tag: u64) -> Fie
         }
     }
     full
-}
-
-/// Declarative plan of [`allgather_slabs`]: every rank sends its whole slab
-/// to every other rank under one tag.
-fn allgather_plan(decomp: &Decomp3, local_dims: [usize; 3], tag: u64) -> CommPlan {
-    let mut plan = CommPlan::new("gravity.allgather", decomp.n_ranks());
-    for r in 0..decomp.n_ranks() {
-        let bytes =
-            (local_dims[0] * local_dims[1] * local_dims[2] * std::mem::size_of::<f64>()) as u64;
-        for other in 0..decomp.n_ranks() {
-            if other != r {
-                plan.send(r, other, tag, bytes);
-                plan.recv(other, r, tag, bytes);
-            }
-        }
-    }
-    plan
 }
 
 /// Declarative plan of the [`gradient_with_ghosts`] exchange: two φ planes
@@ -807,9 +749,11 @@ mod tests {
         let steps = 3;
         let serial = serial_reference(sglobal, vg, steps);
 
-        for n_ranks in [2usize, 4] {
+        // Every run's `f` bits, per global cell, in global cell order.
+        let mut runs = Vec::new();
+        for n_ranks in [1usize, 2, 4] {
             let serial = serial.clone();
-            Universe::run(n_ranks, move |comm| {
+            let blocks = Universe::run(n_ranks, move |comm| {
                 let decomp = Decomp3::new(sglobal, [comm.size(), 1, 1]);
                 let off = decomp.local_offset(comm.rank());
                 let dims = decomp.local_dims(comm.rank());
@@ -823,12 +767,13 @@ mod tests {
                 }
                 // Compare this rank's block against the serial solution.
                 let vlen = vg.len();
+                let mut bits = Vec::new();
                 for lx in 0..dims[0] {
                     for ly in 0..dims[1] {
                         for lz in 0..dims[2] {
                             let got = sim.ps.velocity_block([lx, ly, lz]);
-                            let want =
-                                serial.velocity_block([off[0] + lx, off[1] + ly, off[2] + lz]);
+                            let cell = [off[0] + lx, off[1] + ly, off[2] + lz];
+                            let want = serial.velocity_block(cell);
                             for k in 0..vlen {
                                 assert!(
                                     (got[k] - want[k]).abs() < 5e-5 * (1.0 + want[k].abs()),
@@ -837,10 +782,22 @@ mod tests {
                                     want[k]
                                 );
                             }
+                            bits.push((cell, got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
                         }
                     }
                 }
+                bits
             });
+            let mut cells: Vec<_> = blocks.into_iter().flatten().collect();
+            cells.sort_by_key(|(cell, _)| *cell);
+            runs.push((n_ranks, cells));
+        }
+        // The paper's force law is rank-count invariant bit for bit: the
+        // source mean is x-plane ordered, the slab FFT and the max reduction
+        // are exact under any partition.
+        let (_, one_rank) = &runs[0];
+        for (n_ranks, cells) in &runs[1..] {
+            assert!(cells == one_rank, "{n_ranks} ranks differ from 1 rank");
         }
     }
 

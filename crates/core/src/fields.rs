@@ -7,7 +7,7 @@
 //! back at Vlasov cell centres.
 
 use rayon::prelude::*;
-use vlasov6d_fft::{Complex64, Fft3};
+use vlasov6d_fft::{freq, Complex64, Fft3};
 use vlasov6d_mesh::assign::{deposit_equal_mass_par, interpolate, Scheme};
 use vlasov6d_mesh::Field3;
 
@@ -87,15 +87,6 @@ pub fn filter_kspace<T: Fn(f64) -> f64>(field: &Field3, t: T) -> Field3 {
     }
     plan.inverse(&mut data);
     Field3::from_vec(dims, data.into_iter().map(|z| z.re).collect())
-}
-
-#[inline]
-fn freq(i: usize, n: usize) -> f64 {
-    if i <= n / 2 {
-        i as f64
-    } else {
-        i as f64 - n as f64
-    }
 }
 
 #[cfg(test)]

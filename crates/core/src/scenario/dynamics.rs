@@ -6,8 +6,15 @@
 //! [`crate::DistributedVlasov`] takes them via
 //! [`crate::DistributedVlasov::with_dynamics`], the serial
 //! [`super::engine::KineticSimulation`] directly.
+//!
+//! A force law picks its Poisson solver in one place, [`FieldSolver::new`]:
+//! a periodic spectral solve (serial [`PoissonSolver`] or ranked
+//! [`vlasov6d_poisson::DistPoisson`]) or the isolated one
+//! ([`IsolatedPoisson`]). Every driver holds what it returns.
 
 use vlasov6d_cosmology::Background;
+use vlasov6d_mesh::Field3;
+use vlasov6d_poisson::{IsolatedPoisson, PoissonSolver};
 
 /// How the potential couples to the density.
 ///
@@ -35,26 +42,102 @@ pub enum ForceLaw {
 
 impl ForceLaw {
     /// The Poisson prefactor for the *periodic* spectral solve at scale
-    /// factor (or time) `a`; `None` for the isolated solve, which takes its
-    /// coupling through [`ForceLaw::isolated_coupling`].
+    /// factor (or time) `a`; `None` for the isolated solve.
     pub fn periodic_prefactor(&self, a: f64) -> Option<f64> {
-        match *self {
-            ForceLaw::CosmologicalGravity => Some(1.5 / a),
-            ForceLaw::Gravity { coupling } => Some(coupling),
-            ForceLaw::Electrostatic { omega_p2 } => Some(-omega_p2),
-            ForceLaw::IsolatedGravity { .. } => None,
+        match self.problem() {
+            Problem::Periodic(prefactor) => Some(prefactor.at(a)),
+            Problem::Isolated { .. } => None,
         }
     }
 
-    pub fn isolated_coupling(&self) -> Option<f64> {
+    /// The Poisson problem the law poses — the one place a law's constants
+    /// are read.
+    fn problem(&self) -> Problem {
         match *self {
-            ForceLaw::IsolatedGravity { coupling } => Some(coupling),
-            _ => None,
+            ForceLaw::CosmologicalGravity => Problem::Periodic(Prefactor::OverScaleFactor(1.5)),
+            ForceLaw::Gravity { coupling } => Problem::Periodic(Prefactor::Constant(coupling)),
+            ForceLaw::Electrostatic { omega_p2 } => {
+                Problem::Periodic(Prefactor::Constant(-omega_p2))
+            }
+            ForceLaw::IsolatedGravity { coupling } => Problem::Isolated { coupling },
         }
     }
+}
 
-    pub fn is_isolated(&self) -> bool {
-        matches!(self, ForceLaw::IsolatedGravity { .. })
+/// `∇²φ = C(t)·(ρ − ρ̄)` on the periodic box, or `∇²φ = coupling·ρ` with open
+/// boundaries.
+enum Problem {
+    Periodic(Prefactor),
+    Isolated { coupling: f64 },
+}
+
+/// The periodic solve's prefactor `C` as a function of the time variable.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Prefactor {
+    /// `C = c` at every time.
+    Constant(f64),
+    /// `C = c / a` on an expanding background (comoving gravity).
+    OverScaleFactor(f64),
+}
+
+impl Prefactor {
+    /// `C` at time (or scale factor) `t`.
+    pub fn at(self, t: f64) -> f64 {
+        match self {
+            Prefactor::Constant(c) => c,
+            Prefactor::OverScaleFactor(c) => c / t,
+        }
+    }
+}
+
+/// A force law's field solver, generic over the periodic backend `P`
+/// ([`PoissonSolver`] on one rank, [`vlasov6d_poisson::DistPoisson`] on
+/// many). Each arm carries what its solve needs, so a solver built for one
+/// law cannot be asked to solve another's problem.
+#[derive(Debug, Clone)]
+pub enum FieldSolver<P> {
+    /// Spectral solve of `∇²φ = prefactor(t)·(ρ − ρ̄)` on the periodic box.
+    Periodic { solver: P, prefactor: Prefactor },
+    /// Zero-padded convolution solve of `∇²φ = coupling·ρ` (open boundaries),
+    /// on the whole grid.
+    Isolated {
+        solver: Box<IsolatedPoisson>,
+        coupling: f64,
+    },
+}
+
+impl<P> FieldSolver<P> {
+    /// The solver `law` needs on the global spatial grid `grid`; `periodic`
+    /// builds the periodic backend, and runs only for a periodic law.
+    pub fn new(law: ForceLaw, grid: [usize; 3], periodic: impl FnOnce([usize; 3]) -> P) -> Self {
+        match law.problem() {
+            Problem::Periodic(prefactor) => FieldSolver::Periodic {
+                solver: periodic(grid),
+                prefactor,
+            },
+            Problem::Isolated { coupling } => FieldSolver::Isolated {
+                solver: Box::new(IsolatedPoisson::new(grid)),
+                coupling,
+            },
+        }
+    }
+}
+
+impl FieldSolver<PoissonSolver> {
+    /// `φ` of the whole-grid density `rho` at time (or scale factor) `t`. The
+    /// periodic solve subtracts the mean first, so `rho` is left holding the
+    /// source `φ` answers.
+    pub fn potential(&self, rho: &mut Field3, t: f64) -> Field3 {
+        match self {
+            FieldSolver::Periodic { solver, prefactor } => {
+                let mean = rho.mean();
+                for v in rho.as_mut_slice() {
+                    *v -= mean;
+                }
+                solver.solve(rho, prefactor.at(t))
+            }
+            FieldSolver::Isolated { solver, coupling } => solver.solve(rho, *coupling),
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The generic serial kinetic engine: the shared Strang stepper
 //! (`strang.rs`) driven by a [`KineticScenario`]'s
-//! [`ForceLaw`]/[`TimeAxis`] through a serial periodic or isolated solve.
+//! [`ForceLaw`](super::dynamics::ForceLaw)/[`TimeAxis`] through the serial
+//! [`FieldSolver`] that law picks.
 //!
 //! This is the single-rank oracle the distributed differential tests run
 //! against, and the measurement engine behind the analytic-rate oracles:
@@ -13,9 +14,9 @@ use vlasov6d_cosmology::{Background, CosmologyParams};
 use vlasov6d_mesh::Field3;
 use vlasov6d_obs::{span, Bucket};
 use vlasov6d_phase_space::{moments, PhaseSpace};
-use vlasov6d_poisson::{IsolatedPoisson, PoissonSolver};
+use vlasov6d_poisson::PoissonSolver;
 
-use super::dynamics::{ForceLaw, TimeAxis};
+use super::dynamics::{FieldSolver, TimeAxis};
 use super::measure::{ProbeSpec, RateCheck};
 use super::KineticScenario;
 use crate::strang;
@@ -41,20 +42,14 @@ pub struct KineticDiag {
     pub l2: f64,
 }
 
-enum FieldSolver {
-    Periodic(PoissonSolver),
-    Isolated(IsolatedPoisson),
-}
-
 /// A serial Vlasov–Poisson run of one registered scenario.
 pub struct KineticSimulation {
     ps: PhaseSpace,
     t: f64,
     step_count: usize,
     background: Background,
-    force_law: ForceLaw,
     policy: strang::Policy,
-    solver: FieldSolver,
+    solver: FieldSolver<PoissonSolver>,
     probe: ProbeSpec,
     /// Cached `−∇φ` on the spatial grid, recomputed after each drift.
     force: [Field3; 3],
@@ -70,10 +65,6 @@ impl KineticSimulation {
     pub fn new(ps: PhaseSpace, sc: &KineticScenario) -> Self {
         assert_eq!(ps.sdims, ps.sglobal, "the serial engine takes whole grids");
         let sdims = ps.sdims;
-        let solver = match sc.force.is_isolated() {
-            true => FieldSolver::Isolated(IsolatedPoisson::new(sdims)),
-            false => FieldSolver::Periodic(PoissonSolver::new(sdims)),
-        };
         let t0 = match sc.time {
             // Scale factor and code time both start at 1 by convention for
             // static axes; expanding scenarios override via `set_time`.
@@ -85,7 +76,6 @@ impl KineticSimulation {
             t: t0,
             step_count: 0,
             background: Background::new(CosmologyParams::planck2015()),
-            force_law: sc.force,
             policy: strang::Policy {
                 time: sc.time,
                 scheme: sc.grid.scheme,
@@ -94,7 +84,7 @@ impl KineticSimulation {
                 cfl_velocity: 1.0,
                 max_step: sc.max_step,
             },
-            solver,
+            solver: FieldSolver::new(sc.force, sdims, PoissonSolver::new),
             probe: sc.probe,
             force: [
                 Field3::zeros(sdims),
@@ -145,26 +135,7 @@ impl KineticSimulation {
         let _s = span!("gravity", Bucket::Pm);
         let mut rho = moments::density(&self.ps);
         let dx3 = 1.0 / rho.len() as f64;
-        let phi = match &self.solver {
-            FieldSolver::Periodic(solver) => {
-                let prefactor = self
-                    .force_law
-                    .periodic_prefactor(self.t)
-                    .expect("periodic solver with isolated force law");
-                let mean = rho.mean();
-                for v in rho.as_mut_slice() {
-                    *v -= mean;
-                }
-                solver.solve(&rho, prefactor)
-            }
-            FieldSolver::Isolated(solver) => {
-                let coupling = self
-                    .force_law
-                    .isolated_coupling()
-                    .expect("isolated solver with periodic force law");
-                solver.solve(&rho, coupling)
-            }
-        };
+        let phi = self.solver.potential(&mut rho, self.t);
         let mut pe = 0.0;
         for (s, p) in rho.as_slice().iter().zip(phi.as_slice()) {
             pe += s * p;

@@ -12,7 +12,8 @@
 //!
 //! * [`dynamics`] — [`ForceLaw`] / [`TimeAxis`]: electrostatic vs.
 //!   gravitational coupling, periodic vs. isolated boundaries, static vs.
-//!   expanding background.
+//!   expanding background; and [`dynamics::FieldSolver`], the one place a
+//!   law picks its Poisson solver.
 //! * [`dispersion`] — kinetic dispersion relations (plasma `Z` function,
 //!   multi-Maxwellian dielectric, Newton root solver): the analytic oracles.
 //! * [`measure`] — mode-amplitude probes and damping/growth-rate fits.

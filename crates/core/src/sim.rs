@@ -19,7 +19,7 @@
 use crate::config::SimulationConfig;
 use crate::diagnostics::{dt_metrics, kernel_isa_metric, kernel_shape_metric, StepRecord};
 use crate::fields;
-use crate::scenario::dynamics::TimeAxis;
+use crate::scenario::dynamics::{FieldSolver, ForceLaw, TimeAxis};
 use crate::strang;
 use vlasov6d_ckpt::{CheckpointStore, CkptError, CkptStats};
 use vlasov6d_cosmology::{Background, FermiDirac, Growth, PowerSpectrum, TransferFunction, Units};
@@ -46,7 +46,8 @@ pub struct HybridSimulation {
     /// Per-step records.
     pub records: Vec<StepRecord>,
     treepm: TreePm,
-    full_solver: PoissonSolver,
+    /// The ν's untapered, CIC-deconvolved comoving-gravity solve.
+    full_solver: FieldSolver<PoissonSolver>,
     /// Cached CDM accelerations (canonical du/dt) at the current positions.
     cdm_accel: Vec<[f64; 3]>,
     /// Counts of the tree walk behind `cdm_accel`.
@@ -132,7 +133,9 @@ impl HybridSimulation {
         };
 
         let treepm = TreePm::new(config.n_pm, config.softening());
-        let full_solver = PoissonSolver::cubic(config.n_pm).with_cic_deconvolution();
+        let full_solver = FieldSolver::new(ForceLaw::CosmologicalGravity, [config.n_pm; 3], |g| {
+            PoissonSolver::new(g).with_cic_deconvolution()
+        });
 
         let mut sim = Self {
             config,
@@ -231,11 +234,7 @@ impl HybridSimulation {
         if self.neutrinos.is_some() {
             let _s = span!("gravity.nu.pm", Bucket::Pm);
             let mut rho = rho_total.expect("ν density deposited above");
-            let mean = rho.mean();
-            for v in rho.as_mut_slice() {
-                *v -= mean;
-            }
-            let phi = self.full_solver.solve(&rho, 1.5 / self.a);
+            let phi = self.full_solver.potential(&mut rho, self.a);
             let force_pm = PoissonSolver::force_from_potential(&phi);
             self.nu_force = Some([
                 fields::sample_at_coarse_centers(&force_pm[0], [self.config.nx; 3]),
@@ -495,11 +494,7 @@ mod tests {
             1.0,
             &fields::deposit_density_to_pm(&moments::density(nu), pm),
         );
-        let mean = rho.mean();
-        for v in rho.as_mut_slice() {
-            *v -= mean;
-        }
-        let phi = sim.full_solver.solve(&rho, 1.5 / sim.a);
+        let phi = sim.full_solver.potential(&mut rho, sim.a);
         let force_pm = PoissonSolver::force_from_potential(&phi);
         let cached = sim.nu_force.as_ref().unwrap();
         for axis in 0..3 {

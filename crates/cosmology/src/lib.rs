@@ -53,7 +53,7 @@ pub use units::Units;
 pub(crate) mod quad {
     /// Composite Simpson rule on `[a, b]` with `n` (even, ≥ 2) panels.
     pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
-        let n = if n % 2 == 0 { n.max(2) } else { n + 1 };
+        let n = if n.is_multiple_of(2) { n.max(2) } else { n + 1 };
         let h = (b - a) / n as f64;
         let mut s = f(a) + f(b);
         for i in 1..n {

@@ -183,7 +183,7 @@ impl RealFft3 {
     /// `dims = [n0, n1, n2]` with even `n2`.
     pub fn new(dims: [usize; 3]) -> Self {
         assert!(
-            dims[2] % 2 == 0 && dims[2] >= 2,
+            dims[2].is_multiple_of(2) && dims[2] >= 2,
             "innermost dimension must be even"
         );
         Self {

@@ -110,7 +110,7 @@ impl LayoutMap {
     pub fn conforms(&self, dims: [usize; 3], grid: RankGrid) -> bool {
         self.parts.iter().enumerate().all(|(a, p)| match p {
             AxisPart::Full => true,
-            AxisPart::Block(g) => dims[a] % grid.extent(*g) == 0,
+            AxisPart::Block(g) => dims[a].is_multiple_of(grid.extent(*g)),
         })
     }
 

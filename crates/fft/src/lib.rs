@@ -34,3 +34,14 @@ pub use complex::Complex64;
 pub use fft3d::{Fft3, RealFft3};
 pub use pencil::{DistFft3, Pencil2D, PencilTimings, StageTimings};
 pub use plan::FftPlan;
+
+/// Signed integer frequency of bin `i` on an `n`-point axis: `i` up to the
+/// Nyquist bin `n/2`, `i − n` above it.
+#[inline]
+pub fn freq(i: usize, n: usize) -> f64 {
+    if i <= n / 2 {
+        i as f64
+    } else {
+        i as f64 - n as f64
+    }
+}

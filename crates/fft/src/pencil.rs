@@ -76,10 +76,10 @@ impl Pencil2D {
     pub fn new(dims: [usize; 3], rows: usize, cols: usize) -> Self {
         assert!(rows >= 1 && cols >= 1);
         assert!(
-            dims[0] % rows == 0
-                && dims[1] % rows == 0
-                && dims[1] % cols == 0
-                && dims[2] % cols == 0,
+            dims[0].is_multiple_of(rows)
+                && dims[1].is_multiple_of(rows)
+                && dims[1].is_multiple_of(cols)
+                && dims[2].is_multiple_of(cols),
             "pencil FFT needs n0 % Pr == 0, n1 % Pr == 0, n1 % Pc == 0, n2 % Pc == 0 \
              (got dims {dims:?}, grid {rows}x{cols})"
         );

@@ -26,7 +26,7 @@ pub struct RealFftPlan {
 impl RealFftPlan {
     pub fn new(n: usize) -> Self {
         assert!(
-            n >= 2 && n % 2 == 0,
+            n >= 2 && n.is_multiple_of(2),
             "real FFT length must be even and ≥ 2, got {n}"
         );
         let half_plan = FftPlan::new(n / 2);

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vlasov6d_fft::{Complex64, Fft3};
+use vlasov6d_fft::{freq, Complex64, Fft3};
 use vlasov6d_mesh::Field3;
 
 /// A Gaussian random field generator bound to a grid size and seed.
@@ -76,16 +76,6 @@ impl GaussianField {
         }
         plan.inverse(&mut noise);
         Field3::from_vec([n, n, n], noise.into_iter().map(|z| z.re).collect())
-    }
-}
-
-/// Signed frequency helper.
-#[inline]
-fn freq(i: usize, n: usize) -> f64 {
-    if i <= n / 2 {
-        i as f64
-    } else {
-        i as f64 - n as f64
     }
 }
 

@@ -13,7 +13,7 @@
 
 use rayon::prelude::*;
 use vlasov6d_cosmology::{Background, Growth};
-use vlasov6d_fft::{Complex64, Fft3};
+use vlasov6d_fft::{freq, Complex64, Fft3};
 use vlasov6d_mesh::assign::{interpolate, Scheme};
 use vlasov6d_mesh::Field3;
 use vlasov6d_nbody::ParticleSet;
@@ -123,15 +123,6 @@ fn displacement_from_delta(delta: &Field3) -> [Field3; 3] {
         out[d] = Field3::from_vec([n, n, n], comp.into_iter().map(|z| z.re).collect());
     }
     out
-}
-
-#[inline]
-fn freq(i: usize, n: usize) -> f64 {
-    if i <= n / 2 {
-        i as f64
-    } else {
-        i as f64 - n as f64
-    }
 }
 
 #[cfg(test)]

@@ -132,7 +132,7 @@ pub fn cell_moment(j: u32, k: i64) -> Rat {
 /// Exact swept moment `∫_{−s}^{0} x^j dx = (−1)^j s^{j+1}/(j+1)` as a
 /// polynomial in `s`.
 pub fn swept_moment(j: u32) -> Poly {
-    let sign = if j % 2 == 0 { 1 } else { -1 };
+    let sign = if j.is_multiple_of(2) { 1 } else { -1 };
     let mut coeffs = vec![Rat::ZERO; j as usize + 2];
     coeffs[j as usize + 1] = Rat::new(sign, j as i128 + 1);
     Poly::from_coeffs(coeffs)

@@ -324,7 +324,7 @@ fn negative_controls(report: &mut Report) {
         let (rank, flat) = rep.dst.owner(dims, grid, g);
         // Shift the block boundary: row `rank·rows` is claimed by the
         // previous rank's slot range as well (rank = pr on a P × 1 grid).
-        if g[1] % rows == 0 && g[1] > 0 {
+        if g[1].is_multiple_of(rows) && g[1] > 0 {
             (rank - 1, flat % rep.dst.local_len(dims, grid))
         } else {
             (rank, flat)

@@ -91,7 +91,7 @@ fn x_pow_minus_one(n: usize) -> Poly {
 fn cyclotomic(n: usize) -> Poly {
     let mut num = x_pow_minus_one(n);
     for d in 1..n {
-        if n % d == 0 {
+        if n.is_multiple_of(d) {
             num = poly_div_exact(&num, &cyclotomic(d));
         }
     }

@@ -115,12 +115,12 @@ impl Decomp3 {
         let mut best = [n_ranks, 1, 1];
         let mut best_score = usize::MAX;
         for p0 in 1..=n_ranks {
-            if n_ranks % p0 != 0 {
+            if !n_ranks.is_multiple_of(p0) {
                 continue;
             }
             let rem = n_ranks / p0;
             for p1 in 1..=rem {
-                if rem % p1 != 0 {
+                if !rem.is_multiple_of(p1) {
                     continue;
                 }
                 let p2 = rem / p1;

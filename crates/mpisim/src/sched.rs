@@ -39,18 +39,16 @@ pub struct Explorer {
     n_ranks: usize,
     seeds: Vec<u64>,
     timeout: Duration,
-    verify_leaks: bool,
 }
 
 impl Explorer {
     /// Explorer over `n_ranks` with the default schedule set (seeds
-    /// `0..8`), a 5 s watchdog and leak verification on.
+    /// `0..8`) and a 5 s watchdog. Every schedule verifies leaks at rank exit.
     pub fn new(n_ranks: usize) -> Self {
         Self {
             n_ranks,
             seeds: (0..DEFAULT_SCHEDULES).collect(),
             timeout: Duration::from_secs(5),
-            verify_leaks: true,
         }
     }
 
@@ -67,12 +65,6 @@ impl Explorer {
         self
     }
 
-    /// Turn the unreceived-message check at rank exit on or off.
-    pub fn with_leak_check(mut self, on: bool) -> Self {
-        self.verify_leaks = on;
-        self
-    }
-
     /// Run `f` once per schedule and collect the outcomes.
     pub fn explore<R, F>(&self, f: F) -> ExplorationReport<R>
     where
@@ -84,7 +76,7 @@ impl Explorer {
             .iter()
             .map(|&seed| {
                 let opts = SimOptions {
-                    verify_leaks: self.verify_leaks,
+                    verify_leaks: true,
                     deadlock_timeout: Some(self.timeout),
                     schedule_seed: Some(seed),
                 };

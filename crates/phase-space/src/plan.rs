@@ -455,7 +455,9 @@ mod tests {
             let vlen: usize = vdims.iter().product();
             for d in 0..3 {
                 for exec in [Exec::Scalar, Exec::Simd] {
-                    if exec == Exec::Simd && Bundles::block(&dims, d).free_count() % LANES != 0 {
+                    if exec == Exec::Simd
+                        && !Bundles::block(&dims, d).free_count().is_multiple_of(LANES)
+                    {
                         continue;
                     }
                     let mut seen = vec![false; vlen];

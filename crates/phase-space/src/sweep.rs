@@ -103,12 +103,12 @@ impl Exec {
             .product();
         if self == Exec::Scalar
             || !matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5)
-            || lines % LANES != 0
+            || !lines.is_multiple_of(LANES)
         {
             return Exec::Scalar;
         }
         // Table 1's transposed shapes, exactly where they always ran.
-        let tiles = dims[4] % LANES == 0 && dims[5] % LANES == 0;
+        let tiles = dims[4].is_multiple_of(LANES) && dims[5].is_multiple_of(LANES);
         match axis {
             2 if tiles => Exec::Lat,
             5 if tiles && self == Exec::Lat => Exec::Lat,

@@ -1,17 +1,19 @@
 //! Distributed Poisson solve on pencil-decomposed density fields.
 //!
-//! Mirrors [`crate::solver::PoissonSolver`] (spectral Green's function, zero
-//! DC mode, optional long-range taper) but runs over `vlasov6d-mpisim` with
-//! the distributed FFT [`vlasov6d_fft::Pencil2D`] — the structure of the
-//! paper's parallel PM part: local transforms, all-to-all transposes, k-space
-//! multiply, inverse. [`DistPoisson::new`] is the slab decomposition
+//! Mirrors [`crate::solver::PoissonSolver`] (the same spectral Green's
+//! function, zero DC mode, optional long-range taper) but runs over
+//! `vlasov6d-mpisim` with the distributed FFT [`vlasov6d_fft::Pencil2D`] — the
+//! structure of the paper's parallel PM part: local transforms, all-to-all
+//! transposes, k-space multiply, inverse. [`DistPoisson::new`] is the slab decomposition
 //! `DistributedVlasov` runs, the `P × 1` rank grid (capped at `min(n0, n1)`
 //! ranks); [`DistPoisson::new_pencil`] takes any `Pr × Pc` grid, whose
 //! overlapped transpose stages let the PM grid spread over rank counts a
 //! slab cannot reach.
 
-use vlasov6d_fft::{Complex64, Pencil2D};
+use vlasov6d_fft::{freq, Complex64, Pencil2D};
 use vlasov6d_mpisim::{Comm, CommPlan};
+
+use crate::solver::green;
 
 /// Distributed spectral Poisson plan (see `vlasov6d-fft::pencil` for the
 /// layouts).
@@ -78,40 +80,14 @@ impl DistPoisson {
         let me = comm.rank();
 
         let mut spec = self.fft.forward(comm, &complex, tag);
+        let [n0, n1, n2] = self.fft.dims();
         for (flat, z) in spec.iter_mut().enumerate() {
             let [i1, i0, i2] = self.fft.spectral_coords(me, flat);
-            *z = self.apply_green(*z, [i0, i1, i2], prefactor);
+            let m = [freq(i0, n0), freq(i1, n1), freq(i2, n2)];
+            *z = green(m, prefactor, self.split_rs).map_or(Complex64::ZERO, |g| z.scale(g));
         }
         let back = self.fft.inverse(comm, &spec, tag + self.fft.tag_span());
         back.into_iter().map(|z| z.re).collect()
-    }
-
-    /// The spectral Green's-function multiplier at global mode
-    /// `[i0, i1, i2]`.
-    fn apply_green(&self, z: Complex64, modes: [usize; 3], prefactor: f64) -> Complex64 {
-        let two_pi = 2.0 * std::f64::consts::PI;
-        let dims = self.fft.dims();
-        let m0 = freq(modes[0], dims[0]);
-        let m1 = freq(modes[1], dims[1]);
-        let m2 = freq(modes[2], dims[2]);
-        if m0 == 0.0 && m1 == 0.0 && m2 == 0.0 {
-            return Complex64::ZERO;
-        }
-        let k2 = (two_pi * m0).powi(2) + (two_pi * m1).powi(2) + (two_pi * m2).powi(2);
-        let mut g = -prefactor / k2;
-        if let Some(rs) = self.split_rs {
-            g *= (-k2 * rs * rs).exp();
-        }
-        z.scale(g)
-    }
-}
-
-#[inline]
-fn freq(i: usize, n: usize) -> f64 {
-    if i <= n / 2 {
-        i as f64
-    } else {
-        i as f64 - n as f64
     }
 }
 

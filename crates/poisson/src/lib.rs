@@ -13,15 +13,22 @@
 //! complementary short-range pair force ([`split`]).
 //!
 //! * [`solver`] — [`solver::PoissonSolver`]: FFT solve, optional CIC
-//!   deconvolution, optional long-range taper, spectral or stencil gradients.
+//!   deconvolution, optional long-range taper, 4-point stencil gradients;
+//!   and the one spectral Green's-function multiplier (`−C/k²`, taper,
+//!   dropped DC mode) that both periodic solvers apply.
 //! * [`split`] — the erfc-complementary short-range force/potential kernels
 //!   and a from-scratch `erfc`.
-//! * [`dist`] — the same solve over pencil-decomposed fields on the `mpisim`
-//!   runtime (the parallel-PM code path of the paper's §5.1.3); the slab
-//!   decomposition `DistributedVlasov` runs is the `P × 1` pencil grid.
+//! * [`dist`] — [`dist::DistPoisson`]: the same solve over pencil-decomposed
+//!   fields on the `mpisim` runtime (the parallel-PM code path of the
+//!   paper's §5.1.3); the slab decomposition `DistributedVlasov` runs is the
+//!   `P × 1` pencil grid.
 //! * [`isolated`] — [`isolated::IsolatedPoisson`]: open-boundary solve by
 //!   zero-padded Green's-function convolution (Hockney–Eastwood), used by
 //!   the self-gravitating King-sphere scenarios.
+//!
+//! Which of these a run's force law needs is decided in one place, the
+//! field-solver constructor beside `ForceLaw` in `vlasov6d`'s scenario
+//! dynamics.
 
 pub mod dist;
 pub mod isolated;
@@ -30,5 +37,5 @@ pub mod split;
 
 pub use dist::DistPoisson;
 pub use isolated::IsolatedPoisson;
-pub use solver::{GreensForm, PoissonSolver};
+pub use solver::PoissonSolver;
 pub use split::ForceSplit;

@@ -1,28 +1,15 @@
 //! FFT Poisson solver on the periodic unit box.
 
 use rayon::prelude::*;
-use vlasov6d_fft::{Complex64, RealFft3};
+use vlasov6d_fft::{freq, Complex64, RealFft3};
 use vlasov6d_mesh::stencil::{gradient_axis, GradientOrder};
 use vlasov6d_mesh::Field3;
-
-/// Which inverse-Laplacian Green's function to apply in k-space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GreensForm {
-    /// Exact spectral `-1/k²`.
-    #[default]
-    Spectral,
-    /// Inverse of the 7-point discrete Laplacian,
-    /// `-1/(Σ_d (2n_d sin(π m_d/n_d))²)` — consistent with finite-difference
-    /// force differentiation (Hockney & Eastwood).
-    Discrete,
-}
 
 /// A reusable Poisson solve plan for one mesh size.
 #[derive(Debug, Clone)]
 pub struct PoissonSolver {
     dims: [usize; 3],
     rfft: RealFft3,
-    greens: GreensForm,
     /// Long-range taper scale `r_s` in box units; `None` = full potential.
     split_rs: Option<f64>,
     /// Compensate the CIC assignment+interpolation window (`W²`).
@@ -34,7 +21,6 @@ impl PoissonSolver {
         Self {
             dims,
             rfft: RealFft3::new(dims),
-            greens: GreensForm::Spectral,
             split_rs: None,
             deconvolve_cic: false,
         }
@@ -42,11 +28,6 @@ impl PoissonSolver {
 
     pub fn cubic(n: usize) -> Self {
         Self::new([n, n, n])
-    }
-
-    pub fn with_greens(mut self, greens: GreensForm) -> Self {
-        self.greens = greens;
-        self
     }
 
     /// Keep only the long-range part: multiply by `exp(-k² r_s²)`
@@ -80,7 +61,6 @@ impl PoissonSolver {
         let mut spec = vec![Complex64::ZERO; self.rfft.spectrum_len()];
         self.rfft.forward(source.as_slice(), &mut spec);
 
-        let greens = self.greens;
         let split_rs = self.split_rs;
         let deconv = self.deconvolve_cic;
         spec.par_iter_mut().enumerate().for_each(|(idx, z)| {
@@ -90,34 +70,16 @@ impl PoissonSolver {
             let m0 = freq(i0, n0);
             let m1 = freq(i1, n1);
             let m2 = i2 as f64; // last axis holds only non-negative freqs
-            if m0 == 0.0 && m1 == 0.0 && m2 == 0.0 {
-                *z = Complex64::ZERO;
-                return;
-            }
-            let k2 = match greens {
-                GreensForm::Spectral => {
-                    let two_pi = 2.0 * std::f64::consts::PI;
-                    (two_pi * m0).powi(2) + (two_pi * m1).powi(2) + (two_pi * m2).powi(2)
-                }
-                GreensForm::Discrete => {
-                    let s = |m: f64, n: usize| {
-                        let x = std::f64::consts::PI * m / n as f64;
-                        (2.0 * n as f64 * x.sin()).powi(2)
-                    };
-                    s(m0, n0) + s(m1, n1) + s(m2, n2)
+            *z = match green([m0, m1, m2], source_prefactor, split_rs) {
+                None => Complex64::ZERO,
+                Some(mut g) => {
+                    if deconv {
+                        let w = cic_window(m0, n0) * cic_window(m1, n1) * cic_window(m2, n2);
+                        g /= (w * w).max(1e-8);
+                    }
+                    z.scale(g)
                 }
             };
-            let mut g = -source_prefactor / k2;
-            if let Some(rs) = split_rs {
-                let two_pi = 2.0 * std::f64::consts::PI;
-                let kk = (two_pi * m0).powi(2) + (two_pi * m1).powi(2) + (two_pi * m2).powi(2);
-                g *= (-kk * rs * rs).exp();
-            }
-            if deconv {
-                let w = cic_window(m0, n0) * cic_window(m1, n1) * cic_window(m2, n2);
-                g /= (w * w).max(1e-8);
-            }
-            *z = z.scale(g);
         });
 
         let mut phi = Field3::zeros(self.dims);
@@ -140,14 +102,22 @@ impl PoissonSolver {
     }
 }
 
-/// Signed integer frequency of bin `i` on an `n`-point axis.
+/// The spectral Green's-function multiplier of `∇²φ = C·source` at signed
+/// mode `m`: `−C/k²` with `k = 2π m`, times the long-range taper
+/// `exp(−k² r_s²)` when `split_rs` is set; `None` at the DC mode, which the
+/// solve drops. [`PoissonSolver`] and [`crate::DistPoisson`] both apply it.
 #[inline]
-fn freq(i: usize, n: usize) -> f64 {
-    if i <= n / 2 {
-        i as f64
-    } else {
-        i as f64 - n as f64
+pub(crate) fn green(m: [f64; 3], prefactor: f64, split_rs: Option<f64>) -> Option<f64> {
+    if m == [0.0; 3] {
+        return None;
     }
+    let two_pi = 2.0 * std::f64::consts::PI;
+    let k2 = (two_pi * m[0]).powi(2) + (two_pi * m[1]).powi(2) + (two_pi * m[2]).powi(2);
+    let mut g = -prefactor / k2;
+    if let Some(rs) = split_rs {
+        g *= (-k2 * rs * rs).exp();
+    }
+    Some(g)
 }
 
 /// CIC assignment window along one axis: `sinc²(π m/n)`.
@@ -220,27 +190,6 @@ mod tests {
         // Note: the DC mode of the source is simply dropped (Jeans swindle).
         let phi = PoissonSolver::cubic(n).solve(&src, 1.0);
         assert!(phi.mean().abs() < 1e-12);
-    }
-
-    #[test]
-    fn discrete_greens_inverts_stencil_laplacian() {
-        use vlasov6d_mesh::stencil::laplacian;
-        let n = 16;
-        let mut src = Field3::zeros_cubic(n);
-        for (i, v) in src.as_mut_slice().iter_mut().enumerate() {
-            *v = ((i * 13 % 23) as f64) / 23.0;
-        }
-        let mean = src.mean();
-        for v in src.as_mut_slice() {
-            *v -= mean;
-        }
-        let phi = PoissonSolver::cubic(n)
-            .with_greens(GreensForm::Discrete)
-            .solve(&src, 1.0);
-        let lap = laplacian(&phi);
-        for (a, b) in lap.as_slice().iter().zip(src.as_slice()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
     }
 
     #[test]

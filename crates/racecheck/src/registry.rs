@@ -337,7 +337,7 @@ impl Shape {
         match exec {
             Exec::Scalar => Shape::Scalar,
             Exec::Lat => Shape::Simd,
-            Exec::Simd if d < 2 && run % LANES == 0 => Shape::Simd,
+            Exec::Simd if d < 2 && run.is_multiple_of(LANES) => Shape::Simd,
             Exec::Simd => Shape::Gather,
         }
     }

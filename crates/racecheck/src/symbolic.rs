@@ -192,7 +192,7 @@ pub fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
     // Which axis consumes each digit.
     let mut consumer: Vec<Option<usize>> = vec![None; k];
     let constrained = |axes: &[usize], width: usize| {
-        let covers = |c: &Divisibility| c.axes == axes && c.divisor % width == 0;
+        let covers = |c: &Divisibility| c.axes == axes && c.divisor.is_multiple_of(width);
         m.constraints.iter().any(covers)
     };
     for (axis, fp) in m.write.iter().enumerate() {
@@ -279,7 +279,7 @@ impl RegionModel {
         dims.len() == self.array_rank
             && self.constraints.iter().all(|c| {
                 let extent: usize = c.axes.iter().map(|&a| dims[a]).product();
-                extent % c.divisor == 0
+                extent.is_multiple_of(c.divisor)
             })
     }
 
