@@ -1,7 +1,8 @@
-//! Offline shim for the `bytes` API subset used by `vlasov6d::snapshot`:
+//! Offline shim for a subset of the `bytes` API:
 //! `BytesMut` as a growable little-endian writer, `Bytes` as a cheap
-//! reference-counted read cursor, and the `Buf`/`BufMut` trait methods the
-//! snapshot codec calls.
+//! reference-counted read cursor, and the `Buf`/`BufMut` trait methods.
+//! No workspace crate depends on it since the snapshot shims in
+//! `vlasov6d` were deleted in favour of `vlasov6d-ckpt`.
 
 use std::ops::Deref;
 use std::sync::Arc;

@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use vlasov6d_fft::{Complex64, Fft3, Pencil2D, PencilTimings};
+use vlasov6d_fft::{layout, Complex64, Fft3, Pencil2D, PencilTimings};
 use vlasov6d_mpisim::Universe;
 use vlasov6d_perfmodel::model::{step_time, step_time_calibrated};
 use vlasov6d_perfmodel::{overlap_eff_from_split, paper_runs, MachineModel};
@@ -34,12 +34,11 @@ fn field(g: [usize; 3]) -> Complex64 {
     )
 }
 
-/// Largest |forward spectrum − serial spectrum| over all elements. The
-/// spectral accessor returns `(i1, i0, i2)` triples (the transposed storage
-/// convention), so the serial row-major index is `(i0·n1 + i1)·n2 + i2`.
+/// Largest |forward spectrum − serial spectrum| over all elements, each
+/// tagged with its global `[i0, i1, i2]` from the x-pencil map.
 fn max_err(ours: &[(usize, [usize; 3], Complex64)], serial: &[Complex64]) -> f64 {
     ours.iter()
-        .map(|&(_, [i1, i0, i2], v)| {
+        .map(|&(_, [i0, i1, i2], v)| {
             let want = serial[(i0 * DIMS[1] + i1) * DIMS[2] + i2];
             (v - want).norm_sqr().sqrt()
         })
@@ -78,7 +77,7 @@ fn measure_pencil(rows: usize, cols: usize, batches: usize, serial: &[Complex64]
         move |comm| {
             let me = comm.rank();
             let input: Vec<Complex64> = (0..fft.zpencil_len())
-                .map(|flat| field(fft.zpencil_coords(me, flat)))
+                .map(|flat| field(layout::zpencil().coords(DIMS, fft.grid(), me, flat)))
                 .collect();
             let mut timings = PencilTimings::default();
             let mut spectrum = Vec::new();
@@ -93,7 +92,7 @@ fn measure_pencil(rows: usize, cols: usize, batches: usize, serial: &[Complex64]
             let tagged: Vec<_> = spectrum
                 .iter()
                 .enumerate()
-                .map(|(flat, &v)| (me, fft.spectral_coords(me, flat), v))
+                .map(|(flat, &v)| (me, layout::xpencil().coords(DIMS, fft.grid(), me, flat), v))
                 .collect();
             (wall, timings, tagged)
         }

@@ -33,9 +33,6 @@
 //! * [`noise`] — the paper's shot-noise ↔ effective-resolution model
 //!   (Eq. 9–10) and Vlasov-vs-particle comparison metrics (Figs. 5–6).
 //! * [`maps`] — projected density maps and PGM/CSV writers (Figs. 4, 8).
-//! * [`snapshot`] — compat shims over the `vlasov6d-ckpt` container format
-//!   (checkpoint I/O is counted in time-to-solution, §7.2); the drivers'
-//!   `checkpoint`/`resume_from` methods use the ckpt store directly.
 //! * [`spectrum`] — power-spectrum estimation of component fields.
 //! * [`dist_sim`] — the multi-rank Vlasov–Poisson driver over `mpisim`
 //!   (slab field solve, ghost-exchange sweep along the decomposed axis).
@@ -51,7 +48,6 @@ pub mod maps;
 pub mod noise;
 pub mod scenario;
 pub mod sim;
-pub mod snapshot;
 pub mod spectrum;
 mod strang;
 

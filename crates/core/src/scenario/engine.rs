@@ -66,8 +66,8 @@ impl KineticSimulation {
         assert_eq!(ps.sdims, ps.sglobal, "the serial engine takes whole grids");
         let sdims = ps.sdims;
         let t0 = match sc.time {
-            // Scale factor and code time both start at 1 by convention for
-            // static axes; expanding scenarios override via `set_time`.
+            // An expanding axis starts at scale factor `a = 1`, a static one
+            // at code time 0.
             TimeAxis::Expanding => 1.0,
             TimeAxis::Static => 0.0,
         };
@@ -96,13 +96,6 @@ impl KineticSimulation {
         };
         sim.compute_force();
         sim
-    }
-
-    /// Override the starting time / scale factor (expanding scenarios start
-    /// deep in the matter era, not at `a = 1`). Recomputes the cached force.
-    pub fn set_time(&mut self, t: f64) {
-        self.t = t;
-        self.compute_force();
     }
 
     pub fn time(&self) -> f64 {

@@ -16,7 +16,6 @@
 //! companion species riding along (the hybrid's CDM particles).
 
 use crate::scenario::dynamics::TimeAxis;
-use crate::snapshot::{scheme_from_u8, scheme_to_u8};
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_ckpt::{CkptError, LoadedCheckpoint, Record, RecordRef, SimState};
 use vlasov6d_cosmology::Background;
@@ -233,6 +232,27 @@ const FORCE_NAMES: [&str; 3] = ["force0", "force1", "force2"];
 /// Name of the mesh (dims `[n, 3, 1]`) holding a hybrid run's cached CDM
 /// accelerations.
 const CDM_ACCEL_NAME: &str = "cdm_accel";
+
+/// Wire value of an advection scheme inside [`SimState`] records.
+fn scheme_to_u8(s: Scheme) -> u8 {
+    match s {
+        Scheme::Upwind1 => 0,
+        Scheme::Sl3 => 1,
+        Scheme::Sl5 => 2,
+        Scheme::SlMpp5 => 3,
+    }
+}
+
+/// Inverse of [`scheme_to_u8`].
+fn scheme_from_u8(v: u8) -> Result<Scheme, String> {
+    match v {
+        0 => Ok(Scheme::Upwind1),
+        1 => Ok(Scheme::Sl3),
+        2 => Ok(Scheme::Sl5),
+        3 => Ok(Scheme::SlMpp5),
+        other => Err(format!("unknown advection scheme code {other}")),
+    }
+}
 
 /// The [`SimState`] of a stepper checkpoint. `slot` fills
 /// `SimState::omega_component`, which each driver uses for its own scalar.

@@ -1,31 +1,35 @@
 //! Distributed-layout descriptors: the single source of truth for how the
 //! distributed FFT partitions a global `[n0][n1][n2]` grid across ranks.
 //!
-//! Every repartition (transpose) in [`crate::pencil`] is pure
-//! index-permutation code — the most bug-prone layer of the stack. This
-//! module states each layout *declaratively*: per global axis, which rank-grid
-//! axis (if any) blocks it ([`AxisPart`]), and in which permuted order the
-//! locally-owned coordinates flatten into the rank's buffer
-//! ([`LayoutMap::order`]). From that declaration everything else is *derived*:
+//! Every repartition (transpose) in [`crate::pencil`] is index permutation —
+//! the most bug-prone layer of the stack. This module states each layout
+//! *declaratively*: per global axis, which rank-grid axis (if any) blocks it
+//! ([`AxisPart`]), and in which permuted order the locally-owned coordinates
+//! flatten into the rank's buffer ([`LayoutMap::order`]). Everything the
+//! transform does with an index is *evaluated* from that declaration:
 //!
-//! * [`LayoutMap::owner`] / [`LayoutMap::coords`] — the global ↔ (rank, flat)
-//!   maps the accessors (`zpencil_coords`, `spectral_coords`) must agree
-//!   with;
+//! * [`LayoutMap::owner`] / [`LayoutMap::coords`] — the global ↔ (rank,
+//!   flat) maps every caller uses to address a z-pencil input or an x-pencil
+//!   spectrum, and [`LayoutMap::for_each_coord`], the same map walked over a
+//!   whole block (the distributed Poisson solve's k-space multiply);
+//! * `Repartition::packet` — the global box two ranks share in one batch,
+//!   walked through both maps' strides: the pencil transform's pack and
+//!   unpack;
 //! * [`Repartition::pair_elems`] — per-(src, dst) element counts, computed as
-//!   the per-axis intersection of the two ranks' owned ranges. The pencil
-//!   plans (`add_forward`, `add_inverse`) take their byte accounting from
-//!   here instead of hand-written products.
+//!   the per-axis intersection of the two ranks' owned ranges, from which the
+//!   pencil plans (`add_forward`, `add_inverse`) take their byte accounting;
+//! * [`pencil_stages`] — the stage list the transform runs and the verifier
+//!   registers.
 //!
 //! A slab decomposition is not a separate family: it is the `P × 1` rank
 //! grid, on which the z- and y-pencils are the slab `[n0/P][n1][n2]` and the
 //! x-pencil is the row-transposed `[n1/P][n0][n2]`.
 //!
 //! The `vlasov6d-layoutcheck` crate proves the registered maps bijective for
-//! *all* conforming shapes (mixed-radix digit argument), cross-checks these
-//! derivations against the real pack/unpack loops at concrete shapes, and
-//! runs sentinel-value probes through the live exchange. `cargo xtask lint`'s
-//! `layout-index-arith` pass requires the pack/unpack loops to cite these
-//! maps by registered name.
+//! *all* conforming shapes (mixed-radix digit argument), diffs the derived
+//! counts against enumeration and the transform's `CommPlan`s at concrete
+//! shapes, and runs sentinel-value probes through the live exchange — the
+//! packets above, since the transform has no other pack or unpack.
 
 /// One axis of the `Pr × Pc` rank grid (a slab decomposition is `P × 1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +94,16 @@ impl RankGrid {
             GridAxis::Col => pc,
         }
     }
+
+    /// The ranks sharing every digit of `rank` but the one along `axis`, in
+    /// digit order (`rank` among them).
+    pub(crate) fn group(&self, rank: usize, axis: GridAxis) -> impl Iterator<Item = usize> + '_ {
+        let (pr, pc) = self.coords_of(rank);
+        (0..self.extent(axis)).map(move |q| match axis {
+            GridAxis::Row => self.rank_of(q, pc),
+            GridAxis::Col => self.rank_of(pr, q),
+        })
+    }
 }
 
 /// A declarative distributed layout of a global `[n0][n1][n2]` grid.
@@ -131,6 +145,18 @@ impl LayoutMap {
         self.local_extents(dims, grid).iter().product()
     }
 
+    /// Local flat-index stride of each global axis: its mixed-radix place
+    /// value in [`Self::order`].
+    pub(crate) fn strides(&self, dims: [usize; 3], grid: RankGrid) -> [usize; 3] {
+        let ext = self.local_extents(dims, grid);
+        let [o0, o1, o2] = self.order;
+        let mut stride = [0; 3];
+        stride[o2] = 1;
+        stride[o1] = ext[o2];
+        stride[o0] = ext[o1] * ext[o2];
+        stride
+    }
+
     /// The contiguous global range of axis `a` owned by `rank`.
     pub fn owned_range(
         &self,
@@ -170,9 +196,36 @@ impl LayoutMap {
                 }
             }
         }
-        let [o0, o1, o2] = self.order;
-        let flat = (local[o0] * ext[o1] + local[o1]) * ext[o2] + local[o2];
+        let stride = self.strides(dims, grid);
+        let flat = (0..3).map(|a| local[a] * stride[a]).sum();
         (grid.rank_of(pr, pc), flat)
+    }
+
+    /// Call `f(flat, coords)` for every element of `rank`'s block, in
+    /// flat-index order — [`Self::coords`] of each `(rank, flat)` without a
+    /// division per element.
+    pub fn for_each_coord(
+        &self,
+        dims: [usize; 3],
+        grid: RankGrid,
+        rank: usize,
+        mut f: impl FnMut(usize, [usize; 3]),
+    ) {
+        let range = [0, 1, 2].map(|a| self.owned_range(dims, grid, rank, a));
+        let [o0, o1, o2] = self.order;
+        let mut g = [0; 3];
+        let mut flat = 0;
+        for x in range[o0].clone() {
+            g[o0] = x;
+            for y in range[o1].clone() {
+                g[o1] = y;
+                for z in range[o2].clone() {
+                    g[o2] = z;
+                    f(flat, g);
+                    flat += 1;
+                }
+            }
+        }
     }
 
     /// Global coordinates of `(rank, flat)` — the inverse of [`Self::owner`].
@@ -205,25 +258,123 @@ pub struct Repartition {
 }
 
 impl Repartition {
-    /// Elements rank `s` (in `src`) hands to rank `d` (in `dst`): the product
-    /// over global axes of the intersection of the two owned ranges. This is
-    /// the derived byte-accounting every transpose plan builder uses.
+    /// Elements rank `s` (in `src`) hands to rank `d` (in `dst`): the
+    /// whole-block `packet`, the product over global axes of the
+    /// intersection of the two owned ranges. This is the derived byte
+    /// accounting every transpose plan builder uses.
     pub fn pair_elems(&self, dims: [usize; 3], grid: RankGrid, s: usize, d: usize) -> usize {
+        let extent = self.src.local_extents(dims, grid)[self.batch_axis()];
+        self.packet(dims, grid, s, d, 0..extent).len()
+    }
+
+    /// The global axis a transpose stage pipelines along: the source's
+    /// slowest storage axis, so each batch is a contiguous slice of it.
+    pub(crate) fn batch_axis(&self) -> usize {
+        self.src.order[0]
+    }
+
+    /// The rank-grid axis whose block moves from one global axis to another:
+    /// a rank exchanges only with the ranks of its `RankGrid::group` along
+    /// it.
+    pub(crate) fn peer_axis(&self) -> GridAxis {
         (0..3)
-            .map(|a| {
-                let sr = self.src.owned_range(dims, grid, s, a);
-                let dr = self.dst.owned_range(dims, grid, d, a);
-                sr.end.min(dr.end).saturating_sub(sr.start.max(dr.start))
+            .find_map(|a| match self.src.parts[a] {
+                AxisPart::Block(g) if self.dst.parts[a] != AxisPart::Block(g) => Some(g),
+                _ => None,
             })
-            .product()
+            .expect("a repartition moves at least one grid axis")
+    }
+
+    /// The packet rank `s` (in `src`) sends rank `d` (in `dst`) for `batch`,
+    /// a range of `s`'s local indices along [`Self::batch_axis`]: the global
+    /// box the two ranks share, cut to the batch.
+    pub(crate) fn packet(
+        &self,
+        dims: [usize; 3],
+        grid: RankGrid,
+        s: usize,
+        d: usize,
+        batch: std::ops::Range<usize>,
+    ) -> Packet {
+        let mut lo = [0; 3];
+        let mut len = [0; 3];
+        for a in 0..3 {
+            let sr = self.src.owned_range(dims, grid, s, a);
+            let dr = self.dst.owned_range(dims, grid, d, a);
+            let (mut start, mut end) = (sr.start.max(dr.start), sr.end.min(dr.end));
+            if a == self.batch_axis() {
+                start = start.max(sr.start + batch.start);
+                end = end.min(sr.start + batch.end);
+            }
+            lo[a] = start;
+            len[a] = end.saturating_sub(start);
+        }
+        Packet {
+            walk: self.src.order,
+            lo,
+            len,
+        }
+    }
+}
+
+/// A global box of a repartition's grid and the one order both ends walk it
+/// in: the source's storage order, so the batch axis is slowest. Packing and
+/// unpacking are the same walk through two layouts' strides, which is why
+/// the element sent `k`-th lands in the `k`-th slot the receiver visits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Packet {
+    /// Global axes, slowest first.
+    walk: [usize; 3],
+    /// First global coordinate per axis.
+    lo: [usize; 3],
+    /// Extent per axis.
+    len: [usize; 3],
+}
+
+impl Packet {
+    /// Elements in the box.
+    pub(crate) fn len(&self) -> usize {
+        self.len.iter().product()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Call `f` with the local flat index, in `map`'s block on `rank`, of
+    /// every element of the box, in walk order. `rank` must own the box.
+    pub(crate) fn for_each_index(
+        &self,
+        map: &LayoutMap,
+        dims: [usize; 3],
+        grid: RankGrid,
+        rank: usize,
+        mut f: impl FnMut(usize),
+    ) {
+        if self.is_empty() {
+            return;
+        }
+        let stride = map.strides(dims, grid);
+        let base: usize = (0..3)
+            .map(|a| (self.lo[a] - map.owned_range(dims, grid, rank, a).start) * stride[a])
+            .sum();
+        let [w0, w1, w2] = self.walk;
+        for i in 0..self.len[w0] {
+            for j in 0..self.len[w1] {
+                let row = base + i * stride[w0] + j * stride[w1];
+                for k in 0..self.len[w2] {
+                    f(row + k * stride[w2]);
+                }
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The registered layouts. Storage orders mirror the real buffers:
-// z/y-pencil blocks are stored in natural [i0][i1][i2] order; the spectral
-// block puts the owned i1 rows slowest ([i1l][i0][i2l]), matching
-// `spectral_coords`.
+// The registered layouts. Storage orders are the real buffers': z/y-pencil
+// blocks are stored in natural [i0][i1][i2] order; the spectral block puts
+// the owned i1 rows slowest ([i1l][i0][i2l]), where the axis-0 FFT's lines
+// are.
 // ---------------------------------------------------------------------------
 
 /// Input z-pencil of the 2-D decomposition: `[n0/Pr][n1/Pc][n2]`.
@@ -266,42 +417,23 @@ pub fn xpencil() -> LayoutMap {
     }
 }
 
-/// Pencil stage 1 (forward): z-pencil → y-pencil, all-to-all within each
-/// row group (ranks sharing `pr`).
-pub fn pencil_stage1() -> Repartition {
-    Repartition {
-        name: "fft.pencil.stage1",
-        src: zpencil(),
-        dst: ypencil(),
-    }
-}
-
-/// Pencil stage 2 (forward): y-pencil → x-pencil, all-to-all within each
-/// column group (ranks sharing `pc`).
-pub fn pencil_stage2() -> Repartition {
-    Repartition {
-        name: "fft.pencil.stage2",
-        src: ypencil(),
-        dst: xpencil(),
-    }
-}
-
-/// Pencil stage 2 reversed (inverse path): x-pencil → y-pencil.
-pub fn pencil_stage2_inv() -> Repartition {
-    Repartition {
-        name: "fft.pencil.stage2.inv",
-        src: xpencil(),
-        dst: ypencil(),
-    }
-}
-
-/// Pencil stage 1 reversed (inverse path): y-pencil → z-pencil.
-pub fn pencil_stage1_inv() -> Repartition {
-    Repartition {
-        name: "fft.pencil.stage1.inv",
-        src: ypencil(),
-        dst: zpencil(),
-    }
+/// Every repartition [`crate::Pencil2D`] runs, in pipeline order — the one
+/// stage list the transform reads and `vlasov6d-layoutcheck` registers:
+///
+/// 1. `fft.pencil.stage1` (forward): z-pencil → y-pencil, all-to-all within
+///    each row group (ranks sharing `pr`);
+/// 2. `fft.pencil.stage2` (forward): y-pencil → x-pencil, all-to-all within
+///    each column group (ranks sharing `pc`);
+/// 3. `fft.pencil.stage2.inv`: x-pencil → y-pencil;
+/// 4. `fft.pencil.stage1.inv`: y-pencil → z-pencil.
+pub fn pencil_stages() -> [Repartition; 4] {
+    let stage = |name, src, dst| Repartition { name, src, dst };
+    [
+        stage("fft.pencil.stage1", zpencil(), ypencil()),
+        stage("fft.pencil.stage2", ypencil(), xpencil()),
+        stage("fft.pencil.stage2.inv", xpencil(), ypencil()),
+        stage("fft.pencil.stage1.inv", ypencil(), zpencil()),
+    ]
 }
 
 #[cfg(test)]
@@ -324,6 +456,14 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "{}: not surjective", layout.name);
+        for rank in 0..grid.n_ranks() {
+            let mut walked = Vec::new();
+            layout.for_each_coord(dims, grid, rank, |flat, g| walked.push((flat, g)));
+            let direct: Vec<_> = (0..len)
+                .map(|f| (f, layout.coords(dims, grid, rank, f)))
+                .collect();
+            assert_eq!(walked, direct, "{}: block walk", layout.name);
+        }
     }
 
     #[test]
@@ -339,7 +479,7 @@ mod tests {
     fn pair_elems_conserves_local_lengths() {
         let dims = [4usize, 8, 6];
         let grid = RankGrid::new(2, 2);
-        for rep in [pencil_stage1(), pencil_stage2()] {
+        for rep in pencil_stages() {
             for s in 0..grid.n_ranks() {
                 let sent: usize = (0..grid.n_ranks())
                     .map(|d| rep.pair_elems(dims, grid, s, d))
@@ -359,7 +499,7 @@ mod tests {
     fn stage1_is_block_diagonal_in_rows() {
         let dims = [4usize, 4, 4];
         let grid = RankGrid::new(2, 2);
-        let rep = pencil_stage1();
+        let [rep, ..] = pencil_stages();
         for s in 0..4 {
             for d in 0..4 {
                 let elems = rep.pair_elems(dims, grid, s, d);

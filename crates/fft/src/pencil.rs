@@ -30,17 +30,21 @@
 //! regardless of the batch count, and pack/unpack move values without
 //! arithmetic.
 //!
-//! All five layouts and all four repartitions are registered in
-//! [`crate::layout`]; plan byte accounting below is derived from
-//! [`layout::Repartition::pair_elems`], and `vlasov6d-layoutcheck` proves the
-//! maps bijective, diffs them against the pack/unpack loops, and probes the
-//! live exchange with sentinel values.
+//! There is no transpose index arithmetic here. The stages are
+//! [`layout::pencil_stages`], the list `vlasov6d-layoutcheck` registers and
+//! proves bijective; each stage's peers, batch axis, output length, packets
+//! (`Repartition::packet`, walked through the source and destination maps'
+//! strides) and plan bytes
+//! ([`layout::Repartition::pair_elems`]) are evaluated from its
+//! [`layout::Repartition`]. layoutcheck's sentinel probes drive the same
+//! exchange through [`Pencil2D::repartition`], and callers address the
+//! input and spectral blocks with [`layout::zpencil`] / [`layout::xpencil`].
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crate::complex::Complex64;
-use crate::layout::{self, GridAxis, RankGrid, Repartition};
+use crate::layout::{self, RankGrid, Repartition};
 use crate::plan::FftPlan;
 use vlasov6d_mpisim::{Comm, CommPlan};
 
@@ -115,87 +119,35 @@ impl Pencil2D {
         self.grid.n_ranks()
     }
 
-    /// Planes per rank along axis 0 (`n0 / Pr`).
-    pub fn b0(&self) -> usize {
-        self.dims[0] / self.grid.rows
-    }
-
     /// Rows per rank along axis 1 in the z-pencil (`n1 / Pc`).
-    pub fn b1(&self) -> usize {
+    fn b1(&self) -> usize {
         self.dims[1] / self.grid.cols
     }
 
     /// Rows per rank along axis 1 in the x-pencil (`n1 / Pr`).
-    pub fn r1(&self) -> usize {
+    fn r1(&self) -> usize {
         self.dims[1] / self.grid.rows
     }
 
     /// Depth per rank along axis 2 in the y/x pencils (`n2 / Pc`).
-    pub fn c2(&self) -> usize {
+    fn c2(&self) -> usize {
         self.dims[2] / self.grid.cols
     }
 
     /// Local input (z-pencil) length in complex elements.
     pub fn zpencil_len(&self) -> usize {
-        self.b0() * self.b1() * self.dims[2]
-    }
-
-    /// Local mid-stage (y-pencil) length in complex elements.
-    pub fn ypencil_len(&self) -> usize {
-        self.b0() * self.dims[1] * self.c2()
+        layout::zpencil().local_len(self.dims, self.grid)
     }
 
     /// Local spectral (x-pencil) length in complex elements.
     pub fn spectral_len(&self) -> usize {
-        self.r1() * self.dims[0] * self.c2()
+        layout::xpencil().local_len(self.dims, self.grid)
     }
 
     /// Tags consumed by one `forward` or `inverse` call starting at `tag`
     /// (one tag per stage per batch).
     pub fn tag_span(&self) -> u64 {
         2 * self.batches as u64
-    }
-
-    /// Global `[i0, i1, i2]` of a flat index in this rank's z-pencil block.
-    pub fn zpencil_coords(&self, rank: usize, flat: usize) -> [usize; 3] {
-        let (pr, pc) = self.grid.coords_of(rank);
-        let n2 = self.dims[2];
-        let b1 = self.b1();
-        let i2 = flat % n2;
-        let i1l = (flat / n2) % b1;
-        let i0l = flat / (n2 * b1);
-        [pr * self.b0() + i0l, pc * b1 + i1l, i2]
-    }
-
-    /// Inverse of [`Self::zpencil_coords`].
-    pub fn zpencil_owner(&self, coords: [usize; 3]) -> (usize, usize) {
-        let [i0, i1, i2] = coords;
-        let n2 = self.dims[2];
-        let (b0, b1) = (self.b0(), self.b1());
-        let rank = self.grid.rank_of(i0 / b0, i1 / b1);
-        (rank, ((i0 % b0) * b1 + (i1 % b1)) * n2 + i2)
-    }
-
-    /// Global `(i1, i0, i2)` triple of a flat index in this rank's spectral
-    /// (x-pencil) block, in storage order: owned `i1` rows slowest — for
-    /// applying k-space multipliers.
-    pub fn spectral_coords(&self, rank: usize, flat: usize) -> [usize; 3] {
-        let (pr, pc) = self.grid.coords_of(rank);
-        let n0 = self.dims[0];
-        let c2 = self.c2();
-        let i2l = flat % c2;
-        let i0 = (flat / c2) % n0;
-        let i1l = flat / (c2 * n0);
-        [pr * self.r1() + i1l, i0, pc * c2 + i2l]
-    }
-
-    /// Inverse of [`Self::spectral_coords`].
-    pub fn spectral_owner(&self, coords: [usize; 3]) -> (usize, usize) {
-        let [i1, i0, i2] = coords;
-        let n0 = self.dims[0];
-        let (r1, c2) = (self.r1(), self.c2());
-        let rank = self.grid.rank_of(i1 / r1, i2 / c2);
-        (rank, ((i1 % r1) * n0 + i0) * c2 + (i2 % c2))
     }
 
     /// Forward transform: z-pencil in, **x-pencil (spectral) layout** out.
@@ -225,25 +177,22 @@ impl Pencil2D {
         assert_eq!(local.len(), self.zpencil_len());
         assert_eq!(comm.size(), self.n_ranks());
         let mut work = local.to_vec();
-        let (b0, b1, c2, n1) = (self.b0(), self.b1(), self.c2(), self.dims[1]);
+        let (b1, c2, n1) = (self.b1(), self.c2(), self.dims[1]);
         let n2 = self.dims[2];
+        let [stage1, stage2, _, _] = layout::pencil_stages();
 
         // Stage 1: axis-2 FFT per batch of i0 planes, overlapped with the
         // z→y all-to-all within the row group.
         let mut y = self.run_stage(
             comm,
+            &stage1,
             tag,
-            GridAxis::Col,
-            b0,
             &mut work,
-            self.ypencil_len(),
             &mut |slf: &Self, w: &mut [Complex64], planes: Range<usize>| {
                 for line in w[planes.start * b1 * n2..planes.end * b1 * n2].chunks_mut(n2) {
                     slf.plans[2].forward(line);
                 }
             },
-            Self::pack_stage1,
-            Self::unpack_stage1,
             timings.as_deref_mut().map(|t| &mut t.stage1),
         );
 
@@ -252,11 +201,9 @@ impl Pencil2D {
         let mut buf1 = vec![Complex64::ZERO; n1];
         let mut x = self.run_stage(
             comm,
+            &stage2,
             tag + self.batches as u64,
-            GridAxis::Row,
-            b0,
             &mut y,
-            self.spectral_len(),
             &mut |slf: &Self, w: &mut [Complex64], planes: Range<usize>| {
                 for i0l in planes {
                     for i2l in 0..c2 {
@@ -270,8 +217,6 @@ impl Pencil2D {
                     }
                 }
             },
-            Self::pack_stage2,
-            Self::unpack_stage2,
             timings.map(|t| &mut t.stage2),
         );
 
@@ -322,18 +267,17 @@ impl Pencil2D {
         assert_eq!(comm.size(), self.n_ranks());
         let mut work = spectrum.to_vec();
         let [n0, n1, n2] = self.dims;
-        let (b0, c2, r1) = (self.b0(), self.c2(), self.r1());
+        let c2 = self.c2();
+        let [_, _, stage2_inv, stage1_inv] = layout::pencil_stages();
 
         // Stage 2 reversed: inverse axis-0 FFT per batch of i1 rows
         // (unscaled via conj), overlapped with the x→y all-to-all.
         let mut buf0 = vec![Complex64::ZERO; n0];
         let mut y = self.run_stage(
             comm,
+            &stage2_inv,
             tag,
-            GridAxis::Row,
-            r1,
             &mut work,
-            self.ypencil_len(),
             &mut |slf: &Self, w: &mut [Complex64], rows: Range<usize>| {
                 for i1l in rows {
                     for i2l in 0..c2 {
@@ -347,8 +291,6 @@ impl Pencil2D {
                     }
                 }
             },
-            Self::pack_stage2_inv,
-            Self::unpack_stage2_inv,
             timings.as_deref_mut().map(|t| &mut t.stage2),
         );
 
@@ -357,11 +299,9 @@ impl Pencil2D {
         let mut buf1 = vec![Complex64::ZERO; n1];
         let mut z = self.run_stage(
             comm,
+            &stage1_inv,
             tag + self.batches as u64,
-            GridAxis::Col,
-            b0,
             &mut y,
-            self.zpencil_len(),
             &mut |slf: &Self, w: &mut [Complex64], planes: Range<usize>| {
                 for i0l in planes {
                     for i2l in 0..c2 {
@@ -375,8 +315,6 @@ impl Pencil2D {
                     }
                 }
             },
-            Self::pack_stage1_inv,
-            Self::unpack_stage1_inv,
             timings.map(|t| &mut t.stage1),
         );
 
@@ -394,41 +332,52 @@ impl Pencil2D {
         z
     }
 
-    // -- split-phase batched exchange driver --------------------------------
+    /// Run one repartition alone, no FFTs: `input` in `rep.src`'s layout
+    /// in, `rep.dst`'s layout out, under the tags `tag..tag + batches` — the
+    /// live exchange layoutcheck's sentinel probes drive.
+    pub fn repartition(
+        &self,
+        comm: &Comm,
+        rep: &Repartition,
+        input: &[Complex64],
+        tag: u64,
+    ) -> Vec<Complex64> {
+        assert_eq!(input.len(), rep.src.local_len(self.dims, self.grid));
+        let mut work = input.to_vec();
+        self.run_stage(comm, rep, tag, &mut work, &mut |_, _, _| {}, None)
+    }
 }
 
 /// The per-batch local FFT pass a stage interleaves with its exchange.
 type StageCompute<'a> = &'a mut dyn FnMut(&Pencil2D, &mut [Complex64], Range<usize>);
 
 impl Pencil2D {
+    /// The batches of a stage: near-equal ranges of the source's local
+    /// extent along the stage's batch axis.
+    fn stage_batches(&self, rep: &Repartition) -> Vec<Range<usize>> {
+        let extent = rep.src.local_extents(self.dims, self.grid)[rep.batch_axis()];
+        batch_ranges(extent, self.batches)
+    }
+
     /// Run one transpose stage: `irecv`s for every (peer, batch) posted up
     /// front; per batch, `compute` transforms the batch in `work`, then the
-    /// batch is packed and `isend`-ed to each group peer; waits drain at the
-    /// end, so later batches' compute hides earlier batches' traffic. The
-    /// self-packet never touches the network.
-    #[allow(clippy::too_many_arguments)]
+    /// batch's packet for each group peer is gathered through `rep.src` and
+    /// `isend`-ed; waits drain at the end, each packet scattered through
+    /// `rep.dst`, so later batches' compute hides earlier batches' traffic.
+    /// The self-packet never touches the network.
     fn run_stage(
         &self,
         comm: &Comm,
+        rep: &Repartition,
         tag_base: u64,
-        peer_axis: GridAxis,
-        batch_extent: usize,
         work: &mut [Complex64],
-        out_len: usize,
         compute: StageCompute<'_>,
-        pack: fn(&Self, &[Complex64], usize, Range<usize>) -> Vec<f64>,
-        unpack: fn(&Self, &mut [Complex64], usize, Range<usize>, &[f64]),
         timing: Option<&mut StageTimings>,
     ) -> Vec<Complex64> {
         let me = comm.rank();
-        let my_digit = self.grid.digit(me, peer_axis);
-        let group = self.grid.extent(peer_axis);
-        let peer_rank = |q: usize| match peer_axis {
-            GridAxis::Col => self.grid.rank_of(self.grid.coords_of(me).0, q),
-            GridAxis::Row => self.grid.rank_of(q, self.grid.coords_of(me).1),
-        };
-        let ranges = batch_ranges(batch_extent, self.batches);
-        let mut out = vec![Complex64::ZERO; out_len];
+        let group: Vec<usize> = self.grid.group(me, rep.peer_axis()).collect();
+        let ranges = self.stage_batches(rep);
+        let mut out = vec![Complex64::ZERO; rep.dst.local_len(self.dims, self.grid)];
         let mut timer = timing;
 
         // Post every receive before any compute or send.
@@ -436,24 +385,25 @@ impl Pencil2D {
             .iter()
             .enumerate()
             .map(|(b, _)| {
-                (0..group)
-                    .filter(|&q| q != my_digit)
-                    .map(|q| (q, comm.irecv(peer_rank(q), tag_base + b as u64)))
+                group
+                    .iter()
+                    .filter(|&&peer| peer != me)
+                    .map(|&peer| (peer, comm.irecv(peer, tag_base + b as u64)))
                     .collect()
             })
             .collect();
 
         let mut sends = Vec::new();
         let mut in_flight = false;
-        for (b, planes) in ranges.iter().enumerate() {
+        for (b, batch) in ranges.iter().enumerate() {
             let t0 = Instant::now();
-            compute(self, work, planes.clone());
-            for q in 0..group {
-                let pkt = pack(self, work, q, planes.clone());
-                if q == my_digit {
-                    unpack(self, &mut out, q, planes.clone(), &pkt);
+            compute(self, work, batch.clone());
+            for &peer in &group {
+                let values = self.gather(rep, me, peer, batch.clone(), work);
+                if peer == me {
+                    self.scatter(rep, me, me, batch.clone(), &values, &mut out);
                 } else {
-                    sends.push(comm.isend(peer_rank(q), tag_base + b as u64, pkt));
+                    sends.push(comm.isend(peer, tag_base + b as u64, values));
                 }
             }
             if in_flight {
@@ -465,13 +415,13 @@ impl Pencil2D {
         }
 
         for (b, batch_recvs) in recvs.drain(..).enumerate() {
-            for (q, req) in batch_recvs {
+            for (peer, req) in batch_recvs {
                 let t0 = Instant::now();
-                let pkt = req.wait();
+                let values = req.wait();
                 if let Some(t) = timer.as_mut() {
                     t.exposed += t0.elapsed();
                 }
-                unpack(self, &mut out, q, ranges[b].clone(), &pkt);
+                self.scatter(rep, peer, me, ranges[b].clone(), &values, &mut out);
             }
         }
         for s in sends {
@@ -480,243 +430,49 @@ impl Pencil2D {
         out
     }
 
-    // -- pack/unpack: the index-permutation layer, one pair per registered
-    //    repartition. Loop order is (batch axis, row, depth) on both sides so
-    //    packet offsets agree by construction. ----------------------------
-
-    /// Pack the z-pencil batch for column-group peer `qc`: my `i1` block,
-    /// peer's `i2` block.
-    ///
-    /// [layoutcheck: fft.pencil.stage1]
-    fn pack_stage1(&self, work: &[Complex64], qc: usize, planes: Range<usize>) -> Vec<f64> {
-        let (b1, c2, n2) = (self.b1(), self.c2(), self.dims[2]);
-        let mut pkt = Vec::with_capacity(planes.len() * b1 * c2 * 2);
-        for i0l in planes {
-            for i1l in 0..b1 {
-                for i2l in 0..c2 {
-                    let z = work[(i0l * b1 + i1l) * n2 + qc * c2 + i2l];
-                    pkt.push(z.re);
-                    pkt.push(z.im);
-                }
-            }
-        }
-        pkt
+    /// The packet rank `src` sends rank `dst` for `batch`, read from
+    /// `src`'s block `work` of `rep.src`, as interleaved `re, im` values.
+    fn gather(
+        &self,
+        rep: &Repartition,
+        src: usize,
+        dst: usize,
+        batch: Range<usize>,
+        work: &[Complex64],
+    ) -> Vec<f64> {
+        let packet = rep.packet(self.dims, self.grid, src, dst, batch);
+        let mut values = Vec::with_capacity(2 * packet.len());
+        packet.for_each_index(&rep.src, self.dims, self.grid, src, |i| {
+            values.push(work[i].re);
+            values.push(work[i].im);
+        });
+        values
     }
 
-    /// Unpack a stage-1 packet from column-group peer `qs` into the
-    /// y-pencil: its `i1` block of my planes.
-    ///
-    /// [layoutcheck: fft.pencil.stage1]
-    fn unpack_stage1(&self, y: &mut [Complex64], qs: usize, planes: Range<usize>, pkt: &[f64]) {
-        let (b1, c2, n1) = (self.b1(), self.c2(), self.dims[1]);
+    /// Write the packet rank `src` sent rank `dst` for `batch` into `out`,
+    /// `dst`'s block of `rep.dst`, in the order [`Self::gather`] read it.
+    fn scatter(
+        &self,
+        rep: &Repartition,
+        src: usize,
+        dst: usize,
+        batch: Range<usize>,
+        values: &[f64],
+        out: &mut [Complex64],
+    ) {
+        let packet = rep.packet(self.dims, self.grid, src, dst, batch);
+        debug_assert_eq!(values.len(), 2 * packet.len());
         let mut c = 0;
-        for i0l in planes {
-            for i1l in 0..b1 {
-                for i2l in 0..c2 {
-                    y[(i0l * n1 + qs * b1 + i1l) * c2 + i2l] = Complex64::new(pkt[c], pkt[c + 1]);
-                    c += 2;
-                }
-            }
-        }
-    }
-
-    /// Pack the y-pencil batch for row-group peer `qr`: its `i1` block of my
-    /// planes.
-    ///
-    /// [layoutcheck: fft.pencil.stage2]
-    fn pack_stage2(&self, work: &[Complex64], qr: usize, planes: Range<usize>) -> Vec<f64> {
-        let (r1, c2, n1) = (self.r1(), self.c2(), self.dims[1]);
-        let mut pkt = Vec::with_capacity(planes.len() * r1 * c2 * 2);
-        for i0l in planes {
-            for i1l in 0..r1 {
-                for i2l in 0..c2 {
-                    let z = work[(i0l * n1 + qr * r1 + i1l) * c2 + i2l];
-                    pkt.push(z.re);
-                    pkt.push(z.im);
-                }
-            }
-        }
-        pkt
-    }
-
-    /// Unpack a stage-2 packet from row-group peer `qs` into the x-pencil:
-    /// its `i0` planes of my `i1` rows.
-    ///
-    /// [layoutcheck: fft.pencil.stage2]
-    fn unpack_stage2(&self, x: &mut [Complex64], qs: usize, planes: Range<usize>, pkt: &[f64]) {
-        let (r1, c2, n0, b0) = (self.r1(), self.c2(), self.dims[0], self.b0());
-        let mut c = 0;
-        for i0l in planes {
-            for i1l in 0..r1 {
-                for i2l in 0..c2 {
-                    x[(i1l * n0 + qs * b0 + i0l) * c2 + i2l] = Complex64::new(pkt[c], pkt[c + 1]);
-                    c += 2;
-                }
-            }
-        }
-    }
-
-    /// Pack the x-pencil batch (rows of `i1`) for row-group peer `qr`: its
-    /// `i0` block of my rows.
-    ///
-    /// [layoutcheck: fft.pencil.stage2.inv]
-    fn pack_stage2_inv(&self, work: &[Complex64], qr: usize, rows: Range<usize>) -> Vec<f64> {
-        let (b0, c2, n0) = (self.b0(), self.c2(), self.dims[0]);
-        let mut pkt = Vec::with_capacity(rows.len() * b0 * c2 * 2);
-        for i1l in rows {
-            for i0l in 0..b0 {
-                for i2l in 0..c2 {
-                    let z = work[(i1l * n0 + qr * b0 + i0l) * c2 + i2l];
-                    pkt.push(z.re);
-                    pkt.push(z.im);
-                }
-            }
-        }
-        pkt
-    }
-
-    /// Unpack a reversed stage-2 packet from row-group peer `qs` into the
-    /// y-pencil: its `i1` rows of my planes.
-    ///
-    /// [layoutcheck: fft.pencil.stage2.inv]
-    fn unpack_stage2_inv(&self, y: &mut [Complex64], qs: usize, rows: Range<usize>, pkt: &[f64]) {
-        let (b0, c2, n1, r1) = (self.b0(), self.c2(), self.dims[1], self.r1());
-        let mut c = 0;
-        for i1l in rows {
-            for i0l in 0..b0 {
-                for i2l in 0..c2 {
-                    y[(i0l * n1 + qs * r1 + i1l) * c2 + i2l] = Complex64::new(pkt[c], pkt[c + 1]);
-                    c += 2;
-                }
-            }
-        }
-    }
-
-    /// Pack the y-pencil batch for column-group peer `qc`: its `i1` block of
-    /// my planes.
-    ///
-    /// [layoutcheck: fft.pencil.stage1.inv]
-    fn pack_stage1_inv(&self, work: &[Complex64], qc: usize, planes: Range<usize>) -> Vec<f64> {
-        let (b1, c2, n1) = (self.b1(), self.c2(), self.dims[1]);
-        let mut pkt = Vec::with_capacity(planes.len() * b1 * c2 * 2);
-        for i0l in planes {
-            for i1l in 0..b1 {
-                for i2l in 0..c2 {
-                    let z = work[(i0l * n1 + qc * b1 + i1l) * c2 + i2l];
-                    pkt.push(z.re);
-                    pkt.push(z.im);
-                }
-            }
-        }
-        pkt
-    }
-
-    /// Unpack a reversed stage-1 packet from column-group peer `qs` into the
-    /// z-pencil: its `i2` block of my planes and rows.
-    ///
-    /// [layoutcheck: fft.pencil.stage1.inv]
-    fn unpack_stage1_inv(&self, z: &mut [Complex64], qs: usize, planes: Range<usize>, pkt: &[f64]) {
-        let (b1, c2, n2) = (self.b1(), self.c2(), self.dims[2]);
-        let mut c = 0;
-        for i0l in planes {
-            for i1l in 0..b1 {
-                for i2l in 0..c2 {
-                    z[(i0l * b1 + i1l) * n2 + qs * c2 + i2l] = Complex64::new(pkt[c], pkt[c + 1]);
-                    c += 2;
-                }
-            }
-        }
-    }
-
-    // -- transpose-only entry points (layoutcheck probes, tests) ------------
-
-    /// Run the stage-1 (z→y) repartition alone, no FFTs — the live exchange
-    /// layoutcheck's sentinel probes drive.
-    ///
-    /// [layoutcheck: fft.pencil.stage1]
-    pub fn repartition_stage1(&self, comm: &Comm, z: &[Complex64], tag: u64) -> Vec<Complex64> {
-        assert_eq!(z.len(), self.zpencil_len());
-        let mut work = z.to_vec();
-        self.run_stage(
-            comm,
-            tag,
-            GridAxis::Col,
-            self.b0(),
-            &mut work,
-            self.ypencil_len(),
-            &mut |_, _, _| {},
-            Self::pack_stage1,
-            Self::unpack_stage1,
-            None,
-        )
-    }
-
-    /// Run the stage-2 (y→x) repartition alone, no FFTs.
-    ///
-    /// [layoutcheck: fft.pencil.stage2]
-    pub fn repartition_stage2(&self, comm: &Comm, y: &[Complex64], tag: u64) -> Vec<Complex64> {
-        assert_eq!(y.len(), self.ypencil_len());
-        let mut work = y.to_vec();
-        self.run_stage(
-            comm,
-            tag,
-            GridAxis::Row,
-            self.b0(),
-            &mut work,
-            self.spectral_len(),
-            &mut |_, _, _| {},
-            Self::pack_stage2,
-            Self::unpack_stage2,
-            None,
-        )
-    }
-
-    /// Run the reversed stage-2 (x→y) repartition alone, no FFTs.
-    ///
-    /// [layoutcheck: fft.pencil.stage2.inv]
-    pub fn repartition_stage2_inv(&self, comm: &Comm, x: &[Complex64], tag: u64) -> Vec<Complex64> {
-        assert_eq!(x.len(), self.spectral_len());
-        let mut work = x.to_vec();
-        self.run_stage(
-            comm,
-            tag,
-            GridAxis::Row,
-            self.r1(),
-            &mut work,
-            self.ypencil_len(),
-            &mut |_, _, _| {},
-            Self::pack_stage2_inv,
-            Self::unpack_stage2_inv,
-            None,
-        )
-    }
-
-    /// Run the reversed stage-1 (y→z) repartition alone, no FFTs.
-    ///
-    /// [layoutcheck: fft.pencil.stage1.inv]
-    pub fn repartition_stage1_inv(&self, comm: &Comm, y: &[Complex64], tag: u64) -> Vec<Complex64> {
-        assert_eq!(y.len(), self.ypencil_len());
-        let mut work = y.to_vec();
-        self.run_stage(
-            comm,
-            tag + self.batches as u64,
-            GridAxis::Col,
-            self.b0(),
-            &mut work,
-            self.zpencil_len(),
-            &mut |_, _, _| {},
-            Self::pack_stage1_inv,
-            Self::unpack_stage1_inv,
-            None,
-        )
+        packet.for_each_index(&rep.dst, self.dims, self.grid, dst, |i| {
+            out[i] = Complex64::new(values[c], values[c + 1]);
+            c += 2;
+        });
     }
 
     // -- declarative communication plans ------------------------------------
 
     /// Plan of one forward transform's two transpose stages under `tag`
     /// (stage 1 at `tag + batch`, stage 2 at `tag + batches + batch`).
-    ///
-    /// [layoutcheck: fft.pencil.stage1, fft.pencil.stage2]
     pub fn transpose_plan(&self, tag: u64) -> CommPlan {
         let mut plan = CommPlan::new("fft.pencil.transpose", self.n_ranks());
         self.add_forward(&mut plan, tag);
@@ -724,102 +480,56 @@ impl Pencil2D {
     }
 
     /// Append the forward transform's exchanges to an existing plan.
-    ///
-    /// [layoutcheck: fft.pencil.stage1, fft.pencil.stage2]
     pub fn add_forward(&self, plan: &mut CommPlan, tag: u64) {
-        self.add_stage(
-            plan,
-            &layout::pencil_stage1(),
-            GridAxis::Col,
-            self.b0(),
-            tag,
-        );
-        self.add_stage(
-            plan,
-            &layout::pencil_stage2(),
-            GridAxis::Row,
-            self.b0(),
-            tag + self.batches as u64,
-        );
+        let [stage1, stage2, _, _] = layout::pencil_stages();
+        self.add_stage(plan, &stage1, tag);
+        self.add_stage(plan, &stage2, tag + self.batches as u64);
     }
 
     /// Append the inverse transform's exchanges to an existing plan.
-    ///
-    /// [layoutcheck: fft.pencil.stage2.inv, fft.pencil.stage1.inv]
     pub fn add_inverse(&self, plan: &mut CommPlan, tag: u64) {
-        self.add_stage(
-            plan,
-            &layout::pencil_stage2_inv(),
-            GridAxis::Row,
-            self.r1(),
-            tag,
-        );
-        self.add_stage(
-            plan,
-            &layout::pencil_stage1_inv(),
-            GridAxis::Col,
-            self.b0(),
-            tag + self.batches as u64,
-        );
+        let [_, _, stage2_inv, stage1_inv] = layout::pencil_stages();
+        self.add_stage(plan, &stage2_inv, tag);
+        self.add_stage(plan, &stage1_inv, tag + self.batches as u64);
     }
 
     /// One stage's split-phase ops, mirroring `run_stage`'s order exactly:
     /// all irecvs, per-batch isends, recv waits, send waits. Bytes are
     /// derived from the registered layout model's per-pair intersection and
     /// split across batches along the stage's batch axis.
-    ///
-    /// [layoutcheck: fft.pencil.stage1, fft.pencil.stage2, fft.pencil.stage2.inv, fft.pencil.stage1.inv]
-    fn add_stage(
-        &self,
-        plan: &mut CommPlan,
-        rep: &Repartition,
-        peer_axis: GridAxis,
-        batch_extent: usize,
-        tag_base: u64,
-    ) {
+    fn add_stage(&self, plan: &mut CommPlan, rep: &Repartition, tag_base: u64) {
         assert_eq!(plan.n_ranks(), self.n_ranks());
-        let ranges = batch_ranges(batch_extent, self.batches);
-        let pair_bytes = |s: usize, d: usize, planes: &Range<usize>| -> u64 {
+        let ranges = self.stage_batches(rep);
+        let batch_extent: usize = ranges.iter().map(Range::len).sum();
+        let pair_bytes = |s: usize, d: usize, batch: &Range<usize>| -> u64 {
             let total = rep.pair_elems(self.dims, self.grid, s, d);
             debug_assert_eq!(total % batch_extent, 0);
-            (total / batch_extent * planes.len() * 2 * std::mem::size_of::<f64>()) as u64
+            (total / batch_extent * batch.len() * 2 * std::mem::size_of::<f64>()) as u64
         };
         for me in 0..self.n_ranks() {
-            let my_digit = self.grid.digit(me, peer_axis);
-            let group = self.grid.extent(peer_axis);
-            let peer_rank = |q: usize| match peer_axis {
-                GridAxis::Col => self.grid.rank_of(self.grid.coords_of(me).0, q),
-                GridAxis::Row => self.grid.rank_of(q, self.grid.coords_of(me).1),
-            };
-            let peers: Vec<usize> = (0..group).filter(|&q| q != my_digit).collect();
-            for (b, planes) in ranges.iter().enumerate() {
-                for &q in &peers {
-                    plan.irecv(
-                        me,
-                        peer_rank(q),
-                        tag_base + b as u64,
-                        pair_bytes(peer_rank(q), me, planes),
-                    );
+            let peers: Vec<usize> = self
+                .grid
+                .group(me, rep.peer_axis())
+                .filter(|&peer| peer != me)
+                .collect();
+            for (b, batch) in ranges.iter().enumerate() {
+                for &peer in &peers {
+                    plan.irecv(me, peer, tag_base + b as u64, pair_bytes(peer, me, batch));
                 }
             }
-            for (b, planes) in ranges.iter().enumerate() {
-                for &q in &peers {
-                    plan.isend(
-                        me,
-                        peer_rank(q),
-                        tag_base + b as u64,
-                        pair_bytes(me, peer_rank(q), planes),
-                    );
+            for (b, batch) in ranges.iter().enumerate() {
+                for &peer in &peers {
+                    plan.isend(me, peer, tag_base + b as u64, pair_bytes(me, peer, batch));
                 }
             }
-            for (b, _) in ranges.iter().enumerate() {
-                for &q in &peers {
-                    plan.wait_recv(me, peer_rank(q), tag_base + b as u64);
+            for b in 0..ranges.len() {
+                for &peer in &peers {
+                    plan.wait_recv(me, peer, tag_base + b as u64);
                 }
             }
-            for (b, _) in ranges.iter().enumerate() {
-                for &q in &peers {
-                    plan.wait_send(me, peer_rank(q), tag_base + b as u64);
+            for b in 0..ranges.len() {
+                for &peer in &peers {
+                    plan.wait_send(me, peer, tag_base + b as u64);
                 }
             }
         }
@@ -890,7 +600,7 @@ mod tests {
         let [_, n1, n2] = plan.dims();
         (0..plan.zpencil_len())
             .map(|flat| {
-                let [i0, i1, i2] = plan.zpencil_coords(rank, flat);
+                let [i0, i1, i2] = layout::zpencil().coords(plan.dims(), plan.grid(), rank, flat);
                 global[(i0 * n1 + i1) * n2 + i2]
             })
             .collect()
@@ -918,7 +628,8 @@ mod tests {
                 let local = scatter(&plan, &global, comm.rank());
                 let spec = plan.forward(comm, &local, 100);
                 for (flat, z) in spec.iter().enumerate() {
-                    let [i1, i0, i2] = plan.spectral_coords(comm.rank(), flat);
+                    let [i0, i1, i2] =
+                        layout::xpencil().coords(dims, plan.grid(), comm.rank(), flat);
                     let want = serial[(i0 * 8 + i1) * 8 + i2];
                     assert!(
                         (*z - want).abs() < 1e-9,
@@ -959,7 +670,7 @@ mod tests {
             let local = scatter(&plan, &global, comm.rank());
             let spec = plan.forward(comm, &local, 100);
             for (flat, z) in spec.iter().enumerate() {
-                let [i1, i0, i2] = plan.spectral_coords(comm.rank(), flat);
+                let [i0, i1, i2] = layout::xpencil().coords(dims, plan.grid(), comm.rank(), flat);
                 let want = serial[(i0 * 8 + i1) * 4 + i2];
                 assert!((*z - want).abs() < 1e-9);
             }
@@ -1016,39 +727,16 @@ mod tests {
         plan.add_inverse(&mut both, 20 + plan.tag_span());
         both.verify().expect("disjoint tag windows compose");
         // A stage-2 window colliding with stage 1 must be rejected.
+        let [stage1, stage2, ..] = layout::pencil_stages();
         let mut collide = CommPlan::new("fft.pencil.collide", 4);
-        plan.add_stage(
-            &mut collide,
-            &layout::pencil_stage1(),
-            GridAxis::Col,
-            plan.b0(),
-            40,
-        );
-        plan.add_stage(
-            &mut collide,
-            &layout::pencil_stage2(),
-            GridAxis::Row,
-            plan.b0(),
-            40,
-        );
+        plan.add_stage(&mut collide, &stage1, 40);
+        plan.add_stage(&mut collide, &stage2, 40);
         // Different peer groups → no tag clash between stages at 2x2; the
         // live collision comes from reusing the window within a stage.
         collide.verify().expect("cross-group tags do not clash");
         let mut same = CommPlan::new("fft.pencil.same", 4);
-        plan.add_stage(
-            &mut same,
-            &layout::pencil_stage1(),
-            GridAxis::Col,
-            plan.b0(),
-            60,
-        );
-        plan.add_stage(
-            &mut same,
-            &layout::pencil_stage1(),
-            GridAxis::Col,
-            plan.b0(),
-            60,
-        );
+        plan.add_stage(&mut same, &stage1, 60);
+        plan.add_stage(&mut same, &stage1, 60);
         same.verify().unwrap_err();
 
         // On a P × 1 grid stage 1 never leaves the rank and stage 2 is the
@@ -1074,16 +762,76 @@ mod tests {
 
     #[test]
     fn spectral_and_zpencil_owners_round_trip() {
+        // The blocks the transform reads and returns are the maps' blocks:
+        // same length, and every (rank, flat) slot names one global
+        // coordinate whose owner is that slot.
         for (rows, cols) in [(2, 3), (4, 1)] {
             let plan = Pencil2D::new([4, 12, 6], rows, cols);
-            for rank in 0..plan.n_ranks() {
-                for flat in 0..plan.spectral_len() {
-                    let c = plan.spectral_coords(rank, flat);
-                    assert_eq!(plan.spectral_owner(c), (rank, flat));
+            let (dims, grid) = (plan.dims(), plan.grid());
+            for (map, len) in [
+                (layout::xpencil(), plan.spectral_len()),
+                (layout::zpencil(), plan.zpencil_len()),
+            ] {
+                assert_eq!(map.local_len(dims, grid), len, "{}", map.name);
+                for rank in 0..plan.n_ranks() {
+                    for flat in 0..len {
+                        let c = map.coords(dims, grid, rank, flat);
+                        assert_eq!(map.owner(dims, grid, c), (rank, flat), "{}", map.name);
+                    }
                 }
-                for flat in 0..plan.zpencil_len() {
-                    let c = plan.zpencil_coords(rank, flat);
-                    assert_eq!(plan.zpencil_owner(c), (rank, flat));
+            }
+        }
+    }
+
+    #[test]
+    fn packets_carry_the_planned_elements_and_tile_each_block() {
+        // The packets `run_stage` moves are the plan's bytes: for every
+        // registered stage, every shape of layoutcheck's
+        // `registry::sample_shapes` and 1–3 batches, the
+        // packet `s` builds for `d` holds `pair_elems / batch_extent ·
+        // batch.len()` elements (what `add_stage` declares), and one
+        // sender's packets cover its block exactly once.
+        let shapes = [
+            ([4usize, 4, 4], 2usize, 2usize),
+            ([2, 6, 8], 2, 2),
+            ([4, 12, 6], 2, 3),
+            ([3, 15, 5], 3, 5),
+            ([4, 8, 4], 4, 2),
+            ([8, 8, 8], 4, 1),
+            ([4, 12, 6], 2, 1),
+            ([2, 2, 5], 2, 1),
+            ([3, 9, 7], 3, 1),
+            ([10, 5, 3], 5, 1),
+        ];
+        for (dims, rows, cols) in shapes {
+            for batches in [1, 2, 3] {
+                let plan = Pencil2D::new(dims, rows, cols).with_batches(batches);
+                let grid = plan.grid();
+                for rep in layout::pencil_stages() {
+                    let ranges = plan.stage_batches(&rep);
+                    let extent = rep.src.local_extents(dims, grid)[rep.batch_axis()];
+                    let len = rep.src.local_len(dims, grid);
+                    for s in 0..grid.n_ranks() {
+                        let mut hits = vec![0u32; len];
+                        for d in grid.group(s, rep.peer_axis()) {
+                            let pair = rep.pair_elems(dims, grid, s, d);
+                            for batch in &ranges {
+                                let packet = rep.packet(dims, grid, s, d, batch.clone());
+                                assert_eq!(
+                                    packet.len(),
+                                    pair / extent * batch.len(),
+                                    "{} {dims:?} {rows}x{cols} ×{batches}: {s} → {d}",
+                                    rep.name
+                                );
+                                packet.for_each_index(&rep.src, dims, grid, s, |i| hits[i] += 1);
+                            }
+                        }
+                        assert!(
+                            hits.iter().all(|&h| h == 1),
+                            "{} {dims:?} {rows}x{cols} ×{batches}: rank {s}'s block not tiled once",
+                            rep.name
+                        );
+                    }
                 }
             }
         }

@@ -1,8 +1,8 @@
-//! Property tests for the distributed-FFT coordinate accessors: for
-//! arbitrary conforming dims and rank grids (`cols = 1`, the slab
-//! decomposition, included), (rank, flat) → global coords → owner must be
-//! the identity, and the accessors must agree with the declarative layout
-//! model in `vlasov6d_fft::layout`.
+//! Property tests for the distributed-FFT layout maps every caller addresses
+//! its blocks through: for arbitrary conforming dims and rank grids
+//! (`cols = 1`, the slab decomposition, included), (rank, flat) → global
+//! coords → owner must be the identity on the blocks `Pencil2D` allocates,
+//! and the per-pair counts must conserve each block.
 
 use proptest::prelude::*;
 use vlasov6d_fft::layout::{self, RankGrid};
@@ -25,17 +25,16 @@ proptest! {
         let grid = RankGrid::new(rows, cols);
         let rank = (salt % (rows * cols) as u64) as usize;
 
-        let flat = ((salt >> 8) % fft.spectral_len() as u64) as usize;
-        let [i1, i0, i2] = fft.spectral_coords(rank, flat);
-        prop_assert_eq!(fft.spectral_owner([i1, i0, i2]), (rank, flat));
         let model = layout::xpencil();
-        prop_assert_eq!(model.owner(dims, grid, [i0, i1, i2]), (rank, flat));
-        prop_assert_eq!(model.coords(dims, grid, rank, flat), [i0, i1, i2]);
+        prop_assert_eq!(model.local_len(dims, grid), fft.spectral_len());
+        let flat = ((salt >> 8) % fft.spectral_len() as u64) as usize;
+        let c = model.coords(dims, grid, rank, flat);
+        prop_assert_eq!(model.owner(dims, grid, c), (rank, flat));
 
-        let zflat = ((salt >> 16) % fft.zpencil_len() as u64) as usize;
-        let zc = fft.zpencil_coords(rank, zflat);
-        prop_assert_eq!(fft.zpencil_owner(zc), (rank, zflat));
         let zmodel = layout::zpencil();
+        prop_assert_eq!(zmodel.local_len(dims, grid), fft.zpencil_len());
+        let zflat = ((salt >> 16) % fft.zpencil_len() as u64) as usize;
+        let zc = zmodel.coords(dims, grid, rank, zflat);
         prop_assert_eq!(zmodel.owner(dims, grid, zc), (rank, zflat));
     }
 
@@ -49,12 +48,7 @@ proptest! {
     ) {
         let dims = [rows * a, rows * cols * b, cols * c];
         let grid = RankGrid::new(rows, cols);
-        for rep in [
-            layout::pencil_stage1(),
-            layout::pencil_stage2(),
-            layout::pencil_stage2_inv(),
-            layout::pencil_stage1_inv(),
-        ] {
+        for rep in layout::pencil_stages() {
             for s in 0..grid.n_ranks() {
                 let sent: usize = (0..grid.n_ranks())
                     .map(|d| rep.pair_elems(dims, grid, s, d))

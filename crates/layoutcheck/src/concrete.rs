@@ -12,18 +12,17 @@
 //!   [`PairCount`](crate::symbolic::PairCount);
 //! * diffs the accumulated traffic against the actual
 //!   [`CommPlan`](vlasov6d_mpisim::CommPlan)s the runtime verifies before
-//!   communicating (`Pencil2D` forward/inverse plans);
-//! * checks the user-facing coordinate accessors (`spectral_coords`,
-//!   `zpencil_coords` and their owners) realise exactly the registered maps.
+//!   communicating (`Pencil2D` forward/inverse plans).
 //!
-//! Negative controls: a swapped-stride layout (storage order transposed) and
-//! an off-by-one row split must both be *caught* by these checks.
+//! Negative control: an off-by-one row split must be *caught* by the
+//! enumeration. (The swapped-stride control lives on the live probe, which
+//! runs the packets these maps define.)
 
 use std::collections::HashMap;
 
 use crate::registry;
 use crate::symbolic;
-use vlasov6d_fft::layout::{self, LayoutMap, RankGrid, Repartition};
+use vlasov6d_fft::layout::{LayoutMap, RankGrid, Repartition};
 use vlasov6d_fft::Pencil2D;
 use vlasov6d_kerncheck::report::Report;
 
@@ -161,9 +160,8 @@ pub(crate) fn shape_tag(dims: [usize; 3], grid: RankGrid) -> String {
 }
 
 pub fn run(report: &mut Report) {
-    for entry in registry::entries() {
+    for rep in &registry::entries() {
         for (dims, grid) in registry::sample_shapes() {
-            let rep = &entry.rep;
             let tag = shape_tag(dims, grid);
             // Bijection + routing enumeration straight from the model maps.
             let routing = enumerate_routing(
@@ -210,8 +208,7 @@ pub fn run(report: &mut Report) {
     }
 
     plan_cross_checks(report);
-    accessor_cross_checks(report);
-    negative_controls(report);
+    offbyone_control(report);
 }
 
 /// Diff the registered models against the CommPlans the runtime verifies.
@@ -225,11 +222,12 @@ fn plan_cross_checks(report: &mut Report) {
         let mut inv = vlasov6d_mpisim::CommPlan::new("fft.pencil.inverse", grid.n_ranks());
         fft.add_inverse(&mut inv, 0);
         let half = span / 2;
+        let [s1, s2, s2i, s1i] = registry::entries();
         let windows = [
-            (layout::pencil_stage1(), &fwd, 0..half),
-            (layout::pencil_stage2(), &fwd, half..span),
-            (layout::pencil_stage2_inv(), &inv, 0..half),
-            (layout::pencil_stage1_inv(), &inv, half..span),
+            (s1, &fwd, 0..half),
+            (s2, &fwd, half..span),
+            (s2i, &inv, 0..half),
+            (s1i, &inv, half..span),
         ];
         for (rep, plan, tags) in windows {
             let name = format!("{}.plan.{}", rep.name, shape_tag(dims, grid));
@@ -245,80 +243,13 @@ fn plan_cross_checks(report: &mut Report) {
     }
 }
 
-/// The coordinate accessors the k-space multipliers rely on must realise
-/// exactly the registered maps.
-fn accessor_cross_checks(report: &mut Report) {
-    for (dims, grid) in registry::sample_shapes() {
-        let fft = Pencil2D::new(dims, grid.rows, grid.cols);
-        let spec = layout::xpencil();
-        let zpen = layout::zpencil();
-        let mut witness = None;
-        'outer: for rank in 0..grid.n_ranks() {
-            for flat in 0..fft.spectral_len() {
-                let [i1, i0, i2] = fft.spectral_coords(rank, flat);
-                if spec.coords(dims, grid, rank, flat) != [i0, i1, i2]
-                    || fft.spectral_owner([i1, i0, i2]) != (rank, flat)
-                {
-                    witness = Some(format!("spectral rank {rank}, flat {flat}"));
-                    break 'outer;
-                }
-            }
-            for flat in 0..fft.zpencil_len() {
-                let c = fft.zpencil_coords(rank, flat);
-                if zpen.coords(dims, grid, rank, flat) != c || fft.zpencil_owner(c) != (rank, flat)
-                {
-                    witness = Some(format!("zpencil rank {rank}, flat {flat}"));
-                    break 'outer;
-                }
-            }
-        }
-        let name = format!("fft.pencil.accessor.{}", shape_tag(dims, grid));
-        match witness {
-            None => report.verified(
-                PASS,
-                name,
-                "coordinate accessors realise the registered layout map exactly",
-            ),
-            Some(w) => report.violated(
-                PASS,
-                name,
-                "accessor disagrees with the registered layout map",
-                Some(w),
-            ),
-        }
-    }
-}
-
-fn negative_controls(report: &mut Report) {
-    // Control: swapped stride — a spectral x-pencil whose storage order is
-    // [i0][i1l][i2] instead of [i1l][i0][i2], on the 4 × 1 (slab) grid. The
-    // accessor diff must catch the drift on any shape where n0 ≠ n1/Pr.
+/// Control: off-by-one row split — stage 2's destination rows shifted by
+/// one on the 4 × 1 (slab) grid, so one boundary row lands on two ranks and
+/// another on none. The enumeration must reject it.
+fn offbyone_control(report: &mut Report) {
     let dims = [8usize, 8, 8];
     let grid = RankGrid::new(4, 1);
-    let swapped = LayoutMap {
-        name: "layout.xpencil.swapped-stride",
-        order: [0, 1, 2], // real accessor stores [i1l][i0][i2]
-        ..layout::xpencil()
-    };
-    let fft = Pencil2D::new(dims, grid.rows, grid.cols);
-    let caught = (0..grid.n_ranks()).any(|rank| {
-        (0..fft.spectral_len()).any(|flat| {
-            let [i1, i0, i2] = fft.spectral_coords(rank, flat);
-            swapped.coords(dims, grid, rank, flat) != [i0, i1, i2]
-        })
-    });
-    report.control(
-        PASS,
-        "control.swapped.stride",
-        "a swapped-stride spectral layout must disagree with the live accessor",
-        caught,
-        Some("storage order [0,1,2] vs accessor's [1,0,2]".into()),
-    );
-
-    // Control: off-by-one row split — stage 2's destination rows shifted by
-    // one, so one boundary row lands on two ranks and another on none. The
-    // enumeration must reject it.
-    let rep = layout::pencil_stage2();
+    let [_, rep, ..] = registry::entries();
     let rows = dims[1] / grid.rows;
     let off_by_one = |g: [usize; 3]| -> (usize, usize) {
         let (rank, flat) = rep.dst.owner(dims, grid, g);

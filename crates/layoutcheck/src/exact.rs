@@ -22,7 +22,7 @@
 //! Negative controls: a twiddle scaled by 2 must break Parseval; a
 //! shifted-exponent "DFT" must break orthogonality.
 
-use vlasov6d_fft::{Complex64, Fft3, Pencil2D};
+use vlasov6d_fft::{layout, Complex64, Fft3, Pencil2D};
 use vlasov6d_kerncheck::rational::{Poly, Rat};
 use vlasov6d_kerncheck::report::Report;
 use vlasov6d_kerncheck::ulp::ulp_diff_f64;
@@ -433,21 +433,21 @@ fn pencil_pinning(report: &mut Report) {
         Fft3::new(dims).forward(&mut serial);
 
         let fft = Pencil2D::new(dims, rows, cols).with_batches(2);
+        let grid = fft.grid();
         let [_, n1, n2] = dims;
         let idx = |g: [usize; 3]| (g[0] * n1 + g[1]) * n2 + g[2];
         let p = rows * cols;
         let locals = Universe::run(p, |comm| {
             let me = comm.rank();
             let input: Vec<Complex64> = (0..fft.zpencil_len())
-                .map(|flat| global[idx(fft.zpencil_coords(me, flat))])
+                .map(|flat| global[idx(layout::zpencil().coords(dims, grid, me, flat))])
                 .collect();
             fft.forward(comm, &input, 0)
         });
         let mut gathered = vec![Complex64::new(0.0, 0.0); n];
         for (rank, local) in locals.iter().enumerate() {
             for (flat, &v) in local.iter().enumerate() {
-                let [i1, i0, i2] = fft.spectral_coords(rank, flat);
-                gathered[idx([i0, i1, i2])] = v;
+                gathered[idx(layout::xpencil().coords(dims, grid, rank, flat))] = v;
             }
         }
         let scale = serial

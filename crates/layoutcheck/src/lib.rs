@@ -1,7 +1,7 @@
 //! Static layout-bijectivity verification of every distributed repartition in
 //! the workspace — the analysis that gates the 2-D pencil-decomposed FFT.
 //!
-//! The distributed transpose code is pure index arithmetic: pack loops,
+//! The distributed transpose is pure index arithmetic: packet boxes,
 //! mixed-radix flattening, per-peer byte counts, split-phase tags. A single
 //! off-by-one silently corrupts data *only on some rank counts*, the class of
 //! bug integration tests at convenient shapes never see. This crate
@@ -19,8 +19,7 @@
 //!    ragged and prime-factor shapes and diffed, rank pair by rank pair,
 //!    against the runtime's derived byte accounting
 //!    (`Repartition::pair_elems`) *and* the actual [`vlasov6d_mpisim::CommPlan`]s
-//!    the FFTs verify before communicating; the k-space coordinate accessors
-//!    are pinned to the registered maps element by element.
+//!    the FFTs verify before communicating.
 //! 3. **Probe** ([`probe`]) / **exact** ([`exact`]) — sentinel values
 //!    encoding global indices run through the **live** mpisim exchange and
 //!    must land exactly where the maps predict (plus bitwise forward∘inverse
@@ -29,12 +28,16 @@
 //!    factorization — with the shipped `Fft3` and a live distributed
 //!    `Pencil2D` run pinned inside fixed ULP budgets.
 //!
+//! There is no second copy of the index arithmetic to cross-check: the
+//! registry is the stage list `Pencil2D` runs ([`registry`]), its packets
+//! and plan bytes are evaluated from these maps, and every caller addresses
+//! its blocks through them.
+//!
 //! Every layer carries live negative controls — swapped strides, off-by-one
 //! splits, colliding tag windows, scaled twiddles — that the analysis *must*
 //! reject, so a regression in the verifier is as loud as a regression in the
 //! FFTs. `cargo xtask verify-layouts` renders the combined report and gates
-//! CI; `cargo xtask lint`'s `layout-index-arith` pass cross-checks the
-//! registry against every pack/unpack loop in both directions.
+//! CI.
 
 pub mod concrete;
 pub mod exact;
@@ -56,12 +59,12 @@ const PASS: &str = "symbolic";
 /// conforming shapes, every forward/inverse pair an identity, plus negative
 /// controls on the prover itself.
 pub fn symbolic_pass(report: &mut Report) {
-    for entry in registry::entries() {
-        match prove_repartition_bijective(&entry.rep) {
-            Ok((narrative, _)) => report.verified(PASS, entry.rep.name.to_string(), narrative),
+    for rep in registry::entries() {
+        match prove_repartition_bijective(&rep) {
+            Ok((narrative, _)) => report.verified(PASS, rep.name.to_string(), narrative),
             Err(e) => report.violated(
                 PASS,
-                entry.rep.name.to_string(),
+                rep.name.to_string(),
                 "bijectivity/conservation proof failed",
                 Some(e.to_string()),
             ),
@@ -69,10 +72,8 @@ pub fn symbolic_pass(report: &mut Report) {
     }
 
     // Forward ∘ inverse composition identities.
-    let pairs = [
-        (layout::pencil_stage1(), layout::pencil_stage1_inv()),
-        (layout::pencil_stage2(), layout::pencil_stage2_inv()),
-    ];
+    let [s1, s2, s2i, s1i] = registry::entries();
+    let pairs = [(s1, s1i), (s2, s2i)];
     for (fwd, inv) in pairs {
         let name = format!("{}.composition", fwd.name);
         match prove_composition_identity(&fwd, &inv) {
@@ -142,7 +143,7 @@ pub fn symbolic_pass(report: &mut Report) {
     // Control: a mis-declared inverse (stage 2's inverse chained after
     // stage 1) must fail the composition check.
     let rejected = matches!(
-        prove_composition_identity(&layout::pencil_stage1(), &layout::pencil_stage2_inv()),
+        prove_composition_identity(&s1, &s2i),
         Err(ProofError::CompositionMismatch)
     );
     report.control(
@@ -154,11 +155,11 @@ pub fn symbolic_pass(report: &mut Report) {
     );
 }
 
-/// What [`run_all`] must produce: 203 verified properties and 9 refuted
+/// What [`run_all`] must produce: 193 verified properties and 9 refuted
 /// negative controls. A change that adds or drops a repartition, property
 /// or control moves this pin.
 pub const PINNED: kerncheck::Counts = kerncheck::Counts {
-    verified: 203,
+    verified: 193,
     controls: 9,
 };
 

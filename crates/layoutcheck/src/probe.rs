@@ -1,7 +1,9 @@
 //! Layer 2b: sentinel-value probes through the **live** mpisim exchange.
 //!
-//! The concrete layer checks the models against the plans; this layer checks
-//! the actual pack/unpack loops. Every element is loaded with a sentinel
+//! The concrete layer checks the models against the plans; this layer runs
+//! the exchange itself, through `Pencil2D::repartition` — the same
+//! `run_stage` the transform runs, whose packets are the maps' boxes walked
+//! through their strides. Every element is loaded with a sentinel
 //! encoding its *global* flat index exactly in f64 (the grids here are far
 //! below 2⁵³, so routing is lossless and bit-exact); the repartition then runs
 //! through `Universe::run` on real threads, and every destination slot must
@@ -11,13 +13,14 @@
 //!
 //! Also probed: forward∘inverse round-trips through the full four-stage
 //! chain, on pencil and `P × 1` (slab) grids alike, must reproduce the input
-//! bitwise, and a plan assembled with a stage-2 tag window colliding into
-//! stage 1 must be rejected by `CommPlan::verify` — the live negative control
-//! for tag discipline.
+//! bitwise. Live negative controls: a plan assembled with a stage-2 tag
+//! window colliding into stage 1 must be rejected by `CommPlan::verify`, and
+//! a stage's output read through the wrong map — its input map, or the
+//! x-pencil with swapped strides — must show misrouted sentinels.
 
 use crate::concrete::shape_tag;
 use crate::registry;
-use vlasov6d_fft::layout::{self, LayoutMap, RankGrid};
+use vlasov6d_fft::layout::{LayoutMap, RankGrid, Repartition};
 use vlasov6d_fft::{Complex64, Pencil2D};
 use vlasov6d_kerncheck::report::Report;
 use vlasov6d_mpisim::{CommPlan, PlanError, Universe};
@@ -55,6 +58,19 @@ fn mismatches(
         .count()
 }
 
+/// Sentinel mismatches, summed over ranks, of `rep`'s live output on
+/// `dims × grid` read through `map`.
+fn misread(dims: [usize; 3], grid: RankGrid, rep: &Repartition, map: &LayoutMap) -> usize {
+    let fft = Pencil2D::new(dims, grid.rows, grid.cols);
+    let per_rank = Universe::run(grid.n_ranks(), |comm| {
+        let me = comm.rank();
+        let input = fill(&rep.src, dims, grid, me);
+        let out = fft.repartition(comm, rep, &input, 0);
+        mismatches(map, dims, grid, me, &out)
+    });
+    per_rank.iter().sum()
+}
+
 fn report_probe(report: &mut Report, name: String, total_mismatches: usize, elems: usize) {
     if total_mismatches == 0 {
         report.verified(
@@ -76,6 +92,7 @@ pub fn run(report: &mut Report) {
     pencil_probes(report);
     tag_collision_control(report);
     misroute_control(report);
+    swapped_stride_control(report);
 }
 
 fn pencil_probes(report: &mut Report) {
@@ -83,28 +100,22 @@ fn pencil_probes(report: &mut Report) {
         let p = grid.n_ranks();
         let fft = Pencil2D::new(dims, grid.rows, grid.cols).with_batches(2);
         let span = fft.tag_span();
-        let (s1, s2, s2i, s1i) = (
-            layout::pencil_stage1(),
-            layout::pencil_stage2(),
-            layout::pencil_stage2_inv(),
-            layout::pencil_stage1_inv(),
-        );
+        let stages = registry::entries();
+        // The four stages chain: each one's output is the next one's input.
         let results = Universe::run(p, |comm| {
             let me = comm.rank();
-            let z = fill(&s1.src, dims, grid, me);
-            let y = fft.repartition_stage1(comm, &z, 0);
-            let b1 = mismatches(&s1.dst, dims, grid, me, &y);
-            let x = fft.repartition_stage2(comm, &y, span);
-            let b2 = mismatches(&s2.dst, dims, grid, me, &x);
-            let y2 = fft.repartition_stage2_inv(comm, &x, 2 * span);
-            let b3 = mismatches(&s2i.dst, dims, grid, me, &y2);
-            let z2 = fft.repartition_stage1_inv(comm, &y2, 3 * span);
-            let b4 = mismatches(&s1i.dst, dims, grid, me, &z2);
-            ([b1, b2, b3, b4], z2 == z)
+            let input = fill(&stages[0].src, dims, grid, me);
+            let mut block = input.clone();
+            let mut bad = [0; 4];
+            for (i, rep) in stages.iter().enumerate() {
+                block = fft.repartition(comm, rep, &block, i as u64 * span);
+                bad[i] = mismatches(&rep.dst, dims, grid, me, &block);
+            }
+            (bad, block == input)
         });
         let tag = shape_tag(dims, grid);
         let elems: usize = dims.iter().product();
-        for (i, rep) in [&s1, &s2, &s2i, &s1i].into_iter().enumerate() {
+        for (i, rep) in stages.iter().enumerate() {
             let bad: usize = results.iter().map(|r| r.0[i]).sum();
             report_probe(report, format!("{}.probe.{tag}", rep.name), bad, elems);
         }
@@ -158,17 +169,9 @@ fn tag_collision_control(report: &mut Report) {
 /// (the z-pencil it came from rather than the y-pencil it became) must
 /// produce sentinel mismatches — proving the probe can detect misrouting.
 fn misroute_control(report: &mut Report) {
-    let dims = [4usize, 4, 4];
-    let grid = RankGrid::new(2, 2);
-    let fft = Pencil2D::new(dims, 2, 2);
-    let s1 = layout::pencil_stage1();
-    let results = Universe::run(4, |comm| {
-        let me = comm.rank();
-        let z = fill(&s1.src, dims, grid, me);
-        let y = fft.repartition_stage1(comm, &z, 0);
-        mismatches(&s1.src, dims, grid, me, &y) // wrong map on purpose
-    });
-    let bad: usize = results.iter().sum();
+    let [s1, ..] = registry::entries();
+    // The wrong map on purpose: stage 1's input layout.
+    let bad = misread([4, 4, 4], RankGrid::new(2, 2), &s1, &s1.src);
     report.control(
         PASS,
         "control.probe.wrong-map",
@@ -176,6 +179,30 @@ fn misroute_control(report: &mut Report) {
         bad > 0,
         Some(format!(
             "{bad} slots flagged under the deliberately wrong map"
+        )),
+    );
+}
+
+/// Live control: a spectral x-pencil map whose storage order is
+/// `[i0][i1l][i2]` instead of `[i1l][i0][i2]`, on the 4 × 1 (slab) grid
+/// where `n0 ≠ n1/Pr`. Reading stage 2's live output through it must
+/// surface mismatches — the probe catches a stride drift in the map the
+/// spectrum's callers address.
+fn swapped_stride_control(report: &mut Report) {
+    let [_, s2, ..] = registry::entries();
+    let swapped = LayoutMap {
+        name: "layout.xpencil.swapped-stride",
+        order: [0, 1, 2],
+        ..s2.dst
+    };
+    let bad = misread([8, 8, 8], RankGrid::new(4, 1), &s2, &swapped);
+    report.control(
+        PASS,
+        "control.swapped.stride",
+        "stage 2's live output read through a swapped-stride x-pencil map must show mismatches",
+        bad > 0,
+        Some(format!(
+            "{bad} slots flagged under storage order [0,1,2] vs the map's [1,0,2]"
         )),
     );
 }

@@ -1,41 +1,19 @@
 //! The registry of distributed repartitions under verification.
 //!
-//! Every all-to-all transpose the runtime performs must appear here; the
-//! `layout-index-arith` lint in `cargo xtask lint` cross-checks in both
-//! directions (each pack/unpack loop cites a registered name, each
-//! registered name backing a pack loop is cited somewhere).
+//! It is [`layout::pencil_stages`], the stage list `Pencil2D` itself runs:
+//! a stage the transform performs cannot be missing here, and a stage
+//! registered here cannot be one the transform does not perform.
 
 use vlasov6d_fft::layout::{self, RankGrid, Repartition};
 
-/// One registered repartition.
-#[derive(Debug, Clone)]
-pub struct Entry {
-    pub rep: Repartition,
-    /// Does a runtime pack/unpack loop implement this map? (All current
-    /// entries — the lint's reverse direction relies on this flag.)
-    pub backs_pack_loop: bool,
-}
-
 /// Every repartition the distributed FFT performs, in pipeline order.
-pub fn entries() -> Vec<Entry> {
-    [
-        layout::pencil_stage1(),
-        layout::pencil_stage2(),
-        layout::pencil_stage2_inv(),
-        layout::pencil_stage1_inv(),
-    ]
-    .into_iter()
-    .map(|rep| Entry {
-        rep,
-        backs_pack_loop: true,
-    })
-    .collect()
+pub fn entries() -> [Repartition; 4] {
+    layout::pencil_stages()
 }
 
-/// Registered repartition names (the identifiers `[layoutcheck: ...]` tags
-/// must cite).
+/// Registered repartition names.
 pub fn repartition_names() -> Vec<&'static str> {
-    entries().iter().map(|e| e.rep.name).collect()
+    entries().iter().map(|rep| rep.name).collect()
 }
 
 /// Concrete (dims, rank-grid) samples every repartition is enumerated at:
@@ -62,12 +40,12 @@ mod tests {
 
     #[test]
     fn every_sample_shape_conforms() {
-        for e in entries() {
+        for rep in entries() {
             for (dims, grid) in sample_shapes() {
                 assert!(
-                    e.rep.src.conforms(dims, grid) && e.rep.dst.conforms(dims, grid),
+                    rep.src.conforms(dims, grid) && rep.dst.conforms(dims, grid),
                     "{}: {:?} on {}x{} does not conform",
-                    e.rep.name,
+                    rep.name,
                     dims,
                     grid.rows,
                     grid.cols

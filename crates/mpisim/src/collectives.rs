@@ -152,13 +152,6 @@ impl Comm {
             })
             .collect()
     }
-
-    /// Exclusive prefix sum over ranks (`0` on rank 0) — particle-exchange
-    /// offset computation.
-    pub fn exscan_sum(&self, value: u64) -> u64 {
-        let all = self.allgather(value);
-        all[..self.rank()].iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -237,12 +230,6 @@ mod tests {
             let expect: Vec<u64> = (0..4).map(|r| (100 * r + d) as u64).collect();
             assert_eq!(recvd, &expect);
         }
-    }
-
-    #[test]
-    fn exscan_is_exclusive_prefix() {
-        let out = Universe::run(5, |c| c.exscan_sum((c.rank() + 1) as u64));
-        assert_eq!(out, vec![0, 1, 3, 6, 10]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! overlapped transpose stages let the PM grid spread over rank counts a
 //! slab cannot reach.
 
-use vlasov6d_fft::{freq, Complex64, Pencil2D};
+use vlasov6d_fft::{freq, layout, Complex64, Pencil2D};
 use vlasov6d_mpisim::{Comm, CommPlan};
 
 use crate::solver::green;
@@ -52,7 +52,7 @@ impl DistPoisson {
     /// Global `[i0, i1, i2]` coordinate of a flat index in this rank's local
     /// input block.
     pub fn local_coords(&self, rank: usize, flat: usize) -> [usize; 3] {
-        self.fft.zpencil_coords(rank, flat)
+        layout::zpencil().coords(self.fft.dims(), self.fft.grid(), rank, flat)
     }
 
     /// Tags consumed by one [`Self::solve`] call starting at `tag`.
@@ -80,12 +80,12 @@ impl DistPoisson {
         let me = comm.rank();
 
         let mut spec = self.fft.forward(comm, &complex, tag);
-        let [n0, n1, n2] = self.fft.dims();
-        for (flat, z) in spec.iter_mut().enumerate() {
-            let [i1, i0, i2] = self.fft.spectral_coords(me, flat);
-            let m = [freq(i0, n0), freq(i1, n1), freq(i2, n2)];
+        let (dims, grid) = (self.fft.dims(), self.fft.grid());
+        layout::xpencil().for_each_coord(dims, grid, me, |flat, [i0, i1, i2]| {
+            let m = [freq(i0, dims[0]), freq(i1, dims[1]), freq(i2, dims[2])];
+            let z = &mut spec[flat];
             *z = green(m, prefactor, self.split_rs).map_or(Complex64::ZERO, |g| z.scale(g));
-        }
+        });
         let back = self.fft.inverse(comm, &spec, tag + self.fft.tag_span());
         back.into_iter().map(|z| z.re).collect()
     }

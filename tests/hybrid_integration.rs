@@ -1,6 +1,7 @@
 //! End-to-end integration tests of the hybrid simulation.
 
-use vlasov6d::{snapshot, HybridSimulation, SimulationConfig};
+use vlasov6d::{HybridSimulation, SimulationConfig};
+use vlasov6d_ckpt::{Encoding, Record, RecordRef};
 use vlasov6d_phase_space::moments;
 
 fn fast_config() -> SimulationConfig {
@@ -76,10 +77,14 @@ fn snapshot_roundtrip_preserves_state() {
     let nu = sim.neutrinos.as_ref().unwrap();
     let cdm = sim.cdm.as_ref().unwrap();
 
-    let nu_bytes = snapshot::phase_space_to_bytes(nu);
-    let cdm_bytes = snapshot::particles_to_bytes(cdm);
-    let nu2 = snapshot::phase_space_from_bytes(nu_bytes).unwrap();
-    let cdm2 = snapshot::particles_from_bytes(cdm_bytes).unwrap();
+    let nu_frame = RecordRef::PhaseSpace(nu).encode(Encoding::Raw);
+    let cdm_frame = RecordRef::Particles(cdm).encode(Encoding::Raw);
+    let Ok(Record::PhaseSpace(nu2)) = Record::decode(&nu_frame.bytes) else {
+        panic!("phase-space frame did not decode to a phase space");
+    };
+    let Ok(Record::Particles(cdm2)) = Record::decode(&cdm_frame.bytes) else {
+        panic!("particle frame did not decode to particles");
+    };
     assert_eq!(nu2.as_slice(), nu.as_slice());
     assert_eq!(cdm2.pos, cdm.pos);
     assert_eq!(cdm2.vel, cdm.vel);

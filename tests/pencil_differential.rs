@@ -9,7 +9,7 @@
 //! proven separately by `cargo xtask verify-layouts`; this suite checks the
 //! *numerics* riding on those layouts.
 
-use vlasov6d_fft::{Complex64, Fft3, Pencil2D};
+use vlasov6d_fft::{layout, Complex64, Fft3, Pencil2D};
 use vlasov6d_mesh::Field3;
 use vlasov6d_mpisim::Universe;
 use vlasov6d_poisson::{DistPoisson, PoissonSolver};
@@ -69,7 +69,7 @@ fn serial_spectrum(dims: [usize; 3]) -> Vec<Complex64> {
 }
 
 /// Run the pencil forward transform on a live universe and gather the
-/// spectrum into global row-major order via the registered accessor.
+/// spectrum into global row-major order through the registered layout maps.
 fn pencil_spectrum(dims: [usize; 3], rows: usize, cols: usize, batches: usize) -> Vec<Complex64> {
     let fft = Pencil2D::new(dims, rows, cols).with_batches(batches);
     let per_rank = Universe::run(rows * cols, {
@@ -77,21 +77,19 @@ fn pencil_spectrum(dims: [usize; 3], rows: usize, cols: usize, batches: usize) -
         move |comm| {
             let me = comm.rank();
             let input: Vec<Complex64> = (0..fft.zpencil_len())
-                .map(|flat| field(fft.zpencil_coords(me, flat)))
+                .map(|flat| field(layout::zpencil().coords(dims, fft.grid(), me, flat)))
                 .collect();
             let spectrum = fft.forward(comm, &input, 0);
             spectrum
                 .iter()
                 .enumerate()
-                .map(|(flat, &v)| (fft.spectral_coords(me, flat), v))
+                .map(|(flat, &v)| (layout::xpencil().coords(dims, fft.grid(), me, flat), v))
                 .collect::<Vec<_>>()
         }
     });
     let mut global = vec![Complex64::ZERO; dims[0] * dims[1] * dims[2]];
     for rank in per_rank {
-        // The spectral accessor returns `(i1, i0, i2)` — the transposed
-        // storage convention.
-        for ([i1, i0, i2], v) in rank {
+        for ([i0, i1, i2], v) in rank {
             global[(i0 * dims[1] + i1) * dims[2] + i2] = v;
         }
     }
@@ -100,7 +98,7 @@ fn pencil_spectrum(dims: [usize; 3], rows: usize, cols: usize, batches: usize) -
 
 /// Run the full distributed Poisson solve (forward, Green's multiply with
 /// the long-range taper, inverse) on a live universe and gather φ into
-/// global row-major order via the registered accessor.
+/// global row-major order through the registered layout map.
 fn pencil_poisson(dims: [usize; 3], rows: usize, cols: usize, source: &[f64]) -> Vec<f64> {
     let solver = DistPoisson::new_pencil(dims, rows, cols).with_long_range_split(0.08);
     let per_rank = Universe::run(rows * cols, {
@@ -246,7 +244,7 @@ fn pencil_runs_rank_counts_beyond_the_slab_cap() {
     let roundtrip_worst = Universe::run(8, move |comm| {
         let me = comm.rank();
         let input: Vec<Complex64> = (0..fft.zpencil_len())
-            .map(|flat| field(fft.zpencil_coords(me, flat)))
+            .map(|flat| field(layout::zpencil().coords(dims, fft.grid(), me, flat)))
             .collect();
         let spectrum = fft.forward(comm, &input, 0);
         let back = fft.inverse(comm, &spectrum, span);

@@ -2,7 +2,7 @@
 //!
 //! * `lint` — the workspace invariants neither rustc nor clippy can state,
 //!   checked as text over the sources (zero dependencies, fast enough for
-//!   every CI run). Four lints from three scanners:
+//!   every CI run). Three lints:
 //!
 //!   * **span-names** — obs `span!` names must be `dot.separated_lowercase`
 //!     literals, and a given span name must always carry the same explicit
@@ -14,25 +14,21 @@
 //!     stencil homes (`crates/advection/src/`, `crates/mesh/src/stencil.rs`)
 //!     where kerncheck verifies them; a copy anywhere else is an unverified
 //!     fork of a kernel constant.
-//!   * **unsafe-send-registry** and **layout-index-arith** — one
-//!     registry-tag cross-check ([`TagRegistry`]) run over two registries.
-//!     Every `unsafe impl Send`/`Sync` must cite, in a `[racecheck: region,
-//!     …]` tag in its SAFETY comment, the `vlasov6d-racecheck` regions that
-//!     discharge it; every pack/unpack/repartition/plan-building function of
-//!     the distributed-FFT transpose (`crates/fft/src/pencil.rs`) must cite,
-//!     in a `[layoutcheck: name, …]` tag in its doc comment, the
-//!     `vlasov6d-layoutcheck` repartitions its flat-index arithmetic
-//!     implements. Every cited name must be registered (stale tags fail),
-//!     and — the reverse direction — every registry entry flagged as
-//!     backing such an item must be cited, so the registry cannot rot
-//!     either.
+//!   * **unsafe-send-registry** — every `unsafe impl Send`/`Sync` must
+//!     cite, in a `[racecheck: region, …]` tag in its SAFETY comment, the
+//!     `vlasov6d-racecheck` regions that discharge it ([`TagRegistry`]).
+//!     Every cited name must be registered (stale tags fail), and — the
+//!     reverse direction — every region flagged as backing such an impl
+//!     must be cited, so the registry cannot rot either.
 //!
 //!   `#[cfg(test)]` modules are exempt (tests spell out expected
 //!   coefficients and build fixtures on purpose).
 //!
 //!   No blocking communication inside the overlapped sweep is a type: its
 //!   body sees the grid only as `mpisim::SplitPhase` (`isend`, `irecv`,
-//!   `neighbor`), so a blocking call there does not compile. Three
+//!   `neighbor`), so a blocking call there does not compile. The pencil
+//!   transpose needs no lint either: it has no index arithmetic of its own,
+//!   only the `fft::layout` maps `verify-layouts` proves. Three
 //!   invariants are clippy's (CI runs `cargo clippy --workspace
 //!   --all-targets -- -D warnings`; settings in `clippy.toml`): a SAFETY
 //!   comment on every `unsafe` block and impl and a `# Safety` section on
@@ -58,12 +54,18 @@
 //!   agreement with the span tree, communication imbalance, tracing
 //!   overhead) against the checked-in `perf-baseline.json` bounds. See
 //!   [`perf_gate`].
+//!
+//! * `hashes [--check]` — bitwise trajectory fingerprints of the hybrid,
+//!   distributed and two-stream drivers on the benchmark's reference
+//!   configurations; `--check` fails unless they read the pinned values.
+//!   See [`hashes`].
 
 #![allow(
     clippy::disallowed_methods,
     reason = "xtask writes reports, baselines and trace artifacts, not simulation state"
 )]
 
+mod hashes;
 mod perf_gate;
 
 use std::collections::BTreeSet;
@@ -72,7 +74,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vlasov6d_kerncheck::report::{Counts, Report};
 
-const USAGE: &str = "usage: cargo xtask <lint | verify-kernels [--json <path>] | verify-races [--json <path>] | verify-layouts [--json <path>] | perf-gate [--baseline <path>] [--write-baseline] [--trace-out <path>] [--summary-out <path>]>";
+const USAGE: &str = "usage: cargo xtask <lint | verify-kernels [--json <path>] | verify-races [--json <path>] | verify-layouts [--json <path>] | perf-gate [--baseline <path>] [--write-baseline] [--trace-out <path>] [--summary-out <path>] | hashes [--check]>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,6 +99,7 @@ fn main() -> ExitCode {
             &args[1..],
         ),
         Some("perf-gate") => perf_gate::perf_gate(&args[1..]),
+        Some("hashes") => hashes::hashes(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`\n\n{USAGE}");
             ExitCode::FAILURE
@@ -176,7 +179,7 @@ fn lint(root: &Path) -> ExitCode {
 
     let mut violations = Vec::new();
     let mut spans = SpanRegistry::default();
-    let mut tags = [TagRegistry::races(), TagRegistry::layouts()];
+    let mut tags = TagRegistry::races();
     for file in &files {
         let source = match std::fs::read_to_string(file) {
             Ok(s) => s,
@@ -190,19 +193,14 @@ fn lint(root: &Path) -> ExitCode {
             violations.extend(check_stencil_literals(rel, &source));
         }
         spans.scan(rel, &source);
-        for t in &mut tags {
-            t.scan(rel, &source);
-        }
+        tags.scan(rel, &source);
     }
     violations.extend(spans.check());
-    for t in tags {
-        violations.extend(t.check());
-    }
+    violations.extend(tags.check());
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (span-names, stencil-literals, unsafe-send-registry, \
-             layout-index-arith)",
+            "xtask lint: {} files clean (span-names, stencil-literals, unsafe-send-registry)",
             files.len()
         );
         ExitCode::SUCCESS
@@ -281,10 +279,6 @@ fn code_only(line: &str) -> String {
         }
     }
     out
-}
-
-fn is_ident_char(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Index of the line closing the first brace block opened at or after
@@ -537,87 +531,48 @@ impl SpanRegistry {
     }
 }
 
-/// One registry-tag cross-check between the sources and a verifier crate's
-/// registry.
+/// unsafe-send-registry: `unsafe impl Send`/`Sync` ↔ the racecheck regions
+/// that discharge it.
 ///
-/// Direction 1 (per item): every non-test item `select` picks out must
-/// carry a `[<tag>: name, …]` tag (it may span several lines) in the
-/// comment/attribute block directly above it, citing only registered names.
-/// Direction 2 (per registry): every entry flagged `backing_flag` must be
-/// cited by at least one tag.
+/// Direction 1 (per impl): every non-test `unsafe impl Send`/`Sync` must
+/// carry a `[racecheck: region, …]` tag (it may span several lines) in the
+/// comment/attribute block directly above it, citing only registered
+/// regions. Direction 2 (per registry): every region flagged
+/// `backs_unsafe_impl` must be cited by at least one tag.
 struct TagRegistry {
-    lint: &'static str,
-    tag: &'static str,
-    /// Where direction-2 findings point.
-    registry_file: &'static str,
-    backing_flag: &'static str,
     registered: BTreeSet<&'static str>,
     backing: Vec<&'static str>,
-    /// `(file, comment-stripped line)` → description of the item declared
-    /// there, if it is one that must carry a tag.
-    select: fn(&str, &str) -> Option<String>,
     cited: BTreeSet<String>,
     violations: Vec<Violation>,
 }
 
-/// The files whose flat-index transpose arithmetic `layout-index-arith`
-/// polices.
-const LAYOUT_INDEX_FILES: &[&str] = &["crates/fft/src/pencil.rs"];
-
 impl TagRegistry {
-    /// `unsafe-send-registry`: `unsafe impl Send`/`Sync` ↔ the racecheck
-    /// regions that discharge it.
+    const LINT: &'static str = "unsafe-send-registry";
+    const TAG: &'static str = "racecheck";
+    /// Where direction-2 findings point.
+    const REGISTRY_FILE: &'static str = "crates/racecheck/src/registry.rs";
+
     fn races() -> Self {
         use vlasov6d_racecheck::registry;
         Self {
-            lint: "unsafe-send-registry",
-            tag: "racecheck",
-            registry_file: "crates/racecheck/src/registry.rs",
-            backing_flag: "backs_unsafe_impl",
             registered: registry::region_names().into_iter().collect(),
             backing: registry::backing_region_names(),
-            select: |_, code| unsafe_send_sync_impl(code).map(|t| format!("`unsafe impl {t}`")),
-            cited: BTreeSet::new(),
-            violations: Vec::new(),
-        }
-    }
-
-    /// `layout-index-arith`: transpose index-arithmetic fns ↔ the
-    /// layoutcheck repartitions they implement.
-    fn layouts() -> Self {
-        use vlasov6d_layoutcheck::registry;
-        Self {
-            lint: "layout-index-arith",
-            tag: "layoutcheck",
-            registry_file: "crates/layoutcheck/src/registry.rs",
-            backing_flag: "backs_pack_loop",
-            registered: registry::repartition_names().into_iter().collect(),
-            backing: registry::entries()
-                .iter()
-                .filter(|e| e.backs_pack_loop)
-                .map(|e| e.rep.name)
-                .collect(),
-            select: |file, code| {
-                let name = declared_fn_name(code)
-                    .filter(|n| LAYOUT_INDEX_FILES.contains(&file) && layout_index_fn(n))?;
-                Some(format!("fn `{name}`"))
-            },
             cited: BTreeSet::new(),
             violations: Vec::new(),
         }
     }
 
     fn scan(&mut self, rel: &Path, source: &str) {
-        let file = slash_path(rel);
         let masked = test_code_lines(source);
         let lines: Vec<&str> = source.lines().collect();
         for (idx, raw) in lines.iter().enumerate() {
             if masked[idx] {
                 continue;
             }
-            let Some(item) = (self.select)(&file, &code_only(raw)) else {
+            let Some(trait_name) = unsafe_send_sync_impl(&code_only(raw)) else {
                 continue;
             };
+            let item = format!("`unsafe impl {trait_name}`");
             // Gather the contiguous comment/attribute block directly above.
             let mut lo = idx;
             while lo > 0 {
@@ -633,12 +588,12 @@ impl TagRegistry {
                 .map(|l| l.trim_start().trim_start_matches("//").trim())
                 .collect::<Vec<_>>()
                 .join(" ");
-            let tag = self.tag;
+            let tag = Self::TAG;
             let mut flag = |message: String| {
                 self.violations.push(Violation {
                     file: rel.to_path_buf(),
                     line: idx + 1,
-                    lint: self.lint,
+                    lint: Self::LINT,
                     message,
                 })
             };
@@ -670,13 +625,13 @@ impl TagRegistry {
         for name in &self.backing {
             if !self.cited.contains(*name) {
                 self.violations.push(Violation {
-                    file: PathBuf::from(self.registry_file),
+                    file: PathBuf::from(Self::REGISTRY_FILE),
                     line: 1,
-                    lint: self.lint,
+                    lint: Self::LINT,
                     message: format!(
-                        "registry entry `{name}` is flagged `{}` but no `[{}:]` tag cites \
-                         it — stale registry entry or missing tag",
-                        self.backing_flag, self.tag
+                        "registry entry `{name}` is flagged `backs_unsafe_impl` but no `[{}:]` \
+                         tag cites it — stale registry entry or missing tag",
+                        Self::TAG
                     ),
                 });
             }
@@ -715,31 +670,6 @@ fn unsafe_send_sync_impl(code: &str) -> Option<&'static str> {
         rest.strip_prefix(t)
             .is_some_and(|after| after.trim_start().starts_with("for "))
     })
-}
-
-/// Is `name` a function implementing (or planning) a registered repartition's
-/// index arithmetic? Pack/unpack loops, repartition entry points, and the
-/// plan functions whose byte accounting must match them.
-fn layout_index_fn(name: &str) -> bool {
-    name.starts_with("transpose_")
-        || name.starts_with("repartition_")
-        || name.starts_with("pack_")
-        || name.starts_with("unpack_")
-        || matches!(name, "add_stage" | "add_forward" | "add_inverse")
-}
-
-/// `fn <name>` on a (comment-stripped) line, if it declares a function.
-fn declared_fn_name(code: &str) -> Option<&str> {
-    let pos = code.find("fn ")?;
-    // Require a word boundary before `fn` so e.g. `btn ` cannot match.
-    if pos > 0 && is_ident_char(code.as_bytes()[pos - 1]) {
-        return None;
-    }
-    let rest = &code[pos + 3..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-        .unwrap_or(rest.len());
-    (end > 0).then(|| &rest[..end])
 }
 
 /// The names inside the first `[<tag>: …]` tag of a flattened comment
@@ -919,89 +849,6 @@ mod tests {
             v.len(),
             vlasov6d_racecheck::registry::backing_region_names().len()
         );
-    }
-
-    #[test]
-    fn layout_index_fn_selection() {
-        assert!(layout_index_fn("transpose_plan"));
-        assert!(layout_index_fn("repartition_stage2_inv"));
-        assert!(layout_index_fn("pack_stage1"));
-        assert!(layout_index_fn("unpack_stage2"));
-        assert!(layout_index_fn("add_forward"));
-        assert!(layout_index_fn("add_stage"));
-        // Accessors and unrelated helpers are not index-arithmetic loops.
-        assert!(!layout_index_fn("spectral_coords"));
-        assert!(!layout_index_fn("forward"));
-        assert!(!layout_index_fn("run_stage"));
-    }
-
-    #[test]
-    fn declared_fn_name_parsing() {
-        assert_eq!(
-            declared_fn_name("    pub fn pack_stage1(&self) {"),
-            Some("pack_stage1")
-        );
-        assert_eq!(declared_fn_name("fn add_stage("), Some("add_stage"));
-        assert_eq!(declared_fn_name("let f = btn_fn;"), None);
-        assert_eq!(declared_fn_name("x + y"), None);
-    }
-
-    #[test]
-    fn layout_registry_lint_directions() {
-        let pencil = "crates/fft/src/pencil.rs";
-        // A valid citation is accepted and recorded.
-        let good = [
-            "    /// Pack loop for the forward stage-1 transpose.",
-            "    ///",
-            "    /// [layoutcheck: fft.pencil.stage1]",
-            "    fn pack_stage1(&self) {}",
-        ]
-        .join("\n");
-        let reg = scanned(TagRegistry::layouts(), pencil, &good);
-        assert!(reg.violations.is_empty(), "{:?}", reg.violations);
-        assert!(reg.cited.contains("fft.pencil.stage1"));
-
-        // Missing tag → violation.
-        let untagged = ["    /// Undocumented.", "    fn pack_stage1(&self) {}"].join("\n");
-        let reg = scanned(TagRegistry::layouts(), pencil, &untagged);
-        assert_eq!(reg.violations.len(), 1);
-        assert!(reg.violations[0].message.contains("no `[layoutcheck:"));
-
-        // Stale name → violation.
-        let stale = [
-            "    /// [layoutcheck: fft.pencil.stage3]",
-            "    fn unpack_stage2(&self) {}",
-        ]
-        .join("\n");
-        let reg = scanned(TagRegistry::layouts(), pencil, &stale);
-        assert_eq!(reg.violations.len(), 1);
-        assert!(reg.violations[0]
-            .message
-            .contains("not in the layoutcheck registry"));
-
-        // Files outside LAYOUT_INDEX_FILES and cfg(test) code are exempt.
-        let reg = scanned(
-            TagRegistry::layouts(),
-            "crates/poisson/src/dist.rs",
-            &untagged,
-        );
-        assert!(reg.violations.is_empty());
-        let test_code = "#[cfg(test)]\nmod tests {\n    fn pack_stage1() {}\n}\n";
-        let reg = scanned(TagRegistry::layouts(), pencil, test_code);
-        assert!(reg.violations.is_empty());
-
-        // Reverse direction: every backs_pack_loop repartition nobody cites
-        // is a violation.
-        let reg = TagRegistry::layouts();
-        let v = reg.check();
-        assert_eq!(
-            v.len(),
-            vlasov6d_layoutcheck::registry::entries()
-                .iter()
-                .filter(|e| e.backs_pack_loop)
-                .count()
-        );
-        assert!(v.iter().all(|x| x.message.contains("backs_pack_loop")));
     }
 
     #[test]
