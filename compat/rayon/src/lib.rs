@@ -10,7 +10,7 @@
 //!   slices, chunked slices and their `enumerate`/`zip` composites. These
 //!   know their length, can produce any element by index from any worker,
 //!   and execute `for_each` / `for_each_init` on the pool. Every such
-//!   region in this workspace is registered with `crates/racecheck`, which
+//!   region in this workspace is registered with racecheck (`crates/verify`), which
 //!   proves the per-task write footprints pairwise disjoint — the licence
 //!   for handing `&mut` items to concurrent workers.
 //! * **Sequential tails** — [`Par`] over a plain iterator: `map`, `filter`,

@@ -13,7 +13,7 @@
 //! Correctness note: the pool only ever hands each task index to exactly one
 //! worker. Everything else — that distinct task indices touch disjoint
 //! memory — is the *callers'* obligation, discharged statically by
-//! `crates/racecheck` for every registered region in this workspace.
+//! racecheck (`crates/verify`) for every registered region in this workspace.
 //!
 //! The worker count resolves, in order: the [`with_num_threads`] /
 //! [`with_config`] override, the `RAYON_NUM_THREADS` environment variable,

@@ -33,7 +33,7 @@
 //! `f64` (`f64::min`/`max`, the branchy [`minmod`], `f64::clamp`, the result
 //! narrowed to `f32`), the lane kernels at [`f32x8`](crate::f32x8) and
 //! [`f32x16`](crate::simd::f32x16) (compare-select `min`/`max`, a
-//! branchless `minmod`, constants rounded to `f32`), and `vlasov6d-kerncheck`
+//! branchless `minmod`, constants rounded to `f32`), and `vlasov6d-verify`'s kerncheck
 //! at its interval, taint, operation-count and expression-tree domains — so its proofs are about this code, not a
 //! copy of it. SL-MPP5's curvatures and `minmod4` stacks are each evaluated
 //! once and carried to the next interface; [`slmpp5_flux`] rebuilds one

@@ -55,7 +55,7 @@ pub use simd::f32x8;
 /// Table 1 benchmark to convert cell throughput into Gflop/s the same way the
 /// paper counts them (one flux evaluation + the flux-form update).
 ///
-/// The values are derived, not estimated: `vlasov6d-kerncheck` runs the flux
+/// The values are derived, not estimated: `vlasov6d-verify`'s kerncheck runs the flux
 /// body over an operation-counting domain (add/sub/mul/min/max = 1,
 /// `minmod` = 4) on lines of `n + 1` and `n` cells, so the per-line weight
 /// setup and loop prologue cancel, and its `opcount` pass asserts this table

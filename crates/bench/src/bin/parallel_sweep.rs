@@ -2,8 +2,8 @@
 //! work-stealing pool: serial vs 2/4/8-thread throughput for a spatial
 //! sweep, a velocity sweep, and the density moment.
 //!
-//! Every region exercised here is registered with `crates/racecheck` and
-//! proven write-disjoint (`cargo xtask verify-races`), so the threaded
+//! Every region exercised here is registered with racecheck (`crates/verify`)
+//! and proven write-disjoint (`cargo xtask verify`), so the threaded
 //! results are bitwise identical to serial — this binary asserts that on
 //! every timed run before trusting the clock.
 //!

@@ -25,7 +25,7 @@
 //! grid, on which the z- and y-pencils are the slab `[n0/P][n1][n2]` and the
 //! x-pencil is the row-transposed `[n1/P][n0][n2]`.
 //!
-//! The `vlasov6d-layoutcheck` crate proves the registered maps bijective for
+//! `vlasov6d-verify`'s layoutcheck proves the registered maps bijective for
 //! *all* conforming shapes (mixed-radix digit argument), diffs the derived
 //! counts against enumeration and the transform's `CommPlan`s at concrete
 //! shapes, and runs sentinel-value probes through the live exchange — the
@@ -418,7 +418,7 @@ pub fn xpencil() -> LayoutMap {
 }
 
 /// Every repartition [`crate::Pencil2D`] runs, in pipeline order — the one
-/// stage list the transform reads and `vlasov6d-layoutcheck` registers:
+/// stage list the transform reads and `vlasov6d-verify`'s layoutcheck registers:
 ///
 /// 1. `fft.pencil.stage1` (forward): z-pencil → y-pencil, all-to-all within
 ///    each row group (ranks sharing `pr`);

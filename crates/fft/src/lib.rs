@@ -17,7 +17,7 @@
 //!   `DistributedVlasov` runs is its `Pc = 1` case, `Pencil2D::new(dims, P, 1)`.
 //! * [`layout`] — declarative descriptors of every distributed layout and
 //!   repartition; byte accounting is derived from them and the
-//!   `vlasov6d-layoutcheck` crate proves them bijective.
+//!   `vlasov6d-verify`'s layoutcheck proves them bijective.
 //!
 //! Normalisation convention: `forward` computes `X_k = Σ_j x_j e^{-2πi jk/n}`
 //! (unscaled), `inverse` computes `x_j = (1/n) Σ_k X_k e^{+2πi jk/n}`, so

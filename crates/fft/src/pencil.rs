@@ -31,7 +31,7 @@
 //! arithmetic.
 //!
 //! There is no transpose index arithmetic here. The stages are
-//! [`layout::pencil_stages`], the list `vlasov6d-layoutcheck` registers and
+//! [`layout::pencil_stages`], the list `vlasov6d-verify`'s layoutcheck registers and
 //! proves bijective; each stage's peers, batch axis, output length, packets
 //! (`Repartition::packet`, walked through the source and destination maps'
 //! strides) and plan bytes

@@ -14,8 +14,6 @@
 //!   gather, allgather, all-to-all.
 //! * [`traffic::Traffic`] — per-pair byte/message counters, filled in by every
 //!   send, consumed by `vlasov6d-perfmodel`.
-//! * [`topology::TofuTorus`] — the 6-D torus of Fugaku with rank-placement and
-//!   hop counting, used to model network distance.
 //! * [`cart::Cart3`] — Cartesian communicator built on
 //!   [`vlasov6d_mesh::Decomp3`], giving shift neighbours and ghost-exchange
 //!   pairings.
@@ -52,7 +50,6 @@ pub mod comm;
 pub mod fault;
 pub mod plan;
 pub mod sched;
-pub mod topology;
 pub mod traffic;
 
 pub use cart::{Cart3, SplitPhase};
@@ -65,5 +62,4 @@ pub use plan::{
     cart_neighbor_edges, fanout_reduce_plan, CommPlan, PlanChecks, PlanError, PlanStats, ANY_BYTES,
 };
 pub use sched::{ExplorationReport, Explorer};
-pub use topology::TofuTorus;
 pub use traffic::Traffic;

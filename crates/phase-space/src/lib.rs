@@ -12,7 +12,7 @@
 //! * [`sweep`] — the directional-splitting line sweeps in the paper's three
 //!   execution variants (scalar, SIMD lanes, SIMD + LAT transpose).
 //! * [`plan`] — the task→footprint index plans of every parallel sweep
-//!   region (single source of truth, re-checked by `crates/racecheck`).
+//!   region (single source of truth, re-checked by racecheck in `crates/verify`).
 //! * [`probe`] — single-task replay entry points for racecheck's taint probe.
 //! * [`exchange`] — spatial ghost-plane exchange and distributed sweeps over
 //!   `vlasov6d-mpisim`.

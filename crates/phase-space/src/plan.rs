@@ -3,7 +3,7 @@
 //! Each parallel region in [`crate::sweep`] enumerates tasks `0..count` and
 //! each task touches a small structured set of flat indices of the `f`
 //! array. This module is the *single source of truth* for that mapping: the
-//! sweeps execute exactly the plans returned here, and `crates/racecheck`
+//! sweeps execute exactly the plans returned here, and racecheck (`crates/verify`)
 //! re-enumerates the same plans to prove pairwise task disjointness (and to
 //! cross-check the symbolic general-`n` models against the code). If a
 //! sweep's addressing ever drifts from its plan, the racecheck taint probe

@@ -1,6 +1,6 @@
 //! Single-task replay entry points for racecheck's taint probe.
 //!
-//! `crates/racecheck` validates the sweep regions by executing *one task at
+//! racecheck (`crates/verify`) validates the sweep regions by executing *one task at
 //! a time* on a fresh copy of the initial state and diffing: every changed
 //! element must lie inside the task's declared [`crate::plan`], no two
 //! tasks may change the same element, and splicing the single-task diffs

@@ -5,8 +5,9 @@
 //! any) has claimed it. Verifiers enumerate each task's declared or observed
 //! footprint into the map; the map rejects double claims on the spot and can
 //! then certify exact cover. kerncheck uses byte-level variants of this idea
-//! for `CommPlan` volumes; `vlasov6d-racecheck` uses it for the per-task
-//! write footprints of every parallel region in the workspace.
+//! for `CommPlan` volumes; racecheck uses it for the per-task write
+//! footprints of every parallel region in the workspace, layoutcheck for the
+//! (rank, flat) slots on both sides of every repartition.
 
 /// Which task claimed each element of `0..len`, or `NONE`.
 pub struct ClaimMap {

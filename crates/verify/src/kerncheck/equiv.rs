@@ -30,7 +30,7 @@
 //! interface flux must come out as the same tree, node for node), and
 //! witnessed independently at `f64` on the adversarial corpus.
 
-use crate::model::run_body;
+use super::model::run_body;
 use crate::report::Report;
 use vlasov6d_advection::flux::{slmpp5_flux, Value, Weights};
 use vlasov6d_advection::lanes::{advect_lanes, adversarial_corpus as corpus, LanesWork};
@@ -50,12 +50,11 @@ pub fn lane_tolerance(scale: f32) -> f32 {
     (BUDGET_ULPS * f32::EPSILON as f64 * scale as f64) as f32 + 2.0 * f32::MIN_POSITIVE
 }
 
-/// Check `transpose8x8` is the exact transposition permutation.
-fn check_transpose(report: &mut Report) {
+/// The first way `transpose8x8` departs from the transposition permutation,
+/// or `None`.
+fn transpose_witness() -> Option<String> {
     // Indicator sweep: the full permutation matrix, one slot at a time.
-    let mut permutation_ok = true;
-    let mut witness = None;
-    'outer: for r in 0..8 {
+    for r in 0..8 {
         for c in 0..8 {
             let mut m: [f32x8; 8] = [f32x8::ZERO; 8];
             m[r].0[c] = 1.0;
@@ -64,12 +63,10 @@ fn check_transpose(report: &mut Report) {
                 for cc in 0..8 {
                     let expect = if (rr, cc) == (c, r) { 1.0 } else { 0.0 };
                     if m[rr].0[cc] != expect {
-                        permutation_ok = false;
-                        witness = Some(format!(
-                            "indicator at ({r},{c}) landed wrong at ({rr},{cc}): {}",
-                            m[rr].0[cc]
+                        let got = m[rr].0[cc];
+                        return Some(format!(
+                            "indicator at ({r},{c}) landed wrong at ({rr},{cc}): {got}"
                         ));
-                        break 'outer;
                     }
                 }
             }
@@ -77,43 +74,24 @@ fn check_transpose(report: &mut Report) {
     }
 
     // Two independent integer labelings (injective over the 64 slots, exact
-    // in f32), plus involution on the second.
+    // in f32), plus involution on each.
     let labelings: [&dyn Fn(usize, usize) -> f32; 2] = [&|r, c| (r * 8 + c) as f32, &|r, c| {
         (1000 + 17 * r + 53 * c) as f32
     }];
-    let mut labeling_ok = true;
-    for f in labelings {
+    for (k, f) in labelings.into_iter().enumerate() {
         let mut m: [f32x8; 8] = core::array::from_fn(|r| f32x8(core::array::from_fn(|c| f(r, c))));
         let orig = m;
         transpose8x8(&mut m);
-        for r in 0..8 {
-            for c in 0..8 {
-                if m[r].0[c] != f(c, r) {
-                    labeling_ok = false;
-                }
-            }
-        }
+        let transposed = (0..64).all(|i| m[i / 8].0[i % 8] == f(i % 8, i / 8));
         transpose8x8(&mut m);
-        if m != orig {
-            labeling_ok = false;
+        if !transposed || m != orig {
+            return Some(format!(
+                "labeling {k}: transposed {transposed}, involution {}",
+                m == orig
+            ));
         }
     }
-
-    if permutation_ok && labeling_ok {
-        report.verified(
-            "equivalence",
-            "transpose8x8.permutation",
-            "all 64 indicator matrices and two injective labelings confirm the exact \
-             transposition permutation (and its involution)",
-        );
-    } else {
-        report.violated(
-            "equivalence",
-            "transpose8x8.permutation",
-            "transpose8x8 is not the transposition permutation",
-            witness,
-        );
-    }
+    None
 }
 
 /// The corpus line lane `l` carries: the eight lines in lane order, rotated
@@ -175,25 +153,18 @@ fn check_lanes<V: Lanes>(report: &mut Report, n: usize, name: &str) {
             }
         }
     }
-    match failure {
-        None => report.verified(
-            "equivalence",
-            name,
-            format!(
-                "f32x{} kernels track the scalar path within {BUDGET_ULPS:.0} ULP · scale + \
-                 2·MIN_POSITIVE over {cases} (scheme × shape × cfl × boundary) corpus cases \
-                 (worst {:.1}% of budget)",
-                V::WIDTH,
-                worst * 100.0
-            ),
+    report.check(
+        "equivalence",
+        name,
+        format!(
+            "f32x{} kernels track the scalar path within {BUDGET_ULPS:.0} ULP · scale + \
+             2·MIN_POSITIVE over {cases} (scheme × shape × cfl × boundary) corpus cases \
+             (worst {:.1}% of budget)",
+            V::WIDTH,
+            worst * 100.0
         ),
-        Some(w) => report.violated(
-            "equivalence",
-            name,
-            "SIMD lanes diverge from the scalar kernel beyond the ULP budget",
-            Some(w),
-        ),
-    }
+        failure,
+    );
 }
 
 /// Expression trees as a domain: a value is the parenthesised text of the
@@ -255,23 +226,19 @@ fn check_carried(report: &mut Report) {
         w: core::array::from_fn(|k| Expr(format!("w{k}"))),
     };
     let (carried, _) = run_body(Scheme::SlMpp5, &w, &ghost);
-    match (0..interfaces).find(|&j| carried[j] != slmpp5_flux(&window(&ghost, j), &w)) {
-        None => report.verified(
-            "equivalence",
-            "slmpp5.carried.expression_identity",
-            format!(
-                "the body's carried loop (one new curvature and minmod4 stack per interface) \
-                 builds the per-stencil flux expression, node for node, at each of \
-                 {interfaces} consecutive interfaces of a symbolic line — equal bits on every input"
-            ),
+    let differs = |&j: &usize| carried[j] != slmpp5_flux(&window(&ghost, j), &w);
+    report.check(
+        "equivalence",
+        "slmpp5.carried.expression_identity",
+        format!(
+            "the body's carried loop (one new curvature and minmod4 stack per interface) \
+             builds the per-stencil flux expression, node for node, at each of \
+             {interfaces} consecutive interfaces of a symbolic line — equal bits on every input"
         ),
-        Some(j) => report.violated(
-            "equivalence",
-            "slmpp5.carried.expression_identity",
-            "the carried loop does not compute the per-stencil flux",
-            Some(format!("first differing interface: {j}")),
-        ),
-    }
+        (0..interfaces)
+            .find(differs)
+            .map(|j| format!("first differing interface: {j}")),
+    );
 
     let mut failure = None;
     let mut fluxes = 0usize;
@@ -297,27 +264,26 @@ fn check_carried(report: &mut Report) {
             }
         }
     }
-    match failure {
-        None => report.verified(
-            "equivalence",
-            "slmpp5.carried.corpus_bitwise",
-            format!(
-                "carried and per-stencil f64 fluxes agree to the bit on {fluxes} interfaces \
-                 of the adversarial corpus (shape × line × orientation × shift)"
-            ),
+    report.check(
+        "equivalence",
+        "slmpp5.carried.corpus_bitwise",
+        format!(
+            "carried and per-stencil f64 fluxes agree to the bit on {fluxes} interfaces \
+             of the adversarial corpus (shape × line × orientation × shift)"
         ),
-        Some(w) => report.violated(
-            "equivalence",
-            "slmpp5.carried.corpus_bitwise",
-            "carried and per-stencil fluxes differ",
-            Some(w),
-        ),
-    }
+        failure,
+    );
 }
 
 /// Run the whole pass.
 pub fn run(report: &mut Report) {
-    check_transpose(report);
+    report.check(
+        "equivalence",
+        "transpose8x8.permutation",
+        "all 64 indicator matrices and two injective labelings confirm the exact \
+         transposition permutation (and its involution)",
+        transpose_witness(),
+    );
     check_lanes::<f32x8>(report, 40, "lanes.differential");
     // Lines shorter than the stencil — the thin axes of the plasma grids —
     // where both kernels sample their own periodic images or zeros.
@@ -338,9 +304,7 @@ mod tests {
 
     #[test]
     fn miri_smoke_transpose_is_exact_permutation() {
-        let mut report = Report::new();
-        check_transpose(&mut report);
-        assert!(report.ok(), "{}", report.render_text("kerncheck"));
+        assert_eq!(transpose_witness(), None);
     }
 
     #[test]

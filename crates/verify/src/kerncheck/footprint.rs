@@ -22,10 +22,10 @@
 //!    `ext` of exactly `GHOST` extra cells per side always suffices;
 //! 5. check the constants line up: probed radius == `advection::GHOST` ==
 //!    `phase_space::exchange::GHOST_WIDTH`, and every per-edge byte count of
-//!    the PR 2 `ghost_exchange_plan` equals `GHOST · cross-section · vlen ·
+//!    the `ghost_exchange_plan` equals `GHOST · cross-section · vlen ·
 //!    4` — so the exchanged volume provably covers the stencil reach.
 
-use crate::model::{slots, taint_line};
+use super::model::{slots, taint_line};
 use crate::report::Report;
 use std::collections::BTreeSet;
 use vlasov6d_advection::lanes::{advect_lanes_ext, LanesWork};
@@ -187,31 +187,14 @@ pub fn run(report: &mut Report) {
         let hull: BTreeSet<i64> = structural.union(&mirrored).copied().collect();
         let (pr, sr) = (radius(&probed), radius(&hull));
         max_radius = max_radius.max(pr).max(sr);
-        let name = format!("{scheme:?}.radius");
-        let contained = probed.is_subset(&hull);
-        let tight = pr == expected_radius(scheme) && sr == expected_radius(scheme);
-        if contained && tight {
-            report.verified(
-                "footprint",
-                name,
-                format!(
-                    "probed offsets {probed:?} ⊆ structural hull, both radius {pr} \
-                     (expected {})",
-                    expected_radius(scheme)
-                ),
-            );
-        } else {
-            report.violated(
-                "footprint",
-                name,
-                "probed and structural footprints disagree with the expected radius",
-                Some(format!(
-                    "probed {probed:?} (radius {pr}), structural {hull:?} (radius {sr}), \
-                     expected radius {}",
-                    expected_radius(scheme)
-                )),
-            );
-        }
+        let expected = expected_radius(scheme);
+        let holds = probed.is_subset(&hull) && pr == expected && sr == expected;
+        report.check(
+            "footprint",
+            format!("{scheme:?}.radius"),
+            format!("probed offsets {probed:?} ⊆ structural hull, both of radius {expected}"),
+            (!holds).then(|| format!("probed radius {pr}, structural {hull:?} (radius {sr})")),
+        );
     }
 
     // 4: the extended entry points read `ext[i ..= i + 2·GHOST]` for `out[i]`
@@ -230,49 +213,31 @@ pub fn run(report: &mut Report) {
             .flat_map(|d| [GHOST as i64 + d, GHOST as i64 - d])
             .collect();
         let exact = !lane_schemes.contains(&scheme) || probed == window;
-        let name = format!("ext.{tag}.{scheme:?}.window");
-        if probed.is_subset(&hull) && hull.is_subset(&window) && exact {
-            report.verified(
-                "footprint",
-                name,
-                format!(
-                    "out[i] reads ext[i + k] for k in {probed:?} ⊆ 0..={}: GHOST extra cells \
-                     per side suffice",
-                    2 * GHOST
-                ),
-            );
-        } else {
-            report.violated(
-                "footprint",
-                name,
-                "extended entry point reads outside ext[i ..= i + 2·GHOST] (or misses part of \
-                 the widest stencil)",
-                Some(format!("probed {probed:?}, structural hull {hull:?}")),
-            );
-        }
+        let holds = probed.is_subset(&hull) && hull.is_subset(&window) && exact;
+        report.check(
+            "footprint",
+            format!("ext.{tag}.{scheme:?}.window"),
+            format!(
+                "out[i] reads ext[i + k] for k in {probed:?} ⊆ 0..={}: GHOST extra cells \
+                 per side suffice",
+                2 * GHOST
+            ),
+            (!holds).then(|| format!("probed {probed:?}, structural hull {hull:?}")),
+        );
     }
 
     // 5a: the widest kernel radius is exactly the ghost width, and the two
     // ghost constants are one constant.
-    if max_radius == GHOST as i64 && GHOST == GHOST_WIDTH {
-        report.verified(
-            "footprint",
-            "ghost_width.consistency",
-            format!(
-                "max kernel radius {max_radius} == advection::GHOST == \
-                 phase_space::exchange::GHOST_WIDTH == {GHOST}"
-            ),
-        );
-    } else {
-        report.violated(
-            "footprint",
-            "ghost_width.consistency",
-            "stencil radius and ghost-width constants drifted apart",
-            Some(format!(
-                "max radius {max_radius}, GHOST {GHOST}, GHOST_WIDTH {GHOST_WIDTH}"
-            )),
-        );
-    }
+    report.check(
+        "footprint",
+        "ghost_width.consistency",
+        format!(
+            "max kernel radius {max_radius} == advection::GHOST == \
+             phase_space::exchange::GHOST_WIDTH == {GHOST}"
+        ),
+        (max_radius != GHOST as i64 || GHOST != GHOST_WIDTH)
+            .then(|| format!("max radius {max_radius}, GHOST {GHOST}, GHOST_WIDTH {GHOST_WIDTH}")),
+    );
 
     // 3: mesh stencils against their advertised radii.
     let mesh_cases: [(&str, i64, i64); 3] = [
@@ -293,70 +258,51 @@ pub fn run(report: &mut Report) {
         ),
     ];
     for (name, probed, advertised) in mesh_cases {
-        if probed == advertised {
-            report.verified(
-                "footprint",
-                format!("mesh.{name}.radius"),
-                format!("probed radius {probed} matches the advertised constant"),
-            );
-        } else {
-            report.violated(
-                "footprint",
-                format!("mesh.{name}.radius"),
-                "mesh stencil radius drifted from its advertised constant",
-                Some(format!("probed {probed}, advertised {advertised}")),
-            );
-        }
+        report.check(
+            "footprint",
+            format!("mesh.{name}.radius"),
+            format!("probed radius {probed} matches the advertised constant"),
+            (probed != advertised).then(|| format!("probed {probed}, advertised {advertised}")),
+        );
     }
 
-    // 5b: the PR 2 comm plans exchange exactly the volume the stencil needs.
-    let decomp = Decomp3::new([16, 8, 8], [2, 2, 1]);
-    let vlen = 64usize;
+    // 5b: the ghost-exchange comm plans exchange exactly the volume the
+    // stencil needs.
+    report.check(
+        "footprint",
+        "comm_plan.volume",
+        "ghost-exchange plans on a [2, 2, 1] decomposition verify (topology + volume \
+         symmetry) and every send carries GHOST·cross·vlen·4 bytes — the halo always \
+         covers the stencil reach",
+        comm_plan_volume_witness(&Decomp3::new([16, 8, 8], [2, 2, 1]), 64),
+    );
+}
+
+/// The first ghost-exchange plan on `decomp` (`vlen` values per cell) that
+/// fails verification or sends other than `GHOST_WIDTH · cross · vlen · 4`
+/// bytes on an edge, or `None`.
+fn comm_plan_volume_witness(decomp: &Decomp3, vlen: usize) -> Option<String> {
     let checks = PlanChecks {
-        topology: Some(cart_neighbor_edges(&decomp)),
+        topology: Some(cart_neighbor_edges(decomp)),
         volume_symmetry: true,
     };
-    let mut plan_ok = true;
-    let mut witness = None;
     for d in 0..3 {
-        let plan = ghost_exchange_plan(&decomp, vlen, d, GHOST_WIDTH, 40);
+        let plan = ghost_exchange_plan(decomp, vlen, d, GHOST_WIDTH, 40);
         if let Err(errs) = plan.verify_with(&checks) {
-            plan_ok = false;
-            witness = Some(format!("axis {d}: {}", errs[0]));
-            break;
+            return Some(format!("axis {d}: {}", errs[0]));
         }
         for (src, _dst, _tag, bytes) in plan.send_edges() {
             let ld = decomp.local_dims(src);
             let cross: usize = (0..3).filter(|&a| a != d).map(|a| ld[a]).product();
             let expect = (GHOST_WIDTH * cross * vlen * 4) as u64;
             if bytes != expect {
-                plan_ok = false;
-                witness = Some(format!(
+                return Some(format!(
                     "axis {d}, rank {src}: plan sends {bytes} B, stencil needs {expect} B"
                 ));
-                break;
             }
         }
     }
-    if plan_ok {
-        report.verified(
-            "footprint",
-            "comm_plan.volume",
-            format!(
-                "ghost-exchange plans on a {:?} decomposition verify (topology + volume \
-                 symmetry) and every send carries GHOST·cross·vlen·4 bytes — the halo \
-                 always covers the stencil reach",
-                [2, 2, 1]
-            ),
-        );
-    } else {
-        report.violated(
-            "footprint",
-            "comm_plan.volume",
-            "ghost-exchange plan volume no longer matches the stencil requirement",
-            witness,
-        );
-    }
+    None
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Pass 2 — interval abstract interpretation of the flux kernels.
 //!
-//! Instantiates the shipped flux body (see [`crate::model`]) at a sound
+//! Instantiates the shipped flux body (see [`super::model`]) at a sound
 //! floating-point interval domain and sweeps the whole admissible parameter
 //! space: fractional shift `s` partitioned into ~1000 sub-intervals
 //! (geometric near the `s → 0` singular end where `1/s` blows up, uniform
@@ -31,10 +31,10 @@
 //!   *real* `advect_line` on it, and confirms a negative output cell. A
 //!   counterexample shift is emitted either way.
 
-use crate::model::{run_body, slots, taint_line};
+use super::model::{run_body, slots, taint_line};
+use super::weights::{sl3_symbolic, sl5_symbolic, SymbolicWeights};
 use crate::rational::{Poly, Rat};
 use crate::report::Report;
-use crate::weights::{sl3_symbolic, sl5_symbolic, SymbolicWeights};
 use vlasov6d_advection::flux::{Value, Weights};
 use vlasov6d_advection::line::{LineWork, GHOST};
 use vlasov6d_advection::{advect_line, Boundary, Scheme};
@@ -374,20 +374,12 @@ pub fn run(report: &mut Report) {
     // away more mass than it holds".
     let clamp_slots = slots(taint_line(Scheme::SlMpp5).0.clamp_hi);
     let taint_ok = clamp_slots == vec![2];
-    if taint_ok {
-        report.verified(
-            "interval",
-            "slmpp5.clamp_taint",
-            "the positivity clamp's upper bound depends only on the upwind cell (taint = {2})",
-        );
-    } else {
-        report.violated(
-            "interval",
-            "slmpp5.clamp_taint",
-            "clamp upper bound no longer derives from the upwind cell alone",
-            Some(format!("taint slots = {clamp_slots:?}")),
-        );
-    }
+    report.check(
+        "interval",
+        "slmpp5.clamp_taint",
+        "the positivity clamp's upper bound depends only on the upwind cell (taint = {2})",
+        (!taint_ok).then(|| format!("taint slots = {clamp_slots:?}")),
+    );
 
     // Interval sweeps: NaN/overflow-freedom for every scheme at two input
     // magnitudes, plus SL-MPP5 flux containment and update growth.
@@ -396,64 +388,44 @@ pub fn run(report: &mut Report) {
     for scheme in schemes {
         for m in [1.0, 1e30] {
             let sweep = sweep_scheme(scheme, m);
-            let name = format!(
-                "{scheme:?}.nan_free.m{}",
-                if m == 1.0 { "1" } else { "1e30" }
+            let m_tag = if m == 1.0 { "1" } else { "1e30" };
+            let shift_range =
+                |(a, b): (f64, f64)| format!("counterexample shift range s ∈ [{a}, {b}]");
+            report.check(
+                "interval",
+                format!("{scheme:?}.nan_free.m{m_tag}"),
+                format!(
+                    "no NaN/overflow reachable over {} shift sub-intervals, inputs [0, {m:.0e}] \
+                     (flux ⊆ [{:.3e}, {:.3e}])",
+                    sweep.pieces, sweep.flux.lo, sweep.flux.hi
+                ),
+                sweep.poisoned_at.map(shift_range),
             );
-            match sweep.poisoned_at {
-                None => report.verified(
-                    "interval",
-                    name,
-                    format!(
-                        "no NaN/overflow reachable over {} shift sub-intervals, inputs [0, {m:.0e}] \
-                         (flux ⊆ [{:.3e}, {:.3e}])",
-                        sweep.pieces, sweep.flux.lo, sweep.flux.hi
-                    ),
-                ),
-                Some((a, b)) => report.violated(
-                    "interval",
-                    name,
-                    "interval analysis cannot rule out NaN/overflow",
-                    Some(format!("counterexample shift range s ∈ [{a}, {b}]")),
-                ),
-            }
             if matches!(scheme, Scheme::SlMpp5) {
-                let name = format!(
-                    "slmpp5.flux_containment.m{}",
-                    if m == 1.0 { "1" } else { "1e30" }
-                );
-                match sweep.containment_fail {
-                    None => report.verified(
-                        "interval",
-                        name,
-                        format!(
-                            "flux ∈ [0, M] for all s (exact: the clamp's min/max transfer functions \
-                             introduce no widening); update ⊆ [{:.3e}, {:.3e}] ⊆ [−M, 2M]·(1+ε_f32)",
-                            sweep.update.lo, sweep.update.hi
-                        ),
+                containment_ok &= sweep.containment_fail.is_none();
+                report.check(
+                    "interval",
+                    format!("slmpp5.flux_containment.m{m_tag}"),
+                    format!(
+                        "flux ∈ [0, M] for all s (exact: the clamp's min/max transfer functions \
+                         introduce no widening); update ⊆ [{:.3e}, {:.3e}] ⊆ [−M, 2M]·(1+ε_f32)",
+                        sweep.update.lo, sweep.update.hi
                     ),
-                    Some((a, b)) => {
-                        containment_ok = false;
-                        report.violated(
-                            "interval",
-                            name,
-                            "SL-MPP5 flux escapes [0, M]",
-                            Some(format!("counterexample shift range s ∈ [{a}, {b}]")),
-                        );
-                    }
-                }
+                    sweep.containment_fail.map(shift_range),
+                );
                 let growth_ok =
                     sweep.update.lo >= -m * GROWTH_TOL && sweep.update.hi <= 2.0 * m * GROWTH_TOL;
                 if !growth_ok {
                     containment_ok = false;
-                    report.violated(
+                    let update = format!(
+                        "update ⊆ [{:.3e}, {:.3e}]",
+                        sweep.update.lo, sweep.update.hi
+                    );
+                    report.check(
                         "interval",
                         format!("slmpp5.update_growth.m{m:.0e}"),
-                        "single-step update escapes the [−M, 2M] envelope",
-                        Some(format!(
-                            "update ⊆ [{:.3e}, {:.3e}]",
-                            sweep.update.lo, sweep.update.hi
-                        )),
+                        "a single-step update stays in the [−M, 2M] envelope",
+                        Some(update),
                     );
                 }
             }
@@ -461,26 +433,21 @@ pub fn run(report: &mut Report) {
     }
 
     // The positivity conclusion, assembled from the verified links.
-    if taint_ok && containment_ok {
-        report.verified(
-            "interval",
-            "slmpp5.positivity",
-            "for all |cfl| < 1 and nonnegative inputs the SL-MPP5 update is nonnegative: \
-             flux ∈ [0, max(center, 0)] with the bound tainted only by the drained cell \
-             (verified above), IEEE-754 subtraction is monotone with exact cancellation so \
-             center − flux_out ≥ 0, adding flux_in ≥ 0 preserves the sign, and the f32 cast \
-             is sign-preserving (mirror trick extends this to cfl < 0); every link was \
-             derived from the kernel's own body",
-        );
-    } else {
-        report.violated(
-            "interval",
-            "slmpp5.positivity",
+    report.check(
+        "interval",
+        "slmpp5.positivity",
+        "for all |cfl| < 1 and nonnegative inputs the SL-MPP5 update is nonnegative: \
+         flux ∈ [0, max(center, 0)] with the bound tainted only by the drained cell \
+         (verified above), IEEE-754 subtraction is monotone with exact cancellation so \
+         center − flux_out ≥ 0, adding flux_in ≥ 0 preserves the sign, and the f32 cast \
+         is sign-preserving (mirror trick extends this to cfl < 0); every link was \
+         derived from the kernel's own body",
+        (!(taint_ok && containment_ok)).then(|| {
             "a link in the positivity chain failed (see slmpp5.clamp_taint / \
-             slmpp5.flux_containment above)",
-            None,
-        );
-    }
+             slmpp5.flux_containment above)"
+                .into()
+        }),
+    );
 
     // Upwind1 monotonicity: both update coefficients are degree ≤ 1 with
     // nonnegative exact endpoints, hence nonnegative on [0, 1].
@@ -491,27 +458,20 @@ pub fn run(report: &mut Report) {
             && p.eval_rat(&Rat::ZERO).num() >= 0
             && p.eval_rat(&Rat::ONE).num() >= 0
     };
-    if upwind_coeffs.iter().all(|(_, p)| nonneg(p)) {
-        report.verified(
-            "interval",
-            "upwind1.monotone",
-            "all update coefficients (1 − s at offset 0, s at offset −1) are provably \
-             nonnegative on s ∈ [0, 1]: first-order upwind is monotone",
-        );
-    } else {
-        report.violated(
-            "interval",
-            "upwind1.monotone",
-            "an Upwind1 update coefficient can go negative",
-            Some(
-                upwind_coeffs
-                    .iter()
-                    .map(|(d, p)| format!("c_{d} = {p}"))
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ),
-        );
-    }
+    let coefficients = || {
+        let c: Vec<String> = upwind_coeffs
+            .iter()
+            .map(|(d, p)| format!("c_{d} = {p}"))
+            .collect();
+        c.join("; ")
+    };
+    report.check(
+        "interval",
+        "upwind1.monotone",
+        "all update coefficients (1 − s at offset 0, s at offset −1) are provably \
+         nonnegative on s ∈ [0, 1]: first-order upwind is monotone",
+        (!upwind_coeffs.iter().all(|(_, p)| nonneg(p))).then(coefficients),
+    );
 
     // Negative controls: by Godunov's barrier the *unlimited* high-order
     // linear schemes cannot preserve positivity. Find the negative
@@ -535,7 +495,7 @@ pub fn run(report: &mut Report) {
                              cfl = {sf} goes negative at cell {cell}: {got}"
                         )),
                     ),
-                    None => report.violated(
+                    None => report.check(
                         "interval",
                         name,
                         "symbolic analysis predicts a negative cell but the real kernel does not \

@@ -36,59 +36,34 @@
 //! is written once, generic over `advection::flux::Value`, and the passes
 //! instantiate the kernel at their domains ([`model`]).
 //!
-//! All passes append [`Property`] records to a [`Report`]; `cargo xtask
-//! verify-kernels` renders the report and fails CI on any violation. The
-//! crate deliberately has no dependencies beyond the workspace crates it
-//! verifies.
+//! All passes append [`Property`](crate::Property) records to a [`Report`];
+//! `cargo xtask verify` renders the report and fails CI on any violation.
 //!
 //! [`CommPlan`]: vlasov6d_mpisim::CommPlan
 
-pub mod claims;
 pub mod equiv;
 pub mod footprint;
 pub mod interval;
 pub mod model;
 pub mod opcount;
-pub mod rational;
-pub mod report;
-pub mod ulp;
 pub mod weights;
 
-pub use report::{Counts, Property, Report, Status};
+use crate::report::Report;
 
-/// What [`run_all`] must produce: 65 verified properties and 4 refuted
-/// negative controls. A change that adds or drops a property moves this pin.
-pub const PINNED: Counts = Counts {
-    verified: 65,
-    controls: 4,
-};
-
-/// Run every analysis pass and collect the combined report.
-pub fn run_all() -> Report {
-    let mut report = Report::new();
-    weights::run(&mut report);
-    interval::run(&mut report);
-    footprint::run(&mut report);
-    equiv::run(&mut report);
-    opcount::run(&mut report);
-    report
+/// Run every analysis pass.
+pub fn run(report: &mut Report) {
+    weights::run(report);
+    interval::run(report);
+    footprint::run(report);
+    equiv::run(report);
+    opcount::run(report);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn all_passes_verify_on_the_shipped_kernels() {
-        let report = run_all();
-        assert!(report.ok(), "{}", report.render_text("kerncheck"));
-        assert_eq!(report.counts(), PINNED);
-        // Every pass contributed.
-        for pass in ["weights", "interval", "footprint", "equivalence", "opcount"] {
-            assert!(
-                report.properties.iter().any(|p| p.pass == pass),
-                "pass {pass} produced no properties"
-            );
-        }
+        let passes = ["weights", "interval", "footprint", "equivalence", "opcount"];
+        crate::tests::assert_family_verifies("kerncheck", &passes, &[]);
     }
 }

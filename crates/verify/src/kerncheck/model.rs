@@ -3,8 +3,8 @@
 //! `vlasov6d-advection` writes its flux/update body ([`flux_update`]) once,
 //! generic over [`Value`], and the kernels run it at `f64` and `f32x8`. The
 //! passes instantiate the kernel at their own domains — intervals
-//! ([`crate::interval`]), operation counts ([`crate::opcount`]), expression
-//! trees ([`crate::equiv`]) and the dependency taint below — through
+//! ([`super::interval`]), operation counts ([`super::opcount`]), expression
+//! trees ([`super::equiv`]) and the dependency taint below — through
 //! [`run_body`], so what they conclude is about the code the sweeps execute,
 //! carried curvatures, loop prologue, positivity clamp and flux-form update
 //! included, with no copy to keep in step with it.

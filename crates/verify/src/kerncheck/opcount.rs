@@ -4,7 +4,7 @@
 //! measurements into Gflop/s; if its constants drift from the code they
 //! silently inflate or deflate every reported Gflop/s number. This pass
 //! *derives* the per-cell operation count by running the kernel's own body
-//! (see [`crate::model`]) over a counting domain and asserts the shipped
+//! (see [`super::model`]) over a counting domain and asserts the shipped
 //! table matches.
 //!
 //! Cost conventions (documented so the numbers are reproducible):
@@ -19,7 +19,7 @@
 //!   the paper's count of flux evaluation + update per cell. SL-MPP5 is thus
 //!   counted in the carried form the kernels execute.
 
-use crate::model::{run_body, uniform_weights};
+use super::model::{run_body, uniform_weights};
 use crate::report::Report;
 use std::cell::Cell;
 use vlasov6d_advection::flux::Value;
@@ -89,24 +89,15 @@ pub fn run(report: &mut Report) {
     for scheme in [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5] {
         let derived = per_cell_ops(scheme) as f64;
         let shipped = flops_per_cell(scheme);
-        let name = format!("{scheme:?}.flops_per_cell");
-        if derived == shipped {
-            report.verified(
-                "opcount",
-                name,
-                format!(
-                    "the shipped body spends {derived} ops per cell (a 9-cell line less an \
-                     8-cell one), matching the shipped table"
-                ),
-            );
-        } else {
-            report.violated(
-                "opcount",
-                name,
-                "shipped flops_per_cell table drifted from the kernel's operation count",
-                Some(format!("derived {derived}, table says {shipped}")),
-            );
-        }
+        report.check(
+            "opcount",
+            format!("{scheme:?}.flops_per_cell"),
+            format!(
+                "the shipped body spends {derived} ops per cell (a 9-cell line less an \
+                 8-cell one), matching the shipped table"
+            ),
+            (derived != shipped).then(|| format!("derived {derived}, table says {shipped}")),
+        );
     }
 }
 

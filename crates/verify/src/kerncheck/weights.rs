@@ -158,70 +158,42 @@ pub fn check_symbolic_family(report: &mut Report, sym: &SymbolicWeights) {
         sum = sum.add(c);
     }
     let residual = sum.sub(&Poly::constant(Rat::ONE));
-    if residual.is_zero() {
-        report.verified(
-            "weights",
-            format!("{lbl}.partition_of_unity"),
-            "Σ_m ℓ_m(−s) ≡ 1 as an exact polynomial identity",
-        );
-    } else {
-        report.violated(
-            "weights",
-            format!("{lbl}.partition_of_unity"),
-            "cardinal polynomials do not sum to 1",
-            Some(format!("Σℓ − 1 = {residual}")),
-        );
-    }
+    report.check(
+        "weights",
+        format!("{lbl}.partition_of_unity"),
+        "Σ_m ℓ_m(−s) ≡ 1 as an exact polynomial identity",
+        (!residual.is_zero()).then(|| format!("Σℓ − 1 = {residual}")),
+    );
 
     // Telescoping structure: w_k − w_{k+1} ≡ Δ[k ≤ 0] − ℓ_k.
-    let mut telescoping_ok = true;
-    let mut witness = None;
-    for (i, k) in sym.cells().enumerate().take(sym.weights.len() - 1) {
+    let ind = |k: i64| if k <= 0 { Rat::ONE } else { Rat::ZERO };
+    let mut interfaces = sym.cells().enumerate().take(sym.weights.len() - 1);
+    let witness = interfaces.find_map(|(i, k)| {
         let lhs = sym.weights[i].sub(&sym.weights[i + 1]);
-        let ind = |k: i64| if k <= 0 { Rat::ONE } else { Rat::ZERO };
-        let delta = ind(k).sub(&ind(k + 1));
         // ℓ_k: the cardinal at node value k.
         let card = &sym.cardinals[(k - sym.node_lo) as usize];
-        let rhs = Poly::constant(delta).sub(card);
-        if lhs != rhs {
-            telescoping_ok = false;
-            witness = Some(format!("k = {k}: w_k − w_{{k+1}} = {lhs} ≠ {rhs}"));
-            break;
-        }
-    }
-    if telescoping_ok {
-        report.verified(
-            "weights",
-            format!("{lbl}.telescoping"),
-            "w_k − w_{k+1} ≡ Δ[k ≤ 0] − ℓ_k: fluxes are differences of one primitive, \
-             so periodic line sums telescope to exactly zero",
-        );
-    } else {
-        report.violated(
-            "weights",
-            format!("{lbl}.telescoping"),
-            "weights are not tail sums of the cardinal polynomials",
-            witness,
-        );
-    }
+        let rhs = Poly::constant(ind(k).sub(&ind(k + 1))).sub(card);
+        (lhs != rhs).then(|| format!("k = {k}: w_k − w_{{k+1}} = {lhs} ≠ {rhs}"))
+    });
+    report.check(
+        "weights",
+        format!("{lbl}.telescoping"),
+        "w_k − w_{k+1} ≡ Δ[k ≤ 0] − ℓ_k: fluxes are differences of one primitive, \
+         so periodic line sums telescope to exactly zero",
+        witness,
+    );
 
     // Moment / order-of-accuracy conditions through order − 1.
     for j in 0..sym.order as u32 {
         let residual = moment_residual(sym, j);
-        if residual.is_zero() {
-            report.verified(
-                "weights",
-                format!("{lbl}.moment.j{j}"),
-                format!("Σ_k w_k μ_{j}(k) ≡ ∫_{{−s}}^0 x^{j} dx exactly (degree-{j} data advects exactly)"),
-            );
-        } else {
-            report.violated(
-                "weights",
-                format!("{lbl}.moment.j{j}"),
-                format!("moment condition of degree {j} fails"),
-                Some(format!("residual = {residual}")),
-            );
-        }
+        report.check(
+            "weights",
+            format!("{lbl}.moment.j{j}"),
+            format!(
+                "Σ_k w_k μ_{j}(k) ≡ ∫_{{−s}}^0 x^{j} dx exactly (degree-{j} data advects exactly)"
+            ),
+            (!residual.is_zero()).then(|| format!("residual = {residual}")),
+        );
     }
     // Order barrier: degree = order must NOT be exact.
     let barrier = moment_residual(sym, sym.order as u32);
@@ -242,20 +214,12 @@ pub fn check_symbolic_family(report: &mut Report, sym: &SymbolicWeights) {
         let expect = if k == 0 { Rat::ONE } else { Rat::ZERO };
         sym.weights[i].eval_rat(&Rat::ONE) == expect
     });
-    if zero_ok && one_ok {
-        report.verified(
-            "weights",
-            format!("{lbl}.endpoints"),
-            "w(0) ≡ 0 and w(1) = δ_{k,0} exactly (zero shift is identity, unit shift an exact copy)",
-        );
-    } else {
-        report.violated(
-            "weights",
-            format!("{lbl}.endpoints"),
-            "endpoint values wrong",
-            Some(format!("w(0) zero: {zero_ok}, w(1) selector: {one_ok}")),
-        );
-    }
+    report.check(
+        "weights",
+        format!("{lbl}.endpoints"),
+        "w(0) ≡ 0 and w(1) = δ_{k,0} exactly (zero shift is identity, unit shift an exact copy)",
+        (!(zero_ok && one_ok)).then(|| format!("w(0) zero: {zero_ok}, w(1) selector: {one_ok}")),
+    );
 }
 
 /// Hybrid closeness bound for comparing shipped `f64` weights against the
@@ -310,24 +274,16 @@ pub fn check_f64_agreement(report: &mut Report) {
                 }
             }
         }
-        let name = format!("{}.f64_agreement", sym.label);
-        match failure {
-            None => report.verified(
-                "weights",
-                name,
-                format!(
-                    "{} samples within {WEIGHT_MAX_ULP} ULP / {WEIGHT_ABS_FLOOR:.0e} of the exact \
-                     polynomials (worst {worst_ulp} ULP, {worst_abs:.2e} abs)",
-                    sample_shifts().len()
-                ),
+        report.check(
+            "weights",
+            format!("{}.f64_agreement", sym.label),
+            format!(
+                "{} samples within {WEIGHT_MAX_ULP} ULP / {WEIGHT_ABS_FLOOR:.0e} of the exact \
+                 polynomials (worst {worst_ulp} ULP, {worst_abs:.2e} abs)",
+                sample_shifts().len()
             ),
-            Some(w) => report.violated(
-                "weights",
-                name,
-                "shipped f64 weights stray from the exact polynomials",
-                Some(w),
-            ),
-        }
+            failure,
+        );
     }
 }
 
@@ -394,19 +350,12 @@ pub fn run(report: &mut Report) {
             &(|s| sl3_weights(s).to_vec()) as &dyn Fn(f64) -> Vec<f64>,
         ),
     ] {
-        match check_weight_samples(order, f) {
-            Ok(()) => report.verified(
-                "weights",
-                format!("sl{order}.sampled_detector"),
-                "shipped implementation passes the sampled moment/endpoint detector",
-            ),
-            Err(e) => report.violated(
-                "weights",
-                format!("sl{order}.sampled_detector"),
-                "shipped implementation fails the sampled detector",
-                Some(e),
-            ),
-        }
+        report.check(
+            "weights",
+            format!("sl{order}.sampled_detector"),
+            "shipped implementation passes the sampled moment/endpoint detector",
+            check_weight_samples(order, f).err(),
+        );
     }
 }
 

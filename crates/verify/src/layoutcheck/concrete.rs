@@ -9,7 +9,7 @@
 //! * accumulates the enumerated per-(src, dst) traffic and diffs it, pair by
 //!   pair, against both the runtime's derived byte accounting
 //!   (`Repartition::pair_elems`) and the symbolically derived
-//!   [`PairCount`](crate::symbolic::PairCount);
+//!   [`PairCount`](super::symbolic::PairCount);
 //! * diffs the accumulated traffic against the actual
 //!   [`CommPlan`](vlasov6d_mpisim::CommPlan)s the runtime verifies before
 //!   communicating (`Pencil2D` forward/inverse plans).
@@ -20,16 +20,19 @@
 
 use std::collections::HashMap;
 
-use crate::registry;
-use crate::symbolic;
+use super::registry;
+use super::symbolic;
+use crate::claims::ClaimMap;
+use crate::report::Report;
 use vlasov6d_fft::layout::{LayoutMap, RankGrid, Repartition};
 use vlasov6d_fft::Pencil2D;
-use vlasov6d_kerncheck::report::Report;
 
 const PASS: &str = "concrete";
 
-/// Enumerate a repartition's routing via owner maps; returns per-(src, dst)
-/// element counts, or an error string on the first bijection defect.
+/// Enumerate a repartition's routing via owner maps, claiming every
+/// (rank, flat) slot on each side through a [`ClaimMap`]; returns
+/// per-(src, dst) element counts, or an error string on the first bijection
+/// defect.
 ///
 /// `src_owner` / `dst_owner` map a global coord to (rank, flat); they are
 /// parameters so negative controls can inject deliberately broken maps.
@@ -42,46 +45,33 @@ fn enumerate_routing(
     dst_owner: &dyn Fn([usize; 3]) -> (usize, usize),
 ) -> Result<HashMap<(usize, usize), usize>, String> {
     let p = grid.n_ranks();
-    let src_len = src.local_len(dims, grid);
-    let dst_len = dst.local_len(dims, grid);
-    let mut src_seen = vec![false; p * src_len];
-    let mut dst_seen = vec![false; p * dst_len];
+    let sides = [
+        ("src", src.local_len(dims, grid)),
+        ("dst", dst.local_len(dims, grid)),
+    ];
+    let mut claims = sides.map(|(_, len)| ClaimMap::new(p * len));
     let mut traffic: HashMap<(usize, usize), usize> = HashMap::new();
-    for i0 in 0..dims[0] {
-        for i1 in 0..dims[1] {
-            for i2 in 0..dims[2] {
-                let g = [i0, i1, i2];
-                let (sr, sf) = src_owner(g);
-                let (dr, df) = dst_owner(g);
-                if sr >= p || sf >= src_len {
-                    return Err(format!("src owner of {g:?} out of range: ({sr}, {sf})"));
-                }
-                if dr >= p || df >= dst_len {
-                    return Err(format!("dst owner of {g:?} out of range: ({dr}, {df})"));
-                }
-                if std::mem::replace(&mut src_seen[sr * src_len + sf], true) {
-                    return Err(format!("src slot ({sr}, {sf}) claimed twice, at {g:?}"));
-                }
-                if std::mem::replace(&mut dst_seen[dr * dst_len + df], true) {
-                    return Err(format!("dst slot ({dr}, {df}) filled twice, at {g:?}"));
-                }
-                *traffic.entry((sr, dr)).or_default() += 1;
+    let [_, n1, n2] = dims;
+    for flat in 0..dims.iter().product() {
+        let g = [flat / (n1 * n2), flat / n2 % n1, flat % n2];
+        let owners = [src_owner(g), dst_owner(g)];
+        for (((side, len), (r, f)), map) in sides.into_iter().zip(owners).zip(&mut claims) {
+            if r >= p || f >= len {
+                return Err(format!("{side} owner of {g:?} out of range: ({r}, {f})"));
             }
+            map.claim(flat, r * len + f)
+                .map_err(|c| format!("{side} slot ({r}, {f}) claimed twice, at {g:?}: {c}"))?;
         }
+        *traffic.entry((owners[0].0, owners[1].0)).or_default() += 1;
     }
-    if let Some(i) = src_seen.iter().position(|&s| !s) {
-        return Err(format!(
-            "src slot ({}, {}) never routed",
-            i / src_len,
-            i % src_len
-        ));
-    }
-    if let Some(i) = dst_seen.iter().position(|&s| !s) {
-        return Err(format!(
-            "dst slot ({}, {}) never filled",
-            i / dst_len,
-            i % dst_len
-        ));
+    for ((side, len), map) in sides.into_iter().zip(&claims) {
+        if let Err(i) = map.exact_cover() {
+            return Err(format!(
+                "{side} slot ({}, {}) never claimed",
+                i / len,
+                i % len
+            ));
+        }
     }
     Ok(traffic)
 }
@@ -172,37 +162,23 @@ pub fn run(report: &mut Report) {
                 &|g| rep.src.owner(dims, grid, g),
                 &|g| rep.dst.owner(dims, grid, g),
             );
-            match routing {
-                Ok(traffic) => {
-                    report.verified(
-                        PASS,
-                        format!("{}.bijection.{tag}", rep.name),
-                        format!(
-                            "{} global elements each routed exactly once src → dst",
-                            dims[0] * dims[1] * dims[2]
-                        ),
-                    );
-                    match diff_counts(rep, dims, grid, &traffic) {
-                        Ok(()) => report.verified(
-                            PASS,
-                            format!("{}.bytes.{tag}", rep.name),
-                            "enumerated traffic == runtime pair_elems == symbolic monomial \
-                             on every rank pair",
-                        ),
-                        Err(e) => report.violated(
-                            PASS,
-                            format!("{}.bytes.{tag}", rep.name),
-                            "traffic derivations disagree",
-                            Some(e),
-                        ),
-                    }
-                }
-                Err(e) => report.violated(
-                    PASS,
-                    format!("{}.bijection.{tag}", rep.name),
-                    "model enumeration is not a bijection",
-                    Some(e),
+            report.check(
+                PASS,
+                format!("{}.bijection.{tag}", rep.name),
+                format!(
+                    "{} global elements each routed exactly once src → dst",
+                    dims.iter().product::<usize>()
                 ),
+                routing.as_ref().err().cloned(),
+            );
+            if let Ok(traffic) = routing {
+                report.check(
+                    PASS,
+                    format!("{}.bytes.{tag}", rep.name),
+                    "enumerated traffic == runtime pair_elems == symbolic monomial on every \
+                     rank pair",
+                    diff_counts(rep, dims, grid, &traffic).err(),
+                );
             }
         }
     }
@@ -230,15 +206,12 @@ fn plan_cross_checks(report: &mut Report) {
             (s1i, &inv, half..span),
         ];
         for (rep, plan, tags) in windows {
-            let name = format!("{}.plan.{}", rep.name, shape_tag(dims, grid));
-            match diff_plan(&rep, dims, grid, plan, tags) {
-                Ok(()) => report.verified(
-                    PASS,
-                    name,
-                    "split-phase CommPlan window bytes equal model pair_elems · 16",
-                ),
-                Err(e) => report.violated(PASS, name, "CommPlan disagrees with model", Some(e)),
-            }
+            report.check(
+                PASS,
+                format!("{}.plan.{}", rep.name, shape_tag(dims, grid)),
+                "split-phase CommPlan window bytes equal model pair_elems · 16",
+                diff_plan(&rep, dims, grid, plan, tags).err(),
+            );
         }
     }
 }

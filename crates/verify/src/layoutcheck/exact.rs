@@ -22,10 +22,10 @@
 //! Negative controls: a twiddle scaled by 2 must break Parseval; a
 //! shifted-exponent "DFT" must break orthogonality.
 
+use crate::rational::{Poly, Rat};
+use crate::report::Report;
+use crate::ulp::ulp_diff_f64;
 use vlasov6d_fft::{layout, Complex64, Fft3, Pencil2D};
-use vlasov6d_kerncheck::rational::{Poly, Rat};
-use vlasov6d_kerncheck::report::Report;
-use vlasov6d_kerncheck::ulp::ulp_diff_f64;
 use vlasov6d_mpisim::Universe;
 
 const PASS: &str = "exact";
@@ -264,41 +264,44 @@ pub fn run(report: &mut Report) {
     controls(report);
 }
 
+/// The first `(j, j′)` at which `Σ_k ζ^{(j+shift)k − j′k} ≠ n·δ_{jj′}` in
+/// `field`, or `None`: at `shift = 0`, the rows of the n-point DFT are
+/// orthogonal.
+fn orthogonality_witness(field: &Field, n: usize, shift: usize) -> Option<String> {
+    for j in 0..n {
+        for jp in 0..n {
+            let mut acc = Poly::zero();
+            for k in 0..n {
+                acc = acc.add(&field.zeta(((j + shift) * k) as i64 - (jp * k) as i64));
+            }
+            let want = if j == jp {
+                Poly::constant(Rat::int(n as i128))
+            } else {
+                Poly::zero()
+            };
+            if acc != want {
+                return Some(format!("(j, j′) = ({j}, {jp}): got {acc}"));
+            }
+        }
+    }
+    None
+}
+
+/// ‖x‖² = Σ x·x̄, exact in `field`.
+fn energy(field: &Field, xs: &[Poly]) -> Poly {
+    let norms = xs.iter().map(|x| field.mul(x, &field.conj(x)));
+    norms.fold(Poly::zero(), |acc, x| acc.add(&x))
+}
+
 /// Σ_k ζ^{(j−j′)k} = n·δ_{jj′}, exactly, for every (j, j′).
 fn unitarity(report: &mut Report) {
     for n in [2usize, 3, 4, 6, 8] {
-        let field = Field::new(n);
-        let mut witness = None;
-        'outer: for j in 0..n {
-            for jp in 0..n {
-                let mut acc = Poly::zero();
-                for k in 0..n {
-                    acc = acc.add(&field.zeta((j as i64 - jp as i64) * k as i64));
-                }
-                let want = if j == jp {
-                    Poly::constant(Rat::int(n as i128))
-                } else {
-                    Poly::zero()
-                };
-                if acc != want {
-                    witness = Some(format!("(j, j′) = ({j}, {jp}): got {acc}"));
-                    break 'outer;
-                }
-            }
-        }
-        match witness {
-            None => report.verified(
-                PASS,
-                format!("fft.unitarity.n{n}"),
-                format!("F·F† = {n}·I as an exact identity in ℚ(ζ_{n}), all {n}² entries"),
-            ),
-            Some(w) => report.violated(
-                PASS,
-                format!("fft.unitarity.n{n}"),
-                "DFT matrix is not unitary (up to √n) in exact arithmetic",
-                Some(w),
-            ),
-        }
+        report.check(
+            PASS,
+            format!("fft.unitarity.n{n}"),
+            format!("F·F† = {n}·I as an exact identity in ℚ(ζ_{n}), all {n}² entries"),
+            orthogonality_witness(&Field::new(n), n, 0),
+        );
     }
 }
 
@@ -307,30 +310,14 @@ fn parseval(report: &mut Report) {
     for n in [4usize, 6, 8] {
         let field = Field::new(n);
         let v = test_vector(n);
-        let spectrum = dft_1d(&field, n, &v);
-        let energy = |xs: &[Poly]| {
-            let mut acc = Poly::zero();
-            for x in xs {
-                acc = acc.add(&field.mul(x, &field.conj(x)));
-            }
-            acc
-        };
-        let lhs = energy(&spectrum);
-        let rhs = energy(&v).scale(&Rat::int(n as i128));
-        if lhs == rhs {
-            report.verified(
-                PASS,
-                format!("fft.parseval.n{n}"),
-                format!("‖Fv‖² = {n}·‖v‖² exactly for a dense rational v"),
-            );
-        } else {
-            report.violated(
-                PASS,
-                format!("fft.parseval.n{n}"),
-                "Parseval identity fails in exact arithmetic",
-                Some(format!("‖Fv‖² = {lhs}, {n}·‖v‖² = {rhs}")),
-            );
-        }
+        let lhs = energy(&field, &dft_1d(&field, n, &v));
+        let rhs = energy(&field, &v).scale(&Rat::int(n as i128));
+        report.check(
+            PASS,
+            format!("fft.parseval.n{n}"),
+            format!("‖Fv‖² = {n}·‖v‖² exactly for a dense rational v"),
+            (lhs != rhs).then(|| format!("‖Fv‖² = {lhs}, {n}·‖v‖² = {rhs}")),
+        );
     }
 }
 
@@ -342,24 +329,17 @@ fn factorization(report: &mut Report) {
         let x = test_vector(dims.iter().product());
         let direct = dft_3d_direct(&field, dims, &x);
         let factored = dft_3d_factorized(&field, dims, &x);
-        let name = format!("fft.factorization.{}x{}x{}", dims[0], dims[1], dims[2]);
-        match direct.iter().zip(&factored).position(|(a, b)| a != b) {
-            None => report.verified(
-                PASS,
-                name,
-                format!(
-                    "triple-sum 3-D DFT equals the axis-factorized transform, all {} \
-                     coefficients exact in ℚ(ζ_{l})",
-                    direct.len()
-                ),
+        let differing = direct.iter().zip(&factored).position(|(a, b)| a != b);
+        report.check(
+            PASS,
+            format!("fft.factorization.{}x{}x{}", dims[0], dims[1], dims[2]),
+            format!(
+                "triple-sum 3-D DFT equals the axis-factorized transform, all {} \
+                 coefficients exact in ℚ(ζ_{l})",
+                direct.len()
             ),
-            Some(i) => report.violated(
-                PASS,
-                name,
-                "axis factorization changes the transform in exact arithmetic",
-                Some(format!("first differing flat index {i}")),
-            ),
-        }
+            differing.map(|i| format!("first differing flat index {i}")),
+        );
     }
 }
 
@@ -402,21 +382,12 @@ fn ulp_pinning(report: &mut Report) {
             .map(|z| z.re.abs().max(z.im.abs()))
             .fold(0.0f64, f64::max);
         let worst = max_ulp(&exact, &data, scale);
-        let name = format!("fft.ulp.serial.{}x{}x{}", dims[0], dims[1], dims[2]);
-        if worst <= SERIAL_ULP_BUDGET {
-            report.verified(
-                PASS,
-                name,
-                format!("Fft3 within {worst} ULP of the exact ℚ(ζ_{l}) spectrum (budget {SERIAL_ULP_BUDGET})"),
-            );
-        } else {
-            report.violated(
-                PASS,
-                name,
-                format!("Fft3 drifted beyond {SERIAL_ULP_BUDGET} ULP of the exact spectrum"),
-                Some(format!("worst coefficient {worst} ULP")),
-            );
-        }
+        report.check(
+            PASS,
+            format!("fft.ulp.serial.{}x{}x{}", dims[0], dims[1], dims[2]),
+            format!("Fft3 within {worst} ULP of the exact ℚ(ζ_{l}) spectrum (budget {SERIAL_ULP_BUDGET})"),
+            (worst > SERIAL_ULP_BUDGET).then(|| format!("worst coefficient {worst} ULP")),
+        );
     }
 }
 
@@ -455,24 +426,12 @@ fn pencil_pinning(report: &mut Report) {
             .map(|z| z.re.abs().max(z.im.abs()))
             .fold(0.0f64, f64::max);
         let worst = max_ulp(&serial, &gathered, scale);
-        let name = format!(
-            "fft.ulp.pencil.{}x{}x{}.g{rows}x{cols}",
-            dims[0], dims[1], dims[2]
+        report.check(
+            PASS,
+            format!("fft.ulp.pencil.{}x{}x{}.g{rows}x{cols}", dims[0], dims[1], dims[2]),
+            format!("distributed Pencil2D within {worst} ULP of serial Fft3 (budget {PENCIL_ULP_BUDGET})"),
+            (worst > PENCIL_ULP_BUDGET).then(|| format!("worst coefficient {worst} ULP")),
         );
-        if worst <= PENCIL_ULP_BUDGET {
-            report.verified(
-                PASS,
-                name,
-                format!("distributed Pencil2D within {worst} ULP of serial Fft3 (budget {PENCIL_ULP_BUDGET})"),
-            );
-        } else {
-            report.violated(
-                PASS,
-                name,
-                format!("Pencil2D drifted beyond {PENCIL_ULP_BUDGET} ULP of serial Fft3"),
-                Some(format!("worst coefficient {worst} ULP")),
-            );
-        }
     }
 }
 
@@ -492,14 +451,7 @@ fn controls(report: &mut Report) {
             acc
         })
         .collect();
-    let energy = |xs: &[Poly]| {
-        let mut acc = Poly::zero();
-        for x in xs {
-            acc = acc.add(&field.mul(x, &field.conj(x)));
-        }
-        acc
-    };
-    let broke = energy(&scaled) != energy(&v).scale(&Rat::int(n as i128));
+    let broke = energy(&field, &scaled) != energy(&field, &v).scale(&Rat::int(n as i128));
     report.control(
         PASS,
         "control.scaled.twiddle",
@@ -509,31 +461,13 @@ fn controls(report: &mut Report) {
     );
 
     // Control: a shifted exponent ζ^{(j+1)k} must break orthogonality of the
-    // DFT rows.
-    let mut orthogonal = true;
-    for j in 0..n {
-        for jp in 0..n {
-            let mut acc = Poly::zero();
-            for k in 0..n {
-                // Row j of the buggy matrix uses exponent (j+1)k; its
-                // adjoint still uses jp·k.
-                acc = acc.add(&field.zeta(((j + 1) * k) as i64 - (jp * k) as i64));
-            }
-            let want = if j == jp {
-                Poly::constant(Rat::int(n as i128))
-            } else {
-                Poly::zero()
-            };
-            if acc != want {
-                orthogonal = false;
-            }
-        }
-    }
+    // DFT rows (row j of the buggy matrix uses exponent (j+1)k; its adjoint
+    // still uses jp·k).
     report.control(
         PASS,
         "control.shifted.exponent",
         "an off-by-one DFT exponent must break row orthogonality",
-        !orthogonal,
+        orthogonality_witness(&field, n, 1).is_some(),
         Some("row j pairs with column j+1 instead of j".into()),
     );
 }

@@ -36,8 +36,7 @@
 //! Every layer carries live negative controls — swapped strides, off-by-one
 //! splits, colliding tag windows, scaled twiddles — that the analysis *must*
 //! reject, so a regression in the verifier is as loud as a regression in the
-//! FFTs. `cargo xtask verify-layouts` renders the combined report and gates
-//! CI.
+//! FFTs. `cargo xtask verify` renders the combined report and gates CI.
 
 pub mod concrete;
 pub mod exact;
@@ -45,8 +44,7 @@ pub mod probe;
 pub mod registry;
 pub mod symbolic;
 
-use kerncheck::report::Report;
-use vlasov6d_kerncheck as kerncheck;
+use crate::report::Report;
 
 use symbolic::{
     prove_composition_identity, prove_layout_bijective, prove_repartition_bijective, ProofError,
@@ -60,31 +58,27 @@ const PASS: &str = "symbolic";
 /// controls on the prover itself.
 pub fn symbolic_pass(report: &mut Report) {
     for rep in registry::entries() {
-        match prove_repartition_bijective(&rep) {
-            Ok((narrative, _)) => report.verified(PASS, rep.name.to_string(), narrative),
-            Err(e) => report.violated(
-                PASS,
-                rep.name.to_string(),
-                "bijectivity/conservation proof failed",
+        let (detail, witness) = match prove_repartition_bijective(&rep) {
+            Ok((narrative, _)) => (narrative, None),
+            Err(e) => (
+                "bijectivity/conservation proof failed".into(),
                 Some(e.to_string()),
             ),
-        }
+        };
+        report.check(PASS, rep.name, detail, witness);
     }
 
     // Forward ∘ inverse composition identities.
     let [s1, s2, s2i, s1i] = registry::entries();
-    let pairs = [(s1, s1i), (s2, s2i)];
-    for (fwd, inv) in pairs {
-        let name = format!("{}.composition", fwd.name);
-        match prove_composition_identity(&fwd, &inv) {
-            Ok(narrative) => report.verified(PASS, name, narrative),
-            Err(e) => report.violated(
-                PASS,
-                name,
-                "forward ∘ inverse is not the identity",
+    for (fwd, inv) in [(s1, s1i), (s2, s2i)] {
+        let (detail, witness) = match prove_composition_identity(&fwd, &inv) {
+            Ok(narrative) => (narrative, None),
+            Err(e) => (
+                "forward ∘ inverse is not the identity".into(),
                 Some(e.to_string()),
             ),
-        }
+        };
+        report.check(PASS, format!("{}.composition", fwd.name), detail, witness);
     }
 
     // Control: a pencil layout that consumes no Col digit — two ranks
@@ -155,22 +149,12 @@ pub fn symbolic_pass(report: &mut Report) {
     );
 }
 
-/// What [`run_all`] must produce: 193 verified properties and 9 refuted
-/// negative controls. A change that adds or drops a repartition, property
-/// or control moves this pin.
-pub const PINNED: kerncheck::Counts = kerncheck::Counts {
-    verified: 193,
-    controls: 9,
-};
-
-/// Run all layers and collect the combined report.
-pub fn run_all() -> Report {
-    let mut report = Report::new();
-    symbolic_pass(&mut report);
-    concrete::run(&mut report);
-    probe::run(&mut report);
-    exact::run(&mut report);
-    report
+/// Run all layers.
+pub fn run(report: &mut Report) {
+    symbolic_pass(report);
+    concrete::run(report);
+    probe::run(report);
+    exact::run(report);
 }
 
 #[cfg(test)]
@@ -179,26 +163,9 @@ mod tests {
 
     #[test]
     fn all_passes_verify_on_the_shipped_layouts() {
-        let report = run_all();
-        assert!(report.ok(), "{}", report.render_text("layoutcheck"));
-        for pass in ["symbolic", "concrete", "probe", "exact"] {
-            assert!(
-                report.properties.iter().any(|p| p.pass == pass),
-                "pass {pass} produced no properties"
-            );
-        }
-        // Exact counts, so a silently dropped property or control fails.
-        assert_eq!(report.counts(), PINNED);
-        // Every registered repartition shows up in the symbolic findings.
-        for name in registry::repartition_names() {
-            assert!(
-                report
-                    .properties
-                    .iter()
-                    .any(|p| p.pass == "symbolic" && p.name == name),
-                "repartition {name} missing from the symbolic pass"
-            );
-        }
+        let passes = ["symbolic", "concrete", "probe", "exact"];
+        let names = registry::repartition_names();
+        crate::tests::assert_family_verifies("layoutcheck", &passes, &names);
     }
 
     #[test]

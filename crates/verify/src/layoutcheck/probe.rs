@@ -18,11 +18,11 @@
 //! a stage's output read through the wrong map — its input map, or the
 //! x-pencil with swapped strides — must show misrouted sentinels.
 
-use crate::concrete::shape_tag;
-use crate::registry;
+use super::concrete::shape_tag;
+use super::registry;
+use crate::report::Report;
 use vlasov6d_fft::layout::{LayoutMap, RankGrid, Repartition};
 use vlasov6d_fft::{Complex64, Pencil2D};
-use vlasov6d_kerncheck::report::Report;
 use vlasov6d_mpisim::{CommPlan, PlanError, Universe};
 
 const PASS: &str = "probe";
@@ -71,23 +71,6 @@ fn misread(dims: [usize; 3], grid: RankGrid, rep: &Repartition, map: &LayoutMap)
     per_rank.iter().sum()
 }
 
-fn report_probe(report: &mut Report, name: String, total_mismatches: usize, elems: usize) {
-    if total_mismatches == 0 {
-        report.verified(
-            PASS,
-            name,
-            format!("all {elems} sentinels arrived in the slot the layout map predicts"),
-        );
-    } else {
-        report.violated(
-            PASS,
-            name,
-            "sentinel probe found misrouted elements in the live exchange",
-            Some(format!("{total_mismatches} of {elems} slots wrong")),
-        );
-    }
-}
-
 pub fn run(report: &mut Report) {
     pencil_probes(report);
     tag_collision_control(report);
@@ -117,23 +100,20 @@ fn pencil_probes(report: &mut Report) {
         let elems: usize = dims.iter().product();
         for (i, rep) in stages.iter().enumerate() {
             let bad: usize = results.iter().map(|r| r.0[i]).sum();
-            report_probe(report, format!("{}.probe.{tag}", rep.name), bad, elems);
-        }
-        let name = format!("fft.pencil.roundtrip.{tag}");
-        if results.iter().all(|r| r.1) {
-            report.verified(
+            report.check(
                 PASS,
-                name,
-                "forward∘inverse over 4 live repartition stages is the identity, bitwise",
-            );
-        } else {
-            report.violated(
-                PASS,
-                name,
-                "live repartition round-trip failed to reproduce the input bitwise",
-                None,
+                format!("{}.probe.{tag}", rep.name),
+                format!("all {elems} sentinels arrived in the slot the layout map predicts"),
+                (bad > 0).then(|| format!("{bad} of {elems} slots misrouted")),
             );
         }
+        let lost = results.iter().filter(|r| !r.1).count();
+        report.check(
+            PASS,
+            format!("fft.pencil.roundtrip.{tag}"),
+            "forward∘inverse over 4 live repartition stages is the identity, bitwise",
+            (lost > 0).then(|| format!("{lost} rank(s) got a different block back")),
+        );
     }
 }
 

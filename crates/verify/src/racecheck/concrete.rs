@@ -9,16 +9,15 @@
 //! thin axes and ragged chunk tails — that drift between model and kernel
 //! cannot hide.
 
-use kerncheck::claims::ClaimMap;
-use kerncheck::report::Report;
+use crate::claims::ClaimMap;
+use crate::report::Report;
 use vlasov6d_advection::line::Scheme;
-use vlasov6d_kerncheck as kerncheck;
 use vlasov6d_phase_space::plan;
 use vlasov6d_phase_space::probe::{ghosted_out_cells, GhostedRegion};
 use vlasov6d_phase_space::Exec;
 
-use crate::registry::{self, Shape, DIST_REGIONS};
-use crate::symbolic::RegionModel;
+use super::registry::{self, Shape, DIST_REGIONS};
+use super::symbolic::RegionModel;
 
 const PASS: &str = "concrete";
 
@@ -89,62 +88,48 @@ fn check_regions_at<D: FnMut(usize) -> Vec<usize>>(
     n_tasks: usize,
     total: usize,
 ) {
+    let witness = regions_witness(regions, dims, n_tasks, total);
+    for (name, _, _) in regions.iter() {
+        report.check(
+            PASS,
+            format!("{name}.dims{dims:?}"),
+            format!("{n_tasks} task plans == symbolic sets; exact cover of {total} elements"),
+            witness.clone(),
+        );
+    }
+}
+
+/// The first way the plans `regions` declare at `dims` differ from their
+/// symbolic models or fail to partition `0..total` exactly, or `None`.
+fn regions_witness<D: FnMut(usize) -> Vec<usize>>(
+    regions: &mut [(&str, &RegionModel, D)],
+    dims: &[usize],
+    n_tasks: usize,
+    total: usize,
+) -> Option<String> {
     let mut claims = ClaimMap::new(total);
     for (r, (name, model, declared)) in regions.iter_mut().enumerate() {
-        let prop = format!("{name}.dims{dims:?}");
         if model.task_count(dims) != n_tasks {
-            report.violated(
-                PASS,
-                prop,
-                "symbolic task count differs from the kernel's",
-                Some(format!(
-                    "model: {}, kernel: {n_tasks}",
-                    model.task_count(dims)
-                )),
-            );
-            return;
+            let tasks = model.task_count(dims);
+            return Some(format!(
+                "{name}: model has {tasks} tasks, the kernel {n_tasks}"
+            ));
         }
         for task in 0..n_tasks {
             let mut planned = declared(task);
             planned.sort_unstable();
-            let symbolic = model.indices(dims, task);
-            if planned != symbolic {
-                report.violated(
-                    PASS,
-                    prop,
-                    "symbolic write set differs from the kernel's plan",
-                    Some(format!("task {task}")),
-                );
-                return;
+            if planned != model.indices(dims, task) {
+                return Some(format!(
+                    "{name}: task {task}'s plan differs from its symbolic set"
+                ));
             }
             if let Err(conflict) = claims.claim_all(r * n_tasks + task, planned) {
-                report.violated(
-                    PASS,
-                    prop,
-                    "declared plans overlap",
-                    Some(conflict.to_string()),
-                );
-                return;
+                return Some(format!("{name}: declared plans overlap: {conflict}"));
             }
         }
     }
-    let cover = claims.exact_cover();
-    for (name, _, _) in regions.iter() {
-        let prop = format!("{name}.dims{dims:?}");
-        match cover {
-            Err(idx) => report.violated(
-                PASS,
-                prop,
-                "declared plans do not cover the array",
-                Some(format!("index {idx} unclaimed")),
-            ),
-            Ok(()) => report.verified(
-                PASS,
-                prop,
-                format!("{n_tasks} task plans == symbolic sets; exact cover of {total} elements"),
-            ),
-        }
-    }
+    let gap = claims.exact_cover().err();
+    gap.map(|idx| format!("declared plans leave index {idx} unclaimed"))
 }
 
 /// Sample shapes per task shape, including thin axes. The `gather` shapes
@@ -382,30 +367,23 @@ pub fn run(report: &mut Report) {
     for (len, grain) in [(10usize, 4usize), (7, 8), (1, 4), (13, 5), (4096, 1000)] {
         let chunks: Vec<_> = rayon::pool::chunk_ranges(len, grain).collect();
         let mut claims = ClaimMap::new(len);
-        let mut conflict = None;
-        for (task, r) in chunks.iter().enumerate() {
-            if let Err(c) = claims.claim_all(task, r.clone()) {
-                conflict = Some(c);
-                break;
-            }
-        }
-        let prop = format!("pool.chunk_claims.ragged.len{len}.grain{grain}");
-        match (conflict, claims.exact_cover()) {
-            (None, Ok(())) => report.verified(
-                PASS,
-                prop,
-                format!("{} ragged chunks partition 0..{len} exactly", chunks.len()),
-            ),
-            (Some(c), _) => {
-                report.violated(PASS, prop, "chunk ranges overlap", Some(c.to_string()))
-            }
-            (None, Err(idx)) => report.violated(
-                PASS,
-                prop,
-                "chunk ranges leave a gap",
-                Some(format!("index {idx} unclaimed")),
-            ),
-        }
+        let overlap = chunks
+            .iter()
+            .enumerate()
+            .try_for_each(|(task, r)| claims.claim_all(task, r.clone()));
+        let witness = match overlap {
+            Err(c) => Some(c.to_string()),
+            Ok(()) => claims
+                .exact_cover()
+                .err()
+                .map(|i| format!("index {i} unclaimed")),
+        };
+        report.check(
+            PASS,
+            format!("pool.chunk_claims.ragged.len{len}.grain{grain}"),
+            format!("{} ragged chunks partition 0..{len} exactly", chunks.len()),
+            witness,
+        );
     }
 
     // Negative controls: the claim machinery must reject a deliberately

@@ -13,7 +13,7 @@
 //!    divisibility constraints, by the digit-injectivity argument.
 //! 2. **Concrete** ([`concrete`]) — the models are instantiated at sample
 //!    shapes (thin axes, ragged chunk tails included) and checked, element
-//!    by element through a [`kerncheck::claims::ClaimMap`], to coincide
+//!    by element through a [`crate::claims::ClaimMap`], to coincide
 //!    with the plans the kernels actually execute and to partition the
 //!    array exactly.
 //! 3. **Probe** ([`probe`]) — each sweep task is replayed *alone* on the
@@ -24,8 +24,7 @@
 //! Every layer carries live negative controls — deliberately racy
 //! partitions and escaping tasks that the analysis *must* reject — so a
 //! regression in the verifier itself is as loud as a regression in the
-//! kernels. `cargo xtask verify-races` renders the combined report and
-//! gates CI; `cargo xtask lint` cross-checks the registry against every
+//! kernels. `cargo xtask verify` renders the combined report and gates CI; `cargo xtask lint` cross-checks the registry against every
 //! `unsafe impl Send`/`Sync` SAFETY comment in the workspace.
 
 pub mod concrete;
@@ -33,8 +32,7 @@ pub mod probe;
 pub mod registry;
 pub mod symbolic;
 
-use kerncheck::report::Report;
-use vlasov6d_kerncheck as kerncheck;
+use crate::report::Report;
 
 use symbolic::{prove_write_disjoint, AxisFootprint, Extent, ProofError, RegionModel};
 
@@ -44,15 +42,14 @@ const PASS: &str = "symbolic";
 /// grid shapes, plus negative controls on the prover itself.
 pub fn symbolic_pass(report: &mut Report) {
     for region in registry::regions() {
-        match prove_write_disjoint(&region.model) {
-            Ok(narrative) => report.verified(PASS, region.name.to_string(), narrative),
-            Err(e) => report.violated(
-                PASS,
-                region.name.to_string(),
-                "write-disjointness proof failed",
+        let (detail, witness) = match prove_write_disjoint(&region.model) {
+            Ok(narrative) => (narrative, None),
+            Err(e) => (
+                "write-disjointness proof failed".into(),
                 Some(e.to_string()),
             ),
-        }
+        };
+        report.check(PASS, region.name, detail, witness);
     }
 
     // Control: a pencil model that forgets to map one task digit — two
@@ -160,22 +157,11 @@ pub fn symbolic_pass(report: &mut Report) {
     );
 }
 
-/// What [`run_all`] must produce: 294 verified properties and 8 refuted
-/// negative controls (the periodic sweep's probe replays each of its eleven
-/// regions on a 2-cell axis too). A change that adds or drops a region,
-/// property or control moves this pin.
-pub const PINNED: kerncheck::Counts = kerncheck::Counts {
-    verified: 294,
-    controls: 8,
-};
-
-/// Run all three layers and collect the combined report.
-pub fn run_all() -> Report {
-    let mut report = Report::new();
-    symbolic_pass(&mut report);
-    concrete::run(&mut report);
-    probe::run(&mut report);
-    report
+/// Run all three layers.
+pub fn run(report: &mut Report) {
+    symbolic_pass(report);
+    concrete::run(report);
+    probe::run(report);
 }
 
 #[cfg(test)]
@@ -184,26 +170,8 @@ mod tests {
 
     #[test]
     fn all_passes_verify_on_the_shipped_regions() {
-        let report = run_all();
-        assert!(report.ok(), "{}", report.render_text("racecheck"));
-        for pass in ["symbolic", "concrete", "probe"] {
-            assert!(
-                report.properties.iter().any(|p| p.pass == pass),
-                "pass {pass} produced no properties"
-            );
-        }
-        // Exact counts, so a silently dropped property or control fails.
-        assert_eq!(report.counts(), PINNED);
-        // Every registered region shows up in the symbolic findings.
-        for name in registry::region_names() {
-            assert!(
-                report
-                    .properties
-                    .iter()
-                    .any(|p| p.pass == "symbolic" && p.name == name),
-                "region {name} missing from the symbolic pass"
-            );
-        }
+        let passes = ["symbolic", "concrete", "probe"];
+        crate::tests::assert_family_verifies("racecheck", &passes, &registry::region_names());
     }
 
     #[test]

@@ -21,11 +21,10 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use kerncheck::claims::ClaimMap;
-use kerncheck::report::Report;
+use crate::claims::ClaimMap;
+use crate::report::Report;
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_fft::{Complex64, Fft3, RealFft3};
-use vlasov6d_kerncheck as kerncheck;
 use vlasov6d_mesh::Field3;
 use vlasov6d_phase_space::exchange::GHOST_WIDTH;
 use vlasov6d_phase_space::plan;
@@ -33,8 +32,8 @@ use vlasov6d_phase_space::probe::{self as ps_probe, GhostedRegion};
 use vlasov6d_phase_space::sweep::{sweep_spatial, sweep_velocity};
 use vlasov6d_phase_space::{Exec, PhaseSpace, VelocityGrid};
 
-use crate::concrete::declared_ghosted_indices;
-use crate::registry::{Shape, DIST_REGIONS};
+use super::concrete::declared_ghosted_indices;
+use super::registry::{Shape, DIST_REGIONS};
 
 const PASS: &str = "probe";
 
@@ -58,11 +57,11 @@ fn filled_ps(sdims: [usize; 3], nv: [usize; 3], salt: u64) -> PhaseSpace {
 }
 
 /// Splice per-task replays over the declared partition and compare against
-/// full parallel runs. `run_task(initial_copy, task)` replays one task;
-/// `run_full(state)` runs the whole region on the live pool. `covers`: the
-/// declared plans must tile the whole array (false for a region that updates
-/// part of it — what it leaves alone must then come through unchanged).
-#[allow(clippy::too_many_arguments)]
+/// full parallel runs, as property `name`. `run_task(initial_copy, task)`
+/// replays one task; `run_full(state)` runs the whole region on the live
+/// pool. `covers`: the declared plans must tile the whole array (false for a
+/// region that updates part of it — what it leaves alone must then come
+/// through unchanged).
 fn probe_region(
     report: &mut Report,
     name: &str,
@@ -73,6 +72,27 @@ fn probe_region(
     run_task: impl Fn(&mut [f32], usize),
     run_full: impl Fn(&mut [f32]),
 ) {
+    report.check(
+        PASS,
+        name,
+        format!(
+            "{n_tasks} isolated task replays contained in plan, disjoint, and splice to the \
+             parallel result bitwise (1/2/4 threads + permuted schedule)"
+        ),
+        probe_witness(initial, n_tasks, covers, declared, run_task, run_full),
+    );
+}
+
+/// [`probe_region`]'s check: the first replay that escapes its plan,
+/// overlaps another or fails to splice to the parallel run, or `None`.
+fn probe_witness(
+    initial: &[f32],
+    n_tasks: usize,
+    covers: bool,
+    declared: impl Fn(usize) -> Vec<usize>,
+    run_task: impl Fn(&mut [f32], usize),
+    run_full: impl Fn(&mut [f32]),
+) -> Option<String> {
     let mut claims = ClaimMap::new(initial.len());
     let mut merged = initial.to_vec();
     for task in 0..n_tasks {
@@ -84,82 +104,42 @@ fn probe_region(
         for &i in &declared_set {
             in_plan[i] = true;
         }
-        for i in 0..initial.len() {
-            if copy[i].to_bits() != initial[i].to_bits() && !in_plan[i] {
-                report.violated(
-                    PASS,
-                    name.to_string(),
-                    "task wrote outside its declared plan",
-                    Some(format!("task {task} changed index {i}")),
-                );
-                return;
-            }
+        let changed = |i: usize| copy[i].to_bits() != initial[i].to_bits();
+        if let Some(i) = (0..initial.len()).find(|&i| changed(i) && !in_plan[i]) {
+            return Some(format!(
+                "task {task} wrote index {i}, outside its declared plan"
+            ));
         }
         // Observed disjointness over the declared partition.
         if let Err(c) = claims.claim_all(task, declared_set.iter().copied()) {
-            report.violated(
-                PASS,
-                name.to_string(),
-                "declared plans overlap",
-                Some(c.to_string()),
-            );
-            return;
+            return Some(format!("declared plans overlap: {c}"));
         }
         for &i in &declared_set {
             merged[i] = copy[i];
         }
     }
     if let (true, Err(idx)) = (covers, claims.exact_cover()) {
-        report.violated(
-            PASS,
-            name.to_string(),
-            "declared plans do not cover the array",
-            Some(format!("index {idx} unclaimed")),
-        );
-        return;
+        return Some(format!("declared plans leave index {idx} unclaimed"));
     }
     // Composition: isolated replays spliced together == the parallel run,
     // at several worker counts and under a permuted schedule.
+    let differs = |full: &[f32]| {
+        full.iter()
+            .zip(&merged)
+            .any(|(a, b)| a.to_bits() != b.to_bits())
+    };
     for threads in [1usize, 2, 4] {
         let mut full = initial.to_vec();
         rayon::with_num_threads(threads, || run_full(&mut full));
-        if full
-            .iter()
-            .zip(&merged)
-            .any(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            report.violated(
-                PASS,
-                name.to_string(),
-                "parallel run differs bitwise from spliced single-task replays",
-                Some(format!("{threads} threads")),
-            );
-            return;
+        if differs(&full) {
+            return Some(format!(
+                "the {threads}-thread run differs from the spliced replays"
+            ));
         }
     }
     let mut full = initial.to_vec();
     rayon::with_config(Some(4), Some(0x5eed), || run_full(&mut full));
-    if full
-        .iter()
-        .zip(&merged)
-        .any(|(a, b)| a.to_bits() != b.to_bits())
-    {
-        report.violated(
-            PASS,
-            name.to_string(),
-            "permuted-schedule run differs bitwise from spliced replays",
-            Some("4 threads, seed 0x5eed".into()),
-        );
-        return;
-    }
-    report.verified(
-        PASS,
-        name.to_string(),
-        format!(
-            "{n_tasks} isolated task replays contained in plan, disjoint, and splice to the \
-             parallel result bitwise (1/2/4 threads + permuted schedule)"
-        ),
-    );
+    differs(&full).then(|| "the permuted-schedule run (4 threads, seed 0x5eed) differs".into())
 }
 
 /// The velocity grids of the sweep fixtures, in [`Shape::ALL`] order: ragged
@@ -309,10 +289,7 @@ fn control_interior_escape(report: &mut Report) {
     let fx = DistFixture::new(0, [8; 3]);
     let dims = fx.ps0.dims6();
     let exec = Exec::Simd.resolve(fx.scheme, &dims, 0);
-    let mut sub = Report::new();
-    probe_region(
-        &mut sub,
-        "control.dist.interior.escape",
+    let witness = probe_witness(
         fx.ps0.as_slice(),
         plan::spatial_task_count(&dims, 0, exec),
         false,
@@ -328,10 +305,7 @@ fn control_interior_escape(report: &mut Report) {
         },
         |state| fx.run(state, GhostedRegion::Interior, None),
     );
-    let caught = sub
-        .properties
-        .iter()
-        .any(|p| !p.ok() && p.detail.contains("outside its declared plan"));
+    let caught = witness.is_some_and(|w| w.contains("outside its declared plan"));
     report.control(
         PASS,
         "control.dist.interior.escape",
@@ -431,40 +405,22 @@ fn moments_invariance(report: &mut Report) {
     ];
     for (name, eval) in &cases {
         let reference = rayon::with_num_threads(1, eval);
-        let mut ok = true;
-        for threads in [2usize, 4] {
-            let out = rayon::with_num_threads(threads, eval);
-            if !fields_equal(&reference, &out) {
-                report.violated(
-                    PASS,
-                    name.to_string(),
-                    "moment reduction is not thread-count invariant",
-                    Some(format!("{threads} threads")),
-                );
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            let out = rayon::with_config(Some(4), Some(0xD1CE), eval);
-            if !fields_equal(&reference, &out) {
-                report.violated(
-                    PASS,
-                    name.to_string(),
-                    "moment reduction depends on the chunk schedule",
-                    Some("4 threads, seed 0xD1CE".into()),
-                );
-                ok = false;
-            }
-        }
-        if ok {
-            report.verified(
-                PASS,
-                name.to_string(),
-                "bitwise identical at 1/2/4 threads and under a permuted schedule \
-                 (reductions bridge to sequential order)",
-            );
-        }
+        let witness = [2usize, 4]
+            .into_iter()
+            .find(|&t| !fields_equal(&reference, &rayon::with_num_threads(t, eval)))
+            .map(|t| format!("{t} threads differ from 1"))
+            .or_else(|| {
+                let out = rayon::with_config(Some(4), Some(0xD1CE), eval);
+                let permuted = "the permuted schedule (4 threads, seed 0xD1CE) differs";
+                (!fields_equal(&reference, &out)).then(|| permuted.into())
+            });
+        report.check(
+            PASS,
+            *name,
+            "bitwise identical at 1/2/4 threads and under a permuted schedule \
+             (reductions bridge to sequential order)",
+            witness,
+        );
     }
 }
 
@@ -490,20 +446,13 @@ fn fft_invariance(report: &mut Report) {
             .zip(&reference)
             .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits())
     });
-    if c2c_ok {
-        report.verified(
-            PASS,
-            "fft.c2c.axis0.columns",
-            "forward+inverse roundtrip bitwise identical at 1/2/4 threads",
-        );
-    } else {
-        report.violated(
-            PASS,
-            "fft.c2c.axis0.columns",
-            "c2c transform is not thread-count invariant",
-            None,
-        );
-    }
+    let variant = |ok: bool| (!ok).then(|| "a 2- or 4-thread roundtrip differs from 1".into());
+    report.check(
+        PASS,
+        "fft.c2c.axis0.columns",
+        "forward+inverse roundtrip bitwise identical at 1/2/4 threads",
+        variant(c2c_ok),
+    );
 
     let rfft = RealFft3::new(dims);
     let real_in: Vec<f64> = (0..n).map(|i| noise(i, 0xEA1) as f64).collect();
@@ -524,20 +473,12 @@ fn fft_invariance(report: &mut Report) {
             .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits())
             && o.iter().zip(&oref).all(|(a, b)| a.to_bits() == b.to_bits())
     });
-    if r2c_ok {
-        report.verified(
-            PASS,
-            "fft.r2c.axis0.columns",
-            "real forward+inverse roundtrip bitwise identical at 1/2/4 threads",
-        );
-    } else {
-        report.violated(
-            PASS,
-            "fft.r2c.axis0.columns",
-            "r2c transform is not thread-count invariant",
-            None,
-        );
-    }
+    report.check(
+        PASS,
+        "fft.r2c.axis0.columns",
+        "real forward+inverse roundtrip bitwise identical at 1/2/4 threads",
+        variant(r2c_ok),
+    );
 }
 
 fn pool_each_once(report: &mut Report) {
@@ -598,30 +539,19 @@ fn pool_each_once(report: &mut Report) {
 }
 
 fn report_once(report: &mut Report, name: &str, ok: bool, what: &str) {
-    if ok {
-        report.verified(
-            PASS,
-            name.to_string(),
-            format!("{what}: every index visited exactly once on the live 4-worker pool"),
-        );
-    } else {
-        report.violated(
-            PASS,
-            name.to_string(),
-            format!("{what}: an index was visited zero or multiple times"),
-            None,
-        );
-    }
+    report.check(
+        PASS,
+        name,
+        format!("{what}: every index visited exactly once on the live 4-worker pool"),
+        (!ok).then(|| "an index was visited zero or multiple times".into()),
+    );
 }
 
 /// Negative control: a task body that deliberately writes one element past
 /// its declared per-element plan. The containment check must catch it.
 fn control_probe_escape(report: &mut Report) {
     let initial = vec![0.0f32; 16];
-    let mut sub = Report::new();
-    probe_region(
-        &mut sub,
-        "control.probe.escape",
+    let witness = probe_witness(
         &initial,
         initial.len(),
         true,
@@ -636,10 +566,7 @@ fn control_probe_escape(report: &mut Report) {
             }
         },
     );
-    let caught = sub
-        .properties
-        .iter()
-        .any(|p| !p.ok() && p.detail.contains("outside its declared plan"));
+    let caught = witness.is_some_and(|w| w.contains("outside its declared plan"));
     report.control(
         PASS,
         "control.probe.escape",

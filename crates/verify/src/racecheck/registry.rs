@@ -4,10 +4,10 @@
 //! This list is the contract between three enforcement layers:
 //!
 //! * the **symbolic pass** proves each model write-disjoint for all grid
-//!   shapes ([`crate::symbolic`]);
+//!   shapes ([`super::symbolic`]);
 //! * the **concrete/probe passes** cross-check the models against the plans
-//!   and kernels the code actually runs ([`crate::concrete`],
-//!   [`crate::probe`]);
+//!   and kernels the code actually runs ([`super::concrete`],
+//!   [`super::probe`]);
 //! * the **`cargo xtask lint`** pass requires every `unsafe impl Send`/`Sync`
 //!   in the workspace to cite at least one region here by name in its SAFETY
 //!   comment (`[racecheck: name, …]`), and requires every region flagged
@@ -19,7 +19,7 @@
 //! them keeps the Fig. 1–3 index arithmetic pinned and makes them safe to
 //! parallelise later without re-deriving anything.
 
-use crate::symbolic::{AxisFootprint, Divisibility, Extent, RegionModel};
+use super::symbolic::{AxisFootprint, Divisibility, Extent, RegionModel};
 use vlasov6d_advection::simd::LANES;
 use vlasov6d_phase_space::exchange::GHOST_WIDTH;
 use vlasov6d_phase_space::probe::GhostedRegion;
@@ -35,7 +35,7 @@ pub struct Region {
     /// True when an `unsafe impl Send`/`Sync` somewhere in the workspace
     /// justifies itself by citing this region.
     pub backs_unsafe_impl: bool,
-    /// Symbolic footprint model, proved by [`crate::symbolic`].
+    /// Symbolic footprint model, proved by [`super::symbolic`].
     pub model: RegionModel,
 }
 
@@ -574,7 +574,7 @@ mod tests {
     #[test]
     fn every_model_proves_write_disjoint() {
         for r in regions() {
-            crate::symbolic::prove_write_disjoint(&r.model)
+            crate::racecheck::symbolic::prove_write_disjoint(&r.model)
                 .unwrap_or_else(|e| panic!("{}: {e}", r.name));
         }
     }

@@ -67,8 +67,8 @@ impl fmt::Display for Property {
 }
 
 /// How many properties a full verifier run verifies and how many negative
-/// controls it refutes. Each verifier crate pins its own as `PINNED`, which
-/// its `all_passes_verify…` test and `cargo xtask verify-*` both compare
+/// controls it refutes. Each family pins its own in [`crate::FAMILIES`], which
+/// its `all_passes_verify…` test and `cargo xtask verify` both compare
 /// against: a property or control dropped without moving the pin fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counts {
@@ -91,33 +91,23 @@ impl Report {
         Report::default()
     }
 
-    /// Record a verified claim.
-    pub fn verified(
+    /// Record one claimed property: `witness` is `None` when it held, and the
+    /// counterexample (shift, input, cell, task…) that refutes it when not.
+    pub fn check(
         &mut self,
         pass: &'static str,
         name: impl Into<String>,
         detail: impl Into<String>,
+        witness: Option<String>,
     ) {
+        let status = match witness {
+            None => Status::Verified,
+            w => Status::Violated { counterexample: w },
+        };
         self.properties.push(Property {
             pass,
             name: name.into(),
-            status: Status::Verified,
-            detail: detail.into(),
-        });
-    }
-
-    /// Record a violated claim with an optional witness.
-    pub fn violated(
-        &mut self,
-        pass: &'static str,
-        name: impl Into<String>,
-        detail: impl Into<String>,
-        counterexample: Option<String>,
-    ) {
-        self.properties.push(Property {
-            pass,
-            name: name.into(),
-            status: Status::Violated { counterexample },
+            status,
             detail: detail.into(),
         });
     }
@@ -132,31 +122,25 @@ impl Report {
         refuted: bool,
         counterexample: Option<String>,
     ) {
-        let name = name.into();
         if refuted {
             self.properties.push(Property {
                 pass,
-                name,
+                name: name.into(),
                 status: Status::RefutedAsExpected { counterexample },
                 detail: detail.into(),
             });
         } else {
-            self.violated(
+            self.check(
                 pass,
                 name,
-                format!(
+                detail,
+                Some(
                     "negative control unexpectedly passed — the analysis no longer detects \
-                     this defect class ({})",
-                    detail.into()
+                     this defect class"
+                        .into(),
                 ),
-                None,
             );
         }
-    }
-
-    /// Merge another report's findings into this one.
-    pub fn extend(&mut self, other: Report) {
-        self.properties.extend(other.properties);
     }
 
     /// Did every claimed property hold (and every control refute)?
@@ -239,7 +223,7 @@ mod tests {
     #[test]
     fn miri_smoke_report_accounting_and_json() {
         let mut r = Report::new();
-        r.verified("weights", "sl5.partition", "Σw ≡ s");
+        r.check("weights", "sl5.partition", "Σw ≡ s", None);
         r.control(
             "weights",
             "sl5.moment.j5",
@@ -250,7 +234,7 @@ mod tests {
         assert!(r.ok());
         assert_eq!(r.violations(), 0);
 
-        r.violated(
+        r.check(
             "interval",
             "sl5.positivity",
             "counterexample",

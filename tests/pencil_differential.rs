@@ -6,7 +6,7 @@
 //! (paper §5.1.3).
 //!
 //! The layout-bijectivity of every repartition behind these transforms is
-//! proven separately by `cargo xtask verify-layouts`; this suite checks the
+//! proven separately by `cargo xtask verify` (layoutcheck); this suite checks the
 //! *numerics* riding on those layouts.
 
 use vlasov6d_fft::{layout, Complex64, Fft3, Pencil2D};

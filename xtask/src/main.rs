@@ -16,7 +16,7 @@
 //!     fork of a kernel constant.
 //!   * **unsafe-send-registry** — every `unsafe impl Send`/`Sync` must
 //!     cite, in a `[racecheck: region, …]` tag in its SAFETY comment, the
-//!     `vlasov6d-racecheck` regions that discharge it ([`TagRegistry`]).
+//!     racecheck regions that discharge it ([`TagRegistry`]).
 //!     Every cited name must be registered (stale tags fail), and — the
 //!     reverse direction — every region flagged as backing such an impl
 //!     must be cited, so the registry cannot rot either.
@@ -28,7 +28,7 @@
 //!   body sees the grid only as `mpisim::SplitPhase` (`isend`, `irecv`,
 //!   `neighbor`), so a blocking call there does not compile. The pencil
 //!   transpose needs no lint either: it has no index arithmetic of its own,
-//!   only the `fft::layout` maps `verify-layouts` proves. Three
+//!   only the `fft::layout` maps layoutcheck proves. Three
 //!   invariants are clippy's (CI runs `cargo clippy --workspace
 //!   --all-targets -- -D warnings`; settings in `clippy.toml`): a SAFETY
 //!   comment on every `unsafe` block and impl and a `# Safety` section on
@@ -38,14 +38,14 @@
 //!   / `File::create` outside the writer homes, which allow
 //!   `clippy::disallowed_methods` module-wide with a reason.
 //!
-//! * `verify-kernels`, `verify-races`, `verify-layouts` — run every pass of
-//!   `vlasov6d-kerncheck` (kernel weights, positivity, footprints, SIMD
-//!   equivalence, op counts), `vlasov6d-racecheck` (write-disjointness of
-//!   every registered parallel region) or `vlasov6d-layoutcheck`
-//!   (bijectivity and conservation of every registered repartition). Fail
-//!   on any violated property, or on counts other than the crate's `PINNED`
-//!   (a silently dropped property or negative control). Print the report;
-//!   `--json <path>` also writes the machine-readable one.
+//! * `verify` — run the three families of `vlasov6d-verify`: kerncheck
+//!   (kernel weights, positivity, footprints, SIMD equivalence, op counts),
+//!   racecheck (write-disjointness of every registered parallel region) and
+//!   layoutcheck (bijectivity and conservation of every registered
+//!   repartition). Fail on any violated property, or on counts other than
+//!   the family's pin in `FAMILIES` (a silently dropped property or negative
+//!   control). Print the reports; `--json <path>` also writes them, one
+//!   object per family, machine-readable.
 //!
 //! * `perf-gate` — the trace-derived performance regression gate: runs the
 //!   2-rank overlapped smoke simulation with the flight recorder on and
@@ -72,32 +72,16 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use vlasov6d_kerncheck::report::{Counts, Report};
+use vlasov6d_obs::Json;
+use vlasov6d_verify::FAMILIES;
 
-const USAGE: &str = "usage: cargo xtask <lint | verify-kernels [--json <path>] | verify-races [--json <path>] | verify-layouts [--json <path>] | perf-gate [--baseline <path>] [--write-baseline] [--trace-out <path>] [--summary-out <path>] | hashes [--check]>";
+const USAGE: &str = "usage: cargo xtask <lint | verify [--json <path>] | perf-gate [--baseline <path>] [--write-baseline] [--trace-out <path>] [--summary-out <path>] | hashes [--check]>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(Path::new(".")),
-        Some("verify-kernels") => verify(
-            "kerncheck",
-            vlasov6d_kerncheck::run_all,
-            vlasov6d_kerncheck::PINNED,
-            &args[1..],
-        ),
-        Some("verify-races") => verify(
-            "racecheck",
-            vlasov6d_racecheck::run_all,
-            vlasov6d_racecheck::PINNED,
-            &args[1..],
-        ),
-        Some("verify-layouts") => verify(
-            "layoutcheck",
-            vlasov6d_layoutcheck::run_all,
-            vlasov6d_layoutcheck::PINNED,
-            &args[1..],
-        ),
+        Some("verify") => verify(&args[1..]),
         Some("perf-gate") => perf_gate::perf_gate(&args[1..]),
         Some("hashes") => hashes::hashes(&args[1..]),
         Some(other) => {
@@ -111,41 +95,41 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run the verifier `name` and fail on any violated property or on counts
-/// other than `pinned`.
-fn verify(name: &str, run: fn() -> Report, pinned: Counts, args: &[String]) -> ExitCode {
+/// Run every verifier family and fail on any violated property or on counts
+/// other than the family's pin.
+fn verify(args: &[String]) -> ExitCode {
     let json_path = match args {
         [] => None,
         [flag, path] if flag == "--json" => Some(PathBuf::from(path)),
         _ => {
-            eprintln!("bad {name} arguments {args:?}\n\n{USAGE}");
+            eprintln!("bad verify arguments {args:?}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
 
-    let report = run();
-    print!("{}", report.render_text(name));
+    let mut failures = Vec::new();
+    let mut reports = Vec::new();
+    for family in &FAMILIES {
+        let report = family.report();
+        print!("{}", report.render_text(family.name));
+        failures.extend(family.gate(&report).err());
+        reports.push((family.name, report.to_json()));
+    }
     if let Some(path) = json_path {
-        let json = report.to_json().to_string_compact();
+        let json = Json::obj(reports).to_string_compact();
         if let Err(e) = std::fs::write(&path, json + "\n") {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
         println!("report written to {}", path.display());
     }
-    let counts = report.counts();
-    if !report.ok() {
-        eprintln!("{name}: {} violation(s)", report.violations());
-        ExitCode::FAILURE
-    } else if counts != pinned {
-        eprintln!(
-            "{name}: {} verified + {} controls, but {name}'s PINNED says {} + {} — a \
-             property or negative control was dropped or added without moving the pin",
-            counts.verified, counts.controls, pinned.verified, pinned.controls
-        );
-        ExitCode::FAILURE
-    } else {
+    for failure in &failures {
+        eprintln!("{failure}");
+    }
+    if failures.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -329,7 +313,7 @@ fn test_code_lines(source: &str) -> Vec<bool> {
 const STENCIL_HOMES: &[&str] = &[
     "crates/advection/src/",
     "crates/mesh/src/stencil.rs",
-    "crates/kerncheck/src/",
+    "crates/verify/src/kerncheck/",
 ];
 
 fn is_stencil_home(rel: &Path) -> bool {
@@ -550,10 +534,10 @@ impl TagRegistry {
     const LINT: &'static str = "unsafe-send-registry";
     const TAG: &'static str = "racecheck";
     /// Where direction-2 findings point.
-    const REGISTRY_FILE: &'static str = "crates/racecheck/src/registry.rs";
+    const REGISTRY_FILE: &'static str = "crates/verify/src/racecheck/registry.rs";
 
     fn races() -> Self {
-        use vlasov6d_racecheck::registry;
+        use vlasov6d_verify::racecheck::registry;
         Self {
             registered: registry::region_names().into_iter().collect(),
             backing: registry::backing_region_names(),
@@ -847,7 +831,7 @@ mod tests {
         );
         assert_eq!(
             v.len(),
-            vlasov6d_racecheck::registry::backing_region_names().len()
+            vlasov6d_verify::racecheck::registry::backing_region_names().len()
         );
     }
 
@@ -867,7 +851,7 @@ mod tests {
         assert!(is_stencil_home(Path::new("crates/advection/src/flux.rs")));
         assert!(is_stencil_home(Path::new("crates/mesh/src/stencil.rs")));
         assert!(is_stencil_home(Path::new(
-            "crates/kerncheck/src/weights.rs"
+            "crates/verify/src/kerncheck/weights.rs"
         )));
         assert!(!is_stencil_home(Path::new("crates/mesh/src/field.rs")));
         assert!(!is_stencil_home(Path::new("crates/poisson/src/lib.rs")));
