@@ -3,8 +3,9 @@
 //!
 //! The build environment has no access to crates.io, so this in-tree crate
 //! stands in for rayon — but unlike the original sequential shim it now runs
-//! the write-disjoint adapter shapes on a real scoped-thread pool (see
-//! [`pool`]). The design splits the rayon surface in two:
+//! the write-disjoint adapter shapes on a real thread pool: each calling
+//! thread's persistent crew of parked workers (see [`pool`]). The design
+//! splits the rayon surface in two:
 //!
 //! * **Indexed parallel heads** — [`ParIter`] over a [`Source`]: ranges,
 //!   slices, chunked slices and their `enumerate`/`zip` composites. These
@@ -534,27 +535,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     }
 }
 
-/// rayon's `join`: run both closures, potentially in parallel.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if pool::current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        (ra, rb)
-    })
-}
-
 pub mod prelude {
     pub use crate::{IntoParallelIterator, Par, ParIter, ParallelSlice, ParallelSliceMut};
 }
@@ -688,11 +668,5 @@ mod tests {
             .zip(a.par_iter())
             .for_each(|(o, &x)| *o = x);
         assert_eq!(b, vec![1.0; 5]);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
     }
 }
