@@ -30,12 +30,16 @@
 //!
 //! [`flux_update`] — every scheme's interface fluxes and the flux-form update
 //! — is written once, over a [`Value`]. The line kernels instantiate it at
-//! `f64` (`f64::min`/`max`, the branchy [`minmod`], `f64::clamp`, the result
-//! narrowed to `f32`), the lane kernels at [`f32x8`](crate::f32x8) and
-//! [`f32x16`](crate::simd::f32x16) (compare-select `min`/`max`, a
-//! branchless `minmod`, constants rounded to `f32`), and `vlasov6d-verify`'s kerncheck
+//! `f64` (`f64::min`/`max`, the branchy [`minmod`] nested into `minmod4`,
+//! `f64::clamp`, the result narrowed to `f32`), the lane kernels at
+//! [`f32x8`](crate::f32x8) and [`f32x16`](crate::simd::f32x16)
+//! (compare-select `min`/`max`; `minmod` and a fused `minmod4` as
+//! compare-selects that return the sign-product form's bits on every finite
+//! input; constants rounded to `f32`), and `vlasov6d-verify`'s kerncheck
 //! at its interval, taint, operation-count and expression-tree domains — so its proofs are about this code, not a
-//! copy of it. SL-MPP5's curvatures and `minmod4` stacks are each evaluated
+//! copy of it. Those domains keep the nested `minmod4`; kerncheck's
+//! `limiter.*` properties hold the lane forms to it, bit for bit. SL-MPP5's
+//! curvatures and `minmod4` stacks are each evaluated
 //! once and carried to the next interface; [`slmpp5_flux`] rebuilds one
 //! interface from its own five cells through [`mp5_bracket`], the reference
 //! the carried loop must equal (kerncheck shows both build the same
@@ -153,7 +157,24 @@ pub trait Value: Clone {
     /// The larger of the two.
     fn max(&self, o: &Self) -> Self;
     /// `0` where the signs differ, else the argument of smaller magnitude.
+    ///
+    /// The lane types compute it with compare-selects, `f64` by a sign test;
+    /// both return the bits of the sign-product form
+    /// `(sgn a + sgn b) · ½ · min(|a|, |b|)`, signed zeros included, on every
+    /// finite pair. The lane form parts from it on infinities and NaN: the
+    /// sign product reads a NaN as a zero sign, so `minmod(1, NaN)` is `0.5`
+    /// there and `1` in the lane form (whose `min`/`max` return `self` for a
+    /// NaN argument), and `minmod(+∞, −∞)` is NaN there and `+0` here. A NaN
+    /// cell still reaches every flux whose stencil holds it, through the
+    /// flux's linear part.
     fn minmod(&self, o: &Self) -> Self;
+    /// `minmod(minmod(self, b), minmod(c, d))`, the `minmod4` stack. The
+    /// lane types fuse it into one compare-select form of the same bits on
+    /// finite inputs; every other domain keeps this nesting.
+    #[inline(always)]
+    fn minmod4(&self, b: &Self, c: &Self, d: &Self) -> Self {
+        self.minmod(b).minmod(&c.minmod(d))
+    }
     /// `self` clamped into `[lo, hi]`, `lo ≤ hi`.
     #[inline(always)]
     fn clamp(&self, lo: &Self, hi: &Self) -> Self {
@@ -203,12 +224,6 @@ impl Value for f64 {
     }
 }
 
-/// `minmod(minmod(a, b), minmod(c, d))`.
-#[inline(always)]
-pub fn minmod4<D: Value>(a: D, b: D, c: D, d: D) -> D {
-    a.minmod(&b).minmod(&c.minmod(&d))
-}
-
 /// Median of three (as used by the MP clip): clips `v` into `[lo, hi]` with
 /// the convention that an inverted bracket collapses to its nearest bound.
 #[inline(always)]
@@ -226,12 +241,9 @@ fn curvature<D: Value>(fm: &D, f0: &D, fp: &D) -> D {
 #[inline(always)]
 fn dm4<D: Value>(d_l: &D, d_r: &D) -> D {
     let four = D::c(4.0);
-    minmod4(
-        four.mul(d_l).sub(d_r),
-        four.mul(d_r).sub(d_l),
-        d_l.clone(),
-        d_r.clone(),
-    )
+    four.mul(d_l)
+        .sub(d_r)
+        .minmod4(&four.mul(d_r).sub(d_l), d_l, d_r)
 }
 
 /// The Suresh–Huynh bracket `[lo, hi]` at the interface downwind of `g[2]`,
@@ -482,6 +494,7 @@ mod tests {
 
     #[test]
     fn minmod4_zero_if_signs_disagree() {
+        let minmod4 = |a: f64, b, c, d| a.minmod4(&b, &c, &d);
         assert_eq!(minmod4(1.0, -1.0, 1.0, 1.0), 0.0);
         assert_eq!(minmod4(2.0, 3.0, 4.0, 5.0), 2.0);
         assert_eq!(minmod4(-2.0, -3.0, -4.0, -5.0), -2.0);

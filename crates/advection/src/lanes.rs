@@ -466,23 +466,41 @@ mod tests {
         }
     }
 
-    /// A NaN is visible, not clamped away: after one update it occupies
-    /// exactly the cells whose stencils held it (two upwind, three downwind
-    /// of its own) in its own lane, and no other — `min`/`max` propagate a NaN
-    /// in `self`, and every `minmod` / clamp on the way to a flux has the
-    /// stencil's data there.
+    /// A NaN is visible, not clamped away: after one update a NaN planted in
+    /// any cell occupies exactly the cells whose stencils held it (two
+    /// upwind, three downwind of its own, wrapping) in its own lane, and no
+    /// other, at both widths. Every flux whose stencil holds the NaN is NaN
+    /// through its linear part `Σ w_k f_k`, whatever the limiter does with
+    /// it (`Value::minmod`'s compare-select form can drop a NaN argument),
+    /// and `min`/`max` propagate a NaN in `self` through the clip and clamp.
     #[test]
     fn planted_nan_reaches_its_whole_stencil_and_no_further() {
-        let mut work = LanesWork::new();
+        planted_nan_reach::<f32x8>();
+        planted_nan_reach::<f32x16>();
+    }
+
+    fn planted_nan_reach<V: Lanes>() {
+        let mut work = LanesWork::<V>::new();
+        let n = 40;
         for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
-            for (cfl, reach) in [(0.37, 18..=23), (-0.37, 17..=22)] {
-                let mut bundle = pack(&make_lines(40, 13));
-                bundle[20].0[5] = f32::NAN;
-                advect_lanes(scheme, &mut bundle, cfl, Boundary::Periodic, &mut work);
-                for (i, v) in bundle.iter().enumerate() {
-                    for (l, x) in v.0.iter().enumerate() {
-                        let expect = l == 5 && reach.contains(&i);
-                        assert_eq!(x.is_nan(), expect, "{scheme:?} cfl={cfl} cell {i} lane {l}");
+            // How many cells below and above the planted one (mod n) it reaches.
+            for (cfl, below, above) in [(0.37, 2, 3), (-0.37, 3, 2)] {
+                for k in 0..n {
+                    let lane = (3 * k) % V::WIDTH;
+                    let mut bundle = pack_as::<V>(&make_lines(n, 13));
+                    bundle[k].lanes_mut()[lane] = f32::NAN;
+                    advect_lanes(scheme, &mut bundle, cfl, Boundary::Periodic, &mut work);
+                    for (i, v) in bundle.iter().enumerate() {
+                        let d = (i + n - k) % n;
+                        let reached = d <= above || d >= n - below;
+                        for (l, x) in v.lanes().iter().enumerate() {
+                            assert_eq!(
+                                x.is_nan(),
+                                l == lane && reached,
+                                "x{} {scheme:?} cfl={cfl} NaN at {k}: cell {i} lane {l}",
+                                V::WIDTH
+                            );
+                        }
                     }
                 }
             }
@@ -545,7 +563,9 @@ mod tests {
     }
 
     /// `f32` with `f32x8`'s lane semantics: compare-select `min`/`max` in
-    /// `minps` operand order and the branchless `minmod`.
+    /// `minps` operand order, and the sign-product `minmod`, whose bits the
+    /// lanes' compare-select `minmod` and `minmod4` return on finite inputs
+    /// (kerncheck's `limiter.*` properties).
     impl Value for f32 {
         type Out = f32;
         fn c(x: f64) -> f32 {

@@ -19,19 +19,24 @@
 //! shuffles, 779 stack accesses. The body ([`crate::flux::flux_update`])
 //! reads its stencil at `std::hint::black_box(j)`; a loop with opaque
 //! addresses is no candidate, and the back end sees one `f32x8` operation
-//! per source operation (126 instructions per interface; EXPERIMENTS.md,
-//! Table 1b). The update loop reads at the same opaque index: left
-//! transparent, LLVM re-vectorised it across positions in the `f32x16`
-//! instantiation (96 `vgatherqps` per call). [`f32x8::min`] and `max` are a
+//! per source operation (126 instructions per interface, 97 since the
+//! limiter is compare-selects; EXPERIMENTS.md, Table 1b). The update loop
+//! reads at the same opaque index: left transparent, LLVM re-vectorised it
+//! across positions in the `f32x16` instantiation (96 `vgatherqps` per
+//! call). [`f32x8::min`] and `max` are a
 //! compare-select in `minps` operand order: one instruction where `f32::min`
 //! is three, for a NaN rule the kernels do not want. A lane type is the
 //! body's [`Value`] at its width — `c` splats a constant rounded once to
-//! `f32`, `minmod` is branchless — so the two widths are two impls of the
-//! same trait, not two bodies.
+//! `f32`; `minmod` and `minmod4` are `min`/`max` compare-selects with one
+//! select for the sign of a zero, the sign-product form's bits on every
+//! finite input (kerncheck proves it) — so the two widths are two impls of
+//! the same trait, not two bodies.
 //! To check: `objdump -d` of the `benchmark/` binary shows
 //! `lanes::flux_update_avx2` (the body's `f32x8` instantiation, inlined into
 //! its AVX2 entry) with no `vshuf*`/`vunpck*`/`vperm*`/`vinsertf128`/`vfmadd*`
-//! and ≤ 160 instructions in its flux loop.
+//! and ≤ 97 instructions in its SL-MPP5 flux loop (126 with the sign-product
+//! `minmod`), and the `f32x16` instantiation of `lanes::flux_update_avx512`
+//! with ≤ 89 there (119).
 //!
 //! **Width.** Compiled for baseline x86-64 an `f32x8` operation is two
 //! 4-lane SSE2 halves, an `f32x16` operation four. The two arithmetic lane
@@ -130,6 +135,19 @@ pub trait Lanes: Value<Out = Self> + Copy {
     fn lanes_mut(&mut self) -> &mut [f32];
 }
 
+/// `−0` where `neg`, else `r`. Where the limiter asks for it `r` is `+0`, so
+/// this sets its sign bit — as a select: an `or` of the shifted `bool` gave
+/// the same flux loop, but LLVM scalarised the set-up `minmod4` before it in
+/// the `f32x8` instantiation, with shuffles.
+#[inline(always)]
+fn neg_zero_if(neg: bool, r: f32) -> f32 {
+    if neg {
+        -0.0
+    } else {
+        r
+    }
+}
+
 /// Defines a lane type of `$n` lanes aligned to its size: its lane-wise
 /// operations, its [`Value`] instantiation of the flux body and its
 /// [`Lanes`] impl — one definition for every width.
@@ -179,33 +197,17 @@ macro_rules! lane_type {
             }
 
             #[inline(always)]
-            pub fn abs(self) -> Self {
-                Self(core::array::from_fn(|i| self.0[i].abs()))
-            }
-
-            #[inline(always)]
             pub fn clamp(self, lo: Self, hi: Self) -> Self {
                 self.max(lo).min(hi)
             }
 
-            /// Lane-wise sign: +1.0, -1.0 or 0.0.
+            /// `max(min(m, +0), p) + 0`: given the least (`p`) and greatest
+            /// (`m`) of [`Value::minmod`]'s or [`Value::minmod4`]'s
+            /// arguments, the one nearest zero where all share a sign, else
+            /// `+0` (`+ 0` turns a `−0` into `+0`).
             #[inline(always)]
-            pub fn signum_or_zero(self) -> Self {
-                Self(core::array::from_fn(|i| {
-                    let v = self.0[i];
-                    if v > 0.0 {
-                        1.0
-                    } else if v < 0.0 {
-                        -1.0
-                    } else {
-                        0.0
-                    }
-                }))
-            }
-
-            #[inline(always)]
-            pub fn horizontal_sum(self) -> f32 {
-                self.0.iter().sum()
+            fn limit(p: Self, m: Self) -> Self {
+                m.min(Self::ZERO).max(p) + Self::ZERO
             }
         }
 
@@ -265,13 +267,37 @@ macro_rules! lane_type {
             fn max(&self, o: &Self) -> Self {
                 $name::max(*self, *o)
             }
-            /// `(sgn a + sgn b) · ½ · min(|a|, |b|)`: the branchy rule,
-            /// branch-free.
+            /// Compare-selects: `limit` of `p = min(a, b)`, `m = max(a, b)`,
+            /// with the sign bit set where `p < 0` and `m` is a zero — the
+            /// bits of `(sgn a + sgn b) · ½ · min(|a|, |b|)` on every finite
+            /// pair. Explicit lane loops here and in `minmod4`, not per-lane
+            /// closures: at width 16 LLVM outlined such a closure and called
+            /// it inside the flux loop.
             #[inline(always)]
             fn minmod(&self, o: &Self) -> Self {
-                (self.signum_or_zero() + o.signum_or_zero())
-                    * Self::splat(0.5)
-                    * self.abs().min(o.abs())
+                let (p, m) = ($name::min(*self, *o), $name::max(*self, *o));
+                let mut r = Self::limit(p, m);
+                for i in 0..$n {
+                    r.0[i] = neg_zero_if((p.0[i] < 0.0) & (m.0[i] == 0.0), r.0[i]);
+                }
+                r
+            }
+            /// `minmod`'s form over all four arguments. The nested
+            /// sign-product stack is `−0` exactly where one pair is all
+            /// negative and the other holds a zero or both signs.
+            #[inline(always)]
+            fn minmod4(&self, b: &Self, c: &Self, d: &Self) -> Self {
+                let (p_ab, m_ab) = ($name::min(*self, *b), $name::max(*self, *b));
+                let (p_cd, m_cd) = ($name::min(*c, *d), $name::max(*c, *d));
+                let mut r = Self::limit(p_ab.min(p_cd), m_ab.max(m_cd));
+                for i in 0..$n {
+                    let (p_ab, m_ab, p_cd, m_cd) = (p_ab.0[i], m_ab.0[i], p_cd.0[i], m_cd.0[i]);
+                    let ab_zero = (p_ab <= 0.0) & (m_ab >= 0.0);
+                    let cd_zero = (p_cd <= 0.0) & (m_cd >= 0.0);
+                    let neg = ((m_ab < 0.0) & cd_zero) | ((m_cd < 0.0) & ab_zero);
+                    r.0[i] = neg_zero_if(neg, r.0[i]);
+                }
+                r
             }
             #[inline(always)]
             fn clamp(&self, lo: &Self, hi: &Self) -> Self {
@@ -597,11 +623,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn horizontal_sum() {
-        let v = f32x8([1.0; 8]);
-        assert_eq!(v.horizontal_sum(), 8.0);
     }
 }

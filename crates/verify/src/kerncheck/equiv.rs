@@ -29,6 +29,15 @@
 //! for all inputs by running both over a domain of expression trees (every
 //! interface flux must come out as the same tree, node for node), and
 //! witnessed independently at `f64` on the adversarial corpus.
+//!
+//! A fourth ties the lane types' limiter to the rule it replaced: their
+//! compare-select `minmod` and `minmod4` must return the bits of the
+//! sign-product form `(sgn a + sgn b) · ½ · min(|a|, |b|)` (nested for
+//! `minmod4`), signed zeros included, at both widths — on every pair and
+//! quadruple of a grid of signed zeros, subnormals, normals and `f32::MAX`,
+//! and on seeded random ones. The forms without their sign-bit fix are a
+//! negative control: `minmod(+0, −1)` is `−0` by the sign product and `+0`
+//! without the fix, and the check must say so.
 
 use super::model::run_body;
 use crate::report::Report;
@@ -275,6 +284,186 @@ fn check_carried(report: &mut Report) {
     );
 }
 
+/// The sign-product `minmod`, the lane types' former form (the `f64` sign
+/// test gives the same bits): the reference of their compare-select form.
+fn sign_product(a: f32, b: f32) -> f32 {
+    let sgn = |v: f32| {
+        if v > 0.0 {
+            1.0
+        } else if v < 0.0 {
+            -1.0
+        } else {
+            0.0
+        }
+    };
+    (sgn(a) + sgn(b)) * 0.5 * a.abs().min(b.abs())
+}
+
+/// A lane `minmod` / `minmod4` under test: the shipped one, or its
+/// compare-selects without the sign-bit fix (the negative control).
+#[derive(Clone, Copy)]
+enum Limiter {
+    Shipped,
+    Unfixed,
+}
+
+impl Limiter {
+    fn minmod<V: Lanes>(self, [a, b]: &[V; 2]) -> V {
+        match self {
+            Limiter::Shipped => a.minmod(b),
+            Limiter::Unfixed => unfixed(a.min(b), a.max(b)),
+        }
+    }
+
+    fn minmod4<V: Lanes>(self, [a, b, c, d]: &[V; 4]) -> V {
+        match self {
+            Limiter::Shipped => a.minmod4(b, c, d),
+            Limiter::Unfixed => unfixed(a.min(b).min(&c.min(d)), a.max(b).max(&c.max(d))),
+        }
+    }
+
+    /// The first pair, then the first quadruple, on which this limiter at
+    /// `f32x8` or `f32x16` departs from the sign-product reference in bits.
+    fn witness(self, pairs: &[[f32; 2]], quads: &[[f32; 4]]) -> Option<String> {
+        let m2 = |[a, b]: &[f32; 2]| sign_product(*a, *b);
+        let m4 = |[a, b, c, d]: &[f32; 4]| sign_product(sign_product(*a, *b), sign_product(*c, *d));
+        (lanes_witness::<f32x8, 2>(pairs, |x| self.minmod(x), m2))
+            .or_else(|| lanes_witness::<f32x16, 2>(pairs, |x| self.minmod(x), m2))
+            .or_else(|| lanes_witness::<f32x8, 4>(quads, |x| self.minmod4(x), m4))
+            .or_else(|| lanes_witness::<f32x16, 4>(quads, |x| self.minmod4(x), m4))
+    }
+}
+
+/// `max(min(m, +0), p) + 0`: the compare-select form without the sign bit
+/// it sets where the sign product gives `−0`.
+fn unfixed<V: Lanes>(p: V, m: V) -> V {
+    m.min(&V::c(0.0)).max(&p).add(&V::c(0.0))
+}
+
+/// The first case on which `form`, run at `V` with the cases packed `WIDTH`
+/// to a call (a case per lane), differs in bits from `reference`.
+fn lanes_witness<V: Lanes, const K: usize>(
+    cases: &[[f32; K]],
+    form: impl Fn(&[V; K]) -> V,
+    reference: impl Fn(&[f32; K]) -> f32,
+) -> Option<String> {
+    cases.chunks(V::WIDTH).find_map(|chunk| {
+        let args: [V; K] = core::array::from_fn(|k| {
+            let mut v = V::ZERO;
+            for (x, case) in v.lanes_mut().iter_mut().zip(chunk) {
+                *x = case[k];
+            }
+            v
+        });
+        let got = form(&args);
+        chunk.iter().zip(got.lanes()).find_map(|(case, &got)| {
+            let want = reference(case);
+            (got.to_bits() != want.to_bits()).then(|| {
+                let name = if K == 2 { "minmod" } else { "minmod4" };
+                format!(
+                    "x{} {name}{case:?} = {got:?}, sign product {want:?}",
+                    V::WIDTH
+                )
+            })
+        })
+    })
+}
+
+/// Every pair and quadruple of `grid`, then `random` seeded pairs and
+/// quadruples whose entries are grid values or random finite `f32`s.
+fn limiter_cases(grid: &[f32], random: usize) -> (Vec<[f32; 2]>, Vec<[f32; 4]>) {
+    let mut pairs: Vec<[f32; 2]> = grid
+        .iter()
+        .flat_map(|&a| grid.iter().map(move |&b| [a, b]))
+        .collect();
+    let mut quads: Vec<[f32; 4]> = pairs
+        .iter()
+        .flat_map(|&[a, b]| pairs.iter().map(move |&[c, d]| [a, b, c, d]))
+        .collect();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 32) as u32
+    };
+    let mut entry = || loop {
+        let bits = next();
+        let x = if bits & 1 == 0 {
+            grid[(bits >> 1) as usize % grid.len()]
+        } else {
+            f32::from_bits(next())
+        };
+        if x.is_finite() {
+            return x;
+        }
+    };
+    for _ in 0..random {
+        pairs.push([entry(), entry()]);
+        quads.push([entry(), entry(), entry(), entry()]);
+    }
+    (pairs, quads)
+}
+
+/// The grid of the limiter properties: ±0, ±the smallest subnormal,
+/// ±`f32::MIN_POSITIVE`, ±0.5, ±1, ±2, ±3, ±`f32::MAX` — in an order that
+/// makes `minmod(+0, −1)` the first case the unfixed form gets wrong.
+const LIMITER_GRID: [f32; 16] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    0.5,
+    -0.5,
+    2.0,
+    -2.0,
+    3.0,
+    -3.0,
+    f32::MIN_POSITIVE,
+    -f32::MIN_POSITIVE,
+    1e-45,
+    -1e-45,
+    f32::MAX,
+    -f32::MAX,
+];
+
+/// The lane `minmod` and `minmod4` are the sign-product form, bit for bit,
+/// and the forms without the sign-bit fix are caught.
+fn check_limiter(report: &mut Report, grid: &[f32], random: usize) {
+    let (pairs, quads) = limiter_cases(grid, random);
+    let (p, q) = (pairs.len() - random, quads.len() - random);
+    report.check(
+        "equivalence",
+        "limiter.minmod.sign_product_bitwise",
+        format!(
+            "f32x8 and f32x16 compare-select minmod returns the sign-product bits, signed \
+             zeros included, on all {p} pairs of a {}-value grid and {random} seeded pairs",
+            grid.len()
+        ),
+        Limiter::Shipped.witness(&pairs, &[]),
+    );
+    report.check(
+        "equivalence",
+        "limiter.minmod4.sign_product_bitwise",
+        format!(
+            "f32x8 and f32x16 compare-select minmod4 returns the nested sign-product bits \
+             on all {q} quadruples of the grid and {random} seeded quadruples"
+        ),
+        Limiter::Shipped.witness(&[], &quads),
+    );
+    let (w2, w4) = (
+        Limiter::Unfixed.witness(&pairs, &[]),
+        Limiter::Unfixed.witness(&[], &quads),
+    );
+    report.control(
+        "equivalence",
+        "limiter.unfixed_sign.caught",
+        "the compare-select minmod and minmod4 without their sign-bit fix must miss a -0",
+        w2.is_some() && w4.is_some(),
+        w2.zip(w4).map(|(w2, w4)| format!("{w2}; {w4}")),
+    );
+}
+
 /// Run the whole pass.
 pub fn run(report: &mut Report) {
     report.check(
@@ -296,6 +485,7 @@ pub fn run(report: &mut Report) {
         check_lanes::<f32x16>(report, n, &format!("lanes16.differential.short{n}"));
     }
     check_carried(report);
+    check_limiter(report, &LIMITER_GRID, 4096);
 }
 
 #[cfg(test)]
@@ -322,6 +512,25 @@ mod tests {
         // The tree domain has teeth: operand order is part of a value.
         let (a, b) = (Expr("a".into()), Expr("b".into()));
         assert!(a.add(&b) != b.add(&a));
+    }
+
+    #[test]
+    fn miri_smoke_limiter_forms_are_the_sign_product() {
+        use crate::Status;
+        let mut report = Report::new();
+        check_limiter(&mut report, &LIMITER_GRID[..4], 16);
+        assert!(report.ok(), "{}", report.render_text("kerncheck"));
+        assert_eq!(report.counts().controls, 1);
+        let Status::RefutedAsExpected {
+            counterexample: Some(w),
+        } = &report.properties[2].status
+        else {
+            panic!("{}", report.render_text("kerncheck"));
+        };
+        assert!(
+            w.starts_with("x8 minmod[0.0, -1.0] = 0.0, sign product -0.0"),
+            "{w}"
+        );
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!    to be the exact transposition permutation, and the `f32x8` lane
 //!    kernels are differential-tested against the scalar kernels over a
 //!    seeded adversarial corpus with per-element ULP budgets; the body's
-//!    carried SL-MPP5 loop is shown to build the per-stencil flux expression.
+//!    carried SL-MPP5 loop is shown to build the per-stencil flux expression;
+//!    the lane types' compare-select `minmod` and `minmod4` are held to the
+//!    sign-product form's bits on a grid of signed zeros, subnormals and
+//!    extremes and on seeded inputs.
 //! 5. **Operation counts** ([`opcount`]) — `advection::flops_per_cell` is
 //!    re-derived by running the flux body over a counting domain.
 //!

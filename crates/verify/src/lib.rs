@@ -46,8 +46,8 @@ pub const FAMILIES: [Family; 3] = [
         name: "kerncheck",
         run: kerncheck::run,
         pinned: Counts {
-            verified: 65,
-            controls: 4,
+            verified: 67,
+            controls: 5,
         },
     },
     Family {
