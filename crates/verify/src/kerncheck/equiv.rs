@@ -421,8 +421,8 @@ const LIMITER_GRID: [f32; 16] = [
     -3.0,
     f32::MIN_POSITIVE,
     -f32::MIN_POSITIVE,
-    1e-45,
-    -1e-45,
+    f32::from_bits(1),
+    -f32::from_bits(1),
     f32::MAX,
     -f32::MAX,
 ];
