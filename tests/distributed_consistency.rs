@@ -364,3 +364,82 @@ fn distributed_moments_need_no_communication() {
         "moments must be communication-free"
     );
 }
+
+/// The messages two `DistributedVlasov` steps send, pinned per rank pair:
+/// ghost planes, gradient planes, FFT transposes and the collectives, on 2
+/// and 4 slabs under both overlap policies (which send the same messages).
+/// The counts were read off the hand-sequenced exchanges, so they hold
+/// every exchange that runs its plan to the messages it used to send.
+#[test]
+fn step_traffic_is_pinned() {
+    type Pin = (
+        usize,
+        u64,
+        u64,
+        &'static [&'static [u64]],
+        &'static [&'static [u64]],
+    );
+    const PINS: [Pin; 2] = [
+        (
+            2,
+            54,
+            3_207_776,
+            &[&[0, 27], &[27, 0]],
+            &[&[0, 1_603_984], &[1_603_792, 0]],
+        ),
+        (
+            4,
+            214,
+            6_391_296,
+            &[
+                &[0, 22, 17, 22],
+                &[22, 0, 17, 12],
+                &[17, 17, 0, 17],
+                &[22, 12, 17, 0],
+            ],
+            &[
+                &[0, 796_048, 6_544, 796_048],
+                &[795_760, 0, 795_648, 6_144],
+                &[6_256, 795_648, 0, 795_648],
+                &[795_760, 6_144, 795_648, 0],
+            ],
+        ),
+    ];
+    let sglobal = [16usize, 8, 8];
+    let vg = VelocityGrid::cubic(8, 0.6);
+    for (n_ranks, messages, bytes, pair_messages, pair_bytes) in PINS {
+        for overlap in [OverlapPolicy::Synchronous, OverlapPolicy::Overlapped] {
+            let (_, traffic) = Universe::run_with_traffic(n_ranks, move |comm| {
+                let decomp = Decomp3::new(sglobal, [comm.size(), 1, 1]);
+                let mut local = PhaseSpace::zeros_block(
+                    decomp.local_dims(comm.rank()),
+                    decomp.local_offset(comm.rank()),
+                    sglobal,
+                    vg,
+                );
+                local.fill_with(fill);
+                let bg = Background::new(CosmologyParams::planck2015());
+                let mut sim =
+                    DistributedVlasov::new(comm, local, bg, 0.2, 1.0).with_overlap(overlap);
+                for _ in 0..2 {
+                    sim.step(comm);
+                }
+            });
+            let run = format!("{n_ranks} ranks, {overlap:?}");
+            assert_eq!(traffic.total_messages(), messages, "{run}");
+            assert_eq!(traffic.total_bytes(), bytes, "{run}");
+            for src in 0..n_ranks {
+                for dst in 0..n_ranks {
+                    assert_eq!(
+                        (
+                            traffic.messages_between(src, dst),
+                            traffic.bytes_between(src, dst)
+                        ),
+                        (pair_messages[src][dst], pair_bytes[src][dst]),
+                        "{run}: {src} -> {dst}"
+                    );
+                }
+            }
+        }
+    }
+}
