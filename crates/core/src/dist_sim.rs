@@ -10,7 +10,14 @@
 //! backend [`DistPoisson`]. A periodic law's source mean is one x-plane-
 //! ordered sum, the same additions at any rank count; an isolated law
 //! allgathers the density slabs and solves the whole grid on every rank.
-//! Both gather with the `Comm::allgather` collective.
+//! Both gather with the `Comm::allgather` collective, which like every
+//! collective sits outside the step's communication plans.
+//!
+//! The point-to-point exchanges — the drift's ghost planes, the Poisson
+//! solve's transposes, the gradient's φ planes — are plans the driver builds
+//! once per geometry, verifies as it builds them (Cartesian topology and
+//! volume symmetry) and runs at each step's tag base, so the plan that is
+//! checked is the plan that moves the data.
 //!
 //! The decomposition is a slab along x (matching the `P × 1` pencil grid of
 //! `vlasov6d-poisson::dist`);
@@ -29,13 +36,10 @@ use vlasov6d_ckpt::{CheckpointPolicy, CheckpointStore, CkptError, CkptStats};
 use vlasov6d_cosmology::Background;
 use vlasov6d_mesh::stencil::{self, GradientOrder};
 use vlasov6d_mesh::{Decomp3, Field3};
-use vlasov6d_mpisim::{cart_neighbor_edges, Cart3, Comm, CommPlan, PlanChecks, Traffic};
+use vlasov6d_mpisim::{cart_neighbor_edges, Cart3, Comm, CommPlan, PlanChecks, Shift, Traffic};
 use vlasov6d_obs::metrics::MetricValue;
 use vlasov6d_obs::{span, Bucket, StepEvent, StepScope, StepSpans};
-use vlasov6d_phase_space::exchange::{
-    ghost_exchange_plan, ghost_exchange_split_plan, sweep_spatial_distributed,
-    sweep_spatial_overlapped, GHOST_WIDTH,
-};
+use vlasov6d_phase_space::exchange::{ghost_exchange_plan, sweep_planned, GHOST_WIDTH};
 use vlasov6d_phase_space::{moments, Exec, PhaseSpace};
 use vlasov6d_poisson::{DistPoisson, PoissonSolver};
 
@@ -50,7 +54,8 @@ pub enum OverlapPolicy {
     #[default]
     Synchronous,
     /// Split-phase exchange hidden behind the interior sweep
-    /// ([`sweep_spatial_overlapped`]); only the boundary pencils wait.
+    /// ([`vlasov6d_phase_space::exchange::sweep_spatial_overlapped`]); only
+    /// the boundary pencils wait.
     Overlapped,
 }
 
@@ -64,6 +69,8 @@ pub struct DistributedVlasov {
     /// The force law's field solver, built on first use — after
     /// [`DistributedVlasov::with_dynamics`] has had its say.
     field: OnceCell<FieldSolver<DistPoisson>>,
+    /// The step's exchanges, built and verified on first use.
+    plans: OnceCell<StepPlans>,
     decomp: Decomp3,
     /// `−∇φ` on this rank's slab from the last solve; filled by the first
     /// step, or by a resume from the checkpoint's force meshes.
@@ -81,7 +88,6 @@ pub struct DistributedVlasov {
     /// Steps this process has taken (`step_index` also counts those before
     /// a resume): the first one's event carries the once-per-run metrics.
     run_steps: u64,
-    verify_plans: bool,
     overlap: OverlapPolicy,
     trace_capacity: Option<usize>,
 }
@@ -130,6 +136,7 @@ impl DistributedVlasov {
             a: a_init,
             omega_component,
             field: OnceCell::new(),
+            plans: OnceCell::new(),
             decomp,
             force: None,
             scheme: Scheme::SlMpp5,
@@ -140,7 +147,6 @@ impl DistributedVlasov {
             tag_counter: Cell::new(1),
             step_index: 0,
             run_steps: 0,
-            verify_plans: false,
             overlap: OverlapPolicy::default(),
             trace_capacity: None,
         }
@@ -149,6 +155,7 @@ impl DistributedVlasov {
     /// Choose how the drift hides (or doesn't) its ghost exchange.
     pub fn with_overlap(mut self, overlap: OverlapPolicy) -> Self {
         self.overlap = overlap;
+        self.plans = OnceCell::new();
         self
     }
 
@@ -174,6 +181,7 @@ impl DistributedVlasov {
     pub fn with_dynamics(mut self, dynamics: Dynamics) -> Self {
         self.dynamics = dynamics;
         self.field = OnceCell::new();
+        self.plans = OnceCell::new();
         self
     }
 
@@ -183,17 +191,6 @@ impl DistributedVlasov {
     /// lanes). [`Exec::Scalar`] selects the f64 oracle kernel there.
     pub fn with_exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Statically verify the step's communication plans (ghost sweep,
-    /// gradient plane exchange, FFT transposes) against the Cartesian
-    /// topology and volume-symmetry checks before the first step runs.
-    /// A miswired exchange then panics with the verifier's report instead
-    /// of hanging mid-run. Cheap (`O(edges)` once), intended for debug and
-    /// validation runs.
-    pub fn with_plan_verification(mut self) -> Self {
-        self.verify_plans = true;
         self
     }
 
@@ -211,37 +208,46 @@ impl DistributedVlasov {
         })
     }
 
-    /// Build and verify the declarative plans of every exchange one step
-    /// performs. Tags are representative — the checks are structural, and
-    /// the step's actual tags only shift the whole pattern.
-    fn verify_comm_plans(&self) {
+    /// Build the plans of every exchange one step runs, asserting each
+    /// valid as it is built.
+    fn build_plans(&self) -> StepPlans {
         let cart_checks = PlanChecks {
             topology: Some(cart_neighbor_edges(&self.decomp)),
             volume_symmetry: true,
         };
-        // Drift: axis-0 ghost-plane exchange of the distributed sweep, in
-        // both its blocking and split-phase (overlapped) forms — the split
-        // plan additionally proves every posted request is waited on.
-        ghost_exchange_plan(&self.decomp, self.ps.vgrid.len(), 0, GHOST_WIDTH, 100)
-            .assert_valid(&cart_checks);
-        ghost_exchange_split_plan(&self.decomp, self.ps.vgrid.len(), 0, GHOST_WIDTH, 100)
-            .assert_valid(&cart_checks);
+        // Drift: the axis-0 ghost planes, posted when the overlapped sweep
+        // hides them — the posted form proves every request it posts is
+        // waited on.
+        let mut ghost = ghost_exchange_plan(&self.decomp, self.ps.vgrid.len(), 0, GHOST_WIDTH, 0);
+        if self.overlap == OverlapPolicy::Overlapped {
+            ghost = ghost.posted();
+        }
+        ghost.assert_valid(&cart_checks);
         // Gravity, periodic: the Poisson solve's forward + inverse all-to-all
         // transposes (no Cartesian topology — every rank pair exchanges) and
-        // the two-plane potential exchange of the 4-point gradient. The
-        // source mean and the isolated solve's slab allgather are
-        // collectives, outside any plan.
-        if let FieldSolver::Periodic { solver, .. } = self.field() {
-            gradient_plan(&self.decomp, self.ps.sdims, 200).assert_valid(&cart_checks);
-            solver.solve_plan(300).assert_valid(&PlanChecks {
-                topology: None,
-                volume_symmetry: true,
-            });
-        }
+        // the two φ planes each way of the 4-point gradient.
+        let gradient = match self.field() {
+            FieldSolver::Periodic { solver, .. } => {
+                solver.solve_plan(0).assert_valid(&PlanChecks {
+                    topology: None,
+                    volume_symmetry: true,
+                });
+                let mut gradient = CommPlan::new("gravity.gradient", self.decomp.n_ranks());
+                gradient.shift(&self.decomp, 0, 0, |rank| {
+                    let ld = self.decomp.local_dims(rank);
+                    (2 * ld[1] * ld[2] * std::mem::size_of::<f64>()) as u64
+                });
+                gradient.assert_valid(&cart_checks);
+                Some(gradient)
+            }
+            FieldSolver::Isolated { .. } => None,
+        };
+        StepPlans { ghost, gradient }
     }
 
     /// Local force fields `-∂φ/∂x_d` at the Vlasov cells of this rank's slab.
     fn gravity(&self, comm: &Comm) -> [Field3; 3] {
+        let plans = self.plans.get_or_init(|| self.build_plans());
         let _s = span!("gravity", Bucket::Pm);
         let rho = {
             let _s = span!("gravity.moments");
@@ -268,7 +274,11 @@ impl DistributedVlasov {
                 // (periodic wrap is correct); axis 0 needs two ghost planes
                 // from each neighbour.
                 let _g = span!("gravity.gradient");
-                gradient_with_ghosts(comm, &self.decomp, &phi, tag + solve_tags)
+                let plan = plans
+                    .gradient
+                    .as_ref()
+                    .expect("a periodic law's gradient plan");
+                gradient_with_ghosts(comm, &self.decomp, plan, &phi, tag + solve_tags)
             }
             // Open boundaries: every rank runs the identical serial solve on
             // the identical assembled field and slices its own slab of the
@@ -323,10 +333,6 @@ impl DistributedVlasov {
                 vlasov6d_obs::trace::enable(capacity);
             }
             vlasov6d_obs::trace::begin_step(self.step_index);
-        }
-        if self.verify_plans && self.step_index == 1 {
-            let _s = span!("plan_verify", Bucket::Other);
-            self.verify_comm_plans();
         }
         let scope = StepScope::begin(self.step_index);
         let (policy, a1) = (self.policy(), self.a);
@@ -424,9 +430,8 @@ impl DistributedVlasov {
     /// not the run's configuration. The caller re-applies, exactly as on the
     /// original driver: [`Self::with_dynamics`] (default cosmological),
     /// [`Self::with_exec`] (default `Exec::Simd`), [`Self::with_overlap`]
-    /// (default synchronous), and [`Self::with_tracing`] /
-    /// [`Self::with_plan_verification`] if wanted. None of these touches the
-    /// restored force cache or counters.
+    /// (default synchronous), and [`Self::with_tracing`] if wanted. None of
+    /// these touches the restored force cache or counters.
     pub fn resume_from(
         comm: &Comm,
         store: &CheckpointStore,
@@ -513,6 +518,15 @@ impl DistributedVlasov {
     }
 }
 
+/// The point-to-point exchanges of one step, tag-relative.
+struct StepPlans {
+    /// The drift's axis-0 ghost planes, posted under
+    /// [`OverlapPolicy::Overlapped`].
+    ghost: CommPlan,
+    /// The gradient's φ planes; a periodic force law only.
+    gradient: Option<CommPlan>,
+}
+
 /// A [`DistributedVlasov`] bound to its communicator for one step — what the
 /// ranked run contributes to the shared stepper: the slab (or replicated
 /// isolated) field solve, the ghost-exchange sweep along the decomposed axis
@@ -540,14 +554,8 @@ impl strang::Driver for OnRanks<'_> {
         let sim = &mut *self.sim;
         let tag = sim.next_tags(8);
         let cart = Cart3::new(self.comm, sim.decomp);
-        match sim.overlap {
-            OverlapPolicy::Synchronous => {
-                sweep_spatial_distributed(&mut sim.ps, &cart, 0, cfl, p.scheme, tag);
-            }
-            OverlapPolicy::Overlapped => {
-                sweep_spatial_overlapped(&mut sim.ps, &cart, 0, cfl, p.scheme, tag);
-            }
-        }
+        let plans = sim.plans.get_or_init(|| sim.build_plans());
+        sweep_planned(&mut sim.ps, &cart, &plans.ghost, 0, cfl, p.scheme, tag);
         true
     }
 
@@ -609,37 +617,26 @@ fn allgather_slabs(comm: &Comm, decomp: &Decomp3, rho: &Field3) -> Field3 {
     full
 }
 
-/// Declarative plan of the [`gradient_with_ghosts`] exchange: two φ planes
-/// (`2·n1·n2` f64 values) each way along axis 0, tags `tag` and `tag + 1` —
-/// the same shift pattern as the ghost exchange, with f64 payloads.
-fn gradient_plan(decomp: &Decomp3, local_dims: [usize; 3], tag: u64) -> CommPlan {
-    let mut plan = CommPlan::new("gravity.gradient", decomp.n_ranks());
-    let bytes = (2 * local_dims[1] * local_dims[2] * std::mem::size_of::<f64>()) as u64;
-    for r in 0..decomp.n_ranks() {
-        let low = decomp.neighbor(r, 0, -1);
-        let high = decomp.neighbor(r, 0, 1);
-        plan.send(r, low, tag, bytes);
-        plan.recv(r, high, tag, bytes);
-        plan.send(r, high, tag + 1, bytes);
-        plan.recv(r, low, tag + 1, bytes);
-    }
-    plan
-}
-
-/// `-∇φ` with 4-point stencils; axis 0 crosses slab boundaries via a
-/// 2-plane exchange.
-fn gradient_with_ghosts(comm: &Comm, decomp: &Decomp3, phi: &Field3, tag: u64) -> [Field3; 3] {
+/// `-∇φ` with 4-point stencils; axis 0 crosses slab boundaries by running
+/// `plan`, the two-plane shift of φ along axis 0, at `tag`.
+fn gradient_with_ghosts(
+    comm: &Comm,
+    decomp: &Decomp3,
+    plan: &CommPlan,
+    phi: &Field3,
+    tag: u64,
+) -> [Field3; 3] {
     let [n0, n1, n2] = phi.dims();
-    let cart = Cart3::new(comm, *decomp);
-    // Exchange two φ planes each way along axis 0.
+    // Two φ planes each way along axis 0.
     let low: Vec<f64> = (0..2 * n1 * n2)
         .map(|i| phi.at(i / (n1 * n2), (i / n2) % n1, i % n2))
         .collect();
     let high: Vec<f64> = (0..2 * n1 * n2)
         .map(|i| phi.at(n0 - 2 + i / (n1 * n2), (i / n2) % n1, i % n2))
         .collect();
-    let from_high = cart.shift_exchange(0, -1, tag, low);
-    let from_low = cart.shift_exchange(0, 1, tag + 1, high);
+    let mut planes = Shift::new(low, high);
+    comm.run_plan(plan, tag, &mut planes);
+    let (from_low, from_high) = planes.received();
 
     let h0 = 1.0 / decomp.global[0] as f64;
     let sample0 = |i0: i64, i1: usize, i2: usize| -> f64 {
@@ -813,9 +810,8 @@ mod tests {
                 let mut local = PhaseSpace::zeros_block(dims, off, sglobal, vg);
                 local.fill_with(fill);
                 let bg = Background::new(CosmologyParams::planck2015());
-                let mut sim = DistributedVlasov::new(comm, local, bg, 0.2, 1.0)
-                    .with_plan_verification()
-                    .with_overlap(overlap);
+                let mut sim =
+                    DistributedVlasov::new(comm, local, bg, 0.2, 1.0).with_overlap(overlap);
                 let m0 = sim.total_mass(comm);
                 for _ in 0..3 {
                     sim.step(comm);

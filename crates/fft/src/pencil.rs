@@ -21,11 +21,14 @@
 //! stays on the rank, and stage 2 is the slab transpose into
 //! `[n1/P][n0][n2]`; rank counts are then capped at `min(n0, n1)`.
 //!
-//! Both stages run split-phase (`irecv`s posted up front, per-batch `isend`s,
-//! waits at the end) and are **overlapped** with the local 1-D FFT work the
-//! way the ghost-plane exchange overlaps interior advection: the local planes
-//! are cut into batches, and while batch `b`'s packets are in flight the FFT
-//! and packing of batch `b+1` proceed. The pipeline is bitwise-deterministic:
+//! Each stage is one split-phase [`CommPlan`], built once per geometry: every
+//! rank posts a packet per batch for each peer of its group and a receive
+//! for each packet coming back, then waits. The stage runs that plan, and it
+//! is **overlapped** with the local 1-D FFT work the way the ghost-plane
+//! exchange overlaps interior advection: the local planes are cut into
+//! batches, a batch is transformed when its first packet is asked for, and
+//! while batch `b`'s packets are in flight the FFT and packing of batch
+//! `b+1` proceed. The pipeline is bitwise-deterministic:
 //! every element is transformed by the same [`FftPlan`] on the same line
 //! regardless of the batch count, and pack/unpack move values without
 //! arithmetic.
@@ -46,7 +49,7 @@ use std::time::{Duration, Instant};
 use crate::complex::Complex64;
 use crate::layout::{self, RankGrid, Repartition};
 use crate::plan::FftPlan;
-use vlasov6d_mpisim::{Comm, CommPlan};
+use vlasov6d_mpisim::{Comm, CommPlan, Exchange};
 
 /// Per-stage overlap measurement (filled by the `*_timed` entry points).
 #[derive(Debug, Default, Clone, Copy)]
@@ -54,7 +57,7 @@ pub struct StageTimings {
     /// Compute + packing time that ran while this stage's packets were
     /// already in flight — communication the pipeline hid.
     pub hidden: Duration,
-    /// Time blocked in `wait` for this stage's packets — communication the
+    /// Time blocked waiting for this stage's packets — communication the
     /// pipeline exposed.
     pub exposed: Duration,
 }
@@ -74,6 +77,9 @@ pub struct Pencil2D {
     grid: RankGrid,
     plans: [FftPlan; 3],
     batches: usize,
+    /// [`layout::pencil_stages`] with their programs, batch `b` of each
+    /// under the relative tag `b`.
+    stages: [(Repartition, CommPlan); 4],
 }
 
 impl Pencil2D {
@@ -95,8 +101,10 @@ impl Pencil2D {
                 FftPlan::new(dims[1]),
                 FftPlan::new(dims[2]),
             ],
-            batches: 2,
+            batches: 0,
+            stages: layout::pencil_stages().map(|rep| (rep, CommPlan::default())),
         }
+        .with_batches(2)
     }
 
     /// Override the pipeline batch count (clamped per stage to the batch
@@ -104,6 +112,7 @@ impl Pencil2D {
     pub fn with_batches(mut self, batches: usize) -> Self {
         assert!(batches >= 1);
         self.batches = batches;
+        self.stages = layout::pencil_stages().map(|rep| (rep, self.stage_plan(&rep)));
         self
     }
 
@@ -179,13 +188,12 @@ impl Pencil2D {
         let mut work = local.to_vec();
         let (b1, c2, n1) = (self.b1(), self.c2(), self.dims[1]);
         let n2 = self.dims[2];
-        let [stage1, stage2, _, _] = layout::pencil_stages();
 
         // Stage 1: axis-2 FFT per batch of i0 planes, overlapped with the
         // z→y all-to-all within the row group.
         let mut y = self.run_stage(
             comm,
-            &stage1,
+            &self.stages[0],
             tag,
             &mut work,
             &mut |slf: &Self, w: &mut [Complex64], planes: Range<usize>| {
@@ -201,7 +209,7 @@ impl Pencil2D {
         let mut buf1 = vec![Complex64::ZERO; n1];
         let mut x = self.run_stage(
             comm,
-            &stage2,
+            &self.stages[1],
             tag + self.batches as u64,
             &mut y,
             &mut |slf: &Self, w: &mut [Complex64], planes: Range<usize>| {
@@ -268,14 +276,13 @@ impl Pencil2D {
         let mut work = spectrum.to_vec();
         let [n0, n1, n2] = self.dims;
         let c2 = self.c2();
-        let [_, _, stage2_inv, stage1_inv] = layout::pencil_stages();
 
         // Stage 2 reversed: inverse axis-0 FFT per batch of i1 rows
         // (unscaled via conj), overlapped with the x→y all-to-all.
         let mut buf0 = vec![Complex64::ZERO; n0];
         let mut y = self.run_stage(
             comm,
-            &stage2_inv,
+            &self.stages[2],
             tag,
             &mut work,
             &mut |slf: &Self, w: &mut [Complex64], rows: Range<usize>| {
@@ -299,7 +306,7 @@ impl Pencil2D {
         let mut buf1 = vec![Complex64::ZERO; n1];
         let mut z = self.run_stage(
             comm,
-            &stage1_inv,
+            &self.stages[3],
             tag + self.batches as u64,
             &mut y,
             &mut |slf: &Self, w: &mut [Complex64], planes: Range<usize>| {
@@ -344,7 +351,8 @@ impl Pencil2D {
     ) -> Vec<Complex64> {
         assert_eq!(input.len(), rep.src.local_len(self.dims, self.grid));
         let mut work = input.to_vec();
-        self.run_stage(comm, rep, tag, &mut work, &mut |_, _, _| {}, None)
+        let stage = (*rep, self.stage_plan(rep));
+        self.run_stage(comm, &stage, tag, &mut work, &mut |_, _, _| {}, None)
     }
 }
 
@@ -359,75 +367,34 @@ impl Pencil2D {
         batch_ranges(extent, self.batches)
     }
 
-    /// Run one transpose stage: `irecv`s for every (peer, batch) posted up
-    /// front; per batch, `compute` transforms the batch in `work`, then the
-    /// batch's packet for each group peer is gathered through `rep.src` and
-    /// `isend`-ed; waits drain at the end, each packet scattered through
-    /// `rep.dst`, so later batches' compute hides earlier batches' traffic.
-    /// The self-packet never touches the network.
+    /// Run one transpose stage, its program at `tag`, with a [`Stage`]
+    /// computing and packing each batch as its first packet is asked for and
+    /// scattering each packet as it is delivered.
     fn run_stage(
         &self,
         comm: &Comm,
-        rep: &Repartition,
-        tag_base: u64,
+        (rep, plan): &(Repartition, CommPlan),
+        tag: u64,
         work: &mut [Complex64],
         compute: StageCompute<'_>,
         timing: Option<&mut StageTimings>,
     ) -> Vec<Complex64> {
-        let me = comm.rank();
-        let group: Vec<usize> = self.grid.group(me, rep.peer_axis()).collect();
-        let ranges = self.stage_batches(rep);
-        let mut out = vec![Complex64::ZERO; rep.dst.local_len(self.dims, self.grid)];
-        let mut timer = timing;
-
-        // Post every receive before any compute or send.
-        let mut recvs: Vec<Vec<(usize, vlasov6d_mpisim::RecvRequest<'_, Vec<f64>>)>> = ranges
-            .iter()
-            .enumerate()
-            .map(|(b, _)| {
-                group
-                    .iter()
-                    .filter(|&&peer| peer != me)
-                    .map(|&peer| (peer, comm.irecv(peer, tag_base + b as u64)))
-                    .collect()
-            })
-            .collect();
-
-        let mut sends = Vec::new();
-        let mut in_flight = false;
-        for (b, batch) in ranges.iter().enumerate() {
-            let t0 = Instant::now();
-            compute(self, work, batch.clone());
-            for &peer in &group {
-                let values = self.gather(rep, me, peer, batch.clone(), work);
-                if peer == me {
-                    self.scatter(rep, me, me, batch.clone(), &values, &mut out);
-                } else {
-                    sends.push(comm.isend(peer, tag_base + b as u64, values));
-                }
-            }
-            if in_flight {
-                if let Some(t) = timer.as_mut() {
-                    t.hidden += t0.elapsed();
-                }
-            }
-            in_flight = true;
-        }
-
-        for (b, batch_recvs) in recvs.drain(..).enumerate() {
-            for (peer, req) in batch_recvs {
-                let t0 = Instant::now();
-                let values = req.wait();
-                if let Some(t) = timer.as_mut() {
-                    t.exposed += t0.elapsed();
-                }
-                self.scatter(rep, peer, me, ranges[b].clone(), &values, &mut out);
-            }
-        }
-        for s in sends {
-            s.wait();
-        }
-        out
+        let mut stage = Stage {
+            fft: self,
+            rep,
+            me: comm.rank(),
+            ranges: self.stage_batches(rep),
+            out: vec![Complex64::ZERO; rep.dst.local_len(self.dims, self.grid)],
+            work,
+            compute,
+            computed: 0,
+            timing,
+            since: Instant::now(),
+        };
+        comm.run_plan(plan, tag, &mut stage);
+        // A group of this rank alone asks for no packet.
+        stage.compute_to(stage.ranges.len());
+        stage.out
     }
 
     /// The packet rank `src` sends rank `dst` for `batch`, read from
@@ -469,36 +436,28 @@ impl Pencil2D {
         });
     }
 
-    // -- declarative communication plans ------------------------------------
+    // -- communication plans --------------------------------------------------
 
-    /// Plan of one forward transform's two transpose stages under `tag`
-    /// (stage 1 at `tag + batch`, stage 2 at `tag + batches + batch`).
-    pub fn transpose_plan(&self, tag: u64) -> CommPlan {
-        let mut plan = CommPlan::new("fft.pencil.transpose", self.n_ranks());
-        self.add_forward(&mut plan, tag);
-        plan
-    }
-
-    /// Append the forward transform's exchanges to an existing plan.
+    /// Append one forward transform's transposes at `tag` to `plan`: the
+    /// programs [`Pencil2D::forward`] runs, stage 1 at `tag + batch`, stage 2
+    /// at `tag + batches + batch`.
     pub fn add_forward(&self, plan: &mut CommPlan, tag: u64) {
-        let [stage1, stage2, _, _] = layout::pencil_stages();
-        self.add_stage(plan, &stage1, tag);
-        self.add_stage(plan, &stage2, tag + self.batches as u64);
+        plan.append(&self.stages[0].1, tag)
+            .append(&self.stages[1].1, tag + self.batches as u64);
     }
 
-    /// Append the inverse transform's exchanges to an existing plan.
+    /// Append one inverse transform's transposes at `tag` to `plan`.
     pub fn add_inverse(&self, plan: &mut CommPlan, tag: u64) {
-        let [_, _, stage2_inv, stage1_inv] = layout::pencil_stages();
-        self.add_stage(plan, &stage2_inv, tag);
-        self.add_stage(plan, &stage1_inv, tag + self.batches as u64);
+        plan.append(&self.stages[2].1, tag)
+            .append(&self.stages[3].1, tag + self.batches as u64);
     }
 
-    /// One stage's split-phase ops, mirroring `run_stage`'s order exactly:
-    /// all irecvs, per-batch isends, recv waits, send waits. Bytes are
-    /// derived from the registered layout model's per-pair intersection and
-    /// split across batches along the stage's batch axis.
-    fn add_stage(&self, plan: &mut CommPlan, rep: &Repartition, tag_base: u64) {
-        assert_eq!(plan.n_ranks(), self.n_ranks());
+    /// The program of one stage: each rank sends every batch's packet to
+    /// each other member of its peer group (batch `b` under tag `b`), then
+    /// receives theirs, all of it [`CommPlan::posted`]. Bytes are the
+    /// registered layout model's per-pair intersection, split across batches
+    /// along the stage's batch axis.
+    fn stage_plan(&self, rep: &Repartition) -> CommPlan {
         let ranges = self.stage_batches(rep);
         let batch_extent: usize = ranges.iter().map(Range::len).sum();
         let pair_bytes = |s: usize, d: usize, batch: &Range<usize>| -> u64 {
@@ -506,6 +465,7 @@ impl Pencil2D {
             debug_assert_eq!(total % batch_extent, 0);
             (total / batch_extent * batch.len() * 2 * std::mem::size_of::<f64>()) as u64
         };
+        let mut plan = CommPlan::new(rep.name, self.n_ranks());
         for me in 0..self.n_ranks() {
             let peers: Vec<usize> = self
                 .grid
@@ -514,25 +474,83 @@ impl Pencil2D {
                 .collect();
             for (b, batch) in ranges.iter().enumerate() {
                 for &peer in &peers {
-                    plan.irecv(me, peer, tag_base + b as u64, pair_bytes(peer, me, batch));
+                    plan.send(me, peer, b as u64, pair_bytes(me, peer, batch));
                 }
             }
             for (b, batch) in ranges.iter().enumerate() {
                 for &peer in &peers {
-                    plan.isend(me, peer, tag_base + b as u64, pair_bytes(me, peer, batch));
-                }
-            }
-            for b in 0..ranges.len() {
-                for &peer in &peers {
-                    plan.wait_recv(me, peer, tag_base + b as u64);
-                }
-            }
-            for b in 0..ranges.len() {
-                for &peer in &peers {
-                    plan.wait_send(me, peer, tag_base + b as u64);
+                    plan.recv(me, peer, b as u64, pair_bytes(peer, me, batch));
                 }
             }
         }
+        plan.posted()
+    }
+}
+
+/// One rank's side of a running transpose stage: `work` (its block of
+/// `rep.src`) transformed batch by batch, `out` its block of `rep.dst`.
+struct Stage<'a> {
+    fft: &'a Pencil2D,
+    rep: &'a Repartition,
+    me: usize,
+    ranges: Vec<Range<usize>>,
+    out: Vec<Complex64>,
+    work: &'a mut [Complex64],
+    compute: StageCompute<'a>,
+    computed: usize,
+    timing: Option<&'a mut StageTimings>,
+    /// When this rank last stopped working: a wait begins there.
+    since: Instant,
+}
+
+impl Stage<'_> {
+    /// Transform every batch before `end`, scattering each one's own packet.
+    fn compute_to(&mut self, end: usize) {
+        while self.computed < end {
+            let (b, t0) = (self.computed, Instant::now());
+            let batch = self.ranges[b].clone();
+            (self.compute)(self.fft, self.work, batch.clone());
+            let own = self
+                .fft
+                .gather(self.rep, self.me, self.me, batch.clone(), self.work);
+            self.fft
+                .scatter(self.rep, self.me, self.me, batch, &own, &mut self.out);
+            self.hide(b, t0);
+            self.computed += 1;
+        }
+    }
+
+    /// Count the time since `t0` as hidden when it went to batch `b > 0`,
+    /// which runs while earlier batches' packets are in flight.
+    fn hide(&mut self, b: usize, t0: Instant) {
+        if let Some(t) = self.timing.as_mut().filter(|_| b > 0) {
+            t.hidden += t0.elapsed();
+        }
+    }
+}
+
+impl Exchange<Vec<f64>> for Stage<'_> {
+    /// Batch `tag`'s packet for `peer`, as interleaved `re, im` values.
+    fn outgoing(&mut self, peer: usize, tag: u64) -> Vec<f64> {
+        let b = tag as usize;
+        self.compute_to(b + 1);
+        let t0 = Instant::now();
+        let values = self
+            .fft
+            .gather(self.rep, self.me, peer, self.ranges[b].clone(), self.work);
+        self.hide(b, t0);
+        self.since = Instant::now();
+        values
+    }
+
+    fn delivered(&mut self, peer: usize, tag: u64, values: Vec<f64>) {
+        if let Some(t) = self.timing.as_mut() {
+            t.exposed += self.since.elapsed();
+        }
+        let batch = self.ranges[tag as usize].clone();
+        self.fft
+            .scatter(self.rep, peer, self.me, batch, &values, &mut self.out);
+        self.since = Instant::now();
     }
 }
 
@@ -708,10 +726,17 @@ mod tests {
         }
     }
 
+    /// One forward transform's transposes, composed from the stage programs.
+    fn forward_plan(fft: &Pencil2D, tag: u64) -> CommPlan {
+        let mut plan = CommPlan::new("fft.pencil.forward", fft.n_ranks());
+        fft.add_forward(&mut plan, tag);
+        plan
+    }
+
     #[test]
     fn transpose_plan_verifies_and_counts_bytes() {
         let plan = Pencil2D::new([8, 8, 8], 2, 2).with_batches(2);
-        let stats = plan.transpose_plan(10).assert_valid(&PlanChecks {
+        let stats = forward_plan(&plan, 10).assert_valid(&PlanChecks {
             topology: None,
             volume_symmetry: true,
         });
@@ -723,20 +748,19 @@ mod tests {
         // stage-2 pair the same by symmetry at this cube.
         assert_eq!(stats.bytes, 16 * 512);
         // Forward + inverse under disjoint tags compose.
-        let mut both = plan.transpose_plan(20);
+        let mut both = forward_plan(&plan, 20);
         plan.add_inverse(&mut both, 20 + plan.tag_span());
         both.verify().expect("disjoint tag windows compose");
-        // A stage-2 window colliding with stage 1 must be rejected.
-        let [stage1, stage2, ..] = layout::pencil_stages();
-        let mut collide = CommPlan::new("fft.pencil.collide", 4);
-        plan.add_stage(&mut collide, &stage1, 40);
-        plan.add_stage(&mut collide, &stage2, 40);
         // Different peer groups → no tag clash between stages at 2x2; the
         // live collision comes from reusing the window within a stage.
+        let mut collide = CommPlan::new("fft.pencil.collide", 4);
+        collide
+            .append(&plan.stages[0].1, 40)
+            .append(&plan.stages[1].1, 40);
         collide.verify().expect("cross-group tags do not clash");
         let mut same = CommPlan::new("fft.pencil.same", 4);
-        plan.add_stage(&mut same, &stage1, 60);
-        plan.add_stage(&mut same, &stage1, 60);
+        same.append(&plan.stages[0].1, 60)
+            .append(&plan.stages[0].1, 60);
         same.verify().unwrap_err();
 
         // On a P × 1 grid stage 1 never leaves the rank and stage 2 is the
@@ -751,12 +775,38 @@ mod tests {
             ([10, 30, 7], 5),
         ] {
             let mut per_pair = std::collections::HashMap::new();
-            for (src, dst, _, bytes) in Pencil2D::new(dims, p, 1).transpose_plan(5).send_edges() {
+            for (src, dst, _, bytes) in forward_plan(&Pencil2D::new(dims, p, 1), 5).send_edges() {
                 *per_pair.entry((src, dst)).or_insert(0) += bytes;
             }
             let slab = (dims[0] / p * (dims[1] / p) * dims[2] * 16) as u64;
             assert_eq!(per_pair.len(), p * (p - 1), "dims {dims:?} × {p}");
             assert!(per_pair.values().all(|&b| b == slab), "dims {dims:?} × {p}");
+        }
+    }
+
+    #[test]
+    fn a_stage_of_one_rank_still_transforms_every_batch() {
+        // Stage 1 of a P × 1 grid stays on the rank: its plan asks for no
+        // packet, and every batch is still transformed and scattered.
+        let dims = [4usize, 4, 4];
+        let global = random_field(64, 29);
+        let mut serial = global.clone();
+        Fft3::new(dims).forward(&mut serial);
+        for batches in [1usize, 2, 4] {
+            let (global, serial) = (global.clone(), serial.clone());
+            Universe::run(2, move |comm| {
+                let plan = Pencil2D::new(dims, 2, 1).with_batches(batches);
+                assert!(plan.stages[0].1.program(comm.rank()).is_empty());
+                let spec = plan.forward(comm, &scatter(&plan, &global, comm.rank()), 0);
+                for (flat, z) in spec.iter().enumerate() {
+                    let [i0, i1, i2] =
+                        layout::xpencil().coords(dims, plan.grid(), comm.rank(), flat);
+                    assert!(
+                        (*z - serial[(i0 * 4 + i1) * 4 + i2]).abs() < 1e-9,
+                        "×{batches}"
+                    );
+                }
+            });
         }
     }
 
@@ -789,7 +839,7 @@ mod tests {
         // registered stage, every shape of layoutcheck's
         // `registry::sample_shapes` and 1–3 batches, the
         // packet `s` builds for `d` holds `pair_elems / batch_extent ·
-        // batch.len()` elements (what `add_stage` declares), and one
+        // batch.len()` elements (what `stage_plan` declares), and one
         // sender's packets cover its block exactly once.
         let shapes = [
             ([4usize, 4, 4], 2usize, 2usize),

@@ -5,7 +5,8 @@
 //! neighbours through this façade, so the decomposition arithmetic lives in
 //! exactly one place ([`vlasov6d_mesh::Decomp3`]).
 
-use crate::comm::{Comm, Payload, RecvRequest, SendRequest};
+use crate::comm::{Comm, Payload};
+use crate::plan::{CommPlan, Exchange, Posted};
 use vlasov6d_mesh::Decomp3;
 
 /// A [`Comm`] bound to a 3-D periodic process grid.
@@ -58,51 +59,36 @@ impl<'c> Cart3<'c> {
         self.decomp.neighbor(self.comm.rank(), axis, dir)
     }
 
-    /// Periodic shift exchange along `axis`: sends `payload` in direction
-    /// `dir` (±1) and returns the payload arriving from the opposite
-    /// neighbour — the ghost-plane exchange primitive. `tag` must be unique
-    /// per concurrent exchange, as with raw sends.
-    pub fn shift_exchange<T: Payload>(&self, axis: usize, dir: i64, tag: u64, payload: T) -> T {
-        let dest = self.neighbor(axis, dir);
-        let source = self.neighbor(axis, -dir);
-        self.comm.sendrecv(dest, tag, payload, source, tag)
-    }
-
     /// This grid's [`SplitPhase`] view.
     pub fn split_phase(&self) -> SplitPhase<'c> {
-        SplitPhase {
-            comm: self.comm,
-            decomp: self.decomp,
-        }
+        SplitPhase { comm: self.comm }
     }
 }
 
-/// The split-phase face of a [`Cart3`]: neighbour ranks, posted sends and
-/// posted receives, and nothing that blocks. Code handed only this view — the
-/// region of an overlapped exchange that runs while messages are in flight —
-/// cannot serialise on communication, because `send`, `recv`, `sendrecv`,
-/// `shift_exchange` and the collectives are not reachable from it; its
-/// requests complete with their `wait` once the overlapped work is done.
+/// The split-phase face of a [`Cart3`]: it posts a plan's program and
+/// nothing that blocks. Code handed only this view — the region of an
+/// overlapped exchange that runs while messages are in flight — cannot
+/// serialise on communication, because no receive, `sendrecv`, plan run or
+/// collective is reachable from it; the [`Posted`] program it returns
+/// finishes with its waits once the overlapped work is done.
 #[derive(Clone, Copy)]
 pub struct SplitPhase<'c> {
     comm: &'c Comm,
-    decomp: Decomp3,
 }
 
 impl<'c> SplitPhase<'c> {
-    /// Rank of the ±1 neighbour along `axis` (periodic).
-    pub fn neighbor(&self, axis: usize, dir: i64) -> usize {
-        self.decomp.neighbor(self.comm.rank(), axis, dir)
-    }
-
-    /// Post a send of `value` to `dest` ([`Comm::isend`]).
-    pub fn isend<T: Payload>(&self, dest: usize, tag: u64, value: T) -> SendRequest<'c> {
-        self.comm.isend(dest, tag, value)
-    }
-
-    /// Post a receive from `source` ([`Comm::irecv`]).
-    pub fn irecv<T: Payload>(&self, source: usize, tag: u64) -> RecvRequest<'c, T> {
-        self.comm.irecv(source, tag)
+    /// Run this rank's program of `plan` at tag base `base` up to, not
+    /// including, its first op that waits ([`Comm::run_plan`] runs all of
+    /// it): every send and receive a [`CommPlan::posted`] program posts.
+    pub fn post<'p, T: Payload>(
+        &self,
+        plan: &'p CommPlan,
+        base: u64,
+        io: &mut impl Exchange<T>,
+    ) -> Posted<'c, 'p, T> {
+        let mut posted = Posted::start(self.comm, plan, base);
+        posted.advance(io, true);
+        posted
     }
 }
 
@@ -124,14 +110,25 @@ mod tests {
     }
 
     #[test]
-    fn shift_exchange_rotates_blocks() {
+    fn shift_plan_rotates_blocks() {
+        use crate::plan::Shift;
         let decomp = Decomp3::new([12, 4, 4], [3, 1, 1]);
+        let mut plan = CommPlan::new("rotate", 3);
+        plan.shift(&decomp, 0, 0, |_| 8);
+        let blocking = plan.clone();
         let out = Universe::run(3, move |c| {
-            let cart = Cart3::new(c, decomp);
-            // Send my rank id downstream (+1 in axis 0); receive upstream's.
-            cart.shift_exchange(0, 1, 0, c.rank() as u64)
+            // Send my rank id both ways; receive both neighbours'.
+            let mut ids = Shift::new(c.rank() as u64, c.rank() as u64);
+            c.run_plan(&blocking, 0, &mut ids);
+            let blocking = ids.received();
+            let posted = plan.posted();
+            let mut ids = Shift::new(c.rank() as u64, c.rank() as u64);
+            let split = Cart3::new(c, decomp).split_phase();
+            split.post(&posted, 2, &mut ids).finish(&mut ids);
+            assert_eq!(blocking, ids.received());
+            blocking
         });
-        assert_eq!(out, vec![2, 0, 1]);
+        assert_eq!(out, vec![(2, 1), (0, 2), (1, 0)]);
     }
 
     #[test]

@@ -57,18 +57,6 @@ impl Comm {
         self.broadcast(0, reduced)
     }
 
-    /// Elementwise sum-allreduce over equal-length `f64` vectors — the PM
-    /// density reduction. Deterministic (rank-ordered) accumulation.
-    pub fn allreduce_sum_f64(&self, value: Vec<f64>) -> Vec<f64> {
-        self.allreduce(value, |mut a, b| {
-            assert_eq!(a.len(), b.len(), "allreduce_sum_f64: length mismatch");
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += y;
-            }
-            a
-        })
-    }
-
     /// Scalar sum.
     pub fn allreduce_sum(&self, value: f64) -> f64 {
         self.allreduce(value, |a, b| a + b)
@@ -119,39 +107,6 @@ impl Comm {
         let gathered = self.gather(0, value);
         self.broadcast(0, gathered)
     }
-
-    /// Personalised all-to-all: `outgoing[d]` goes to rank `d`; returns the
-    /// vector received from each source (self-message delivered directly).
-    pub fn alltoall<T: Payload + Clone>(&self, outgoing: Vec<T>) -> Vec<T> {
-        assert_eq!(outgoing.len(), self.size());
-        let tag = self.next_collective_tag();
-        let mut incoming: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-        for (dst, item) in outgoing.into_iter().enumerate() {
-            if dst == self.rank() {
-                incoming[dst] = Some(item);
-            } else {
-                self.send_internal(dst, tag, item);
-            }
-        }
-        for src in 0..self.size() {
-            if src != self.rank() {
-                incoming[src] = Some(self.recv_internal(src, tag));
-            }
-        }
-        let rank = self.rank();
-        incoming
-            .into_iter()
-            .enumerate()
-            .map(|(src, v)| {
-                v.unwrap_or_else(|| {
-                    panic!(
-                        "alltoall on rank {rank} (tag {tag}): no packet recorded \
-                         from rank {src}"
-                    )
-                })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -196,14 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_allreduce_sums_elementwise() {
-        let out = Universe::run(3, |c| c.allreduce_sum_f64(vec![c.rank() as f64; 4]));
-        for v in out {
-            assert_eq!(v, vec![3.0; 4]);
-        }
-    }
-
-    #[test]
     fn gather_collects_in_rank_order() {
         let out = Universe::run(4, |c| c.gather(1, c.rank() as u64));
         assert!(out[0].is_none());
@@ -215,20 +162,6 @@ mod tests {
         let out = Universe::run(3, |c| c.allgather((c.rank() * 10) as u64));
         for v in out {
             assert_eq!(v, vec![0, 10, 20]);
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        // Rank r sends value 100*r + d to rank d; after the exchange rank d
-        // holds [100*0+d, 100*1+d, ...].
-        let out = Universe::run(4, |c| {
-            let outgoing: Vec<u64> = (0..4).map(|d| (100 * c.rank() + d) as u64).collect();
-            c.alltoall(outgoing)
-        });
-        for (d, recvd) in out.iter().enumerate() {
-            let expect: Vec<u64> = (0..4).map(|r| (100 * r + d) as u64).collect();
-            assert_eq!(recvd, &expect);
         }
     }
 

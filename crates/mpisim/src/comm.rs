@@ -195,7 +195,7 @@ pub struct BlockedOp {
 /// The kind of operation a rank can block in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockKind {
-    /// Blocked in [`Comm::recv`] on `(source, tag)`.
+    /// Blocked in a receive (or a receive's wait) on `(source, tag)`.
     Recv { source: usize, tag: u64 },
     /// Blocked in [`Comm::barrier`].
     Barrier,
@@ -217,9 +217,9 @@ pub struct LeakRecord {
 /// Whether a leaked split-phase request was a send or a receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
-    /// An [`Comm::isend`] handle.
+    /// A posted send.
     Send,
-    /// An [`Comm::irecv`] handle.
+    /// A posted receive.
     Recv,
 }
 
@@ -423,21 +423,6 @@ impl Mailbox {
         }
     }
 
-    fn try_pop(&self, key: Key, ctrl: &Control) -> Option<Box<dyn Any + Send>> {
-        let mut inner = self.inner.lock().expect("mailbox poisoned");
-        Self::deliver_ready(&mut inner, ctrl.epoch.load(Ordering::Relaxed));
-        let msg = inner.queues.get_mut(&key).and_then(|q| q.pop_front());
-        if msg.is_some() {
-            ctrl.progress.fetch_add(1, Ordering::Relaxed);
-        } else if ctrl.schedule_seed.is_some() {
-            // A failed probe advances the schedule clock: a polling loop
-            // (`RecvRequest::test`) must eventually see a schedule-held
-            // message, just as blocked waits bump the epoch over time.
-            ctrl.epoch.fetch_add(1, Ordering::Relaxed);
-        }
-        msg
-    }
-
     /// Stranded messages, by queue — the leak check at teardown.
     fn leaks(&self, dest: usize) -> Vec<LeakRecord> {
         let mut inner = self.inner.lock().expect("mailbox poisoned");
@@ -563,7 +548,7 @@ impl Comm {
     }
 
     /// Buffered, non-blocking send of `value` to `dest` with a user `tag`.
-    pub fn send<T: Payload>(&self, dest: usize, tag: u64, value: T) {
+    pub(crate) fn send<T: Payload>(&self, dest: usize, tag: u64, value: T) {
         assert!(dest < self.size, "send to rank {dest} of {}", self.size);
         assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^62");
         self.send_internal(dest, tag, value);
@@ -590,7 +575,7 @@ impl Comm {
     /// # Panics
     /// Panics if the arriving message is not a `T` — a type mismatch is a
     /// program bug, exactly like datatype mismatch in MPI.
-    pub fn recv<T: Payload>(&self, source: usize, tag: u64) -> T {
+    pub(crate) fn recv<T: Payload>(&self, source: usize, tag: u64) -> T {
         assert!(source < self.size);
         assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^62");
         self.recv_internal(source, tag)
@@ -618,32 +603,9 @@ impl Comm {
         value
     }
 
-    /// Non-blocking receive: `Some(value)` if a matching message has already
-    /// been delivered, `None` otherwise — the `MPI_Iprobe`+recv motif.
-    /// Programs whose *results* depend on `try_recv` timing are
-    /// order-dependent; the schedule-exploration harness ([`crate::sched`])
-    /// exists to flag exactly that.
-    pub fn try_recv<T: Payload>(&self, source: usize, tag: u64) -> Option<T> {
-        assert!(source < self.size);
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^62");
-        let trace_t0 = trace::interval_start();
-        let any = self.shared.mailboxes[self.rank].try_pop((source, tag), &self.shared.ctrl)?;
-        let value = *any.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {}: type mismatch receiving tag {tag} from rank {source}",
-                self.rank
-            )
-        });
-        // Only a successful poll becomes a receive edge; an empty poll is
-        // not a wait and would pollute the timeline.
-        if let Some(t0) = trace_t0 {
-            trace::note_recv(t0, source, tag, value.byte_len() as u64);
-        }
-        Some(value)
-    }
-
-    /// Combined send-to-one / receive-from-another, the ghost-exchange motif.
-    /// Safe against deadlock because sends never block.
+    /// Combined send-to-one / receive-from-another: the one point-to-point
+    /// call outside a [`crate::CommPlan`], kept for the runtime's own
+    /// latency probe. Safe against deadlock because sends never block.
     pub fn sendrecv<T: Payload>(
         &self,
         dest: usize,
@@ -682,7 +644,7 @@ impl Comm {
     /// marks the request complete. Dropping the handle un-waited is a
     /// program bug, reported by [`SimOptions::verify_leaks`].
     #[must_use = "the returned request must be waited on"]
-    pub fn isend<T: Payload>(&self, dest: usize, tag: u64, value: T) -> SendRequest<'_> {
+    pub(crate) fn isend<T: Payload>(&self, dest: usize, tag: u64, value: T) -> SendRequest<'_> {
         assert!(dest < self.size, "isend to rank {dest} of {}", self.size);
         assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^62");
         self.send_internal(dest, tag, value);
@@ -700,7 +662,7 @@ impl Comm {
     /// [`SimOptions::verify_leaks`] (and the undelivered message additionally
     /// trips the mailbox leak check).
     #[must_use = "the returned request must be waited on"]
-    pub fn irecv<T: Payload>(&self, source: usize, tag: u64) -> RecvRequest<'_, T> {
+    pub(crate) fn irecv<T: Payload>(&self, source: usize, tag: u64) -> RecvRequest<'_, T> {
         assert!(
             source < self.size,
             "irecv from rank {source} of {}",
@@ -711,16 +673,17 @@ impl Comm {
             comm: self,
             source,
             tag,
-            state: RecvState::Pending,
+            ready: None,
+            done: false,
         }
     }
 }
 
-/// Handle for a posted [`Comm::isend`]. Sends are buffered, so `wait` never
+/// Handle for a posted send. Sends are buffered, so `wait` never
 /// blocks — its job is to mark the request retired so the teardown checks
 /// can prove every post was paired with a completion.
 #[must_use = "a posted isend must be waited on"]
-pub struct SendRequest<'c> {
+pub(crate) struct SendRequest<'c> {
     comm: &'c Comm,
     peer: usize,
     tag: u64,
@@ -729,15 +692,8 @@ pub struct SendRequest<'c> {
 
 impl SendRequest<'_> {
     /// Complete the send. Never blocks (sends are buffered).
-    pub fn wait(mut self) {
+    pub(crate) fn wait(mut self) {
         self.done = true;
-    }
-
-    /// Poll for completion. Buffered sends are always complete, so this
-    /// returns `true` and retires the request.
-    pub fn test(&mut self) -> bool {
-        self.done = true;
-        true
     }
 }
 
@@ -754,57 +710,35 @@ impl Drop for SendRequest<'_> {
     }
 }
 
-enum RecvState<T> {
-    Pending,
-    Ready(T),
-    Taken,
-}
-
-/// Handle for a posted [`Comm::irecv`]. `wait` consumes the handle and
-/// returns the payload; `test` polls and buffers the payload for a later
-/// `wait`.
+/// Handle for a posted receive. `wait` consumes the handle and returns the
+/// payload; `test` polls and buffers the payload for a later `wait`.
 #[must_use = "a posted irecv must be waited on"]
-pub struct RecvRequest<'c, T: Payload> {
+pub(crate) struct RecvRequest<'c, T: Payload> {
     comm: &'c Comm,
     source: usize,
     tag: u64,
-    state: RecvState<T>,
+    /// The payload a successful `test` collected early.
+    ready: Option<T>,
+    done: bool,
 }
 
 impl<T: Payload> RecvRequest<'_, T> {
     /// Block until the matching message arrives and return it.
     ///
     /// # Panics
-    /// Panics on payload type mismatch, like [`Comm::recv`].
-    pub fn wait(mut self) -> T {
-        match std::mem::replace(&mut self.state, RecvState::Taken) {
-            RecvState::Pending => self.comm.recv_internal(self.source, self.tag),
-            RecvState::Ready(value) => value,
-            RecvState::Taken => unreachable!("wait consumes the request"),
-        }
-    }
-
-    /// Poll for completion: `true` once the message has arrived (the payload
-    /// is buffered in the handle until `wait` collects it).
-    pub fn test(&mut self) -> bool {
-        match self.state {
-            RecvState::Pending => {
-                if let Some(value) = self.comm.try_recv::<T>(self.source, self.tag) {
-                    self.state = RecvState::Ready(value);
-                    true
-                } else {
-                    false
-                }
-            }
-            RecvState::Ready(_) => true,
-            RecvState::Taken => unreachable!("wait consumes the request"),
+    /// Panics on payload type mismatch, like a blocking receive.
+    pub(crate) fn wait(mut self) -> T {
+        self.done = true;
+        match self.ready.take() {
+            Some(value) => value,
+            None => self.comm.recv_internal(self.source, self.tag),
         }
     }
 }
 
 impl<T: Payload> Drop for RecvRequest<'_, T> {
     fn drop(&mut self) {
-        if matches!(self.state, RecvState::Pending) && !std::thread::panicking() {
+        if !self.done && self.ready.is_none() && !std::thread::panicking() {
             self.comm.shared.ctrl.record_request_leak(RequestLeak {
                 rank: self.comm.rank,
                 kind: RequestKind::Recv,
@@ -1087,6 +1021,71 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Polling, which only the tests below use: a request's `test` and the
+    // `MPI_Iprobe`-style `try_recv` under it.
+    impl Mailbox {
+        fn try_pop(&self, key: Key, ctrl: &Control) -> Option<Box<dyn Any + Send>> {
+            let mut inner = self.inner.lock().expect("mailbox poisoned");
+            Self::deliver_ready(&mut inner, ctrl.epoch.load(Ordering::Relaxed));
+            let msg = inner.queues.get_mut(&key).and_then(|q| q.pop_front());
+            if msg.is_some() {
+                ctrl.progress.fetch_add(1, Ordering::Relaxed);
+            } else if ctrl.schedule_seed.is_some() {
+                // A failed probe advances the schedule clock: a polling loop
+                // (`RecvRequest::test`) must eventually see a schedule-held
+                // message, just as blocked waits bump the epoch over time.
+                ctrl.epoch.fetch_add(1, Ordering::Relaxed);
+            }
+            msg
+        }
+    }
+
+    impl Comm {
+        /// Non-blocking receive: `Some(value)` if a matching message has already
+        /// been delivered, `None` otherwise — the `MPI_Iprobe`+recv motif.
+        /// Programs whose *results* depend on `try_recv` timing are
+        /// order-dependent; the schedule-exploration harness ([`crate::sched`])
+        /// exists to flag exactly that.
+        pub(crate) fn try_recv<T: Payload>(&self, source: usize, tag: u64) -> Option<T> {
+            assert!(source < self.size);
+            assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^62");
+            let trace_t0 = trace::interval_start();
+            let any = self.shared.mailboxes[self.rank].try_pop((source, tag), &self.shared.ctrl)?;
+            let value = *any.downcast::<T>().unwrap_or_else(|_| {
+                panic!(
+                    "rank {}: type mismatch receiving tag {tag} from rank {source}",
+                    self.rank
+                )
+            });
+            // Only a successful poll becomes a receive edge; an empty poll is
+            // not a wait and would pollute the timeline.
+            if let Some(t0) = trace_t0 {
+                trace::note_recv(t0, source, tag, value.byte_len() as u64);
+            }
+            Some(value)
+        }
+    }
+
+    impl SendRequest<'_> {
+        /// Poll for completion. Buffered sends are always complete, so this
+        /// returns `true` and retires the request.
+        pub(crate) fn test(&mut self) -> bool {
+            self.done = true;
+            true
+        }
+    }
+
+    impl<T: Payload> RecvRequest<'_, T> {
+        /// Poll for completion: `true` once the message has arrived (the payload
+        /// is buffered in the handle until `wait` collects it).
+        pub(crate) fn test(&mut self) -> bool {
+            if self.ready.is_none() {
+                self.ready = self.comm.try_recv::<T>(self.source, self.tag);
+            }
+            self.ready.is_some()
+        }
+    }
 
     #[test]
     fn ranks_see_their_ids() {

@@ -1,13 +1,14 @@
-//! Declarative communication plans and their static verifier.
+//! Communication plans: the programs the exchanges run, and their static
+//! verifier.
 //!
 //! The exchanges that dominate the paper's communication budget — ghost-plane
 //! exchange for the spatial sweeps, the all-to-all transposes of the
-//! distributed FFT, halo particle exchange for the tree part — are
-//! hand-orchestrated sequences of tag-matched sends and receives. A miswired
-//! exchange (swapped tag, wrong neighbour, missing receive) shows up at run
-//! time as a hang or a silently wrong answer. A [`CommPlan`] expresses the
-//! *intended* exchange declaratively, one ordered program of [`Op`]s per rank,
-//! and [`CommPlan::verify`] checks it **before any message moves**:
+//! distributed FFT, halo particle exchange for the tree part — are each one
+//! [`CommPlan`], an ordered program of [`Op`]s per rank with plan-relative
+//! tags, and the plan is what runs: [`crate::Comm::run_plan`] runs a rank's
+//! program at a tag base ([`crate::SplitPhase::post`] up to its first wait),
+//! with an [`Exchange`] handler supplying and taking the payloads. So
+//! [`CommPlan::verify`] checks the messages that move, **before any moves**:
 //!
 //! * every send has a matching receive and vice versa (no leaks, no
 //!   forever-blocked receives);
@@ -22,9 +23,11 @@
 //! * optionally, per-pair volume is symmetric (`bytes(a→b) == bytes(b→a)`),
 //!   the conservation property of ghost and transpose exchanges.
 //!
-//! Plans are cheap (`O(ops)`), so callers verify them at construction time or
-//! behind a debug/verify flag on the first step of a run.
+//! Raising every tag by one base preserves all of these, so a plan verified
+//! once holds at every base it runs at. Collectives take internal tags and
+//! sit outside any plan.
 
+use crate::comm::{Comm, Payload, RecvRequest, SendRequest};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use vlasov6d_mesh::Decomp3;
@@ -37,15 +40,15 @@ pub const ANY_BYTES: u64 = u64::MAX;
 /// One step of a rank's communication program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Non-blocking buffered send, as in [`crate::Comm::send`].
+    /// Non-blocking buffered send.
     Send { to: usize, tag: u64, bytes: u64 },
-    /// Blocking receive, as in [`crate::Comm::recv`].
+    /// Blocking receive.
     Recv { from: usize, tag: u64, bytes: u64 },
-    /// Split-phase send post, as in [`crate::Comm::isend`]. Must be retired
-    /// by a later [`Op::WaitSend`] in the same rank's program.
+    /// Split-phase send post. Must be retired by a later [`Op::WaitSend`] in
+    /// the same rank's program.
     Isend { to: usize, tag: u64, bytes: u64 },
-    /// Split-phase receive post, as in [`crate::Comm::irecv`]. Must be
-    /// retired by a later [`Op::WaitRecv`] in the same rank's program.
+    /// Split-phase receive post. Must be retired by a later [`Op::WaitRecv`]
+    /// in the same rank's program.
     Irecv { from: usize, tag: u64, bytes: u64 },
     /// Completion of a posted [`Op::Isend`]. Never blocks (sends are
     /// buffered).
@@ -55,7 +58,21 @@ pub enum Op {
     WaitRecv { from: usize, tag: u64 },
 }
 
-/// A declarative plan: one ordered [`Op`] program per rank.
+impl Op {
+    /// The op with its tag raised by `by`.
+    fn retagged(mut self, by: u64) -> Op {
+        let (Op::Send { tag, .. }
+        | Op::Recv { tag, .. }
+        | Op::Isend { tag, .. }
+        | Op::Irecv { tag, .. }
+        | Op::WaitSend { tag, .. }
+        | Op::WaitRecv { tag, .. }) = &mut self;
+        *tag += by;
+        self
+    }
+}
+
+/// A communication plan: one ordered [`Op`] program per rank.
 #[derive(Debug, Clone, Default)]
 pub struct CommPlan {
     name: String,
@@ -277,57 +294,74 @@ impl CommPlan {
         self
     }
 
-    /// Rank `src`'s program gains a split-phase send post to `dst`.
-    pub fn isend(&mut self, src: usize, dst: usize, tag: u64, bytes: u64) -> &mut Self {
-        assert!(src < self.n_ranks() && dst < self.n_ranks());
-        self.programs[src].push(Op::Isend {
-            to: dst,
-            tag,
-            bytes,
-        });
-        self
-    }
-
-    /// Rank `dst`'s program gains a split-phase receive post from `src`.
-    pub fn irecv(&mut self, dst: usize, src: usize, tag: u64, bytes: u64) -> &mut Self {
-        assert!(src < self.n_ranks() && dst < self.n_ranks());
-        self.programs[dst].push(Op::Irecv {
-            from: src,
-            tag,
-            bytes,
-        });
-        self
-    }
-
-    /// Rank `rank`'s program gains the completion of its posted isend to
-    /// `peer`.
-    pub fn wait_send(&mut self, rank: usize, peer: usize, tag: u64) -> &mut Self {
-        assert!(rank < self.n_ranks() && peer < self.n_ranks());
-        self.programs[rank].push(Op::WaitSend { to: peer, tag });
-        self
-    }
-
-    /// Rank `rank`'s program gains the completion of its posted irecv from
-    /// `peer`.
-    pub fn wait_recv(&mut self, rank: usize, peer: usize, tag: u64) -> &mut Self {
-        assert!(rank < self.n_ranks() && peer < self.n_ranks());
-        self.programs[rank].push(Op::WaitRecv { from: peer, tag });
-        self
-    }
-
-    /// The [`crate::Comm::sendrecv`] motif: `rank` sends to `dst` then
-    /// receives from `src`, both of `bytes` size.
-    pub fn sendrecv(
+    /// Append the ±1 shift exchange along `axis` of `decomp` to every
+    /// rank's program: each rank sends toward its −1 neighbour under `tag`
+    /// and receives from its +1 neighbour, then sends toward +1 under
+    /// `tag + 1` and receives from −1. Rank `r` sends `bytes(r)` each way; on
+    /// an axis of one process both neighbours are the rank itself. `tag` is
+    /// even, so a tag's parity names its direction (see [`Shift`]).
+    pub fn shift(
         &mut self,
-        rank: usize,
-        dst: usize,
-        send_tag: u64,
-        src: usize,
-        recv_tag: u64,
-        bytes: u64,
+        decomp: &Decomp3,
+        axis: usize,
+        tag: u64,
+        bytes: impl Fn(usize) -> u64,
     ) -> &mut Self {
-        self.send(rank, dst, send_tag, bytes);
-        self.recv(rank, src, recv_tag, bytes);
+        assert_eq!(decomp.n_ranks(), self.n_ranks());
+        assert!(tag.is_multiple_of(2), "shift tags start even (got {tag})");
+        for r in 0..decomp.n_ranks() {
+            let low = decomp.neighbor(r, axis, -1);
+            let high = decomp.neighbor(r, axis, 1);
+            self.send(r, low, tag, bytes(r));
+            self.recv(r, high, tag, bytes(high));
+            self.send(r, high, tag + 1, bytes(r));
+            self.recv(r, low, tag + 1, bytes(low));
+        }
+        self
+    }
+
+    /// The split-phase form of this plan: each rank posts its sends and
+    /// receives in program order, then waits on the receives and then on
+    /// the sends, each in program order. Ops that already post stay where
+    /// they are.
+    pub fn posted(&self) -> CommPlan {
+        let mut plan = CommPlan::new(format!("{}.posted", self.name), self.n_ranks());
+        for (program, out) in self.programs.iter().zip(&mut plan.programs) {
+            let (mut recv_waits, mut send_waits) = (Vec::new(), Vec::new());
+            for &op in program {
+                out.push(match op {
+                    Op::Send { to, tag, bytes } => {
+                        send_waits.push(Op::WaitSend { to, tag });
+                        Op::Isend { to, tag, bytes }
+                    }
+                    Op::Recv { from, tag, bytes } => {
+                        recv_waits.push(Op::WaitRecv { from, tag });
+                        Op::Irecv { from, tag, bytes }
+                    }
+                    posted => posted,
+                });
+            }
+            out.extend(recv_waits);
+            out.extend(send_waits);
+        }
+        plan
+    }
+
+    /// Whether any rank's program posts a request ([`CommPlan::posted`]).
+    pub fn is_posted(&self) -> bool {
+        self.programs
+            .iter()
+            .flatten()
+            .any(|op| matches!(op, Op::Isend { .. } | Op::Irecv { .. }))
+    }
+
+    /// Append `other`'s programs with every tag raised by `tag`: plans that
+    /// run one after the other, verified as one.
+    pub fn append(&mut self, other: &CommPlan, tag: u64) -> &mut Self {
+        assert_eq!(self.n_ranks(), other.n_ranks());
+        for (mine, theirs) in self.programs.iter_mut().zip(&other.programs) {
+            mine.extend(theirs.iter().map(|op| op.retagged(tag)));
+        }
         self
     }
 
@@ -531,8 +565,8 @@ impl CommPlan {
         }
     }
 
-    /// Verify and panic with a readable report on failure — the form used
-    /// behind `verify` flags in the drivers.
+    /// Verify and panic with a readable report on failure — the form the
+    /// drivers use on the plans they build.
     pub fn assert_valid(&self, checks: &PlanChecks) -> PlanStats {
         match self.verify_with(checks) {
             Ok(stats) => stats,
@@ -645,7 +679,7 @@ fn error_order(e: &PlanError) -> u8 {
 
 /// The directed neighbour edges of the 3-D Cartesian topology of `decomp`:
 /// every `(rank, ±1-neighbour-along-axis)` pair, exactly the edges
-/// [`crate::Cart3::shift_exchange`] uses. On an axis with one rank the
+/// [`CommPlan::shift`] uses. On an axis with one rank the
 /// neighbour is the rank itself, so self-edges appear naturally.
 pub fn cart_neighbor_edges(decomp: &Decomp3) -> HashSet<(usize, usize)> {
     let mut edges = HashSet::new();
@@ -659,55 +693,210 @@ pub fn cart_neighbor_edges(decomp: &Decomp3) -> HashSet<(usize, usize)> {
     edges
 }
 
-/// The query-service fan-out/reduce motif as a verified plan: `root` sends a
-/// `req_bytes` request to every other rank, then every rank (root included,
-/// as a self-edge) sends its `reply_bytes` partial back to `root`, which
-/// receives the partials **in ascending rank order**. That receive order is
-/// load-bearing — the reducer folds `f64` partials as they arrive, so the
-/// plan's order is exactly the bitwise-reproducibility contract of
-/// `RegionSums::combine`.
-///
-/// Tags: request to rank `r` uses `base_tag + 2 r`, reply from rank `r` uses
-/// `base_tag + 2 r + 1`, so concurrent batches can stack plans on disjoint
-/// `base_tag` windows of width `2 n_ranks`.
-pub fn fanout_reduce_plan(
-    name: impl Into<String>,
-    n_ranks: usize,
-    root: usize,
-    base_tag: u64,
-    req_bytes: u64,
-    reply_bytes: u64,
-) -> CommPlan {
-    assert!(root < n_ranks);
-    let mut plan = CommPlan::new(name, n_ranks);
-    for r in 0..n_ranks {
-        if r == root {
-            continue;
+// -- running a plan ----------------------------------------------------------
+
+/// The payloads one rank moves while it runs its program of a [`CommPlan`],
+/// by peer and plan-relative tag. One handler serves a whole run, so a
+/// staged exchange can send what an earlier receive delivered. Payloads move
+/// as they are: nothing is serialised or cloned.
+pub trait Exchange<T> {
+    /// The payload this rank sends `peer` under `tag`, asked for once per
+    /// send op, in program order.
+    fn outgoing(&mut self, peer: usize, tag: u64) -> T;
+    /// The payload `peer` sent under `tag`, handed over once per receive op
+    /// as it completes.
+    fn delivered(&mut self, peer: usize, tag: u64, value: T);
+}
+
+/// The handler of a [`CommPlan::shift`] whose two payloads are ready before
+/// it runs: `low` travels toward the −1 neighbour (the even tag), `high`
+/// toward the +1 neighbour (the odd one).
+pub struct Shift<T> {
+    sent: [Option<T>; 2],
+    received: [Option<T>; 2],
+}
+
+impl<T> Shift<T> {
+    pub fn new(low: T, high: T) -> Self {
+        Self {
+            sent: [Some(low), Some(high)],
+            received: [None, None],
         }
-        let tag = base_tag + 2 * r as u64;
-        plan.send(root, r, tag, req_bytes);
-        plan.recv(r, root, tag, req_bytes);
     }
-    // Reduce phase: ascending rank order, self-edge included so the root's
-    // own partial passes through the same matching machinery.
-    for r in 0..n_ranks {
-        let tag = base_tag + 2 * r as u64 + 1;
-        plan.send(r, root, tag, reply_bytes);
-        plan.recv(root, r, tag, reply_bytes);
+
+    /// `(from_low, from_high)`: what the −1 and the +1 neighbour sent.
+    ///
+    /// # Panics
+    /// Panics unless the plan that ran delivered both.
+    pub fn received(self) -> (T, T) {
+        let [Some(from_high), Some(from_low)] = self.received else {
+            panic!("the shift ran without delivering both neighbours' payloads");
+        };
+        (from_low, from_high)
     }
-    plan
+}
+
+impl<T> Exchange<T> for Shift<T> {
+    fn outgoing(&mut self, _peer: usize, tag: u64) -> T {
+        self.sent[(tag % 2) as usize]
+            .take()
+            .expect("a shift sends each payload once")
+    }
+
+    fn delivered(&mut self, _peer: usize, tag: u64, value: T) {
+        self.received[(tag % 2) as usize] = Some(value);
+    }
+}
+
+/// A rank's program of a [`CommPlan`] part-way through: the requests its
+/// ops have posted and the ops still to run. [`crate::SplitPhase::post`]
+/// returns one stopped before the first op that waits; [`Posted::finish`]
+/// runs the rest. Dropped unfinished, its requests are never waited on,
+/// which [`crate::SimOptions::verify_leaks`] reports.
+#[must_use = "a posted program must be finished"]
+pub struct Posted<'c, 'p, T: Payload> {
+    comm: &'c Comm,
+    ops: &'p [Op],
+    base: u64,
+    sends: Vec<(usize, u64, SendRequest<'c>)>,
+    recvs: Vec<(usize, u64, RecvRequest<'c, T>)>,
+}
+
+impl<'c, 'p, T: Payload> Posted<'c, 'p, T> {
+    pub(crate) fn start(comm: &'c Comm, plan: &'p CommPlan, base: u64) -> Self {
+        assert_eq!(plan.n_ranks(), comm.size(), "plan '{}'", plan.name);
+        Self {
+            comm,
+            ops: plan.program(comm.rank()),
+            base,
+            sends: Vec::new(),
+            recvs: Vec::new(),
+        }
+    }
+
+    /// Run ops in program order, every tag raised by the base; with
+    /// `posting`, stop before the first op that waits.
+    pub(crate) fn advance(&mut self, io: &mut impl Exchange<T>, posting: bool) {
+        let (comm, base) = (self.comm, self.base);
+        while let Some((&op, rest)) = self.ops.split_first() {
+            let waits = matches!(
+                op,
+                Op::Recv { .. } | Op::WaitRecv { .. } | Op::WaitSend { .. }
+            );
+            if posting && waits {
+                return;
+            }
+            self.ops = rest;
+            match op {
+                Op::Send { to, tag, bytes } => {
+                    comm.send(to, base + tag, outgoing(io, to, tag, bytes));
+                }
+                Op::Isend { to, tag, bytes } => {
+                    let value = outgoing(io, to, tag, bytes);
+                    self.sends
+                        .push((to, tag, comm.isend(to, base + tag, value)));
+                }
+                Op::Recv { from, tag, .. } => io.delivered(from, tag, comm.recv(from, base + tag)),
+                Op::Irecv { from, tag, .. } => {
+                    self.recvs.push((from, tag, comm.irecv(from, base + tag)));
+                }
+                Op::WaitSend { to, tag } => take(&mut self.sends, to, tag).wait(),
+                Op::WaitRecv { from, tag } => {
+                    let value = take(&mut self.recvs, from, tag).wait();
+                    io.delivered(from, tag, value);
+                }
+            }
+        }
+    }
+
+    /// Run the ops left after the post: the waits and whatever follows.
+    pub fn finish(mut self, io: &mut impl Exchange<T>) {
+        self.advance(io, false);
+    }
+}
+
+/// The handler's payload for a send op, held to the op's byte count.
+fn outgoing<T: Payload>(io: &mut impl Exchange<T>, peer: usize, tag: u64, bytes: u64) -> T {
+    let value = io.outgoing(peer, tag);
+    debug_assert!(
+        bytes == ANY_BYTES || value.byte_len() as u64 == bytes,
+        "payload to rank {peer} under tag {tag}: {} B, the plan declares {bytes} B",
+        value.byte_len()
+    );
+    value
+}
+
+/// Remove the request posted to or from `peer` under `tag`.
+fn take<R>(requests: &mut Vec<(usize, u64, R)>, peer: usize, tag: u64) -> R {
+    let i = requests
+        .iter()
+        .position(|r| (r.0, r.1) == (peer, tag))
+        .expect("a verified plan waits only on requests it posted");
+    requests.swap_remove(i).2
+}
+
+impl Comm {
+    /// Run this rank's program of `plan` with every tag raised by `base`, in
+    /// program order: `io` supplies each payload sent and takes each one
+    /// delivered. Every rank of the universe runs its own program of the
+    /// same plan at the same base.
+    pub fn run_plan<T: Payload>(&self, plan: &CommPlan, base: u64, io: &mut impl Exchange<T>) {
+        Posted::start(self, plan, base).finish(io);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // Hand-built split-phase programs; the shipped ones come from
+    // `CommPlan::posted`.
+    impl CommPlan {
+        /// Rank `src`'s program gains a split-phase send post to `dst`.
+        pub fn isend(&mut self, src: usize, dst: usize, tag: u64, bytes: u64) -> &mut Self {
+            assert!(src < self.n_ranks() && dst < self.n_ranks());
+            self.programs[src].push(Op::Isend {
+                to: dst,
+                tag,
+                bytes,
+            });
+            self
+        }
+
+        /// Rank `dst`'s program gains a split-phase receive post from `src`.
+        pub fn irecv(&mut self, dst: usize, src: usize, tag: u64, bytes: u64) -> &mut Self {
+            assert!(src < self.n_ranks() && dst < self.n_ranks());
+            self.programs[dst].push(Op::Irecv {
+                from: src,
+                tag,
+                bytes,
+            });
+            self
+        }
+
+        /// Rank `rank`'s program gains the completion of its posted isend to
+        /// `peer`.
+        pub fn wait_send(&mut self, rank: usize, peer: usize, tag: u64) -> &mut Self {
+            assert!(rank < self.n_ranks() && peer < self.n_ranks());
+            self.programs[rank].push(Op::WaitSend { to: peer, tag });
+            self
+        }
+
+        /// Rank `rank`'s program gains the completion of its posted irecv from
+        /// `peer`.
+        pub fn wait_recv(&mut self, rank: usize, peer: usize, tag: u64) -> &mut Self {
+            assert!(rank < self.n_ranks() && peer < self.n_ranks());
+            self.programs[rank].push(Op::WaitRecv { from: peer, tag });
+            self
+        }
+    }
+
     fn ring_plan(n: usize, tag: u64) -> CommPlan {
         let mut plan = CommPlan::new("ring", n);
         for r in 0..n {
             let next = (r + 1) % n;
             let prev = (r + n - 1) % n;
-            plan.sendrecv(r, next, tag, prev, tag, 64);
+            plan.send(r, next, tag, 64).recv(r, prev, tag, 64);
         }
         plan
     }
@@ -856,7 +1045,7 @@ mod tests {
         let decomp = Decomp3::new([8, 8, 8], [1, 1, 1]);
         let allowed = cart_neighbor_edges(&decomp);
         let mut plan = CommPlan::new("self", 1);
-        plan.sendrecv(0, 0, 1, 0, 1, 32);
+        plan.send(0, 0, 1, 32).recv(0, 0, 1, 32);
         plan.verify_with(&PlanChecks {
             topology: Some(allowed),
             volume_symmetry: true,
@@ -996,27 +1185,72 @@ mod tests {
     }
 
     #[test]
-    fn fanout_reduce_plan_verifies_and_orders_the_reduce() {
-        let plan = fanout_reduce_plan("query-fanout", 4, 0, 100, 96, 48);
-        let stats = plan.verify().expect("fan-out/reduce is clean");
-        // 3 requests out + 4 replies back (root self-edge included).
-        assert_eq!(stats.sends, 3 + 4);
-        assert_eq!(stats.bytes, 3 * 96 + 4 * 48);
-        // Root's receive program ends with the replies in ascending rank
-        // order — the order the reducer folds partials in.
-        let reply_recvs: Vec<usize> = plan
-            .program(0)
-            .iter()
-            .filter_map(|op| match *op {
-                Op::Recv { from, tag, .. } if tag % 2 == 1 => Some(from),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(reply_recvs, vec![0, 1, 2, 3]);
-        // A non-zero root also verifies.
-        fanout_reduce_plan("q2", 3, 2, 0, 8, 8)
-            .verify()
-            .expect("root 2 plan is clean");
+    fn posted_form_posts_first_and_waits_receives_then_sends() {
+        let decomp = Decomp3::new([8, 8, 8], [3, 1, 1]);
+        let mut blocking = CommPlan::new("shift", 3);
+        blocking.shift(&decomp, 0, 4, |r| 8 * (r as u64 + 1));
+        let posted = blocking.posted();
+        assert!(posted.is_posted() && !blocking.is_posted());
+        assert_eq!(
+            posted.program(1),
+            [
+                Op::Isend {
+                    to: 0,
+                    tag: 4,
+                    bytes: 16
+                },
+                Op::Irecv {
+                    from: 2,
+                    tag: 4,
+                    bytes: 24
+                },
+                Op::Isend {
+                    to: 2,
+                    tag: 5,
+                    bytes: 16
+                },
+                Op::Irecv {
+                    from: 0,
+                    tag: 5,
+                    bytes: 8
+                },
+                Op::WaitRecv { from: 2, tag: 4 },
+                Op::WaitRecv { from: 0, tag: 5 },
+                Op::WaitSend { to: 0, tag: 4 },
+                Op::WaitSend { to: 2, tag: 5 },
+            ]
+        );
+        let checks = PlanChecks {
+            topology: Some(cart_neighbor_edges(&decomp)),
+            volume_symmetry: false,
+        };
+        let (a, b) = (blocking.assert_valid(&checks), posted.assert_valid(&checks));
+        assert_eq!((a.sends, a.recvs, a.bytes), (b.sends, b.recvs, b.bytes));
+    }
+
+    #[test]
+    fn appended_plans_run_in_disjoint_tag_windows() {
+        let decomp = Decomp3::new([8, 8, 8], [2, 1, 1]);
+        let mut shift = CommPlan::new("shift", 2);
+        shift.shift(&decomp, 0, 0, |_| 8);
+        let mut twice = CommPlan::new("twice", 2);
+        twice.append(&shift, 10).append(&shift, 12);
+        twice.verify().expect("disjoint windows");
+        assert_eq!(
+            twice.program(0)[4],
+            Op::Send {
+                to: 1,
+                tag: 12,
+                bytes: 8
+            }
+        );
+        let mut clash = CommPlan::new("clash", 2);
+        clash.append(&shift, 10).append(&shift, 11);
+        let errs = clash.verify().unwrap_err();
+        assert!(
+            matches!(errs[0], PlanError::TagCollision { .. }),
+            "{errs:?}"
+        );
     }
 
     #[test]

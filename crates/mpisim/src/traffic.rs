@@ -113,15 +113,6 @@ impl Traffic {
             .sum()
     }
 
-    /// Largest per-pair byte count — the bandwidth hot spot.
-    pub fn max_pair_bytes(&self) -> u64 {
-        self.bytes
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The `n` heaviest `(src, dst, bytes)` pairs, descending by bytes
     /// (ties broken by `(src, dst)` for determinism). Pairs that moved no
     /// bytes are omitted, so fewer than `n` entries may come back.
@@ -256,7 +247,6 @@ mod tests {
         assert_eq!(t.messages_between(0, 1), 2);
         assert_eq!(t.total_bytes(), 157);
         assert_eq!(t.total_messages(), 3);
-        assert_eq!(t.max_pair_bytes(), 150);
         assert_eq!(t.bytes_sent_by(0), 150);
     }
 

@@ -8,20 +8,22 @@
 //! particles arrive through two hops — the standard construction that keeps
 //! every transfer on a [`Cart3`] neighbour edge.
 //!
-//! Particle counts are data-dependent, so the declarative plan
-//! ([`HaloExchange::plan`]) declares [`ANY_BYTES`] edges: the verifier still
-//! checks matching, tag discipline, deadlock freedom and topology, and the
-//! leak check of `Universe::run_checked` catches unconsumed halos at run
-//! time.
+//! The exchange is one plan ([`HaloExchange::plan`]), a [`CommPlan::shift`]
+//! per decomposed axis, and [`HaloExchange::exchange`] runs it. Particle
+//! counts are data-dependent, so its edges declare [`ANY_BYTES`]: the
+//! verifier still checks matching, tag discipline, deadlock freedom and
+//! topology, and the leak check of `Universe::run_checked` catches
+//! unconsumed halos at run time.
 
 use vlasov6d_mesh::Decomp3;
-use vlasov6d_mpisim::{Cart3, CommPlan, ANY_BYTES};
+use vlasov6d_mpisim::{Cart3, CommPlan, Exchange, ANY_BYTES};
 
 /// Face-neighbour particle halo exchange over a [`Decomp3`] process grid.
 #[derive(Debug, Clone)]
 pub struct HaloExchange {
     decomp: Decomp3,
     halo: f64,
+    plan: CommPlan,
 }
 
 impl HaloExchange {
@@ -33,6 +35,7 @@ impl HaloExchange {
             (0.0..1.0).contains(&halo),
             "halo must be in [0, 1) box units"
         );
+        let mut plan = CommPlan::new("nbody.halo_exchange", decomp.n_ranks());
         for axis in 0..3 {
             if decomp.procs[axis] == 1 {
                 continue;
@@ -45,80 +48,82 @@ impl HaloExchange {
                      the one-neighbour-deep exchange cannot cover the cutoff"
                 );
             }
+            plan.shift(&decomp, axis, 2 * axis as u64, |_| ANY_BYTES);
         }
-        Self { decomp, halo }
+        Self { decomp, halo, plan }
     }
 
     pub fn decomp(&self) -> &Decomp3 {
         &self.decomp
     }
 
-    /// Declarative plan of one exchange starting at `tag`: per decomposed
-    /// axis `d`, a send toward each face neighbour (tags `tag + 2d` low,
-    /// `tag + 2d + 1` high) with the matching receives. Axes with a single
-    /// process are skipped — periodic self-images are the minimum-image
-    /// convention's job, not the exchange's. Verify against
-    /// [`vlasov6d_mpisim::cart_neighbor_edges`].
-    pub fn plan(&self, tag: u64) -> CommPlan {
-        let n = self.decomp.n_ranks();
-        let mut plan = CommPlan::new("nbody.halo_exchange", n);
-        for r in 0..n {
-            for d in 0..3 {
-                if self.decomp.procs[d] == 1 {
-                    continue;
-                }
-                let low = self.decomp.neighbor(r, d, -1);
-                let high = self.decomp.neighbor(r, d, 1);
-                let t = tag + 2 * d as u64;
-                plan.send(r, low, t, ANY_BYTES);
-                plan.recv(r, high, t, ANY_BYTES);
-                plan.send(r, high, t + 1, ANY_BYTES);
-                plan.recv(r, low, t + 1, ANY_BYTES);
-            }
-        }
-        plan
+    /// The exchange's plan, tag-relative: per decomposed axis `d`, a send
+    /// toward each face neighbour (tags `2d` low, `2d + 1` high) with the
+    /// matching receives. Axes with a single process are skipped — periodic
+    /// self-images are the minimum-image convention's job, not the
+    /// exchange's. Verify against [`vlasov6d_mpisim::cart_neighbor_edges`].
+    pub fn plan(&self) -> &CommPlan {
+        &self.plan
     }
 
     /// Ship this rank's boundary particles to its face neighbours and return
     /// the ghosts received: every remote particle inside the halo frame
     /// around the local block (faces, edges and corners, via staging).
     /// Positions stay absolute box coordinates; consumers use the
-    /// minimum-image convention, so no unwrapping is needed. Consumes tags
-    /// `tag .. tag + 6`.
+    /// minimum-image convention, so no unwrapping is needed. Runs the plan
+    /// at `tag`, consuming tags `tag .. tag + 6`.
     pub fn exchange(&self, cart: &Cart3<'_>, local: &[[f64; 3]], tag: u64) -> Vec<[f64; 3]> {
-        let rank = cart.comm().rank();
-        let off = self.decomp.local_offset(rank);
-        let dims = self.decomp.local_dims(rank);
-        let mut ghosts: Vec<[f64; 3]> = Vec::new();
-        for d in 0..3 {
-            if self.decomp.procs[d] == 1 {
-                continue;
-            }
-            let lo = off[d] as f64 / self.decomp.global[d] as f64;
-            let hi = (off[d] + dims[d]) as f64 / self.decomp.global[d] as f64;
-            // Everything held so far (own + earlier-axis ghosts) lies inside
-            // [lo, hi) along this axis, so plain comparisons select the bands.
-            let band = |pred: &dyn Fn(f64) -> bool| -> Vec<f64> {
-                let mut pkt = Vec::new();
-                for p in local.iter().chain(&ghosts) {
-                    if pred(p[d]) {
-                        pkt.extend_from_slice(p);
-                    }
-                }
-                pkt
-            };
-            let low_band = band(&|x| x < lo + self.halo);
-            let high_band = band(&|x| x >= hi - self.halo);
-            let t = tag + 2 * d as u64;
-            let from_high = cart.shift_exchange(d, -1, t, low_band);
-            let from_low = cart.shift_exchange(d, 1, t + 1, high_band);
-            for pkt in [from_high, from_low] {
-                for p in pkt.chunks_exact(3) {
-                    ghosts.push([p[0], p[1], p[2]]);
-                }
+        let mut halo = Halo {
+            ex: self,
+            rank: cart.comm().rank(),
+            local,
+            ghosts: Vec::new(),
+            arrived: Vec::new(),
+        };
+        cart.comm().run_plan(&self.plan, tag, &mut halo);
+        halo.ghosts.append(&mut halo.arrived);
+        halo.ghosts
+    }
+}
+
+/// One rank's side of a running halo exchange. The particles that arrive
+/// along an axis join the ghosts when the next axis starts (its low band,
+/// the even tag, is cut first), so both bands of an axis are cut from the
+/// same particles and the next axis forwards them.
+struct Halo<'a> {
+    ex: &'a HaloExchange,
+    rank: usize,
+    local: &'a [[f64; 3]],
+    ghosts: Vec<[f64; 3]>,
+    arrived: Vec<[f64; 3]>,
+}
+
+impl Exchange<Vec<f64>> for Halo<'_> {
+    /// The band within the halo of the low (even tag) or high face along
+    /// axis `tag / 2`.
+    fn outgoing(&mut self, _peer: usize, tag: u64) -> Vec<f64> {
+        let (d, low) = ((tag / 2) as usize, tag.is_multiple_of(2));
+        if low {
+            self.ghosts.append(&mut self.arrived);
+        }
+        let decomp = &self.ex.decomp;
+        let off = decomp.local_offset(self.rank)[d];
+        let lo = off as f64 / decomp.global[d] as f64;
+        let hi = (off + decomp.local_dims(self.rank)[d]) as f64 / decomp.global[d] as f64;
+        // Everything held so far (own + earlier-axis ghosts) lies inside
+        // [lo, hi) along this axis, so plain comparisons select the bands.
+        let mut pkt = Vec::new();
+        for p in self.local.iter().chain(&self.ghosts) {
+            if (low && p[d] < lo + self.ex.halo) || (!low && p[d] >= hi - self.ex.halo) {
+                pkt.extend_from_slice(p);
             }
         }
-        ghosts
+        pkt
+    }
+
+    fn delivered(&mut self, _peer: usize, _tag: u64, pkt: Vec<f64>) {
+        self.arrived
+            .extend(pkt.chunks_exact(3).map(|p| [p[0], p[1], p[2]]));
     }
 }
 
@@ -166,7 +171,7 @@ mod tests {
     fn halo_plan_verifies_on_cart_topology() {
         let decomp = Decomp3::new([8, 8, 8], [2, 2, 2]);
         let ex = HaloExchange::new(decomp, 0.125);
-        let stats = ex.plan(500).assert_valid(&PlanChecks {
+        let stats = ex.plan().assert_valid(&PlanChecks {
             topology: Some(cart_neighbor_edges(&decomp)),
             volume_symmetry: true, // vacuous on ANY_BYTES edges
         });
@@ -180,7 +185,7 @@ mod tests {
     fn plan_skips_single_process_axes() {
         let decomp = Decomp3::new([8, 8, 8], [4, 1, 1]);
         let ex = HaloExchange::new(decomp, 0.1);
-        let stats = ex.plan(0).verify().expect("clean");
+        let stats = ex.plan().verify().expect("clean");
         assert_eq!(stats.sends, 8, "only axis 0 exchanges");
     }
 

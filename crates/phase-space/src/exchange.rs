@@ -21,6 +21,12 @@
 //! `sweep_spatial` under [`crate::Exec::Simd`] bit for bit, at any rank and
 //! thread count.
 //!
+//! The exchange is one [`CommPlan`], [`ghost_exchange_plan`]: both sweeps
+//! run it, the synchronous one whole ([`vlasov6d_mpisim::Comm::run_plan`])
+//! and the overlapped one in its [`CommPlan::posted`] form, posted before
+//! the interior pass and finished after it. The plan the driver verifies is
+//! the one that moves the planes.
+//!
 //! Distributed sweeps require `|cfl| < 1` so the upwind stencil never reaches
 //! beyond the exchanged planes; the time-step controller in `vlasov6d`
 //! guarantees this (the paper does the same — spatial CFL below unity).
@@ -32,7 +38,7 @@ use crate::dist_fn::PhaseSpace;
 use crate::sweep::{sweep_ghosted, Exec, Window};
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_mesh::Decomp3;
-use vlasov6d_mpisim::{Cart3, CommPlan, SplitPhase};
+use vlasov6d_mpisim::{Cart3, CommPlan, Shift, SplitPhase};
 
 /// Ghost planes needed by the fifth-order stencil — by definition the kernel
 /// ghost width [`vlasov6d_advection::GHOST`], re-exported here so the
@@ -40,14 +46,14 @@ use vlasov6d_mpisim::{Cart3, CommPlan, SplitPhase};
 /// footprint pass additionally proves both equal the probed stencil radius).
 pub const GHOST_WIDTH: usize = vlasov6d_advection::GHOST;
 
-/// Declarative communication plan of [`exchange_ghosts`] over the whole
-/// process grid: per rank, a send of its low planes to the low neighbour
-/// (tag `tag`) and of its high planes to the high neighbour (tag `tag + 1`),
-/// with the matching receives. `vlen` is the velocity-grid length (planes
-/// carry `width · (Π other spatial dims) · vlen` f32 values). Verify with
-/// [`vlasov6d_mpisim::cart_neighbor_edges`] topology and volume symmetry —
-/// neighbours along an axis share their cross-section, so byte counts must
-/// balance.
+/// The ghost-plane exchange along spatial axis `d` over the whole process
+/// grid, the [`CommPlan::shift`] of `width` edge planes: per rank, its low
+/// planes to the low neighbour (tag `tag`) and its high planes to the high
+/// neighbour (tag `tag + 1`), with the matching receives. `vlen` is the
+/// velocity-grid length (planes carry `width · (Π other spatial dims) ·
+/// vlen` f32 values). Verify with [`vlasov6d_mpisim::cart_neighbor_edges`]
+/// topology and volume symmetry — neighbours along an axis share their
+/// cross-section, so byte counts must balance.
 pub fn ghost_exchange_plan(
     decomp: &Decomp3,
     vlen: usize,
@@ -56,57 +62,11 @@ pub fn ghost_exchange_plan(
     tag: u64,
 ) -> CommPlan {
     let mut plan = CommPlan::new(format!("ghost_exchange.axis{d}"), decomp.n_ranks());
-    let plane_bytes = |rank: usize| -> u64 {
+    plan.shift(decomp, d, tag, |rank| {
         let ld = decomp.local_dims(rank);
         let cross: usize = (0..3).filter(|&a| a != d).map(|a| ld[a]).product();
         (width * cross * vlen * std::mem::size_of::<f32>()) as u64
-    };
-    for r in 0..decomp.n_ranks() {
-        let low = decomp.neighbor(r, d, -1);
-        let high = decomp.neighbor(r, d, 1);
-        // Mirrors the two shift_exchange calls of `exchange_ghosts`, in
-        // program order: low planes toward -1 under `tag`, high planes
-        // toward +1 under `tag + 1`.
-        plan.send(r, low, tag, plane_bytes(r));
-        plan.recv(r, high, tag, plane_bytes(high));
-        plan.send(r, high, tag + 1, plane_bytes(r));
-        plan.recv(r, low, tag + 1, plane_bytes(low));
-    }
-    plan
-}
-
-/// Declarative plan of the split-phase ghost exchange used by
-/// [`sweep_spatial_overlapped`]: the same edges, tags and byte counts as
-/// [`ghost_exchange_plan`], but posted as `isend`/`irecv` pairs whose waits
-/// come after the interior compute. Verifying it proves the overlap posts
-/// every request it later waits on and waits on every request it posts.
-pub fn ghost_exchange_split_plan(
-    decomp: &Decomp3,
-    vlen: usize,
-    d: usize,
-    width: usize,
-    tag: u64,
-) -> CommPlan {
-    let mut plan = CommPlan::new(format!("ghost_exchange_split.axis{d}"), decomp.n_ranks());
-    let plane_bytes = |rank: usize| -> u64 {
-        let ld = decomp.local_dims(rank);
-        let cross: usize = (0..3).filter(|&a| a != d).map(|a| ld[a]).product();
-        (width * cross * vlen * std::mem::size_of::<f32>()) as u64
-    };
-    for r in 0..decomp.n_ranks() {
-        let low = decomp.neighbor(r, d, -1);
-        let high = decomp.neighbor(r, d, 1);
-        // Post phase (before the interior sweep)...
-        plan.isend(r, low, tag, plane_bytes(r));
-        plan.irecv(r, high, tag, plane_bytes(high));
-        plan.isend(r, high, tag + 1, plane_bytes(r));
-        plan.irecv(r, low, tag + 1, plane_bytes(low));
-        // ...then the waits (after it), receives first.
-        plan.wait_recv(r, high, tag);
-        plan.wait_recv(r, low, tag + 1);
-        plan.wait_send(r, low, tag);
-        plan.wait_send(r, high, tag + 1);
-    }
+    });
     plan
 }
 
@@ -131,30 +91,15 @@ pub fn extract_planes(ps: &PhaseSpace, d: usize, start: usize, width: usize) -> 
     out
 }
 
-/// Exchange edge planes with both neighbours along spatial axis `d`.
-/// Returns `(from_low_neighbor, from_high_neighbor)`: the `width` planes just
-/// below and just above this rank's block, in [`extract_planes`] layout.
-pub fn exchange_ghosts(
-    ps: &PhaseSpace,
-    cart: &Cart3<'_>,
-    d: usize,
-    width: usize,
-    tag: u64,
-) -> (Vec<f32>, Vec<f32>) {
+/// The `width` edge planes at either end of this rank's block along `d`,
+/// as the handler of its ghost exchange: the low planes go to the low
+/// neighbour, the high planes to the high one.
+fn edge_planes(ps: &PhaseSpace, d: usize, width: usize) -> Shift<Vec<f32>> {
     let n = ps.sdims[d];
-    assert!(
-        n >= width,
-        "block thinner than the ghost width along axis {d}"
-    );
-    // My low planes travel to the low neighbour (becoming its high ghosts);
-    // I receive the high neighbour's low planes as my high ghosts — and vice
-    // versa. `shift_exchange(axis, dir, ..)` sends toward `dir` and returns
-    // what arrived from the opposite side.
-    let my_low = extract_planes(ps, d, 0, width);
-    let my_high = extract_planes(ps, d, n - width, width);
-    let from_high = cart.shift_exchange(d, -1, tag, my_low);
-    let from_low = cart.shift_exchange(d, 1, tag + 1, my_high);
-    (from_low, from_high)
+    Shift::new(
+        extract_planes(ps, d, 0, width),
+        extract_planes(ps, d, n - width, width),
+    )
 }
 
 /// Copies of the two `GHOST_WIDTH`-plane slabs next to the edge slabs along
@@ -183,10 +128,11 @@ fn check_sweep_args(ps: &PhaseSpace, d: usize, cfl_per_u: &[f64]) {
 }
 
 /// Distributed spatial sweep along axis `d` (`|cfl| < 1` for every velocity
-/// index): a blocking [`exchange_ghosts`], then every pencil in one parallel
+/// index): a blocking ghost exchange, then every pencil in one parallel
 /// region, `n + 1` flux evaluations each. This is the oracle the overlapped
 /// sweep is compared against, and what `OverlapPolicy::Synchronous` (the
-/// driver's default) runs.
+/// driver's default) runs. Builds its [`ghost_exchange_plan`] and runs it
+/// under tags `tag`, `tag + 1` ([`sweep_planned`] takes a built one).
 pub fn sweep_spatial_distributed(
     ps: &mut PhaseSpace,
     cart: &Cart3<'_>,
@@ -195,32 +141,22 @@ pub fn sweep_spatial_distributed(
     scheme: Scheme,
     tag: u64,
 ) {
-    check_sweep_args(ps, d, cfl_per_u);
-    const SPAN: [&str; 3] = ["sweep.dist.x", "sweep.dist.y", "sweep.dist.z"];
-    let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
-    let (from_low, from_high) = {
-        let _g = vlasov6d_obs::span!("sweep.ghost_exchange");
-        // The blocking exchange serialises before the sweep: all of its
-        // time is exposed on the critical path.
-        let _e = vlasov6d_obs::span!("comm.exposed");
-        exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag)
-    };
-    let full = Window::full(ps.sdims[d], &from_low, &from_high);
-    sweep_ghosted(ps, d, cfl_per_u, scheme, Exec::Simd, &[full], None);
+    let plan = ghost_exchange_plan(cart.decomp(), ps.vgrid.len(), d, GHOST_WIDTH, 0);
+    sweep_planned(ps, cart, &plan, d, cfl_per_u, scheme, tag);
 }
 
 /// Distributed spatial sweep along axis `d` that hides the ghost exchange
 /// behind the interior advection — the paper's overlap of halo traffic with
 /// the spatial sweeps. Bitwise-identical to [`sweep_spatial_distributed`]:
 ///
-/// 1. **Post** the ghost-plane `isend`/`irecv` pairs (same neighbours, tags
-///    and byte counts as the blocking exchange) and copy the two
-///    `GHOST_WIDTH`-plane slabs next to the edges, which step 2 overwrites
-///    and step 4 still needs at their pre-sweep values.
+/// 1. **Post** the posted form of the ghost exchange (the same messages as
+///    the blocking one) and copy the two `GHOST_WIDTH`-plane slabs next to
+///    the edges, which step 2 overwrites and step 4 still needs at their
+///    pre-sweep values.
 /// 2. **Interior** (`comm.hidden` span): one parallel region advances cells
 ///    `[GHOST_WIDTH, n − GHOST_WIDTH)` of every pencil from the bare local
 ///    pencil — their stencils never leave the block.
-/// 3. **Wait** (`comm.exposed` span): collect the four requests; only this
+/// 3. **Wait** (`comm.exposed` span): finish the posted program; only this
 ///    remainder of the exchange sits on the critical path.
 /// 4. **Edges**: a second region advances the `GHOST_WIDTH` cells at either
 ///    end of every pencil from a `3·GHOST_WIDTH` window of received planes,
@@ -244,34 +180,60 @@ pub fn sweep_spatial_overlapped(
     scheme: Scheme,
     tag: u64,
 ) {
-    overlapped(ps, cart.split_phase(), d, cfl_per_u, scheme, tag);
+    let plan = ghost_exchange_plan(cart.decomp(), ps.vgrid.len(), d, GHOST_WIDTH, 0).posted();
+    sweep_planned(ps, cart, &plan, d, cfl_per_u, scheme, tag);
 }
 
-/// [`sweep_spatial_overlapped`] on the split-phase view of its grid.
-fn overlapped(
+/// The distributed spatial sweep along `d` around `plan`, a
+/// [`ghost_exchange_plan`] of `GHOST_WIDTH` planes at tag 0, run at `tag`:
+/// its blocking form runs [`sweep_spatial_distributed`], its
+/// [`CommPlan::posted`] form [`sweep_spatial_overlapped`].
+pub fn sweep_planned(
     ps: &mut PhaseSpace,
-    comm: SplitPhase<'_>,
+    cart: &Cart3<'_>,
+    plan: &CommPlan,
     d: usize,
     cfl_per_u: &[f64],
     scheme: Scheme,
     tag: u64,
 ) {
     check_sweep_args(ps, d, cfl_per_u);
+    if plan.is_posted() {
+        return overlapped(ps, cart.split_phase(), plan, d, cfl_per_u, scheme, tag);
+    }
+    const SPAN: [&str; 3] = ["sweep.dist.x", "sweep.dist.y", "sweep.dist.z"];
+    let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
+    let (from_low, from_high) = {
+        let _g = vlasov6d_obs::span!("sweep.ghost_exchange");
+        // The blocking exchange serialises before the sweep: all of its
+        // time is exposed on the critical path.
+        let _e = vlasov6d_obs::span!("comm.exposed");
+        let mut planes = edge_planes(ps, d, GHOST_WIDTH);
+        cart.comm().run_plan(plan, tag, &mut planes);
+        planes.received()
+    };
+    let full = Window::full(ps.sdims[d], &from_low, &from_high);
+    sweep_ghosted(ps, d, cfl_per_u, scheme, Exec::Simd, &[full], None);
+}
+
+/// [`sweep_spatial_overlapped`] on the split-phase view of its grid.
+fn overlapped(
+    ps: &mut PhaseSpace,
+    comm: SplitPhase<'_>,
+    plan: &CommPlan,
+    d: usize,
+    cfl_per_u: &[f64],
+    scheme: Scheme,
+    tag: u64,
+) {
     const SPAN: [&str; 3] = ["sweep.overlap.x", "sweep.overlap.y", "sweep.overlap.z"];
     let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
-
     let n = ps.sdims[d];
     let gw = GHOST_WIDTH;
-    let low_nb = comm.neighbor(d, -1);
-    let high_nb = comm.neighbor(d, 1);
 
-    // Post phase: the same messages (edges, tags, sizes) as
-    // `exchange_ghosts`, so plan verification, traffic accounting and the
-    // kerncheck byte audit see an identical exchange.
-    let send_low = comm.isend(low_nb, tag, extract_planes(ps, d, 0, gw));
-    let recv_high = comm.irecv::<Vec<f32>>(high_nb, tag);
-    let send_high = comm.isend(high_nb, tag + 1, extract_planes(ps, d, n - gw, gw));
-    let recv_low = comm.irecv::<Vec<f32>>(low_nb, tag + 1);
+    // Post phase: every send and receive of the plan.
+    let mut planes = edge_planes(ps, d, gw);
+    let posted = comm.post(plan, tag, &mut planes);
 
     // Interior phase, while the ghost planes are in flight.
     let saved = (n >= 2 * gw).then(|| {
@@ -292,11 +254,8 @@ fn overlapped(
     // Wait phase: only this remainder of the exchange is exposed.
     let (from_low, from_high) = {
         let _e = vlasov6d_obs::span!("comm.exposed");
-        let from_high = recv_high.wait();
-        let from_low = recv_low.wait();
-        send_low.wait();
-        send_high.wait();
-        (from_low, from_high)
+        posted.finish(&mut planes);
+        planes.received()
     };
 
     let windows = match &saved {
@@ -411,7 +370,10 @@ mod tests {
             let cart = Cart3::new(comm, decomp);
             let mut ps = PhaseSpace::zeros_block([8, 4, 4], [0, 0, 0], sglobal, vg);
             ps.fill_with(global_fill);
-            let (from_low, from_high) = exchange_ghosts(&ps, &cart, 0, 3, 7);
+            let plan = ghost_exchange_plan(&decomp, vg.len(), 0, 3, 0);
+            let mut planes = edge_planes(&ps, 0, 3);
+            cart.comm().run_plan(&plan, 7, &mut planes);
+            let (from_low, from_high) = planes.received();
             // from_low must equal my own top planes (periodic wrap).
             let top = extract_planes(&ps, 0, 5, 3);
             let bottom = extract_planes(&ps, 0, 0, 3);
@@ -616,7 +578,7 @@ mod tests {
             volume_symmetry: true,
         };
         for d in 0..3 {
-            let split = ghost_exchange_split_plan(&decomp, 512, d, GHOST_WIDTH, 40);
+            let split = ghost_exchange_plan(&decomp, 512, d, GHOST_WIDTH, 40).posted();
             let stats = split.assert_valid(&checks);
             // Identical message set to the blocking plan: same edge count and
             // the same bytes on the wire.

@@ -60,10 +60,11 @@ impl DistPoisson {
         2 * self.fft.tag_span()
     }
 
-    /// Declarative communication plan of one [`Self::solve`] call at `tag`:
-    /// the forward transposes starting at `tag`, the inverse transposes in
-    /// the following tag window. Verify with volume symmetry (the
-    /// transposes are all-to-all, so no Cartesian topology applies).
+    /// The communication plan of one [`Self::solve`] call at `tag`: the
+    /// transpose-stage programs the solve runs, the forward ones from `tag`,
+    /// the inverse ones in the following tag window. Verify with volume
+    /// symmetry (the transposes are all-to-all, so no Cartesian topology
+    /// applies).
     pub fn solve_plan(&self, tag: u64) -> CommPlan {
         let mut plan = CommPlan::new("poisson.dist_solve", self.fft.n_ranks());
         self.fft.add_forward(&mut plan, tag);

@@ -13,10 +13,8 @@
 //!   ascending rank order** — the same combine order `LocalBackend` uses,
 //!   which is why the two backends agree bitwise on `f64` results.
 //!
-//! The fan-out/reduce round is declared and statically verified as a
-//! [`vlasov6d_mpisim::plan::CommPlan`] ([`fanout_reduce_plan`]) at backend
-//! construction: matching, deadlock freedom and the rank-ordered reduce are
-//! checked before any message moves.
+//! The round is two collectives, `Comm::broadcast` and `Comm::gather`, so
+//! like every collective it sits outside any `CommPlan`.
 
 use crate::engine::{
     self, density_partial, region_partial, sky_partial, BacktrackEngine, BacktrackParams,
@@ -25,7 +23,6 @@ use crate::engine::{
 use crate::request::{self, decode_batch, encode_batch, QueryError, Request, Response};
 use crate::shard::SnapshotShard;
 use vlasov6d_ckpt::CheckpointStore;
-use vlasov6d_mpisim::plan::{fanout_reduce_plan, ANY_BYTES};
 use vlasov6d_mpisim::Comm;
 use vlasov6d_phase_space::moments::RegionSums;
 
@@ -402,8 +399,7 @@ pub struct DistBackend<'a> {
 }
 
 impl<'a> DistBackend<'a> {
-    /// Open rank 0's shard and statically verify the fan-out/reduce plan of
-    /// one batch round before any message moves.
+    /// Open rank 0's shard.
     pub fn new(
         comm: &'a Comm,
         store: &CheckpointStore,
@@ -413,11 +409,6 @@ impl<'a> DistBackend<'a> {
     ) -> Result<DistBackend<'a>, QueryError> {
         assert_eq!(comm.rank(), 0, "DistBackend runs on the root rank");
         let shard = SnapshotShard::open(store, generation, 0, cache_bytes)?;
-        fanout_reduce_plan("query.batch_round", comm.size(), 0, 0, ANY_BYTES, ANY_BYTES)
-            .verify()
-            .map_err(|errs| {
-                QueryError::Snapshot(format!("batch-round comm plan invalid: {:?}", errs))
-            })?;
         Ok(DistBackend {
             comm,
             shard,

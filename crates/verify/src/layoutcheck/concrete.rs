@@ -194,7 +194,8 @@ fn plan_cross_checks(report: &mut Report) {
     for (dims, grid) in registry::sample_shapes() {
         let fft = Pencil2D::new(dims, grid.rows, grid.cols).with_batches(2);
         let span = fft.tag_span();
-        let fwd = fft.transpose_plan(0);
+        let mut fwd = vlasov6d_mpisim::CommPlan::new("fft.pencil.forward", grid.n_ranks());
+        fft.add_forward(&mut fwd, 0);
         let mut inv = vlasov6d_mpisim::CommPlan::new("fft.pencil.inverse", grid.n_ranks());
         fft.add_inverse(&mut inv, 0);
         let half = span / 2;

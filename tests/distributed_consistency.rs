@@ -7,9 +7,13 @@ use vlasov6d::KineticScenario;
 use vlasov6d_advection::line::Scheme;
 use vlasov6d_ckpt::{CheckpointPolicy, CheckpointStore};
 use vlasov6d_cosmology::{Background, CosmologyParams};
+use vlasov6d_fft::{Complex64, Pencil2D};
 use vlasov6d_mesh::{Decomp3, Field3};
-use vlasov6d_mpisim::{Cart3, Universe};
-use vlasov6d_phase_space::exchange::{sweep_spatial_distributed, GHOST_WIDTH};
+use vlasov6d_mpisim::{Cart3, Comm, SimOptions, Universe};
+use vlasov6d_nbody::HaloExchange;
+use vlasov6d_phase_space::exchange::{
+    sweep_spatial_distributed, sweep_spatial_overlapped, GHOST_WIDTH,
+};
 use vlasov6d_phase_space::{moments, sweep, Exec, PhaseSpace, VelocityGrid};
 
 fn fill(s: [usize; 3], u: [f64; 3]) -> f64 {
@@ -225,8 +229,7 @@ fn run_scenario_distributed(
         let mut sim = DistributedVlasov::new(comm, local, bg, 0.0, 0.0)
             .with_dynamics(sc.dynamics())
             .with_scheme(sc.grid.scheme)
-            .with_exec(sc.grid.exec)
-            .with_plan_verification();
+            .with_exec(sc.grid.exec);
         sim.max_dln_a = sc.max_step;
         sim.cfl_spatial = sc.cfl_spatial;
         let mut clocks = Vec::with_capacity(steps);
@@ -313,6 +316,100 @@ fn scenario_engine_is_thread_count_invariant() {
                 "{}: thread-count divergence at flat index {i}: {a:?} vs {b:?}",
                 sc.name
             );
+        }
+    }
+}
+
+/// Every planned exchange once, as a bit fingerprint per exchange: the
+/// ghost planes (blocking and posted) along each axis of a 2-D process
+/// grid, the particle halos, a pencil forward + inverse, and one driver
+/// step under each overlap policy, whose periodic gravity runs the Poisson
+/// transposes and the gradient's φ planes.
+fn planned_exchanges(comm: &Comm) -> Vec<u64> {
+    let fnv = |bits: &mut dyn Iterator<Item = u64>| {
+        bits.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let n = comm.size();
+    let mut out = Vec::new();
+
+    let sglobal = [8usize, 8, 4];
+    let vg = VelocityGrid::cubic(4, 0.8);
+    let decomp = Decomp3::new(sglobal, [2, n / 2, 1]);
+    let cart = Cart3::new(comm, decomp);
+    let mut ps = PhaseSpace::zeros_block(cart.local_dims(), cart.local_offset(), sglobal, vg);
+    ps.fill_with(fill);
+    let cfl = [-0.6, -0.2, 0.3, 0.7];
+    for d in 0..3 {
+        let tag = 10 * d as u64;
+        sweep_spatial_distributed(&mut ps, &cart, d, &cfl, Scheme::SlMpp5, tag);
+        sweep_spatial_overlapped(&mut ps, &cart, d, &cfl, Scheme::SlMpp5, tag + 4);
+    }
+    out.push(fnv(&mut ps.as_slice().iter().map(|v| v.to_bits() as u64)));
+
+    let own: Vec<[f64; 3]> = (0..64)
+        .map(|i| {
+            [
+                (i % 4) as f64 / 4.0,
+                ((i / 4) % 4) as f64 / 4.0,
+                (i / 16) as f64 / 4.0,
+            ]
+        })
+        .map(|p| p.map(|x| x + 0.1))
+        .filter(|p| decomp.owner_of_position(*p) == comm.rank())
+        .collect();
+    let halo = HaloExchange::new(decomp, 0.2).exchange(&cart, &own, 100);
+    out.push(fnv(&mut halo.iter().flatten().map(|x| x.to_bits())));
+
+    let fft = Pencil2D::new([4, 4, 4], 2, n / 2);
+    let input: Vec<Complex64> = (0..fft.zpencil_len())
+        .map(|i| Complex64::new((i as f64 * 0.7).sin(), comm.rank() as f64))
+        .collect();
+    let spectrum = fft.forward(comm, &input, 200);
+    let back = fft.inverse(comm, &spectrum, 200 + fft.tag_span());
+    out.push(fnv(&mut spectrum
+        .iter()
+        .chain(&back)
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])));
+
+    let sglobal = [16usize, 4, 4];
+    for overlap in [OverlapPolicy::Synchronous, OverlapPolicy::Overlapped] {
+        let decomp = Decomp3::new(sglobal, [n, 1, 1]);
+        let mut local = PhaseSpace::zeros_block(
+            decomp.local_dims(comm.rank()),
+            decomp.local_offset(comm.rank()),
+            sglobal,
+            vg,
+        );
+        local.fill_with(fill);
+        let bg = Background::new(CosmologyParams::planck2015());
+        let mut sim = DistributedVlasov::new(comm, local, bg, 0.2, 1.0).with_overlap(overlap);
+        sim.step(comm);
+        out.push(fnv(&mut sim
+            .ps
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits() as u64)));
+    }
+    out
+}
+
+/// Schedule exploration over the programs that run: every planned exchange
+/// under eight seeded delivery schedules on 2 and 4 ranks, with the deadlock
+/// watchdog armed and the message and request leak checks on. No schedule
+/// may wedge or strand a message or a request, and every schedule must
+/// produce the same bits.
+#[test]
+fn planned_exchanges_are_schedule_independent() {
+    for n_ranks in [2usize, 4] {
+        let mut reference = None;
+        for seed in 0..8 {
+            let opts = SimOptions::checked(seed, std::time::Duration::from_secs(20));
+            let (out, _) = Universe::run_checked(n_ranks, opts, planned_exchanges)
+                .unwrap_or_else(|e| panic!("{n_ranks} ranks, schedule {seed}: {e}"));
+            let reference = reference.get_or_insert_with(|| out.clone());
+            assert_eq!(&out, reference, "{n_ranks} ranks, schedule {seed}");
         }
     }
 }

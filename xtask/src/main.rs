@@ -25,8 +25,8 @@
 //!   coefficients and build fixtures on purpose).
 //!
 //!   No blocking communication inside the overlapped sweep is a type: its
-//!   body sees the grid only as `mpisim::SplitPhase` (`isend`, `irecv`,
-//!   `neighbor`), so a blocking call there does not compile. The pencil
+//!   body sees the grid only as `mpisim::SplitPhase` (`post`, which stops
+//!   at a plan's first wait), so a blocking call there does not compile. The pencil
 //!   transpose needs no lint either: it has no index arithmetic of its own,
 //!   only the `fft::layout` maps layoutcheck proves. Three
 //!   invariants are clippy's (CI runs `cargo clippy --workspace
