@@ -85,7 +85,7 @@ impl<'c> SplitPhase<'c> {
         plan: &'p CommPlan,
         base: u64,
         io: &mut impl Exchange<T>,
-    ) -> Posted<'c, 'p, T> {
+    ) -> Posted<'c, 'p> {
         let mut posted = Posted::start(self.comm, plan, base);
         posted.advance(io, true);
         posted

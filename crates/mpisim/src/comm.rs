@@ -117,8 +117,7 @@ pub enum SimError {
     Deadlock { blocked: Vec<BlockedOp> },
     /// Messages were never received ([`SimOptions::verify_leaks`]).
     Leak { leaks: Vec<LeakRecord> },
-    /// Split-phase requests were dropped without a `wait`/successful `test`
-    /// ([`SimOptions::verify_leaks`]).
+    /// Posted requests were never waited on ([`SimOptions::verify_leaks`]).
     RequestLeak { leaks: Vec<RequestLeak> },
     /// A rank panicked; the message is the panic payload's text.
     RankPanic { rank: usize, message: String },
@@ -223,11 +222,11 @@ pub enum RequestKind {
     Recv,
 }
 
-/// A split-phase request that was dropped without being waited on —
-/// the non-blocking analogue of a [`LeakRecord`].
+/// A request a posted program ([`crate::Posted`]) made and was dropped
+/// before waiting on — the non-blocking analogue of a [`LeakRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestLeak {
-    /// Rank that posted (and then dropped) the request.
+    /// Rank that posted the request.
     pub rank: usize,
     /// Send or receive side.
     pub kind: RequestKind,
@@ -639,113 +638,15 @@ impl Comm {
         &self.shared.traffic
     }
 
-    /// Split-phase send: posts `value` for `dest` immediately (sends are
-    /// buffered, so completion is local) and returns a handle whose `wait`
-    /// marks the request complete. Dropping the handle un-waited is a
-    /// program bug, reported by [`SimOptions::verify_leaks`].
-    #[must_use = "the returned request must be waited on"]
-    pub(crate) fn isend<T: Payload>(&self, dest: usize, tag: u64, value: T) -> SendRequest<'_> {
-        assert!(dest < self.size, "isend to rank {dest} of {}", self.size);
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^62");
-        self.send_internal(dest, tag, value);
-        SendRequest {
-            comm: self,
-            peer: dest,
+    /// Record a request this rank's program posted and never waited on, for
+    /// [`SimOptions::verify_leaks`].
+    pub(crate) fn record_request_leak(&self, kind: RequestKind, peer: usize, tag: u64) {
+        self.shared.ctrl.record_request_leak(RequestLeak {
+            rank: self.rank,
+            kind,
+            peer,
             tag,
-            done: false,
-        }
-    }
-
-    /// Split-phase receive: posts a receive for `(source, tag)` and returns a
-    /// handle; `wait` blocks until the message arrives, `test` polls.
-    /// Dropping the handle before completion is a program bug, reported by
-    /// [`SimOptions::verify_leaks`] (and the undelivered message additionally
-    /// trips the mailbox leak check).
-    #[must_use = "the returned request must be waited on"]
-    pub(crate) fn irecv<T: Payload>(&self, source: usize, tag: u64) -> RecvRequest<'_, T> {
-        assert!(
-            source < self.size,
-            "irecv from rank {source} of {}",
-            self.size
-        );
-        assert!(tag < COLLECTIVE_TAG_BASE, "user tags must be < 2^62");
-        RecvRequest {
-            comm: self,
-            source,
-            tag,
-            ready: None,
-            done: false,
-        }
-    }
-}
-
-/// Handle for a posted send. Sends are buffered, so `wait` never
-/// blocks — its job is to mark the request retired so the teardown checks
-/// can prove every post was paired with a completion.
-#[must_use = "a posted isend must be waited on"]
-pub(crate) struct SendRequest<'c> {
-    comm: &'c Comm,
-    peer: usize,
-    tag: u64,
-    done: bool,
-}
-
-impl SendRequest<'_> {
-    /// Complete the send. Never blocks (sends are buffered).
-    pub(crate) fn wait(mut self) {
-        self.done = true;
-    }
-}
-
-impl Drop for SendRequest<'_> {
-    fn drop(&mut self) {
-        if !self.done && !std::thread::panicking() {
-            self.comm.shared.ctrl.record_request_leak(RequestLeak {
-                rank: self.comm.rank,
-                kind: RequestKind::Send,
-                peer: self.peer,
-                tag: self.tag,
-            });
-        }
-    }
-}
-
-/// Handle for a posted receive. `wait` consumes the handle and returns the
-/// payload; `test` polls and buffers the payload for a later `wait`.
-#[must_use = "a posted irecv must be waited on"]
-pub(crate) struct RecvRequest<'c, T: Payload> {
-    comm: &'c Comm,
-    source: usize,
-    tag: u64,
-    /// The payload a successful `test` collected early.
-    ready: Option<T>,
-    done: bool,
-}
-
-impl<T: Payload> RecvRequest<'_, T> {
-    /// Block until the matching message arrives and return it.
-    ///
-    /// # Panics
-    /// Panics on payload type mismatch, like a blocking receive.
-    pub(crate) fn wait(mut self) -> T {
-        self.done = true;
-        match self.ready.take() {
-            Some(value) => value,
-            None => self.comm.recv_internal(self.source, self.tag),
-        }
-    }
-}
-
-impl<T: Payload> Drop for RecvRequest<'_, T> {
-    fn drop(&mut self) {
-        if !self.done && self.ready.is_none() && !std::thread::panicking() {
-            self.comm.shared.ctrl.record_request_leak(RequestLeak {
-                rank: self.comm.rank,
-                kind: RequestKind::Recv,
-                peer: self.source,
-                tag: self.tag,
-            });
-        }
+        });
     }
 }
 
@@ -1021,9 +922,11 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::{posted_ring, split_phase, Value};
+    use crate::CommPlan;
 
-    // Polling, which only the tests below use: a request's `test` and the
-    // `MPI_Iprobe`-style `try_recv` under it.
+    // Polling, which only tests use: the `MPI_Iprobe`-style `try_recv`
+    // builds `sched`'s order-dependent program.
     impl Mailbox {
         fn try_pop(&self, key: Key, ctrl: &Control) -> Option<Box<dyn Any + Send>> {
             let mut inner = self.inner.lock().expect("mailbox poisoned");
@@ -1033,8 +936,8 @@ mod tests {
                 ctrl.progress.fetch_add(1, Ordering::Relaxed);
             } else if ctrl.schedule_seed.is_some() {
                 // A failed probe advances the schedule clock: a polling loop
-                // (`RecvRequest::test`) must eventually see a schedule-held
-                // message, just as blocked waits bump the epoch over time.
+                // must eventually see a schedule-held message, just as
+                // blocked waits bump the epoch over time.
                 ctrl.epoch.fetch_add(1, Ordering::Relaxed);
             }
             msg
@@ -1064,26 +967,6 @@ mod tests {
                 trace::note_recv(t0, source, tag, value.byte_len() as u64);
             }
             Some(value)
-        }
-    }
-
-    impl SendRequest<'_> {
-        /// Poll for completion. Buffered sends are always complete, so this
-        /// returns `true` and retires the request.
-        pub(crate) fn test(&mut self) -> bool {
-            self.done = true;
-            true
-        }
-    }
-
-    impl<T: Payload> RecvRequest<'_, T> {
-        /// Poll for completion: `true` once the message has arrived (the payload
-        /// is buffered in the handle until `wait` collects it).
-        pub(crate) fn test(&mut self) -> bool {
-            if self.ready.is_none() {
-                self.ready = self.comm.try_recv::<T>(self.source, self.tag);
-            }
-            self.ready.is_some()
         }
     }
 
@@ -1325,53 +1208,41 @@ mod tests {
     #[test]
     fn split_phase_ring_overlaps_compute() {
         // Post the exchange, "compute" while in flight, then wait.
+        let plan = posted_ring(4, 11);
         let out = Universe::run(4, |c| {
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            let s = c.isend(next, 11, c.rank() as u64);
-            let r = c.irecv::<u64>(prev, 11);
+            let mut value = Value(c.rank() as u64, None);
+            let posted = split_phase(c).post(&plan, 0, &mut value);
             let local: u64 = (0..100).sum(); // interior work while in flight
             assert_eq!(local, 4950);
-            let got = r.wait();
-            s.wait();
-            got
+            posted.finish(&mut value);
+            value.1
         });
         for (i, got) in out.iter().enumerate() {
-            assert_eq!(*got, ((i + 3) % 4) as u64);
+            assert_eq!(*got, Some(((i + 3) % 4) as u64));
         }
     }
 
-    #[test]
-    fn irecv_test_polls_until_ready() {
-        let out = Universe::run(2, |c| {
-            if c.rank() == 0 {
-                c.barrier(); // hold the send until rank 1 has polled once
-                let s = c.isend(1, 2, 77u64);
-                s.wait();
-                0
-            } else {
-                let mut r = c.irecv::<u64>(0, 2);
-                assert!(!r.test(), "nothing sent yet");
-                c.barrier();
-                while !r.test() {
-                    std::thread::yield_now();
-                }
-                r.wait()
-            }
-        });
-        assert_eq!(out[1], 77);
+    /// Rank 0 sends rank 1 one `u64` under `tag`, posted.
+    fn posted_send(tag: u64) -> CommPlan {
+        let mut plan = CommPlan::new("send", 2);
+        plan.send(0, 1, tag, 8).recv(1, 0, tag, 8);
+        plan.posted()
     }
 
     #[test]
     fn send_test_is_immediately_complete() {
+        // Buffered sends complete locally: rank 0 finishes its posted send
+        // before rank 1 has posted the receive.
+        let plan = posted_send(4);
         Universe::run(2, |c| {
+            let mut value = Value(1, None);
             if c.rank() == 0 {
-                let mut s = c.isend(1, 4, 1u64);
-                assert!(s.test(), "buffered sends complete locally");
-                s.wait();
+                c.run_plan(&plan, 0, &mut value);
+                c.barrier();
             } else {
-                let r = c.irecv::<u64>(0, 4);
-                assert_eq!(r.wait(), 1);
+                c.barrier();
+                c.run_plan(&plan, 0, &mut value);
+                assert_eq!(value.1, Some(1));
             }
         });
     }
@@ -1382,11 +1253,13 @@ mod tests {
             verify_leaks: true,
             ..SimOptions::default()
         };
+        let plan = posted_send(6);
         let err = Universe::run_checked(2, opts, |c| {
+            let mut value = Value(5, None);
             if c.rank() == 0 {
-                let _ = c.isend(1, 6, 5u64); // dropped un-waited
+                let _ = split_phase(c).post(&plan, 0, &mut value); // never finished
             } else {
-                let _: u64 = c.recv(0, 6);
+                c.run_plan(&plan, 0, &mut value);
             }
         })
         .expect_err("dropped wait must fail teardown");
@@ -1410,12 +1283,13 @@ mod tests {
             verify_leaks: true,
             ..SimOptions::default()
         };
+        let plan = posted_send(8);
         let err = Universe::run_checked(2, opts, |c| {
+            let mut value = Value(5, None);
             if c.rank() == 0 {
-                let s = c.isend(1, 8, 5u64);
-                s.wait();
+                c.run_plan(&plan, 0, &mut value);
             } else {
-                let _ = c.irecv::<u64>(0, 8); // dropped un-waited
+                let _ = split_phase(c).post(&plan, 0, &mut value); // never finished
             }
         })
         .expect_err("dropped irecv must fail teardown");
@@ -1440,32 +1314,27 @@ mod tests {
             deadlock_timeout: Some(Duration::from_secs(2)),
             schedule_seed: None,
         };
+        let plan = posted_ring(3, 1);
         let (out, _) = Universe::run_checked(3, opts, |c| {
-            let next = (c.rank() + 1) % 3;
-            let prev = (c.rank() + 2) % 3;
-            let s = c.isend(next, 1, c.rank() as u64);
-            let r = c.irecv::<u64>(prev, 1);
-            let got = r.wait();
-            s.wait();
-            got
+            let mut value = Value(c.rank() as u64, None);
+            c.run_plan(&plan, 0, &mut value);
+            value.1
         })
         .expect("clean split-phase exchange");
-        assert_eq!(out, vec![2, 0, 1]);
+        assert_eq!(out, vec![Some(2), Some(0), Some(1)]);
     }
 
     #[test]
     fn split_phase_survives_schedule_perturbation() {
+        let plan = posted_ring(4, 0);
         for seed in 0..6 {
             let opts = SimOptions::checked(seed, Duration::from_secs(2));
             let (out, _) = Universe::run_checked(4, opts, |c| {
-                let next = (c.rank() + 1) % c.size();
-                let prev = (c.rank() + c.size() - 1) % c.size();
                 let mut got = Vec::new();
                 for round in 0..5u64 {
-                    let s = c.isend(next, 20 + round, c.rank() as u64 * 100 + round);
-                    let r = c.irecv::<u64>(prev, 20 + round);
-                    got.push(r.wait());
-                    s.wait();
+                    let mut value = Value(c.rank() as u64 * 100 + round, None);
+                    c.run_plan(&plan, 20 + round, &mut value);
+                    got.extend(value.1);
                 }
                 got
             })

@@ -27,7 +27,7 @@
 //! once holds at every base it runs at. Collectives take internal tags and
 //! sit outside any plan.
 
-use crate::comm::{Comm, Payload, RecvRequest, SendRequest};
+use crate::comm::{Comm, Payload, RequestKind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use vlasov6d_mesh::Decomp3;
@@ -751,32 +751,34 @@ impl<T> Exchange<T> for Shift<T> {
 /// A rank's program of a [`CommPlan`] part-way through: the requests its
 /// ops have posted and the ops still to run. [`crate::SplitPhase::post`]
 /// returns one stopped before the first op that waits; [`Posted::finish`]
-/// runs the rest. Dropped unfinished, its requests are never waited on,
-/// which [`crate::SimOptions::verify_leaks`] reports.
+/// runs the rest. A request it still holds when dropped — unfinished, or
+/// finished with a program that never waits on it — is reported by
+/// [`crate::SimOptions::verify_leaks`].
 #[must_use = "a posted program must be finished"]
-pub struct Posted<'c, 'p, T: Payload> {
+pub struct Posted<'c, 'p> {
     comm: &'c Comm,
     ops: &'p [Op],
     base: u64,
-    sends: Vec<(usize, u64, SendRequest<'c>)>,
-    recvs: Vec<(usize, u64, RecvRequest<'c, T>)>,
+    /// Posted requests not yet waited on, by plan-relative tag.
+    pending: Vec<(RequestKind, usize, u64)>,
 }
 
-impl<'c, 'p, T: Payload> Posted<'c, 'p, T> {
+impl<'c, 'p> Posted<'c, 'p> {
     pub(crate) fn start(comm: &'c Comm, plan: &'p CommPlan, base: u64) -> Self {
         assert_eq!(plan.n_ranks(), comm.size(), "plan '{}'", plan.name);
         Self {
             comm,
             ops: plan.program(comm.rank()),
             base,
-            sends: Vec::new(),
-            recvs: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
     /// Run ops in program order, every tag raised by the base; with
-    /// `posting`, stop before the first op that waits.
-    pub(crate) fn advance(&mut self, io: &mut impl Exchange<T>, posting: bool) {
+    /// `posting`, stop before the first op that waits. Sends are buffered,
+    /// so a posted send is sent at once and its wait only retires it; a
+    /// posted receive takes its message at its wait.
+    pub(crate) fn advance<T: Payload>(&mut self, io: &mut impl Exchange<T>, posting: bool) {
         let (comm, base) = (self.comm, self.base);
         while let Some((&op, rest)) = self.ops.split_first() {
             let waits = matches!(
@@ -788,30 +790,46 @@ impl<'c, 'p, T: Payload> Posted<'c, 'p, T> {
             }
             self.ops = rest;
             match op {
-                Op::Send { to, tag, bytes } => {
+                Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes } => {
                     comm.send(to, base + tag, outgoing(io, to, tag, bytes));
+                    if matches!(op, Op::Isend { .. }) {
+                        self.pending.push((RequestKind::Send, to, tag));
+                    }
                 }
-                Op::Isend { to, tag, bytes } => {
-                    let value = outgoing(io, to, tag, bytes);
-                    self.sends
-                        .push((to, tag, comm.isend(to, base + tag, value)));
-                }
-                Op::Recv { from, tag, .. } => io.delivered(from, tag, comm.recv(from, base + tag)),
-                Op::Irecv { from, tag, .. } => {
-                    self.recvs.push((from, tag, comm.irecv(from, base + tag)));
-                }
-                Op::WaitSend { to, tag } => take(&mut self.sends, to, tag).wait(),
-                Op::WaitRecv { from, tag } => {
-                    let value = take(&mut self.recvs, from, tag).wait();
-                    io.delivered(from, tag, value);
+                Op::Irecv { from, tag, .. } => self.pending.push((RequestKind::Recv, from, tag)),
+                Op::WaitSend { to, tag } => self.retire((RequestKind::Send, to, tag)),
+                Op::Recv { from, tag, .. } | Op::WaitRecv { from, tag } => {
+                    if matches!(op, Op::WaitRecv { .. }) {
+                        self.retire((RequestKind::Recv, from, tag));
+                    }
+                    io.delivered(from, tag, comm.recv(from, base + tag));
                 }
             }
         }
     }
 
+    fn retire(&mut self, request: (RequestKind, usize, u64)) {
+        let i = self
+            .pending
+            .iter()
+            .position(|&p| p == request)
+            .expect("a verified plan waits only on requests it posted");
+        self.pending.swap_remove(i);
+    }
+
     /// Run the ops left after the post: the waits and whatever follows.
-    pub fn finish(mut self, io: &mut impl Exchange<T>) {
+    pub fn finish<T: Payload>(mut self, io: &mut impl Exchange<T>) {
         self.advance(io, false);
+    }
+}
+
+impl Drop for Posted<'_, '_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            for &(kind, peer, tag) in &self.pending {
+                self.comm.record_request_leak(kind, peer, self.base + tag);
+            }
+        }
     }
 }
 
@@ -826,15 +844,6 @@ fn outgoing<T: Payload>(io: &mut impl Exchange<T>, peer: usize, tag: u64, bytes:
     value
 }
 
-/// Remove the request posted to or from `peer` under `tag`.
-fn take<R>(requests: &mut Vec<(usize, u64, R)>, peer: usize, tag: u64) -> R {
-    let i = requests
-        .iter()
-        .position(|r| (r.0, r.1) == (peer, tag))
-        .expect("a verified plan waits only on requests it posted");
-    requests.swap_remove(i).2
-}
-
 impl Comm {
     /// Run this rank's program of `plan` with every tag raised by `base`, in
     /// program order: `io` supplies each payload sent and takes each one
@@ -846,8 +855,38 @@ impl Comm {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The ring over `n` ranks, posted: each rank sends the next one a
+    /// `u64` under `tag` and receives the previous one's.
+    pub(crate) fn posted_ring(n: usize, tag: u64) -> CommPlan {
+        let mut plan = CommPlan::new("ring", n);
+        for r in 0..n {
+            plan.send(r, (r + 1) % n, tag, 8)
+                .recv(r, (r + n - 1) % n, tag, 8);
+        }
+        plan.posted()
+    }
+
+    /// A handler that sends one value and keeps the last one delivered.
+    pub(crate) struct Value(pub u64, pub Option<u64>);
+
+    impl Exchange<u64> for Value {
+        fn outgoing(&mut self, _peer: usize, _tag: u64) -> u64 {
+            self.0
+        }
+
+        fn delivered(&mut self, _peer: usize, _tag: u64, value: u64) {
+            self.1 = Some(value);
+        }
+    }
+
+    /// `comm`'s split-phase view, on a 1-D grid of all its ranks.
+    pub(crate) fn split_phase(comm: &Comm) -> crate::SplitPhase<'_> {
+        let n = comm.size();
+        crate::Cart3::new(comm, Decomp3::new([n, 1, 1], [n, 1, 1])).split_phase()
+    }
 
     // Hand-built split-phase programs; the shipped ones come from
     // `CommPlan::posted`.

@@ -142,6 +142,8 @@ impl<R: PartialEq + Debug> ExplorationReport<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::{posted_ring, split_phase, Value};
+    use crate::CommPlan;
 
     #[test]
     fn clean_ring_survives_all_schedules() {
@@ -208,30 +210,38 @@ mod tests {
     #[test]
     fn split_phase_overlap_is_schedule_independent() {
         // The overlap motif: post the ring exchange, "compute" while the
-        // messages are in flight (polling with `test` so completion timing
-        // varies by schedule), then wait. The *result* must not depend on
-        // when the deliveries land.
+        // messages are in flight, then finish. The *result* must not depend
+        // on when the deliveries land.
+        let plan = posted_ring(4, 0);
         let report = Explorer::new(4)
             .with_seeds(0..12)
             .with_timeout(Duration::from_secs(2))
             .explore(|c| {
-                let next = (c.rank() + 1) % c.size();
-                let prev = (c.rank() + c.size() - 1) % c.size();
                 let mut acc = 0u64;
                 for round in 0..4u64 {
-                    let s = c.isend(next, 30 + round, c.rank() as u64 + round);
-                    let mut r = c.irecv::<u64>(prev, 30 + round);
-                    let mut interior = 0u64;
-                    while !r.test() {
-                        interior = interior.wrapping_add(1); // in-flight work
-                    }
-                    acc = acc.wrapping_mul(31).wrapping_add(r.wait());
-                    s.wait();
-                    let _ = interior; // timing-dependent, never in the result
+                    let mut value = Value(c.rank() as u64 + round, None);
+                    let posted = split_phase(c).post(&plan, 30 + round, &mut value);
+                    let interior: u64 = (0..1000u64).sum(); // in-flight work
+                    posted.finish(&mut value);
+                    acc = acc.wrapping_mul(31).wrapping_add(value.1.unwrap_or(0));
+                    assert_eq!(interior, 499_500);
                 }
                 acc
             });
         assert!(report.ok(), "{}", report.summary());
+    }
+
+    /// Both ranks post a send and a receive to each other under `tag`;
+    /// rank 1's program never waits on its receive.
+    fn forgotten_wait(tag: u64) -> CommPlan {
+        let mut plan = CommPlan::new("forgotten-wait", 2);
+        for r in 0..2 {
+            plan.isend(r, 1 - r, tag, 8)
+                .irecv(r, 1 - r, tag, 8)
+                .wait_send(r, 1 - r, tag);
+        }
+        plan.wait_recv(0, 1, tag);
+        plan
     }
 
     #[test]
@@ -243,16 +253,9 @@ mod tests {
             deadlock_timeout: Some(Duration::from_secs(2)),
             schedule_seed: Some(3),
         };
+        let plan = forgotten_wait(1);
         let err = Universe::run_checked(2, opts, |c| {
-            let other = 1 - c.rank();
-            let s = c.isend(other, 1, c.rank() as u64);
-            let r = c.irecv::<u64>(other, 1);
-            s.wait();
-            if c.rank() == 0 {
-                let _ = r.wait();
-            } else {
-                drop(r); // the forgotten wait
-            }
+            c.run_plan(&plan, 0, &mut Value(c.rank() as u64, None));
         })
         .expect_err("dropped wait must fail teardown");
         let SimError::RequestLeak { leaks } = err else {
@@ -265,20 +268,14 @@ mod tests {
 
     #[test]
     fn dropped_wait_is_flagged_on_every_schedule() {
+        let plan = forgotten_wait(4);
         let report = Explorer::new(2)
             .with_seeds(0..6)
             .with_timeout(Duration::from_secs(2))
             .explore(|c| {
-                let other = 1 - c.rank();
-                let s = c.isend(other, 4, 1u64);
-                let r = c.irecv::<u64>(other, 4);
-                s.wait();
-                if c.rank() == 0 {
-                    r.wait()
-                } else {
-                    drop(r); // dropped request on rank 1, every schedule
-                    0
-                }
+                let mut value = Value(1, None);
+                c.run_plan(&plan, 0, &mut value);
+                value.1
             });
         assert!(!report.ok());
         assert_eq!(report.failures().count(), 6);
