@@ -603,8 +603,9 @@ impl Comm {
     }
 
     /// Combined send-to-one / receive-from-another: the one point-to-point
-    /// call outside a [`crate::CommPlan`], kept for the runtime's own
-    /// latency probe. Safe against deadlock because sends never block.
+    /// call outside a [`crate::CommPlan`], kept for the benchmark's
+    /// `mpisim.sendrecv` latency probe. Safe against deadlock because sends
+    /// never block.
     pub fn sendrecv<T: Payload>(
         &self,
         dest: usize,

@@ -26,7 +26,8 @@
 //!
 //! Every point-to-point exchange is a [`CommPlan`] that a rank runs: there is
 //! no public `send` or `recv` to write a second, unplanned description with
-//! (only [`Comm::sendrecv`], the runtime's own latency probe). A plan's
+//! (only [`Comm::sendrecv`], which the benchmark's `mpisim.sendrecv`
+//! latency probe times). A plan's
 //! split-phase form mirrors `MPI_Isend`/`MPI_Irecv`: [`SplitPhase::post`]
 //! posts every op before the first wait and returns a [`Posted`] program
 //! whose `finish` waits; a program dropped unfinished leaves its requests
