@@ -138,6 +138,7 @@ mod tests {
     use crate::codec::Encoding;
     use crate::container::{ContainerFile, HEADER_LEN};
     use crate::record::SimState;
+    use vlasov6d_mesh::Field3;
     use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
     fn sample_records() -> Vec<Record> {
@@ -162,8 +163,9 @@ mod tests {
                 rng: vec![11, 22],
             }),
             Record::PhaseSpace(ps),
-            Record::RunReport {
-                lines: vec!["{\"s\":1}".into()],
+            Record::FieldMesh {
+                name: "phi".into(),
+                field: Field3::from_vec([1, 1, 2], vec![0.5, 3.0]),
             },
         ]
     }
@@ -204,8 +206,11 @@ mod tests {
                     assert_eq!(a.soffset, b.soffset);
                 }
                 (Record::SimState(a), Record::SimState(b)) => assert_eq!(a, b),
-                (Record::RunReport { lines: a }, Record::RunReport { lines: b }) => {
-                    assert_eq!(a, b)
+                (
+                    Record::FieldMesh { name: a, field: f },
+                    Record::FieldMesh { name: b, field: g },
+                ) => {
+                    assert_eq!((a, f.as_slice()), (b, g.as_slice()))
                 }
                 _ => panic!("kind mismatch at {i}"),
             }

@@ -26,7 +26,7 @@ pub enum Encoding {
 
 impl Encoding {
     /// Wire byte for the container header.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             Encoding::Raw => 0,
             Encoding::ShuffleRle => 1,
@@ -34,7 +34,7 @@ impl Encoding {
     }
 
     /// Inverse of [`Encoding::as_u8`].
-    pub fn from_u8(v: u8) -> Result<Encoding, CkptError> {
+    pub(crate) fn from_u8(v: u8) -> Result<Encoding, CkptError> {
         match v {
             0 => Ok(Encoding::Raw),
             1 => Ok(Encoding::ShuffleRle),

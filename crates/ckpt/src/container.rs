@@ -24,7 +24,7 @@
 //! the error message can say *where*; the header carries its own CRC; the
 //! whole-file CRC in the trailer (and the one the manifest records, which
 //! also covers the trailer's last four bytes) is folded from the chunk CRCs
-//! with [`crate::crc::crc32_combine`] plus a direct pass over the few framing
+//! with `crc32_combine` plus a direct pass over the few framing
 //! bytes between chunks — the value a sequential pass over the file yields.
 //! The reader validates in file order — header, then per record the head
 //! chunk (CRC, shape, `raw_len` against the shape and against what the rest
@@ -49,20 +49,20 @@ use std::path::{Path, PathBuf};
 use vlasov6d_obs::Stopwatch;
 
 /// First bytes of every container file.
-pub const MAGIC: [u8; 8] = *b"VLA6CKPT";
+pub(crate) const MAGIC: [u8; 8] = *b"VLA6CKPT";
 /// Marks the start of the trailer.
-pub const TRAILER_MAGIC: [u8; 8] = *b"VCK2END\0";
+pub(crate) const TRAILER_MAGIC: [u8; 8] = *b"VCK2END\0";
 /// Container format version this build reads and writes.
-pub const VERSION: u32 = 2;
+pub(crate) const VERSION: u32 = 2;
 /// Default chunk size: large enough to amortise the 8-byte chunk header,
 /// small enough to localise corruption reports and to bound the writer's
 /// and reader's buffers.
-pub const DEFAULT_CHUNK_LEN: usize = 4 << 20;
+pub(crate) const DEFAULT_CHUNK_LEN: usize = 4 << 20;
 
 /// Fixed container header length in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Fixed trailer length in bytes.
-pub const TRAILER_LEN: usize = 16;
+pub(crate) const TRAILER_LEN: usize = 16;
 
 /// What a finished container reports to the store.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -546,6 +546,7 @@ impl ContainerFile {
 mod tests {
     use super::*;
     use crate::record::SimState;
+    use vlasov6d_mesh::Field3;
     use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
     fn sample_records() -> Vec<Record> {
@@ -565,14 +566,39 @@ mod tests {
                 scheme: 1,
                 rng: vec![1, 2, 3],
             }),
-            Record::RunReport {
-                lines: vec!["{\"a\":1}".into()],
+            Record::FieldMesh {
+                name: "rho".into(),
+                field: Field3::from_vec([1, 1, 2], vec![1.0, -2.0]),
             },
         ]
     }
 
     fn build(chunk_len: usize) -> Vec<u8> {
         ContainerFile::image((1, 2), chunk_len, &sample_records(), Encoding::ShuffleRle)
+    }
+
+    #[test]
+    fn retired_and_unassigned_kind_bytes_are_refused() {
+        // The first record's head chunk follows the container header; its
+        // first data byte is the kind. Each patched head carries a valid
+        // chunk CRC, so the kind check itself must refuse it, naming the
+        // byte: 5 is the retired run report, the others were never assigned.
+        let image = build(64);
+        let data = HEADER_LEN + 8;
+        let len = u32::from_le_bytes(image[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap());
+        for kind in [0u8, 5, 6, 255] {
+            let mut bad = image.clone();
+            bad[data] = kind;
+            let crc = crc32(&bad[data..data + len as usize]);
+            bad[HEADER_LEN + 4..data].copy_from_slice(&crc.to_le_bytes());
+            match ContainerFile::parse(&bad) {
+                Err(CkptError::Corrupt { offset, detail, .. }) => {
+                    assert_eq!(offset, data as u64, "kind {kind}");
+                    assert_eq!(detail, format!("unknown record kind byte {kind}"));
+                }
+                other => panic!("kind {kind} was not refused: {other:?}"),
+            }
+        }
     }
 
     #[test]

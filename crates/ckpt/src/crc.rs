@@ -8,7 +8,7 @@
 //! guaranteed to catch all single-bit and all burst errors up to 32 bits.
 //!
 //! A payload byte is checksummed once, as part of its chunk; the whole-file
-//! CRC is folded from the chunk CRCs with [`crc32_combine`], which yields the
+//! CRC is folded from the chunk CRCs with `crc32_combine`, which yields the
 //! value a sequential pass over the same bytes would.
 
 /// The reflected IEEE polynomial.
@@ -49,7 +49,7 @@ const TABLES: [[u32; 256]; 8] = {
 
 /// Streaming CRC-32 state.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -109,7 +109,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `crc32_combine`): appending `len_b` zero bytes to `a` is a linear map of
 /// its CRC over GF(2), applied here by repeated squaring of the one-zero-bit
 /// operator.
-pub fn crc32_combine(mut crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
+pub(crate) fn crc32_combine(mut crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
     fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
         let mut sum = 0;
         for row in mat {

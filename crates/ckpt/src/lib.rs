@@ -13,9 +13,8 @@
 //!   applied per chunk of a payload ([`codec::Encoding`]).
 //! * [`record`] — typed records: [`record::Record::PhaseSpace`] (the 6-D
 //!   distribution function), [`record::Record::Particles`],
-//!   [`record::Record::FieldMesh`], [`record::Record::SimState`] (step / RNG
-//!   / stepper state for bitwise-deterministic resume) and
-//!   [`record::Record::RunReport`] (obs JSONL step events); each is a small
+//!   [`record::Record::FieldMesh`] and [`record::Record::SimState`] (step / RNG
+//!   / stepper state for bitwise-deterministic resume); each is a small
 //!   self-checking head chunk plus payload chunks, written from a borrowed
 //!   [`record::RecordRef`] and decoded straight into the record's storage.
 //! * [`container`] — the chunked per-rank container file (`rank-NNNN.vck`):
@@ -136,7 +135,7 @@ impl CkptError {
     }
 
     /// Attach a file path to a corruption error (keeps other variants as-is).
-    pub fn in_file(self, path: &Path) -> CkptError {
+    pub(crate) fn in_file(self, path: &Path) -> CkptError {
         match self {
             CkptError::Corrupt { offset, detail, .. } => CkptError::Corrupt {
                 path: Some(path.to_path_buf()),
@@ -149,7 +148,7 @@ impl CkptError {
 
     /// Shift a corruption error's offset by `base` (when a nested decoder
     /// reported an offset relative to its own slice).
-    pub fn at_base(self, base: u64) -> CkptError {
+    pub(crate) fn at_base(self, base: u64) -> CkptError {
         match self {
             CkptError::Corrupt {
                 path,

@@ -20,10 +20,10 @@ use std::path::Path;
 use vlasov6d_obs::Json;
 
 /// File name of the manifest inside a generation directory.
-pub const MANIFEST_NAME: &str = "MANIFEST.vckm";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST.vckm";
 
 /// Manifest schema version.
-pub const MANIFEST_VERSION: u64 = 1;
+pub(crate) const MANIFEST_VERSION: u64 = 1;
 
 /// Size and checksum of one committed rank file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +53,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// Serialise to the two-line on-disk form.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let files: Vec<Json> = self
             .files
             .iter()
@@ -83,7 +83,7 @@ impl Manifest {
     }
 
     /// Parse and validate the two-line on-disk form.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Manifest, CkptError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Manifest, CkptError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| CkptError::format(e.valid_up_to() as u64, "manifest is not UTF-8"))?;
         let mut lines = text.lines();

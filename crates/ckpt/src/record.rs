@@ -1,8 +1,8 @@
 //! Typed checkpoint records and their wire format.
 //!
 //! A [`Record`] is one logical piece of simulation state — the local
-//! distribution-function block, the N-body particle set, a field mesh, the
-//! stepper's scalar state, or the obs run report. On the wire a record is a
+//! distribution-function block, the N-body particle set, a field mesh, or
+//! the stepper's scalar state. On the wire a record is a
 //! small *head* chunk followed by payload chunks (chunk framing and CRCs are
 //! the container's, see [`crate::container`]):
 //!
@@ -38,12 +38,12 @@ use vlasov6d_mesh::Field3;
 use vlasov6d_nbody::ParticleSet;
 use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
-/// Wire kind tags. Never reuse a retired value.
+/// Wire kind tags. Never reuse a retired value: 5 (a run report of JSONL
+/// lines) is retired.
 const KIND_PHASE_SPACE: u8 = 1;
 const KIND_PARTICLES: u8 = 2;
 const KIND_FIELD_MESH: u8 = 3;
 const KIND_SIM_STATE: u8 = 4;
-const KIND_RUN_REPORT: u8 = 5;
 
 /// Longest accepted field-mesh name; anything bigger is treated as a
 /// corrupted length prefix, not a real name.
@@ -96,12 +96,6 @@ pub enum Record {
     },
     /// Scalar stepper state (see [`SimState`]).
     SimState(SimState),
-    /// Observability run report: the JSONL step-event lines of the run so
-    /// far, so a resumed run appends to a coherent record.
-    RunReport {
-        /// One JSON document per line, in step order.
-        lines: Vec<String>,
-    },
 }
 
 /// A borrowed view of a record: what the container writer serialises from,
@@ -124,11 +118,6 @@ pub enum RecordRef<'a> {
     },
     /// See [`Record::SimState`].
     SimState(&'a SimState),
-    /// See [`Record::RunReport`].
-    RunReport {
-        /// One JSON document per line, in step order.
-        lines: &'a [String],
-    },
 }
 
 impl<'a> From<&'a Record> for RecordRef<'a> {
@@ -142,7 +131,6 @@ impl<'a> From<&'a Record> for RecordRef<'a> {
                 data: field.as_slice(),
             },
             Record::SimState(s) => RecordRef::SimState(s),
-            Record::RunReport { lines } => RecordRef::RunReport { lines },
         }
     }
 }
@@ -198,7 +186,6 @@ impl Record {
             Record::Particles(_) => "particles",
             Record::FieldMesh { .. } => "field-mesh",
             Record::SimState(_) => "sim-state",
-            Record::RunReport { .. } => "run-report",
         }
     }
 
@@ -242,12 +229,11 @@ impl RecordRef<'_> {
             RecordRef::Particles(_) => (KIND_PARTICLES, 8),
             RecordRef::FieldMesh { .. } => (KIND_FIELD_MESH, 8),
             RecordRef::SimState(_) => (KIND_SIM_STATE, 8),
-            RecordRef::RunReport { .. } => (KIND_RUN_REPORT, 1),
         }
     }
 
     /// The serialised payload of the kinds that have no bulk storage to
-    /// stream from (sim-state words, run-report text); empty for the rest.
+    /// stream from (sim-state words); empty for the rest.
     pub(crate) fn small_payload(&self) -> Vec<u8> {
         match self {
             RecordRef::SimState(s) => {
@@ -265,14 +251,6 @@ impl RecordRef<'_> {
                 let words = fixed.iter().chain(&s.rng);
                 words.flat_map(|w| w.to_le_bytes()).collect()
             }
-            RecordRef::RunReport { lines } => {
-                let mut text = Vec::new();
-                for line in *lines {
-                    text.extend_from_slice(line.as_bytes());
-                    text.push(b'\n');
-                }
-                text
-            }
             _ => Vec::new(),
         }
     }
@@ -283,7 +261,7 @@ impl RecordRef<'_> {
             RecordRef::PhaseSpace(ps) => ps.len() * 4,
             RecordRef::Particles(p) => p.len() * 48,
             RecordRef::FieldMesh { data, .. } => data.len() * 8,
-            RecordRef::SimState(_) | RecordRef::RunReport { .. } => small.len(),
+            RecordRef::SimState(_) => small.len(),
         }
     }
 
@@ -314,9 +292,6 @@ impl RecordRef<'_> {
                 u64s(&mut out, dims);
             }
             RecordRef::SimState(_) => {}
-            RecordRef::RunReport { lines } => {
-                out.extend_from_slice(&(lines.len() as u32).to_le_bytes());
-            }
         }
         u64s(&mut out, &[raw_len, chunk_raw]);
         out
@@ -341,7 +316,7 @@ impl RecordRef<'_> {
                 f64s(values.skip(off / 8), out);
             }
             RecordRef::FieldMesh { data, .. } => f64s(data[off / 8..].iter(), out),
-            RecordRef::SimState(_) | RecordRef::RunReport { .. } => {
+            RecordRef::SimState(_) => {
                 out.copy_from_slice(&small[off..off + out.len()]);
             }
         }
@@ -362,9 +337,6 @@ enum Shape {
         dims: [usize; 3],
     },
     SimState,
-    RunReport {
-        n_lines: usize,
-    },
 }
 
 /// A parsed and shape-checked head chunk.
@@ -432,10 +404,6 @@ impl Head {
                 (Shape::FieldMesh { name, dims }, 8, Some(bytes))
             }
             KIND_SIM_STATE => (Shape::SimState, 8, None),
-            KIND_RUN_REPORT => {
-                let n_lines = cur.u32("run-report line count")? as usize;
-                (Shape::RunReport { n_lines }, 1, None)
-            }
             other => return corrupt(0, format!("unknown record kind byte {other}")),
         };
         let len_off = cur.offset();
@@ -474,7 +442,6 @@ impl Head {
             Shape::Particles { .. } => RecordMeta::Other { kind: "particles" },
             Shape::FieldMesh { .. } => RecordMeta::Other { kind: "field-mesh" },
             Shape::SimState => RecordMeta::Other { kind: "sim-state" },
-            Shape::RunReport { .. } => RecordMeta::Other { kind: "run-report" },
         }
     }
 
@@ -496,20 +463,16 @@ impl Head {
                 name: name.clone(),
                 field: Field3::zeros(*dims),
             }),
-            Shape::SimState => Partial::Small(None, Vec::with_capacity(self.raw_len)),
-            &Shape::RunReport { n_lines } => {
-                Partial::Small(Some(n_lines), Vec::with_capacity(self.raw_len))
-            }
+            Shape::SimState => Partial::Small(Vec::with_capacity(self.raw_len)),
         }
     }
 }
 
 /// A record being decoded: bulk kinds are filled in place, chunk by chunk;
-/// the two small kinds collect their payload and parse it at the end (a
-/// run report, told apart by its line count, or else a sim-state).
+/// the small kind (sim-state) collects its payload and parses it at the end.
 pub(crate) enum Partial {
     Bulk(Record),
-    Small(Option<usize>, Vec<u8>),
+    Small(Vec<u8>),
 }
 
 impl Partial {
@@ -535,7 +498,7 @@ impl Partial {
                 f64s(field.as_mut_slice()[off / 8..].iter_mut(), raw);
             }
             Partial::Bulk(_) => unreachable!("small kinds are never Bulk"),
-            Partial::Small(_, bytes) => bytes.extend_from_slice(raw),
+            Partial::Small(bytes) => bytes.extend_from_slice(raw),
         }
     }
 
@@ -543,7 +506,7 @@ impl Partial {
     pub(crate) fn finish(self) -> Result<Record, CkptError> {
         match self {
             Partial::Bulk(record) => Ok(record),
-            Partial::Small(None, payload) => {
+            Partial::Small(payload) => {
                 let words = payload.chunks_exact(8);
                 let w: Vec<u64> = words
                     .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
@@ -563,16 +526,6 @@ impl Partial {
                     scheme,
                     rng: w[8..].to_vec(),
                 }))
-            }
-            Partial::Small(Some(n_lines), text) => {
-                let text = String::from_utf8(text)
-                    .map_err(|_| CkptError::format(0, "run-report payload is not UTF-8"))?;
-                let lines: Vec<String> = text.split_terminator('\n').map(str::to_owned).collect();
-                if lines.len() != n_lines || !(text.is_empty() || text.ends_with('\n')) {
-                    let detail = format!("run-report head promises {n_lines} terminated lines");
-                    return corrupt(0, detail);
-                }
-                Ok(Record::RunReport { lines })
             }
         }
     }
@@ -720,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn field_mesh_and_sim_state_and_report_roundtrip() {
+    fn field_mesh_and_sim_state_roundtrip() {
         let mut f = Field3::zeros([2, 2, 3]);
         for (i, v) in f.as_mut_slice().iter_mut().enumerate() {
             *v = (i as f64).exp();
@@ -752,20 +705,6 @@ mod tests {
         match Record::decode(&e.bytes).unwrap() {
             Record::SimState(out) => assert_eq!(out, s),
             other => panic!("wrong kind {}", other.kind_name()),
-        }
-
-        for lines in [
-            vec![],
-            vec!["{\"step\":0}".to_string(), "{\"step\":1}".to_string()],
-        ] {
-            let e = Record::RunReport {
-                lines: lines.clone(),
-            }
-            .encode(Encoding::ShuffleRle);
-            match Record::decode(&e.bytes).unwrap() {
-                Record::RunReport { lines: out } => assert_eq!(out, lines),
-                other => panic!("wrong kind {}", other.kind_name()),
-            }
         }
     }
 

@@ -14,6 +14,7 @@ use vlasov6d_ckpt::crc::crc32;
 use vlasov6d_ckpt::{
     fault, CheckpointStore, ContainerFile, Encoding, RankFileReader, Record, SimState,
 };
+use vlasov6d_mesh::Field3;
 use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -192,8 +193,9 @@ fn hostile_images_never_outgrow_their_bytes() {
             scheme: 1,
             rng: vec![1, 2, 3],
         }),
-        Record::RunReport {
-            lines: vec!["{\"a\":1}".into()],
+        Record::FieldMesh {
+            name: "rho".into(),
+            field: Field3::from_vec([1, 1, 2], vec![1.0, -2.0]),
         },
     ];
     for enc in [Encoding::Raw, Encoding::ShuffleRle] {

@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use vlasov6d_ckpt::codec;
 use vlasov6d_ckpt::container::atomic_write;
 use vlasov6d_ckpt::{fault, ContainerFile, Encoding, RankFileReader, Record, SimState};
+use vlasov6d_mesh::Field3;
 use vlasov6d_nbody::ParticleSet;
 use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
@@ -63,8 +64,9 @@ fn sample_image(seed: u64) -> Vec<u8> {
     }
     let records = [
         Record::PhaseSpace(ps),
-        Record::RunReport {
-            lines: vec![format!("{{\"seed\":{seed}}}")],
+        Record::FieldMesh {
+            name: format!("seed-{seed}"),
+            field: Field3::from_vec([1, 1, 2], vec![seed as f64, -1.0]),
         },
         Record::Particles(ParticleSet {
             pos: vec![[0.5; 3]; 3],
@@ -155,11 +157,10 @@ proptest! {
     }
 
     #[test]
-    fn sim_state_and_report_roundtrip(
+    fn sim_state_roundtrips(
         step in 0u64..u64::MAX,
         rng_len in 0usize..9,
         seed in 0u64..u64::MAX,
-        n_lines in 0usize..6,
     ) {
         let mut bits = Bits(seed);
         let state = SimState {
@@ -181,15 +182,6 @@ proptest! {
         prop_assert_eq!(got.a.to_bits(), state.a.to_bits());
         prop_assert_eq!(got.scheme, state.scheme);
         prop_assert_eq!(got.rng, state.rng);
-
-        let lines: Vec<String> = (0..n_lines)
-            .map(|i| format!("{{\"step\":{},\"x\":{}}}", i, bits.next()))
-            .collect();
-        let back = roundtrip(&Record::RunReport { lines: lines.clone() }, enc_of(seed));
-        let Record::RunReport { lines: got } = back else {
-            return Err("wrong record kind".to_string());
-        };
-        prop_assert_eq!(got, lines);
     }
 
     #[test]

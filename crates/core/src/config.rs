@@ -90,12 +90,12 @@ impl SimulationConfig {
     }
 
     /// Number of spatial Vlasov cells `N_x`.
-    pub fn n_spatial(&self) -> usize {
+    pub(crate) fn n_spatial(&self) -> usize {
         self.nx.pow(3)
     }
 
     /// Number of velocity cells `N_u`.
-    pub fn n_velocity(&self) -> usize {
+    pub(crate) fn n_velocity(&self) -> usize {
         self.nu.pow(3)
     }
 
@@ -104,28 +104,14 @@ impl SimulationConfig {
         self.n_spatial() * self.n_velocity()
     }
 
-    /// Number of CDM particles.
-    pub fn n_particles(&self) -> usize {
-        if self.with_cdm {
-            self.n_cdm.pow(3)
-        } else {
-            0
-        }
-    }
-
     /// Plummer softening in box units.
     pub fn softening(&self) -> f64 {
         self.softening_frac / self.n_cdm as f64
     }
 
-    /// Memory footprint of the distribution function in bytes (f32).
-    pub fn phase_space_bytes(&self) -> usize {
-        self.n_phase_space() * 4
-    }
-
     /// The checkpoint cadence as a `vlasov6d-ckpt` policy
     /// (disabled when `checkpoint_every_steps` is 0).
-    pub fn checkpoint_policy(&self) -> vlasov6d_ckpt::CheckpointPolicy {
+    pub(crate) fn checkpoint_policy(&self) -> vlasov6d_ckpt::CheckpointPolicy {
         vlasov6d_ckpt::CheckpointPolicy {
             every_steps: self.checkpoint_every_steps,
             keep: self.checkpoint_keep.max(1),
@@ -177,8 +163,6 @@ mod tests {
     fn counts_are_consistent() {
         let c = SimulationConfig::small_test();
         assert_eq!(c.n_phase_space(), 8usize.pow(3) * 8usize.pow(3));
-        assert_eq!(c.n_particles(), 16usize.pow(3));
-        assert_eq!(c.phase_space_bytes(), c.n_phase_space() * 4);
     }
 
     #[test]

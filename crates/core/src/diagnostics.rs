@@ -3,7 +3,7 @@
 //!
 //! Timings come from the `vlasov6d-obs` span layer: the stepper runs under a
 //! [`vlasov6d_obs::StepScope`], whose self-time attribution folds the recorded
-//! span tree into the per-bucket [`StepTimers`], so the structured trace and
+//! span tree into per-bucket step timers, so the structured trace and
 //! the paper-style decomposition are always consistent.
 
 use vlasov6d_advection::line::Scheme;
@@ -14,7 +14,7 @@ use vlasov6d_phase_space::{sweep, Exec, PhaseSpace};
 /// reports (Vlasov, tree, PM) plus checkpoint I/O and everything else. It
 /// *is* the span layer's bucket fold, under the name the drivers' records
 /// have always used.
-pub type StepTimers = BucketTotals;
+pub(crate) type StepTimers = BucketTotals;
 
 /// One time step's record.
 #[derive(Debug, Clone)]

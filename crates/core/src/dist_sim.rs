@@ -6,7 +6,7 @@
 //! never decomposed — §5.1.3), a distributed FFT Poisson solve, and a
 //! potential-plane exchange for the force stencil.
 //!
-//! The field solve is the force law's [`FieldSolver`] over the ranked
+//! The field solve is the force law's field solver over the ranked
 //! backend [`DistPoisson`]. A periodic law's source mean is one x-plane-
 //! ordered sum, the same additions at any rank count; an isolated law
 //! allgathers the density slabs and solves the whole grid on every rank.
@@ -260,10 +260,14 @@ impl DistributedVlasov {
                 let mean =
                     global_plane_ordered_sum(comm, &self.decomp, &rho) / (g0 * g1 * g2) as f64;
                 let source: Vec<f64> = rho.as_slice().iter().map(|v| v - mean).collect();
-                // The solve's tag window, then the gradient's two plane
+                // The solve's tag window, then the gradient's plane
                 // exchanges.
+                let gradient = plans
+                    .gradient
+                    .as_ref()
+                    .expect("a periodic law's gradient plan");
                 let solve_tags = solver.tag_span();
-                let tag = self.next_tags(solve_tags + 2);
+                let tag = self.next_tags(solve_tags + gradient.tag_span());
                 let phi_slab = {
                     let _s = span!("gravity.poisson");
                     solver.solve(comm, &source, prefactor.at(self.a), tag)
@@ -274,11 +278,7 @@ impl DistributedVlasov {
                 // (periodic wrap is correct); axis 0 needs two ghost planes
                 // from each neighbour.
                 let _g = span!("gravity.gradient");
-                let plan = plans
-                    .gradient
-                    .as_ref()
-                    .expect("a periodic law's gradient plan");
-                gradient_with_ghosts(comm, &self.decomp, plan, &phi, tag + solve_tags)
+                gradient_with_ghosts(comm, &self.decomp, gradient, &phi, tag + solve_tags)
             }
             // Open boundaries: every rank runs the identical serial solve on
             // the identical assembled field and slices its own slab of the
@@ -552,9 +552,9 @@ impl strang::Driver for OnRanks<'_> {
 
     fn sweep_axis0(&mut self, cfl: &[f64], p: &strang::Policy) -> bool {
         let sim = &mut *self.sim;
-        let tag = sim.next_tags(8);
         let cart = Cart3::new(self.comm, sim.decomp);
         let plans = sim.plans.get_or_init(|| sim.build_plans());
+        let tag = sim.next_tags(plans.ghost.tag_span());
         sweep_planned(&mut sim.ps, &cart, &plans.ghost, 0, cfl, p.scheme, tag);
         true
     }
@@ -904,7 +904,9 @@ mod tests {
         // The same run pins the one-solve-per-step policy: the first step
         // fills the force cache (two solves), every later step reuses it
         // (one solve), so the universe's messages per step drop once and
-        // then stay constant.
+        // then stay constant. Each step advances the counter by exactly the
+        // tag spans of the plans it ran: one ghost exchange, and per solve
+        // the Poisson transposes and the gradient planes.
         let sglobal = [8usize, 8, 8];
         let vg = VelocityGrid::cubic(8, 0.6);
         for overlap in [OverlapPolicy::Synchronous, OverlapPolicy::Overlapped] {
@@ -918,25 +920,42 @@ mod tests {
                 let mut sim =
                     DistributedVlasov::new(comm, local, bg, 0.2, 1.0).with_overlap(overlap);
                 let mut messages = vec![comm.traffic().total_messages()];
+                let mut tags = vec![sim.tag_counter.get()];
                 for _ in 0..4 {
                     sim.step(comm);
                     // Every rank has finished the step before the counter is
                     // read, and none starts the next before all have read.
                     comm.barrier();
                     messages.push(comm.traffic().total_messages());
+                    tags.push(sim.tag_counter.get());
                     comm.barrier();
                 }
-                messages
-                    .windows(2)
-                    .map(|w| w[1] - w[0])
-                    .collect::<Vec<u64>>()
+                let plans = sim.plans.get().expect("built by the first step");
+                let FieldSolver::Periodic { solver, .. } = sim.field() else {
+                    panic!("the default force law is periodic");
+                };
+                let gradient = plans
+                    .gradient
+                    .as_ref()
+                    .expect("a periodic law's gradient plan");
+                let (ghost, solve) = (
+                    plans.ghost.tag_span(),
+                    solver.tag_span() + gradient.tag_span(),
+                );
+                let step_spans: Vec<u64> = [2, 1, 1, 1].map(|solves| ghost + solves * solve).into();
+                let deltas = |v: Vec<u64>| v.windows(2).map(|w| w[1] - w[0]).collect::<Vec<u64>>();
+                (deltas(messages), deltas(tags), step_spans)
             });
             let reused = traffic.tag_reuse();
             assert!(
                 reused.is_empty(),
                 "{overlap:?}: (src, dst, tag) triples reused across requests: {reused:?}"
             );
-            let per_step = &per_step[0];
+            let (per_step, tag_advance, step_spans) = &per_step[0];
+            assert_eq!(
+                tag_advance, step_spans,
+                "{overlap:?}: tags reserved per step vs the spans of the plans it ran"
+            );
             assert!(
                 per_step[0] > per_step[1],
                 "{overlap:?}: the first step carries the cache-filling solve: {per_step:?}"

@@ -30,18 +30,6 @@ pub fn equivalent_grid_resolution(n_per_dim: usize, s_over_n: f64) -> f64 {
     1.0 / effective_resolution(n_per_dim, s_over_n)
 }
 
-/// Number of particles that must be averaged for signal-to-noise `s_over_n`
-/// under Poisson statistics (`S/N = √N_s`).
-pub fn particles_for_s_over_n(s_over_n: f64) -> f64 {
-    s_over_n * s_over_n
-}
-
-/// Expected shot-noise power of `n_particles` Poisson tracers in code units
-/// (box = 1): `P_shot = 1/N` — flat in k.
-pub fn shot_noise_power(n_particles: usize) -> f64 {
-    1.0 / n_particles as f64
-}
-
 /// Comparison metrics between a Vlasov density field and a particle-sampled
 /// density field of the same component (paper Fig. 6).
 #[derive(Debug, Clone, Copy)]
@@ -117,12 +105,6 @@ mod tests {
         let hi_sn = effective_resolution(1024, 100.0);
         let lo_sn = effective_resolution(1024, 10.0);
         assert!(hi_sn > lo_sn, "higher S/N demands coarser resolution");
-    }
-
-    #[test]
-    fn s_over_n_is_sqrt_particles() {
-        assert_eq!(particles_for_s_over_n(100.0), 10_000.0);
-        assert!((shot_noise_power(1_000_000) - 1e-6).abs() < 1e-18);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use vlasov6d_fft::Complex64;
 /// `density` is the component's share of the (unit) mean density; the
 /// registered plasma scenarios keep `Σ_s density_s = 1`.
 #[derive(Debug, Clone, Copy)]
-pub struct MaxwellianComponent {
+pub(crate) struct MaxwellianComponent {
     pub density: f64,
     /// Bulk drift along the perturbed axis.
     pub drift: f64,
@@ -62,7 +62,7 @@ fn cexp(z: Complex64) -> Complex64 {
 /// window wide enough that `e^{−t²}` on the contour is below f64
 /// resolution. Far from the origin (`|ζ| > 20`) the pole no longer matters
 /// and the standard asymptotic series is both faster and more accurate.
-pub fn plasma_z(zeta: Complex64) -> Complex64 {
+pub(crate) fn plasma_z(zeta: Complex64) -> Complex64 {
     let sqrt_pi = std::f64::consts::PI.sqrt();
     if zeta.norm_sqr() > 400.0 {
         // Z(ζ) ≈ −ζ^{−1}(1 + 1/(2ζ²) + 3/(4ζ⁴) + 15/(8ζ⁶)) [+ 2i√π e^{−ζ²}
@@ -129,7 +129,7 @@ fn dielectric(
 /// Returns the complex root (`Re ω` = oscillation frequency, `Im ω` =
 /// growth rate, negative for damping) or `None` if the iteration fails to
 /// converge — the scenario constructors treat that as a configuration bug.
-pub fn solve_dispersion(
+pub(crate) fn solve_dispersion(
     k: f64,
     coupling: f64,
     comps: &[MaxwellianComponent],
@@ -153,7 +153,7 @@ pub fn solve_dispersion(
 /// Least-damped Langmuir root for a single Maxwellian at rest: the Landau
 /// damping rate. `k` in box units (`2π m`), `coupling = ω_p²`, `sigma` the
 /// thermal spread; starts from the Bohm–Gross frequency.
-pub fn landau_root(k: f64, coupling: f64, sigma: f64) -> Option<Complex64> {
+pub(crate) fn landau_root(k: f64, coupling: f64, sigma: f64) -> Option<Complex64> {
     let wp = coupling.sqrt();
     let klam = k * sigma / wp;
     let guess = Complex64::new(wp * (1.0 + 3.0 * klam * klam).sqrt(), -0.01 * wp);
@@ -173,7 +173,7 @@ pub fn landau_root(k: f64, coupling: f64, sigma: f64) -> Option<Complex64> {
 /// ±`v0`, spread `sigma` each, half the density each). By symmetry the
 /// unstable root is purely imaginary; the guess starts on the cold-beam
 /// growth rate.
-pub fn two_stream_root(k: f64, coupling: f64, v0: f64, sigma: f64) -> Option<Complex64> {
+pub(crate) fn two_stream_root(k: f64, coupling: f64, v0: f64, sigma: f64) -> Option<Complex64> {
     let gamma_cold = cold_two_stream_gamma(k, coupling, v0).unwrap_or(0.25 * coupling.sqrt());
     let comps = [
         MaxwellianComponent {
@@ -192,7 +192,7 @@ pub fn two_stream_root(k: f64, coupling: f64, v0: f64, sigma: f64) -> Option<Com
 
 /// Unstable root of a core + drifting-beam pair (bump-on-tail). The guess
 /// sits near the plasma frequency with a small positive growth rate.
-pub fn bump_on_tail_root(
+pub(crate) fn bump_on_tail_root(
     k: f64,
     coupling: f64,
     core: MaxwellianComponent,
@@ -206,7 +206,7 @@ pub fn bump_on_tail_root(
 /// fluid-limit cross-check for [`two_stream_root`]. For beams ±v0:
 /// `1 = (ω_p²/2) [ (ω−kv0)^{−2} + (ω+kv0)^{−2} ]` with `ω = iγ` gives a
 /// quadratic in `γ²`; returns `None` where the mode is stable.
-pub fn cold_two_stream_gamma(k: f64, coupling: f64, v0: f64) -> Option<f64> {
+pub(crate) fn cold_two_stream_gamma(k: f64, coupling: f64, v0: f64) -> Option<f64> {
     let wp2 = coupling;
     let x2 = (k * v0).powi(2);
     // (γ² + x²)² = ω_p² (x² − γ²)  ⇒  γ⁴ + (2x² + ω_p²)γ² + x⁴ − ω_p²x² = 0.

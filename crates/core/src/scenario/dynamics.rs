@@ -7,7 +7,7 @@
 //! [`crate::DistributedVlasov::with_dynamics`], the serial
 //! [`super::engine::KineticSimulation`] directly.
 //!
-//! A force law picks its Poisson solver in one place, [`FieldSolver::new`]:
+//! A force law picks its Poisson solver in one place, `FieldSolver::new`:
 //! a periodic spectral solve (serial [`PoissonSolver`] or ranked
 //! [`vlasov6d_poisson::DistPoisson`]) or the isolated one
 //! ([`IsolatedPoisson`]). Every driver holds what it returns.
@@ -73,7 +73,7 @@ enum Problem {
 
 /// The periodic solve's prefactor `C` as a function of the time variable.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Prefactor {
+pub(crate) enum Prefactor {
     /// `C = c` at every time.
     Constant(f64),
     /// `C = c / a` on an expanding background (comoving gravity).
@@ -95,7 +95,7 @@ impl Prefactor {
 /// many). Each arm carries what its solve needs, so a solver built for one
 /// law cannot be asked to solve another's problem.
 #[derive(Debug, Clone)]
-pub enum FieldSolver<P> {
+pub(crate) enum FieldSolver<P> {
     /// Spectral solve of `∇²φ = prefactor(t)·(ρ − ρ̄)` on the periodic box.
     Periodic { solver: P, prefactor: Prefactor },
     /// Zero-padded convolution solve of `∇²φ = coupling·ρ` (open boundaries),
@@ -155,7 +155,7 @@ pub enum TimeAxis {
 impl TimeAxis {
     /// Propose the next step endpoint from `t1` under the per-step ceiling
     /// (`Δln a` when expanding, `Δt` when static).
-    pub fn propose(&self, bg: &Background, t1: f64, max_step: f64) -> f64 {
+    pub(crate) fn propose(&self, bg: &Background, t1: f64, max_step: f64) -> f64 {
         let _ = bg;
         match self {
             TimeAxis::Expanding => t1 * (1.0 + max_step),

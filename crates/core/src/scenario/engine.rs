@@ -1,7 +1,7 @@
 //! The generic serial kinetic engine: the shared Strang stepper
 //! (`strang.rs`) driven by a [`KineticScenario`]'s
 //! [`ForceLaw`](super::dynamics::ForceLaw)/[`TimeAxis`] through the serial
-//! [`FieldSolver`] that law picks.
+//! field solver that law picks.
 //!
 //! This is the single-rank oracle the distributed differential tests run
 //! against, and the measurement engine behind the analytic-rate oracles:

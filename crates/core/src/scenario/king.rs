@@ -27,7 +27,7 @@ pub fn king_sphere() -> KineticScenario {
     king_sphere_with([12, 12, 12], 8)
 }
 
-pub fn king_sphere_with(sdims: [usize; 3], nv: usize) -> KineticScenario {
+pub(crate) fn king_sphere_with(sdims: [usize; 3], nv: usize) -> KineticScenario {
     let model = KingModel::solve(1.0, 0.15, 6.0, 1.0);
     let coupling = model.coupling;
     // The cubic velocity grid covers the escape speed with margin; at the

@@ -106,7 +106,7 @@ impl RateOracle {
 
 /// Least-squares slope of `ln A(t)` over the window. Non-positive samples
 /// are skipped (they carry no log information).
-pub fn fit_log_slope(times: &[f64], amps: &[f64], window: (f64, f64)) -> f64 {
+pub(crate) fn fit_log_slope(times: &[f64], amps: &[f64], window: (f64, f64)) -> f64 {
     let pts: Vec<(f64, f64)> = times
         .iter()
         .zip(amps)
@@ -119,7 +119,7 @@ pub fn fit_log_slope(times: &[f64], amps: &[f64], window: (f64, f64)) -> f64 {
 /// Slope of `ln` of the oscillation envelope: local maxima of `A(t)` in the
 /// window (a damped Langmuir wave's amplitude beats at 2ω, so the peaks
 /// trace `e^{γt}` cleanly while the troughs touch zero).
-pub fn fit_envelope_slope(times: &[f64], amps: &[f64], window: (f64, f64)) -> f64 {
+pub(crate) fn fit_envelope_slope(times: &[f64], amps: &[f64], window: (f64, f64)) -> f64 {
     let mut pts = Vec::new();
     for i in 1..amps.len().saturating_sub(1) {
         let inside = times[i] >= window.0 && times[i] <= window.1;

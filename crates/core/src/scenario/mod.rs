@@ -12,9 +12,9 @@
 //!
 //! * [`dynamics`] — [`ForceLaw`] / [`TimeAxis`]: electrostatic vs.
 //!   gravitational coupling, periodic vs. isolated boundaries, static vs.
-//!   expanding background; and [`dynamics::FieldSolver`], the one place a
-//!   law picks its Poisson solver.
-//! * [`dispersion`] — kinetic dispersion relations (plasma `Z` function,
+//!   expanding background; and the one place a law picks its Poisson
+//!   solver.
+//! * `dispersion` — kinetic dispersion relations (plasma `Z` function,
 //!   multi-Maxwellian dielectric, Newton root solver): the analytic oracles.
 //! * [`measure`] — mode-amplitude probes and damping/growth-rate fits.
 //! * [`engine`] — the generic serial stepper for registered scenarios.
@@ -22,7 +22,7 @@
 //! * [`king`] — stationary King sphere and two-sphere merger
 //!   (Yoshikawa et al. 2013 validation problems).
 
-pub mod dispersion;
+mod dispersion;
 pub mod dynamics;
 pub mod engine;
 pub mod king;

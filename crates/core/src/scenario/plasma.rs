@@ -5,7 +5,7 @@
 //! All three live on the periodic unit box with a static background and the
 //! [`ForceLaw::Electrostatic`] coupling (`∇²φ = −ω_p² δρ`, unit mean
 //! density). The expected rates are *solved at construction time* from the
-//! same [`super::dispersion`] machinery the unit tests validate against
+//! same `super::dispersion` machinery the unit tests validate against
 //! textbook benchmarks — nothing in the oracle chain is hard-coded to the
 //! grid parameters.
 //!
@@ -151,7 +151,7 @@ pub fn bump_on_tail() -> KineticScenario {
     bump_on_tail_with([16, 4, 4], 64)
 }
 
-pub fn bump_on_tail_with(sdims: [usize; 3], nv: usize) -> KineticScenario {
+pub(crate) fn bump_on_tail_with(sdims: [usize; 3], nv: usize) -> KineticScenario {
     let k = 2.0 * std::f64::consts::PI;
     let sigma = 0.05;
     let v_beam = 0.3;

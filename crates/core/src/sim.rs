@@ -162,22 +162,6 @@ impl HybridSimulation {
         1.0 / self.a - 1.0
     }
 
-    /// Total comoving matter density on the PM mesh (ρ_crit units).
-    pub fn total_density_pm(&self) -> Field3 {
-        let mut rho = Field3::zeros([self.config.n_pm; 3]);
-        if let Some(cdm) = &self.cdm {
-            rho.axpy(
-                1.0,
-                &fields::particle_density(&cdm.pos, cdm.mass, rho.dims()),
-            );
-        }
-        if let Some(nu) = &self.neutrinos {
-            let rho_nu = moments::density(nu);
-            rho.axpy(1.0, &fields::deposit_density_to_pm(&rho_nu, rho.dims()));
-        }
-        rho
-    }
-
     /// Neutrino comoving density on the Vlasov spatial grid.
     pub fn neutrino_density(&self) -> Option<Field3> {
         self.neutrinos.as_ref().map(moments::density)

@@ -42,17 +42,6 @@ impl Spectrum {
             .collect()
     }
 
-    /// Bins carrying at least `min_modes` modes (the usable range).
-    pub fn well_sampled(&self, min_modes: usize) -> Vec<(f64, f64)> {
-        self.k
-            .iter()
-            .zip(&self.p)
-            .zip(&self.modes)
-            .filter(|(_, &m)| m >= min_modes)
-            .map(|((&k, &p), _)| (k, p))
-            .collect()
-    }
-
     /// Bin-wise ratio against another spectrum on the same binning
     /// (0 where either is empty) — the suppression observable.
     pub fn ratio(&self, other: &Spectrum) -> Vec<f64> {
@@ -61,6 +50,20 @@ impl Spectrum {
             .iter()
             .zip(&other.p)
             .map(|(&a, &b)| if b > 0.0 { a / b } else { 0.0 })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl Spectrum {
+    /// Bins carrying at least `min_modes` modes (the usable range).
+    pub(crate) fn well_sampled(&self, min_modes: usize) -> Vec<(f64, f64)> {
+        self.k
+            .iter()
+            .zip(&self.p)
+            .zip(&self.modes)
+            .filter(|(_, &m)| m >= min_modes)
+            .map(|((&k, &p), _)| (k, p))
             .collect()
     }
 }

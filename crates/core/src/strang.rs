@@ -329,7 +329,6 @@ pub(crate) fn restore(loaded: LoadedCheckpoint, need_ps: bool) -> Result<Saved, 
                     force[axis] = Some(field);
                 }
             }
-            _ => {}
         }
     }
     if need_ps && ps.is_none() {

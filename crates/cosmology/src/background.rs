@@ -79,12 +79,12 @@ impl Background {
     }
 
     /// `E²(a) = H²(a)/H0²`.
-    pub fn e_squared(&self, a: f64) -> f64 {
+    pub(crate) fn e_squared(&self, a: f64) -> f64 {
         Self::e_squared_static(&self.params, &self.nu, a)
     }
 
     /// Dimensionless Hubble rate `E(a) = H(a)/H0`.
-    pub fn e_of_a(&self, a: f64) -> f64 {
+    pub(crate) fn e_of_a(&self, a: f64) -> f64 {
         self.e_squared(a).sqrt()
     }
 
@@ -159,26 +159,9 @@ impl Background {
         )
     }
 
-    /// Scale factor a time `dt` (code units) after `a` — single Runge–Kutta-4
-    /// step of `da/dt = a E(a)`, accurate enough for step-size control.
-    pub fn advance_a(&self, a: f64, dt: f64) -> f64 {
-        let f = |a: f64| a * self.e_of_a(a);
-        let k1 = f(a);
-        let k2 = f(a + 0.5 * dt * k1);
-        let k3 = f(a + 0.5 * dt * k2);
-        let k4 = f(a + dt * k3);
-        a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    }
-
     /// Matter (cb + ν, non-relativistic) density parameter today.
     pub fn omega_m(&self) -> f64 {
         self.params.omega_m
-    }
-
-    /// Poisson source prefactor in code units:
-    /// `∇²φ = (3/2) Ω_m δ / a` (see crate docs). Returns `(3/2) Ω_m / a`.
-    pub fn poisson_prefactor(&self, a: f64) -> f64 {
-        1.5 * self.params.omega_m / a
     }
 
     pub fn params(&self) -> &CosmologyParams {
@@ -193,10 +176,25 @@ impl Background {
     pub fn redshift(a: f64) -> f64 {
         1.0 / a - 1.0
     }
+}
 
-    /// Scale factor corresponding to redshift `z`.
-    pub fn scale_factor(z: f64) -> f64 {
-        1.0 / (1.0 + z)
+#[cfg(test)]
+impl Background {
+    /// Scale factor a time `dt` (code units) after `a` — single Runge–Kutta-4
+    /// step of `da/dt = a E(a)`, accurate enough for step-size control.
+    pub(crate) fn advance_a(&self, a: f64, dt: f64) -> f64 {
+        let f = |a: f64| a * self.e_of_a(a);
+        let k1 = f(a);
+        let k2 = f(a + 0.5 * dt * k1);
+        let k3 = f(a + 0.5 * dt * k2);
+        let k4 = f(a + dt * k3);
+        a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    }
+
+    /// Poisson source prefactor in code units:
+    /// `∇²φ = (3/2) Ω_m δ / a` (see crate docs). Returns `(3/2) Ω_m / a`.
+    pub(crate) fn poisson_prefactor(&self, a: f64) -> f64 {
+        1.5 * self.params.omega_m / a
     }
 }
 

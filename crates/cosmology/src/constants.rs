@@ -2,43 +2,27 @@
 //! throughout the workspace.
 
 /// Speed of light \[km/s\].
-pub const C_KM_S: f64 = 299_792.458;
-
-/// Newton's constant \[Mpc (km/s)² / M☉\].
-///
-/// `G = 6.674e-11 m³ kg⁻¹ s⁻²` converted: this is the value standard in
-/// cosmological N-body codes (e.g. GADGET uses 43007.1 in 10¹⁰M☉/h, kpc/h units).
-pub const G_MPC_KMS2_MSUN: f64 = 4.300_917_270e-9;
+pub(crate) const C_KM_S: f64 = 299_792.458;
 
 /// Boltzmann constant \[eV / K\].
-pub const K_B_EV_K: f64 = 8.617_333_262e-5;
+pub(crate) const K_B_EV_K: f64 = 8.617_333_262e-5;
 
 /// Present-day CMB temperature \[K\] (Fixsen 2009).
-pub const T_CMB_K: f64 = 2.7255;
+pub(crate) const T_CMB_K: f64 = 2.7255;
 
 /// Present-day relic-neutrino temperature \[K\]: `T_ν = (4/11)^{1/3} T_CMB`.
 ///
 /// The instantaneous-decoupling value; the few-permille non-instantaneous
 /// correction is absorbed into `N_eff` and irrelevant at the precision of the
 /// simulation.
-pub const T_NU_K: f64 = 1.945_368_839_175_084; // (4/11)^(1/3) * 2.7255
-
-/// Critical density today divided by h² \[M☉ / Mpc³\]:
-/// `ρ_crit = 3 H0² / (8πG)` with `H0 = 100 km/s/Mpc`.
-pub const RHO_CRIT_H2_MSUN_MPC3: f64 =
-    3.0 * 100.0 * 100.0 / (8.0 * core::f64::consts::PI * G_MPC_KMS2_MSUN);
+pub(crate) const T_NU_K: f64 = 1.945_368_839_175_084; // (4/11)^(1/3) * 2.7255
 
 /// `Ω_ν h² = M_ν / NU_OMEGA_EV` for non-relativistic neutrinos
 /// (the familiar 93.14 eV rule; Lesgourgues & Pastor 2006).
-pub const NU_OMEGA_EV: f64 = 93.14;
-
-/// Number density of one neutrino species today \[cm⁻³\]
-/// (`3ζ(3)/(2π²) (k_B T_ν / ħc)³ × 2` internal dof ≈ 56 per flavour of ν,
-/// 112 including anti-neutrinos).
-pub const N_NU_PER_SPECIES_CM3: f64 = 112.0;
+pub(crate) const NU_OMEGA_EV: f64 = 93.14;
 
 /// Riemann ζ(3), used in Fermi–Dirac number-density normalisations.
-pub const ZETA3: f64 = 1.202_056_903_159_594;
+pub(crate) const ZETA3: f64 = 1.202_056_903_159_594;
 
 /// Mean Fermi–Dirac momentum in units of `k_B T_ν / c`:
 /// `<q> = (7π⁴/180) / (3ζ(3)/2) ≈ 3.1514`.
@@ -47,11 +31,26 @@ pub const FD_MEAN_Q: f64 = 3.151_374_371_738_908;
 /// RMS Fermi–Dirac momentum in units of `k_B T_ν / c`: `<q²>^{1/2} ≈ 3.5970`.
 pub const FD_RMS_Q: f64 = 3.597_140_206_477_916;
 
+/// Newton's constant \[Mpc (km/s)² / M☉\].
+///
+/// `G = 6.674e-11 m³ kg⁻¹ s⁻²` converted: this is the value standard in
+/// cosmological N-body codes (e.g. GADGET uses 43007.1 in 10¹⁰M☉/h, kpc/h units).
+#[cfg(test)]
+pub(crate) const G_MPC_KMS2_MSUN: f64 = 4.300_917_270e-9;
+
+/// Critical density today divided by h² \[M☉ / Mpc³\]:
+/// `ρ_crit = 3 H0² / (8πG)` with `H0 = 100 km/s/Mpc`.
+#[cfg(test)]
+pub(crate) const RHO_CRIT_H2_MSUN_MPC3: f64 =
+    3.0 * 100.0 * 100.0 / (8.0 * core::f64::consts::PI * G_MPC_KMS2_MSUN);
+
 /// Seconds per (Mpc / (km/s)) — converts inverse Hubble rates to seconds.
-pub const MPC_OVER_KMS_S: f64 = 3.085_677_581_491_367e19;
+#[cfg(test)]
+pub(crate) const MPC_OVER_KMS_S: f64 = 3.085_677_581_491_367e19;
 
 /// Years per (Mpc / (km/s)).
-pub const MPC_OVER_KMS_YR: f64 = MPC_OVER_KMS_S / 3.155_76e7;
+#[cfg(test)]
+pub(crate) const MPC_OVER_KMS_YR: f64 = MPC_OVER_KMS_S / 3.155_76e7;
 
 #[cfg(test)]
 mod tests {

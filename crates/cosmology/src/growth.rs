@@ -26,7 +26,7 @@ impl<'a> Growth<'a> {
     }
 
     /// Unnormalised growth factor `D(a)`.
-    pub fn d_unnormalized(&self, a: f64) -> f64 {
+    pub(crate) fn d_unnormalized(&self, a: f64) -> f64 {
         let integral = quad::simpson_adaptive(
             |ln_a| {
                 let ap = ln_a.exp();
@@ -44,15 +44,6 @@ impl<'a> Growth<'a> {
     /// Growth factor normalised to `D(a_ref) = 1`.
     pub fn d_relative(&self, a: f64, a_ref: f64) -> f64 {
         self.d_unnormalized(a) / self.d_unnormalized(a_ref)
-    }
-
-    /// Growth factor normalised so `D(a) → a` in the matter era (the common
-    /// "EdS normalisation", for which `D = a` exactly when Ωm = 1).
-    pub fn d_matter_normalized(&self, a: f64) -> f64 {
-        // In EdS: E = a^{-3/2}; ∫ da/(aE)³ = ∫ a^{7/2-1}... direct:
-        // ∫₀ᵃ da a^{9/2 - 3}... evaluate: (aE)³ = a^{-3/2·3+3}. Use the known
-        // result D_unnorm = (2/5) a in EdS, so multiply by 5/2.
-        2.5 * self.d_unnormalized(a)
     }
 
     /// Logarithmic growth rate `f = dlnD/dlna` (centred difference).
@@ -73,7 +64,8 @@ mod tests {
         let bg = Background::new(CosmologyParams::eds());
         let g = Growth::new(&bg);
         for &a in &[0.1, 0.3, 1.0] {
-            let d = g.d_matter_normalized(a);
+            // In EdS `D_unnorm = (2/5) a`.
+            let d = 2.5 * g.d_unnormalized(a);
             assert!((d / a - 1.0).abs() < 2e-3, "D({a}) = {d}");
         }
     }

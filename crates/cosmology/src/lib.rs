@@ -52,7 +52,7 @@ pub use units::Units;
 /// adaptive trapezoid on smooth integrands).
 pub(crate) mod quad {
     /// Composite Simpson rule on `[a, b]` with `n` (even, ≥ 2) panels.
-    pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
+    pub(crate) fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
         let n = if n.is_multiple_of(2) { n.max(2) } else { n + 1 };
         let h = (b - a) / n as f64;
         let mut s = f(a) + f(b);
@@ -66,7 +66,12 @@ pub(crate) mod quad {
     /// Simpson with automatic panel doubling until the result is stable to
     /// `rel_tol` (or `max_doublings` is reached). Good enough for the smooth
     /// cosmological integrands in this crate.
-    pub fn simpson_adaptive<F: Fn(f64) -> f64 + Copy>(f: F, a: f64, b: f64, rel_tol: f64) -> f64 {
+    pub(crate) fn simpson_adaptive<F: Fn(f64) -> f64 + Copy>(
+        f: F,
+        a: f64,
+        b: f64,
+        rel_tol: f64,
+    ) -> f64 {
         let mut n = 64;
         let mut prev = simpson(f, a, b, n);
         for _ in 0..12 {

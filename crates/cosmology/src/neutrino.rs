@@ -16,12 +16,12 @@
 //! the 6-D grid is loaded once at the initial redshift with [`FermiDirac`] and
 //! never rescaled.
 
-use crate::constants::{C_KM_S, FD_MEAN_Q, FD_RMS_Q, K_B_EV_K, T_NU_K, ZETA3};
+use crate::constants::{C_KM_S, FD_RMS_Q, K_B_EV_K, T_NU_K, ZETA3};
 use crate::params::CosmologyParams;
 use crate::quad;
 
 /// `∫₀^∞ x²/(eˣ+1) dx = (3/2) ζ(3)` — the Fermi–Dirac number-density integral.
-pub const FD_NUMBER_INTEGRAL: f64 = 1.5 * ZETA3;
+pub(crate) const FD_NUMBER_INTEGRAL: f64 = 1.5 * ZETA3;
 
 /// The frozen Fermi–Dirac distribution of one massive-neutrino species,
 /// expressed in the canonical velocity `u` \[km/s\].
@@ -73,11 +73,6 @@ impl FermiDirac {
         4.0 * core::f64::consts::PI * self.u_thermal_kms.powi(3) * FD_NUMBER_INTEGRAL
     }
 
-    /// Mean canonical speed `<|u|> = 3.1514 u_T` \[km/s\].
-    pub fn mean_speed(&self) -> f64 {
-        FD_MEAN_Q * self.u_thermal_kms
-    }
-
     /// RMS canonical speed `<u²>^{1/2} = 3.5970 u_T` \[km/s\].
     pub fn rms_speed(&self) -> f64 {
         FD_RMS_Q * self.u_thermal_kms
@@ -86,22 +81,6 @@ impl FermiDirac {
     /// One-dimensional velocity dispersion `σ_1D = <u²>^{1/2}/√3` \[km/s\].
     pub fn sigma_1d(&self) -> f64 {
         self.rms_speed() / 3.0f64.sqrt()
-    }
-
-    /// A velocity-space cube half-width `V` that contains all but a fraction
-    /// `~exp(-V/u_T)` of the distribution. The paper's production runs use a
-    /// fixed `[-V, V)³` box; six thermal scales keeps the truncated mass below
-    /// 10⁻³ while the grid still resolves the thermal core.
-    pub fn suggested_vmax(&self, n_thermal: f64) -> f64 {
-        n_thermal * self.rms_speed()
-    }
-
-    /// Fraction of the norm carried by speeds `|u| > v` — used to check how
-    /// much mass the truncation at the velocity-box edge discards.
-    pub fn tail_fraction(&self, v_kms: f64) -> f64 {
-        let x0 = v_kms / self.u_thermal_kms;
-        let tail = quad::simpson_adaptive(|x| x * x / (x.exp() + 1.0), x0, x0 + 60.0, 1e-10);
-        tail / FD_NUMBER_INTEGRAL
     }
 }
 
@@ -112,7 +91,6 @@ impl FermiDirac {
 pub struct NeutrinoBackground {
     omega_nu_nr: f64,
     m_nu_ev: f64,
-    n_species: usize,
     /// Cached `(ln a, Ω_ν(a)·a³/Ω_ν,nr)` table for fast interpolation.
     table_ln_a: Vec<f64>,
     table_ratio: Vec<f64>,
@@ -134,7 +112,6 @@ impl NeutrinoBackground {
         Self {
             omega_nu_nr,
             m_nu_ev,
-            n_species: params.n_nu_species,
             table_ln_a,
             table_ratio,
         }
@@ -164,7 +141,7 @@ impl NeutrinoBackground {
     /// `Ω_ν(a)`: neutrino energy density at scale factor `a` relative to the
     /// *present-day* critical density (so the Friedmann equation reads
     /// `E²(a) = ... + Ω_ν(a) + ...` with no extra powers of `a`).
-    pub fn omega_nu_of_a(&self, a: f64) -> f64 {
+    pub(crate) fn omega_nu_of_a(&self, a: f64) -> f64 {
         if self.omega_nu_nr == 0.0 {
             return 0.0;
         }
@@ -187,24 +164,35 @@ impl NeutrinoBackground {
         self.table_ratio[i] * (1.0 - w) + self.table_ratio[i + 1] * w
     }
 
-    /// Non-relativistic (late-time) `Ω_ν` today.
-    pub fn omega_nu_nr(&self) -> f64 {
-        self.omega_nu_nr
-    }
-
     /// Per-eigenstate Fermi–Dirac distribution, or `None` for massless ν.
     pub fn fermi_dirac(&self) -> Option<FermiDirac> {
         (self.m_nu_ev > 0.0).then(|| FermiDirac::new(self.m_nu_ev))
     }
+}
 
-    pub fn n_species(&self) -> usize {
-        self.n_species
+#[cfg(test)]
+impl FermiDirac {
+    /// A velocity-space cube half-width `V` that contains all but a fraction
+    /// `~exp(-V/u_T)` of the distribution. The paper's production runs use a
+    /// fixed `[-V, V)³` box; six thermal scales keeps the truncated mass below
+    /// 10⁻³ while the grid still resolves the thermal core.
+    pub(crate) fn suggested_vmax(&self, n_thermal: f64) -> f64 {
+        n_thermal * self.rms_speed()
+    }
+
+    /// Fraction of the norm carried by speeds `|u| > v` — used to check how
+    /// much mass the truncation at the velocity-box edge discards.
+    pub(crate) fn tail_fraction(&self, v_kms: f64) -> f64 {
+        let x0 = v_kms / self.u_thermal_kms;
+        let tail = quad::simpson_adaptive(|x| x * x / (x.exp() + 1.0), x0, x0 + 60.0, 1e-10);
+        tail / FD_NUMBER_INTEGRAL
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constants::FD_MEAN_Q;
     use crate::quad;
 
     #[test]
@@ -222,11 +210,8 @@ mod tests {
         let expect_ut = K_B_EV_K * T_NU_K / 0.1 * C_KM_S;
         assert!((fd.u_thermal_kms - expect_ut).abs() < 1e-9);
         // Mean speed for 0.1 eV neutrinos today is ~1500-1600 km/s.
-        assert!(
-            fd.mean_speed() > 1400.0 && fd.mean_speed() < 1700.0,
-            "{}",
-            fd.mean_speed()
-        );
+        let mean_speed = FD_MEAN_Q * fd.u_thermal_kms;
+        assert!(mean_speed > 1400.0 && mean_speed < 1700.0, "{mean_speed}");
     }
 
     #[test]
@@ -248,7 +233,7 @@ mod tests {
         let ut = fd.u_thermal_kms;
         let mean = quad::simpson_adaptive(|x| x * x * x / (x.exp() + 1.0), 1e-10, 80.0, 1e-12)
             / FD_NUMBER_INTEGRAL;
-        assert!((fd.mean_speed() / ut - mean).abs() < 1e-6);
+        assert!((FD_MEAN_Q - mean).abs() < 1e-6);
         let msq = quad::simpson_adaptive(|x| x * x * x * x / (x.exp() + 1.0), 1e-10, 80.0, 1e-12)
             / FD_NUMBER_INTEGRAL;
         assert!((fd.rms_speed() / ut - msq.sqrt()).abs() < 1e-6);
@@ -271,7 +256,7 @@ mod tests {
         // Today: equals the non-relativistic value to better than a percent
         // (0.4 eV neutrinos are safely non-relativistic at z=0).
         let today = nb.omega_nu_of_a(1.0);
-        assert!((today / nb.omega_nu_nr() - 1.0).abs() < 0.02, "{today}");
+        assert!((today / nb.omega_nu_nr - 1.0).abs() < 0.02, "{today}");
         // Deep in the radiation era the density scales like a⁻⁴:
         let r1 = nb.omega_nu_of_a(1e-7) * (1e-7f64).powi(4);
         let r2 = nb.omega_nu_of_a(1e-8) * (1e-8f64).powi(4);

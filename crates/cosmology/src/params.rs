@@ -91,12 +91,12 @@ impl CosmologyParams {
 
     /// CDM+baryon ("cb") density parameter, i.e. the matter that the N-body
     /// particles represent: `Ω_cb = Ω_m - Ω_ν`.
-    pub fn omega_cb(&self) -> f64 {
+    pub(crate) fn omega_cb(&self) -> f64 {
         self.omega_m - self.omega_nu()
     }
 
     /// Dark-energy density parameter from flatness.
-    pub fn omega_lambda(&self) -> f64 {
+    pub(crate) fn omega_lambda(&self) -> f64 {
         1.0 - self.omega_m - self.omega_r
     }
 

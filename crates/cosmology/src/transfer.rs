@@ -76,8 +76,6 @@ pub struct PowerSpectrum {
     transfer: TransferFunction,
     /// Amplitude fixed by σ8.
     amplitude: f64,
-    /// Whether to apply the neutrino free-streaming suppression.
-    nu_suppression: bool,
 }
 
 impl PowerSpectrum {
@@ -87,19 +85,10 @@ impl PowerSpectrum {
             params,
             transfer,
             amplitude: 1.0,
-            nu_suppression: true,
         };
         let s8 = ps.sigma_r(8.0);
         ps.amplitude = (params.sigma8 / s8).powi(2);
         ps
-    }
-
-    /// Disable the ν free-streaming suppression (for tests / comparisons).
-    pub fn without_nu_suppression(mut self) -> Self {
-        self.nu_suppression = false;
-        let s8 = self.sigma_r(8.0);
-        self.amplitude *= (self.params.sigma8 / s8).powi(2);
-        self
     }
 
     /// Approximate linear free-streaming wavenumber \[h/Mpc\] at z=0 for the
@@ -115,8 +104,8 @@ impl PowerSpectrum {
 
     /// Scale-dependent neutrino suppression factor on *power* (not amplitude):
     /// smoothly goes from 1 at `k ≪ k_fs` to `1 - 8 f_ν` at `k ≫ k_fs`.
-    pub fn nu_suppression_factor(&self, k_h_mpc: f64) -> f64 {
-        if !self.nu_suppression || self.params.m_nu_total_ev <= 0.0 {
+    pub(crate) fn nu_suppression_factor(&self, k_h_mpc: f64) -> f64 {
+        if self.params.m_nu_total_ev <= 0.0 {
             return 1.0;
         }
         let fnu = self.params.f_nu();
@@ -135,12 +124,12 @@ impl PowerSpectrum {
     }
 
     /// Dimensionless power `Δ²(k) = k³ P(k) / 2π²`.
-    pub fn delta2(&self, k_h_mpc: f64) -> f64 {
+    pub(crate) fn delta2(&self, k_h_mpc: f64) -> f64 {
         k_h_mpc.powi(3) * self.power(k_h_mpc) / (2.0 * core::f64::consts::PI.powi(2))
     }
 
     /// RMS linear fluctuation in a top-hat sphere of radius `r` \[Mpc/h\].
-    pub fn sigma_r(&self, r: f64) -> f64 {
+    pub(crate) fn sigma_r(&self, r: f64) -> f64 {
         let integrand = |ln_k: f64| {
             let k = ln_k.exp();
             let x = k * r;

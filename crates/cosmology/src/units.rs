@@ -31,49 +31,42 @@ impl Units {
         100.0 * self.box_mpc_h
     }
 
-    /// Convert a velocity from km/s to code units.
-    pub fn kms_to_code(&self, v_kms: f64) -> f64 {
-        v_kms / self.velocity_unit_kms()
-    }
-
     /// Convert a velocity from code units to km/s.
     pub fn code_to_kms(&self, v_code: f64) -> f64 {
         v_code * self.velocity_unit_kms()
     }
+}
+
+#[cfg(test)]
+impl Units {
+    /// Convert a velocity from km/s to code units.
+    pub(crate) fn kms_to_code(&self, v_kms: f64) -> f64 {
+        v_kms / self.velocity_unit_kms()
+    }
 
     /// Convert a comoving length from Mpc/h to code units (fraction of box).
-    pub fn mpch_to_code(&self, l_mpc_h: f64) -> f64 {
+    pub(crate) fn mpch_to_code(&self, l_mpc_h: f64) -> f64 {
         l_mpc_h / self.box_mpc_h
     }
 
     /// Convert a comoving length from code units to Mpc/h.
-    pub fn code_to_mpch(&self, l_code: f64) -> f64 {
+    pub(crate) fn code_to_mpch(&self, l_code: f64) -> f64 {
         l_code * self.box_mpc_h
     }
 
     /// Convert a wavenumber from h/Mpc to code units (`k_code = k · L_box`).
-    pub fn k_to_code(&self, k_h_mpc: f64) -> f64 {
+    pub(crate) fn k_to_code(&self, k_h_mpc: f64) -> f64 {
         k_h_mpc * self.box_mpc_h
     }
 
-    /// Convert a wavenumber from code units to h/Mpc.
-    pub fn k_to_mpch(&self, k_code: f64) -> f64 {
-        k_code / self.box_mpc_h
-    }
-
     /// Time unit in years: `1/H0 = (Mpc/(km/s))/(100 h)` converted to years.
-    pub fn time_unit_yr(&self) -> f64 {
+    pub(crate) fn time_unit_yr(&self) -> f64 {
         crate::constants::MPC_OVER_KMS_YR / (100.0 * self.h)
-    }
-
-    /// Time unit in seconds.
-    pub fn time_unit_s(&self) -> f64 {
-        crate::constants::MPC_OVER_KMS_S / (100.0 * self.h)
     }
 
     /// Mass unit \[M☉/h\]: `ρ_crit,0 · L_box³` expressed per `h` (the natural
     /// N-body convention: ρ_crit = 2.775e11 h² M☉/Mpc³, L in Mpc/h).
-    pub fn mass_unit_msun_h(&self) -> f64 {
+    pub(crate) fn mass_unit_msun_h(&self) -> f64 {
         crate::constants::RHO_CRIT_H2_MSUN_MPC3 * self.box_mpc_h.powi(3)
     }
 }

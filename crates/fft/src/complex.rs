@@ -65,15 +65,6 @@ impl Complex64 {
             im: self.im * s,
         }
     }
-
-    /// Fused multiply-add: `self + a * b`, the FFT butterfly workhorse.
-    #[inline]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        Self {
-            re: self.re + a.re * b.re - a.im * b.im,
-            im: self.im + a.re * b.im + a.im * b.re,
-        }
-    }
 }
 
 impl Add for Complex64 {
@@ -156,6 +147,18 @@ impl MulAssign for Complex64 {
     #[inline]
     fn mul_assign(&mut self, o: Self) {
         *self = *self * o;
+    }
+}
+
+#[cfg(test)]
+impl Complex64 {
+    /// Fused multiply-add: `self + a * b`.
+    #[inline]
+    pub(crate) fn mul_add(self, a: Self, b: Self) -> Self {
+        Self {
+            re: self.re + a.re * b.re - a.im * b.im,
+            im: self.im + a.re * b.im + a.im * b.re,
+        }
     }
 }
 

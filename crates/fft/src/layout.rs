@@ -75,13 +75,13 @@ impl RankGrid {
     }
 
     /// Rank id of grid position `(pr, pc)`.
-    pub fn rank_of(&self, pr: usize, pc: usize) -> usize {
+    pub(crate) fn rank_of(&self, pr: usize, pc: usize) -> usize {
         debug_assert!(pr < self.rows && pc < self.cols);
         pr * self.cols + pc
     }
 
     /// Grid position `(pr, pc)` of `rank`.
-    pub fn coords_of(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn coords_of(&self, rank: usize) -> (usize, usize) {
         debug_assert!(rank < self.n_ranks());
         (rank / self.cols, rank % self.cols)
     }
@@ -129,7 +129,7 @@ impl LayoutMap {
     }
 
     /// Locally-owned extent per global axis.
-    pub fn local_extents(&self, dims: [usize; 3], grid: RankGrid) -> [usize; 3] {
+    pub(crate) fn local_extents(&self, dims: [usize; 3], grid: RankGrid) -> [usize; 3] {
         let mut e = [0; 3];
         for a in 0..3 {
             e[a] = match self.parts[a] {
@@ -158,7 +158,7 @@ impl LayoutMap {
     }
 
     /// The contiguous global range of axis `a` owned by `rank`.
-    pub fn owned_range(
+    pub(crate) fn owned_range(
         &self,
         dims: [usize; 3],
         grid: RankGrid,
@@ -391,7 +391,7 @@ pub fn zpencil() -> LayoutMap {
 }
 
 /// Mid-stage y-pencil: `[n0/Pr][n1][n2/Pc]`.
-pub fn ypencil() -> LayoutMap {
+pub(crate) fn ypencil() -> LayoutMap {
     LayoutMap {
         name: "layout.ypencil",
         parts: [

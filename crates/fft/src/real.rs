@@ -16,7 +16,7 @@ use crate::plan::FftPlan;
 
 /// Plan for forward/inverse real FFTs of fixed even length `n`.
 #[derive(Debug, Clone)]
-pub struct RealFftPlan {
+pub(crate) struct RealFftPlan {
     n: usize,
     half_plan: FftPlan,
     /// Twiddles e^{-2πi k/n} for k in 0..n/4+1 used in the untangling pass.
@@ -38,14 +38,6 @@ impl RealFftPlan {
             half_plan,
             twiddles,
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Number of complex output bins, `n/2 + 1`.

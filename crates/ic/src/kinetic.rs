@@ -178,7 +178,7 @@ impl KingModel {
     }
 
     /// `Ψ(r)` by linear interpolation of the solved table (0 beyond r_t).
-    pub fn psi_at(&self, r: f64) -> f64 {
+    pub(crate) fn psi_at(&self, r: f64) -> f64 {
         if r >= self.r_tidal {
             return 0.0;
         }
@@ -189,21 +189,11 @@ impl KingModel {
     }
 
     /// The distribution function at relative energy `E = Ψ − v²/2`.
-    pub fn f_of_energy(&self, e: f64) -> f64 {
+    pub(crate) fn f_of_energy(&self, e: f64) -> f64 {
         if e <= 0.0 {
             0.0
         } else {
             self.amplitude * ((e / (self.sigma * self.sigma)).exp() - 1.0)
-        }
-    }
-
-    /// Mass density at radius `r` (velocity integral of `f`).
-    pub fn density_at(&self, r: f64) -> f64 {
-        let psi = self.psi_at(r);
-        if psi <= 0.0 {
-            0.0
-        } else {
-            self.amplitude * rho_shape(psi, self.sigma)
         }
     }
 
@@ -281,6 +271,19 @@ pub fn load_king_spheres(ps: &mut PhaseSpace, model: &KingModel, spheres: &[King
         }
         f
     });
+}
+
+#[cfg(test)]
+impl KingModel {
+    /// Mass density at radius `r` (velocity integral of `f`).
+    pub(crate) fn density_at(&self, r: f64) -> f64 {
+        let psi = self.psi_at(r);
+        if psi <= 0.0 {
+            0.0
+        } else {
+            self.amplitude * rho_shape(psi, self.sigma)
+        }
+    }
 }
 
 #[cfg(test)]

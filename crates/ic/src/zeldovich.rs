@@ -68,16 +68,6 @@ impl ZeldovichIc {
             });
         particles
     }
-
-    /// RMS displacement in box units — a sanity diagnostic (should be well
-    /// below the inter-particle spacing at sane starting redshifts).
-    pub fn rms_displacement(&self) -> f64 {
-        let n = self.psi[0].len() as f64;
-        let s: f64 = (0..3)
-            .map(|d| self.psi[d].as_slice().iter().map(|v| v * v).sum::<f64>())
-            .sum();
-        (s / n).sqrt()
-    }
 }
 
 /// Solve `ψ(k) = i k δ_k / k²` (zero DC mode).
@@ -123,6 +113,19 @@ fn displacement_from_delta(delta: &Field3) -> [Field3; 3] {
         out[d] = Field3::from_vec([n, n, n], comp.into_iter().map(|z| z.re).collect());
     }
     out
+}
+
+#[cfg(test)]
+impl ZeldovichIc {
+    /// RMS displacement in box units — a sanity diagnostic (should be well
+    /// below the inter-particle spacing at sane starting redshifts).
+    pub(crate) fn rms_displacement(&self) -> f64 {
+        let n = self.psi[0].len() as f64;
+        let s: f64 = (0..3)
+            .map(|d| self.psi[d].as_slice().iter().map(|v| v * v).sum::<f64>())
+            .sum();
+        (s / n).sqrt()
+    }
 }
 
 #[cfg(test)]

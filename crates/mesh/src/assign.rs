@@ -148,7 +148,13 @@ pub fn interpolate(field: &Field3, scheme: Scheme, p: [f64; 3]) -> f64 {
 }
 
 /// Interpolate `field` at many positions in parallel.
-pub fn interpolate_many(field: &Field3, scheme: Scheme, positions: &[[f64; 3]], out: &mut [f64]) {
+#[cfg(test)]
+pub(crate) fn interpolate_many(
+    field: &Field3,
+    scheme: Scheme,
+    positions: &[[f64; 3]],
+    out: &mut [f64],
+) {
     assert_eq!(positions.len(), out.len());
     positions
         .par_iter()

@@ -37,7 +37,7 @@ impl Decomp3 {
 
     /// Rank id of process-grid coordinates (row-major, axis 2 fastest —
     /// matching the field layout).
-    pub fn rank_of_coords(&self, c: [usize; 3]) -> usize {
+    pub(crate) fn rank_of_coords(&self, c: [usize; 3]) -> usize {
         debug_assert!(c[0] < self.procs[0] && c[1] < self.procs[1] && c[2] < self.procs[2]);
         (c[0] * self.procs[1] + c[1]) * self.procs[2] + c[2]
     }
@@ -106,11 +106,37 @@ impl Decomp3 {
         c[axis] = (c[axis] as i64 + dir).rem_euclid(p) as usize;
         self.rank_of_coords(c)
     }
+}
 
+/// Even split of `n` cells over `p` blocks: block `i` gets `n/p` cells plus
+/// one extra if `i < n % p`.
+pub(crate) fn split_even(n: usize, p: usize, i: usize) -> std::ops::Range<usize> {
+    debug_assert!(i < p);
+    let base = n / p;
+    let rem = n % p;
+    let start = i * base + i.min(rem);
+    let len = base + usize::from(i < rem);
+    start..start + len
+}
+
+/// Block coordinate owning global index `g` under [`split_even`].
+fn owner_coord(n: usize, p: usize, g: usize) -> usize {
+    let base = n / p;
+    let rem = n % p;
+    let big = (base + 1) * rem; // cells covered by the `rem` bigger blocks
+    if g < big {
+        g / (base + 1)
+    } else {
+        rem + (g - big) / base.max(1)
+    }
+}
+
+#[cfg(test)]
+impl Decomp3 {
     /// Choose a near-cubic process grid for `n_ranks` ranks (largest factors
     /// first along axis 0) — mirrors how the paper lays out its runs when no
     /// explicit `(n_x, n_y, n_z)` is given.
-    pub fn factor_ranks(n_ranks: usize) -> [usize; 3] {
+    pub(crate) fn factor_ranks(n_ranks: usize) -> [usize; 3] {
         assert!(n_ranks >= 1);
         let mut best = [n_ranks, 1, 1];
         let mut best_score = usize::MAX;
@@ -133,29 +159,6 @@ impl Decomp3 {
             }
         }
         best
-    }
-}
-
-/// Even split of `n` cells over `p` blocks: block `i` gets `n/p` cells plus
-/// one extra if `i < n % p`.
-pub fn split_even(n: usize, p: usize, i: usize) -> std::ops::Range<usize> {
-    debug_assert!(i < p);
-    let base = n / p;
-    let rem = n % p;
-    let start = i * base + i.min(rem);
-    let len = base + usize::from(i < rem);
-    start..start + len
-}
-
-/// Block coordinate owning global index `g` under [`split_even`].
-fn owner_coord(n: usize, p: usize, g: usize) -> usize {
-    let base = n / p;
-    let rem = n % p;
-    let big = (base + 1) * rem; // cells covered by the `rem` bigger blocks
-    if g < big {
-        g / (base + 1)
-    } else {
-        rem + (g - big) / base.max(1)
     }
 }
 

@@ -58,10 +58,6 @@ impl Field3 {
         &mut self.data
     }
 
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Flat index of an in-range cell.
     #[inline]
     pub fn index(&self, i0: usize, i1: usize, i2: usize) -> usize {

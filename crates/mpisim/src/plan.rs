@@ -59,6 +59,17 @@ pub enum Op {
 }
 
 impl Op {
+    /// The op's tag.
+    fn tag(self) -> u64 {
+        let (Op::Send { tag, .. }
+        | Op::Recv { tag, .. }
+        | Op::Isend { tag, .. }
+        | Op::Irecv { tag, .. }
+        | Op::WaitSend { tag, .. }
+        | Op::WaitRecv { tag, .. }) = self;
+        tag
+    }
+
     /// The op with its tag raised by `by`.
     fn retagged(mut self, by: u64) -> Op {
         let (Op::Send { tag, .. }
@@ -270,6 +281,13 @@ impl CommPlan {
     /// Number of ranks the plan spans.
     pub fn n_ranks(&self) -> usize {
         self.programs.len()
+    }
+
+    /// One past the highest tag any op uses: the tag window a run of the
+    /// plan reserves above its base (0 for a plan without ops).
+    pub fn tag_span(&self) -> u64 {
+        let tags = self.programs.iter().flatten().map(|op| op.tag() + 1);
+        tags.max().unwrap_or(0)
     }
 
     /// Rank `src`'s program gains a send to `dst`.

@@ -59,12 +59,6 @@ impl Explorer {
         self
     }
 
-    /// Replace the deadlock-watchdog timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Run `f` once per schedule and collect the outcomes.
     pub fn explore<R, F>(&self, f: F) -> ExplorationReport<R>
     where
@@ -147,13 +141,11 @@ mod tests {
 
     #[test]
     fn clean_ring_survives_all_schedules() {
-        let report = Explorer::new(4)
-            .with_timeout(Duration::from_secs(2))
-            .explore(|c| {
-                let next = (c.rank() + 1) % c.size();
-                let prev = (c.rank() + c.size() - 1) % c.size();
-                c.sendrecv(next, 1, c.rank() as u64, prev, 1)
-            });
+        let report = Explorer::new(4).explore(|c| {
+            let next = (c.rank() + 1) % c.size();
+            let prev = (c.rank() + c.size() - 1) % c.size();
+            c.sendrecv(next, 1, c.rank() as u64, prev, 1)
+        });
         assert!(report.ok(), "{}", report.summary());
         for (_, o) in &report.outcomes {
             assert_eq!(o.as_ref().expect("ok"), &vec![3, 0, 1, 2]);
@@ -164,17 +156,16 @@ mod tests {
     fn miswired_tags_deadlock_under_exploration_instead_of_hanging() {
         // Seeded miswiring: rank 1 listens on tag 8 but rank 0 sends tag 7 —
         // the harness flags the wedge on every schedule.
-        let report = Explorer::new(2)
-            .with_seeds([0, 1])
-            .with_timeout(Duration::from_millis(150))
-            .explore(|c| {
-                if c.rank() == 0 {
-                    c.send(1, 7, 1u64);
-                    0
-                } else {
-                    c.recv::<u64>(0, 8)
-                }
-            });
+        let mut explorer = Explorer::new(2).with_seeds([0, 1]);
+        explorer.timeout = Duration::from_millis(150);
+        let report = explorer.explore(|c| {
+            if c.rank() == 0 {
+                c.send(1, 7, 1u64);
+                0
+            } else {
+                c.recv::<u64>(0, 8)
+            }
+        });
         assert!(!report.ok());
         assert_eq!(report.failures().count(), 2);
         for (_, err) in report.failures() {
@@ -184,20 +175,17 @@ mod tests {
 
     #[test]
     fn leaked_message_flagged_at_rank_exit() {
-        let report = Explorer::new(2)
-            .with_seeds([3])
-            .with_timeout(Duration::from_secs(2))
-            .explore(|c| {
-                if c.rank() == 0 {
-                    c.send(1, 2, 5u64);
-                    c.send(1, 3, 6u64); // tag 3 is never received
-                }
-                if c.rank() == 1 {
-                    c.recv::<u64>(0, 2)
-                } else {
-                    0
-                }
-            });
+        let report = Explorer::new(2).with_seeds([3]).explore(|c| {
+            if c.rank() == 0 {
+                c.send(1, 2, 5u64);
+                c.send(1, 3, 6u64); // tag 3 is never received
+            }
+            if c.rank() == 1 {
+                c.recv::<u64>(0, 2)
+            } else {
+                0
+            }
+        });
         let (_, err) = report.failures().next().expect("leak reported");
         let SimError::Leak { leaks } = err else {
             panic!("expected leak, got {err}");
@@ -213,21 +201,18 @@ mod tests {
         // messages are in flight, then finish. The *result* must not depend
         // on when the deliveries land.
         let plan = posted_ring(4, 0);
-        let report = Explorer::new(4)
-            .with_seeds(0..12)
-            .with_timeout(Duration::from_secs(2))
-            .explore(|c| {
-                let mut acc = 0u64;
-                for round in 0..4u64 {
-                    let mut value = Value(c.rank() as u64 + round, None);
-                    let posted = split_phase(c).post(&plan, 30 + round, &mut value);
-                    let interior: u64 = (0..1000u64).sum(); // in-flight work
-                    posted.finish(&mut value);
-                    acc = acc.wrapping_mul(31).wrapping_add(value.1.unwrap_or(0));
-                    assert_eq!(interior, 499_500);
-                }
-                acc
-            });
+        let report = Explorer::new(4).with_seeds(0..12).explore(|c| {
+            let mut acc = 0u64;
+            for round in 0..4u64 {
+                let mut value = Value(c.rank() as u64 + round, None);
+                let posted = split_phase(c).post(&plan, 30 + round, &mut value);
+                let interior: u64 = (0..1000u64).sum(); // in-flight work
+                posted.finish(&mut value);
+                acc = acc.wrapping_mul(31).wrapping_add(value.1.unwrap_or(0));
+                assert_eq!(interior, 499_500);
+            }
+            acc
+        });
         assert!(report.ok(), "{}", report.summary());
     }
 
@@ -269,14 +254,11 @@ mod tests {
     #[test]
     fn dropped_wait_is_flagged_on_every_schedule() {
         let plan = forgotten_wait(4);
-        let report = Explorer::new(2)
-            .with_seeds(0..6)
-            .with_timeout(Duration::from_secs(2))
-            .explore(|c| {
-                let mut value = Value(1, None);
-                c.run_plan(&plan, 0, &mut value);
-                value.1
-            });
+        let report = Explorer::new(2).with_seeds(0..6).explore(|c| {
+            let mut value = Value(1, None);
+            c.run_plan(&plan, 0, &mut value);
+            value.1
+        });
         assert!(!report.ok());
         assert_eq!(report.failures().count(), 6);
         for (_, err) in report.failures() {
@@ -291,31 +273,28 @@ mod tests {
         // bug the schedule delays exist to expose. Under some seeds the
         // message is held back past the probe, under others it is already
         // visible; the cross-schedule comparison must flag the disagreement.
-        let report = Explorer::new(2)
-            .with_seeds(0..16)
-            .with_timeout(Duration::from_secs(2))
-            .explore(|c| {
-                if c.rank() == 1 {
-                    c.send(0, 1, 7u64);
-                    c.barrier();
-                    false
-                } else {
-                    c.barrier(); // the send has been issued, maybe not delivered
-                                 // Advance the schedule clock a little so roughly half the
-                                 // seeds have released the message by the probe.
-                    for i in 0..8u64 {
-                        c.send(0, 50 + i, 0u8);
-                    }
-                    let early = c.try_recv::<u64>(1, 1).is_some();
-                    for i in 0..8u64 {
-                        let _ = c.recv::<u8>(0, 50 + i);
-                    }
-                    if !early {
-                        let _ = c.recv::<u64>(1, 1); // drain so teardown stays clean
-                    }
-                    early
+        let report = Explorer::new(2).with_seeds(0..16).explore(|c| {
+            if c.rank() == 1 {
+                c.send(0, 1, 7u64);
+                c.barrier();
+                false
+            } else {
+                c.barrier(); // the send has been issued, maybe not delivered
+                             // Advance the schedule clock a little so roughly half the
+                             // seeds have released the message by the probe.
+                for i in 0..8u64 {
+                    c.send(0, 50 + i, 0u8);
                 }
-            });
+                let early = c.try_recv::<u64>(1, 1).is_some();
+                for i in 0..8u64 {
+                    let _ = c.recv::<u8>(0, 50 + i);
+                }
+                if !early {
+                    let _ = c.recv::<u64>(1, 1); // drain so teardown stays clean
+                }
+                early
+            }
+        });
         assert!(report.failures().count() == 0, "{}", report.summary());
         assert!(
             report.divergence().is_some(),

@@ -59,16 +59,6 @@ impl Traffic {
             .or_insert(0) += 1;
     }
 
-    /// How many sends used `(src, dst, tag)`.
-    pub fn tag_use_count(&self, src: usize, dst: usize, tag: u64) -> u64 {
-        self.tags
-            .lock()
-            .expect("tag map poisoned")
-            .get(&(src, dst, tag))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Every `(src, dst, tag)` triple used by more than one send, with its
     /// use count, sorted. Empty means every posted message had a unique tag
     /// on its edge — the invariant the distributed step's tag counter must
@@ -351,7 +341,9 @@ mod tests {
         assert_eq!(t.total_bytes(), 0);
         assert_eq!(t.total_messages(), 0);
         assert_eq!(t.msg_size_snapshot().count, 0);
-        assert_eq!(t.tag_use_count(1, 0, 5), 0);
+        // The pre-reset use is forgotten: one more is not a reuse.
+        t.record_tag(1, 0, 5);
+        assert!(t.tag_reuse().is_empty());
     }
 
     #[test]
@@ -363,7 +355,6 @@ mod tests {
         assert!(t.tag_reuse().is_empty());
         t.record_tag(0, 1, 7); // second use of (0, 1, 7)
         assert_eq!(t.tag_reuse(), vec![((0, 1, 7), 2)]);
-        assert_eq!(t.tag_use_count(0, 1, 7), 2);
     }
 
     #[test]
@@ -371,15 +362,19 @@ mod tests {
         let t = Traffic::new(2);
         t.record_tag(0, 1, 3);
         let mark = t.clone_snapshot();
-        assert_eq!(mark.tag_use_count(0, 1, 3), 1);
         t.record_tag(0, 1, 3);
         t.record_tag(0, 1, 4);
         let d = t.diff(&mark);
         // The interval saw one send on each tag: no reuse inside it.
-        assert_eq!(d.tag_use_count(0, 1, 3), 1);
-        assert_eq!(d.tag_use_count(0, 1, 4), 1);
         assert!(d.tag_reuse().is_empty());
         // The full run did reuse (0, 1, 3).
         assert_eq!(t.tag_reuse(), vec![((0, 1, 3), 2)]);
+        // The snapshot kept its one use, and the interval one use per tag:
+        // one more send each makes exactly those triples reused.
+        mark.record_tag(0, 1, 3);
+        assert_eq!(mark.tag_reuse(), vec![((0, 1, 3), 2)]);
+        d.record_tag(0, 1, 3);
+        d.record_tag(0, 1, 4);
+        assert_eq!(d.tag_reuse(), vec![((0, 1, 3), 2), ((0, 1, 4), 2)]);
     }
 }

@@ -10,7 +10,7 @@ use vlasov6d_poisson::ForceSplit;
 
 /// Direct min-image summation of the *short-range* kernel (same physics the
 /// tree approximates): `acc_i = Σ_j m S(r_ij) d_ij / (r_ij² + ε²)^{3/2}`.
-pub fn short_range_direct(
+pub(crate) fn short_range_direct(
     positions: &[[f64; 3]],
     mass: f64,
     split: &ForceSplit,
@@ -45,7 +45,7 @@ pub fn short_range_direct(
 /// Internal split scale `rs`, real-space images within `±n_img`, k-space
 /// modes with `|m_i| ≤ m_max`. Defaults suitable for 1e-4 accuracy:
 /// `rs = 0.05, n_img = 1, m_max = 10`.
-pub fn ewald_accel_factor(d: [f64; 3], rs: f64, n_img: i32, m_max: i32) -> [f64; 3] {
+pub(crate) fn ewald_accel_factor(d: [f64; 3], rs: f64, n_img: i32, m_max: i32) -> [f64; 3] {
     let mut acc = [0.0f64; 3];
     // Real-space image sum with the erfc-complementary short-range kernel.
     for nx in -n_img..=n_img {
@@ -90,7 +90,7 @@ pub fn ewald_accel_factor(d: [f64; 3], rs: f64, n_img: i32, m_max: i32) -> [f64;
 
 /// Fully periodic Newtonian accelerations by pairwise Ewald summation —
 /// O(N² · Ewald cost); testing sizes only.
-pub fn ewald_direct(positions: &[[f64; 3]], mass: f64) -> Vec<[f64; 3]> {
+pub(crate) fn ewald_direct(positions: &[[f64; 3]], mass: f64) -> Vec<[f64; 3]> {
     positions
         .par_iter()
         .map(|&p| {

@@ -22,13 +22,11 @@
 //! * [`exchange`] — tree boundary (halo) particle exchange over the Cart3
 //!   process grid, with a declarative, statically verified communication
 //!   plan.
-//! * [`direct`] — O(N²) and Ewald reference forces for validation.
-//! * [`fof`] — friends-of-friends halo finder (the catalogue consumers of
-//!   the paper's runs would build).
+//!
+//! The O(N²) and Ewald reference forces the tree and TreePM are validated
+//! against live in the test-only `direct` module.
 
-pub mod direct;
 pub mod exchange;
-pub mod fof;
 pub mod integrator;
 pub mod particles;
 pub mod pp;
@@ -39,3 +37,6 @@ pub use exchange::HaloExchange;
 pub use particles::ParticleSet;
 pub use tree::{Tree, WalkStats};
 pub use treepm::TreePm;
+
+#[cfg(test)]
+mod direct;

@@ -61,19 +61,6 @@ impl ParticleSet {
         self.mass * self.len() as f64
     }
 
-    /// Wrap all positions back into `[0, 1)`.
-    pub fn wrap_positions(&mut self) {
-        self.pos.par_iter_mut().for_each(|p| {
-            for x in p.iter_mut() {
-                *x = x.rem_euclid(1.0);
-                // rem_euclid(1.0) of -1e-17 returns 1.0 exactly; fold it back.
-                if *x >= 1.0 {
-                    *x = 0.0;
-                }
-            }
-        });
-    }
-
     /// Total canonical momentum `m Σ u`.
     pub fn total_momentum(&self) -> [f64; 3] {
         let mut p = [0.0f64; 3];
@@ -116,6 +103,22 @@ pub fn min_image(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
         d[i] = x;
     }
     d
+}
+
+#[cfg(test)]
+impl ParticleSet {
+    /// Wrap all positions back into `[0, 1)`.
+    pub(crate) fn wrap_positions(&mut self) {
+        self.pos.par_iter_mut().for_each(|p| {
+            for x in p.iter_mut() {
+                *x = x.rem_euclid(1.0);
+                // rem_euclid(1.0) of -1e-17 returns 1.0 exactly; fold it back.
+                if *x >= 1.0 {
+                    *x = 0.0;
+                }
+            }
+        });
+    }
 }
 
 #[cfg(test)]

@@ -55,11 +55,6 @@ impl TreePm {
         }
     }
 
-    pub fn with_theta(mut self, theta: f64) -> Self {
-        self.theta = theta;
-        self
-    }
-
     /// Comoving CDM density field (ρ_crit units) from the particle set.
     pub fn deposit_density(&self, particles: &ParticleSet) -> Field3 {
         let mut rho = Field3::zeros(self.pm_dims);
@@ -185,7 +180,8 @@ mod tests {
         // exact periodic Newtonian force (Ewald sum) with the standard
         // few-percent TreePM accuracy.
         let particles = random_particles(64, 11);
-        let tp = TreePm::new(32, 1e-4).with_theta(0.2);
+        let mut tp = TreePm::new(32, 1e-4);
+        tp.theta = 0.2;
         let (got, _) = tp.accelerations(&particles, None, 1.0);
 
         let g = 3.0 / (8.0 * std::f64::consts::PI);

@@ -2,8 +2,7 @@
 //!
 //! One [`StepEvent`] is one line of JSONL: everything a later analysis needs
 //! to reconstruct a step — the span tree, the four-bucket fold, metric
-//! readings (typically per-step deltas from [`crate::metrics::snapshot_delta`])
-//! and the conservation diagnostics the paper tracks (Section 5: relative
+//! readings and the conservation diagnostics the paper tracks (Section 5: relative
 //! mass error, minimum of f, total momentum). Records parse back losslessly
 //! via [`StepEvent::parse`], which the trace tests rely on.
 
@@ -232,66 +231,29 @@ impl StepEvent {
     }
 }
 
-enum SinkBackend {
-    File(BufWriter<std::fs::File>),
-    Memory(Vec<String>),
-}
-
-/// Line-oriented event sink: a buffered file or an in-memory buffer
-/// (useful in tests and when ranks collect lines for rank 0 to merge).
+/// Line-oriented event sink: a buffered file.
 pub struct JsonlSink {
-    backend: SinkBackend,
+    file: BufWriter<std::fs::File>,
 }
 
 impl JsonlSink {
     /// Sink appending lines to `path` (created or truncated).
     pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink> {
         Ok(JsonlSink {
-            backend: SinkBackend::File(BufWriter::new(std::fs::File::create(path)?)),
+            file: BufWriter::new(std::fs::File::create(path)?),
         })
-    }
-
-    /// Sink collecting lines in memory; read them back with [`JsonlSink::lines`].
-    pub fn in_memory() -> JsonlSink {
-        JsonlSink {
-            backend: SinkBackend::Memory(Vec::new()),
-        }
-    }
-
-    /// Append one event as one line.
-    pub fn write_event(&mut self, event: &StepEvent) -> io::Result<()> {
-        self.write_line(&event.to_jsonl())
     }
 
     /// Append one pre-encoded line (must not contain newlines).
     pub fn write_line(&mut self, line: &str) -> io::Result<()> {
         debug_assert!(!line.contains('\n'), "JSONL lines must be newline-free");
-        match &mut self.backend {
-            SinkBackend::File(w) => {
-                w.write_all(line.as_bytes())?;
-                w.write_all(b"\n")
-            }
-            SinkBackend::Memory(lines) => {
-                lines.push(line.to_string());
-                Ok(())
-            }
-        }
+        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(b"\n")
     }
 
-    /// Flush buffered output (no-op for the in-memory sink).
+    /// Flush buffered output.
     pub fn flush(&mut self) -> io::Result<()> {
-        match &mut self.backend {
-            SinkBackend::File(w) => w.flush(),
-            SinkBackend::Memory(_) => Ok(()),
-        }
-    }
-
-    /// Lines collected so far (in-memory sink only; empty for file sinks).
-    pub fn lines(&self) -> &[String] {
-        match &self.backend {
-            SinkBackend::Memory(lines) => lines,
-            SinkBackend::File(_) => &[],
-        }
+        self.file.flush()
     }
 }
 
@@ -383,22 +345,11 @@ mod tests {
     }
 
     #[test]
-    fn memory_sink_collects_lines() {
-        let mut sink = JsonlSink::in_memory();
-        let event = sample_event();
-        sink.write_event(&event).unwrap();
-        sink.write_event(&event).unwrap();
-        assert_eq!(sink.lines().len(), 2);
-        let parsed = StepEvent::parse(&sink.lines()[0]).unwrap();
-        assert_eq!(parsed.step, 12);
-    }
-
-    #[test]
     fn file_sink_flushes_on_drop() {
         let path = std::env::temp_dir().join(format!("obs_sink_drop_{}.jsonl", std::process::id()));
         {
             let mut sink = JsonlSink::create(&path).unwrap();
-            sink.write_event(&sample_event()).unwrap();
+            sink.write_line(&sample_event().to_jsonl()).unwrap();
             // No explicit flush: the drop must push the buffered line out.
         }
         let text = std::fs::read_to_string(&path).unwrap();
@@ -414,7 +365,7 @@ mod tests {
     fn file_sink_writes_parseable_lines() {
         let path = std::env::temp_dir().join(format!("obs_sink_test_{}.jsonl", std::process::id()));
         let mut sink = JsonlSink::create(&path).unwrap();
-        sink.write_event(&sample_event()).unwrap();
+        sink.write_line(&sample_event().to_jsonl()).unwrap();
         sink.flush().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);

@@ -13,7 +13,7 @@
 //!   atomics: registration allocates once, the hot path never does.
 //! * [`json`] + [`event`] — a dependency-free JSON codec and the per-step
 //!   [`event::StepEvent`] JSONL record (span tree, metric deltas,
-//!   conservation diagnostics) with a file/buffer [`event::JsonlSink`].
+//!   conservation diagnostics) with a file [`event::JsonlSink`].
 //! * [`report`] — [`report::RunReport`]: end-of-run tables in the paper's
 //!   Table 3/4 layout plus a span hotspot ranking and per-rank load-imbalance
 //!   summaries.

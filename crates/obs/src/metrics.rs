@@ -23,11 +23,6 @@ impl Counter {
         Counter::default()
     }
 
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -87,7 +82,7 @@ impl Gauge {
 
 /// Number of power-of-two bins after the dedicated zero bin: bin `k`
 /// (1-based) covers `[2^(k-1), 2^k)`, so `u64::MAX` lands in bin 64.
-pub const HISTOGRAM_BINS: usize = 65;
+pub(crate) const HISTOGRAM_BINS: usize = 65;
 
 /// Fixed log-spaced (power-of-two) histogram of `u64` samples.
 ///
@@ -129,7 +124,7 @@ impl Histogram {
     }
 
     /// Index of the bin holding `value`.
-    pub fn bin_index(value: u64) -> usize {
+    pub(crate) fn bin_index(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -138,7 +133,7 @@ impl Histogram {
     }
 
     /// Inclusive lower edge of bin `i`.
-    pub fn bin_lower_edge(i: usize) -> u64 {
+    pub(crate) fn bin_lower_edge(i: usize) -> u64 {
         match i {
             0 => 0,
             _ => 1u64 << (i - 1),
@@ -186,7 +181,7 @@ impl Histogram {
 /// Point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bin sample counts (see [`Histogram::bin_lower_edge`]).
+    /// Per-bin sample counts (see `Histogram::bin_lower_edge`).
     pub bins: [u64; HISTOGRAM_BINS],
     /// Total samples.
     pub count: u64,
@@ -249,14 +244,6 @@ impl HistogramSnapshot {
             }
         }
         u64::MAX
-    }
-
-    /// Lower edge of the highest non-empty bin.
-    pub fn max_lower_edge(&self) -> u64 {
-        self.bins
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(0, Histogram::bin_lower_edge)
     }
 
     /// Per-sample difference against an earlier snapshot of the same
@@ -372,32 +359,6 @@ impl Registry {
     }
 }
 
-/// Difference of two [`Registry::snapshot`]s: counters and histograms become
-/// per-interval deltas, gauges keep their latest reading. Metrics present
-/// only in `later` are passed through unchanged.
-pub fn snapshot_delta(
-    later: &[(String, MetricValue)],
-    earlier: &[(String, MetricValue)],
-) -> Vec<(String, MetricValue)> {
-    let prior: BTreeMap<&str, &MetricValue> =
-        earlier.iter().map(|(n, v)| (n.as_str(), v)).collect();
-    later
-        .iter()
-        .map(|(name, value)| {
-            let delta = match (value, prior.get(name.as_str())) {
-                (MetricValue::Counter(now), Some(MetricValue::Counter(was))) => {
-                    MetricValue::Counter(now.saturating_sub(*was))
-                }
-                (MetricValue::Histogram(now), Some(MetricValue::Histogram(was))) => {
-                    MetricValue::Histogram(now.delta_since(was))
-                }
-                _ => value.clone(),
-            };
-            (name.clone(), delta)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,7 +366,7 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
         let g = Gauge::new();
@@ -448,7 +409,6 @@ mod tests {
         assert_eq!(s.sum, 1 + 3 * 800 + (1 << 20));
         assert_eq!(s.bins[0], 1);
         assert_eq!(s.bins[Histogram::bin_index(800)], 3);
-        assert_eq!(s.max_lower_edge(), 1 << 20);
         // Median sample is 800 → bin lower edge 512.
         assert_eq!(s.quantile_lower_edge(0.5), 512);
         assert_eq!(s.quantile_lower_edge(1.0), 1 << 20);
@@ -503,8 +463,8 @@ mod tests {
         let r = Registry::new();
         let a = r.counter("steps");
         let b = r.counter("steps");
-        a.inc();
-        b.inc();
+        a.add(1);
+        b.add(1);
         assert_eq!(r.counter("steps").get(), 2);
         r.gauge("load").set(0.9);
         r.histogram("sizes").record(100);
@@ -519,21 +479,5 @@ mod tests {
         let r = Registry::new();
         let _ = r.gauge("x");
         let _ = r.counter("x");
-    }
-
-    #[test]
-    fn snapshot_delta_subtracts_counters_keeps_gauges() {
-        let r = Registry::new();
-        let c = r.counter("msgs");
-        let g = r.gauge("ratio");
-        c.add(5);
-        g.set(1.0);
-        let early = r.snapshot();
-        c.add(7);
-        g.set(3.0);
-        let late = r.snapshot();
-        let d = snapshot_delta(&late, &early);
-        assert_eq!(d[0], ("msgs".into(), MetricValue::Counter(7)));
-        assert_eq!(d[1], ("ratio".into(), MetricValue::Gauge(3.0)));
     }
 }

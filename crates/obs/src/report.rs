@@ -22,7 +22,7 @@ pub enum LineOutcome {
     /// (e.g. a `"kind": "trace"` flight-recorder line) and was skipped.
     SkippedOtherKind,
     /// The line was truncated mid-document — the torn tail of a stream cut
-    /// off mid-write. Skipped and counted in [`RunReport::torn_lines`].
+    /// off mid-write. Skipped and counted in [`RunReport::render`]'s note.
     SkippedTorn,
 }
 
@@ -70,11 +70,6 @@ impl RunReport {
         Ok(LineOutcome::Added)
     }
 
-    /// Torn (truncated) trailing lines skipped by [`RunReport::add_jsonl_line`].
-    pub fn torn_lines(&self) -> usize {
-        self.torn
-    }
-
     /// Attach the heaviest communication pairs (from
     /// `Traffic::top_pairs`) so [`RunReport::render`] can show them next to
     /// the load-imbalance figure. Entries are `(src, dst, bytes)`.
@@ -101,7 +96,7 @@ impl RunReport {
     }
 
     /// Bucket seconds summed over all events (all ranks, all steps).
-    pub fn bucket_totals(&self) -> BucketTotals {
+    pub(crate) fn bucket_totals(&self) -> BucketTotals {
         let mut totals = BucketTotals::default();
         for e in &self.events {
             totals.accumulate(&e.buckets);
@@ -110,7 +105,7 @@ impl RunReport {
     }
 
     /// Per-rank busy seconds (sum of that rank's bucket totals), by rank id.
-    pub fn per_rank_totals(&self) -> BTreeMap<usize, f64> {
+    pub(crate) fn per_rank_totals(&self) -> BTreeMap<usize, f64> {
         let mut per_rank = BTreeMap::new();
         for e in &self.events {
             *per_rank.entry(e.rank).or_insert(0.0) += e.buckets.total();
@@ -509,9 +504,8 @@ mod tests {
         // Cut the line mid-document, as a killed writer would leave it.
         let torn = &full[..full.len() / 2];
         assert_eq!(r.add_jsonl_line(torn), Ok(LineOutcome::SkippedTorn));
-        assert_eq!(r.torn_lines(), 1);
         assert_eq!(r.len(), 1);
-        assert!(r.render().contains("torn trailing line"));
+        assert!(r.render().contains("skipped 1 torn trailing line"));
         // Garbage mid-line is still a hard error, not silently skipped.
         assert!(r.add_jsonl_line("{\"step\": ???}").is_err());
     }
@@ -524,7 +518,7 @@ mod tests {
             Ok(LineOutcome::SkippedOtherKind)
         );
         assert!(r.is_empty());
-        assert_eq!(r.torn_lines(), 0);
+        assert!(!r.render().contains("torn"));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Bucket {
     }
 
     /// Inverse of [`Bucket::label`]; unknown labels map to `Other`.
-    pub fn from_label(label: &str) -> Bucket {
+    pub(crate) fn from_label(label: &str) -> Bucket {
         match label {
             "vlasov" => Bucket::Vlasov,
             "tree" => Bucket::Tree,
@@ -145,7 +145,7 @@ pub struct SpanNode {
 impl SpanNode {
     /// Elapsed time not covered by children — the part attributed to
     /// `self.bucket`. Clamped at zero against timer jitter.
-    pub fn self_time(&self) -> f64 {
+    pub(crate) fn self_time(&self) -> f64 {
         let nested: f64 = self.children.iter().map(|c| c.elapsed).sum();
         (self.elapsed - nested).max(0.0)
     }

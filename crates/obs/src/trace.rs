@@ -230,14 +230,14 @@ impl RankStepTrace {
 
     /// Parse a line produced by [`RankStepTrace::to_jsonl`]. Errors on
     /// malformed input *and* on non-trace lines (callers that interleave
-    /// record kinds should test with [`RankStepTrace::is_trace_json`]).
+    /// record kinds should test with `RankStepTrace::is_trace_json`).
     pub fn parse(line: &str) -> Result<RankStepTrace, String> {
         let v = Json::parse(line).map_err(|e| e.to_string())?;
         Self::from_json(&v)
     }
 
     /// Decode from an already-parsed JSON document.
-    pub fn from_json(v: &Json) -> Result<RankStepTrace, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<RankStepTrace, String> {
         if !Self::is_trace_json(v) {
             return Err("not a trace record (kind != \"trace\")".to_string());
         }
@@ -256,7 +256,7 @@ impl RankStepTrace {
     }
 
     /// Does this parsed JSONL document carry a trace record?
-    pub fn is_trace_json(v: &Json) -> bool {
+    pub(crate) fn is_trace_json(v: &Json) -> bool {
         v.get("kind").as_str() == Some("trace")
     }
 }
@@ -491,7 +491,7 @@ impl TraceSet {
     /// Sum of span durations with `name`, across every rank and step.
     /// `span_seconds("comm.exposed")` is the figure to cross-check against
     /// [`crate::RunReport::comm_overlap`].
-    pub fn span_seconds(&self, name: &str) -> f64 {
+    pub(crate) fn span_seconds(&self, name: &str) -> f64 {
         let mut total = 0.0;
         for ranks in self.by_step.values() {
             for trace in ranks.values() {
@@ -838,7 +838,7 @@ impl StepDag {
     /// actually waited on an in-flight message plus barrier waits. The
     /// complement of a rank's slack is the pressure it puts on the critical
     /// path: the rank with the least slack is (usually) the rank on it.
-    pub fn rank_slack(&self) -> BTreeMap<usize, f64> {
+    pub(crate) fn rank_slack(&self) -> BTreeMap<usize, f64> {
         let mut slack: BTreeMap<usize, f64> = self.ranks.keys().map(|&r| (r, 0.0)).collect();
         for m in &self.matches {
             if let Some(evs) = self.ranks.get(&m.dst) {
@@ -1146,7 +1146,7 @@ impl CriticalPath {
     }
 
     /// Seconds of exposed (waited-on) communication on the path.
-    pub fn exposed_comm(&self) -> f64 {
+    pub(crate) fn exposed_comm(&self) -> f64 {
         self.segments
             .iter()
             .filter(|s| matches!(s.kind, SegmentKind::ExposedComm { .. }))
@@ -1155,7 +1155,7 @@ impl CriticalPath {
     }
 
     /// Seconds of barrier handoff on the path.
-    pub fn barrier_wait(&self) -> f64 {
+    pub(crate) fn barrier_wait(&self) -> f64 {
         self.segments
             .iter()
             .filter(|s| matches!(s.kind, SegmentKind::BarrierWait { .. }))
@@ -1164,7 +1164,7 @@ impl CriticalPath {
     }
 
     /// Compute seconds on the path folded by bucket.
-    pub fn by_bucket(&self) -> BucketTotals {
+    pub(crate) fn by_bucket(&self) -> BucketTotals {
         let mut totals = BucketTotals::default();
         for s in &self.segments {
             if let SegmentKind::Compute { bucket, .. } = s.kind {
@@ -1172,22 +1172,6 @@ impl CriticalPath {
             }
         }
         totals
-    }
-
-    /// Compute seconds on the path per span name, descending.
-    pub fn by_span(&self) -> Vec<(String, f64)> {
-        let mut by_name: BTreeMap<&str, f64> = BTreeMap::new();
-        for s in &self.segments {
-            if let SegmentKind::Compute { name, .. } = &s.kind {
-                *by_name.entry(name.as_str()).or_insert(0.0) += s.secs();
-            }
-        }
-        let mut out: Vec<(String, f64)> = by_name
-            .into_iter()
-            .map(|(n, secs)| (n.to_string(), secs))
-            .collect();
-        out.sort_by(|p, q| q.1.partial_cmp(&p.1).unwrap_or(std::cmp::Ordering::Equal));
-        out
     }
 
     /// Blame ranking: `(span name, rank, seconds on the path)`, heaviest
@@ -1394,6 +1378,25 @@ impl TraceReport {
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
+
+#[cfg(test)]
+impl CriticalPath {
+    /// Compute seconds on the path per span name, descending.
+    pub(crate) fn by_span(&self) -> Vec<(String, f64)> {
+        let mut by_name: BTreeMap<&str, f64> = BTreeMap::new();
+        for s in &self.segments {
+            if let SegmentKind::Compute { name, .. } = &s.kind {
+                *by_name.entry(name.as_str()).or_insert(0.0) += s.secs();
+            }
+        }
+        let mut out: Vec<(String, f64)> = by_name
+            .into_iter()
+            .map(|(n, secs)| (n.to_string(), secs))
+            .collect();
+        out.sort_by(|p, q| q.1.partial_cmp(&p.1).unwrap_or(std::cmp::Ordering::Equal));
+        out
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -56,7 +56,7 @@ impl MachineModel {
     /// Process owning `n_cmg` CMGs (the paper uses 1 or 2). The node's NIC
     /// group is shared by all its processes, so per-process injection
     /// bandwidth scales with the CMG share too (base rate = a 2-CMG process).
-    pub fn with_cmgs(mut self, n_cmg: f64) -> Self {
+    pub(crate) fn with_cmgs(mut self, n_cmg: f64) -> Self {
         self.cmg_peak_sp_flops *= n_cmg;
         self.cmg_mem_bw *= n_cmg;
         self.pp_rate *= n_cmg;
@@ -66,12 +66,12 @@ impl MachineModel {
     }
 
     /// Sustained Vlasov flop rate per process.
-    pub fn vlasov_flops(&self) -> f64 {
+    pub(crate) fn vlasov_flops(&self) -> f64 {
         self.cmg_peak_sp_flops * self.vlasov_peak_fraction
     }
 
     /// Time to move `bytes` point-to-point over `hops` torus hops.
-    pub fn p2p_time(&self, bytes: f64, hops: usize) -> f64 {
+    pub(crate) fn p2p_time(&self, bytes: f64, hops: usize) -> f64 {
         self.latency * hops.max(1) as f64 + bytes / self.link_bw
     }
 
@@ -79,7 +79,7 @@ impl MachineModel {
     /// torus: per-rank wire traffic `bytes·(q-1)/q` at a contention-degraded
     /// bandwidth `link_bw / q^alpha`, plus latency for q message setups
     /// amortised over a log-depth schedule.
-    pub fn alltoall_time(&self, bytes_per_rank: f64, q: usize) -> f64 {
+    pub(crate) fn alltoall_time(&self, bytes_per_rank: f64, q: usize) -> f64 {
         if q <= 1 {
             return 0.0;
         }

@@ -230,48 +230,6 @@ impl ScalingReport {
         }
     }
 
-    /// Same runs under the overlapped ghost exchange
-    /// ([`step_time_overlapped`]): the weak-/strong-scaling queries then
-    /// answer "what does the scaling chain look like with the exchange
-    /// hidden at this measured efficiency".
-    pub fn for_runs_overlapped(runs: &[RunConfig], base: &MachineModel, overlap_eff: f64) -> Self {
-        Self {
-            rows: runs
-                .iter()
-                .map(|r| {
-                    (
-                        r.id.to_string(),
-                        r.nodes,
-                        step_time_overlapped(r, base, overlap_eff),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Same runs under both measured overlaps ([`step_time_calibrated`]):
-    /// ghost exchange hidden at `overlap_eff`, pencil transpose hidden at
-    /// `transpose_eff`.
-    pub fn for_runs_calibrated(
-        runs: &[RunConfig],
-        base: &MachineModel,
-        overlap_eff: f64,
-        transpose_eff: f64,
-    ) -> Self {
-        Self {
-            rows: runs
-                .iter()
-                .map(|r| {
-                    (
-                        r.id.to_string(),
-                        r.nodes,
-                        step_time_calibrated(r, base, overlap_eff, transpose_eff),
-                    )
-                })
-                .collect(),
-        }
-    }
-
     fn find(&self, id: &str) -> &(String, usize, PartTimes) {
         self.rows
             .iter()
@@ -432,6 +390,16 @@ mod tests {
         assert_eq!(half.pm, sync.pm);
     }
 
+    /// The report of `runs` with each row's times from `time`.
+    fn report_with(runs: &[RunConfig], time: impl Fn(&RunConfig) -> PartTimes) -> ScalingReport {
+        ScalingReport {
+            rows: runs
+                .iter()
+                .map(|r| (r.id.to_string(), r.nodes, time(r)))
+                .collect(),
+        }
+    }
+
     #[test]
     fn overlap_improves_weak_scaling() {
         // The ghost exchange is the Vlasov part's scale-degrading term: it
@@ -442,7 +410,7 @@ mod tests {
         let runs = paper_runs();
         let m = MachineModel::fugaku_per_cmg();
         let sync = ScalingReport::for_runs(&runs, &m);
-        let over = ScalingReport::for_runs_overlapped(&runs, &m, 0.9);
+        let over = report_with(&runs, |r| step_time_overlapped(r, &m, 0.9));
         for (from, to) in [("S2", "M16"), ("S2", "L128"), ("S2", "H1024")] {
             let [_, v_sync, ..] = sync.weak_efficiency(from, to);
             let [_, v_over, ..] = over.weak_efficiency(from, to);
@@ -506,7 +474,7 @@ mod tests {
         let runs = paper_runs();
         let m = MachineModel::fugaku_per_cmg();
         let sync = ScalingReport::for_runs(&runs, &m);
-        let cal = ScalingReport::for_runs_calibrated(&runs, &m, 0.0, 0.9);
+        let cal = report_with(&runs, |r| step_time_calibrated(r, &m, 0.0, 0.9));
         for (from, to) in [("S2", "M16"), ("S2", "L128"), ("S2", "H1024")] {
             let [_, _, _, pm_sync] = sync.weak_efficiency(from, to);
             let [_, _, _, pm_cal] = cal.weak_efficiency(from, to);

@@ -20,7 +20,7 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Total MPI processes.
-    pub fn n_procs(&self) -> usize {
+    pub(crate) fn n_procs(&self) -> usize {
         self.procs[0] * self.procs[1] * self.procs[2]
     }
 
@@ -36,12 +36,12 @@ impl RunConfig {
     }
 
     /// Particles per rank.
-    pub fn particles_per_rank(&self) -> f64 {
+    pub(crate) fn particles_per_rank(&self) -> f64 {
         (self.n_cdm as f64).powi(3) / self.n_procs() as f64
     }
 
     /// Local spatial block dims (cells) per rank.
-    pub fn local_block(&self) -> [f64; 3] {
+    pub(crate) fn local_block(&self) -> [f64; 3] {
         [
             self.nx as f64 / self.procs[0] as f64,
             self.nx as f64 / self.procs[1] as f64,

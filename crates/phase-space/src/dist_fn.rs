@@ -111,13 +111,6 @@ impl PhaseSpace {
         &self.data[start..start + self.vlen()]
     }
 
-    /// Mutable velocity-space block of one spatial cell.
-    pub fn velocity_block_mut(&mut self, s: [usize; 3]) -> &mut [f32] {
-        let start = self.index(s, [0, 0, 0]);
-        let len = self.vlen();
-        &mut self.data[start..start + len]
-    }
-
     /// Fill from a function of (global spatial cell, velocity cell centres):
     /// `g(x_global_cell, [ux, uy, uz]) -> f`.
     pub fn fill_with<F>(&mut self, g: F)
@@ -166,24 +159,6 @@ impl PhaseSpace {
             .copied()
             .reduce(|| f32::INFINITY, nan_min)
     }
-
-    /// Maximum value; NaN when `f` holds one anywhere.
-    pub fn max_value(&self) -> f32 {
-        self.data.par_iter().copied().reduce(
-            || f32::NEG_INFINITY,
-            |a, b| if b > a || b.is_nan() { b } else { a },
-        )
-    }
-
-    /// L1 difference against another block (diagnostics / tests).
-    pub fn l1_distance(&self, other: &PhaseSpace) -> f64 {
-        assert_eq!(self.dims6(), other.dims6());
-        self.data
-            .par_iter()
-            .zip(other.data.par_iter())
-            .map(|(a, b)| (a - b).abs() as f64)
-            .sum()
-    }
 }
 
 /// The smaller of two values, NaN if either is one (`f32::min` returns the
@@ -194,6 +169,27 @@ pub(crate) fn nan_min(a: f32, b: f32) -> f32 {
         b
     } else {
         a
+    }
+}
+
+#[cfg(test)]
+impl PhaseSpace {
+    /// Maximum value; NaN when `f` holds one anywhere.
+    pub(crate) fn max_value(&self) -> f32 {
+        self.data.par_iter().copied().reduce(
+            || f32::NEG_INFINITY,
+            |a, b| if b > a || b.is_nan() { b } else { a },
+        )
+    }
+
+    /// L1 difference against another block (diagnostics / tests).
+    pub(crate) fn l1_distance(&self, other: &PhaseSpace) -> f64 {
+        assert_eq!(self.dims6(), other.dims6());
+        self.data
+            .par_iter()
+            .zip(other.data.par_iter())
+            .map(|(a, b)| (a - b).abs() as f64)
+            .sum()
     }
 }
 

@@ -72,7 +72,7 @@ pub fn ghost_exchange_plan(
 
 /// Extract `width` planes `[start, start+width)` along spatial axis `d` into
 /// a flat buffer with layout `[width][trailing dims]` (line order preserved).
-pub fn extract_planes(ps: &PhaseSpace, d: usize, start: usize, width: usize) -> Vec<f32> {
+pub(crate) fn extract_planes(ps: &PhaseSpace, d: usize, start: usize, width: usize) -> Vec<f32> {
     let dims = ps.dims6();
     let n = dims[d];
     assert!(start + width <= n);

@@ -61,7 +61,7 @@ impl VelocityGrid {
 
     /// Largest |velocity| representable on the grid along `axis`
     /// (outermost cell centre).
-    pub fn max_center(&self, axis: usize) -> f64 {
+    pub(crate) fn max_center(&self, axis: usize) -> f64 {
         self.center(axis, self.n[axis] - 1)
     }
 }

@@ -42,7 +42,7 @@ pub enum Axis {
 
 impl Axis {
     /// Position of this axis in the storage layout (0..6).
-    pub fn layout_index(self) -> usize {
+    pub(crate) fn layout_index(self) -> usize {
         match self {
             Axis::X => 0,
             Axis::Y => 1,
@@ -53,16 +53,10 @@ impl Axis {
         }
     }
 
-    pub fn is_spatial(self) -> bool {
-        matches!(self, Axis::X | Axis::Y | Axis::Z)
-    }
-
     /// The spatial (0..3) or velocity (0..3) component index.
     pub fn component(self) -> usize {
         self.layout_index() % 3
     }
 
-    pub const SPATIAL: [Axis; 3] = [Axis::X, Axis::Y, Axis::Z];
-    pub const VELOCITY: [Axis; 3] = [Axis::Ux, Axis::Uy, Axis::Uz];
     pub const ALL: [Axis; 6] = [Axis::X, Axis::Y, Axis::Z, Axis::Ux, Axis::Uy, Axis::Uz];
 }

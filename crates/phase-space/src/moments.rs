@@ -141,7 +141,7 @@ pub struct StepSums {
 
 impl StepSums {
     /// The sums of no cells: the identity of [`Self::combine`].
-    pub const EMPTY: Self = Self {
+    pub(crate) const EMPTY: Self = Self {
         mass: 0.0,
         momentum: [0.0; 3],
         sq_sum: 0.0,

@@ -49,7 +49,7 @@ pub fn ghosted_out_cells(region: GhostedRegion, n: usize) -> Vec<usize> {
 /// or (`task = Some(t)`) task `t` alone with fresh scratch — through exactly
 /// the code `sweep_spatial` and the sweeps in [`crate::exchange`] dispatch,
 /// asking for lanes as they do. The distributed regions read the given
-/// neighbour planes ([`crate::exchange::extract_planes`] layout; `Periodic`
+/// neighbour planes (`crate::exchange::extract_planes` layout; `Periodic`
 /// ignores them), and `Edges` takes its saved slabs from `ps` as passed in
 /// (the pre-sweep state).
 pub fn run_ghosted_region(

@@ -34,11 +34,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function, `erf(x) = 1 - erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// The long/short split at scale `r_s` (box units).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForceSplit {
@@ -62,18 +57,6 @@ impl ForceSplit {
         erfc(x) + (r / (self.r_s * std::f64::consts::PI.sqrt())) * (-x * x).exp()
     }
 
-    /// Complementary long-range force factor (what PM provides).
-    #[inline]
-    pub fn long_force_factor(&self, r: f64) -> f64 {
-        1.0 - self.short_force_factor(r)
-    }
-
-    /// Multiplier of the Newtonian `1/r` potential kept by the short side.
-    #[inline]
-    pub fn short_potential_factor(&self, r: f64) -> f64 {
-        erfc(r / (2.0 * self.r_s))
-    }
-
     /// Radius beyond which the short-range factor drops below `eps`
     /// (bisection; used to size the tree-walk cutoff).
     pub fn cutoff_radius(&self, eps: f64) -> f64 {
@@ -88,6 +71,21 @@ impl ForceSplit {
             }
         }
         hi
+    }
+}
+
+#[cfg(test)]
+impl ForceSplit {
+    /// Complementary long-range force factor (what PM provides).
+    #[inline]
+    pub(crate) fn long_force_factor(&self, r: f64) -> f64 {
+        1.0 - self.short_force_factor(r)
+    }
+
+    /// Multiplier of the Newtonian `1/r` potential kept by the short side.
+    #[inline]
+    pub(crate) fn short_potential_factor(&self, r: f64) -> f64 {
+        erfc(r / (2.0 * self.r_s))
     }
 }
 
@@ -116,9 +114,10 @@ mod tests {
 
     #[test]
     fn erf_is_odd_and_saturates() {
-        assert!(erf(0.0).abs() < 1e-6); // NR fit has ~1e-7 absolute error
-        assert!((erf(3.0) - 1.0).abs() < 1e-4);
-        assert!((erf(-1.3) + erf(1.3)).abs() < 1e-7);
+        // `erf = 1 - erfc`: odd means `erfc(-x) + erfc(x) = 2`.
+        assert!((erfc(0.0) - 1.0).abs() < 1e-6); // NR fit has ~1e-7 absolute error
+        assert!(erfc(3.0).abs() < 1e-4);
+        assert!((erfc(-1.3) + erfc(1.3) - 2.0).abs() < 1e-7);
     }
 
     #[test]

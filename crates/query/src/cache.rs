@@ -49,11 +49,6 @@ impl DecodedCache {
         }
     }
 
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -78,7 +73,7 @@ impl DecodedCache {
 
     /// Fetch `key`, decoding through `decode` on a miss. Eviction runs
     /// before insert so the budget bounds *resident* bytes, not peak.
-    pub fn get_or_decode<E>(
+    pub(crate) fn get_or_decode<E>(
         &mut self,
         key: usize,
         decode: impl FnOnce() -> Result<PhaseSpace, E>,

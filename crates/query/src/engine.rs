@@ -17,7 +17,7 @@ use vlasov6d_phase_space::moments::{self, RegionSums};
 use vlasov6d_poisson::PoissonSolver;
 
 /// Density floor below which bulk velocity / dispersion report zero.
-pub const DENSITY_FLOOR: f64 = 1e-30;
+pub(crate) const DENSITY_FLOOR: f64 = 1e-30;
 
 // ---------------------------------------------------------------------------
 // Region moments
@@ -25,7 +25,7 @@ pub const DENSITY_FLOOR: f64 = 1e-30;
 
 /// This shard's contribution to a region-moment query: the region clipped
 /// to each of the shard's blocks, folded in ascending block order.
-pub fn region_partial(
+pub(crate) fn region_partial(
     shard: &mut SnapshotShard,
     lo: [usize; 3],
     hi: [usize; 3],
@@ -107,7 +107,7 @@ impl SkyPartial {
 /// Bin each of this shard's cells onto the sky as seen from `observer`
 /// (box units): the pixel is the minimum-image direction from the observer
 /// to the cell centre.
-pub fn sky_partial(
+pub(crate) fn sky_partial(
     shard: &mut SnapshotShard,
     nside: usize,
     observer: [f64; 3],
@@ -189,14 +189,16 @@ pub fn finalize_sky(nside: usize, partials: &[SkyPartial]) -> Result<SkyMapReply
 /// One block's density field with its placement — the wire-friendly partial
 /// the root assembles the global PM source from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DensityPartial {
+pub(crate) struct DensityPartial {
     pub soffset: [usize; 3],
     pub sdims: [usize; 3],
     pub data: Vec<f64>,
 }
 
 /// This shard's density blocks, in block order.
-pub fn density_partial(shard: &mut SnapshotShard) -> Result<Vec<DensityPartial>, QueryError> {
+pub(crate) fn density_partial(
+    shard: &mut SnapshotShard,
+) -> Result<Vec<DensityPartial>, QueryError> {
     let mut out = Vec::with_capacity(shard.blocks().len());
     for i in 0..shard.blocks().len() {
         let info = shard.blocks()[i];
@@ -248,7 +250,7 @@ impl BacktrackEngine {
     /// Assemble the global density from per-rank partials (**ascending rank
     /// order**, blocks in block order within each rank), subtract the mean,
     /// solve for the potential and take its gradient.
-    pub fn from_partials(
+    pub(crate) fn from_partials(
         sglobal: [usize; 3],
         partials: &[DensityPartial],
         params: BacktrackParams,

@@ -66,7 +66,7 @@ impl EqualAreaPixels {
     }
 
     /// Pixel containing the direction of a (not necessarily unit) vector.
-    pub fn dir2pix(&self, dir: [f64; 3]) -> usize {
+    pub(crate) fn dir2pix(&self, dir: [f64; 3]) -> usize {
         let (theta, phi) = dir2ang(dir);
         self.ang2pix(theta, phi)
     }
@@ -82,18 +82,12 @@ impl EqualAreaPixels {
         let phi = 2.0 * PI * (j as f64 + 0.5) / self.ring_len() as f64;
         (theta, phi)
     }
-
-    /// Unit vector at the centre of pixel `p`.
-    pub fn pix2dir(&self, p: usize) -> [f64; 3] {
-        let (theta, phi) = self.pix2ang(p);
-        ang2dir(theta, phi)
-    }
 }
 
 /// `(θ, φ)` of a (not necessarily unit) vector; `θ = 0` is `+z`, `φ`
 /// measured from `+x` towards `+y`, in `[0, 2π)`. The zero vector maps to
 /// the north pole.
-pub fn dir2ang(dir: [f64; 3]) -> (f64, f64) {
+pub(crate) fn dir2ang(dir: [f64; 3]) -> (f64, f64) {
     let r = (dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2]).sqrt();
     if r == 0.0 {
         return (0.0, 0.0);
@@ -104,9 +98,18 @@ pub fn dir2ang(dir: [f64; 3]) -> (f64, f64) {
 }
 
 /// Unit vector of the direction `(θ, φ)`.
-pub fn ang2dir(theta: f64, phi: f64) -> [f64; 3] {
+pub(crate) fn ang2dir(theta: f64, phi: f64) -> [f64; 3] {
     let s = theta.sin();
     [s * phi.cos(), s * phi.sin(), theta.cos()]
+}
+
+#[cfg(test)]
+impl EqualAreaPixels {
+    /// Unit vector at the centre of pixel `p`.
+    pub(crate) fn pix2dir(&self, p: usize) -> [f64; 3] {
+        let (theta, phi) = self.pix2ang(p);
+        ang2dir(theta, phi)
+    }
 }
 
 #[cfg(test)]

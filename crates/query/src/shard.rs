@@ -108,7 +108,7 @@ impl SnapshotShard {
     }
 
     /// Drop the decode cache (forces the next queries cold).
-    pub fn clear_cache(&mut self) {
+    pub(crate) fn clear_cache(&mut self) {
         self.cache.clear();
     }
 

@@ -1,7 +1,7 @@
 //! Element-level claim maps: the shared footprint bookkeeping for
 //! disjointness and exact-cover proofs.
 //!
-//! A [`ClaimMap`] records, for every element of a flat array, which task (if
+//! A `ClaimMap` records, for every element of a flat array, which task (if
 //! any) has claimed it. Verifiers enumerate each task's declared or observed
 //! footprint into the map; the map rejects double claims on the spot and can
 //! then certify exact cover. kerncheck uses byte-level variants of this idea
@@ -10,7 +10,7 @@
 //! (rank, flat) slots on both sides of every repartition.
 
 /// Which task claimed each element of `0..len`, or `NONE`.
-pub struct ClaimMap {
+pub(crate) struct ClaimMap {
     owner: Vec<u32>,
 }
 
@@ -20,7 +20,7 @@ const NONE: u32 = u32::MAX;
 /// A rejected claim: `index` was already claimed by `prior` when `task`
 /// claimed it, or lay out of bounds (`prior == None`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClaimConflict {
+pub(crate) struct ClaimConflict {
     pub task: usize,
     pub index: usize,
     pub prior: Option<usize>,
@@ -54,14 +54,6 @@ impl ClaimMap {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.owner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.owner.is_empty()
-    }
-
     /// Claim `index` for `task`. Fails on double claims and out-of-bounds
     /// indices — the two ways a partition stops being a partition.
     pub fn claim(&mut self, task: usize, index: usize) -> Result<(), ClaimConflict> {
@@ -85,7 +77,7 @@ impl ClaimMap {
 
     /// Claim every index produced by `indices` for `task`, stopping at the
     /// first conflict.
-    pub fn claim_all(
+    pub(crate) fn claim_all(
         &mut self,
         task: usize,
         indices: impl IntoIterator<Item = usize>,
@@ -96,26 +88,29 @@ impl ClaimMap {
         Ok(())
     }
 
+    /// Certify exact cover: every element claimed by exactly one task
+    /// (disjointness was enforced claim-by-claim). Returns the first
+    /// unclaimed index on failure.
+    pub(crate) fn exact_cover(&self) -> Result<(), usize> {
+        match self.owner.iter().position(|&o| o == NONE) {
+            None => Ok(()),
+            Some(i) => Err(i),
+        }
+    }
+}
+
+#[cfg(test)]
+impl ClaimMap {
     /// The task that claimed `index`, if any.
-    pub fn owner_of(&self, index: usize) -> Option<usize> {
+    pub(crate) fn owner_of(&self, index: usize) -> Option<usize> {
         match self.owner[index] {
             NONE => None,
             t => Some(t as usize),
         }
     }
 
-    /// Certify exact cover: every element claimed by exactly one task
-    /// (disjointness was enforced claim-by-claim). Returns the first
-    /// unclaimed index on failure.
-    pub fn exact_cover(&self) -> Result<(), usize> {
-        match self.owner.iter().position(|&o| o == NONE) {
-            None => Ok(()),
-            Some(i) => Err(i),
-        }
-    }
-
     /// Number of claimed elements.
-    pub fn claimed(&self) -> usize {
+    pub(crate) fn claimed(&self) -> usize {
         self.owner.iter().filter(|&&o| o != NONE).count()
     }
 }

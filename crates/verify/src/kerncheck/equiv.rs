@@ -52,7 +52,7 @@ use vlasov6d_advection::{f32x8, Boundary, Scheme};
 /// weights and the `1/s` amplification; ~2⁻¹² relative (2048 ULP) bounds the
 /// worst adversarial case with ~4× headroom while still catching any
 /// structural divergence (a wrong weight or stencil slot shows up at ≥ 2⁻⁸).
-pub const BUDGET_ULPS: f64 = 2048.0;
+pub(crate) const BUDGET_ULPS: f64 = 2048.0;
 
 /// Per-element tolerance for a line whose magnitude scale is `scale`.
 pub fn lane_tolerance(scale: f32) -> f32 {

@@ -40,7 +40,7 @@ use vlasov6d_phase_space::exchange::{ghost_exchange_plan, GHOST_WIDTH};
 /// output at cell `i`, unioned over probe bases, perturbation sizes and the
 /// given shifts. Uses a mid-line output cell so the periodic wrap never
 /// aliases offsets.
-pub fn probe_advection_offsets(scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
+pub(crate) fn probe_advection_offsets(scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
     let mut work = LineWork::new();
     probe_offsets(32, 16, 16, cfls, |line, cfl| {
         let mut line = line.to_vec();
@@ -51,7 +51,7 @@ pub fn probe_advection_offsets(scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
 
 /// Which of the extended entry points [`probe_ext_offsets`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtKernel {
+pub(crate) enum ExtKernel {
     /// `advect_line_ext`.
     Line,
     /// `advect_lanes_ext`, the same line in all eight lanes.
@@ -60,7 +60,7 @@ pub enum ExtKernel {
 
 /// Offsets `j − i` such that perturbing `ext[j]` changes the extended entry
 /// point's `out[i]`, probed like [`probe_advection_offsets`].
-pub fn probe_ext_offsets(kernel: ExtKernel, scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
+pub(crate) fn probe_ext_offsets(kernel: ExtKernel, scheme: Scheme, cfls: &[f64]) -> BTreeSet<i64> {
     let m = 20usize;
     let mut line_work = LineWork::new();
     let mut lanes_work = LanesWork::new();
@@ -128,7 +128,7 @@ fn probe_offsets(
 
 /// Structural footprint of one cell update: the offsets whose taint reaches
 /// the middle cell when the shipped body runs over the taint domain.
-pub fn structural_offsets(scheme: Scheme) -> BTreeSet<i64> {
+pub(crate) fn structural_offsets(scheme: Scheme) -> BTreeSet<i64> {
     let (_, update) = taint_line(scheme);
     slots(update.deps)
         .iter()
@@ -141,7 +141,7 @@ fn radius(offsets: &BTreeSet<i64>) -> i64 {
 }
 
 /// Expected per-scheme access radius (the half-width of the flux stencil).
-pub fn expected_radius(scheme: Scheme) -> i64 {
+pub(crate) fn expected_radius(scheme: Scheme) -> i64 {
     match scheme {
         Scheme::Upwind1 => 1,
         Scheme::Sl3 => 2,

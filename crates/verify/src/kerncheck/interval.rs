@@ -41,7 +41,7 @@ use vlasov6d_advection::{advect_line, Boundary, Scheme};
 
 /// Next representable `f64` toward `+∞` (finite and NaN inputs pass through
 /// at the extremes; implemented over bits for MSRV independence).
-pub fn next_up(x: f64) -> f64 {
+pub(crate) fn next_up(x: f64) -> f64 {
     if x.is_nan() || x == f64::INFINITY {
         return x;
     }
@@ -56,7 +56,7 @@ pub fn next_up(x: f64) -> f64 {
 }
 
 /// Next representable `f64` toward `−∞`.
-pub fn next_down(x: f64) -> f64 {
+pub(crate) fn next_down(x: f64) -> f64 {
     -next_up(-x)
 }
 
@@ -80,12 +80,12 @@ impl Interval {
     }
 
     /// Exact interval from bounds (no widening).
-    pub fn from_bounds(lo: f64, hi: f64) -> Interval {
+    pub(crate) fn from_bounds(lo: f64, hi: f64) -> Interval {
         Interval::mk(lo, hi, false)
     }
 
     /// Smallest interval containing both.
-    pub fn hull(&self, o: &Interval) -> Interval {
+    pub(crate) fn hull(&self, o: &Interval) -> Interval {
         Interval::mk(
             self.lo.min(o.lo),
             self.hi.max(o.hi),
@@ -173,12 +173,12 @@ impl Value for Interval {
 /// also contain the *computed* `f64` weights: the weights pass proves the
 /// shipped evaluators stay within `max(1e-14, 16 ULP)` of the exact
 /// polynomials, and `1e-13` dominates that for the `|w| ≤ 3` range.
-pub const WEIGHT_INTERVAL_PAD: f64 = 1e-13;
+pub(crate) const WEIGHT_INTERVAL_PAD: f64 = 1e-13;
 
 /// Sound interval Horner evaluation of an exact polynomial over `s`,
 /// with each coefficient widened to cover its `f64` conversion and the
 /// result padded by [`WEIGHT_INTERVAL_PAD`].
-pub fn poly_interval(p: &Poly, s: &Interval) -> Interval {
+pub(crate) fn poly_interval(p: &Poly, s: &Interval) -> Interval {
     let mut acc = Interval::c(0.0);
     for c in p.coeffs().iter().rev() {
         let cf = c.to_f64();
@@ -238,7 +238,7 @@ fn interval_weights(sym: &SymbolicWeights, s_lo: f64, s_hi: f64) -> Weights<Inte
 /// branch only runs for `s ≥ 1e-12` (below, the kernel emits zero flux), and
 /// `1/s` demands geometric resolution near that end; the linear schemes
 /// start at 0.
-pub fn s_cuts(scheme: Scheme) -> Vec<f64> {
+pub(crate) fn s_cuts(scheme: Scheme) -> Vec<f64> {
     let mut cuts = Vec::new();
     if matches!(scheme, Scheme::SlMpp5) {
         let mut s = 1e-12;
@@ -308,7 +308,7 @@ fn sweep_scheme(scheme: Scheme, m: f64) -> SchemeSweep {
 /// `f_{i+d}` to the update of cell `i` (at zero integer shift) is
 /// `c_d(s) = δ_{d,0} − w_d(s) + w_{d+1}(s)`, with out-of-stencil weights
 /// zero. Offsets run `cell_lo − 1 ..= cell_hi`.
-pub fn update_coefficient_polys(sym: &SymbolicWeights) -> Vec<(i64, Poly)> {
+pub(crate) fn update_coefficient_polys(sym: &SymbolicWeights) -> Vec<(i64, Poly)> {
     let cell_hi = sym.cell_lo() + sym.weights.len() as i64 - 1;
     let weight = |k: i64| -> Poly {
         if k >= sym.cell_lo() && k <= cell_hi {

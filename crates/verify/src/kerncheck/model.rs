@@ -5,7 +5,7 @@
 //! passes instantiate the kernel at their own domains — intervals
 //! ([`super::interval`]), operation counts ([`super::opcount`]), expression
 //! trees ([`super::equiv`]) and the dependency taint below — through
-//! [`run_body`], so what they conclude is about the code the sweeps execute,
+//! `run_body`, so what they conclude is about the code the sweeps execute,
 //! carried curvatures, loop prologue, positivity clamp and flux-form update
 //! included, with no copy to keep in step with it.
 //!
@@ -24,7 +24,7 @@ use vlasov6d_advection::Scheme;
 /// The shipped body over the ghost-extended upwind line `up`
 /// (`up.len() − 2·GHOST` cells) at weights `w`: every interface flux
 /// (`F[j]` reads `up[j..j + 5]`) and every updated cell.
-pub fn run_body<D: Value>(scheme: Scheme, w: &Weights<D>, up: &[D]) -> (Vec<D>, Vec<D::Out>)
+pub(crate) fn run_body<D: Value>(scheme: Scheme, w: &Weights<D>, up: &[D]) -> (Vec<D>, Vec<D::Out>)
 where
     D::Out: Clone,
 {
@@ -36,7 +36,7 @@ where
 
 /// Per-line weights that are all `x` — for domains in which the weights'
 /// values do not matter (taint, counts), only that they are not cell data.
-pub fn uniform_weights<D: Clone>(x: D) -> Weights<D> {
+pub(crate) fn uniform_weights<D: Clone>(x: D) -> Weights<D> {
     Weights {
         s: x.clone(),
         inv_s: x.clone(),
@@ -53,7 +53,7 @@ pub fn uniform_weights<D: Clone>(x: D) -> Weights<D> {
 /// operation unions its operands (a sound over-approximation of influence).
 /// A clamp also records the slots its upper bound depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Taint {
+pub(crate) struct Taint {
     /// The slots the value depends on.
     pub deps: u32,
     /// For the result of a clamp, the slots of the bound it was clamped
@@ -125,7 +125,7 @@ impl Value for Taint {
 /// through the upwind face of the middle cell, which reads stencil slots
 /// `0..5`, and the middle cell's update, which reads slot `GHOST + d` at
 /// offset `d`.
-pub fn taint_line(scheme: Scheme) -> (Taint, Taint) {
+pub(crate) fn taint_line(scheme: Scheme) -> (Taint, Taint) {
     let up: Vec<Taint> = (0..=2 * GHOST).map(Taint::input).collect();
     let (flux, out) = run_body(scheme, &uniform_weights(Taint::c(0.0)), &up);
     (flux[0], out[0])

@@ -80,7 +80,7 @@ fn line_ops(scheme: Scheme, cells: usize) -> u64 {
 }
 
 /// The derived per-cell operation count: the cost of one more cell.
-pub fn per_cell_ops(scheme: Scheme) -> u64 {
+pub(crate) fn per_cell_ops(scheme: Scheme) -> u64 {
     line_ops(scheme, 9) - line_ops(scheme, 8)
 }
 

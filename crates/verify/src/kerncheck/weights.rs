@@ -29,7 +29,7 @@
 //!
 //! Finally the shipped `f64` implementations are compared against the exact
 //! polynomials at dense sample points under a tight hybrid ULP/absolute
-//! bound, and [`check_weight_samples`] re-runs the moment conditions
+//! bound, and `check_weight_samples` re-runs the moment conditions
 //! *numerically* against any candidate weight function — the hook the
 //! corruption tests (and CI) use to prove a single perturbed coefficient is
 //! rejected.
@@ -40,7 +40,7 @@ use crate::ulp::ulp_diff_f64;
 use vlasov6d_advection::flux::{sl3_weights, sl5_weights};
 
 /// Symbolic description of one weight family.
-pub struct SymbolicWeights {
+pub(crate) struct SymbolicWeights {
     /// `"sl3"` / `"sl5"`.
     pub label: &'static str,
     /// Formal order of accuracy (3 or 5).
@@ -68,7 +68,7 @@ impl SymbolicWeights {
 
 /// Build the weight polynomials on interface nodes `node_lo ..= node_hi`,
 /// mirroring the construction in `advection::flux` exactly but over ℚ.
-pub fn symbolic_weights(
+pub(crate) fn symbolic_weights(
     label: &'static str,
     order: usize,
     node_lo: i64,
@@ -113,17 +113,17 @@ pub fn symbolic_weights(
 }
 
 /// The SL5 family (nodes −3..2, cells −2..2), as shipped.
-pub fn sl5_symbolic() -> SymbolicWeights {
+pub(crate) fn sl5_symbolic() -> SymbolicWeights {
     symbolic_weights("sl5", 5, -3, 2)
 }
 
 /// The SL3 family (nodes −2..1, cells −1..1), as shipped.
-pub fn sl3_symbolic() -> SymbolicWeights {
+pub(crate) fn sl3_symbolic() -> SymbolicWeights {
     symbolic_weights("sl3", 3, -2, 1)
 }
 
 /// Cell moment `μ_j(k) = ∫_{k−1}^{k} x^j dx`, exact.
-pub fn cell_moment(j: u32, k: i64) -> Rat {
+pub(crate) fn cell_moment(j: u32, k: i64) -> Rat {
     let up = Rat::int(k as i128).pow(j + 1);
     let lo = Rat::int(k as i128 - 1).pow(j + 1);
     up.sub(&lo).div(&Rat::int(j as i128 + 1))
@@ -131,7 +131,7 @@ pub fn cell_moment(j: u32, k: i64) -> Rat {
 
 /// Exact swept moment `∫_{−s}^{0} x^j dx = (−1)^j s^{j+1}/(j+1)` as a
 /// polynomial in `s`.
-pub fn swept_moment(j: u32) -> Poly {
+pub(crate) fn swept_moment(j: u32) -> Poly {
     let sign = if j.is_multiple_of(2) { 1 } else { -1 };
     let mut coeffs = vec![Rat::ZERO; j as usize + 2];
     coeffs[j as usize + 1] = Rat::new(sign, j as i128 + 1);
@@ -140,7 +140,7 @@ pub fn swept_moment(j: u32) -> Poly {
 
 /// The moment residual polynomial `Σ_k w_k μ_j(k) − ∫_{−s}^0 x^j` — the
 /// identically-zero polynomial iff the flux is exact for degree-`j` data.
-pub fn moment_residual(sym: &SymbolicWeights, j: u32) -> Poly {
+pub(crate) fn moment_residual(sym: &SymbolicWeights, j: u32) -> Poly {
     let mut lhs = Poly::zero();
     for (i, k) in sym.cells().enumerate() {
         lhs = lhs.add(&sym.weights[i].scale(&cell_moment(j, k)));
@@ -149,7 +149,7 @@ pub fn moment_residual(sym: &SymbolicWeights, j: u32) -> Poly {
 }
 
 /// Run every symbolic identity for one weight family into `report`.
-pub fn check_symbolic_family(report: &mut Report, sym: &SymbolicWeights) {
+pub(crate) fn check_symbolic_family(report: &mut Report, sym: &SymbolicWeights) {
     let lbl = sym.label;
 
     // Partition of unity of the cardinals.
@@ -226,13 +226,13 @@ pub fn check_symbolic_family(report: &mut Report, sym: &SymbolicWeights) {
 /// exact polynomials: within `max_ulp` ULPs, or within `abs_floor` absolutely
 /// (the weights pass through ~10 rounded operations and vanish at `s = 0`,
 /// where a pure ULP bound is meaningless).
-pub const WEIGHT_MAX_ULP: u64 = 16;
+pub(crate) const WEIGHT_MAX_ULP: u64 = 16;
 /// Absolute floor of the hybrid bound.
-pub const WEIGHT_ABS_FLOOR: f64 = 1e-14;
+pub(crate) const WEIGHT_ABS_FLOOR: f64 = 1e-14;
 
 /// Sample points for numeric comparisons: the dense uniform grid
 /// `k/1024, k = 0..=1024` plus a handful of awkward off-grid shifts.
-pub fn sample_shifts() -> Vec<f64> {
+pub(crate) fn sample_shifts() -> Vec<f64> {
     let mut s: Vec<f64> = (0..=1024).map(|k| k as f64 / 1024.0).collect();
     s.extend([1e-12, 1e-9, 1e-6, 0.1234567890123, 0.2, 1.0 - 1e-12]);
     s
@@ -243,7 +243,7 @@ type WeightFn<'a> = &'a dyn Fn(f64) -> Vec<f64>;
 
 /// Compare the shipped `f64` weight evaluators against the exact polynomials
 /// at [`sample_shifts`].
-pub fn check_f64_agreement(report: &mut Report) {
+pub(crate) fn check_f64_agreement(report: &mut Report) {
     let families: [(&SymbolicWeights, WeightFn); 2] = [
         (&sl5_symbolic(), &|s| sl5_weights(s).to_vec()),
         (&sl3_symbolic(), &|s| sl3_weights(s).to_vec()),
@@ -293,7 +293,10 @@ pub fn check_f64_agreement(report: &mut Report) {
 /// coefficient leaves a residual the tolerance cannot absorb.
 ///
 /// Returns `Ok(())` or the first violated condition.
-pub fn check_weight_samples(order: usize, f: &dyn Fn(f64) -> Vec<f64>) -> Result<(), String> {
+pub(crate) fn check_weight_samples(
+    order: usize,
+    f: &dyn Fn(f64) -> Vec<f64>,
+) -> Result<(), String> {
     let sym = match order {
         3 => sl3_symbolic(),
         5 => sl5_symbolic(),

@@ -9,7 +9,7 @@
 //! * accumulates the enumerated per-(src, dst) traffic and diffs it, pair by
 //!   pair, against both the runtime's derived byte accounting
 //!   (`Repartition::pair_elems`) and the symbolically derived
-//!   [`PairCount`](super::symbolic::PairCount);
+//!   `PairCount`;
 //! * diffs the accumulated traffic against the actual
 //!   [`CommPlan`](vlasov6d_mpisim::CommPlan)s the runtime verifies before
 //!   communicating (`Pencil2D` forward/inverse plans).

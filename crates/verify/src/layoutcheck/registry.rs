@@ -11,11 +11,6 @@ pub fn entries() -> [Repartition; 4] {
     layout::pencil_stages()
 }
 
-/// Registered repartition names.
-pub fn repartition_names() -> Vec<&'static str> {
-    entries().iter().map(|rep| rep.name).collect()
-}
-
 /// Concrete (dims, rank-grid) samples every repartition is enumerated at:
 /// thin axes, ragged (non-square) boxes, prime factors, a rank count past
 /// `n0`, and the `P × 1` (slab) grids `DistributedVlasov` runs.
@@ -56,7 +51,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names = repartition_names();
+        let names: Vec<&str> = entries().iter().map(|rep| rep.name).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();

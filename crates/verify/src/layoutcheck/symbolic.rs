@@ -9,12 +9,12 @@
 //! mixed-radix number of the remaining digits in storage order. The map is a
 //! bijection iff that digit multiset is consumed exactly once on each side —
 //! the same digit-injectivity argument `racecheck` uses for write
-//! disjointness. [`prove_layout_bijective`] checks exactly that, for the
+//! disjointness. `prove_layout_bijective` checks exactly that, for the
 //! symbolic grid (no shape is ever instantiated).
 //!
 //! Per-(src, dst) traffic is derived by per-axis case analysis into a
-//! [`PairCount`]: a single monomial `n0^α·n1^β·n2^γ / (Pr^δ·Pc^ε)` times a
-//! block-diagonal indicator over grid digits. [`prove_repartition_bijective`]
+//! `PairCount`: a single monomial `n0^α·n1^β·n2^γ / (Pr^δ·Pc^ε)` times a
+//! block-diagonal indicator over grid digits. `prove_repartition_bijective`
 //! then proves mass conservation — summing the monomial over destinations
 //! (resp. sources) reproduces the source (resp. destination) local length —
 //! by exact exponent bookkeeping, again for all shapes at once.
@@ -25,7 +25,7 @@ use vlasov6d_fft::layout::{AxisPart, GridAxis, LayoutMap, RankGrid, Repartition}
 
 /// Why a symbolic proof failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProofError {
+pub(crate) enum ProofError {
     /// `order` is not a permutation of the global axes.
     OrderNotPermutation,
     /// Two global axes consume the same rank-grid digit — the inverse map
@@ -81,7 +81,7 @@ impl fmt::Display for ProofError {
 /// A monomial `n0^e0 · n1^e1 · n2^e2 · Pr^er · Pc^ec` with integer
 /// exponents — the symbolic value of an element count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Mono {
+pub(crate) struct Mono {
     pub n: [i32; 3],
     pub rows: i32,
     pub cols: i32,
@@ -100,7 +100,7 @@ impl Mono {
         m
     }
 
-    pub fn div_grid(mut self, g: GridAxis) -> Mono {
+    pub(crate) fn div_grid(mut self, g: GridAxis) -> Mono {
         match g {
             GridAxis::Row => self.rows -= 1,
             GridAxis::Col => self.cols -= 1,
@@ -108,7 +108,7 @@ impl Mono {
         self
     }
 
-    pub fn mul_grid(mut self, g: GridAxis) -> Mono {
+    pub(crate) fn mul_grid(mut self, g: GridAxis) -> Mono {
         match g {
             GridAxis::Row => self.rows += 1,
             GridAxis::Col => self.cols += 1,
@@ -118,7 +118,7 @@ impl Mono {
 
     /// Evaluate at concrete dims and grid (negative exponents are exact
     /// divisions under the conformance constraints).
-    pub fn eval(&self, dims: [usize; 3], grid: RankGrid) -> usize {
+    pub(crate) fn eval(&self, dims: [usize; 3], grid: RankGrid) -> usize {
         let mut num = 1usize;
         let mut den = 1usize;
         for a in 0..3 {
@@ -180,7 +180,7 @@ impl fmt::Display for Mono {
 /// the two ranks' digits agree on every grid axis in `diagonal_on`, zero
 /// otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairCount {
+pub(crate) struct PairCount {
     pub elems: Mono,
     pub diagonal_on: Vec<GridAxis>,
 }
@@ -189,7 +189,7 @@ impl PairCount {
     /// Evaluate for a concrete rank pair — the *independently derived*
     /// counterpart of `Repartition::pair_elems` (which intersects ownership
     /// ranges); layer 2 diffs the two.
-    pub fn eval(&self, dims: [usize; 3], grid: RankGrid, s: usize, d: usize) -> usize {
+    pub(crate) fn eval(&self, dims: [usize; 3], grid: RankGrid, s: usize, d: usize) -> usize {
         for &g in &self.diagonal_on {
             if grid.digit(s, g) != grid.digit(d, g) {
                 return 0;
@@ -200,7 +200,7 @@ impl PairCount {
 }
 
 /// Local length of a layout as a monomial.
-pub fn local_len_mono(layout: &LayoutMap) -> Mono {
+pub(crate) fn local_len_mono(layout: &LayoutMap) -> Mono {
     let mut m = Mono::ONE;
     for (a, p) in layout.parts.iter().enumerate() {
         m = m * Mono::axis(a);
@@ -213,7 +213,7 @@ pub fn local_len_mono(layout: &LayoutMap) -> Mono {
 
 /// Prove one layout a bijection global ↔ (rank, flat) for all conforming
 /// shapes. Returns the proof narrative.
-pub fn prove_layout_bijective(layout: &LayoutMap) -> Result<String, ProofError> {
+pub(crate) fn prove_layout_bijective(layout: &LayoutMap) -> Result<String, ProofError> {
     // Storage order must be a permutation (else two locals share a flat).
     let mut seen = [false; 3];
     for &o in &layout.order {
@@ -270,7 +270,7 @@ fn describe_digits(layout: &LayoutMap) -> String {
 
 /// Derive the symbolic per-pair count of a repartition, or fail if the axis
 /// case analysis does not yield a uniform monomial.
-pub fn derive_pair_count(rep: &Repartition) -> Result<PairCount, ProofError> {
+pub(crate) fn derive_pair_count(rep: &Repartition) -> Result<PairCount, ProofError> {
     let mut elems = Mono::ONE;
     let mut diagonal_on = Vec::new();
     for a in 0..3 {
@@ -295,7 +295,9 @@ pub fn derive_pair_count(rep: &Repartition) -> Result<PairCount, ProofError> {
 
 /// Prove a repartition a bijection with conserving traffic for all
 /// conforming shapes. Returns (narrative, derived pair count).
-pub fn prove_repartition_bijective(rep: &Repartition) -> Result<(String, PairCount), ProofError> {
+pub(crate) fn prove_repartition_bijective(
+    rep: &Repartition,
+) -> Result<(String, PairCount), ProofError> {
     let src_proof = prove_layout_bijective(&rep.src)?;
     let dst_proof = prove_layout_bijective(&rep.dst)?;
     let pair = derive_pair_count(rep)?;
@@ -347,7 +349,7 @@ pub fn prove_repartition_bijective(rep: &Repartition) -> Result<(String, PairCou
 /// must start where `fwd` lands and land where `fwd` started. Composition of
 /// two proven bijections through the shared global index space is then the
 /// identity on (rank, flat) pairs.
-pub fn prove_composition_identity(
+pub(crate) fn prove_composition_identity(
     fwd: &Repartition,
     inv: &Repartition,
 ) -> Result<String, ProofError> {

@@ -13,8 +13,8 @@
 //! The three families share one core at this root: every pass records its
 //! findings through [`Report::check`] (or [`Report::control`] for a negative
 //! control that must fail), element-level disjointness goes through
-//! [`claims::ClaimMap`], and exact arithmetic through [`rational`] and
-//! [`ulp`]. [`FAMILIES`] is the one pin table: `cargo xtask verify` runs each
+//! `claims::ClaimMap`, and exact arithmetic through [`rational`] and
+//! `ulp`. [`FAMILIES`] is the one pin table: `cargo xtask verify` runs each
 //! family and fails on any violation or on counts other than its pin.
 
 pub mod claims;
@@ -23,7 +23,7 @@ pub mod layoutcheck;
 pub mod racecheck;
 pub mod rational;
 pub mod report;
-pub mod ulp;
+mod ulp;
 
 pub use report::{Counts, Property, Report, Status};
 

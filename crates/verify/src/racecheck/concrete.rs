@@ -1,7 +1,7 @@
 //! Concrete cross-validation: instantiate every symbolic model at sample
 //! grid shapes and check it against (a) the plans the kernels actually
 //! execute ([`vlasov6d_phase_space::plan`], `pool::chunk_ranges`, the FFT
-//! column loop) and (b) a [`ClaimMap`] proving element-level disjointness
+//! column loop) and (b) a `ClaimMap` proving element-level disjointness
 //! and exact cover.
 //!
 //! The symbolic pass proves the *models* race-free for all `n`; this pass

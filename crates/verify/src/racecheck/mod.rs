@@ -13,7 +13,7 @@
 //!    divisibility constraints, by the digit-injectivity argument.
 //! 2. **Concrete** ([`concrete`]) — the models are instantiated at sample
 //!    shapes (thin axes, ragged chunk tails included) and checked, element
-//!    by element through a [`crate::claims::ClaimMap`], to coincide
+//!    by element through a `crate::claims::ClaimMap`, to coincide
 //!    with the plans the kernels actually execute and to partition the
 //!    array exactly.
 //! 3. **Probe** ([`probe`]) — each sweep task is replayed *alone* on the
@@ -40,7 +40,7 @@ const PASS: &str = "symbolic";
 
 /// Prove every registered region's model write-disjoint for all conforming
 /// grid shapes, plus negative controls on the prover itself.
-pub fn symbolic_pass(report: &mut Report) {
+pub(crate) fn symbolic_pass(report: &mut Report) {
     for region in registry::regions() {
         let (detail, witness) = match prove_write_disjoint(&region.model) {
             Ok(narrative) => (narrative, None),

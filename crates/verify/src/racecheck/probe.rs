@@ -8,7 +8,7 @@
 //!    declared plan (a kernel writing outside its plan is the race the
 //!    symbolic proof cannot see);
 //! 2. **Observed disjointness** — no element is changed by two tasks,
-//!    recorded in a [`ClaimMap`];
+//!    recorded in a `ClaimMap`;
 //! 3. **Composition** — splicing the per-task results over the declared
 //!    partition reproduces the full parallel sweep *bitwise*, at 1, 2 and 4
 //!    workers and under a permuted schedule. This also refutes read-side

@@ -326,7 +326,7 @@ impl Shape {
 
     /// `x` never gathers: it runs lanes only where `nuy·nuz % 8 == 0`, which
     /// is where its runs hold whole bundles.
-    pub fn occurs_along(self, d: usize) -> bool {
+    pub(crate) fn occurs_along(self, d: usize) -> bool {
         (self, d) != (Shape::Gather, 0)
     }
 
@@ -344,7 +344,7 @@ impl Shape {
 }
 
 /// Spatial sweep region, by axis and task shape.
-pub fn spatial_model(d: usize, shape: Shape) -> RegionModel {
+pub(crate) fn spatial_model(d: usize, shape: Shape) -> RegionModel {
     match shape {
         Shape::Scalar => spatial_scalar_model(d),
         Shape::Gather => spatial_gather_model(d),
@@ -355,7 +355,7 @@ pub fn spatial_model(d: usize, shape: Shape) -> RegionModel {
 
 /// The three parallel regions of a distributed sweep (`phase-space`
 /// `exchange.rs`), named as in the region registry.
-pub const DIST_REGIONS: [(GhostedRegion, &str); 3] = [
+pub(crate) const DIST_REGIONS: [(GhostedRegion, &str); 3] = [
     (GhostedRegion::Sync, "sync"),
     (GhostedRegion::Interior, "interior"),
     (GhostedRegion::Edges, "edges"),
@@ -364,7 +364,7 @@ pub const DIST_REGIONS: [(GhostedRegion, &str); 3] = [
 /// Distributed-sweep region along `d`: the tasks and pencils of
 /// [`spatial_model`], each reading its whole pencil of the block (the ghost
 /// planes are other arrays) and writing the cells `region` updates.
-pub fn dist_model(d: usize, shape: Shape, region: GhostedRegion) -> RegionModel {
+pub(crate) fn dist_model(d: usize, shape: Shape, region: GhostedRegion) -> RegionModel {
     let mut model = spatial_model(d, shape);
     model.write[d] = match region {
         GhostedRegion::Periodic | GhostedRegion::Sync => AxisFootprint::Full,

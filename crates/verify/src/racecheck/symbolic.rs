@@ -4,7 +4,7 @@
 //! decomposing the task index into mixed-radix *digits* and mapping each
 //! digit to one array axis. A [`RegionModel`] states that mapping
 //! symbolically — per array axis, which slice task `t` writes, as a function
-//! of `t`'s digits — and [`prove_write_disjoint`] checks the three
+//! of `t`'s digits — and `prove_write_disjoint` checks the three
 //! conditions that together imply pairwise disjointness **for every grid
 //! shape** satisfying the model's divisibility constraints:
 //!
@@ -117,7 +117,7 @@ pub struct RegionModel {
 
 /// Why a model fails to prove disjointness.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProofError {
+pub(crate) enum ProofError {
     /// `write` (or `read_same_array`) length differs from `array_rank`.
     RankMismatch,
     /// A footprint references task digit `j ≥ task_digits.len()`.
@@ -184,7 +184,7 @@ impl std::fmt::Display for ProofError {
 /// Prove pairwise write-disjointness (and same-array read non-interference)
 /// for all grid shapes satisfying the model's constraints. Returns a short
 /// proof narrative.
-pub fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
+pub(crate) fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
     if m.write.len() != m.array_rank {
         return Err(ProofError::RankMismatch);
     }
@@ -275,7 +275,7 @@ pub fn prove_write_disjoint(m: &RegionModel) -> Result<String, ProofError> {
 
 impl RegionModel {
     /// Check that `dims` satisfies the model's divisibility constraints.
-    pub fn dims_conform(&self, dims: &[usize]) -> bool {
+    pub(crate) fn dims_conform(&self, dims: &[usize]) -> bool {
         dims.len() == self.array_rank
             && self.constraints.iter().all(|c| {
                 let extent: usize = c.axes.iter().map(|&a| dims[a]).product();
@@ -296,7 +296,7 @@ impl RegionModel {
     }
 
     /// Number of tasks at `dims`.
-    pub fn task_count(&self, dims: &[usize]) -> usize {
+    pub(crate) fn task_count(&self, dims: &[usize]) -> usize {
         self.digit_extents(dims).iter().product()
     }
 

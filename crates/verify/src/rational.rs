@@ -16,7 +16,7 @@ use std::fmt;
 
 /// A normalised rational number `num / den`, `den > 0`, `gcd(num, den) = 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Rat {
+pub(crate) struct Rat {
     num: i128,
     den: i128,
 }
@@ -48,7 +48,7 @@ impl Rat {
     }
 
     /// Integer `n`.
-    pub fn int(n: i128) -> Rat {
+    pub(crate) fn int(n: i128) -> Rat {
         Rat { num: n, den: 1 }
     }
 
@@ -57,19 +57,14 @@ impl Rat {
         self.num
     }
 
-    /// Denominator (positive after normalisation).
-    pub fn den(&self) -> i128 {
-        self.den
-    }
-
     /// Is this exactly zero?
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.num == 0
     }
 
     /// Nearest `f64` (num and den convert exactly for the small values the
     /// weight constructions produce, so the only rounding is the division).
-    pub fn to_f64(&self) -> f64 {
+    pub(crate) fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64
     }
 
@@ -140,7 +135,7 @@ impl fmt::Display for Rat {
 /// The zero polynomial is the empty coefficient list; all other
 /// representations are normalised (no trailing zero coefficients).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Poly {
+pub(crate) struct Poly {
     coeffs: Vec<Rat>,
 }
 
@@ -163,7 +158,7 @@ impl Poly {
     }
 
     /// From ascending coefficients.
-    pub fn from_coeffs(coeffs: Vec<Rat>) -> Poly {
+    pub(crate) fn from_coeffs(coeffs: Vec<Rat>) -> Poly {
         Poly { coeffs }.normalised()
     }
 
@@ -175,7 +170,7 @@ impl Poly {
     }
 
     /// Ascending coefficients (empty for the zero polynomial).
-    pub fn coeffs(&self) -> &[Rat] {
+    pub(crate) fn coeffs(&self) -> &[Rat] {
         &self.coeffs
     }
 
@@ -185,7 +180,7 @@ impl Poly {
     }
 
     /// Is this identically zero?
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.coeffs.is_empty()
     }
 
@@ -230,7 +225,7 @@ impl Poly {
     }
 
     /// Exact evaluation at a rational point (Horner).
-    pub fn eval_rat(&self, x: &Rat) -> Rat {
+    pub(crate) fn eval_rat(&self, x: &Rat) -> Rat {
         let mut acc = Rat::ZERO;
         for c in self.coeffs.iter().rev() {
             acc = acc.mul(x).add(c);
@@ -239,7 +234,7 @@ impl Poly {
     }
 
     /// `f64` evaluation at `x` (Horner over `f64`-converted coefficients).
-    pub fn eval_f64(&self, x: f64) -> f64 {
+    pub(crate) fn eval_f64(&self, x: f64) -> f64 {
         let mut acc = 0.0f64;
         for c in self.coeffs.iter().rev() {
             acc = acc * x + c.to_f64();

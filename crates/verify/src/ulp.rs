@@ -1,4 +1,4 @@
-//! ULP distance between floats, via the standard monotone bit-key trick:
+//! ULP distance between `f64`s, via the standard monotone bit-key trick:
 //! reinterpret the sign-magnitude IEEE-754 encoding as a two's-complement-like
 //! total order, so the integer distance between two keys is exactly the
 //! number of representable values strictly between them (plus one).
@@ -14,18 +14,9 @@ fn key_f64(x: f64) -> u64 {
     }
 }
 
-fn key_f32(x: f32) -> u32 {
-    let bits = x.to_bits();
-    if bits >> 31 == 1 {
-        !bits
-    } else {
-        bits | (1 << 31)
-    }
-}
-
 /// ULP distance between two `f64`s. `0` iff `a == b` (so `−0 == +0` counts
 /// as equal); `u64::MAX` if either is NaN.
-pub fn ulp_diff_f64(a: f64, b: f64) -> u64 {
+pub(crate) fn ulp_diff_f64(a: f64, b: f64) -> u64 {
     if a.is_nan() || b.is_nan() {
         return u64::MAX;
     }
@@ -33,17 +24,6 @@ pub fn ulp_diff_f64(a: f64, b: f64) -> u64 {
         return 0;
     }
     key_f64(a).abs_diff(key_f64(b))
-}
-
-/// ULP distance between two `f32`s; same conventions as [`ulp_diff_f64`].
-pub fn ulp_diff_f32(a: f32, b: f32) -> u64 {
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    if a == b {
-        return 0;
-    }
-    key_f32(a).abs_diff(key_f32(b)) as u64
 }
 
 #[cfg(test)]
@@ -62,9 +42,5 @@ mod tests {
         let tiny = f64::from_bits(1);
         assert_eq!(ulp_diff_f64(tiny, -tiny), 3);
         assert_eq!(ulp_diff_f64(f64::NAN, 1.0), u64::MAX);
-
-        assert_eq!(ulp_diff_f32(1.0, 1.0), 0);
-        assert_eq!(ulp_diff_f32(1.0, 1.0 + f32::EPSILON), 1);
-        assert_eq!(ulp_diff_f32(f32::NAN, f32::NAN), u64::MAX);
     }
 }
