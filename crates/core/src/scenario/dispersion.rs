@@ -1,4 +1,5 @@
-//! Kinetic dispersion relations for the electrostatic plasma scenarios.
+//! Kinetic dispersion relations for the electrostatic plasma scenarios and
+//! the self-gravitating (Jeans) ones.
 //!
 //! The linear theory of a multi-Maxwellian electrostatic plasma reduces to
 //! the dielectric function
@@ -14,7 +15,9 @@
 //! roots `ε(k, ω) = 0` in complex ω are the analytic damping/growth rates
 //! the scenario oracles check the measured field evolution against: Landau
 //! damping (`Im ω < 0`), two-stream and bump-on-tail instabilities
-//! (`Im ω > 0`).
+//! (`Im ω > 0`). Self-gravity is the same relation with the coupling's
+//! sign flipped (`∇²φ = +C δρ`): the kinetic Jeans problem, growing below
+//! `k_J = ω_J/σ` and Landau-damped above it ([`jeans_root`]).
 //!
 //! Everything here is from scratch on `vlasov6d_fft::Complex64`: `Z` by
 //! Simpson quadrature of the Hilbert-transform integral along a depressed
@@ -169,6 +172,32 @@ pub(crate) fn landau_root(k: f64, coupling: f64, sigma: f64) -> Option<Complex64
     )
 }
 
+/// Root of a self-gravitating Maxwellian at rest on the periodic box: the
+/// kinetic Jeans problem of [`crate::ForceLaw::Gravity`] with
+/// `∇²φ = coupling · (ρ − ρ̄)`, unit mean density, so `ω_J² = coupling` and
+/// `k_J = ω_J/σ`. Below `k_J` the root is purely growing (`Re ω = 0`), above
+/// it purely damped.
+///
+/// The dielectric's coupling for gravity is read off the marginal point, not
+/// set by hand: at `ω = 0` (`ζ = 0`) `ε = 1 + c/(kσ)²`, and of `c = ±coupling`
+/// only the sign that makes `k = k_J` neutral is the law's. The Newton guess
+/// is the cold-fluid rate `√(ω_J² − k²σ²)` below `k_J`, and a damping of the
+/// same form above it.
+pub(crate) fn jeans_root(k: f64, coupling: f64, sigma: f64) -> Option<Complex64> {
+    let comps = [MaxwellianComponent {
+        density: 1.0,
+        drift: 0.0,
+        sigma,
+    }];
+    let omega_j = coupling.sqrt();
+    let k_j = omega_j / sigma;
+    let neutral = |c: f64| dielectric(k_j, c, &comps, Complex64::ZERO).0.abs() < 1e-9;
+    let signed = [coupling, -coupling].into_iter().find(|&c| neutral(c))?;
+    let fluid = (omega_j * omega_j - (k * sigma).powi(2)).abs().sqrt();
+    let guess = if k < k_j { fluid } else { -fluid };
+    solve_dispersion(k, signed, &comps, Complex64::new(0.0, guess))
+}
+
 /// Unstable root of two symmetric counter-streaming Maxwellians (drift
 /// ±`v0`, spread `sigma` each, half the density each). By symmetry the
 /// unstable root is purely imaginary; the guess starts on the cold-beam
@@ -294,6 +323,34 @@ mod tests {
             "γ_warm = {} vs γ_cold = {cold}",
             warm.im
         );
+    }
+
+    /// The Jeans root's three regimes at `ω_J = 1` (`σ = 0.1`, `k_J = 10`):
+    /// `k_J` is the neutral point, the root is purely growing below it and
+    /// purely damped above, and at small `kσ` the growth approaches the
+    /// cold-fluid rate `√(ω_J² − k²σ²)`.
+    #[test]
+    fn jeans_root_is_neutral_at_k_j_and_grows_below_it() {
+        let (coupling, sigma, k_j) = (1.0, 0.1, 10.0);
+        let root = |x: f64| jeans_root(x * k_j, coupling, sigma).expect("root");
+        for x in [0.999, 1.001] {
+            assert!(root(x).abs() < 2e-2, "k/k_J = {x}: {:?}", root(x));
+        }
+        for (x, gamma) in [(0.25, 0.912), (0.5, 0.687), (0.8, 0.304), (1.2, -0.333)] {
+            let w = root(x);
+            assert!(w.re.abs() < 1e-9, "k/k_J = {x}: Re ω = {}", w.re);
+            assert!((w.im - gamma).abs() < 2e-3, "k/k_J = {x}: γ = {}", w.im);
+        }
+        let fluid = (1.0f64 - 0.05f64.powi(2)).sqrt();
+        assert!(
+            (root(0.05).im / fluid - 1.0).abs() < 0.01,
+            "{:?}",
+            root(0.05)
+        );
+        // Flipping the sign by hand is the Langmuir problem: an oscillating,
+        // damped root, nothing like the Jeans one.
+        let langmuir = landau_root(0.5 * k_j, coupling, sigma).expect("root");
+        assert!(langmuir.re > 0.5 && langmuir.im < 0.0, "{langmuir:?}");
     }
 
     #[test]

@@ -49,6 +49,8 @@ impl ProbeSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateKind {
     Damping,
+    /// The log-slope of the amplitude itself: a growing mode's rise, or the
+    /// decay of a purely damped mode that does not oscillate (`jeans-damping`).
     Growth,
 }
 

@@ -21,10 +21,13 @@
 //! * [`plasma`] — Landau damping, two-stream, bump-on-tail.
 //! * [`king`] — stationary King sphere and two-sphere merger
 //!   (Yoshikawa et al. 2013 validation problems).
+//! * [`jeans`] — the kinetic Jeans instability and gravitational Landau
+//!   damping on the periodic box: the rate oracles of a gravitating law.
 
 mod dispersion;
 pub mod dynamics;
 pub mod engine;
+pub mod jeans;
 pub mod king;
 pub mod measure;
 pub mod plasma;
@@ -43,7 +46,8 @@ pub enum Family {
     Cosmological,
     /// Electrostatic plasma on a periodic box, static background.
     Plasma,
-    /// Self-gravitating kinetic system, open (isolated) boundaries.
+    /// Self-gravitating kinetic system: the King family with open
+    /// (isolated) boundaries, the Jeans pair on the periodic box.
     SelfGravitating,
 }
 
@@ -178,7 +182,8 @@ impl ScenarioRegistry {
     }
 
     /// All built-in scenarios: the cosmological neutrino run, the
-    /// electrostatic plasma family and the self-gravitating King family.
+    /// electrostatic plasma family and the self-gravitating King and Jeans
+    /// families.
     pub fn builtin() -> Self {
         let mut r = Self::new();
         r.register(Scenario::Cosmological(crate::SimulationConfig::small_test()));
@@ -187,6 +192,8 @@ impl ScenarioRegistry {
         r.register(Scenario::Kinetic(Box::new(plasma::bump_on_tail())));
         r.register(Scenario::Kinetic(Box::new(king::king_sphere())));
         r.register(Scenario::Kinetic(Box::new(king::king_merger())));
+        r.register(Scenario::Kinetic(Box::new(jeans::jeans_instability())));
+        r.register(Scenario::Kinetic(Box::new(jeans::jeans_damping())));
         r
     }
 
@@ -235,6 +242,8 @@ mod tests {
             "bump-on-tail",
             "king-sphere",
             "king-merger",
+            "jeans-instability",
+            "jeans-damping",
         ] {
             assert!(names.contains(&expected), "missing {expected} in {names:?}");
         }

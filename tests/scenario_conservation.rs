@@ -6,7 +6,7 @@
 //! checkpoint/resume smoke run.
 
 use proptest::prelude::*;
-use vlasov6d::scenario::{king, plasma};
+use vlasov6d::scenario::{jeans, king, plasma};
 use vlasov6d::{HybridSimulation, KineticScenario, Scenario, ScenarioRegistry};
 use vlasov6d_ckpt::CheckpointStore;
 
@@ -96,6 +96,16 @@ fn king_merger_holds_declared_invariants() {
     assert_invariants(&king::king_merger());
 }
 
+#[test]
+fn jeans_instability_holds_declared_invariants() {
+    assert_invariants(&jeans::jeans_instability());
+}
+
+#[test]
+fn jeans_damping_holds_declared_invariants() {
+    assert_invariants(&jeans::jeans_damping());
+}
+
 /// The registry's scenario set is what the per-scenario tests above cover —
 /// this fails if someone registers a new kinetic scenario without wiring it
 /// into the conservation suite.
@@ -108,6 +118,8 @@ fn conservation_suite_covers_the_whole_registry() {
         "bump-on-tail",
         "king-sphere",
         "king-merger",
+        "jeans-instability",
+        "jeans-damping",
     ];
     for sc in ScenarioRegistry::builtin().iter() {
         assert!(

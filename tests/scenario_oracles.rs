@@ -1,10 +1,10 @@
 //! Analytic-rate oracle regressions: measured damping/growth rates of the
-//! electrostatic plasma scenarios must land inside the tolerance band of
-//! their kinetic dispersion-relation roots — and a deliberately wrong
+//! electrostatic plasma scenarios and the self-gravitating Jeans pair must
+//! land inside the tolerance band of their kinetic dispersion-relation roots — and a deliberately wrong
 //! expected rate must *fail*, proving the oracle has teeth.
 
-use vlasov6d::scenario::plasma;
-use vlasov6d::ScenarioRegistry;
+use vlasov6d::scenario::{jeans, plasma};
+use vlasov6d::{ForceLaw, ScenarioRegistry};
 
 /// Linear Landau damping at `kλ_D = 0.5`: the measured envelope decay of
 /// the probed density mode must match `Im ω` of the Landau root (the
@@ -90,5 +90,62 @@ fn every_registered_scenario_is_checked() {
             "{} declares neither an oracle nor conservation bands",
             sc.name()
         );
+    }
+}
+
+/// The kinetic Jeans instability at `k = k_J/2` (the Landau problem with the
+/// coupling's sign flipped): the probed mode must grow at the purely
+/// imaginary root's `Im ω`.
+#[test]
+fn jeans_growth_matches_dispersion() {
+    let sc = jeans::jeans_instability();
+    let check = sc.build().measure_rate(&sc);
+    assert!(
+        check.passed() && check.measured > 0.0,
+        "jeans-instability: measured {:.5}, dispersion {:.5}, rel_tol {}",
+        check.measured,
+        check.expected,
+        check.rel_tol
+    );
+}
+
+/// Gravitational Landau damping at `k = 3k_J/2`: the mode must decay at the
+/// purely damped root's rate.
+#[test]
+fn jeans_damping_matches_dispersion() {
+    let sc = jeans::jeans_damping();
+    let check = sc.build().measure_rate(&sc);
+    assert!(
+        check.passed() && check.measured < 0.0,
+        "jeans-damping: measured {:.5}, dispersion {:.5}, rel_tol {}",
+        check.measured,
+        check.expected,
+        check.rel_tol
+    );
+}
+
+/// Negative controls on the gravity prefactor: the same runs with the
+/// coupling's sign flipped (gravity repelling: the Langmuir problem) or
+/// doubled must fail each Jeans entry's oracle.
+#[test]
+fn jeans_oracles_fail_with_the_wrong_sign_or_twice_the_coupling() {
+    for entry in [jeans::jeans_instability, jeans::jeans_damping] {
+        for (control, factor) in [("flipped sign", -1.0), ("2x coupling", 2.0)] {
+            let mut sc = entry();
+            let ForceLaw::Gravity { coupling } = sc.force else {
+                panic!("{}: a Jeans entry runs ForceLaw::Gravity", sc.name)
+            };
+            sc.force = ForceLaw::Gravity {
+                coupling: factor * coupling,
+            };
+            let check = sc.build().measure_rate(&sc);
+            assert!(
+                !check.passed(),
+                "{} with the {control}: measured {:.5} passed the oracle {:.5}",
+                sc.name,
+                check.measured,
+                check.expected
+            );
+        }
     }
 }
