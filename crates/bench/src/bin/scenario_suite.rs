@@ -58,7 +58,10 @@ fn run_scenario(sc: &KineticScenario) -> ScenarioRow {
         sim.step();
     }
     let secs = t0.elapsed().as_secs_f64();
-    let smoke = *sim.history().last().expect("ran at least one step");
+    // The smoke row of the synchronized state (its kinetic energy at the
+    // smoke run's end, not before the pending half kick).
+    sim.synchronize();
+    let smoke = sim.diagnose(0.0);
 
     let rate = sc.oracle.map(|oracle| {
         // Continue the same run to the oracle's horizon; the amplitude

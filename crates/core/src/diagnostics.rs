@@ -36,7 +36,9 @@ pub struct StepRecord {
     pub nu_mass: f64,
     /// Minimum of the distribution function (≥ 0 for SL-MPP5).
     pub f_min: f32,
-    /// Total canonical momentum (CDM + ν), per axis.
+    /// Total canonical momentum (CDM + ν), per axis, of the state before the
+    /// step's trailing half kick `K₂`, which stays pending (`strang.rs`); it
+    /// is the momentum at `a` only after `HybridSimulation::synchronize`.
     pub momentum: [f64; 3],
 }
 

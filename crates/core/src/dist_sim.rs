@@ -75,6 +75,8 @@ pub struct DistributedVlasov {
     /// `−∇φ` on this rank's slab from the last solve; filled by the first
     /// step, or by a resume from the checkpoint's force meshes.
     force: Option<[Field3; 3]>,
+    /// The kick factor `force` still owes `ps`.
+    pending_kick: f64,
     scheme: Scheme,
     /// Which force law / time axis the run integrates (default: the paper's
     /// comoving cosmological gravity).
@@ -139,6 +141,7 @@ impl DistributedVlasov {
             plans: OnceCell::new(),
             decomp,
             force: None,
+            pending_kick: 0.0,
             scheme: Scheme::SlMpp5,
             dynamics: Dynamics::cosmological(),
             exec: Exec::Simd,
@@ -313,7 +316,8 @@ impl DistributedVlasov {
         }
     }
 
-    /// One Strang-split step; returns `(a_new, Δt_code)`.
+    /// One Strang-split step, its trailing half kick left pending; returns
+    /// `(a_new, Δt_code)`.
     pub fn step(&mut self, comm: &Comm) -> (f64, f64) {
         let (a2, dt, _) = self.step_traced(comm);
         (a2, dt)
@@ -363,6 +367,15 @@ impl DistributedVlasov {
         }
     }
 
+    /// Apply the last step's pending half kick to this rank's block, so
+    /// velocities are those at `a`. Rank-local (a kick sends nothing); a
+    /// second call is a no-op, and the next step runs the unmerged
+    /// `K₁ · D · solve · K₂` sequence.
+    pub fn synchronize(&mut self) {
+        let policy = self.policy();
+        strang::synchronize(self, &policy);
+    }
+
     /// Global component mass (allreduced).
     pub fn total_mass(&self, comm: &Comm) -> f64 {
         comm.allreduce_sum(self.ps.total_mass())
@@ -375,8 +388,9 @@ impl DistributedVlasov {
 
     /// Take a checkpoint now (collective — every rank must call it).
     ///
-    /// Writes this rank's phase-space block, a `SimState` record (counters,
-    /// scale factor, CFL caps, scheme) and the cached force meshes through
+    /// Writes this rank's phase-space block as it stands, a `SimState` record
+    /// (counters, scale factor, CFL caps, scheme), the pending kick factor
+    /// and the cached force meshes through
     /// the store's two-phase commit, rotating old generations per the
     /// policy. Runs under a `ckpt.write` span in the I/O bucket.
     pub fn checkpoint(
@@ -393,7 +407,13 @@ impl DistributedVlasov {
             self.a,
             self.omega_component,
         );
-        let records = strang::records(Some(&self.ps), self.force.as_ref(), &state, None);
+        let records = strang::records(
+            Some(&self.ps),
+            self.force.as_ref(),
+            &self.pending_kick,
+            &state,
+            None,
+        );
         store.write_collective(
             comm,
             self.step_index,
@@ -422,9 +442,10 @@ impl DistributedVlasov {
     ///
     /// Bitwise-exact: the restored driver continues the trajectory with the
     /// same bits as an uninterrupted run — the distribution function, cached
-    /// force, scale factor, tag counter and step index are all restored
-    /// exactly (floats travel as raw bits). Falls back to older generations
-    /// when the newest is corrupt; every rank agrees on the chosen one.
+    /// force, pending kick, scale factor, tag counter and step index are all
+    /// restored exactly (floats travel as raw bits). Falls back to older
+    /// generations when the newest is corrupt; every rank agrees on the
+    /// chosen one.
     ///
     /// The checkpoint holds evolving state, the CFL caps and the scheme —
     /// not the run's configuration. The caller re-applies, exactly as on the
@@ -447,6 +468,7 @@ impl DistributedVlasov {
         // A checkpoint without force meshes (written before the first step,
         // or by an older build) leaves the cache empty: the next step solves.
         sim.force = saved.force;
+        sim.pending_kick = saved.pending_kick;
         sim.scheme = saved.scheme;
         sim.cfl_spatial = state.cfl_spatial;
         sim.max_dln_a = state.max_dln_a;
@@ -536,13 +558,30 @@ struct OnRanks<'a> {
     comm: &'a Comm,
 }
 
+/// A ranked kick is rank-local: the block and its cached force.
+impl strang::Kicks for DistributedVlasov {
+    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
+        Some((&mut self.ps, self.force.as_ref()))
+    }
+
+    fn pending_kick(&mut self) -> &mut f64 {
+        &mut self.pending_kick
+    }
+}
+
+impl strang::Kicks for OnRanks<'_> {
+    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
+        self.sim.vlasov()
+    }
+
+    fn pending_kick(&mut self) -> &mut f64 {
+        self.sim.pending_kick()
+    }
+}
+
 impl strang::Driver for OnRanks<'_> {
     fn background(&self) -> &Background {
         &self.sim.background
-    }
-
-    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
-        Some((&mut self.sim.ps, self.sim.force.as_ref()))
     }
 
     fn solve(&mut self, a: f64) {
@@ -762,6 +801,9 @@ mod tests {
                     sim.step(comm);
                     comm.barrier();
                 }
+                // The replica ends each step with its K₂; apply the pending
+                // one before comparing.
+                sim.synchronize();
                 // Compare this rank's block against the serial solution.
                 let vlen = vg.len();
                 let mut bits = Vec::new();

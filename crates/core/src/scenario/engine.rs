@@ -21,7 +21,11 @@ use super::measure::{ProbeSpec, RateCheck};
 use super::KineticScenario;
 use crate::strang;
 
-/// Per-step diagnostics of a kinetic scenario run.
+/// Per-step diagnostics of a kinetic scenario run: of the state as it
+/// stands, before the step's trailing half kick `K₂`, which stays pending.
+/// Mass, density and `potential` are unaffected by it; `momentum`,
+/// `kinetic` and `energy` are those at `t` only after
+/// [`KineticSimulation::synchronize`].
 #[derive(Debug, Clone, Copy)]
 pub struct KineticDiag {
     pub step: usize,
@@ -53,6 +57,8 @@ pub struct KineticSimulation {
     probe: ProbeSpec,
     /// Cached `−∇φ` on the spatial grid, recomputed after each drift.
     force: [Field3; 3],
+    /// The kick factor `force` still owes `ps`.
+    pending_kick: f64,
     /// `½ Σ source·φ·Δx³` of the last solve (see module docs for why this
     /// expression is the conserved potential energy for *both* force signs).
     potential: f64,
@@ -91,6 +97,7 @@ impl KineticSimulation {
                 Field3::zeros(sdims),
                 Field3::zeros(sdims),
             ],
+            pending_kick: 0.0,
             potential: 0.0,
             history: Vec::new(),
         };
@@ -137,8 +144,8 @@ impl KineticSimulation {
         self.force = PoissonSolver::force_from_potential(&phi);
     }
 
-    /// Advance one Strang-split step (K₁ · D · K₂ with the solve at the
-    /// post-drift state) and append the diagnostics row.
+    /// Advance one Strang-split step (`K(pending + k₁) · D · solve`, the
+    /// trailing `K₂` left pending) and append the diagnostics row.
     pub fn step(&mut self) -> &KineticDiag {
         let (policy, t1) = (self.policy, self.t);
         let interval = strang::step(self, &policy, t1);
@@ -149,7 +156,8 @@ impl KineticSimulation {
     }
 
     /// Step until `t ≥ t_end` (the CFL controller sets the actual step
-    /// sizes). Returns the number of steps taken.
+    /// sizes), the last step's half kick left pending. Returns the number
+    /// of steps taken.
     pub fn run_to(&mut self, t_end: f64) -> usize {
         let mut n = 0;
         while self.t < t_end - 1e-12 {
@@ -160,7 +168,16 @@ impl KineticSimulation {
         n
     }
 
-    /// The current diagnostics row (without stepping).
+    /// Apply the last step's pending half kick, so velocities are those at
+    /// [`KineticSimulation::time`]. A second call is a no-op; the next step
+    /// runs the unmerged `K₁ · D · solve · K₂` sequence.
+    pub fn synchronize(&mut self) {
+        let policy = self.policy;
+        strang::synchronize(self, &policy);
+    }
+
+    /// The current diagnostics row (without stepping): of the state before
+    /// the pending kick unless [`KineticSimulation::synchronize`] ran.
     pub fn diagnose(&self, dt: f64) -> KineticDiag {
         let _s = span!("scenario.diagnostics", Bucket::Other);
         // One reduction pass; the density is only for the mode probe.
@@ -195,8 +212,9 @@ impl KineticSimulation {
         oracle.judge(&times, &amps)
     }
 
-    /// Checkpoint the full engine state into `store`; the cached force rides
-    /// along, so [`KineticSimulation::resume`] continues bit for bit.
+    /// Checkpoint the full engine state into `store`; the cached force and
+    /// the pending kick ride along, so [`KineticSimulation::resume`]
+    /// continues bit for bit.
     pub fn save_checkpoint(&self, store: &CheckpointStore) -> Result<CkptStats, CkptError> {
         // No Ω for a generic kinetic run — the slot carries the cached
         // potential energy of the last solve instead.
@@ -207,7 +225,13 @@ impl KineticSimulation {
             self.t,
             self.potential,
         );
-        let records = strang::records(Some(&self.ps), Some(&self.force), &state, None);
+        let records = strang::records(
+            Some(&self.ps),
+            Some(&self.force),
+            &self.pending_kick,
+            &state,
+            None,
+        );
         store.write_serial(self.step_count as u64, self.t, &records, Encoding::Raw, 2)
     }
 
@@ -222,6 +246,7 @@ impl KineticSimulation {
         sim.policy.max_step = saved.state.max_dln_a;
         sim.step_count = saved.state.step as usize;
         sim.t = saved.state.a;
+        sim.pending_kick = saved.pending_kick;
         match saved.force {
             Some(force) => {
                 sim.force = force;
@@ -235,15 +260,22 @@ impl KineticSimulation {
     }
 }
 
+/// A kinetic kick: the phase space and its cached force.
+impl strang::Kicks for KineticSimulation {
+    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
+        Some((&mut self.ps, Some(&self.force)))
+    }
+
+    fn pending_kick(&mut self) -> &mut f64 {
+        &mut self.pending_kick
+    }
+}
+
 /// What the scenario engine contributes to the shared step: the serial
 /// periodic or isolated Poisson solve of its force law.
 impl strang::Driver for KineticSimulation {
     fn background(&self) -> &Background {
         &self.background
-    }
-
-    fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
-        Some((&mut self.ps, Some(&self.force)))
     }
 
     fn solve(&mut self, t: f64) {

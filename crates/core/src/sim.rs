@@ -3,15 +3,20 @@
 //! and the CDM particles.
 //!
 //! One step from `a₁` to `a₂` follows the paper's Eq. (5) for the neutrinos —
-//! velocity half-sweeps, spatial full sweeps, velocity half-sweeps — run in
-//! lockstep with a KDK leapfrog for the CDM particles, with **one** shared
-//! gravity solve per step (forces are cached across the step boundary):
+//! velocity sweeps, spatial full sweeps, and a trailing velocity half kick
+//! left pending — run in lockstep with a KDK leapfrog for the CDM particles,
+//! with **one** shared gravity solve per step (forces are cached across the
+//! step boundary):
 //!
 //! ```text
-//! ν:   Dux(K₁) Duy(K₁) Duz(K₁) · Dx(D) Dy(D) Dz(D) · Dux(K₂) Duy(K₂) Duz(K₂)
-//! CDM: kick(K₁)                 · drift(D)          · kick(K₂)
-//!                                 ↑ gravity recomputed here (positions at a₂)
+//! ν:   Dux Duy Duz(pending + K₁) · Dx(D) Dy(D) Dz(D) · pending = K₂
+//! CDM: kick(pending + K₁)         · drift(D)          · pending = K₂
+//!                                   ↑ gravity recomputed here (positions at a₂)
 //! ```
+//!
+//! The last step's `K₂` and this step's `K₁` multiply the same cached force,
+//! so they run as one kick; [`HybridSimulation::synchronize`] applies the
+//! pending one where a reader needs velocities at `a₂`.
 //!
 //! `D = ∫dt/a²` and `K = ∫dt` are the exact background integrals, so both
 //! components see identical drift/kick phases.
@@ -54,6 +59,8 @@ pub struct HybridSimulation {
     tree_walk: WalkStats,
     /// Cached force fields -∂φ/∂x at Vlasov cell centres.
     nu_force: Option<[Field3; 3]>,
+    /// The kick factor `nu_force` and `cdm_accel` still owe the state.
+    pending_kick: f64,
     /// FD thermal velocity in code units.
     pub u_thermal_code: f64,
 }
@@ -151,6 +158,7 @@ impl HybridSimulation {
             cdm_accel: Vec::new(),
             tree_walk: WalkStats::default(),
             nu_force: None,
+            pending_kick: 0.0,
             u_thermal_code,
         };
         sim.compute_gravity();
@@ -240,7 +248,8 @@ impl HybridSimulation {
         }
     }
 
-    /// Advance one full Strang-split step. Returns the record.
+    /// Advance one full Strang-split step, its trailing half kick left
+    /// pending. Returns the record.
     pub fn step(&mut self) -> &StepRecord {
         let scope = StepScope::begin(self.step_count as u64 + 1);
         let (policy, a1) = (self.policy(), self.a);
@@ -292,7 +301,17 @@ impl HybridSimulation {
         self.records.last().unwrap()
     }
 
-    /// Total canonical momentum: CDM `m Σu` plus the ν momentum integral.
+    /// Apply the last step's pending half kick to the neutrinos and the CDM
+    /// particles, so velocities are those at `a`. A second call is a no-op;
+    /// the next step runs the unmerged `K₁ · D · solve · K₂` sequence.
+    pub fn synchronize(&mut self) {
+        let policy = self.policy();
+        strang::synchronize(self, &policy);
+    }
+
+    /// Total canonical momentum of the state as it stands: CDM `m Σu` plus
+    /// the ν momentum integral (before the pending kick unless
+    /// [`HybridSimulation::synchronize`] ran).
     pub fn total_momentum(&self) -> [f64; 3] {
         self.momentum_with(self.neutrinos.as_ref().map(moments::step_sums))
     }
@@ -321,11 +340,12 @@ impl HybridSimulation {
             self.a,
             self.config.cosmology.omega_nu(),
         );
-        // Both halves of the cached gravity ride along, so a restore
-        // continues bit for bit instead of re-solving.
+        // Both halves of the cached gravity and the kick they still owe ride
+        // along, so a restore continues bit for bit instead of re-solving.
         let records = strang::records(
             self.neutrinos.as_ref(),
             self.nu_force.as_ref(),
+            &self.pending_kick,
             &state,
             self.cdm.as_ref().map(|cdm| (cdm, &self.cdm_accel[..])),
         );
@@ -351,8 +371,8 @@ impl HybridSimulation {
     }
 
     /// Restore state from the newest intact generation in `store`, cached
-    /// gravity included, so the next step equals the uninterrupted run's bit
-    /// for bit. Returns the restored step count. On error the simulation is
+    /// gravity and the pending kick included, so the next step equals the
+    /// uninterrupted run's bit for bit. Returns the restored step count. On error the simulation is
     /// left as it was.
     ///
     /// The simulation must have been built with the same configuration that
@@ -368,6 +388,7 @@ impl HybridSimulation {
         }
         self.a = saved.state.a;
         self.step_count = saved.state.step as usize;
+        self.pending_kick = saved.pending_kick;
         self.records.truncate(self.step_count);
         // The saved gravity of each component present; a generation that
         // lacks either (written by an older build) re-solves both.
@@ -385,6 +406,7 @@ impl HybridSimulation {
     }
 
     /// Run until redshift `z_final`, invoking `callback` after every step.
+    /// The last step's half kick stays pending, as after [`Self::step`].
     pub fn run_to_redshift<F: FnMut(&HybridSimulation)>(&mut self, z_final: f64, mut callback: F) {
         let a_final = 1.0 / (1.0 + z_final);
         while self.a < a_final - 1e-9 {
@@ -403,21 +425,16 @@ fn scaled(f: &Field3, s: f64) -> Field3 {
     out
 }
 
-/// What the hybrid run contributes to the shared step: the TreePM + PM-mesh
-/// gravity solve and the CDM particles riding along as the companion species.
-impl strang::Driver for HybridSimulation {
-    fn background(&self) -> &Background {
-        &self.background
-    }
-
+/// What a hybrid kick touches: the neutrinos with their cached force, and the
+/// CDM particles riding along as the companion species.
+impl strang::Kicks for HybridSimulation {
     fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)> {
         let force = self.nu_force.as_ref();
         self.neutrinos.as_mut().map(|nu| (nu, force))
     }
 
-    fn solve(&mut self, a: f64) {
-        self.a = a;
-        self.compute_gravity();
+    fn pending_kick(&mut self) -> &mut f64 {
+        &mut self.pending_kick
     }
 
     fn kick_companion(&mut self, kick: f64) {
@@ -425,6 +442,19 @@ impl strang::Driver for HybridSimulation {
             let _s = span!("kick.cdm", Bucket::Other);
             integrator::kick(cdm, &self.cdm_accel, kick);
         }
+    }
+}
+
+/// What the hybrid run contributes to the shared step: the TreePM + PM-mesh
+/// gravity solve and the CDM drift.
+impl strang::Driver for HybridSimulation {
+    fn background(&self) -> &Background {
+        &self.background
+    }
+
+    fn solve(&mut self, a: f64) {
+        self.a = a;
+        self.compute_gravity();
     }
 
     fn drift_companion(&mut self, drift: f64) {

@@ -1,19 +1,35 @@
-//! The one Strang-split step behind every driver (paper Eq. 5):
+//! The one Strang-split step behind every driver (paper Eq. 5), with each
+//! step's trailing half kick carried into the next step's leading one:
 //!
 //! ```text
-//! K₁ (force cached at t₁) · D (x, y, z sweeps) · solve at t₂ · K₂ (new force)
+//! K(pending + k₁) (force cached at t₁) · D (x, y, z sweeps) · solve at t₂ · pending = k₂
 //! ```
 //!
-//! **One** field solve per step: the force computed for `K₂` stays cached
-//! across the step boundary and drives the next step's Δt control and `K₁`. A
-//! driver that arrives without one (a fresh [`crate::DistributedVlasov`], a
-//! checkpoint without force meshes) pays one extra solve in its first step.
+//! Step n's `K(k₂)` and step n+1's `K(k₁′)` multiply the same cached force,
+//! and nothing reads `f` between them, so they run as one kick of
+//! `k₂ + k₁′`: three velocity sweeps per step instead of six, 6 SL-MPP5
+//! sweeps per step in place of 9. The factor still owed stays *pending*
+//! beside the force it multiplies (the hybrid's CDM kick too). Each driver's
+//! `synchronize()` applies it ([`synchronize`]); nothing else does — not a
+//! step, a run to an end time or a checkpoint — so a run's bits never
+//! depend on who observed it. A synchronized driver (pending `0`) steps
+//! exactly the unmerged `K₁ · D · solve · K₂` sequence, since
+//! `0 + k₁ == k₁`. Between steps `f` is the state *before* `K₂`: densities
+//! are the synchronized ones (a kick moves no mass between spatial cells),
+//! velocity moments are not.
+//!
+//! **One** field solve per step: the force computed at `t₂` stays cached
+//! across the step boundary and drives the next step's Δt control and its
+//! merged kick. A driver that arrives without one (a fresh
+//! [`crate::DistributedVlasov`], a checkpoint without force meshes) pays one
+//! extra solve in its first step.
 //!
 //! This module owns the step *policy* — Δt controller, kick and drift loops,
 //! their sequencing, the checkpoint records. The drivers are façades that
 //! contribute through [`Driver`] only what really differs: the field solve,
 //! the sweep along the decomposed axis, the cross-rank maximum, and the
-//! companion species riding along (the hybrid's CDM particles).
+//! companion species riding along (the hybrid's CDM particles); and through
+//! [`Kicks`] what a kick touches.
 
 use crate::scenario::dynamics::TimeAxis;
 use vlasov6d_advection::line::Scheme;
@@ -32,7 +48,12 @@ pub(crate) struct Policy {
     pub exec: Exec,
     /// Spatial CFL cap (must stay below 1 for the ghost width).
     pub cfl_spatial: f64,
-    /// Velocity CFL cap of one half kick.
+    /// Velocity CFL cap of one half kick, `fmax · k₁ / du_min`. The merged
+    /// kick `pending + k₁` that runs shifts about twice as far (`k₂ ≈ k₁′`),
+    /// up to twice the cap. That is safe: a velocity sweep takes any shift
+    /// (the integer part is an index shift, only the fraction is
+    /// interpolated), and one interpolation over the merged shift errs no
+    /// more than two over its halves.
     pub cfl_velocity: f64,
     /// Per-step ceiling: `Δln a` on an expanding axis, `Δt` on a static one.
     pub max_step: f64,
@@ -76,13 +97,24 @@ impl Limiter {
     }
 }
 
-/// What a driver contributes to the shared step.
-pub(crate) trait Driver {
-    fn background(&self) -> &Background;
-
+/// What a kick touches: the Vlasov component with its cached force, the
+/// companion species, and the kick factor still owed to both.
+pub(crate) trait Kicks {
     /// The Vlasov component, if the run carries one, with the force cached by
     /// the last [`Driver::solve`] (`None` before the first).
     fn vlasov(&mut self) -> Option<(&mut PhaseSpace, Option<&[Field3; 3]>)>;
+
+    /// The trailing half kick of the last step, not yet applied (`0` when
+    /// synchronized).
+    fn pending_kick(&mut self) -> &mut f64;
+
+    /// Kick the companion species in lockstep with the velocity sweeps.
+    fn kick_companion(&mut self, _kick: f64) {}
+}
+
+/// What a driver contributes to the shared step.
+pub(crate) trait Driver: Kicks {
+    fn background(&self) -> &Background;
 
     /// Move the clock to `t` and solve the field there: refresh the cached
     /// `−∇φ` on the (local) spatial grid and the companion's accelerations.
@@ -100,12 +132,12 @@ pub(crate) trait Driver {
         x
     }
 
-    /// Kick / drift the companion species in lockstep with the sweeps.
-    fn kick_companion(&mut self, _kick: f64) {}
+    /// Drift the companion species in lockstep with the spatial sweeps.
     fn drift_companion(&mut self, _drift: f64) {}
 }
 
-/// Advance `d` one Strang step from `t1`; its clock ends at the returned `t2`.
+/// Advance `d` one Strang step from `t1`; its clock ends at the returned `t2`
+/// with the step's trailing half kick pending.
 pub(crate) fn step<D: Driver>(d: &mut D, p: &Policy, t1: f64) -> Interval {
     if matches!(d.vlasov(), Some((_, None))) {
         d.solve(t1);
@@ -124,19 +156,31 @@ pub(crate) fn step<D: Driver>(d: &mut D, p: &Policy, t1: f64) -> Interval {
         let fmax = d.reduce_max(fmax);
         choose_interval(p, d.background(), t1, vmax, n_max, fmax, du_min)
     };
-    kick(d, p, interval.k1);
+    let leading = *d.pending_kick() + interval.k1;
+    kick(d, p, leading);
     drift(d, p, interval.drift);
     d.solve(interval.t2);
-    kick(d, p, interval.k2);
+    *d.pending_kick() = interval.k2;
     interval
+}
+
+/// Apply the pending half kick with the cached force, leaving nothing
+/// pending; a synchronized driver is left untouched.
+pub(crate) fn synchronize<K: Kicks>(d: &mut K, p: &Policy) {
+    let pending = std::mem::take(d.pending_kick());
+    if pending != 0.0 {
+        kick(d, p, pending);
+    }
 }
 
 /// The Δt controller: propose the policy's ceiling (an expanding axis never
 /// steps past `a = 1`), then halve until the spatial limit
 /// `vmax · D · n_max ≤ cfl_spatial` and the half-kick velocity limit
 /// `fmax · K½ / du_min ≤ cfl_velocity` both hold, and say which bound set
-/// the length ([`Limiter`]). After 60 halvings the interval has underflowed
-/// and the sweeps' own CFL checks report why.
+/// the length ([`Limiter`]). `K½` is one half kick; the merged kick that
+/// runs may shift about twice as far ([`Policy::cfl_velocity`] says why that
+/// is safe). After 60 halvings the interval has underflowed and the sweeps'
+/// own CFL checks report why.
 pub(crate) fn choose_interval(
     p: &Policy,
     bg: &Background,
@@ -182,7 +226,7 @@ pub(crate) fn choose_interval(
 
 /// Velocity sweeps with `cfl = −∂φ/∂x_d · K / Δu_d` from the cached force,
 /// then the companion's kick.
-fn kick<D: Driver>(d: &mut D, p: &Policy, kick: f64) {
+fn kick<K: Kicks>(d: &mut K, p: &Policy, kick: f64) {
     if let Some((ps, Some(force))) = d.vlasov() {
         let _s = span!("kick", Bucket::Vlasov);
         for axis in 0..3 {
@@ -225,6 +269,9 @@ pub(crate) struct Saved {
     pub force: Option<[Field3; 3]>,
     /// A hybrid run's cached CDM accelerations, when saved.
     pub cdm_accel: Option<Vec<[f64; 3]>>,
+    /// The kick factor the saved `f` (and particles) still owe; `0` for a
+    /// generation that holds none — it was written synchronized.
+    pub pending_kick: f64,
 }
 
 /// Names of the cached-force meshes, by axis.
@@ -232,6 +279,8 @@ const FORCE_NAMES: [&str; 3] = ["force0", "force1", "force2"];
 /// Name of the mesh (dims `[n, 3, 1]`) holding a hybrid run's cached CDM
 /// accelerations.
 const CDM_ACCEL_NAME: &str = "cdm_accel";
+/// Name of the mesh (dims `[1, 1, 1]`) holding the pending kick factor.
+const PENDING_KICK_NAME: &str = "pending_kick";
 
 /// Wire value of an advection scheme inside [`SimState`] records.
 fn scheme_to_u8(s: Scheme) -> u8 {
@@ -270,21 +319,28 @@ pub(crate) fn sim_state(p: &Policy, step: u64, tag_counter: u64, t: f64, slot: f
 }
 
 /// The records of a stepper checkpoint, borrowed from the driver's own
-/// storage: the distribution function, the [`SimState`] and — when `force`
-/// is given — the cached force as three named meshes. The solve runs
-/// *before* the second kick, whose velocity-boundary outflow perturbs the
-/// density in its last ulps, so a force recomputed from the saved
-/// distribution is right to rounding but bitwise wrong; with the meshes a
-/// resumed run continues bit for bit. A hybrid run adds its particles and
-/// the CDM accelerations of the same solve.
+/// storage: the distribution function as it stands (before the pending
+/// kick), the [`SimState`], the pending kick factor as a one-cell mesh and
+/// — when `force` is given — the cached force as three named meshes. The
+/// solve runs *before* the trailing kick, whose velocity-boundary outflow
+/// perturbs the density in its last ulps, so a force recomputed from the
+/// saved distribution is right to rounding but bitwise wrong; with the
+/// meshes a resumed run continues bit for bit. A hybrid run adds its
+/// particles and the CDM accelerations of the same solve.
 pub(crate) fn records<'a>(
     ps: Option<&'a PhaseSpace>,
     force: Option<&'a [Field3; 3]>,
+    pending_kick: &'a f64,
     state: &'a SimState,
     cdm: Option<(&'a ParticleSet, &'a [[f64; 3]])>,
 ) -> Vec<RecordRef<'a>> {
     let mut records: Vec<RecordRef<'a>> = ps.map(RecordRef::PhaseSpace).into_iter().collect();
     records.push(RecordRef::SimState(state));
+    records.push(RecordRef::FieldMesh {
+        name: PENDING_KICK_NAME,
+        dims: [1, 1, 1],
+        data: std::slice::from_ref(pending_kick),
+    });
     for (name, f) in FORCE_NAMES.into_iter().zip(force.into_iter().flatten()) {
         records.push(RecordRef::FieldMesh {
             name,
@@ -314,6 +370,7 @@ pub(crate) fn restore(loaded: LoadedCheckpoint, need_ps: bool) -> Result<Saved, 
         detail: format!("generation {generation} holds no {what} record"),
     };
     let (mut ps, mut particles, mut state, mut cdm_accel) = (None, None, None, None);
+    let mut pending_kick = 0.0;
     let mut force: [Option<Field3>; 3] = [None, None, None];
     for r in loaded.records {
         match r {
@@ -323,6 +380,9 @@ pub(crate) fn restore(loaded: LoadedCheckpoint, need_ps: bool) -> Result<Saved, 
             Record::FieldMesh { name, field } if name == CDM_ACCEL_NAME => {
                 let rows = field.as_slice().chunks_exact(3);
                 cdm_accel = Some(rows.map(|a| [a[0], a[1], a[2]]).collect());
+            }
+            Record::FieldMesh { name, field } if name == PENDING_KICK_NAME => {
+                pending_kick = field.as_slice().first().copied().unwrap_or(0.0);
             }
             Record::FieldMesh { name, field } => {
                 if let Some(axis) = FORCE_NAMES.iter().position(|n| *n == name) {
@@ -345,6 +405,7 @@ pub(crate) fn restore(loaded: LoadedCheckpoint, need_ps: bool) -> Result<Saved, 
             _ => None,
         },
         cdm_accel,
+        pending_kick,
     })
 }
 

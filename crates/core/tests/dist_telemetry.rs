@@ -50,7 +50,8 @@ fn two_rank_run_emits_consistent_jsonl_telemetry() {
             assert!(fold >= 0.5 * wall, "spans cover only {fold} of {wall} s");
 
             // Expected structure: one gravity solve (plus the cache-filling
-            // one on the first step), one drift, two kicks.
+            // one on the first step), one drift, one kick (the trailing half
+            // kick stays pending and runs inside the next step's).
             let names: Vec<&str> = telemetry
                 .spans
                 .roots
@@ -63,7 +64,7 @@ fn two_rank_run_emits_consistent_jsonl_telemetry() {
                 "roots: {names:?}"
             );
             assert!(names.contains(&"drift"), "roots: {names:?}");
-            assert_eq!(names.iter().filter(|n| **n == "kick").count(), 2);
+            assert_eq!(names.iter().filter(|n| **n == "kick").count(), 1);
             // The distributed sweep nests inside the drift span, and the
             // Poisson solve inside gravity.
             let drift = telemetry

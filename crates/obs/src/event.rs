@@ -39,7 +39,8 @@ pub struct StepEvent {
     pub nu_mass: f64,
     /// Global minimum of f (positivity check).
     pub f_min: f64,
-    /// Total momentum components (conservation check).
+    /// Total momentum components (conservation check), of the state before
+    /// the step's trailing half kick, which the stepper leaves pending.
     pub momentum: [f64; 3],
 }
 

@@ -53,7 +53,9 @@ fn main() {
         }
     });
 
-    // Final-state summary.
+    // Final-state summary, with the last step's pending half kick applied
+    // so the velocities are those at the final redshift.
+    sim.synchronize();
     let nu_rho = sim.neutrino_density().expect("neutrinos enabled");
     let cdm_rho = sim.cdm_density().expect("CDM enabled");
     let nu_contrast = nu_rho.max_abs() / nu_rho.mean() - 1.0;

@@ -133,6 +133,7 @@ fn hybrid_momentum_is_conserved() {
     let mut sim = HybridSimulation::new(config);
     let p0 = sim.total_momentum();
     sim.run_to_redshift(3.0, |_| {});
+    sim.synchronize();
     let p1 = sim.total_momentum();
     // Scale: typical per-component momentum magnitude.
     let scale = sim.cdm.as_ref().unwrap().rms_speed() * sim.cdm.as_ref().unwrap().total_mass();

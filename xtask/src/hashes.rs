@@ -13,6 +13,13 @@
 //! * `plasma_two_stream` — `plasma::two_stream_with([32, 4, 4], 64)`, 20
 //!   steps.
 //!
+//! Each configuration prints two rows. The plain one is the merged-kick
+//! trajectory the drivers run, fingerprinted after a final
+//! `synchronize()`. The `.synced` one calls `synchronize()` after every
+//! step, which makes each step the unmerged `K₁ · D · solve · K₂` sequence
+//! (`0 + k₁ == k₁`): its pins are the fingerprints of the stepper before
+//! the kicks were merged.
+//!
 //! A change that claims "same bits" must print the [`PINNED`] values;
 //! `--check` fails otherwise. A change that moves bits on purpose moves
 //! the pins and says so.
@@ -28,11 +35,15 @@ use vlasov6d_mpisim::Universe;
 use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
 /// The published fingerprints, in print order.
-const PINNED: [(&str, u64); 4] = [
-    ("hybrid16", 0x1292_e7b6_cafa_64c0),
-    ("dist2.rank0", 0x302b_935b_f9fd_1345),
-    ("dist2.rank1", 0x7cf6_7cb8_ac2b_ff20),
-    ("plasma_two_stream", 0x0634_0074_ec9c_5925),
+const PINNED: [(&str, u64); 8] = [
+    ("hybrid16", 0x0201_07b1_943a_85bc),
+    ("dist2.rank0", 0x08d2_de74_1a9f_60bd),
+    ("dist2.rank1", 0xbd84_0eae_e19c_7500),
+    ("plasma_two_stream", 0x3ddf_8cf6_2972_9ea5),
+    ("hybrid16.synced", 0x1292_e7b6_cafa_64c0),
+    ("dist2.rank0.synced", 0x302b_935b_f9fd_1345),
+    ("dist2.rank1.synced", 0x7cf6_7cb8_ac2b_ff20),
+    ("plasma_two_stream.synced", 0x0634_0074_ec9c_5925),
 ];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -48,14 +59,20 @@ fn fnv_f32(h: u64, values: &[f32]) -> u64 {
     fnv(h, values.iter().map(|v| u64::from(v.to_bits())))
 }
 
-fn hybrid16() -> u64 {
+/// `sim`'s five steps, synchronized after each when `every_step`, and
+/// always at the end.
+fn hybrid16(every_step: bool) -> u64 {
     let mut sim = HybridSimulation::new(SimulationConfig {
         n_cdm: 24,
         ..SimulationConfig::laptop_s()
     });
     for _ in 0..5 {
         sim.step();
+        if every_step {
+            sim.synchronize();
+        }
     }
+    sim.synchronize();
     let nu = sim.neutrinos.as_ref().map_or(&[][..], |nu| nu.as_slice());
     let pos = sim.cdm.as_ref().map_or(&[][..], |cdm| &cdm.pos[..]);
     let h = fnv_f32(FNV_OFFSET, nu);
@@ -64,7 +81,7 @@ fn hybrid16() -> u64 {
 }
 
 /// Rank 0's and rank 1's block fingerprints of the `dist2` run.
-fn dist2(overlap: OverlapPolicy) -> [u64; 2] {
+fn dist2(overlap: OverlapPolicy, every_step: bool) -> [u64; 2] {
     let sglobal = [32, 16, 16];
     let hashes = Universe::run(2, move |comm| {
         let decomp = Decomp3::new(sglobal, [comm.size(), 1, 1]);
@@ -85,17 +102,25 @@ fn dist2(overlap: OverlapPolicy) -> [u64; 2] {
             DistributedVlasov::new(comm, block, background, 0.2, 1.0).with_overlap(overlap);
         for _ in 0..4 {
             sim.step(comm);
+            if every_step {
+                sim.synchronize();
+            }
         }
+        sim.synchronize();
         fnv_f32(FNV_OFFSET, sim.ps.as_slice())
     });
     [hashes[0], hashes[1]]
 }
 
-fn plasma_two_stream() -> u64 {
+fn plasma_two_stream(every_step: bool) -> u64 {
     let mut sim = plasma::two_stream_with([32, 4, 4], 64).build();
     for _ in 0..20 {
         sim.step();
+        if every_step {
+            sim.synchronize();
+        }
     }
+    sim.synchronize();
     fnv_f32(FNV_OFFSET, sim.phase_space().as_slice())
 }
 
@@ -108,21 +133,31 @@ pub fn hashes(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let [r0, r1] = dist2(OverlapPolicy::Overlapped);
-    let synchronous = dist2(OverlapPolicy::Synchronous);
-    let got = [hybrid16(), r0, r1, plasma_two_stream()];
+    let [r0, r1] = dist2(OverlapPolicy::Overlapped, false);
+    let synchronous = dist2(OverlapPolicy::Synchronous, false);
+    let [s0, s1] = dist2(OverlapPolicy::Overlapped, true);
+    let got = [
+        hybrid16(false),
+        r0,
+        r1,
+        plasma_two_stream(false),
+        hybrid16(true),
+        s0,
+        s1,
+        plasma_two_stream(true),
+    ];
     let mut ok = true;
     for ((name, pinned), h) in PINNED.iter().zip(got) {
         if h == *pinned {
-            println!("{name:<18} {h:016x}");
+            println!("{name:<24} {h:016x}");
         } else {
-            println!("{name:<18} {h:016x}  (pinned {pinned:016x})");
+            println!("{name:<24} {h:016x}  (pinned {pinned:016x})");
             ok = false;
         }
     }
     if synchronous != [r0, r1] {
         println!(
-            "dist2 synchronous  {:016x} / {:016x} differs from overlapped",
+            "dist2 synchronous        {:016x} / {:016x} differs from overlapped",
             synchronous[0], synchronous[1]
         );
         ok = false;
