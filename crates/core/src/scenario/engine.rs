@@ -23,8 +23,9 @@ use crate::strang;
 
 /// Per-step diagnostics of a kinetic scenario run: of the state as it
 /// stands, before the step's trailing half kick `K₂`, which stays pending.
-/// Mass, density and `potential` are unaffected by it; `momentum`,
-/// `kinetic` and `energy` are those at `t` only after
+/// Mass and density change under it only by what flows out through the
+/// velocity boundary; `momentum`, `kinetic` and `energy` are those at `t`
+/// only after
 /// [`KineticSimulation::synchronize`].
 #[derive(Debug, Clone, Copy)]
 pub struct KineticDiag {
