@@ -48,8 +48,13 @@
 //! `f32x16`) and, for the flux body, `avx512f` (one 512-bit register per
 //! `f32x16`). [`Isa::detect`] picks the entry from the CPU the process runs
 //! on; which *width* runs is not the CPU's to decide but the sweep plan's —
-//! two bundles of a task that share a shift are one `f32x16` on every host.
-//! No shim asks for `fma` (`avx512f` implies it to LLVM, which still never
+//! a spatial sweep loads sixteen consecutive velocity cells per `f32x16` on
+//! every host (two bundles at one shift, or a strip whose lanes each take
+//! their own, [`crate::lanes::LaneShifts`]), and a velocity sweep two
+//! bundles of a block. A strip's per-lane work — its `up` gathered by
+//! [`Lanes::select`] from each lane's window offset, its reversed lanes
+//! mirrored back — runs inside the same shims as the body, so the selects
+//! are full-width too. No shim asks for `fma` (`avx512f` implies it to LLVM, which still never
 //! contracts: Rust does not allow it to), so every lane operation stays an
 //! individually rounded IEEE operation, every entry produces the same bits
 //! at either width, and a run is reproducible across hosts. A fused variant
@@ -64,16 +69,15 @@
 //! Fig. 3 operation at width 8: an 8×8 f32 block held in eight lane
 //! registers. Written as array exchanges (Eklundh, `8·log₂8 = 24` steps) it
 //! compiled to 64 scalar loads and 64 scalar stores through the stack on
-//! either ISA, which held the spatial `z` sweep and the `u_z` LAT staging at
-//! half the speed of the packed directions. On x86-64 it is now SSE
+//! either ISA, which held the `u_z` LAT staging at half the speed of the
+//! packed directions. On x86-64 it is now SSE
 //! `unpcklps`/`unpckhps`/`movlhps`/`movhlps` on the four 4×4 quadrants —
 //! baseline instructions, so there is nothing to dispatch and no second path
 //! on that target; the exchange loop is the body everywhere else and the
 //! reference the bit-pattern test holds the intrinsics to. It is data
 //! movement only, so no trajectory bit depends on which body ran. To check:
-//! `ghosted_tile_task` (the spatial `z` sweep's tile body, periodic or
-//! ghosted) in the same disassembly shows the four shuffles and no run of
-//! `movss`.
+//! `sweep_block_lat` (the `u_z` LAT body) in the same disassembly shows the
+//! four shuffles and no run of `movss`.
 
 use crate::flux::Value;
 
@@ -133,6 +137,13 @@ pub trait Lanes: Value<Out = Self> + Copy {
     fn lanes(&self) -> &[f32];
     /// The lanes in order, writable.
     fn lanes_mut(&mut self) -> &mut [f32];
+    /// A set of lanes, as [`Lanes::select`] takes it.
+    type Mask: Copy;
+    /// The lanes `l` for which `set(l)` holds.
+    fn mask(set: impl Fn(usize) -> bool) -> Self::Mask;
+    /// `a` in the lanes of `mask`, `b` in the others — bitwise, so every
+    /// pattern (signed zeros, NaN payloads) passes unchanged.
+    fn select(mask: &Self::Mask, a: &Self, b: &Self) -> Self;
 }
 
 /// `−0` where `neg`, else `r`. Where the limiter asks for it `r` is `+0`, so
@@ -319,6 +330,23 @@ macro_rules! lane_type {
             #[inline(always)]
             fn lanes_mut(&mut self) -> &mut [f32] {
                 &mut self.0
+            }
+            /// All-ones bits in the lanes of the set, zeros elsewhere.
+            type Mask = [u32; $n];
+            fn mask(set: impl Fn(usize) -> bool) -> [u32; $n] {
+                core::array::from_fn(|l| if set(l) { u32::MAX } else { 0 })
+            }
+            /// `(a & mask) | (b & !mask)` lane by lane: an and, an and-not
+            /// and an or per register — an explicit lane loop, as in
+            /// `minmod`.
+            #[inline(always)]
+            fn select(mask: &[u32; $n], a: &Self, b: &Self) -> Self {
+                let mut r = *b;
+                for i in 0..$n {
+                    let (a, b) = (a.0[i].to_bits(), b.0[i].to_bits());
+                    r.0[i] = f32::from_bits((a & mask[i]) | (b & !mask[i]));
+                }
+                r
             }
         }
     };

@@ -868,6 +868,41 @@ mod tests {
         }
     }
 
+    /// The first step record of a 2-rank run says which task shape each axis
+    /// ran, on every rank and any host: on an `8³` velocity grid bundle
+    /// pairs along `x`, `u_x` and `u_y`, strips along `y` and `z`, gathers
+    /// along `u_z`.
+    #[test]
+    fn first_step_records_the_kernel_shape_on_two_ranks() {
+        let sglobal = [8usize, 4, 4];
+        let vg = VelocityGrid::cubic(8, 0.6);
+        let shapes = Universe::run(2, move |comm| {
+            let decomp = Decomp3::new(sglobal, [comm.size(), 1, 1]);
+            let mut local = PhaseSpace::zeros_block(
+                decomp.local_dims(comm.rank()),
+                decomp.local_offset(comm.rank()),
+                sglobal,
+                vg,
+            );
+            local.fill_with(fill);
+            let bg = Background::new(CosmologyParams::planck2015());
+            let mut sim = DistributedVlasov::new(comm, local, bg, 0.2, 1.0);
+            let (_, dt, telemetry) = sim.step_traced(comm);
+            let e = sim.step_event(comm, dt, &telemetry, None);
+            let shape = e.metrics.iter().find(|(name, _)| name == "kernel.shape");
+            let Some((_, MetricValue::Text(axes))) = shape else {
+                panic!("no kernel.shape: {:?}", e.metrics)
+            };
+            axes.clone()
+        });
+        for axes in shapes {
+            assert_eq!(
+                axes,
+                "x:packed16 y:mixed16 z:mixed16 ux:packed16 uy:packed16 uz:gather16"
+            );
+        }
+    }
+
     /// `step_event`'s conservation diagnostics are one `step_sums` pass per
     /// rank and one rank-ordered reduction: the same bits on every rank and
     /// under either overlap policy (the fields are), and the 1-rank value to

@@ -31,8 +31,8 @@ pub(crate) fn king_sphere_with(sdims: [usize; 3], nv: usize) -> KineticScenario 
     let model = KingModel::solve(1.0, 0.15, 6.0, 1.0);
     let coupling = model.coupling;
     // The cubic velocity grid covers the escape speed with margin; at the
-    // registered `nv = 8` every bundle is packed or an 8×8 tile, the shapes
-    // the thin plasma grids do not reach.
+    // registered `nv = 8` every velocity bundle is packed or LAT-staged,
+    // the shapes the thin plasma grids do not reach.
     let vmax = 1.2 * model.v_escape();
     let spheres = vec![KingSpherePlacement {
         center: [0.5; 3],

@@ -248,6 +248,19 @@ mod tests {
         assert!(oracle.t_end < 45.0, "t_end = {}", oracle.t_end);
     }
 
+    /// The two-stream engine's `kernel.shape`, pinned on any host: on its
+    /// `[nv, 4, 4]` velocity grid bundle pairs run along `x` and `u_x`,
+    /// strips with a shift per lane along `y` and `z`, gathers along `u_y`
+    /// and `u_z`.
+    #[test]
+    fn two_stream_sweeps_run_strips_along_y_and_z() {
+        let sim = two_stream().build();
+        assert_eq!(
+            sim.lane_shapes(),
+            "x:packed16 y:mixed16 z:mixed16 ux:packed16 uy:gather16 uz:gather16"
+        );
+    }
+
     #[test]
     fn velocity_grids_resolve_the_thermal_scale() {
         for sc in [landau_damping(), two_stream(), bump_on_tail()] {

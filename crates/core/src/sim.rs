@@ -550,7 +550,7 @@ mod tests {
             matches!(first.as_slice(), [(name, MetricValue::Text(isa)), (shape, MetricValue::Text(axes)), _, _]
                 if name == "kernel.isa" && ["avx512f", "avx2", "baseline"].contains(&isa.as_str())
                     && shape == "kernel.shape"
-                    && axes == "x:packed16 y:packed8 z:tile8 ux:packed16 uy:packed16 uz:gather16"),
+                    && axes == "x:packed16 y:mixed16 z:mixed16 ux:packed16 uy:packed16 uz:gather16"),
             "{first:?}"
         );
         let later = nu_only.step().metrics.clone();

@@ -10,11 +10,13 @@
 //! — which replays single tasks and compares observed writes against the
 //! declared plan — fails.
 //!
-//! Plans come in three shapes, mirroring the paper's three access patterns:
-//! a strided [`Line`] (scalar pencils), a [`Bundle`] of eight lines that
-//! share the sweep's shift (Fig. 1 packed SIMD where their cells are
-//! adjacent in memory, Fig. 2 element gathers where they are not), and a
-//! strided [`Tile`] pencil of 8×8 blocks (Fig. 3 load-and-transpose).
+//! Plans come in three shapes, mirroring the paper's access patterns: a
+//! strided [`Line`] (scalar pencils), a [`Bundle`] of eight lines that share
+//! a shift (Fig. 1 packed SIMD where their cells are adjacent in memory,
+//! Fig. 2 element gathers where they are not — velocity sweeps only), and a
+//! [`Strip`]: sixteen consecutive cells of a velocity block carried along a
+//! spatial pencil, every lane at its own shift — one packed load per cell
+//! whatever the shifts.
 //!
 //! **The bundle rule** ([`Bundles`]). Which lines may share a bundle is a
 //! property of the sweep, not of the layout: a spatial sweep along `d` shifts
@@ -22,19 +24,25 @@
 //! every line of a cell's block alike. So the *free* axes — every axis but
 //! the swept one and, for spatial sweeps, the conjugate one — are flattened
 //! in layout order (last axis fastest) and group `g` holds free indices
-//! `8g … 8g+7`, advected at every `iu_d` in turn. [`Exec::resolve`] runs
-//! lanes whenever the free *velocity* extents multiply to a multiple of
-//! [`LANES`] — a rule about the velocity grid alone, under which a bundle
-//! never leaves its spatial cell:
+//! `8g … 8g+7`, advected at every `iu_d` in turn.
 //!
-//! | sweep | free axes | lanes when | packed when |
-//! |---|---|---|---|
-//! | `x` | `y z u_y u_z` | `nuy·nuz % 8 == 0` | always |
-//! | `y` | `x z u_x u_z` | `nux·nuz % 8 == 0` | `nuz % 8 == 0` |
-//! | `z` | `x y u_x u_y` | `nux·nuy % 8 == 0` | never (8×8 tiles instead where `nuy`, `nuz` divide by 8) |
-//! | `u_x` | `u_y u_z` | `nuy·nuz % 8 == 0` | always |
-//! | `u_y` | `u_x u_z` | `nux·nuz % 8 == 0` | `nuz % 8 == 0` |
-//! | `u_z` | `u_x u_y` | `nux·nuy % 8 == 0` | never (Fig. 2 rows; LAT where `nuy`, `nuz` divide by 8) |
+//! **The strip rule** ([`Strips`]). A spatial sweep needs no shared shift:
+//! its lanes take theirs one by one (`vlasov6d_advection::lanes::LaneShifts`).
+//! It pairs two packed bundles at one shift where sixteen consecutive cells
+//! share it — where the velocity axes after `u_d` hold whole runs of
+//! [`STRIP`] ([`spatial_pairs`]) — and runs strips everywhere else that a
+//! velocity block holds whole strips. [`Exec::resolve`] runs lanes by rules
+//! about the velocity grid alone, under which neither shape leaves its
+//! spatial cell:
+//!
+//! | sweep | lanes when | task |
+//! |---|---|---|
+//! | `x` | `nux·nuy·nuz % 16 == 0` | packed pairs where `nuy·nuz % 16 == 0`, strips otherwise |
+//! | `y` | `nux·nuy·nuz % 16 == 0` | packed pairs where `nuz % 16 == 0`, strips otherwise |
+//! | `z` | `nux·nuy·nuz % 16 == 0` | strips |
+//! | `u_x` | `nuy·nuz % 8 == 0` | packed bundles |
+//! | `u_y` | `nux·nuz % 8 == 0` | packed where `nuz % 8 == 0`, gathered otherwise |
+//! | `u_z` | `nux·nuy % 8 == 0` | gathered (Fig. 2 rows; LAT where `nuy`, `nuz` divide by 8) |
 
 use crate::sweep::Exec;
 use vlasov6d_advection::simd::LANES;
@@ -94,27 +102,103 @@ impl Bundle {
     }
 }
 
-/// A strided tile pencil: for each `i in 0..len` and row `r in 0..rows`,
-/// the `lanes` contiguous indices at `base + i*stride + r*row_stride`.
+/// Cells per strip: one `f32x16`, the paper's 16-lane register.
+pub const STRIP: usize = 2 * LANES;
+
+/// A strip pencil: for each `i in 0..len`, the [`STRIP`] consecutive indices
+/// from `base + i*stride`. Its lanes shift as lane pattern `pattern` of its
+/// [`Strips`] says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tile {
+pub struct Strip {
     pub base: usize,
     pub stride: usize,
     pub len: usize,
-    pub rows: usize,
-    pub row_stride: usize,
-    pub lanes: usize,
+    pub pattern: usize,
 }
 
-impl Tile {
-    pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).flat_map(move |i| self.cell_indices(i))
+impl Strip {
+    /// As [`Line::cell_indices`]: the [`STRIP`] indices of cell `i`.
+    pub fn cell_indices(&self, i: usize) -> std::ops::Range<usize> {
+        let at = self.base + i * self.stride;
+        at..at + STRIP
+    }
+}
+
+/// The strip partition of a spatial sweep along `d` (module doc): the axes
+/// other than `d` flattened in layout order, task `t` holding their indices
+/// `16t … 16t+15` along the whole pencil. A velocity block holds whole strips,
+/// so a strip never leaves its spatial cell, and lane `l` of strip `t` has
+/// the conjugate index of block cell `16t + l` (mod the block): strips repeat
+/// their lane patterns every `Strips::patterns` tasks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Strips {
+    stride: usize,
+    len: usize,
+    /// `(extent, stride)` of the conjugate axis inside a velocity block.
+    conj: (usize, usize),
+    count: usize,
+    patterns: usize,
+}
+
+impl Strips {
+    /// Spatial sweep along `d` of the 6-D array.
+    ///
+    /// # Panics
+    /// Panics unless the velocity block holds whole strips.
+    pub fn spatial(dims: &[usize; 6], d: usize) -> Self {
+        assert!(d < 3);
+        let vlen: usize = dims[3..].iter().product();
+        assert!(
+            vlen.is_multiple_of(STRIP),
+            "{vlen}-cell blocks hold no whole strips"
+        );
+        let stride = spatial_stride(dims, d);
+        let conj = (dims[3 + d], dims[4 + d..].iter().product::<usize>());
+        // A pattern repeats when the block cell advances by a common
+        // multiple of `STRIP` and the conjugate axis's period
+        // `extent · stride`.
+        let period = conj.0 * conj.1;
+        let (mut a, mut b) = (period, STRIP);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        Strips {
+            stride,
+            len: dims[d],
+            conj,
+            count: dims[..d].iter().product::<usize>() * stride / STRIP,
+            patterns: period / a,
+        }
     }
 
-    /// As [`Line::cell_indices`]: the `rows × lanes` indices of tile `i`.
-    pub fn cell_indices(&self, i: usize) -> impl Iterator<Item = usize> {
-        let (start, row_stride, lanes) = (self.base + i * self.stride, self.row_stride, self.lanes);
-        (0..self.rows).flat_map(move |r| (0..lanes).map(move |l| start + r * row_stride + l))
+    /// Number of tasks.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The number of distinct lane patterns: strip `t` shifts as strip
+    /// `t mod patterns()` — one pattern where the conjugate axis's period
+    /// divides 16.
+    pub(crate) fn patterns(&self) -> usize {
+        self.patterns
+    }
+
+    /// The conjugate velocity index of every lane of lane pattern `p`.
+    pub(crate) fn pattern(&self, p: usize) -> [usize; STRIP] {
+        let (n, stride) = self.conj;
+        core::array::from_fn(|l| (p * STRIP + l) / stride % n)
+    }
+
+    /// The strip pencil of task `task`.
+    pub fn task(&self, task: usize) -> Strip {
+        assert!(task < self.count, "task {task} out of range");
+        let flat = task * STRIP;
+        Strip {
+            base: flat / self.stride * self.len * self.stride + flat % self.stride,
+            stride: self.stride,
+            len: self.len,
+            pattern: task % self.patterns,
+        }
     }
 }
 
@@ -262,18 +346,28 @@ pub fn spatial_stride(dims: &[usize; 6], d: usize) -> usize {
     dims[d + 1..].iter().product()
 }
 
+/// Do the velocity axes after `u_d` hold whole runs of [`STRIP`] cells — do
+/// sixteen consecutive cells share a shift, so that a spatial sweep along `d`
+/// runs packed bundle pairs ([`Bundles::spatial`]) rather than strips
+/// ([`Strips::spatial`])? `x` on `nuy·nuz % 16 == 0`, `y` on
+/// `nuz % 16 == 0`, never `z`.
+pub fn spatial_pairs(dims: &[usize; 6], d: usize) -> bool {
+    assert!(d < 3);
+    dims[4 + d..]
+        .iter()
+        .product::<usize>()
+        .is_multiple_of(STRIP)
+}
+
 /// Number of parallel tasks `sweep_spatial` launches for `d` in the task
-/// shape `exec` ([`Exec::resolve`]'s answer: scalar pencils, bundles, or —
-/// along `z` only — 8×8 tiles).
+/// shape `exec` ([`Exec::resolve`]'s answer): scalar pencils, or lanes —
+/// packed bundle pairs where [`spatial_pairs`] says so, strips elsewhere.
 pub fn spatial_task_count(dims: &[usize; 6], d: usize, exec: Exec) -> usize {
     assert!(d < 3);
     match exec {
         Exec::Scalar => dims[..d].iter().product::<usize>() * spatial_stride(dims, d),
-        Exec::Simd => Bundles::spatial(dims, d).count(),
-        Exec::Lat => {
-            assert_eq!(d, 2, "tiles are the z sweep's shape");
-            dims[0] * dims[1] * dims[3] * (dims[4] / LANES) * (dims[5] / LANES)
-        }
+        _ if spatial_pairs(dims, d) => Bundles::spatial(dims, d).count(),
+        _ => Strips::spatial(dims, d).count(),
     }
 }
 
@@ -290,38 +384,9 @@ pub fn spatial_line(dims: &[usize; 6], d: usize, task: usize) -> Line {
     }
 }
 
-/// Spatial sweep along `z` where `nuy` and `nuz` divide by 8, task → 8×8
-/// tile pencil: the tile index decomposes as `(iux, yg, zg)` with `zg`
-/// fastest (paper Fig. 3 applied to the spatial `z` axis).
-pub fn spatial_tile(dims: &[usize; 6], task: usize) -> Tile {
-    let (nux, nuy, nuz) = (dims[3], dims[4], dims[5]);
-    let stride = spatial_stride(dims, 2);
-    let tiles = nux * (nuy / LANES) * (nuz / LANES);
-    let (outer, tile) = (task / tiles, task % tiles);
-    let zg = tile % (nuz / LANES);
-    let yg = (tile / (nuz / LANES)) % (nuy / LANES);
-    let iux = tile / ((nuz / LANES) * (nuy / LANES));
-    Tile {
-        base: outer * dims[2] * stride + (iux * nuy + yg * LANES) * nuz + zg * LANES,
-        stride,
-        len: dims[2],
-        rows: LANES,
-        row_stride: nuz,
-        lanes: LANES,
-    }
-}
-
 /// The conjugate-velocity index (into `cfl_per_u`) of a scalar spatial task.
 pub fn spatial_line_conjugate(dims: &[usize; 6], d: usize, task: usize) -> usize {
     velocity_index_of_inner(d, task % spatial_stride(dims, d), dims)
-}
-
-/// The conjugate-velocity index of a z-tile task's *first* row; row `r`
-/// advects with `spatial_tile_conjugate(..) + r`.
-pub fn spatial_tile_conjugate(dims: &[usize; 6], task: usize) -> usize {
-    let (nuy, nuz) = (dims[4], dims[5]);
-    let tiles = dims[3] * (nuy / LANES) * (nuz / LANES);
-    (task % tiles) % (nuz / LANES) * LANES
 }
 
 /// Extract the velocity index conjugate to spatial axis `d` from an "inner"
@@ -405,47 +470,65 @@ mod tests {
 
     /// Bundles tile the array on packed, thin (gathered) and mixed shapes,
     /// every lane of a bundle shares the task's conjugate index, and
-    /// `is_packed` means what the loads assume.
+    /// `is_packed` means what the loads assume; strips tile it wherever a
+    /// velocity block holds whole strips, each lane at the conjugate index
+    /// its pattern gives it; and the spatial task count is the shape's.
     #[test]
-    fn bundle_and_tile_plans_tile_the_array() {
+    fn bundle_and_strip_plans_tile_the_array() {
         for dims in [
             [2, 3, 2, 2, 8, 8],
             [2, 2, 2, 4, 4, 4],
             [4, 2, 3, 6, 4, 4],
             [2, 2, 2, 2, 2, 6],
+            [3, 1, 2, 4, 2, 6],
+            [1, 2, 2, 2, 16, 16],
         ] {
             let total: usize = dims.iter().product();
             for d in 0..3 {
-                let bundles = Bundles::spatial(&dims, d);
-                assert_eq!(bundles.free_count() % LANES, 0, "{dims:?} d={d}");
                 let stride_u: usize = dims[3 + d + 1..].iter().product();
+                let conj = |idx: usize| idx / stride_u % dims[3 + d];
+                let bundles = Bundles::spatial(&dims, d);
+                if bundles.free_count().is_multiple_of(LANES) {
+                    let mut seen = vec![false; total];
+                    let mut all_packed = true;
+                    for t in 0..bundles.count() {
+                        for (iu, b) in bundles.task(t) {
+                            all_packed &= b.packed;
+                            assert_eq!(b.packed, (0..LANES).all(|l| b.bases[l] == b.bases[0] + l));
+                            for idx in b.indices() {
+                                assert_eq!(conj(idx), iu);
+                                assert!(!seen[idx], "{dims:?} d={d} t={t} idx={idx}");
+                                seen[idx] = true;
+                            }
+                        }
+                    }
+                    assert!(seen.iter().all(|&s| s), "{dims:?} d={d}");
+                    assert_eq!(all_packed, bundles.packed(), "{dims:?} d={d}");
+                }
+                if !dims[3..].iter().product::<usize>().is_multiple_of(STRIP) {
+                    continue;
+                }
+                let strips = Strips::spatial(&dims, d);
                 let mut seen = vec![false; total];
-                let mut all_packed = true;
-                for t in 0..spatial_task_count(&dims, d, Exec::Simd) {
-                    for (iu, b) in bundles.task(t) {
-                        all_packed &= b.packed;
-                        assert_eq!(b.packed, (0..LANES).all(|l| b.bases[l] == b.bases[0] + l));
-                        for idx in b.indices() {
-                            assert_eq!(idx / stride_u % dims[3 + d], iu);
+                for t in 0..strips.count() {
+                    let strip = strips.task(t);
+                    let lanes = strips.pattern(strip.pattern);
+                    for i in 0..strip.len {
+                        for (l, idx) in strip.cell_indices(i).enumerate() {
+                            assert_eq!(conj(idx), lanes[l], "{dims:?} d={d} t={t} lane {l}");
                             assert!(!seen[idx], "{dims:?} d={d} t={t} idx={idx}");
                             seen[idx] = true;
                         }
                     }
                 }
                 assert!(seen.iter().all(|&s| s), "{dims:?} d={d}");
-                assert_eq!(all_packed, bundles.packed(), "{dims:?} d={d}");
+                let count = match spatial_pairs(&dims, d) {
+                    true => bundles.count(),
+                    false => strips.count(),
+                };
+                assert_eq!(spatial_task_count(&dims, d, Exec::Simd), count);
             }
         }
-        let dims = [2, 3, 2, 2, 8, 8];
-        let total: usize = dims.iter().product();
-        let mut seen = vec![false; total];
-        for t in 0..spatial_task_count(&dims, 2, Exec::Lat) {
-            for idx in spatial_tile(&dims, t).indices() {
-                assert!(!seen[idx], "z-tile t={t} idx={idx}");
-                seen[idx] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -6,30 +6,32 @@
 //!
 //! * [`Exec::Scalar`] — "w/o SIMD": one line at a time, element-wise strided
 //!   gather/scatter into a line buffer, scalar kernel.
-//! * [`Exec::Simd`] — "w/ SIMD inst.": eight lines ride the lanes of an
-//!   [`f32x8`]. A bundle is *any eight lines that share the sweep's shift*
-//!   ([`plan::Bundles`]): where their cells are adjacent in memory each
-//!   bundle element is one packed load (paper Fig. 1), where they are not it
-//!   is eight element loads (paper Fig. 2 — the shape of the `u_z` axis on
-//!   every grid, and of `y` / `z` / `u_y` on the plasma scenarios' thin
-//!   `[nv, 4, 4]` velocity grids). Two consecutive bundles of a task that
-//!   share a shift ride one [`f32x16`] — the paper's 16-lane SVE register —
-//!   each loaded into and stored from its own half; a lone bundle stays an
-//!   `f32x8`. The pairing is inside a task, so no task's write set moves.
+//! * [`Exec::Simd`] — "w/ SIMD inst.": lines ride the lanes of an
+//!   [`f32x8`] or an [`f32x16`] (the paper's 16-lane SVE register). A
+//!   spatial sweep loads sixteen consecutive cells of a velocity block per
+//!   pencil cell, one packed load whatever their shifts: where the sixteen
+//!   share a shift they are two bundles ([`plan::Bundles`]) at one shift
+//!   (paper Fig. 1), elsewhere a strip ([`plan::Strips`]) whose lanes each
+//!   take their own shift ([`LaneShifts`]). A velocity sweep shifts a whole
+//!   block alike: a bundle is *any eight lines of the block*, where their
+//!   cells are adjacent in memory each bundle element is one packed load
+//!   (Fig. 1), where they are not it is eight element loads (paper Fig. 2 —
+//!   the shape of the `u_z` axis on every grid and of `u_y` on the plasma
+//!   scenarios' thin `[nv, 4, 4]` velocity grids). Two bundles of a block
+//!   ride one `f32x16`, each loaded into and stored from its own half; a
+//!   lone bundle stays an `f32x8`.
 //! * [`Exec::Lat`] — "w/ LAT method": where `nuy` and `nuz` divide by 8, eight
 //!   contiguous `u_z` lines are loaded as packed registers and transposed
 //!   in-register ([`transpose8x8`], paper Fig. 3) into lane form, advected,
-//!   and transposed back; the spatial `z` sweep stages 8×8 `(iuy, iuz)`
-//!   tiles the same way under either lane variant. Other axes fall back to
-//!   [`Exec::Simd`].
+//!   and transposed back. Other axes fall back to [`Exec::Simd`].
 //!
 //! [`Exec::resolve`] is the one rule for which task shape a request really
-//! runs: lanes whenever the scheme is SL5 / SL-MPP5 and the lines of a cell
-//! that share a shift come in multiples of eight — the product of the two
-//! velocity extents other than the swept (or conjugate) one ([`plan`] module
-//! table), so `[64, 4, 4]` and `[6, 4, 4]` run in lanes and only ragged grids
-//! (`6³`, `[7, 4, 4]` along `y` / `z`) or the cheaper schemes run the scalar
-//! task.
+//! runs: lanes whenever the scheme is SL5 / SL-MPP5 and — along a spatial
+//! axis — a velocity block holds whole strips of sixteen, or — along a
+//! velocity axis — the lines of a block come in multiples of eight ([`plan`]
+//! module table). So `[64, 4, 4]` and `[6, 4, 4]` run in lanes along every
+//! axis, and only ragged grids (`6³`, `[7, 4, 4]`) or the cheaper schemes
+//! run the scalar task.
 //!
 //! **One spatial sweep, four windows.** Every spatial sweep is
 //! `sweep_ghosted`: one task body per shape, each advecting a *window* of its
@@ -42,10 +44,11 @@
 //! neighbour is itself; the integer part of a shift is an offset into the
 //! wrapped window, so only the fraction reaches the kernel.
 //!
-//! The advection velocity is constant along every line *and* across every
-//! lane bundle by construction: spatial sweeps depend only on the conjugate
-//! velocity index, velocity sweeps only on the spatial cell — and neither is
-//! ever a free axis.
+//! The advection velocity is constant along every line by construction:
+//! spatial sweeps depend only on the conjugate velocity index, velocity
+//! sweeps only on the spatial cell. A bundle shares it across its lanes; a
+//! strip carries one per lane, built once per sweep for each of its few lane
+//! patterns.
 //!
 //! Every parallel region here runs on the real thread pool behind
 //! `rayon::par_iter`. The per-task index sets are the plans of
@@ -60,7 +63,9 @@
 use crate::dist_fn::PhaseSpace;
 use crate::plan;
 use rayon::prelude::*;
-use vlasov6d_advection::lanes::{advect_lanes, advect_lanes_ext, LanesWork};
+use vlasov6d_advection::lanes::{
+    advect_lanes, advect_lanes_ext, advect_lanes_shifted, LaneShifts, LanesWork,
+};
 use vlasov6d_advection::line::{advect_line, advect_line_ext, LineWork, Scheme};
 use vlasov6d_advection::simd::{f32x16, f32x8, transpose8x8, Lanes, LANES};
 use vlasov6d_advection::{Boundary, GHOST};
@@ -71,9 +76,10 @@ use vlasov6d_mesh::Field3;
 pub enum Exec {
     /// One line at a time, no lane batching.
     Scalar,
-    /// Eight lines per bundle, two bundles per `f32x16` where a task holds
-    /// two at one shift; packed loads where the layout allows, element
-    /// gathers where it does not.
+    /// Lanes: along a spatial axis sixteen consecutive velocity cells per
+    /// `f32x16`, at one shift or one each; along a velocity axis bundles of
+    /// eight lines, two per `f32x16`, packed where the layout allows and
+    /// gathered where it does not.
     #[default]
     Simd,
     /// Load-and-transpose staging for the `u_z` axis.
@@ -84,33 +90,40 @@ impl Exec {
     /// The task shape a sweep along layout axis `axis` (0–2 spatial, 3–5
     /// velocity) of a `dims` grid really runs — the one place that decides
     /// whether the lane kernels apply: [`Exec::Scalar`] the scalar pencil
-    /// task, [`Exec::Simd`] the bundle task, [`Exec::Lat`] the
-    /// load-and-transpose task (8×8 tiles along `z`, LAT along `u_z`). The
-    /// lane kernels implement `Sl5` / `SlMpp5` only and need the lines that
-    /// share a shift to come in multiples of [`LANES`]; every other request
-    /// runs the scalar task, which takes any scheme on any grid.
+    /// task, [`Exec::Simd`] the lane tasks, [`Exec::Lat`] the
+    /// load-and-transpose `u_z` task. The lane kernels implement `Sl5` /
+    /// `SlMpp5` only; every other request runs the scalar task, which takes
+    /// any scheme on any grid.
     ///
-    /// The lines counted are those of one spatial cell — `nuy·nuz` for `x`
-    /// and `u_x`, `nux·nuz` for `y` and `u_y`, `nux·nuy` for `z` and `u_z` —
-    /// so the answer depends on the velocity grid alone: every block of a
-    /// decomposed run resolves as the whole box does, whatever its spatial
-    /// extents, and distributed ≡ serial stays a statement about bits.
+    /// A spatial sweep runs lanes where a velocity block holds whole strips
+    /// of [`plan::STRIP`] cells (`nux·nuy·nuz % 16 == 0`); [`plan`] then runs
+    /// packed bundle pairs where sixteen consecutive cells share a shift and
+    /// strips elsewhere, whether lanes or LAT were asked for. A velocity
+    /// sweep runs lanes where the lines of a block come in multiples of
+    /// [`LANES`] — `nuy·nuz` for `u_x`, `nux·nuz` for `u_y`, `nux·nuy` for
+    /// `u_z` — and LAT along `u_z` where asked and `nuy`, `nuz` divide by 8.
+    /// Either way the answer depends on the velocity grid alone: every block
+    /// of a decomposed run resolves as the whole box does, whatever its
+    /// spatial extents, and distributed ≡ serial stays a statement about
+    /// bits.
     pub fn resolve(self, scheme: Scheme, dims: &[usize; 6], axis: usize) -> Exec {
-        let shift_axis = 3 + axis % 3;
-        let lines: usize = (3..6)
-            .filter(|&a| a != shift_axis)
-            .map(|a| dims[a])
-            .product();
-        if self == Exec::Scalar
-            || !matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5)
-            || !lines.is_multiple_of(LANES)
-        {
+        let lanes = match axis {
+            0..3 => dims[3..]
+                .iter()
+                .product::<usize>()
+                .is_multiple_of(plan::STRIP),
+            _ => (3..6)
+                .filter(|&a| a != axis)
+                .map(|a| dims[a])
+                .product::<usize>()
+                .is_multiple_of(LANES),
+        };
+        if self == Exec::Scalar || !matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5) || !lanes {
             return Exec::Scalar;
         }
-        // Table 1's transposed shapes, exactly where they always ran.
+        // Table 1's transposed shape, exactly where it always ran.
         let tiles = dims[4].is_multiple_of(LANES) && dims[5].is_multiple_of(LANES);
         match axis {
-            2 if tiles => Exec::Lat,
             5 if tiles && self == Exec::Lat => Exec::Lat,
             _ => Exec::Simd,
         }
@@ -120,29 +133,27 @@ impl Exec {
 /// Which shape each axis of a `dims` grid runs when layout axis `a` is swept
 /// under `(scheme, exec(a))`, and at which lane width, one token per axis —
 /// the `kernel.shape` value of the drivers' first step record: `x:packed16
-/// y:gather8 z:gather8 ux:packed16 uy:gather16 uz:gather16` on a
+/// y:mixed16 z:mixed16 ux:packed16 uy:gather16 uz:gather16` on a
 /// `[nv, 4, 4]` velocity grid, `scalar` where [`Exec::resolve`] fell back.
-/// A bundle task runs at 16 lanes where it pairs bundles — where two or more
-/// of its groups share each shift — and at 8 otherwise; tiles and LAT rows
-/// run at 8.
+/// A spatial axis runs `packed16` (two bundles at one shift) or `mixed16` (a
+/// strip, a shift per lane); a velocity bundle task runs at 16 lanes where a
+/// block holds two or more bundles and at 8 otherwise, LAT rows at 8.
 pub fn lane_shapes(scheme: Scheme, dims: &[usize; 6], exec: impl Fn(usize) -> Exec) -> String {
     const AXES: [&str; 6] = ["x", "y", "z", "ux", "uy", "uz"];
     let shape = |axis: usize| {
-        let bundles = match axis {
-            0..=2 => plan::Bundles::spatial(dims, axis),
-            _ => plan::Bundles::block(dims, axis - 3),
-        };
-        // Groups per task and shift; counted only where lanes run.
-        let width = || match bundles.free_count() / LANES / bundles.count() {
+        // Counted only where lanes run.
+        let bundles = || plan::Bundles::block(dims, axis - 3);
+        let width = || match bundles().free_count() / LANES {
             1 => LANES,
             _ => 2 * LANES,
         };
         match (exec(axis).resolve(scheme, dims, axis), axis) {
             (Exec::Scalar, _) => "scalar".to_string(),
-            (Exec::Lat, 2) => format!("tile{LANES}"),
+            (_, 0..3) if plan::spatial_pairs(dims, axis) => format!("packed{}", plan::STRIP),
+            (_, 0..3) => format!("mixed{}", plan::STRIP),
             (Exec::Lat, _) => format!("lat{LANES}"),
-            (Exec::Simd, _) if bundles.packed() => format!("packed{}", width()),
-            (Exec::Simd, _) => format!("gather{}", width()),
+            (_, _) if bundles().packed() => format!("packed{}", width()),
+            (_, _) => format!("gather{}", width()),
         }
     };
     let tokens: Vec<String> = (0..6)
@@ -185,19 +196,19 @@ pub fn partition_axis(n: usize, ghost: usize) -> AxisPartition {
 pub(crate) struct SendMutPtr(pub(crate) *mut f32);
 // [racecheck: sweep.spatial.x.scalar, sweep.spatial.y.scalar,
 // sweep.spatial.z.scalar, sweep.spatial.x.simd, sweep.spatial.y.simd,
-// sweep.spatial.z.simd, sweep.spatial.x.lat, sweep.spatial.y.lat,
-// sweep.spatial.z.lat, sweep.spatial.y.gather, sweep.spatial.z.gather,
-// sweep.dist.x.sync.scalar, sweep.dist.x.sync.simd,
+// sweep.spatial.x.lat, sweep.spatial.y.lat, sweep.spatial.x.mixed,
+// sweep.spatial.y.mixed, sweep.spatial.z.mixed,
+// sweep.dist.x.sync.scalar, sweep.dist.x.sync.simd, sweep.dist.x.sync.mixed,
 // sweep.dist.x.interior.scalar, sweep.dist.x.interior.simd,
-// sweep.dist.x.edges.scalar, sweep.dist.x.edges.simd,
-// sweep.dist.y.sync.scalar, sweep.dist.y.sync.simd, sweep.dist.y.sync.gather,
+// sweep.dist.x.interior.mixed, sweep.dist.x.edges.scalar,
+// sweep.dist.x.edges.simd, sweep.dist.x.edges.mixed,
+// sweep.dist.y.sync.scalar, sweep.dist.y.sync.simd, sweep.dist.y.sync.mixed,
 // sweep.dist.y.interior.scalar, sweep.dist.y.interior.simd,
-// sweep.dist.y.interior.gather, sweep.dist.y.edges.scalar,
-// sweep.dist.y.edges.simd, sweep.dist.y.edges.gather,
-// sweep.dist.z.sync.scalar, sweep.dist.z.sync.simd, sweep.dist.z.sync.gather,
-// sweep.dist.z.interior.scalar, sweep.dist.z.interior.simd,
-// sweep.dist.z.interior.gather, sweep.dist.z.edges.scalar,
-// sweep.dist.z.edges.simd, sweep.dist.z.edges.gather]
+// sweep.dist.y.interior.mixed, sweep.dist.y.edges.scalar,
+// sweep.dist.y.edges.simd, sweep.dist.y.edges.mixed,
+// sweep.dist.z.sync.scalar, sweep.dist.z.sync.mixed,
+// sweep.dist.z.interior.scalar, sweep.dist.z.interior.mixed,
+// sweep.dist.z.edges.scalar, sweep.dist.z.edges.mixed]
 // SAFETY: the wrapper only moves the raw pointer across pool workers; every
 // dereference follows the task's `plan` index set, and racecheck proves the
 // plans of distinct tasks pairwise disjoint for all grid shapes in the
@@ -378,6 +389,15 @@ impl<'a> Window<'a> {
         self.out_start..self.out_start + self.out_len()
     }
 
+    /// Does any of `windows` read a plane buffer? A lane task builds its
+    /// plan in the buffers only then: the periodic sweep's loads need none.
+    fn read_planes(windows: &[Self]) -> bool {
+        windows
+            .iter()
+            .flat_map(|w| &w.ext)
+            .any(|s| s.planes.is_some())
+    }
+
     /// The kernel's `ext` for a line shifting by `cfl` inside this window's
     /// `ext` — it starts `margin − trunc(cfl)` cells in, so the integer part
     /// of the shift is an offset, exact by construction — and the fraction
@@ -391,17 +411,12 @@ impl<'a> Window<'a> {
     }
 }
 
-/// `ext`, `out` and kernel work space of a lane task at lane type `V`.
-type LaneScratch<V> = (Vec<V>, Vec<V>, LanesWork<V>);
-
 /// Per-worker scratch of a ghosted sweep: `ext`, `out` and kernel work space
-/// for the scalar and the lane task shapes (a sweep uses one of the two),
-/// the latter at both widths — a lone bundle and the tiles at `f32x8`, a
-/// pair of bundles at `f32x16`.
+/// for the scalar and the lane task shapes (a sweep uses one of the two).
 #[derive(Default)]
 pub(crate) struct GhostedWork {
     line: (Vec<f32>, Vec<f32>, LineWork),
-    lanes: (LaneScratch<f32x8>, LaneScratch<f32x16>),
+    lanes: (Vec<f32x16>, Vec<f32x16>, LanesWork<f32x16>),
 }
 
 /// `dims` of a plane buffer for axis `d`: the block's, `GHOST` planes thick.
@@ -411,17 +426,24 @@ fn plane_dims(dims: &[usize; 6], d: usize) -> [usize; 6] {
     g
 }
 
+/// The lane task of a spatial sweep along `d` ([`plan`] module table): two
+/// bundles at one shift per `f32x16`, or strips with a shift per lane, in
+/// their plans over the block and over a plane buffer.
+enum LaneTask {
+    Pairs([plan::Bundles; 2]),
+    Strips([plan::Strips; 2], Vec<LaneShifts<f32x16>>),
+}
+
 /// One parallel region of a spatial sweep along axis `d`: every pencil task
 /// advects each of `windows` through the ghost-extended kernels, in the task
-/// shape [`Exec::resolve`] makes of `exec` on this grid — scalar pencils,
-/// bundles of eight lines that share a conjugate index, two at a time where
-/// a task holds two at one index (packed loads where they are adjacent in
-/// memory, Fig. 1, element gathers where they are not), or along `z` 8×8
-/// `(iuy, iuz)` tiles staged through the in-register
-/// transpose so that lanes run over `iuy` at one shift (the LAT trick on the
-/// spatial axis). Racecheck regions `sweep.spatial.{x,y,z}.*` (the periodic
-/// window) and `sweep.dist.{x,y,z}.{sync,interior,edges}.*`; `only` replays a
-/// single task of the region for racecheck's taint probe.
+/// shape [`Exec::resolve`] makes of `exec` on this grid — scalar pencils, or
+/// sixteen consecutive velocity cells per `f32x16`: two bundles of eight
+/// lines at one conjugate index where those cells share it (packed loads,
+/// Fig. 1), a strip whose lanes each take their own shift elsewhere. The
+/// strips' lane shifts are built here, once per lane pattern. Racecheck
+/// regions `sweep.spatial.{x,y,z}.*` (the periodic window) and
+/// `sweep.dist.{x,y,z}.{sync,interior,edges}.*`; `only` replays a single task
+/// of the region for racecheck's taint probe.
 pub(crate) fn sweep_ghosted(
     ps: &mut PhaseSpace,
     d: usize,
@@ -441,11 +463,24 @@ pub(crate) fn sweep_ghosted(
     }
     let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
     let n_tasks = plan::spatial_task_count(&dims, d, exec);
-    // A bundle task reads the block and the plane buffers through the same
-    // plan: the free axes and the conjugate one are the block's in both.
-    let bundles = [dims, plane_dims(&dims, d)].map(|g| plan::Bundles::spatial(&g, d));
-    let run = |work: &mut GhostedWork, task: usize| match exec {
-        Exec::Scalar => ghosted_line_task(
+    // A lane task reads the block and the plane buffers through the same
+    // plan: the axes other than `d` are the block's in both.
+    let grids = [dims, plane_dims(&dims, d)];
+    let lanes = match exec {
+        Exec::Scalar => None,
+        _ if plan::spatial_pairs(&dims, d) => Some(LaneTask::Pairs(
+            grids.map(|g| plan::Bundles::spatial(&g, d)),
+        )),
+        _ => {
+            let strips = grids.map(|g| plan::Strips::spatial(&g, d));
+            let shifts = (0..strips[0].patterns())
+                .map(|p| LaneShifts::new(scheme, &strips[0].pattern(p).map(|iu| cfl_per_u[iu])))
+                .collect();
+            Some(LaneTask::Strips(strips, shifts))
+        }
+    };
+    let run = |work: &mut GhostedWork, task: usize| match &lanes {
+        None => ghosted_line_task(
             base,
             &dims,
             d,
@@ -455,24 +490,18 @@ pub(crate) fn sweep_ghosted(
             &mut work.line,
             task,
         ),
-        Exec::Simd => ghosted_bundle_task(
+        Some(LaneTask::Pairs(bundles)) => ghosted_pair_task(
             base,
-            &bundles,
+            bundles,
             cfl_per_u,
             scheme,
             windows,
             &mut work.lanes,
             task,
         ),
-        Exec::Lat => ghosted_tile_task(
-            base,
-            &dims,
-            cfl_per_u,
-            scheme,
-            windows,
-            &mut work.lanes.0,
-            task,
-        ),
+        Some(LaneTask::Strips(strips, shifts)) => {
+            ghosted_strip_task(base, strips, shifts, scheme, windows, &mut work.lanes, task)
+        }
     };
     match only {
         Some(task) => {
@@ -521,123 +550,84 @@ fn ghosted_line_task(
     }
 }
 
-/// A bundle task: its bundles in plan order, two consecutive ones that share
-/// a shift as one `f32x16` (each in its own half), a lone one as an `f32x8`.
-/// Pairing inside the task leaves its write set the plan's.
-fn ghosted_bundle_task(
+/// A bundle-pair task: its bundles in plan order, two consecutive ones — a
+/// run of sixteen cells at one shift — as one `f32x16`, each in its own
+/// half. Pairing inside the task leaves its write set the plan's.
+fn ghosted_pair_task(
     base: SendMutPtr,
     [in_block, in_planes]: &[plan::Bundles; 2],
     cfl_per_u: &[f64],
     scheme: Scheme,
     windows: &[Window<'_>],
-    (x8, x16): &mut (LaneScratch<f32x8>, LaneScratch<f32x16>),
+    (ext, out, work): &mut (Vec<f32x16>, Vec<f32x16>, LanesWork<f32x16>),
     task: usize,
 ) {
-    // The plane buffers' bundles only where a window reads them: the
-    // periodic sweep's loads need no second odometer.
-    let reads_planes = windows
-        .iter()
-        .flat_map(|w| &w.ext)
-        .any(|s| s.planes.is_some());
-    let mut in_planes = reads_planes.then(|| in_planes.task(task));
-    let mut bundles = in_block
-        .task(task)
-        .map(|(iu, block)| {
-            let planes = in_planes
-                .as_mut()
-                .and_then(Iterator::next)
-                .map_or(block, |(_, p)| p);
-            (iu, [block, planes])
-        })
-        .peekable();
-    while let Some((iu, first)) = bundles.next() {
-        let cfl = cfl_per_u[iu];
-        match bundles.next_if(|(next, _)| *next == iu) {
-            Some((_, second)) => ghosted_bundles(base, &[first, second], cfl, scheme, windows, x16),
-            None => ghosted_bundles(base, &[first], cfl, scheme, windows, x8),
+    let mut in_planes = Window::read_planes(windows).then(|| in_planes.task(task));
+    let mut bundles = in_block.task(task).map(|(iu, block)| {
+        let planes = in_planes
+            .as_mut()
+            .and_then(Iterator::next)
+            .map_or(block, |(_, p)| p);
+        (iu, [block, planes])
+    });
+    while let (Some((iu, first)), Some((next, second))) = (bundles.next(), bundles.next()) {
+        debug_assert_eq!(iu, next, "a pair shares its shift");
+        let pair = [first, second];
+        for w in windows {
+            ext.clear();
+            for seg in &w.ext {
+                let at = ext.len();
+                ext.resize(at + seg.cells.len(), f32x16::ZERO);
+                for (half, [block, planes]) in pair.iter().enumerate() {
+                    let (src, p) = seg.source(base, block, planes);
+                    // SAFETY: as in `ghosted_line_task`, one bundle element
+                    // per cell.
+                    unsafe { load_cells(src, p, seg.cells.clone(), &mut ext[at..], half) };
+                }
+            }
+            out.resize(w.out_len(), f32x16::ZERO);
+            let (ext, frac) = w.kernel_ext(ext, cfl_per_u[iu]);
+            advect_lanes_ext(scheme, ext, out, frac, work);
+            for (half, [block, _]) in pair.iter().enumerate() {
+                // SAFETY: elements `out_cells()` of this task's own bundle
+                // pencil.
+                unsafe { store_cells(base.0, block, w.out_start, out, half) };
+            }
         }
     }
 }
 
-/// The bundles `bs` — each a `[block, planes]` plan pair, bundle `h` in
-/// lanes `8h..8h + 8` of `V` — advected through every window at shift `cfl`.
-#[inline(always)]
-fn ghosted_bundles<V: Lanes>(
+/// A strip task: sixteen consecutive cells of a velocity block along the
+/// pencil, loaded and stored packed, advected through every window with the
+/// shifts of its lane pattern — each lane its own.
+fn ghosted_strip_task(
     base: SendMutPtr,
-    bs: &[[plan::Bundle; 2]],
-    cfl: f64,
+    [in_block, in_planes]: &[plan::Strips; 2],
+    shifts: &[LaneShifts<f32x16>],
     scheme: Scheme,
     windows: &[Window<'_>],
-    (ext, out, work): &mut LaneScratch<V>,
+    (ext, out, work): &mut (Vec<f32x16>, Vec<f32x16>, LanesWork<f32x16>),
+    task: usize,
 ) {
-    assert_eq!(bs.len() * LANES, V::WIDTH);
+    let block = in_block.task(task);
+    let planes = match Window::read_planes(windows) {
+        true => in_planes.task(task),
+        false => block,
+    };
+    let shifts = &shifts[block.pattern];
     for w in windows {
         ext.clear();
         for seg in &w.ext {
-            let at = ext.len();
-            ext.resize(at + seg.cells.len(), V::ZERO);
-            for (half, [block, planes]) in bs.iter().enumerate() {
-                let (src, p) = seg.source(base, block, planes);
-                // SAFETY: as in `ghosted_line_task`, one bundle element per
-                // cell.
-                unsafe { load_cells(src, p, seg.cells.clone(), &mut ext[at..], half) };
-            }
+            let (src, p) = seg.source(base, &block, &planes);
+            // SAFETY: as in `ghosted_line_task`, one strip element per cell.
+            let cell = |i: usize| unsafe { load_strip(src.add(p.base + i * p.stride)) };
+            ext.extend(seg.cells.clone().map(cell));
         }
-        out.resize(w.out_len(), V::ZERO);
-        let (ext, frac) = w.kernel_ext(ext, cfl);
-        advect_lanes_ext(scheme, ext, out, frac, work);
-        for (half, [block, _]) in bs.iter().enumerate() {
-            // SAFETY: elements `out_cells()` of this task's own bundle
-            // pencil.
-            unsafe { store_cells(base.0, block, w.out_start, out, half) };
-        }
-    }
-}
-
-fn ghosted_tile_task(
-    base: SendMutPtr,
-    dims: &[usize; 6],
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    windows: &[Window<'_>],
-    (ext, out, work): &mut LaneScratch<f32x8>,
-    task: usize,
-) {
-    let z0 = plan::spatial_tile_conjugate(dims, task);
-    let block = plan::spatial_tile(dims, task);
-    let planes = plan::spatial_tile(&plane_dims(dims, 2), task);
-    for w in windows {
-        // Row `r` of the transposed tiles: `ext[r·len ..][..len]` in,
-        // `out[r·m ..][..m]` out.
-        let (len, m) = (w.ext_len(), w.out_len());
-        ext.resize(LANES * len, f32x8::ZERO);
-        out.resize(LANES * m, f32x8::ZERO);
-        let mut at = 0;
-        for seg in &w.ext {
-            let (src, t) = seg.source(base, &block, &planes);
-            for i in seg.cells.clone() {
-                // SAFETY: as in `ghosted_line_task`, one 8×8 tile per cell.
-                let rows = unsafe { load_tile(src.add(t.base + i * t.stride), t.row_stride) };
-                for (r, row) in rows.iter().enumerate() {
-                    ext[r * len + at] = *row;
-                }
-                at += 1;
-            }
-        }
-        for r in 0..LANES {
-            let (row, frac) = w.kernel_ext(&ext[r * len..(r + 1) * len], cfl_per_u[z0 + r]);
-            advect_lanes_ext(scheme, row, &mut out[r * m..(r + 1) * m], frac, work);
-        }
-        for (k, i) in w.out_cells().enumerate() {
-            let rows = core::array::from_fn(|r| out[r * m + k]);
-            // SAFETY: tile `i` of this task's own tile pencil.
-            unsafe {
-                store_tile(
-                    base.0.add(block.base + i * block.stride),
-                    block.row_stride,
-                    rows,
-                )
-            };
+        out.resize(w.out_len(), f32x16::ZERO);
+        advect_lanes_shifted(scheme, ext, out, shifts, work);
+        for (i, v) in w.out_cells().zip(out.iter()) {
+            // SAFETY: cell `i` of this task's own strip pencil.
+            unsafe { store_strip(base.0.add(block.base + i * block.stride), *v) };
         }
     }
 }
@@ -927,28 +917,19 @@ unsafe fn store_lanes(p: *mut f32, v: f32x8) {
     v.store(std::slice::from_raw_parts_mut(p, LANES));
 }
 
-/// The 8×8 tile whose rows start `row_stride` apart at `p`, transposed into
-/// lane form (element `r` holds column `r` of the tile).
-///
 /// # Safety
-/// Every row must be valid for [`load_lanes`].
+/// `p` must be valid for reading [`plan::STRIP`] values.
 #[inline(always)]
-unsafe fn load_tile(p: *const f32, row_stride: usize) -> [f32x8; LANES] {
-    let mut rows = core::array::from_fn(|l| load_lanes(p.add(l * row_stride)));
-    transpose8x8(&mut rows);
-    rows
+unsafe fn load_strip(p: *const f32) -> f32x16 {
+    f32x16::load(std::slice::from_raw_parts(p, plan::STRIP))
 }
 
-/// Inverse of [`load_tile`].
-///
 /// # Safety
-/// Every row must be valid for [`store_lanes`].
+/// `p` must be valid for writing [`plan::STRIP`] values no other thread
+/// touches.
 #[inline(always)]
-unsafe fn store_tile(p: *mut f32, row_stride: usize, mut rows: [f32x8; LANES]) {
-    transpose8x8(&mut rows);
-    for (l, row) in rows.iter().enumerate() {
-        store_lanes(p.add(l * row_stride), *row);
-    }
+unsafe fn store_strip(p: *mut f32, v: f32x16) {
+    v.store(std::slice::from_raw_parts_mut(p, plan::STRIP));
 }
 
 #[cfg(test)]
@@ -1055,27 +1036,31 @@ mod tests {
         };
         use Exec::{Lat, Scalar, Simd};
         // Ragged everywhere, whatever the spatial extents; ragged along
-        // `z` / `u_z` only; the plasma scenarios' thin grid; Table 1's shapes.
+        // `u_z` only; the plasma scenarios' thin grid; Table 1's shapes.
         assert_eq!(resolved(Simd, [4, 4, 4, 6, 6, 6]), [Scalar; 6]);
         assert_eq!(
             resolved(Lat, [3, 5, 7, 6, 2, 4]),
-            [Simd, Simd, Scalar, Simd, Simd, Scalar]
+            [Simd, Simd, Simd, Simd, Simd, Scalar]
         );
         assert_eq!(resolved(Lat, [16, 4, 4, 64, 4, 4]), [Simd; 6]);
         let cubic = test_ps().dims6();
-        assert_eq!(resolved(Simd, cubic), [Simd, Simd, Lat, Simd, Simd, Simd]);
-        assert_eq!(resolved(Lat, cubic), [Simd, Simd, Lat, Simd, Simd, Lat]);
+        assert_eq!(resolved(Simd, cubic), [Simd; 6]);
+        assert_eq!(resolved(Lat, cubic), [Simd, Simd, Simd, Simd, Simd, Lat]);
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &cubic, |_| Lat),
-            "x:packed16 y:packed8 z:tile8 ux:packed16 uy:packed16 uz:lat8"
+            "x:packed16 y:mixed16 z:mixed16 ux:packed16 uy:packed16 uz:lat8"
         );
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &[16; 6], |_| Simd),
-            "x:packed16 y:packed16 z:tile8 ux:packed16 uy:packed16 uz:gather16"
+            "x:packed16 y:packed16 z:mixed16 ux:packed16 uy:packed16 uz:gather16"
         );
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &[16, 4, 4, 64, 4, 4], |_| Simd),
-            "x:packed16 y:gather8 z:gather8 ux:packed16 uy:gather16 uz:gather16"
+            "x:packed16 y:mixed16 z:mixed16 ux:packed16 uy:gather16 uz:gather16"
+        );
+        assert_eq!(
+            lane_shapes(Scheme::SlMpp5, &[3, 5, 7, 6, 2, 4], |_| Simd),
+            "x:mixed16 y:mixed16 z:mixed16 ux:packed8 uy:gather16 uz:scalar"
         );
         assert_eq!(
             lane_shapes(Scheme::Sl3, &cubic, |_| Simd),
@@ -1150,48 +1135,65 @@ mod tests {
             }
             let expect = match nv {
                 [6, 6, 6] => 0,
-                [6, 2, 4] => 4,
+                [6, 2, 4] => 5,
                 _ => 6,
             };
             assert_eq!(lanes_ran, expect, "{sdims:?}×{nv:?}");
         }
     }
 
-    /// Packing is only a load: on a lane-divisible grid the bundle task with
-    /// element gathers throughout computes, bit for bit, what the packed
-    /// bundles, the 8×8 tiles and the LAT rows compute — the same lane
-    /// arithmetic on the same eight-line groups or others.
+    /// A spatial lane sweep is each line advected alone at its own shift, bit
+    /// for bit: on a thin, a ragged and a cubic velocity grid, along every
+    /// axis — strips or packed pairs — `sweep_spatial` equals a reference
+    /// that takes each scalar pencil, cuts its window's `ext` at the pencil's
+    /// integer shift and runs `advect_lanes_ext` on that one line, with
+    /// shifts of mixed sign, exact zeros and integer parts up to 2 (a
+    /// `margin > 0` window). Packing is only a load too: along the velocity
+    /// axes the bundle task with element gathers throughout computes what
+    /// the packed bundles and the LAT rows compute.
     #[test]
-    fn gathered_bundles_match_the_packed_and_tile_sweeps_bitwise() {
-        let cfl: Vec<f64> = (0..8).map(|k| 0.37 * k as f64 - 1.2).collect();
+    fn strips_and_gathers_match_their_one_shift_references_bitwise() {
+        const CFLS: [f64; 8] = [0.37, -1.2, 0.0, 2.45, -0.83, 1.0, -2.6, 0.11];
+        for nv in [[6, 4, 4], [4, 2, 6], [8, 8, 8]] {
+            let mut ps = PhaseSpace::zeros([5, 3, 4], VelocityGrid::new(nv, 1.0));
+            for (i, v) in ps.as_mut_slice().iter_mut().enumerate() {
+                *v = 0.01 + ((i * 37) % 29) as f32 / 29.0;
+            }
+            let dims = ps.dims6();
+            for d in 0..3 {
+                let cfl: Vec<f64> = (0..nv[d]).map(|k| CFLS[k % CFLS.len()]).collect();
+                assert_eq!(Exec::Simd.resolve(Scheme::SlMpp5, &dims, d), Exec::Simd);
+                let mut swept = ps.clone();
+                sweep_spatial(&mut swept, d, &cfl, Scheme::SlMpp5, Exec::Simd);
+                let mut want = ps.clone();
+                let window = Window::periodic(dims[d], margin(&cfl));
+                let f = want.as_mut_slice();
+                let mut work = LanesWork::new();
+                for task in 0..plan::spatial_task_count(&dims, d, Exec::Scalar) {
+                    let line = plan::spatial_line(&dims, d, task);
+                    let ext: Vec<f32x8> = (window.ext.iter())
+                        .flat_map(|seg| seg.cells.clone())
+                        .map(|i| f32x8::splat(ps.as_slice()[line.base + i * line.stride]))
+                        .collect();
+                    let cfl = cfl[plan::spatial_line_conjugate(&dims, d, task)];
+                    let (ext, frac) = window.kernel_ext(&ext, cfl);
+                    let mut out = vec![f32x8::ZERO; dims[d]];
+                    advect_lanes_ext(Scheme::SlMpp5, ext, &mut out, frac, &mut work);
+                    for (i, v) in out.iter().enumerate() {
+                        f[line.base + i * line.stride] = v.0[0];
+                    }
+                }
+                let shape = lane_shapes(Scheme::SlMpp5, &dims, |_| Exec::Simd);
+                assert_bits_eq(&swept, &want, &format!("{nv:?} d={d} {shape}"));
+            }
+        }
+
         let mut accel = Field3::zeros([8, 8, 8]);
         for (i, v) in accel.as_mut_slice().iter_mut().enumerate() {
             *v = 0.8 * ((i as f64 * 0.13).sin());
         }
         let dims = test_ps().dims6();
         for d in 0..3 {
-            let mut fast = test_ps();
-            sweep_spatial(&mut fast, d, &cfl, Scheme::SlMpp5, Exec::Simd);
-            let mut gathered = test_ps();
-            let bundles = plan::Bundles::spatial(&dims, d).gather_only();
-            let base = SendMutPtr(gathered.as_mut_slice().as_mut_ptr());
-            let window = [Window::periodic(dims[d], margin(&cfl))];
-            let mut work = GhostedWork::default();
-            for task in 0..bundles.count() {
-                assert!(bundles.task(task).all(|(_, b)| !b.packed));
-                let (cfl, scheme) = (&cfl, Scheme::SlMpp5);
-                ghosted_bundle_task(
-                    base,
-                    &[bundles; 2],
-                    cfl,
-                    scheme,
-                    &window,
-                    &mut work.lanes,
-                    task,
-                );
-            }
-            assert_bits_eq(&fast, &gathered, &format!("spatial axis {d}"));
-
             let mut fast = test_ps();
             sweep_velocity(&mut fast, d, &accel, Scheme::SlMpp5, Exec::Lat);
             let mut gathered = test_ps();
@@ -1211,7 +1213,8 @@ mod tests {
 
     /// `ps` swept along `d` through the kernels' own periodic entries, in the
     /// task shape `exec`: `advect_line` on every pencil, `advect_lanes` on
-    /// every bundle of [`plan::Bundles`] or every row of a z tile.
+    /// every bundle of [`plan::Bundles`] — or, on a strip grid, on every line
+    /// alone at its own shift (in all eight lanes).
     fn periodic_reference(ps: &PhaseSpace, d: usize, cfl: &[f64], exec: Exec) -> PhaseSpace {
         let (dims, scheme) = (ps.dims6(), Scheme::SlMpp5);
         let mut out = ps.clone();
@@ -1229,6 +1232,7 @@ mod tests {
                 c.iter().zip(v.0).for_each(|(&i, x)| f[i] = x);
             }
         };
+        let strips = exec != Exec::Scalar && !plan::spatial_pairs(&dims, d);
         for task in 0..plan::spatial_task_count(&dims, d, exec) {
             match exec {
                 Exec::Scalar => {
@@ -1244,21 +1248,19 @@ mod tests {
                     );
                     l.indices().zip(line).for_each(|(i, v)| f[i] = v);
                 }
-                Exec::Simd => {
-                    for (iu, b) in plan::Bundles::spatial(&dims, d).task(task) {
-                        let cells = (0..b.len).map(|i| b.bases.map(|l| l + i * b.stride));
+                _ if strips => {
+                    let plan = plan::Strips::spatial(&dims, d);
+                    let strip = plan.task(task);
+                    for (l, iu) in plan.pattern(strip.pattern).into_iter().enumerate() {
+                        let cells =
+                            (0..strip.len).map(|i| [strip.cell_indices(i).start + l; LANES]);
                         lanes(f, cells.collect(), cfl[iu]);
                     }
                 }
-                Exec::Lat => {
-                    let t = plan::spatial_tile(&dims, task);
-                    let z0 = plan::spatial_tile_conjugate(&dims, task);
-                    for r in 0..LANES {
-                        // Lane `l` of row `r`: tile row `l` (an `iuy`), column `r`.
-                        let cell = |i: usize| -> [usize; LANES] {
-                            core::array::from_fn(|l| t.base + i * t.stride + l * t.row_stride + r)
-                        };
-                        lanes(f, (0..t.len).map(cell).collect(), cfl[z0 + r]);
+                _ => {
+                    for (iu, b) in plan::Bundles::spatial(&dims, d).task(task) {
+                        let cells = (0..b.len).map(|i| b.bases.map(|l| l + i * b.stride));
+                        lanes(f, cells.collect(), cfl[iu]);
                     }
                 }
             }
@@ -1268,11 +1270,10 @@ mod tests {
 
     /// The wrapped window is the kernels' own periodic entries, bit for bit:
     /// `sweep_spatial` at every `Exec` equals `advect_line` on each pencil
-    /// (scalar shape) or `advect_lanes` at width 8 on each bundle or tile row
-    /// (lane shapes) — on swept axes of 1, 2 and 4 cells, whose windows
+    /// (scalar shape) or `advect_lanes` at width 8 on each bundle or strip
+    /// line (lane shapes) — on swept axes of 1, 2 and 4 cells, whose windows
     /// repeat the pencil, on a ragged, a thin, a cubic and a `[4, 4, 6]`
-    /// velocity grid (along `x`, 24 equal-shift lines a cell: a task pairs two
-    /// bundles as one `f32x16` and runs the third alone), with shifts
+    /// velocity grid (strips along every axis), with shifts
     /// whose integer parts run from 0 to 3 within one sweep (the margin). The
     /// data holds no negative zero: an exact integer shift is a copy in the
     /// window and a zero-flux update in the periodic entries, which differ
@@ -1359,11 +1360,12 @@ mod tests {
         assert!(ps.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0));
     }
 
-    /// A gathered bundle end to end, sized for the Miri interpreter: element
-    /// loads from the block and from plane buffers through raw pointers,
-    /// short (2-cell) lines in the lanes, element scatters back — the
-    /// periodic window and the full one fed the periodic images as planes,
-    /// which must then agree bit for bit.
+    /// A strip and a gathered velocity bundle end to end, sized for the Miri
+    /// interpreter: packed strip loads from the block and from plane
+    /// buffers through raw pointers, short (2-cell) lines in the lanes, the
+    /// strip stored back — the periodic window and the full one fed the
+    /// periodic images as planes, which must then agree bit for bit — then a
+    /// `u_y` sweep of element gathers and scatters.
     #[test]
     fn miri_smoke_gathered_bundle() {
         let mut ps = PhaseSpace::zeros([2, 2, 2], VelocityGrid::new([4, 2, 2], 1.0));
@@ -1373,7 +1375,7 @@ mod tests {
         let dims = ps.dims6();
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &dims, |_| Exec::Simd),
-            "x:scalar y:gather8 z:gather8 ux:scalar uy:gather8 uz:gather8"
+            "x:mixed16 y:mixed16 z:mixed16 ux:scalar uy:gather8 uz:gather8"
         );
         let cfl = [0.4, -0.7];
         // Cells −3..0 and 2..5 of the periodic 2-cell `y` axis, in
@@ -1422,7 +1424,7 @@ mod tests {
         let dims = ps.dims6();
         assert_eq!(
             lane_shapes(Scheme::SlMpp5, &dims, |_| Exec::Simd),
-            "x:packed16 y:gather8 z:gather8 ux:packed16 uy:gather8 uz:gather8"
+            "x:packed16 y:mixed16 z:mixed16 ux:packed16 uy:gather8 uz:gather8"
         );
         let cfl = [0.4, -0.7];
         // Cells −3..0 and 2..5 of the periodic 2-cell `x` axis, in
@@ -1452,6 +1454,64 @@ mod tests {
         }
         sweep_velocity(&mut ps, 0, &accel, Scheme::SlMpp5, Exec::Simd);
         assert!(ps.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0));
+    }
+
+    /// Strips end to end, sized for the Miri interpreter, on a `[2, 2, 4]`
+    /// velocity grid (one strip per cell): along `z` a periodic sweep whose
+    /// lanes shift apart — both signs, an exact zero, integer parts up to 2,
+    /// so a window two cells wider than the stencil — on two pool workers,
+    /// bitwise equal to the one-worker run and to each line advected alone;
+    /// then along `x` the full window fed the periodic images as planes,
+    /// bitwise equal to the periodic window.
+    #[test]
+    fn miri_smoke_strips() {
+        let build = || {
+            let mut ps = PhaseSpace::zeros([2, 1, 3], VelocityGrid::new([2, 2, 4], 1.0));
+            for (i, v) in ps.as_mut_slice().iter_mut().enumerate() {
+                *v = 0.01 + ((i * 37) % 29) as f32 / 29.0;
+            }
+            ps
+        };
+        let dims = build().dims6();
+        assert_eq!(
+            lane_shapes(Scheme::SlMpp5, &dims, |_| Exec::Simd),
+            "x:mixed16 y:mixed16 z:mixed16 ux:packed8 uy:gather8 uz:scalar"
+        );
+        let cfl = [0.4, -1.7, 0.0, 2.25];
+        let mut oracle = build();
+        rayon::with_num_threads(1, || {
+            sweep_spatial(&mut oracle, 2, &cfl, Scheme::SlMpp5, Exec::Simd);
+        });
+        let mut threaded = build();
+        rayon::with_num_threads(2, || {
+            sweep_spatial(&mut threaded, 2, &cfl, Scheme::SlMpp5, Exec::Simd);
+        });
+        assert_bits_eq(&oracle, &threaded, "1 vs 2 workers");
+        let reference = periodic_reference(&build(), 2, &cfl, Exec::Simd);
+        assert_bits_eq(&oracle, &reference, "strips vs lines alone");
+
+        let mut ps = build();
+        let cfl = [0.4, -0.7];
+        // Cells −3..0 and 2..5 of the periodic 2-cell `x` axis, in
+        // `extract_planes` layout: `x` is outermost, so plane after plane.
+        let images = |cells: [usize; 3]| -> Vec<f32> {
+            let planes = cells.map(|c| crate::exchange::extract_planes(&ps, 0, c, 1));
+            planes.concat()
+        };
+        let (low, high) = (images([1, 0, 1]), images([0, 1, 0]));
+        let mut ghosted = ps.clone();
+        let full = Window::full(2, &low, &high);
+        sweep_ghosted(
+            &mut ghosted,
+            0,
+            &cfl,
+            Scheme::SlMpp5,
+            Exec::Simd,
+            &[full],
+            None,
+        );
+        sweep_spatial(&mut ps, 0, &cfl, Scheme::SlMpp5, Exec::Simd);
+        assert_bits_eq(&ps, &ghosted, "ghosted vs periodic");
     }
 
     /// Same shape as [`miri_smoke_scalar_sweeps`] but driven through real

@@ -106,9 +106,9 @@ proptest! {
     }
 }
 
-/// Thin velocity grids run in lanes too — gathered bundles, 4-cell lines,
-/// a task order interleaved with the conjugate index: the same bitwise bar
-/// at 1 / 2 / 4 workers on every axis.
+/// Thin velocity grids run in lanes too — strips with a shift per lane,
+/// gathered velocity bundles, 4-cell lines: the same bitwise bar at 1 / 2 /
+/// 4 workers on every axis.
 #[test]
 fn thin_grid_lane_sweeps_are_bitwise_serial() {
     let sdims = [8usize, 4, 4];

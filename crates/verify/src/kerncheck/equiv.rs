@@ -10,8 +10,10 @@
 //!   any aliasing an indicator sweep could mask. Involution is checked on
 //!   random data as a redundant independent witness.
 //!
-//! * `advect_lanes` (all-`f32`, at `f32x8` and at `f32x16`) tracks
-//!   `advect_line` (weights and limiter in `f64`) within a per-element hybrid
+//! * `advect_lanes` (all-`f32`, at `f32x8` and at `f32x16`), and
+//!   `advect_lanes_shifted` with a shift per lane (mixed signs, zeros,
+//!   integer parts up to 3), track `advect_line` (weights and limiter in
+//!   `f64`) within a per-element hybrid
 //!   ULP budget over a seeded adversarial corpus: uniform random lines,
 //!   isolated spikes (limiter corners), denormal-magnitude lines
 //!   (flush/underflow paths), and near-clamp plateaus (the positivity
@@ -42,7 +44,10 @@
 use super::model::run_body;
 use crate::report::Report;
 use vlasov6d_advection::flux::{slmpp5_flux, Value, Weights};
-use vlasov6d_advection::lanes::{advect_lanes, adversarial_corpus as corpus, LanesWork};
+use vlasov6d_advection::lanes::{
+    advect_lanes, advect_lanes_shifted, adversarial_corpus as corpus, adversarial_lane_shifts,
+    LaneShifts, LanesWork,
+};
 use vlasov6d_advection::line::{advect_line, LineWork, GHOST};
 use vlasov6d_advection::simd::{f32x16, transpose8x8, Lanes, LANES};
 use vlasov6d_advection::{f32x8, Boundary, Scheme};
@@ -122,13 +127,37 @@ fn pack<V: Lanes>(lines: &[Vec<f32>]) -> Vec<V> {
         .collect()
 }
 
+/// The window `advect_lanes_shifted` reads for `lines` packed as [`pack`]
+/// packs them, `margin` cells past `GHOST` on either side: the lines'
+/// periodic images, or zeros.
+fn lane_window<V: Lanes>(lines: &[Vec<f32>], margin: usize, bc: Boundary) -> Vec<V> {
+    let (n, reach) = (lines[0].len() as i64, (GHOST + margin) as i64);
+    (-reach..n + reach)
+        .map(|j| {
+            let mut v = V::ZERO;
+            for (l, x) in v.lanes_mut().iter_mut().enumerate() {
+                *x = match bc {
+                    Boundary::Periodic => lines[line_of(l)][j.rem_euclid(n) as usize],
+                    Boundary::Zero if (0..n).contains(&j) => lines[line_of(l)][j as usize],
+                    Boundary::Zero => 0.0,
+                };
+            }
+            v
+        })
+        .collect()
+}
+
 /// Differential-test `advect_lanes` at lane type `V` against `advect_line`
-/// over the corpus at line length `n`, as property `name`.
+/// over the corpus at line length `n`, at common shifts and — through
+/// `advect_lanes_shifted` on the lines' windows — at a shift per lane
+/// (`adversarial_lane_shifts`), as property `name`.
 fn check_lanes<V: Lanes>(report: &mut Report, n: usize, name: &str) {
     let cfls = [0.3, 0.85, 0.999, -0.42, 2.7, 1e-13, 0.2];
     let mut worst: f64 = 0.0;
     let mut failure = None;
     let mut cases = 0usize;
+    let mut lwork = LanesWork::new();
+    let mut swork = LineWork::new();
     for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
         for (shape, lines) in corpus(n) {
             let scale = lines
@@ -136,23 +165,31 @@ fn check_lanes<V: Lanes>(report: &mut Report, n: usize, name: &str) {
                 .flat_map(|l| l.iter())
                 .fold(0.0f32, |m, &v| m.max(v.abs()));
             let tol = lane_tolerance(scale);
-            for &cfl in &cfls {
+            let common = cfls.iter().map(|&c| vec![c; V::WIDTH]);
+            for cfl in common.chain(adversarial_lane_shifts(V::WIDTH)) {
                 for bc in [Boundary::Periodic, Boundary::Zero] {
                     cases += 1;
-                    let mut bundle = pack::<V>(&lines);
-                    let mut lwork = LanesWork::new();
-                    advect_lanes(scheme, &mut bundle, cfl, bc, &mut lwork);
-                    let mut swork = LineWork::new();
-                    for l in 0..V::WIDTH {
+                    let bundle = if cfl.iter().all(|&c| c == cfl[0]) {
+                        let mut bundle = pack::<V>(&lines);
+                        advect_lanes(scheme, &mut bundle, cfl[0], bc, &mut lwork);
+                        bundle
+                    } else {
+                        let shifts = LaneShifts::new(scheme, &cfl);
+                        let ext = lane_window::<V>(&lines, shifts.reach(), bc);
+                        let mut out = vec![V::ZERO; n];
+                        advect_lanes_shifted(scheme, &ext, &mut out, &shifts, &mut lwork);
+                        out
+                    };
+                    for (l, &c) in cfl.iter().enumerate() {
                         let mut scalar = lines[line_of(l)].clone();
-                        advect_line(scheme, &mut scalar, cfl, bc, &mut swork);
+                        advect_line(scheme, &mut scalar, c, bc, &mut swork);
                         let lane = bundle.iter().map(|v| v.lanes()[l]);
                         for (i, (v, s)) in lane.zip(&scalar).enumerate() {
                             let err = (v - s).abs();
                             worst = worst.max((err / tol) as f64);
                             if err > tol && failure.is_none() {
                                 failure = Some(format!(
-                                    "{scheme:?} {shape} cfl={cfl} {bc:?} lane {l} cell {i}: \
+                                    "{scheme:?} {shape} cfl={cfl:?} {bc:?} lane {l} cell {i}: \
                                      lanes {v} vs scalar {s} (|Δ| = {err:.3e} > tol {tol:.3e})"
                                 ));
                             }
@@ -166,9 +203,9 @@ fn check_lanes<V: Lanes>(report: &mut Report, n: usize, name: &str) {
         "equivalence",
         name,
         format!(
-            "f32x{} kernels track the scalar path within {BUDGET_ULPS:.0} ULP · scale + \
-             2·MIN_POSITIVE over {cases} (scheme × shape × cfl × boundary) corpus cases \
-             (worst {:.1}% of budget)",
+            "f32x{} kernels, at a common shift and at a shift per lane, track the scalar path \
+             within {BUDGET_ULPS:.0} ULP · scale + 2·MIN_POSITIVE over {cases} (scheme × shape \
+             × shifts × boundary) corpus cases (worst {:.1}% of budget)",
             V::WIDTH,
             worst * 100.0
         ),

@@ -54,7 +54,7 @@ pub const FAMILIES: [Family; 3] = [
         name: "racecheck",
         run: racecheck::run,
         pinned: Counts {
-            verified: 294,
+            verified: 295,
             controls: 8,
         },
     },

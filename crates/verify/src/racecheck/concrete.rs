@@ -38,12 +38,12 @@ pub(crate) fn declared_ghosted_indices(
             let p = plan::spatial_line(dims, d, task);
             cells.flat_map(|i| p.cell_indices(i)).collect()
         }
-        Exec::Simd => plan::Bundles::spatial(dims, d)
+        _ if plan::spatial_pairs(dims, d) => plan::Bundles::spatial(dims, d)
             .task(task)
             .flat_map(|(_, b)| cells.clone().flat_map(move |i| b.cell_indices(i)))
             .collect(),
-        Exec::Lat => {
-            let p = plan::spatial_tile(dims, task);
+        _ => {
+            let p = plan::Strips::spatial(dims, d).task(task);
             cells.flat_map(|i| p.cell_indices(i)).collect()
         }
     }
@@ -132,15 +132,21 @@ fn regions_witness<D: FnMut(usize) -> Vec<usize>>(
     gap.map(|idx| format!("declared plans leave index {idx} unclaimed"))
 }
 
-/// Sample shapes per task shape, including thin axes. The `gather` shapes
-/// are thin (`[2, 4, 4]`, the plasma scenarios' `[6, 4, 4]`) and ragged
-/// (`[4, 2, 6]`: `y` bundles over runs of six); an axis uses those of them on
-/// which its sweep resolves to gathers.
+/// Sample shapes per task shape, including thin axes. The `mixed` shapes
+/// are thin (`[2, 4, 4]`, the plasma scenarios' `[6, 4, 4]`), cubic (`8³`:
+/// `y` strips) and ragged (`[4, 2, 6]`, `[4, 2, 4]`: strips along `x` too);
+/// an axis uses those of them on which its sweep resolves to the shape.
 fn spatial_shapes(shape: Shape) -> Vec<[usize; 6]> {
     match shape {
         Shape::Scalar => vec![[3, 2, 2, 2, 3, 2], [1, 4, 1, 3, 1, 2], [2, 1, 3, 1, 2, 1]],
-        Shape::Simd => vec![[2, 3, 2, 2, 8, 8], [3, 1, 2, 1, 8, 16], [1, 2, 1, 2, 16, 8]],
-        Shape::Gather => vec![[2, 2, 2, 2, 4, 4], [3, 2, 4, 6, 4, 4], [1, 4, 2, 4, 2, 6]],
+        Shape::Simd => vec![[2, 3, 2, 2, 8, 8], [3, 1, 2, 1, 8, 16], [1, 2, 1, 2, 4, 16]],
+        Shape::Mixed => vec![
+            [2, 2, 2, 2, 4, 4],
+            [3, 2, 4, 6, 4, 4],
+            [1, 4, 2, 4, 2, 6],
+            [2, 3, 1, 4, 2, 4],
+            [1, 2, 3, 8, 8, 8],
+        ],
     }
 }
 
@@ -164,13 +170,13 @@ pub fn run(report: &mut Report) {
             .unwrap_or_else(|| panic!("region {name} not registered"))
     };
 
-    // Spatial sweeps: 3 axes × (scalar, simd, lat, gather); a `lat` request
+    // Spatial sweeps: 3 axes × (scalar, simd, lat, mixed); a `lat` request
     // runs the `simd` shapes.
     let tags = [
         (Shape::Scalar, "scalar"),
         (Shape::Simd, "simd"),
         (Shape::Simd, "lat"),
-        (Shape::Gather, "gather"),
+        (Shape::Mixed, "mixed"),
     ];
     for (d, axis) in ["x", "y", "z"].iter().enumerate() {
         for (shape, tag) in tags {

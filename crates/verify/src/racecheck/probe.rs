@@ -143,9 +143,9 @@ fn probe_witness(
 }
 
 /// The velocity grids of the sweep fixtures, in [`Shape::ALL`] order: ragged
-/// (scalar pencils), cubic (`simd` / `lat`: whole-run bundles and tiles) and
-/// the plasma scenarios' thin shape (gathered bundles along `y` and `z`).
-const GRIDS: [[usize; 3]; 3] = [[3; 3], [8; 3], [6, 4, 4]];
+/// (scalar pencils), `[2, 2, 16]` (`simd` / `lat`: bundle pairs along `x`
+/// and `y`) and `[4, 2, 6]` (strips along every axis).
+const GRIDS: [[usize; 3]; 3] = [[3; 3], [2, 2, 16], [4, 2, 6]];
 
 /// The periodic sweep's regions: every task of `sweep_spatial` replayed
 /// through the periodic window, on a 6-cell swept axis (a full ±GHOST
@@ -157,7 +157,7 @@ fn spatial_probes(report: &mut Report) {
         (Exec::Scalar, GRIDS[0], Shape::Scalar, "scalar"),
         (Exec::Simd, GRIDS[1], Shape::Simd, "simd"),
         (Exec::Lat, GRIDS[1], Shape::Simd, "lat"),
-        (Exec::Simd, GRIDS[2], Shape::Gather, "gather"),
+        (Exec::Simd, GRIDS[2], Shape::Mixed, "mixed"),
     ];
     for (d, axis) in ["x", "y", "z"].iter().enumerate() {
         for ((e, (exec, nv, shape, tag)), (n, suffix)) in cases
@@ -184,6 +184,11 @@ fn spatial_probes(report: &mut Report) {
             let dims = ps0.dims6();
             // The task shape the request runs here: what the plans take.
             let ran = exec.resolve(scheme, &dims, d);
+            assert_eq!(
+                Shape::of(&dims, d, ran),
+                *shape,
+                "{tag} fixture along {axis}"
+            );
             // One task through the periodic region, or the public sweep.
             let run = |state: &mut [f32], task: Option<usize>| {
                 let mut ps = ps0.clone();
@@ -266,6 +271,11 @@ fn dist_probes(report: &mut Report) {
             let fx = DistFixture::new(d, nv);
             let dims = fx.ps0.dims6();
             let exec = Exec::Simd.resolve(fx.scheme, &dims, d);
+            assert_eq!(
+                Shape::of(&dims, d, exec),
+                shape,
+                "{tag} fixture along {axis}"
+            );
             for (region, name) in DIST_REGIONS {
                 probe_region(
                     report,

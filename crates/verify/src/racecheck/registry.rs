@@ -22,6 +22,7 @@
 use super::symbolic::{AxisFootprint, Divisibility, Extent, RegionModel};
 use vlasov6d_advection::simd::LANES;
 use vlasov6d_phase_space::exchange::GHOST_WIDTH;
+use vlasov6d_phase_space::plan::{self, STRIP};
 use vlasov6d_phase_space::probe::GhostedRegion;
 use vlasov6d_phase_space::Exec;
 
@@ -61,16 +62,17 @@ fn spatial_scalar_model(d: usize) -> RegionModel {
     }
 }
 
-/// The free axes of a spatial sweep along `d` — every axis but the swept one
-/// and its conjugate — in layout order.
-const FREE: [&[usize]; 3] = [&[1, 2, 4, 5], &[0, 2, 3, 5], &[0, 1, 3, 4]];
-/// Those of them after the conjugate axis: one *run* of the layout.
+/// The free axes of a spatial sweep along `d` after its conjugate one: one
+/// *run* of the layout.
 const RUN: [&[usize]; 3] = [&[4, 5], &[5], &[]];
+/// The axes other than `d`, in layout order: what a strip flattens.
+const ACROSS: [&[usize]; 3] = [&[1, 2, 3, 4, 5], &[0, 2, 3, 4, 5], &[0, 1, 3, 4, 5]];
 
 /// Lane spatial sweep along `d < 2` where a run of the layout holds whole
-/// bundles (`nuy·nuz % 8 == 0` for `x`, `nuz % 8 == 0` for `y`; paper
-/// Fig. 1): a task owns every bundle of one run at every conjugate index,
-/// so its digits are the free axes ahead of the conjugate one.
+/// bundles (paper Fig. 1; the sweep asks for whole pairs, `nuy·nuz % 16 == 0`
+/// for `x`, `nuz % 16 == 0` for `y`): a task owns every bundle of one run at
+/// every conjugate index, so its digits are the free axes ahead of the
+/// conjugate one.
 fn spatial_run_model(d: usize) -> RegionModel {
     assert!(d < 2);
     let mut task_digits = Vec::new();
@@ -96,83 +98,28 @@ fn spatial_run_model(d: usize) -> RegionModel {
     }
 }
 
-/// Lane spatial sweep along `d` where runs do not hold whole bundles (`y` on
-/// thin and ragged velocity grids, `z` wherever it is not tiled): a task owns
-/// one group of eight consecutive lines of the flattened free axes, at every
-/// conjugate index — element gathers (paper Fig. 2). `Exec::resolve` asks
-/// more than the model needs (the velocity extents alone supply the factor
-/// 8, so a group never leaves its spatial cell).
-fn spatial_gather_model(d: usize) -> RegionModel {
+/// Strip spatial sweep along `d` — every lane at its own shift, wherever
+/// runs do not hold whole pairs: a task owns a run of [`STRIP`] consecutive
+/// cells of the flattened axes other than `d` (`Exec::resolve` asks more:
+/// the velocity extents alone supply the factor 16, so a strip never leaves
+/// its spatial cell), along the whole pencil. Its lanes share no shift, so
+/// there is no conjugate axis for a group to respect.
+fn spatial_strip_model(d: usize) -> RegionModel {
     let write: Vec<_> = (0..6)
-        .map(|a| match a == d || a == 3 + d {
+        .map(|a| match a == d {
             true => AxisFootprint::Full,
             false => AxisFootprint::Flat(0),
         })
         .collect();
     RegionModel {
         array_rank: 6,
-        task_digits: vec![Extent::FlatDiv(FREE[d], LANES)],
+        task_digits: vec![Extent::FlatDiv(ACROSS[d], STRIP)],
         write: write.clone(),
         read_same_array: Some(write),
         constraints: vec![Divisibility {
-            axes: FREE[d],
-            divisor: LANES,
+            axes: ACROSS[d],
+            divisor: STRIP,
         }],
-        conjugate: Some(3 + d),
-    }
-}
-
-/// SIMD/LAT spatial sweep along `z` where `nuy` and `nuz` divide by 8: 8×8
-/// `(iuy, iuz)` tile pencils (paper Fig. 3 applied to the spatial `z` axis).
-/// A tile is eight bundles, one per `iuz` row, each with its own shift.
-fn spatial_tile_model() -> RegionModel {
-    RegionModel {
-        array_rank: 6,
-        task_digits: vec![
-            Extent::Axis(0),
-            Extent::Axis(1),
-            Extent::Axis(3),
-            Extent::AxisDiv(4, LANES),
-            Extent::AxisDiv(5, LANES),
-        ],
-        write: vec![
-            AxisFootprint::TaskDigit(0),
-            AxisFootprint::TaskDigit(1),
-            AxisFootprint::Full,
-            AxisFootprint::TaskDigit(2),
-            AxisFootprint::TaskBlock {
-                digit: 3,
-                width: LANES,
-            },
-            AxisFootprint::TaskBlock {
-                digit: 4,
-                width: LANES,
-            },
-        ],
-        read_same_array: Some(vec![
-            AxisFootprint::TaskDigit(0),
-            AxisFootprint::TaskDigit(1),
-            AxisFootprint::Full,
-            AxisFootprint::TaskDigit(2),
-            AxisFootprint::TaskBlock {
-                digit: 3,
-                width: LANES,
-            },
-            AxisFootprint::TaskBlock {
-                digit: 4,
-                width: LANES,
-            },
-        ]),
-        constraints: vec![
-            Divisibility {
-                axes: &[4],
-                divisor: LANES,
-            },
-            Divisibility {
-                axes: &[5],
-                divisor: LANES,
-            },
-        ],
         conjugate: None,
     }
 }
@@ -307,38 +254,36 @@ fn chunked_model(width: usize) -> RegionModel {
 }
 
 /// The shape of a spatial-sweep region's tasks, as the region names spell
-/// it: `scalar` pencils, `simd` (and `lat`) for the shapes of lane-divisible
-/// grids — whole-run bundle tasks along `x` / `y`, 8×8 tiles along `z` —
-/// and `gather` for the flat bundle groups of every other grid.
+/// it: `scalar` pencils, `simd` (and `lat`) for the packed bundle pairs of
+/// grids whose runs hold sixteen lines at one shift, `mixed` for the strips
+/// of every other lane grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
     Scalar,
     Simd,
-    Gather,
+    Mixed,
 }
 
 impl Shape {
     pub const ALL: [(Shape, &'static str); 3] = [
         (Shape::Scalar, "scalar"),
         (Shape::Simd, "simd"),
-        (Shape::Gather, "gather"),
+        (Shape::Mixed, "mixed"),
     ];
 
-    /// `x` never gathers: it runs lanes only where `nuy·nuz % 8 == 0`, which
-    /// is where its runs hold whole bundles.
+    /// `z` never pairs: no velocity axis follows `u_z`, so no two of its
+    /// consecutive cells share a shift.
     pub(crate) fn occurs_along(self, d: usize) -> bool {
-        (self, d) != (Shape::Gather, 0)
+        (self, d) != (Shape::Simd, 2)
     }
 
     /// The shape `sweep_spatial` / `sweep_ghosted` run along `d` of a `dims`
     /// grid in the task shape `exec` ([`Exec::resolve`]'s answer).
     pub fn of(dims: &[usize; 6], d: usize, exec: Exec) -> Shape {
-        let run: usize = RUN[d].iter().map(|&a| dims[a]).product();
         match exec {
             Exec::Scalar => Shape::Scalar,
-            Exec::Lat => Shape::Simd,
-            Exec::Simd if d < 2 && run.is_multiple_of(LANES) => Shape::Simd,
-            Exec::Simd => Shape::Gather,
+            _ if plan::spatial_pairs(dims, d) => Shape::Simd,
+            _ => Shape::Mixed,
         }
     }
 }
@@ -347,9 +292,8 @@ impl Shape {
 pub(crate) fn spatial_model(d: usize, shape: Shape) -> RegionModel {
     match shape {
         Shape::Scalar => spatial_scalar_model(d),
-        Shape::Gather => spatial_gather_model(d),
-        Shape::Simd if d < 2 => spatial_run_model(d),
-        Shape::Simd => spatial_tile_model(),
+        Shape::Simd => spatial_run_model(d),
+        Shape::Mixed => spatial_strip_model(d),
     }
 }
 
@@ -377,34 +321,32 @@ pub(crate) fn dist_model(d: usize, shape: Shape, region: GhostedRegion) -> Regio
 /// Every registered region, in report order.
 pub fn regions() -> Vec<Region> {
     let mut regions = Vec::new();
-    // `lat` requests run the `simd` shapes on the spatial axes.
-    // No `x.gather`: `x` runs lanes only where `nuy·nuz % 8 == 0`, which is
-    // where its runs hold whole bundles.
+    // `lat` requests run the `simd` shapes on the spatial axes; `z` never
+    // pairs.
     let spatial_names: [&[(&'static str, Shape)]; 3] = [
         &[
             ("sweep.spatial.x.scalar", Shape::Scalar),
             ("sweep.spatial.x.simd", Shape::Simd),
             ("sweep.spatial.x.lat", Shape::Simd),
+            ("sweep.spatial.x.mixed", Shape::Mixed),
         ],
         &[
             ("sweep.spatial.y.scalar", Shape::Scalar),
             ("sweep.spatial.y.simd", Shape::Simd),
             ("sweep.spatial.y.lat", Shape::Simd),
-            ("sweep.spatial.y.gather", Shape::Gather),
+            ("sweep.spatial.y.mixed", Shape::Mixed),
         ],
         &[
             ("sweep.spatial.z.scalar", Shape::Scalar),
-            ("sweep.spatial.z.simd", Shape::Simd),
-            ("sweep.spatial.z.lat", Shape::Simd),
-            ("sweep.spatial.z.gather", Shape::Gather),
+            ("sweep.spatial.z.mixed", Shape::Mixed),
         ],
     ];
     for (d, names) in spatial_names.into_iter().enumerate() {
         for &(name, shape) in names {
             regions.push(Region {
                 name,
-                about: "phase-space sweep.rs sweep_spatial: one pencil, bundle-run or tile task \
-                        per remaining coordinate of f",
+                about: "phase-space sweep.rs sweep_spatial: one pencil, bundle-pair run or \
+                        strip task per remaining coordinate of f",
                 backs_unsafe_impl: true,
                 model: spatial_model(d, shape),
             });
@@ -414,28 +356,28 @@ pub fn regions() -> Vec<Region> {
     let dist_names: [&'static str; 24] = [
         "sweep.dist.x.sync.scalar",
         "sweep.dist.x.sync.simd",
+        "sweep.dist.x.sync.mixed",
         "sweep.dist.x.interior.scalar",
         "sweep.dist.x.interior.simd",
+        "sweep.dist.x.interior.mixed",
         "sweep.dist.x.edges.scalar",
         "sweep.dist.x.edges.simd",
+        "sweep.dist.x.edges.mixed",
         "sweep.dist.y.sync.scalar",
         "sweep.dist.y.sync.simd",
-        "sweep.dist.y.sync.gather",
+        "sweep.dist.y.sync.mixed",
         "sweep.dist.y.interior.scalar",
         "sweep.dist.y.interior.simd",
-        "sweep.dist.y.interior.gather",
+        "sweep.dist.y.interior.mixed",
         "sweep.dist.y.edges.scalar",
         "sweep.dist.y.edges.simd",
-        "sweep.dist.y.edges.gather",
+        "sweep.dist.y.edges.mixed",
         "sweep.dist.z.sync.scalar",
-        "sweep.dist.z.sync.simd",
-        "sweep.dist.z.sync.gather",
+        "sweep.dist.z.sync.mixed",
         "sweep.dist.z.interior.scalar",
-        "sweep.dist.z.interior.simd",
-        "sweep.dist.z.interior.gather",
+        "sweep.dist.z.interior.mixed",
         "sweep.dist.z.edges.scalar",
-        "sweep.dist.z.edges.simd",
-        "sweep.dist.z.edges.gather",
+        "sweep.dist.z.edges.mixed",
     ];
     let mut dist_names = dist_names.into_iter();
     for d in 0..3 {
@@ -445,9 +387,7 @@ pub fn regions() -> Vec<Region> {
                     continue;
                 }
                 regions.push(Region {
-                    name: dist_names
-                        .next()
-                        .expect("24 names: 3 × 3 × 3 less x.gather"),
+                    name: dist_names.next().expect("24 names: 3 × 3 × 3 less z.simd"),
                     about: "phase-space sweep.rs sweep_ghosted: the distributed sweeps' pencil \
                             tasks, writing the whole pencil (sync), its interior, or its edges",
                     backs_unsafe_impl: true,
@@ -563,12 +503,12 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let regions = regions();
-        assert_eq!(regions.len(), 56);
+        assert_eq!(regions.len(), 55);
         let mut names: Vec<_> = regions.iter().map(|r| r.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 56, "duplicate region names");
-        assert_eq!(backing_region_names().len(), 40);
+        assert_eq!(names.len(), 55, "duplicate region names");
+        assert_eq!(backing_region_names().len(), 39);
     }
 
     #[test]

@@ -25,9 +25,9 @@ fn fill(s: [usize; 3], u: [f64; 3]) -> f64 {
 /// sweep, **bitwise**: the distributed sweeps run the same pencil tasks
 /// through the ghost-extended kernels at the shape `Exec::resolve` gives
 /// `Exec::Simd` — a function of the velocity grid alone, so every block
-/// resolves as the whole box does: packed bundles and tiles on the cubic
-/// grid, packed and gathered bundles on the thin one (the plasma scenarios'
-/// shape), scalar pencils on the ragged one.
+/// resolves as the whole box does: bundle pairs and strips on the cubic
+/// grid and on the thin one (the plasma scenarios' shape), scalar pencils
+/// on the ragged one.
 #[test]
 fn multi_sweep_distributed_run_matches_serial() {
     let sglobal = [12usize, 12, 12];

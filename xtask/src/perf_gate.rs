@@ -256,15 +256,20 @@ fn compute_metrics() -> (Vec<Metric>, TraceSet, String) {
         Metric {
             // What reporting a step costs against taking it: `step_event` is
             // one lane pass over `f` (`moments::step_sums`) and one
-            // allreduce. 0.36–0.49 over six gate runs; the bar is the highest
-            // plus 30 %. At opt-level 0 the sweeps slow down far more than a
-            // reduction does, so this reads a fifth of the release share
-            // (2.5 % of a `hybrid16` step, 12 % when it was five scalar
-            // passes — which read 0.60 here): it trips on a doubling, the
-            // benchmark's `core.step.other_share` shows the rest.
+            // allreduce. 0.36–0.49 over six gate runs of the nine-sweep
+            // step; the bar was the highest plus 30 %, 0.64. At opt-level 0
+            // the sweeps slow down far more than a reduction does, so this
+            // reads a fifth of the release share (2.5 % of a `hybrid16`
+            // step, 12 % when it was five scalar passes — which read 0.60
+            // here): it trips on a doubling, the benchmark's
+            // `core.step.other_share` shows the rest. The six-sweep step and
+            // the per-lane spatial sweeps shortened the step it divides by
+            // 2952 → 2011 ms (critical path per step, medians of 3 and 5
+            // runs alternated on a 2-vCPU x86-64 host), so the bar is
+            // 0.64 · 2952 / 2011.
             name: "diagnostics_share_pct",
             value: 100.0 * diagnostics / untraced.min_step_wall,
-            default_bounds: Some((0.0, 0.64)),
+            default_bounds: Some((0.0, 0.94)),
         },
         Metric {
             name: "exposed_agreement_pct",
